@@ -2,7 +2,8 @@
 //!
 //! * full-mesh no-transit verification at several sizes (the Figure-3d
 //!   curve as a criterion bench);
-//! * sequential vs parallel execution (ablation D3);
+//! * the reference oracle vs the pipeline on one worker and on every
+//!   core (ablation D3);
 //! * full vs incremental re-verification.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -38,6 +39,16 @@ fn bench_parallel(c: &mut Criterion) {
     });
     let (name, q) = s.peering_predicates().into_iter().next().unwrap();
     let (props, inv) = s.peering_property_inputs(&q);
+    g.bench_function(
+        BenchmarkId::from_parameter(format!("{name}-Reference")),
+        |b| {
+            b.iter(|| {
+                let v = Verifier::new(&s.network.topology, &s.network.policy)
+                    .with_ghost(s.from_peer_ghost());
+                assert!(v.verify_safety_reference(&props, &inv).all_passed());
+            })
+        },
+    );
     for mode in [RunMode::Sequential, RunMode::Parallel] {
         let label = format!("{name}-{mode:?}");
         g.bench_function(BenchmarkId::from_parameter(label), |b| {

@@ -1,18 +1,16 @@
-//! Incremental assumption-based solving ablation on the synthetic cloud
+//! The run pipeline against the reference oracle on the synthetic cloud
 //! WAN: one peering property suite verified three ways —
 //!
-//! * `fresh` — one fresh `TermPool` + bit-blast + `SatSolver` per check
-//!   (the seed behavior; `--no-incremental`);
-//! * `incremental` — checks grouped by encoding base, each group solved
-//!   on one persistent `IncrementalSession` via activation-literal
+//! * `fresh` — the reference oracle: one fresh `TermPool` + bit-blast +
+//!   `SatSolver` per check (the seed behavior);
+//! * `incremental` — the pipeline on one worker: identical structures
+//!   solved once, checks grouped by encoding base, each group solved on
+//!   one persistent `IncrementalSession` via activation-literal
 //!   assumption queries, learnt clauses carried across checks;
-//! * `incremental+cache` — incremental orchestrated solving against a
-//!   pre-warmed cross-run result cache (the warm re-verification path).
+//! * `incremental+cache` — the pipeline against a pre-warmed cross-run
+//!   result cache (the warm re-verification path).
 //!
-//! `fresh` and `incremental` run the sequential engine with structural
-//! dedup out of the picture, so the measured delta is purely the cost of
-//! re-encoding and re-learning versus assumption solving. Outcomes are
-//! asserted byte-identical before timing starts.
+//! Outcomes are asserted byte-identical before timing starts.
 //!
 //! Sized at an 8-router and a 50-router WAN; scale further with
 //! `WAN_REGIONS` / `WAN_ROUTERS` / `WAN_EDGES` / `WAN_PEERS`.
@@ -54,8 +52,7 @@ fn bench_scenario(c: &mut Criterion, s: &wan::Scenario, acceptance: bool) {
     // engines agree byte-for-byte.
     let fresh_report = Verifier::new(topo, &s.network.policy)
         .with_ghost(s.from_peer_ghost())
-        .with_incremental(false)
-        .verify_safety_multi(&props, &inv);
+        .verify_safety_reference(&props, &inv);
     let inc_report = Verifier::new(topo, &s.network.policy)
         .with_ghost(s.from_peer_ghost())
         .verify_safety_multi(&props, &inv);
@@ -71,10 +68,8 @@ fn bench_scenario(c: &mut Criterion, s: &wan::Scenario, acceptance: bool) {
 
     g.bench_with_input(BenchmarkId::new("fresh", &label), &s, |b, s| {
         b.iter(|| {
-            let v = Verifier::new(topo, &s.network.policy)
-                .with_ghost(s.from_peer_ghost())
-                .with_incremental(false);
-            assert!(v.verify_safety_multi(&props, &inv).all_passed());
+            let v = Verifier::new(topo, &s.network.policy).with_ghost(s.from_peer_ghost());
+            assert!(v.verify_safety_reference(&props, &inv).all_passed());
         })
     });
 
@@ -109,16 +104,14 @@ fn bench_scenario(c: &mut Criterion, s: &wan::Scenario, acceptance: bool) {
         return;
     }
     // Acceptance gate (ISSUE 2, asserted in-bench since ISSUE 4's CI
-    // bench-gate job): incremental group solving >= 2x over fresh
-    // per-check solving on the 50-router WAN.
+    // bench-gate job): the pipeline on one worker >= 2x over the
+    // reference oracle's fresh per-check solving on the 50-router WAN.
     let reps = 5usize;
     let fresh_times: Vec<Duration> = (0..reps)
         .map(|_| {
-            let v = Verifier::new(topo, &s.network.policy)
-                .with_ghost(s.from_peer_ghost())
-                .with_incremental(false);
+            let v = Verifier::new(topo, &s.network.policy).with_ghost(s.from_peer_ghost());
             let t = Instant::now();
-            assert!(v.verify_safety_multi(&props, &inv).all_passed());
+            assert!(v.verify_safety_reference(&props, &inv).all_passed());
             t.elapsed()
         })
         .collect();

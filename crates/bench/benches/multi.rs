@@ -1,7 +1,7 @@
 //! Cross-property shared-encoding verification on the synthetic cloud
 //! WAN: several peering-policy property suites verified two ways —
 //!
-//! * `per-property` — one grouped (`--incremental`) run per suite, the
+//! * `per-property` — one pipeline run per suite, the
 //!   PR-2 state of the art: within a suite each edge's transfer relation
 //!   is encoded once, but every suite re-encodes every edge again;
 //! * `cross-property` — `Verifier::verify_safety_batch`: ONE run over

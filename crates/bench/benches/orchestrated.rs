@@ -1,9 +1,9 @@
 //! Orchestrator ablation on the synthetic cloud WAN: the same peering
 //! property verified three ways —
 //!
-//! * `naive` — orchestrated pool, structural dedup disabled (every
-//!   check is its own solver call; the old D3 behavior);
-//! * `dedup` — structural dedup on (the Figure 3b/3d attack: WAN
+//! * `naive` — the reference oracle (every check is its own solver
+//!   call on a fresh instance, in order);
+//! * `dedup` — the pipeline on the pool (the Figure 3b/3d attack: WAN
 //!   peerings share route-map templates, so thousands of checks
 //!   collapse to a handful of solver calls);
 //! * `cached` — dedup plus a pre-warmed cross-run result cache (the
@@ -39,11 +39,8 @@ fn bench_orchestrated(c: &mut Criterion) {
 
     g.bench_with_input(BenchmarkId::new("naive", &label), &s, |b, s| {
         b.iter(|| {
-            let v = Verifier::new(topo, &s.network.policy)
-                .with_ghost(s.from_peer_ghost())
-                .with_mode(RunMode::Parallel)
-                .with_dedup(false);
-            assert!(v.verify_safety_multi(&props, &inv).all_passed());
+            let v = Verifier::new(topo, &s.network.policy).with_ghost(s.from_peer_ghost());
+            assert!(v.verify_safety_reference(&props, &inv).all_passed());
         })
     });
 

@@ -4,7 +4,7 @@
 //! has proved the WAN once; an operator edits one router's route map;
 //! how fast is the re-check?
 //!
-//! * `fresh` — a full `--incremental` verification of the edited
+//! * `fresh` — a full pipeline verification of the edited
 //!   network from scratch (what `lightyear verify` does per run);
 //! * `warm-reverify` — a `ReverifyEngine` round: the semantic diff names
 //!   the edited router, fingerprints confirm the dirty neighborhood, the
@@ -151,7 +151,7 @@ fn bench_scenario(c: &mut Criterion, params: &WanParams, acceptance: bool) {
     }
     // Acceptance gate (ISSUE 3): on the 50-router WAN a warm re-verify
     // round after a single-router route-map edit is >= 5x faster than a
-    // fresh --incremental run, re-solving only the dirty neighborhood.
+    // fresh pipeline run, re-solving only the dirty neighborhood.
     let reps = 5usize;
     let fresh_times: Vec<Duration> = (0..reps)
         .map(|r| {

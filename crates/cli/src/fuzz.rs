@@ -1,5 +1,5 @@
 //! The `fuzz` subcommand: seeded differential campaigns over the
-//! topology zoo, with minimized replayable repros on discrepancy.
+//! topology families, with minimized replayable repros on discrepancy.
 
 use crate::{flag_value, usage};
 use fuzz::{CampaignConfig, FamilyId};

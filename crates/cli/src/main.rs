@@ -3,11 +3,11 @@
 //! ```text
 //! USAGE:
 //!   lightyear verify --configs <DIR> --spec <FILE> [--parallel] [--json]
-//!                    [--jobs N] [--no-dedup] [--no-incremental]
+//!                    [--jobs N] [--portfolio K]
 //!                    [--cache] [--cache-dir DIR] [--cache-cap N]
 //!                    [--profile FILE]
 //!   lightyear profile <SPEC> <CONFIG_DIR> [--jobs N] [--out FILE] [--portfolio K]
-//!                    [--top N] [--sequential]
+//!                    [--top N]
 //!   lightyear watch  --configs <DIR> --spec <FILE> [--baseline DIR]
 //!                    [--once] [--interval-ms N] [--max-rounds N]
 //!                    [--cache-dir DIR] [--metrics-json FILE]
@@ -86,11 +86,11 @@
 //!                   verify DIR0 fully, then every subsequent directory as
 //!                   a delta round, proving each intermediate
 //!                   configuration safe; exit code 1 if any step fails
-//!   fuzz            seeded differential campaign over the topology zoo
+//!   fuzz            seeded differential campaign over six topology families
 //!                   (figure1, fullmesh, wan, rr, stub, hubspoke): each
 //!                   case is cross-checked by the simulation oracle (all
-//!                   2^3 SimOptions), the mode-parity oracle (fresh /
-//!                   incremental / orchestrated / cross-property batch
+//!                   2^3 SimOptions), the mode-parity oracle (reference /
+//!                   one worker / two workers / cross-property batch
 //!                   byte-identity) and the edit-sequence oracle
 //!                   (reverify == fresh after every random edit), plus a
 //!                   curated injected-bug sweep. A discrepancy is greedily
@@ -120,23 +120,22 @@
 //!   spec-template   print an example spec.json to stdout
 //!
 //! VERIFY OPTIONS:
-//!   --parallel      run checks on the orchestrator (work-stealing pool
-//!                   with structural dedup) instead of sequentially
-//!   --jobs N        orchestrator worker threads (implies --parallel)
-//!   --no-dedup      disable structural check deduplication
+//!   --jobs N        worker threads for the check pipeline (default 1:
+//!                   everything runs on the calling thread). Every run
+//!                   fingerprints its checks, solves each distinct
+//!                   structure once and groups checks that share an
+//!                   encoding base (same edge transfer function /
+//!                   implication shape) onto one persistent SMT session;
+//!                   N only sets how many groups are solved at a time
+//!   --parallel      one worker per core (--jobs N overrides the count)
 //!   --portfolio K   race heavyweight check groups on K jittered solver
 //!                   clones (2..=4), first answer wins; reports stay
 //!                   byte-identical to sequential solving
-//!   --incremental / --no-incremental
-//!                   solve checks that share an encoding base (same edge
-//!                   transfer function / implication shape) as assumption
-//!                   queries on one persistent SMT session, carrying
-//!                   learnt clauses across checks (default: on; verdicts
-//!                   are identical either way)
-//!   --cache         reuse check results across runs (implies --parallel);
-//!                   spilled to --cache-dir as JSON. Failures are spilled
-//!                   too and re-validated against the live configs before
-//!                   reuse
+//!   --cache         reuse check results across runs; spilled to
+//!                   --cache-dir as JSON. Failures are spilled too and
+//!                   re-validated against the live configs before reuse.
+//!                   The cache is consulted at any worker count; without
+//!                   --jobs a cached run uses one worker per core
 //!   --cache-dir DIR cache spill directory (default .lightyear-cache;
 //!                   implies --cache)
 //!   --cache-cap N   bound the in-memory cache to ~N entries with LRU
@@ -145,8 +144,8 @@
 //!                   self-contained profile report (stage split, hottest
 //!                   check groups, solver counters, Chrome trace) to FILE
 //!
-//! With --parallel, a dedup-stats summary line is printed after the
-//! properties, e.g.:
+//! With --parallel, --jobs or any --cache flag, a dedup-stats summary
+//! line is printed after the properties, e.g.:
 //!   orchestrator: 220 checks -> 34 solver calls (180 deduped, 6 cached, ratio 0.15, 8 threads); incremental: 12 groups, 22 warm assumption solves
 //! ```
 
@@ -169,10 +168,10 @@ use std::process::ExitCode;
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  lightyear verify --configs <DIR> --spec <FILE> [--parallel] [--json]\n    \
-         [--jobs N] [--no-dedup] [--no-incremental] [--portfolio K] [--cache] [--cache-dir <DIR>]\n    \
-         [--cache-cap N] [--profile <FILE>]\n  \
+         [--jobs N] [--portfolio K] [--cache] [--cache-dir <DIR>] [--cache-cap N]\n    \
+         [--profile <FILE>]\n  \
          lightyear profile <SPEC> <CONFIG_DIR> [--jobs N] [--out <FILE>] [--top N]\n    \
-         [--sequential] [--portfolio K]\n  \
+         [--portfolio K]\n  \
          lightyear watch --configs <DIR> --spec <FILE> [--baseline <DIR>] [--once]\n    \
          [--interval-ms N] [--max-rounds N] [--cache-dir <DIR>] [--metrics-json <FILE>]\n    \
          [--listen <ADDR>] [--stale-after-ms N] [--flight-json <FILE>] [--events-jsonl <FILE>]\n  \
@@ -275,6 +274,40 @@ fn cmd_lint(args: &[String]) -> ExitCode {
     }
 }
 
+/// Strict scan of a subcommand's arguments: every `--flag` must be one
+/// of `value_flags` (followed by its value) or one of `switches`.
+/// Returns the positional arguments, or prints the error plus the usage
+/// text and returns the usage exit code.
+fn positionals(
+    cmd: &str,
+    args: &[String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> Result<Vec<String>, ExitCode> {
+    let mut pos = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        let a = args[i].as_str();
+        if value_flags.contains(&a) {
+            if i + 1 >= args.len() {
+                eprintln!("error: {a} needs a value");
+                return Err(usage());
+            }
+            i += 2;
+            continue;
+        }
+        if !switches.contains(&a) {
+            if a.starts_with("--") {
+                eprintln!("error: unknown {cmd} option {a}");
+                return Err(usage());
+            }
+            pos.push(a.to_string());
+        }
+        i += 1;
+    }
+    Ok(pos)
+}
+
 fn flag_value(args: &[String], name: &str) -> Option<String> {
     args.iter()
         .position(|a| a == name)
@@ -326,6 +359,29 @@ fn cmd_parse(args: &[String]) -> ExitCode {
 }
 
 fn cmd_verify(args: &[String]) -> ExitCode {
+    // A typo'd or retired option must fail loudly, not run with the
+    // setting silently ignored.
+    let stray = match positionals(
+        "verify",
+        args,
+        &[
+            "--configs",
+            "--spec",
+            "--jobs",
+            "--portfolio",
+            "--cache-dir",
+            "--cache-cap",
+            "--profile",
+        ],
+        &["--parallel", "--json", "--cache"],
+    ) {
+        Ok(pos) => pos,
+        Err(code) => return code,
+    };
+    if let Some(a) = stray.first() {
+        eprintln!("error: unknown verify option {a}");
+        return usage();
+    }
     let (Some(dir), Some(spec_path)) = (flag_value(args, "--configs"), flag_value(args, "--spec"))
     else {
         return usage();
@@ -339,10 +395,6 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             return usage();
         }
     };
-    let dedup = !args.iter().any(|a| a == "--no-dedup");
-    // Incremental group solving defaults to on; --no-incremental restores
-    // one fresh SMT instance per check.
-    let incremental = !args.iter().any(|a| a == "--no-incremental");
     let portfolio = match flag_value(args, "--portfolio").map(|v| v.parse::<usize>()) {
         None => None,
         Some(Ok(k)) if (2..=lightyear::smt::PORTFOLIO_MAX_K).contains(&k) => Some(k),
@@ -365,8 +417,9 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     };
     let use_cache =
         args.iter().any(|a| a == "--cache") || cache_dir.is_some() || cache_cap.is_some();
-    // --jobs/--cache only make sense on the orchestrator.
-    let parallel = args.iter().any(|a| a == "--parallel") || jobs.is_some() || use_cache;
+    let parallel = args.iter().any(|a| a == "--parallel");
+    // The flags that ask about orchestration get its statistics back.
+    let show_exec = parallel || jobs.is_some() || use_cache;
     // --json and --profile both want the run's timings/counters, so
     // either installs the metrics sink; without them the sink stays
     // absent and every instrumentation point is a single relaxed load.
@@ -418,14 +471,12 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     };
 
     let topo = &net.topology;
-    let mut verifier = Verifier::new(topo, &net.policy)
-        .with_mode(if parallel {
-            RunMode::Parallel
-        } else {
-            RunMode::Sequential
-        })
-        .with_dedup(dedup)
-        .with_incremental(incremental);
+    let mut verifier = Verifier::new(topo, &net.policy);
+    // A cached run defaults to the pool too: a warm run re-validates
+    // its spilled failures there.
+    if parallel || use_cache {
+        verifier = verifier.with_mode(RunMode::Parallel);
+    }
     if let Some(n) = jobs {
         verifier = verifier.with_jobs(n);
     }
@@ -579,7 +630,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             }
         }
     }
-    if parallel {
+    if show_exec {
         if as_json {
             json_out.push(render::exec_doc(&exec).to_value());
         } else {

@@ -11,7 +11,7 @@
 //! snapshot.
 
 use crate::spec::Spec;
-use crate::{flag_value, load_network, load_spec, usage};
+use crate::{flag_value, load_network, load_spec, positionals, usage};
 use lightyear::engine::{RunMode, Verifier};
 use std::path::Path;
 use std::process::ExitCode;
@@ -266,28 +266,15 @@ fn render_report(reg: &obs::Registry, wall: Duration, top: usize, out_path: &str
 pub(crate) fn cmd_profile(args: &[String]) -> ExitCode {
     // Strict flags plus exactly two positionals: a typo'd option must
     // not be silently read as a spec or directory path.
-    let mut pos: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            f @ ("--jobs" | "--out" | "--top" | "--portfolio") => {
-                if i + 1 >= args.len() {
-                    eprintln!("error: {f} needs a value");
-                    return usage();
-                }
-                i += 2;
-            }
-            "--sequential" => i += 1,
-            a if a.starts_with("--") => {
-                eprintln!("error: unknown profile option {a}");
-                return usage();
-            }
-            a => {
-                pos.push(a.to_string());
-                i += 1;
-            }
-        }
-    }
+    let pos = match positionals(
+        "profile",
+        args,
+        &["--jobs", "--out", "--top", "--portfolio"],
+        &[],
+    ) {
+        Ok(pos) => pos,
+        Err(code) => return code,
+    };
     if pos.len() != 2 {
         eprintln!("error: profile needs <SPEC> <CONFIG_DIR>");
         return usage();
@@ -310,7 +297,6 @@ pub(crate) fn cmd_profile(args: &[String]) -> ExitCode {
         }
     };
     let out_path = flag_value(args, "--out").unwrap_or_else(|| "profile.json".to_string());
-    let sequential = args.iter().any(|a| a == "--sequential");
     let portfolio = match flag_value(args, "--portfolio").map(|v| v.parse::<usize>()) {
         None => None,
         Some(Ok(k)) if (2..=lightyear::smt::PORTFOLIO_MAX_K).contains(&k) => Some(k),
@@ -340,11 +326,7 @@ pub(crate) fn cmd_profile(args: &[String]) -> ExitCode {
         }
     };
     let topo = &net.topology;
-    let mut verifier = Verifier::new(topo, &net.policy).with_mode(if sequential {
-        RunMode::Sequential
-    } else {
-        RunMode::Parallel
-    });
+    let mut verifier = Verifier::new(topo, &net.policy).with_mode(RunMode::Parallel);
     if let Some(n) = jobs {
         verifier = verifier.with_jobs(n);
     }

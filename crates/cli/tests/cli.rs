@@ -86,6 +86,8 @@ fn verify_passes_on_correct_network() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(stdout.contains("no-transit: verified"), "{stdout}");
+    // The statistics line is for runs that asked about orchestration.
+    assert!(!stdout.contains("orchestrator:"), "{stdout}");
 }
 
 #[test]
@@ -314,40 +316,52 @@ fn verify_orchestrated_prints_dedup_stats() {
         "missing dedup stats line: {stdout}"
     );
     assert!(stdout.contains("solver calls"), "{stdout}");
+    assert!(
+        stdout.contains("incremental:"),
+        "missing group-solving stats: {stdout}"
+    );
 }
 
 #[test]
-fn incremental_flag_switches_group_solving() {
-    let d = tmpdir("incr");
+fn verify_rejects_unknown_and_retired_flags() {
+    let d = tmpdir("flags");
     write_net(&d, R2);
-    let run = |extra: &[&str]| {
-        let mut cmd = Command::new(bin());
-        cmd.args(["verify", "--jobs", "2"]);
-        cmd.args(extra);
-        cmd.args(["--configs"])
+    // A typo and the retired path-selection flags must fail loudly with
+    // the usage text, not run with the setting silently ignored.
+    for bad in [
+        "--bogus",
+        "--no-dedup",
+        "--no-incremental",
+        "--incremental",
+        "stray",
+    ] {
+        let out = Command::new(bin())
+            .args(["verify", "--configs"])
             .arg(&d)
             .arg("--spec")
-            .arg(d.join("spec.json"));
-        cmd.output().unwrap()
-    };
-    // Default: incremental group solving, reported on the stats line.
-    let on = run(&[]);
-    let on_out = String::from_utf8_lossy(&on.stdout).to_string();
-    assert!(on.status.success(), "{on_out}");
-    assert!(
-        on_out.contains("incremental:"),
-        "missing incremental stats: {on_out}"
-    );
-    // Disabled: same verdicts, one fresh instance per check, no
-    // incremental stats segment.
-    let off = run(&["--no-incremental"]);
-    let off_out = String::from_utf8_lossy(&off.stdout).to_string();
-    assert!(off.status.success(), "{off_out}");
-    assert!(off_out.contains("no-transit: verified"), "{off_out}");
-    assert!(
-        !off_out.contains("incremental:"),
-        "--no-incremental must suppress group solving: {off_out}"
-    );
+            .arg(d.join("spec.json"))
+            .arg(bad)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bad}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown verify option {bad}")),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{bad} must not verify anything");
+    }
+    // A value flag with its value missing is a usage error too.
+    let out = Command::new(bin())
+        .args(["verify", "--configs"])
+        .arg(&d)
+        .arg("--spec")
+        .arg(d.join("spec.json"))
+        .arg("--jobs")
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(2));
 }
 
 #[test]
@@ -683,6 +697,13 @@ fn verify_cache_warms_across_runs() {
     assert!(
         cold_out.contains("0 cached"),
         "cold run must not hit the cache: {cold_out}"
+    );
+    // Without --jobs a cached run uses one worker per core (warm runs
+    // re-validate spilled failures on the pool).
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    assert!(
+        cold_out.contains(&format!(", {cores} threads)")),
+        "{cold_out}"
     );
 
     let warm = run();

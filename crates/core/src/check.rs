@@ -118,7 +118,7 @@ pub struct CheckOutcome {
     /// conjuncts the UNSAT proof actually used. `Some(vec![])` means the
     /// check holds vacuously — no invariant conjunct was load-bearing.
     /// `None` for failures, concrete originate checks, and the
-    /// `--no-incremental` one-fresh-instance-per-check path. A core is
+    /// one-fresh-instance-per-check reference oracle. A core is
     /// sound but not necessarily minimal, and — like solver timings — not
     /// deterministic across runs, so it is never part of the `Display`
     /// rendering (see `--json` and [`Report::cores`]).
@@ -133,14 +133,13 @@ pub struct Report {
     pub outcomes: Vec<CheckOutcome>,
     /// Wall-clock time for the whole run.
     pub total_time: Duration,
-    /// Orchestration statistics (all zero for sequential runs).
+    /// Orchestration statistics (all zero for the reference oracle).
     pub exec: RunStats,
 }
 
 impl Report {
-    /// Sort outcomes by check id. Run execution already assembles in
-    /// submission order; this keeps rendering deterministic after
-    /// [`Report::merge`] too.
+    /// Sort outcomes by check id. Runs already deliver in check order;
+    /// this keeps rendering deterministic after [`Report::merge`] too.
     pub fn sort_by_id(&mut self) {
         self.outcomes.sort_by_key(|o| o.check.id);
     }

@@ -1,5 +1,5 @@
-//! The verification engine: check generation, execution (sequential or
-//! parallel), statistics and incremental re-verification.
+//! The verification engine: check generation, the one execution
+//! pipeline, statistics and incremental re-verification.
 //!
 //! For a safety property, the engine generates the §4.2 checks:
 //!
@@ -17,15 +17,17 @@
 //! node's configuration changes, only the checks touching its edges
 //! re-run.
 //!
-//! Checks are *not* discharged one fresh SMT instance each (the seed
-//! behavior): checks that share an **encoding base** — the same edge's
-//! transfer function, or the pure-implication shape — are grouped, the
-//! shared universe/router constraints are encoded once on a persistent
-//! [`smt::IncrementalSession`], and each check becomes an
-//! assumption-gated query on that session, carrying learnt clauses from
-//! check to check. `--no-incremental` (or
-//! [`Verifier::with_incremental`]`(false)`) restores the one-instance-
-//! per-check behavior; outcomes are identical either way.
+//! Every run takes the same path ([`Verifier::execute`]): fingerprint
+//! each check and collapse structurally identical ones, answer what the
+//! cache already knows, group the rest by **encoding base** — the same
+//! edge's transfer function, or the pure-implication shape — and solve
+//! each group on one persistent [`smt::IncrementalSession`] (shared
+//! universe/router constraints encoded once, each check an
+//! assumption-gated query carrying learnt clauses forward), with groups
+//! spread over `jobs` workers and outcomes streamed to a sink in check
+//! order. One fresh SMT instance per check survives only as
+//! [`Verifier::verify_safety_reference`], the oracle tests and benches
+//! compare the pipeline against; outcomes are identical either way.
 
 use crate::check::{
     Check, CheckKind, CheckOutcome, CheckResult, Counterexample, Report, ReportSummary,
@@ -40,7 +42,7 @@ use crate::symbolic::{ConcreteRoute, SymRoute};
 use crate::universe::Universe;
 use bgp_model::policy::Policy;
 use bgp_model::topology::{EdgeId, NodeId, Topology};
-use orchestrator::{run_grouped, Fingerprint, ResultCache, RunConfig, RunStats};
+use orchestrator::{run_grouped, Executor, Fingerprint, ResultCache, RunStats};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use smt::{
@@ -50,15 +52,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// How to execute the generated checks.
+/// A name for a worker count (see [`Verifier::with_mode`]); it selects
+/// no code path — every run goes through the same pipeline.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum RunMode {
-    /// One check at a time, in order (paper's sequential numbers, §6.1).
+    /// One worker: the pipeline runs inline on the calling thread
+    /// (paper's sequential numbers, §6.1).
     #[default]
     Sequential,
-    /// Orchestrated execution (D3): checks are fingerprinted, identical
-    /// structures deduplicated and (optionally) answered from a cache,
-    /// and the rest solved on a work-stealing pool.
+    /// One worker per core on the work-stealing pool (D3).
     Parallel,
 }
 
@@ -189,7 +191,7 @@ pub fn save_check_cache(cache: &CheckCache, dir: &std::path::Path) -> std::io::R
 /// trust level a [`crate::reverify::ReverifyEngine`] extends to a spilled
 /// cache on daemon restart: equal fingerprints mean bit-identical
 /// formulas, so replaying a pass is sound, while a spilled failure's
-/// counterexample would be replayed without the orchestrated path's
+/// counterexample would be replayed without the run pipeline's
 /// re-validation — so failures are dropped and simply re-proved.
 pub fn load_pass_cache(dir: &std::path::Path) -> std::io::Result<(Arc<CheckCache>, usize)> {
     let cache = Arc::new(CheckCache::new());
@@ -455,9 +457,8 @@ pub struct SolverTuning {
 
 /// Engine-level portfolio policy: which groups opt into racing and how
 /// the race is shaped. The thread *budget* is not part of the policy —
-/// it is derived per run from the machine and the execution mode
-/// (sequential runs may race on every spare core; orchestrated runs
-/// only on cores the worker pool left free), so group parallelism
+/// it is derived per run from the machine and the worker count (races
+/// only get the cores the worker pool left free), so group parallelism
 /// always wins the fight for cores over portfolio parallelism.
 #[derive(Clone, Debug)]
 pub struct PortfolioTuning {
@@ -493,15 +494,9 @@ pub struct Verifier<'a> {
     topo: &'a Topology,
     policy: &'a Policy,
     ghosts: Vec<GhostAttr>,
-    mode: RunMode,
-    /// Worker threads for orchestrated runs (`None`: all cores).
-    jobs: Option<usize>,
-    /// Collapse structurally identical checks (orchestrated runs).
-    dedup: bool,
-    /// Solve encoding-base groups on persistent assumption-based SMT
-    /// sessions instead of one fresh instance per check.
-    incremental: bool,
-    /// Cross-run result cache (orchestrated runs).
+    /// Worker threads; at 1 the pipeline runs inline on the caller.
+    jobs: usize,
+    /// Cross-run result cache.
     cache: Option<Arc<CheckCache>>,
     /// SAT-solver tuning for group sessions.
     solver: SolverTuning,
@@ -561,10 +556,7 @@ impl<'a> Verifier<'a> {
             topo,
             policy,
             ghosts: Vec::new(),
-            mode: RunMode::Sequential,
-            jobs: None,
-            dedup: true,
-            incremental: true,
+            jobs: 1,
             cache: None,
             solver: SolverTuning::default(),
         }
@@ -576,44 +568,31 @@ impl<'a> Verifier<'a> {
         self
     }
 
-    /// Set the execution mode.
-    pub fn with_mode(mut self, mode: RunMode) -> Self {
-        self.mode = mode;
-        self
+    /// Set the worker count by name: [`RunMode::Sequential`] is
+    /// `with_jobs(1)`, [`RunMode::Parallel`] one worker per core. The
+    /// mode is not stored — of `with_mode` and `with_jobs`, the last
+    /// call wins.
+    pub fn with_mode(self, mode: RunMode) -> Self {
+        self.with_jobs(match mode {
+            RunMode::Sequential => 1,
+            RunMode::Parallel => Executor::with_threads(None).threads(),
+        })
     }
 
-    /// The configured execution mode.
+    /// The mode the worker count amounts to: sequential at one worker,
+    /// parallel above.
     pub fn mode(&self) -> RunMode {
-        self.mode
+        if self.jobs == 1 {
+            RunMode::Sequential
+        } else {
+            RunMode::Parallel
+        }
     }
 
-    /// Set the orchestrated worker-thread count (implies
-    /// [`RunMode::Parallel`]).
+    /// Set the worker-thread count (at least 1).
     pub fn with_jobs(mut self, jobs: usize) -> Self {
-        self.jobs = Some(jobs.max(1));
-        self.mode = RunMode::Parallel;
+        self.jobs = jobs.max(1);
         self
-    }
-
-    /// Enable or disable structural deduplication (on by default; only
-    /// affects orchestrated runs).
-    pub fn with_dedup(mut self, dedup: bool) -> Self {
-        self.dedup = dedup;
-        self
-    }
-
-    /// Enable or disable incremental assumption-based group solving (on
-    /// by default; affects sequential and orchestrated runs alike).
-    /// Verdicts are identical either way — disabling trades speed for
-    /// the seed's one-fresh-instance-per-check behavior.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-
-    /// Whether incremental group solving is enabled.
-    pub fn incremental(&self) -> bool {
-        self.incremental
     }
 
     /// Replace the SAT-solver tuning wholesale (benches use this to pit
@@ -636,9 +615,8 @@ impl<'a> Verifier<'a> {
         &self.solver
     }
 
-    /// Attach a cross-run result cache (only consulted by orchestrated
-    /// runs). The cache is shared: clone the `Arc` to reuse it across
-    /// verifier instances or runs.
+    /// Attach a cross-run result cache. The cache is shared: clone the
+    /// `Arc` to reuse it across verifier instances or runs.
     pub fn with_cache(mut self, cache: Arc<CheckCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -722,53 +700,11 @@ impl<'a> Verifier<'a> {
         &self,
         suites: &[(&[SafetyProperty], &NetworkInvariants)],
     ) -> MultiReport {
-        let t0 = Instant::now();
-        // Resolve every suite's checks, re-identified into one global id
-        // space so a single run covers the whole batch.
-        let mut checks: Vec<ResolvedCheck> = Vec::new();
-        let mut bounds = vec![0usize];
-        for (props, inv) in suites {
-            let off = checks.len();
-            checks.extend(self.resolve_suite(props, inv).into_iter().map(|mut rc| {
-                rc.check.id += off;
-                rc
-            }));
-            bounds.push(checks.len());
+        let mut reports: Vec<Report> = suites.iter().map(|_| Report::default()).collect();
+        let (exec, total_time) = self.run_batch(suites, |si, o| reports[si].outcomes.push(o));
+        for r in &mut reports {
+            r.total_time = total_time;
         }
-        // Union universe: policy + ghosts + every suite's predicates.
-        let mut u = self.universe(&[]);
-        for (props, inv) in suites {
-            for p in *props {
-                p.pred.register(&mut u);
-            }
-            inv.register(&mut u);
-        }
-        let batch = self.run(&u, &checks);
-        let exec = batch.exec;
-        let total_time = t0.elapsed();
-        // Split the outcomes back into per-suite reports with local ids.
-        let mut outcomes = batch.outcomes.into_iter();
-        let reports = suites
-            .iter()
-            .enumerate()
-            .map(|(si, _)| {
-                let (lo, hi) = (bounds[si], bounds[si + 1]);
-                let mut r = Report {
-                    outcomes: outcomes
-                        .by_ref()
-                        .take(hi - lo)
-                        .map(|mut o| {
-                            o.check.id -= lo;
-                            o
-                        })
-                        .collect(),
-                    total_time,
-                    exec: RunStats::default(),
-                };
-                r.sort_by_id();
-                r
-            })
-            .collect();
         MultiReport {
             reports,
             exec,
@@ -776,15 +712,15 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Streaming variant of [`Verifier::verify_safety_batch`]: identical
-    /// resolve / union-universe / shared-run semantics, but per-check
-    /// outcomes are drained into per-suite [`ReportSummary`]
-    /// accumulators as their groups complete instead of being collected
-    /// into full per-suite outcome vectors. Verdict content is
-    /// identical — the golden CLI output is byte-for-byte the same —
-    /// while peak report memory tracks the solve frontier (the reorder
-    /// buffer between completion order and check-id order) plus the
-    /// failures worth rendering, not the total check count.
+    /// Streaming variant of [`Verifier::verify_safety_batch`]: the same
+    /// run, but per-check outcomes fold into per-suite
+    /// [`ReportSummary`] accumulators as they leave the pipeline
+    /// instead of being collected into full per-suite outcome vectors.
+    /// Verdict content is identical — the golden CLI output is
+    /// byte-for-byte the same — while peak report memory tracks the
+    /// solve frontier (the reorder window between completion order and
+    /// check-id order) plus the failures worth rendering, not the total
+    /// check count.
     ///
     /// `keep_cores` controls whether passing checks retain their
     /// load-bearing assumption cores (only the `--json` `cores`
@@ -794,6 +730,31 @@ impl<'a> Verifier<'a> {
         suites: &[(&[SafetyProperty], &NetworkInvariants)],
         keep_cores: bool,
     ) -> MultiSummary {
+        let mut summaries: Vec<ReportSummary> = suites
+            .iter()
+            .map(|_| ReportSummary::new(keep_cores))
+            .collect();
+        let (exec, total_time) = self.run_batch(suites, |si, o| summaries[si].push(o));
+        for s in &mut summaries {
+            s.total_time = total_time;
+        }
+        MultiSummary {
+            summaries,
+            exec,
+            total_time,
+        }
+    }
+
+    /// The shared body of the batch entry points: resolve every suite's
+    /// checks into one global id space, execute the whole batch as one
+    /// run over the union universe, and hand each outcome — re-identified to its
+    /// suite-local id, in ascending order per suite — to
+    /// `push(suite index, outcome)`.
+    fn run_batch(
+        &self,
+        suites: &[(&[SafetyProperty], &NetworkInvariants)],
+        mut push: impl FnMut(usize, CheckOutcome),
+    ) -> (RunStats, std::time::Duration) {
         let t0 = Instant::now();
         let mut checks: Vec<ResolvedCheck> = Vec::new();
         let mut bounds = vec![0usize];
@@ -805,36 +766,36 @@ impl<'a> Verifier<'a> {
             }));
             bounds.push(checks.len());
         }
-        let mut u = self.universe(&[]);
-        for (props, inv) in suites {
-            for p in *props {
-                p.pred.register(&mut u);
-            }
-            inv.register(&mut u);
-        }
-        let mut summaries: Vec<ReportSummary> = suites
-            .iter()
-            .map(|_| ReportSummary::new(keep_cores))
-            .collect();
-        let exec = {
-            let mut sink = |mut o: CheckOutcome| {
-                // Global ids are contiguous per suite, so the owning
-                // suite is the last bound at or below the id (empty
-                // suites contribute duplicate bounds and are skipped).
-                let si = bounds.partition_point(|&b| b <= o.check.id) - 1;
-                o.check.id -= bounds[si];
-                summaries[si].push(o);
-            };
-            self.run_streamed(&u, &checks, &mut sink)
-        };
-        let total_time = t0.elapsed();
-        for s in &mut summaries {
-            s.total_time = total_time;
-        }
-        MultiSummary {
-            summaries,
-            exec,
-            total_time,
+        let u = self.suites_universe(suites);
+        let exec = self.execute(&u, &checks, &mut |mut o| {
+            // Global ids are contiguous per suite, so the owning suite
+            // is the last bound at or below the id (empty suites
+            // contribute duplicate bounds and are skipped).
+            let si = bounds.partition_point(|&b| b <= o.check.id) - 1;
+            o.check.id -= bounds[si];
+            push(si, o);
+        });
+        (exec, t0.elapsed())
+    }
+
+    /// The reference oracle: every check of the `(props, inv)` suite
+    /// decided on its own fresh one-shot SMT instance, in order — no
+    /// dedup, no cache, no sessions, no pool. This is what the pipeline
+    /// must agree with byte for byte (differential tests, the fuzz
+    /// parity oracle, bench baselines); failing checks on the pipeline
+    /// re-derive their counterexample through the same per-check
+    /// solve. Reports carry no unsat cores and empty `exec` statistics.
+    pub fn verify_safety_reference(
+        &self,
+        props: &[SafetyProperty],
+        inv: &NetworkInvariants,
+    ) -> Report {
+        let t0 = Instant::now();
+        let (checks, u) = self.resolve_multi(props, inv);
+        Report {
+            outcomes: checks.iter().map(|c| self.run_one(&u, c)).collect(),
+            total_time: t0.elapsed(),
+            exec: RunStats::default(),
         }
     }
 
@@ -939,7 +900,7 @@ impl<'a> Verifier<'a> {
     ) -> (Vec<ResolvedCheck>, Universe) {
         (
             self.resolve_suite(props, inv),
-            self.suite_universe(props, inv),
+            self.suites_universe(&[(props, inv)]),
         )
     }
 
@@ -980,14 +941,17 @@ impl<'a> Verifier<'a> {
         checks
     }
 
-    /// The attribute universe of one suite: policy + ghosts + every
-    /// property predicate + the invariants.
-    fn suite_universe(&self, props: &[SafetyProperty], inv: &NetworkInvariants) -> Universe {
+    /// The (union) attribute universe of the given suites: policy +
+    /// ghosts + every suite's property predicates and invariants, suite
+    /// by suite.
+    fn suites_universe(&self, suites: &[(&[SafetyProperty], &NetworkInvariants)]) -> Universe {
         let mut u = self.universe(&[]);
-        for p in props {
-            p.pred.register(&mut u);
+        for (props, inv) in suites {
+            for p in *props {
+                p.pred.register(&mut u);
+            }
+            inv.register(&mut u);
         }
-        inv.register(&mut u);
         u
     }
 
@@ -1128,262 +1092,66 @@ impl<'a> Verifier<'a> {
     // Execution
     // ------------------------------------------------------------------
 
-    /// Execute pre-resolved checks through the configured pipeline
-    /// (crate-internal entry point for the liveness engine).
-    pub(crate) fn run_resolved(&self, universe: &Universe, checks: &[ResolvedCheck]) -> Report {
-        self.run(universe, checks)
-    }
-
-    fn run(&self, universe: &Universe, checks: &[ResolvedCheck]) -> Report {
+    /// Execute pre-resolved checks and collect every outcome into a
+    /// [`Report`]: a collecting sink over [`Verifier::execute`].
+    pub(crate) fn run(&self, universe: &Universe, checks: &[ResolvedCheck]) -> Report {
         let t0 = Instant::now();
-        obs::add("engine.checks_posed", checks.len() as u64);
-        let _span = obs::span!(
-            "run_checks",
-            checks = checks.len(),
-            mode = self.mode_label()
-        );
-        // Portfolio thread budget for this run: spare cores after the
-        // execution mode takes its share. Group parallelism outranks
-        // portfolio parallelism — a fully-subscribed orchestrated run
-        // gets a zero-slot pool and every query stays sequential.
-        let slots = self.solver.portfolio.as_ref().map(|_| {
-            let cores = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4);
-            let workers = match self.mode {
-                RunMode::Parallel => self.jobs.unwrap_or(cores),
-                RunMode::Sequential => 1,
-            };
-            smt::PortfolioSlots::new(cores.saturating_sub(workers))
-        });
-        let slots = slots.as_ref();
-        let (outcomes, exec) = match self.mode {
-            RunMode::Sequential if !self.incremental => (
-                checks.iter().map(|c| self.run_one(universe, c)).collect(),
-                RunStats::default(),
-            ),
-            RunMode::Sequential => self.run_sequential_incremental(universe, checks, slots),
-            RunMode::Parallel => self.run_orchestrated(universe, checks, slots),
-        };
-        let mut report = Report {
+        let mut outcomes = Vec::with_capacity(checks.len());
+        let exec = self.execute(universe, checks, &mut |o| outcomes.push(o));
+        Report {
             outcomes,
             total_time: t0.elapsed(),
             exec,
-        };
-        // Deterministic report assembly regardless of completion order.
-        report.sort_by_id();
-        report
+        }
     }
 
-    /// Execute checks and deliver every [`CheckOutcome`] to `sink` in
-    /// ascending check-id order without materialising the full outcome
-    /// vector. Sequential incremental runs stream through a reorder
-    /// buffer whose peak size is recorded as the
-    /// `engine.report_frontier_peak` gauge; plain sequential runs
-    /// stream one check at a time; orchestrated runs keep whole-run
-    /// assembly (dedup and cache bookkeeping need it) and drain sorted.
-    fn run_streamed(
+    /// The one run path. Fingerprint each check body and collapse
+    /// structurally identical ones, consult the cache (re-validating
+    /// spilled failures), batch the remainder by encoding-base key,
+    /// solve whole groups on the work-stealing pool — inline on the
+    /// calling thread at `jobs = 1` — and deliver every
+    /// [`CheckOutcome`] to `sink` in the order of `checks` (ascending
+    /// check id) without ever materialising the full outcome vector.
+    ///
+    /// Groups complete out of order, so verdicts pass through a reorder
+    /// window: one entry per structure that is decided but not yet fully
+    /// released, keyed by its lowest unreleased member, from which each
+    /// member's outcome is cloned only when its turn comes — the
+    /// frontier of the streaming report; everything before `next` has
+    /// already left through `sink`. Its peak size is the
+    /// `engine.report_frontier_peak` gauge.
+    fn execute(
         &self,
         universe: &Universe,
         checks: &[ResolvedCheck],
         sink: &mut dyn FnMut(CheckOutcome),
     ) -> RunStats {
-        // In-order delivery relies on resolved ids being dense and
-        // ascending, which `resolve_suite` + batch re-identification
-        // guarantee.
-        debug_assert!(checks.iter().enumerate().all(|(i, c)| c.check.id == i));
         obs::add("engine.checks_posed", checks.len() as u64);
-        let _span = obs::span!(
-            "run_checks",
-            checks = checks.len(),
-            mode = self.mode_label()
-        );
+        let _span = obs::span!("run_checks", checks = checks.len(), jobs = self.jobs);
+        // Portfolio thread budget for this run: the cores the worker
+        // pool leaves free. Group parallelism outranks portfolio
+        // parallelism — a fully-subscribed pool gets zero slots and
+        // every query stays sequential.
         let slots = self.solver.portfolio.as_ref().map(|_| {
-            let cores = std::thread::available_parallelism()
-                .map(|p| p.get())
-                .unwrap_or(4);
-            let workers = match self.mode {
-                RunMode::Parallel => self.jobs.unwrap_or(cores),
-                RunMode::Sequential => 1,
-            };
-            smt::PortfolioSlots::new(cores.saturating_sub(workers))
+            let cores = Executor::with_threads(None).threads();
+            smt::PortfolioSlots::new(cores.saturating_sub(self.jobs))
         });
         let slots = slots.as_ref();
-        match self.mode {
-            RunMode::Sequential if !self.incremental => {
-                for c in checks {
-                    sink(self.run_one(universe, c));
-                }
-                RunStats::default()
-            }
-            RunMode::Sequential => {
-                self.run_sequential_incremental_streamed(universe, checks, slots, sink)
-            }
-            RunMode::Parallel => {
-                let (mut outcomes, exec) = self.run_orchestrated(universe, checks, slots);
-                outcomes.sort_by_key(|o| o.check.id);
-                for o in outcomes {
-                    sink(o);
-                }
-                exec
-            }
-        }
-    }
-
-    /// The execution-mode label attached to trace spans.
-    fn mode_label(&self) -> &'static str {
-        match (self.mode, self.incremental) {
-            (RunMode::Sequential, false) => "sequential",
-            (RunMode::Sequential, true) => "sequential-incremental",
-            (RunMode::Parallel, false) => "parallel",
-            (RunMode::Parallel, true) => "parallel-incremental",
-        }
-    }
-
-    /// Sequential incremental execution: group checks by encoding base,
-    /// run each group on one persistent session, reassemble in order.
-    fn run_sequential_incremental(
-        &self,
-        universe: &Universe,
-        checks: &[ResolvedCheck],
-        slots: Option<&Arc<smt::PortfolioSlots>>,
-    ) -> (Vec<CheckOutcome>, RunStats) {
-        let mut order: Vec<(u64, Vec<usize>)> = Vec::new();
-        let mut group_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        for (i, c) in checks.iter().enumerate() {
-            let key = c.body.group_key();
-            match group_of.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => order[*e.get()].1.push(i),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(order.len());
-                    order.push((key, vec![i]));
-                }
-            }
-        }
-        let mut exec = RunStats {
-            groups: order.len(),
-            assumption_solves: checks.len().saturating_sub(order.len()),
-            ..RunStats::default()
-        };
-        if order.len() == checks.len() {
-            // No sharing to exploit: keep the stats line quiet.
-            exec = RunStats::default();
-        }
-        let mut outcomes: Vec<Option<CheckOutcome>> = (0..checks.len()).map(|_| None).collect();
-        for (_, idxs) in order {
-            let group: Vec<&ResolvedCheck> = idxs.iter().map(|&i| &checks[i]).collect();
-            let solved = self.run_group(universe, &group, slots);
-            for (i, s) in idxs.into_iter().zip(solved) {
-                outcomes[i] = Some(CheckOutcome {
-                    check: checks[i].check.clone(),
-                    result: s.result,
-                    stats: s.stats,
-                    core: s.core,
-                });
-            }
-        }
-        (outcomes.into_iter().map(Option::unwrap).collect(), exec)
-    }
-
-    /// [`Verifier::run_sequential_incremental`] with in-order streaming
-    /// delivery: outcomes complete in group order (first-seen encoding
-    /// base), so a reorder buffer holds exactly the outcomes that
-    /// finished ahead of a still-unfinished lower check id — the
-    /// frontier of the streaming report. Its peak size is recorded as
-    /// the `engine.report_frontier_peak` gauge; everything at or below
-    /// `next` has already left the buffer through `sink`.
-    fn run_sequential_incremental_streamed(
-        &self,
-        universe: &Universe,
-        checks: &[ResolvedCheck],
-        slots: Option<&Arc<smt::PortfolioSlots>>,
-        sink: &mut dyn FnMut(CheckOutcome),
-    ) -> RunStats {
-        let mut order: Vec<(u64, Vec<usize>)> = Vec::new();
-        let mut group_of: std::collections::HashMap<u64, usize> = std::collections::HashMap::new();
-        for (i, c) in checks.iter().enumerate() {
-            let key = c.body.group_key();
-            match group_of.entry(key) {
-                std::collections::hash_map::Entry::Occupied(e) => order[*e.get()].1.push(i),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(order.len());
-                    order.push((key, vec![i]));
-                }
-            }
-        }
-        let mut exec = RunStats {
-            groups: order.len(),
-            assumption_solves: checks.len().saturating_sub(order.len()),
-            ..RunStats::default()
-        };
-        if order.len() == checks.len() {
-            // No sharing to exploit: keep the stats line quiet.
-            exec = RunStats::default();
-        }
-        let mut next = 0usize;
-        let mut pending: BTreeMap<usize, CheckOutcome> = BTreeMap::new();
-        let mut frontier_peak = 0usize;
-        for (_, idxs) in order {
-            let group: Vec<&ResolvedCheck> = idxs.iter().map(|&i| &checks[i]).collect();
-            let solved = self.run_group(universe, &group, slots);
-            for (i, s) in idxs.into_iter().zip(solved) {
-                pending.insert(
-                    i,
-                    CheckOutcome {
-                        check: checks[i].check.clone(),
-                        result: s.result,
-                        stats: s.stats,
-                        core: s.core,
-                    },
-                );
-            }
-            frontier_peak = frontier_peak.max(pending.len());
-            while let Some(o) = pending.remove(&next) {
-                sink(o);
-                next += 1;
-            }
-        }
-        debug_assert!(pending.is_empty());
-        obs::gauge_max("engine.report_frontier_peak", frontier_peak as u64);
-        exec
-    }
-
-    /// Lower resolved checks into orchestrator jobs: fingerprint each
-    /// body, deduplicate structures, consult the cache (re-validating
-    /// spilled failures), batch the remainder by encoding-base key, solve
-    /// whole groups on the work-stealing pool, and reattach per-instance
-    /// descriptors.
-    fn run_orchestrated(
-        &self,
-        universe: &Universe,
-        checks: &[ResolvedCheck],
-        slots: Option<&Arc<smt::PortfolioSlots>>,
-    ) -> (Vec<CheckOutcome>, RunStats) {
         let ufp = universe_digest(universe);
         // All implication checks share one encoding base, which would
         // otherwise serialize every subsumption check of a
         // multi-property run onto a single worker: spread that one
-        // unbounded group over ~worker-count chunks — session reuse
+        // unbounded group over worker-count chunks — session reuse
         // within a chunk, parallelism across chunks. Transfer groups are
         // naturally bounded (one per edge direction) and stay whole.
-        let chunks = self
-            .jobs
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|p| p.get())
-                    .unwrap_or(4)
-            })
-            .max(1) as u64;
+        let chunks = self.jobs as u64;
         let keyed: Vec<(Fingerprint, u64, &ResolvedCheck)> = checks
             .iter()
             .enumerate()
             .map(|(i, c)| {
                 (
                     check_fingerprint(ufp, self.policy, &self.ghosts, &c.body),
-                    // Without incremental solving each check is its own
-                    // "group", preserving per-check work stealing.
                     match &c.body {
-                        _ if !self.incremental => i as u64,
                         CheckBody::Implication { .. } => c.body.group_key() | (i as u64 % chunks),
                         _ => c.body.group_key(),
                     },
@@ -1391,66 +1159,53 @@ impl<'a> Verifier<'a> {
                 )
             })
             .collect();
-        let cfg = RunConfig {
-            jobs: self.jobs,
-            dedup: self.dedup,
+        // Replicated answers (dedup copies, cache hits) keep the
+        // formula-size stats — the formula is identical — but drop the
+        // work counters, so aggregate solve/encode times count each real
+        // solver invocation exactly once.
+        let size_only = |st: SolverStats| SolverStats {
+            num_vars: st.num_vars,
+            num_clauses: st.num_clauses,
+            ..SolverStats::default()
         };
-        let batch = run_grouped(
-            cfg,
+        let mut next = 0usize;
+        let mut pending: BTreeMap<usize, (SolvedCheck, Vec<usize>, usize)> = BTreeMap::new();
+        let mut frontier_peak = 0usize;
+        let stats = run_grouped(
+            &Executor::with_threads(Some(self.jobs)),
             self.cache.as_deref(),
             &keyed,
             |rc: &&ResolvedCheck, v: &SolvedCheck| self.cached_result_still_valid(universe, rc, v),
             |group: &[&&ResolvedCheck]| {
                 let refs: Vec<&ResolvedCheck> = group.iter().map(|rc| **rc).collect();
-                if self.incremental {
-                    self.run_group(universe, &refs, slots)
-                } else {
-                    refs.iter()
-                        .map(|rc| {
-                            let o = self.run_one(universe, rc);
-                            SolvedCheck {
-                                result: o.result,
-                                stats: o.stats,
-                                core: None,
-                            }
-                        })
-                        .collect()
+                self.run_group(universe, &refs, slots)
+            },
+            |members, mut solved: SolvedCheck, executed| {
+                if !executed {
+                    solved.stats = size_only(solved.stats);
+                }
+                pending.insert(members[0], (solved, members, 0));
+                frontier_peak = frontier_peak.max(pending.len());
+                while let Some((mut solved, members, mut at)) = pending.remove(&next) {
+                    sink(CheckOutcome {
+                        check: checks[next].check.clone(),
+                        result: solved.result.clone(),
+                        stats: solved.stats,
+                        core: solved.core.clone(),
+                    });
+                    next += 1;
+                    at += 1;
+                    if let Some(&m) = members.get(at) {
+                        // Only the representative (released first) ran.
+                        solved.stats = size_only(solved.stats);
+                        pending.insert(m, (solved, members, at));
+                    }
                 }
             },
         );
-        let mut stats = batch.stats;
-        if !self.incremental {
-            // Singleton groups are a scheduling artifact here.
-            stats.groups = 0;
-            stats.assumption_solves = 0;
-        }
-        let outcomes = checks
-            .iter()
-            .zip(batch.results)
-            .zip(batch.fresh)
-            .map(|((c, s), fresh)| {
-                // Replicated answers (dedup copies, cache hits) keep the
-                // formula-size stats — the formula is identical — but drop
-                // the work counters, so aggregate solve/encode times count
-                // each real solver invocation exactly once.
-                let stats = if fresh {
-                    s.stats
-                } else {
-                    SolverStats {
-                        num_vars: s.stats.num_vars,
-                        num_clauses: s.stats.num_clauses,
-                        ..SolverStats::default()
-                    }
-                };
-                CheckOutcome {
-                    check: c.check.clone(),
-                    result: s.result,
-                    stats,
-                    core: s.core,
-                }
-            })
-            .collect();
-        (outcomes, stats)
+        debug_assert!(pending.is_empty() && next == checks.len());
+        obs::gauge_max("engine.report_frontier_peak", frontier_peak as u64);
+        stats
     }
 
     /// Re-validate a cached verdict before trusting it. Passes are
@@ -2048,6 +1803,20 @@ mod tests {
     }
 
     #[test]
+    fn mode_is_a_name_for_jobs_and_the_last_call_wins() {
+        let (t, pol) = figure1();
+        let v = Verifier::new(&t, &pol);
+        assert_eq!((v.jobs, v.mode()), (1, RunMode::Sequential));
+        let v = v.with_mode(RunMode::Sequential).with_jobs(2);
+        assert_eq!((v.jobs, v.mode()), (2, RunMode::Parallel));
+        let v = v.with_jobs(2).with_mode(RunMode::Sequential);
+        assert_eq!((v.jobs, v.mode()), (1, RunMode::Sequential));
+        let v = v.with_mode(RunMode::Parallel);
+        assert_eq!(v.jobs, Executor::with_threads(None).threads());
+        assert_eq!(v.with_jobs(0).jobs, 1);
+    }
+
+    #[test]
     fn parallel_matches_sequential() {
         let (t, pol) = figure1();
         let (prop, inv) = no_transit_inputs(&t);
@@ -2212,7 +1981,7 @@ mod tests {
         // Two subsumption checks share one implication session: the first
         // references ghost G, the second is ghost-free and fails. The
         // second's counterexample must not "witness" G just because the
-        // session encoded it for the first check — fresh and incremental
+        // session encoded it for the first check — reference and pipeline
         // failure listings stay byte-identical.
         let mut t = Topology::new();
         let r = t.add_router("R", 65000);
@@ -2231,8 +2000,7 @@ mod tests {
         let ghost = crate::ghost::GhostAttr::new("G");
         let fresh = Verifier::new(&t, &pol)
             .with_ghost(ghost.clone())
-            .with_incremental(false)
-            .verify_safety_multi(&props, &inv);
+            .verify_safety_reference(&props, &inv);
         let inc = Verifier::new(&t, &pol)
             .with_ghost(ghost)
             .verify_safety_multi(&props, &inv);
@@ -2308,10 +2076,7 @@ mod tests {
         }
         // Fresh per-check solving has no assumption session to read
         // cores from.
-        let fresh = Verifier::new(&t, &pol)
-            .with_ghost(from_isp1_ghost(&t))
-            .with_incremental(false)
-            .verify_safety_multi(&props, &inv);
+        let fresh = v.verify_safety_reference(&props, &inv);
         assert!(fresh.outcomes.iter().all(|o| o.core.is_none()));
         assert_eq!(fresh.to_string(), report.to_string());
     }
@@ -2367,13 +2132,9 @@ mod tests {
     fn incremental_and_fresh_agree_on_figure1() {
         let (t, pol) = figure1();
         let (prop, inv) = no_transit_inputs(&t);
-        let fresh = Verifier::new(&t, &pol)
-            .with_ghost(from_isp1_ghost(&t))
-            .with_incremental(false)
-            .verify_safety(&prop, &inv);
-        let inc = Verifier::new(&t, &pol)
-            .with_ghost(from_isp1_ghost(&t))
-            .verify_safety(&prop, &inv);
+        let v = Verifier::new(&t, &pol).with_ghost(from_isp1_ghost(&t));
+        let fresh = v.verify_safety_reference(std::slice::from_ref(&prop), &inv);
+        let inc = v.verify_safety(&prop, &inv);
         assert_eq!(fresh.to_string(), inc.to_string());
         assert_eq!(fresh.format_failures(&t), inc.format_failures(&t));
     }

@@ -6,7 +6,7 @@
 //! route-map *names* are never hashed. WAN-scale networks instantiate
 //! the same route-map template on hundreds of peerings under the same
 //! invariant template, so those checks collapse to a single fingerprint
-//! and a single solver call (`orchestrator::run_deduped`).
+//! and a single solver call (`orchestrator::run_grouped`).
 //!
 //! What each check kind contributes (rules in the `orchestrator` crate
 //! docs: tags, length prefixes, sorted unordered collections, format

@@ -115,11 +115,9 @@ impl<'a> Verifier<'a> {
     /// final implication.
     ///
     /// The propagation checks and the final implication are lowered to
-    /// resolved check bodies and dispatched through the engine's normal
-    /// execution pipeline, so they benefit from incremental group
-    /// solving and — in [`crate::engine::RunMode::Parallel`] — from the
-    /// orchestrator's dedup/cache/work-stealing machinery like every
-    /// safety check.
+    /// resolved check bodies and dispatched through the engine's one
+    /// execution pipeline, so they get group solving, dedup, the cache
+    /// and the worker pool like every safety check.
     pub fn verify_liveness(&self, spec: &LivenessSpec) -> Result<Report, SpecError> {
         spec.validate(self.topology())?;
         let t0 = Instant::now();
@@ -166,7 +164,7 @@ impl<'a> Verifier<'a> {
             });
             id += 1;
         }
-        let mut report = self.run_resolved(&universe, &prop_checks);
+        let mut report = self.run(&universe, &prop_checks);
 
         // No-interference: safety property at each router on the path.
         for (i, loc) in spec.path.iter().enumerate() {
@@ -213,7 +211,7 @@ impl<'a> Verifier<'a> {
                 ensure: spec.pred.clone(),
             },
         };
-        let fin = self.run_resolved(&universe, std::slice::from_ref(&final_check));
+        let fin = self.run(&universe, std::slice::from_ref(&final_check));
         report.exec.merge(&fin.exec);
         report.outcomes.extend(fin.outcomes);
 

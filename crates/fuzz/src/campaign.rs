@@ -1,13 +1,13 @@
-//! The campaign runner: seeded case generation over the topology zoo,
+//! The campaign runner: seeded case generation over the topology families,
 //! all oracles per case, injected-bug detection sweeps, and throughput
 //! accounting for the CI benchmark record.
 
+use crate::families::{FamilyId, FamilyParams};
 use crate::minimize::FailingCase;
 use crate::oracle::{
     bug_oracle, cache_poison_oracle, edit_oracle, parity_oracle, portfolio_oracle, sim_oracle,
     Discrepancy, OracleId, BUG_ORACLE_SIM_ROUNDS,
 };
-use crate::zoo::{FamilyId, FamilyParams};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;

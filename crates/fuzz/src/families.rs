@@ -1,4 +1,4 @@
-//! The topology zoo: every netgen family behind one uniform interface,
+//! The topology families: every netgen family behind one uniform interface,
 //! plus the per-case metadata the oracles need (which externals announce
 //! what, and how ghost provenance is decided on concrete routes).
 //!

@@ -4,15 +4,15 @@
 //! *all* networks; the unit suites pin a handful of hand-built
 //! topologies. This crate closes the gap adversarially:
 //!
-//! * [`zoo`] — every netgen family (Figure 1, the §6.2 full mesh, the
+//! * [`families`] — every netgen family (Figure 1, the §6.2 full mesh, the
 //!   §6.1 WAN, and the route-reflector / multi-homed-stub /
 //!   hub-and-spoke additions) behind one case-generation interface,
 //!   with provenance-keyed announcement plans (anycast-safe:
 //!   `(prefix, origin ASN)`, not prefix alone);
 //! * [`oracle`] — the cross-checks: simulated traces vs verified
 //!   invariants over the full 2³ [`bgp_model::sim::SimOptions`] grid,
-//!   byte-identity across fresh / incremental / orchestrated /
-//!   cross-property-batch execution, reverify-vs-fresh identity along
+//!   byte-identity across the reference oracle, one worker, two
+//!   workers and the cross-property batch, reverify-vs-fresh identity along
 //!   random edit sequences, and injected-bug detection;
 //! * [`minimize`] — greedy config / edit-sequence reduction re-running
 //!   the failing oracle (the compat proptest shim has no shrinking),
@@ -20,17 +20,17 @@
 //! * [`campaign`] — the seeded campaign runner behind `lightyear fuzz`.
 
 pub mod campaign;
+pub mod families;
 pub mod minimize;
 pub mod oracle;
-pub mod zoo;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignOutcome};
+pub use families::{case_size, FamilyId, FamilyParams, FuzzCase, Suite};
 pub use minimize::{minimize, read_repro, replay, rerun, write_repro, FailingCase};
 pub use oracle::{
     bug_oracle, edit_oracle, injection_sample, parity_oracle, run_edit_sequence, sim_options_grid,
     sim_oracle, Discrepancy, OracleId,
 };
-pub use zoo::{case_size, FamilyId, FamilyParams, FuzzCase, Suite};
 
 thread_local! {
     /// Depth of nested [`try_quiet`] scopes on this thread.

@@ -17,9 +17,9 @@
 //! `lightyear fuzz --replay DIR` (or [`replay`]) re-runs exactly the
 //! failing check.
 
+use crate::families::{case_size, FamilyParams};
 use crate::oracle::{parity_oracle, sim_oracle, verification_fails, Discrepancy, OracleId};
 use crate::try_quiet;
-use crate::zoo::{case_size, FamilyParams};
 use bgp_config::ast::ConfigAst;
 use bgp_config::{parse_config, print_config};
 use std::path::Path;
@@ -310,7 +310,7 @@ pub fn replay(dir: &Path) -> Result<Option<Discrepancy>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo::FamilyId;
+    use crate::families::FamilyId;
 
     /// An injected bug on a deliberately oversized RR case must minimize
     /// to a strictly smaller, still-failing, replayable repro.

@@ -6,9 +6,10 @@
 //!    simulated trace — across the full 2³ [`SimOptions`] grid — must
 //!    satisfy the invariant at its location (the paper's §4.3
 //!    correctness theorem, tested differentially).
-//! 2. **Mode parity** ([`parity_oracle`]): fresh per-check solving,
-//!    incremental group solving, the orchestrated parallel path and the
-//!    cross-property batch must render byte-identical reports.
+//! 2. **Mode parity** ([`parity_oracle`]): the reference oracle (one
+//!    fresh solver instance per check), the pipeline at one and at two
+//!    workers, and the cross-property batch must render byte-identical
+//!    reports.
 //! 3. **Edit sequences** ([`edit_oracle`]): a long-lived
 //!    [`ReverifyEngine`] fed a random edit sequence must stay
 //!    byte-identical to fresh verification after every step, with
@@ -26,10 +27,10 @@
 //!    entry checksums — must reload without panicking and must never
 //!    change a report byte: damaged entries are re-proved, not replayed.
 
-use crate::zoo::{random_announcement, FuzzCase};
+use crate::families::{random_announcement, FuzzCase};
 use bgp_model::sim::{simulate, SimOptions};
 use bgp_model::trace::{check_liveness_axioms, check_safety_axioms, Event};
-use lightyear::engine::{PortfolioTuning, RunMode};
+use lightyear::engine::PortfolioTuning;
 use lightyear::invariants::Location;
 use lightyear::reverify::ReverifyEngine;
 use lightyear::Report;
@@ -42,7 +43,7 @@ use std::fmt;
 pub enum OracleId {
     /// Simulated traces vs verified invariants (the §4.3 theorem).
     SimGrid,
-    /// Fresh / incremental / orchestrated / batch report parity.
+    /// Reference / one worker / two workers / batch report parity.
     ModeParity,
     /// Reverify-vs-fresh byte identity across an edit sequence.
     EditSequence,
@@ -244,30 +245,26 @@ pub fn sim_oracle(case: &FuzzCase, sim_seed: u64, rounds: usize) -> Result<(), D
     Ok(())
 }
 
-/// Oracle 2: every execution mode renders the same report, and the
-/// cross-property batch matches per-suite runs byte for byte.
+/// Oracle 2: the pipeline renders the reference oracle's report at any
+/// worker count, and the cross-property batch matches per-suite runs
+/// byte for byte.
 pub fn parity_oracle(case: &FuzzCase) -> Result<(), Discrepancy> {
     let topo = &case.network.topology;
     let mut baselines = Vec::new();
     for s in &case.suites {
-        let fresh = case
-            .verifier()
-            .with_incremental(false)
-            .verify_safety_multi(&s.props, &s.inv);
-        let incr = case.verifier().verify_safety_multi(&s.props, &s.inv);
-        let par = case
-            .verifier()
-            .with_mode(RunMode::Parallel)
-            .with_jobs(2)
-            .verify_safety_multi(&s.props, &s.inv);
+        let fresh = case.verifier().verify_safety_reference(&s.props, &s.inv);
         let fresh_text = report_text(topo, &fresh);
-        for (mode, r) in [("incremental", &incr), ("orchestrated", &par)] {
-            let t = report_text(topo, r);
+        for jobs in [1, 2] {
+            let r = case
+                .verifier()
+                .with_jobs(jobs)
+                .verify_safety_multi(&s.props, &s.inv);
+            let t = report_text(topo, &r);
             if t != fresh_text {
                 return Err(Discrepancy::new(
                     OracleId::ModeParity,
                     format!(
-                        "suite {}: {mode} report diverges from fresh:\n--- fresh\n{fresh_text}\n--- {mode}\n{t}",
+                        "suite {}: jobs={jobs} report diverges from the reference:\n--- reference\n{fresh_text}\n--- jobs={jobs}\n{t}",
                         s.name
                     ),
                 ));
@@ -288,7 +285,7 @@ pub fn parity_oracle(case: &FuzzCase) -> Result<(), Discrepancy> {
             return Err(Discrepancy::new(
                 OracleId::ModeParity,
                 format!(
-                    "suite {}: cross-property batch diverges from fresh:\n--- fresh\n{baseline}\n--- batch\n{t}",
+                    "suite {}: cross-property batch diverges from the reference:\n--- reference\n{baseline}\n--- batch\n{t}",
                     s.name
                 ),
             ));
@@ -300,8 +297,8 @@ pub fn parity_oracle(case: &FuzzCase) -> Result<(), Discrepancy> {
 /// Oracle 5: portfolio racing must never change a report byte. The
 /// thresholds are forced to zero so *every* group races (production
 /// defaults would skip small fuzz topologies entirely), the variant
-/// count and jitter seed vary per case, and both the sequential and the
-/// orchestrated path are compared against their unraced twins. Races
+/// count and jitter seed vary per case, and one-worker and two-worker
+/// runs are each compared against their unraced twins. Races
 /// may let a jittered clone answer first with a different model or a
 /// different (sound) unsat core internally, but verdicts are
 /// deterministic and counterexamples re-derive on fresh one-shot
@@ -315,11 +312,8 @@ pub fn portfolio_oracle(case: &FuzzCase, seed: u64) -> Result<(), Discrepancy> {
         seed,
     };
     for s in &case.suites {
-        for (mode, configure) in [("sequential", None), ("orchestrated", Some(2usize))] {
-            let base = match configure {
-                None => case.verifier(),
-                Some(jobs) => case.verifier().with_mode(RunMode::Parallel).with_jobs(jobs),
-            };
+        for jobs in [1, 2] {
+            let base = case.verifier().with_jobs(jobs);
             let plain = base.clone().verify_safety_multi(&s.props, &s.inv);
             let raced = base
                 .with_portfolio(tuning.clone())
@@ -330,7 +324,7 @@ pub fn portfolio_oracle(case: &FuzzCase, seed: u64) -> Result<(), Discrepancy> {
                 return Err(Discrepancy::new(
                     OracleId::PortfolioParity,
                     format!(
-                        "suite {}: {mode} portfolio report (k={}, seed {seed}) diverges:
+                        "suite {}: jobs={jobs} portfolio report (k={}, seed {seed}) diverges:
 --- plain
 {plain_text}
 --- raced
@@ -345,7 +339,7 @@ pub fn portfolio_oracle(case: &FuzzCase, seed: u64) -> Result<(), Discrepancy> {
 }
 
 /// Oracle 6: a poisoned cache spill must never change a report byte.
-/// The case is verified orchestrated with a result cache attached, the
+/// The case is verified on two workers with a result cache attached, the
 /// cache is spilled to disk, the spill bytes are deterministically
 /// corrupted (truncated, bit-flipped, or checksum-forged, chosen by
 /// `seed`), and the damaged spill is reloaded: the reload must not
@@ -366,14 +360,13 @@ pub fn cache_poison_oracle(case: &FuzzCase, seed: u64) -> Result<(), Discrepancy
 fn cache_poison_in(case: &FuzzCase, seed: u64, dir: &std::path::Path) -> Result<(), Discrepancy> {
     let topo = &case.network.topology;
     let fail = |detail: String| Err(Discrepancy::new(OracleId::CachePoison, detail));
-    // Warm a cache through an orchestrated run and spill it; the warm
+    // Warm a cache through a two-worker run and spill it; the warm
     // run's reports are the byte baseline.
     let cache = std::sync::Arc::new(lightyear::CheckCache::new());
     let mut baselines = Vec::new();
     for s in &case.suites {
         let r = case
             .verifier()
-            .with_mode(RunMode::Parallel)
             .with_jobs(2)
             .with_cache(cache.clone())
             .verify_safety_multi(&s.props, &s.inv);
@@ -407,7 +400,6 @@ fn cache_poison_in(case: &FuzzCase, seed: u64, dir: &std::path::Path) -> Result<
     for (s, baseline) in case.suites.iter().zip(&baselines) {
         let r = case
             .verifier()
-            .with_mode(RunMode::Parallel)
             .with_jobs(2)
             .with_cache(poisoned.clone())
             .verify_safety_multi(&s.props, &s.inv);
@@ -632,8 +624,8 @@ pub type Injection = (String, fn(&mut [bgp_config::ast::ConfigAst]) -> bool);
 /// The curated injected-bug sample for a family: mutations known to
 /// violate one of the family's suites (used by the campaign's
 /// `--inject` pass and the acceptance tests).
-pub fn injection_sample(params: &crate::zoo::FamilyParams) -> Vec<Injection> {
-    use crate::zoo::FamilyParams;
+pub fn injection_sample(params: &crate::families::FamilyParams) -> Vec<Injection> {
+    use crate::families::FamilyParams;
     match params {
         FamilyParams::Figure1 => vec![(
             "figure1: R1 forgets the transit tag".into(),
@@ -685,7 +677,7 @@ pub fn injection_sample(params: &crate::zoo::FamilyParams) -> Vec<Injection> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::zoo::FamilyParams;
+    use crate::families::FamilyParams;
 
     #[test]
     fn cache_poison_oracle_survives_every_corruption_style() {

@@ -1,12 +1,13 @@
 //! The work-stealing executor.
 //!
 //! Jobs are distributed round-robin across per-worker deques; idle
-//! workers first drain their own deque (LIFO), then steal half a peer's
+//! workers first drain their own deque, then steal half a peer's
 //! backlog, so stragglers — one router with a pathological route map —
 //! no longer serialize the tail of a run the way the previous
-//! all-threads-at-once scheme did. Results are delivered with their
-//! submission index and re-assembled in order, making the output
-//! deterministic regardless of completion order.
+//! all-threads-at-once scheme did. Each result is handed to the calling
+//! thread with its submission index the moment its job completes, while
+//! the workers keep running, so the caller can fold results as they
+//! arrive instead of waiting for the whole batch.
 
 use crate::deque::Worker;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,17 +36,23 @@ impl Executor {
         self.threads
     }
 
-    /// Run `f` over every item, returning results in submission order
-    /// plus the number of successful steals observed.
-    pub fn run<T, R, F>(&self, items: &[T], f: F) -> (Vec<R>, u64)
+    /// Run `f` over every item and hand each `(submission index,
+    /// result)` to `deliver` on the calling thread as soon as the job
+    /// completes — in completion order, while the remaining jobs are
+    /// still running. Each worker takes its own share in ascending
+    /// submission order, so completion order tracks submission order up
+    /// to the skew between workers. Returns the number of successful
+    /// steals observed.
+    pub fn run<T, R, F, D>(&self, items: &[T], f: F, mut deliver: D) -> u64
     where
         T: Sync,
         R: Send,
         F: Fn(&T) -> R + Sync,
+        D: FnMut(usize, R),
     {
         let n = items.len();
         if n == 0 {
-            return (Vec::new(), 0);
+            return 0;
         }
         let threads = self.threads.min(n);
         // Live queue depth: pending jobs, decremented as each
@@ -53,22 +60,21 @@ impl Executor {
         obs::gauge_set("orchestrator.queue_depth", n as u64);
         if threads <= 1 {
             let _span = obs::span!("worker", wid = 0, jobs = n);
-            let results = items
-                .iter()
-                .enumerate()
-                .map(|(done, item)| {
-                    let r = f(item);
-                    obs::gauge_set("orchestrator.queue_depth", (n - done - 1) as u64);
-                    r
-                })
-                .collect();
-            return (results, 0);
+            for (i, item) in items.iter().enumerate() {
+                let r = f(item);
+                obs::gauge_set("orchestrator.queue_depth", (n - i - 1) as u64);
+                deliver(i, r);
+            }
+            return 0;
         }
 
         // Round-robin seeding: index i goes to worker i % threads.
+        // Pushed in descending order because owners pop from the back:
+        // every worker then walks its share in ascending order, and
+        // thieves take from the far (highest-index) end.
         let workers: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new()).collect();
         let stealers: Vec<_> = workers.iter().map(Worker::stealer).collect();
-        for i in 0..n {
+        for i in (0..n).rev() {
             workers[i % threads].push(i);
         }
 
@@ -119,18 +125,14 @@ impl Executor {
                 });
             }
             drop(tx);
+            // Drain on the calling thread while the workers run; the
+            // loop ends when the last worker drops its sender. A
+            // panicking worker re-raises when the scope joins it.
+            for (i, r) in rx {
+                deliver(i, r);
+            }
         });
-
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        for (i, r) in rx {
-            slots[i] = Some(r);
-        }
-        let results = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, s)| s.unwrap_or_else(|| panic!("job {i} produced no result")))
-            .collect();
-        (results, steals.load(Ordering::Relaxed))
+        steals.load(Ordering::Relaxed)
     }
 }
 
@@ -139,11 +141,24 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Collect deliveries into submission order.
+    fn collect<T: Sync, R: Send + Clone>(
+        ex: &Executor,
+        items: &[T],
+        f: impl Fn(&T) -> R + Sync,
+    ) -> Vec<R> {
+        let mut slots: Vec<Option<R>> = vec![None; items.len()];
+        ex.run(items, f, |i, r| {
+            assert!(slots[i].replace(r).is_none(), "job {i} delivered twice");
+        });
+        slots.into_iter().map(Option::unwrap).collect()
+    }
+
     #[test]
-    fn results_are_in_submission_order() {
+    fn every_index_is_delivered_with_its_own_result() {
         let items: Vec<usize> = (0..200).collect();
         let ex = Executor::with_threads(Some(8));
-        let (out, _steals) = ex.run(&items, |&i| {
+        let out = collect(&ex, &items, |&i| {
             // Uneven work so completion order scrambles.
             if i % 17 == 0 {
                 std::thread::sleep(std::time::Duration::from_micros(200));
@@ -158,7 +173,7 @@ mod tests {
         let counter = AtomicUsize::new(0);
         let items: Vec<u32> = (0..500).collect();
         let ex = Executor::with_threads(Some(4));
-        let (out, _) = ex.run(&items, |&x| {
+        let out = collect(&ex, &items, |&x| {
             counter.fetch_add(1, Ordering::Relaxed);
             x
         });
@@ -167,24 +182,48 @@ mod tests {
     }
 
     #[test]
-    fn single_thread_and_empty_inputs() {
+    fn single_thread_delivers_in_order_and_empty_inputs_deliver_nothing() {
         let ex = Executor::with_threads(Some(1));
-        let (out, steals) = ex.run(&[1, 2, 3], |&x| x + 1);
-        assert_eq!(out, vec![2, 3, 4]);
+        let mut seen = Vec::new();
+        let steals = ex.run(&[1, 2, 3], |&x| x + 1, |i, r| seen.push((i, r)));
+        assert_eq!(seen, vec![(0, 2), (1, 3), (2, 4)]);
         assert_eq!(steals, 0);
-        let (empty, _) = ex.run(&[] as &[i32], |&x| x);
-        assert!(empty.is_empty());
+        ex.run(&[] as &[i32], |&x| x, |_, _| panic!("nothing to deliver"));
+    }
+
+    #[test]
+    fn results_reach_the_caller_while_workers_still_run() {
+        // Job 1 cannot finish until the caller has been handed job 0's
+        // result: a batch-then-return executor would deadlock here.
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = std::sync::Mutex::new(rx);
+        let ex = Executor::with_threads(Some(2));
+        let mut order = Vec::new();
+        ex.run(
+            &[0usize, 1],
+            |&i| {
+                if i == 1 {
+                    rx.lock().unwrap().recv().unwrap();
+                }
+                i
+            },
+            |i, _| {
+                order.push(i);
+                if i == 0 {
+                    tx.send(()).unwrap();
+                }
+            },
+        );
+        assert_eq!(order, vec![0, 1]);
     }
 
     #[test]
     fn stealing_balances_a_skewed_seed() {
-        // All the slow jobs land on one worker under round-robin with
-        // threads=2 and even indices slow; stealing must still finish
-        // promptly (smoke: just verify completion and that steals occur
-        // for a grossly imbalanced load).
+        // The slow jobs are seeded unevenly; stealing must still finish
+        // the whole batch (smoke: completion under gross imbalance).
         let items: Vec<usize> = (0..64).collect();
         let ex = Executor::with_threads(Some(4));
-        let (out, _steals) = ex.run(&items, |&i| {
+        let out = collect(&ex, &items, |&i| {
             if i < 8 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }

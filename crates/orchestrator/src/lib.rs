@@ -18,12 +18,12 @@
 //!   JSON spill to disk, powering cross-router dedup within a run and
 //!   incremental re-verification across runs.
 //! * [`deque`] + [`executor`] — a work-stealing thread pool (per-worker
-//!   deques plus steal-half balancing, `--jobs` configurable) whose
-//!   result assembly is by submission index, so reports are
-//!   deterministic regardless of completion order.
+//!   deques plus steal-half balancing, `--jobs` configurable) that
+//!   hands each result to the caller, tagged with its submission index,
+//!   while the remaining jobs are still running.
 //! * [`orchestrate`] — the glue: group jobs by fingerprint, consult the
-//!   cache, execute one representative per structure, replicate results
-//!   to every duplicate, and report [`RunStats`].
+//!   cache, execute one representative per structure, deliver results
+//!   to every duplicate as they become known, and report [`RunStats`].
 //!
 //! ## Fingerprint canonicalization rules
 //!
@@ -56,4 +56,4 @@ pub mod orchestrate;
 pub use cache::{CacheSnapshot, ResultCache};
 pub use executor::Executor;
 pub use fingerprint::{Fingerprint, FpHasher};
-pub use orchestrate::{run_deduped, run_grouped, Batch, RunConfig, RunStats};
+pub use orchestrate::{run_grouped, RunStats};

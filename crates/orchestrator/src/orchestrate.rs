@@ -22,24 +22,6 @@ use crate::executor::Executor;
 use crate::fingerprint::Fingerprint;
 use std::collections::HashMap;
 
-/// How to run a batch.
-#[derive(Clone, Copy, Debug)]
-pub struct RunConfig {
-    /// Worker threads (`None`: available parallelism).
-    pub jobs: Option<usize>,
-    /// Collapse structurally identical jobs to one execution.
-    pub dedup: bool,
-}
-
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            jobs: None,
-            dedup: true,
-        }
-    }
-}
-
 /// What a batch run did, for dedup-stats reporting.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RunStats {
@@ -119,57 +101,10 @@ impl RunStats {
     }
 }
 
-/// Results of a deduplicated batch run.
-pub struct Batch<V> {
-    /// Per-item results, in submission order.
-    pub results: Vec<V>,
-    /// Per-item: true iff this item was the representative whose job
-    /// actually executed; false for dedup replicas and cache answers.
-    /// Lets callers attribute real work (e.g. solver time) exactly once.
-    pub fresh: Vec<bool>,
-    /// Batch statistics.
-    pub stats: RunStats,
-}
-
-/// Run `f` once per distinct fingerprint (modulo cache hits) and return
-/// per-item results in submission order plus the batch statistics.
-///
-/// Thin wrapper over [`run_grouped`] where every item is its own
-/// encoding-base group and cached results are trusted unconditionally.
-pub fn run_deduped<T, V, F>(
-    cfg: RunConfig,
-    cache: Option<&ResultCache<V>>,
-    items: &[(Fingerprint, T)],
-    f: F,
-) -> Batch<V>
-where
-    T: Sync,
-    V: Clone + Send + Sync,
-    F: Fn(&T) -> V + Sync,
-{
-    let keyed: Vec<(Fingerprint, u64, &T)> = items
-        .iter()
-        .enumerate()
-        .map(|(i, (fp, t))| (*fp, i as u64, t))
-        .collect();
-    let mut batch = run_grouped(
-        cfg,
-        cache,
-        &keyed,
-        |_, _| true,
-        |group| group.iter().map(|t| f(t)).collect(),
-    );
-    debug_assert!(batch.stats.assumption_solves == 0);
-    // Singleton groups are an artifact of the wrapper, not a caller
-    // decision: do not report them as incremental batching.
-    batch.stats.groups = 0;
-    batch.stats.assumption_solves = 0;
-    batch
-}
-
 /// The grouped pipeline: fingerprint-dedup, cache consult (with
 /// re-validation), then execute the remaining representatives in
-/// encoding-base groups on the work-stealing pool.
+/// encoding-base groups on the work-stealing pool, handing every item's
+/// result to the caller as soon as it is known.
 ///
 /// * `items` — `(fingerprint, encoding-base key, payload)` per job. Jobs
 ///   with equal fingerprints are structurally identical (one is solved,
@@ -185,44 +120,53 @@ where
 ///   spilled failure) does not serialize the dispatch path.
 /// * `solve_group` — receives the group's payloads in submission order
 ///   and must return one result per payload, in order.
-pub fn run_grouped<T, V, F, P>(
-    cfg: RunConfig,
+/// * `deliver` — called on the calling thread, exactly once per
+///   distinct structure, with `(members, result, executed)`: cache
+///   answers as their validation finishes, executed structures as their
+///   group completes (while other groups are still running). `members`
+///   are the item indices the result answers, ascending; the first is
+///   the representative. `executed` is false for cache answers, and
+///   even when true only the representative's job actually ran — the
+///   other members are dedup replicas — so callers can attribute real
+///   work (e.g. solver time) exactly once. Delivery order is completion
+///   order; callers that need submission order re-sequence.
+pub fn run_grouped<T, V, F, P, D>(
+    executor: &Executor,
     cache: Option<&ResultCache<V>>,
     items: &[(Fingerprint, u64, T)],
     validate: P,
     solve_group: F,
-) -> Batch<V>
+    mut deliver: D,
+) -> RunStats
 where
     T: Sync,
     V: Clone + Send + Sync,
     P: Fn(&T, &V) -> bool + Sync,
     F: Fn(&[&T]) -> Vec<V> + Sync,
+    D: FnMut(Vec<usize>, V, bool),
 {
-    let executor = Executor::with_threads(cfg.jobs);
     let mut stats = RunStats {
         generated: items.len(),
         threads: executor.threads(),
         ..RunStats::default()
     };
 
-    // Group item indices by fingerprint, first occurrence first.
+    // Group item indices by fingerprint, first occurrence first: each
+    // structure's representative item, and every item it answers.
     let mut struct_of: HashMap<u128, usize> = HashMap::new();
-    let mut structures: Vec<(Fingerprint, Vec<usize>)> = Vec::new();
+    let mut reps: Vec<usize> = Vec::new();
+    let mut members: Vec<Vec<usize>> = Vec::new();
     for (i, (fp, _, _)) in items.iter().enumerate() {
-        if cfg.dedup {
-            match struct_of.entry(fp.0) {
-                std::collections::hash_map::Entry::Occupied(e) => {
-                    structures[*e.get()].1.push(i);
-                    continue;
-                }
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(structures.len());
-                }
+        match struct_of.entry(fp.0) {
+            std::collections::hash_map::Entry::Occupied(e) => members[*e.get()].push(i),
+            std::collections::hash_map::Entry::Vacant(e) => {
+                e.insert(reps.len());
+                reps.push(i);
+                members.push(vec![i]);
             }
         }
-        structures.push((*fp, vec![i]));
     }
-    stats.unique = structures.len();
+    stats.unique = reps.len();
     stats.dedup_hits = stats.generated - stats.unique;
 
     // Answer structures from the cache where possible. Hits are
@@ -231,87 +175,73 @@ where
     // heavily-broken network would otherwise serialize those solves on
     // the dispatching thread. Validation failures drop the entry and
     // fall through to execution.
-    let mut struct_results: Vec<Option<V>> = (0..structures.len()).map(|_| None).collect();
-    let hits: Vec<(usize, V)> = structures
+    let hits: Vec<(usize, V)> = reps
         .iter()
         .enumerate()
-        .filter_map(|(si, (fp, _))| cache.and_then(|c| c.get(*fp)).map(|v| (si, v)))
+        .filter_map(|(si, &rep)| cache.and_then(|c| c.get(items[rep].0)).map(|v| (si, v)))
         .collect();
-    let (verdicts, _) = executor.run(&hits, |(si, v): &(usize, V)| {
-        validate(&items[structures[*si].1[0]].2, v)
-    });
+    let mut verdicts = vec![false; hits.len()];
+    executor.run(
+        &hits,
+        |(si, v)| validate(&items[reps[*si]].2, v),
+        |hi, ok| verdicts[hi] = ok,
+    );
     for ((si, v), ok) in hits.into_iter().zip(verdicts) {
-        let (fp, members) = &structures[si];
         if ok {
-            stats.cache_hits += members.len();
-            struct_results[si] = Some(v);
+            stats.cache_hits += members[si].len();
+            deliver(std::mem::take(&mut members[si]), v, false);
         } else {
-            stats.invalidated += members.len();
+            stats.invalidated += members[si].len();
             if let Some(c) = cache {
-                c.remove(*fp);
+                c.remove(items[reps[si]].0);
             }
         }
     }
-    let to_run: Vec<(usize, Fingerprint, usize)> = structures
-        .iter()
-        .enumerate()
-        .filter(|(si, _)| struct_results[*si].is_none())
-        .map(|(si, (fp, members))| (si, *fp, members[0]))
+    let to_run: Vec<usize> = (0..reps.len())
+        .filter(|&si| !members[si].is_empty())
         .collect();
     stats.executed = to_run.len();
 
     // Batch the representatives into encoding-base groups, preserving
     // submission order within each group.
     let mut exec_of: HashMap<u64, usize> = HashMap::new();
-    let mut exec_groups: Vec<Vec<usize>> = Vec::new(); // indices into to_run
-    for (ri, &(_, _, rep)) in to_run.iter().enumerate() {
-        let key = items[rep].1;
-        match exec_of.entry(key) {
-            std::collections::hash_map::Entry::Occupied(e) => exec_groups[*e.get()].push(ri),
+    let mut exec_groups: Vec<Vec<usize>> = Vec::new(); // structure indices
+    for si in to_run {
+        match exec_of.entry(items[reps[si]].1) {
+            std::collections::hash_map::Entry::Occupied(e) => exec_groups[*e.get()].push(si),
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(exec_groups.len());
-                exec_groups.push(vec![ri]);
+                exec_groups.push(vec![si]);
             }
         }
     }
     stats.groups = exec_groups.len();
     stats.assumption_solves = stats.executed.saturating_sub(stats.groups);
 
-    // Execute whole groups on the pool, stealing as needed.
-    let (solved_groups, steals) = executor.run(&exec_groups, |runs: &Vec<usize>| {
-        let payloads: Vec<&T> = runs.iter().map(|&ri| &items[to_run[ri].2].2).collect();
-        let out = solve_group(&payloads);
-        assert_eq!(
-            out.len(),
-            payloads.len(),
-            "solve_group must return one result per payload"
-        );
-        out
-    });
-    stats.steals = steals;
-
-    let mut fresh = vec![false; items.len()];
-    for (runs, values) in exec_groups.into_iter().zip(solved_groups) {
-        for (ri, v) in runs.into_iter().zip(values) {
-            let (si, fp, rep) = to_run[ri];
-            if let Some(c) = cache {
-                c.insert(fp, v.clone());
+    // Execute whole groups on the pool, stealing as needed; each
+    // group's verdicts reach the caller the moment the group completes.
+    stats.steals = executor.run(
+        &exec_groups,
+        |group: &Vec<usize>| {
+            let payloads: Vec<&T> = group.iter().map(|&si| &items[reps[si]].2).collect();
+            let out = solve_group(&payloads);
+            assert_eq!(
+                out.len(),
+                payloads.len(),
+                "solve_group must return one result per payload"
+            );
+            out
+        },
+        |gi, values| {
+            for (&si, v) in exec_groups[gi].iter().zip(values) {
+                if let Some(c) = cache {
+                    c.insert(items[reps[si]].0, v.clone());
+                }
+                deliver(std::mem::take(&mut members[si]), v, true);
             }
-            fresh[rep] = true;
-            struct_results[si] = Some(v);
-        }
-    }
+        },
+    );
 
-    // Replicate structure results to every member, in submission order.
-    let mut out: Vec<Option<V>> = (0..items.len()).map(|_| None).collect();
-    for ((_, members), res) in structures.into_iter().zip(struct_results) {
-        let res = res.expect("every structure resolved by cache or execution");
-        let (last, rest) = members.split_last().expect("structures are non-empty");
-        for i in rest {
-            out[*i] = Some(res.clone());
-        }
-        out[*last] = Some(res);
-    }
     if obs::enabled() {
         obs::add("orchestrator.generated", stats.generated as u64);
         obs::add("orchestrator.dedup_hits", stats.dedup_hits as u64);
@@ -321,11 +251,7 @@ where
         obs::add("orchestrator.groups", stats.groups as u64);
         obs::add("orchestrator.steals", stats.steals);
     }
-    Batch {
-        results: out.into_iter().map(Option::unwrap).collect(),
-        fresh,
-        stats,
-    }
+    stats
 }
 
 #[cfg(test)]
@@ -340,19 +266,67 @@ mod tests {
         h.finish()
     }
 
+    /// A collecting sink over [`run_grouped`]: per-item results and
+    /// fresh flags (true where the item's own job ran) in submission
+    /// order, asserting exactly-once delivery.
+    fn collect<V: Clone + Send + Sync>(
+        jobs: Option<usize>,
+        cache: Option<&ResultCache<V>>,
+        items: &[(Fingerprint, u64, u32)],
+        validate: impl Fn(&u32, &V) -> bool + Sync,
+        solve_group: impl Fn(&[&u32]) -> Vec<V> + Sync,
+    ) -> (Vec<V>, Vec<bool>, RunStats) {
+        let mut slots: Vec<Option<(V, bool)>> = vec![None; items.len()];
+        let stats = run_grouped(
+            &Executor::with_threads(jobs),
+            cache,
+            items,
+            validate,
+            solve_group,
+            |members, v, executed| {
+                assert!(members.windows(2).all(|w| w[0] < w[1]), "{members:?}");
+                for (k, &i) in members.iter().enumerate() {
+                    assert!(
+                        slots[i].replace((v.clone(), executed && k == 0)).is_none(),
+                        "item {i} delivered twice"
+                    );
+                }
+            },
+        );
+        let (results, fresh) = slots
+            .into_iter()
+            .map(|s| s.expect("every item delivered"))
+            .unzip();
+        (results, fresh, stats)
+    }
+
+    /// Every item its own encoding-base group.
+    fn singletons(fps: impl Iterator<Item = (Fingerprint, u32)>) -> Vec<(Fingerprint, u64, u32)> {
+        fps.enumerate()
+            .map(|(i, (fp, x))| (fp, i as u64, x))
+            .collect()
+    }
+
     #[test]
     fn dedup_executes_one_per_structure() {
         let calls = AtomicUsize::new(0);
         // 9 items over 3 structures.
-        let items: Vec<(Fingerprint, u32)> = (0..9).map(|i| (fp(i % 3), i % 3)).collect();
-        let batch = run_deduped(RunConfig::default(), None, &items, |&x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            x * 10
-        });
-        let (out, stats) = (batch.results, batch.stats);
+        let items = singletons((0..9).map(|i| (fp(i % 3), i % 3)));
+        let (out, fresh, stats) = collect(
+            None,
+            None,
+            &items,
+            |_, _| true,
+            |group| {
+                calls.fetch_add(group.len(), Ordering::Relaxed);
+                group.iter().map(|&&x| x * 10).collect()
+            },
+        );
         // Exactly one member per structure is fresh: the representative.
-        assert_eq!(batch.fresh.iter().filter(|&&f| f).count(), 3);
-        assert!(batch.fresh[0] && batch.fresh[1] && batch.fresh[2]);
+        assert_eq!(
+            fresh,
+            [true, true, true, false, false, false, false, false, false]
+        );
         assert_eq!(out, vec![0, 10, 20, 0, 10, 20, 0, 10, 20]);
         assert_eq!(calls.load(Ordering::Relaxed), 3);
         assert_eq!(stats.generated, 9);
@@ -363,34 +337,14 @@ mod tests {
     }
 
     #[test]
-    fn no_dedup_executes_everything() {
-        let calls = AtomicUsize::new(0);
-        let items: Vec<(Fingerprint, u32)> = (0..6).map(|i| (fp(i % 2), i)).collect();
-        let cfg = RunConfig {
-            jobs: Some(2),
-            dedup: false,
-        };
-        let batch = run_deduped(cfg, None, &items, |&x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            x
-        });
-        let (out, stats) = (batch.results, batch.stats);
-        assert!(batch.fresh.iter().all(|&f| f), "no dedup: every item fresh");
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
-        assert_eq!(calls.load(Ordering::Relaxed), 6);
-        assert_eq!(stats.dedup_hits, 0);
-        assert_eq!(stats.executed, 6);
-    }
-
-    #[test]
     fn grouped_execution_batches_by_base_key() {
         // 6 distinct structures over 2 base keys: each key's group is
         // solved by one call receiving all its members.
         let group_calls = AtomicUsize::new(0);
         let items: Vec<(Fingerprint, u64, u32)> =
             (0..6).map(|i| (fp(i), (i % 2) as u64, i)).collect();
-        let batch = run_grouped(
-            RunConfig::default(),
+        let (out, fresh, stats) = collect(
+            None,
             None,
             &items,
             |_, _| true,
@@ -399,12 +353,12 @@ mod tests {
                 group.iter().map(|&&x| x * 10).collect()
             },
         );
-        assert_eq!(batch.results, vec![0, 10, 20, 30, 40, 50]);
+        assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
         assert_eq!(group_calls.load(Ordering::Relaxed), 2);
-        assert_eq!(batch.stats.groups, 2);
-        assert_eq!(batch.stats.executed, 6);
-        assert_eq!(batch.stats.assumption_solves, 4);
-        assert!(batch.fresh.iter().all(|&f| f));
+        assert_eq!(stats.groups, 2);
+        assert_eq!(stats.executed, 6);
+        assert_eq!(stats.assumption_solves, 4);
+        assert!(fresh.iter().all(|&f| f));
     }
 
     #[test]
@@ -420,18 +374,19 @@ mod tests {
             (fp(1), 7, 1),
             (fp(2), 7, 2),
         ];
-        let batch = run_grouped(
-            RunConfig::default(),
+        let (out, fresh, stats) = collect(
+            None,
             Some(&cache),
             &items,
             |_, _| true,
             |group| group.iter().map(|&&x| x + 10).collect(),
         );
-        assert_eq!(batch.results, vec![100, 11, 100, 11, 12]);
-        assert_eq!(batch.stats.cache_hits, 2);
-        assert_eq!(batch.stats.dedup_hits, 2);
-        assert_eq!(batch.stats.executed, 2);
-        assert_eq!(batch.stats.groups, 1);
+        assert_eq!(out, vec![100, 11, 100, 11, 12]);
+        assert_eq!(fresh, [false, true, false, false, true]);
+        assert_eq!(stats.cache_hits, 2);
+        assert_eq!(stats.dedup_hits, 2);
+        assert_eq!(stats.executed, 2);
+        assert_eq!(stats.groups, 1);
     }
 
     #[test]
@@ -439,17 +394,17 @@ mod tests {
         let cache: ResultCache<u32> = ResultCache::new();
         cache.insert(fp(1), 999); // stale: validator rejects odd payloads' 999
         let items: Vec<(Fingerprint, u64, u32)> = vec![(fp(1), 0, 1), (fp(2), 0, 2)];
-        let batch = run_grouped(
-            RunConfig::default(),
+        let (out, _, stats) = collect(
+            None,
             Some(&cache),
             &items,
             |_, v| *v != 999,
             |group| group.iter().map(|&&x| x + 10).collect(),
         );
-        assert_eq!(batch.results, vec![11, 12]);
-        assert_eq!(batch.stats.invalidated, 1);
-        assert_eq!(batch.stats.cache_hits, 0);
-        assert_eq!(batch.stats.executed, 2);
+        assert_eq!(out, vec![11, 12]);
+        assert_eq!(stats.invalidated, 1);
+        assert_eq!(stats.cache_hits, 0);
+        assert_eq!(stats.executed, 2);
         // The stale entry was replaced by the fresh verdict.
         assert_eq!(cache.peek(fp(1)), Some(11));
     }
@@ -467,13 +422,9 @@ mod tests {
         }
         let threads: Mutex<std::collections::HashSet<std::thread::ThreadId>> =
             Mutex::new(std::collections::HashSet::new());
-        let items: Vec<(Fingerprint, u64, u32)> = (0..n).map(|i| (fp(i), i as u64, i)).collect();
-        let cfg = RunConfig {
-            jobs: Some(4),
-            dedup: true,
-        };
-        let batch = run_grouped(
-            cfg,
+        let items = singletons((0..n).map(|i| (fp(i), i)));
+        let (_, _, stats) = collect(
+            Some(4),
             Some(&cache),
             &items,
             |_, _| {
@@ -484,8 +435,8 @@ mod tests {
             },
             |group| group.iter().map(|&&x| x).collect(),
         );
-        assert_eq!(batch.stats.cache_hits as u32, n);
-        assert_eq!(batch.stats.executed, 0);
+        assert_eq!(stats.cache_hits as u32, n);
+        assert_eq!(stats.executed, 0);
         assert!(
             threads.lock().unwrap().len() > 1,
             "validation must fan out over the pool"
@@ -495,27 +446,59 @@ mod tests {
     #[test]
     fn warm_cache_answers_without_executing() {
         let cache: ResultCache<u32> = ResultCache::new();
-        let items: Vec<(Fingerprint, u32)> = vec![(fp(1), 1), (fp(2), 2), (fp(1), 1)];
-        let b1 = run_deduped(RunConfig::default(), Some(&cache), &items, |&x| x + 100);
-        let (out1, s1) = (b1.results, b1.stats);
+        let items = singletons([(fp(1), 1), (fp(2), 2), (fp(1), 1)].into_iter());
+        let (out1, _, s1) = collect(
+            None,
+            Some(&cache),
+            &items,
+            |_, _| true,
+            |group| group.iter().map(|&&x| x + 100).collect(),
+        );
         assert_eq!(out1, vec![101, 102, 101]);
         assert_eq!(s1.executed, 2);
         assert_eq!(s1.cache_hits, 0);
 
-        let calls = AtomicUsize::new(0);
-        let b2 = run_deduped(RunConfig::default(), Some(&cache), &items, |&x| {
-            calls.fetch_add(1, Ordering::Relaxed);
-            x + 100
-        });
-        let (out2, s2) = (b2.results, b2.stats);
-        assert!(b2.fresh.iter().all(|&f| !f), "warm run: nothing fresh");
-        assert_eq!(out2, out1);
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            0,
-            "warm run must not execute"
+        let (out2, fresh2, s2) = collect(
+            None,
+            Some(&cache),
+            &items,
+            |_, _| true,
+            |_| -> Vec<u32> { panic!("warm run must not execute") },
         );
+        assert!(fresh2.iter().all(|&f| !f), "warm run: nothing fresh");
+        assert_eq!(out2, out1);
         assert_eq!(s2.cache_hits, 3);
         assert_eq!(s2.executed, 0);
+    }
+
+    #[test]
+    fn a_group_is_delivered_before_later_groups_finish() {
+        // Group 1 cannot finish until the caller has received group 0's
+        // members (the representative and its dedup replica): a pipeline
+        // that assembled the whole batch before returning would deadlock.
+        use std::sync::{mpsc, Mutex};
+        let (tx, rx) = mpsc::channel::<()>();
+        let rx = Mutex::new(rx);
+        let items: Vec<(Fingerprint, u64, u32)> = vec![(fp(0), 0, 0), (fp(1), 1, 1), (fp(0), 0, 0)];
+        let mut order = Vec::new();
+        run_grouped(
+            &Executor::with_threads(Some(2)),
+            None::<&ResultCache<u32>>,
+            &items,
+            |_, _| true,
+            |group| {
+                if *group[0] == 1 {
+                    rx.lock().unwrap().recv().unwrap();
+                }
+                group.iter().map(|&&x| x).collect()
+            },
+            |members, _, _| {
+                if members == [0, 2] {
+                    tx.send(()).unwrap();
+                }
+                order.push(members);
+            },
+        );
+        assert_eq!(order, vec![vec![0, 2], vec![1]]);
     }
 }

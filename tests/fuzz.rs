@@ -1,5 +1,5 @@
 //! End-to-end tests of the differential fuzzing subsystem: campaign
-//! greenness across the topology zoo, injected-bug detection, and the
+//! greenness across the topology families, injected-bug detection, and the
 //! minimize → repro → replay loop (the ISSUE-5 acceptance criteria at
 //! test scale; the CI smoke step runs the release binary at 25 cases).
 
@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 #[test]
-fn campaign_is_green_across_the_whole_zoo() {
+fn campaign_is_green_across_every_family() {
     let cfg = CampaignConfig {
         seed: 0xf00d,
         cases: FamilyId::all().len(),

@@ -1,15 +1,17 @@
-//! Incremental assumption-based solving must be invisible in results.
+//! The run pipeline must be invisible in results.
 //!
-//! The engine's default execution path groups checks that share an
-//! encoding base and solves each group on one persistent SMT session
-//! (assumption queries + carried learnt clauses). These tests pin the
-//! soundness contract end-to-end: for randomly generated WANs — passing
-//! and failing alike — the incremental engine's outcomes, rendered
-//! reports and failure listings are byte-identical to fresh per-check
-//! solving, in sequential and orchestrated mode. They also cover the
-//! failure-result disk cache: spilled failures answer warm runs without
-//! re-proving, and tampered/stale entries are rejected by re-validation
-//! and re-proved instead of replayed.
+//! Every run fingerprints and dedups its checks, groups them by
+//! encoding base, solves each group on one persistent SMT session
+//! (assumption queries + carried learnt clauses) across `jobs` workers,
+//! and streams outcomes through a reorder window into a sink. These
+//! tests pin the soundness contract end-to-end: for randomly generated
+//! WANs — passing and broken alike — what the pipeline renders at any
+//! worker count, through the collecting and the streaming sink, is
+//! byte-identical to the reference oracle (one fresh solver instance
+//! per check). They also cover the failure-result disk cache: spilled
+//! failures answer warm runs without re-proving, and tampered/stale
+//! entries are rejected by re-validation and re-proved instead of
+//! replayed.
 
 use lightyear::engine::{CheckCache, RunMode, Verifier};
 use lightyear::symbolic::ConcreteRoute;
@@ -50,55 +52,78 @@ fn assert_reports_byte_identical(topo: &bgp_model::Topology, a: &Report, b: &Rep
     assert_eq!(a.format_failures(topo), b.format_failures(topo));
 }
 
-/// Verify one scenario three ways — fresh per-check, incremental
-/// sequential, incremental orchestrated — and demand byte-identical
-/// reports.
-fn compare_modes(s: &wan::Scenario) {
+/// Verify one peering suite of `s` on the reference oracle, then through
+/// the pipeline at `jobs` ∈ {1, 2, 4} with both sinks — the collecting
+/// `Report` and the streaming `ReportSummary` — and demand every
+/// rendering is byte-identical to the reference. Returns the reference.
+fn compare_to_reference(s: &wan::Scenario, predicate: &str) -> Report {
     let topo = &s.network.topology;
-    let (_, q) = s.peering_predicates().into_iter().next().unwrap();
+    let (_, q) = s
+        .peering_predicates()
+        .into_iter()
+        .find(|(n, _)| n == predicate)
+        .unwrap();
     let (props, inv) = s.peering_property_inputs(&q);
-
-    let fresh = Verifier::new(topo, &s.network.policy)
-        .with_ghost(s.from_peer_ghost())
-        .with_incremental(false)
-        .verify_safety_multi(&props, &inv);
-    let incremental = Verifier::new(topo, &s.network.policy)
-        .with_ghost(s.from_peer_ghost())
-        .verify_safety_multi(&props, &inv);
-    assert_reports_byte_identical(topo, &fresh, &incremental);
-
-    let orchestrated = Verifier::new(topo, &s.network.policy)
-        .with_ghost(s.from_peer_ghost())
-        .with_mode(RunMode::Parallel)
-        .verify_safety_multi(&props, &inv);
-    assert_reports_byte_identical(topo, &fresh, &orchestrated);
+    let base = Verifier::new(topo, &s.network.policy).with_ghost(s.from_peer_ghost());
+    let reference = base.verify_safety_reference(&props, &inv);
+    for jobs in [1, 2, 4] {
+        let v = base.clone().with_jobs(jobs);
+        assert_reports_byte_identical(topo, &reference, &v.verify_safety_multi(&props, &inv));
+        let streamed = v.verify_safety_batch_streaming(&[(&props, &inv)], false);
+        let [summary] = streamed.summaries.as_slice() else {
+            panic!("one suite in, one summary out");
+        };
+        assert_eq!(reference.num_checks(), summary.num_checks());
+        assert!(
+            reference
+                .failures()
+                .iter()
+                .map(|f| f.check.id)
+                .eq(summary.failures().iter().map(|f| f.check.id)),
+            "jobs={jobs}"
+        );
+        assert_eq!(
+            reference.format_failures(topo),
+            summary.format_failures(topo)
+        );
+    }
+    reference
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+    #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]
-    fn incremental_matches_fresh_on_random_wans(
+    fn pipeline_matches_reference_on_random_wans(
         regions in 1usize..3,
         routers_per_region in 1usize..3,
         edge_routers in 1usize..4,
         peers_per_edge in 1usize..3,
         seed in 0u64..1000,
+        break_it in any::<bool>(),
     ) {
-        let s = wan::build(&WanParams {
+        let params = WanParams {
             regions,
             routers_per_region,
             edge_routers,
             peers_per_edge,
             seed,
-        });
-        compare_modes(&s);
+        };
+        let mut configs = wan::configs(&params);
+        // Half the cases lose the private-ASN filter on EDGE0's first
+        // peering, so failing outcomes are compared too.
+        let broken = break_it
+            .then(|| mutate::drop_aspath_filters(&mut configs, "EDGE0", "FROM-PEER0"))
+            .flatten();
+        let s = wan::build_from_configs(&params, configs);
+        let reference = compare_to_reference(&s, "no-private-asn");
+        prop_assert_eq!(reference.all_passed(), broken.is_none());
     }
 }
 
-/// Failing outcomes must agree too: inject the ad-hoc AS-path bug and
-/// compare the three engines on a network with a real violation.
+/// A pinned broken network, so the failing side of the contract never
+/// depends on what the proptest happened to draw.
 #[test]
-fn incremental_matches_fresh_on_failing_wan() {
+fn pipeline_matches_reference_on_failing_wan() {
     let params = WanParams {
         regions: 2,
         routers_per_region: 2,
@@ -109,30 +134,11 @@ fn incremental_matches_fresh_on_failing_wan() {
     let mut configs = wan::configs(&params);
     mutate::drop_aspath_filters(&mut configs, "EDGE1", "FROM-PEER1").unwrap();
     let s = wan::build_from_configs(&params, configs);
-    let topo = &s.network.topology;
-    let (_, q) = s
-        .peering_predicates()
-        .into_iter()
-        .find(|(n, _)| n == "no-private-asn")
-        .unwrap();
-    let (props, inv) = s.peering_property_inputs(&q);
-
-    let fresh = Verifier::new(topo, &s.network.policy)
-        .with_ghost(s.from_peer_ghost())
-        .with_incremental(false)
-        .verify_safety_multi(&props, &inv);
-    assert!(!fresh.all_passed(), "mutation must introduce a violation");
-
-    let incremental = Verifier::new(topo, &s.network.policy)
-        .with_ghost(s.from_peer_ghost())
-        .verify_safety_multi(&props, &inv);
-    assert_reports_byte_identical(topo, &fresh, &incremental);
-
-    let orchestrated = Verifier::new(topo, &s.network.policy)
-        .with_ghost(s.from_peer_ghost())
-        .with_mode(RunMode::Parallel)
-        .verify_safety_multi(&props, &inv);
-    assert_reports_byte_identical(topo, &fresh, &orchestrated);
+    let reference = compare_to_reference(&s, "no-private-asn");
+    assert!(
+        !reference.all_passed(),
+        "mutation must introduce a violation"
+    );
 }
 
 /// Failures spill to the cache and answer warm runs without re-proving
@@ -376,48 +382,4 @@ fn stale_cached_failures_are_revalidated_not_replayed() {
     );
     assert!(warm.exec.executed > 0, "rejected entries must be re-proved");
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// The incremental engine actually shares work: whenever more checks run
-/// than there are encoding bases (sequential mode, or orchestrated with
-/// dedup disabled), warm assumption solves must be reported.
-#[test]
-fn grouping_reports_warm_assumption_solves() {
-    let s = wan::build(&WanParams {
-        regions: 2,
-        routers_per_region: 2,
-        edge_routers: 3,
-        peers_per_edge: 2,
-        seed: 5,
-    });
-    let topo = &s.network.topology;
-    let (_, q) = s.peering_predicates().into_iter().next().unwrap();
-    let (props, inv) = s.peering_property_inputs(&q);
-
-    // Sequential incremental: every check is an assumption solve on its
-    // base group's session.
-    let seq = Verifier::new(topo, &s.network.policy)
-        .with_ghost(s.from_peer_ghost())
-        .verify_safety_multi(&props, &inv);
-    assert!(seq.all_passed());
-    assert!(seq.exec.groups > 0, "{:?}", seq.exec);
-    assert!(
-        seq.exec.assumption_solves > 0,
-        "template-sharing WAN checks must share sessions: {:?}",
-        seq.exec
-    );
-
-    // Orchestrated without structural dedup: the duplicates become warm
-    // assumption solves instead of fresh instances.
-    let par = Verifier::new(topo, &s.network.policy)
-        .with_ghost(s.from_peer_ghost())
-        .with_mode(RunMode::Parallel)
-        .with_dedup(false)
-        .verify_safety_multi(&props, &inv);
-    assert!(par.all_passed());
-    assert!(par.exec.groups > 0, "{:?}", par.exec);
-    assert!(par.exec.assumption_solves > 0, "{:?}", par.exec);
-    assert!(par.exec.groups <= par.exec.executed, "{:?}", par.exec);
-    let summary = par.exec.summary();
-    assert!(summary.contains("incremental:"), "{summary}");
 }

@@ -46,11 +46,8 @@ fn check_batch(s: &wan::Scenario, nprops: usize, mode: RunMode) {
     let multi = v.verify_safety_batch(&refs);
     assert_eq!(multi.reports.len(), owned.len());
     for ((props, inv), got) in owned.iter().zip(&multi.reports) {
-        // (a) Byte-identical to a standalone fresh run of the suite.
-        let fresh = Verifier::new(topo, &s.network.policy)
-            .with_ghost(s.from_peer_ghost())
-            .with_incremental(false)
-            .verify_safety_multi(props, inv);
+        // (a) Byte-identical to the reference oracle on the suite alone.
+        let fresh = v.verify_safety_reference(props, inv);
         assert_eq!(fresh.num_checks(), got.num_checks());
         assert_eq!(fresh.to_string(), got.to_string());
         assert_eq!(fresh.format_failures(topo), got.format_failures(topo));
