@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Permit or deny.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Action {
     /// Accept matching routes (after applying set actions).
     Permit,
@@ -29,7 +29,7 @@ pub enum Action {
 }
 
 /// A single match condition (all conditions in an entry must hold).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum MatchCond {
     /// `match ip address prefix-list ...` — any of the ranges matches.
     /// The bool on each range is the permit flag: a prefix-list is itself
@@ -65,7 +65,7 @@ pub enum MatchCond {
 }
 
 /// A set (transform) action applied by a permitting entry.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum SetAction {
     /// `set local-preference <n>`.
     LocalPref(u32),
@@ -92,7 +92,7 @@ pub enum SetAction {
 }
 
 /// One route-map entry.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct RouteMapEntry {
     /// Sequence number (entries are evaluated in increasing order).
     pub seq: u32,

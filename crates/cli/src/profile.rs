@@ -5,10 +5,10 @@
 //! simultaneously a Chrome `trace_event` file (Perfetto and
 //! `chrome://tracing` load it directly — extra top-level keys are
 //! ignored by both viewers) and a structured profile: the wall-clock
-//! split across pipeline stages (encode / solve / cache validation /
-//! everything else), the hottest check groups by solve time, the solver
-//! counter table, a per-property breakdown, and the full metrics
-//! snapshot.
+//! split across pipeline stages (check generation / fingerprinting /
+//! encode / solve / cache validation / everything else), the hottest
+//! check groups by solve time, the solver counter table, a per-property
+//! breakdown, and the full metrics snapshot.
 
 use crate::spec::Spec;
 use crate::{flag_value, load_network, load_spec, positionals, usage};
@@ -18,31 +18,41 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 /// Wall-clock attribution of a run into pipeline stages, from the
-/// metrics counters. Encode / solve / cache-validate are measured busy
-/// time; with parallel workers their sum can exceed the wall clock, in
+/// metrics counters. Check generation and fingerprinting run on the
+/// calling thread and are plain wall time. Encode / solve /
+/// cache-validate are measured busy time; with parallel workers their
+/// sum can exceed what the serial stages leave of the wall clock, in
 /// which case all three are scaled down proportionally (the raw busy
-/// values stay available under `metrics`) so the four stages always sum
+/// values stay available under `metrics`) so the six stages always sum
 /// to the wall clock exactly.
 pub(crate) fn stages_json(snap: &obs::MetricsSnapshot, wall: Duration) -> serde_json::Value {
     let wall_s = wall.as_secs_f64();
-    let encode = snap.counter("smt.encode_ns") as f64 / 1e9;
-    let solve = snap.counter("smt.solve_ns") as f64 / 1e9;
-    let cache = snap.counter("cache.validate_ns") as f64 / 1e9;
+    let secs = |counter: &str| snap.counter(counter) as f64 / 1e9;
+    let generate = secs("engine.generate_ns");
+    let fingerprint = secs("engine.fingerprint_ns");
+    let (encode, solve, cache) = (
+        secs("smt.encode_ns"),
+        secs("smt.solve_ns"),
+        secs("cache.validate_ns"),
+    );
     let busy = encode + solve + cache;
-    let scale = if busy > wall_s && busy > 0.0 {
-        wall_s / busy
+    let room = (wall_s - generate - fingerprint).max(0.0);
+    let scale = if busy > room && busy > 0.0 {
+        room / busy
     } else {
         1.0
     };
     let (e, s, c) = (encode * scale, solve * scale, cache * scale);
-    let other = (wall_s - e - s - c).max(0.0);
+    let other = (room - e - s - c).max(0.0);
     serde_json::json!({
         "wall_seconds": wall_s,
+        "generate_seconds": generate,
+        "fingerprint_seconds": fingerprint,
         "encode_seconds": e,
         "solve_seconds": s,
         "cache_seconds": c,
         "other_seconds": other,
-        "stage_sum_seconds": e + s + c + other,
+        "stage_sum_seconds": generate + fingerprint + e + s + c + other,
         "parallel_scale": scale,
     })
 }
@@ -180,20 +190,21 @@ fn render_report(reg: &obs::Registry, wall: Duration, top: usize, out_path: &str
             .and_then(|(_, v)| v.as_f64())
             .unwrap_or(0.0)
     };
-    let (e, s, c, o) = (
-        sec("encode_seconds"),
-        sec("solve_seconds"),
-        sec("cache_seconds"),
-        sec("other_seconds"),
-    );
-    println!(
-        "wall {wall_s:.4}s: encode {e:.4}s ({:.1}%), solve {s:.4}s ({:.1}%), \
-         cache {c:.4}s ({:.1}%), other {o:.4}s ({:.1}%)",
-        pct(e, wall_s),
-        pct(s, wall_s),
-        pct(c, wall_s),
-        pct(o, wall_s),
-    );
+    let line: Vec<String> = [
+        "generate",
+        "fingerprint",
+        "encode",
+        "solve",
+        "cache",
+        "other",
+    ]
+    .iter()
+    .map(|stage| {
+        let t = sec(&format!("{stage}_seconds"));
+        format!("{stage} {t:.4}s ({:.1}%)", pct(t, wall_s))
+    })
+    .collect();
+    println!("wall {wall_s:.4}s: {}", line.join(", "));
     let hot = hot_groups(reg, top);
     if !hot.is_empty() {
         println!("hottest check groups (top {}):", hot.len());

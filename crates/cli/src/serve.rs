@@ -3,7 +3,9 @@
 //! One process hosts many isolated tenants, each with its own spec,
 //! configuration set, per-property [`ReverifyEngine`]s and (under
 //! `--cache-root`) its own spill directory — so a restarted daemon
-//! answers its first full round warm, exactly like a restarted `watch`.
+//! answers its first full round warm, exactly like a restarted `watch`
+//! (after an upgrade that changed the fingerprint format the old keys
+//! simply miss: each tenant's first round reports `dirty N/N` once).
 //!
 //! The wire protocol is the typed, versioned envelope of
 //! [`api::wire`]: `POST /api/v1` with an [`api::ApiRequest`], answered

@@ -23,7 +23,10 @@ pub(crate) struct Session {
     pub(crate) current: Vec<ConfigAst>,
     /// Spill directory for the carried result caches: one subdirectory
     /// per spec property, written after every verified round, reloaded
-    /// (passes only) on startup so a restarted daemon starts warm.
+    /// (passes only) on startup so a restarted daemon starts warm. A
+    /// spill written under another fingerprint format still loads but
+    /// answers nothing: the first round after such an upgrade is
+    /// `dirty N/N` once, and its save is keyed by the current format.
     cache_dir: Option<PathBuf>,
 }
 

@@ -2,7 +2,9 @@
 //! delta-scoped re-verification built on `delta::diff_configs` (what
 //! changed), `lightyear::impact` (what it can dirty) and
 //! `lightyear::ReverifyEngine` (warm cross-run sessions + carried result
-//! cache).
+//! cache). A `--cache-dir` spill keyed under an older fingerprint
+//! format is a miss, never a wrong hit: the first baseline after the
+//! upgrade reports `dirty N/N` once, then restarts are warm again.
 
 use crate::session::{round_line, Session};
 use crate::telemetry::TelemetryOpts;

@@ -718,6 +718,104 @@ fn verify_cache_warms_across_runs() {
     assert!(warm_out.contains("no-transit: verified"), "{warm_out}");
 }
 
+/// Normalize a run's report: drop cache chatter and the wall-clock
+/// suffix of the batch line; every remaining byte is deterministic.
+fn report_of(out: &std::process::Output) -> String {
+    String::from_utf8_lossy(&out.stdout)
+        .lines()
+        .filter(|l| !l.starts_with("cache:"))
+        .map(|l| l.split(" in ").next().unwrap_or(l).to_string())
+        .collect::<Vec<_>>()
+        .join("\n")
+}
+
+/// A spill written before the fingerprint format changed (`FP_VERSION`
+/// 1, keys were hashes of canonical JSON): produced by the previous
+/// release's `verify --cache-dir` on exactly the `R1`/`R2`/`SPEC`
+/// network of this file.
+const CACHE_FP_V1: &str = include_str!("fixtures/cache-fp-v1.json");
+
+#[test]
+fn pre_upgrade_cache_is_a_miss_never_a_wrong_hit() {
+    // Old-format keys load cleanly (their checksums still verify),
+    // answer nothing, every check is re-proved to the same report, and
+    // the run's save is keyed by the current format: the next run is
+    // fully warm.
+    let d = tmpdir("cache-fp-v1");
+    write_net(&d, R2);
+    let cache_dir = d.join("cache");
+    let run = |with_cache: bool| {
+        let mut c = Command::new(bin());
+        c.args(["verify", "--jobs", "1", "--configs"])
+            .arg(&d)
+            .arg("--spec")
+            .arg(d.join("spec.json"));
+        if with_cache {
+            c.arg("--cache-dir").arg(&cache_dir);
+        }
+        let out = c.output().unwrap();
+        assert!(out.status.success());
+        out
+    };
+    let text = |out: &std::process::Output| String::from_utf8_lossy(&out.stdout).to_string();
+    let uncached = run(false);
+
+    fs::create_dir_all(&cache_dir).unwrap();
+    fs::write(cache_dir.join("cache.json"), CACHE_FP_V1).unwrap();
+    let upgraded = run(true);
+    let out = text(&upgraded);
+    assert!(out.contains("cache: loaded 6 entries"), "{out}");
+    assert!(
+        out.contains("9 checks -> 6 solver calls (3 deduped, 0 cached"),
+        "old keys must answer nothing: {out}"
+    );
+    assert_eq!(report_of(&uncached), report_of(&upgraded));
+
+    let out = text(&run(true));
+    assert!(
+        out.contains("9 checks -> 0 solver calls (3 deduped, 9 cached"),
+        "the save after the upgrade is keyed by the new format: {out}"
+    );
+    assert!(out.contains("no-transit: verified (9 checks)"), "{out}");
+}
+
+#[test]
+fn watch_restart_over_pre_upgrade_cache_is_one_full_round() {
+    // The daemon's warm restart (`ReverifyEngine::with_results` over
+    // the reloaded spill) after an upgrade: the first baseline is
+    // `dirty N/N` once, the one after it `dirty 0/N` again.
+    let d = tmpdir("watch-cache-fp-v1");
+    write_net(&d, R2);
+    let cache = d.join("cache");
+    fs::create_dir_all(cache.join("prop0")).unwrap();
+    fs::write(cache.join("prop0").join("cache.json"), CACHE_FP_V1).unwrap();
+    let baseline = || {
+        let out = Command::new(bin())
+            .args(["watch", "--once", "--configs"])
+            .arg(&d)
+            .arg("--spec")
+            .arg(d.join("spec.json"))
+            .arg("--cache-dir")
+            .arg(&cache)
+            .output()
+            .unwrap();
+        let text = String::from_utf8_lossy(&out.stdout).to_string();
+        assert!(out.status.success(), "{text}");
+        assert!(text.contains("watch: cache: loaded"), "{text}");
+        text.lines()
+            .find(|l| l.starts_with("baseline"))
+            .unwrap_or_else(|| panic!("no baseline line: {text}"))
+            .to_string()
+    };
+    let first = baseline();
+    assert!(first.contains("dirty 9/9 checks"), "{first}");
+    assert!(first.contains(", 0 cached"), "{first}");
+    assert!(first.contains("verified"), "{first}");
+    let second = baseline();
+    assert!(second.contains("dirty 0/9 checks"), "{second}");
+    assert!(second.contains("verified"), "{second}");
+}
+
 /// Read the child's piped stdout until `needle` appears (accumulating
 /// into `acc`), with a hard deadline so a wedged daemon fails the test
 /// instead of hanging it.
@@ -1008,16 +1106,6 @@ fn verify_survives_poisoned_cache_spill() {
             .arg(d.join("spec.json"))
             .output()
             .unwrap()
-    };
-    // Normalize a run's report: drop cache chatter and the wall-clock
-    // suffix of the batch line; every remaining byte is deterministic.
-    let report_of = |out: &std::process::Output| -> String {
-        String::from_utf8_lossy(&out.stdout)
-            .lines()
-            .filter(|l| !l.starts_with("cache:"))
-            .map(|l| l.split(" in ").next().unwrap_or(l).to_string())
-            .collect::<Vec<_>>()
-            .join("\n")
     };
     let cold = run();
     assert!(cold.status.success());

@@ -531,6 +531,18 @@ pub(crate) enum CheckBody {
     },
 }
 
+/// Charge the wall time of `f` to the counter `name` — under
+/// [`obs::enabled`] only: the disabled path never reads the clock.
+fn timed<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
+    if !obs::enabled() {
+        return f();
+    }
+    let t0 = Instant::now();
+    let out = f();
+    obs::add(name, t0.elapsed().as_nanos() as u64);
+    out
+}
+
 impl CheckBody {
     /// The encoding-base key: checks with equal keys share everything but
     /// their assume/ensure predicates — the symbolic input route, its
@@ -758,14 +770,16 @@ impl<'a> Verifier<'a> {
         let t0 = Instant::now();
         let mut checks: Vec<ResolvedCheck> = Vec::new();
         let mut bounds = vec![0usize];
-        for (props, inv) in suites {
-            let off = checks.len();
-            checks.extend(self.resolve_suite(props, inv).into_iter().map(|mut rc| {
-                rc.check.id += off;
-                rc
-            }));
-            bounds.push(checks.len());
-        }
+        timed("engine.generate_ns", || {
+            for (props, inv) in suites {
+                let off = checks.len();
+                checks.extend(self.resolve_suite(props, inv).into_iter().map(|mut rc| {
+                    rc.check.id += off;
+                    rc
+                }));
+                bounds.push(checks.len());
+            }
+        });
         let u = self.suites_universe(suites);
         let exec = self.execute(&u, &checks, &mut |mut o| {
             // Global ids are contiguous per suite, so the owning suite
@@ -819,6 +833,23 @@ impl<'a> Verifier<'a> {
                 }
                 CheckBody::Originate { .. } => None,
             })
+            .collect()
+    }
+
+    /// The structural fingerprint of every check in the `(props, inv)`
+    /// suite, indexed by check id. Checks with equal fingerprints pose
+    /// bit-identical formulas and are answered by one solver call — the
+    /// partition behind `RunStats::unique`.
+    pub fn check_fingerprints(
+        &self,
+        props: &[SafetyProperty],
+        inv: &NetworkInvariants,
+    ) -> Vec<Fingerprint> {
+        let (checks, u) = self.resolve_multi(props, inv);
+        let ufp = universe_digest(&u);
+        checks
+            .iter()
+            .map(|c| check_fingerprint(ufp, self.policy, &self.ghosts, &c.body))
             .collect()
     }
 
@@ -1145,20 +1176,24 @@ impl<'a> Verifier<'a> {
         // within a chunk, parallelism across chunks. Transfer groups are
         // naturally bounded (one per edge direction) and stay whole.
         let chunks = self.jobs as u64;
-        let keyed: Vec<(Fingerprint, u64, &ResolvedCheck)> = checks
-            .iter()
-            .enumerate()
-            .map(|(i, c)| {
-                (
-                    check_fingerprint(ufp, self.policy, &self.ghosts, &c.body),
-                    match &c.body {
-                        CheckBody::Implication { .. } => c.body.group_key() | (i as u64 % chunks),
-                        _ => c.body.group_key(),
-                    },
-                    c,
-                )
-            })
-            .collect();
+        let keyed: Vec<(Fingerprint, u64, &ResolvedCheck)> = timed("engine.fingerprint_ns", || {
+            checks
+                .iter()
+                .enumerate()
+                .map(|(i, c)| {
+                    (
+                        check_fingerprint(ufp, self.policy, &self.ghosts, &c.body),
+                        match &c.body {
+                            CheckBody::Implication { .. } => {
+                                c.body.group_key() | (i as u64 % chunks)
+                            }
+                            _ => c.body.group_key(),
+                        },
+                        c,
+                    )
+                })
+                .collect()
+        });
         // Replicated answers (dedup copies, cache hits) keep the
         // formula-size stats — the formula is identical — but drop the
         // work counters, so aggregate solve/encode times count each real
@@ -1221,14 +1256,10 @@ impl<'a> Verifier<'a> {
         rc: &ResolvedCheck,
         solved: &SolvedCheck,
     ) -> bool {
-        if obs::enabled() {
-            let t0 = Instant::now();
-            let ok = self.cached_result_still_valid_inner(universe, rc, solved);
-            obs::add("cache.validates", 1);
-            obs::add("cache.validate_ns", t0.elapsed().as_nanos() as u64);
-            return ok;
-        }
-        self.cached_result_still_valid_inner(universe, rc, solved)
+        obs::add("cache.validates", 1);
+        timed("cache.validate_ns", || {
+            self.cached_result_still_valid_inner(universe, rc, solved)
+        })
     }
 
     fn cached_result_still_valid_inner(

@@ -9,42 +9,41 @@
 //! and a single solver call (`orchestrator::run_grouped`).
 //!
 //! What each check kind contributes (rules in the `orchestrator` crate
-//! docs: tags, length prefixes, sorted unordered collections, format
-//! version, universe digest):
+//! docs: tags, prefix-free `Hash` streams, sorted unordered collections,
+//! format version, universe digest):
 //!
-//! * **Transfer** (import/export): direction, liveness `require_accept`
-//!   bit, the route-map *contents* (entries, not the name), every ghost
-//!   attribute's name and its update on this specific edge+direction,
-//!   the assume/ensure predicates, and the universe digest.
-//! * **Originate**: the multiset of originated routes (sorted canonical
-//!   forms), each ghost's name and origination default, the ensure
+//! * **Transfer** (import/export): direction, the route-map *contents*
+//!   (entries, not the name), every ghost attribute's name and its
+//!   update on this specific edge+direction, the liveness
+//!   `require_accept` bit, the assume/ensure predicates, and the
+//!   universe digest.
+//! * **Originate**: the multiset of originated routes (sorted per-route
+//!   digests), each ghost's name and origination default, the ensure
 //!   predicate, and the universe digest.
 //! * **Implication**: the assume/ensure predicates and the universe
 //!   digest.
 //!
-//! Predicates, route-map entries and routes are canonicalized through
-//! their serde form: the shim's serializer emits sorted map/set entries,
-//! so equal values produce equal JSON text. The attribute universe is
-//! hashed in sorted order, making fingerprints stable across runs that
-//! build the universe in different insertion orders.
+//! Predicates, route-map entries and routes are written by walking the
+//! value itself (`x.hash(&mut h)` through their derived `Hash`), never
+//! through a rendering of it: derived `Hash` agrees with derived
+//! equality, so fingerprint equality stays exactly structural equality.
+//! The attribute universe is hashed in sorted order, making fingerprints
+//! stable across runs that build the universe in different insertion
+//! orders.
 
 use crate::engine::CheckBody;
 use crate::ghost::{GhostAttr, GhostUpdate};
 use crate::pred::RoutePred;
 use crate::universe::Universe;
 use bgp_model::policy::Policy;
-use bgp_model::routemap::RouteMap;
 use orchestrator::{Fingerprint, FpHasher};
-use serde::Serialize;
+use std::hash::Hash;
 
-/// Bump when any canonical encoding below changes; spilled caches keyed
-/// under the old version then simply miss instead of corrupting runs.
-const FP_VERSION: u32 = 1;
-
-fn write_serde(h: &mut FpHasher, tag: &str, x: &impl Serialize) {
-    h.write_tag(tag);
-    h.write_str(&bgp_model::canonical_json(x));
-}
+/// Bump when any canonical encoding below changes — including the
+/// layout of any hashed type, since derived `Hash` follows it; spilled
+/// caches keyed under the old version then simply miss instead of
+/// corrupting runs.
+const FP_VERSION: u32 = 2;
 
 /// Digest of the attribute universe (sorted, order-insensitive).
 pub fn universe_digest(u: &Universe) -> Fingerprint {
@@ -75,48 +74,119 @@ pub fn universe_digest(u: &Universe) -> Fingerprint {
     h.finish()
 }
 
-fn write_pred(h: &mut FpHasher, tag: &str, p: &RoutePred) {
-    write_serde(h, tag, p);
-}
-
-/// Route-map contents without the (renaming-sensitive) map name.
-fn write_route_map(h: &mut FpHasher, map: Option<&RouteMap>) {
-    match map {
-        None => h.write_tag("no-map"),
-        Some(m) => {
-            h.write_tag("map");
-            write_serde(h, "entries", &m.entries);
-        }
-    }
-}
-
-fn write_ghost_update(h: &mut FpHasher, u: GhostUpdate) {
-    h.write_u8(match u {
-        GhostUpdate::SetTrue => 1,
-        GhostUpdate::SetFalse => 2,
-        GhostUpdate::Unchanged => 0,
-    });
-}
-
 /// Ghosts sorted by name with `per_ghost` contributing the part of each
 /// that the check's formula depends on.
-fn write_ghosts(
-    h: &mut FpHasher,
-    ghosts: &[GhostAttr],
-    per_ghost: impl Fn(&mut FpHasher, &GhostAttr),
-) {
+fn write_ghosts(h: &mut FpHasher, ghosts: &[GhostAttr], per_ghost: impl Fn(&GhostAttr) -> u8) {
     let mut sorted: Vec<&GhostAttr> = ghosts.iter().collect();
     sorted.sort_by(|a, b| a.name.cmp(&b.name));
     h.write_u64(sorted.len() as u64);
     for g in sorted {
         h.write_str(&g.name);
-        per_ghost(h, g);
+        h.write_u8(per_ghost(g));
     }
+}
+
+/// The one body writer behind every check-level digest: `tag`, format
+/// version and universe digest, then the part of `body`'s formula that
+/// is neither predicate side — a transfer's direction, route-map
+/// contents (never the renaming-sensitive map name) and ghost updates
+/// on that edge+direction; an origination's route multiset and ghost
+/// defaults — then the assume side and the ensure side when asked for.
+/// `require_accept` reshapes the goal, so it travels with the ensure
+/// side.
+fn body_fingerprint(
+    tag: &str,
+    universe_fp: Fingerprint,
+    policy: &Policy,
+    ghosts: &[GhostAttr],
+    body: &CheckBody,
+    with_assume: bool,
+    with_ensure: bool,
+) -> Fingerprint {
+    let mut h = FpHasher::new();
+    h.write_tag(tag);
+    h.write_u32(FP_VERSION);
+    universe_fp.hash(&mut h);
+    let (assume, ensure) = match body {
+        CheckBody::Transfer {
+            edge,
+            is_import,
+            assume,
+            ensure,
+            require_accept,
+        } => {
+            h.write_tag("transfer");
+            h.write_bool(*is_import);
+            let map = if *is_import {
+                policy.import_map(*edge)
+            } else {
+                policy.export_map(*edge)
+            };
+            match map {
+                None => h.write_tag("no-map"),
+                Some(m) => {
+                    h.write_tag("map");
+                    m.entries.hash(&mut h);
+                }
+            }
+            write_ghosts(&mut h, ghosts, |g| {
+                let u = if *is_import {
+                    g.import_update(*edge)
+                } else {
+                    g.export_update(*edge)
+                };
+                match u {
+                    GhostUpdate::Unchanged => 0,
+                    GhostUpdate::SetTrue => 1,
+                    GhostUpdate::SetFalse => 2,
+                }
+            });
+            if with_ensure {
+                h.write_bool(*require_accept);
+            }
+            (Some(assume), ensure)
+        }
+        CheckBody::Originate { edge, ensure } => {
+            h.write_tag("originate");
+            // A multiset: order-insensitive through sorted per-route
+            // digests.
+            let mut routes: Vec<Fingerprint> = policy
+                .originated(*edge)
+                .iter()
+                .map(|r| {
+                    let mut rh = FpHasher::new();
+                    r.hash(&mut rh);
+                    rh.finish()
+                })
+                .collect();
+            routes.sort();
+            h.write_u64(routes.len() as u64);
+            for r in routes {
+                r.hash(&mut h);
+            }
+            write_ghosts(&mut h, ghosts, |g| g.originate_value as u8);
+            (None, ensure)
+        }
+        CheckBody::Implication { assume, ensure } => {
+            h.write_tag("implication");
+            (Some(assume), ensure)
+        }
+    };
+    if let (true, Some(assume)) = (with_assume, assume) {
+        h.write_tag("assume");
+        assume.hash(&mut h);
+    }
+    if with_ensure {
+        h.write_tag("ensure");
+        ensure.hash(&mut h);
+    }
+    h.finish()
 }
 
 /// The fingerprint of one edge's **transfer relation** only — the
 /// route-map contents, the ghost updates on that edge+direction and the
-/// universe digest, *without* any assume/ensure predicate. This is the
+/// universe digest, *without* any assume/ensure predicate — read off
+/// any transfer check `body` on that edge+direction. This is the
 /// part of a transfer check's encoding a persistent re-verify session
 /// keeps across runs: when it is unchanged, the session's existing
 /// symbolic transfer can answer a re-dirtied check without re-encoding;
@@ -126,30 +196,18 @@ pub(crate) fn transfer_fingerprint(
     universe_fp: Fingerprint,
     policy: &Policy,
     ghosts: &[GhostAttr],
-    edge: bgp_model::topology::EdgeId,
-    is_import: bool,
+    body: &CheckBody,
 ) -> Fingerprint {
-    let mut h = FpHasher::new();
-    h.write_tag("transfer-base");
-    h.write_u32(FP_VERSION);
-    h.write_u64((universe_fp.0 >> 64) as u64);
-    h.write_u64(universe_fp.0 as u64);
-    h.write_bool(is_import);
-    let map = if is_import {
-        policy.import_map(edge)
-    } else {
-        policy.export_map(edge)
-    };
-    write_route_map(&mut h, map);
-    write_ghosts(&mut h, ghosts, |h, g| {
-        let u = if is_import {
-            g.import_update(edge)
-        } else {
-            g.export_update(edge)
-        };
-        write_ghost_update(h, u);
-    });
-    h.finish()
+    debug_assert!(matches!(body, CheckBody::Transfer { .. }));
+    body_fingerprint(
+        "transfer-base",
+        universe_fp,
+        policy,
+        ghosts,
+        body,
+        false,
+        false,
+    )
 }
 
 /// The fingerprint of everything in a check's formula **except** its
@@ -168,46 +226,19 @@ pub(crate) fn rest_fingerprint(
     ghosts: &[GhostAttr],
     body: &CheckBody,
 ) -> Option<Fingerprint> {
-    let mut h = FpHasher::new();
-    h.write_tag("check-rest");
-    h.write_u32(FP_VERSION);
-    h.write_u64((universe_fp.0 >> 64) as u64);
-    h.write_u64(universe_fp.0 as u64);
-    match body {
-        CheckBody::Transfer {
-            edge,
-            is_import,
-            ensure,
-            require_accept,
-            ..
-        } => {
-            h.write_tag("transfer");
-            h.write_bool(*is_import);
-            h.write_bool(*require_accept);
-            let map = if *is_import {
-                policy.import_map(*edge)
-            } else {
-                policy.export_map(*edge)
-            };
-            write_route_map(&mut h, map);
-            write_ghosts(&mut h, ghosts, |h, g| {
-                let u = if *is_import {
-                    g.import_update(*edge)
-                } else {
-                    g.export_update(*edge)
-                };
-                write_ghost_update(h, u);
-            });
-            write_pred(&mut h, "ensure", ensure);
-        }
-        CheckBody::Implication { ensure, .. } => {
-            h.write_tag("implication");
-            write_pred(&mut h, "ensure", ensure);
-        }
-        // Concrete finite evaluation: no symbolic assume side, no core.
-        CheckBody::Originate { .. } => return None,
+    // Concrete finite evaluation: no symbolic assume side, no core.
+    if matches!(body, CheckBody::Originate { .. }) {
+        return None;
     }
-    Some(h.finish())
+    Some(body_fingerprint(
+        "check-rest",
+        universe_fp,
+        policy,
+        ghosts,
+        body,
+        false,
+        true,
+    ))
 }
 
 /// Canonical fingerprint of one assume conjunct. Only ever compared
@@ -218,7 +249,7 @@ pub(crate) fn conjunct_fingerprint(pred: &RoutePred) -> u128 {
     let mut h = FpHasher::new();
     h.write_tag("conjunct");
     h.write_u32(FP_VERSION);
-    h.write_str(&bgp_model::canonical_json(pred));
+    pred.hash(&mut h);
     h.finish().0
 }
 
@@ -229,67 +260,13 @@ pub(crate) fn check_fingerprint(
     ghosts: &[GhostAttr],
     body: &CheckBody,
 ) -> Fingerprint {
-    let mut h = FpHasher::new();
-    h.write_tag("check");
-    h.write_u32(FP_VERSION);
-    h.write_u64((universe_fp.0 >> 64) as u64);
-    h.write_u64(universe_fp.0 as u64);
-    match body {
-        CheckBody::Transfer {
-            edge,
-            is_import,
-            assume,
-            ensure,
-            require_accept,
-        } => {
-            h.write_tag("transfer");
-            h.write_bool(*is_import);
-            h.write_bool(*require_accept);
-            let map = if *is_import {
-                policy.import_map(*edge)
-            } else {
-                policy.export_map(*edge)
-            };
-            write_route_map(&mut h, map);
-            write_ghosts(&mut h, ghosts, |h, g| {
-                let u = if *is_import {
-                    g.import_update(*edge)
-                } else {
-                    g.export_update(*edge)
-                };
-                write_ghost_update(h, u);
-            });
-            write_pred(&mut h, "assume", assume);
-            write_pred(&mut h, "ensure", ensure);
-        }
-        CheckBody::Originate { edge, ensure } => {
-            h.write_tag("originate");
-            let mut routes: Vec<String> = policy
-                .originated(*edge)
-                .iter()
-                .map(bgp_model::canonical_json)
-                .collect();
-            routes.sort();
-            h.write_u64(routes.len() as u64);
-            for r in routes {
-                h.write_str(&r);
-            }
-            write_ghosts(&mut h, ghosts, |h, g| h.write_bool(g.originate_value));
-            write_pred(&mut h, "ensure", ensure);
-        }
-        CheckBody::Implication { assume, ensure } => {
-            h.write_tag("implication");
-            write_pred(&mut h, "assume", assume);
-            write_pred(&mut h, "ensure", ensure);
-        }
-    }
-    h.finish()
+    body_fingerprint("check", universe_fp, policy, ghosts, body, true, true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bgp_model::routemap::{RouteMapEntry, SetAction};
+    use bgp_model::routemap::{RouteMap, RouteMapEntry, SetAction};
     use bgp_model::topology::EdgeId;
     use bgp_model::{Community, Route};
 
@@ -334,6 +311,22 @@ mod tests {
         pol.set_import(EdgeId(1), other);
         let u = Universe::from_policy(&pol);
         let ufp = universe_digest(&u);
+        let a = check_fingerprint(ufp, &pol, &[], &transfer_body(EdgeId(0)));
+        let b = check_fingerprint(ufp, &pol, &[], &transfer_body(EdgeId(1)));
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn bare_continue_splits_the_fingerprint() {
+        // `continue_to: None` and `Some(None)` behave differently but
+        // share a JSON rendering (`null`); the structural walk keeps
+        // them apart.
+        let mut pol = Policy::new();
+        pol.set_import(EdgeId(0), tag_map("A"));
+        let mut continuing = tag_map("A");
+        continuing.entries[0].continue_to = Some(None);
+        pol.set_import(EdgeId(1), continuing);
+        let ufp = universe_digest(&Universe::from_policy(&pol));
         let a = check_fingerprint(ufp, &pol, &[], &transfer_body(EdgeId(0)));
         let b = check_fingerprint(ufp, &pol, &[], &transfer_body(EdgeId(1)));
         assert_ne!(a, b);

@@ -29,9 +29,10 @@
 //!   no-interference checks (§5).
 //! * [`check`] — check descriptors, results, counterexamples.
 //! * [`fingerprint`] — structural fingerprints of resolved checks:
-//!   rename-invariant canonical hashes (route-map contents, predicates,
-//!   ghost updates, universe digest — never router names or ids) keying
-//!   the orchestrator's dedup and cross-run cache.
+//!   rename-invariant hashes taken by walking the values themselves
+//!   (route-map contents, predicates, ghost updates, universe digest —
+//!   never router names or ids, never a serialized rendering) keying the
+//!   orchestrator's dedup and cross-run cache.
 //! * [`engine`] — the verifier: sequential or orchestrated execution
 //!   (fingerprint dedup + result cache + work-stealing pool via the
 //!   `orchestrator` crate), per-check statistics (Figure 3b/3d) and

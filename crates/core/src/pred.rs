@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// Comparison operators for numeric attributes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Cmp {
     /// Equal.
     Eq,
@@ -50,7 +50,7 @@ impl Cmp {
 }
 
 /// Numeric route attributes usable in comparisons.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum NumAttr {
     /// Local preference.
     LocalPref,
@@ -61,7 +61,7 @@ pub enum NumAttr {
 }
 
 /// A predicate over routes.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum RoutePred {
     /// Always true.
     True,

@@ -163,8 +163,6 @@ struct PrevRound {
     topo_shape: u64,
 }
 
-use bgp_model::canonical_json as canon;
-
 /// In-process digest of the verification problem. Only compared against
 /// digests from earlier rounds of the same engine, so the hasher needs
 /// no cross-process stability.
@@ -173,17 +171,14 @@ fn spec_digest(props: &[SafetyProperty], inv: &NetworkInvariants) -> u64 {
     let mut h = std::collections::hash_map::DefaultHasher::new();
     props.len().hash(&mut h);
     for p in props {
-        format!("{:?}", p.location).hash(&mut h);
+        p.location.hash(&mut h);
         p.name.hash(&mut h);
-        canon(&p.pred).hash(&mut h);
+        p.pred.hash(&mut h);
     }
-    canon(inv.default_pred()).hash(&mut h);
+    inv.default_pred().hash(&mut h);
     let mut overrides: Vec<_> = inv.overrides_iter().collect();
     overrides.sort_by_key(|(l, _)| **l);
-    for (l, p) in overrides {
-        format!("{l:?}").hash(&mut h);
-        canon(p).hash(&mut h);
-    }
+    overrides.hash(&mut h);
     h.finish()
 }
 
@@ -719,7 +714,7 @@ impl ReverifyEngine {
                     stats.sessions_created += 1;
                     GroupSession::new(universe, self.learnt_cap)
                 });
-            let tfp = transfer_fingerprint(ufp, v.policy(), v.ghosts(), edge, is_import);
+            let tfp = transfer_fingerprint(ufp, v.policy(), v.ghosts(), &checks[idxs[0]].body);
             if gs.transfer.as_ref().map(|(f, _)| *f) != Some(tfp) {
                 if gs.transfer.is_some() {
                     gs.retired += 1;

@@ -3,6 +3,7 @@
 
 use bgp_config::ast::{ConfigAst, MatchAst, NeighborAst};
 use bgp_config::lower::resolve_route_map;
+use bgp_model::{Ipv4Prefix, RouteMapEntry};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -149,27 +150,25 @@ impl fmt::Display for ConfigDelta {
     }
 }
 
-use bgp_model::canonical_json as canon;
+/// A route-map attachment resolved to its full meaning: `None` when
+/// nothing is attached, `Err` with the error text for a dangling
+/// reference (conservatively a change whenever that text differs).
+type Attachment = Option<Result<Vec<RouteMapEntry>, String>>;
 
-/// A route-map attachment resolved to its full meaning, or a marker for
-/// dangling references (conservatively treated as a change whenever the
-/// marker text differs).
-fn resolve_attachment(cfg: &ConfigAst, name: Option<&String>) -> String {
-    match name {
-        None => "-".to_string(),
-        Some(n) => match resolve_route_map(cfg, n) {
-            Ok(map) => canon(&map.entries),
-            Err(e) => format!("!unresolvable:{n}:{e}"),
-        },
-    }
+fn resolve_attachment(cfg: &ConfigAst, name: Option<&String>) -> Attachment {
+    name.map(|n| {
+        resolve_route_map(cfg, n)
+            .map(|map| map.entries)
+            .map_err(|e| format!("{n}:{e}"))
+    })
 }
 
 /// The semantic projection of one neighbor block.
 #[derive(PartialEq, Eq)]
 struct NeighborSem {
     remote_as: Option<u32>,
-    import: String,
-    export: String,
+    import: Attachment,
+    export: Attachment,
 }
 
 /// The semantic projection of one router configuration: everything the
@@ -179,7 +178,7 @@ struct RouterSem {
     /// Keyed by peer name (the `description`, which is how lowering
     /// matches sessions); unnamed neighbors keyed by address.
     neighbors: BTreeMap<String, NeighborSem>,
-    networks: Vec<String>,
+    networks: Vec<Ipv4Prefix>,
 }
 
 fn project(cfg: &ConfigAst) -> RouterSem {
@@ -212,7 +211,7 @@ fn project(cfg: &ConfigAst) -> RouterSem {
                 },
             );
         }
-        networks = bgp.networks.iter().map(canon).collect();
+        networks = bgp.networks.clone();
         networks.sort();
     }
     RouterSem {
@@ -504,6 +503,21 @@ router bgp 65000
             .push(bgp_config::ast::SetAst::LocalPref(120));
         let d = diff_configs(&[r1()], &[new]);
         assert_eq!(d.changed_routers(), vec!["R1".to_string()]);
+        assert!(d.edits.iter().any(|e| matches!(
+            &e.kind,
+            DeltaKind::RouteMapChanged { map } if map == "FROM-ISP"
+        )));
+    }
+
+    #[test]
+    fn bare_continue_is_semantic() {
+        // `continue` (to the next entry) and no `continue` render to the
+        // same JSON (`null`); resolved entries are compared as values,
+        // so the edit is not mistaken for a cosmetic one.
+        let mut new = r1();
+        new.route_maps.get_mut("FROM-ISP").unwrap()[0].continue_to = Some(None);
+        let d = diff_configs(&[r1()], &[new]);
+        assert!(!d.is_cosmetic());
         assert!(d.edits.iter().any(|e| matches!(
             &e.kind,
             DeltaKind::RouteMapChanged { map } if map == "FROM-ISP"

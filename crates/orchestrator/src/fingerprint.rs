@@ -6,8 +6,18 @@
 //! largest realistic check populations (millions) negligible; the stream
 //! discipline (tags + length prefixes, see the crate docs) rules out
 //! concatenation ambiguity.
+//!
+//! [`FpHasher`] is also a [`std::hash::Hasher`], so a value whose type
+//! implements `Hash` is written with `x.hash(&mut h)` — a direct walk
+//! over its structure, no intermediate rendering. Every integer write
+//! is overridden to a fixed width in little-endian order, so the stream
+//! (and therefore a spilled cache key) does not depend on the host's
+//! word size. (`std` feeds a slice of primitive integers as its raw
+//! memory in one `write`, so spills are portable between little-endian
+//! hosts, not to big-endian ones.)
 
 use std::fmt;
+use std::hash::Hasher;
 
 /// A 128-bit structural fingerprint.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -131,9 +141,56 @@ impl FpHasher {
     }
 }
 
+/// The `Hash`-driven entry: `x.hash(&mut h)` lands here. The 128-bit
+/// [`FpHasher::finish`] stays the only key — the trait's `u64` finish
+/// exists because the trait demands it and is never used as one.
+impl Hasher for FpHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(b);
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        (FpHasher::finish(self).0 >> 64) as u64
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.mix(x);
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.write(&x.to_le_bytes());
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write(&x.to_le_bytes());
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.write(&x.to_le_bytes());
+    }
+
+    fn write_u128(&mut self, x: u128) {
+        self.write(&x.to_le_bytes());
+    }
+
+    // Lengths (`Vec`, slices, `BTreeSet`) arrive as `usize` and enum
+    // discriminants as `isize`: both widen to 64 bits. The signed
+    // `write_i*` defaults forward to the unsigned overrides above.
+    fn write_usize(&mut self, x: usize) {
+        Hasher::write_u64(self, x as u64);
+    }
+
+    fn write_isize(&mut self, x: isize) {
+        Hasher::write_u64(self, x as i64 as u64);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hash::Hash;
 
     fn fp(f: impl FnOnce(&mut FpHasher)) -> Fingerprint {
         let mut h = FpHasher::new();
@@ -173,6 +230,46 @@ mod tests {
             h.write_str("bc");
         });
         assert_ne!(ab_c, a_bc);
+    }
+
+    #[test]
+    fn hash_driven_writes_are_fixed_width_little_endian() {
+        // What `derive(Hash)` feeds the hasher is pinned byte for byte
+        // against the inherent fixed-width writers: a `usize` length and
+        // an `isize` discriminant are 8 LE bytes on every host, and a
+        // `str` is its bytes plus a 0xff terminator.
+        assert_eq!(
+            fp(|h| vec![7u32, 9].hash(h)),
+            fp(|h| {
+                h.write_u64(2);
+                h.write_u32(7);
+                h.write_u32(9);
+            })
+        );
+        assert_eq!(
+            fp(|h| Hasher::write_isize(h, -2)),
+            fp(|h| h.write_u64(-2i64 as u64))
+        );
+        assert_eq!(
+            fp(|h| Hasher::write_u16(h, 0x0102)),
+            fp(|h| {
+                h.write_u8(2);
+                h.write_u8(1);
+            })
+        );
+        assert_eq!(
+            fp(|h| "ab".hash(h)),
+            fp(|h| {
+                h.write_u8(b'a');
+                h.write_u8(b'b');
+                h.write_u8(0xff);
+            })
+        );
+        // `Some(x)` vs `x`, `None` vs nothing: the discriminant is written.
+        assert_ne!(fp(|h| Some(1u32).hash(h)), fp(|h| 1u32.hash(h)));
+        assert_ne!(fp(|h| None::<u32>.hash(h)), fp(|_| ()));
+        // Strings stay self-delimiting through the terminator.
+        assert_ne!(fp(|h| ("ab", "c").hash(h)), fp(|h| ("a", "bc").hash(h)));
     }
 
     #[test]
