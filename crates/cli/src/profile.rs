@@ -6,7 +6,8 @@
 //! `chrome://tracing` load it directly — extra top-level keys are
 //! ignored by both viewers) and a structured profile: the wall-clock
 //! split across pipeline stages (check generation / fingerprinting /
-//! encode / solve / cache validation / everything else), the hottest
+//! term construction / bit-blast / clause feed / solve / cache
+//! validation / everything else), the hottest
 //! check groups by solve time, the solver counter table, a per-property
 //! breakdown, and the full metrics snapshot.
 
@@ -17,44 +18,59 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
+/// The busy-time stages, measured on the workers: `(stage, counter)`.
+/// `terms` + `blast` + `feed` is what used to be one `encode` stage
+/// (`smt.encode_ns` still totals blast, feed and inprocessing sweeps).
+const BUSY_STAGES: [(&str, &str); 5] = [
+    ("terms", "engine.terms_ns"),
+    ("blast", "smt.blast_ns"),
+    ("feed", "smt.sync_ns"),
+    ("solve", "smt.solve_ns"),
+    ("cache", "cache.validate_ns"),
+];
+
 /// Wall-clock attribution of a run into pipeline stages, from the
 /// metrics counters. Check generation and fingerprinting run on the
-/// calling thread and are plain wall time. Encode / solve /
-/// cache-validate are measured busy time; with parallel workers their
-/// sum can exceed what the serial stages leave of the wall clock, in
-/// which case all three are scaled down proportionally (the raw busy
-/// values stay available under `metrics`) so the six stages always sum
-/// to the wall clock exactly.
+/// calling thread and are plain wall time. Term construction / blast /
+/// feed / solve / cache-validate are measured busy time; with parallel
+/// workers their sum can exceed what the serial stages leave of the wall
+/// clock, in which case all of them are scaled down proportionally (the
+/// raw busy values stay available under `metrics`) so the stages always
+/// sum to the wall clock exactly.
 pub(crate) fn stages_json(snap: &obs::MetricsSnapshot, wall: Duration) -> serde_json::Value {
     let wall_s = wall.as_secs_f64();
     let secs = |counter: &str| snap.counter(counter) as f64 / 1e9;
     let generate = secs("engine.generate_ns");
     let fingerprint = secs("engine.fingerprint_ns");
-    let (encode, solve, cache) = (
-        secs("smt.encode_ns"),
-        secs("smt.solve_ns"),
-        secs("cache.validate_ns"),
-    );
-    let busy = encode + solve + cache;
+    let busy: f64 = BUSY_STAGES.iter().map(|(_, c)| secs(c)).sum();
     let room = (wall_s - generate - fingerprint).max(0.0);
     let scale = if busy > room && busy > 0.0 {
         room / busy
     } else {
         1.0
     };
-    let (e, s, c) = (encode * scale, solve * scale, cache * scale);
-    let other = (room - e - s - c).max(0.0);
-    serde_json::json!({
-        "wall_seconds": wall_s,
-        "generate_seconds": generate,
-        "fingerprint_seconds": fingerprint,
-        "encode_seconds": e,
-        "solve_seconds": s,
-        "cache_seconds": c,
-        "other_seconds": other,
-        "stage_sum_seconds": generate + fingerprint + e + s + c + other,
-        "parallel_scale": scale,
-    })
+    let other = (room - busy * scale).max(0.0);
+    let mut stages = vec![
+        ("wall_seconds".to_string(), serde_json::json!(wall_s)),
+        ("generate_seconds".to_string(), serde_json::json!(generate)),
+        (
+            "fingerprint_seconds".to_string(),
+            serde_json::json!(fingerprint),
+        ),
+    ];
+    for (stage, counter) in BUSY_STAGES {
+        stages.push((
+            format!("{stage}_seconds"),
+            serde_json::json!(secs(counter) * scale),
+        ));
+    }
+    stages.push(("other_seconds".to_string(), serde_json::json!(other)));
+    stages.push((
+        "stage_sum_seconds".to_string(),
+        serde_json::json!(generate + fingerprint + busy * scale + other),
+    ));
+    stages.push(("parallel_scale".to_string(), serde_json::json!(scale)));
+    serde_json::Value::Object(stages)
 }
 
 /// The hottest check groups by cumulative solve-span time, hottest
@@ -190,20 +206,15 @@ fn render_report(reg: &obs::Registry, wall: Duration, top: usize, out_path: &str
             .and_then(|(_, v)| v.as_f64())
             .unwrap_or(0.0)
     };
-    let line: Vec<String> = [
-        "generate",
-        "fingerprint",
-        "encode",
-        "solve",
-        "cache",
-        "other",
-    ]
-    .iter()
-    .map(|stage| {
-        let t = sec(&format!("{stage}_seconds"));
-        format!("{stage} {t:.4}s ({:.1}%)", pct(t, wall_s))
-    })
-    .collect();
+    let line: Vec<String> = ["generate", "fingerprint"]
+        .into_iter()
+        .chain(BUSY_STAGES.iter().map(|(stage, _)| *stage))
+        .chain(["other"])
+        .map(|stage| {
+            let t = sec(&format!("{stage}_seconds"));
+            format!("{stage} {t:.4}s ({:.1}%)", pct(t, wall_s))
+        })
+        .collect();
     println!("wall {wall_s:.4}s: {}", line.join(", "));
     let hot = hot_groups(reg, top);
     if !hot.is_empty() {

@@ -48,6 +48,7 @@ use serde_json::Value;
 use smt::{
     solve_with_stats, Assumption, IncrementalSession, SatResult, SolverStats, TermId, TermPool,
 };
+use std::cell::Cell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -345,10 +346,12 @@ pub(crate) fn solve_conjunct_gated(
     neg: TermId,
     retract: bool,
 ) -> (SatResult, SolverStats, Option<Vec<usize>>) {
-    let encoded: Vec<TermId> = conjuncts
-        .iter()
-        .map(|cp| cp.encode(sess.pool_mut(), universe, input))
-        .collect();
+    let encoded: Vec<TermId> = timed("engine.terms_ns", || {
+        conjuncts
+            .iter()
+            .map(|cp| cp.encode(sess.pool_mut(), universe, input))
+            .collect()
+    });
     // Fold the whole violation query in the term pool first:
     // hash-consing simplification frequently collapses it outright — an
     // identity transfer under a uniform invariant makes `¬goal` the
@@ -358,14 +361,14 @@ pub(crate) fn solve_conjunct_gated(
     // the bulk of a WAN's internal-mesh checks; splitting it into
     // assumption literals would defeat the simplifier, so the split is
     // reserved for queries that do not collapse.
-    let folded = {
+    let folded = timed("engine.terms_ns", || {
         let pool = sess.pool_mut();
         let mut all = encoded.clone();
         all.push(neg);
         let q = pool.and(&all);
         let fls = pool.fls();
         (q == fls).then_some(q)
-    };
+    });
     if let Some(q) = folded {
         obs::add("engine.checks_folded", 1);
         let core = Some(syntactic_core(sess.pool(), &encoded, neg));
@@ -531,6 +534,14 @@ pub(crate) enum CheckBody {
     },
 }
 
+thread_local! {
+    /// The session this worker thread ran its previous group on, parked
+    /// for the next one: a run poses hundreds of small groups per
+    /// worker, and building then dropping a pool, a blaster and a solver
+    /// for each costs more than some of them take to solve.
+    static SPARE_SESSION: Cell<Option<IncrementalSession>> = const { Cell::new(None) };
+}
+
 /// Charge the wall time of `f` to the counter `name` — under
 /// [`obs::enabled`] only: the disabled path never reads the clock.
 fn timed<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
@@ -541,6 +552,13 @@ fn timed<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
     let out = f();
     obs::add(name, t0.elapsed().as_nanos() as u64);
     out
+}
+
+/// A finished group's session goes back to its worker thread for the
+/// next group (see [`Verifier::group_session`]).
+fn park_session(sess: IncrementalSession) {
+    obs::gauge_max("engine.term_pool_terms", sess.pool().len() as u64);
+    SPARE_SESSION.set(Some(sess));
 }
 
 impl CheckBody {
@@ -1416,14 +1434,19 @@ impl<'a> Verifier<'a> {
     /// base SAT config, the feed-path ablation switch and — for groups
     /// wide enough to clear the engine-side estimate — portfolio racing
     /// against the run's shared slot pool. `label` is lazy because it
-    /// only feeds the per-group win-attribution span.
+    /// only feeds the per-group win-attribution span. The session is
+    /// this thread's parked one, reset (hand it back with
+    /// [`park_session`] when the group is done), so it behaves like a
+    /// new one but allocates only what the largest group so far did not.
     fn group_session(
         &self,
         slots: Option<&Arc<smt::PortfolioSlots>>,
         width: usize,
         label: impl FnOnce() -> String,
     ) -> IncrementalSession {
-        let mut sess = IncrementalSession::new()
+        let mut sess = SPARE_SESSION.take().unwrap_or_default();
+        sess.reset();
+        let mut sess = sess
             .with_config(self.solver.config.clone())
             .with_buffered_feed(self.solver.buffered_feed);
         if let (Some(p), Some(slots)) = (&self.solver.portfolio, slots) {
@@ -1473,11 +1496,14 @@ impl<'a> Verifier<'a> {
                         first.check.location.display(self.topo)
                     )
                 });
-                let input = SymRoute::fresh(sess.pool_mut(), universe, "r");
-                let wf = input.well_formed(sess.pool_mut());
+                let (input, wf, transfer) = timed("engine.terms_ns", || {
+                    let pool = sess.pool_mut();
+                    let input = SymRoute::fresh(pool, universe, "r");
+                    let wf = input.well_formed(pool);
+                    let transfer = self.encode_transfer(pool, universe, edge, is_import, &input);
+                    (input, wf, transfer)
+                });
                 sess.assert(wf);
-                let transfer =
-                    self.encode_transfer(sess.pool_mut(), universe, edge, is_import, &input);
                 let out: Vec<SolvedCheck> = checks
                     .iter()
                     .map(|rc| {
@@ -1491,13 +1517,15 @@ impl<'a> Verifier<'a> {
                             unreachable!("transfer group mixes check shapes");
                         };
                         let conjs = assume.conjuncts();
-                        let neg = transfer_goal_negation(
-                            sess.pool_mut(),
-                            universe,
-                            &transfer,
-                            ensure,
-                            *require_accept,
-                        );
+                        let neg = timed("engine.terms_ns", || {
+                            transfer_goal_negation(
+                                sess.pool_mut(),
+                                universe,
+                                &transfer,
+                                ensure,
+                                *require_accept,
+                            )
+                        });
                         let (result, stats, core) =
                             solve_conjunct_gated(&mut sess, universe, &input, &conjs, neg, false);
                         match result {
@@ -1517,13 +1545,16 @@ impl<'a> Verifier<'a> {
                         }
                     })
                     .collect();
-                obs::gauge_max("engine.term_pool_terms", sess.pool().len() as u64);
+                park_session(sess);
                 out
             }
             CheckBody::Implication { .. } => {
                 let mut sess = self.group_session(slots, checks.len(), || "implication".into());
-                let r = SymRoute::fresh(sess.pool_mut(), universe, "r");
-                let wf = r.well_formed(sess.pool_mut());
+                let (r, wf) = timed("engine.terms_ns", || {
+                    let r = SymRoute::fresh(sess.pool_mut(), universe, "r");
+                    let wf = r.well_formed(sess.pool_mut());
+                    (r, wf)
+                });
                 sess.assert(wf);
                 let out: Vec<SolvedCheck> = checks
                     .iter()
@@ -1532,7 +1563,9 @@ impl<'a> Verifier<'a> {
                             unreachable!("implication group mixes check shapes");
                         };
                         let conjs = assume.conjuncts();
-                        let neg = implication_goal_negation(sess.pool_mut(), universe, &r, ensure);
+                        let neg = timed("engine.terms_ns", || {
+                            implication_goal_negation(sess.pool_mut(), universe, &r, ensure)
+                        });
                         let (result, stats, core) =
                             solve_conjunct_gated(&mut sess, universe, &r, &conjs, neg, false);
                         match result {
@@ -1552,7 +1585,7 @@ impl<'a> Verifier<'a> {
                         }
                     })
                     .collect();
-                obs::gauge_max("engine.term_pool_terms", sess.pool().len() as u64);
+                park_session(sess);
                 out
             }
         }

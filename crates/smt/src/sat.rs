@@ -88,6 +88,17 @@ pub enum SolverError {
         /// The cap in force when the allocation failed.
         cap_words: u32,
     },
+    /// The bit-blaster's flat clause store hit its addressing cap
+    /// (clause end offsets are `u32`; a long-lived session that blasted
+    /// past 2^32 literals used to wrap the offset silently). The clause
+    /// that did not fit was dropped, so the session refuses every
+    /// verdict from then on.
+    ClauseStoreExhausted {
+        /// Literals the store would have held after the failed append.
+        requested_lits: u64,
+        /// The cap in force when the append failed.
+        cap_lits: u32,
+    },
 }
 
 impl std::fmt::Display for SolverError {
@@ -100,6 +111,14 @@ impl std::fmt::Display for SolverError {
                 f,
                 "clause arena exhausted: allocation needs {requested_words} words, \
                  cap is {cap_words} words"
+            ),
+            SolverError::ClauseStoreExhausted {
+                requested_lits,
+                cap_lits,
+            } => write!(
+                f,
+                "blasted clause store exhausted: append needs {requested_lits} literals, \
+                 cap is {cap_lits} literals"
             ),
         }
     }
@@ -530,6 +549,67 @@ impl SatSolver {
         s
     }
 
+    /// Back to the state of [`SatSolver::new`]`(0)` — no variables, no
+    /// clauses, default configuration and arena cap, zeroed statistics —
+    /// keeping every buffer's capacity, so a worker that decides one
+    /// small formula after another allocates for the largest of them
+    /// once. The next formula sees exactly what a new solver would show
+    /// it.
+    pub fn reset(&mut self) {
+        // Exhaustive on purpose: a new field must decide what reset
+        // means for it.
+        let SatSolver {
+            db,
+            watches,
+            assigns,
+            phase,
+            level,
+            reason,
+            trail,
+            trail_lim,
+            qhead,
+            activity,
+            var_inc,
+            cla_inc,
+            heap,
+            seen,
+            scratch,
+            ok,
+            stats,
+            max_learnts,
+            config,
+            arena_cap,
+            arena_error,
+            model,
+            conflict_core,
+        } = self;
+        db.data.clear();
+        db.wasted = 0;
+        watches.iter_mut().for_each(WatchList::clear);
+        assigns.clear();
+        phase.clear();
+        level.clear();
+        reason.clear();
+        trail.clear();
+        trail_lim.clear();
+        *qhead = 0;
+        activity.clear();
+        *var_inc = 1.0;
+        *cla_inc = 1.0;
+        heap.heap.clear();
+        heap.pos.clear();
+        seen.clear();
+        scratch.clear();
+        *ok = true;
+        *stats = SatStats::default();
+        *max_learnts = 0.0;
+        *config = SolverConfig::default();
+        *arena_cap = ARENA_CAP_WORDS;
+        *arena_error = None;
+        model.clear();
+        conflict_core.clear();
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &SolverConfig {
         &self.config
@@ -577,7 +657,11 @@ impl SatSolver {
         if n <= cur {
             return;
         }
-        self.watches.resize_with(2 * n, WatchList::default);
+        // Only ever grow: after `reset` the table keeps its (emptied)
+        // lists, spill buffers included, for the next formula.
+        if self.watches.len() < 2 * n {
+            self.watches.resize_with(2 * n, WatchList::default);
+        }
         self.assigns.resize(n, LBool::Undef);
         self.phase.resize(n, self.config.init_phase);
         if self.config.phase_seed != 0 {
@@ -1819,6 +1903,7 @@ mod tests {
                 assert_eq!(cap_words, 8);
                 assert_eq!(requested_words, 10); // 5 live + 5 requested
             }
+            other => panic!("the arena cap latches an arena error, not {other:?}"),
         }
         // Every further solve refuses a verdict; state stays consistent.
         assert_eq!(s.solve_under_assumptions_abortable(&[], None), None);

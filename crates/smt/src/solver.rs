@@ -147,22 +147,22 @@ impl Model {
                 (1 << w) - 1
             }
         };
-        let v = match pool.term(t).clone() {
+        let v = match *pool.term(t) {
             Term::True => Value::Bool(true),
             Term::False => Value::Bool(false),
             Term::BoolVar(_) => Value::Bool(false), // unconstrained
             Term::BvVar { .. } => Value::Bv(0),     // unconstrained
             Term::Not(a) => Value::Bool(!self.eval_bool(pool, a)?),
-            Term::And(parts) => {
+            Term::And(ref parts) => {
                 let mut acc = true;
-                for p in parts {
+                for &p in parts {
                     acc &= self.eval_bool(pool, p)?;
                 }
                 Value::Bool(acc)
             }
-            Term::Or(parts) => {
+            Term::Or(ref parts) => {
                 let mut acc = false;
-                for p in parts {
+                for &p in parts {
                     acc |= self.eval_bool(pool, p)?;
                 }
                 Value::Bool(acc)
@@ -260,7 +260,7 @@ pub fn solve_with_stats(pool: &TermPool, assertions: &[TermId]) -> (SatResult, S
     let outcome = sat.solve();
     stats.solve_time = t1.elapsed();
     stats.sat = sat.stats();
-    record_solve_metrics(&stats);
+    record_solve_metrics(&stats, encode_time);
     let result = match outcome {
         SolveOutcome::Sat => SatResult::Sat(Model::from_blaster(pool, &blasted, &sat, None)),
         SolveOutcome::Unsat => SatResult::Unsat,
@@ -271,10 +271,13 @@ pub fn solve_with_stats(pool: &TermPool, assertions: &[TermId]) -> (SatResult, S
 /// Mirror one solve's statistics into the installed observability sink,
 /// if any. The per-solve SAT counters are deltas, so registry totals
 /// are exact cumulative counts across all sessions and one-shot solves.
-fn record_solve_metrics(stats: &SolverStats) {
+/// `blast` is the bit-blasting share of `stats.encode_time` (the rest is
+/// clause feed and inprocessing).
+fn record_solve_metrics(stats: &SolverStats, blast: Duration) {
     if !obs::enabled() {
         return;
     }
+    obs::add("smt.blast_ns", blast.as_nanos() as u64);
     obs::add("smt.solves", 1);
     obs::add("smt.decisions", stats.sat.decisions);
     obs::add("smt.propagations", stats.sat.propagations);
@@ -502,6 +505,28 @@ impl IncrementalSession {
         }
     }
 
+    /// Back to the state of [`IncrementalSession::new`] — empty pool, no
+    /// encoding, default configuration, no portfolio or caps — keeping
+    /// the allocations of the pool, the blaster and the solver. A worker
+    /// that runs many short-lived sessions recycles one instead of
+    /// building and dropping each; every [`TermId`] and [`Assumption`]
+    /// from before the reset is invalid after it.
+    pub fn reset(&mut self) {
+        self.pool.clear();
+        self.blaster.clear();
+        self.sat.reset();
+        self.fed = 0;
+        self.solves = 0;
+        self.pending_encode = Duration::ZERO;
+        self.asserted.clear();
+        self.gated.clear();
+        self.learnt_cap = None;
+        self.portfolio = None;
+        self.last_winner = 0;
+        self.buffered_feed = false;
+        self.buffered.clear();
+    }
+
     /// Replace the solver's heuristic/inprocessing configuration. The
     /// session consults `config.sweep` / `config.sweep_every` to decide
     /// when to run [`SatSolver::inprocess_sweep`] between queries;
@@ -550,6 +575,14 @@ impl IncrementalSession {
     /// can be forced with a tiny cap instead of a 16 GiB arena.
     pub fn with_arena_cap_words(mut self, cap: u32) -> Self {
         self.sat.set_arena_cap_words(cap);
+        self
+    }
+
+    /// Lower the blaster's clause-store capacity, in literals. A test
+    /// hook like [`IncrementalSession::with_arena_cap_words`]: the real
+    /// cap is the `u32` range of the store's offsets.
+    pub fn with_clause_lits_cap(mut self, cap: u32) -> Self {
+        self.blaster.set_clause_lits_cap(cap);
         self
     }
 
@@ -635,6 +668,11 @@ impl IncrementalSession {
     ) -> Result<(SatResult, SolverStats), SolverError> {
         let t0 = Instant::now();
         self.sync();
+        if let Some(e) = self.blaster.capacity_error() {
+            // A clause was dropped at blast time: the solver holds a
+            // weaker formula than the one posed.
+            return Err(e.clone());
+        }
         let before = self.sat.stats();
         // Periodic inprocessing: every `sweep_every` queries, simplify /
         // subsume / compact / vivify the clause database (accounted as
@@ -673,9 +711,9 @@ impl IncrementalSession {
                 viv_propagations: after.viv_propagations - before.viv_propagations,
             },
         };
+        record_solve_metrics(&stats, self.pending_encode);
         self.pending_encode = Duration::ZERO;
         self.solves += 1;
-        record_solve_metrics(&stats);
         if let Some(cap) = self.learnt_cap {
             self.sat.reduce_learnts_to(cap);
             if obs::enabled() {
@@ -1004,10 +1042,85 @@ mod tests {
         sess.assert(eq);
         match sess.try_solve_under(&[]) {
             Err(SolverError::ArenaExhausted { cap_words, .. }) => assert_eq!(cap_words, 64),
-            Ok(_) => panic!("a 64-word arena cannot hold a 32-bit adder"),
+            other => panic!("a 64-word arena cannot hold a 32-bit adder: {other:?}"),
         }
         // The refusal is sticky: later queries refuse too.
         assert!(sess.try_solve_under(&[]).is_err());
+    }
+
+    #[test]
+    fn session_clause_store_cap_surfaces_typed_error() {
+        // x = 5 and x = 6 is unsatisfiable, but a 16-literal store
+        // drops most of its clauses at blast time. What is left is
+        // satisfiable: the session must refuse, not answer Sat.
+        let mut sess = IncrementalSession::new().with_clause_lits_cap(16);
+        let x = sess.pool_mut().bv_var("x", 32);
+        for v in [5, 6] {
+            let c = sess.pool_mut().bv_const(v, 32);
+            let eq = sess.pool_mut().bv_eq(x, c);
+            sess.assert(eq);
+        }
+        match sess.try_solve_under(&[]) {
+            Err(SolverError::ClauseStoreExhausted { cap_lits, .. }) => assert_eq!(cap_lits, 16),
+            other => panic!("16 literals cannot hold two 32-bit equalities: {other:?}"),
+        }
+        // The refusal is sticky: later queries refuse too.
+        assert!(sess.try_solve_under(&[]).is_err());
+        // A reset session is a new session, cap included.
+        sess.reset();
+        let x = sess.pool_mut().bv_var("x", 32);
+        let c = sess.pool_mut().bv_const(5, 32);
+        let eq = sess.pool_mut().bv_eq(x, c);
+        sess.assert(eq);
+        assert!(sess.try_solve_under(&[]).unwrap().0.is_sat());
+    }
+
+    #[test]
+    fn reset_session_replays_a_fresh_one() {
+        // The same script on a new session and on one recycled from an
+        // unrelated, bigger problem: verdicts, models, sizes and search
+        // counters must all agree — a reset leaves nothing behind.
+        fn script(sess: &mut IncrementalSession) -> Vec<(Option<u64>, u64, u64, u64, u64)> {
+            let x = sess.pool_mut().bv_var("x", 8);
+            let y = sess.pool_mut().bv_var("y", 8);
+            let sum = sess.pool_mut().bv_add(x, y);
+            let c200 = sess.pool_mut().bv_const(200, 8);
+            let big = sess.pool_mut().bv_ult(c200, sum);
+            sess.assert(big);
+            (0..4u64)
+                .map(|k| {
+                    let ck = sess.pool_mut().bv_const(60 * k, 8);
+                    let pin = sess.pool_mut().bv_eq(x, ck);
+                    let a = sess.activation(pin);
+                    let (r, st) = sess.solve_under(&[a]);
+                    let witness = match r {
+                        SatResult::Sat(m) => m.eval_bv(sess.pool(), y),
+                        SatResult::Unsat => None,
+                    };
+                    let sat = st.sat;
+                    (
+                        witness,
+                        st.num_vars,
+                        st.num_clauses,
+                        sat.decisions,
+                        sat.conflicts,
+                    )
+                })
+                .collect()
+        }
+        let expected = script(&mut IncrementalSession::new());
+        let mut recycled = IncrementalSession::new().with_learnt_cap(1);
+        let p = recycled.pool_mut().bv_var("p", 32);
+        let q = recycled.pool_mut().bv_var("q", 32);
+        let pq = recycled.pool_mut().bv_add(p, q);
+        let c = recycled.pool_mut().bv_const(12345, 32);
+        let eq = recycled.pool_mut().bv_eq(pq, c);
+        recycled.assert(eq);
+        assert!(recycled.solve_under(&[]).0.is_sat());
+        recycled.reset();
+        assert_eq!(recycled.learnt_cap(), None);
+        assert_eq!((recycled.num_solves(), recycled.pool().len()), (0, 0));
+        assert_eq!(script(&mut recycled), expected);
     }
 
     #[test]

@@ -6,9 +6,20 @@
 //! pool guarantees structural sharing: building the same term twice returns
 //! the same [`TermId`], which keeps the bit-blasted CNF small when the same
 //! sub-formula (e.g. a prefix-list match) appears in many checks.
+//!
+//! Construction is the engine's per-group fixed cost (every encoding
+//! group builds its route variables and transfer relation afresh), so
+//! both lookups on that path are O(1): named variables resolve through a
+//! name index, and the hash-consing table hashes a [`Term`] — a few
+//! words of ids and constants — with one multiply per word
+//! (`TermHasher`) instead of SipHash. [`TermPool::clear`] empties a
+//! pool but keeps its capacity for the next group.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 /// Identifier of a term inside a [`TermPool`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -90,13 +101,63 @@ fn mask(width: u32) -> u64 {
     }
 }
 
+/// Word-at-a-time multiplicative hasher (the FxHash recipe) for the
+/// hash-consing table. Its keys are [`Term`] nodes the program itself
+/// builds — pool-local ids and small constants — which is where a
+/// DoS-resistant hash buys nothing; variable *names* derive from
+/// configuration text and keep the standard hasher.
+#[derive(Clone, Copy, Default)]
+struct TermHasher(u64);
+
+impl TermHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for TermHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, i: u8) {
+        self.add(i as u64);
+    }
+
+    fn write_u32(&mut self, i: u32) {
+        self.add(i as u64);
+    }
+
+    fn write_u64(&mut self, i: u64) {
+        self.add(i);
+    }
+
+    fn write_usize(&mut self, i: usize) {
+        self.add(i as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits; the table
+        // indexes buckets with the low ones.
+        self.0.rotate_left(26)
+    }
+}
+
 /// Arena of hash-consed terms plus variable name tables.
 #[derive(Clone, Debug, Default)]
 pub struct TermPool {
     terms: Vec<Term>,
     sorts: Vec<Sort>,
-    intern: HashMap<Term, TermId>,
-    var_names: Vec<String>,
+    intern: HashMap<Term, TermId, BuildHasherDefault<TermHasher>>,
+    /// Name of each variable, by declaration index (shared with the
+    /// keys of `by_name`).
+    var_names: Vec<Arc<str>>,
+    /// The variable term declared under each name.
+    by_name: HashMap<Arc<str>, TermId>,
     bool_vars: Vec<TermId>,
     bv_vars: Vec<TermId>,
 }
@@ -105,6 +166,18 @@ impl TermPool {
     /// Create an empty pool.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Forget every term and variable, keeping the tables' capacity.
+    /// Every [`TermId`] handed out before is invalidated.
+    pub fn clear(&mut self) {
+        self.terms.clear();
+        self.sorts.clear();
+        self.intern.clear();
+        self.var_names.clear();
+        self.by_name.clear();
+        self.bool_vars.clear();
+        self.bv_vars.clear();
     }
 
     /// Number of distinct terms created so far.
@@ -146,13 +219,36 @@ impl TermPool {
     }
 
     fn intern(&mut self, t: Term, sort: Sort) -> TermId {
-        if let Some(&id) = self.intern.get(&t) {
+        match self.intern.entry(t) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = TermId(self.terms.len() as u32);
+                self.terms.push(e.key().clone());
+                self.sorts.push(sort);
+                e.insert(id);
+                id
+            }
+        }
+    }
+
+    /// The variable declared as `name` at `sort`, declared now if new.
+    fn var(&mut self, name: &str, sort: Sort, node: impl FnOnce(u32) -> Term) -> TermId {
+        if let Some(&id) = self.by_name.get(name) {
+            assert_eq!(
+                self.sort(id),
+                sort,
+                "variable {name} redeclared at a different sort"
+            );
             return id;
         }
-        let id = TermId(self.terms.len() as u32);
-        self.terms.push(t.clone());
-        self.sorts.push(sort);
-        self.intern.insert(t, id);
+        let name: Arc<str> = name.into();
+        let id = self.intern(node(self.var_names.len() as u32), sort);
+        self.var_names.push(Arc::clone(&name));
+        self.by_name.insert(name, id);
+        match sort {
+            Sort::Bool => self.bool_vars.push(id),
+            Sort::BitVec(_) => self.bv_vars.push(id),
+        }
         id
     }
 
@@ -182,29 +278,7 @@ impl TermPool {
     /// A fresh-or-existing named boolean variable. Two calls with the same
     /// name return the same variable.
     pub fn bool_var(&mut self, name: &str) -> TermId {
-        if let Some(id) = self.find_var(name) {
-            assert_eq!(
-                self.sort(id),
-                Sort::Bool,
-                "variable {name} redeclared at a different sort"
-            );
-            return id;
-        }
-        let n = self.var_names.len() as u32;
-        self.var_names.push(name.to_string());
-        let id = self.intern(Term::BoolVar(n), Sort::Bool);
-        self.bool_vars.push(id);
-        id
-    }
-
-    fn find_var(&self, name: &str) -> Option<TermId> {
-        // Linear scan over variable ids; variable counts per check are small
-        // (a few hundred), and this is only hit at construction time.
-        self.bool_vars
-            .iter()
-            .chain(self.bv_vars.iter())
-            .copied()
-            .find(|&id| self.var_name(id) == Some(name))
+        self.var(name, Sort::Bool, Term::BoolVar)
     }
 
     /// Negation, with `not not x -> x` and constant folding.
@@ -293,7 +367,7 @@ impl TermPool {
         if a == b {
             return self.tru();
         }
-        match (self.term(a).clone(), self.term(b).clone()) {
+        match (self.term(a), self.term(b)) {
             (Term::True, _) => b,
             (_, Term::True) => a,
             (Term::False, _) => self.not(b),
@@ -348,19 +422,10 @@ impl TermPool {
     /// A fresh-or-existing named bitvector variable.
     pub fn bv_var(&mut self, name: &str, width: u32) -> TermId {
         assert!((1..=64).contains(&width), "bitvector width must be 1..=64");
-        if let Some(id) = self.find_var(name) {
-            assert_eq!(
-                self.sort(id),
-                Sort::BitVec(width),
-                "variable {name} redeclared at a different sort"
-            );
-            return id;
-        }
-        let n = self.var_names.len() as u32;
-        self.var_names.push(name.to_string());
-        let id = self.intern(Term::BvVar { width, name: n }, Sort::BitVec(width));
-        self.bv_vars.push(id);
-        id
+        self.var(name, Sort::BitVec(width), |name| Term::BvVar {
+            width,
+            name,
+        })
     }
 
     fn bv_value(&self, id: TermId) -> Option<u64> {

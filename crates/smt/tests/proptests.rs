@@ -19,6 +19,12 @@
 //!    agree with the plain kernel query for query, their UNSAT cores
 //!    replay to UNSAT on a plain solver, and a portfolio-racing session
 //!    returns the same verdicts as a sequential one.
+//! 5. Constant-aware blasting is exact: on random boolean terms mixing
+//!    constants with 12 variable bits — every operator the blaster
+//!    lowers, extracts and shifts included — satisfiability of the term
+//!    and of its negation agrees with brute force over all 4096
+//!    assignments, and every returned model makes the term true under
+//!    an evaluator that shares no code with the blaster.
 
 use proptest::prelude::*;
 use smt::{
@@ -301,6 +307,270 @@ proptest! {
                 prop_assert_eq!(m.eval_bool(&pool, ule), Some(a <= b));
             }
             SatResult::Unsat => prop_assert!(false, "pinning must be sat"),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Constant-aware blasting vs brute force over every assignment
+// ---------------------------------------------------------------------------
+
+/// Three 4-bit variables: 12 variable bits, 4096 assignments.
+const MIX_VARS: usize = 3;
+const MIX_WIDTH: u32 = 4;
+
+/// A bitvector expression that knows its width.
+#[derive(Clone, Debug)]
+enum Bv {
+    Var(usize),
+    Const(u64, u32),
+    Not(Box<Bv>),
+    Bin(BvOp, Box<Bv>, Box<Bv>),
+    Extract(u32, u32, Box<Bv>),
+    Lshr(Box<Bv>, u32),
+    Ite(Box<Bl>, Box<Bv>, Box<Bv>),
+}
+
+#[derive(Clone, Copy, Debug)]
+enum BvOp {
+    And,
+    Or,
+    Xor,
+    Add,
+}
+
+#[derive(Clone, Debug)]
+enum Bl {
+    Const(bool),
+    Cmp(CmpOp, Box<Bv>, Box<Bv>),
+    Not(Box<Bl>),
+    And(Vec<Bl>),
+    Or(Vec<Bl>),
+    Iff(Box<Bl>, Box<Bl>),
+}
+
+#[derive(Clone, Copy, Debug)]
+enum CmpOp {
+    Eq,
+    Ult,
+    Ule,
+}
+
+/// splitmix64: the generator's only randomness, so a case is its seed.
+fn next(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+fn below(state: &mut u64, n: u64) -> u64 {
+    next(state) % n
+}
+
+/// A random `width`-bit expression. Leaves are constants about half the
+/// time — the blaster's folds only fire next to constants.
+fn gen_bv(rng: &mut u64, depth: u32, width: u32) -> Bv {
+    if depth == 0 || below(rng, 4) == 0 {
+        return match below(rng, 2) {
+            0 => Bv::Const(below(rng, 1 << width), width),
+            _ if width == MIX_WIDTH => Bv::Var(below(rng, MIX_VARS as u64) as usize),
+            _ => {
+                let lo = below(rng, (MIX_WIDTH - width + 1) as u64) as u32;
+                let var = Bv::Var(below(rng, MIX_VARS as u64) as usize);
+                Bv::Extract(lo + width - 1, lo, Box::new(var))
+            }
+        };
+    }
+    let sub = |rng: &mut u64| Box::new(gen_bv(rng, depth - 1, width));
+    match below(rng, 8) {
+        0 => Bv::Not(sub(rng)),
+        1 => Bv::Bin(BvOp::And, sub(rng), sub(rng)),
+        2 => Bv::Bin(BvOp::Or, sub(rng), sub(rng)),
+        3 => Bv::Bin(BvOp::Xor, sub(rng), sub(rng)),
+        4 => Bv::Bin(BvOp::Add, sub(rng), sub(rng)),
+        5 => Bv::Lshr(sub(rng), below(rng, width as u64 + 1) as u32),
+        6 => {
+            let from = width + below(rng, (MIX_WIDTH - width + 1) as u64) as u32;
+            let lo = below(rng, (from - width + 1) as u64) as u32;
+            Bv::Extract(lo + width - 1, lo, Box::new(gen_bv(rng, depth - 1, from)))
+        }
+        _ => Bv::Ite(Box::new(gen_bl(rng, depth - 1)), sub(rng), sub(rng)),
+    }
+}
+
+fn gen_bl(rng: &mut u64, depth: u32) -> Bl {
+    if depth == 0 {
+        return Bl::Const(below(rng, 2) == 0);
+    }
+    let sub = |rng: &mut u64| gen_bl(rng, depth - 1);
+    match below(rng, 8) {
+        0 => Bl::Not(Box::new(sub(rng))),
+        1 => Bl::And((0..2 + below(rng, 3)).map(|_| sub(rng)).collect()),
+        2 => Bl::Or((0..2 + below(rng, 3)).map(|_| sub(rng)).collect()),
+        3 => Bl::Iff(Box::new(sub(rng)), Box::new(sub(rng))),
+        k => {
+            let width = 1 + below(rng, MIX_WIDTH as u64) as u32;
+            let op = [CmpOp::Eq, CmpOp::Ult, CmpOp::Ule][k as usize % 3];
+            let (a, b) = (gen_bv(rng, depth - 1, width), gen_bv(rng, depth - 1, width));
+            Bl::Cmp(op, Box::new(a), Box::new(b))
+        }
+    }
+}
+
+fn mix_var(pool: &mut TermPool, i: usize) -> TermId {
+    pool.bv_var(&format!("m{i}"), MIX_WIDTH)
+}
+
+fn build_bv(pool: &mut TermPool, e: &Bv) -> TermId {
+    match e {
+        Bv::Var(i) => mix_var(pool, *i),
+        Bv::Const(c, w) => pool.bv_const(*c, *w),
+        Bv::Not(a) => {
+            let a = build_bv(pool, a);
+            pool.bv_not(a)
+        }
+        Bv::Bin(op, a, b) => {
+            let (a, b) = (build_bv(pool, a), build_bv(pool, b));
+            match op {
+                BvOp::And => pool.bv_and(a, b),
+                BvOp::Or => pool.bv_or(a, b),
+                BvOp::Xor => pool.bv_xor(a, b),
+                BvOp::Add => pool.bv_add(a, b),
+            }
+        }
+        Bv::Extract(hi, lo, a) => {
+            let a = build_bv(pool, a);
+            pool.bv_extract(*hi, *lo, a)
+        }
+        Bv::Lshr(a, n) => {
+            let a = build_bv(pool, a);
+            pool.bv_lshr_const(a, *n)
+        }
+        Bv::Ite(c, a, b) => {
+            let c = build_bl(pool, c);
+            let (a, b) = (build_bv(pool, a), build_bv(pool, b));
+            pool.ite(c, a, b)
+        }
+    }
+}
+
+fn build_bl(pool: &mut TermPool, e: &Bl) -> TermId {
+    match e {
+        Bl::Const(b) => pool.bool_const(*b),
+        Bl::Cmp(op, a, b) => {
+            let (a, b) = (build_bv(pool, a), build_bv(pool, b));
+            match op {
+                CmpOp::Eq => pool.bv_eq(a, b),
+                CmpOp::Ult => pool.bv_ult(a, b),
+                CmpOp::Ule => pool.bv_ule(a, b),
+            }
+        }
+        Bl::Not(a) => {
+            let a = build_bl(pool, a);
+            pool.not(a)
+        }
+        Bl::And(parts) => {
+            let parts: Vec<TermId> = parts.iter().map(|p| build_bl(pool, p)).collect();
+            pool.and(&parts)
+        }
+        Bl::Or(parts) => {
+            let parts: Vec<TermId> = parts.iter().map(|p| build_bl(pool, p)).collect();
+            pool.or(&parts)
+        }
+        Bl::Iff(a, b) => {
+            let (a, b) = (build_bl(pool, a), build_bl(pool, b));
+            pool.iff(a, b)
+        }
+    }
+}
+
+/// `(value, width)` of `e` under `env`, on plain integers.
+fn eval_bv(e: &Bv, env: &[u64; MIX_VARS]) -> (u64, u32) {
+    let mask = |w: u32| (1u64 << w) - 1;
+    match e {
+        Bv::Var(i) => (env[*i], MIX_WIDTH),
+        Bv::Const(c, w) => (*c, *w),
+        Bv::Not(a) => {
+            let (a, w) = eval_bv(a, env);
+            (!a & mask(w), w)
+        }
+        Bv::Bin(op, a, b) => {
+            let ((a, w), (b, _)) = (eval_bv(a, env), eval_bv(b, env));
+            let v = match op {
+                BvOp::And => a & b,
+                BvOp::Or => a | b,
+                BvOp::Xor => a ^ b,
+                BvOp::Add => (a + b) & mask(w),
+            };
+            (v, w)
+        }
+        Bv::Extract(hi, lo, a) => ((eval_bv(a, env).0 >> lo) & mask(hi - lo + 1), hi - lo + 1),
+        Bv::Lshr(a, n) => {
+            let (a, w) = eval_bv(a, env);
+            (a >> n, w)
+        }
+        Bv::Ite(c, a, b) => eval_bv(if eval_bl(c, env) { a } else { b }, env),
+    }
+}
+
+fn eval_bl(e: &Bl, env: &[u64; MIX_VARS]) -> bool {
+    match e {
+        Bl::Const(b) => *b,
+        Bl::Cmp(op, a, b) => {
+            let (a, b) = (eval_bv(a, env).0, eval_bv(b, env).0);
+            match op {
+                CmpOp::Eq => a == b,
+                CmpOp::Ult => a < b,
+                CmpOp::Ule => a <= b,
+            }
+        }
+        Bl::Not(a) => !eval_bl(a, env),
+        Bl::And(parts) => parts.iter().all(|p| eval_bl(p, env)),
+        Bl::Or(parts) => parts.iter().any(|p| eval_bl(p, env)),
+        Bl::Iff(a, b) => eval_bl(a, env) == eval_bl(b, env),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn blasting_constants_and_variables_matches_brute_force(seed in any::<u64>()) {
+        let mut rng = seed;
+        let e = gen_bl(&mut rng, 4);
+        let envs = (0..1u64 << (MIX_WIDTH * MIX_VARS as u32)).map(|bits| {
+            let var = |i: u32| (bits >> (i * MIX_WIDTH)) & ((1 << MIX_WIDTH) - 1);
+            [var(0), var(1), var(2)]
+        });
+        let (mut can_hold, mut can_fail) = (false, false);
+        for env in envs {
+            match eval_bl(&e, &env) {
+                true => can_hold = true,
+                false => can_fail = true,
+            }
+        }
+        let mut pool = TermPool::new();
+        let vars: Vec<TermId> = (0..MIX_VARS).map(|i| mix_var(&mut pool, i)).collect();
+        let t = build_bl(&mut pool, &e);
+        let not_t = pool.not(t);
+        for (query, want, possible) in [(t, true, can_hold), (not_t, false, can_fail)] {
+            match solve(&pool, &[query]) {
+                SatResult::Sat(m) => {
+                    prop_assert!(possible, "sat, but no assignment makes {e:?} {want}");
+                    // Variables the query never mentions read as 0.
+                    let mut env = [0u64; MIX_VARS];
+                    for (slot, &v) in env.iter_mut().zip(&vars) {
+                        *slot = m.eval_bv(&pool, v).unwrap();
+                    }
+                    prop_assert_eq!(eval_bl(&e, &env), want, "model {:?} of {:?}", env, e);
+                    prop_assert_eq!(m.eval_bool(&pool, t), Some(want));
+                }
+                SatResult::Unsat => {
+                    prop_assert!(!possible, "unsat, but {e:?} can be {want}");
+                }
+            }
         }
     }
 }
