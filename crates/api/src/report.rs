@@ -4,7 +4,14 @@
 //! spill. Field names, order, and value types are part of the wire
 //! contract; the `verify --json` rendering is pinned byte-for-byte by
 //! the golden test in `crates/cli/tests/golden.rs`.
+//!
+//! Each document states its fields once, as a [`Serialize::stream`]
+//! body. Serialising a document (`serde_json::to_string(&doc)`) runs
+//! that description straight into the text writer; `to_value()` runs
+//! the same description into the tree-building sink, so the two
+//! renderings cannot disagree on names or order.
 
+use serde::{build_value, Serialize, Sink};
 use serde_json::Value;
 
 /// One failing check, as rendered in a report's `failures` array.
@@ -21,24 +28,25 @@ pub struct FailureDoc {
     pub description: String,
 }
 
+impl Serialize for FailureDoc {
+    fn to_value(&self) -> Value {
+        build_value(self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.begin_object();
+        out.field("kind", &self.kind);
+        out.field("location", &self.location);
+        out.field("route_map", &self.route_map);
+        out.field("description", &self.description);
+        out.end_object();
+    }
+}
+
 impl FailureDoc {
     /// Render in the pinned field order.
     pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("kind".to_string(), Value::Str(self.kind.clone())),
-            ("location".to_string(), Value::Str(self.location.clone())),
-            (
-                "route_map".to_string(),
-                match &self.route_map {
-                    Some(m) => Value::Str(m.clone()),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "description".to_string(),
-                Value::Str(self.description.clone()),
-            ),
-        ])
+        build_value(self)
     }
 
     /// Decode the [`FailureDoc::to_value`] form.
@@ -70,28 +78,27 @@ pub struct CoreDoc {
     pub conjuncts: u64,
 }
 
+impl Serialize for CoreDoc {
+    fn to_value(&self) -> Value {
+        build_value(self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.begin_object();
+        out.field("check", &self.check);
+        out.field("kind", &self.kind);
+        out.field("location", &self.location);
+        out.field("core", &self.core);
+        out.field("load_bearing", &self.load_bearing);
+        out.field("conjuncts", &self.conjuncts);
+        out.end_object();
+    }
+}
+
 impl CoreDoc {
     /// Render in the pinned field order.
     pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("check".to_string(), Value::UInt(self.check)),
-            ("kind".to_string(), Value::Str(self.kind.clone())),
-            ("location".to_string(), Value::Str(self.location.clone())),
-            (
-                "core".to_string(),
-                Value::Array(self.core.iter().map(|&i| Value::UInt(i)).collect()),
-            ),
-            (
-                "load_bearing".to_string(),
-                Value::Array(
-                    self.load_bearing
-                        .iter()
-                        .map(|s| Value::Str(s.clone()))
-                        .collect(),
-                ),
-            ),
-            ("conjuncts".to_string(), Value::UInt(self.conjuncts)),
-        ])
+        build_value(self)
     }
 
     /// Decode the [`CoreDoc::to_value`] form.
@@ -150,31 +157,36 @@ pub struct PropertyReport {
     pub cores: Vec<CoreDoc>,
 }
 
+impl Serialize for PropertyReport {
+    fn to_value(&self) -> Value {
+        build_value(self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.begin_object();
+        out.field("property", &self.property);
+        if self.liveness {
+            out.field("kind", "liveness");
+        }
+        out.field("passed", &self.passed);
+        out.field("checks", &self.checks);
+        if let Some(t) = &self.timing {
+            out.field("solver_calls", &t.solver_calls);
+            out.field("total_seconds", &t.total_seconds);
+            out.field("solve_seconds", &t.solve_seconds);
+        }
+        out.field("failures", &self.failures);
+        out.field("cores", &self.cores);
+        out.end_object();
+    }
+}
+
 impl PropertyReport {
     /// Render in the pinned field order: `property`, [`"kind"`],
     /// `passed`, `checks`, [`solver_calls`, `total_seconds`,
     /// `solve_seconds`], `failures`, `cores`.
     pub fn to_value(&self) -> Value {
-        let mut fields = vec![("property".to_string(), Value::Str(self.property.clone()))];
-        if self.liveness {
-            fields.push(("kind".to_string(), Value::Str("liveness".to_string())));
-        }
-        fields.push(("passed".to_string(), Value::Bool(self.passed)));
-        fields.push(("checks".to_string(), Value::UInt(self.checks)));
-        if let Some(t) = &self.timing {
-            fields.push(("solver_calls".to_string(), Value::UInt(t.solver_calls)));
-            fields.push(("total_seconds".to_string(), Value::Float(t.total_seconds)));
-            fields.push(("solve_seconds".to_string(), Value::Float(t.solve_seconds)));
-        }
-        fields.push((
-            "failures".to_string(),
-            Value::Array(self.failures.iter().map(FailureDoc::to_value).collect()),
-        ));
-        fields.push((
-            "cores".to_string(),
-            Value::Array(self.cores.iter().map(CoreDoc::to_value).collect()),
-        ));
-        Value::Object(fields)
+        build_value(self)
     }
 
     /// Decode the [`PropertyReport::to_value`] form.
@@ -237,27 +249,31 @@ pub struct ExecDoc {
     pub threads: u64,
 }
 
+impl Serialize for ExecDoc {
+    fn to_value(&self) -> Value {
+        build_value(self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.begin_object();
+        out.field("orchestrator", &self.summary);
+        out.field("generated", &self.generated);
+        out.field("solver_calls", &self.solver_calls);
+        out.field("dedup_hits", &self.dedup_hits);
+        out.field("cache_hits", &self.cache_hits);
+        out.field("stale_cache_entries", &self.stale_cache_entries);
+        out.field("groups", &self.groups);
+        out.field("warm_assumption_solves", &self.warm_assumption_solves);
+        out.field("dedup_ratio", &self.dedup_ratio);
+        out.field("threads", &self.threads);
+        out.end_object();
+    }
+}
+
 impl ExecDoc {
     /// Render in the pinned field order.
     pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("orchestrator".to_string(), Value::Str(self.summary.clone())),
-            ("generated".to_string(), Value::UInt(self.generated)),
-            ("solver_calls".to_string(), Value::UInt(self.solver_calls)),
-            ("dedup_hits".to_string(), Value::UInt(self.dedup_hits)),
-            ("cache_hits".to_string(), Value::UInt(self.cache_hits)),
-            (
-                "stale_cache_entries".to_string(),
-                Value::UInt(self.stale_cache_entries),
-            ),
-            ("groups".to_string(), Value::UInt(self.groups)),
-            (
-                "warm_assumption_solves".to_string(),
-                Value::UInt(self.warm_assumption_solves),
-            ),
-            ("dedup_ratio".to_string(), Value::Float(self.dedup_ratio)),
-            ("threads".to_string(), Value::UInt(self.threads)),
-        ])
+        build_value(self)
     }
 }
 
@@ -291,32 +307,25 @@ pub enum SpilledCheck {
     },
 }
 
-impl SpilledCheck {
-    /// Render in the pinned spill field order: `pass`, `vars`,
-    /// `clauses`, then `core` (passes) or `rejected`, `input`,
-    /// `output` (failures).
-    pub fn to_value(&self) -> Value {
-        let base = |pass: bool, vars: u64, clauses: u64| {
-            vec![
-                ("pass".to_string(), Value::Bool(pass)),
-                ("vars".to_string(), Value::Int(vars as i64)),
-                ("clauses".to_string(), Value::Int(clauses as i64)),
-            ]
-        };
+impl Serialize for SpilledCheck {
+    fn to_value(&self) -> Value {
+        build_value(self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.begin_object();
         match self {
             SpilledCheck::Pass {
                 vars,
                 clauses,
                 core,
             } => {
-                let mut fields = base(true, *vars, *clauses);
+                out.field("pass", &true);
+                out.field("vars", vars);
+                out.field("clauses", clauses);
                 if let Some(core) = core {
-                    fields.push((
-                        "core".to_string(),
-                        Value::Array(core.iter().map(|&i| Value::Int(i as i64)).collect()),
-                    ));
+                    out.field("core", core);
                 }
-                Value::Object(fields)
             }
             SpilledCheck::Fail {
                 vars,
@@ -325,13 +334,24 @@ impl SpilledCheck {
                 input,
                 output,
             } => {
-                let mut fields = base(false, *vars, *clauses);
-                fields.push(("rejected".to_string(), Value::Bool(*rejected)));
-                fields.push(("input".to_string(), input.clone()));
-                fields.push(("output".to_string(), output.clone()));
-                Value::Object(fields)
+                out.field("pass", &false);
+                out.field("vars", vars);
+                out.field("clauses", clauses);
+                out.field("rejected", rejected);
+                out.field("input", input);
+                out.field("output", output);
             }
         }
+        out.end_object();
+    }
+}
+
+impl SpilledCheck {
+    /// Render in the pinned spill field order: `pass`, `vars`,
+    /// `clauses`, then `core` (passes) or `rejected`, `input`,
+    /// `output` (failures).
+    pub fn to_value(&self) -> Value {
+        build_value(self)
     }
 
     /// Decode the [`SpilledCheck::to_value`] form. Missing `vars` /

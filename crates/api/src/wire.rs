@@ -6,6 +6,7 @@
 //! explicitly: a request with a version this build does not speak is
 //! rejected whole with a typed error — never half-interpreted.
 
+use serde::{build_value, Serialize, Sink};
 use serde_json::Value;
 
 /// The protocol version this build speaks. Bumped on any breaking
@@ -21,14 +22,20 @@ pub struct ConfigFile {
     pub text: String,
 }
 
-impl ConfigFile {
+impl Serialize for ConfigFile {
     fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("name".to_string(), Value::Str(self.name.clone())),
-            ("text".to_string(), Value::Str(self.text.clone())),
-        ])
+        build_value(self)
     }
 
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.begin_object();
+        out.field("name", &self.name);
+        out.field("text", &self.text);
+        out.end_object();
+    }
+}
+
+impl ConfigFile {
     fn from_value(v: &Value) -> Option<ConfigFile> {
         Some(ConfigFile {
             name: v["name"].as_str()?.to_string(),
@@ -82,41 +89,6 @@ impl ApiCall {
         }
     }
 
-    fn to_value(&self) -> Value {
-        match self {
-            ApiCall::SubmitConfigs { configs, spec } => Value::Object(vec![(
-                "SubmitConfigs".to_string(),
-                Value::Object(vec![
-                    (
-                        "configs".to_string(),
-                        Value::Array(configs.iter().map(ConfigFile::to_value).collect()),
-                    ),
-                    ("spec".to_string(), spec.clone()),
-                ]),
-            )]),
-            ApiCall::SubmitDelta { configs } => Value::Object(vec![(
-                "SubmitDelta".to_string(),
-                Value::Object(vec![(
-                    "configs".to_string(),
-                    Value::Array(configs.iter().map(ConfigFile::to_value).collect()),
-                )]),
-            )]),
-            ApiCall::Verify => Value::Str("Verify".to_string()),
-            ApiCall::QueryCores { property } => Value::Object(vec![(
-                "QueryCores".to_string(),
-                Value::Object(vec![(
-                    "property".to_string(),
-                    match property {
-                        Some(p) => Value::Str(p.clone()),
-                        None => Value::Null,
-                    },
-                )]),
-            )]),
-            ApiCall::GetReport => Value::Str("GetReport".to_string()),
-            ApiCall::Health => Value::Str("Health".to_string()),
-        }
-    }
-
     fn from_value(v: &Value) -> Result<ApiCall, String> {
         if let Some(name) = v.as_str() {
             return match name {
@@ -165,6 +137,39 @@ impl ApiCall {
     }
 }
 
+/// Externally tagged, as a derive would render it: a bare name for the
+/// calls without a body, `{name: {fields}}` for the rest.
+impl Serialize for ApiCall {
+    fn to_value(&self) -> Value {
+        build_value(self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        fn tagged<S: Sink>(out: &mut S, name: &str, fields: impl FnOnce(&mut S)) {
+            out.begin_object();
+            out.key(name);
+            out.begin_object();
+            fields(out);
+            out.end_object();
+            out.end_object();
+        }
+        let name = self.name();
+        match self {
+            ApiCall::SubmitConfigs { configs, spec } => tagged(out, name, |out| {
+                out.field("configs", configs);
+                out.field("spec", spec);
+            }),
+            ApiCall::SubmitDelta { configs } => {
+                tagged(out, name, |out| out.field("configs", configs))
+            }
+            ApiCall::QueryCores { property } => {
+                tagged(out, name, |out| out.field("property", property))
+            }
+            ApiCall::Verify | ApiCall::GetReport | ApiCall::Health => out.str(name),
+        }
+    }
+}
+
 /// The request envelope: explicit version, tenant, typed call.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ApiRequest {
@@ -174,6 +179,20 @@ pub struct ApiRequest {
     pub tenant: String,
     /// The typed call.
     pub call: ApiCall,
+}
+
+impl Serialize for ApiRequest {
+    fn to_value(&self) -> Value {
+        build_value(self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.begin_object();
+        out.field("api_version", &self.api_version);
+        out.field("tenant", &self.tenant);
+        out.field("call", &self.call);
+        out.end_object();
+    }
 }
 
 impl ApiRequest {
@@ -188,11 +207,7 @@ impl ApiRequest {
 
     /// Render the envelope.
     pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("api_version".to_string(), Value::UInt(self.api_version)),
-            ("tenant".to_string(), Value::Str(self.tenant.clone())),
-            ("call".to_string(), self.call.to_value()),
-        ])
+        build_value(self)
     }
 
     /// Parse and validate an envelope. Version mismatches and malformed
@@ -241,6 +256,21 @@ pub struct ApiResponse {
     pub result: Value,
 }
 
+impl Serialize for ApiResponse {
+    fn to_value(&self) -> Value {
+        build_value(self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.begin_object();
+        out.field("api_version", &self.api_version);
+        out.field("ok", &self.ok);
+        out.field("error", &self.error);
+        out.field("result", &self.result);
+        out.end_object();
+    }
+}
+
 impl ApiResponse {
     /// A successful response.
     pub fn success(result: Value) -> ApiResponse {
@@ -264,18 +294,7 @@ impl ApiResponse {
 
     /// Render the envelope.
     pub fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("api_version".to_string(), Value::UInt(self.api_version)),
-            ("ok".to_string(), Value::Bool(self.ok)),
-            (
-                "error".to_string(),
-                match &self.error {
-                    Some(e) => Value::Str(e.clone()),
-                    None => Value::Null,
-                },
-            ),
-            ("result".to_string(), self.result.clone()),
-        ])
+        build_value(self)
     }
 
     /// Decode the [`ApiResponse::to_value`] form.

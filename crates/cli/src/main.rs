@@ -38,8 +38,9 @@
 //!                   check, which invariant conjuncts its UNSAT proof
 //!                   actually needed (core-based blame). Exit code 1 when
 //!                   any check fails. --json also appends a trailing
-//!                   entry with a "timings" stage split (encode / solve /
-//!                   cache / other, summing to the wall clock) and the
+//!                   entry with a "timings" stage split (load / generate /
+//!                   fingerprint / terms / blast / feed / solve / cache /
+//!                   report / other, summing to the wall clock) and the
 //!                   full "metrics" counter snapshot; --profile FILE
 //!                   additionally writes a self-contained profile report
 //!                   (see `profile`)
@@ -161,9 +162,12 @@ mod watch;
 
 use bgp_config::{lower, parse_config, Network};
 use lightyear::engine::{RunMode, Verifier};
+use serde::Serialize;
 use spec::Spec;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -425,7 +429,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     // absent and every instrumentation point is a single relaxed load.
     let profile_path = flag_value(args, "--profile");
     let reg = (as_json || profile_path.is_some()).then(obs::install);
-    let t_start = std::time::Instant::now();
+    let t_start = Instant::now();
     let mut profile_props: Vec<serde_json::Value> = Vec::new();
 
     let cache_dir = PathBuf::from(cache_dir.unwrap_or_else(|| ".lightyear-cache".to_string()));
@@ -521,6 +525,11 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         .iter()
         .map(|(p, i)| (std::slice::from_ref(p), i))
         .collect();
+    // The `load` stage ends here: files read, parsed and lowered, the
+    // spec resolved against the topology. `report` collects the time
+    // spent turning summaries into report documents.
+    let load_time = t_start.elapsed();
+    let mut report_time = Duration::ZERO;
     // Streaming assembly: outcomes fold into per-suite summaries as
     // their groups complete, so report memory is O(solve frontier +
     // failures), not O(checks). Cores are only retained when the
@@ -548,18 +557,17 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             // solved on an assumption session, which invariant conjuncts
             // its UNSAT proof actually needed. Rendered through the
             // shared api report types (golden-pinned bytes).
+            let t_report = Instant::now();
             let by_id = verifier.check_conjuncts_all(std::slice::from_ref(prop), inv);
-            json_out.push(
-                render::property_report(
-                    &s.name,
-                    false,
-                    report,
-                    topo,
-                    &by_id,
-                    Some(render::run_timing(report)),
-                )
-                .to_value(),
-            );
+            json_out.push(JsonEntry::Property(render::property_report(
+                &s.name,
+                false,
+                report,
+                topo,
+                &by_id,
+                Some(render::run_timing(report)),
+            )));
+            report_time += t_report.elapsed();
         } else {
             println!(
                 "{}: {} ({} checks)",
@@ -613,11 +621,17 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             }));
         }
         if as_json {
+            let t_report = Instant::now();
             let conjs = verifier.liveness_check_conjuncts(&resolved);
-            json_out.push(
-                render::property_report(&l.name, true, &report.summarize(), topo, &conjs, None)
-                    .to_value(),
-            );
+            json_out.push(JsonEntry::Property(render::property_report(
+                &l.name,
+                true,
+                &report.summarize(),
+                topo,
+                &conjs,
+                None,
+            )));
+            report_time += t_report.elapsed();
         } else {
             println!(
                 "{} (liveness): {} ({} checks)",
@@ -632,7 +646,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     }
     if show_exec {
         if as_json {
-            json_out.push(render::exec_doc(&exec).to_value());
+            json_out.push(JsonEntry::Exec(render::exec_doc(&exec)));
         } else {
             println!("{}", exec.summary());
         }
@@ -648,16 +662,21 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         }
     }
     if let Some(reg) = &reg {
-        let wall = t_start.elapsed();
+        let stages = profile::StageClock {
+            wall: t_start.elapsed(),
+            load: load_time,
+            report: report_time,
+        };
         if as_json {
             let snap = reg.snapshot();
-            json_out.push(serde_json::json!({
-                "timings": profile::stages_json(&snap, wall),
+            json_out.push(JsonEntry::Telemetry(serde_json::json!({
+                "timings": profile::stages_json(&snap, &stages),
                 "metrics": snap.to_json(),
-            }));
+            })));
         }
         if let Some(path) = &profile_path {
-            let report = profile::profile_json(reg, wall, std::mem::take(&mut profile_props), 10);
+            let report =
+                profile::profile_json(reg, &stages, std::mem::take(&mut profile_props), 10);
             match profile::write_profile(path, &report) {
                 // stderr so `lightyear verify --json --profile p.json`
                 // still writes pure JSON to stdout.
@@ -668,12 +687,65 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         obs::uninstall();
     }
     if as_json {
-        println!("{}", serde_json::to_string_pretty(&json_out).unwrap());
+        if let Err(e) = write_json_report(&json_out) {
+            eprintln!("error: cannot write report: {e}");
+            return ExitCode::from(2);
+        }
     }
     if any_failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+/// One entry of the `verify --json` array. Entries stay typed until
+/// [`write_json_report`] streams them: no intermediate `Value` tree.
+enum JsonEntry {
+    Property(api::PropertyReport),
+    Exec(api::ExecDoc),
+    /// The trailing `timings` + `metrics` object.
+    Telemetry(serde_json::Value),
+}
+
+impl Serialize for JsonEntry {
+    fn to_value(&self) -> serde_json::Value {
+        serde::build_value(self)
+    }
+
+    fn stream<S: serde::Sink>(&self, out: &mut S) {
+        match self {
+            JsonEntry::Property(doc) => doc.stream(out),
+            JsonEntry::Exec(doc) => doc.stream(out),
+            JsonEntry::Telemetry(v) => v.stream(out),
+        }
+    }
+}
+
+/// Serialise the report array once, into one buffer, and hand it to
+/// stdout whole. A reader that went away (`| head`) is not a failure of
+/// the run: the write stops quietly and the verdict keeps its exit code.
+fn write_json_report(entries: &[JsonEntry]) -> std::io::Result<()> {
+    // A size hint, not a bound: an indented core or failure entry is
+    // about 250 bytes on the WAN workloads.
+    let rows: usize = entries
+        .iter()
+        .map(|e| match e {
+            JsonEntry::Property(p) => p.cores.len() + p.failures.len() + 1,
+            JsonEntry::Exec(_) | JsonEntry::Telemetry(_) => 16,
+        })
+        .sum();
+    let mut ser = serde_json::Serializer::pretty(String::with_capacity(256 * rows));
+    entries.stream(&mut ser);
+    let mut text = ser.into_inner();
+    text.push('\n');
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        result => result,
     }
 }
 

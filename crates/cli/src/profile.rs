@@ -5,9 +5,9 @@
 //! simultaneously a Chrome `trace_event` file (Perfetto and
 //! `chrome://tracing` load it directly — extra top-level keys are
 //! ignored by both viewers) and a structured profile: the wall-clock
-//! split across pipeline stages (check generation / fingerprinting /
-//! term construction / bit-blast / clause feed / solve / cache
-//! validation / everything else), the hottest
+//! split across pipeline stages (input loading / check generation /
+//! fingerprinting / term construction / bit-blast / clause feed / solve /
+//! cache validation / report building / everything else), the hottest
 //! check groups by solve time, the solver counter table, a per-property
 //! breakdown, and the full metrics snapshot.
 
@@ -29,21 +29,38 @@ const BUSY_STAGES: [(&str, &str); 5] = [
     ("cache", "cache.validate_ns"),
 ];
 
+/// The wall-clock laps a command takes itself, on its own thread,
+/// around the engine: the two serial stages no counter covers.
+pub(crate) struct StageClock {
+    /// The whole run.
+    pub(crate) wall: Duration,
+    /// Reading, parsing and lowering the configurations, and resolving
+    /// the spec against the topology: everything before the first check.
+    pub(crate) load: Duration,
+    /// Building report documents from summaries: the conjunct table and
+    /// the per-check blame entries of `--json` (zero without it).
+    pub(crate) report: Duration,
+}
+
 /// Wall-clock attribution of a run into pipeline stages, from the
-/// metrics counters. Check generation and fingerprinting run on the
-/// calling thread and are plain wall time. Term construction / blast /
+/// command's own laps and the metrics counters. Loading, check
+/// generation, fingerprinting and report building run on the calling
+/// thread and are plain wall time. Term construction / blast /
 /// feed / solve / cache-validate are measured busy time; with parallel
 /// workers their sum can exceed what the serial stages leave of the wall
 /// clock, in which case all of them are scaled down proportionally (the
 /// raw busy values stay available under `metrics`) so the stages always
 /// sum to the wall clock exactly.
-pub(crate) fn stages_json(snap: &obs::MetricsSnapshot, wall: Duration) -> serde_json::Value {
-    let wall_s = wall.as_secs_f64();
+pub(crate) fn stages_json(snap: &obs::MetricsSnapshot, clock: &StageClock) -> serde_json::Value {
+    let wall_s = clock.wall.as_secs_f64();
     let secs = |counter: &str| snap.counter(counter) as f64 / 1e9;
+    let load = clock.load.as_secs_f64();
+    let report = clock.report.as_secs_f64();
     let generate = secs("engine.generate_ns");
     let fingerprint = secs("engine.fingerprint_ns");
+    let serial = load + generate + fingerprint + report;
     let busy: f64 = BUSY_STAGES.iter().map(|(_, c)| secs(c)).sum();
-    let room = (wall_s - generate - fingerprint).max(0.0);
+    let room = (wall_s - serial).max(0.0);
     let scale = if busy > room && busy > 0.0 {
         room / busy
     } else {
@@ -52,6 +69,7 @@ pub(crate) fn stages_json(snap: &obs::MetricsSnapshot, wall: Duration) -> serde_
     let other = (room - busy * scale).max(0.0);
     let mut stages = vec![
         ("wall_seconds".to_string(), serde_json::json!(wall_s)),
+        ("load_seconds".to_string(), serde_json::json!(load)),
         ("generate_seconds".to_string(), serde_json::json!(generate)),
         (
             "fingerprint_seconds".to_string(),
@@ -64,10 +82,11 @@ pub(crate) fn stages_json(snap: &obs::MetricsSnapshot, wall: Duration) -> serde_
             serde_json::json!(secs(counter) * scale),
         ));
     }
+    stages.push(("report_seconds".to_string(), serde_json::json!(report)));
     stages.push(("other_seconds".to_string(), serde_json::json!(other)));
     stages.push((
         "stage_sum_seconds".to_string(),
-        serde_json::json!(generate + fingerprint + busy * scale + other),
+        serde_json::json!(serial + busy * scale + other),
     ));
     stages.push(("parallel_scale".to_string(), serde_json::json!(scale)));
     serde_json::Value::Object(stages)
@@ -150,7 +169,7 @@ fn solver_json(reg: &obs::Registry, snap: &obs::MetricsSnapshot) -> serde_json::
 /// Assemble the self-contained profile report (see module docs).
 pub(crate) fn profile_json(
     reg: &obs::Registry,
-    wall: Duration,
+    clock: &StageClock,
     properties: Vec<serde_json::Value>,
     top: usize,
 ) -> serde_json::Value {
@@ -167,7 +186,7 @@ pub(crate) fn profile_json(
         .collect();
     let mut v = reg.chrome_trace();
     if let serde_json::Value::Object(map) = &mut v {
-        map.push(("stages".to_string(), stages_json(&snap, wall)));
+        map.push(("stages".to_string(), stages_json(&snap, clock)));
         map.push(("hot_groups".to_string(), serde_json::Value::Array(hot)));
         map.push(("solver".to_string(), solver_json(reg, &snap)));
         map.push((
@@ -195,10 +214,10 @@ fn pct(part: f64, whole: f64) -> f64 {
 }
 
 /// The human profile report printed by `lightyear profile`.
-fn render_report(reg: &obs::Registry, wall: Duration, top: usize, out_path: &str) {
+fn render_report(reg: &obs::Registry, clock: &StageClock, top: usize, out_path: &str) {
     let snap = reg.snapshot();
-    let wall_s = wall.as_secs_f64();
-    let stages = stages_json(&snap, wall);
+    let wall_s = clock.wall.as_secs_f64();
+    let stages = stages_json(&snap, clock);
     let sec = |key: &str| {
         stages
             .as_object()
@@ -206,10 +225,10 @@ fn render_report(reg: &obs::Registry, wall: Duration, top: usize, out_path: &str
             .and_then(|(_, v)| v.as_f64())
             .unwrap_or(0.0)
     };
-    let line: Vec<String> = ["generate", "fingerprint"]
+    let line: Vec<String> = ["load", "generate", "fingerprint"]
         .into_iter()
         .chain(BUSY_STAGES.iter().map(|(stage, _)| *stage))
-        .chain(["other"])
+        .chain(["report", "other"])
         .map(|stage| {
             let t = sec(&format!("{stage}_seconds"));
             format!("{stage} {t:.4}s ({:.1}%)", pct(t, wall_s))
@@ -383,6 +402,7 @@ pub(crate) fn cmd_profile(args: &[String]) -> ExitCode {
         .iter()
         .map(|(p, i)| (std::slice::from_ref(p), i))
         .collect();
+    let load = t0.elapsed();
     let multi = verifier.verify_safety_batch(&suites);
     let mut any_failed = false;
     let mut props = Vec::new();
@@ -438,9 +458,14 @@ pub(crate) fn cmd_profile(args: &[String]) -> ExitCode {
             "solve_seconds": report.solve_time().as_secs_f64(),
         }));
     }
-    let wall = t0.elapsed();
-    let profile = profile_json(&reg, wall, props, top);
-    render_report(&reg, wall, top, &out_path);
+    // `profile` prints verdict lines only: no report documents to build.
+    let clock = StageClock {
+        wall: t0.elapsed(),
+        load,
+        report: Duration::ZERO,
+    };
+    let profile = profile_json(&reg, &clock, props, top);
+    render_report(&reg, &clock, top, &out_path);
     if let Err(e) = write_profile(&out_path, &profile) {
         eprintln!("error: {e}");
         return ExitCode::FAILURE;

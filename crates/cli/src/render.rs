@@ -45,11 +45,10 @@ pub(crate) fn property_report(
             .cores()
             .iter()
             .map(|(check, core)| {
-                let conjs = conjunct_names
-                    .get(check.id)
-                    .cloned()
-                    .flatten()
-                    .unwrap_or_default();
+                let conjs: &[String] = match conjunct_names.get(check.id) {
+                    Some(Some(names)) => names,
+                    _ => &[],
+                };
                 api::CoreDoc {
                     check: check.id as u64,
                     kind: check.kind.to_string(),

@@ -1127,3 +1127,108 @@ fn verify_survives_poisoned_cache_spill() {
     assert!(truncated.status.success(), "truncated spill must not fail");
     assert_eq!(clean_report, report_of(&truncated));
 }
+
+#[test]
+fn deeply_nested_spec_is_a_clean_error_not_a_stack_overflow() {
+    // 400 KB of `[`: the JSON parser refuses at its nesting limit with
+    // a typed error instead of recursing until the stack runs out.
+    let d = tmpdir("deep-spec");
+    write_net(&d, R2);
+    fs::write(d.join("deep.json"), "[".repeat(400_000)).unwrap();
+    let out = Command::new(bin())
+        .args(["verify", "--configs"])
+        .arg(&d)
+        .arg("--spec")
+        .arg(d.join("deep.json"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("bad spec: recursion limit exceeded at byte 128"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn closed_stdout_reader_keeps_the_verdict_exit_code() {
+    // `verify --json | head`: the reader goes away before (or while)
+    // the report is written. That is not an error of the run — the exit
+    // code must still be the verdict's, with no panic on stderr.
+    let broken = R2.replace(" neighbor 10.0.0.2 route-map TO-ISP2 out\n", "");
+    for (name, r2, expect) in [("verified", R2, 0), ("violated", broken.as_str(), 1)] {
+        let d = tmpdir(&format!("closed-pipe-{name}"));
+        write_net(&d, r2);
+        let mut child = Command::new(bin())
+            .args(["verify", "--json", "--configs"])
+            .arg(&d)
+            .arg("--spec")
+            .arg(d.join("spec.json"))
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        // Close the read end at once: the child's one write finds no
+        // reader.
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(expect), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(!stderr.contains("cannot write report"), "{name}: {stderr}");
+    }
+}
+
+/// Drop what differs between two runs of the same input: wall-clock
+/// values (`*seconds`, `*_ns` keys) and histogram bucket arrays.
+fn mask_volatile(stdout: &str) -> String {
+    let mut kept = Vec::new();
+    let mut in_buckets = false;
+    for line in stdout.split('\n') {
+        let t = line.trim();
+        if in_buckets {
+            in_buckets = !matches!(t, "]" | "],");
+        } else if t == "\"buckets\": [" {
+            in_buckets = true;
+        } else if !line.contains("seconds\":") && !line.contains("_ns\":") {
+            kept.push(line);
+        }
+    }
+    kept.join("\n")
+}
+
+#[test]
+fn verify_json_stdout_layout_is_pinned() {
+    // The golden tests re-render through the library and so cannot see
+    // layout. This one compares the raw bytes on stdout — indentation,
+    // separators, key order, the trailing timings/metrics entry — with
+    // a fixture written by the build *before* the streaming writer
+    // (`verify --json --jobs 1` over `examples/configs`, through the
+    // same mask). The stage keys that build did not have are
+    // `*_seconds` lines and drop out with the other timing values.
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
+    let out = Command::new(bin())
+        .args(["verify", "--json", "--jobs", "1", "--configs", examples])
+        .arg("--spec")
+        .arg(format!("{examples}/spec.json"))
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    assert!(stdout.ends_with("]\n"), "one trailing newline");
+    assert_eq!(
+        mask_volatile(&stdout),
+        include_str!("fixtures/verify_examples.stdout")
+    );
+    // What the mask hides is still there, new stages included.
+    let v: serde_json::Value = serde_json::from_str(&stdout).unwrap();
+    let timings = &v.as_array().unwrap().last().unwrap()["timings"];
+    for key in [
+        "wall_seconds",
+        "load_seconds",
+        "report_seconds",
+        "other_seconds",
+    ] {
+        assert!(timings[key].as_f64().is_some(), "{key}: {timings:?}");
+    }
+}

@@ -89,7 +89,12 @@ impl Drop for Daemon {
 
 /// One `POST /api/v1` round-trip against `addr`.
 fn post_to(addr: &str, req: &Value) -> (u16, Value) {
-    let body = serde_json::to_string(req).unwrap();
+    post_body(addr, &serde_json::to_string(req).unwrap())
+}
+
+/// [`post_to`] with the request body given as text (not necessarily a
+/// well-formed request).
+fn post_body(addr: &str, body: &str) -> (u16, Value) {
     let mut stream = TcpStream::connect(addr).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(120)))
@@ -521,4 +526,34 @@ fn protocol_errors_are_typed() {
     let mut text = String::new();
     stream.read_to_string(&mut text).unwrap();
     assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+}
+
+#[test]
+fn deeply_nested_body_is_a_400_and_the_daemon_lives_on() {
+    // The listener accepts bodies up to 8 MB and hands them to the JSON
+    // parser as they are. Nesting past the parser's limit must come
+    // back as a typed 400 — on a multi-tenant daemon, a stack overflow
+    // would take every tenant down with the one bad request.
+    let daemon = Daemon::start(&[]);
+    for body in ["[".repeat(400_000), "{\"call\":".repeat(200_000)] {
+        let (code, resp) = post_body(&daemon.addr, &body);
+        assert_eq!(code, 400, "{resp:?}");
+        assert_eq!(resp["ok"], false);
+        let error = resp["error"].as_str().unwrap();
+        assert!(
+            error.contains("bad JSON: recursion limit exceeded at byte"),
+            "{error}"
+        );
+    }
+    // Nesting at the limit is an ordinary (here: malformed) request.
+    let (code, resp) = post_body(&daemon.addr, &("[".repeat(128) + &"]".repeat(128)));
+    assert_eq!(code, 400, "{resp:?}");
+    assert!(
+        resp["error"].as_str().unwrap().contains("api_version"),
+        "{resp:?}"
+    );
+    // Still serving.
+    let (code, resp) = daemon.post(&health());
+    assert_eq!(code, 200, "{resp:?}");
+    assert_eq!(resp["result"]["status"], "ok");
 }

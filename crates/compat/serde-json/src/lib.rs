@@ -2,18 +2,40 @@
 //!
 //! Provides the subset of the real crate's surface this workspace uses:
 //! [`to_string`] / [`to_string_pretty`] / [`from_str`] / [`to_value`] /
-//! [`from_value`], the [`Value`] type (re-exported from `serde`), and a
-//! [`json!`] macro covering object/array literals with expression values.
+//! [`from_value`], the [`Value`] type (re-exported from `serde`), a
+//! [`json!`] macro covering object/array literals with expression
+//! values, and [`Serializer`], the text writer behind the `to_string`
+//! pair.
+//!
+//! **Writing is one pass.** [`Serializer`] is a [`serde::Sink`]: a value
+//! streams itself into it (`serde::Serialize::stream`) and every output
+//! byte is appended once — strings are copied in runs up to the next
+//! byte that needs an escape, indentation is a slice of a constant,
+//! integers are formatted on the stack. `to_string(&value)` over a
+//! [`Value`] or a container of them never clones the tree; a type that
+//! only defines `to_value()` is rendered from that value, as before.
+//!
+//! **Parsing is bounded.** Arrays and objects may nest at most
+//! [`MAX_DEPTH`] deep (real `serde_json`'s recursion limit); deeper
+//! input is a typed [`Error`] with the byte offset, not a stack
+//! overflow — request bodies and spec files reach this parser
+//! unfiltered. `from_str::<Value>` hands back the parsed tree itself
+//! (`serde::Deserialize::from_value_owned`), not a copy of it.
 //!
 //! The emitted text is RFC 8259 JSON with the same shapes real serde
 //! would produce (derive shim notes in `serde_derive`), so specs and
 //! metadata files written by one build remain readable by a build against
-//! the real crates.
+//! the real crates. A swap back to crates.io touches, beyond the
+//! manifests: the hand-written `stream` bodies (see the `serde` shim's
+//! header), and the one caller that drives a [`Serializer`] directly
+//! (`lightyear verify --json`), where `Serializer::pretty(String)` /
+//! `into_inner()` become real `serde_json`'s
+//! `Serializer::pretty(&mut Vec<u8>)` + `value.serialize(&mut ser)`.
 
 pub use serde::{DeError, Value};
 
-use serde::{Deserialize, Serialize};
-use std::fmt;
+use serde::{Deserialize, Serialize, Sink};
+use std::fmt::{self, Write};
 
 /// Errors from parsing or value conversion.
 #[derive(Clone, Debug)]
@@ -40,28 +62,27 @@ pub fn to_value<T: Serialize + ?Sized>(x: &T) -> Value {
 
 /// Deserialize out of a [`Value`].
 pub fn from_value<T: Deserialize>(v: Value) -> Result<T, Error> {
-    Ok(T::from_value(&v)?)
+    Ok(T::from_value_owned(v)?)
 }
 
 /// Serialize to compact JSON text. Infallible for tree-shaped data; the
 /// `Result` mirrors the real API.
 pub fn to_string<T: Serialize + ?Sized>(x: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &x.to_value(), None, 0);
-    Ok(out)
+    let mut ser = Serializer::new(String::new());
+    x.stream(&mut ser);
+    Ok(ser.into_inner())
 }
 
 /// Serialize to 2-space-indented JSON text.
 pub fn to_string_pretty<T: Serialize + ?Sized>(x: &T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&mut out, &x.to_value(), Some(2), 0);
-    Ok(out)
+    let mut ser = Serializer::pretty(String::new());
+    x.stream(&mut ser);
+    Ok(ser.into_inner())
 }
 
 /// Parse JSON text into any [`Deserialize`] type.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let v = parse_value(s)?;
-    Ok(T::from_value(&v)?)
+    Ok(T::from_value_owned(parse_value(s)?)?)
 }
 
 /// Parse JSON bytes into any [`Deserialize`] type.
@@ -91,89 +112,202 @@ macro_rules! json {
 // Writer
 // ---------------------------------------------------------------------
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
+/// Per-byte escape class: 0 = copy through, `u` = `\u00XX`, anything
+/// else = the character after the backslash.
+const ESCAPE: [u8; 256] = {
+    let mut t = [0u8; 256];
+    let mut i = 0;
+    while i < 0x20 {
+        t[i] = b'u';
+        i += 1;
     }
-    out.push('"');
+    t[b'"' as usize] = b'"';
+    t[b'\\' as usize] = b'\\';
+    t[b'\n' as usize] = b'n';
+    t[b'\r' as usize] = b'r';
+    t[b'\t' as usize] = b't';
+    t
+};
+
+const HEX: &[u8; 16] = b"0123456789abcdef";
+
+const INFALLIBLE: &str = "writing to a String cannot fail";
+
+/// Indentation is sliced from here; deeper levels repeat it.
+const SPACES: &str = "                                                                ";
+
+/// The JSON text writer: a [`Sink`] that appends compact or
+/// 2-space-indented text to a `String` as the events arrive.
+pub struct Serializer {
+    out: String,
+    pretty: bool,
+    depth: usize,
+    /// The innermost open container already holds an element.
+    has_elem: bool,
+    /// A key was just written: the next value follows it directly.
+    after_key: bool,
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(n) = indent {
-        out.push('\n');
-        for _ in 0..n * depth {
-            out.push(' ');
+impl Serializer {
+    /// A compact writer appending to `out`.
+    pub fn new(out: String) -> Serializer {
+        Serializer {
+            out,
+            pretty: false,
+            depth: 0,
+            has_elem: false,
+            after_key: false,
         }
+    }
+
+    /// A 2-space-indented writer appending to `out`.
+    pub fn pretty(out: String) -> Serializer {
+        Serializer {
+            pretty: true,
+            ..Serializer::new(out)
+        }
+    }
+
+    /// The text written so far.
+    pub fn into_inner(self) -> String {
+        self.out
+    }
+
+    fn newline_indent(&mut self) {
+        if self.pretty {
+            self.out.push('\n');
+            let mut n = 2 * self.depth;
+            while n > 0 {
+                let take = n.min(SPACES.len());
+                self.out.push_str(&SPACES[..take]);
+                n -= take;
+            }
+        }
+    }
+
+    /// Separator and indentation owed before an array element or a key.
+    fn next_slot(&mut self) {
+        if self.has_elem {
+            self.out.push(',');
+        }
+        self.newline_indent();
+        self.has_elem = true;
+    }
+
+    /// What precedes any value: nothing after a key or at the top
+    /// level, the element separator inside an array.
+    fn before_value(&mut self) {
+        if self.after_key {
+            self.after_key = false;
+        } else if self.depth > 0 {
+            self.next_slot();
+        }
+    }
+
+    fn open(&mut self, bracket: char) {
+        self.before_value();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.has_elem = false;
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        if self.has_elem {
+            self.newline_indent();
+        }
+        self.out.push(bracket);
+        // The closed container is itself an element of its parent.
+        self.has_elem = true;
+    }
+
+    fn write_str(&mut self, s: &str) {
+        self.out.push('"');
+        let bytes = s.as_bytes();
+        let mut start = 0;
+        for (i, &b) in bytes.iter().enumerate() {
+            let class = ESCAPE[b as usize];
+            if class == 0 {
+                continue;
+            }
+            // Escaped bytes are ASCII, so both cuts are char boundaries.
+            self.out.push_str(&s[start..i]);
+            start = i + 1;
+            self.out.push('\\');
+            self.out.push(class as char);
+            if class == b'u' {
+                self.out.push_str("00");
+                self.out.push(HEX[(b >> 4) as usize] as char);
+                self.out.push(HEX[(b & 0xf) as usize] as char);
+            }
+        }
+        self.out.push_str(&s[start..]);
+        self.out.push('"');
     }
 }
 
-fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // Match serde_json: floats always carry a decimal point.
-                let s = format!("{f}");
-                out.push_str(&s);
-                if !s.contains('.') && !s.contains('e') && !s.contains('E') {
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("null");
-            }
+impl Sink for Serializer {
+    fn null(&mut self) {
+        self.before_value();
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.before_value();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    // `write!` formats numbers on the stack and appends the digits.
+    fn int(&mut self, i: i64) {
+        self.before_value();
+        write!(self.out, "{i}").expect(INFALLIBLE);
+    }
+
+    fn uint(&mut self, u: u64) {
+        self.before_value();
+        write!(self.out, "{u}").expect(INFALLIBLE);
+    }
+
+    fn float(&mut self, f: f64) {
+        self.before_value();
+        if !f.is_finite() {
+            self.out.push_str("null");
+            return;
         }
-        Value::Str(s) => write_escaped(out, s),
-        Value::Array(items) => {
-            if items.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(out, item, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push(']');
+        // Match serde_json: floats always carry a decimal point.
+        let start = self.out.len();
+        write!(self.out, "{f}").expect(INFALLIBLE);
+        if !self.out[start..].contains(['.', 'e', 'E']) {
+            self.out.push_str(".0");
         }
-        Value::Object(entries) => {
-            if entries.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, val)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_escaped(out, k);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(out, val, indent, depth + 1);
-            }
-            newline_indent(out, indent, depth);
-            out.push('}');
-        }
+    }
+
+    fn str(&mut self, s: &str) {
+        self.before_value();
+        self.write_str(s);
+    }
+
+    fn begin_array(&mut self) {
+        self.open('[');
+    }
+
+    fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    fn begin_object(&mut self) {
+        self.open('{');
+    }
+
+    fn key(&mut self, k: &str) {
+        self.next_slot();
+        self.write_str(k);
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+        self.after_key = true;
+    }
+
+    fn end_object(&mut self) {
+        self.close('}');
     }
 }
 
@@ -181,15 +315,25 @@ fn write_value(out: &mut String, v: &Value, indent: Option<usize>, depth: usize)
 // Parser
 // ---------------------------------------------------------------------
 
+/// How deep arrays and objects may nest in parsed text (real
+/// `serde_json`'s recursion limit). The parser recurses once per level,
+/// so this is what keeps hostile input from overflowing the stack.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 fn parse_value(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -243,11 +387,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object, counted against [`MAX_DEPTH`].
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("recursion limit exceeded"));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -313,10 +468,8 @@ impl<'a> Parser<'a> {
                 }
                 self.pos += 1;
             }
-            out.push_str(
-                std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| self.err("invalid utf-8"))?,
-            );
+            // Both ends sit on an ASCII byte or the end of the text.
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 Some(b'"') => {
                     self.pos += 1;
@@ -374,8 +527,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Value::Int(i));
@@ -430,5 +582,129 @@ mod tests {
         assert_eq!(v["count"].as_u64(), Some(3));
         assert!(v["missing"].is_null());
         assert_eq!(v["items"][1].as_u64(), Some(2));
+    }
+
+    /// One nested sample covering every writer rule. The two strings
+    /// below are the contract: byte-identical output is what lets
+    /// reports be compared across builds.
+    fn writer_sample() -> Value {
+        Value::Object(vec![
+            ("empty_array".to_string(), Value::Array(vec![])),
+            ("empty_object".to_string(), Value::Object(vec![])),
+            (
+                "escapes".to_string(),
+                Value::Str("q\" b\\ n\n r\r t\t u\u{1}".to_string()),
+            ),
+            (
+                "text".to_string(),
+                Value::Str("naïve — 日本 🚀".to_string()),
+            ),
+            (
+                "numbers".to_string(),
+                Value::Array(vec![
+                    Value::Float(1.0),
+                    Value::Float(-0.25),
+                    Value::Float(f64::NAN),
+                    Value::Float(f64::INFINITY),
+                    Value::UInt(u64::MAX),
+                    Value::Int(i64::MIN),
+                    Value::Int(0),
+                ]),
+            ),
+            (
+                "nested".to_string(),
+                Value::Array(vec![
+                    Value::Object(vec![("k\"".to_string(), Value::Null)]),
+                    Value::Array(vec![Value::Bool(true), Value::Bool(false)]),
+                ]),
+            ),
+        ])
+    }
+
+    #[test]
+    fn compact_output_is_pinned() {
+        assert_eq!(
+            to_string(&writer_sample()).unwrap(),
+            concat!(
+                r#"{"empty_array":[],"empty_object":{},"#,
+                r#""escapes":"q\" b\\ n\n r\r t\t u\u0001","#,
+                r#""text":"naïve — 日本 🚀","#,
+                r#""numbers":[1.0,-0.25,null,null,18446744073709551615,-9223372036854775808,0],"#,
+                r#""nested":[{"k\"":null},[true,false]]}"#
+            )
+        );
+    }
+
+    #[test]
+    fn pretty_output_is_pinned() {
+        let expected = r#"{
+  "empty_array": [],
+  "empty_object": {},
+  "escapes": "q\" b\\ n\n r\r t\t u\u0001",
+  "text": "naïve — 日本 🚀",
+  "numbers": [
+    1.0,
+    -0.25,
+    null,
+    null,
+    18446744073709551615,
+    -9223372036854775808,
+    0
+  ],
+  "nested": [
+    {
+      "k\"": null
+    },
+    [
+      true,
+      false
+    ]
+  ]
+}"#;
+        assert_eq!(to_string_pretty(&writer_sample()).unwrap(), expected);
+        // Streaming a value and rendering its tree are the same text.
+        let back: Value = from_str(expected).unwrap();
+        assert_eq!(to_string_pretty(&back).unwrap(), expected);
+    }
+
+    #[test]
+    fn indentation_past_the_slice_repeats_it() {
+        // 40 levels = 80 columns, more than one `SPACES` slice.
+        let mut v = Value::Int(7);
+        for _ in 0..40 {
+            v = Value::Array(vec![v]);
+        }
+        let text = to_string_pretty(&v).unwrap();
+        let line = text.lines().find(|l| l.trim() == "7").unwrap();
+        assert_eq!(line.len(), 81);
+        assert_eq!(from_str::<Value>(&text).unwrap(), v);
+    }
+
+    #[test]
+    fn nesting_is_limited_with_a_typed_error() {
+        let nest = |open: &str, close: &str, n: usize| open.repeat(n) + &close.repeat(n);
+        assert!(from_str::<Value>(&nest("[", "]", MAX_DEPTH)).is_ok());
+        assert!(from_str::<Value>(&nest("{\"k\":", "}", MAX_DEPTH).replace(":}", ":0}")).is_ok());
+        let err = from_str::<Value>(&nest("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err.0,
+            format!("recursion limit exceeded at byte {MAX_DEPTH}")
+        );
+        // Mixed nesting counts both kinds; unclosed hostile input fails
+        // the same way instead of recursing to the end of the text.
+        let mixed = "[{\"a\":".repeat(MAX_DEPTH);
+        let err = from_str::<Value>(&mixed).unwrap_err();
+        assert!(err.0.starts_with("recursion limit exceeded"), "{err}");
+        let err = from_str::<Value>(&"[".repeat(400_000)).unwrap_err();
+        assert!(err.0.starts_with("recursion limit exceeded"), "{err}");
+    }
+
+    #[test]
+    fn from_str_value_is_the_parsed_tree() {
+        // `Value` takes the by-value entry; other types still decode.
+        let v: Value = from_str(r#"{"a":[1,2]}"#).unwrap();
+        assert_eq!(from_value::<Value>(v.clone()).unwrap(), v);
+        let xs: Vec<u8> = from_value(v["a"].clone()).unwrap();
+        assert_eq!(xs, [1, 2]);
     }
 }

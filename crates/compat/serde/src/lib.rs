@@ -9,13 +9,32 @@
 //! * [`Serialize::to_value`] renders a type into a JSON-shaped [`Value`];
 //! * [`Deserialize::from_value`] reads it back.
 //!
+//! Each has one provided companion that keeps large documents off the
+//! tree. [`Serialize::stream`] describes a value as a sequence of
+//! events on a [`Sink`] — the shim's counterpart of real serde's
+//! `Serialize::serialize<S: Serializer>`. Its default goes through
+//! `to_value()`, so every derived or hand-written impl keeps working;
+//! [`Value`], the primitives and the std containers override it and emit
+//! their events directly, and so does any type that is rendered often
+//! enough to care (the `api` report documents). Such a type writes its
+//! field order once, in `stream`, and gets `to_value()` from
+//! [`build_value`], which runs the same description into the
+//! tree-building sink [`ValueBuilder`]. The text sink lives in the
+//! `serde_json` shim. [`Deserialize::from_value_owned`] consumes the
+//! tree instead of borrowing it; only `Value` overrides it (by returning
+//! its argument), which makes `serde_json::from_str::<Value>` a parse
+//! with no second copy.
+//!
 //! The derive macros (re-exported from the local `serde_derive`) produce
 //! the same external JSON shapes real serde would: named structs as
 //! objects, newtype structs transparently, enums externally tagged. Code
 //! written against this shim therefore reads and writes the same JSON it
 //! would with real serde, and swapping the real crates back in (by
-//! pointing the workspace dependencies at crates.io) only requires
-//! re-deriving — no call-site changes.
+//! pointing the workspace dependencies at crates.io) requires
+//! re-deriving and rewriting the hand-written `stream` bodies as
+//! `serialize` bodies (`begin_object` / `field` / `end_object` map onto
+//! `serialize_struct` / `serialize_field` / `end` one for one) — no
+//! call-site changes.
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -211,16 +230,162 @@ impl fmt::Display for DeError {
 
 impl std::error::Error for DeError {}
 
-/// Render into a [`Value`].
+/// Receiver of the events a [`Serialize::stream`] emits: scalars, and
+/// `begin_*` / `end_*` brackets around array elements and around
+/// `key` + value pairs. Callers must emit well-formed sequences (one
+/// value per key, every bracket closed); sinks do not check.
+pub trait Sink {
+    /// `null`.
+    fn null(&mut self);
+    /// `true` / `false`.
+    fn bool(&mut self, b: bool);
+    /// A signed integer.
+    fn int(&mut self, i: i64);
+    /// An unsigned integer.
+    fn uint(&mut self, u: u64);
+    /// A float (non-finite values render as `null` in text).
+    fn float(&mut self, f: f64);
+    /// A string.
+    fn str(&mut self, s: &str);
+    /// Open an array; its elements follow as values.
+    fn begin_array(&mut self);
+    /// Close the innermost array.
+    fn end_array(&mut self);
+    /// Open an object; its entries follow as `key` + value pairs.
+    fn begin_object(&mut self);
+    /// The key of the next object entry.
+    fn key(&mut self, k: &str);
+    /// Close the innermost object.
+    fn end_object(&mut self);
+
+    /// One object entry: `key`, then `value` streamed.
+    fn field<T: Serialize + ?Sized>(&mut self, key: &str, value: &T)
+    where
+        Self: Sized,
+    {
+        self.key(key);
+        value.stream(self);
+    }
+
+    /// A whole array of streamed items.
+    fn seq<I>(&mut self, items: I)
+    where
+        Self: Sized,
+        I: IntoIterator,
+        I::Item: Serialize,
+    {
+        self.begin_array();
+        for item in items {
+            item.stream(self);
+        }
+        self.end_array();
+    }
+}
+
+/// The tree-building [`Sink`]: collects events into a [`Value`].
+#[derive(Default)]
+pub struct ValueBuilder {
+    /// Open containers, innermost last.
+    stack: Vec<Value>,
+    /// Keys awaiting their value, one per open object entry.
+    keys: Vec<String>,
+    done: Option<Value>,
+}
+
+impl ValueBuilder {
+    /// The value built from the events so far (`Null` if none arrived).
+    pub fn finish(self) -> Value {
+        self.done.unwrap_or(Value::Null)
+    }
+
+    fn put(&mut self, v: Value) {
+        match self.stack.last_mut() {
+            Some(Value::Array(items)) => items.push(v),
+            Some(Value::Object(entries)) => {
+                let key = self.keys.pop().expect("a key precedes every object value");
+                entries.push((key, v));
+            }
+            _ => self.done = Some(v),
+        }
+    }
+
+    fn close(&mut self) {
+        let v = self.stack.pop().expect("end matches an open container");
+        self.put(v);
+    }
+}
+
+impl Sink for ValueBuilder {
+    fn null(&mut self) {
+        self.put(Value::Null);
+    }
+    fn bool(&mut self, b: bool) {
+        self.put(Value::Bool(b));
+    }
+    fn int(&mut self, i: i64) {
+        self.put(Value::Int(i));
+    }
+    fn uint(&mut self, u: u64) {
+        // Same normalisation as the parser and the integer impls.
+        self.put(match i64::try_from(u) {
+            Ok(i) => Value::Int(i),
+            Err(_) => Value::UInt(u),
+        });
+    }
+    fn float(&mut self, f: f64) {
+        self.put(Value::Float(f));
+    }
+    fn str(&mut self, s: &str) {
+        self.put(Value::Str(s.to_string()));
+    }
+    fn begin_array(&mut self) {
+        self.stack.push(Value::Array(Vec::new()));
+    }
+    fn end_array(&mut self) {
+        self.close();
+    }
+    fn begin_object(&mut self) {
+        self.stack.push(Value::Object(Vec::new()));
+    }
+    fn key(&mut self, k: &str) {
+        self.keys.push(k.to_string());
+    }
+    fn end_object(&mut self) {
+        self.close();
+    }
+}
+
+/// `x`'s [`Serialize::stream`] run into a [`ValueBuilder`]: the
+/// `to_value()` of a type that describes itself once, as a stream.
+pub fn build_value<T: Serialize + ?Sized>(x: &T) -> Value {
+    let mut b = ValueBuilder::default();
+    x.stream(&mut b);
+    b.finish()
+}
+
+/// Render into a [`Value`], or as events on a [`Sink`].
 pub trait Serialize {
     /// The value form of `self`.
     fn to_value(&self) -> Value;
+
+    /// Emit `self` as events on `out`. The default builds the value form
+    /// first; override it to skip the tree. An impl that overrides this
+    /// should define `to_value` as [`build_value`]`(self)` so the two
+    /// cannot disagree.
+    fn stream<S: Sink>(&self, out: &mut S) {
+        self.to_value().stream(out);
+    }
 }
 
 /// Rebuild from a [`Value`].
 pub trait Deserialize: Sized {
     /// Parse from the value form.
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Parse from a value form the caller no longer needs.
+    fn from_value_owned(v: Value) -> Result<Self, DeError> {
+        Self::from_value(&v)
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -231,17 +396,44 @@ impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
     }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        match self {
+            Value::Null => out.null(),
+            Value::Bool(b) => out.bool(*b),
+            Value::Int(i) => out.int(*i),
+            Value::UInt(u) => out.uint(*u),
+            Value::Float(f) => out.float(*f),
+            Value::Str(s) => out.str(s),
+            Value::Array(items) => out.seq(items),
+            Value::Object(entries) => {
+                out.begin_object();
+                for (k, v) in entries {
+                    out.field(k, v);
+                }
+                out.end_object();
+            }
+        }
+    }
 }
 
 impl Deserialize for Value {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         Ok(v.clone())
     }
+
+    fn from_value_owned(v: Value) -> Result<Self, DeError> {
+        Ok(v)
+    }
 }
 
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.bool(*self);
     }
 }
 
@@ -260,6 +452,14 @@ macro_rules! int_impls {
                     Value::Int(wide as i64)
                 } else {
                     Value::UInt(*self as u64)
+                }
+            }
+
+            fn stream<S: Sink>(&self, out: &mut S) {
+                if (*self as i128) < 0 {
+                    out.int(*self as i64)
+                } else {
+                    out.uint(*self as u64)
                 }
             }
         }
@@ -285,6 +485,10 @@ macro_rules! float_impls {
             fn to_value(&self) -> Value {
                 Value::Float(*self as f64)
             }
+
+            fn stream<S: Sink>(&self, out: &mut S) {
+                out.float(*self as f64);
+            }
         }
         impl Deserialize for $t {
             fn from_value(v: &Value) -> Result<Self, DeError> {
@@ -300,6 +504,10 @@ impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::Str(self.clone())
     }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.str(self);
+    }
 }
 
 impl Deserialize for String {
@@ -313,6 +521,10 @@ impl Deserialize for String {
 impl Serialize for str {
     fn to_value(&self) -> Value {
         Value::Str(self.to_string())
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.str(self);
     }
 }
 
@@ -339,6 +551,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        (**self).stream(out);
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -346,6 +562,13 @@ impl<T: Serialize> Serialize for Option<T> {
         match self {
             None => Value::Null,
             Some(x) => x.to_value(),
+        }
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        match self {
+            None => out.null(),
+            Some(x) => x.stream(out),
         }
     }
 }
@@ -363,6 +586,10 @@ impl<T: Serialize> Serialize for Box<T> {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        (**self).stream(out);
+    }
 }
 
 impl<T: Deserialize> Deserialize for Box<T> {
@@ -374,6 +601,10 @@ impl<T: Deserialize> Deserialize for Box<T> {
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.seq(self);
     }
 }
 
@@ -391,11 +622,19 @@ impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.seq(self);
+    }
 }
 
 impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.seq(self);
     }
 }
 
@@ -451,6 +690,14 @@ impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
                 .collect(),
         )
     }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.begin_object();
+        for (k, v) in self {
+            out.field(&key_to_string(&k.to_value()), v);
+        }
+        out.end_object();
+    }
 }
 
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
@@ -489,6 +736,10 @@ impl<T: Serialize + Eq + std::hash::Hash> Serialize for HashSet<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
     }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.seq(self);
+    }
 }
 
 impl<T: Deserialize + Eq + std::hash::Hash> Deserialize for HashSet<T> {
@@ -506,6 +757,12 @@ macro_rules! tuple_impls {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn to_value(&self) -> Value {
                 Value::Array(vec![$(self.$n.to_value()),+])
+            }
+
+            fn stream<S: Sink>(&self, out: &mut S) {
+                out.begin_array();
+                $(self.$n.stream(out);)+
+                out.end_array();
             }
         }
         impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {

@@ -49,7 +49,7 @@ use smt::{
     solve_with_stats, Assumption, IncrementalSession, SatResult, SolverStats, TermId, TermPool,
 };
 use std::cell::Cell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -505,6 +505,32 @@ pub struct Verifier<'a> {
     solver: SolverTuning,
 }
 
+/// One place a safety suite poses a check, as visited by
+/// [`Verifier::for_each_site`].
+enum Site<'p> {
+    /// `I(edge)` through the import filter implies `I(receiver)`.
+    Import(EdgeId),
+    /// `I(sender)` through the export filter implies `I(edge)`.
+    Export(EdgeId),
+    /// The routes originated onto the edge satisfy `I(edge)`.
+    Originate(EdgeId),
+    /// `I(ℓ) ⟹ P` for the suite's property number `.0`.
+    Subsumption(usize, &'p SafetyProperty),
+}
+
+impl Site<'_> {
+    /// The location whose invariant the site's check assumes; `None`
+    /// for originate checks, which test concrete routes.
+    fn assumes(&self, topo: &Topology) -> Option<Location> {
+        match *self {
+            Site::Import(e) => Some(Location::Edge(e)),
+            Site::Export(e) => Some(Location::Node(topo.edge(e).src)),
+            Site::Originate(_) => None,
+            Site::Subsumption(_, p) => Some(p.location),
+        }
+    }
+}
+
 /// A fully-resolved check: descriptor plus the predicates its formula
 /// needs, self-contained so it can run on any thread.
 #[derive(Clone, Debug)]
@@ -691,7 +717,7 @@ impl<'a> Verifier<'a> {
 
     /// Verify a safety property under the given network invariants.
     pub fn verify_safety(&self, prop: &SafetyProperty, inv: &NetworkInvariants) -> Report {
-        let checks = self.generate_safety_checks(prop, inv);
+        let checks = self.resolve_suite(std::slice::from_ref(prop), inv);
         let mut u = self.universe(&[&prop.pred]);
         inv.register(&mut u);
         self.run(&u, &checks)
@@ -836,9 +862,39 @@ impl<'a> Verifier<'a> {
     /// namespace the indices of [`crate::check::CheckOutcome::core`]
     /// point into. `None` for concrete originate checks (no symbolic
     /// assume side). Renderers that blame many checks (the `--json`
-    /// `cores` output) should use this bulk form: it resolves the suite
-    /// once, not once per check.
+    /// `cores` output) should use this bulk form.
+    ///
+    /// No check is generated: the table follows the same site walk as
+    /// check generation (`Verifier::for_each_site`), borrows each
+    /// site's assumed invariant and renders every distinct predicate
+    /// once, however many checks assume it.
     pub fn check_conjuncts_all(
+        &self,
+        props: &[SafetyProperty],
+        inv: &NetworkInvariants,
+    ) -> Vec<Option<Vec<String>>> {
+        // Keyed by address: every borrow is the default, one override's
+        // entry, or the static `True`, all alive for the whole call.
+        let mut rendered: HashMap<*const RoutePred, Vec<String>> = HashMap::new();
+        let mut table = Vec::new();
+        self.for_each_site(props, |site| {
+            table.push(site.assumes(self.topo).map(|loc| {
+                let assume = inv.at_ref(self.topo, loc);
+                rendered
+                    .entry(assume)
+                    .or_insert_with(|| assume.conjuncts().iter().map(|p| p.to_string()).collect())
+                    .clone()
+            }));
+        });
+        table
+    }
+
+    /// The reference oracle for [`Verifier::check_conjuncts_all`]: the
+    /// same table read off the generated checks' bodies, one full check
+    /// generation per call. Tests compare the two; nothing else should
+    /// call it.
+    #[doc(hidden)]
+    pub fn check_conjuncts_reference(
         &self,
         props: &[SafetyProperty],
         inv: &NetworkInvariants,
@@ -953,41 +1009,130 @@ impl<'a> Verifier<'a> {
         )
     }
 
-    /// The check set of one `(properties, invariants)` suite: the shared
-    /// Import/Export/Originate checks plus one subsumption check per
-    /// property (the §4.3 lemma).
+    /// Walk the check sites of a safety suite in check-id order: per
+    /// edge (in edge order) its import, export and originate checks,
+    /// then one subsumption check per property (the §4.3 lemma: the
+    /// Import/Export/Originate checks depend only on the invariants).
+    /// Check generation and the conjunct table both follow this one
+    /// walk, so a site's position is its check id everywhere.
+    fn for_each_site<'p>(&self, props: &'p [SafetyProperty], mut visit: impl FnMut(Site<'p>)) {
+        if props.is_empty() {
+            return;
+        }
+        for e in self.topo.edge_ids() {
+            let edge = self.topo.edge(e);
+            if !self.topo.node(edge.dst).external {
+                visit(Site::Import(e));
+            }
+            if !self.topo.node(edge.src).external {
+                visit(Site::Export(e));
+                if !self.policy.originated(e).is_empty() {
+                    visit(Site::Originate(e));
+                }
+            }
+        }
+        for (i, p) in props.iter().enumerate() {
+            visit(Site::Subsumption(i, p));
+        }
+    }
+
+    /// The check set of one `(properties, invariants)` suite, one check
+    /// per site of [`Verifier::for_each_site`].
     fn resolve_suite(
         &self,
         props: &[SafetyProperty],
         inv: &NetworkInvariants,
     ) -> Vec<ResolvedCheck> {
-        let Some(first) = props.first() else {
-            return Vec::new();
+        let mut checks = Vec::new();
+        self.for_each_site(props, |site| {
+            let check = self.resolve_site(checks.len(), &site, inv);
+            checks.push(check);
+        });
+        checks
+    }
+
+    /// The check posed at one site.
+    fn resolve_site(&self, id: usize, site: &Site, inv: &NetworkInvariants) -> ResolvedCheck {
+        let topo = self.topo;
+        let assume = site.assumes(topo).map(|loc| inv.at(topo, loc));
+        let on_edge = |e: EdgeId, kind, map_name, description: String| Check {
+            id,
+            kind,
+            location: Location::Edge(e),
+            edge: Some(e),
+            map_name,
+            description,
         };
-        let mut checks = self.generate_safety_checks(first, inv);
-        // The generator appended `first`'s subsumption check last; add the
-        // remaining properties' subsumption checks after it.
-        for (id, p) in (checks.len()..).zip(&props[1..]) {
-            checks.push(ResolvedCheck {
+        match *site {
+            Site::Import(e) => ResolvedCheck {
+                check: on_edge(
+                    e,
+                    CheckKind::Import,
+                    self.policy.import_map(e).map(|m| m.name.clone()),
+                    format!("import on {} preserves the invariants", topo.edge_name(e)),
+                ),
+                body: CheckBody::Transfer {
+                    edge: e,
+                    is_import: true,
+                    assume: assume.expect("imports assume the edge invariant"),
+                    ensure: inv.at(topo, Location::Node(topo.edge(e).dst)),
+                    require_accept: false,
+                },
+            },
+            Site::Export(e) => ResolvedCheck {
+                check: on_edge(
+                    e,
+                    CheckKind::Export,
+                    self.policy.export_map(e).map(|m| m.name.clone()),
+                    format!("export on {} preserves the invariants", topo.edge_name(e)),
+                ),
+                body: CheckBody::Transfer {
+                    edge: e,
+                    is_import: false,
+                    assume: assume.expect("exports assume the sender's invariant"),
+                    ensure: inv.at(topo, Location::Edge(e)),
+                    require_accept: false,
+                },
+            },
+            Site::Originate(e) => ResolvedCheck {
+                check: on_edge(
+                    e,
+                    CheckKind::Originate,
+                    None,
+                    format!(
+                        "originated routes on {} satisfy the edge invariant",
+                        topo.edge_name(e)
+                    ),
+                ),
+                body: CheckBody::Originate {
+                    edge: e,
+                    ensure: inv.at(topo, Location::Edge(e)),
+                },
+            },
+            Site::Subsumption(index, p) => ResolvedCheck {
                 check: Check {
                     id,
                     kind: CheckKind::Subsumption,
                     location: p.location,
                     edge: None,
                     map_name: None,
+                    // The suite's first property is "the property"; the
+                    // ones sharing its invariants go by name.
                     description: format!(
                         "invariant at {} implies {}",
-                        p.location.display(self.topo),
-                        p.name.as_deref().unwrap_or("the property")
+                        p.location.display(topo),
+                        match (index, p.name.as_deref()) {
+                            (1.., Some(name)) => name,
+                            _ => "the property",
+                        }
                     ),
                 },
                 body: CheckBody::Implication {
-                    assume: inv.at(self.topo, p.location),
+                    assume: assume.expect("subsumption assumes the property location's invariant"),
                     ensure: p.pred.clone(),
                 },
-            });
+            },
         }
-        checks
     }
 
     /// The (union) attribute universe of the given suites: policy +
@@ -1014,7 +1159,7 @@ impl<'a> Verifier<'a> {
         changed: &[NodeId],
     ) -> Report {
         let checks: Vec<ResolvedCheck> = self
-            .generate_safety_checks(prop, inv)
+            .resolve_suite(std::slice::from_ref(prop), inv)
             .into_iter()
             .filter(|c| match c.body {
                 CheckBody::Transfer { edge, .. } | CheckBody::Originate { edge, .. } => {
@@ -1031,110 +1176,7 @@ impl<'a> Verifier<'a> {
 
     /// Number of checks a safety verification would run (for reporting).
     pub fn num_safety_checks(&self, prop: &SafetyProperty, inv: &NetworkInvariants) -> usize {
-        self.generate_safety_checks(prop, inv).len()
-    }
-
-    fn generate_safety_checks(
-        &self,
-        prop: &SafetyProperty,
-        inv: &NetworkInvariants,
-    ) -> Vec<ResolvedCheck> {
-        let mut out = Vec::new();
-        let mut id = 0;
-        for e in self.topo.edge_ids() {
-            let edge = self.topo.edge(e);
-            let edge_loc = Location::Edge(e);
-            // Import check (receiver internal).
-            if !self.topo.node(edge.dst).external {
-                let assume = inv.at(self.topo, edge_loc);
-                let ensure = inv.at(self.topo, Location::Node(edge.dst));
-                let map_name = self.policy.import_map(e).map(|m| m.name.clone());
-                out.push(ResolvedCheck {
-                    check: Check {
-                        id,
-                        kind: CheckKind::Import,
-                        location: edge_loc,
-                        edge: Some(e),
-                        map_name,
-                        description: format!(
-                            "import on {} preserves the invariants",
-                            self.topo.edge_name(e)
-                        ),
-                    },
-                    body: CheckBody::Transfer {
-                        edge: e,
-                        is_import: true,
-                        assume,
-                        ensure,
-                        require_accept: false,
-                    },
-                });
-                id += 1;
-            }
-            // Export + Originate checks (sender internal).
-            if !self.topo.node(edge.src).external {
-                let assume = inv.at(self.topo, Location::Node(edge.src));
-                let ensure = inv.at(self.topo, edge_loc);
-                let map_name = self.policy.export_map(e).map(|m| m.name.clone());
-                out.push(ResolvedCheck {
-                    check: Check {
-                        id,
-                        kind: CheckKind::Export,
-                        location: edge_loc,
-                        edge: Some(e),
-                        map_name,
-                        description: format!(
-                            "export on {} preserves the invariants",
-                            self.topo.edge_name(e)
-                        ),
-                    },
-                    body: CheckBody::Transfer {
-                        edge: e,
-                        is_import: false,
-                        assume,
-                        ensure: ensure.clone(),
-                        require_accept: false,
-                    },
-                });
-                id += 1;
-                if !self.policy.originated(e).is_empty() {
-                    out.push(ResolvedCheck {
-                        check: Check {
-                            id,
-                            kind: CheckKind::Originate,
-                            location: edge_loc,
-                            edge: Some(e),
-                            map_name: None,
-                            description: format!(
-                                "originated routes on {} satisfy the edge invariant",
-                                self.topo.edge_name(e)
-                            ),
-                        },
-                        body: CheckBody::Originate { edge: e, ensure },
-                    });
-                    id += 1;
-                }
-            }
-        }
-        // Subsumption: I_ℓ ⟹ P.
-        out.push(ResolvedCheck {
-            check: Check {
-                id,
-                kind: CheckKind::Subsumption,
-                location: prop.location,
-                edge: None,
-                map_name: None,
-                description: format!(
-                    "invariant at {} implies the property",
-                    prop.location.display(self.topo)
-                ),
-            },
-            body: CheckBody::Implication {
-                assume: inv.at(self.topo, prop.location),
-                ensure: prop.pred.clone(),
-            },
-        });
-        out
+        self.resolve_suite(std::slice::from_ref(prop), inv).len()
     }
 
     // ------------------------------------------------------------------

@@ -75,15 +75,19 @@ impl NetworkInvariants {
     /// out of external routers are unconstrained (`True`) regardless of
     /// overrides.
     pub fn at(&self, topo: &Topology, loc: Location) -> RoutePred {
+        self.at_ref(topo, loc).clone()
+    }
+
+    /// [`NetworkInvariants::at`] without the copy: the override's entry,
+    /// the default, or a static `True`.
+    pub fn at_ref(&self, topo: &Topology, loc: Location) -> &RoutePred {
+        static TRUE: RoutePred = RoutePred::True;
         if let Location::Edge(e) = loc {
             if topo.node(topo.edge(e).src).external {
-                return RoutePred::True;
+                return &TRUE;
             }
         }
-        self.overrides
-            .get(&loc)
-            .cloned()
-            .unwrap_or_else(|| self.default.clone())
+        self.overrides.get(&loc).unwrap_or(&self.default)
     }
 
     /// The raw override at a location, if any (ignores the external rule).

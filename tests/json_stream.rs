@@ -1,0 +1,247 @@
+//! The JSON layer's two contracts, over random inputs: text written by
+//! the streaming writer parses back to the value it was written from
+//! (both layouts), and every `api` document serialises to the same
+//! bytes whether it is streamed straight into the writer or rendered
+//! to a `Value` tree first — the document's one field description
+//! feeds both.
+
+use api::report::TimingDoc;
+use api::{
+    ApiCall, ApiRequest, ApiResponse, ConfigFile, CoreDoc, ExecDoc, FailureDoc, PropertyReport,
+    SpilledCheck,
+};
+use proptest::prelude::*;
+use serde_json::Value;
+
+/// Strings that exercise every escape class: quotes, backslashes, the
+/// named and the `\u00XX` control escapes, multi-byte text.
+fn arb_string() -> BoxedStrategy<String> {
+    const PALETTE: [&str; 16] = [
+        "a", "Z", "0", " ", "\"", "\\", "/", "\n", "\r", "\t", "\u{1}", "\u{1f}", "é", "日本",
+        "🚀", "->",
+    ];
+    prop::collection::vec(0usize..PALETTE.len(), 0..8)
+        .prop_map(|picks| picks.into_iter().map(|i| PALETTE[i]).collect())
+        .boxed()
+}
+
+/// Finite floats from the whole bit range (a non-finite one is written
+/// as `null` by design and would not round-trip).
+fn arb_float() -> BoxedStrategy<f64> {
+    any::<u64>()
+        .prop_map(|bits| {
+            let f = f64::from_bits(bits);
+            if f.is_finite() {
+                f
+            } else {
+                (bits >> 12) as f64 / 8.0
+            }
+        })
+        .boxed()
+}
+
+fn arb_value() -> BoxedStrategy<Value> {
+    let leaf = prop_oneof![
+        Just(Value::Null),
+        any::<bool>().prop_map(Value::Bool),
+        any::<u64>().prop_map(|u| Value::Int(u as i64)),
+        any::<u64>().prop_map(|u| Value::UInt(u | 1 << 63)),
+        arb_float().prop_map(Value::Float),
+        arb_string().prop_map(Value::Str),
+    ];
+    leaf.prop_recursive(4, 64, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4).prop_map(Value::Array),
+            prop::collection::vec((arb_string(), inner), 0..4).prop_map(Value::Object),
+        ]
+    })
+}
+
+fn arb_failure() -> BoxedStrategy<FailureDoc> {
+    (arb_string(), arb_string(), any::<bool>(), arb_string())
+        .prop_map(|(kind, location, has_map, description)| FailureDoc {
+            kind,
+            route_map: has_map.then(|| location.clone()),
+            location,
+            description,
+        })
+        .boxed()
+}
+
+fn arb_core() -> BoxedStrategy<CoreDoc> {
+    (
+        any::<u64>(),
+        arb_string(),
+        arb_string(),
+        prop::collection::vec(any::<u64>(), 0..4),
+        prop::collection::vec(arb_string(), 0..4),
+    )
+        .prop_map(|(check, kind, location, core, load_bearing)| CoreDoc {
+            check,
+            kind,
+            location,
+            conjuncts: load_bearing.len() as u64,
+            core,
+            load_bearing,
+        })
+        .boxed()
+}
+
+fn arb_report() -> BoxedStrategy<PropertyReport> {
+    (
+        arb_string(),
+        any::<bool>(),
+        any::<bool>(),
+        (any::<bool>(), any::<u64>(), arb_float(), arb_float()),
+        prop::collection::vec(arb_failure(), 0..3),
+        prop::collection::vec(arb_core(), 0..3),
+    )
+        .prop_map(
+            |(property, liveness, passed, (timed, calls, total, solve), failures, cores)| {
+                PropertyReport {
+                    property,
+                    liveness,
+                    passed,
+                    checks: calls >> 7,
+                    timing: timed.then_some(TimingDoc {
+                        solver_calls: calls,
+                        total_seconds: total,
+                        solve_seconds: solve,
+                    }),
+                    failures,
+                    cores,
+                }
+            },
+        )
+        .boxed()
+}
+
+fn arb_exec() -> BoxedStrategy<ExecDoc> {
+    (arb_string(), any::<u64>(), any::<u64>(), arb_float())
+        .prop_map(|(summary, a, b, dedup_ratio)| ExecDoc {
+            summary,
+            generated: a,
+            solver_calls: b,
+            dedup_hits: a >> 3,
+            cache_hits: b >> 5,
+            stale_cache_entries: a >> 40,
+            groups: b >> 40,
+            warm_assumption_solves: a ^ b,
+            dedup_ratio,
+            threads: a & 0xff,
+        })
+        .boxed()
+}
+
+fn arb_spill() -> BoxedStrategy<SpilledCheck> {
+    (
+        any::<bool>(),
+        any::<u32>(),
+        any::<u32>(),
+        prop::collection::vec(0usize..64, 0..4),
+        arb_value(),
+        arb_value(),
+    )
+        .prop_map(|(pass, vars, clauses, core, input, output)| {
+            let (vars, clauses) = (vars as u64, clauses as u64);
+            if pass {
+                SpilledCheck::Pass {
+                    vars,
+                    clauses,
+                    core: (vars % 2 == 0).then_some(core),
+                }
+            } else {
+                SpilledCheck::Fail {
+                    vars,
+                    clauses,
+                    rejected: clauses % 2 == 0,
+                    input,
+                    output,
+                }
+            }
+        })
+        .boxed()
+}
+
+fn arb_request() -> BoxedStrategy<ApiRequest> {
+    let configs = prop::collection::vec(
+        (arb_string(), arb_string()).prop_map(|(name, text)| ConfigFile { name, text }),
+        0..3,
+    );
+    (0u8..6, arb_string(), configs, arb_value(), any::<bool>())
+        .prop_map(|(which, tenant, configs, spec, some)| {
+            let call = match which {
+                0 => ApiCall::SubmitConfigs { configs, spec },
+                1 => ApiCall::SubmitDelta { configs },
+                2 => ApiCall::Verify,
+                3 => ApiCall::QueryCores {
+                    property: some.then(|| tenant.clone()),
+                },
+                4 => ApiCall::GetReport,
+                _ => ApiCall::Health,
+            };
+            ApiRequest::new(tenant, call)
+        })
+        .boxed()
+}
+
+/// Streamed text equals tree-rendered text, compact and indented.
+macro_rules! same_bytes {
+    ($doc:expr) => {{
+        let (doc, tree) = (&$doc, $doc.to_value());
+        let direct = serde_json::to_string(doc).unwrap();
+        prop_assert_eq!(&direct, &serde_json::to_string(&tree).unwrap());
+        prop_assert_eq!(
+            serde_json::to_string_pretty(doc).unwrap(),
+            serde_json::to_string_pretty(&tree).unwrap()
+        );
+        // And the tree is the document: nothing is lost on the way back.
+        prop_assert_eq!(serde_json::from_str::<Value>(&direct).unwrap(), tree);
+    }};
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn written_text_parses_back_to_the_value(v in arb_value()) {
+        let compact = serde_json::to_string(&v).unwrap();
+        prop_assert_eq!(&serde_json::from_str::<Value>(&compact).unwrap(), &v);
+        let pretty = serde_json::to_string_pretty(&v).unwrap();
+        prop_assert_eq!(&serde_json::from_str::<Value>(&pretty).unwrap(), &v);
+        // Containers of values stream without going through a tree.
+        let both = vec![v.clone(), v];
+        prop_assert_eq!(
+            serde_json::to_string(&both).unwrap(),
+            format!("[{compact},{compact}]")
+        );
+    }
+
+    #[test]
+    fn every_api_document_streams_the_bytes_of_its_tree(
+        failure in arb_failure(),
+        core in arb_core(),
+        report in arb_report(),
+        exec in arb_exec(),
+        spill in arb_spill(),
+        request in arb_request(),
+        result in arb_value(),
+    ) {
+        same_bytes!(failure);
+        same_bytes!(core);
+        same_bytes!(report);
+        same_bytes!(exec);
+        same_bytes!(spill);
+        same_bytes!(request);
+        let response = if report.passed {
+            ApiResponse::success(result)
+        } else {
+            ApiResponse::failure(failure.description.clone())
+        };
+        same_bytes!(response);
+        // The typed decoders read the streamed form back.
+        prop_assert_eq!(FailureDoc::from_value(&failure.to_value()), Some(failure));
+        prop_assert_eq!(CoreDoc::from_value(&core.to_value()), Some(core));
+        prop_assert_eq!(SpilledCheck::from_value(&spill.to_value()), Some(spill));
+    }
+}
