@@ -28,9 +28,10 @@
 //! ```
 
 use crate::ast::*;
-use crate::lexer::{lex, Line};
+use crate::lexer::{Lexer, Line};
 use bgp_model::prefix::Ipv4Prefix;
 use bgp_model::route::Community;
+use std::collections::{BTreeMap, HashSet};
 use std::fmt;
 
 /// A parse error with location information.
@@ -116,181 +117,268 @@ fn parse_ipv4_addr(line: &Line, tok: Option<&str>) -> Result<u32, ParseError> {
     Ok(u32::from_be_bytes(octets))
 }
 
-/// Parse one router's configuration text.
-pub fn parse_config(input: &str) -> Result<ConfigAst, ParseError> {
-    let lines = lex(input);
-    let mut ast = ConfigAst::default();
-    let mut i = 0;
-    while i < lines.len() {
-        let line = &lines[i];
-        if line.indented {
-            return err(line, "unexpected indented line outside a block");
-        }
-        match line.keyword() {
-            "hostname" => {
-                ast.hostname = match line.tok(1) {
-                    Some(h) => h.to_string(),
-                    None => return err(line, "hostname requires a name"),
-                };
-                i += 1;
-            }
-            "ip" => {
-                parse_ip_statement(line, &mut ast)?;
-                i += 1;
-            }
-            "route-map" => {
-                let name = match line.tok(1) {
-                    Some(n) => n.to_string(),
-                    None => return err(line, "route-map requires a name"),
-                };
-                let permit = parse_permit(line, line.tok(2))?;
-                let seq = parse_u32(line, line.tok(3), "sequence number")?;
-                let mut entry = RouteMapEntryAst {
-                    seq,
-                    permit,
-                    matches: Vec::new(),
-                    sets: Vec::new(),
-                    continue_to: None,
-                };
-                i += 1;
-                while i < lines.len() && lines[i].indented {
-                    parse_route_map_body(&lines[i], &mut entry)?;
-                    i += 1;
-                }
-                let entries = ast.route_maps.entry(name).or_default();
-                if entries.iter().any(|e| e.seq == seq) {
-                    return err(line, format!("duplicate route-map sequence {seq}"));
-                }
-                entries.push(entry);
-                entries.sort_by_key(|e| e.seq);
-            }
-            "router" => {
-                if line.tok(1) != Some("bgp") {
-                    return err(line, "only 'router bgp' is supported");
-                }
-                if ast.router_bgp.is_some() {
-                    return err(line, "duplicate 'router bgp' block");
-                }
-                let asn = parse_u32(line, line.tok(2), "AS number")?;
-                let mut bgp = RouterBgp {
-                    asn,
-                    ..Default::default()
-                };
-                i += 1;
-                while i < lines.len() && lines[i].indented {
-                    parse_bgp_body(&lines[i], &mut bgp)?;
-                    i += 1;
-                }
-                ast.router_bgp = Some(bgp);
-            }
-            other => return err(line, format!("unknown statement {other:?}")),
-        }
-    }
-    Ok(ast)
+/// Where one sequence-numbered entry was declared.
+#[derive(Clone, Copy)]
+struct Declared<'a> {
+    route_map: bool,
+    name: &'a str,
+    seq: u32,
+    line: usize,
 }
 
-fn parse_ip_statement(line: &Line, ast: &mut ConfigAst) -> Result<(), ParseError> {
-    match line.tok(1) {
-        Some("prefix-list") => {
-            let name = match line.tok(2) {
-                Some(n) => n.to_string(),
-                None => return err(line, "prefix-list requires a name"),
+/// The entry under `name`, made by `new` on first mention; an existing
+/// entry is found without building an owned key.
+fn entry_mut<'m, V>(
+    map: &'m mut BTreeMap<String, V>,
+    name: &str,
+    new: impl FnOnce() -> V,
+) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), new());
+    }
+    map.get_mut(name).expect("present or just inserted")
+}
+
+fn names(toks: &[&str]) -> Vec<String> {
+    toks.iter().map(|t| t.to_string()).collect()
+}
+
+struct Parser<'a> {
+    ast: ConfigAst,
+    /// Every prefix-list and route-map entry pushed so far, in order.
+    declared: Vec<Declared<'a>>,
+    /// Some list received a sequence number not above its last one: only
+    /// then can a list hold a duplicate or be out of order.
+    unsorted: bool,
+}
+
+/// Parse one router's configuration text.
+pub fn parse_config(input: &str) -> Result<ConfigAst, ParseError> {
+    let mut p = Parser {
+        ast: ConfigAst::default(),
+        declared: Vec::new(),
+        unsorted: false,
+    };
+    let parsed = p.statements(&mut Lexer::new(input));
+    if p.unsorted {
+        // Duplicates are looked for once, here, instead of on every
+        // push. The first entry that repeats an earlier `(list, seq)`
+        // is reported on its own line — also ahead of a later syntax
+        // error, which a check at push time would never have reached.
+        let mut seen = HashSet::with_capacity(p.declared.len());
+        if let Some(d) = p
+            .declared
+            .iter()
+            .find(|d| !seen.insert((d.route_map, d.name, d.seq)))
+        {
+            let kind = if d.route_map {
+                "route-map"
+            } else {
+                "prefix-list"
             };
-            if line.tok(3) != Some("seq") {
-                return err(line, "expected 'seq'");
-            }
-            let seq = parse_u32(line, line.tok(4), "sequence number")?;
-            let permit = parse_permit(line, line.tok(5))?;
-            let prefix = parse_prefix(line, line.tok(6))?;
-            let mut ge = None;
-            let mut le = None;
-            let mut k = 7;
-            while let Some(t) = line.tok(k) {
-                match t {
-                    "ge" => {
-                        ge = Some(parse_u8(line, line.tok(k + 1), "ge bound")?);
-                        k += 2;
-                    }
-                    "le" => {
-                        le = Some(parse_u8(line, line.tok(k + 1), "le bound")?);
-                        k += 2;
-                    }
-                    other => return err(line, format!("unexpected token {other:?}")),
-                }
-            }
-            if let Some(g) = ge {
-                if g < prefix.len || g > 32 {
-                    return err(line, format!("ge {g} out of range for {prefix}"));
-                }
-            }
-            if let Some(l) = le {
-                if l < ge.unwrap_or(prefix.len) || l > 32 {
-                    return err(line, format!("le {l} out of range for {prefix}"));
-                }
-            }
-            let entries = ast.prefix_lists.entry(name).or_default();
-            if entries.iter().any(|e| e.seq == seq) {
-                return err(line, format!("duplicate prefix-list sequence {seq}"));
-            }
-            entries.push(PrefixListEntry {
-                seq,
-                permit,
-                prefix,
-                ge,
-                le,
+            return Err(ParseError {
+                line: d.line,
+                message: format!("duplicate {kind} sequence {}", d.seq),
             });
-            entries.sort_by_key(|e| e.seq);
-            Ok(())
         }
-        Some("community-list") => {
-            if line.tok(2) != Some("standard") {
-                return err(line, "only standard community-lists are supported");
+        for list in p.ast.prefix_lists.values_mut() {
+            list.sort_by_key(|e| e.seq);
+        }
+        for list in p.ast.route_maps.values_mut() {
+            list.sort_by_key(|e| e.seq);
+        }
+    }
+    parsed?;
+    Ok(p.ast)
+}
+
+impl<'a> Parser<'a> {
+    fn declare(&mut self, d: Declared<'a>, last_seq: Option<u32>) {
+        self.unsorted |= last_seq.is_some_and(|last| d.seq <= last);
+        self.declared.push(d);
+    }
+
+    fn statements(&mut self, lx: &mut Lexer<'a>) -> Result<(), ParseError> {
+        let mut more = lx.advance();
+        while more {
+            let line = lx.line();
+            if line.indented {
+                return err(line, "unexpected indented line outside a block");
             }
-            let name = match line.tok(3) {
-                Some(n) => n.to_string(),
-                None => return err(line, "community-list requires a name"),
-            };
-            let permit = parse_permit(line, line.tok(4))?;
-            let mut communities = Vec::new();
-            for t in line.rest(5) {
-                communities.push(parse_community(line, t)?);
+            match line.keyword() {
+                "hostname" => {
+                    self.ast.hostname = match line.tok(1) {
+                        Some(h) => h.to_string(),
+                        None => return err(line, "hostname requires a name"),
+                    };
+                    more = lx.advance();
+                }
+                "ip" => {
+                    self.ip_statement(line)?;
+                    more = lx.advance();
+                }
+                "route-map" => {
+                    let name = match line.tok(1) {
+                        Some(n) => n,
+                        None => return err(line, "route-map requires a name"),
+                    };
+                    let permit = parse_permit(line, line.tok(2))?;
+                    let seq = parse_u32(line, line.tok(3), "sequence number")?;
+                    let number = line.number;
+                    let mut entry = RouteMapEntryAst {
+                        seq,
+                        permit,
+                        matches: Vec::new(),
+                        sets: Vec::new(),
+                        continue_to: None,
+                    };
+                    more = lx.advance();
+                    while more && lx.line().indented {
+                        parse_route_map_body(lx.line(), &mut entry)?;
+                        more = lx.advance();
+                    }
+                    let entries = entry_mut(&mut self.ast.route_maps, name, Vec::new);
+                    let last = entries.last().map(|e| e.seq);
+                    entries.push(entry);
+                    self.declare(
+                        Declared {
+                            route_map: true,
+                            name,
+                            seq,
+                            line: number,
+                        },
+                        last,
+                    );
+                }
+                "router" => {
+                    if line.tok(1) != Some("bgp") {
+                        return err(line, "only 'router bgp' is supported");
+                    }
+                    if self.ast.router_bgp.is_some() {
+                        return err(line, "duplicate 'router bgp' block");
+                    }
+                    let asn = parse_u32(line, line.tok(2), "AS number")?;
+                    let mut bgp = RouterBgp {
+                        asn,
+                        ..Default::default()
+                    };
+                    more = lx.advance();
+                    while more && lx.line().indented {
+                        parse_bgp_body(lx.line(), &mut bgp)?;
+                        more = lx.advance();
+                    }
+                    self.ast.router_bgp = Some(bgp);
+                }
+                other => return err(line, format!("unknown statement {other:?}")),
             }
-            if communities.is_empty() {
-                return err(line, "community-list entry needs at least one community");
+        }
+        Ok(())
+    }
+
+    fn ip_statement(&mut self, line: &Line<'a>) -> Result<(), ParseError> {
+        match line.tok(1) {
+            Some("prefix-list") => {
+                let name = match line.tok(2) {
+                    Some(n) => n,
+                    None => return err(line, "prefix-list requires a name"),
+                };
+                if line.tok(3) != Some("seq") {
+                    return err(line, "expected 'seq'");
+                }
+                let seq = parse_u32(line, line.tok(4), "sequence number")?;
+                let permit = parse_permit(line, line.tok(5))?;
+                let prefix = parse_prefix(line, line.tok(6))?;
+                let mut ge = None;
+                let mut le = None;
+                let mut k = 7;
+                while let Some(t) = line.tok(k) {
+                    match t {
+                        "ge" => {
+                            ge = Some(parse_u8(line, line.tok(k + 1), "ge bound")?);
+                            k += 2;
+                        }
+                        "le" => {
+                            le = Some(parse_u8(line, line.tok(k + 1), "le bound")?);
+                            k += 2;
+                        }
+                        other => return err(line, format!("unexpected token {other:?}")),
+                    }
+                }
+                if let Some(g) = ge {
+                    if g < prefix.len || g > 32 {
+                        return err(line, format!("ge {g} out of range for {prefix}"));
+                    }
+                }
+                if let Some(l) = le {
+                    if l < ge.unwrap_or(prefix.len) || l > 32 {
+                        return err(line, format!("le {l} out of range for {prefix}"));
+                    }
+                }
+                let entries = entry_mut(&mut self.ast.prefix_lists, name, Vec::new);
+                let last = entries.last().map(|e| e.seq);
+                entries.push(PrefixListEntry {
+                    seq,
+                    permit,
+                    prefix,
+                    ge,
+                    le,
+                });
+                self.declare(
+                    Declared {
+                        route_map: false,
+                        name,
+                        seq,
+                        line: line.number,
+                    },
+                    last,
+                );
+                Ok(())
             }
-            ast.community_lists
-                .entry(name)
-                .or_default()
-                .push(CommunityListEntry {
+            Some("community-list") => {
+                if line.tok(2) != Some("standard") {
+                    return err(line, "only standard community-lists are supported");
+                }
+                let name = match line.tok(3) {
+                    Some(n) => n,
+                    None => return err(line, "community-list requires a name"),
+                };
+                let permit = parse_permit(line, line.tok(4))?;
+                let mut communities = Vec::new();
+                for t in line.rest(5) {
+                    communities.push(parse_community(line, t)?);
+                }
+                if communities.is_empty() {
+                    return err(line, "community-list entry needs at least one community");
+                }
+                entry_mut(&mut self.ast.community_lists, name, Vec::new).push(CommunityListEntry {
                     permit,
                     communities,
                 });
-            Ok(())
+                Ok(())
+            }
+            Some("as-path") => {
+                if line.tok(2) != Some("access-list") {
+                    return err(line, "expected 'access-list'");
+                }
+                let name = match line.tok(3) {
+                    Some(n) => n,
+                    None => return err(line, "as-path access-list requires a name"),
+                };
+                let permit = parse_permit(line, line.tok(4))?;
+                let regex = line.rest(5).join(" ");
+                if regex.is_empty() {
+                    return err(line, "as-path access-list entry needs a regex");
+                }
+                // Validate eagerly so errors carry the line number.
+                if let Err(e) = bgp_model::AsPathRegex::compile(&regex) {
+                    return err(line, e.to_string());
+                }
+                entry_mut(&mut self.ast.aspath_acls, name, Vec::new)
+                    .push(AsPathAclEntry { permit, regex });
+                Ok(())
+            }
+            other => err(line, format!("unknown ip statement {other:?}")),
         }
-        Some("as-path") => {
-            if line.tok(2) != Some("access-list") {
-                return err(line, "expected 'access-list'");
-            }
-            let name = match line.tok(3) {
-                Some(n) => n.to_string(),
-                None => return err(line, "as-path access-list requires a name"),
-            };
-            let permit = parse_permit(line, line.tok(4))?;
-            let regex = line.rest(5).join(" ");
-            if regex.is_empty() {
-                return err(line, "as-path access-list entry needs a regex");
-            }
-            // Validate eagerly so errors carry the line number.
-            if let Err(e) = bgp_model::AsPathRegex::compile(&regex) {
-                return err(line, e.to_string());
-            }
-            ast.aspath_acls
-                .entry(name)
-                .or_default()
-                .push(AsPathAclEntry { permit, regex });
-            Ok(())
-        }
-        other => err(line, format!("unknown ip statement {other:?}")),
     }
 }
 
@@ -301,31 +389,34 @@ fn parse_route_map_body(line: &Line, entry: &mut RouteMapEntryAst) -> Result<(),
                 if line.tok(2) != Some("address") || line.tok(3) != Some("prefix-list") {
                     return err(line, "expected 'match ip address prefix-list NAME...'");
                 }
-                let names: Vec<String> = line.rest(4).to_vec();
-                if names.is_empty() {
+                if line.rest(4).is_empty() {
                     return err(line, "prefix-list match needs at least one name");
                 }
-                entry.matches.push(MatchAst::PrefixList(names));
+                entry
+                    .matches
+                    .push(MatchAst::PrefixList(names(line.rest(4))));
                 Ok(())
             }
             Some("community") => {
-                let mut lists: Vec<String> = line.rest(2).to_vec();
-                let exact = lists.last().map(String::as_str) == Some("exact-match");
+                let mut lists = line.rest(2);
+                let exact = lists.last() == Some(&"exact-match");
                 if exact {
-                    lists.pop();
+                    lists = &lists[..lists.len() - 1];
                 }
                 if lists.is_empty() {
                     return err(line, "community match needs at least one list name");
                 }
-                entry.matches.push(MatchAst::Community { lists, exact });
+                entry.matches.push(MatchAst::Community {
+                    lists: names(lists),
+                    exact,
+                });
                 Ok(())
             }
             Some("as-path") => {
-                let names: Vec<String> = line.rest(2).to_vec();
-                if names.is_empty() {
+                if line.rest(2).is_empty() {
                     return err(line, "as-path match needs at least one ACL name");
                 }
-                entry.matches.push(MatchAst::AsPath(names));
+                entry.matches.push(MatchAst::AsPath(names(line.rest(2))));
                 Ok(())
             }
             Some("metric") => {
@@ -368,15 +459,15 @@ fn parse_route_map_body(line: &Line, entry: &mut RouteMapEntryAst) -> Result<(),
                     });
                     return Ok(());
                 }
-                let mut toks: Vec<&str> = line.rest(2).iter().map(String::as_str).collect();
+                let mut toks = line.rest(2);
                 let additive = toks.last() == Some(&"additive");
                 if additive {
-                    toks.pop();
+                    toks = &toks[..toks.len() - 1];
                 }
                 if toks.is_empty() {
                     return err(line, "set community needs values or 'none'");
                 }
-                let mut communities = Vec::new();
+                let mut communities = Vec::with_capacity(toks.len());
                 for t in toks {
                     communities.push(parse_community(line, t)?);
                 }
@@ -451,16 +542,13 @@ fn parse_bgp_body(line: &Line, bgp: &mut RouterBgp) -> Result<(), ParseError> {
     match line.keyword() {
         "neighbor" => {
             let addr = match line.tok(1) {
-                Some(a) => a.to_string(),
+                Some(a) => a,
                 None => return err(line, "neighbor requires an address"),
             };
-            let nbr = bgp
-                .neighbors
-                .entry(addr.clone())
-                .or_insert_with(|| NeighborAst {
-                    addr,
-                    ..Default::default()
-                });
+            let nbr = entry_mut(&mut bgp.neighbors, addr, || NeighborAst {
+                addr: addr.to_string(),
+                ..Default::default()
+            });
             match line.tok(2) {
                 Some("remote-as") => {
                     nbr.remote_as = Some(parse_u32(line, line.tok(3), "AS number")?);

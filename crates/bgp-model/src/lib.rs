@@ -38,14 +38,3 @@ pub use route::{Community, Route};
 pub use routemap::{Action, MatchCond, RouteMap, RouteMapEntry, SetAction};
 pub use topology::{EdgeId, NodeId, Topology};
 pub use trace::{Event, Trace};
-
-/// Canonical JSON text of a serializable model value: the serde shim
-/// emits sorted map/set entries, so equal values produce equal strings.
-/// Nothing on the verdict path builds on it any more — fingerprints,
-/// spec digests and the semantic differ compare and hash the values
-/// themselves — it survives as the independent oracle tests hold those
-/// layers against. Coarser than `==` in one place: `None` and
-/// `Some(None)` both render as `null`.
-pub fn canonical_json<T: serde::Serialize>(x: &T) -> String {
-    serde_json::to_string(&x.to_value()).expect("canonical serialization")
-}

@@ -363,6 +363,33 @@ fn cmd_parse(args: &[String]) -> ExitCode {
 }
 
 fn cmd_verify(args: &[String]) -> ExitCode {
+    // Everything `verify` says on stdout, text or `--json`, is collected
+    // and written once, whichever way the run ends.
+    let mut out = String::new();
+    let code = verify(args, &mut out);
+    write_stdout(&out, code)
+}
+
+/// Hand a command's whole stdout text to stdout with one write. A reader
+/// that went away (`| head`) is not a failure of the run: the write
+/// stops quietly and `code`, the verdict's, stands. Any other write
+/// error is reported and exits 2.
+pub(crate) fn write_stdout(text: &str, code: ExitCode) -> ExitCode {
+    let mut stdout = std::io::stdout().lock();
+    match stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            eprintln!("error: cannot write report: {e}");
+            ExitCode::from(2)
+        }
+        _ => code,
+    }
+}
+
+fn verify(args: &[String], out: &mut String) -> ExitCode {
+    use std::fmt::Write as _;
     // A typo'd or retired option must fail loudly, not run with the
     // setting silently ignored.
     let stray = match positionals(
@@ -437,7 +464,8 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         match lightyear::load_check_cache_bounded(&cache_dir, cache_cap) {
             Ok((cache, loaded)) => {
                 if !as_json && loaded > 0 {
-                    println!(
+                    let _ = writeln!(
+                        out,
                         "cache: loaded {loaded} entries from {}",
                         cache_dir.display()
                     );
@@ -569,19 +597,21 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             )));
             report_time += t_report.elapsed();
         } else {
-            println!(
+            let _ = writeln!(
+                out,
                 "{}: {} ({} checks)",
                 s.name,
                 if passed { "verified" } else { "VIOLATED" },
                 report.num_checks(),
             );
             if !passed {
-                print!("{}", report.format_failures(topo));
+                out.push_str(&report.format_failures(topo));
             }
         }
     }
     if !as_json && !spec.safety.is_empty() {
-        println!(
+        let _ = writeln!(
+            out,
             "batch: {} properties, {} checks in {:?}",
             multi.summaries.len(),
             multi.num_checks(),
@@ -633,14 +663,15 @@ fn cmd_verify(args: &[String]) -> ExitCode {
             )));
             report_time += t_report.elapsed();
         } else {
-            println!(
+            let _ = writeln!(
+                out,
                 "{} (liveness): {} ({} checks)",
                 l.name,
                 if passed { "verified" } else { "VIOLATED" },
                 report.num_checks(),
             );
             if !passed {
-                print!("{}", report.format_failures(topo));
+                out.push_str(&report.format_failures(topo));
             }
         }
     }
@@ -648,14 +679,18 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         if as_json {
             json_out.push(JsonEntry::Exec(render::exec_doc(&exec)));
         } else {
-            println!("{}", exec.summary());
+            let _ = writeln!(out, "{}", exec.summary());
         }
     }
     if let Some(c) = &cache {
         match lightyear::save_check_cache(c, &cache_dir) {
             Ok(written) => {
                 if !as_json {
-                    println!("cache: saved {written} entries to {}", cache_dir.display());
+                    let _ = writeln!(
+                        out,
+                        "cache: saved {written} entries to {}",
+                        cache_dir.display()
+                    );
                 }
             }
             Err(e) => eprintln!("warning: cannot save cache to {}: {e}", cache_dir.display()),
@@ -687,10 +722,7 @@ fn cmd_verify(args: &[String]) -> ExitCode {
         obs::uninstall();
     }
     if as_json {
-        if let Err(e) = write_json_report(&json_out) {
-            eprintln!("error: cannot write report: {e}");
-            return ExitCode::from(2);
-        }
+        render_json_report(&json_out, out);
     }
     if any_failed {
         ExitCode::FAILURE
@@ -722,10 +754,8 @@ impl Serialize for JsonEntry {
     }
 }
 
-/// Serialise the report array once, into one buffer, and hand it to
-/// stdout whole. A reader that went away (`| head`) is not a failure of
-/// the run: the write stops quietly and the verdict keeps its exit code.
-fn write_json_report(entries: &[JsonEntry]) -> std::io::Result<()> {
+/// Serialise the report array once, onto the end of `out`.
+fn render_json_report(entries: &[JsonEntry], out: &mut String) {
     // A size hint, not a bound: an indented core or failure entry is
     // about 250 bytes on the WAN workloads.
     let rows: usize = entries
@@ -735,18 +765,12 @@ fn write_json_report(entries: &[JsonEntry]) -> std::io::Result<()> {
             JsonEntry::Exec(_) | JsonEntry::Telemetry(_) => 16,
         })
         .sum();
-    let mut ser = serde_json::Serializer::pretty(String::with_capacity(256 * rows));
+    let mut text = std::mem::take(out);
+    text.reserve(256 * rows);
+    let mut ser = serde_json::Serializer::pretty(text);
     entries.stream(&mut ser);
-    let mut text = ser.into_inner();
-    text.push('\n');
-    let mut stdout = std::io::stdout().lock();
-    match stdout
-        .write_all(text.as_bytes())
-        .and_then(|()| stdout.flush())
-    {
-        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
-        result => result,
-    }
+    *out = ser.into_inner();
+    out.push('\n');
 }
 
 /// `lightyear bench-report A.json B.json`: diff two bench gate files

@@ -271,6 +271,7 @@ impl Daemon {
             &outcome,
         );
         t.reports = outcome.reports;
+        print!("{}", outcome.violations);
         println!("{}", t.line);
         self.reg
             .counter_labeled(&format!("serve.tenant.{tenant}.rounds"))

@@ -36,6 +36,10 @@ pub(crate) struct RoundOutcome {
     pub(crate) stats: ReverifyStats,
     pub(crate) delta: Option<ConfigDelta>,
     pub(crate) elapsed: Duration,
+    /// The text a round shows before its stats line: per violated
+    /// property, `NAME: VIOLATED` and the localized failures. Empty on a
+    /// verified round.
+    pub(crate) violations: String,
     /// Per-property reports rendered through the shared [`api`] schema
     /// — deliberately without timing fields, so two rounds over the
     /// same configurations serialize byte-identically.
@@ -139,6 +143,7 @@ impl Session {
             .collect::<Result<_, _>>()?;
         let mut stats = ReverifyStats::default();
         let mut passed = true;
+        let mut violations = String::new();
         let mut reports = Vec::with_capacity(self.spec.safety.len());
         for (engine, (s, (prop, inv))) in self
             .engines
@@ -154,8 +159,8 @@ impl Session {
             merge(&mut stats, &rstats);
             if !report.all_passed() {
                 passed = false;
-                println!("{}: VIOLATED", s.name);
-                print!("{}", report.format_failures(topo));
+                violations.push_str(&format!("{}: VIOLATED\n", s.name));
+                violations.push_str(&report.format_failures(topo));
             }
             let conjs = verifier.check_conjuncts_all(std::slice::from_ref(prop), inv);
             reports.push(render::property_report(
@@ -173,6 +178,7 @@ impl Session {
             stats,
             delta,
             elapsed: t0.elapsed(),
+            violations,
             reports,
         })
     }

@@ -200,6 +200,7 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
     let base_dir = baseline.clone().unwrap_or_else(|| dir.clone());
     let mut ok = match load_configs(Path::new(&base_dir)).and_then(|a| state.round(a, true)) {
         Ok(o) => {
+            print!("{}", o.violations);
             println!("{}", round_line(&format!("baseline {base_dir}"), &o));
             state.spill();
             tele.baseline_done(o.passed, o.elapsed);
@@ -219,6 +220,7 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
                 Ok(o) => {
                     ok &= o.passed;
                     let n = tele.round_done(ok, o.elapsed, None);
+                    print!("{}", o.violations);
                     println!("{}", round_line(&format!("round {n}"), &o));
                     state.spill();
                     tele.print_totals();
@@ -293,6 +295,7 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
                 Ok(o) => {
                     ok = o.passed;
                     rounds = tele.round_done(ok, o.elapsed, None);
+                    print!("{}", o.violations);
                     println!("{}", round_line(&format!("round {rounds}"), &o));
                     state.spill();
                     last_failed = None;
@@ -354,29 +357,33 @@ pub(crate) fn cmd_plan(args: &[String]) -> ExitCode {
     };
     let mut state = Session::new("plan", spec, None);
     let mut all_ok = true;
+    // The whole plan is one report: collected here, written once.
+    let mut out = String::new();
     for (step, d) in dirs.iter().enumerate() {
         let outcome = load_configs(Path::new(d)).and_then(|a| state.round(a, step == 0));
         match outcome {
             Ok(o) => {
-                println!("{}", round_line(&format!("step {step} ({d})"), &o));
+                out.push_str(&o.violations);
+                out.push_str(&round_line(&format!("step {step} ({d})"), &o));
+                out.push('\n');
                 all_ok &= o.passed;
             }
             Err(e) => {
                 eprintln!("error: step {step} ({d}): {e}");
-                return ExitCode::FAILURE;
+                return crate::write_stdout(&out, ExitCode::FAILURE);
             }
         }
     }
-    println!(
-        "plan: {} steps, {}",
+    out.push_str(&format!(
+        "plan: {} steps, {}\n",
         dirs.len(),
         if all_ok {
             "every intermediate configuration verified"
         } else {
             "UNSAFE — at least one intermediate configuration fails"
         }
-    );
-    exit(all_ok)
+    ));
+    crate::write_stdout(&out, exit(all_ok))
 }
 
 /// One byte-level read of a directory's config files, keyed by path.

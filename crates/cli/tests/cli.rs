@@ -729,91 +729,130 @@ fn report_of(out: &std::process::Output) -> String {
         .join("\n")
 }
 
-/// A spill written before the fingerprint format changed (`FP_VERSION`
-/// 1, keys were hashes of canonical JSON): produced by the previous
-/// release's `verify --cache-dir` on exactly the `R1`/`R2`/`SPEC`
-/// network of this file.
-const CACHE_FP_V1: &str = include_str!("fixtures/cache-fp-v1.json");
+/// Spills written before the fingerprint format changed, by earlier
+/// releases' `verify --cache-dir` on exactly the `R1`/`R2`/`SPEC`
+/// network of this file: `FP_VERSION` 1 (keys were hashes of canonical
+/// JSON) and `FP_VERSION` 2 (a byte-wise walk of the value). Neither
+/// file says which key version it holds — the spill format only
+/// started recording that with version 3.
+const PRE_UPGRADE_CACHES: [(&str, &str); 2] = [
+    ("fp-v1", include_str!("fixtures/cache-fp-v1.json")),
+    ("fp-v2", include_str!("fixtures/cache-fp-v2.json")),
+];
+
+/// The fingerprint keys of a spill file, in file order.
+fn spill_keys(text: &str) -> Vec<String> {
+    let doc: serde_json::Value = serde_json::from_str(text).unwrap();
+    let entries = doc["entries"].as_object().unwrap();
+    entries.iter().map(|(k, _)| k.clone()).collect()
+}
 
 #[test]
 fn pre_upgrade_cache_is_a_miss_never_a_wrong_hit() {
-    // Old-format keys load cleanly (their checksums still verify),
-    // answer nothing, every check is re-proved to the same report, and
-    // the run's save is keyed by the current format: the next run is
-    // fully warm.
-    let d = tmpdir("cache-fp-v1");
-    write_net(&d, R2);
-    let cache_dir = d.join("cache");
-    let run = |with_cache: bool| {
-        let mut c = Command::new(bin());
-        c.args(["verify", "--jobs", "1", "--configs"])
-            .arg(&d)
-            .arg("--spec")
-            .arg(d.join("spec.json"));
-        if with_cache {
-            c.arg("--cache-dir").arg(&cache_dir);
-        }
-        let out = c.output().unwrap();
-        assert!(out.status.success());
-        out
-    };
-    let text = |out: &std::process::Output| String::from_utf8_lossy(&out.stdout).to_string();
-    let uncached = run(false);
+    // A spill keyed under a dead format loads nothing, every check is
+    // re-proved to the same report, and the run's save *replaces* the
+    // file: only current keys on disk, and the next run is fully warm.
+    for (name, old_spill) in PRE_UPGRADE_CACHES {
+        let d = tmpdir(&format!("cache-{name}"));
+        write_net(&d, R2);
+        let cache_dir = d.join("cache");
+        let run = |with_cache: bool| {
+            let mut c = Command::new(bin());
+            c.args(["verify", "--jobs", "1", "--configs"])
+                .arg(&d)
+                .arg("--spec")
+                .arg(d.join("spec.json"));
+            if with_cache {
+                c.arg("--cache-dir").arg(&cache_dir);
+            }
+            let out = c.output().unwrap();
+            assert!(out.status.success());
+            out
+        };
+        let text = |out: &std::process::Output| String::from_utf8_lossy(&out.stdout).to_string();
+        let uncached = run(false);
 
-    fs::create_dir_all(&cache_dir).unwrap();
-    fs::write(cache_dir.join("cache.json"), CACHE_FP_V1).unwrap();
-    let upgraded = run(true);
-    let out = text(&upgraded);
-    assert!(out.contains("cache: loaded 6 entries"), "{out}");
-    assert!(
-        out.contains("9 checks -> 6 solver calls (3 deduped, 0 cached"),
-        "old keys must answer nothing: {out}"
-    );
-    assert_eq!(report_of(&uncached), report_of(&upgraded));
+        fs::create_dir_all(&cache_dir).unwrap();
+        fs::write(cache_dir.join("cache.json"), old_spill).unwrap();
+        let upgraded = run(true);
+        let out = text(&upgraded);
+        assert!(!out.contains("cache: loaded"), "{name}: {out}");
+        assert!(
+            out.contains("9 checks -> 6 solver calls (3 deduped, 0 cached"),
+            "{name}: old keys must answer nothing: {out}"
+        );
+        assert!(out.contains("cache: saved 6 entries"), "{name}: {out}");
+        assert_eq!(report_of(&uncached), report_of(&upgraded), "{name}");
 
-    let out = text(&run(true));
-    assert!(
-        out.contains("9 checks -> 0 solver calls (3 deduped, 9 cached"),
-        "the save after the upgrade is keyed by the new format: {out}"
-    );
-    assert!(out.contains("no-transit: verified (9 checks)"), "{out}");
+        let saved = fs::read_to_string(cache_dir.join("cache.json")).unwrap();
+        assert!(saved.contains("\"key_version\": 3"), "{name}: {saved}");
+        let (old_keys, new_keys) = (spill_keys(old_spill), spill_keys(&saved));
+        assert_eq!(new_keys.len(), 6, "{name}: dead keys were carried over");
+        assert!(new_keys.iter().all(|k| !old_keys.contains(k)), "{name}");
+
+        let out = text(&run(true));
+        assert!(out.contains("cache: loaded 6 entries"), "{name}: {out}");
+        assert!(
+            out.contains("9 checks -> 0 solver calls (3 deduped, 9 cached"),
+            "{name}: the save after the upgrade is keyed by the new format: {out}"
+        );
+        assert!(
+            out.contains("no-transit: verified (9 checks)"),
+            "{name}: {out}"
+        );
+    }
 }
 
 #[test]
 fn watch_restart_over_pre_upgrade_cache_is_one_full_round() {
     // The daemon's warm restart (`ReverifyEngine::with_results` over
-    // the reloaded spill) after an upgrade: the first baseline is
-    // `dirty N/N` once, the one after it `dirty 0/N` again.
-    let d = tmpdir("watch-cache-fp-v1");
-    write_net(&d, R2);
-    let cache = d.join("cache");
-    fs::create_dir_all(cache.join("prop0")).unwrap();
-    fs::write(cache.join("prop0").join("cache.json"), CACHE_FP_V1).unwrap();
-    let baseline = || {
-        let out = Command::new(bin())
-            .args(["watch", "--once", "--configs"])
-            .arg(&d)
-            .arg("--spec")
-            .arg(d.join("spec.json"))
-            .arg("--cache-dir")
-            .arg(&cache)
-            .output()
-            .unwrap();
-        let text = String::from_utf8_lossy(&out.stdout).to_string();
-        assert!(out.status.success(), "{text}");
-        assert!(text.contains("watch: cache: loaded"), "{text}");
-        text.lines()
-            .find(|l| l.starts_with("baseline"))
-            .unwrap_or_else(|| panic!("no baseline line: {text}"))
-            .to_string()
-    };
-    let first = baseline();
-    assert!(first.contains("dirty 9/9 checks"), "{first}");
-    assert!(first.contains(", 0 cached"), "{first}");
-    assert!(first.contains("verified"), "{first}");
-    let second = baseline();
-    assert!(second.contains("dirty 0/9 checks"), "{second}");
-    assert!(second.contains("verified"), "{second}");
+    // the reloaded spill) after an upgrade: nothing loads, the first
+    // baseline is `dirty N/N` once and leaves only current keys on
+    // disk, the one after it is `dirty 0/N` again.
+    for (name, old_spill) in PRE_UPGRADE_CACHES {
+        let d = tmpdir(&format!("watch-cache-{name}"));
+        write_net(&d, R2);
+        let cache = d.join("cache");
+        let spill = cache.join("prop0").join("cache.json");
+        fs::create_dir_all(cache.join("prop0")).unwrap();
+        fs::write(&spill, old_spill).unwrap();
+        let baseline = |loads: bool| {
+            let out = Command::new(bin())
+                .args(["watch", "--once", "--configs"])
+                .arg(&d)
+                .arg("--spec")
+                .arg(d.join("spec.json"))
+                .arg("--cache-dir")
+                .arg(&cache)
+                .output()
+                .unwrap();
+            let text = String::from_utf8_lossy(&out.stdout).to_string();
+            assert!(out.status.success(), "{name}: {text}");
+            assert_eq!(
+                text.contains("watch: cache: loaded"),
+                loads,
+                "{name}: {text}"
+            );
+            text.lines()
+                .find(|l| l.starts_with("baseline"))
+                .unwrap_or_else(|| panic!("{name}: no baseline line: {text}"))
+                .to_string()
+        };
+        let first = baseline(false);
+        assert!(first.contains("dirty 9/9 checks"), "{name}: {first}");
+        assert!(first.contains(", 0 cached"), "{name}: {first}");
+        assert!(first.contains("verified"), "{name}: {first}");
+        let saved = fs::read_to_string(&spill).unwrap();
+        let old_keys = spill_keys(old_spill);
+        assert!(saved.contains("\"key_version\": 3"), "{name}: {saved}");
+        assert!(
+            spill_keys(&saved).iter().all(|k| !old_keys.contains(k)),
+            "{name}: dead keys were carried over"
+        );
+        let second = baseline(true);
+        assert!(second.contains("dirty 0/9 checks"), "{name}: {second}");
+        assert!(second.contains("verified"), "{name}: {second}");
+    }
 }
 
 /// Read the child's piped stdout until `needle` appears (accumulating
@@ -1152,30 +1191,38 @@ fn deeply_nested_spec_is_a_clean_error_not_a_stack_overflow() {
 
 #[test]
 fn closed_stdout_reader_keeps_the_verdict_exit_code() {
-    // `verify --json | head`: the reader goes away before (or while)
-    // the report is written. That is not an error of the run — the exit
-    // code must still be the verdict's, with no panic on stderr.
+    // `verify | head`, with and without `--json`, and `plan | head`: the
+    // reader goes away before (or while) the report is written. That is
+    // not an error of the run — the exit code must still be the
+    // verdict's, with no panic on stderr.
     let broken = R2.replace(" neighbor 10.0.0.2 route-map TO-ISP2 out\n", "");
     for (name, r2, expect) in [("verified", R2, 0), ("violated", broken.as_str(), 1)] {
         let d = tmpdir(&format!("closed-pipe-{name}"));
         write_net(&d, r2);
-        let mut child = Command::new(bin())
-            .args(["verify", "--json", "--configs"])
-            .arg(&d)
-            .arg("--spec")
-            .arg(d.join("spec.json"))
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::piped())
-            .spawn()
-            .unwrap();
-        // Close the read end at once: the child's one write finds no
-        // reader.
-        drop(child.stdout.take());
-        let out = child.wait_with_output().unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(expect), "{name}: {stderr}");
-        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
-        assert!(!stderr.contains("cannot write report"), "{name}: {stderr}");
+        let (dir, spec) = (d.to_str().unwrap(), d.join("spec.json"));
+        let spec = spec.to_str().unwrap();
+        let commands: [&[&str]; 3] = [
+            &["verify", "--json", "--configs", dir, "--spec", spec],
+            &["verify", "--configs", dir, "--spec", spec],
+            &["plan", "--spec", spec, dir, dir],
+        ];
+        for args in commands {
+            let mut child = Command::new(bin())
+                .args(args)
+                .stdout(std::process::Stdio::piped())
+                .stderr(std::process::Stdio::piped())
+                .spawn()
+                .unwrap();
+            // Close the read end at once: the child's one write finds no
+            // reader.
+            drop(child.stdout.take());
+            let out = child.wait_with_output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            let what = format!("{name} {} {}", args[0], args[1]);
+            assert_eq!(out.status.code(), Some(expect), "{what}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+            assert!(!stderr.contains("cannot write report"), "{what}: {stderr}");
+        }
     }
 }
 

@@ -244,7 +244,7 @@ impl Report {
     pub fn summarize(&self) -> ReportSummary {
         let mut s = ReportSummary::new(true);
         for o in &self.outcomes {
-            s.push(o.clone());
+            s.push_with(&o.result, &o.stats, o.core.as_ref(), || o.check.clone());
         }
         if self.exec.generated > 0 {
             s.set_solver_invocations(self.exec.executed);
@@ -323,22 +323,46 @@ impl ReportSummary {
 
     /// Fold in one outcome (call in check-id order).
     pub fn push(&mut self, o: CheckOutcome) {
+        let CheckOutcome {
+            check,
+            result,
+            stats,
+            core,
+        } = o;
+        self.push_with(&result, &stats, core.as_ref(), || check);
+    }
+
+    /// [`ReportSummary::push`] over a borrowed verdict: the result and
+    /// the core are copied, and `describe` is called (at most once),
+    /// only when the summary keeps the outcome — a failure, or a core
+    /// under `keep_cores`. A passing check nobody will render costs
+    /// four aggregate updates and no allocation.
+    pub(crate) fn push_with(
+        &mut self,
+        result: &CheckResult,
+        stats: &SolverStats,
+        core: Option<&Vec<usize>>,
+        describe: impl FnOnce() -> Check,
+    ) {
         self.checks += 1;
-        self.max_vars = self.max_vars.max(o.stats.num_vars);
-        self.max_clauses = self.max_clauses.max(o.stats.num_clauses);
-        self.solve_time += o.stats.solve_time;
-        self.encode_time += o.stats.encode_time;
-        if !o.result.passed() {
-            if self.keep_cores {
-                if let Some(core) = &o.core {
-                    self.cores.push((o.check.clone(), core.clone()));
-                }
+        self.max_vars = self.max_vars.max(stats.num_vars);
+        self.max_clauses = self.max_clauses.max(stats.num_clauses);
+        self.solve_time += stats.solve_time;
+        self.encode_time += stats.encode_time;
+        let kept_core = core.filter(|_| self.keep_cores);
+        if !result.passed() {
+            let check = describe();
+            if let Some(core) = kept_core {
+                self.cores.push((check.clone(), core.clone()));
             }
-            self.failures.push(o);
-        } else if self.keep_cores {
-            if let Some(core) = o.core {
-                self.cores.push((o.check, core));
-            }
+            self.failures.push(CheckOutcome {
+                check,
+                result: result.clone(),
+                stats: *stats,
+                core: core.cloned(),
+            });
+        } else if let Some(core) = kept_core {
+            self.cores.push((describe(), core.clone()));
         }
     }
 

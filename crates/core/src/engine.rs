@@ -33,7 +33,7 @@ use crate::check::{
     Check, CheckKind, CheckOutcome, CheckResult, Counterexample, Report, ReportSummary,
 };
 use crate::encode::{encode_export, encode_import, Transfer};
-use crate::fingerprint::{check_fingerprint, universe_digest};
+use crate::fingerprint::{universe_digest, FpParts, FP_VERSION};
 use crate::ghost::GhostAttr;
 use crate::invariants::{Location, NetworkInvariants};
 use crate::pred::RoutePred;
@@ -50,6 +50,7 @@ use smt::{
 };
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -178,14 +179,14 @@ pub fn load_check_cache_bounded(
         Some(cap) => CheckCache::bounded(cap),
         None => CheckCache::new(),
     });
-    let loaded = cache.load_from_dir(dir, SolvedCheck::from_spill)?;
+    let loaded = cache.load_from_dir(dir, FP_VERSION, SolvedCheck::from_spill)?;
     Ok((cache, loaded))
 }
 
 /// Spill a [`CheckCache`] to `dir/cache.json` (passes and failures; see
 /// [`SolvedCheck::spill_value`]). Returns the number of entries written.
 pub fn save_check_cache(cache: &CheckCache, dir: &std::path::Path) -> std::io::Result<usize> {
-    cache.save_to_dir(dir, SolvedCheck::spill_value)
+    cache.save_to_dir(dir, FP_VERSION, SolvedCheck::spill_value)
 }
 
 /// Load a [`CheckCache`] keeping only **passing** entries. This is the
@@ -196,7 +197,7 @@ pub fn save_check_cache(cache: &CheckCache, dir: &std::path::Path) -> std::io::R
 /// re-validation — so failures are dropped and simply re-proved.
 pub fn load_pass_cache(dir: &std::path::Path) -> std::io::Result<(Arc<CheckCache>, usize)> {
     let cache = Arc::new(CheckCache::new());
-    let loaded = cache.load_from_dir(dir, |v| {
+    let loaded = cache.load_from_dir(dir, FP_VERSION, |v| {
         SolvedCheck::from_spill(v).filter(|s| s.result.passed())
     })?;
     Ok((cache, loaded))
@@ -505,59 +506,118 @@ pub struct Verifier<'a> {
     solver: SolverTuning,
 }
 
-/// One place a safety suite poses a check, as visited by
-/// [`Verifier::for_each_site`].
-enum Site<'p> {
+/// One place a check is posed: a site of a safety suite as visited by
+/// [`Verifier::for_each_site`], or a step of a liveness path. A site is
+/// all [`Verifier::describe`] needs to build the check's public
+/// descriptor, so the pipeline carries sites and builds a [`Check`] only
+/// for an outcome somebody keeps.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum Site<'p> {
     /// `I(edge)` through the import filter implies `I(receiver)`.
     Import(EdgeId),
     /// `I(sender)` through the export filter implies `I(edge)`.
     Export(EdgeId),
     /// The routes originated onto the edge satisfy `I(edge)`.
     Originate(EdgeId),
-    /// `I(ℓ) ⟹ P` for the suite's property number `.0`.
-    Subsumption(usize, &'p SafetyProperty),
+    /// `I(ℓ) ⟹ P` for one property of the suite; `.0` on its first.
+    Subsumption(bool, &'p SafetyProperty),
+    /// Liveness: good routes survive the path step across the edge.
+    Propagation { edge: EdgeId, is_import: bool },
+    /// Liveness: the last path constraint implies the property there.
+    Final(Location),
 }
 
 impl Site<'_> {
-    /// The location whose invariant the site's check assumes; `None`
-    /// for originate checks, which test concrete routes.
+    /// The location whose invariant a safety site's check assumes;
+    /// `None` for originate checks, which test concrete routes (and for
+    /// liveness steps, which assume path constraints, not invariants).
     fn assumes(&self, topo: &Topology) -> Option<Location> {
         match *self {
             Site::Import(e) => Some(Location::Edge(e)),
             Site::Export(e) => Some(Location::Node(topo.edge(e).src)),
-            Site::Originate(_) => None,
             Site::Subsumption(_, p) => Some(p.location),
+            Site::Originate(_) | Site::Propagation { .. } | Site::Final(_) => None,
+        }
+    }
+
+    fn kind(&self) -> CheckKind {
+        match self {
+            Site::Import(_) => CheckKind::Import,
+            Site::Export(_) => CheckKind::Export,
+            Site::Originate(_) => CheckKind::Originate,
+            Site::Subsumption(..) | Site::Final(_) => CheckKind::Subsumption,
+            Site::Propagation { .. } => CheckKind::Propagation,
+        }
+    }
+
+    /// The location the site's check pertains to.
+    fn location(&self, topo: &Topology) -> Location {
+        match *self {
+            Site::Import(e) | Site::Export(e) | Site::Originate(e) => Location::Edge(e),
+            Site::Subsumption(_, p) => p.location,
+            // The path location the step arrives at.
+            Site::Propagation {
+                edge,
+                is_import: true,
+            } => Location::Node(topo.edge(edge).dst),
+            Site::Propagation { edge, .. } => Location::Edge(edge),
+            Site::Final(loc) => loc,
         }
     }
 }
 
-/// A fully-resolved check: descriptor plus the predicates its formula
-/// needs, self-contained so it can run on any thread.
-#[derive(Clone, Debug)]
-pub(crate) struct ResolvedCheck {
-    pub(crate) check: Check,
-    pub(crate) body: CheckBody,
+/// A fully-resolved check: its id within the run, the site that posed
+/// it and the predicates its formula needs, borrowed from the invariants
+/// and properties (or from predicates the caller built and holds beside
+/// the checks).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ResolvedCheck<'a> {
+    pub(crate) id: usize,
+    pub(crate) site: Site<'a>,
+    pub(crate) body: CheckBody<'a>,
 }
 
-#[derive(Clone, Debug)]
-pub(crate) enum CheckBody {
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum CheckBody<'a> {
     /// assume(r) ∧ r' = transfer(r) ⟹ reject ∨ ensure(r')
     Transfer {
         edge: EdgeId,
         is_import: bool,
-        assume: RoutePred,
-        ensure: RoutePred,
+        assume: &'a RoutePred,
+        ensure: &'a RoutePred,
         /// Liveness propagation: additionally require non-rejection and
         /// drop the `reject ∨ ...` escape.
         require_accept: bool,
     },
     /// Concrete: every originated route satisfies the predicate.
-    Originate { edge: EdgeId, ensure: RoutePred },
+    Originate { edge: EdgeId, ensure: &'a RoutePred },
     /// assume(r) ⟹ ensure(r)
     Implication {
-        assume: RoutePred,
-        ensure: RoutePred,
+        assume: &'a RoutePred,
+        ensure: &'a RoutePred,
     },
+}
+
+/// The digests of one check (see [`Verifier::batch_digests`]).
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CheckDigests {
+    /// The check's fingerprint: the dedup and cache key.
+    pub check: Fingerprint,
+    /// Everything but the assumed invariant; `None` for originate checks.
+    pub rest: Option<Fingerprint>,
+    /// The edge's transfer relation alone; `None` off transfer checks.
+    pub transfer: Option<Fingerprint>,
+}
+
+/// [`Check`] descriptors built by [`Verifier::describe`] in this
+/// process, for tests that pin what a run does *not* materialise.
+static CHECKS_DESCRIBED: AtomicU64 = AtomicU64::new(0);
+
+/// The number of [`Check`] descriptors built so far in this process.
+#[doc(hidden)]
+pub fn checks_described() -> u64 {
+    CHECKS_DESCRIBED.load(Ordering::Relaxed)
 }
 
 thread_local! {
@@ -580,6 +640,19 @@ fn timed<R>(name: &'static str, f: impl FnOnce() -> R) -> R {
     out
 }
 
+/// What a replicated answer (a dedup copy, a cache hit, a verdict
+/// carried across rounds) keeps of the one real solve's statistics: the
+/// formula-size stats — the formula is identical — without the work
+/// counters, so aggregate solve/encode times count each real solver
+/// invocation exactly once.
+pub(crate) fn size_only(st: SolverStats) -> SolverStats {
+    SolverStats {
+        num_vars: st.num_vars,
+        num_clauses: st.num_clauses,
+        ..SolverStats::default()
+    }
+}
+
 /// A finished group's session goes back to its worker thread for the
 /// next group (see [`Verifier::group_session`]).
 fn park_session(sess: IncrementalSession) {
@@ -587,7 +660,7 @@ fn park_session(sess: IncrementalSession) {
     SPARE_SESSION.set(Some(sess));
 }
 
-impl CheckBody {
+impl CheckBody<'_> {
     /// The encoding-base key: checks with equal keys share everything but
     /// their assume/ensure predicates — the symbolic input route, its
     /// well-formedness constraint and (for transfers) the route-map +
@@ -757,7 +830,9 @@ impl<'a> Verifier<'a> {
         suites: &[(&[SafetyProperty], &NetworkInvariants)],
     ) -> MultiReport {
         let mut reports: Vec<Report> = suites.iter().map(|_| Report::default()).collect();
-        let (exec, total_time) = self.run_batch(suites, |si, o| reports[si].outcomes.push(o));
+        let (exec, total_time) = self.run_batch(suites, |si, rc, solved| {
+            reports[si].outcomes.push(self.outcome(rc, solved))
+        });
         for r in &mut reports {
             r.total_time = total_time;
         }
@@ -790,7 +865,11 @@ impl<'a> Verifier<'a> {
             .iter()
             .map(|_| ReportSummary::new(keep_cores))
             .collect();
-        let (exec, total_time) = self.run_batch(suites, |si, o| summaries[si].push(o));
+        let (exec, total_time) = self.run_batch(suites, |si, rc, solved| {
+            summaries[si].push_with(&solved.result, &solved.stats, solved.core.as_ref(), || {
+                self.describe(rc.id, &rc.site)
+            })
+        });
         for s in &mut summaries {
             s.total_time = total_time;
         }
@@ -802,38 +881,42 @@ impl<'a> Verifier<'a> {
     }
 
     /// The shared body of the batch entry points: resolve every suite's
-    /// checks into one global id space, execute the whole batch as one
-    /// run over the union universe, and hand each outcome — re-identified to its
-    /// suite-local id, in ascending order per suite — to
-    /// `push(suite index, outcome)`.
-    fn run_batch(
+    /// checks (ids stay suite-local), execute the whole batch as one run
+    /// over the union universe, and hand each verdict — in ascending id
+    /// order per suite — to `push(suite index, check, verdict)`.
+    fn run_batch<'s>(
         &self,
-        suites: &[(&[SafetyProperty], &NetworkInvariants)],
-        mut push: impl FnMut(usize, CheckOutcome),
+        suites: &[(&'s [SafetyProperty], &'s NetworkInvariants)],
+        mut push: impl FnMut(usize, &ResolvedCheck<'s>, &SolvedCheck),
     ) -> (RunStats, std::time::Duration) {
         let t0 = Instant::now();
         let mut checks: Vec<ResolvedCheck> = Vec::new();
         let mut bounds = vec![0usize];
         timed("engine.generate_ns", || {
             for (props, inv) in suites {
-                let off = checks.len();
-                checks.extend(self.resolve_suite(props, inv).into_iter().map(|mut rc| {
-                    rc.check.id += off;
-                    rc
-                }));
+                self.for_each_check(props, inv, |rc| checks.push(rc));
                 bounds.push(checks.len());
             }
         });
         let u = self.suites_universe(suites);
-        let exec = self.execute(&u, &checks, &mut |mut o| {
-            // Global ids are contiguous per suite, so the owning suite
-            // is the last bound at or below the id (empty suites
+        let exec = self.execute(&u, &checks, &mut |i, solved| {
+            // Suites are contiguous in the batch, so the owning suite is
+            // the last bound at or below the position (empty suites
             // contribute duplicate bounds and are skipped).
-            let si = bounds.partition_point(|&b| b <= o.check.id) - 1;
-            o.check.id -= bounds[si];
-            push(si, o);
+            let si = bounds.partition_point(|&b| b <= i) - 1;
+            push(si, &checks[i], solved);
         });
         (exec, t0.elapsed())
+    }
+
+    /// The public outcome of a check the pipeline decided.
+    pub(crate) fn outcome(&self, rc: &ResolvedCheck, solved: &SolvedCheck) -> CheckOutcome {
+        CheckOutcome {
+            check: self.describe(rc.id, &rc.site),
+            result: solved.result.clone(),
+            stats: solved.stats,
+            core: solved.core.clone(),
+        }
     }
 
     /// The reference oracle: every check of the `(props, inv)` suite
@@ -851,7 +934,10 @@ impl<'a> Verifier<'a> {
         let t0 = Instant::now();
         let (checks, u) = self.resolve_multi(props, inv);
         Report {
-            outcomes: checks.iter().map(|c| self.run_one(&u, c)).collect(),
+            outcomes: checks
+                .iter()
+                .map(|c| self.outcome(c, &self.run_one(&u, c)))
+                .collect(),
             total_time: t0.elapsed(),
             exec: RunStats::default(),
         }
@@ -901,7 +987,7 @@ impl<'a> Verifier<'a> {
     ) -> Vec<Option<Vec<String>>> {
         self.resolve_suite(props, inv)
             .into_iter()
-            .map(|rc| match &rc.body {
+            .map(|rc| match rc.body {
                 CheckBody::Transfer { assume, .. } | CheckBody::Implication { assume, .. } => {
                     Some(assume.conjuncts().iter().map(|p| p.to_string()).collect())
                 }
@@ -919,11 +1005,40 @@ impl<'a> Verifier<'a> {
         props: &[SafetyProperty],
         inv: &NetworkInvariants,
     ) -> Vec<Fingerprint> {
-        let (checks, u) = self.resolve_multi(props, inv);
-        let ufp = universe_digest(&u);
-        checks
+        let digests = self.batch_digests(&[(props, inv)]).remove(0);
+        digests.into_iter().map(|d| d.check).collect()
+    }
+
+    /// Every digest a batch run of `suites` derives per check, per
+    /// suite and indexed by check id, from one part cache over the
+    /// union universe — as [`Verifier::verify_safety_batch`] would.
+    /// Tests hold the three partitions against structural equality;
+    /// nothing else should call it.
+    #[doc(hidden)]
+    pub fn batch_digests(
+        &self,
+        suites: &[(&[SafetyProperty], &NetworkInvariants)],
+    ) -> Vec<Vec<CheckDigests>> {
+        let universe_fp = universe_digest(&self.suites_universe(suites));
+        let mut parts = FpParts::new(universe_fp, self.policy, &self.ghosts);
+        suites
             .iter()
-            .map(|c| check_fingerprint(ufp, self.policy, &self.ghosts, &c.body))
+            .map(|(props, inv)| {
+                let mut digests = Vec::new();
+                self.for_each_check(props, inv, |rc| {
+                    digests.push(CheckDigests {
+                        check: parts.check(&rc.body),
+                        rest: parts.rest(&rc.body),
+                        transfer: match rc.body {
+                            CheckBody::Transfer {
+                                edge, is_import, ..
+                            } => Some(parts.transfer(edge, is_import)),
+                            _ => None,
+                        },
+                    })
+                });
+                digests
+            })
             .collect()
     }
 
@@ -958,51 +1073,30 @@ impl<'a> Verifier<'a> {
         conjuncts: &[usize],
     ) -> Option<bool> {
         let (checks, u) = self.resolve_multi(props, inv);
-        let rc = checks.into_iter().find(|c| c.check.id == check_id)?;
-        let reduce = |assume: &RoutePred| -> Option<RoutePred> {
-            let all = assume.conjuncts();
-            let mut kept = RoutePred::True;
-            for &i in conjuncts {
-                kept = kept.and(all.get(i)?.clone());
-            }
-            Some(kept)
+        let mut rc = checks.into_iter().nth(check_id)?;
+        let (CheckBody::Transfer { assume, .. } | CheckBody::Implication { assume, .. }) =
+            &mut rc.body
+        else {
+            return None;
         };
-        let body = match &rc.body {
-            CheckBody::Transfer {
-                edge,
-                is_import,
-                assume,
-                ensure,
-                require_accept,
-            } => CheckBody::Transfer {
-                edge: *edge,
-                is_import: *is_import,
-                assume: reduce(assume)?,
-                ensure: ensure.clone(),
-                require_accept: *require_accept,
-            },
-            CheckBody::Implication { assume, ensure } => CheckBody::Implication {
-                assume: reduce(assume)?,
-                ensure: ensure.clone(),
-            },
-            CheckBody::Originate { .. } => return None,
-        };
-        let reduced = ResolvedCheck {
-            check: rc.check,
-            body,
-        };
-        Some(self.run_one(&u, &reduced).result.passed())
+        let all = assume.conjuncts();
+        let mut kept = RoutePred::True;
+        for &i in conjuncts {
+            kept = kept.and(all.get(i)?.clone());
+        }
+        *assume = &kept;
+        Some(self.run_one(&u, &rc).result.passed())
     }
 
     /// Resolve a multi-property safety problem into its full check set
     /// and attribute universe (shared by [`Verifier::verify_safety_multi`]
     /// and the cross-run re-verify engine, so the two can never disagree
     /// on what a run consists of).
-    pub(crate) fn resolve_multi(
+    pub(crate) fn resolve_multi<'s>(
         &self,
-        props: &[SafetyProperty],
-        inv: &NetworkInvariants,
-    ) -> (Vec<ResolvedCheck>, Universe) {
+        props: &'s [SafetyProperty],
+        inv: &'s NetworkInvariants,
+    ) -> (Vec<ResolvedCheck<'s>>, Universe) {
         (
             self.resolve_suite(props, inv),
             self.suites_universe(&[(props, inv)]),
@@ -1032,106 +1126,132 @@ impl<'a> Verifier<'a> {
             }
         }
         for (i, p) in props.iter().enumerate() {
-            visit(Site::Subsumption(i, p));
+            visit(Site::Subsumption(i == 0, p));
         }
     }
 
-    /// The check set of one `(properties, invariants)` suite, one check
-    /// per site of [`Verifier::for_each_site`].
-    fn resolve_suite(
+    /// The check set of one `(properties, invariants)` suite.
+    fn resolve_suite<'s>(
         &self,
-        props: &[SafetyProperty],
-        inv: &NetworkInvariants,
-    ) -> Vec<ResolvedCheck> {
+        props: &'s [SafetyProperty],
+        inv: &'s NetworkInvariants,
+    ) -> Vec<ResolvedCheck<'s>> {
         let mut checks = Vec::new();
-        self.for_each_site(props, |site| {
-            let check = self.resolve_site(checks.len(), &site, inv);
-            checks.push(check);
-        });
+        self.for_each_check(props, inv, |rc| checks.push(rc));
         checks
     }
 
-    /// The check posed at one site.
-    fn resolve_site(&self, id: usize, site: &Site, inv: &NetworkInvariants) -> ResolvedCheck {
+    /// One check per site of [`Verifier::for_each_site`], its id the
+    /// site's position. Nothing is copied: the predicates are borrowed
+    /// from `inv` and `props`.
+    fn for_each_check<'s>(
+        &self,
+        props: &'s [SafetyProperty],
+        inv: &'s NetworkInvariants,
+        mut visit: impl FnMut(ResolvedCheck<'s>),
+    ) {
         let topo = self.topo;
-        let assume = site.assumes(topo).map(|loc| inv.at(topo, loc));
-        let on_edge = |e: EdgeId, kind, map_name, description: String| Check {
-            id,
-            kind,
-            location: Location::Edge(e),
-            edge: Some(e),
-            map_name,
-            description,
-        };
-        match *site {
-            Site::Import(e) => ResolvedCheck {
-                check: on_edge(
-                    e,
-                    CheckKind::Import,
-                    self.policy.import_map(e).map(|m| m.name.clone()),
-                    format!("import on {} preserves the invariants", topo.edge_name(e)),
-                ),
-                body: CheckBody::Transfer {
+        let mut id = 0;
+        self.for_each_site(props, |site| {
+            let at = |loc| inv.at_ref(topo, loc);
+            let assume = site.assumes(topo).map(at);
+            let body = match site {
+                Site::Import(e) => CheckBody::Transfer {
                     edge: e,
                     is_import: true,
                     assume: assume.expect("imports assume the edge invariant"),
-                    ensure: inv.at(topo, Location::Node(topo.edge(e).dst)),
+                    ensure: at(Location::Node(topo.edge(e).dst)),
                     require_accept: false,
                 },
-            },
-            Site::Export(e) => ResolvedCheck {
-                check: on_edge(
-                    e,
-                    CheckKind::Export,
-                    self.policy.export_map(e).map(|m| m.name.clone()),
-                    format!("export on {} preserves the invariants", topo.edge_name(e)),
-                ),
-                body: CheckBody::Transfer {
+                Site::Export(e) => CheckBody::Transfer {
                     edge: e,
                     is_import: false,
                     assume: assume.expect("exports assume the sender's invariant"),
-                    ensure: inv.at(topo, Location::Edge(e)),
+                    ensure: at(Location::Edge(e)),
                     require_accept: false,
                 },
-            },
-            Site::Originate(e) => ResolvedCheck {
-                check: on_edge(
-                    e,
-                    CheckKind::Originate,
-                    None,
-                    format!(
-                        "originated routes on {} satisfy the edge invariant",
-                        topo.edge_name(e)
-                    ),
-                ),
-                body: CheckBody::Originate {
+                Site::Originate(e) => CheckBody::Originate {
                     edge: e,
-                    ensure: inv.at(topo, Location::Edge(e)),
+                    ensure: at(Location::Edge(e)),
                 },
-            },
-            Site::Subsumption(index, p) => ResolvedCheck {
-                check: Check {
-                    id,
-                    kind: CheckKind::Subsumption,
-                    location: p.location,
-                    edge: None,
-                    map_name: None,
-                    // The suite's first property is "the property"; the
-                    // ones sharing its invariants go by name.
-                    description: format!(
-                        "invariant at {} implies {}",
-                        p.location.display(topo),
-                        match (index, p.name.as_deref()) {
-                            (1.., Some(name)) => name,
-                            _ => "the property",
-                        }
-                    ),
-                },
-                body: CheckBody::Implication {
+                Site::Subsumption(_, p) => CheckBody::Implication {
                     assume: assume.expect("subsumption assumes the property location's invariant"),
-                    ensure: p.pred.clone(),
+                    ensure: &p.pred,
                 },
-            },
+                Site::Propagation { .. } | Site::Final(_) => {
+                    unreachable!("safety suites have no liveness sites")
+                }
+            };
+            visit(ResolvedCheck { id, site, body });
+            id += 1;
+        });
+    }
+
+    /// The public descriptor of the check posed at `site`, built when an
+    /// outcome is handed to someone who keeps it.
+    pub(crate) fn describe(&self, id: usize, site: &Site) -> Check {
+        CHECKS_DESCRIBED.fetch_add(1, Ordering::Relaxed);
+        let topo = self.topo;
+        let location = site.location(topo);
+        let (edge, map, description) = match *site {
+            Site::Import(e) => (
+                Some(e),
+                self.policy.import_map(e),
+                format!("import on {} preserves the invariants", topo.edge_name(e)),
+            ),
+            Site::Export(e) => (
+                Some(e),
+                self.policy.export_map(e),
+                format!("export on {} preserves the invariants", topo.edge_name(e)),
+            ),
+            Site::Originate(e) => (
+                Some(e),
+                None,
+                format!(
+                    "originated routes on {} satisfy the edge invariant",
+                    topo.edge_name(e)
+                ),
+            ),
+            Site::Subsumption(first, p) => (
+                None,
+                None,
+                // The suite's first property is "the property"; the
+                // ones sharing its invariants go by name.
+                format!(
+                    "invariant at {} implies {}",
+                    p.location.display(topo),
+                    match (first, p.name.as_deref()) {
+                        (false, Some(name)) => name,
+                        _ => "the property",
+                    }
+                ),
+            ),
+            Site::Propagation { edge, is_import } => (
+                Some(edge),
+                if is_import {
+                    self.policy.import_map(edge)
+                } else {
+                    self.policy.export_map(edge)
+                },
+                format!(
+                    "good routes propagate across {} ({})",
+                    topo.edge_name(edge),
+                    if is_import { "import" } else { "export" }
+                ),
+            ),
+            Site::Final(_) => (
+                None,
+                None,
+                "final path constraint implies the liveness property".into(),
+            ),
+        };
+        Check {
+            id,
+            kind: site.kind(),
+            location,
+            edge,
+            map_name: map.map(|m| m.name.clone()),
+            description,
         }
     }
 
@@ -1188,7 +1308,9 @@ impl<'a> Verifier<'a> {
     pub(crate) fn run(&self, universe: &Universe, checks: &[ResolvedCheck]) -> Report {
         let t0 = Instant::now();
         let mut outcomes = Vec::with_capacity(checks.len());
-        let exec = self.execute(universe, checks, &mut |o| outcomes.push(o));
+        let exec = self.execute(universe, checks, &mut |i, solved| {
+            outcomes.push(self.outcome(&checks[i], solved))
+        });
         Report {
             outcomes,
             total_time: t0.elapsed(),
@@ -1200,22 +1322,22 @@ impl<'a> Verifier<'a> {
     /// structurally identical ones, consult the cache (re-validating
     /// spilled failures), batch the remainder by encoding-base key,
     /// solve whole groups on the work-stealing pool — inline on the
-    /// calling thread at `jobs = 1` — and deliver every
-    /// [`CheckOutcome`] to `sink` in the order of `checks` (ascending
-    /// check id) without ever materialising the full outcome vector.
+    /// calling thread at `jobs = 1` — and deliver every verdict to
+    /// `sink(position in checks, verdict)` in the order of `checks`
+    /// without ever materialising an outcome vector: the sink borrows
+    /// the verdict and copies out only what it keeps.
     ///
     /// Groups complete out of order, so verdicts pass through a reorder
     /// window: one entry per structure that is decided but not yet fully
-    /// released, keyed by its lowest unreleased member, from which each
-    /// member's outcome is cloned only when its turn comes — the
-    /// frontier of the streaming report; everything before `next` has
-    /// already left through `sink`. Its peak size is the
-    /// `engine.report_frontier_peak` gauge.
+    /// released, keyed by its lowest unreleased member, which each
+    /// member's turn lends to the sink — the frontier of the streaming
+    /// report; everything before `next` has already left through `sink`.
+    /// Its peak size is the `engine.report_frontier_peak` gauge.
     fn execute(
         &self,
         universe: &Universe,
         checks: &[ResolvedCheck],
-        sink: &mut dyn FnMut(CheckOutcome),
+        sink: &mut dyn FnMut(usize, &SolvedCheck),
     ) -> RunStats {
         obs::add("engine.checks_posed", checks.len() as u64);
         let _span = obs::span!("run_checks", checks = checks.len(), jobs = self.jobs);
@@ -1228,7 +1350,7 @@ impl<'a> Verifier<'a> {
             smt::PortfolioSlots::new(cores.saturating_sub(self.jobs))
         });
         let slots = slots.as_ref();
-        let ufp = universe_digest(universe);
+        let mut parts = FpParts::new(universe_digest(universe), self.policy, &self.ghosts);
         // All implication checks share one encoding base, which would
         // otherwise serialize every subsumption check of a
         // multi-property run onto a single worker: spread that one
@@ -1242,7 +1364,7 @@ impl<'a> Verifier<'a> {
                 .enumerate()
                 .map(|(i, c)| {
                     (
-                        check_fingerprint(ufp, self.policy, &self.ghosts, &c.body),
+                        parts.check(&c.body),
                         match &c.body {
                             CheckBody::Implication { .. } => {
                                 c.body.group_key() | (i as u64 % chunks)
@@ -1254,15 +1376,6 @@ impl<'a> Verifier<'a> {
                 })
                 .collect()
         });
-        // Replicated answers (dedup copies, cache hits) keep the
-        // formula-size stats — the formula is identical — but drop the
-        // work counters, so aggregate solve/encode times count each real
-        // solver invocation exactly once.
-        let size_only = |st: SolverStats| SolverStats {
-            num_vars: st.num_vars,
-            num_clauses: st.num_clauses,
-            ..SolverStats::default()
-        };
         let mut next = 0usize;
         let mut pending: BTreeMap<usize, (SolvedCheck, Vec<usize>, usize)> = BTreeMap::new();
         let mut frontier_peak = 0usize;
@@ -1282,12 +1395,7 @@ impl<'a> Verifier<'a> {
                 pending.insert(members[0], (solved, members, 0));
                 frontier_peak = frontier_peak.max(pending.len());
                 while let Some((mut solved, members, mut at)) = pending.remove(&next) {
-                    sink(CheckOutcome {
-                        check: checks[next].check.clone(),
-                        result: solved.result.clone(),
-                        stats: solved.stats,
-                        core: solved.core.clone(),
-                    });
+                    sink(next, &solved);
                     next += 1;
                     at += 1;
                     if let Some(&m) = members.get(at) {
@@ -1331,7 +1439,7 @@ impl<'a> Verifier<'a> {
         let CheckResult::Fail(cex) = &solved.result else {
             return true;
         };
-        match &rc.body {
+        match rc.body {
             CheckBody::Transfer {
                 edge,
                 is_import,
@@ -1343,7 +1451,7 @@ impl<'a> Verifier<'a> {
                 let input = SymRoute::fresh(&mut pool, universe, "r");
                 let wf = input.well_formed(&mut pool);
                 let pin = input.equals_counterexample(&mut pool, universe, &cex.input);
-                let transfer = self.encode_transfer(&mut pool, universe, *edge, *is_import, &input);
+                let transfer = self.encode_transfer(&mut pool, universe, edge, is_import, &input);
                 let (pre, neg) = transfer_violation(
                     &mut pool,
                     universe,
@@ -1351,7 +1459,7 @@ impl<'a> Verifier<'a> {
                     &transfer,
                     assume,
                     ensure,
-                    *require_accept,
+                    require_accept,
                 );
                 match smt::solve(&pool, &[wf, pin, pre, neg]) {
                     SatResult::Unsat => false,
@@ -1380,7 +1488,7 @@ impl<'a> Verifier<'a> {
                     && cex.output.is_none()
                     && self
                         .policy
-                        .originated(*edge)
+                        .originated(edge)
                         .iter()
                         .any(|r| *r == cex.input.route && !ensure.eval(r, &ghosts))
             }
@@ -1455,11 +1563,7 @@ impl<'a> Verifier<'a> {
         // is per edge-direction (or the shared implication base), so the
         // first member names the group for the profile's hot-group view.
         let first = checks.first().expect("groups are non-empty");
-        let label = format!(
-            "{} {}",
-            first.check.kind,
-            first.check.location.display(self.topo)
-        );
+        let label = self.group_label(&first.site);
         let _span = obs::span!("solve_group", group = label, checks = checks.len());
         let out = self.run_group_inner(universe, checks, slots);
         let (mut encode_ns, mut solve_ns) = (0u64, 0u64);
@@ -1470,6 +1574,15 @@ impl<'a> Verifier<'a> {
         obs::add("engine.group_encode_ns", encode_ns);
         obs::add("engine.group_solve_ns", solve_ns);
         out
+    }
+
+    /// A group is named after its representative check's kind and place.
+    fn group_label(&self, site: &Site) -> String {
+        format!(
+            "{} {}",
+            site.kind(),
+            site.location(self.topo).display(self.topo)
+        )
     }
 
     /// A group session configured by this verifier's solver tuning:
@@ -1512,32 +1625,26 @@ impl<'a> Verifier<'a> {
         slots: Option<&Arc<smt::PortfolioSlots>>,
     ) -> Vec<SolvedCheck> {
         let first = checks.first().expect("groups are non-empty");
-        match &first.body {
-            CheckBody::Originate { .. } => checks
-                .iter()
-                .map(|rc| {
-                    let CheckBody::Originate { edge, ensure } = &rc.body else {
-                        unreachable!("originate group mixes check shapes");
-                    };
-                    let o = self.run_originate_check(&rc.check, *edge, ensure);
-                    SolvedCheck {
-                        result: o.result,
-                        stats: o.stats,
-                        core: None,
-                    }
-                })
-                .collect(),
+        // One record path for both session shapes: a passing check
+        // reads its core off the session, a failing one re-derives its
+        // counterexample on a fresh one-shot instance.
+        let settle = |rc: &ResolvedCheck, result, stats, core| match result {
+            SatResult::Unsat => SolvedCheck {
+                result: CheckResult::Pass,
+                stats,
+                core,
+            },
+            SatResult::Sat(_) => self.run_one(universe, rc),
+        };
+        match first.body {
+            CheckBody::Originate { .. } => {
+                checks.iter().map(|rc| self.run_one(universe, rc)).collect()
+            }
             CheckBody::Transfer {
                 edge, is_import, ..
             } => {
-                let (edge, is_import) = (*edge, *is_import);
-                let mut sess = self.group_session(slots, checks.len(), || {
-                    format!(
-                        "{} {}",
-                        first.check.kind,
-                        first.check.location.display(self.topo)
-                    )
-                });
+                let mut sess =
+                    self.group_session(slots, checks.len(), || self.group_label(&first.site));
                 let (input, wf, transfer) = timed("engine.terms_ns", || {
                     let pool = sess.pool_mut();
                     let input = SymRoute::fresh(pool, universe, "r");
@@ -1554,7 +1661,7 @@ impl<'a> Verifier<'a> {
                             ensure,
                             require_accept,
                             ..
-                        } = &rc.body
+                        } = rc.body
                         else {
                             unreachable!("transfer group mixes check shapes");
                         };
@@ -1565,26 +1672,12 @@ impl<'a> Verifier<'a> {
                                 universe,
                                 &transfer,
                                 ensure,
-                                *require_accept,
+                                require_accept,
                             )
                         });
                         let (result, stats, core) =
                             solve_conjunct_gated(&mut sess, universe, &input, &conjs, neg, false);
-                        match result {
-                            SatResult::Unsat => SolvedCheck {
-                                result: CheckResult::Pass,
-                                stats,
-                                core,
-                            },
-                            SatResult::Sat(_) => {
-                                let o = self.run_one(universe, rc);
-                                SolvedCheck {
-                                    result: o.result,
-                                    stats: o.stats,
-                                    core: None,
-                                }
-                            }
-                        }
+                        settle(rc, result, stats, core)
                     })
                     .collect();
                 park_session(sess);
@@ -1601,7 +1694,7 @@ impl<'a> Verifier<'a> {
                 let out: Vec<SolvedCheck> = checks
                     .iter()
                     .map(|rc| {
-                        let CheckBody::Implication { assume, ensure } = &rc.body else {
+                        let CheckBody::Implication { assume, ensure } = rc.body else {
                             unreachable!("implication group mixes check shapes");
                         };
                         let conjs = assume.conjuncts();
@@ -1610,21 +1703,7 @@ impl<'a> Verifier<'a> {
                         });
                         let (result, stats, core) =
                             solve_conjunct_gated(&mut sess, universe, &r, &conjs, neg, false);
-                        match result {
-                            SatResult::Unsat => SolvedCheck {
-                                result: CheckResult::Pass,
-                                stats,
-                                core,
-                            },
-                            SatResult::Sat(_) => {
-                                let o = self.run_one(universe, rc);
-                                SolvedCheck {
-                                    result: o.result,
-                                    stats: o.stats,
-                                    core: None,
-                                }
-                            }
-                        }
+                        settle(rc, result, stats, core)
                     })
                     .collect();
                 park_session(sess);
@@ -1633,43 +1712,42 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    pub(crate) fn run_one(&self, universe: &Universe, rc: &ResolvedCheck) -> CheckOutcome {
-        match &rc.body {
+    /// Decide one check on its own fresh one-shot instance (no session,
+    /// no core): the reference oracle's solve, and where every failing
+    /// check's counterexample comes from.
+    pub(crate) fn run_one(&self, universe: &Universe, rc: &ResolvedCheck) -> SolvedCheck {
+        let (result, stats) = match rc.body {
             CheckBody::Transfer {
                 edge,
                 is_import,
                 assume,
                 ensure,
                 require_accept,
-            } => self.run_transfer_check(
-                universe,
-                &rc.check,
-                *edge,
-                *is_import,
-                assume,
-                ensure,
-                *require_accept,
+            } => self.run_transfer_check(universe, edge, is_import, assume, ensure, require_accept),
+            CheckBody::Originate { edge, ensure } => (
+                self.run_originate_check(edge, ensure),
+                SolverStats::default(),
             ),
-            CheckBody::Originate { edge, ensure } => {
-                self.run_originate_check(&rc.check, *edge, ensure)
-            }
             CheckBody::Implication { assume, ensure } => {
-                self.run_implication_check(universe, &rc.check, assume, ensure)
+                self.run_implication_check(universe, assume, ensure)
             }
+        };
+        SolvedCheck {
+            result,
+            stats,
+            core: None,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_transfer_check(
         &self,
         universe: &Universe,
-        check: &Check,
         edge: EdgeId,
         is_import: bool,
         assume: &RoutePred,
         ensure: &RoutePred,
         require_accept: bool,
-    ) -> CheckOutcome {
+    ) -> (CheckResult, SolverStats) {
         let mut pool = TermPool::new();
         let input = SymRoute::fresh(&mut pool, universe, "r");
         let wf = input.well_formed(&mut pool);
@@ -1700,20 +1778,10 @@ impl<'a> Verifier<'a> {
                 }))
             }
         };
-        CheckOutcome {
-            check: check.clone(),
-            result,
-            stats,
-            core: None,
-        }
+        (result, stats)
     }
 
-    pub(crate) fn run_originate_check(
-        &self,
-        check: &Check,
-        edge: EdgeId,
-        ensure: &RoutePred,
-    ) -> CheckOutcome {
+    fn run_originate_check(&self, edge: EdgeId, ensure: &RoutePred) -> CheckResult {
         // Originate(A -> B) is a concrete, finite set: evaluate directly.
         let ghosts: BTreeMap<String, bool> = self
             .ghosts
@@ -1722,7 +1790,7 @@ impl<'a> Verifier<'a> {
             .collect();
         for r in self.policy.originated(edge) {
             if !ensure.eval(r, &ghosts) {
-                let result = CheckResult::Fail(Box::new(Counterexample {
+                return CheckResult::Fail(Box::new(Counterexample {
                     input: crate::symbolic::ConcreteRoute {
                         route: r.clone(),
                         comm_other: false,
@@ -1732,29 +1800,17 @@ impl<'a> Verifier<'a> {
                     output: None,
                     rejected: false,
                 }));
-                return CheckOutcome {
-                    check: check.clone(),
-                    result,
-                    stats: SolverStats::default(),
-                    core: None,
-                };
             }
         }
-        CheckOutcome {
-            check: check.clone(),
-            result: CheckResult::Pass,
-            stats: SolverStats::default(),
-            core: None,
-        }
+        CheckResult::Pass
     }
 
     fn run_implication_check(
         &self,
         universe: &Universe,
-        check: &Check,
         assume: &RoutePred,
         ensure: &RoutePred,
-    ) -> CheckOutcome {
+    ) -> (CheckResult, SolverStats) {
         let mut pool = TermPool::new();
         let r = SymRoute::fresh(&mut pool, universe, "r");
         let wf = r.well_formed(&mut pool);
@@ -1768,12 +1824,7 @@ impl<'a> Verifier<'a> {
                 rejected: false,
             })),
         };
-        CheckOutcome {
-            check: check.clone(),
-            result,
-            stats,
-            core: None,
-        }
+        (result, stats)
     }
 }
 
@@ -1906,6 +1957,12 @@ mod tests {
         } else {
             panic!("expected failure");
         }
+    }
+
+    #[test]
+    fn a_resolved_check_is_a_site_and_borrowed_predicates() {
+        assert_eq!(std::mem::size_of::<Site>(), 16);
+        assert!(std::mem::size_of::<ResolvedCheck>() <= 64);
     }
 
     #[test]

@@ -8,25 +8,33 @@
 //! invariant template, so those checks collapse to a single fingerprint
 //! and a single solver call (`orchestrator::run_grouped`).
 //!
-//! What each check kind contributes (rules in the `orchestrator` crate
-//! docs: tags, prefix-free `Hash` streams, sorted unordered collections,
-//! format version, universe digest):
+//! **Fingerprints compose.** A check's formula is made of few distinct
+//! parts, each shared by many checks, so a run digests every part once
+//! (`FpParts`) and a check's fingerprint is a digest *of digests*:
 //!
-//! * **Transfer** (import/export): direction, the route-map *contents*
-//!   (entries, not the name), every ghost attribute's name and its
-//!   update on this specific edge+direction, the liveness
-//!   `require_accept` bit, the assume/ensure predicates, and the
-//!   universe digest.
-//! * **Originate**: the multiset of originated routes (sorted per-route
-//!   digests), each ghost's name and origination default, the ensure
-//!   predicate, and the universe digest.
-//! * **Implication**: the assume/ensure predicates and the universe
-//!   digest.
+//! * the **base**, per edge and direction (rules in the `orchestrator`
+//!   crate docs: tags, prefix-free `Hash` streams, sorted unordered
+//!   collections, format version, universe digest) — for a transfer:
+//!   direction, the route-map *contents* (entries, not the name) and
+//!   every ghost attribute's name and update on that edge+direction; for
+//!   an origination: the multiset of originated routes (sorted per-route
+//!   digests) and each ghost's name and origination default; for an
+//!   implication: the tag alone. A transfer's base is also what a
+//!   persistent re-verify session keys its encoded relation by;
+//! * each **predicate** instance, keyed by address — the invariants and
+//!   properties outlive the run, and one instance serves hundreds of
+//!   checks;
+//! * the **rest** of a check — base, the liveness `require_accept` bit
+//!   and the ensure predicate's digest: everything but the assumed
+//!   invariant, the key of the re-verify engine's conjunct-core cache;
+//! * the **check** — its rest and its assume predicate's digest.
 //!
-//! Predicates, route-map entries and routes are written by walking the
-//! value itself (`x.hash(&mut h)` through their derived `Hash`), never
-//! through a rendering of it: derived `Hash` agrees with derived
-//! equality, so fingerprint equality stays exactly structural equality.
+//! Word-wise stream discipline: every part is written by walking the
+//! value itself (`x.hash(&mut h)` through its derived `Hash`, eight
+//! stream bytes per mixing step — see `orchestrator::fingerprint`),
+//! never through a rendering of it. Derived `Hash` agrees with derived
+//! equality, and a digest of part digests is equal exactly when the
+//! parts are, so fingerprint equality stays exactly structural equality.
 //! The attribute universe is hashed in sorted order, making fingerprints
 //! stable across runs that build the universe in different insertion
 //! orders.
@@ -36,14 +44,16 @@ use crate::ghost::{GhostAttr, GhostUpdate};
 use crate::pred::RoutePred;
 use crate::universe::Universe;
 use bgp_model::policy::Policy;
+use bgp_model::topology::EdgeId;
 use orchestrator::{Fingerprint, FpHasher};
+use std::collections::HashMap;
 use std::hash::Hash;
 
 /// Bump when any canonical encoding below changes — including the
-/// layout of any hashed type, since derived `Hash` follows it; spilled
-/// caches keyed under the old version then simply miss instead of
-/// corrupting runs.
-const FP_VERSION: u32 = 2;
+/// layout of any hashed type, since derived `Hash` follows it, and the
+/// mixing function of `orchestrator::FpHasher`. A spill records the
+/// version its keys were derived under and is ignored under any other.
+pub(crate) const FP_VERSION: u32 = 3;
 
 /// Digest of the attribute universe (sorted, order-insensitive).
 pub fn universe_digest(u: &Universe) -> Fingerprint {
@@ -74,201 +84,221 @@ pub fn universe_digest(u: &Universe) -> Fingerprint {
     h.finish()
 }
 
-/// Ghosts sorted by name with `per_ghost` contributing the part of each
-/// that the check's formula depends on.
-fn write_ghosts(h: &mut FpHasher, ghosts: &[GhostAttr], per_ghost: impl Fn(&GhostAttr) -> u8) {
-    let mut sorted: Vec<&GhostAttr> = ghosts.iter().collect();
-    sorted.sort_by(|a, b| a.name.cmp(&b.name));
-    h.write_u64(sorted.len() as u64);
-    for g in sorted {
-        h.write_str(&g.name);
-        h.write_u8(per_ghost(g));
-    }
+/// Digest of one predicate. As the fingerprint of an assume conjunct it
+/// is only ever compared between rounds with identical universe layouts
+/// (the re-verify engine resets its core cache on any layout change)
+/// and under equal rest fingerprints, which embed the universe digest.
+pub(crate) fn pred_digest(pred: &RoutePred) -> Fingerprint {
+    let mut h = FpHasher::new();
+    h.write_tag("pred");
+    h.write_u32(FP_VERSION);
+    pred.hash(&mut h);
+    h.finish()
 }
 
-/// The one body writer behind every check-level digest: `tag`, format
-/// version and universe digest, then the part of `body`'s formula that
-/// is neither predicate side — a transfer's direction, route-map
-/// contents (never the renaming-sensitive map name) and ghost updates
-/// on that edge+direction; an origination's route multiset and ghost
-/// defaults — then the assume side and the ensure side when asked for.
-/// `require_accept` reshapes the goal, so it travels with the ensure
-/// side.
-fn body_fingerprint(
-    tag: &str,
-    universe_fp: Fingerprint,
-    policy: &Policy,
-    ghosts: &[GhostAttr],
-    body: &CheckBody,
-    with_assume: bool,
-    with_ensure: bool,
-) -> Fingerprint {
+/// Every base starts the same way: tag, format version, universe.
+fn base(universe_fp: Fingerprint, tag: &str) -> FpHasher {
     let mut h = FpHasher::new();
     h.write_tag(tag);
     h.write_u32(FP_VERSION);
     universe_fp.hash(&mut h);
-    let (assume, ensure) = match body {
-        CheckBody::Transfer {
-            edge,
-            is_import,
-            assume,
-            ensure,
-            require_accept,
-        } => {
-            h.write_tag("transfer");
-            h.write_bool(*is_import);
-            let map = if *is_import {
-                policy.import_map(*edge)
+    h
+}
+
+/// The parts of one run's check fingerprints, each digested on first
+/// use (see the module docs). Predicates are keyed by address: every
+/// `&'a RoutePred` a check body holds stays alive and in place for `'a`.
+pub(crate) struct FpParts<'a> {
+    universe_fp: Fingerprint,
+    policy: &'a Policy,
+    /// Sorted by name, once.
+    ghosts: Vec<&'a GhostAttr>,
+    implication: Fingerprint,
+    transfers: HashMap<(EdgeId, bool), Fingerprint>,
+    originations: HashMap<EdgeId, Fingerprint>,
+    preds: HashMap<*const RoutePred, Fingerprint>,
+}
+
+impl<'a> FpParts<'a> {
+    pub(crate) fn new(
+        universe_fp: Fingerprint,
+        policy: &'a Policy,
+        ghosts: &'a [GhostAttr],
+    ) -> Self {
+        let mut ghosts: Vec<&GhostAttr> = ghosts.iter().collect();
+        ghosts.sort_by(|a, b| a.name.cmp(&b.name));
+        FpParts {
+            universe_fp,
+            policy,
+            ghosts,
+            implication: base(universe_fp, "implication").finish(),
+            transfers: HashMap::new(),
+            originations: HashMap::new(),
+            preds: HashMap::new(),
+        }
+    }
+
+    /// The ghost table with `per_ghost` contributing the part of each
+    /// ghost that the formula depends on.
+    fn write_ghosts(&self, h: &mut FpHasher, per_ghost: impl Fn(&GhostAttr) -> u8) {
+        h.write_u64(self.ghosts.len() as u64);
+        for g in &self.ghosts {
+            h.write_str(&g.name);
+            h.write_u8(per_ghost(g));
+        }
+    }
+
+    /// The fingerprint of one edge's **transfer relation** only — the
+    /// route-map contents (never the renaming-sensitive map name), the
+    /// ghost updates on that edge+direction and the universe digest,
+    /// *without* any assume/ensure predicate. This is the part of a
+    /// transfer check's encoding a persistent re-verify session keeps
+    /// across runs: when it is unchanged, the session's existing
+    /// symbolic transfer can answer a re-dirtied check without
+    /// re-encoding; when it differs, the session re-encodes the new
+    /// relation and the old one is left retracted.
+    pub(crate) fn transfer(&mut self, edge: EdgeId, is_import: bool) -> Fingerprint {
+        if let Some(&fp) = self.transfers.get(&(edge, is_import)) {
+            return fp;
+        }
+        let mut h = base(self.universe_fp, "transfer-base");
+        h.write_bool(is_import);
+        let map = if is_import {
+            self.policy.import_map(edge)
+        } else {
+            self.policy.export_map(edge)
+        };
+        match map {
+            None => h.write_tag("no-map"),
+            Some(m) => {
+                h.write_tag("map");
+                m.entries.hash(&mut h);
+            }
+        }
+        self.write_ghosts(&mut h, |g| {
+            let u = if is_import {
+                g.import_update(edge)
             } else {
-                policy.export_map(*edge)
+                g.export_update(edge)
             };
-            match map {
-                None => h.write_tag("no-map"),
-                Some(m) => {
-                    h.write_tag("map");
-                    m.entries.hash(&mut h);
-                }
+            match u {
+                GhostUpdate::Unchanged => 0,
+                GhostUpdate::SetTrue => 1,
+                GhostUpdate::SetFalse => 2,
             }
-            write_ghosts(&mut h, ghosts, |g| {
-                let u = if *is_import {
-                    g.import_update(*edge)
-                } else {
-                    g.export_update(*edge)
-                };
-                match u {
-                    GhostUpdate::Unchanged => 0,
-                    GhostUpdate::SetTrue => 1,
-                    GhostUpdate::SetFalse => 2,
-                }
-            });
-            if with_ensure {
-                h.write_bool(*require_accept);
+        });
+        let fp = h.finish();
+        self.transfers.insert((edge, is_import), fp);
+        fp
+    }
+
+    fn origination(&mut self, edge: EdgeId) -> Fingerprint {
+        if let Some(&fp) = self.originations.get(&edge) {
+            return fp;
+        }
+        let mut h = base(self.universe_fp, "originate");
+        // A multiset: order-insensitive through sorted per-route
+        // digests.
+        let mut routes: Vec<Fingerprint> = self
+            .policy
+            .originated(edge)
+            .iter()
+            .map(|r| {
+                let mut rh = FpHasher::new();
+                r.hash(&mut rh);
+                rh.finish()
+            })
+            .collect();
+        routes.sort();
+        h.write_u64(routes.len() as u64);
+        for r in routes {
+            r.hash(&mut h);
+        }
+        self.write_ghosts(&mut h, |g| g.originate_value as u8);
+        let fp = h.finish();
+        self.originations.insert(edge, fp);
+        fp
+    }
+
+    fn pred(&mut self, pred: &'a RoutePred) -> Fingerprint {
+        *self.preds.entry(pred).or_insert_with(|| pred_digest(pred))
+    }
+
+    /// Everything in `body`'s formula but its assume predicate, and
+    /// that predicate. `require_accept` reshapes the goal, so it
+    /// travels with the ensure side.
+    fn split(&mut self, body: &CheckBody<'a>) -> (Fingerprint, Option<&'a RoutePred>) {
+        let (base, require_accept, assume, ensure) = match *body {
+            CheckBody::Transfer {
+                edge,
+                is_import,
+                assume,
+                ensure,
+                require_accept,
+            } => (
+                self.transfer(edge, is_import),
+                require_accept,
+                Some(assume),
+                ensure,
+            ),
+            CheckBody::Originate { edge, ensure } => (self.origination(edge), false, None, ensure),
+            CheckBody::Implication { assume, ensure } => {
+                (self.implication, false, Some(assume), ensure)
             }
-            (Some(assume), ensure)
-        }
-        CheckBody::Originate { edge, ensure } => {
-            h.write_tag("originate");
-            // A multiset: order-insensitive through sorted per-route
-            // digests.
-            let mut routes: Vec<Fingerprint> = policy
-                .originated(*edge)
-                .iter()
-                .map(|r| {
-                    let mut rh = FpHasher::new();
-                    r.hash(&mut rh);
-                    rh.finish()
-                })
-                .collect();
-            routes.sort();
-            h.write_u64(routes.len() as u64);
-            for r in routes {
-                r.hash(&mut h);
-            }
-            write_ghosts(&mut h, ghosts, |g| g.originate_value as u8);
-            (None, ensure)
-        }
-        CheckBody::Implication { assume, ensure } => {
-            h.write_tag("implication");
-            (Some(assume), ensure)
-        }
-    };
-    if let (true, Some(assume)) = (with_assume, assume) {
-        h.write_tag("assume");
-        assume.hash(&mut h);
+        };
+        let mut h = FpHasher::new();
+        h.write_tag("check-rest");
+        base.hash(&mut h);
+        h.write_bool(require_accept);
+        self.pred(ensure).hash(&mut h);
+        (h.finish(), assume)
     }
-    if with_ensure {
-        h.write_tag("ensure");
-        ensure.hash(&mut h);
+
+    /// The fingerprint of everything in a check's formula **except**
+    /// its assume predicate — the universe digest, the transfer
+    /// relation (or implication tag) and the ensure side. Two checks
+    /// with equal rest fingerprints pose the same `¬goal` query over
+    /// the same symbolic route and transfer; only their assumed
+    /// invariants differ. This is the key of the re-verify engine's
+    /// conjunct-core cache: a check that previously passed with core
+    /// `C` still passes whenever its rest is unchanged and every
+    /// conjunct of `C` still occurs in the new assume — strengthening
+    /// the positive-position assume can only shrink the model set of
+    /// `assume ∧ ¬goal`. `None` for originate checks: concrete finite
+    /// evaluation has no symbolic assume side and no core.
+    pub(crate) fn rest(&mut self, body: &CheckBody<'a>) -> Option<Fingerprint> {
+        let (rest, assume) = self.split(body);
+        assume.map(|_| rest)
     }
-    h.finish()
-}
 
-/// The fingerprint of one edge's **transfer relation** only — the
-/// route-map contents, the ghost updates on that edge+direction and the
-/// universe digest, *without* any assume/ensure predicate — read off
-/// any transfer check `body` on that edge+direction. This is the
-/// part of a transfer check's encoding a persistent re-verify session
-/// keeps across runs: when it is unchanged, the session's existing
-/// symbolic transfer can answer a re-dirtied check without re-encoding;
-/// when it differs, the session re-encodes the new relation and the old
-/// one is left retracted.
-pub(crate) fn transfer_fingerprint(
-    universe_fp: Fingerprint,
-    policy: &Policy,
-    ghosts: &[GhostAttr],
-    body: &CheckBody,
-) -> Fingerprint {
-    debug_assert!(matches!(body, CheckBody::Transfer { .. }));
-    body_fingerprint(
-        "transfer-base",
-        universe_fp,
-        policy,
-        ghosts,
-        body,
-        false,
-        false,
-    )
-}
-
-/// The fingerprint of everything in a check's formula **except** its
-/// assume predicate — the universe digest, the transfer relation (or
-/// implication tag) and the ensure side. Two checks with equal rest
-/// fingerprints pose the same `¬goal` query over the same symbolic
-/// route and transfer; only their assumed invariants differ. This is
-/// the key of the re-verify engine's conjunct-core cache: a check that
-/// previously passed with core `C` still passes whenever its rest is
-/// unchanged and every conjunct of `C` still occurs in the new assume —
-/// strengthening the positive-position assume can only shrink the model
-/// set of `assume ∧ ¬goal`.
-pub(crate) fn rest_fingerprint(
-    universe_fp: Fingerprint,
-    policy: &Policy,
-    ghosts: &[GhostAttr],
-    body: &CheckBody,
-) -> Option<Fingerprint> {
-    // Concrete finite evaluation: no symbolic assume side, no core.
-    if matches!(body, CheckBody::Originate { .. }) {
-        return None;
+    /// The fingerprint of one resolved check.
+    pub(crate) fn check(&mut self, body: &CheckBody<'a>) -> Fingerprint {
+        let (rest, assume) = self.split(body);
+        let mut h = FpHasher::new();
+        h.write_tag("check");
+        rest.hash(&mut h);
+        if let Some(assume) = assume {
+            self.pred(assume).hash(&mut h);
+        }
+        h.finish()
     }
-    Some(body_fingerprint(
-        "check-rest",
-        universe_fp,
-        policy,
-        ghosts,
-        body,
-        false,
-        true,
-    ))
-}
-
-/// Canonical fingerprint of one assume conjunct. Only ever compared
-/// between rounds with identical universe layouts (the re-verify engine
-/// resets its core cache on any layout change) and under equal rest
-/// fingerprints, which embed the universe digest.
-pub(crate) fn conjunct_fingerprint(pred: &RoutePred) -> u128 {
-    let mut h = FpHasher::new();
-    h.write_tag("conjunct");
-    h.write_u32(FP_VERSION);
-    pred.hash(&mut h);
-    h.finish().0
-}
-
-/// The fingerprint of one resolved check.
-pub(crate) fn check_fingerprint(
-    universe_fp: Fingerprint,
-    policy: &Policy,
-    ghosts: &[GhostAttr],
-    body: &CheckBody,
-) -> Fingerprint {
-    body_fingerprint("check", universe_fp, policy, ghosts, body, true, true)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use bgp_model::routemap::{RouteMap, RouteMapEntry, SetAction};
-    use bgp_model::topology::EdgeId;
     use bgp_model::{Community, Route};
+
+    /// A one-off check fingerprint, every part digested afresh.
+    fn check_fingerprint(
+        universe_fp: Fingerprint,
+        policy: &Policy,
+        ghosts: &[GhostAttr],
+        body: &CheckBody,
+    ) -> Fingerprint {
+        FpParts::new(universe_fp, policy, ghosts).check(body)
+    }
 
     fn tag_map(name: &str) -> RouteMap {
         let mut m = RouteMap::new(name);
@@ -279,12 +309,14 @@ mod tests {
         m
     }
 
-    fn transfer_body(edge: EdgeId) -> CheckBody {
+    fn transfer_body(edge: EdgeId) -> CheckBody<'static> {
+        static ASSUME: RoutePred = RoutePred::True;
+        static ENSURE: RoutePred = RoutePred::HasCommunity(Community(100 << 16 | 1));
         CheckBody::Transfer {
             edge,
             is_import: true,
-            assume: RoutePred::True,
-            ensure: RoutePred::has_community(Community::new(100, 1)),
+            assume: &ASSUME,
+            ensure: &ENSURE,
             require_accept: false,
         }
     }
@@ -376,7 +408,7 @@ mod tests {
         let ufp = universe_digest(&u);
         let body = CheckBody::Originate {
             edge: EdgeId(0),
-            ensure: RoutePred::True,
+            ensure: &RoutePred::True,
         };
         let a = check_fingerprint(ufp, &pol, &[], &body);
         // Same edge, additional origination changes the set.

@@ -82,26 +82,19 @@ impl CheckIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::check::{Check, CheckKind};
-    use crate::invariants::Location;
+    use crate::engine::Site;
     use crate::pred::RoutePred;
     use bgp_model::topology::EdgeId;
 
-    fn transfer(id: usize, edge: EdgeId) -> ResolvedCheck {
+    fn transfer(id: usize, edge: EdgeId) -> ResolvedCheck<'static> {
         ResolvedCheck {
-            check: Check {
-                id,
-                kind: CheckKind::Import,
-                location: Location::Edge(edge),
-                edge: Some(edge),
-                map_name: None,
-                description: String::new(),
-            },
+            id,
+            site: Site::Import(edge),
             body: CheckBody::Transfer {
                 edge,
                 is_import: true,
-                assume: RoutePred::True,
-                ensure: RoutePred::True,
+                assume: &RoutePred::True,
+                ensure: &RoutePred::True,
                 require_accept: false,
             },
         }
@@ -124,17 +117,11 @@ mod tests {
             .enumerate()
             .map(|(i, e)| transfer(i, e))
             .chain(std::iter::once(ResolvedCheck {
-                check: Check {
-                    id: t.edge_ids().count(),
-                    kind: CheckKind::Subsumption,
-                    location: Location::Node(c),
-                    edge: None,
-                    map_name: None,
-                    description: String::new(),
-                },
+                id: t.edge_ids().count(),
+                site: Site::Final(crate::invariants::Location::Node(c)),
                 body: CheckBody::Implication {
-                    assume: RoutePred::True,
-                    ensure: RoutePred::True,
+                    assume: &RoutePred::True,
+                    ensure: &RoutePred::True,
                 },
             }))
             .collect();

@@ -20,8 +20,8 @@
 //! eventually appears at `ℓ` — failures elsewhere in the network are
 //! tolerated.
 
-use crate::check::{Check, CheckKind, Report};
-use crate::engine::{CheckBody, ResolvedCheck, Verifier};
+use crate::check::{CheckKind, Report};
+use crate::engine::{CheckBody, ResolvedCheck, Site, Verifier};
 use crate::invariants::{Location, NetworkInvariants};
 use crate::pred::RoutePred;
 use crate::safety::SafetyProperty;
@@ -138,27 +138,13 @@ impl<'a> Verifier<'a> {
                 _ => unreachable!("validated"),
             };
             prop_checks.push(ResolvedCheck {
-                check: Check {
-                    id,
-                    kind: CheckKind::Propagation,
-                    location: spec.path[i + 1],
-                    edge: Some(edge),
-                    map_name: if is_import {
-                        self.policy().import_map(edge).map(|m| m.name.clone())
-                    } else {
-                        self.policy().export_map(edge).map(|m| m.name.clone())
-                    },
-                    description: format!(
-                        "good routes propagate across {} ({})",
-                        self.topology().edge_name(edge),
-                        if is_import { "import" } else { "export" }
-                    ),
-                },
+                id,
+                site: Site::Propagation { edge, is_import },
                 body: CheckBody::Transfer {
                     edge,
                     is_import,
-                    assume: spec.constraints[i].clone(),
-                    ensure: spec.constraints[i + 1].clone(),
+                    assume: &spec.constraints[i],
+                    ensure: &spec.constraints[i + 1],
                     require_accept: true,
                 },
             });
@@ -198,17 +184,11 @@ impl<'a> Verifier<'a> {
 
         // Final implication: C_n => P.
         let final_check = ResolvedCheck {
-            check: Check {
-                id,
-                kind: CheckKind::Subsumption,
-                location: spec.location,
-                edge: None,
-                map_name: None,
-                description: "final path constraint implies the liveness property".into(),
-            },
+            id,
+            site: Site::Final(spec.location),
             body: CheckBody::Implication {
-                assume: spec.constraints.last().unwrap().clone(),
-                ensure: spec.pred.clone(),
+                assume: spec.constraints.last().unwrap(),
+                ensure: &spec.pred,
             },
         };
         let fin = self.run(&universe, std::slice::from_ref(&final_check));

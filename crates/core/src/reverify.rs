@@ -33,13 +33,10 @@
 
 use crate::check::{CheckOutcome, CheckResult, Report};
 use crate::engine::{
-    implication_goal_negation, solve_conjunct_gated, transfer_goal_negation, CheckBody, CheckCache,
-    ResolvedCheck, SolvedCheck, Verifier,
+    implication_goal_negation, size_only, solve_conjunct_gated, transfer_goal_negation, CheckBody,
+    CheckCache, ResolvedCheck, SolvedCheck, Verifier,
 };
-use crate::fingerprint::{
-    check_fingerprint, conjunct_fingerprint, rest_fingerprint, transfer_fingerprint,
-    universe_digest,
-};
+use crate::fingerprint::{pred_digest, universe_digest, FpParts};
 use crate::impact::CheckIndex;
 use crate::invariants::NetworkInvariants;
 use crate::pred::RoutePred;
@@ -207,6 +204,13 @@ fn generation_shape(topo: &bgp_model::topology::Topology, policy: &bgp_model::Po
     h.finish()
 }
 
+/// The outcome of a check answered by an earlier solve of the same
+/// formula: identical formula ⇒ identical verdict.
+fn replayed(v: &Verifier, rc: &ResolvedCheck, mut solved: SolvedCheck) -> CheckOutcome {
+    solved.stats = size_only(solved.stats);
+    v.outcome(rc, &solved)
+}
+
 /// The most known cores kept per rest fingerprint. Small on purpose: a
 /// rest structure rarely proves UNSAT through more than a couple of
 /// genuinely different conjunct sets, and every entry is scanned on a
@@ -228,7 +232,7 @@ pub struct ReverifyEngine {
     /// direction), so they survive node-id renumbering across rounds.
     sessions: HashMap<String, GroupSession>,
     /// Conjunct-core cache: per assume-free rest fingerprint
-    /// ([`rest_fingerprint`]), the sets of conjunct fingerprints that
+    /// ([`FpParts::rest`]), the sets of conjunct fingerprints that
     /// alone forced UNSAT in earlier rounds (sorted by size, at most
     /// [`MAX_CORES_PER_REST`]). Lets an invariant edit that only touches
     /// non-load-bearing conjuncts stay clean: the old proof still
@@ -315,7 +319,10 @@ impl ReverifyEngine {
         );
         let (checks, universe) = v.resolve_multi(props, inv);
         let topo = v.topology();
-        let ufp = universe_digest(&universe);
+        // One part cache for the round: the dirty test, the core cache's
+        // rest keys and the sessions' transfer keys all read the same
+        // per-edge and per-predicate digests.
+        let mut parts = FpParts::new(universe_digest(&universe), v.policy(), v.ghosts());
         let mut stats = ReverifyStats {
             total: checks.len(),
             ..ReverifyStats::default()
@@ -373,7 +380,7 @@ impl ReverifyEngine {
         stats.candidates = candidates.as_ref().map_or(checks.len(), |c| c.len());
 
         // Fingerprints outside the candidate set are carried over
-        // instead of re-serializing every route map — this is where the
+        // instead of re-digesting every route map — this is where the
         // adjacency index pays for itself: the per-round fingerprint
         // cost becomes O(delta), not O(network). It also makes `changed`
         // part of the soundness contract: it must name every
@@ -388,13 +395,13 @@ impl ReverifyEngine {
                         let fp = self.prev.as_ref().expect("candidates imply prev").fps[i];
                         debug_assert_eq!(
                             fp,
-                            check_fingerprint(ufp, v.policy(), v.ghosts(), &c.body),
+                            parts.check(&c.body),
                             "carried-over fingerprint diverged for check {i}"
                         );
                         return fp;
                     }
                 }
-                check_fingerprint(ufp, v.policy(), v.ghosts(), &c.body)
+                parts.check(&c.body)
             })
             .collect();
 
@@ -411,30 +418,13 @@ impl ReverifyEngine {
             match self.results.get(fps[i]) {
                 Some(solved) => {
                     stats.reused += 1;
-                    outcomes[i] = Some(CheckOutcome {
-                        check: c.check.clone(),
-                        // Identical formula ⇒ identical verdict; keep the
-                        // formula-size stats, drop the work counters so
-                        // aggregate solve time counts real solves once.
-                        stats: smt::SolverStats {
-                            num_vars: solved.stats.num_vars,
-                            num_clauses: solved.stats.num_clauses,
-                            ..smt::SolverStats::default()
-                        },
-                        result: solved.result,
-                        core: solved.core,
-                    });
+                    outcomes[i] = Some(replayed(v, c, solved));
                 }
-                None => match self.core_subsumed(v, ufp, c) {
+                None => match self.core_subsumed(&mut parts, c) {
                     Some(solved) => {
                         stats.core_clean += 1;
-                        self.results.insert(fps[i], solved.clone());
-                        outcomes[i] = Some(CheckOutcome {
-                            check: c.check.clone(),
-                            stats: solved.stats,
-                            result: solved.result,
-                            core: solved.core,
-                        });
+                        outcomes[i] = Some(v.outcome(c, &solved));
+                        self.results.insert(fps[i], solved);
                     }
                     None => dirty.push(i),
                 },
@@ -463,7 +453,7 @@ impl ReverifyEngine {
         self.solve_dirty(
             v,
             &universe,
-            ufp,
+            &mut parts,
             &checks,
             &fps,
             &dirty,
@@ -543,20 +533,19 @@ impl ReverifyEngine {
     /// predicate (see the `cores` field for the soundness argument).
     /// Returns the replayed pass with the core re-indexed into the
     /// current conjunct list.
-    fn core_subsumed(
+    fn core_subsumed<'a>(
         &self,
-        v: &Verifier,
-        ufp: Fingerprint,
-        rc: &ResolvedCheck,
+        parts: &mut FpParts<'a>,
+        rc: &ResolvedCheck<'a>,
     ) -> Option<SolvedCheck> {
-        let assume = match &rc.body {
+        let assume = match rc.body {
             CheckBody::Transfer { assume, .. } | CheckBody::Implication { assume, .. } => assume,
             CheckBody::Originate { .. } => return None,
         };
-        let rest = rest_fingerprint(ufp, v.policy(), v.ghosts(), &rc.body)?;
+        let rest = parts.rest(&rc.body)?;
         let entries = self.cores.get(&rest.0)?;
         let conjs = assume.conjuncts();
-        let fp_of: Vec<u128> = conjs.iter().map(conjunct_fingerprint).collect();
+        let fp_of: Vec<u128> = conjs.iter().map(|c| pred_digest(c).0).collect();
         let have: HashSet<u128> = fp_of.iter().copied().collect();
         let core = entries
             .iter()
@@ -579,12 +568,12 @@ impl ReverifyEngine {
     /// Solve the dirty checks, grouped by encoding base, on persistent
     /// sessions keyed by topology-stable signatures.
     #[allow(clippy::too_many_arguments)]
-    fn solve_dirty(
+    fn solve_dirty<'a>(
         &mut self,
         v: &Verifier,
         universe: &Universe,
-        ufp: Fingerprint,
-        checks: &[ResolvedCheck],
+        parts: &mut FpParts<'a>,
+        checks: &[ResolvedCheck<'a>],
         fps: &[Fingerprint],
         dirty: &[usize],
         outcomes: &mut [Option<CheckOutcome>],
@@ -599,35 +588,28 @@ impl ReverifyEngine {
         let mut transfers: BTreeMap<String, (EdgeId, bool, Vec<usize>)> = BTreeMap::new();
         let mut implications: Vec<usize> = Vec::new();
         for &i in dirty {
-            match &checks[i].body {
+            match checks[i].body {
                 CheckBody::Transfer {
                     edge, is_import, ..
                 } => {
-                    let e = topo.edge(*edge);
+                    let e = topo.edge(edge);
                     let sig = format!(
                         "{}>{}:{}",
                         topo.node(e.src).name,
                         topo.node(e.dst).name,
-                        if *is_import { "in" } else { "out" }
+                        if is_import { "in" } else { "out" }
                     );
                     transfers
                         .entry(sig)
-                        .or_insert_with(|| (*edge, *is_import, Vec::new()))
+                        .or_insert_with(|| (edge, is_import, Vec::new()))
                         .2
                         .push(i);
                 }
-                CheckBody::Originate { edge, ensure } => {
+                CheckBody::Originate { .. } => {
                     // Concrete finite evaluation: no solver, no session.
-                    let o = v.run_originate_check(&checks[i].check, *edge, ensure);
-                    results.insert(
-                        fps[i],
-                        SolvedCheck {
-                            result: o.result.clone(),
-                            stats: o.stats,
-                            core: None,
-                        },
-                    );
-                    outcomes[i] = Some(o);
+                    let solved = v.run_one(universe, &checks[i]);
+                    outcomes[i] = Some(v.outcome(&checks[i], &solved));
+                    results.insert(fps[i], solved);
                 }
                 CheckBody::Implication { .. } => implications.push(i),
             }
@@ -645,6 +627,7 @@ impl ReverifyEngine {
         let mut new_cores: Vec<(u128, BTreeSet<u128>)> = Vec::new();
         let mut solve_and_record =
             |gs: &mut GroupSession,
+             parts: &mut FpParts<'a>,
              i: usize,
              conjs: &[RoutePred],
              neg_build: &dyn Fn(&mut TermPool, &SymRoute) -> TermId| {
@@ -654,16 +637,7 @@ impl ReverifyEngine {
                 // baseline round) — replicate its verdict instead of
                 // re-solving, exactly like the orchestrator's dedup.
                 if let Some(solved) = results.get(fps[i]) {
-                    outcomes[i] = Some(CheckOutcome {
-                        check: checks[i].check.clone(),
-                        stats: smt::SolverStats {
-                            num_vars: solved.stats.num_vars,
-                            num_clauses: solved.stats.num_clauses,
-                            ..smt::SolverStats::default()
-                        },
-                        result: solved.result,
-                        core: solved.core,
-                    });
+                    outcomes[i] = Some(replayed(v, &checks[i], solved));
                     return;
                 }
                 let input = gs.input.clone();
@@ -676,33 +650,19 @@ impl ReverifyEngine {
                         stats: solve_stats,
                         core: core.clone(),
                     },
-                    SatResult::Sat(_) => {
-                        let o = v.run_one(universe, &checks[i]);
-                        SolvedCheck {
-                            result: o.result,
-                            stats: o.stats,
-                            core: None,
-                        }
-                    }
+                    SatResult::Sat(_) => v.run_one(universe, &checks[i]),
                 };
                 if let (true, Some(core_idx)) = (solved.result.passed(), &core) {
-                    if let Some(rest) =
-                        rest_fingerprint(ufp, v.policy(), v.ghosts(), &checks[i].body)
-                    {
+                    if let Some(rest) = parts.rest(&checks[i].body) {
                         let set: BTreeSet<u128> = core_idx
                             .iter()
-                            .map(|&ci| conjunct_fingerprint(&conjs[ci]))
+                            .map(|&ci| pred_digest(&conjs[ci]).0)
                             .collect();
                         new_cores.push((rest.0, set));
                     }
                 }
-                results.insert(fps[i], solved.clone());
-                outcomes[i] = Some(CheckOutcome {
-                    check: checks[i].check.clone(),
-                    result: solved.result,
-                    stats: solved.stats,
-                    core: solved.core,
-                });
+                outcomes[i] = Some(v.outcome(&checks[i], &solved));
+                results.insert(fps[i], solved);
             };
 
         for (sig, (edge, is_import, idxs)) in transfers {
@@ -714,7 +674,7 @@ impl ReverifyEngine {
                     stats.sessions_created += 1;
                     GroupSession::new(universe, self.learnt_cap)
                 });
-            let tfp = transfer_fingerprint(ufp, v.policy(), v.ghosts(), &checks[idxs[0]].body);
+            let tfp = parts.transfer(edge, is_import);
             if gs.transfer.as_ref().map(|(f, _)| *f) != Some(tfp) {
                 if gs.transfer.is_some() {
                     gs.retired += 1;
@@ -736,13 +696,13 @@ impl ReverifyEngine {
                     ensure,
                     require_accept,
                     ..
-                } = &checks[i].body
+                } = checks[i].body
                 else {
                     unreachable!("transfer group mixes check shapes");
                 };
                 let conjs = assume.conjuncts();
-                solve_and_record(&mut gs, i, &conjs, &|pool, _input| {
-                    transfer_goal_negation(pool, universe, &transfer, ensure, *require_accept)
+                solve_and_record(&mut gs, parts, i, &conjs, &|pool, _input| {
+                    transfer_goal_negation(pool, universe, &transfer, ensure, require_accept)
                 });
             }
             self.sessions.insert(sig, gs);
@@ -759,11 +719,11 @@ impl ReverifyEngine {
                     GroupSession::new(universe, self.learnt_cap)
                 });
             for i in implications {
-                let CheckBody::Implication { assume, ensure } = &checks[i].body else {
+                let CheckBody::Implication { assume, ensure } = checks[i].body else {
                     unreachable!("implication group mixes check shapes");
                 };
                 let conjs = assume.conjuncts();
-                solve_and_record(&mut gs, i, &conjs, &|pool, input| {
+                solve_and_record(&mut gs, parts, i, &conjs, &|pool, input| {
                     implication_goal_negation(pool, universe, input, ensure)
                 });
             }

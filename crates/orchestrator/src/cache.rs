@@ -230,11 +230,14 @@ impl<V: Clone> ResultCache<V> {
     /// Spill to `dir/cache.json`. `encode` chooses which entries are
     /// durable: returning `None` skips an entry. Each entry is stored as
     /// `{"sum", "payload"}` — the payload's compact JSON text plus its
-    /// checksum — so reload can detect corruption per entry. Returns the
-    /// number of entries written.
+    /// checksum — so reload can detect corruption per entry. The
+    /// document records `key_version`, the version of the format the
+    /// caller derives its fingerprint keys with. Returns the number of
+    /// entries written.
     pub fn save_to_dir(
         &self,
         dir: &Path,
+        key_version: u32,
         encode: impl Fn(&V) -> Option<Value>,
     ) -> io::Result<usize> {
         std::fs::create_dir_all(dir)?;
@@ -262,6 +265,7 @@ impl<V: Clone> ResultCache<V> {
         let written = entries.len();
         let doc = Value::Object(vec![
             ("version".to_string(), Value::Int(SPILL_VERSION)),
+            ("key_version".to_string(), Value::Int(key_version.into())),
             ("entries".to_string(), Value::Object(entries)),
         ]);
         let text = serde_json::to_string_pretty(&doc)
@@ -279,8 +283,10 @@ impl<V: Clone> ResultCache<V> {
     }
 
     /// Load `dir/cache.json` written by [`ResultCache::save_to_dir`].
-    /// Missing file is an empty load; a version mismatch ignores the
-    /// file (the fingerprint format changed). Every entry must pass its
+    /// Missing file is an empty load; so is a file of another spill
+    /// version or written under another `key_version` — keys of a dead
+    /// format can never be asked for again, so loading them would only
+    /// carry them into every later save. Every entry must pass its
     /// payload checksum before being parsed: a corrupted or forged entry
     /// is skipped (counted on `cache.spill_rejected`) and its check is
     /// re-proved by the caller, never replayed. `decode` may reject
@@ -288,6 +294,7 @@ impl<V: Clone> ResultCache<V> {
     pub fn load_from_dir(
         &self,
         dir: &Path,
+        key_version: u32,
         decode: impl Fn(&Value) -> Option<V>,
     ) -> io::Result<usize> {
         let path = dir.join("cache.json");
@@ -298,7 +305,9 @@ impl<V: Clone> ResultCache<V> {
         };
         let doc: Value = serde_json::from_str(&text)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        if doc["version"].as_i64() != Some(SPILL_VERSION) {
+        if doc["version"].as_i64() != Some(SPILL_VERSION)
+            || doc["key_version"].as_i64() != Some(key_version.into())
+        {
             return Ok(0);
         }
         let Some(entries) = doc["entries"].as_object() else {
@@ -375,7 +384,7 @@ mod tests {
         c.insert(fp(1), (true, 10));
         c.insert(fp(2), (false, 20)); // not durable: encode returns None
         let written = c
-            .save_to_dir(&dir, |(pass, n)| {
+            .save_to_dir(&dir, 1, |(pass, n)| {
                 if *pass {
                     Some(serde_json::json!({ "n": *n }))
                 } else {
@@ -387,7 +396,7 @@ mod tests {
 
         let c2: ResultCache<(bool, u32)> = ResultCache::new();
         let loaded = c2
-            .load_from_dir(&dir, |v| v["n"].as_u64().map(|n| (true, n as u32)))
+            .load_from_dir(&dir, 1, |v| v["n"].as_u64().map(|n| (true, n as u32)))
             .unwrap();
         assert_eq!(loaded, 1);
         assert_eq!(c2.peek(fp(1)), Some((true, 10)));
@@ -403,14 +412,14 @@ mod tests {
         let c: ResultCache<u32> = ResultCache::new();
         c.insert(fp(1), 10);
         c.insert(fp(2), 20);
-        c.save_to_dir(&dir, |n| Some(serde_json::json!({ "n": *n })))
+        c.save_to_dir(&dir, 1, |n| Some(serde_json::json!({ "n": *n })))
             .unwrap();
         let path = dir.join("cache.json");
         let text = std::fs::read_to_string(&path).unwrap();
         std::fs::write(&path, corrupt(text)).unwrap();
         let c2: ResultCache<u32> = ResultCache::new();
         let loaded = c2
-            .load_from_dir(&dir, |v| v["n"].as_u64().map(|n| n as u32))
+            .load_from_dir(&dir, 1, |v| v["n"].as_u64().map(|n| n as u32))
             .unwrap_or(0);
         let _ = std::fs::remove_dir_all(&dir);
         (c2, loaded)
@@ -469,10 +478,24 @@ mod tests {
     }
 
     #[test]
+    fn spill_under_another_key_version_is_ignored() {
+        // Written under key version 1 (what `poisoned_load` saves and
+        // loads with): a file that names another version, or none, holds
+        // keys nothing will ever ask for.
+        let other = |t: String| t.replacen("\"key_version\": 1", "\"key_version\": 2", 1);
+        assert_eq!(poisoned_load("keyver", other).1, 0);
+        let absent = |t: String| t.replacen("\"key_version\": 1,", "", 1);
+        assert_eq!(poisoned_load("nokeyver", absent).1, 0);
+        assert_eq!(poisoned_load("samekeyver", |t| t).1, 2);
+    }
+
+    #[test]
     fn missing_dir_loads_empty() {
         let c: ResultCache<u32> = ResultCache::new();
         let loaded = c
-            .load_from_dir(Path::new("/nonexistent/definitely/not/here"), |_| Some(0))
+            .load_from_dir(Path::new("/nonexistent/definitely/not/here"), 1, |_| {
+                Some(0)
+            })
             .unwrap();
         assert_eq!(loaded, 0);
     }

@@ -1,11 +1,19 @@
 //! Structural fingerprints: a 128-bit hash over a canonical byte stream.
 //!
-//! The hasher runs two independently keyed 64-bit FNV-1a-with-finalizer
-//! lanes over the same stream; the lanes' finalized states concatenate
-//! into the fingerprint. 128 bits makes accidental collisions across the
-//! largest realistic check populations (millions) negligible; the stream
-//! discipline (tags + length prefixes, see the crate docs) rules out
-//! concatenation ambiguity.
+//! The hasher runs two independently keyed 64-bit lanes over the same
+//! stream; the lanes' finalized states concatenate into the fingerprint.
+//! 128 bits makes accidental collisions across the largest realistic
+//! check populations (millions) negligible; the stream discipline (tags
+//! and length prefixes, see the crate docs) rules out concatenation
+//! ambiguity.
+//!
+//! **Word-wise stream discipline.** The stream is consumed eight bytes
+//! at a time: writes of any width collect in a 64-bit word, little-endian,
+//! and each full word costs one multiply-fold per lane. The digest is a
+//! function of the byte stream alone — how the bytes were split over
+//! `write` calls never shows — and the tail word, zero-padded, is mixed
+//! at [`FpHasher::finish`] together with the stream length, so streams
+//! that differ only in trailing zero bytes stay apart.
 //!
 //! [`FpHasher`] is also a [`std::hash::Hasher`], so a value whose type
 //! implements `Hash` is written with `x.hash(&mut h)` — a direct walk
@@ -50,14 +58,28 @@ impl fmt::Display for Fingerprint {
     }
 }
 
-const FNV_PRIME: u64 = 0x100000001b3;
+/// Per-lane multipliers (odd, high-entropy; the 64-bit golden ratio and
+/// the splitmix64 constants).
+const LANE_A_MUL: u64 = 0x9e3779b97f4a7c15;
+const LANE_B_MUL: u64 = 0xbf58476d1ce4e5b9;
+
+/// Multiply to 128 bits and fold the halves together: every input bit
+/// reaches every output bit, which a truncating multiply does not give
+/// the high bits of a 64-bit word.
+fn fold_mul(x: u64, k: u64) -> u64 {
+    let m = (x as u128).wrapping_mul(k as u128);
+    (m as u64) ^ (m >> 64) as u64
+}
 
 /// Streaming fingerprint builder.
 #[derive(Clone, Debug)]
 pub struct FpHasher {
     lane_a: u64,
     lane_b: u64,
+    /// Bytes written so far; the low three bits are the fill of `word`.
     len: u64,
+    /// The stream's unmixed tail, little-endian, zero above the fill.
+    word: u64,
 }
 
 impl Default for FpHasher {
@@ -71,49 +93,54 @@ impl FpHasher {
     pub fn new() -> Self {
         FpHasher {
             lane_a: 0xcbf29ce484222325,
-            lane_b: 0x9e3779b97f4a7c15,
+            lane_b: 0x94d049bb133111eb,
             len: 0,
+            word: 0,
         }
     }
 
-    fn mix(&mut self, byte: u8) {
-        self.lane_a = (self.lane_a ^ byte as u64).wrapping_mul(FNV_PRIME);
-        self.lane_b = (self.lane_b ^ byte as u64)
-            .wrapping_mul(FNV_PRIME)
-            .rotate_left(17);
-        self.len = self.len.wrapping_add(1);
+    fn mix(&mut self, word: u64) {
+        self.lane_a = fold_mul(self.lane_a ^ word, LANE_A_MUL);
+        self.lane_b = fold_mul(self.lane_b.rotate_left(29) ^ word, LANE_B_MUL);
+    }
+
+    /// Append the low `n` (at most 8) bytes of `x`, little-endian; the
+    /// bytes of `x` above `n` must be zero.
+    fn push(&mut self, x: u64, n: u32) {
+        let fill = (self.len & 7) as u32;
+        self.len = self.len.wrapping_add(n as u64);
+        self.word |= x << (8 * fill);
+        if fill + n >= 8 {
+            self.mix(self.word);
+            // What of `x` did not fit: nothing when the word was empty.
+            self.word = if fill == 0 { 0 } else { x >> (8 * (8 - fill)) };
+        }
     }
 
     /// Write one byte (no length prefix; only for fixed-width callers).
     pub fn write_u8(&mut self, x: u8) {
-        self.mix(x);
+        self.push(x as u64, 1);
     }
 
     /// Write a fixed-width u32.
     pub fn write_u32(&mut self, x: u32) {
-        for b in x.to_le_bytes() {
-            self.mix(b);
-        }
+        self.push(x as u64, 4);
     }
 
     /// Write a fixed-width u64.
     pub fn write_u64(&mut self, x: u64) {
-        for b in x.to_le_bytes() {
-            self.mix(b);
-        }
+        self.push(x, 8);
     }
 
     /// Write a bool as one byte.
     pub fn write_bool(&mut self, x: bool) {
-        self.mix(x as u8);
+        self.push(x as u64, 1);
     }
 
     /// Write variable-length bytes, length-prefixed (self-delimiting).
     pub fn write_bytes(&mut self, bytes: &[u8]) {
         self.write_u64(bytes.len() as u64);
-        for &b in bytes {
-            self.mix(b);
-        }
+        Hasher::write(self, bytes);
     }
 
     /// Write a string, length-prefixed.
@@ -135,8 +162,10 @@ impl FpHasher {
             z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
             z ^ (z >> 31)
         }
-        let a = fin(self.lane_a ^ self.len);
-        let b = fin(self.lane_b.wrapping_add(self.len.rotate_left(32)));
+        let mut tail = self.clone();
+        tail.mix(self.word);
+        let a = fin(tail.lane_a ^ self.len);
+        let b = fin(tail.lane_b.wrapping_add(self.len.rotate_left(32)));
         Fingerprint(((a as u128) << 64) | b as u128)
     }
 }
@@ -146,9 +175,14 @@ impl FpHasher {
 /// exists because the trait demands it and is never used as one.
 impl Hasher for FpHasher {
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.mix(b);
+        let mut chunks = bytes.chunks_exact(8);
+        for c in &mut chunks {
+            self.push(u64::from_le_bytes(c.try_into().expect("8 bytes")), 8);
         }
+        let rest = chunks.remainder();
+        let mut tail = [0u8; 8];
+        tail[..rest.len()].copy_from_slice(rest);
+        self.push(u64::from_le_bytes(tail), rest.len() as u32);
     }
 
     fn finish(&self) -> u64 {
@@ -156,23 +190,24 @@ impl Hasher for FpHasher {
     }
 
     fn write_u8(&mut self, x: u8) {
-        self.mix(x);
+        self.push(x as u64, 1);
     }
 
     fn write_u16(&mut self, x: u16) {
-        self.write(&x.to_le_bytes());
+        self.push(x as u64, 2);
     }
 
     fn write_u32(&mut self, x: u32) {
-        self.write(&x.to_le_bytes());
+        self.push(x as u64, 4);
     }
 
     fn write_u64(&mut self, x: u64) {
-        self.write(&x.to_le_bytes());
+        self.push(x, 8);
     }
 
     fn write_u128(&mut self, x: u128) {
-        self.write(&x.to_le_bytes());
+        self.push(x as u64, 8);
+        self.push((x >> 64) as u64, 8);
     }
 
     // Lengths (`Vec`, slices, `BTreeSet`) arrive as `usize` and enum

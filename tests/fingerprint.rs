@@ -1,17 +1,18 @@
 //! The dedup partition is the contract of `lightyear::fingerprint`:
 //! two checks share a fingerprint exactly when their hashed parts are
 //! structurally equal. Fingerprints are computed by walking the values
-//! (`derive(Hash)` into `orchestrator::FpHasher`); the oracle they are
-//! compared against here is equality of the same parts' canonical JSON
-//! — what the fingerprint used to be a hash of. If the two ever
-//! disagree, either a merge is unsound (distinct formulas, one solver
-//! call) or dedup silently degrades.
+//! (`derive(Hash)` into `orchestrator::FpHasher`) and composed from
+//! per-edge and per-predicate digests; the oracle they are compared
+//! against here is equality of the same parts' canonical JSON — what
+//! the fingerprint used to be a hash of. If the two ever disagree,
+//! either a merge is unsound (distinct formulas, one solver call) or
+//! dedup silently degrades.
 
-use bgp_model::canonical_json as js;
 use bgp_model::prefix::{Ipv4Prefix, PrefixRange};
 use bgp_model::routemap::{Action, MatchCond, RouteMapEntry, SetAction};
 use bgp_model::{Community, Policy, Topology};
-use lightyear::engine::Verifier;
+use fuzz::{FamilyId, FamilyParams};
+use lightyear::engine::{CheckDigests, Verifier};
 use lightyear::ghost::{GhostAttr, GhostUpdate};
 use lightyear::invariants::{Location, NetworkInvariants};
 use lightyear::pred::{Cmp, NumAttr, RoutePred};
@@ -22,8 +23,19 @@ use netgen::zoo::{self, ZooParams, CORPUS};
 use netgen::{figure1, mutate};
 use orchestrator::{Fingerprint, FpHasher};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
+
+/// Canonical JSON text of a serializable model value: the serde shim
+/// emits sorted map/set entries, so equal values produce equal strings.
+/// Nothing in the product builds on it any more; it survives here as
+/// the independent oracle. Coarser than `==` in one place: `None` and
+/// `Some(None)` both render as `null`.
+fn js<T: serde::Serialize>(x: &T) -> String {
+    serde_json::to_string(&x.to_value()).expect("canonical serialization")
+}
 
 fn fp(x: &impl Hash) -> Fingerprint {
     let mut h = FpHasher::new();
@@ -251,16 +263,65 @@ proptest! {
         let (ab, cd) = ((&a, &b), (&c, &d));
         prop_assert_eq!(fp(&ab) == fp(&cd), (key(&a), key(&b)) == (key(&c), key(&d)));
     }
+
+    /// The digest is a function of the byte stream alone: how the bytes
+    /// were split over `write` calls never shows, and no byte of the
+    /// stream goes unread.
+    #[test]
+    fn hasher_sees_the_stream_not_its_chunking(
+        bytes in prop::collection::vec(any::<u8>(), 1..200),
+        at in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let chunked = |stream: &[u8], n: usize| {
+            let mut h = FpHasher::new();
+            for c in stream.chunks(n) {
+                h.write(c);
+            }
+            h.finish()
+        };
+        let whole = chunked(&bytes, bytes.len());
+        prop_assert_eq!(chunked(&bytes, 1), whole);
+        prop_assert_eq!(chunked(&bytes, 3), whole);
+        prop_assert_eq!(chunked(&bytes, 8), whole);
+        // Typed writes are the same stream as their little-endian bytes.
+        let mut typed = FpHasher::new();
+        for c in bytes.chunks(4) {
+            match c.try_into() {
+                Ok(word) => typed.write_u32(u32::from_le_bytes(word)),
+                Err(_) => c.iter().for_each(|&b| typed.write_u8(b)),
+            }
+        }
+        prop_assert_eq!(typed.finish(), whole);
+
+        let mut flipped = bytes.clone();
+        flipped[at % bytes.len()] ^= 1 << bit;
+        prop_assert_ne!(chunked(&flipped, flipped.len()), whole);
+        // Nor is a trailing zero byte lost in the tail word's padding.
+        let mut longer = bytes.clone();
+        longer.push(0);
+        prop_assert_ne!(chunked(&longer, longer.len()), whole);
+    }
 }
 
 // ---------------------------------------------------------------------
 // (b) network level: the partition and the run statistics it produces
 // ---------------------------------------------------------------------
 
-/// What the fingerprint of each check hashes, rendered as canonical
-/// JSON under the same tags — derived here from the paper's §4.2 check
-/// definitions and the public descriptors, independently of the
-/// engine's resolved bodies.
+/// What each digest of a check hashes, rendered as canonical JSON —
+/// derived here from the paper's §4.2 check definitions and the public
+/// descriptors, independently of the engine's resolved bodies. The
+/// universe is left out: every comparison is within one batch, over one
+/// union universe.
+#[derive(PartialEq, Eq, Hash)]
+struct OracleKeys {
+    check: String,
+    /// Everything but the assumed invariant.
+    rest: Option<String>,
+    /// Direction, route-map contents and ghost updates alone.
+    transfer: Option<String>,
+}
+
 fn oracle_keys(
     topo: &Topology,
     policy: &Policy,
@@ -268,7 +329,7 @@ fn oracle_keys(
     props: &[SafetyProperty],
     inv: &NetworkInvariants,
     checks: &[&Check],
-) -> Vec<String> {
+) -> Vec<OracleKeys> {
     let ghost_key = |per: &dyn Fn(&GhostAttr) -> u8| {
         let mut gs: Vec<(String, u8)> = ghosts.iter().map(|g| (g.name.clone(), per(g))).collect();
         gs.sort();
@@ -300,35 +361,44 @@ fn oracle_keys(
                         Location::Edge(e),
                     )
                 };
-                format!(
-                    "transfer|{is_import}|{:?}|{}|{}|{}",
+                let transfer = format!(
+                    "transfer|{is_import}|{:?}|{}",
                     map.map(|m| entries_key(&m.entries)),
                     ghost_key(&|g| update(if is_import {
                         g.import_update(e)
                     } else {
                         g.export_update(e)
                     })),
-                    js(&inv.at(topo, assume)),
-                    js(&inv.at(topo, ensure)),
-                )
+                );
+                let rest = format!("{transfer}|{}", js(&inv.at(topo, ensure)));
+                OracleKeys {
+                    check: format!("{rest}|{}", js(&inv.at(topo, assume))),
+                    rest: Some(rest),
+                    transfer: Some(transfer),
+                }
             }
             CheckKind::Originate => {
                 let e = c.edge.expect("originate checks name their edge");
                 let mut routes: Vec<String> = policy.originated(e).iter().map(js).collect();
                 routes.sort();
-                format!(
-                    "originate|{routes:?}|{}|{}",
-                    ghost_key(&|g| g.originate_value as u8),
-                    js(&inv.at(topo, Location::Edge(e))),
-                )
+                OracleKeys {
+                    check: format!(
+                        "originate|{routes:?}|{}|{}",
+                        ghost_key(&|g| g.originate_value as u8),
+                        js(&inv.at(topo, Location::Edge(e))),
+                    ),
+                    rest: None,
+                    transfer: None,
+                }
             }
             CheckKind::Subsumption => {
                 let p = subsumed.next().expect("one subsumption check per property");
-                format!(
-                    "implication|{}|{}",
-                    js(&inv.at(topo, p.location)),
-                    js(&p.pred)
-                )
+                let rest = format!("implication|{}", js(&p.pred));
+                OracleKeys {
+                    check: format!("{rest}|{}", js(&inv.at(topo, p.location))),
+                    rest: Some(rest),
+                    transfer: None,
+                }
             }
             CheckKind::Propagation | CheckKind::NoInterference => {
                 unreachable!("safety suites pose no liveness checks")
@@ -347,6 +417,114 @@ fn classes<K: Eq + Hash>(keys: &[K]) -> Vec<usize> {
         .collect()
 }
 
+type Suites<'a> = [(&'a [SafetyProperty], &'a NetworkInvariants)];
+
+/// Assert that, over every check of a batch of `suites` taken together,
+/// grouping by each composed digest is grouping by the JSON oracle's
+/// key for the same parts. Returns each suite's digests and whether
+/// some transfer digest was shared between two suites.
+fn assert_structural_partition(
+    what: &str,
+    v: &Verifier,
+    ghosts: &[GhostAttr],
+    suites: &Suites,
+) -> (Vec<Vec<CheckDigests>>, bool) {
+    let (topo, policy) = (v.topology(), v.policy());
+    let per_suite = v.batch_digests(suites);
+    let mut keys = Vec::new();
+    for (props, inv) in suites {
+        let report = v.verify_safety_reference(props, inv);
+        let checks: Vec<&Check> = report.outcomes.iter().map(|o| &o.check).collect();
+        keys.extend(oracle_keys(topo, policy, ghosts, props, inv, &checks));
+    }
+    let digests: Vec<CheckDigests> = per_suite.iter().flatten().copied().collect();
+    assert_eq!(digests.len(), keys.len(), "{what}");
+    let by = |f: fn(&CheckDigests) -> Option<Fingerprint>| digests.iter().map(f).collect();
+    let (check, rest, transfer): (Vec<_>, Vec<_>, Vec<_>) =
+        (by(|d| Some(d.check)), by(|d| d.rest), by(|d| d.transfer));
+    let key = |f: fn(&OracleKeys) -> Option<&String>| keys.iter().map(f).collect::<Vec<_>>();
+    assert_eq!(
+        classes(&check),
+        classes(&key(|k| Some(&k.check))),
+        "{what}: check fingerprints do not partition by structural (JSON) equality"
+    );
+    assert_eq!(
+        classes(&rest),
+        classes(&key(|k| k.rest.as_ref())),
+        "{what}: rest fingerprints do not partition by structural equality"
+    );
+    assert_eq!(
+        classes(&transfer),
+        classes(&key(|k| k.transfer.as_ref())),
+        "{what}: transfer fingerprints do not partition by structural equality"
+    );
+    // One edge and direction poses one transfer relation, whichever
+    // suite asks.
+    let first_suite = per_suite.first().map_or(0, Vec::len);
+    let shared = classes(&transfer)
+        .iter()
+        .enumerate()
+        .any(|(i, &c)| transfer[i].is_some() && i >= first_suite && c < first_suite);
+    (per_suite, shared)
+}
+
+/// Every `netgen` family the fuzzer draws from, three seeds each (one
+/// round with an injected `network` statement, so originate checks
+/// exist), every case's suites as one batch; then the zoo suites.
+#[test]
+fn composed_fingerprints_partition_by_structural_equality_on_every_family() {
+    let (mut cases, mut cross_suite, mut originate) = (0, 0, 0);
+    for (fi, family) in FamilyId::all().iter().enumerate() {
+        for round in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(0xf1e1d + 16 * fi as u64 + round);
+            let params = FamilyParams::random(*family, &mut rng);
+            let mut configs = params.configs();
+            if round == 1 {
+                let bgp = configs[0].router_bgp.as_mut().expect("a BGP router");
+                bgp.networks.push("198.51.100.0/24".parse().unwrap());
+            }
+            let case = params.build_from(configs);
+            let v = case.verifier();
+            let suites: Vec<_> = case
+                .suites
+                .iter()
+                .map(|s| (s.props.as_slice(), &s.inv))
+                .collect();
+            let what = format!("{family} round {round}");
+            let (digests, shared) = assert_structural_partition(&what, &v, &case.ghosts, &suites);
+            cases += 1;
+            cross_suite += usize::from(shared);
+            originate += digests
+                .iter()
+                .flatten()
+                .filter(|d| d.rest.is_none())
+                .count();
+            // A suite on its own has its own universe, so other digests
+            // — and the same partition.
+            for (i, suite) in suites.iter().enumerate() {
+                let solo = v.check_fingerprints(suite.0, suite.1);
+                let batch: Vec<Fingerprint> = digests[i].iter().map(|d| d.check).collect();
+                assert_eq!(classes(&solo), classes(&batch), "{what} suite {i}");
+            }
+        }
+    }
+    let entry = &zoo::CORPUS[0];
+    let scen = zoo::build(&ZooParams::scaled(entry, 14));
+    let v = Verifier::new(&scen.network.topology, &scen.network.policy)
+        .with_ghost(scen.from_peer_ghost());
+    let (peering_props, peering_inv) = scen.peering_suite();
+    let (fencing_props, fencing_inv) = scen.fencing_suite();
+    let suites: Vec<(&[SafetyProperty], &NetworkInvariants)> = vec![
+        (&peering_props, &peering_inv),
+        (&fencing_props, &fencing_inv),
+    ];
+    let (_, shared) = assert_structural_partition("zoo", &v, &[scen.from_peer_ghost()], &suites);
+    assert!(shared, "zoo: the suites walk the same edges");
+    assert_eq!(cases, 3 * FamilyId::all().len());
+    assert!(cross_suite > 0, "no multi-suite case shared a transfer");
+    assert!(originate > 0, "no originate check compared");
+}
+
 /// Run the suite, assert that grouping its checks by fingerprint is
 /// grouping them by the JSON oracle, and return
 /// `[generated, unique, executed, groups]`.
@@ -361,15 +539,10 @@ fn partition_and_stats(
     let v = Verifier::new(topo, policy).with_ghost(ghost.clone());
     let report = v.verify_safety_multi(props, inv);
     assert_eq!(report.all_passed(), expect_pass);
-    let checks: Vec<&Check> = report.outcomes.iter().map(|o| &o.check).collect();
-    let fps = v.check_fingerprints(props, inv);
-    assert_eq!(fps.len(), checks.len());
-    let keys = oracle_keys(topo, policy, &[ghost], props, inv, &checks);
-    assert_eq!(
-        classes(&fps),
-        classes(&keys),
-        "fingerprint partition differs from the structural (JSON) partition"
-    );
+    let (digests, _) = assert_structural_partition("suite", &v, &[ghost], &[(props, inv)]);
+    let fps: Vec<Fingerprint> = digests[0].iter().map(|d| d.check).collect();
+    assert_eq!(fps, v.check_fingerprints(props, inv));
+    assert_eq!(fps.len(), report.num_checks());
     let x = report.exec;
     assert_eq!(
         x.unique,
@@ -382,8 +555,8 @@ fn partition_and_stats(
     [x.generated, x.unique, x.executed, x.groups]
 }
 
-/// The pinned statistics below are the parent commit's (JSON-hashed
-/// fingerprints): an unchanged partition reproduces them exactly.
+/// The pinned statistics below date from JSON-hashed fingerprints: an
+/// unchanged partition reproduces them exactly.
 #[test]
 fn zoo_uninett_partition_is_structural_equality() {
     let entry = CORPUS.iter().find(|e| e.name == "Uninett").unwrap();
@@ -466,8 +639,9 @@ const WAN_50R_BROKEN: [usize; 4] = [594, 18, 18, 18];
 
 /// Spilled caches are keyed by these bytes. The value depends on the
 /// field order and variant order of every hashed type (`RoutePred`,
-/// `RouteMapEntry`, `MatchCond`, `SetAction`, `Route`, ...) and on
-/// what `derive(Hash)` emits for them.
+/// `RouteMapEntry`, `MatchCond`, `SetAction`, `Route`, ...), on what
+/// `derive(Hash)` emits for them, on how `lightyear::fingerprint`
+/// composes the part digests and on `FpHasher`'s mixing function.
 #[test]
 fn figure1_check_fingerprint_is_pinned() {
     let s = figure1::build();
@@ -477,10 +651,10 @@ fn figure1_check_fingerprint_is_pinned() {
         fps[0].to_hex(),
         FIGURE1_CHECK0,
         "the fingerprint of Figure 1's first check moved: changing a hashed \
-         type's layout requires bumping `FP_VERSION` in \
+         type's layout, the composition or the hasher requires bumping `FP_VERSION` in \
          crates/core/src/fingerprint.rs (then re-pin this constant), so \
          spilled caches miss instead of answering under stale keys"
     );
 }
 
-const FIGURE1_CHECK0: &str = "c70425aef250509538629f570fa46361";
+const FIGURE1_CHECK0: &str = "b2c6545a25d7d530fa6e2a54c470fd71";

@@ -3,13 +3,20 @@
 //! are still being solved, and never holds all of them at once.
 //!
 //! Alone in its test binary because it reads a gauge off the
-//! process-global metrics sink.
+//! process-global metrics sink and the process-wide count of built
+//! `Check` descriptors; the tests here take turns.
 
-use lightyear::engine::Verifier;
+use lightyear::engine::{checks_described, Verifier};
+use netgen::mutate;
+use netgen::wan::{self, WanParams};
 use netgen::zoo::{self, ZooParams, CORPUS};
+use std::sync::Mutex;
+
+static TURN: Mutex<()> = Mutex::new(());
 
 #[test]
 fn runs_stream_in_order_through_a_window_of_structures() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
     let entry = CORPUS.iter().find(|e| e.name == "Uninett").unwrap();
     let scen = zoo::build(&ZooParams::for_entry(entry));
     let (peering_props, peering_inv) = scen.peering_suite();
@@ -60,4 +67,72 @@ fn runs_stream_in_order_through_a_window_of_structures() {
             );
         }
     }
+}
+
+/// The three assembly paths over one faulty WAN say the same thing, and
+/// a path that will not render a passing check never builds its
+/// descriptor.
+#[test]
+fn a_check_is_described_only_when_its_outcome_is_kept() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let params = WanParams {
+        regions: 3,
+        routers_per_region: 3,
+        edge_routers: 6,
+        peers_per_edge: 2,
+        seed: 20230910,
+    };
+    let mut configs = wan::configs(&params);
+    mutate::drop_aspath_filters(&mut configs, "EDGE1", "FROM-PEER1").unwrap();
+    mutate::drop_prefix_deny(&mut configs, "EDGE2", "FROM-PEER1", "BOGONS").unwrap();
+    let scen = wan::build_from_configs(&params, configs);
+    let inputs: Vec<_> = scen
+        .peering_predicates()
+        .iter()
+        .map(|(_, q)| scen.peering_property_inputs(q))
+        .collect();
+    let suites: Vec<(&[lightyear::SafetyProperty], &lightyear::NetworkInvariants)> =
+        inputs.iter().map(|(p, i)| (p.as_slice(), i)).collect();
+    let topo = &scen.network.topology;
+    let verifier = Verifier::new(topo, &scen.network.policy).with_ghost(scen.from_peer_ghost());
+
+    /// A run's result and how many descriptors it built.
+    fn counted<T>(run: impl FnOnce() -> T) -> (T, u64) {
+        let before = checks_described();
+        let out = run();
+        (out, checks_described() - before)
+    }
+    let (batch, by_batch) = counted(|| verifier.verify_safety_batch(&suites));
+    let (lean, by_lean) = counted(|| verifier.verify_safety_batch_streaming(&suites, false));
+    let (full, by_full) = counted(|| verifier.verify_safety_batch_streaming(&suites, true));
+
+    let (mut failures, mut cores) = (0, 0);
+    for ((report, lean), full) in batch
+        .reports
+        .iter()
+        .zip(&lean.summaries)
+        .zip(&full.summaries)
+    {
+        assert_eq!(report.num_checks(), lean.num_checks());
+        assert_eq!(report.num_checks(), full.num_checks());
+        let rendered = report.format_failures(topo);
+        assert_eq!(rendered, lean.format_failures(topo));
+        assert_eq!(rendered, full.format_failures(topo));
+        let core_rows = |cores: Vec<(&lightyear::Check, &[usize])>| -> Vec<String> {
+            cores
+                .iter()
+                .map(|(c, k)| format!("{} {} {} {k:?}", c.id, c.kind, c.description))
+                .collect()
+        };
+        assert_eq!(core_rows(report.cores()), core_rows(full.cores()));
+        assert!(lean.cores().is_empty());
+        failures += report.failures().len() as u64;
+        cores += report.cores().len() as u64;
+    }
+    assert!(failures >= 2, "both injected bugs are found");
+    assert!(cores > failures, "most checks pass with a core");
+    // A full report describes every check; a summary only what it keeps.
+    assert_eq!(by_batch, batch.num_checks() as u64);
+    assert_eq!(by_lean, failures, "a passing check was materialised");
+    assert_eq!(by_full, failures + cores);
 }
