@@ -8,12 +8,12 @@
 //!   network from scratch (what `lightyear verify` does per run);
 //! * `warm-reverify` — a `ReverifyEngine` round: the semantic diff names
 //!   the edited router, fingerprints confirm the dirty neighborhood, the
-//!   one dirty check re-solves on a persistent cross-run session and
+//!   one dirty check re-solves on the thread's recycled session and
 //!   everything else is answered from the carried result cache.
 //!
 //! Each warm iteration applies a *distinct* edit (monotonically rising
-//! local-pref), so every round genuinely re-solves on the warm session —
-//! no round is answered purely from cache. Reports are asserted
+//! local-pref), so every round genuinely re-solves — no round is
+//! answered purely from cache. Reports are asserted
 //! byte-identical to the fresh engine before timing starts, and the
 //! acceptance gate (warm ≥ 5x faster than fresh on the 50-router WAN,
 //! dirty set ≤ the edited neighborhood) is asserted at the end.

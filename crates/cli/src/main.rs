@@ -55,9 +55,9 @@
 //!                   which trace viewers ignore
 //!   watch           long-lived re-verify daemon: verify DIR once, then
 //!                   re-check on every config change, re-solving only the
-//!                   checks the semantic diff dirtied (warm cross-run SMT
-//!                   sessions + carried result cache). Each round prints a
-//!                   stats line:
+//!                   checks the semantic diff dirtied (carried verdicts;
+//!                   dirty groups re-solved on a recycled session). Each
+//!                   round prints a stats line:
 //!                     round 1: delta [EDGE0: route-map FROM-PEER0 changed];
 //!                     dirty 1/220 checks (13 candidates), 219 cached, ...
 //!                   --baseline DIR verifies DIR as round zero instead of
@@ -370,16 +370,23 @@ fn cmd_verify(args: &[String]) -> ExitCode {
     write_stdout(&out, code)
 }
 
+/// Write `text` to stdout in one write and flush. Unlike `print!`, a
+/// reader that went away (a supervisor pipe, `serve … | head -n1`)
+/// comes back as an `Err` instead of a panic: the caller decides what a
+/// vanished reader means, and no lock it holds is poisoned by it.
+pub(crate) fn log_stdout(text: &str) -> std::io::Result<()> {
+    let mut stdout = std::io::stdout().lock();
+    stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+}
+
 /// Hand a command's whole stdout text to stdout with one write. A reader
 /// that went away (`| head`) is not a failure of the run: the write
 /// stops quietly and `code`, the verdict's, stands. Any other write
 /// error is reported and exits 2.
 pub(crate) fn write_stdout(text: &str, code: ExitCode) -> ExitCode {
-    let mut stdout = std::io::stdout().lock();
-    match stdout
-        .write_all(text.as_bytes())
-        .and_then(|()| stdout.flush())
-    {
+    match log_stdout(text) {
         Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
             eprintln!("error: cannot write report: {e}");
             ExitCode::from(2)

@@ -155,7 +155,6 @@ fn solver_json(reg: &obs::Registry, snap: &obs::MetricsSnapshot) -> serde_json::
         "conflicts": snap.counter("smt.conflicts"),
         "restarts": snap.counter("smt.restarts"),
         "learnt_db_peak": snap.gauge("smt.learnt_db"),
-        "learnt_gc": snap.counter("smt.learnt_gc"),
         "inprocessing": serde_json::json!({
             "sweeps": snap.counter("smt.sweeps"),
             "subsumed": snap.counter("smt.subsumed"),
@@ -248,7 +247,7 @@ fn render_report(reg: &obs::Registry, clock: &StageClock, top: usize, out_path: 
     }
     println!(
         "solver: {} solves, {} decisions, {} propagations ({:.2}M props/s), \
-         {} conflicts, {} restarts; learnt DB peak {}, {} GC'd",
+         {} conflicts, {} restarts; learnt DB peak {}",
         snap.counter("smt.solves"),
         snap.counter("smt.decisions"),
         snap.counter("smt.propagations"),
@@ -256,7 +255,6 @@ fn render_report(reg: &obs::Registry, clock: &StageClock, top: usize, out_path: 
         snap.counter("smt.conflicts"),
         snap.counter("smt.restarts"),
         snap.gauge("smt.learnt_db"),
-        snap.counter("smt.learnt_gc"),
     );
     println!(
         "inprocessing: {} sweeps; {} learnts subsumed, {} strengthened, {} vivified",

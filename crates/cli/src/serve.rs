@@ -271,8 +271,9 @@ impl Daemon {
             &outcome,
         );
         t.reports = outcome.reports;
-        print!("{}", outcome.violations);
-        println!("{}", t.line);
+        // The HTTP reply is the product; the log line is not. A closed
+        // stdout must not panic here, under the tenant's lock.
+        let _ = crate::log_stdout(&format!("{}{}\n", outcome.violations, t.line));
         self.reg
             .counter_labeled(&format!("serve.tenant.{tenant}.rounds"))
             .add(1);
@@ -479,15 +480,15 @@ pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
             .name(format!("serve-worker-{w}"))
             .spawn(move || d.work());
     }
-    println!(
+    let _ = crate::log_stdout(&format!(
         "serve: {workers} workers, queue depth {queue_depth} per tenant, \
-         cache root {root}",
+         cache root {root}\n",
         root = daemon
             .cache_root
             .as_deref()
             .map(|p| p.display().to_string())
             .unwrap_or_else(|| "(none)".to_string()),
-    );
+    ));
 
     // Serve until killed. The listener lives in `active`; dropping it
     // would stop the daemon, so this loop owns it for the process

@@ -53,8 +53,6 @@ fn merge(into: &mut ReverifyStats, s: &ReverifyStats) {
     into.reused += s.reused;
     into.core_clean += s.core_clean;
     into.invalidated += s.invalidated;
-    into.sessions_reused += s.sessions_reused;
-    into.sessions_created += s.sessions_created;
     into.universe_reset |= s.universe_reset;
 }
 
@@ -89,10 +87,10 @@ impl Session {
             })
             .collect();
         if loaded_total > 0 {
-            println!(
-                "{label}: cache: loaded {loaded_total} entries from {}",
+            let _ = crate::log_stdout(&format!(
+                "{label}: cache: loaded {loaded_total} entries from {}\n",
                 cache_dir.as_deref().unwrap_or(Path::new("?")).display()
-            );
+            ));
         }
         Session {
             spec,

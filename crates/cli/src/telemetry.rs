@@ -101,7 +101,9 @@ impl TelemetryOpts {
                 let s =
                     obs::http::serve_with(addr, reg.clone(), status.clone(), handler, max_conns)
                         .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
-                println!("{label}: listening on http://{}", s.addr());
+                // The log is not the product: a reader that already
+                // left (a supervisor reading only the port) is ignored.
+                let _ = crate::log_stdout(&format!("{label}: listening on http://{}\n", s.addr()));
                 Some(s)
             }
             None => None,

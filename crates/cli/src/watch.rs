@@ -1,10 +1,15 @@
 //! The `watch` daemon and `plan` migration-step modes: long-lived
 //! delta-scoped re-verification built on `delta::diff_configs` (what
 //! changed), `lightyear::impact` (what it can dirty) and
-//! `lightyear::ReverifyEngine` (warm cross-run sessions + carried result
-//! cache). A `--cache-dir` spill keyed under an older fingerprint
-//! format is a miss, never a wrong hit: the first baseline after the
-//! upgrade reports `dirty N/N` once, then restarts are warm again.
+//! `lightyear::ReverifyEngine` (carried verdicts, cores and fingerprints;
+//! dirty groups re-solved on a recycled session). A `--cache-dir` spill
+//! keyed under an older fingerprint format is a miss, never a wrong hit:
+//! the first baseline after the upgrade reports `dirty N/N` once, then
+//! restarts are warm again.
+//!
+//! A closed stdout ends the polling loop the way ctrl-c does — every
+//! round is spilled before it is printed, so it exits 0 — while the
+//! baseline and `--once` exit with their verdict, like `verify`.
 
 use crate::session::{round_line, Session};
 use crate::telemetry::TelemetryOpts;
@@ -101,19 +106,19 @@ impl Telemetry {
 
     /// The per-round cumulative totals line (printed with
     /// `--metrics-json`). Reads the same round counter as the file and
-    /// the endpoint.
-    fn print_totals(&self) {
+    /// the endpoint. False once stdout's reader is gone (see [`say`]).
+    fn print_totals(&self) -> bool {
         if self.metrics_path.is_none() {
-            return;
+            return true;
         }
         let snap = self.reg.snapshot();
-        println!(
-            "watch: totals: {} rounds, {} checks, {} cached, {} solver calls",
+        say(&format!(
+            "watch: totals: {} rounds, {} checks, {} cached, {} solver calls\n",
             self.status.rounds(),
             snap.counter("reverify.checks"),
             snap.counter("reverify.reused"),
             snap.counter("smt.solves"),
-        );
+        ))
     }
 
     /// Atomically rewrite `--metrics-json` through the same renderer
@@ -200,11 +205,13 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
     let base_dir = baseline.clone().unwrap_or_else(|| dir.clone());
     let mut ok = match load_configs(Path::new(&base_dir)).and_then(|a| state.round(a, true)) {
         Ok(o) => {
-            print!("{}", o.violations);
-            println!("{}", round_line(&format!("baseline {base_dir}"), &o));
             state.spill();
             tele.baseline_done(o.passed, o.elapsed);
-            tele.print_totals();
+            let line = round_line(&format!("baseline {base_dir}"), &o);
+            let heard = say(&format!("{}{line}\n", o.violations)) && tele.print_totals();
+            if !heard && !once {
+                return exit(o.passed);
+            }
             o.passed
         }
         Err(e) => {
@@ -220,10 +227,12 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
                 Ok(o) => {
                     ok &= o.passed;
                     let n = tele.round_done(ok, o.elapsed, None);
-                    print!("{}", o.violations);
-                    println!("{}", round_line(&format!("round {n}"), &o));
                     state.spill();
-                    tele.print_totals();
+                    // Heard or not, the exit code is the verdict.
+                    let line = round_line(&format!("round {n}"), &o);
+                    if say(&format!("{}{line}\n", o.violations)) {
+                        tele.print_totals();
+                    }
                 }
                 Err(e) => {
                     eprintln!("error: {e}");
@@ -234,7 +243,11 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
         return exit(ok);
     }
 
-    println!("watch: polling {dir} every {interval}ms (ctrl-c to stop)");
+    if !say(&format!(
+        "watch: polling {dir} every {interval}ms (ctrl-c to stop)\n"
+    )) {
+        return exit(ok);
+    }
     let mut rounds = 0u64;
     // The last snapshot that failed to verify (parse/lower/spec error):
     // a bad state must fail its round exactly once — a scripted
@@ -255,7 +268,9 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
                     rounds = tele.round_done(ok, Duration::ZERO, Some(&e));
                     eprintln!("watch: round {rounds}: {e}");
                     last_err = Some(e);
-                    tele.print_totals();
+                    if !tele.print_totals() {
+                        return ExitCode::SUCCESS;
+                    }
                 }
                 if max_rounds.is_some_and(|m| rounds >= m) {
                     break;
@@ -295,11 +310,13 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
                 Ok(o) => {
                     ok = o.passed;
                     rounds = tele.round_done(ok, o.elapsed, None);
-                    print!("{}", o.violations);
-                    println!("{}", round_line(&format!("round {rounds}"), &o));
                     state.spill();
                     last_failed = None;
                     accepted = Some(snap);
+                    let line = round_line(&format!("round {rounds}"), &o);
+                    if !say(&format!("{}{line}\n", o.violations)) {
+                        return ExitCode::SUCCESS;
+                    }
                 }
                 Err(e) => {
                     ok = false;
@@ -315,7 +332,9 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
                 last_failed = Some(snap);
             }
         }
-        tele.print_totals();
+        if !tele.print_totals() {
+            return ExitCode::SUCCESS;
+        }
         if max_rounds.is_some_and(|m| rounds >= m) {
             break;
         }
@@ -409,6 +428,13 @@ fn parse_snapshot(snap: &Snapshot) -> Result<Vec<ConfigAst>, String> {
             parse_config(&String::from_utf8_lossy(bytes)).map_err(|e| format!("{name}: {e}"))
         })
         .collect()
+}
+
+/// Print daemon output; false once stdout's reader is gone (a closed
+/// pipe). Other write errors are ignored: the round was spilled already
+/// and the next one may be heard.
+fn say(text: &str) -> bool {
+    !matches!(crate::log_stdout(text), Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe)
 }
 
 fn exit(ok: bool) -> ExitCode {

@@ -1226,6 +1226,43 @@ fn closed_stdout_reader_keeps_the_verdict_exit_code() {
     }
 }
 
+#[test]
+fn watch_once_closed_stdout_keeps_the_verdict_exit_code() {
+    // `watch --once` under a reader that is already gone: the baseline
+    // and the delta round are still verified and spilled, and the exit
+    // code is the delta round's verdict, with no panic on stderr.
+    let base = tmpdir("watch-closed-base");
+    write_net(&base, R2);
+    let broken = R2.replace(" neighbor 10.0.0.2 route-map TO-ISP2 out\n", "");
+    for (name, r2, expect) in [("verified", R2, 0), ("violated", broken.as_str(), 1)] {
+        let edited = tmpdir(&format!("watch-closed-{name}"));
+        write_net(&edited, r2);
+        let cache = edited.join("cache");
+        let mut child = Command::new(bin())
+            .args(["watch", "--once", "--baseline"])
+            .arg(&base)
+            .arg("--configs")
+            .arg(&edited)
+            .arg("--spec")
+            .arg(base.join("spec.json"))
+            .arg("--cache-dir")
+            .arg(&cache)
+            .stdout(std::process::Stdio::piped())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .unwrap();
+        drop(child.stdout.take());
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(expect), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        assert!(
+            cache.join("prop0").join("cache.json").exists(),
+            "{name}: the round is spilled whether or not anyone read it"
+        );
+    }
+}
+
 /// Drop what differs between two runs of the same input: wall-clock
 /// values (`*seconds`, `*_ns` keys) and histogram bucket arrays.
 fn mask_volatile(stdout: &str) -> String {

@@ -557,3 +557,53 @@ fn deeply_nested_body_is_a_400_and_the_daemon_lives_on() {
     assert_eq!(code, 200, "{resp:?}");
     assert_eq!(resp["result"]["status"], "ok");
 }
+
+#[test]
+fn closed_stdout_leaves_every_tenant_serving() {
+    // A supervisor reads the listening line to learn the port, then
+    // stops reading (`serve … | head -n1`). The per-round log line then
+    // meets a closed pipe; that must not panic a worker under a
+    // tenant's lock, drop the reply, or wedge the tenant's queue.
+    let mut child = Command::new(bin())
+        .args(["serve", "--listen", "127.0.0.1:0", "--workers", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let out = child.stdout.take().unwrap();
+    let mut stderr = child.stderr.take().unwrap();
+    // Killed on drop, also when an assertion below fails.
+    let mut daemon = Daemon {
+        child,
+        addr: String::new(),
+        stdout: Arc::default(),
+    };
+    daemon.addr = BufReader::new(out)
+        .lines()
+        .find_map(|l| {
+            l.unwrap()
+                .strip_prefix("serve: listening on http://")
+                .map(str::to_string)
+        })
+        .expect("daemon did not announce its listener");
+    // The reader is dropped: stdout has no reader from now on.
+    for round in 0..2u64 {
+        let (code, resp) = daemon.post(&submit("t", &small_files(R1), &small_spec()));
+        assert_eq!(code, 200, "round {round} submit: {resp:?}");
+        assert_eq!(resp["ok"], true, "{resp:?}");
+        let (code, resp) = daemon.post(&delta("t", &small_files(&r1_edited())));
+        assert_eq!(code, 200, "round {round} delta: {resp:?}");
+        assert_eq!(
+            resp["result"]["round"].as_u64(),
+            Some(round + 1),
+            "{resp:?}"
+        );
+        let (code, resp) = daemon.post(&get_report("t"));
+        assert_eq!(code, 200, "round {round} report: {resp:?}");
+        assert_eq!(resp["result"]["passed"], true, "{resp:?}");
+    }
+    daemon.kill();
+    let mut text = String::new();
+    stderr.read_to_string(&mut text).unwrap();
+    assert!(!text.contains("panicked"), "{text}");
+}

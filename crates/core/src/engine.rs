@@ -267,7 +267,7 @@ impl MultiSummary {
 /// One definition shared by fresh solving, grouped session solving and
 /// cache re-validation, so the obligation shape cannot drift between
 /// those paths.
-pub(crate) fn transfer_violation(
+fn transfer_violation(
     pool: &mut TermPool,
     universe: &Universe,
     input: &SymRoute,
@@ -285,7 +285,7 @@ pub(crate) fn transfer_violation(
 /// poses the `pre` half as one assumption literal **per assume conjunct**
 /// (so an UNSAT proof's failed assumptions localize which conjuncts were
 /// load-bearing) and this negated goal behind one more.
-pub(crate) fn transfer_goal_negation(
+fn transfer_goal_negation(
     pool: &mut TermPool,
     universe: &Universe,
     transfer: &Transfer,
@@ -303,7 +303,7 @@ pub(crate) fn transfer_goal_negation(
 }
 
 /// The violation query of an implication obligation, as `(pre, ¬post)`.
-pub(crate) fn implication_violation(
+fn implication_violation(
     pool: &mut TermPool,
     universe: &Universe,
     r: &SymRoute,
@@ -317,7 +317,7 @@ pub(crate) fn implication_violation(
 
 /// The `¬post` half of an implication obligation (see
 /// [`transfer_goal_negation`] for why session solving wants it alone).
-pub(crate) fn implication_goal_negation(
+fn implication_goal_negation(
     pool: &mut TermPool,
     universe: &Universe,
     r: &SymRoute,
@@ -336,16 +336,13 @@ pub(crate) fn implication_goal_negation(
 /// `failed_assumptions` naming exactly which conjuncts the proof used
 /// (a sound, not necessarily minimal, unsat core).
 ///
-/// Returns `(verdict, stats, core)`; `core` is `Some` iff UNSAT. With
-/// `retract`, the posed activations are permanently retracted afterwards
-/// (long-lived re-verify sessions); one-run group sessions skip that.
-pub(crate) fn solve_conjunct_gated(
+/// Returns `(verdict, stats, core)`; `core` is `Some` iff UNSAT.
+fn solve_conjunct_gated(
     sess: &mut IncrementalSession,
     universe: &Universe,
     input: &SymRoute,
     conjuncts: &[RoutePred],
     neg: TermId,
-    retract: bool,
 ) -> (SatResult, SolverStats, Option<Vec<usize>>) {
     let encoded: Vec<TermId> = timed("engine.terms_ns", || {
         conjuncts
@@ -376,9 +373,6 @@ pub(crate) fn solve_conjunct_gated(
         let act = sess.activation(q);
         let (result, stats) = sess.solve_under(&[act]);
         debug_assert!(!result.is_sat(), "a False query cannot be satisfiable");
-        if retract {
-            sess.retract(act);
-        }
         return (result, stats, core);
     }
     let mut acts: Vec<Assumption> = Vec::with_capacity(conjuncts.len() + 1);
@@ -401,11 +395,6 @@ pub(crate) fn solve_conjunct_gated(
         }
         SatResult::Sat(_) => None,
     };
-    if retract {
-        for a in assumed {
-            sess.retract(a);
-        }
-    }
     (result, stats, core)
 }
 
@@ -1505,7 +1494,7 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    pub(crate) fn encode_transfer(
+    fn encode_transfer(
         &self,
         pool: &mut TermPool,
         universe: &Universe,
@@ -1618,7 +1607,9 @@ impl<'a> Verifier<'a> {
         sess
     }
 
-    fn run_group_inner(
+    /// [`Verifier::run_group`] without the profiling span: also how a
+    /// [`crate::reverify::ReverifyEngine`] round solves its dirty groups.
+    pub(crate) fn run_group_inner(
         &self,
         universe: &Universe,
         checks: &[&ResolvedCheck],
@@ -1676,7 +1667,7 @@ impl<'a> Verifier<'a> {
                             )
                         });
                         let (result, stats, core) =
-                            solve_conjunct_gated(&mut sess, universe, &input, &conjs, neg, false);
+                            solve_conjunct_gated(&mut sess, universe, &input, &conjs, neg);
                         settle(rc, result, stats, core)
                     })
                     .collect();
@@ -1702,7 +1693,7 @@ impl<'a> Verifier<'a> {
                             implication_goal_negation(sess.pool_mut(), universe, &r, ensure)
                         });
                         let (result, stats, core) =
-                            solve_conjunct_gated(&mut sess, universe, &r, &conjs, neg, false);
+                            solve_conjunct_gated(&mut sess, universe, &r, &conjs, neg);
                         settle(rc, result, stats, core)
                     })
                     .collect();
@@ -1715,7 +1706,7 @@ impl<'a> Verifier<'a> {
     /// Decide one check on its own fresh one-shot instance (no session,
     /// no core): the reference oracle's solve, and where every failing
     /// check's counterexample comes from.
-    pub(crate) fn run_one(&self, universe: &Universe, rc: &ResolvedCheck) -> SolvedCheck {
+    fn run_one(&self, universe: &Universe, rc: &ResolvedCheck) -> SolvedCheck {
         let (result, stats) = match rc.body {
             CheckBody::Transfer {
                 edge,

@@ -151,12 +151,8 @@ impl<'a> FpParts<'a> {
     /// The fingerprint of one edge's **transfer relation** only — the
     /// route-map contents (never the renaming-sensitive map name), the
     /// ghost updates on that edge+direction and the universe digest,
-    /// *without* any assume/ensure predicate. This is the part of a
-    /// transfer check's encoding a persistent re-verify session keeps
-    /// across runs: when it is unchanged, the session's existing
-    /// symbolic transfer can answer a re-dirtied check without
-    /// re-encoding; when it differs, the session re-encodes the new
-    /// relation and the old one is left retracted.
+    /// *without* any assume/ensure predicate: the part every check of
+    /// one encoding-base group shares.
     pub(crate) fn transfer(&mut self, edge: EdgeId, is_import: bool) -> Fingerprint {
         if let Some(&fp) = self.transfers.get(&(edge, is_import)) {
             return fp;

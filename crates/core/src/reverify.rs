@@ -1,23 +1,27 @@
 //! Cross-run re-verification: one long-lived engine, many rounds.
 //!
 //! [`ReverifyEngine`] is the substrate of daemon (`lightyear watch`) and
-//! migration-plan (`lightyear plan`) verification: it persists **across**
-//! runs what [`smt::IncrementalSession`] persists across checks —
+//! migration-plan (`lightyear plan`) verification. Local checks are
+//! independent, so what a round hands the next is **verdicts**, never
+//! solver state — all of it O(live checks):
 //!
 //! * a fingerprint-keyed result cache (an [`orchestrator::ResultCache`])
 //!   carrying every previously-proved verdict, so clean checks are
 //!   answered in O(1) without touching a solver;
-//! * per encoding-base group, a persistent [`smt::IncrementalSession`]
-//!   whose symbolic input route and well-formedness constraint are
-//!   encoded exactly once in the engine's lifetime: a re-dirtied edge
-//!   re-encodes only its changed transfer relation on the live session
-//!   (old queries are retracted via their activation literals; learnt
-//!   clauses about the shared route structure carry over);
-//! * the previous round's fingerprints and router→checks adjacency
-//!   ([`crate::impact::CheckIndex`]), driving **delta-aware
+//! * a bounded conjunct-core cache (see `ReverifyEngine::cores`), so an
+//!   invariant edit that leaves a proof's load-bearing conjuncts intact
+//!   is answered without solving;
+//! * the previous round's fingerprints, universe and router→checks
+//!   adjacency ([`crate::impact::CheckIndex`]), driving **delta-aware
 //!   invalidation**: a round that knows which routers changed removes
 //!   only that neighborhood's superseded fingerprints from the carried
 //!   cache.
+//!
+//! Dirty checks get the same grouped solve as a fresh run: one solve per
+//! distinct fingerprint, grouped by encoding base, each group on this
+//! thread's recycled session (`Verifier::run_group_inner`). Nothing a
+//! round encodes outlives it, so a round's cost and memory do not depend
+//! on the engine's age.
 //!
 //! The dirty set itself is decided by the rename-invariant fingerprints
 //! of [`crate::fingerprint`]: a check is re-solved iff its fingerprint
@@ -27,25 +31,20 @@
 //! only the checks on that router's incident edges.
 //!
 //! Reports are byte-identical to a fresh run of the same round: passes
-//! are pure verdicts, and a dirty check that fails on a warm session is
+//! are pure verdicts, and a dirty check that fails on a group session is
 //! re-derived on a fresh one-shot instance so the reported counterexample
-//! can never depend on session history.
+//! can never depend on what else the group solved.
 
 use crate::check::{CheckOutcome, CheckResult, Report};
-use crate::engine::{
-    implication_goal_negation, size_only, solve_conjunct_gated, transfer_goal_negation, CheckBody,
-    CheckCache, ResolvedCheck, SolvedCheck, Verifier,
-};
+use crate::engine::{size_only, CheckBody, CheckCache, ResolvedCheck, SolvedCheck, Verifier};
 use crate::fingerprint::{pred_digest, universe_digest, FpParts};
 use crate::impact::CheckIndex;
 use crate::invariants::NetworkInvariants;
-use crate::pred::RoutePred;
 use crate::safety::SafetyProperty;
-use crate::symbolic::SymRoute;
 use crate::universe::Universe;
-use bgp_model::topology::{EdgeId, NodeId};
+use bgp_model::topology::NodeId;
 use orchestrator::Fingerprint;
-use smt::{IncrementalSession, SatResult, TermId, TermPool};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
@@ -73,12 +72,15 @@ pub struct ReverifyStats {
     /// Superseded fingerprints dropped from the carried cache
     /// (delta-aware invalidation).
     pub invalidated: usize,
-    /// Encoding-base sessions reused from earlier rounds.
+    /// Always 0: no session outlives a round. Kept only because the
+    /// `benchmark/` harness compiles against it.
     pub sessions_reused: usize,
-    /// Encoding-base sessions created this round.
+    /// Encoding-base groups solved this round. Named for the per-edge
+    /// sessions it used to count; kept only because the `benchmark/`
+    /// harness compiles against it.
     pub sessions_created: usize,
     /// True when the attribute universe changed shape and the engine had
-    /// to drop its sessions and carried results (full re-verify).
+    /// to drop its carried results and cores (full re-verify).
     pub universe_reset: bool,
 }
 
@@ -93,56 +95,11 @@ impl ReverifyStats {
         if self.core_clean > 0 {
             s.push_str(&format!("{} core-clean, ", self.core_clean));
         }
-        s.push_str(&format!(
-            "{} invalidated; sessions: {} warm, {} new",
-            self.invalidated, self.sessions_reused, self.sessions_created,
-        ));
+        s.push_str(&format!("{} invalidated", self.invalidated));
         if self.universe_reset {
             s.push_str("; universe changed, state reset");
         }
         s
-    }
-}
-
-/// One persistent encoding-base session: the symbolic input route and
-/// its well-formedness constraint are encoded once; transfer relations
-/// and check queries come and go across rounds.
-struct GroupSession {
-    sess: IncrementalSession,
-    input: SymRoute,
-    /// The currently-encoded transfer relation and its content
-    /// fingerprint (`None` for implication sessions and before first
-    /// use). An unchanged fingerprint lets a re-dirtied check reuse the
-    /// already-encoded relation.
-    transfer: Option<(Fingerprint, crate::encode::Transfer)>,
-    /// Transfer encodings superseded on this session so far. Retraction
-    /// satisfies a retired encoding's clauses but cannot reclaim them,
-    /// so a session is rebuilt from scratch once this passes
-    /// [`RETIRED_TRANSFER_LIMIT`] — bounding daemon memory under
-    /// unbounded rounds of layout-stable edits to the same edge.
-    retired: usize,
-}
-
-/// Superseded transfer encodings a session may hold before it is
-/// rebuilt fresh (trading one re-encode of the route structure for
-/// reclaiming all retired clauses).
-const RETIRED_TRANSFER_LIMIT: usize = 32;
-
-impl GroupSession {
-    fn new(universe: &Universe, learnt_cap: Option<u64>) -> GroupSession {
-        let mut sess = match learnt_cap {
-            Some(cap) => IncrementalSession::new().with_learnt_cap(cap),
-            None => IncrementalSession::new(),
-        };
-        let input = SymRoute::fresh(sess.pool_mut(), universe, "r");
-        let wf = input.well_formed(sess.pool_mut());
-        sess.assert(wf);
-        GroupSession {
-            sess,
-            input,
-            transfer: None,
-            retired: 0,
-        }
     }
 }
 
@@ -220,17 +177,14 @@ const MAX_CORES_PER_REST: usize = 4;
 /// The most rest fingerprints the core cache holds. Every distinct
 /// route-map content an edge has ever carried mints a new rest key, so
 /// a daemon polling a frequently-edited config would otherwise grow the
-/// map monotonically (the same long-lived-process concern the
-/// learnt-clause cap and the result cache's LRU bound address).
+/// map monotonically (the same long-lived-process concern the result
+/// cache's LRU bound addresses).
 /// Overflow evicts oldest-first; eviction only costs a re-solve.
 const MAX_CORE_RESTS: usize = 4096;
 
 /// The long-lived re-verification engine (see module docs).
 pub struct ReverifyEngine {
     results: Arc<CheckCache>,
-    /// Sessions keyed by a topology-stable signature (router names +
-    /// direction), so they survive node-id renumbering across rounds.
-    sessions: HashMap<String, GroupSession>,
     /// Conjunct-core cache: per assume-free rest fingerprint
     /// ([`FpParts::rest`]), the sets of conjunct fingerprints that
     /// alone forced UNSAT in earlier rounds (sorted by size, at most
@@ -244,7 +198,6 @@ pub struct ReverifyEngine {
     /// eviction once `cores` passes [`MAX_CORE_RESTS`].
     core_order: std::collections::VecDeque<u128>,
     prev: Option<PrevRound>,
-    learnt_cap: Option<u64>,
 }
 
 impl Default for ReverifyEngine {
@@ -252,10 +205,6 @@ impl Default for ReverifyEngine {
         Self::new()
     }
 }
-
-/// Default learnt-clause bound per persistent session: generous for any
-/// single round, but a hard backstop against unbounded daemon growth.
-const DEFAULT_LEARNT_CAP: u64 = 20_000;
 
 impl ReverifyEngine {
     /// A fresh engine with nothing carried over.
@@ -271,18 +220,10 @@ impl ReverifyEngine {
     pub fn with_results(results: Arc<CheckCache>) -> Self {
         ReverifyEngine {
             results,
-            sessions: HashMap::new(),
             cores: HashMap::new(),
             core_order: std::collections::VecDeque::new(),
             prev: None,
-            learnt_cap: Some(DEFAULT_LEARNT_CAP),
         }
-    }
-
-    /// Override the per-session learnt-clause bound (`None`: unbounded).
-    pub fn with_learnt_cap(mut self, cap: Option<u64>) -> Self {
-        self.learnt_cap = cap;
-        self
     }
 
     /// The carried cross-run result cache (e.g. for spilling to disk).
@@ -319,9 +260,9 @@ impl ReverifyEngine {
         );
         let (checks, universe) = v.resolve_multi(props, inv);
         let topo = v.topology();
-        // One part cache for the round: the dirty test, the core cache's
-        // rest keys and the sessions' transfer keys all read the same
-        // per-edge and per-predicate digests.
+        // One part cache for the round: the dirty test and the core
+        // cache's rest keys read the same per-edge and per-predicate
+        // digests.
         let mut parts = FpParts::new(universe_digest(&universe), v.policy(), v.ghosts());
         let mut stats = ReverifyStats {
             total: checks.len(),
@@ -330,8 +271,8 @@ impl ReverifyEngine {
 
         // A change to the attribute universe's *shape* (a community,
         // regex or ghost appearing, disappearing, or changing position)
-        // re-lays-out every symbolic route: persistent sessions and
-        // carried verdicts are both tied to the old layout, so drop them
+        // re-lays-out every symbolic route: carried verdicts and cores
+        // are tied to the old layout, so drop them
         // and fall back to a full round. Note this is ordered equality —
         // the order-insensitive digest inside each fingerprint is not
         // enough, because cached counterexamples must match what a fresh
@@ -343,7 +284,6 @@ impl ReverifyEngine {
             if !same_layout {
                 stats.universe_reset = true;
                 stats.invalidated = self.results.len();
-                self.sessions.clear();
                 self.cores.clear();
                 self.core_order.clear();
                 self.results = Arc::new(CheckCache::new());
@@ -432,25 +372,7 @@ impl ReverifyEngine {
         }
         stats.dirty = dirty.len();
 
-        // Drop sessions whose edge no longer exists (peering/router
-        // churn): only a live edge can ever pose a query again, and a
-        // dead session would otherwise hold its encoded route structure
-        // and learnt clauses forever.
-        if !self.sessions.is_empty() {
-            let live: HashSet<String> = topo
-                .edge_ids()
-                .flat_map(|e| {
-                    let edge = topo.edge(e);
-                    let (src, dst) = (&topo.node(edge.src).name, &topo.node(edge.dst).name);
-                    [format!("{src}>{dst}:in"), format!("{src}>{dst}:out")]
-                })
-                .chain(std::iter::once("implication".to_string()))
-                .collect();
-            self.sessions.retain(|sig, _| live.contains(sig));
-        }
-
-        // Re-solve the dirty checks on persistent per-group sessions.
-        self.solve_dirty(
+        stats.sessions_created = self.solve_dirty(
             v,
             &universe,
             &mut parts,
@@ -458,7 +380,6 @@ impl ReverifyEngine {
             &fps,
             &dirty,
             &mut outcomes,
-            &mut stats,
         );
 
         // Delta-aware invalidation: superseded fingerprints of the
@@ -516,11 +437,6 @@ impl ReverifyEngine {
             obs::add("reverify.reused", stats.reused as u64);
             obs::add("reverify.core_clean", stats.core_clean as u64);
             obs::add("reverify.invalidated", stats.invalidated as u64);
-            obs::add("reverify.sessions_reused", stats.sessions_reused as u64);
-            obs::add("reverify.sessions_created", stats.sessions_created as u64);
-            // Warm sessions currently held across rounds — a level, not
-            // a rate, so it is a gauge (live on `watch --listen`).
-            obs::gauge_set("reverify.warm_sessions", self.sessions.len() as u64);
             if stats.universe_reset {
                 obs::add("reverify.universe_resets", 1);
             }
@@ -565,8 +481,12 @@ impl ReverifyEngine {
         })
     }
 
-    /// Solve the dirty checks, grouped by encoding base, on persistent
-    /// sessions keyed by topology-stable signatures.
+    /// Solve the dirty checks the way a fresh run does: the first
+    /// occurrence of each fingerprint is solved, grouped by encoding
+    /// base, each group on this thread's recycled session; later
+    /// occurrences replay it. Passes record their conjunct core so later
+    /// rounds can answer invariant edits that leave the load-bearing
+    /// conjuncts intact without solving. Returns the groups solved.
     #[allow(clippy::too_many_arguments)]
     fn solve_dirty<'a>(
         &mut self,
@@ -577,178 +497,86 @@ impl ReverifyEngine {
         fps: &[Fingerprint],
         dirty: &[usize],
         outcomes: &mut [Option<CheckOutcome>],
-        stats: &mut ReverifyStats,
-    ) {
+    ) -> usize {
         let topo = v.topology();
-        // The result cache handle, separated from `self` so sessions can
-        // stay mutably borrowed while verdicts are inserted.
-        let results = self.results.clone();
-        // Deterministic group order: BTreeMap over signatures, check
-        // indices in submission order within each group.
-        let mut transfers: BTreeMap<String, (EdgeId, bool, Vec<usize>)> = BTreeMap::new();
-        let mut implications: Vec<usize> = Vec::new();
+        // Deterministic group order: edge groups by a topology-stable
+        // signature (router names + direction), then the one implication
+        // group; check indices in submission order within each group.
+        // The order picks which copy of a duplicated structure is solved,
+        // and so the stats and core its copies replay.
+        let sig = |edge, dir| {
+            let e = topo.edge(edge);
+            format!("{}>{}:{dir}", topo.node(e.src).name, topo.node(e.dst).name)
+        };
+        let mut groups: BTreeMap<(u8, String), Vec<usize>> = BTreeMap::new();
         for &i in dirty {
-            match checks[i].body {
+            let key = match checks[i].body {
+                CheckBody::Originate { edge, .. } => (0, sig(edge, "orig")),
                 CheckBody::Transfer {
                     edge, is_import, ..
-                } => {
-                    let e = topo.edge(edge);
-                    let sig = format!(
-                        "{}>{}:{}",
-                        topo.node(e.src).name,
-                        topo.node(e.dst).name,
-                        if is_import { "in" } else { "out" }
+                } => (1, sig(edge, if is_import { "in" } else { "out" })),
+                CheckBody::Implication { .. } => (2, String::new()),
+            };
+            groups.entry(key).or_default().push(i);
+        }
+
+        // Within-round structural dedup, exactly like the orchestrator's:
+        // identical route-map templates across routers (a full baseline
+        // round) are solved once.
+        let mut first: HashMap<Fingerprint, usize> = HashMap::new();
+        let mut dups: Vec<(usize, usize)> = Vec::new();
+        let groups: Vec<Vec<usize>> = groups
+            .into_values()
+            .map(|idxs| {
+                idxs.into_iter()
+                    .filter(|&i| match first.entry(fps[i]) {
+                        Entry::Vacant(e) => {
+                            e.insert(i);
+                            true
+                        }
+                        Entry::Occupied(e) => {
+                            dups.push((i, *e.get()));
+                            false
+                        }
+                    })
+                    .collect::<Vec<usize>>()
+            })
+            .filter(|reps| !reps.is_empty())
+            .collect();
+
+        for idxs in &groups {
+            let group: Vec<&ResolvedCheck> = idxs.iter().map(|&i| &checks[i]).collect();
+            let solved = v.run_group_inner(universe, &group, None);
+            for (&i, solved) in idxs.iter().zip(solved) {
+                let rc = &checks[i];
+                if let (true, Some(core), Some(rest)) =
+                    (solved.result.passed(), &solved.core, parts.rest(&rc.body))
+                {
+                    let (CheckBody::Transfer { assume, .. }
+                    | CheckBody::Implication { assume, .. }) = rc.body
+                    else {
+                        unreachable!("only symbolic checks carry cores");
+                    };
+                    let conjs = assume.conjuncts();
+                    self.remember_core(
+                        rest.0,
+                        core.iter().map(|&ci| pred_digest(&conjs[ci]).0).collect(),
                     );
-                    transfers
-                        .entry(sig)
-                        .or_insert_with(|| (edge, is_import, Vec::new()))
-                        .2
-                        .push(i);
                 }
-                CheckBody::Originate { .. } => {
-                    // Concrete finite evaluation: no solver, no session.
-                    let solved = v.run_one(universe, &checks[i]);
-                    outcomes[i] = Some(v.outcome(&checks[i], &solved));
-                    results.insert(fps[i], solved);
-                }
-                CheckBody::Implication { .. } => implications.push(i),
+                outcomes[i] = Some(v.outcome(rc, &solved));
+                self.results.insert(fps[i], solved);
             }
         }
-
-        // One record path for both group shapes: solve the
-        // conjunct-gated query on the warm session (one activation per
-        // assume conjunct plus one for the negated goal), retract it,
-        // and — on Sat — re-derive the counterexample on a fresh
-        // one-shot instance so session history (learnt clauses,
-        // retracted rounds) can never change what the daemon reports
-        // versus a fresh run. Passes record their conjunct core into the
-        // engine's core cache so later rounds can answer invariant edits
-        // that leave the load-bearing conjuncts intact without solving.
-        let mut new_cores: Vec<(u128, BTreeSet<u128>)> = Vec::new();
-        let mut solve_and_record =
-            |gs: &mut GroupSession,
-             parts: &mut FpParts<'a>,
-             i: usize,
-             conjs: &[RoutePred],
-             neg_build: &dyn Fn(&mut TermPool, &SymRoute) -> TermId| {
-                // Within-round structural dedup: an earlier dirty check of
-                // this round may have inserted the same fingerprint (e.g.
-                // identical route-map templates across routers in a full
-                // baseline round) — replicate its verdict instead of
-                // re-solving, exactly like the orchestrator's dedup.
-                if let Some(solved) = results.get(fps[i]) {
-                    outcomes[i] = Some(replayed(v, &checks[i], solved));
-                    return;
-                }
-                let input = gs.input.clone();
-                let neg = neg_build(gs.sess.pool_mut(), &input);
-                let (result, solve_stats, core) =
-                    solve_conjunct_gated(&mut gs.sess, universe, &input, conjs, neg, true);
-                let solved = match result {
-                    SatResult::Unsat => SolvedCheck {
-                        result: CheckResult::Pass,
-                        stats: solve_stats,
-                        core: core.clone(),
-                    },
-                    SatResult::Sat(_) => v.run_one(universe, &checks[i]),
-                };
-                if let (true, Some(core_idx)) = (solved.result.passed(), &core) {
-                    if let Some(rest) = parts.rest(&checks[i].body) {
-                        let set: BTreeSet<u128> = core_idx
-                            .iter()
-                            .map(|&ci| pred_digest(&conjs[ci]).0)
-                            .collect();
-                        new_cores.push((rest.0, set));
-                    }
-                }
-                outcomes[i] = Some(v.outcome(&checks[i], &solved));
-                results.insert(fps[i], solved);
+        for (i, rep) in dups {
+            let o = outcomes[rep]
+                .as_ref()
+                .expect("a representative is solved first");
+            let solved = SolvedCheck {
+                result: o.result.clone(),
+                stats: o.stats,
+                core: o.core.clone(),
             };
-
-        for (sig, (edge, is_import, idxs)) in transfers {
-            let mut gs = self
-                .sessions
-                .remove(&sig)
-                .inspect(|_| stats.sessions_reused += 1)
-                .unwrap_or_else(|| {
-                    stats.sessions_created += 1;
-                    GroupSession::new(universe, self.learnt_cap)
-                });
-            let tfp = parts.transfer(edge, is_import);
-            if gs.transfer.as_ref().map(|(f, _)| *f) != Some(tfp) {
-                if gs.transfer.is_some() {
-                    gs.retired += 1;
-                    if gs.retired > RETIRED_TRANSFER_LIMIT {
-                        gs = GroupSession::new(universe, self.learnt_cap);
-                        // A rebuild is fresh work, not a warm answer:
-                        // keep the stats line honest about it.
-                        stats.sessions_created += 1;
-                    }
-                }
-                let input = gs.input.clone();
-                let t = v.encode_transfer(gs.sess.pool_mut(), universe, edge, is_import, &input);
-                gs.transfer = Some((tfp, t));
-            }
-            let transfer = gs.transfer.as_ref().expect("just encoded").1.clone();
-            for i in idxs {
-                let CheckBody::Transfer {
-                    assume,
-                    ensure,
-                    require_accept,
-                    ..
-                } = checks[i].body
-                else {
-                    unreachable!("transfer group mixes check shapes");
-                };
-                let conjs = assume.conjuncts();
-                solve_and_record(&mut gs, parts, i, &conjs, &|pool, _input| {
-                    transfer_goal_negation(pool, universe, &transfer, ensure, require_accept)
-                });
-            }
-            self.sessions.insert(sig, gs);
-        }
-
-        if !implications.is_empty() {
-            let sig = "implication".to_string();
-            let mut gs = self
-                .sessions
-                .remove(&sig)
-                .inspect(|_| stats.sessions_reused += 1)
-                .unwrap_or_else(|| {
-                    stats.sessions_created += 1;
-                    GroupSession::new(universe, self.learnt_cap)
-                });
-            for i in implications {
-                let CheckBody::Implication { assume, ensure } = checks[i].body else {
-                    unreachable!("implication group mixes check shapes");
-                };
-                let conjs = assume.conjuncts();
-                solve_and_record(&mut gs, parts, i, &conjs, &|pool, input| {
-                    implication_goal_negation(pool, universe, input, ensure)
-                });
-            }
-            self.sessions.insert(sig, gs);
-        }
-
-        // Merge this round's newly-proved cores into the core cache. A
-        // new core is redundant when an existing (smaller or equal) one
-        // already subsumes it; conversely a strictly smaller new core
-        // retires the supersets it improves on.
-        for (rest, set) in new_cores {
-            let entry = match self.cores.entry(rest) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    self.core_order.push_back(rest);
-                    e.insert(Vec::new())
-                }
-            };
-            if entry.iter().any(|e| e.is_subset(&set)) {
-                continue;
-            }
-            entry.retain(|e| !set.is_subset(e));
-            entry.push(set);
-            entry.sort_by_key(BTreeSet::len);
-            entry.truncate(MAX_CORES_PER_REST);
+            outcomes[i] = Some(replayed(v, &checks[i], solved));
         }
         while self.cores.len() > MAX_CORE_RESTS {
             let Some(oldest) = self.core_order.pop_front() else {
@@ -756,6 +584,28 @@ impl ReverifyEngine {
             };
             self.cores.remove(&oldest);
         }
+        groups.len()
+    }
+
+    /// Merge a newly-proved core into the core cache. A new core is
+    /// redundant when an existing (smaller or equal) one already
+    /// subsumes it; conversely a strictly smaller new core retires the
+    /// supersets it improves on.
+    fn remember_core(&mut self, rest: u128, set: BTreeSet<u128>) {
+        let entry = match self.cores.entry(rest) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => {
+                self.core_order.push_back(rest);
+                e.insert(Vec::new())
+            }
+        };
+        if entry.iter().any(|e| e.is_subset(&set)) {
+            return;
+        }
+        entry.retain(|e| !set.is_subset(e));
+        entry.push(set);
+        entry.sort_by_key(BTreeSet::len);
+        entry.truncate(MAX_CORES_PER_REST);
     }
 }
 
@@ -871,9 +721,10 @@ mod tests {
             s.candidates < s.total,
             "neighborhood must be a strict subset: {s:?}"
         );
-        // The dirty re-solve happened on the warm session the baseline
-        // round created for that edge.
-        assert!(s.sessions_reused > 0, "warm session must be reused: {s:?}");
+        // The dirty re-solve happened in groups of this round alone:
+        // nothing solver-side was carried from the baseline round.
+        assert_eq!(s.sessions_reused, 0, "{s:?}");
+        assert!((1..=s.dirty).contains(&s.sessions_created), "{s:?}");
         // The fresh engine agrees byte-for-byte.
         let fresh = v2.verify_safety(&prop2, &inv2);
         assert_eq!(fresh.to_string(), r.to_string());

@@ -1231,8 +1231,7 @@ impl SatSolver {
     /// (root level only; no-op otherwise):
     ///
     /// 1. **Simplify** by the root-level assignment: clauses with a true
-    ///    literal are deleted (this is what reclaims the clauses of
-    ///    retracted activation groups), false literals are removed.
+    ///    literal are deleted, false literals are removed.
     /// 2. **Subsume / strengthen** long learnt clauses against the
     ///    binary-clause map (backward subsumption and binary
     ///    self-subsumption).

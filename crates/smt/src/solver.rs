@@ -458,11 +458,6 @@ pub struct IncrementalSession {
     /// (assertions + the assumed activations' terms) and mark every
     /// other variable don't-care in the model.
     gated: HashMap<Lit, TermId>,
-    /// Learnt-clause database bound applied after every solve (`None`:
-    /// unbounded, the one-run default). Long-lived daemon sessions set
-    /// this so memory does not grow without limit across re-verify
-    /// rounds; see [`IncrementalSession::with_learnt_cap`].
-    learnt_cap: Option<u64>,
     /// Portfolio racing, when enabled (see [`PortfolioConfig`]).
     portfolio: Option<PortfolioConfig>,
     /// Variant index that answered the most recent solve (0 also when
@@ -497,7 +492,6 @@ impl IncrementalSession {
             pending_encode: Duration::ZERO,
             asserted: Vec::new(),
             gated: HashMap::new(),
-            learnt_cap: None,
             portfolio: None,
             last_winner: 0,
             buffered_feed: false,
@@ -520,7 +514,6 @@ impl IncrementalSession {
         self.pending_encode = Duration::ZERO;
         self.asserted.clear();
         self.gated.clear();
-        self.learnt_cap = None;
         self.portfolio = None;
         self.last_winner = 0;
         self.buffered_feed = false;
@@ -551,22 +544,6 @@ impl IncrementalSession {
     pub fn with_buffered_feed(mut self, buffered: bool) -> Self {
         self.buffered_feed = buffered;
         self
-    }
-
-    /// Bound the learnt-clause database: after every solve, the
-    /// least-active learnt clauses beyond `cap` are garbage-collected
-    /// (activity-based, like the solver's in-search reduction; binary
-    /// and reason clauses are kept). Verdicts are unaffected — learnt
-    /// clauses are derived facts — only later solves' warm-start quality
-    /// trades against memory.
-    pub fn with_learnt_cap(mut self, cap: u64) -> Self {
-        self.learnt_cap = Some(cap);
-        self
-    }
-
-    /// The configured learnt-clause bound, if any.
-    pub fn learnt_cap(&self) -> Option<u64> {
-        self.learnt_cap
     }
 
     /// Lower the underlying solver's clause-arena capacity (clamped to
@@ -601,12 +578,6 @@ impl IncrementalSession {
         self.solves
     }
 
-    /// Learnt clauses currently held by the underlying SAT instance
-    /// (after any [`IncrementalSession::with_learnt_cap`] GC).
-    pub fn num_learnts(&self) -> u64 {
-        self.sat.stats().learnts
-    }
-
     /// Assert a boolean term unconditionally (shared by every subsequent
     /// query on this session).
     pub fn assert(&mut self, t: TermId) {
@@ -630,19 +601,6 @@ impl IncrementalSession {
         self.gated.insert(act, t);
         self.pending_encode += t0.elapsed();
         Assumption(act)
-    }
-
-    /// Permanently retract an activation: the literal is asserted false,
-    /// so every clause gating the formula behind it is satisfied at the
-    /// root level and the formula can never constrain a query again.
-    /// Used by long-lived sessions to drop obligations of past re-verify
-    /// rounds (a retracted query's clauses become vacuous and cheap to
-    /// skip; anything learnt from them remains valid because activation
-    /// clauses are implications, not facts about the gated formula).
-    pub fn retract(&mut self, a: Assumption) {
-        if self.gated.remove(&a.0).is_some() {
-            self.blaster.add_clause(&[!a.0]);
-        }
     }
 
     /// Decide the session's assertions plus the gated formulas of the
@@ -714,13 +672,6 @@ impl IncrementalSession {
         record_solve_metrics(&stats, self.pending_encode);
         self.pending_encode = Duration::ZERO;
         self.solves += 1;
-        if let Some(cap) = self.learnt_cap {
-            self.sat.reduce_learnts_to(cap);
-            if obs::enabled() {
-                let kept = self.sat.stats().learnts;
-                obs::add("smt.learnt_gc", stats.sat.learnts.saturating_sub(kept));
-            }
-        }
         let result = match outcome {
             SolveOutcome::Sat => {
                 // The blast maps cover every query this session has seen;
@@ -1109,7 +1060,7 @@ mod tests {
                 .collect()
         }
         let expected = script(&mut IncrementalSession::new());
-        let mut recycled = IncrementalSession::new().with_learnt_cap(1);
+        let mut recycled = IncrementalSession::new();
         let p = recycled.pool_mut().bv_var("p", 32);
         let q = recycled.pool_mut().bv_var("q", 32);
         let pq = recycled.pool_mut().bv_add(p, q);
@@ -1118,7 +1069,6 @@ mod tests {
         recycled.assert(eq);
         assert!(recycled.solve_under(&[]).0.is_sat());
         recycled.reset();
-        assert_eq!(recycled.learnt_cap(), None);
         assert_eq!((recycled.num_solves(), recycled.pool().len()), (0, 0));
         assert_eq!(script(&mut recycled), expected);
     }
@@ -1200,94 +1150,6 @@ mod tests {
             }
             SatResult::Unsat => panic!("expected sat"),
         }
-    }
-
-    #[test]
-    fn retracted_activations_stop_constraining() {
-        let mut sess = IncrementalSession::new();
-        let a = sess.pool_mut().bool_var("a");
-        let na = sess.pool_mut().not(a);
-        let ga = sess.activation(a);
-        let gna = sess.activation(na);
-        let (r, _) = sess.solve_under(&[ga, gna]);
-        assert!(!r.is_sat(), "a ∧ ¬a");
-        // Retract the ¬a query: a alone must be satisfiable again, and
-        // the model must witness `a` (assumed) but not treat the
-        // retracted query's formula as part of anything.
-        sess.retract(gna);
-        let (r2, _) = sess.solve_under(&[ga]);
-        match r2 {
-            SatResult::Sat(m) => assert_eq!(m.eval_bool(sess.pool(), a), Some(true)),
-            SatResult::Unsat => panic!("retracted activation still constrains"),
-        }
-        // Retraction is idempotent.
-        sess.retract(gna);
-        let (r3, _) = sess.solve_under(&[ga]);
-        assert!(r3.is_sat());
-    }
-
-    #[test]
-    fn learnt_cap_bounds_a_long_lived_session() {
-        // The same query sequence on a capped and an uncapped session:
-        // verdicts must agree (learnt clauses are derived facts; dropping
-        // them cannot change answers) and the capped database must never
-        // exceed the uncapped one. The hard per-reduction guarantee (all
-        // non-binary unlocked learnts GCed) is pinned at the SAT layer.
-        let run = |cap: Option<u64>| -> (Vec<bool>, u64) {
-            let mut sess = match cap {
-                Some(c) => IncrementalSession::new().with_learnt_cap(c),
-                None => IncrementalSession::new(),
-            };
-            assert_eq!(sess.learnt_cap(), cap);
-            let n = 6usize;
-            let vars: Vec<TermId> = (0..n * n)
-                .map(|i| sess.pool_mut().bool_var(&format!("p{i}")))
-                .collect();
-            // Each pigeon sits in one of n-1 holes (asserted base).
-            for p in 0..n {
-                let row: Vec<TermId> = (0..n - 1).map(|h| vars[p * n + h]).collect();
-                let any = sess.pool_mut().or(&row);
-                sess.assert(any);
-            }
-            let mut verdicts = Vec::new();
-            let mut max_learnts = 0;
-            for round in 0..3usize {
-                // Pairwise exclusion on every hole but `round`: unsat
-                // when it excludes all remaining holes... posed as a
-                // gated query so each round re-learns from scratch
-                // unless the database carries over.
-                let mut conj = Vec::new();
-                for h in 0..(n - 1) {
-                    if h == round {
-                        continue;
-                    }
-                    for p1 in 0..n {
-                        for p2 in (p1 + 1)..n {
-                            let a = sess.pool_mut().not(vars[p1 * n + h]);
-                            let b = sess.pool_mut().not(vars[p2 * n + h]);
-                            conj.push(sess.pool_mut().or2(a, b));
-                        }
-                    }
-                }
-                let q = sess.pool_mut().and(&conj);
-                let act = sess.activation(q);
-                let (r, _) = sess.solve_under(&[act]);
-                verdicts.push(r.is_sat());
-                max_learnts = max_learnts.max(sess.num_learnts());
-                sess.retract(act);
-            }
-            (verdicts, max_learnts)
-        };
-        let (capped_verdicts, capped_max) = run(Some(4));
-        let (free_verdicts, free_max) = run(None);
-        assert_eq!(
-            capped_verdicts, free_verdicts,
-            "GC must not change verdicts"
-        );
-        assert!(
-            capped_max <= free_max,
-            "capped session grew past uncapped: {capped_max} > {free_max}"
-        );
     }
 
     #[test]

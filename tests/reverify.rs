@@ -11,12 +11,14 @@
 //! * semantic single-router edits keep `dirty <= candidates < total`
 //!   (the impact-analysis locality guarantee) unless the attribute
 //!   universe itself changed shape, which forces a declared full round;
-//! * verdicts and counterexamples never depend on warm-session history.
+//! * verdicts, counterexamples and unsat cores never depend on the
+//!   engine's history, and neither does what a round encodes: an engine
+//!   carries verdicts, not solvers, however many rounds it has seen.
 
 use delta::diff_configs;
 use lightyear::engine::Verifier;
 use lightyear::reverify::ReverifyEngine;
-use lightyear::Report;
+use lightyear::{CheckKind, Report};
 use netgen::wan::{self, WanParams};
 use netgen::{edits, mutate};
 use proptest::prelude::*;
@@ -24,6 +26,10 @@ use proptest::prelude::*;
 fn assert_reports_byte_identical(topo: &bgp_model::Topology, a: &Report, b: &Report) {
     assert_eq!(a.to_string(), b.to_string());
     assert_eq!(a.format_failures(topo), b.format_failures(topo));
+    assert_eq!(
+        format!("{:?}", a.summarize().cores()),
+        format!("{:?}", b.summarize().cores())
+    );
 }
 
 /// The first peering suite (no-bogons) of a scenario.
@@ -168,9 +174,9 @@ fn reverify_reports_failures_byte_identical_to_fresh() {
     assert_reports_byte_identical(topo, &fresh, &warm);
 }
 
-/// A multi-round daemon lifetime: edit, revert, edit elsewhere — warm
-/// sessions are reused, dirty sets stay local, the carried cache never
-/// grows stale verdicts (reverts re-prove).
+/// A multi-round daemon lifetime: edit, revert, edit elsewhere — dirty
+/// sets stay local, every round matches a fresh run, the carried cache
+/// never grows stale verdicts (reverts re-prove).
 #[test]
 fn daemon_rounds_reuse_sessions_and_stay_local() {
     let params = WanParams {
@@ -191,7 +197,7 @@ fn daemon_rounds_reuse_sessions_and_stay_local() {
             .with_ghost(scen.from_peer_ghost());
         let (report, stats) = engine.reverify(&v, &props, &inv, changed);
         let fresh = v.verify_safety_multi(&props, &inv);
-        assert_eq!(fresh.to_string(), report.to_string());
+        assert_reports_byte_identical(&scen.network.topology, &fresh, &report);
         (report, stats)
     };
 
@@ -222,19 +228,223 @@ fn daemon_rounds_reuse_sessions_and_stay_local() {
     let (_, s3) = run(&mut engine, &c3, Some(&changed));
     assert!(s3.dirty > 0 && s3.dirty <= s3.candidates, "{s3:?}");
 
-    // Round 4: re-edit the round-1 router with a new value — the
-    // persistent session for that edge answers without re-encoding the
-    // shared route structure. The diff must be taken against the
-    // *previous accepted round* (c3), so it names both the re-edited
-    // EDGE0 and the reverted EDGE1.
+    // Round 4: re-edit the round-1 router with a new value. The diff
+    // must be taken against the *previous accepted round* (c3), so it
+    // names both the re-edited EDGE0 and the reverted EDGE1; only their
+    // neighborhood re-solves, in groups of this round alone, and the
+    // report is the fresh run's (checked by `run`).
     let mut c4 = base_configs.clone();
     edits::set_local_pref(&mut c4, "EDGE0", "FROM-PEER0", 130).unwrap();
     let changed = diff_configs(&c3, &c4).changed_routers();
     let (_, s4) = run(&mut engine, &c4, Some(&changed));
-    assert!(s4.dirty > 0, "{s4:?}");
+    assert!(s4.dirty > 0 && s4.dirty <= s4.candidates, "{s4:?}");
+    assert!(s4.candidates < s4.total, "{s4:?}");
+    assert_eq!(s4.sessions_reused, 0, "no session outlives a round: {s4:?}");
     assert!(
-        s4.sessions_reused > 0,
-        "warm session must be reused: {s4:?}"
+        (1..=s4.dirty).contains(&s4.sessions_created),
+        "every group solved holds a dirty check: {s4:?}"
     );
-    assert_eq!(s4.sessions_created, 0, "{s4:?}");
+}
+
+/// A seeded stream of edit kinds (xorshift; the test needs no more).
+struct Rng(u64);
+
+impl Rng {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 ^= self.0 << 13;
+        self.0 ^= self.0 >> 7;
+        self.0 ^= self.0 << 17;
+        (self.0 % n as u64) as usize
+    }
+}
+
+/// The current name of route map `base` on `router`: cosmetic edits
+/// rename maps back and forth between `base` and `base-R`.
+fn map_name(configs: &[bgp_config::ConfigAst], router: &str, base: &str) -> String {
+    let cfg = configs.iter().find(|c| c.hostname == router).unwrap();
+    if cfg.route_maps.contains_key(base) {
+        base.to_string()
+    } else {
+        format!("{base}-R")
+    }
+}
+
+/// A long-lived daemon in the Prusti/Viper style, but for hundreds of
+/// rounds instead of a handful: one engine on the 2-region WAN through
+/// seeded cosmetic / safe / bug / revert rounds. Every tenth round is
+/// byte-identical to a fresh run (report text, failures and cores), the
+/// carried cache never outgrows the live check set, and the same edit
+/// encodes the same formula sizes at round 5 and at round 300 — engine
+/// age changes nothing a round does.
+#[test]
+fn three_hundred_rounds_stay_fresh_and_bounded() {
+    const ROUNDS: usize = 300;
+    const PROBES: [usize; 2] = [5, ROUNDS];
+    let params = WanParams {
+        regions: 2,
+        routers_per_region: 2,
+        edge_routers: 2,
+        peers_per_edge: 2,
+        seed: 11,
+    };
+    let suite = |s: &wan::Scenario| {
+        let (_, q) = s
+            .peering_predicates()
+            .into_iter()
+            .find(|(n, _)| n == "no-private-asn")
+            .unwrap();
+        s.peering_property_inputs(&q)
+    };
+    let mut configs = wan::configs(&params);
+    let mut engine = ReverifyEngine::new();
+    let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+    // The bug outstanding, as EDGE1's configuration before it.
+    let mut bug: Option<bgp_config::ConfigAst> = None;
+    let mut probe_sizes = Vec::new();
+    let mut accepted = configs.clone();
+    for round in 0..=ROUNDS {
+        let mut probe = false;
+        if round > 0 {
+            let kind = if PROBES.contains(&round) {
+                4
+            } else if bug.is_some() {
+                // Alternate: an outstanding bug is reverted, sooner or later.
+                [0, 1, 3][rng.below(3)]
+            } else {
+                [0, 0, 1, 1, 2][rng.below(5)]
+            };
+            match kind {
+                // Cosmetic: rename a map there and back.
+                0 => {
+                    let i = rng.below(configs.len());
+                    let router = configs[i].hostname.clone();
+                    let names: Vec<String> = configs[i].route_maps.keys().cloned().collect();
+                    let map = &names[rng.below(names.len())];
+                    let to = match map.strip_suffix("-R") {
+                        Some(base) => base.to_string(),
+                        None => format!("{map}-R"),
+                    };
+                    edits::rename_route_map(&mut configs, &router, map, &to).unwrap();
+                }
+                // Safe: a local-preference on some map (repeats hit the
+                // carried cache, new values re-solve).
+                1 => {
+                    let i = rng.below(configs.len());
+                    let router = configs[i].hostname.clone();
+                    let names: Vec<String> = configs[i].route_maps.keys().cloned().collect();
+                    let map = &names[rng.below(names.len())];
+                    let lp = 100 + rng.below(20) as u32;
+                    let _ = edits::set_local_pref(&mut configs, &router, map, lp);
+                }
+                // Bug: EDGE1 forgets its private-ASN filter.
+                2 => {
+                    let before = configs.iter().find(|c| c.hostname == "EDGE1").unwrap();
+                    bug = Some(before.clone());
+                    let map = map_name(&configs, "EDGE1", &format!("FROM-PEER{}", rng.below(2)));
+                    mutate::drop_aspath_filters(&mut configs, "EDGE1", &map).unwrap();
+                }
+                // Revert the bug.
+                3 => {
+                    let before = bug.take().unwrap();
+                    *configs.iter_mut().find(|c| c.hostname == "EDGE1").unwrap() = before;
+                }
+                // Probe: one edit whose formula is the same at every
+                // probe round (a never-seen local-preference, so it is
+                // always solved, on the map no bug ever touches).
+                _ => {
+                    let map = map_name(&configs, "EDGE0", "FROM-PEER0");
+                    let lp = 9_000 + round as u32;
+                    edits::set_local_pref(&mut configs, "EDGE0", &map, lp).unwrap();
+                    probe = true;
+                }
+            }
+        }
+        let delta = diff_configs(&accepted, &configs);
+        let changed = delta.changed_routers();
+        let scen = wan::build_from_configs(&params, configs.clone());
+        let topo = &scen.network.topology;
+        let (props, inv) = suite(&scen);
+        let v = Verifier::new(topo, &scen.network.policy).with_ghost(scen.from_peer_ghost());
+        let (report, stats) =
+            engine.reverify(&v, &props, &inv, (round > 0).then_some(&changed[..]));
+        accepted = configs.clone();
+
+        assert_eq!(
+            report.all_passed(),
+            bug.is_none(),
+            "round {round}: {stats:?}"
+        );
+        if round > 0 && delta.is_cosmetic() {
+            assert_eq!(stats.dirty, 0, "round {round}: {stats:?}");
+        }
+        if round > 0 && !stats.universe_reset {
+            assert!(stats.dirty <= stats.candidates, "round {round}: {stats:?}");
+        }
+        assert!(
+            engine.cache().len() <= stats.total,
+            "round {round}: {} carried verdicts for {} live checks",
+            engine.cache().len(),
+            stats.total
+        );
+        if round % 10 == 0 {
+            let fresh = v.verify_safety_multi(&props, &inv);
+            assert_reports_byte_identical(topo, &fresh, &report);
+        }
+        if probe {
+            // The probed check: the import the edited map filters.
+            let peer = topo.node_by_name("PEER0-0").unwrap();
+            let edge0 = topo.node_by_name("EDGE0").unwrap();
+            let e = topo.edge_between(peer, edge0).unwrap();
+            let solved = Report {
+                outcomes: report
+                    .outcomes
+                    .iter()
+                    .filter(|o| o.check.edge == Some(e) && o.check.kind == CheckKind::Import)
+                    .cloned()
+                    .collect(),
+                ..Report::default()
+            };
+            assert!(
+                stats.dirty > 0 && solved.max_vars() > 0,
+                "round {round}: {stats:?}"
+            );
+            probe_sizes.push((solved.max_vars(), solved.max_clauses()));
+        }
+    }
+    assert_eq!(probe_sizes.len(), PROBES.len());
+    assert_eq!(
+        probe_sizes[0], probe_sizes[1],
+        "the same edit must encode the same at round {} and {}",
+        PROBES[0], PROBES[1]
+    );
+}
+
+/// Construct, round and drop hundreds of engines in one process: each
+/// one's baseline is the same report, so nothing an engine leaves behind
+/// (a worker's recycled session included) reaches the next one.
+#[test]
+fn two_hundred_engines_come_and_go_alike() {
+    let params = WanParams {
+        regions: 1,
+        routers_per_region: 2,
+        edge_routers: 1,
+        peers_per_edge: 2,
+        seed: 5,
+    };
+    let scen = wan::build(&params);
+    let topo = &scen.network.topology;
+    let (props, inv) = suite(&scen);
+    let v = Verifier::new(topo, &scen.network.policy).with_ghost(scen.from_peer_ghost());
+    let fresh = v.verify_safety_multi(&props, &inv);
+    let mut sizes = None;
+    for _ in 0..200 {
+        let mut engine = ReverifyEngine::new();
+        let (report, stats) = engine.reverify(&v, &props, &inv, None);
+        assert_eq!(stats.dirty, stats.total);
+        assert_reports_byte_identical(topo, &fresh, &report);
+        let got = (report.max_vars(), report.max_clauses());
+        assert_eq!(*sizes.get_or_insert(got), got);
+        let (_, again) = engine.reverify(&v, &props, &inv, Some(&[]));
+        assert_eq!(again.dirty, 0, "{again:?}");
+    }
 }
