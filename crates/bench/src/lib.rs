@@ -14,7 +14,6 @@
 //!
 //! Criterion benches (see `benches/`):
 //!
-//! * `solver` — SAT/bit-blasting microbenchmarks.
 //! * `encoding` — route-map encoding cost vs map size and universe width
 //!   (ablations D1/D4).
 //! * `checks` — end-to-end check throughput: sequential vs parallel (D3)

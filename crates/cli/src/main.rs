@@ -3,11 +3,9 @@
 //! ```text
 //! USAGE:
 //!   lightyear verify --configs <DIR> --spec <FILE> [--parallel] [--json]
-//!                    [--jobs N] [--portfolio K]
-//!                    [--cache] [--cache-dir DIR] [--cache-cap N]
+//!                    [--jobs N] [--cache] [--cache-dir DIR] [--cache-cap N]
 //!                    [--profile FILE]
-//!   lightyear profile <SPEC> <CONFIG_DIR> [--jobs N] [--out FILE] [--portfolio K]
-//!                    [--top N]
+//!   lightyear profile <SPEC> <CONFIG_DIR> [--jobs N] [--out FILE] [--top N]
 //!   lightyear watch  --configs <DIR> --spec <FILE> [--baseline DIR]
 //!                    [--once] [--interval-ms N] [--max-rounds N]
 //!                    [--cache-dir DIR] [--metrics-json FILE]
@@ -129,9 +127,6 @@
 //!                   implication shape) onto one persistent SMT session;
 //!                   N only sets how many groups are solved at a time
 //!   --parallel      one worker per core (--jobs N overrides the count)
-//!   --portfolio K   race heavyweight check groups on K jittered solver
-//!                   clones (2..=4), first answer wins; reports stay
-//!                   byte-identical to sequential solving
 //!   --cache         reuse check results across runs; spilled to
 //!                   --cache-dir as JSON. Failures are spilled too and
 //!                   re-validated against the live configs before reuse.
@@ -172,10 +167,8 @@ use std::time::{Duration, Instant};
 fn usage() -> ExitCode {
     eprintln!(
         "usage:\n  lightyear verify --configs <DIR> --spec <FILE> [--parallel] [--json]\n    \
-         [--jobs N] [--portfolio K] [--cache] [--cache-dir <DIR>] [--cache-cap N]\n    \
-         [--profile <FILE>]\n  \
-         lightyear profile <SPEC> <CONFIG_DIR> [--jobs N] [--out <FILE>] [--top N]\n    \
-         [--portfolio K]\n  \
+         [--jobs N] [--cache] [--cache-dir <DIR>] [--cache-cap N] [--profile <FILE>]\n  \
+         lightyear profile <SPEC> <CONFIG_DIR> [--jobs N] [--out <FILE>] [--top N]\n  \
          lightyear watch --configs <DIR> --spec <FILE> [--baseline <DIR>] [--once]\n    \
          [--interval-ms N] [--max-rounds N] [--cache-dir <DIR>] [--metrics-json <FILE>]\n    \
          [--listen <ADDR>] [--stale-after-ms N] [--flight-json <FILE>] [--events-jsonl <FILE>]\n  \
@@ -406,7 +399,6 @@ fn verify(args: &[String], out: &mut String) -> ExitCode {
             "--configs",
             "--spec",
             "--jobs",
-            "--portfolio",
             "--cache-dir",
             "--cache-cap",
             "--profile",
@@ -430,17 +422,6 @@ fn verify(args: &[String], out: &mut String) -> ExitCode {
         Some(Ok(n)) if n > 0 => Some(n),
         Some(_) => {
             eprintln!("error: --jobs needs a positive integer");
-            return usage();
-        }
-    };
-    let portfolio = match flag_value(args, "--portfolio").map(|v| v.parse::<usize>()) {
-        None => None,
-        Some(Ok(k)) if (2..=lightyear::smt::PORTFOLIO_MAX_K).contains(&k) => Some(k),
-        Some(_) => {
-            eprintln!(
-                "error: --portfolio needs a solver count in 2..={}",
-                lightyear::smt::PORTFOLIO_MAX_K
-            );
             return usage();
         }
     };
@@ -521,12 +502,6 @@ fn verify(args: &[String], out: &mut String) -> ExitCode {
     }
     if let Some(c) = &cache {
         verifier = verifier.with_cache(c.clone());
-    }
-    if let Some(k) = portfolio {
-        verifier = verifier.with_portfolio(lightyear::engine::PortfolioTuning {
-            k,
-            ..Default::default()
-        });
     }
     for g in &spec.ghosts {
         match g.resolve(topo) {

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 /// The busy-time stages, measured on the workers: `(stage, counter)`.
 /// `terms` + `blast` + `feed` is what used to be one `encode` stage
-/// (`smt.encode_ns` still totals blast, feed and inprocessing sweeps).
+/// (`smt.encode_ns` still totals blast and feed).
 const BUSY_STAGES: [(&str, &str); 5] = [
     ("terms", "engine.terms_ns"),
     ("blast", "smt.blast_ns"),
@@ -120,33 +120,7 @@ fn props_per_sec(snap: &obs::MetricsSnapshot) -> f64 {
     }
 }
 
-/// Portfolio win attribution: which jittered variant answered first,
-/// overall (from the win counters) and per check group (from the
-/// zero-duration `portfolio_win` spans, whose group value is
-/// `"<group label>/v<variant>"`).
-fn portfolio_json(reg: &obs::Registry, snap: &obs::MetricsSnapshot) -> serde_json::Value {
-    let wins: Vec<u64> = lightyear::smt::PORTFOLIO_WIN_COUNTERS
-        .iter()
-        .map(|k| snap.counter(k))
-        .collect();
-    let mut groups: Vec<(String, u64)> = reg
-        .span_totals()
-        .into_iter()
-        .filter(|((name, _), _)| name == "portfolio_win")
-        .map(|((_, group), (count, _))| (group, count))
-        .collect();
-    groups.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-    serde_json::json!({
-        "races": snap.counter("smt.portfolio_races"),
-        "wins_by_variant": wins,
-        "wins_by_group": groups
-            .into_iter()
-            .map(|(g, n)| serde_json::json!({"group": g, "wins": n}))
-            .collect::<Vec<_>>(),
-    })
-}
-
-fn solver_json(reg: &obs::Registry, snap: &obs::MetricsSnapshot) -> serde_json::Value {
+fn solver_json(snap: &obs::MetricsSnapshot) -> serde_json::Value {
     serde_json::json!({
         "solves": snap.counter("smt.solves"),
         "decisions": snap.counter("smt.decisions"),
@@ -155,13 +129,6 @@ fn solver_json(reg: &obs::Registry, snap: &obs::MetricsSnapshot) -> serde_json::
         "conflicts": snap.counter("smt.conflicts"),
         "restarts": snap.counter("smt.restarts"),
         "learnt_db_peak": snap.gauge("smt.learnt_db"),
-        "inprocessing": serde_json::json!({
-            "sweeps": snap.counter("smt.sweeps"),
-            "subsumed": snap.counter("smt.subsumed"),
-            "strengthened": snap.counter("smt.strengthened"),
-            "vivified": snap.counter("smt.vivified"),
-        }),
-        "portfolio": portfolio_json(reg, snap),
     })
 }
 
@@ -187,7 +154,7 @@ pub(crate) fn profile_json(
     if let serde_json::Value::Object(map) = &mut v {
         map.push(("stages".to_string(), stages_json(&snap, clock)));
         map.push(("hot_groups".to_string(), serde_json::Value::Array(hot)));
-        map.push(("solver".to_string(), solver_json(reg, &snap)));
+        map.push(("solver".to_string(), solver_json(&snap)));
         map.push((
             "properties".to_string(),
             serde_json::Value::Array(properties),
@@ -257,32 +224,6 @@ fn render_report(reg: &obs::Registry, clock: &StageClock, top: usize, out_path: 
         snap.gauge("smt.learnt_db"),
     );
     println!(
-        "inprocessing: {} sweeps; {} learnts subsumed, {} strengthened, {} vivified",
-        snap.counter("smt.sweeps"),
-        snap.counter("smt.subsumed"),
-        snap.counter("smt.strengthened"),
-        snap.counter("smt.vivified"),
-    );
-    let races = snap.counter("smt.portfolio_races");
-    if races > 0 {
-        let wins: Vec<String> = lightyear::smt::PORTFOLIO_WIN_COUNTERS
-            .iter()
-            .enumerate()
-            .map(|(i, k)| format!("v{i}:{}", snap.counter(k)))
-            .collect();
-        println!("portfolio: {races} races; wins {}", wins.join(" "));
-        let attribution = portfolio_json(reg, &snap);
-        if let Some(by_group) = attribution.get("wins_by_group").and_then(|v| v.as_array()) {
-            for w in by_group.iter().take(top) {
-                println!(
-                    "  {} x{}",
-                    w.get("group").and_then(|v| v.as_str()).unwrap_or("?"),
-                    w.get("wins").and_then(|v| v.as_u64()).unwrap_or(0),
-                );
-            }
-        }
-    }
-    println!(
         "engine: {} checks posed, {} folded away; term pool peak {}",
         snap.counter("engine.checks_posed"),
         snap.counter("engine.checks_folded"),
@@ -305,12 +246,7 @@ fn render_report(reg: &obs::Registry, clock: &StageClock, top: usize, out_path: 
 pub(crate) fn cmd_profile(args: &[String]) -> ExitCode {
     // Strict flags plus exactly two positionals: a typo'd option must
     // not be silently read as a spec or directory path.
-    let pos = match positionals(
-        "profile",
-        args,
-        &["--jobs", "--out", "--top", "--portfolio"],
-        &[],
-    ) {
+    let pos = match positionals("profile", args, &["--jobs", "--out", "--top"], &[]) {
         Ok(pos) => pos,
         Err(code) => return code,
     };
@@ -336,17 +272,6 @@ pub(crate) fn cmd_profile(args: &[String]) -> ExitCode {
         }
     };
     let out_path = flag_value(args, "--out").unwrap_or_else(|| "profile.json".to_string());
-    let portfolio = match flag_value(args, "--portfolio").map(|v| v.parse::<usize>()) {
-        None => None,
-        Some(Ok(k)) if (2..=lightyear::smt::PORTFOLIO_MAX_K).contains(&k) => Some(k),
-        Some(_) => {
-            eprintln!(
-                "error: --portfolio needs a solver count in 2..={}",
-                lightyear::smt::PORTFOLIO_MAX_K
-            );
-            return usage();
-        }
-    };
 
     let reg = obs::install();
     let t0 = Instant::now();
@@ -368,12 +293,6 @@ pub(crate) fn cmd_profile(args: &[String]) -> ExitCode {
     let mut verifier = Verifier::new(topo, &net.policy).with_mode(RunMode::Parallel);
     if let Some(n) = jobs {
         verifier = verifier.with_jobs(n);
-    }
-    if let Some(k) = portfolio {
-        verifier = verifier.with_portfolio(lightyear::engine::PortfolioTuning {
-            k,
-            ..Default::default()
-        });
     }
     for g in &spec.ghosts {
         match g.resolve(topo) {

@@ -333,6 +333,7 @@ fn verify_rejects_unknown_and_retired_flags() {
         "--no-dedup",
         "--no-incremental",
         "--incremental",
+        "--portfolio",
         "stray",
     ] {
         let out = Command::new(bin())
@@ -362,6 +363,34 @@ fn verify_rejects_unknown_and_retired_flags() {
         .output()
         .unwrap();
     assert_eq!(out.status.code(), Some(2));
+}
+
+#[test]
+fn profile_rejects_retired_portfolio_flag() {
+    let d = tmpdir("profile-flags");
+    write_net(&d, R2);
+    // `--portfolio K` raced solver clones; the racing is gone, and so is
+    // the flag: with or without a value it is a usage error, not a run.
+    for extra in [&["--portfolio"][..], &["--portfolio", "2"]] {
+        let out = Command::new(bin())
+            .arg("profile")
+            .arg(d.join("spec.json"))
+            .arg(&d)
+            .arg("--out")
+            .arg(d.join("profile.json"))
+            .args(extra)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains("unknown profile option --portfolio"),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage:"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{extra:?} must not profile anything");
+        assert!(!d.join("profile.json").exists());
+    }
 }
 
 #[test]

@@ -428,59 +428,6 @@ fn syntactic_core(pool: &TermPool, encoded: &[TermId], neg: TermId) -> Vec<usize
     (0..encoded.len()).collect()
 }
 
-/// SAT-solver tuning shared by every group session a run creates.
-///
-/// The defaults are the production path: flat slice feed plus the
-/// inprocessing configuration of [`smt::SolverConfig::default`].
-/// Benches flip [`SolverTuning::config`] to [`smt::SolverConfig::plain`]
-/// and [`SolverTuning::buffered_feed`] on to measure the
-/// un-inprocessed, per-clause-buffered baseline against it.
-#[derive(Clone, Debug, Default)]
-pub struct SolverTuning {
-    /// Base solver configuration (inprocessing sweeps, restarts, phase
-    /// seeding) applied to each group session.
-    pub config: smt::SolverConfig,
-    /// Feed clauses through the buffered per-clause path instead of the
-    /// flat slice feed (ablation baseline only).
-    pub buffered_feed: bool,
-    /// Portfolio racing for heavyweight groups; `None` keeps every
-    /// query sequential.
-    pub portfolio: Option<PortfolioTuning>,
-}
-
-/// Engine-level portfolio policy: which groups opt into racing and how
-/// the race is shaped. The thread *budget* is not part of the policy —
-/// it is derived per run from the machine and the worker count (races
-/// only get the cores the worker pool left free), so group parallelism
-/// always wins the fight for cores over portfolio parallelism.
-#[derive(Clone, Debug)]
-pub struct PortfolioTuning {
-    /// Solver variants per race, capped at [`smt::PORTFOLIO_MAX_K`].
-    pub k: usize,
-    /// Engine-side work estimate: only groups at least this many checks
-    /// wide attach a portfolio (a one-check group re-derives nothing
-    /// from racing that a fresh solve would not).
-    pub min_checks: usize,
-    /// Session-side work estimate: a query races only once the group's
-    /// encoding has at least this many CNF clauses.
-    pub min_clauses: usize,
-    /// Base seed for variant jitter (verdict-irrelevant; see the smt
-    /// crate's determinism notes).
-    pub seed: u64,
-}
-
-impl Default for PortfolioTuning {
-    fn default() -> Self {
-        let d = smt::PortfolioConfig::default();
-        PortfolioTuning {
-            k: d.k,
-            min_checks: 2,
-            min_clauses: d.min_clauses,
-            seed: d.seed,
-        }
-    }
-}
-
 /// The Lightyear verifier for one network.
 #[derive(Clone)]
 pub struct Verifier<'a> {
@@ -491,8 +438,6 @@ pub struct Verifier<'a> {
     jobs: usize,
     /// Cross-run result cache.
     cache: Option<Arc<CheckCache>>,
-    /// SAT-solver tuning for group sessions.
-    solver: SolverTuning,
 }
 
 /// One place a check is posed: a site of a safety suite as visited by
@@ -642,8 +587,17 @@ pub(crate) fn size_only(st: SolverStats) -> SolverStats {
     }
 }
 
+/// A group session: this thread's parked one, reset (hand it back with
+/// [`park_session`] when the group is done), so it behaves like a new
+/// one but allocates only what the largest group so far did not.
+fn group_session() -> IncrementalSession {
+    let mut sess = SPARE_SESSION.take().unwrap_or_default();
+    sess.reset();
+    sess
+}
+
 /// A finished group's session goes back to its worker thread for the
-/// next group (see [`Verifier::group_session`]).
+/// next group (see [`group_session`]).
 fn park_session(sess: IncrementalSession) {
     obs::gauge_max("engine.term_pool_terms", sess.pool().len() as u64);
     SPARE_SESSION.set(Some(sess));
@@ -676,7 +630,6 @@ impl<'a> Verifier<'a> {
             ghosts: Vec::new(),
             jobs: 1,
             cache: None,
-            solver: SolverTuning::default(),
         }
     }
 
@@ -711,26 +664,6 @@ impl<'a> Verifier<'a> {
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
-    }
-
-    /// Replace the SAT-solver tuning wholesale (benches use this to pit
-    /// the plain buffered baseline against the default path).
-    pub fn with_solver_tuning(mut self, tuning: SolverTuning) -> Self {
-        self.solver = tuning;
-        self
-    }
-
-    /// Enable intra-group portfolio racing with the given policy.
-    /// Verdicts and reports are byte-identical to sequential solving —
-    /// racing only changes which machine-derived proof arrives first.
-    pub fn with_portfolio(mut self, portfolio: PortfolioTuning) -> Self {
-        self.solver.portfolio = Some(portfolio);
-        self
-    }
-
-    /// The active solver tuning.
-    pub fn solver_tuning(&self) -> &SolverTuning {
-        &self.solver
     }
 
     /// Attach a cross-run result cache. The cache is shared: clone the
@@ -1330,15 +1263,6 @@ impl<'a> Verifier<'a> {
     ) -> RunStats {
         obs::add("engine.checks_posed", checks.len() as u64);
         let _span = obs::span!("run_checks", checks = checks.len(), jobs = self.jobs);
-        // Portfolio thread budget for this run: the cores the worker
-        // pool leaves free. Group parallelism outranks portfolio
-        // parallelism — a fully-subscribed pool gets zero slots and
-        // every query stays sequential.
-        let slots = self.solver.portfolio.as_ref().map(|_| {
-            let cores = Executor::with_threads(None).threads();
-            smt::PortfolioSlots::new(cores.saturating_sub(self.jobs))
-        });
-        let slots = slots.as_ref();
         let mut parts = FpParts::new(universe_digest(universe), self.policy, &self.ghosts);
         // All implication checks share one encoding base, which would
         // otherwise serialize every subsumption check of a
@@ -1375,7 +1299,7 @@ impl<'a> Verifier<'a> {
             |rc: &&ResolvedCheck, v: &SolvedCheck| self.cached_result_still_valid(universe, rc, v),
             |group: &[&&ResolvedCheck]| {
                 let refs: Vec<&ResolvedCheck> = group.iter().map(|rc| **rc).collect();
-                self.run_group(universe, &refs, slots)
+                self.run_group(universe, &refs)
             },
             |members, mut solved: SolvedCheck, executed| {
                 if !executed {
@@ -1539,14 +1463,9 @@ impl<'a> Verifier<'a> {
     /// properties — the encoding base (`CheckBody::group_key`) is
     /// deliberately property-agnostic, so a multi-property batch encodes
     /// each edge's transfer relation exactly once for all of them.
-    fn run_group(
-        &self,
-        universe: &Universe,
-        checks: &[&ResolvedCheck],
-        slots: Option<&Arc<smt::PortfolioSlots>>,
-    ) -> Vec<SolvedCheck> {
+    fn run_group(&self, universe: &Universe, checks: &[&ResolvedCheck]) -> Vec<SolvedCheck> {
         if !obs::enabled() {
-            return self.run_group_inner(universe, checks, slots);
+            return self.run_group_inner(universe, checks);
         }
         // Label groups by their representative check — the encoding base
         // is per edge-direction (or the shared implication base), so the
@@ -1554,7 +1473,7 @@ impl<'a> Verifier<'a> {
         let first = checks.first().expect("groups are non-empty");
         let label = self.group_label(&first.site);
         let _span = obs::span!("solve_group", group = label, checks = checks.len());
-        let out = self.run_group_inner(universe, checks, slots);
+        let out = self.run_group_inner(universe, checks);
         let (mut encode_ns, mut solve_ns) = (0u64, 0u64);
         for s in &out {
             encode_ns += s.stats.encode_time.as_nanos() as u64;
@@ -1574,46 +1493,12 @@ impl<'a> Verifier<'a> {
         )
     }
 
-    /// A group session configured by this verifier's solver tuning:
-    /// base SAT config, the feed-path ablation switch and — for groups
-    /// wide enough to clear the engine-side estimate — portfolio racing
-    /// against the run's shared slot pool. `label` is lazy because it
-    /// only feeds the per-group win-attribution span. The session is
-    /// this thread's parked one, reset (hand it back with
-    /// [`park_session`] when the group is done), so it behaves like a
-    /// new one but allocates only what the largest group so far did not.
-    fn group_session(
-        &self,
-        slots: Option<&Arc<smt::PortfolioSlots>>,
-        width: usize,
-        label: impl FnOnce() -> String,
-    ) -> IncrementalSession {
-        let mut sess = SPARE_SESSION.take().unwrap_or_default();
-        sess.reset();
-        let mut sess = sess
-            .with_config(self.solver.config.clone())
-            .with_buffered_feed(self.solver.buffered_feed);
-        if let (Some(p), Some(slots)) = (&self.solver.portfolio, slots) {
-            if width >= p.min_checks {
-                sess = sess.with_portfolio(smt::PortfolioConfig {
-                    k: p.k,
-                    min_clauses: p.min_clauses,
-                    seed: p.seed,
-                    label: label(),
-                    slots: Some(Arc::clone(slots)),
-                });
-            }
-        }
-        sess
-    }
-
     /// [`Verifier::run_group`] without the profiling span: also how a
     /// [`crate::reverify::ReverifyEngine`] round solves its dirty groups.
     pub(crate) fn run_group_inner(
         &self,
         universe: &Universe,
         checks: &[&ResolvedCheck],
-        slots: Option<&Arc<smt::PortfolioSlots>>,
     ) -> Vec<SolvedCheck> {
         let first = checks.first().expect("groups are non-empty");
         // One record path for both session shapes: a passing check
@@ -1634,8 +1519,7 @@ impl<'a> Verifier<'a> {
             CheckBody::Transfer {
                 edge, is_import, ..
             } => {
-                let mut sess =
-                    self.group_session(slots, checks.len(), || self.group_label(&first.site));
+                let mut sess = group_session();
                 let (input, wf, transfer) = timed("engine.terms_ns", || {
                     let pool = sess.pool_mut();
                     let input = SymRoute::fresh(pool, universe, "r");
@@ -1675,7 +1559,7 @@ impl<'a> Verifier<'a> {
                 out
             }
             CheckBody::Implication { .. } => {
-                let mut sess = self.group_session(slots, checks.len(), || "implication".into());
+                let mut sess = group_session();
                 let (r, wf) = timed("engine.terms_ns", || {
                     let r = SymRoute::fresh(sess.pool_mut(), universe, "r");
                     let wf = r.well_formed(sess.pool_mut());

@@ -119,10 +119,8 @@ pub mod universe;
 pub use check::{Check, CheckKind, CheckResult, Counterexample, Report};
 pub use engine::{
     load_check_cache, load_check_cache_bounded, load_pass_cache, save_check_cache, CheckCache,
-    MultiReport, PortfolioTuning, RunMode, SolvedCheck, SolverTuning, Verifier,
+    MultiReport, RunMode, SolvedCheck, Verifier,
 };
-// Re-exported so downstream tooling (CLI flags, benches) can reference
-// solver-level types without a separate dependency edge.
 pub use ghost::{GhostAttr, GhostUpdate};
 pub use impact::CheckIndex;
 pub use invariants::{Location, NetworkInvariants};
@@ -130,4 +128,3 @@ pub use liveness::LivenessSpec;
 pub use pred::RoutePred;
 pub use reverify::{ReverifyEngine, ReverifyStats};
 pub use safety::SafetyProperty;
-pub use smt;

@@ -546,7 +546,7 @@ impl ReverifyEngine {
 
         for idxs in &groups {
             let group: Vec<&ResolvedCheck> = idxs.iter().map(|&i| &checks[i]).collect();
-            let solved = v.run_group_inner(universe, &group, None);
+            let solved = v.run_group_inner(universe, &group);
             for (&i, solved) in idxs.iter().zip(solved) {
                 let rc = &checks[i];
                 if let (true, Some(core), Some(rest)) =

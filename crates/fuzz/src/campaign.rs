@@ -5,8 +5,8 @@
 use crate::families::{FamilyId, FamilyParams};
 use crate::minimize::FailingCase;
 use crate::oracle::{
-    bug_oracle, cache_poison_oracle, edit_oracle, parity_oracle, portfolio_oracle, sim_oracle,
-    Discrepancy, OracleId, BUG_ORACLE_SIM_ROUNDS,
+    bug_oracle, cache_poison_oracle, edit_oracle, parity_oracle, sim_oracle, Discrepancy, OracleId,
+    BUG_ORACLE_SIM_ROUNDS,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -184,7 +184,6 @@ fn oracle_counter(oracle: &str) -> &'static str {
         "sim_grid" => "fuzz.oracle.sim_grid_ns",
         "mode_parity" => "fuzz.oracle.mode_parity_ns",
         "edit_sequence" => "fuzz.oracle.edit_sequence_ns",
-        "portfolio_parity" => "fuzz.oracle.portfolio_parity_ns",
         "cache_poison" => "fuzz.oracle.cache_poison_ns",
         _ => "fuzz.oracle.bug_injection_ns",
     }
@@ -239,7 +238,6 @@ fn oracle_counter_hist(oracle: &str) -> &'static str {
         "sim_grid" => "fuzz.oracle.sim_grid",
         "mode_parity" => "fuzz.oracle.mode_parity",
         "edit_sequence" => "fuzz.oracle.edit_sequence",
-        "portfolio_parity" => "fuzz.oracle.portfolio_parity",
         "cache_poison" => "fuzz.oracle.cache_poison",
         _ => "fuzz.oracle.bug_injection",
     }
@@ -325,23 +323,7 @@ fn run_case(
             return Some((fc, d));
         }
     }
-    // Oracle 5: portfolio parity under a per-case race seed.
-    let pf_seed = mix(case_seed, 4);
-    let t = Instant::now();
-    let pf = portfolio_oracle(&case, pf_seed);
-    charge(out, "portfolio_parity", t);
-    if let Err(d) = pf {
-        let fc = failing(
-            OracleId::PortfolioParity,
-            case.configs.clone(),
-            Vec::new(),
-            pf_seed,
-            cfg.sim_rounds,
-            &d,
-        );
-        return Some((fc, d));
-    }
-    // Oracle 6: cache poisoning — a corrupted spill re-proves, never
+    // Oracle 5: cache poisoning — a corrupted spill re-proves, never
     // replays or panics.
     let poison_seed = mix(case_seed, 5);
     let t = Instant::now();

@@ -89,11 +89,6 @@ pub fn rerun(fc: &FailingCase) -> Option<Discrepancy> {
             let case = fc.params.build_from(fc.configs.clone());
             crate::oracle::bug_oracle(&case, fc.sim_seed).err()
         }
-        OracleId::PortfolioParity => {
-            // sim_seed doubles as the recorded race seed.
-            let case = fc.params.build_from(fc.configs.clone());
-            crate::oracle::portfolio_oracle(&case, fc.sim_seed).err()
-        }
         OracleId::CachePoison => {
             // sim_seed doubles as the recorded corruption seed.
             let case = fc.params.build_from(fc.configs.clone());
@@ -353,6 +348,26 @@ mod tests {
         let replayed = replay(&dir).unwrap();
         assert!(replayed.is_some(), "repro must replay to the same failure");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `portfolio-parity` named the oracle that raced solver clones; it
+    /// went with the racing. A repro naming it is a typed refusal.
+    #[test]
+    fn retired_oracle_name_is_a_bad_repro() {
+        let dir = std::env::temp_dir().join(format!(
+            "lightyear-fuzz-retired-oracle-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join("repro.json"),
+            r#"{"params": "rr:2,2,0", "oracle": "portfolio-parity"}"#,
+        )
+        .unwrap();
+        let err = replay(&dir).unwrap_err();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(err, "repro.json: bad oracle");
     }
 
     #[test]

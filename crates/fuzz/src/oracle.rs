@@ -18,11 +18,7 @@
 //!    bug must be caught — by verification or, failing that, by a
 //!    simulated trace violating a "proved" invariant (which would be a
 //!    soundness discrepancy, reported as such).
-//! 5. **Portfolio parity** ([`portfolio_oracle`]): racing every check
-//!    group on jittered solver clones must render reports byte-identical
-//!    to sequential solving, for any race seed — the determinism
-//!    contract of the portfolio layer, tested differentially.
-//! 6. **Cache poisoning** ([`cache_poison_oracle`]): a `--cache-dir`
+//! 5. **Cache poisoning** ([`cache_poison_oracle`]): a `--cache-dir`
 //!    spill corrupted on disk — truncated, bit-flipped, or with forged
 //!    entry checksums — must reload without panicking and must never
 //!    change a report byte: damaged entries are re-proved, not replayed.
@@ -30,7 +26,6 @@
 use crate::families::{random_announcement, FuzzCase};
 use bgp_model::sim::{simulate, SimOptions};
 use bgp_model::trace::{check_liveness_axioms, check_safety_axioms, Event};
-use lightyear::engine::PortfolioTuning;
 use lightyear::invariants::Location;
 use lightyear::reverify::ReverifyEngine;
 use lightyear::Report;
@@ -54,8 +49,6 @@ pub enum OracleId {
     /// simulator after passing verification — a soundness discrepancy):
     /// the failing condition is [`bug_oracle`] still objecting.
     BugMissed,
-    /// Portfolio-raced reports vs sequential reports, byte for byte.
-    PortfolioParity,
     /// Reports after reloading a corrupted cache spill vs clean reports,
     /// byte for byte (and the reload must not panic).
     CachePoison,
@@ -70,7 +63,6 @@ impl OracleId {
             OracleId::EditSequence => "edit-sequence",
             OracleId::Verify => "verify",
             OracleId::BugMissed => "bug-missed",
-            OracleId::PortfolioParity => "portfolio-parity",
             OracleId::CachePoison => "cache-poison",
         }
     }
@@ -83,7 +75,6 @@ impl OracleId {
             OracleId::EditSequence,
             OracleId::Verify,
             OracleId::BugMissed,
-            OracleId::PortfolioParity,
             OracleId::CachePoison,
         ]
         .into_iter()
@@ -294,51 +285,7 @@ pub fn parity_oracle(case: &FuzzCase) -> Result<(), Discrepancy> {
     Ok(())
 }
 
-/// Oracle 5: portfolio racing must never change a report byte. The
-/// thresholds are forced to zero so *every* group races (production
-/// defaults would skip small fuzz topologies entirely), the variant
-/// count and jitter seed vary per case, and one-worker and two-worker
-/// runs are each compared against their unraced twins. Races
-/// may let a jittered clone answer first with a different model or a
-/// different (sound) unsat core internally, but verdicts are
-/// deterministic and counterexamples re-derive on fresh one-shot
-/// instances, so the rendered reports must match exactly.
-pub fn portfolio_oracle(case: &FuzzCase, seed: u64) -> Result<(), Discrepancy> {
-    let topo = &case.network.topology;
-    let tuning = PortfolioTuning {
-        k: 2 + (seed % (lightyear::smt::PORTFOLIO_MAX_K as u64 - 1)) as usize,
-        min_checks: 1,
-        min_clauses: 0,
-        seed,
-    };
-    for s in &case.suites {
-        for jobs in [1, 2] {
-            let base = case.verifier().with_jobs(jobs);
-            let plain = base.clone().verify_safety_multi(&s.props, &s.inv);
-            let raced = base
-                .with_portfolio(tuning.clone())
-                .verify_safety_multi(&s.props, &s.inv);
-            let plain_text = report_text(topo, &plain);
-            let raced_text = report_text(topo, &raced);
-            if raced_text != plain_text {
-                return Err(Discrepancy::new(
-                    OracleId::PortfolioParity,
-                    format!(
-                        "suite {}: jobs={jobs} portfolio report (k={}, seed {seed}) diverges:
---- plain
-{plain_text}
---- raced
-{raced_text}",
-                        s.name, tuning.k
-                    ),
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Oracle 6: a poisoned cache spill must never change a report byte.
+/// Oracle 5: a poisoned cache spill must never change a report byte.
 /// The case is verified on two workers with a result cache attached, the
 /// cache is spilled to disk, the spill bytes are deterministically
 /// corrupted (truncated, bit-flipped, or checksum-forged, chosen by

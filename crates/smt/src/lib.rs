@@ -15,7 +15,8 @@
 //!   operations are lowered to per-bit boolean circuits.
 //! * [`sat`] — a MiniSat-style CDCL solver: two-watched-literal propagation,
 //!   first-UIP conflict analysis, VSIDS decision heuristic with phase
-//!   saving, Luby restarts and activity-driven learnt-clause reduction.
+//!   saving, Luby restarts and activity-driven learnt-clause reduction —
+//!   the whole kernel, with no settings.
 //! * [`solver`] — the public facade: assert [`TermId`]s, check satisfiability
 //!   and extract models; also reports the statistics (variable and clause
 //!   counts) used to regenerate Figure 3 of the paper.
@@ -43,11 +44,8 @@ pub mod term;
 
 pub use bitblast::IncrementalBlaster;
 pub use cnf::{Cnf, Lit, Var};
-pub use sat::{
-    DbStats, SatSolver, SatStats, SolveOutcome, SolverConfig, SolverError, ARENA_CAP_WORDS,
-};
+pub use sat::{DbStats, SatSolver, SatStats, SolveOutcome, SolverError, ARENA_CAP_WORDS};
 pub use solver::{
-    solve, solve_with_stats, Assumption, IncrementalSession, Model, PortfolioConfig,
-    PortfolioSlots, SatResult, SolverStats, Value, PORTFOLIO_MAX_K, PORTFOLIO_WIN_COUNTERS,
+    solve, solve_with_stats, Assumption, IncrementalSession, Model, SatResult, SolverStats, Value,
 };
 pub use term::{Sort, Term, TermId, TermPool};

@@ -5,10 +5,13 @@
 //! contiguous `u32` buffer instead of one heap allocation per clause),
 //! first-UIP conflict analysis with clause minimization, VSIDS variable
 //! activities with an indexed binary heap, phase saving, Luby-sequence
-//! restarts, activity-driven learnt-clause database reduction, on-the-fly
-//! binary-clause subsumption, and an inprocessing sweep
-//! ([`SatSolver::inprocess_sweep`]) that simplifies, subsumes,
-//! strengthens and vivifies the clause database between queries.
+//! restarts, and activity-driven learnt-clause database reduction whose
+//! tombstones are reclaimed by compacting the arena at the root level.
+//!
+//! That is the whole kernel, and it has no settings: Lightyear's local
+//! checks are small (hundreds of variables, a few thousand clauses), so
+//! search is never where a verdict's time goes, and every heuristic
+//! constant below is the one value every query runs with.
 //!
 //! The solver is **incremental**: every solve backtracks to the root
 //! decision level instead of tearing the instance down, so callers can
@@ -18,21 +21,15 @@
 //! posed with [`SatSolver::solve_under_assumptions`], which decides the
 //! given literals first (MiniSat's assumption mechanism); on an
 //! assumption-caused `Unsat` the failing-assumption core is available
-//! through [`SatSolver::failed_assumptions`].
-//!
-//! Heuristics are configurable through [`SolverConfig`] — restart base
-//! and offset, initial-phase polarity seeding, activity-noise seeding —
-//! which is what the portfolio layer in [`crate::solver`] varies across
-//! racing clones. A solve can be cancelled from another thread via
-//! [`SatSolver::solve_under_assumptions_abortable`].
+//! through [`SatSolver::failed_assumptions`]. A solver whose clause
+//! arena filled up refuses verdicts; [`SatSolver::try_solve_under_assumptions`]
+//! returns that refusal as a typed [`SolverError`].
 //!
 //! The solver is deliberately self-contained (no `unsafe`, no external
 //! dependencies) — it is the substrate on which every Lightyear local check
 //! and every Minesweeper monolithic query in this workspace is decided.
 
 use crate::cnf::{Cnf, Lit, Var};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Tri-state assignment value.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -126,111 +123,10 @@ impl std::fmt::Display for SolverError {
 
 impl std::error::Error for SolverError {}
 
-/// Heuristic and inprocessing knobs. [`SolverConfig::default`] is the
-/// tuned configuration every production path uses;
-/// [`SolverConfig::plain`] disables the inprocessing features (the
-/// ablation baseline the benches and differential proptests compare
-/// against); [`SolverConfig::jittered`] derives the perturbed variants
-/// the portfolio races.
-#[derive(Clone, Debug)]
-pub struct SolverConfig {
-    /// Conflicts allowed before the first restart (scaled by Luby).
-    pub restart_base: u64,
-    /// Starting index into the Luby sequence (portfolio jitter).
-    pub restart_offset: u64,
-    /// Initial saved phase for fresh variables.
-    pub init_phase: bool,
-    /// When nonzero, fresh variables get pseudorandom initial phases
-    /// seeded here instead of `init_phase` (portfolio jitter).
-    pub phase_seed: u64,
-    /// When nonzero, fresh variables get tiny pseudorandom initial
-    /// activities, perturbing the VSIDS tie-break order (portfolio
-    /// jitter: a different exploration order over equal-activity vars).
-    pub activity_seed: u64,
-    /// VSIDS decay factor.
-    pub var_decay: f64,
-    /// Learn through an existing binary clause instead of attaching a
-    /// subsumed learnt clause (on-the-fly binary subsumption).
-    pub otf_subsume: bool,
-    /// Enable the periodic inprocessing sweep (consulted by the session
-    /// layer; the solver itself sweeps only when asked).
-    pub sweep: bool,
-    /// Queries between sweeps (session layer).
-    pub sweep_every: u64,
-    /// Unit-propagation budget per sweep for vivification.
-    pub viv_budget: u64,
-    /// Only vivify learnt clauses up to this many literals.
-    pub viv_max_len: usize,
-    /// Vivify at most this many clauses per sweep (most active first).
-    pub viv_max_clauses: usize,
-    /// Bypass the watcher lists' inline slots and heap-allocate every
-    /// list (the pre-flat-layout `Vec`-per-literal behavior). Strictly
-    /// slower; exists so [`SolverConfig::plain`] reproduces the old
-    /// feed cost and the ablation benches measure the layout win
-    /// honestly.
-    pub spill_watchers: bool,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            restart_base: 100,
-            restart_offset: 0,
-            init_phase: false,
-            phase_seed: 0,
-            activity_seed: 0,
-            var_decay: 0.95,
-            otf_subsume: true,
-            sweep: true,
-            sweep_every: 32,
-            viv_budget: 2000,
-            viv_max_len: 16,
-            viv_max_clauses: 64,
-            spill_watchers: false,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// The plain CDCL loop: no on-the-fly subsumption, no sweeps. The
-    /// pre-inprocessing baseline for ablation benches and differential
-    /// proptests.
-    pub fn plain() -> Self {
-        SolverConfig {
-            otf_subsume: false,
-            sweep: false,
-            spill_watchers: true,
-            ..SolverConfig::default()
-        }
-    }
-
-    /// The `variant`-th jittered configuration for a portfolio race
-    /// seeded by `seed`. Variant 0 is the base configuration unchanged
-    /// (so a race is never strictly worse than the sequential solver on
-    /// the search it would have run); higher variants perturb polarity,
-    /// restart schedule, and VSIDS decay.
-    pub fn jittered(&self, variant: usize, seed: u64) -> Self {
-        if variant == 0 {
-            return self.clone();
-        }
-        let decays = [0.95, 0.92, 0.975, 0.90];
-        let mut cfg = self.clone();
-        cfg.restart_offset = self.restart_offset + variant as u64;
-        cfg.phase_seed = splitmix64(seed ^ (variant as u64).wrapping_mul(0x9e37_79b9)).max(1);
-        cfg.activity_seed = splitmix64(cfg.phase_seed).max(1);
-        cfg.var_decay = decays[variant % decays.len()];
-        cfg
-    }
-}
-
-/// One round of splitmix64 — the solver's only pseudorandomness, used
-/// for seeded phase/activity jitter. Deterministic per seed.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
+/// Conflicts allowed before the first restart (scaled by Luby).
+const RESTART_BASE: u64 = 100;
+/// VSIDS activity decay per conflict.
+const VAR_DECAY: f64 = 0.95;
 
 /// Cumulative counters exposed for benchmarking (Figure 3c/3d) and the
 /// `lightyear profile` solver section.
@@ -246,23 +142,10 @@ pub struct SatStats {
     pub restarts: u64,
     /// Number of learnt clauses currently in the database.
     pub learnts: u64,
-    /// Learnt clauses dropped because an existing binary clause
-    /// subsumes them (on-the-fly at learn time, plus sweep passes).
-    pub subsumed: u64,
-    /// Literals removed from learnt clauses by binary self-subsumption
-    /// during sweeps.
-    pub strengthened: u64,
-    /// Learnt clauses shortened by propagation-based vivification.
-    pub vivified: u64,
-    /// Inprocessing sweeps performed.
-    pub sweeps: u64,
-    /// Unit propagations spent inside vivification (not counted in
-    /// `propagations`, so per-query deltas stay meaningful).
-    pub viv_propagations: u64,
 }
 
-/// Arena and watcher occupancy, for memory-bound assertions (the
-/// session-churn stress tests) and the profile report.
+/// Arena and watcher occupancy, for memory-bound assertions on the
+/// clause database.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DbStats {
     /// Live (non-deleted) clauses in the arena.
@@ -283,8 +166,8 @@ pub struct DbStats {
 /// Flat clause storage: every clause is `[header, activity, lits...]`
 /// in one contiguous `u32` buffer. The header packs `len << 4 | flags`;
 /// deleting a clause sets a flag and leaves a tombstone whose space is
-/// reclaimed by [`SatSolver::inprocess_sweep`]'s compaction.
-#[derive(Clone, Default)]
+/// reclaimed when learnt-clause reduction compacts the arena.
+#[derive(Default)]
 struct ClauseDb {
     data: Vec<u32>,
     wasted: u64,
@@ -378,7 +261,7 @@ impl ClauseDb {
 /// which dominates the feed). Entries beyond two spill into a `Vec`,
 /// and indexed access resolves against the inline count with a single
 /// predictable branch.
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct WatchList {
     head_len: u8,
     head: [u64; 2], // blocker (raw Lit) << 32 | cref
@@ -392,8 +275,7 @@ impl WatchList {
 
     #[inline]
     fn get(&self, i: usize) -> u64 {
-        // Entries are head[0..head_len] followed by the spill, in
-        // either attachment mode.
+        // Entries are head[0..head_len] followed by the spill.
         let h = self.head_len as usize;
         if i < h {
             self.head[i]
@@ -412,13 +294,11 @@ impl WatchList {
         }
     }
 
-    /// Append an entry. `spill` forces the heap path (the
-    /// [`SolverConfig::spill_watchers`] ablation); the inline slots are
-    /// otherwise only skipped once the spill is in use, keeping the
-    /// head-then-spill order contiguous.
+    /// Append an entry. The inline slots are only skipped once the
+    /// spill is in use, keeping the head-then-spill order contiguous.
     #[inline]
-    fn push_entry(&mut self, e: u64, spill: bool) {
-        if !spill && self.head_len < 2 && self.spill.is_empty() {
+    fn push_entry(&mut self, e: u64) {
+        if self.head_len < 2 && self.spill.is_empty() {
             self.head[self.head_len as usize] = e;
             self.head_len += 1;
         } else {
@@ -426,8 +306,8 @@ impl WatchList {
         }
     }
 
-    fn push(&mut self, cref: ClauseRef, blocker: Lit, spill: bool) {
-        self.push_entry((blocker.0 as u64) << 32 | cref as u64, spill);
+    fn push(&mut self, cref: ClauseRef, blocker: Lit) {
+        self.push_entry((blocker.0 as u64) << 32 | cref as u64);
     }
 
     fn cref(&self, i: usize) -> ClauseRef {
@@ -461,15 +341,14 @@ impl WatchList {
         self.spill.clear();
     }
 
-    fn append_from(&mut self, other: &WatchList, spill: bool) {
+    fn append_from(&mut self, other: &WatchList) {
         for i in 0..other.len() {
-            self.push_entry(other.get(i), spill);
+            self.push_entry(other.get(i));
         }
     }
 }
 
 /// The CDCL solver.
-#[derive(Clone)]
 pub struct SatSolver {
     db: ClauseDb,
     watches: Vec<WatchList>, // indexed by Lit::index()
@@ -489,12 +368,11 @@ pub struct SatSolver {
     ok: bool,          // false once a top-level conflict is found
     stats: SatStats,
     max_learnts: f64,
-    config: SolverConfig,
     /// Clause-arena size ceiling in words ([`ARENA_CAP_WORDS`] in
     /// production; tests lower it to force near-capacity growth).
     arena_cap: u32,
     /// Latched capacity failure: once set, every solve refuses a
-    /// verdict (the abortable entry point returns `None`).
+    /// verdict ([`SatSolver::try_solve_under_assumptions`] returns it).
     arena_error: Option<SolverError>,
     /// Assignment snapshot from the most recent `Sat` answer; solves
     /// backtrack to the root level before returning, so the model must
@@ -506,20 +384,9 @@ pub struct SatSolver {
     conflict_core: Vec<Lit>,
 }
 
-fn pair_key(a: Lit, b: Lit) -> u64 {
-    let (lo, hi) = if a.0 <= b.0 { (a.0, b.0) } else { (b.0, a.0) };
-    (lo as u64) << 32 | hi as u64
-}
-
 impl SatSolver {
-    /// Create a solver over `num_vars` variables with the default
-    /// configuration.
+    /// Create a solver over `num_vars` variables.
     pub fn new(num_vars: u32) -> Self {
-        SatSolver::with_config(num_vars, SolverConfig::default())
-    }
-
-    /// Create a solver with an explicit [`SolverConfig`].
-    pub fn with_config(num_vars: u32, config: SolverConfig) -> Self {
         let mut s = SatSolver {
             db: ClauseDb::default(),
             watches: Vec::new(),
@@ -539,7 +406,6 @@ impl SatSolver {
             ok: true,
             stats: SatStats::default(),
             max_learnts: 0.0,
-            config,
             arena_cap: ARENA_CAP_WORDS,
             arena_error: None,
             model: Vec::new(),
@@ -550,7 +416,7 @@ impl SatSolver {
     }
 
     /// Back to the state of [`SatSolver::new`]`(0)` — no variables, no
-    /// clauses, default configuration and arena cap, zeroed statistics —
+    /// clauses, default arena cap, zeroed statistics —
     /// keeping every buffer's capacity, so a worker that decides one
     /// small formula after another allocates for the largest of them
     /// once. The next formula sees exactly what a new solver would show
@@ -577,7 +443,6 @@ impl SatSolver {
             ok,
             stats,
             max_learnts,
-            config,
             arena_cap,
             arena_error,
             model,
@@ -603,43 +468,10 @@ impl SatSolver {
         *ok = true;
         *stats = SatStats::default();
         *max_learnts = 0.0;
-        *config = SolverConfig::default();
         *arena_cap = ARENA_CAP_WORDS;
         *arena_error = None;
         model.clear();
         conflict_core.clear();
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
-    }
-
-    /// Replace the configuration (heuristic knobs only; sound at any
-    /// point between solves).
-    pub fn set_config(&mut self, config: SolverConfig) {
-        self.config = config;
-    }
-
-    /// Re-seed heuristic state on an existing solver per the configured
-    /// phase/activity seeds — how a freshly cloned portfolio variant
-    /// diverges from its siblings. Touches saved phases and VSIDS
-    /// activities only; verdicts are unaffected.
-    pub fn apply_jitter(&mut self) {
-        if self.config.phase_seed != 0 {
-            for v in 0..self.phase.len() {
-                if self.assigns[v] == LBool::Undef {
-                    self.phase[v] = splitmix64(self.config.phase_seed ^ v as u64) & 1 == 1;
-                }
-            }
-        }
-        if self.config.activity_seed != 0 {
-            for v in 0..self.activity.len() {
-                let r = splitmix64(self.config.activity_seed ^ v as u64);
-                self.activity[v] += (r % 1024) as f64 * (self.var_inc / 1_000_000.0);
-            }
-            self.heap.heapify(&self.activity);
-        }
     }
 
     /// Number of variables the solver currently knows about.
@@ -648,9 +480,9 @@ impl SatSolver {
     }
 
     /// Grow the variable tables to hold at least `n` variables. New
-    /// variables start unassigned; their initial phase and activity
-    /// follow the configured polarity/activity seeds. Used by
-    /// incremental callers whose formula grows between solves.
+    /// variables start unassigned, with a negative saved phase and zero
+    /// activity. Used by incremental callers whose formula grows between
+    /// solves.
     pub fn ensure_num_vars(&mut self, n: u32) {
         let n = n as usize;
         let cur = self.assigns.len();
@@ -663,29 +495,13 @@ impl SatSolver {
             self.watches.resize_with(2 * n, WatchList::default);
         }
         self.assigns.resize(n, LBool::Undef);
-        self.phase.resize(n, self.config.init_phase);
-        if self.config.phase_seed != 0 {
-            for v in cur..n {
-                self.phase[v] = splitmix64(self.config.phase_seed ^ v as u64) & 1 == 1;
-            }
-        }
+        self.phase.resize(n, false);
         self.level.resize(n, 0);
         self.reason.resize(n, REASON_NONE);
         self.activity.resize(n, 0.0);
-        if self.config.activity_seed != 0 {
-            for v in cur..n {
-                // Tiny noise: reorders equal-activity ties without
-                // outweighing a single real bump.
-                let r = splitmix64(self.config.activity_seed ^ v as u64);
-                self.activity[v] = (r % 1024) as f64 * (self.var_inc / 1_000_000.0);
-            }
-        }
         self.seen.resize(n, false);
         for v in cur..n {
             self.heap.push_new(v);
-        }
-        if self.config.activity_seed != 0 {
-            self.heap.heapify(&self.activity);
         }
     }
 
@@ -830,9 +646,8 @@ impl SatSolver {
             });
             return None;
         };
-        let spill = self.config.spill_watchers;
-        self.watches[(!lits[0]).index()].push(cref, lits[1], spill);
-        self.watches[(!lits[1]).index()].push(cref, lits[0], spill);
+        self.watches[(!lits[0]).index()].push(cref, lits[1]);
+        self.watches[(!lits[1]).index()].push(cref, lits[0]);
         if learnt {
             self.stats.learnts += 1;
         }
@@ -848,10 +663,9 @@ impl SatSolver {
     }
 
     /// The latched capacity error, if the arena ever filled. Once set,
-    /// [`SatSolver::solve_under_assumptions_abortable`] returns `None`
-    /// without searching and the non-abortable entry points panic with
-    /// the typed message instead of returning a possibly-unsound
-    /// verdict.
+    /// [`SatSolver::try_solve_under_assumptions`] returns it without
+    /// searching and the other entry points panic with the typed message
+    /// instead of returning a possibly-unsound verdict.
     pub fn arena_error(&self) -> Option<&SolverError> {
         self.arena_error.as_ref()
     }
@@ -871,7 +685,6 @@ impl SatSolver {
 
     /// Unit propagation; returns the conflicting clause if any.
     fn propagate(&mut self) -> Option<ClauseRef> {
-        let spill = self.config.spill_watchers;
         while self.qhead < self.trail.len() {
             let p = self.trail[self.qhead];
             self.qhead += 1;
@@ -909,7 +722,7 @@ impl SatSolver {
                     let lk = self.db.lit(cref, k);
                     if self.value_lit(lk) != LBool::False {
                         self.db.swap_lits(cref, 1, k);
-                        self.watches[(!lk).index()].push(cref, first, spill);
+                        self.watches[(!lk).index()].push(cref, first);
                         ws.swap_remove(i);
                         continue 'watchers;
                     }
@@ -929,7 +742,7 @@ impl SatSolver {
             // watchers that were appended to the fresh list during the scan
             // (can happen when a clause watches both p and !p's variable).
             let appended = std::mem::take(&mut self.watches[p.index()]);
-            ws.append_from(&appended, spill);
+            ws.append_from(&appended);
             self.watches[p.index()] = ws;
             if conflict.is_some() {
                 return conflict;
@@ -950,7 +763,7 @@ impl SatSolver {
     }
 
     fn var_decay(&mut self) {
-        self.var_inc /= self.config.var_decay;
+        self.var_inc /= VAR_DECAY;
     }
 
     fn cla_bump(&mut self, cref: ClauseRef) {
@@ -1065,48 +878,6 @@ impl SatSolver {
         })
     }
 
-    /// An existing binary clause `{learnt[0], q}` (for some other
-    /// `q` in the learnt clause) subsumes the clause about to be learnt
-    /// and — because `q` is false after the backjump — can serve
-    /// directly as the asserting reason. Binaries watch both their
-    /// literals forever (a two-literal clause has no third literal to
-    /// migrate to), so scanning `learnt[0]`'s watcher list finds every
-    /// candidate without any auxiliary index on the clause-feed path.
-    /// Returns the binary's cref with `learnt[0]` moved to position 0.
-    fn subsuming_binary(&mut self, learnt: &[Lit]) -> Option<ClauseRef> {
-        if !self.config.otf_subsume || learnt.len() < 3 || learnt.len() > 32 {
-            return None;
-        }
-        let l0 = learnt[0];
-        let ws = &self.watches[(!l0).index()];
-        let mut found = None;
-        for k in 0..ws.len() {
-            let cref = ws.cref(k);
-            if self.db.is_deleted(cref) || self.db.len(cref) != 2 {
-                continue;
-            }
-            let (a, b) = (self.db.lit(cref, 0), self.db.lit(cref, 1));
-            let other = if a == l0 {
-                b
-            } else if b == l0 {
-                a
-            } else {
-                continue;
-            };
-            if learnt[1..].contains(&other) {
-                found = Some(cref);
-                break;
-            }
-        }
-        let bref = found?;
-        // Binary watch lists are symmetric in both literals, so swapping
-        // positions keeps the watch invariant intact.
-        if self.db.lit(bref, 0) != l0 {
-            self.db.swap_lits(bref, 0, 1);
-        }
-        Some(bref)
-    }
-
     fn cancel_until(&mut self, level: u32) {
         if self.decision_level() <= level {
             return;
@@ -1147,16 +918,13 @@ impl SatSolver {
     }
 
     /// Shrink the learnt-clause database to at most `cap` clauses,
-    /// deleting least-active learnts first (this one routine backs both
-    /// the in-search reduction and the session-level GC, so the activity
-    /// order and locked-clause rules cannot drift apart). Binary learnt
-    /// clauses and clauses currently the reason for an assignment are
-    /// kept, so the cap is a target, not a hard guarantee. Deletion
-    /// tombstones the clause in the arena; when called at the root level
-    /// with enough accumulated waste, the arena is compacted and the
-    /// watcher lists rebuilt, so a capped long-lived session's memory
-    /// stays proportional to its live clause set.
-    pub fn reduce_learnts_to(&mut self, cap: u64) {
+    /// deleting least-active learnts first. Binary learnt clauses and
+    /// clauses currently the reason for an assignment are kept, so the
+    /// cap is a target, not a hard guarantee. Deletion tombstones the
+    /// clause in the arena; when called at the root level with enough
+    /// accumulated waste, the arena is compacted and the watcher lists
+    /// rebuilt, so memory stays proportional to the live clause set.
+    fn reduce_learnts_to(&mut self, cap: u64) {
         if self.stats.learnts > cap {
             let mut learnt_refs: Vec<ClauseRef> = Vec::new();
             self.db.for_each_live(|c| {
@@ -1208,7 +976,6 @@ impl SatSolver {
         for w in &mut self.watches {
             w.clear();
         }
-        let spill = self.config.spill_watchers;
         for c in live {
             let len = old.len(c);
             let start = c as usize + HEADER_WORDS;
@@ -1222,269 +989,9 @@ impl SatSolver {
                 .alloc(&lits, learnt, ARENA_CAP_WORDS)
                 .expect("compaction never grows the arena");
             self.db.set_activity(nc, old.activity(c));
-            self.watches[(!lits[0]).index()].push(nc, lits[1], spill);
-            self.watches[(!lits[1]).index()].push(nc, lits[0], spill);
+            self.watches[(!lits[0]).index()].push(nc, lits[1]);
+            self.watches[(!lits[1]).index()].push(nc, lits[0]);
         }
-    }
-
-    /// One inprocessing sweep over the clause database, between queries
-    /// (root level only; no-op otherwise):
-    ///
-    /// 1. **Simplify** by the root-level assignment: clauses with a true
-    ///    literal are deleted, false literals are removed.
-    /// 2. **Subsume / strengthen** long learnt clauses against the
-    ///    binary-clause map (backward subsumption and binary
-    ///    self-subsumption).
-    /// 3. **Compact** the arena and rebuild the watcher lists.
-    /// 4. **Vivify** the most active long learnt clauses under a
-    ///    propagation budget: re-derive each clause by asserting the
-    ///    negation of its literals one at a time; a conflict or implied
-    ///    literal along the way proves a shorter clause.
-    pub fn inprocess_sweep(&mut self) {
-        if self.decision_level() != 0 || !self.ok {
-            return;
-        }
-        self.stats.sweeps += 1;
-        // Transient binary index for the subsumption passes, built once
-        // per sweep (the feed path deliberately maintains no such index).
-        let mut bin_map: HashMap<u64, ClauseRef> = HashMap::new();
-        self.db.for_each_live(|c| {
-            if self.db.len(c) == 2 {
-                bin_map
-                    .entry(pair_key(self.db.lit(c, 0), self.db.lit(c, 1)))
-                    .or_insert(c);
-            }
-        });
-        // Pass 1+2: mark deletions and rewrites.
-        let mut rewrites: Vec<(ClauseRef, Vec<Lit>)> = Vec::new();
-        let mut units: Vec<Lit> = Vec::new();
-        let mut empty = false;
-        let mut to_delete: Vec<ClauseRef> = Vec::new();
-        let mut lits: Vec<Lit> = Vec::new();
-        let end = self.db.data.len();
-        let mut c = 0u32;
-        while (c as usize) < end {
-            let cref = c;
-            c = self.db.next(cref);
-            if self.db.is_deleted(cref) {
-                continue;
-            }
-            let len = self.db.len(cref);
-            lits.clear();
-            let mut satisfied = false;
-            for k in 0..len {
-                let l = self.db.lit(cref, k);
-                match self.value_lit(l) {
-                    LBool::True => {
-                        satisfied = true;
-                        break;
-                    }
-                    LBool::False => continue,
-                    LBool::Undef => lits.push(l),
-                }
-            }
-            if satisfied {
-                to_delete.push(cref);
-                continue;
-            }
-            let learnt = self.db.is_learnt(cref);
-            // Binary-map passes for long learnt clauses.
-            if learnt && lits.len() >= 3 && lits.len() <= 32 {
-                let mut subsumed = false;
-                'pairs: for i in 0..lits.len() {
-                    for j in (i + 1)..lits.len() {
-                        if let Some(&bref) = bin_map.get(&pair_key(lits[i], lits[j])) {
-                            if bref != cref && !self.db.is_deleted(bref) {
-                                subsumed = true;
-                                break 'pairs;
-                            }
-                        }
-                    }
-                }
-                if subsumed {
-                    self.stats.subsumed += 1;
-                    to_delete.push(cref);
-                    continue;
-                }
-                // Self-subsumption: a binary {!l, q} with q also in the
-                // clause resolves away l.
-                let mut i = 0;
-                while i < lits.len() {
-                    let l = lits[i];
-                    let mut drop = false;
-                    for (j, &q) in lits.iter().enumerate() {
-                        if j == i {
-                            continue;
-                        }
-                        if let Some(&bref) = bin_map.get(&pair_key(!l, q)) {
-                            if !self.db.is_deleted(bref) {
-                                drop = true;
-                                break;
-                            }
-                        }
-                    }
-                    if drop {
-                        lits.swap_remove(i);
-                        self.stats.strengthened += 1;
-                    } else {
-                        i += 1;
-                    }
-                }
-            }
-            match lits.len().cmp(&len) {
-                std::cmp::Ordering::Equal => {}
-                _ => {
-                    match lits.len() {
-                        0 => empty = true,
-                        1 => units.push(lits[0]),
-                        _ => rewrites.push((cref, lits.clone())),
-                    }
-                    to_delete.push(cref);
-                }
-            }
-        }
-        for cref in to_delete {
-            if self.db.is_learnt(cref) {
-                self.stats.learnts = self.stats.learnts.saturating_sub(1);
-            }
-            self.db.delete(cref);
-        }
-        for (cref, new_lits) in rewrites {
-            let learnt = self.db.is_learnt(cref);
-            let act = self.db.activity(cref);
-            match self.attach_clause(&new_lits, learnt) {
-                Some(nc) => self.db.set_activity(nc, act),
-                // Arena full mid-rewrite: the original clause is already
-                // tombstoned, but the latched error blocks every future
-                // verdict, so stop sweeping and bail out.
-                None => return,
-            }
-        }
-        if empty {
-            self.ok = false;
-            return;
-        }
-        // Pass 3: compact and rebuild watches.
-        self.compact();
-        for u in units {
-            if self.value_lit(u) == LBool::False {
-                self.ok = false;
-                return;
-            }
-            if self.value_lit(u) == LBool::Undef {
-                self.unchecked_enqueue(u, REASON_NONE);
-            }
-        }
-        if self.propagate().is_some() {
-            self.ok = false;
-            return;
-        }
-        // Pass 4: vivification, under a propagation budget. Phases are
-        // snapshotted so the probe assignments don't pollute phase
-        // saving (keeps the subsequent search deterministic w.r.t. a
-        // sweep-free run of the same query order).
-        if self.config.viv_budget > 0 {
-            self.vivify();
-        }
-    }
-
-    fn vivify(&mut self) {
-        let mut candidates: Vec<(ClauseRef, f32)> = Vec::new();
-        self.db.for_each_live(|c| {
-            let len = self.db.len(c);
-            if self.db.is_learnt(c) && len >= 3 && len <= self.config.viv_max_len {
-                candidates.push((c, self.db.activity(c)));
-            }
-        });
-        candidates.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        candidates.truncate(self.config.viv_max_clauses);
-        if candidates.is_empty() {
-            return;
-        }
-        let saved_phase = self.phase.clone();
-        let saved = self.stats;
-        let budget = self.config.viv_budget;
-        let mut spent = 0u64;
-        for (cref, _) in candidates {
-            if spent >= budget || !self.ok {
-                break;
-            }
-            if self.db.is_deleted(cref) {
-                continue;
-            }
-            let len = self.db.len(cref);
-            let lits: Vec<Lit> = (0..len).map(|k| self.db.lit(cref, k)).collect();
-            let before = self.stats.propagations;
-            let mut kept: Vec<Lit> = Vec::with_capacity(len);
-            let mut changed = false;
-            for &l in &lits {
-                match self.value_lit(l) {
-                    LBool::True => {
-                        // (kept -> l) is implied: the clause shrinks to
-                        // kept + l.
-                        kept.push(l);
-                        changed = true;
-                        break;
-                    }
-                    LBool::False => {
-                        // !l is implied by the kept prefix: drop l.
-                        changed = true;
-                        continue;
-                    }
-                    LBool::Undef => {
-                        self.trail_lim.push(self.trail.len());
-                        self.unchecked_enqueue(!l, REASON_NONE);
-                        let confl = self.propagate().is_some();
-                        kept.push(l);
-                        if confl {
-                            changed = kept.len() < lits.len();
-                            break;
-                        }
-                    }
-                }
-            }
-            self.cancel_until(0);
-            spent += self.stats.propagations - before;
-            if changed && kept.len() < lits.len() {
-                self.db.delete(cref);
-                self.stats.vivified += 1;
-                match kept.len() {
-                    0 => {
-                        self.ok = false;
-                    }
-                    1 => {
-                        self.stats.learnts = self.stats.learnts.saturating_sub(1);
-                        match self.value_lit(kept[0]) {
-                            LBool::False => self.ok = false,
-                            LBool::True => {}
-                            LBool::Undef => {
-                                self.unchecked_enqueue(kept[0], REASON_NONE);
-                                if self.propagate().is_some() {
-                                    self.ok = false;
-                                }
-                            }
-                        }
-                    }
-                    _ => {
-                        let act = self.db.activity(cref);
-                        let Some(nc) = self.attach_clause(&kept, true) else {
-                            break; // arena full: latched, stop vivifying
-                        };
-                        // attach_clause counted a new learnt; the old one
-                        // was deleted, so the net count is unchanged.
-                        self.stats.learnts = self.stats.learnts.saturating_sub(1);
-                        self.db.set_activity(nc, act);
-                    }
-                }
-            }
-        }
-        // Vivification work is accounted separately so per-query deltas
-        // (and differential stats tests) stay meaningful.
-        let viv_props = self.stats.propagations - saved.propagations;
-        self.stats.propagations = saved.propagations;
-        self.stats.decisions = saved.decisions;
-        self.stats.viv_propagations += viv_props;
-        self.phase = saved_phase;
     }
 
     /// Solve the formula. Returns `Sat` or `Unsat`; on `Sat` the model is
@@ -1506,44 +1013,32 @@ impl SatSolver {
     /// itself is unsatisfiable the core is empty and every later solve
     /// answers `Unsat` immediately.
     pub fn solve_under_assumptions(&mut self, assumptions: &[Lit]) -> SolveOutcome {
-        match self.solve_under_assumptions_abortable(assumptions, None) {
-            Some(outcome) => outcome,
-            None => match self.arena_error() {
-                Some(e) => panic!("SAT solver refused a verdict: {e}"),
-                None => unreachable!("non-abortable solve cannot be aborted"),
-            },
-        }
+        self.try_solve_under_assumptions(assumptions)
+            .unwrap_or_else(|e| panic!("SAT solver refused a verdict: {e}"))
     }
 
-    /// [`SatSolver::solve_under_assumptions`] with a cooperative abort
-    /// flag: when `abort` is set (by a racing portfolio sibling), the
-    /// search unwinds to the root and returns `None`. All state stays
-    /// consistent — clauses learnt before the abort are kept and the
-    /// solver remains usable.
-    ///
-    /// Also returns `None` — before and after any search — once the
-    /// clause arena has hit its capacity cap; the typed reason is then
-    /// available via [`SatSolver::arena_error`].
-    pub fn solve_under_assumptions_abortable(
+    /// [`SatSolver::solve_under_assumptions`], returning the latched
+    /// capacity error — before and after any search — once the clause
+    /// arena has hit its cap, instead of panicking. The solver stays
+    /// consistent, but every later solve refuses too.
+    pub fn try_solve_under_assumptions(
         &mut self,
         assumptions: &[Lit],
-        abort: Option<&AtomicBool>,
-    ) -> Option<SolveOutcome> {
+    ) -> Result<SolveOutcome, SolverError> {
         debug_assert_eq!(self.decision_level(), 0);
         self.model.clear();
         self.conflict_core.clear();
-        if self.arena_error.is_some() {
+        if let Some(e) = &self.arena_error {
             // A past allocation failure may have dropped a clause; any
             // verdict from this instance would be untrustworthy.
-            return None;
+            return Err(e.clone());
         }
         if !self.ok {
-            return Some(SolveOutcome::Unsat);
+            return Ok(SolveOutcome::Unsat);
         }
         self.max_learnts = (self.db.data.len() as f64 / 16.0).max(1000.0);
-        let mut restart_idx = self.config.restart_offset;
-        let mut conflicts_budget = self.config.restart_base * luby(restart_idx);
-        let mut abort_check = 0u32;
+        let mut restart_idx = 0;
+        let mut conflicts_budget = RESTART_BASE * luby(restart_idx);
 
         let outcome = 'search: loop {
             if let Some(confl) = self.propagate() {
@@ -1556,51 +1051,30 @@ impl SatSolver {
                 self.cancel_until(bt);
                 if learnt.len() == 1 {
                     self.unchecked_enqueue(learnt[0], REASON_NONE);
-                } else if let Some(bref) = self.subsuming_binary(&learnt) {
-                    // On-the-fly binary subsumption: the binary clause
-                    // both subsumes the would-be learnt clause and is
-                    // asserting after the backjump, so learn nothing and
-                    // use it as the reason directly.
-                    self.stats.subsumed += 1;
-                    self.unchecked_enqueue(learnt[0], bref);
                 } else {
                     let asserting = learnt[0];
-                    match self.attach_clause(&learnt, true) {
-                        Some(cref) => self.unchecked_enqueue(asserting, cref),
-                        None => {
-                            // Arena full: the learnt clause cannot be
-                            // attached, and the asserting literal has no
-                            // reason without it. Unwind and refuse.
-                            self.cancel_until(0);
-                            return None;
-                        }
-                    }
+                    let Some(cref) = self.attach_clause(&learnt, true) else {
+                        // Arena full: the learnt clause cannot be
+                        // attached, and the asserting literal has no
+                        // reason without it. Unwind and refuse.
+                        self.cancel_until(0);
+                        return Err(self
+                            .arena_error
+                            .clone()
+                            .expect("a failed attach latches the arena error"));
+                    };
+                    self.unchecked_enqueue(asserting, cref);
                 }
                 self.var_decay();
                 self.cla_inc *= 1.001;
                 conflicts_budget = conflicts_budget.saturating_sub(1);
-                abort_check += 1;
-                if abort_check >= 64 {
-                    abort_check = 0;
-                    if let Some(flag) = abort {
-                        if flag.load(Ordering::Relaxed) {
-                            self.cancel_until(0);
-                            return None;
-                        }
-                    }
-                }
             } else {
                 if conflicts_budget == 0 {
                     // Restart (assumptions are re-decided below).
                     self.stats.restarts += 1;
                     restart_idx += 1;
-                    conflicts_budget = self.config.restart_base * luby(restart_idx);
+                    conflicts_budget = RESTART_BASE * luby(restart_idx);
                     self.cancel_until(0);
-                    if let Some(flag) = abort {
-                        if flag.load(Ordering::Relaxed) {
-                            return None;
-                        }
-                    }
                 }
                 if self.stats.learnts as f64 > self.max_learnts {
                     self.reduce_db();
@@ -1644,7 +1118,7 @@ impl SatSolver {
         // Return to the root so the instance stays reusable: clauses can
         // be added and new (assumption) queries posed.
         self.cancel_until(0);
-        Some(outcome)
+        Ok(outcome)
     }
 
     /// Compute the failing-assumption core when assumption `p` is found
@@ -1706,7 +1180,6 @@ fn luby(x: u64) -> u64 {
 }
 
 /// Indexed binary max-heap over variable activities.
-#[derive(Clone)]
 struct OrderHeap {
     heap: Vec<usize>,
     /// Position of each variable in `heap`, or `usize::MAX` if absent.
@@ -1732,14 +1205,6 @@ impl OrderHeap {
         debug_assert_eq!(v, self.pos.len());
         self.pos.push(self.heap.len());
         self.heap.push(v);
-    }
-
-    /// Restore the heap property after a batch of out-of-band activity
-    /// writes (seeded jitter).
-    fn heapify(&mut self, act: &[f64]) {
-        for i in (0..self.heap.len() / 2).rev() {
-            self.sift_down(i, act);
-        }
     }
 
     fn insert(&mut self, v: usize, act: &[f64]) {
@@ -1894,23 +1359,23 @@ mod tests {
         assert!(s.arena_error().is_none());
         assert!(s.add_clause(vec![Var(3).pos(), Var(4).pos(), Var(5).pos()]));
         let err = s.arena_error().cloned().expect("cap must latch");
-        match err {
+        match &err {
             SolverError::ArenaExhausted {
                 requested_words,
                 cap_words,
             } => {
-                assert_eq!(cap_words, 8);
-                assert_eq!(requested_words, 10); // 5 live + 5 requested
+                assert_eq!(*cap_words, 8);
+                assert_eq!(*requested_words, 10); // 5 live + 5 requested
             }
             other => panic!("the arena cap latches an arena error, not {other:?}"),
         }
         // Every further solve refuses a verdict; state stays consistent.
-        assert_eq!(s.solve_under_assumptions_abortable(&[], None), None);
+        assert_eq!(s.try_solve_under_assumptions(&[]), Err(err.clone()));
         assert_eq!(
-            s.solve_under_assumptions_abortable(&[Var(0).pos()], None),
-            None
+            s.try_solve_under_assumptions(&[Var(0).pos()]),
+            Err(err.clone())
         );
-        assert!(s.arena_error().is_some());
+        assert_eq!(s.arena_error(), Some(&err));
     }
 
     #[test]
@@ -1950,17 +1415,11 @@ mod tests {
             assert!(s.add_clause(lits));
         }
         s.set_arena_cap_words(words); // exactly full: no learnt fits
-        let out = s.solve_under_assumptions_abortable(&[], None);
-        if out.is_none() {
-            assert!(matches!(
-                s.arena_error(),
-                Some(SolverError::ArenaExhausted { .. })
-            ));
-        } else {
-            // The solver may finish the pigeonhole proof through
-            // binary subsumption without attaching a long learnt; the
-            // verdict must then be the correct one.
-            assert_eq!(out, Some(SolveOutcome::Unsat));
+        match s.try_solve_under_assumptions(&[]) {
+            Err(e) => assert!(matches!(e, SolverError::ArenaExhausted { .. })),
+            // The solver may finish the pigeonhole proof on unit learnts
+            // alone, attaching nothing; the verdict must then be correct.
+            Ok(out) => assert_eq!(out, SolveOutcome::Unsat),
         }
     }
 
@@ -2140,140 +1599,33 @@ mod tests {
     }
 
     #[test]
-    fn plain_and_default_configs_agree() {
-        // The inprocessing features must not change verdicts.
-        let mut a = pigeonhole(5, 4);
-        let mut b = SatSolver::with_config(5 * 4, SolverConfig::plain());
-        // Rebuild the same formula into b.
+    fn compaction_preserves_model_queries() {
+        // Pigeonhole 5 into 4 behind an activation literal: the gated
+        // query learns long clauses, dropping every one of them at the
+        // root tombstones enough of the arena to compact it, and the
+        // compacted instance still answers both queries.
+        let act = Var(20);
         let var = |p: u32, h: u32| Var(p * 4 + h);
+        let mut s = SatSolver::new(21);
         for p in 0..5u32 {
-            assert!(b.add_clause((0..4).map(|h| var(p, h).pos()).collect()));
+            let mut c: Vec<Lit> = (0..4).map(|h| var(p, h).pos()).collect();
+            c.push(act.neg());
+            assert!(s.add_clause(c));
         }
         for h in 0..4u32 {
             for p1 in 0..5 {
                 for p2 in (p1 + 1)..5 {
-                    assert!(b.add_clause(vec![var(p1, h).neg(), var(p2, h).neg()]));
+                    assert!(s.add_clause(vec![act.neg(), var(p1, h).neg(), var(p2, h).neg()]));
                 }
             }
         }
-        assert_eq!(a.solve(), b.solve());
-    }
-
-    #[test]
-    fn inprocess_sweep_reclaims_satisfied_clauses() {
-        let mut s = SatSolver::new(4);
-        assert!(s.add_clause(vec![Var(0).pos(), Var(1).pos(), Var(2).pos()]));
-        assert!(s.add_clause(vec![Var(0).neg(), Var(3).pos(), Var(2).pos()]));
-        let before = s.db_stats();
-        assert_eq!(before.live_clauses, 2);
-        // Asserting v2 satisfies both clauses; the sweep must drop them
-        // and compact the arena to nothing.
-        assert!(s.add_clause(vec![Var(2).pos()]));
-        s.inprocess_sweep();
-        let after = s.db_stats();
-        assert_eq!(after.live_clauses, 0);
-        assert_eq!(after.arena_words, 0);
-        assert_eq!(after.watcher_entries, 0);
-        assert_eq!(s.solve(), SolveOutcome::Sat);
-        assert!(s.value(Var(2)));
-    }
-
-    #[test]
-    fn inprocess_sweep_strengthens_by_root_assignment() {
-        let mut s = SatSolver::new(4);
-        assert!(s.add_clause(vec![Var(0).pos(), Var(1).pos(), Var(2).pos()]));
-        assert!(s.add_clause(vec![Var(0).pos()])); // does not touch the ternary
-        assert!(s.add_clause(vec![Var(1).neg()])); // falsifies v1 in the ternary
-        s.inprocess_sweep();
+        assert_eq!(s.solve_under_assumptions(&[act.pos()]), SolveOutcome::Unsat);
+        assert_eq!(s.failed_assumptions(), &[act.pos()]);
+        s.reduce_learnts_to(0);
         let d = s.db_stats();
-        // The ternary shrank to (v0 \/ v2)... which is satisfied at root
-        // by v0 — so it must have been deleted outright.
-        assert_eq!(d.live_clauses, 0);
+        assert_eq!((d.live_long_learnts, d.wasted_words), (0, 0));
+        assert_eq!(s.solve_under_assumptions(&[act.pos()]), SolveOutcome::Unsat);
         assert_eq!(s.solve(), SolveOutcome::Sat);
-        assert!(s.value(Var(0)) && !s.value(Var(1)));
-    }
-
-    #[test]
-    fn sweep_preserves_verdicts_on_unsat_instance() {
-        let mut s = pigeonhole(5, 4);
-        s.inprocess_sweep();
-        assert_eq!(s.solve(), SolveOutcome::Unsat);
-    }
-
-    #[test]
-    fn sweep_between_assumption_queries_preserves_answers() {
-        let mut s = SatSolver::new(3);
-        let (a, b, c) = (Var(0), Var(1), Var(2));
-        assert!(s.add_clause(vec![a.neg(), b.pos()]));
-        assert!(s.add_clause(vec![b.neg(), c.pos()]));
-        assert_eq!(
-            s.solve_under_assumptions(&[a.pos(), c.neg()]),
-            SolveOutcome::Unsat
-        );
-        s.inprocess_sweep();
-        assert_eq!(
-            s.solve_under_assumptions(&[a.pos(), c.neg()]),
-            SolveOutcome::Unsat
-        );
-        let core = s.failed_assumptions().to_vec();
-        assert!(core.contains(&a.pos()) && core.contains(&c.neg()));
-        assert_eq!(
-            s.solve_under_assumptions(&[a.pos(), c.pos()]),
-            SolveOutcome::Sat
-        );
-    }
-
-    #[test]
-    fn jittered_configs_agree_on_verdicts() {
-        for variant in 0..4usize {
-            let cfg = SolverConfig::default().jittered(variant, 0xfeed);
-            let mut s = SatSolver::with_config(5 * 4, cfg);
-            let var = |p: u32, h: u32| Var(p * 4 + h);
-            for p in 0..5u32 {
-                assert!(s.add_clause((0..4).map(|h| var(p, h).pos()).collect()));
-            }
-            for h in 0..4u32 {
-                for p1 in 0..5 {
-                    for p2 in (p1 + 1)..5 {
-                        assert!(s.add_clause(vec![var(p1, h).neg(), var(p2, h).neg()]));
-                    }
-                }
-            }
-            assert_eq!(s.solve(), SolveOutcome::Unsat, "variant {variant}");
-        }
-    }
-
-    #[test]
-    fn abort_flag_cancels_search() {
-        let mut s = pigeonhole(8, 7);
-        let abort = AtomicBool::new(true); // pre-set: abort at first check
-        let out = s.solve_under_assumptions_abortable(&[], Some(&abort));
-        assert_eq!(out, None);
-        // Solver remains usable after the abort.
-        assert_eq!(s.solve(), SolveOutcome::Unsat);
-    }
-
-    #[test]
-    fn clone_races_to_the_same_verdict() {
-        let mut a = pigeonhole(6, 5);
-        let mut b = a.clone();
-        b.set_config(SolverConfig::default().jittered(1, 42));
-        assert_eq!(a.solve(), SolveOutcome::Unsat);
-        assert_eq!(b.solve(), SolveOutcome::Unsat);
-    }
-
-    #[test]
-    fn compaction_preserves_model_queries() {
-        let mut s = SatSolver::new(6);
-        assert!(s.add_clause(vec![Var(0).pos(), Var(1).pos()]));
-        assert!(s.add_clause(vec![Var(2).pos(), Var(3).pos(), Var(4).pos()]));
-        assert!(s.add_clause(vec![Var(2).neg(), Var(5).pos()]));
-        assert_eq!(s.solve(), SolveOutcome::Sat);
-        s.inprocess_sweep();
-        assert_eq!(s.solve(), SolveOutcome::Sat);
-        // Model still satisfies the original formula.
-        assert!(s.value(Var(0)) || s.value(Var(1)));
-        assert!(s.value(Var(2)) || s.value(Var(3)) || s.value(Var(4)));
-        assert!(!s.value(Var(2)) || s.value(Var(5)));
+        assert!(!s.value(act));
     }
 }

@@ -15,11 +15,9 @@
 
 use crate::bitblast::{bitblast, IncrementalBlaster};
 use crate::cnf::Lit;
-use crate::sat::{DbStats, SatSolver, SatStats, SolveOutcome, SolverConfig, SolverError};
+use crate::sat::{SatSolver, SatStats, SolveOutcome, SolverError};
 use crate::term::{Sort, Term, TermId, TermPool};
 use std::collections::{HashMap, HashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A concrete value in a model.
@@ -272,7 +270,7 @@ pub fn solve_with_stats(pool: &TermPool, assertions: &[TermId]) -> (SatResult, S
 /// if any. The per-solve SAT counters are deltas, so registry totals
 /// are exact cumulative counts across all sessions and one-shot solves.
 /// `blast` is the bit-blasting share of `stats.encode_time` (the rest is
-/// clause feed and inprocessing).
+/// clause feed).
 fn record_solve_metrics(stats: &SolverStats, blast: Duration) {
     if !obs::enabled() {
         return;
@@ -284,122 +282,9 @@ fn record_solve_metrics(stats: &SolverStats, blast: Duration) {
     obs::add("smt.conflicts", stats.sat.conflicts);
     obs::add("smt.restarts", stats.sat.restarts);
     obs::gauge_max("smt.learnt_db", stats.sat.learnts);
-    obs::add("smt.subsumed", stats.sat.subsumed);
-    obs::add("smt.strengthened", stats.sat.strengthened);
-    obs::add("smt.vivified", stats.sat.vivified);
-    obs::add("smt.sweeps", stats.sat.sweeps);
     obs::add("smt.encode_ns", stats.encode_time.as_nanos() as u64);
     obs::add("smt.solve_ns", stats.solve_time.as_nanos() as u64);
     obs::observe("smt.solve_time", stats.solve_time);
-}
-
-/// Per-variant portfolio win counters (`&'static` names as the metrics
-/// sink requires; the variant count is capped at the same bound as
-/// [`PortfolioConfig::k`]).
-/// Per-variant portfolio win counters (index = variant), public so
-/// profile tooling can read the attribution back out of a snapshot.
-pub const PORTFOLIO_WIN_COUNTERS: [&str; 4] = [
-    "smt.portfolio_win_v0",
-    "smt.portfolio_win_v1",
-    "smt.portfolio_win_v2",
-    "smt.portfolio_win_v3",
-];
-
-/// Hard bound on portfolio width (variant 0 plus up to three jittered
-/// clones) — more rarely pays for the clone cost on this workload, and it
-/// keeps the win-attribution counter set static.
-pub const PORTFOLIO_MAX_K: usize = 4;
-
-/// A shared budget of *extra* solver threads available to portfolio
-/// races, so portfolio parallelism composes with group-level parallelism
-/// instead of oversubscribing the machine: the engine sizes one slot
-/// pool for the whole run (roughly `cores - workers`), every session
-/// draws from it at solve time, and a race only happens when at least
-/// one extra thread is actually free right now.
-pub struct PortfolioSlots {
-    free: AtomicUsize,
-}
-
-impl PortfolioSlots {
-    /// A pool of `extra_threads` slots (0 disables racing through this
-    /// pool entirely).
-    pub fn new(extra_threads: usize) -> Arc<Self> {
-        Arc::new(PortfolioSlots {
-            free: AtomicUsize::new(extra_threads),
-        })
-    }
-
-    /// Currently free slots (informational; racy by nature).
-    pub fn available(&self) -> usize {
-        self.free.load(Ordering::Relaxed)
-    }
-
-    /// Take up to `want` slots, returning how many were actually granted.
-    fn try_take(&self, want: usize) -> usize {
-        loop {
-            let cur = self.free.load(Ordering::Relaxed);
-            let take = cur.min(want);
-            if take == 0 {
-                return 0;
-            }
-            if self
-                .free
-                .compare_exchange(cur, cur - take, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
-                return take;
-            }
-        }
-    }
-
-    fn release(&self, n: usize) {
-        self.free.fetch_add(n, Ordering::AcqRel);
-    }
-}
-
-/// Portfolio solving for an [`IncrementalSession`]: queries on sessions
-/// whose encoding is large enough are raced on `k` solver clones with
-/// jittered heuristics (see [`SolverConfig::jittered`]); the first
-/// verdict wins and the winning clone — with everything it learnt — is
-/// adopted as the session's solver, so later queries in the same session
-/// benefit.
-///
-/// Verdicts are deterministic (every variant decides the same formula),
-/// so SAT/UNSAT answers never depend on thread timing. Models and unsat
-/// cores may legally differ from the sequential ones (a different but
-/// equally valid witness/core); callers that require byte-identical
-/// reports re-derive counterexamples on a fresh one-shot instance, which
-/// is how the verification engine uses this.
-#[derive(Clone)]
-pub struct PortfolioConfig {
-    /// Number of racing variants including the unjittered base (clamped
-    /// to [`PORTFOLIO_MAX_K`]; effective width also depends on free
-    /// slots).
-    pub k: usize,
-    /// Only race queries once the session's encoding has at least this
-    /// many clauses — below that, cloning the solver costs more than the
-    /// search itself.
-    pub min_clauses: usize,
-    /// Base seed for the per-variant heuristic jitter.
-    pub seed: u64,
-    /// Label for win-attribution metrics (the engine passes the check
-    /// group's label; empty = no attribution span).
-    pub label: String,
-    /// Shared thread budget; `None` means "always race at full width"
-    /// (bench/test use).
-    pub slots: Option<Arc<PortfolioSlots>>,
-}
-
-impl Default for PortfolioConfig {
-    fn default() -> Self {
-        PortfolioConfig {
-            k: 3,
-            min_clauses: 50_000,
-            seed: 0x1179,
-            label: String::new(),
-            slots: None,
-        }
-    }
 }
 
 /// Check validity of `formula` (i.e. unsatisfiability of its negation),
@@ -458,20 +343,6 @@ pub struct IncrementalSession {
     /// (assertions + the assumed activations' terms) and mark every
     /// other variable don't-care in the model.
     gated: HashMap<Lit, TermId>,
-    /// Portfolio racing, when enabled (see [`PortfolioConfig`]).
-    portfolio: Option<PortfolioConfig>,
-    /// Variant index that answered the most recent solve (0 also when
-    /// the solve ran sequentially).
-    last_winner: usize,
-    /// Legacy clause-feed path (owned, sorted, deduplicated `Vec` per
-    /// clause) kept as the honest ablation baseline for the solver
-    /// benches; see [`IncrementalSession::with_buffered_feed`].
-    buffered_feed: bool,
-    /// The owned clauses the buffered feed has produced, held for the
-    /// session's lifetime the way the old pipeline's `Cnf` held its
-    /// `Vec<Vec<Lit>>` — the live-memory footprint is part of the cost
-    /// the ablation reproduces. Always empty on the default path.
-    buffered: Vec<Vec<Lit>>,
 }
 
 impl Default for IncrementalSession {
@@ -492,15 +363,11 @@ impl IncrementalSession {
             pending_encode: Duration::ZERO,
             asserted: Vec::new(),
             gated: HashMap::new(),
-            portfolio: None,
-            last_winner: 0,
-            buffered_feed: false,
-            buffered: Vec::new(),
         }
     }
 
     /// Back to the state of [`IncrementalSession::new`] — empty pool, no
-    /// encoding, default configuration, no portfolio or caps — keeping
+    /// encoding, no caps — keeping
     /// the allocations of the pool, the blaster and the solver. A worker
     /// that runs many short-lived sessions recycles one instead of
     /// building and dropping each; every [`TermId`] and [`Assumption`]
@@ -514,36 +381,6 @@ impl IncrementalSession {
         self.pending_encode = Duration::ZERO;
         self.asserted.clear();
         self.gated.clear();
-        self.portfolio = None;
-        self.last_winner = 0;
-        self.buffered_feed = false;
-        self.buffered.clear();
-    }
-
-    /// Replace the solver's heuristic/inprocessing configuration. The
-    /// session consults `config.sweep` / `config.sweep_every` to decide
-    /// when to run [`SatSolver::inprocess_sweep`] between queries;
-    /// [`SolverConfig::plain`] therefore reproduces the pre-inprocessing
-    /// behavior end to end (bench ablation, differential tests).
-    pub fn with_config(mut self, config: SolverConfig) -> Self {
-        self.sat.set_config(config);
-        self
-    }
-
-    /// Enable portfolio racing for this session's solves (see
-    /// [`PortfolioConfig`]).
-    pub fn with_portfolio(mut self, portfolio: PortfolioConfig) -> Self {
-        self.portfolio = Some(portfolio);
-        self
-    }
-
-    /// Use the legacy buffered clause feed (one owned, sorted,
-    /// deduplicated `Vec` per clause instead of borrowed slices into the
-    /// blaster's flat store). Strictly slower; exists so the solver
-    /// benches can measure the feed-path win honestly.
-    pub fn with_buffered_feed(mut self, buffered: bool) -> Self {
-        self.buffered_feed = buffered;
-        self
     }
 
     /// Lower the underlying solver's clause-arena capacity (clamped to
@@ -632,17 +469,10 @@ impl IncrementalSession {
             return Err(e.clone());
         }
         let before = self.sat.stats();
-        // Periodic inprocessing: every `sweep_every` queries, simplify /
-        // subsume / compact / vivify the clause database (accounted as
-        // encode time — it is database maintenance, not search).
-        let cfg = self.sat.config();
-        if cfg.sweep && self.solves > 0 && self.solves.is_multiple_of(cfg.sweep_every) {
-            self.sat.inprocess_sweep();
-        }
         let sync_time = t0.elapsed();
         let lits: Vec<Lit> = assumptions.iter().map(|a| a.0).collect();
         let t1 = Instant::now();
-        let outcome = match self.solve_racing(&lits) {
+        let outcome = match self.sat.try_solve_under_assumptions(&lits) {
             Ok(o) => o,
             Err(e) => {
                 obs::add("smt.arena_exhausted", 1);
@@ -662,11 +492,6 @@ impl IncrementalSession {
                 conflicts: after.conflicts - before.conflicts,
                 restarts: after.restarts - before.restarts,
                 learnts: after.learnts,
-                subsumed: after.subsumed - before.subsumed,
-                strengthened: after.strengthened - before.strengthened,
-                vivified: after.vivified - before.vivified,
-                sweeps: after.sweeps - before.sweeps,
-                viv_propagations: after.viv_propagations - before.viv_propagations,
             },
         };
         record_solve_metrics(&stats, self.pending_encode);
@@ -716,142 +541,12 @@ impl IncrementalSession {
     fn sync(&mut self) {
         let t0 = Instant::now();
         let n0 = self.fed;
-        if self.buffered_feed {
-            // Legacy path: the pre-flat-store pipeline allocated every
-            // clause twice — once building the blaster's Vec-of-Vecs at
-            // blast time, once cloning it into the solver at feed time —
-            // then sorted and deduplicated. Reproduce both allocations
-            // so the ablation bench measures the flat pipeline's win
-            // against what the feed actually used to cost.
-            self.sat.ensure_num_vars(self.blaster.num_vars());
-            while self.fed < self.blaster.num_clauses() {
-                let blasted = self.blaster.clause(self.fed).to_vec();
-                let mut lits = blasted.clone();
-                self.buffered.push(blasted);
-                lits.sort();
-                lits.dedup();
-                self.sat.add_clause(lits);
-                self.fed += 1;
-            }
-        } else {
-            self.fed = self.blaster.feed(&mut self.sat, self.fed);
-        }
+        self.fed = self.blaster.feed(&mut self.sat, self.fed);
         if obs::enabled() {
             obs::add("smt.sync_ns", t0.elapsed().as_nanos() as u64);
             obs::add("smt.sync_clauses", (self.fed - n0) as u64);
         }
     }
-
-    /// Decide the assumption query, racing jittered clones when the
-    /// portfolio is enabled, the encoding is large enough, and thread
-    /// slots are free; otherwise solve sequentially in place. On a race,
-    /// the winning clone becomes the session's solver (learnt clauses,
-    /// activities and phases included) with its configuration reset to
-    /// the base, so the race leaves only *extra* derived facts behind.
-    ///
-    /// `Err` when the solver refused a verdict on capacity grounds
-    /// (clause arena exhausted) — on a race, only when *every* variant
-    /// refused, since one surviving variant still yields a sound answer.
-    fn solve_racing(&mut self, lits: &[Lit]) -> Result<SolveOutcome, SolverError> {
-        self.last_winner = 0;
-        let sequential = |sat: &mut SatSolver, lits: &[Lit]| {
-            sat.solve_under_assumptions_abortable(lits, None)
-                .ok_or_else(|| latched_arena_error(sat))
-        };
-        let Some(pf) = self.portfolio.clone() else {
-            return sequential(&mut self.sat, lits);
-        };
-        let width = pf.k.min(PORTFOLIO_MAX_K);
-        if width < 2 || self.blaster.num_clauses() < pf.min_clauses {
-            return sequential(&mut self.sat, lits);
-        }
-        let granted = match &pf.slots {
-            Some(slots) => slots.try_take(width - 1),
-            None => width - 1,
-        };
-        if granted == 0 {
-            return sequential(&mut self.sat, lits);
-        }
-        let base_cfg = self.sat.config().clone();
-        let mut variants: Vec<SatSolver> = Vec::with_capacity(granted + 1);
-        variants.push(self.sat.clone());
-        for i in 1..=granted {
-            let mut s = self.sat.clone();
-            // Vary the seed per solve so a query that defeats one jitter
-            // set meets a different one next time.
-            s.set_config(base_cfg.jittered(i, pf.seed ^ self.solves.wrapping_mul(0x9e37)));
-            s.apply_jitter();
-            variants.push(s);
-        }
-        let abort = AtomicBool::new(false);
-        let winner: Mutex<Option<(usize, SolveOutcome)>> = Mutex::new(None);
-        std::thread::scope(|scope| {
-            for (i, solver) in variants.iter_mut().enumerate() {
-                let abort = &abort;
-                let winner = &winner;
-                scope.spawn(move || {
-                    if let Some(out) = solver.solve_under_assumptions_abortable(lits, Some(abort)) {
-                        let mut w = winner.lock().unwrap();
-                        if w.is_none() {
-                            *w = Some((i, out));
-                            abort.store(true, Ordering::Relaxed);
-                        }
-                    }
-                });
-            }
-        });
-        if let Some(slots) = &pf.slots {
-            slots.release(granted);
-        }
-        let Some((wi, outcome)) = winner.into_inner().unwrap() else {
-            // No variant posted a result. Aborts only happen after a
-            // winner posts, so every variant refused on capacity: adopt
-            // the base clone so the latched error stays observable.
-            let mut adopted = variants.swap_remove(0);
-            adopted.set_config(base_cfg);
-            let err = latched_arena_error(&adopted);
-            self.sat = adopted;
-            return Err(err);
-        };
-        let mut adopted = variants.swap_remove(wi);
-        adopted.set_config(base_cfg);
-        self.sat = adopted;
-        self.last_winner = wi;
-        if obs::enabled() {
-            obs::add("smt.portfolio_races", 1);
-            obs::add(PORTFOLIO_WIN_COUNTERS[wi.min(PORTFOLIO_MAX_K - 1)], 1);
-            if !pf.label.is_empty() {
-                // Zero-duration span: span totals key on (name, first
-                // arg), giving a per-(group, variant) win count for the
-                // profile attribution table.
-                drop(obs::span_with(
-                    "portfolio_win",
-                    vec![("group", format!("{}/v{}", pf.label, wi))],
-                ));
-            }
-        }
-        Ok(outcome)
-    }
-
-    /// Which portfolio variant answered the most recent solve (0 when the
-    /// solve ran sequentially or the unjittered base won).
-    pub fn last_portfolio_winner(&self) -> usize {
-        self.last_winner
-    }
-
-    /// Clause-arena and watcher occupancy of the underlying solver, for
-    /// memory-bound assertions on long-lived sessions.
-    pub fn sat_db_stats(&self) -> DbStats {
-        self.sat.db_stats()
-    }
-}
-
-/// The capacity error a solver latched when it refused a non-aborted
-/// verdict. A refusal with no latch would be a logic bug.
-fn latched_arena_error(sat: &SatSolver) -> SolverError {
-    sat.arena_error()
-        .cloned()
-        .expect("a refused non-aborted solve implies a latched arena error")
 }
 
 /// Every term reachable from `roots` in the pool's DAG (the cone of the

@@ -13,12 +13,11 @@
 //!    solving: one persistent instance answering a family of queries under
 //!    assumptions returns the same answers as a cold solver per query, and
 //!    reported unsat cores are genuinely unsatisfiable subsets.
-//! 4. The solver-speed machinery is verdict-preserving: the full
-//!    inprocessing configuration (phase saving, Luby restarts, on-the-fly
-//!    subsumption, learnt-DB sweeps) and every jittered portfolio variant
-//!    agree with the plain kernel query for query, their UNSAT cores
-//!    replay to UNSAT on a plain solver, and a portfolio-racing session
-//!    returns the same verdicts as a sequential one.
+//! 4. A long assumption-query stream on one incremental solver agrees
+//!    with a brute-force truth table query for query: verdicts match,
+//!    every model satisfies the clauses and the assumptions, and every
+//!    UNSAT core is a subset of the assumptions that replays to UNSAT on
+//!    a fresh solver.
 //! 5. Constant-aware blasting is exact: on random boolean terms mixing
 //!    constants with 12 variable bits — every operator the blaster
 //!    lowers, extracts and shifts included — satisfiability of the term
@@ -28,8 +27,7 @@
 
 use proptest::prelude::*;
 use smt::{
-    solve, Cnf, IncrementalSession, Lit, PortfolioConfig, SatResult, SatSolver, SolveOutcome,
-    SolverConfig, TermId, TermPool, Var,
+    solve, Cnf, IncrementalSession, Lit, SatResult, SatSolver, SolveOutcome, TermId, TermPool, Var,
 };
 
 // ---------------------------------------------------------------------------
@@ -576,109 +574,67 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Inprocessing / jitter / portfolio differential properties
+// One incremental solver vs a truth table, over a long query stream
 // ---------------------------------------------------------------------------
 
-fn solver_with(cnf: &Cnf, config: SolverConfig) -> SatSolver {
-    let mut s = SatSolver::with_config(cnf.num_vars(), config);
-    for c in cnf.clauses() {
-        s.add_clause(c.clone());
-    }
-    s
+/// Every assignment of `cnf`'s variables that satisfies it, as bitmasks.
+fn truth_table(cnf: &Cnf) -> Vec<u32> {
+    let n = cnf.num_vars();
+    assert!(n <= 16, "truth table limited to 16 vars");
+    (0u32..(1 << n))
+        .filter(|&bits| {
+            let assignment: Vec<bool> = (0..n).map(|i| bits >> i & 1 == 1).collect();
+            cnf.eval(&assignment)
+        })
+        .collect()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Phase saving, Luby restarts, subsumption, vivification sweeps and
-    /// portfolio jitter are heuristics, not semantics: on a shared
-    /// assumption-query stream, the tuned solver (with a sweep forced
-    /// between queries) and three jittered variants must return exactly
-    /// the verdicts of the plain kernel, and every UNSAT core they
-    /// report must replay to UNSAT on a fresh plain solver.
+    /// The kernel's only verdict-bearing state across queries is what it
+    /// learnt, what it reduced away and what compaction rebuilt: a stream
+    /// of assumption queries on ONE solver must agree with enumerating
+    /// the formula's models, query for query. SAT models satisfy the
+    /// clauses and the assumptions; UNSAT cores are subsets of the
+    /// assumptions and replay to UNSAT on a fresh solver.
     #[test]
-    fn inprocessed_and_jittered_solvers_agree_with_plain(
+    fn assumption_stream_agrees_with_truth_table(
         cnf in arb_cnf(10, 40),
         queries in prop::collection::vec(
-            prop::collection::vec((0u32..10, any::<bool>()), 0..=4), 1..=6),
-        seed in any::<u64>(),
+            prop::collection::vec((0u32..10, any::<bool>()), 0..=4), 1..=12),
     ) {
-        let mut plain = solver_with(&cnf, SolverConfig::plain());
-        let tuned_cfg = SolverConfig::default();
-        let mut tuned = solver_with(&cnf, tuned_cfg.clone());
-        let mut variants: Vec<SatSolver> = (1..4)
-            .map(|i| solver_with(&cnf, tuned_cfg.jittered(i, seed)))
-            .collect();
-        for (qi, q) in queries.iter().enumerate() {
+        let models = truth_table(&cnf);
+        let mut s = SatSolver::from_cnf(&cnf);
+        for q in &queries {
             let assumptions: Vec<Lit> =
                 q.iter().map(|&(v, sgn)| Var(v).lit(sgn)).collect();
-            if qi > 0 {
-                // Exercise the learnt-DB sweep between queries, exactly
-                // where a session would run it.
-                tuned.inprocess_sweep();
-            }
-            let expected = plain.solve_under_assumptions(&assumptions) == SolveOutcome::Sat;
-            for s in std::iter::once(&mut tuned).chain(variants.iter_mut()) {
-                let got = s.solve_under_assumptions(&assumptions) == SolveOutcome::Sat;
-                prop_assert_eq!(got, expected, "assumptions {:?}", assumptions);
-                if !got {
-                    let core = s.failed_assumptions().to_vec();
-                    for l in &core {
-                        prop_assert!(assumptions.contains(l), "core lit {:?} not assumed", l);
-                    }
-                    let mut replay = solver_with(&cnf, SolverConfig::plain());
+            let holds = |bits: u32, l: &Lit| (bits >> l.var().0 & 1 == 1) == l.is_pos();
+            let expected = models.iter().any(|&m| assumptions.iter().all(|l| holds(m, l)));
+            let got = s.solve_under_assumptions(&assumptions) == SolveOutcome::Sat;
+            prop_assert_eq!(got, expected, "assumptions {:?}", assumptions);
+            if got {
+                let assignment: Vec<bool> =
+                    (0..cnf.num_vars()).map(|i| s.value(Var(i))).collect();
+                prop_assert!(cnf.eval(&assignment), "model violates the clauses");
+                for l in &assumptions {
                     prop_assert_eq!(
-                        replay.solve_under_assumptions(&core),
-                        SolveOutcome::Unsat,
-                        "core {:?} does not replay to UNSAT", core
+                        assignment[l.var().0 as usize], l.is_pos(),
+                        "model violates assumption {:?}", l
                     );
                 }
+            } else {
+                let core = s.failed_assumptions().to_vec();
+                for l in &core {
+                    prop_assert!(assumptions.contains(l), "core lit {:?} not assumed", l);
+                }
+                let mut replay = SatSolver::from_cnf(&cnf);
+                prop_assert_eq!(
+                    replay.solve_under_assumptions(&core),
+                    SolveOutcome::Unsat,
+                    "core {:?} does not replay to UNSAT", core
+                );
             }
-        }
-    }
-
-    /// A portfolio-racing session (thresholds forced to zero so every
-    /// query races) returns the same verdicts as a sequential session,
-    /// for any variant count and jitter seed.
-    #[test]
-    fn portfolio_session_matches_sequential_session(
-        base in 0u64..200, bound in 1u64..255,
-        probes in prop::collection::vec(0u64..256, 1..=4),
-        seed in any::<u64>(),
-        k in 2usize..=smt::PORTFOLIO_MAX_K,
-    ) {
-        let build = |portfolio: Option<PortfolioConfig>| {
-            let mut sess = IncrementalSession::new();
-            if let Some(p) = portfolio {
-                sess = sess.with_portfolio(p);
-            }
-            let x = sess.pool_mut().bv_var("x", 8);
-            let lo = sess.pool_mut().bv_const(base, 8);
-            let hi = sess.pool_mut().bv_const(bound, 8);
-            let above = sess.pool_mut().bv_ule(lo, x);
-            let below = sess.pool_mut().bv_ult(x, hi);
-            sess.assert(above);
-            sess.assert(below);
-            (sess, x)
-        };
-        let (mut seq, sx) = build(None);
-        let (mut raced, rx) = build(Some(PortfolioConfig {
-            k,
-            min_clauses: 0,
-            seed,
-            ..PortfolioConfig::default()
-        }));
-        for &v in &probes {
-            let cv = seq.pool_mut().bv_const(v, 8);
-            let eq = seq.pool_mut().bv_eq(sx, cv);
-            let act = seq.activation(eq);
-            let (want, _) = seq.solve_under(&[act]);
-
-            let cv = raced.pool_mut().bv_const(v, 8);
-            let eq = raced.pool_mut().bv_eq(rx, cv);
-            let act = raced.activation(eq);
-            let (got, _) = raced.solve_under(&[act]);
-            prop_assert_eq!(got.is_sat(), want.is_sat(), "probe {}", v);
         }
     }
 }
