@@ -1,4 +1,4 @@
-//! Benchmark harnesses regenerating every table and figure of the paper.
+//! Benchmark harnesses regenerating the paper's tables and figures.
 //!
 //! Binaries (see `src/bin/`):
 //!
@@ -9,23 +9,16 @@
 //!   safety, 4c IP-reuse liveness.
 //! * `figure3` — the §6.2 scaling comparison against Minesweeper
 //!   (panels a-d: encoding sizes and solve/total times vs network size).
-//! * `wan_scale` — the §6.1 scaling claims: the 11 peering properties
-//!   over a WAN, sequential and parallel, with per-property timings.
 //!
-//! Criterion benches (see `benches/`):
-//!
-//! * `encoding` — route-map encoding cost vs map size and universe width
-//!   (ablations D1/D4).
-//! * `checks` — end-to-end check throughput: sequential vs parallel (D3)
-//!   and incremental vs full re-verification.
+//! One bench (`benches/obs.rs`, `cargo bench -p bench --bench obs`)
+//! gates the `obs` layer's disabled-instrumentation and idle-listener
+//! overheads. End-to-end performance is measured by `benchmark/`, not
+//! here.
 //!
 //! All binaries accept environment variables to scale up to paper-size
 //! runs (see each binary's `--help`-style header comment).
 
-pub mod compare;
-
-use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::io::Write;
 use std::time::Duration;
 
 /// Read a usize parameter from the environment with a default.
@@ -36,38 +29,17 @@ pub fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// Record an in-bench acceptance gate's outcome: print it, append it to
-/// the `BENCH_JSON` file (the CI `bench-gate` job's `BENCH_ci.json`
-/// artifact), and **panic when the floor is missed** so `cargo bench`
-/// — and with it the CI job — fails. Call this with the measured
-/// speedup ratio and the asserted floor.
-pub fn record_gate(name: &str, ratio: f64, floor: f64) {
-    let name = unique_gate_name(name);
-    let pass = ratio >= floor;
-    println!(
-        "gate {name}: {ratio:.2}x (floor {floor:.2}x) -> {}",
-        if pass { "pass" } else { "FAIL" }
-    );
-    criterion::append_json_line(&format!(
-        "{{\"gate\":\"{name}\",\"ratio\":{ratio:.4},\"floor\":{floor:.2},\"pass\":{pass}}}"
-    ));
-    assert!(
-        pass,
-        "bench gate {name}: {ratio:.2}x is below the {floor:.2}x floor"
-    );
-}
-
-/// Record a ceiling-style gate: pass when `value <= ceiling` (overhead
-/// gates, where smaller is better). Same print/append/panic contract as
-/// [`record_gate`], with `value`/`ceiling` fields in the JSON record.
+/// Record a ceiling-style gate (overhead gates, where smaller is
+/// better): print it, append it to the `BENCH_JSON` file (CI's
+/// `BENCH_obs.json` artifact), and **panic when `value` exceeds
+/// `ceiling`** so `cargo bench` — and with it the CI job — fails.
 pub fn record_gate_max(name: &str, value: f64, ceiling: f64) {
-    let name = unique_gate_name(name);
     let pass = value <= ceiling;
     println!(
         "gate {name}: {value:.4} (ceiling {ceiling:.4}) -> {}",
         if pass { "pass" } else { "FAIL" }
     );
-    criterion::append_json_line(&format!(
+    append_json_line(&format!(
         "{{\"gate\":\"{name}\",\"value\":{value:.4},\"ceiling\":{ceiling:.4},\"pass\":{pass}}}"
     ));
     assert!(
@@ -76,22 +48,19 @@ pub fn record_gate_max(name: &str, value: f64, ceiling: f64) {
     );
 }
 
-/// Disambiguate gate names within one process. `BENCH_JSON` is
-/// append-only, so two gates recorded under one name used to produce
-/// two identical-looking lines in the assembled artifact — ambiguous
-/// for any trend tooling keyed on the gate name. Repeats now get a
-/// `#2`, `#3`, ... suffix and a warning on stderr.
-fn unique_gate_name(name: &str) -> String {
-    static SEEN: OnceLock<Mutex<BTreeMap<String, usize>>> = OnceLock::new();
-    let mut seen = SEEN.get_or_init(Mutex::default).lock().unwrap();
-    let n = seen.entry(name.to_string()).or_insert(0);
-    *n += 1;
-    if *n == 1 {
-        name.to_string()
-    } else {
-        let unique = format!("{name}#{n}");
-        eprintln!("warning: duplicate bench gate name {name:?}; recording as {unique:?}");
-        unique
+/// Append one line to the file named by `BENCH_JSON`; a no-op when the
+/// variable is unset or the file cannot be opened, so a gate never fails
+/// because of its record.
+fn append_json_line(line: &str) {
+    let Some(path) = std::env::var_os("BENCH_JSON").filter(|p| !p.is_empty()) else {
+        return;
+    };
+    if let Ok(mut f) = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)
+    {
+        let _ = writeln!(f, "{line}");
     }
 }
 
@@ -105,11 +74,6 @@ pub fn median(mut xs: Vec<Duration>) -> Duration {
 /// Format a duration in seconds with millisecond precision.
 pub fn secs(d: Duration) -> String {
     format!("{:.3}s", d.as_secs_f64())
-}
-
-/// Print a horizontal rule of the given width.
-pub fn rule(width: usize) {
-    println!("{}", "-".repeat(width));
 }
 
 /// A minimal aligned-table printer for benchmark output.
@@ -171,15 +135,6 @@ mod tests {
     #[test]
     fn env_usize_default() {
         assert_eq!(env_usize("DEFINITELY_NOT_SET_XYZ", 7), 7);
-    }
-
-    #[test]
-    fn duplicate_gate_names_get_suffixes() {
-        assert_eq!(unique_gate_name("dup-gate-test"), "dup-gate-test");
-        assert_eq!(unique_gate_name("dup-gate-test"), "dup-gate-test#2");
-        assert_eq!(unique_gate_name("dup-gate-test"), "dup-gate-test#3");
-        // Independent names stay untouched.
-        assert_eq!(unique_gate_name("other-gate-test"), "other-gate-test");
     }
 
     #[test]

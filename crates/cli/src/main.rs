@@ -12,13 +12,14 @@
 //!                    [--listen ADDR] [--stale-after-ms N]
 //!                    [--flight-json FILE] [--events-jsonl FILE]
 //!   lightyear plan   --spec <FILE> <DIR0> <DIR1> [...]
+//!   lightyear serve  --listen <ADDR> [--cache-root DIR] [--workers N]
+//!                    [--queue-depth N] [--max-conns N] [--metrics-json FILE]
+//!                    [--stale-after-ms N] [--flight-json FILE]
+//!                    [--events-jsonl FILE]
 //!   lightyear fuzz   [--seed N] [--cases N] [--families a,b,...]
 //!                    [--edit-steps K] [--sim-rounds R] [--no-inject]
 //!                    [--repro-dir DIR] [--bench-json FILE] [--replay DIR]
 //!                    [--listen ADDR] [--flight-json FILE]
-//!   lightyear bench  --zoo [--limit N] [--seed N] [--max-routers N]
-//!                    [--json FILE]
-//!   lightyear bench-report <A.json> <B.json>
 //!   lightyear parse  --configs <DIR>
 //!   lightyear lint   --configs <DIR>
 //!   lightyear spec-template
@@ -85,7 +86,13 @@
 //!                   verify DIR0 fully, then every subsequent directory as
 //!                   a delta round, proving each intermediate
 //!                   configuration safe; exit code 1 if any step fails
-//!   fuzz            seeded differential campaign over six topology families
+//!   serve           multi-tenant verification daemon: POST /api/v1 takes
+//!                   the versioned api envelope (submit configs, delta
+//!                   rounds, verify, query cores, health) per tenant, with
+//!                   bounded per-tenant queues drained round-robin; the
+//!                   telemetry endpoints share the listener. --cache-root
+//!                   spills each tenant's verdicts so a restart is warm
+//!   fuzz           seeded differential campaign over six topology families
 //!                   (figure1, fullmesh, wan, rr, stub, hubspoke): each
 //!                   case is cross-checked by the simulation oracle (all
 //!                   2^3 SimOptions), the mode-parity oracle (reference /
@@ -96,22 +103,6 @@
 //!                   minimized and written as a replayable repro directory
 //!                   (--repro-dir; re-run it with --replay). --bench-json
 //!                   records campaign throughput (the CI BENCH_fuzz.json)
-//!   bench           the Internet-scale corpus sweep: walk the vendored
-//!                   Topology Zoo corpus (netgen::zoo, 11..754 routers)
-//!                   ascending, verify each entry's peering + fencing
-//!                   suites as one orchestrated streaming batch, print a
-//!                   summary table and write one record per entry
-//!                   (checks/s, wall, peak RSS via VmHWM, dedup ratio)
-//!                   to --json (default BENCH_zoo.json). --limit N takes
-//!                   the N smallest entries; --max-routers scales every
-//!                   entry down proportionally (test/smoke mode); the
-//!                   records are a pure function of the corpus and
-//!                   --seed apart from the timing/RSS fields
-//!   bench-report    diff two BENCH_*.json files (arrays of gate lines,
-//!                   as assembled by CI with `jq -s`): per-gate verdict
-//!                   flips, metric regressions/improvements beyond a 2%
-//!                   tolerance, and added/removed gates. Exit code 1
-//!                   when any gate regressed
 //!   parse           parse + lower only; print the topology summary and
 //!                   lowering warnings
 //!   lint            run rcc-style best-practice lints; exit code 1 on
@@ -145,7 +136,6 @@
 //!   orchestrator: 220 checks -> 34 solver calls (180 deduped, 6 cached, ratio 0.15, 8 threads); incremental: 12 groups, 22 warm assumption solves
 //! ```
 
-mod bench_zoo;
 mod fuzz;
 mod profile;
 mod render;
@@ -179,9 +169,8 @@ fn usage() -> ExitCode {
          lightyear fuzz [--seed N] [--cases N] [--families a,b,...] [--edit-steps K]\n    \
          [--sim-rounds R] [--no-inject] [--repro-dir <DIR>] [--bench-json <FILE>]\n    \
          [--replay <DIR>] [--listen <ADDR>] [--flight-json <FILE>]\n  \
-         lightyear bench --zoo [--limit N] [--seed N] [--max-routers N] [--json <FILE>]\n  \
-         lightyear bench-report <A.json> <B.json>\n  \
-         lightyear parse --configs <DIR>\n  lightyear spec-template"
+         lightyear parse --configs <DIR>\n  lightyear lint --configs <DIR>\n  \
+         lightyear spec-template"
     );
     ExitCode::from(2)
 }
@@ -198,15 +187,16 @@ fn main() -> ExitCode {
         "plan" => watch::cmd_plan(&args[1..]),
         "serve" => serve::cmd_serve(&args[1..]),
         "fuzz" => fuzz::cmd_fuzz(&args[1..]),
-        "bench" => bench_zoo::cmd_bench(&args[1..]),
-        "bench-report" => cmd_bench_report(&args[1..]),
         "parse" => cmd_parse(&args[1..]),
         "lint" => cmd_lint(&args[1..]),
         "spec-template" => {
             println!("{}", template());
             ExitCode::SUCCESS
         }
-        _ => usage(),
+        other => {
+            eprintln!("error: unknown command {other}");
+            usage()
+        }
     }
 }
 
@@ -753,34 +743,6 @@ fn render_json_report(entries: &[JsonEntry], out: &mut String) {
     entries.stream(&mut ser);
     *out = ser.into_inner();
     out.push('\n');
-}
-
-/// `lightyear bench-report A.json B.json`: diff two bench gate files
-/// (the read side of the otherwise write-only bench trajectory).
-fn cmd_bench_report(args: &[String]) -> ExitCode {
-    let [a, b] = args else {
-        eprintln!("usage: lightyear bench-report <A.json> <B.json>");
-        return ExitCode::from(2);
-    };
-    let load = |path: &String| {
-        std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {path}: {e}"))
-            .and_then(|text| bench::compare::parse_gates(&text).map_err(|e| format!("{path}: {e}")))
-    };
-    let (ga, gb) = match (load(a), load(b)) {
-        (Ok(ga), Ok(gb)) => (ga, gb),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let report = bench::compare::compare(&ga, &gb);
-    print!("{}", report.render(a, b));
-    if report.any_regression() {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
 }
 
 fn template() -> String {

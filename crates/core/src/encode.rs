@@ -493,6 +493,25 @@ mod tests {
                 }),
         );
         agree(&map, &Route::new(p("10.0.0.0/8")).with_community(c("1:1")));
+        // Symbolically too, however wide the universe the tag is
+        // threaded through: an accepted route always carries 9:9.
+        for width in [4u16, 32, 128] {
+            let mut u = Universe::new();
+            for i in 0..width {
+                u.add_community(Community::new(1, i));
+            }
+            u.add_community(c("9:9"));
+            let mut pool = TermPool::new();
+            let r = SymRoute::fresh(&mut pool, &u, "r");
+            let t = Encoder::new(&mut pool, &u, "b").encode_route_map(&map, &r);
+            let tagged = t.out.has_community(&u, c("9:9"));
+            let untagged = pool.not(tagged);
+            let accepted = pool.not(t.reject);
+            assert!(
+                !solve(&pool, &[accepted, untagged]).is_sat(),
+                "width {width}"
+            );
+        }
     }
 
     #[test]

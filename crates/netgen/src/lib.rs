@@ -27,7 +27,8 @@
 //! * [`zoo`] — the Internet-scale corpus: curated Topology Zoo backbone
 //!   sizes (11 to 754 routers) synthesized deterministically with a
 //!   route-reflector overlay, community fencing and peering hygiene
-//!   policy; the workload behind `lightyear bench --zoo`.
+//!   policy; the workload behind the benchmark's `zoo-homog` and
+//!   `zoo-hetero`.
 //! * [`mutate`] — failure injection: seeded configuration bugs of the
 //!   classes the paper found in production (missing community tag, ad-hoc
 //!   AS-path policy on one peering, undocumented region community).

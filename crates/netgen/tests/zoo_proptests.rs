@@ -1,15 +1,14 @@
 //! Property tests for the `netgen::zoo` corpus.
 //!
-//! Two contracts back `lightyear bench --zoo`:
+//! Two contracts back the benchmark's zoo workloads:
 //!
 //! 1. **Round-trip and verify everywhere**: every corpus entry — at any
 //!    seed, any scale-down, and reduced prefix counts — must survive the
 //!    full print → parse → lower pipeline and prove both of its property
-//!    suites. The generator owes the bench a corpus with zero parse or
-//!    verification noise, or throughput numbers mean nothing.
-//! 2. **Determinism**: generation is a pure function of its parameters
-//!    (the CLI half — `bench --zoo` emitting identical JSON for an
-//!    identical seed — is pinned in `crates/cli/tests/cli.rs`).
+//!    suites. The generator owes the benchmark a corpus with zero parse
+//!    or verification noise, or throughput numbers mean nothing.
+//! 2. **Determinism**: generation is a pure function of its parameters,
+//!    so a seed names one corpus and the benchmark's pinned counts hold.
 
 use lightyear::engine::Verifier;
 use netgen::zoo::{self, ZooParams, CORPUS};
@@ -79,8 +78,9 @@ proptest! {
 
 /// Every corpus entry at full size round-trips the config pipeline with
 /// a reduced prefix count; entries small enough for a debug-mode solver
-/// also prove both suites (release proves all of them — and the CI
-/// `zoo-smoke` job verifies the full-size corpus end to end).
+/// also prove both suites (release proves all of them — and the
+/// benchmark's `zoo-homog` workload verifies the largest entry, Kdl, at
+/// full size).
 #[test]
 fn full_corpus_roundtrips_and_small_entries_verify() {
     let verify_cap = if cfg!(debug_assertions) {

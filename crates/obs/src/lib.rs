@@ -157,18 +157,6 @@ pub fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Sample [`peak_rss_kb`] into the `proc.vm_hwm_kb` high-water gauge
-/// (when a sink is installed) and return the sampled value. The zoo
-/// bench sweep calls this after each verify so `BENCH_zoo.json` can
-/// report the true peak footprint per corpus entry.
-pub fn record_peak_rss() -> u64 {
-    let kb = peak_rss_kb();
-    if kb > 0 {
-        gauge_max("proc.vm_hwm_kb", kb);
-    }
-    kb
-}
-
 /// Open a span with no arguments. Prefer the [`span!`] macro, which
 /// also skips argument formatting when disabled.
 #[inline]
