@@ -1,5 +1,5 @@
 //! The verification engine: check generation, the one execution
-//! pipeline, statistics and incremental re-verification.
+//! pipeline and statistics.
 //!
 //! For a safety property, the engine generates the §4.2 checks:
 //!
@@ -17,17 +17,22 @@
 //! node's configuration changes, only the checks touching its edges
 //! re-run.
 //!
-//! Every run takes the same path ([`Verifier::execute`]): fingerprint
-//! each check and collapse structurally identical ones, answer what the
-//! cache already knows, group the rest by **encoding base** — the same
-//! edge's transfer function, or the pure-implication shape — and solve
-//! each group on one persistent [`smt::IncrementalSession`] (shared
+//! Every run takes the same path ([`Verifier::execute`]), in two
+//! stages. The fingerprint stage keys each check by its structural
+//! fingerprint and its **encoding base** — the same edge's transfer
+//! function, or the pure-implication shape. The solve stage
+//! ([`Verifier::solve`]) collapses structurally identical checks,
+//! answers what the cache already knows, and solves each remaining group
+//! on one persistent [`smt::IncrementalSession`] (shared
 //! universe/router constraints encoded once, each check an
 //! assumption-gated query carrying learnt clauses forward), with groups
 //! spread over `jobs` workers and outcomes streamed to a sink in check
-//! order. One fresh SMT instance per check survives only as
-//! [`Verifier::verify_safety_reference`], the oracle tests and benches
-//! compare the pipeline against; outcomes are identical either way.
+//! order. Re-verify rounds ([`crate::reverify::ReverifyEngine`]) bring
+//! their own fingerprints and enter at the solve stage. One fresh SMT
+//! instance per check survives only as
+//! [`Verifier::verify_safety_reference`], the oracle the tests and the
+//! fuzzer compare the pipeline against; outcomes are identical either
+//! way.
 
 use crate::check::{
     Check, CheckKind, CheckOutcome, CheckResult, Counterexample, Report, ReportSummary,
@@ -41,7 +46,7 @@ use crate::safety::SafetyProperty;
 use crate::symbolic::{ConcreteRoute, SymRoute};
 use crate::universe::Universe;
 use bgp_model::policy::Policy;
-use bgp_model::topology::{EdgeId, NodeId, Topology};
+use bgp_model::topology::{EdgeId, Topology};
 use orchestrator::{run_grouped, Executor, Fingerprint, ResultCache, RunStats};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -261,30 +266,14 @@ impl MultiSummary {
     }
 }
 
-/// The violation query of a transfer obligation, as `(pre, ¬goal)`:
-/// `pre = assume(input)`; `goal = reject ∨ ensure(out)` for safety or
-/// `¬reject ∧ ensure(out)` for liveness propagation (`require_accept`).
-/// One definition shared by fresh solving, grouped session solving and
-/// cache re-validation, so the obligation shape cannot drift between
-/// those paths.
-fn transfer_violation(
-    pool: &mut TermPool,
-    universe: &Universe,
-    input: &SymRoute,
-    transfer: &Transfer,
-    assume: &RoutePred,
-    ensure: &RoutePred,
-    require_accept: bool,
-) -> (TermId, TermId) {
-    let pre = assume.encode(pool, universe, input);
-    let neg = transfer_goal_negation(pool, universe, transfer, ensure, require_accept);
-    (pre, neg)
-}
-
-/// The `¬goal` half of a transfer obligation on its own. Session solving
-/// poses the `pre` half as one assumption literal **per assume conjunct**
-/// (so an UNSAT proof's failed assumptions localize which conjuncts were
-/// load-bearing) and this negated goal behind one more.
+/// The negated goal of a transfer obligation: `goal = reject ∨
+/// ensure(out)` for safety or `¬reject ∧ ensure(out)` for liveness
+/// propagation (`require_accept`). One definition shared by one-shot
+/// queries ([`Verifier::one_shot`]) and grouped session solving, so the
+/// obligation shape cannot drift between them. Session solving poses the
+/// `assume(input)` half as one assumption literal **per assume
+/// conjunct** (so an UNSAT proof's failed assumptions localize which
+/// conjuncts were load-bearing) and this negated goal behind one more.
 fn transfer_goal_negation(
     pool: &mut TermPool,
     universe: &Universe,
@@ -302,21 +291,8 @@ fn transfer_goal_negation(
     pool.not(goal)
 }
 
-/// The violation query of an implication obligation, as `(pre, ¬post)`.
-fn implication_violation(
-    pool: &mut TermPool,
-    universe: &Universe,
-    r: &SymRoute,
-    assume: &RoutePred,
-    ensure: &RoutePred,
-) -> (TermId, TermId) {
-    let pre = assume.encode(pool, universe, r);
-    let neg = implication_goal_negation(pool, universe, r, ensure);
-    (pre, neg)
-}
-
-/// The `¬post` half of an implication obligation (see
-/// [`transfer_goal_negation`] for why session solving wants it alone).
+/// The negated goal `¬ensure(r)` of an implication obligation (see
+/// [`transfer_goal_negation`]).
 fn implication_goal_negation(
     pool: &mut TermPool,
     universe: &Universe,
@@ -325,6 +301,31 @@ fn implication_goal_negation(
 ) -> TermId {
     let post = ensure.encode(pool, universe, r);
     pool.not(post)
+}
+
+/// A symbolic check's violation query on its own fresh pool (see
+/// [`Verifier::one_shot`]).
+struct OneShot {
+    pool: TermPool,
+    input: SymRoute,
+    /// The edge's transfer relation; `None` for implication checks.
+    transfer: Option<Transfer>,
+    /// `wf(input) [∧ input = pin] ∧ assume(input) ∧ ¬goal`.
+    query: Vec<TermId>,
+}
+
+impl OneShot {
+    /// What the check does to the model's input, as `(rejected,
+    /// output)`: the transfer's verdict, or `(false, None)` for an
+    /// implication, which transforms nothing.
+    fn effect(&self, universe: &Universe, model: &smt::Model) -> (bool, Option<ConcreteRoute>) {
+        let Some(t) = &self.transfer else {
+            return (false, None);
+        };
+        let rejected = model.eval_bool(&self.pool, t.reject).unwrap_or(false);
+        let output = (!rejected).then(|| t.out.concretize(&self.pool, universe, model));
+        (rejected, output)
+    }
 }
 
 /// Decide one check's violation query on a shared session, with the
@@ -511,6 +512,11 @@ pub(crate) struct ResolvedCheck<'a> {
     pub(crate) body: CheckBody<'a>,
 }
 
+/// A check as the solve stage takes it: its fingerprint (the dedup and
+/// cache key), its encoding-base group key ([`Verifier::solve_key`]) and
+/// the check itself.
+pub(crate) type Keyed<'c, 's> = (Fingerprint, u64, &'c ResolvedCheck<'s>);
+
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum CheckBody<'a> {
     /// assume(r) ∧ r' = transfer(r) ⟹ reject ∨ ensure(r')
@@ -695,7 +701,7 @@ impl<'a> Verifier<'a> {
 
     /// Build the attribute universe: policy + ghosts + the given
     /// predicates (property and invariants).
-    fn universe(&self, extra: &[&RoutePred]) -> Universe {
+    pub(crate) fn universe(&self, extra: &[&RoutePred]) -> Universe {
         let mut u = Universe::from_policy(self.policy);
         for g in &self.ghosts {
             u.add_ghost(&g.name);
@@ -712,10 +718,7 @@ impl<'a> Verifier<'a> {
 
     /// Verify a safety property under the given network invariants.
     pub fn verify_safety(&self, prop: &SafetyProperty, inv: &NetworkInvariants) -> Report {
-        let checks = self.resolve_suite(std::slice::from_ref(prop), inv);
-        let mut u = self.universe(&[&prop.pred]);
-        inv.register(&mut u);
-        self.run(&u, &checks)
+        self.verify_safety_multi(std::slice::from_ref(prop), inv)
     }
 
     /// Verify several safety properties that share one invariant
@@ -964,20 +967,6 @@ impl<'a> Verifier<'a> {
             .collect()
     }
 
-    /// [`Verifier::check_conjuncts_all`] for a single check id. `None`
-    /// for unknown ids and concrete originate checks.
-    pub fn check_conjuncts(
-        &self,
-        props: &[SafetyProperty],
-        inv: &NetworkInvariants,
-        check_id: usize,
-    ) -> Option<Vec<String>> {
-        self.check_conjuncts_all(props, inv)
-            .into_iter()
-            .nth(check_id)
-            .flatten()
-    }
-
     /// Replay an unsat core: re-prove check `check_id` of the
     /// `(props, inv)` suite with its assumed invariant **reduced to the
     /// given conjuncts** (indices into `RoutePred::conjuncts()` of the
@@ -1191,36 +1180,6 @@ impl<'a> Verifier<'a> {
         u
     }
 
-    /// Re-verify after the configurations of `changed` nodes were updated:
-    /// only checks touching those nodes' edges (plus the subsumption
-    /// check) are re-run.
-    pub fn verify_safety_incremental(
-        &self,
-        prop: &SafetyProperty,
-        inv: &NetworkInvariants,
-        changed: &[NodeId],
-    ) -> Report {
-        let checks: Vec<ResolvedCheck> = self
-            .resolve_suite(std::slice::from_ref(prop), inv)
-            .into_iter()
-            .filter(|c| match c.body {
-                CheckBody::Transfer { edge, .. } | CheckBody::Originate { edge, .. } => {
-                    let e = self.topo.edge(edge);
-                    changed.contains(&e.src) || changed.contains(&e.dst)
-                }
-                CheckBody::Implication { .. } => true,
-            })
-            .collect();
-        let mut u = self.universe(&[&prop.pred]);
-        inv.register(&mut u);
-        self.run(&u, &checks)
-    }
-
-    /// Number of checks a safety verification would run (for reporting).
-    pub fn num_safety_checks(&self, prop: &SafetyProperty, inv: &NetworkInvariants) -> usize {
-        self.resolve_suite(std::slice::from_ref(prop), inv).len()
-    }
-
     // ------------------------------------------------------------------
     // Execution
     // ------------------------------------------------------------------
@@ -1240,21 +1199,8 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// The one run path. Fingerprint each check body and collapse
-    /// structurally identical ones, consult the cache (re-validating
-    /// spilled failures), batch the remainder by encoding-base key,
-    /// solve whole groups on the work-stealing pool — inline on the
-    /// calling thread at `jobs = 1` — and deliver every verdict to
-    /// `sink(position in checks, verdict)` in the order of `checks`
-    /// without ever materialising an outcome vector: the sink borrows
-    /// the verdict and copies out only what it keeps.
-    ///
-    /// Groups complete out of order, so verdicts pass through a reorder
-    /// window: one entry per structure that is decided but not yet fully
-    /// released, keyed by its lowest unreleased member, which each
-    /// member's turn lends to the sink — the frontier of the streaming
-    /// report; everything before `next` has already left through `sink`.
-    /// Its peak size is the `engine.report_frontier_peak` gauge.
+    /// The one run path: the fingerprint stage keys every check, then
+    /// [`Verifier::solve`] runs them against the attached cache.
     fn execute(
         &self,
         universe: &Universe,
@@ -1264,38 +1210,59 @@ impl<'a> Verifier<'a> {
         obs::add("engine.checks_posed", checks.len() as u64);
         let _span = obs::span!("run_checks", checks = checks.len(), jobs = self.jobs);
         let mut parts = FpParts::new(universe_digest(universe), self.policy, &self.ghosts);
-        // All implication checks share one encoding base, which would
-        // otherwise serialize every subsumption check of a
-        // multi-property run onto a single worker: spread that one
-        // unbounded group over worker-count chunks — session reuse
-        // within a chunk, parallelism across chunks. Transfer groups are
-        // naturally bounded (one per edge direction) and stay whole.
-        let chunks = self.jobs as u64;
-        let keyed: Vec<(Fingerprint, u64, &ResolvedCheck)> = timed("engine.fingerprint_ns", || {
+        let keyed: Vec<Keyed> = timed("engine.fingerprint_ns", || {
             checks
                 .iter()
                 .enumerate()
-                .map(|(i, c)| {
-                    (
-                        parts.check(&c.body),
-                        match &c.body {
-                            CheckBody::Implication { .. } => {
-                                c.body.group_key() | (i as u64 % chunks)
-                            }
-                            _ => c.body.group_key(),
-                        },
-                        c,
-                    )
-                })
+                .map(|(i, c)| (parts.check(&c.body), self.solve_key(i, c), c))
                 .collect()
         });
+        self.solve(universe, &keyed, self.cache.as_deref(), sink)
+    }
+
+    /// The encoding-base key check `i` of a run is solved under. All
+    /// implication checks share one encoding base, which would otherwise
+    /// serialize every subsumption check of a multi-property run onto a
+    /// single worker: that one unbounded group is spread over
+    /// worker-count chunks by check index — session reuse within a
+    /// chunk, parallelism across chunks. Transfer groups are naturally
+    /// bounded (one per edge direction) and stay whole.
+    pub(crate) fn solve_key(&self, i: usize, c: &ResolvedCheck) -> u64 {
+        match c.body {
+            CheckBody::Implication { .. } => c.body.group_key() | (i as u64 % self.jobs as u64),
+            _ => c.body.group_key(),
+        }
+    }
+
+    /// The solve stage. Collapse structurally identical checks (the
+    /// lowest position represents each structure), consult `cache`
+    /// (re-validating spilled failures), batch the remainder by
+    /// encoding-base key, solve whole groups on the work-stealing pool —
+    /// inline on the calling thread at `jobs = 1` — and deliver every
+    /// verdict to `sink(position in keyed, verdict)` in the order of
+    /// `keyed` without ever materialising an outcome vector: the sink
+    /// borrows the verdict and copies out only what it keeps.
+    ///
+    /// Groups complete out of order, so verdicts pass through a reorder
+    /// window: one entry per structure that is decided but not yet fully
+    /// released, keyed by its lowest unreleased member, which each
+    /// member's turn lends to the sink — the frontier of the streaming
+    /// report; everything before `next` has already left through `sink`.
+    /// Its peak size is the `engine.report_frontier_peak` gauge.
+    pub(crate) fn solve(
+        &self,
+        universe: &Universe,
+        keyed: &[Keyed],
+        cache: Option<&CheckCache>,
+        sink: &mut dyn FnMut(usize, &SolvedCheck),
+    ) -> RunStats {
         let mut next = 0usize;
         let mut pending: BTreeMap<usize, (SolvedCheck, Vec<usize>, usize)> = BTreeMap::new();
         let mut frontier_peak = 0usize;
         let stats = run_grouped(
             &Executor::with_threads(Some(self.jobs)),
-            self.cache.as_deref(),
-            &keyed,
+            cache,
+            keyed,
             |rc: &&ResolvedCheck, v: &SolvedCheck| self.cached_result_still_valid(universe, rc, v),
             |group: &[&&ResolvedCheck]| {
                 let refs: Vec<&ResolvedCheck> = group.iter().map(|rc| **rc).collect();
@@ -1319,7 +1286,7 @@ impl<'a> Verifier<'a> {
                 }
             },
         );
-        debug_assert!(pending.is_empty() && next == checks.len());
+        debug_assert!(pending.is_empty() && next == keyed.len());
         obs::gauge_max("engine.report_frontier_peak", frontier_peak as u64);
         stats
     }
@@ -1352,7 +1319,49 @@ impl<'a> Verifier<'a> {
         let CheckResult::Fail(cex) = &solved.result else {
             return true;
         };
-        match rc.body {
+        if let CheckBody::Originate { edge, ensure } = rc.body {
+            let ghosts = self.originate_ghosts();
+            return !cex.rejected
+                && cex.output.is_none()
+                && self
+                    .policy
+                    .originated(edge)
+                    .iter()
+                    .any(|r| *r == cex.input.route && !ensure.eval(r, &ghosts));
+        }
+        let q = self.one_shot(universe, &rc.body, Some(&cex.input));
+        match smt::solve(&q.pool, &q.query) {
+            SatResult::Unsat => false,
+            // The input still violates — but the spilled *verdict
+            // details* must also match what the live check does on that
+            // input, or a forged entry could replay fabricated
+            // output/rejection data.
+            SatResult::Sat(model) => {
+                let (rejected, output) = q.effect(universe, &model);
+                rejected == cex.rejected && output == cex.output
+            }
+        }
+    }
+
+    /// The violation query of a symbolic (transfer or implication) check
+    /// on its own fresh pool, optionally with the input pinned to a
+    /// counterexample's: the one builder behind one-shot solves
+    /// ([`Verifier::run_one`]) and cached-failure re-validation.
+    fn one_shot(
+        &self,
+        universe: &Universe,
+        body: &CheckBody,
+        pin: Option<&ConcreteRoute>,
+    ) -> OneShot {
+        let mut pool = TermPool::new();
+        let input = SymRoute::fresh(&mut pool, universe, "r");
+        let mut query = vec![input.well_formed(&mut pool)];
+        if let Some(cex) = pin {
+            query.push(input.equals_counterexample(&mut pool, universe, cex));
+        }
+        // Terms are created transfer, assume, goal: the pool's order
+        // fixes the CNF, and so which counterexample the solver finds.
+        let transfer = match *body {
             CheckBody::Transfer {
                 edge,
                 is_import,
@@ -1360,62 +1369,40 @@ impl<'a> Verifier<'a> {
                 ensure,
                 require_accept,
             } => {
-                let mut pool = TermPool::new();
-                let input = SymRoute::fresh(&mut pool, universe, "r");
-                let wf = input.well_formed(&mut pool);
-                let pin = input.equals_counterexample(&mut pool, universe, &cex.input);
-                let transfer = self.encode_transfer(&mut pool, universe, edge, is_import, &input);
-                let (pre, neg) = transfer_violation(
+                let t = self.encode_transfer(&mut pool, universe, edge, is_import, &input);
+                query.push(assume.encode(&mut pool, universe, &input));
+                query.push(transfer_goal_negation(
                     &mut pool,
                     universe,
-                    &input,
-                    &transfer,
-                    assume,
+                    &t,
                     ensure,
                     require_accept,
-                );
-                match smt::solve(&pool, &[wf, pin, pre, neg]) {
-                    SatResult::Unsat => false,
-                    SatResult::Sat(model) => {
-                        // The input still violates — but the spilled
-                        // *verdict details* must also match what the live
-                        // transfer does on that input, or a forged entry
-                        // could replay fabricated output/rejection data.
-                        let rejected = model.eval_bool(&pool, transfer.reject).unwrap_or(false);
-                        let out = if rejected {
-                            None
-                        } else {
-                            Some(transfer.out.concretize(&pool, universe, &model))
-                        };
-                        rejected == cex.rejected && out == cex.output
-                    }
-                }
-            }
-            CheckBody::Originate { edge, ensure } => {
-                let ghosts: BTreeMap<String, bool> = self
-                    .ghosts
-                    .iter()
-                    .map(|g| (g.name.clone(), g.originate_value))
-                    .collect();
-                !cex.rejected
-                    && cex.output.is_none()
-                    && self
-                        .policy
-                        .originated(edge)
-                        .iter()
-                        .any(|r| *r == cex.input.route && !ensure.eval(r, &ghosts))
+                ));
+                Some(t)
             }
             CheckBody::Implication { assume, ensure } => {
-                let mut pool = TermPool::new();
-                let r = SymRoute::fresh(&mut pool, universe, "r");
-                let wf = r.well_formed(&mut pool);
-                let pin = r.equals_counterexample(&mut pool, universe, &cex.input);
-                let (pre, neg) = implication_violation(&mut pool, universe, &r, assume, ensure);
-                !cex.rejected
-                    && cex.output.is_none()
-                    && smt::solve(&pool, &[wf, pin, pre, neg]).is_sat()
+                query.push(assume.encode(&mut pool, universe, &input));
+                query.push(implication_goal_negation(
+                    &mut pool, universe, &input, ensure,
+                ));
+                None
             }
+            CheckBody::Originate { .. } => unreachable!("originate checks are concrete"),
+        };
+        OneShot {
+            pool,
+            input,
+            transfer,
+            query,
         }
+    }
+
+    /// The ghost values an originated route starts with.
+    fn originate_ghosts(&self) -> BTreeMap<String, bool> {
+        self.ghosts
+            .iter()
+            .map(|g| (g.name.clone(), g.originate_value))
+            .collect()
     }
 
     fn encode_transfer(
@@ -1464,43 +1451,19 @@ impl<'a> Verifier<'a> {
     /// deliberately property-agnostic, so a multi-property batch encodes
     /// each edge's transfer relation exactly once for all of them.
     fn run_group(&self, universe: &Universe, checks: &[&ResolvedCheck]) -> Vec<SolvedCheck> {
-        if !obs::enabled() {
-            return self.run_group_inner(universe, checks);
-        }
+        let first = checks.first().expect("groups are non-empty");
         // Label groups by their representative check — the encoding base
         // is per edge-direction (or the shared implication base), so the
         // first member names the group for the profile's hot-group view.
-        let first = checks.first().expect("groups are non-empty");
-        let label = self.group_label(&first.site);
-        let _span = obs::span!("solve_group", group = label, checks = checks.len());
-        let out = self.run_group_inner(universe, checks);
-        let (mut encode_ns, mut solve_ns) = (0u64, 0u64);
-        for s in &out {
-            encode_ns += s.stats.encode_time.as_nanos() as u64;
-            solve_ns += s.stats.solve_time.as_nanos() as u64;
-        }
-        obs::add("engine.group_encode_ns", encode_ns);
-        obs::add("engine.group_solve_ns", solve_ns);
-        out
-    }
-
-    /// A group is named after its representative check's kind and place.
-    fn group_label(&self, site: &Site) -> String {
-        format!(
-            "{} {}",
-            site.kind(),
-            site.location(self.topo).display(self.topo)
-        )
-    }
-
-    /// [`Verifier::run_group`] without the profiling span: also how a
-    /// [`crate::reverify::ReverifyEngine`] round solves its dirty groups.
-    pub(crate) fn run_group_inner(
-        &self,
-        universe: &Universe,
-        checks: &[&ResolvedCheck],
-    ) -> Vec<SolvedCheck> {
-        let first = checks.first().expect("groups are non-empty");
+        let _span = obs::span!(
+            "solve_group",
+            group = format!(
+                "{} {}",
+                first.site.kind(),
+                first.site.location(self.topo).display(self.topo)
+            ),
+            checks = checks.len()
+        );
         // One record path for both session shapes: a passing check
         // reads its core off the session, a failing one re-derives its
         // counterexample on a fresh one-shot instance.
@@ -1512,7 +1475,7 @@ impl<'a> Verifier<'a> {
             },
             SatResult::Sat(_) => self.run_one(universe, rc),
         };
-        match first.body {
+        let out: Vec<SolvedCheck> = match first.body {
             CheckBody::Originate { .. } => {
                 checks.iter().map(|rc| self.run_one(universe, rc)).collect()
             }
@@ -1528,7 +1491,7 @@ impl<'a> Verifier<'a> {
                     (input, wf, transfer)
                 });
                 sess.assert(wf);
-                let out: Vec<SolvedCheck> = checks
+                let out = checks
                     .iter()
                     .map(|rc| {
                         let CheckBody::Transfer {
@@ -1566,7 +1529,7 @@ impl<'a> Verifier<'a> {
                     (r, wf)
                 });
                 sess.assert(wf);
-                let out: Vec<SolvedCheck> = checks
+                let out = checks
                     .iter()
                     .map(|rc| {
                         let CheckBody::Implication { assume, ensure } = rc.body else {
@@ -1584,7 +1547,17 @@ impl<'a> Verifier<'a> {
                 park_session(sess);
                 out
             }
+        };
+        if obs::enabled() {
+            let (mut encode_ns, mut solve_ns) = (0u64, 0u64);
+            for s in &out {
+                encode_ns += s.stats.encode_time.as_nanos() as u64;
+                solve_ns += s.stats.solve_time.as_nanos() as u64;
+            }
+            obs::add("engine.group_encode_ns", encode_ns);
+            obs::add("engine.group_solve_ns", solve_ns);
         }
+        out
     }
 
     /// Decide one check on its own fresh one-shot instance (no session,
@@ -1592,19 +1565,25 @@ impl<'a> Verifier<'a> {
     /// check's counterexample comes from.
     fn run_one(&self, universe: &Universe, rc: &ResolvedCheck) -> SolvedCheck {
         let (result, stats) = match rc.body {
-            CheckBody::Transfer {
-                edge,
-                is_import,
-                assume,
-                ensure,
-                require_accept,
-            } => self.run_transfer_check(universe, edge, is_import, assume, ensure, require_accept),
             CheckBody::Originate { edge, ensure } => (
                 self.run_originate_check(edge, ensure),
                 SolverStats::default(),
             ),
-            CheckBody::Implication { assume, ensure } => {
-                self.run_implication_check(universe, assume, ensure)
+            _ => {
+                let q = self.one_shot(universe, &rc.body, None);
+                let (result, stats) = solve_with_stats(&q.pool, &q.query);
+                let result = match result {
+                    SatResult::Unsat => CheckResult::Pass,
+                    SatResult::Sat(model) => {
+                        let (rejected, output) = q.effect(universe, &model);
+                        CheckResult::Fail(Box::new(Counterexample {
+                            input: q.input.concretize(&q.pool, universe, &model),
+                            output,
+                            rejected,
+                        }))
+                    }
+                };
+                (result, stats)
             }
         };
         SolvedCheck {
@@ -1614,55 +1593,9 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    fn run_transfer_check(
-        &self,
-        universe: &Universe,
-        edge: EdgeId,
-        is_import: bool,
-        assume: &RoutePred,
-        ensure: &RoutePred,
-        require_accept: bool,
-    ) -> (CheckResult, SolverStats) {
-        let mut pool = TermPool::new();
-        let input = SymRoute::fresh(&mut pool, universe, "r");
-        let wf = input.well_formed(&mut pool);
-        let transfer: Transfer = self.encode_transfer(&mut pool, universe, edge, is_import, &input);
-        // Counterexample query: assume ∧ ¬goal.
-        let (pre, neg) = transfer_violation(
-            &mut pool,
-            universe,
-            &input,
-            &transfer,
-            assume,
-            ensure,
-            require_accept,
-        );
-        let (result, stats) = solve_with_stats(&pool, &[wf, pre, neg]);
-        let result = match result {
-            SatResult::Unsat => CheckResult::Pass,
-            SatResult::Sat(model) => {
-                let rejected = model.eval_bool(&pool, transfer.reject).unwrap_or(false);
-                CheckResult::Fail(Box::new(Counterexample {
-                    input: input.concretize(&pool, universe, &model),
-                    output: if rejected {
-                        None
-                    } else {
-                        Some(transfer.out.concretize(&pool, universe, &model))
-                    },
-                    rejected,
-                }))
-            }
-        };
-        (result, stats)
-    }
-
     fn run_originate_check(&self, edge: EdgeId, ensure: &RoutePred) -> CheckResult {
         // Originate(A -> B) is a concrete, finite set: evaluate directly.
-        let ghosts: BTreeMap<String, bool> = self
-            .ghosts
-            .iter()
-            .map(|g| (g.name.clone(), g.originate_value))
-            .collect();
+        let ghosts = self.originate_ghosts();
         for r in self.policy.originated(edge) {
             if !ensure.eval(r, &ghosts) {
                 return CheckResult::Fail(Box::new(Counterexample {
@@ -1678,28 +1611,6 @@ impl<'a> Verifier<'a> {
             }
         }
         CheckResult::Pass
-    }
-
-    fn run_implication_check(
-        &self,
-        universe: &Universe,
-        assume: &RoutePred,
-        ensure: &RoutePred,
-    ) -> (CheckResult, SolverStats) {
-        let mut pool = TermPool::new();
-        let r = SymRoute::fresh(&mut pool, universe, "r");
-        let wf = r.well_formed(&mut pool);
-        let (pre, neg) = implication_violation(&mut pool, universe, &r, assume, ensure);
-        let (result, stats) = solve_with_stats(&pool, &[wf, pre, neg]);
-        let result = match result {
-            SatResult::Unsat => CheckResult::Pass,
-            SatResult::Sat(model) => CheckResult::Fail(Box::new(Counterexample {
-                input: r.concretize(&pool, universe, &model),
-                output: None,
-                rejected: false,
-            })),
-        };
-        (result, stats)
     }
 }
 
@@ -1924,22 +1835,6 @@ mod tests {
                 assert_eq!(rc, sc);
             }
         }
-    }
-
-    #[test]
-    fn incremental_runs_subset() {
-        let (t, pol) = figure1();
-        let (prop, inv) = no_transit_inputs(&t);
-        let v = Verifier::new(&t, &pol).with_ghost(from_isp1_ghost(&t));
-        let full = v.verify_safety(&prop, &inv);
-        let r1 = t.node_by_name("R1").unwrap();
-        let inc = v.verify_safety_incremental(&prop, &inv, &[r1]);
-        assert!(inc.num_checks() < full.num_checks());
-        assert!(inc.all_passed());
-        // R1 touches sessions to R2, R3, ISP1: 6 directed edges; import
-        // checks only where receiver internal, export only where sender
-        // internal, plus subsumption.
-        assert!(inc.num_checks() >= 6);
     }
 
     #[test]

@@ -247,13 +247,7 @@ impl<'a> Verifier<'a> {
         extra: &[&RoutePred],
         interference_inv: &NetworkInvariants,
     ) -> crate::universe::Universe {
-        let mut u = crate::universe::Universe::from_policy(self.policy());
-        for g in self.ghost_names() {
-            u.add_ghost(&g);
-        }
-        for p in extra {
-            p.register(&mut u);
-        }
+        let mut u = self.universe(extra);
         interference_inv.register(&mut u);
         u
     }

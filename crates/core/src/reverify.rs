@@ -17,11 +17,12 @@
 //!   only that neighborhood's superseded fingerprints from the carried
 //!   cache.
 //!
-//! Dirty checks get the same grouped solve as a fresh run: one solve per
-//! distinct fingerprint, grouped by encoding base, each group on this
-//! thread's recycled session (`Verifier::run_group_inner`). Nothing a
-//! round encodes outlives it, so a round's cost and memory do not depend
-//! on the engine's age.
+//! Dirty checks take the same solve path as a fresh run: the solve
+//! stage of [`Verifier::execute`] (`Verifier::solve`), fed the
+//! fingerprints the round already computed — one solve per distinct
+//! fingerprint, grouped by encoding base, groups spread over the
+//! verifier's `jobs` workers. Nothing a round encodes outlives it, so a
+//! round's cost and memory do not depend on the engine's age.
 //!
 //! The dirty set itself is decided by the rename-invariant fingerprints
 //! of [`crate::fingerprint`]: a check is re-solved iff its fingerprint
@@ -36,7 +37,9 @@
 //! can never depend on what else the group solved.
 
 use crate::check::{CheckOutcome, CheckResult, Report};
-use crate::engine::{size_only, CheckBody, CheckCache, ResolvedCheck, SolvedCheck, Verifier};
+use crate::engine::{
+    size_only, CheckBody, CheckCache, Keyed, ResolvedCheck, SolvedCheck, Verifier,
+};
 use crate::fingerprint::{pred_digest, universe_digest, FpParts};
 use crate::impact::CheckIndex;
 use crate::invariants::NetworkInvariants;
@@ -44,8 +47,7 @@ use crate::safety::SafetyProperty;
 use crate::universe::Universe;
 use bgp_model::topology::NodeId;
 use orchestrator::Fingerprint;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -75,9 +77,9 @@ pub struct ReverifyStats {
     /// Always 0: no session outlives a round. Kept only because the
     /// `benchmark/` harness compiles against it.
     pub sessions_reused: usize,
-    /// Encoding-base groups solved this round. Named for the per-edge
-    /// sessions it used to count; kept only because the `benchmark/`
-    /// harness compiles against it.
+    /// Encoding-base groups the round's solve stage ran. Named for the
+    /// per-edge sessions it used to count; kept only because the
+    /// `benchmark/` harness compiles against it.
     pub sessions_created: usize,
     /// True when the attribute universe changed shape and the engine had
     /// to drop its carried results and cores (full re-verify).
@@ -159,13 +161,6 @@ fn generation_shape(topo: &bgp_model::topology::Topology, policy: &bgp_model::Po
         policy.originated(e).is_empty().hash(&mut h);
     }
     h.finish()
-}
-
-/// The outcome of a check answered by an earlier solve of the same
-/// formula: identical formula ⇒ identical verdict.
-fn replayed(v: &Verifier, rc: &ResolvedCheck, mut solved: SolvedCheck) -> CheckOutcome {
-    solved.stats = size_only(solved.stats);
-    v.outcome(rc, &solved)
 }
 
 /// The most known cores kept per rest fingerprint. Small on purpose: a
@@ -356,9 +351,11 @@ impl ReverifyEngine {
         let mut dirty: Vec<usize> = Vec::new();
         for (i, c) in checks.iter().enumerate() {
             match self.results.get(fps[i]) {
-                Some(solved) => {
+                // Identical formula ⇒ identical verdict.
+                Some(mut solved) => {
                     stats.reused += 1;
-                    outcomes[i] = Some(replayed(v, c, solved));
+                    solved.stats = size_only(solved.stats);
+                    outcomes[i] = Some(v.outcome(c, &solved));
                 }
                 None => match self.core_subsumed(&mut parts, c) {
                     Some(solved) => {
@@ -372,15 +369,42 @@ impl ReverifyEngine {
         }
         stats.dirty = dirty.len();
 
-        stats.sessions_created = self.solve_dirty(
-            v,
-            &universe,
-            &mut parts,
-            &checks,
-            &fps,
-            &dirty,
-            &mut outcomes,
-        );
+        // Dirty checks take a fresh run's solve stage under the
+        // fingerprints computed above. The stage gets no cache: the
+        // carried one already answered every hit. Passes record their
+        // conjunct core, so later rounds can answer invariant edits that
+        // leave the load-bearing conjuncts intact without solving.
+        let keyed: Vec<Keyed> = dirty
+            .iter()
+            .map(|&i| (fps[i], v.solve_key(i, &checks[i]), &checks[i]))
+            .collect();
+        let exec = v.solve(&universe, &keyed, None, &mut |pos, solved| {
+            let i = dirty[pos];
+            let rc = &checks[i];
+            if let (true, Some(core), Some(rest)) =
+                (solved.result.passed(), &solved.core, parts.rest(&rc.body))
+            {
+                let (CheckBody::Transfer { assume, .. } | CheckBody::Implication { assume, .. }) =
+                    rc.body
+                else {
+                    unreachable!("only symbolic checks carry cores");
+                };
+                let conjs = assume.conjuncts();
+                self.remember_core(
+                    rest.0,
+                    core.iter().map(|&ci| pred_digest(&conjs[ci]).0).collect(),
+                );
+            }
+            outcomes[i] = Some(v.outcome(rc, solved));
+            self.results.insert(fps[i], solved.clone());
+        });
+        stats.sessions_created = exec.groups;
+        while self.cores.len() > MAX_CORE_RESTS {
+            let Some(oldest) = self.core_order.pop_front() else {
+                break;
+            };
+            self.cores.remove(&oldest);
+        }
 
         // Delta-aware invalidation: superseded fingerprints of the
         // changed neighborhood (previous round's checks whose structure
@@ -481,124 +505,15 @@ impl ReverifyEngine {
         })
     }
 
-    /// Solve the dirty checks the way a fresh run does: the first
-    /// occurrence of each fingerprint is solved, grouped by encoding
-    /// base, each group on this thread's recycled session; later
-    /// occurrences replay it. Passes record their conjunct core so later
-    /// rounds can answer invariant edits that leave the load-bearing
-    /// conjuncts intact without solving. Returns the groups solved.
-    #[allow(clippy::too_many_arguments)]
-    fn solve_dirty<'a>(
-        &mut self,
-        v: &Verifier,
-        universe: &Universe,
-        parts: &mut FpParts<'a>,
-        checks: &[ResolvedCheck<'a>],
-        fps: &[Fingerprint],
-        dirty: &[usize],
-        outcomes: &mut [Option<CheckOutcome>],
-    ) -> usize {
-        let topo = v.topology();
-        // Deterministic group order: edge groups by a topology-stable
-        // signature (router names + direction), then the one implication
-        // group; check indices in submission order within each group.
-        // The order picks which copy of a duplicated structure is solved,
-        // and so the stats and core its copies replay.
-        let sig = |edge, dir| {
-            let e = topo.edge(edge);
-            format!("{}>{}:{dir}", topo.node(e.src).name, topo.node(e.dst).name)
-        };
-        let mut groups: BTreeMap<(u8, String), Vec<usize>> = BTreeMap::new();
-        for &i in dirty {
-            let key = match checks[i].body {
-                CheckBody::Originate { edge, .. } => (0, sig(edge, "orig")),
-                CheckBody::Transfer {
-                    edge, is_import, ..
-                } => (1, sig(edge, if is_import { "in" } else { "out" })),
-                CheckBody::Implication { .. } => (2, String::new()),
-            };
-            groups.entry(key).or_default().push(i);
-        }
-
-        // Within-round structural dedup, exactly like the orchestrator's:
-        // identical route-map templates across routers (a full baseline
-        // round) are solved once.
-        let mut first: HashMap<Fingerprint, usize> = HashMap::new();
-        let mut dups: Vec<(usize, usize)> = Vec::new();
-        let groups: Vec<Vec<usize>> = groups
-            .into_values()
-            .map(|idxs| {
-                idxs.into_iter()
-                    .filter(|&i| match first.entry(fps[i]) {
-                        Entry::Vacant(e) => {
-                            e.insert(i);
-                            true
-                        }
-                        Entry::Occupied(e) => {
-                            dups.push((i, *e.get()));
-                            false
-                        }
-                    })
-                    .collect::<Vec<usize>>()
-            })
-            .filter(|reps| !reps.is_empty())
-            .collect();
-
-        for idxs in &groups {
-            let group: Vec<&ResolvedCheck> = idxs.iter().map(|&i| &checks[i]).collect();
-            let solved = v.run_group_inner(universe, &group);
-            for (&i, solved) in idxs.iter().zip(solved) {
-                let rc = &checks[i];
-                if let (true, Some(core), Some(rest)) =
-                    (solved.result.passed(), &solved.core, parts.rest(&rc.body))
-                {
-                    let (CheckBody::Transfer { assume, .. }
-                    | CheckBody::Implication { assume, .. }) = rc.body
-                    else {
-                        unreachable!("only symbolic checks carry cores");
-                    };
-                    let conjs = assume.conjuncts();
-                    self.remember_core(
-                        rest.0,
-                        core.iter().map(|&ci| pred_digest(&conjs[ci]).0).collect(),
-                    );
-                }
-                outcomes[i] = Some(v.outcome(rc, &solved));
-                self.results.insert(fps[i], solved);
-            }
-        }
-        for (i, rep) in dups {
-            let o = outcomes[rep]
-                .as_ref()
-                .expect("a representative is solved first");
-            let solved = SolvedCheck {
-                result: o.result.clone(),
-                stats: o.stats,
-                core: o.core.clone(),
-            };
-            outcomes[i] = Some(replayed(v, &checks[i], solved));
-        }
-        while self.cores.len() > MAX_CORE_RESTS {
-            let Some(oldest) = self.core_order.pop_front() else {
-                break;
-            };
-            self.cores.remove(&oldest);
-        }
-        groups.len()
-    }
-
     /// Merge a newly-proved core into the core cache. A new core is
     /// redundant when an existing (smaller or equal) one already
     /// subsumes it; conversely a strictly smaller new core retires the
     /// supersets it improves on.
     fn remember_core(&mut self, rest: u128, set: BTreeSet<u128>) {
-        let entry = match self.cores.entry(rest) {
-            Entry::Occupied(e) => e.into_mut(),
-            Entry::Vacant(e) => {
-                self.core_order.push_back(rest);
-                e.insert(Vec::new())
-            }
-        };
+        if !self.cores.contains_key(&rest) {
+            self.core_order.push_back(rest);
+        }
+        let entry = self.cores.entry(rest).or_default();
         if entry.iter().any(|e| e.is_subset(&set)) {
             return;
         }

@@ -8,7 +8,7 @@
 
 use fuzz::{FamilyId, FamilyParams};
 use lightyear::engine::Verifier;
-use lightyear::{NetworkInvariants, SafetyProperty};
+use lightyear::{CheckKind, NetworkInvariants, SafetyProperty};
 use netgen::zoo;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,15 +42,18 @@ fn compare(
         assert!(table.is_empty(), "{what}");
         return;
     }
-    // One row per check, ids and all: the single-id lookup agrees.
-    assert_eq!(
-        table.len(),
-        v.verify_safety_reference(props, inv).num_checks(),
-        "{what}"
-    );
-    let last = table.len() - 1;
-    assert_eq!(v.check_conjuncts(props, inv, last), table[last], "{what}");
-    assert_eq!(v.check_conjuncts(props, inv, table.len()), None, "{what}");
+    // One row per check, indexed by check id: exactly the originate
+    // checks have no symbolic assume side.
+    let report = v.verify_safety_reference(props, inv);
+    assert_eq!(table.len(), report.num_checks(), "{what}");
+    for o in &report.outcomes {
+        assert_eq!(
+            table[o.check.id].is_none(),
+            o.check.kind == CheckKind::Originate,
+            "{what}: check #{}",
+            o.check.id
+        );
+    }
 
     seen.suites += 1;
     seen.multi_property += usize::from(props.len() > 1);

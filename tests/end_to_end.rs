@@ -1,11 +1,13 @@
 //! End-to-end integration tests: configuration text through parsing,
 //! lowering, verification (Lightyear and Minesweeper) and localization.
 
+use delta::diff_configs;
 use lightyear::check::CheckKind;
 use lightyear::engine::{RunMode, Verifier};
 use lightyear::invariants::Location;
+use lightyear::reverify::ReverifyEngine;
 use minesweeper::{Minesweeper, MsOutcome};
-use netgen::{figure1, fullmesh, mutate};
+use netgen::{edits, figure1, fullmesh, mutate};
 
 #[test]
 fn figure1_safety_and_liveness_verify() {
@@ -120,20 +122,31 @@ fn parallel_and_sequential_reports_match_on_fullmesh() {
 
 #[test]
 fn incremental_is_a_subset_and_consistent() {
-    let s = fullmesh::build(6);
-    let v = Verifier::new(&s.network.topology, &s.network.policy).with_ghost(s.ghost.clone());
-    let full = v.verify_safety(&s.property, &s.invariants);
-    let r0 = s.network.topology.node_by_name("R0").unwrap();
-    let inc = v.verify_safety_incremental(&s.property, &s.invariants, &[r0]);
-    assert!(inc.num_checks() < full.num_checks());
-    assert!(inc.all_passed());
-    // Every incremental check's edge touches R0 (except subsumption).
-    for o in &inc.outcomes {
-        if let Some(e) = o.check.edge {
-            let edge = s.network.topology.edge(e);
-            assert!(edge.src == r0 || edge.dst == r0);
-        }
-    }
+    let base = fullmesh::configs(6);
+    let mut edited = base.clone();
+    edits::set_local_pref(&mut edited, "R0", "FROM-EXT", 120).unwrap();
+    let changed = diff_configs(&base, &edited).changed_routers();
+    assert_eq!(changed, vec!["R0".to_string()]);
+
+    let mut engine = ReverifyEngine::new();
+    let round = |engine: &mut ReverifyEngine, s: &fullmesh::Scenario, changed| {
+        let v = Verifier::new(&s.network.topology, &s.network.policy).with_ghost(s.ghost.clone());
+        let props = std::slice::from_ref(&s.property);
+        let (report, stats) = engine.reverify(&v, props, &s.invariants, changed);
+        let fresh = v.verify_safety(&s.property, &s.invariants);
+        assert_eq!(report.to_string(), fresh.to_string());
+        assert!(report.all_passed());
+        stats
+    };
+    let full = round(&mut engine, &fullmesh::build_from_configs(base), None);
+    assert_eq!(full.dirty, full.total);
+    // Only checks on R0's edges re-solve: the delta neighborhood is a
+    // strict subset of the run, and the dirty set stays inside it.
+    let s = fullmesh::build_from_configs(edited);
+    let inc = round(&mut engine, &s, Some(&changed));
+    assert_eq!(inc.total, full.total);
+    assert!(0 < inc.dirty && inc.dirty <= inc.candidates, "{inc:?}");
+    assert!(inc.candidates < inc.total, "{inc:?}");
 }
 
 #[test]

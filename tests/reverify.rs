@@ -42,11 +42,14 @@ fn suite(s: &wan::Scenario) -> (Vec<lightyear::SafetyProperty>, lightyear::Netwo
 fn check_edit_roundtrip(params: &WanParams, edit_seed: u64) {
     let base_configs = wan::configs(params);
     let base = wan::build_from_configs(params, base_configs.clone());
-    let mut engine = ReverifyEngine::new();
-    {
+    // One engine per worker count: a round's solve stage honours the
+    // verifier's `jobs`, and its reports must not depend on it.
+    let mut engines = [(1, ReverifyEngine::new()), (4, ReverifyEngine::new())];
+    for (jobs, engine) in &mut engines {
         let (props, inv) = suite(&base);
         let v = Verifier::new(&base.network.topology, &base.network.policy)
-            .with_ghost(base.from_peer_ghost());
+            .with_ghost(base.from_peer_ghost())
+            .with_jobs(*jobs);
         let (report, stats) = engine.reverify(&v, &props, &inv, None);
         assert!(report.all_passed(), "base WAN must verify");
         assert_eq!(stats.dirty, stats.total, "first round is full");
@@ -77,11 +80,24 @@ fn check_edit_roundtrip(params: &WanParams, edit_seed: u64) {
     let (props, inv) = suite(&edited);
     let changed = delta.changed_routers();
     let v = Verifier::new(topo, &edited.network.policy).with_ghost(edited.from_peer_ghost());
-    let (warm, stats) = engine.reverify(&v, &props, &inv, Some(&changed));
+    let (warm, stats) = engines[0].1.reverify(&v, &props, &inv, Some(&changed));
+    let (warm4, stats4) =
+        engines[1]
+            .1
+            .reverify(&v.clone().with_jobs(4), &props, &inv, Some(&changed));
+    // Only the group count may follow the worker count: implication
+    // checks are chunked over `jobs` groups.
+    let groups_masked =
+        |s: lightyear::reverify::ReverifyStats| lightyear::reverify::ReverifyStats {
+            sessions_created: 0,
+            ..s
+        };
+    assert_eq!(groups_masked(stats), groups_masked(stats4));
 
     // Ground truth: a fresh full verification of the edited network.
     let fresh = v.verify_safety_multi(&props, &inv);
     assert_reports_byte_identical(topo, &fresh, &warm);
+    assert_reports_byte_identical(topo, &warm, &warm4);
 
     if delta.is_cosmetic() {
         assert_eq!(
@@ -178,7 +194,7 @@ fn reverify_reports_failures_byte_identical_to_fresh() {
 /// sets stay local, every round matches a fresh run, the carried cache
 /// never grows stale verdicts (reverts re-prove).
 #[test]
-fn daemon_rounds_reuse_sessions_and_stay_local() {
+fn daemon_rounds_stay_local_and_fresh() {
     let params = WanParams {
         regions: 2,
         routers_per_region: 2,
@@ -442,6 +458,8 @@ fn two_hundred_engines_come_and_go_alike() {
         let (report, stats) = engine.reverify(&v, &props, &inv, None);
         assert_eq!(stats.dirty, stats.total);
         assert_reports_byte_identical(topo, &fresh, &report);
+        // A full round solves through the fresh run's own solve stage.
+        assert_eq!(stats.sessions_created, fresh.exec.groups);
         let got = (report.max_vars(), report.max_clauses());
         assert_eq!(*sizes.get_or_insert(got), got);
         let (_, again) = engine.reverify(&v, &props, &inv, Some(&[]));
