@@ -537,7 +537,7 @@ fn verify(args: &[String], out: &mut String) -> ExitCode {
     let multi = verifier.verify_safety_batch_streaming(&suites, as_json);
     let mut any_failed = false;
     let mut json_out = Vec::new();
-    let exec = multi.exec;
+    let mut exec = multi.exec;
     for ((s, (prop, inv)), report) in spec.safety.iter().zip(&resolved).zip(&multi.summaries) {
         let passed = report.all_passed();
         any_failed |= !passed;
@@ -590,10 +590,11 @@ fn verify(args: &[String], out: &mut String) -> ExitCode {
             multi.total_time
         );
     }
-    // Liveness properties: each runs through the same check pipeline
+    // Liveness properties: each is one run of the same check pipeline
     // (propagation + no-interference + final implication), so passing
     // checks carry conjunct-level unsat cores too — surfaced in the
-    // `--json` "cores" array exactly like safety properties.
+    // `--json` "cores" array exactly like safety properties — and its
+    // statistics count in `exec`.
     for l in &spec.liveness {
         let resolved = match l.resolve(topo) {
             Ok(s) => s,
@@ -609,6 +610,7 @@ fn verify(args: &[String], out: &mut String) -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        exec.merge(&report.exec);
         let passed = report.all_passed();
         any_failed |= !passed;
         if reg.is_some() {
@@ -624,7 +626,9 @@ fn verify(args: &[String], out: &mut String) -> ExitCode {
         }
         if as_json {
             let t_report = Instant::now();
-            let conjs = verifier.liveness_check_conjuncts(&resolved);
+            let conjs = verifier
+                .liveness_check_conjuncts(&resolved)
+                .expect("verify_liveness accepted the spec");
             json_out.push(JsonEntry::Property(render::property_report(
                 &l.name,
                 true,

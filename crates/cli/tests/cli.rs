@@ -166,17 +166,23 @@ router bgp 65000
  neighbor 10.0.12.2 description R2
 ";
 
-#[test]
-fn verify_runs_template_liveness_and_surfaces_cores() {
-    let d = tmpdir("liveness");
+/// A network the spec-template verifies against, with the template as
+/// `spec.json`.
+fn template_liveness_dir(name: &str) -> PathBuf {
+    let d = tmpdir(name);
     fs::write(d.join("r1.cfg"), R1_CUST).unwrap();
     fs::write(d.join("r2.cfg"), R2).unwrap();
-    // The spec-template is the authoritative example: its safety AND
-    // liveness sections must verify against this network.
     let tpl = Command::new(bin()).arg("spec-template").output().unwrap();
     assert!(tpl.status.success());
     fs::write(d.join("spec.json"), &tpl.stdout).unwrap();
+    d
+}
 
+#[test]
+fn verify_runs_template_liveness_and_surfaces_cores() {
+    // The spec-template is the authoritative example: its safety AND
+    // liveness sections must verify against this network.
+    let d = template_liveness_dir("liveness");
     let out = Command::new(bin())
         .args(["verify", "--configs"])
         .arg(&d)
@@ -227,6 +233,36 @@ fn verify_runs_template_liveness_and_surfaces_cores() {
             assert!(idx.as_u64().unwrap() < total.max(1));
         }
     }
+}
+
+#[test]
+fn exec_counts_liveness_runs() {
+    // `exec` and the orchestrator counters describe the same work: the
+    // safety batch plus every liveness run.
+    let d = template_liveness_dir("liveness-exec");
+    let out = Command::new(bin())
+        .args(["verify", "--json", "--jobs", "2", "--configs"])
+        .arg(&d)
+        .arg("--spec")
+        .arg(d.join("spec.json"))
+        .output()
+        .unwrap();
+    assert!(out.status.success());
+    let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
+    let entries = v.as_array().expect("array output");
+    let exec = entries
+        .iter()
+        .find(|e| e.get("orchestrator").is_some())
+        .expect("an exec entry");
+    let counters = &entries.last().unwrap()["metrics"]["counters"];
+    assert_eq!(exec["generated"], counters["orchestrator.generated"]);
+    assert_eq!(exec["solver_calls"], counters["orchestrator.executed"]);
+    let all_checks = entries
+        .iter()
+        .filter(|e| e.get("checks").is_some())
+        .map(|e| e["checks"].as_u64().unwrap())
+        .sum::<u64>();
+    assert_eq!(exec["generated"].as_u64(), Some(all_checks));
 }
 
 #[test]

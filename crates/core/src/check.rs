@@ -138,12 +138,6 @@ pub struct Report {
 }
 
 impl Report {
-    /// Sort outcomes by check id. Runs already deliver in check order;
-    /// this keeps rendering deterministic after [`Report::merge`] too.
-    pub fn sort_by_id(&mut self) {
-        self.outcomes.sort_by_key(|o| o.check.id);
-    }
-
     /// Solver invocations actually executed: the orchestrated count
     /// when available, otherwise every check ran individually.
     pub fn solver_invocations(&self) -> usize {
@@ -207,13 +201,6 @@ impl Report {
     /// Total time spent encoding.
     pub fn encode_time(&self) -> Duration {
         self.outcomes.iter().map(|o| o.stats.encode_time).sum()
-    }
-
-    /// Merge another report into this one.
-    pub fn merge(&mut self, other: Report) {
-        self.outcomes.extend(other.outcomes);
-        self.total_time += other.total_time;
-        self.exec.merge(&other.exec);
     }
 
     /// One-line human summary including timings and, for orchestrated

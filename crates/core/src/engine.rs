@@ -46,7 +46,8 @@ use crate::safety::SafetyProperty;
 use crate::symbolic::{ConcreteRoute, SymRoute};
 use crate::universe::Universe;
 use bgp_model::policy::Policy;
-use bgp_model::topology::{EdgeId, Topology};
+use bgp_model::routemap::RouteMap;
+use bgp_model::topology::{EdgeId, NodeId, Topology};
 use orchestrator::{run_grouped, Executor, Fingerprint, ResultCache, RunStats};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
@@ -442,10 +443,10 @@ pub struct Verifier<'a> {
 }
 
 /// One place a check is posed: a site of a safety suite as visited by
-/// [`Verifier::for_each_site`], or a step of a liveness path. A site is
-/// all [`Verifier::describe`] needs to build the check's public
-/// descriptor, so the pipeline carries sites and builds a [`Check`] only
-/// for an outcome somebody keeps.
+/// [`Verifier::for_each_site`], or of a liveness walk
+/// (`Verifier::liveness_checks`). A site is all [`Verifier::describe`]
+/// needs to build the check's public descriptor, so the pipeline carries
+/// sites and builds a [`Check`] only for an outcome somebody keeps.
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum Site<'p> {
     /// `I(edge)` through the import filter implies `I(receiver)`.
@@ -458,20 +459,57 @@ pub(crate) enum Site<'p> {
     Subsumption(bool, &'p SafetyProperty),
     /// Liveness: good routes survive the path step across the edge.
     Propagation { edge: EdgeId, is_import: bool },
+    /// Liveness: site `step` of the no-interference suite at the on-path
+    /// `router`.
+    NoInterference { router: NodeId, step: NiStep },
     /// Liveness: the last path constraint implies the property there.
     Final(Location),
+}
+
+/// A site of an on-path router's no-interference suite, whose one
+/// property sits at the router: its subsumption needs no reference.
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum NiStep {
+    Import(EdgeId),
+    Export(EdgeId),
+    Originate(EdgeId),
+    Subsumption,
+}
+
+impl NiStep {
+    /// The step a safety walk's site is.
+    pub(crate) fn of(site: Site) -> NiStep {
+        match site {
+            Site::Import(e) => NiStep::Import(e),
+            Site::Export(e) => NiStep::Export(e),
+            Site::Originate(e) => NiStep::Originate(e),
+            Site::Subsumption(..) => NiStep::Subsumption,
+            _ => unreachable!("a safety walk yields safety sites"),
+        }
+    }
+
+    /// The safety site a transfer or originate step is; `None` for the
+    /// subsumption step.
+    fn site(self) -> Option<Site<'static>> {
+        match self {
+            NiStep::Import(e) => Some(Site::Import(e)),
+            NiStep::Export(e) => Some(Site::Export(e)),
+            NiStep::Originate(e) => Some(Site::Originate(e)),
+            NiStep::Subsumption => None,
+        }
+    }
 }
 
 impl Site<'_> {
     /// The location whose invariant a safety site's check assumes;
     /// `None` for originate checks, which test concrete routes (and for
-    /// liveness steps, which assume path constraints, not invariants).
+    /// liveness sites, whose checks the liveness walk builds).
     fn assumes(&self, topo: &Topology) -> Option<Location> {
         match *self {
             Site::Import(e) => Some(Location::Edge(e)),
             Site::Export(e) => Some(Location::Node(topo.edge(e).src)),
             Site::Subsumption(_, p) => Some(p.location),
-            Site::Originate(_) | Site::Propagation { .. } | Site::Final(_) => None,
+            _ => None,
         }
     }
 
@@ -482,6 +520,9 @@ impl Site<'_> {
             Site::Originate(_) => CheckKind::Originate,
             Site::Subsumption(..) | Site::Final(_) => CheckKind::Subsumption,
             Site::Propagation { .. } => CheckKind::Propagation,
+            Site::NoInterference { step, .. } => {
+                step.site().map_or(CheckKind::NoInterference, |s| s.kind())
+            }
         }
     }
 
@@ -496,6 +537,9 @@ impl Site<'_> {
                 is_import: true,
             } => Location::Node(topo.edge(edge).dst),
             Site::Propagation { edge, .. } => Location::Edge(edge),
+            Site::NoInterference { router, step } => step
+                .site()
+                .map_or(Location::Node(router), |s| s.location(topo)),
             Site::Final(loc) => loc,
         }
     }
@@ -593,6 +637,21 @@ pub(crate) fn size_only(st: SolverStats) -> SolverStats {
     }
 }
 
+/// The conjunct table a report's cores index into: each check's assume
+/// side rendered for display, `None` for a concrete originate check.
+/// Every distinct predicate is rendered once; they are keyed by address,
+/// so each must be alive for the whole call.
+pub(crate) fn conjunct_table<'p>(
+    assumes: impl IntoIterator<Item = Option<&'p RoutePred>>,
+) -> Vec<Option<Vec<String>>> {
+    let mut rendered: HashMap<*const RoutePred, Vec<String>> = HashMap::new();
+    let mut render = |p: &RoutePred| {
+        let conjuncts = || p.conjuncts().iter().map(|c| c.to_string()).collect();
+        rendered.entry(p).or_insert_with(conjuncts).clone()
+    };
+    assumes.into_iter().map(|a| a.map(&mut render)).collect()
+}
+
 /// A group session: this thread's parked one, reset (hand it back with
 /// [`park_session`] when the group is done), so it behaves like a new
 /// one but allocates only what the largest group so far did not.
@@ -609,7 +668,18 @@ fn park_session(sess: IncrementalSession) {
     SPARE_SESSION.set(Some(sess));
 }
 
-impl CheckBody<'_> {
+impl<'a> CheckBody<'a> {
+    /// The predicate the check assumes; `None` for a concrete originate
+    /// check.
+    pub(crate) fn assume(&self) -> Option<&'a RoutePred> {
+        match *self {
+            CheckBody::Transfer { assume, .. } | CheckBody::Implication { assume, .. } => {
+                Some(assume)
+            }
+            CheckBody::Originate { .. } => None,
+        }
+    }
+
     /// The encoding-base key: checks with equal keys share everything but
     /// their assume/ensure predicates — the symbolic input route, its
     /// well-formedness constraint and (for transfers) the route-map +
@@ -884,26 +954,18 @@ impl<'a> Verifier<'a> {
         props: &[SafetyProperty],
         inv: &NetworkInvariants,
     ) -> Vec<Option<Vec<String>>> {
-        // Keyed by address: every borrow is the default, one override's
-        // entry, or the static `True`, all alive for the whole call.
-        let mut rendered: HashMap<*const RoutePred, Vec<String>> = HashMap::new();
-        let mut table = Vec::new();
+        let (topo, mut assumes) = (self.topo, Vec::new());
         self.for_each_site(props, |site| {
-            table.push(site.assumes(self.topo).map(|loc| {
-                let assume = inv.at_ref(self.topo, loc);
-                rendered
-                    .entry(assume)
-                    .or_insert_with(|| assume.conjuncts().iter().map(|p| p.to_string()).collect())
-                    .clone()
-            }));
+            assumes.push(site.assumes(topo).map(|loc| inv.at_ref(topo, loc)))
         });
-        table
+        conjunct_table(assumes)
     }
 
     /// The reference oracle for [`Verifier::check_conjuncts_all`]: the
     /// same table read off the generated checks' bodies, one full check
-    /// generation per call. Tests compare the two; nothing else should
-    /// call it.
+    /// generation per call, each check's assume side rendered on its own
+    /// (no shared memo). Tests compare the two; nothing else should call
+    /// it.
     #[doc(hidden)]
     pub fn check_conjuncts_reference(
         &self,
@@ -911,12 +973,11 @@ impl<'a> Verifier<'a> {
         inv: &NetworkInvariants,
     ) -> Vec<Option<Vec<String>>> {
         self.resolve_suite(props, inv)
-            .into_iter()
-            .map(|rc| match rc.body {
-                CheckBody::Transfer { assume, .. } | CheckBody::Implication { assume, .. } => {
-                    Some(assume.conjuncts().iter().map(|p| p.to_string()).collect())
-                }
-                CheckBody::Originate { .. } => None,
+            .iter()
+            .map(|rc| {
+                rc.body
+                    .assume()
+                    .map(|p| p.conjuncts().iter().map(|c| c.to_string()).collect())
             })
             .collect()
     }
@@ -1055,7 +1116,7 @@ impl<'a> Verifier<'a> {
     /// One check per site of [`Verifier::for_each_site`], its id the
     /// site's position. Nothing is copied: the predicates are borrowed
     /// from `inv` and `props`.
-    fn for_each_check<'s>(
+    pub(crate) fn for_each_check<'s>(
         &self,
         props: &'s [SafetyProperty],
         inv: &'s NetworkInvariants,
@@ -1089,7 +1150,7 @@ impl<'a> Verifier<'a> {
                     assume: assume.expect("subsumption assumes the property location's invariant"),
                     ensure: &p.pred,
                 },
-                Site::Propagation { .. } | Site::Final(_) => {
+                Site::Propagation { .. } | Site::NoInterference { .. } | Site::Final(_) => {
                     unreachable!("safety suites have no liveness sites")
                 }
             };
@@ -1102,9 +1163,21 @@ impl<'a> Verifier<'a> {
     /// outcome is handed to someone who keeps it.
     pub(crate) fn describe(&self, id: usize, site: &Site) -> Check {
         CHECKS_DESCRIBED.fetch_add(1, Ordering::Relaxed);
+        let (edge, map, description) = self.site_text(site);
+        Check {
+            id,
+            kind: site.kind(),
+            location: site.location(self.topo),
+            edge,
+            map_name: map.map(|m| m.name.clone()),
+            description,
+        }
+    }
+
+    /// The edge, route map and description of the check posed at `site`.
+    fn site_text(&self, site: &Site) -> (Option<EdgeId>, Option<&RouteMap>, String) {
         let topo = self.topo;
-        let location = site.location(topo);
-        let (edge, map, description) = match *site {
+        match *site {
             Site::Import(e) => (
                 Some(e),
                 self.policy.import_map(e),
@@ -1150,19 +1223,24 @@ impl<'a> Verifier<'a> {
                     if is_import { "import" } else { "export" }
                 ),
             ),
+            Site::NoInterference { router, step } => {
+                let at = &topo.node(router).name;
+                let (edge, map, text) = match step.site() {
+                    Some(inner) => self.site_text(&inner),
+                    // What the `Subsumption` site of a one-property suite says.
+                    None => (
+                        None,
+                        None,
+                        format!("invariant at {at} implies the property"),
+                    ),
+                };
+                (edge, map, format!("[no-interference at {at}] {text}"))
+            }
             Site::Final(_) => (
                 None,
                 None,
                 "final path constraint implies the liveness property".into(),
             ),
-        };
-        Check {
-            id,
-            kind: site.kind(),
-            location,
-            edge,
-            map_name: map.map(|m| m.name.clone()),
-            description,
         }
     }
 
@@ -1563,7 +1641,7 @@ impl<'a> Verifier<'a> {
     /// Decide one check on its own fresh one-shot instance (no session,
     /// no core): the reference oracle's solve, and where every failing
     /// check's counterexample comes from.
-    fn run_one(&self, universe: &Universe, rc: &ResolvedCheck) -> SolvedCheck {
+    pub(crate) fn run_one(&self, universe: &Universe, rc: &ResolvedCheck) -> SolvedCheck {
         let (result, stats) = match rc.body {
             CheckBody::Originate { edge, ensure } => (
                 self.run_originate_check(edge, ensure),

@@ -11,17 +11,22 @@
 //! * **no-interference checks**: at every router on the path, any
 //!   acceptable route sharing a prefix with the good routes is itself good
 //!   (so a preferred route from elsewhere cannot break the property).
-//!   These are safety properties, proven with their own invariants via the
-//!   §4 machinery;
+//!   These are safety properties `prefix_scope ⟹ C_i`, proven under the
+//!   spec's interference invariants by the §4 site walk;
 //! * the **final implication** `C_n ⟹ P`.
+//!
+//! All three are local checks of one suite: one walk yields every check
+//! with its id equal to its position, and one run over one universe
+//! decides them, so dedup, grouping and the cache work across on-path
+//! routers exactly as across the sites of a safety suite.
 //!
 //! The theorem (§5.3) then guarantees: if an announcement satisfying `C_1`
 //! arrives at `ℓ_1` and no link on the path fails, a route satisfying `P`
 //! eventually appears at `ℓ` — failures elsewhere in the network are
 //! tolerated.
 
-use crate::check::{CheckKind, Report};
-use crate::engine::{CheckBody, ResolvedCheck, Site, Verifier};
+use crate::check::Report;
+use crate::engine::{conjunct_table, CheckBody, NiStep, ResolvedCheck, Site, Verifier};
 use crate::invariants::{Location, NetworkInvariants};
 use crate::pred::RoutePred;
 use crate::safety::SafetyProperty;
@@ -110,92 +115,20 @@ impl LivenessSpec {
 }
 
 impl<'a> Verifier<'a> {
-    /// Verify a liveness property. Returns the combined report over
-    /// propagation checks, no-interference sub-verifications and the
-    /// final implication.
-    ///
-    /// The propagation checks and the final implication are lowered to
-    /// resolved check bodies and dispatched through the engine's one
-    /// execution pipeline, so they get group solving, dedup, the cache
-    /// and the worker pool like every safety check.
+    /// Verify a liveness property: one run decides every check of the
+    /// spec's walk over one universe (policy, ghosts, `P`, the prefix
+    /// scope, the path constraints and the interference invariants), so
+    /// dedup, grouping, the cache and the worker pool apply across
+    /// on-path routers. Check ids are walk positions.
     pub fn verify_liveness(&self, spec: &LivenessSpec) -> Result<Report, SpecError> {
-        spec.validate(self.topology())?;
         let t0 = Instant::now();
-        let mut id = 0usize;
-
-        // Universe: policy + ghosts + every predicate involved.
-        let mut extra: Vec<&RoutePred> = vec![&spec.pred, &spec.prefix_scope];
-        extra.extend(spec.constraints.iter());
-        let universe = self.liveness_universe(&extra, &spec.interference_invariants);
-
-        // Propagation checks along the path: good routes must be accepted
-        // and stay good, i.e. transfer checks with `require_accept`.
-        let mut prop_checks = Vec::new();
-        for i in 0..spec.path.len() - 1 {
-            let (edge, is_import) = match (spec.path[i], spec.path[i + 1]) {
-                (Location::Node(_), Location::Edge(e)) => (e, false), // export step
-                (Location::Edge(e), Location::Node(_)) => (e, true),  // import step
-                _ => unreachable!("validated"),
-            };
-            prop_checks.push(ResolvedCheck {
-                id,
-                site: Site::Propagation { edge, is_import },
-                body: CheckBody::Transfer {
-                    edge,
-                    is_import,
-                    assume: &spec.constraints[i],
-                    ensure: &spec.constraints[i + 1],
-                    require_accept: true,
-                },
-            });
-            id += 1;
-        }
-        let mut report = self.run(&universe, &prop_checks);
-
-        // No-interference: safety property at each router on the path.
-        for (i, loc) in spec.path.iter().enumerate() {
-            let Location::Node(r) = *loc else { continue };
-            let prop = SafetyProperty::new(
-                Location::Node(r),
-                spec.prefix_scope
-                    .clone()
-                    .implies(spec.constraints[i].clone()),
-            )
-            .named(format!(
-                "no-interference at {}",
-                self.topology().node(r).name
-            ));
-            let sub = self.verify_safety(&prop, &spec.interference_invariants);
-            report.exec.merge(&sub.exec);
-            for mut o in sub.outcomes {
-                o.check.id = id;
-                id += 1;
-                o.check.description = format!(
-                    "[no-interference at {}] {}",
-                    self.topology().node(r).name,
-                    o.check.description
-                );
-                if o.check.kind == CheckKind::Subsumption {
-                    o.check.kind = CheckKind::NoInterference;
-                }
-                report.outcomes.push(o);
-            }
-        }
-
-        // Final implication: C_n => P.
-        let final_check = ResolvedCheck {
-            id,
-            site: Site::Final(spec.location),
-            body: CheckBody::Implication {
-                assume: spec.constraints.last().unwrap(),
-                ensure: &spec.pred,
-            },
-        };
-        let fin = self.run(&universe, std::slice::from_ref(&final_check));
-        report.exec.merge(&fin.exec);
-        report.outcomes.extend(fin.outcomes);
-
-        report.sort_by_id();
+        let ni = self.no_interference_props(spec)?;
+        let checks = self.liveness_checks(spec, &ni);
+        let mut extra = vec![&spec.pred, &spec.prefix_scope];
+        extra.extend(&spec.constraints);
+        let mut universe = self.universe(&extra);
+        spec.interference_invariants.register(&mut universe);
+        let mut report = self.run(&universe, &checks);
         report.total_time = t0.elapsed();
         Ok(report)
     }
@@ -204,60 +137,88 @@ impl<'a> Verifier<'a> {
     /// [`Verifier::verify_liveness`] generates for `spec`, rendered for
     /// display and indexed by check id — the namespace the indices of a
     /// liveness report's [`crate::check::CheckOutcome::core`] point
-    /// into (the liveness counterpart of
-    /// [`Verifier::check_conjuncts_all`], and what the CLI's `--json`
-    /// liveness `cores` output renders `load_bearing` from).
-    ///
-    /// Mirrors the generation order exactly: propagation checks along
-    /// the path (assume = `C_i`), then each on-path router's
-    /// no-interference sub-suite, then the final implication (assume =
-    /// `C_n`). Returns `None` entries for checks with no symbolic
-    /// assume side (concrete originate checks of the sub-suites).
-    pub fn liveness_check_conjuncts(&self, spec: &LivenessSpec) -> Vec<Option<Vec<String>>> {
-        let render = |p: &RoutePred| -> Option<Vec<String>> {
-            Some(p.conjuncts().iter().map(|c| c.to_string()).collect())
-        };
-        let mut out = Vec::new();
-        for i in 0..spec.path.len().saturating_sub(1) {
-            out.push(render(&spec.constraints[i]));
-        }
-        for (i, loc) in spec.path.iter().enumerate() {
-            let Location::Node(r) = *loc else { continue };
-            let prop = SafetyProperty::new(
-                Location::Node(r),
-                spec.prefix_scope
-                    .clone()
-                    .implies(spec.constraints[i].clone()),
-            );
-            out.extend(
-                self.check_conjuncts_all(
-                    std::slice::from_ref(&prop),
-                    &spec.interference_invariants,
-                ),
-            );
-        }
-        if let Some(last) = spec.constraints.last() {
-            out.push(render(last));
-        }
-        out
+    /// into, read off the same walk's check bodies. `None` for the
+    /// concrete originate checks of the no-interference suites.
+    pub fn liveness_check_conjuncts(
+        &self,
+        spec: &LivenessSpec,
+    ) -> Result<Vec<Option<Vec<String>>>, SpecError> {
+        let ni = self.no_interference_props(spec)?;
+        let checks = self.liveness_checks(spec, &ni);
+        Ok(conjunct_table(checks.iter().map(|rc| rc.body.assume())))
     }
 
-    fn liveness_universe(
+    /// Validate `spec` and build the no-interference property of every
+    /// on-path router, in path order: `prefix_scope ⟹ C_i` at router
+    /// `ℓ_i` (§5.2). The liveness walk borrows them.
+    fn no_interference_props(&self, spec: &LivenessSpec) -> Result<Vec<SafetyProperty>, SpecError> {
+        spec.validate(self.topology())?;
+        Ok(spec
+            .path
+            .iter()
+            .zip(&spec.constraints)
+            .filter(|(loc, _)| matches!(loc, Location::Node(_)))
+            .map(|(&loc, c)| SafetyProperty::new(loc, spec.prefix_scope.clone().implies(c.clone())))
+            .collect())
+    }
+
+    /// Every check of a validated `spec`, its id its position: the
+    /// propagation step across each path edge (`C_i` through the step's
+    /// filter is accepted and satisfies `C_{i+1}`), then the safety site
+    /// walk of each on-path router's no-interference property in `ni`,
+    /// then the final implication `C_n ⟹ P`.
+    fn liveness_checks<'s>(
         &self,
-        extra: &[&RoutePred],
-        interference_inv: &NetworkInvariants,
-    ) -> crate::universe::Universe {
-        let mut u = self.universe(extra);
-        interference_inv.register(&mut u);
-        u
+        spec: &'s LivenessSpec,
+        ni: &'s [SafetyProperty],
+    ) -> Vec<ResolvedCheck<'s>> {
+        let mut sites = Vec::new();
+        for (i, w) in spec.path.windows(2).enumerate() {
+            let (edge, is_import) = match (w[0], w[1]) {
+                (Location::Node(_), Location::Edge(e)) => (e, false),
+                (Location::Edge(e), Location::Node(_)) => (e, true),
+                _ => unreachable!("validated"),
+            };
+            let body = CheckBody::Transfer {
+                edge,
+                is_import,
+                assume: &spec.constraints[i],
+                ensure: &spec.constraints[i + 1],
+                require_accept: true,
+            };
+            sites.push((Site::Propagation { edge, is_import }, body));
+        }
+        let inv = &spec.interference_invariants;
+        for p in ni {
+            let Location::Node(router) = p.location else {
+                unreachable!("no-interference properties sit at routers")
+            };
+            self.for_each_check(std::slice::from_ref(p), inv, |rc| {
+                let step = NiStep::of(rc.site);
+                sites.push((Site::NoInterference { router, step }, rc.body))
+            });
+        }
+        let body = CheckBody::Implication {
+            assume: spec.constraints.last().unwrap(),
+            ensure: &spec.pred,
+        };
+        sites.push((Site::Final(spec.location), body));
+        sites
+            .into_iter()
+            .enumerate()
+            .map(|(id, (site, body))| ResolvedCheck { id, site, body })
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{CheckKind, CheckResult};
     use crate::engine::Verifier;
+    use crate::ghost::{GhostAttr, GhostUpdate};
     use bgp_model::routemap::{MatchCond, RouteMap, RouteMapEntry, SetAction};
+    use bgp_model::topology::NodeId;
     use bgp_model::{Community, Policy, PrefixRange, Topology};
 
     fn c(s: &str) -> Community {
@@ -430,22 +391,37 @@ mod tests {
         );
     }
 
+    /// Specs [`LivenessSpec::validate`] rejects against Figure 1.
+    fn malformed_specs(t: &Topology) -> [LivenessSpec; 3] {
+        let mut short = table3_spec(t);
+        short.path.pop(); // no longer ends at ℓ
+        short.constraints.pop();
+        let mut mismatched = table3_spec(t);
+        mismatched.constraints.pop(); // length mismatch
+        let mut swapped = table3_spec(t);
+        swapped.path.swap(1, 3); // breaks alternation consistency
+        [short, mismatched, swapped]
+    }
+
     #[test]
     fn invalid_paths_rejected() {
         let (t, pol) = figure1();
-        let mut spec = table3_spec(&t);
-        spec.path.pop();
-        spec.constraints.pop();
         let v = Verifier::new(&t, &pol);
-        assert!(v.verify_liveness(&spec).is_err()); // no longer ends at ℓ
+        for spec in malformed_specs(&t) {
+            assert!(v.verify_liveness(&spec).is_err());
+        }
+    }
 
-        let mut spec2 = table3_spec(&t);
-        spec2.constraints.pop();
-        assert!(v.verify_liveness(&spec2).is_err()); // length mismatch
-
-        let mut spec3 = table3_spec(&t);
-        spec3.path.swap(1, 3); // breaks alternation consistency
-        assert!(v.verify_liveness(&spec3).is_err());
+    #[test]
+    fn conjunct_table_rejects_invalid_paths() {
+        let (t, pol) = figure1();
+        let v = Verifier::new(&t, &pol);
+        for spec in malformed_specs(&t) {
+            assert_eq!(
+                v.liveness_check_conjuncts(&spec).unwrap_err(),
+                v.verify_liveness(&spec).unwrap_err()
+            );
+        }
     }
 
     #[test]
@@ -462,7 +438,7 @@ mod tests {
         assert!(!cores.is_empty(), "liveness passes must report cores");
         // The conjunct namespace aligns with the report's id space, and
         // every core index points into its check's conjunct list.
-        let conjs = v.liveness_check_conjuncts(&spec);
+        let conjs = v.liveness_check_conjuncts(&spec).unwrap();
         assert_eq!(conjs.len(), report.num_checks());
         for (check, core) in &cores {
             let names = conjs[check.id]
@@ -499,5 +475,158 @@ mod tests {
             .failures()
             .iter()
             .any(|o| o.check.kind == CheckKind::Subsumption));
+    }
+
+    /// The WAN 2x2 network of `netgen::wan` (2 regions of 2 routers, 2
+    /// edge routers with 2 peers each, seed 0), stored as the JSON of its
+    /// topology and policy.
+    fn wan2x2() -> (Topology, Policy) {
+        #[derive(serde::Deserialize)]
+        struct Net {
+            topology: Topology,
+            policy: Policy,
+        }
+        let mut net: Net = serde_json::from_str(include_str!("testdata/wan2x2.json")).unwrap();
+        net.topology.rebuild_indexes();
+        (net.topology, net.policy)
+    }
+
+    /// `netgen::wan`'s reuse-liveness spec for region `k` of
+    /// [`wan2x2`], with its `FromRegion{k}` ghost: a reused-prefix route
+    /// from `DC{k}` reaches the gateway `R{k}-0` via `R{k}-1`. A copy of
+    /// `netgen::wan::Scenario::reuse_liveness_spec` and
+    /// `Scenario::from_region_ghost` (this
+    /// crate cannot depend on netgen); keep it in step with them.
+    fn wan_reuse_spec(t: &Topology, k: usize) -> (LivenessSpec, GhostAttr) {
+        let node = |name: String| t.node_by_name(&name).unwrap();
+        let (dc, attach, gw) = (
+            node(format!("DC{k}")),
+            node(format!("R{k}-1")),
+            node(format!("R{k}-0")),
+        );
+        let region_of = |n: NodeId| {
+            let name = &t.node(n).name;
+            match name.strip_prefix("EDGE") {
+                Some(m) => m.parse::<usize>().unwrap() % 2,
+                None => name[1..2].parse().unwrap(),
+            }
+        };
+        // Reused routes carry region j's community and no other's.
+        let exactly = |j: usize| {
+            let comm = |j: usize| RoutePred::has_community(Community::new(100, 10 + j as u16));
+            comm(j).and(comm(1 - j).not())
+        };
+        let from_region = RoutePred::ghost(format!("FromRegion{k}"));
+        let reused = RoutePred::prefix_in(vec![PrefixRange::orlonger(
+            "100.64.0.0/16".parse().unwrap(),
+        )]);
+        let good = from_region.clone().and(reused.clone()).and(exactly(k));
+        let interference = NetworkInvariants::from_node_fn(t, |n| {
+            let j = region_of(n);
+            let origin = if j == k {
+                from_region.clone()
+            } else {
+                from_region.clone().not()
+            };
+            reused.clone().implies(exactly(j).and(origin))
+        });
+        let spec = LivenessSpec {
+            location: Location::Node(gw),
+            pred: from_region.clone().and(reused.clone()),
+            path: vec![
+                Location::Edge(t.edge_between(dc, attach).unwrap()),
+                Location::Node(attach),
+                Location::Edge(t.edge_between(attach, gw).unwrap()),
+                Location::Node(gw),
+            ],
+            constraints: vec![
+                from_region.and(reused.clone()),
+                good.clone(),
+                good.clone(),
+                good,
+            ],
+            prefix_scope: reused,
+            interference_invariants: interference,
+            name: Some(format!("reuse-liveness-region{k}")),
+        };
+        let ghost = t
+            .edge_ids()
+            .filter(|&e| t.node(t.edge(e).src).external)
+            .fold(GhostAttr::new(format!("FromRegion{k}")), |g, e| {
+                let update = if t.edge(e).src == dc {
+                    GhostUpdate::SetTrue
+                } else {
+                    GhostUpdate::SetFalse
+                };
+                g.with_import(e, update)
+            });
+        (spec, ghost)
+    }
+
+    /// `None` on a pass, the rendered counterexample on a failure.
+    fn verdict(result: &CheckResult) -> Option<String> {
+        match result {
+            CheckResult::Pass => None,
+            CheckResult::Fail(cex) => Some(cex.to_string()),
+        }
+    }
+
+    /// The [`verdict`] of every check of the liveness walk, each decided
+    /// on its own fresh one-shot instance, in id order.
+    fn reference(v: &Verifier, spec: &LivenessSpec) -> Vec<Option<String>> {
+        let ni = v.no_interference_props(spec).unwrap();
+        let mut extra = vec![&spec.pred, &spec.prefix_scope];
+        extra.extend(&spec.constraints);
+        let mut universe = v.universe(&extra);
+        spec.interference_invariants.register(&mut universe);
+        v.liveness_checks(spec, &ni)
+            .iter()
+            .map(|rc| verdict(&v.run_one(&universe, rc).result))
+            .collect()
+    }
+
+    #[test]
+    fn pipeline_matches_per_check_reference() {
+        let (t, mut pol) = figure1();
+        add_r1_cust_filter(&t, &mut pol);
+        let spec = table3_spec(&t);
+        let mut strong = spec.clone();
+        strong.pred = strong
+            .pred
+            .and(RoutePred::local_pref(crate::pred::Cmp::Eq, 7));
+        let mut no_strip = pol.clone();
+        let cust_r3 = t.edge_between(
+            t.node_by_name("Customer").unwrap(),
+            t.node_by_name("R3").unwrap(),
+        );
+        no_strip.import.remove(&cust_r3.unwrap());
+        let (wt, wpol) = wan2x2();
+        // (name, network, ghost, spec, failing checks): the seeded bugs
+        // fail the strengthened final check, and R3's customer import in
+        // the propagation step and both no-interference suites.
+        let mut cases = vec![
+            ("figure1", &t, &pol, None, spec.clone(), 0),
+            ("figure1-strong-final", &t, &pol, None, strong, 1),
+            ("figure1-no-strip", &t, &no_strip, None, spec, 3),
+        ];
+        for k in 0..2 {
+            let (spec, ghost) = wan_reuse_spec(&wt, k);
+            cases.push(("wan2x2", &wt, &wpol, Some(ghost), spec, 0));
+        }
+        for (name, t, pol, ghost, spec, fails) in &cases {
+            let mut v = Verifier::new(t, pol);
+            if let Some(g) = ghost {
+                v = v.with_ghost(g.clone());
+            }
+            let want = reference(&v, spec);
+            assert_eq!(want.iter().flatten().count(), *fails, "{name}");
+            for jobs in [1, 4] {
+                let report = v.clone().with_jobs(jobs).verify_liveness(spec).unwrap();
+                let got: Vec<_> = report.outcomes.iter().map(|o| verdict(&o.result)).collect();
+                assert_eq!(got, want, "{name} at jobs {jobs}");
+                let ids = report.outcomes.iter().map(|o| o.check.id);
+                assert!(ids.eq(0..want.len()), "{name}: ids are positions");
+            }
+        }
     }
 }

@@ -37,9 +37,7 @@
 //! can never depend on what else the group solved.
 
 use crate::check::{CheckOutcome, CheckResult, Report};
-use crate::engine::{
-    size_only, CheckBody, CheckCache, Keyed, ResolvedCheck, SolvedCheck, Verifier,
-};
+use crate::engine::{size_only, CheckCache, Keyed, ResolvedCheck, SolvedCheck, Verifier};
 use crate::fingerprint::{pred_digest, universe_digest, FpParts};
 use crate::impact::CheckIndex;
 use crate::invariants::NetworkInvariants;
@@ -384,11 +382,7 @@ impl ReverifyEngine {
             if let (true, Some(core), Some(rest)) =
                 (solved.result.passed(), &solved.core, parts.rest(&rc.body))
             {
-                let (CheckBody::Transfer { assume, .. } | CheckBody::Implication { assume, .. }) =
-                    rc.body
-                else {
-                    unreachable!("only symbolic checks carry cores");
-                };
+                let assume = rc.body.assume().expect("only symbolic checks carry cores");
                 let conjs = assume.conjuncts();
                 self.remember_core(
                     rest.0,
@@ -445,7 +439,7 @@ impl ReverifyEngine {
             topo_shape: ts,
         });
 
-        let mut report = Report {
+        let report = Report {
             outcomes: outcomes
                 .into_iter()
                 .map(|o| o.expect("every check answered by cache or solve"))
@@ -453,7 +447,6 @@ impl ReverifyEngine {
             total_time: t0.elapsed(),
             exec: orchestrator::RunStats::default(),
         };
-        report.sort_by_id();
         if obs::enabled() {
             obs::add("reverify.rounds", 1);
             obs::add("reverify.checks", stats.total as u64);
@@ -478,10 +471,7 @@ impl ReverifyEngine {
         parts: &mut FpParts<'a>,
         rc: &ResolvedCheck<'a>,
     ) -> Option<SolvedCheck> {
-        let assume = match rc.body {
-            CheckBody::Transfer { assume, .. } | CheckBody::Implication { assume, .. } => assume,
-            CheckBody::Originate { .. } => return None,
-        };
+        let assume = rc.body.assume()?;
         let rest = parts.rest(&rc.body)?;
         let entries = self.cores.get(&rest.0)?;
         let conjs = assume.conjuncts();
