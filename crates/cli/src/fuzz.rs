@@ -1,7 +1,8 @@
 //! The `fuzz` subcommand: seeded differential campaigns over the
 //! topology families, with minimized replayable repros on discrepancy.
 
-use crate::{flag_value, usage};
+use crate::telemetry::TelemetryOpts;
+use crate::{fail, flag_value, positionals, positive, usage, usage_error};
 use fuzz::{CampaignConfig, FamilyId};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -9,30 +10,19 @@ use std::process::ExitCode;
 pub(crate) fn cmd_fuzz(args: &[String]) -> ExitCode {
     // Strict flags: a typo or a missing value must not silently change
     // the campaign.
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            f @ ("--seed" | "--cases" | "--families" | "--edit-steps" | "--sim-rounds"
-            | "--repro-dir" | "--bench-json" | "--replay") => {
-                if i + 1 >= args.len() {
-                    eprintln!("error: {f} needs a value");
-                    return usage();
-                }
-                i += 2;
-            }
-            f if crate::telemetry::TelemetryOpts::takes(f) => {
-                if i + 1 >= args.len() {
-                    eprintln!("error: {f} needs a value");
-                    return usage();
-                }
-                i += 2;
-            }
-            "--no-inject" => i += 1,
-            a => {
-                eprintln!("error: unknown fuzz option {a}");
-                return usage();
-            }
-        }
+    let own = [
+        "--seed",
+        "--cases",
+        "--families",
+        "--edit-steps",
+        "--sim-rounds",
+        "--repro-dir",
+        "--bench-json",
+        "--replay",
+    ];
+    let value_flags = [&own[..], &TelemetryOpts::FLAGS].concat();
+    if let Err(e) = positionals("fuzz", args, &value_flags, &["--no-inject"], 0) {
+        return usage_error(&e);
     }
 
     if let Some(dir) = flag_value(args, "--replay") {
@@ -54,14 +44,10 @@ pub(crate) fn cmd_fuzz(args: &[String]) -> ExitCode {
         };
         cfg.seed = s;
     }
-    if let Some(v) = flag_value(args, "--cases") {
-        match v.parse::<usize>() {
-            Ok(n) if n > 0 => cfg.cases = n,
-            _ => {
-                eprintln!("error: --cases needs a positive integer");
-                return usage();
-            }
-        }
+    match positive(args, "--cases") {
+        Ok(Some(n)) => cfg.cases = n,
+        Ok(None) => {}
+        Err(e) => return usage_error(&e),
     }
     if let Some(v) = flag_value(args, "--families") {
         let mut families = Vec::new();
@@ -103,20 +89,14 @@ pub(crate) fn cmd_fuzz(args: &[String]) -> ExitCode {
     // scrape shows mid-flight progress, and a panicking case leaves a
     // post-mortem without a re-run. Flags and bring-up are shared with
     // `watch` and `serve` via TelemetryOpts.
-    let tele_opts = match crate::telemetry::TelemetryOpts::parse(args) {
+    let tele_opts = match TelemetryOpts::parse(args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
+        Err(e) => return usage_error(&e),
     };
     let flight_path = tele_opts.flight_json.clone();
     let active = match tele_opts.start("fuzz", None, obs::http::DEFAULT_MAX_CONNS) {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&e),
     };
     let (reg, status, _server) = (active.reg, active.status, active.server);
 

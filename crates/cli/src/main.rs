@@ -1,29 +1,13 @@
 //! `lightyear` — verify BGP configurations against a JSON property spec.
 //!
-//! ```text
-//! USAGE:
-//!   lightyear verify --configs <DIR> --spec <FILE> [--parallel] [--json]
-//!                    [--jobs N] [--cache] [--cache-dir DIR] [--cache-cap N]
-//!                    [--profile FILE]
-//!   lightyear profile <SPEC> <CONFIG_DIR> [--jobs N] [--out FILE] [--top N]
-//!   lightyear watch  --configs <DIR> --spec <FILE> [--baseline DIR]
-//!                    [--once] [--interval-ms N] [--max-rounds N]
-//!                    [--cache-dir DIR] [--metrics-json FILE]
-//!                    [--listen ADDR] [--stale-after-ms N]
-//!                    [--flight-json FILE] [--events-jsonl FILE]
-//!   lightyear plan   --spec <FILE> <DIR0> <DIR1> [...]
-//!   lightyear serve  --listen <ADDR> [--cache-root DIR] [--workers N]
-//!                    [--queue-depth N] [--max-conns N] [--metrics-json FILE]
-//!                    [--stale-after-ms N] [--flight-json FILE]
-//!                    [--events-jsonl FILE]
-//!   lightyear fuzz   [--seed N] [--cases N] [--families a,b,...]
-//!                    [--edit-steps K] [--sim-rounds R] [--no-inject]
-//!                    [--repro-dir DIR] [--bench-json FILE] [--replay DIR]
-//!                    [--listen ADDR] [--flight-json FILE]
-//!   lightyear parse  --configs <DIR>
-//!   lightyear lint   --configs <DIR>
-//!   lightyear spec-template
+//! Run with no arguments for the synopsis of every command ([`usage`]).
+//! Every command scans its flags with one strict parser
+//! ([`positionals`]): an unknown option or a missing value exits 2 with
+//! the usage text before any file is read. Every command binds its spec
+//! through one `Spec::bind`, so a spec decides the same properties
+//! whichever command asks.
 //!
+//! ```text
 //! COMMANDS:
 //!   verify          parse every *.cfg/*.conf in DIR, lower, and run all
 //!                   safety properties in the spec as ONE cross-property
@@ -32,7 +16,8 @@
 //!                   the implication shape) are solved on one persistent
 //!                   SMT session, so each edge is encoded once for the
 //!                   whole spec. Per-property output is byte-identical to
-//!                   verifying the properties one at a time. With --json,
+//!                   verifying the properties one at a time. Liveness
+//!                   properties follow, one run each. With --json,
 //!                   each property carries a "cores" array: per passing
 //!                   check, which invariant conjuncts its UNSAT proof
 //!                   actually needed (core-based blame). Exit code 1 when
@@ -43,20 +28,21 @@
 //!                   full "metrics" counter snapshot; --profile FILE
 //!                   additionally writes a self-contained profile report
 //!                   (see `profile`)
-//!   profile         deep-dive profiling run: verify <CONFIG_DIR> against
-//!                   <SPEC> with the metrics sink installed, print the
-//!                   stage split, the hottest check groups and the solver
-//!                   counter table, and write a self-contained profile
-//!                   JSON (--out, default profile.json). The file is a
+//!   profile         `verify --parallel --profile` with a printed report:
+//!                   the same run of <SPEC> over <CONFIG_DIR>, then the
+//!                   verdict lines, the stage split, the hottest check
+//!                   groups and the solver counter table, and a
+//!                   self-contained profile JSON (--out, default
+//!                   profile.json). The file is a
 //!                   valid Chrome trace_event file — load it directly in
 //!                   Perfetto (ui.perfetto.dev) or chrome://tracing; the
 //!                   profile tables ride along as extra top-level keys,
 //!                   which trace viewers ignore
 //!   watch           long-lived re-verify daemon: verify DIR once, then
 //!                   re-check on every config change, re-solving only the
-//!                   checks the semantic diff dirtied (carried verdicts;
-//!                   dirty groups re-solved on a recycled session). Each
-//!                   round prints a stats line:
+//!                   safety checks the semantic diff dirtied (carried
+//!                   verdicts; liveness re-runs in full). Each round
+//!                   prints a stats line, counting safety checks:
 //!                     round 1: delta [EDGE0: route-map FROM-PEER0 changed];
 //!                     dirty 1/220 checks (13 candidates), 219 cached, ...
 //!                   --baseline DIR verifies DIR as round zero instead of
@@ -146,12 +132,16 @@ mod telemetry;
 mod watch;
 
 use bgp_config::{lower, parse_config, Network};
-use lightyear::engine::{RunMode, Verifier};
+use lightyear::check::ReportSummary;
+use lightyear::engine::RunMode;
+use orchestrator::RunStats;
+use profile::StageClock;
 use serde::Serialize;
-use spec::Spec;
+use spec::{Bound, Spec};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn usage() -> ExitCode {
@@ -230,15 +220,15 @@ fn load_configs(dir: &Path) -> Result<Vec<bgp_config::ConfigAst>, String> {
 }
 
 fn cmd_lint(args: &[String]) -> ExitCode {
+    if let Err(e) = positionals("lint", args, &["--configs"], &[], 0) {
+        return usage_error(&e);
+    }
     let Some(dir) = flag_value(args, "--configs") else {
         return usage();
     };
     let configs = match load_configs(Path::new(&dir)) {
         Ok(c) => c,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&e),
     };
     let findings = bgp_config::lint(&configs);
     for f in &findings {
@@ -254,45 +244,73 @@ fn cmd_lint(args: &[String]) -> ExitCode {
         errors,
         configs.len()
     );
-    if errors > 0 {
-        ExitCode::FAILURE
-    } else {
+    exit(errors == 0)
+}
+
+/// The exit code of a verdict: 0 verified, 1 not.
+pub(crate) fn exit(ok: bool) -> ExitCode {
+    if ok {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
-/// Strict scan of a subcommand's arguments: every `--flag` must be one
-/// of `value_flags` (followed by its value) or one of `switches`.
-/// Returns the positional arguments, or prints the error plus the usage
-/// text and returns the usage exit code.
-fn positionals(
+/// Print `error: {msg}`; the exit code of a run that could not finish.
+pub(crate) fn fail(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::FAILURE
+}
+
+/// Print `error: {msg}` above the usage text; the usage exit code.
+pub(crate) fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}");
+    usage()
+}
+
+/// The one flag parser: a strict scan of a subcommand's arguments. Every
+/// `--flag` must be one of `value_flags` (followed by its value) or one
+/// of `switches`, and at most `max_pos` other words may appear, so a
+/// typo'd option or a missing value fails loudly instead of running with
+/// the setting silently ignored. Returns the positional arguments, or
+/// the error to print above the usage text; values are then read with
+/// [`flag_value`] and [`positive`].
+pub(crate) fn positionals(
     cmd: &str,
     args: &[String],
     value_flags: &[&str],
     switches: &[&str],
-) -> Result<Vec<String>, ExitCode> {
+    max_pos: usize,
+) -> Result<Vec<String>, String> {
     let mut pos = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         if value_flags.contains(&a) {
             if i + 1 >= args.len() {
-                eprintln!("error: {a} needs a value");
-                return Err(usage());
+                return Err(format!("{a} needs a value"));
             }
             i += 2;
             continue;
         }
         if !switches.contains(&a) {
-            if a.starts_with("--") {
-                eprintln!("error: unknown {cmd} option {a}");
-                return Err(usage());
+            if a.starts_with("--") || pos.len() == max_pos {
+                return Err(format!("unknown {cmd} option {a}"));
             }
             pos.push(a.to_string());
         }
         i += 1;
     }
     Ok(pos)
+}
+
+/// The value of `flag` as a positive integer; `None` when it is absent.
+pub(crate) fn positive(args: &[String], flag: &str) -> Result<Option<usize>, String> {
+    match flag_value(args, flag).map(|v| v.parse::<usize>()) {
+        None => Ok(None),
+        Some(Ok(n)) if n > 0 => Ok(Some(n)),
+        Some(_) => Err(format!("{flag} needs a positive integer")),
+    }
 }
 
 fn flag_value(args: &[String], name: &str) -> Option<String> {
@@ -312,14 +330,14 @@ fn load_spec(path: &str) -> Result<Spec, String> {
 }
 
 fn cmd_parse(args: &[String]) -> ExitCode {
+    if let Err(e) = positionals("parse", args, &["--configs"], &[], 0) {
+        return usage_error(&e);
+    }
     let Some(dir) = flag_value(args, "--configs") else {
         return usage();
     };
     match load_network(Path::new(&dir)) {
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(&e),
         Ok(net) => {
             let t = &net.topology;
             println!(
@@ -379,344 +397,317 @@ pub(crate) fn write_stdout(text: &str, code: ExitCode) -> ExitCode {
 }
 
 fn verify(args: &[String], out: &mut String) -> ExitCode {
-    use std::fmt::Write as _;
-    // A typo'd or retired option must fail loudly, not run with the
-    // setting silently ignored.
-    let stray = match positionals(
-        "verify",
-        args,
-        &[
-            "--configs",
-            "--spec",
-            "--jobs",
-            "--cache-dir",
-            "--cache-cap",
-            "--profile",
-        ],
-        &["--parallel", "--json", "--cache"],
-    ) {
-        Ok(pos) => pos,
-        Err(code) => return code,
-    };
-    if let Some(a) = stray.first() {
-        eprintln!("error: unknown verify option {a}");
-        return usage();
+    let value_flags = [
+        "--configs",
+        "--spec",
+        "--jobs",
+        "--cache-dir",
+        "--cache-cap",
+        "--profile",
+    ];
+    let switches = ["--parallel", "--json", "--cache"];
+    if let Err(e) = positionals("verify", args, &value_flags, &switches, 0) {
+        return usage_error(&e);
     }
     let (Some(dir), Some(spec_path)) = (flag_value(args, "--configs"), flag_value(args, "--spec"))
     else {
         return usage();
     };
+    let (jobs, cache_cap) = match (positive(args, "--jobs"), positive(args, "--cache-cap")) {
+        (Ok(jobs), Ok(cap)) => (jobs, cap),
+        (Err(e), _) | (_, Err(e)) => return usage_error(&e),
+    };
     let as_json = args.iter().any(|a| a == "--json");
-    let jobs = match flag_value(args, "--jobs").map(|v| v.parse::<usize>()) {
-        None => None,
-        Some(Ok(n)) if n > 0 => Some(n),
-        Some(_) => {
-            eprintln!("error: --jobs needs a positive integer");
-            return usage();
-        }
-    };
     let cache_dir = flag_value(args, "--cache-dir");
-    let cache_cap = match flag_value(args, "--cache-cap").map(|v| v.parse::<usize>()) {
-        None => None,
-        Some(Ok(n)) if n > 0 => Some(n),
-        Some(_) => {
-            eprintln!("error: --cache-cap needs a positive integer");
-            return usage();
-        }
-    };
     let use_cache =
         args.iter().any(|a| a == "--cache") || cache_dir.is_some() || cache_cap.is_some();
+    let cache_dir = PathBuf::from(cache_dir.unwrap_or_else(|| ".lightyear-cache".to_string()));
     let parallel = args.iter().any(|a| a == "--parallel");
-    // The flags that ask about orchestration get its statistics back.
-    let show_exec = parallel || jobs.is_some() || use_cache;
+    let profile_path = flag_value(args, "--profile");
+    let opts = RunOpts {
+        jobs,
+        // A cached run defaults to the pool too: a warm run re-validates
+        // its spilled failures there.
+        pool: parallel || use_cache,
+        cache: use_cache.then(|| (cache_dir.clone(), cache_cap)),
+        docs: as_json,
+    };
     // --json and --profile both want the run's timings/counters, so
     // either installs the metrics sink; without them the sink stays
     // absent and every instrumentation point is a single relaxed load.
-    let profile_path = flag_value(args, "--profile");
     let reg = (as_json || profile_path.is_some()).then(obs::install);
-    let t_start = Instant::now();
-    let mut profile_props: Vec<serde_json::Value> = Vec::new();
+    let run = run(&dir, &spec_path, &opts);
+    if reg.is_some() {
+        obs::uninstall();
+    }
+    let run = match run {
+        Ok(run) => run,
+        Err(e) => return fail(&e),
+    };
+    // The flags that ask about orchestration get its statistics back.
+    let show_exec = parallel || jobs.is_some() || use_cache;
+    if as_json {
+        render_json(&run, show_exec, reg.as_deref(), out);
+    } else {
+        render_text(&run, show_exec, &cache_dir, out);
+    }
+    if let (Some(reg), Some(path)) = (&reg, &profile_path) {
+        let report = profile::profile_json(reg, &run.clock, &run.props, 10);
+        match profile::write_profile(path, &report) {
+            // stderr so `lightyear verify --json --profile p.json`
+            // still writes pure JSON to stdout.
+            Ok(()) => eprintln!("profile: wrote {path}"),
+            Err(e) => eprintln!("warning: {e}"),
+        }
+    }
+    exit(run.passed())
+}
 
-    let cache_dir = PathBuf::from(cache_dir.unwrap_or_else(|| ".lightyear-cache".to_string()));
-    let cache = if use_cache {
-        match lightyear::load_check_cache_bounded(&cache_dir, cache_cap) {
-            Ok((cache, loaded)) => {
-                if !as_json && loaded > 0 {
-                    let _ = writeln!(
-                        out,
-                        "cache: loaded {loaded} entries from {}",
-                        cache_dir.display()
-                    );
-                }
-                Some(cache)
-            }
+/// How a [`run`] executes, beyond the spec and the configurations.
+pub(crate) struct RunOpts {
+    /// Worker threads; `None` is one, or one per core with `pool`.
+    pub(crate) jobs: Option<usize>,
+    /// Run on the worker pool.
+    pub(crate) pool: bool,
+    /// The result cache's spill directory and its optional entry bound.
+    pub(crate) cache: Option<(PathBuf, Option<usize>)>,
+    /// Build each property's `--json` document (cores retained).
+    pub(crate) docs: bool,
+}
+
+/// One property's verdict.
+pub(crate) struct PropertyRun {
+    pub(crate) name: String,
+    pub(crate) liveness: bool,
+    pub(crate) summary: ReportSummary,
+    /// The `--json` document, under [`RunOpts::docs`].
+    pub(crate) doc: Option<api::PropertyReport>,
+}
+
+/// What one [`run`] produced: the renderers' single source.
+pub(crate) struct Run {
+    pub(crate) net: Network,
+    /// Safety properties in spec order, then liveness properties.
+    pub(crate) props: Vec<PropertyRun>,
+    /// Orchestration statistics of the safety batch and every liveness run.
+    pub(crate) exec: RunStats,
+    pub(crate) cache_loaded: usize,
+    /// Entries spilled at the end of a cached run, when the save worked.
+    pub(crate) cache_saved: Option<usize>,
+    pub(crate) clock: StageClock,
+}
+
+impl Run {
+    pub(crate) fn passed(&self) -> bool {
+        self.props.iter().all(|p| p.summary.all_passed())
+    }
+}
+
+/// The one run behind `verify` and `profile`: load the configurations,
+/// bind the spec, verify every safety property as ONE cross-property
+/// batch, then each liveness property. In the batch, checks from
+/// different properties that share an encoding base (above all, each
+/// edge's transfer relation) are solved on a single persistent SMT
+/// session instead of re-encoding the edge once per property;
+/// per-property reports are byte-identical to standalone runs. Each
+/// liveness property is one run of the same check pipeline, so its
+/// passing checks carry conjunct-level unsat cores too and its
+/// statistics count in `exec`. A metrics sink installed by the caller
+/// sees the whole run.
+pub(crate) fn run(dir: &str, spec_path: &str, opts: &RunOpts) -> Result<Run, String> {
+    let t_start = Instant::now();
+    let net = load_network(Path::new(dir))?;
+    let spec = load_spec(spec_path)?;
+    let Bound {
+        mut verifier,
+        safety,
+        liveness,
+    } = spec.bind(&net).map_err(|e| e.to_string())?;
+    let (cache, cache_loaded) = match &opts.cache {
+        None => (None, 0),
+        Some((cache_dir, cap)) => match lightyear::load_check_cache_bounded(cache_dir, *cap) {
+            Ok((cache, loaded)) => (Some(cache), loaded),
             Err(e) => {
-                // An unreadable spill must not brick verification:
-                // warn, start cold, and let the save at the end of the
-                // run replace the bad file.
+                // An unreadable spill must not brick verification: warn,
+                // start cold, and let the save at the end of the run
+                // replace the bad file.
                 eprintln!(
                     "warning: ignoring unreadable cache at {}: {e}",
                     cache_dir.display()
                 );
-                Some(std::sync::Arc::new(lightyear::CheckCache::new()))
+                (Some(Arc::new(lightyear::CheckCache::new())), 0)
             }
-        }
-    } else {
-        None
+        },
     };
-
-    let net = match load_network(Path::new(&dir)) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let spec: Spec = match load_spec(&spec_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let topo = &net.topology;
-    let mut verifier = Verifier::new(topo, &net.policy);
-    // A cached run defaults to the pool too: a warm run re-validates
-    // its spilled failures there.
-    if parallel || use_cache {
+    if opts.pool {
         verifier = verifier.with_mode(RunMode::Parallel);
     }
-    if let Some(n) = jobs {
+    if let Some(n) = opts.jobs {
         verifier = verifier.with_jobs(n);
     }
     if let Some(c) = &cache {
         verifier = verifier.with_cache(c.clone());
     }
-    for g in &spec.ghosts {
-        match g.resolve(topo) {
-            Ok(g) => verifier = verifier.with_ghost(g),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    // Resolve every property up front, then verify the whole spec as ONE
-    // cross-property batch: checks from different properties that share
-    // an encoding base (above all, each edge's transfer relation) are
-    // solved on a single persistent SMT session instead of re-encoding
-    // the edge once per property. Per-property reports are byte-identical
-    // to standalone runs.
-    let resolved: Vec<_> = match spec
-        .safety
-        .iter()
-        .map(|s| s.resolve(topo))
-        .collect::<Result<Vec<_>, _>>()
-    {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let suites: Vec<(&[lightyear::SafetyProperty], &lightyear::NetworkInvariants)> = resolved
+    let suites: Vec<(&[lightyear::SafetyProperty], &lightyear::NetworkInvariants)> = safety
         .iter()
         .map(|(p, i)| (std::slice::from_ref(p), i))
         .collect();
     // The `load` stage ends here: files read, parsed and lowered, the
-    // spec resolved against the topology. `report` collects the time
-    // spent turning summaries into report documents.
-    let load_time = t_start.elapsed();
-    let mut report_time = Duration::ZERO;
+    // spec bound to the topology. `report` collects the time spent
+    // turning summaries into report documents.
+    let load = t_start.elapsed();
+    let mut report = Duration::ZERO;
     // Streaming assembly: outcomes fold into per-suite summaries as
     // their groups complete, so report memory is O(solve frontier +
     // failures), not O(checks). Cores are only retained when the
     // `--json` blame view will render them.
-    let multi = verifier.verify_safety_batch_streaming(&suites, as_json);
-    let mut any_failed = false;
-    let mut json_out = Vec::new();
+    let multi = verifier.verify_safety_batch_streaming(&suites, opts.docs);
     let mut exec = multi.exec;
-    for ((s, (prop, inv)), report) in spec.safety.iter().zip(&resolved).zip(&multi.summaries) {
-        let passed = report.all_passed();
-        any_failed |= !passed;
-        if reg.is_some() {
-            profile_props.push(serde_json::json!({
-                "property": s.name,
-                "kind": "safety",
-                "passed": passed,
-                "checks": report.num_checks() as u64,
-                "solver_calls": report.solver_invocations() as u64,
-                "total_seconds": report.total_time.as_secs_f64(),
-                "solve_seconds": report.solve_time().as_secs_f64(),
-            }));
-        }
-        if as_json {
-            // Core-based blame rides along: for every passing check
-            // solved on an assumption session, which invariant conjuncts
-            // its UNSAT proof actually needed. Rendered through the
-            // shared api report types (golden-pinned bytes).
-            let t_report = Instant::now();
-            let by_id = verifier.check_conjuncts_all(std::slice::from_ref(prop), inv);
-            json_out.push(JsonEntry::Property(render::property_report(
-                &s.name,
-                false,
-                report,
-                topo,
-                &by_id,
-                Some(render::run_timing(report)),
-            )));
-            report_time += t_report.elapsed();
-        } else {
-            let _ = writeln!(
-                out,
-                "{}: {} ({} checks)",
-                s.name,
-                if passed { "verified" } else { "VIOLATED" },
-                report.num_checks(),
-            );
-            if !passed {
-                out.push_str(&report.format_failures(topo));
-            }
-        }
+    let mut props = Vec::with_capacity(safety.len() + liveness.len());
+    for ((s, bound), summary) in spec.safety.iter().zip(&safety).zip(multi.summaries) {
+        let t_report = Instant::now();
+        let doc = opts
+            .docs
+            .then(|| render::safety_report(&s.name, &summary, &verifier, bound, true));
+        report += t_report.elapsed();
+        props.push(PropertyRun {
+            name: s.name.clone(),
+            liveness: false,
+            summary,
+            doc,
+        });
     }
-    if !as_json && !spec.safety.is_empty() {
-        let _ = writeln!(
-            out,
-            "batch: {} properties, {} checks in {:?}",
-            multi.summaries.len(),
-            multi.num_checks(),
-            multi.total_time
-        );
+    for (l, live) in spec.liveness.iter().zip(&liveness) {
+        let result = verifier
+            .verify_liveness(live)
+            .map_err(|e| format!("liveness {}: {e}", l.name))?;
+        exec.merge(&result.exec);
+        let summary = result.summarize();
+        let t_report = Instant::now();
+        let doc = opts
+            .docs
+            .then(|| render::liveness_report(&l.name, &summary, &verifier, live));
+        report += t_report.elapsed();
+        props.push(PropertyRun {
+            name: l.name.clone(),
+            liveness: true,
+            summary,
+            doc,
+        });
     }
-    // Liveness properties: each is one run of the same check pipeline
-    // (propagation + no-interference + final implication), so passing
-    // checks carry conjunct-level unsat cores too — surfaced in the
-    // `--json` "cores" array exactly like safety properties — and its
-    // statistics count in `exec`.
-    for l in &spec.liveness {
-        let resolved = match l.resolve(topo) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let report = match verifier.verify_liveness(&resolved) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: liveness {}: {e}", l.name);
-                return ExitCode::FAILURE;
-            }
-        };
-        exec.merge(&report.exec);
-        let passed = report.all_passed();
-        any_failed |= !passed;
-        if reg.is_some() {
-            profile_props.push(serde_json::json!({
-                "property": l.name,
-                "kind": "liveness",
-                "passed": passed,
-                "checks": report.num_checks() as u64,
-                "solver_calls": report.solver_invocations() as u64,
-                "total_seconds": report.total_time.as_secs_f64(),
-                "solve_seconds": report.solve_time().as_secs_f64(),
-            }));
-        }
-        if as_json {
-            let t_report = Instant::now();
-            let conjs = verifier
-                .liveness_check_conjuncts(&resolved)
-                .expect("verify_liveness accepted the spec");
-            json_out.push(JsonEntry::Property(render::property_report(
-                &l.name,
-                true,
-                &report.summarize(),
-                topo,
-                &conjs,
-                None,
-            )));
-            report_time += t_report.elapsed();
-        } else {
-            let _ = writeln!(
-                out,
-                "{} (liveness): {} ({} checks)",
-                l.name,
-                if passed { "verified" } else { "VIOLATED" },
-                report.num_checks(),
-            );
-            if !passed {
-                out.push_str(&report.format_failures(topo));
-            }
-        }
-    }
-    if show_exec {
-        if as_json {
-            json_out.push(JsonEntry::Exec(render::exec_doc(&exec)));
-        } else {
-            let _ = writeln!(out, "{}", exec.summary());
-        }
-    }
-    if let Some(c) = &cache {
-        match lightyear::save_check_cache(c, &cache_dir) {
-            Ok(written) => {
-                if !as_json {
-                    let _ = writeln!(
-                        out,
-                        "cache: saved {written} entries to {}",
-                        cache_dir.display()
-                    );
-                }
-            }
+    let mut cache_saved = None;
+    if let (Some(c), Some((cache_dir, _))) = (&cache, &opts.cache) {
+        match lightyear::save_check_cache(c, cache_dir) {
+            Ok(written) => cache_saved = Some(written),
             Err(e) => eprintln!("warning: cannot save cache to {}: {e}", cache_dir.display()),
         }
     }
-    if let Some(reg) = &reg {
-        let stages = profile::StageClock {
+    // The verifier borrows `net`, which the run hands to its renderers.
+    drop(verifier);
+    Ok(Run {
+        net,
+        props,
+        exec,
+        cache_loaded,
+        cache_saved,
+        clock: StageClock {
             wall: t_start.elapsed(),
-            load: load_time,
-            report: report_time,
-        };
-        if as_json {
-            let snap = reg.snapshot();
-            json_out.push(JsonEntry::Telemetry(serde_json::json!({
-                "timings": profile::stages_json(&snap, &stages),
-                "metrics": snap.to_json(),
-            })));
-        }
-        if let Some(path) = &profile_path {
-            let report =
-                profile::profile_json(reg, &stages, std::mem::take(&mut profile_props), 10);
-            match profile::write_profile(path, &report) {
-                // stderr so `lightyear verify --json --profile p.json`
-                // still writes pure JSON to stdout.
-                Ok(()) => eprintln!("profile: wrote {path}"),
-                Err(e) => eprintln!("warning: {e}"),
-            }
-        }
-        obs::uninstall();
+            load,
+            report,
+        },
+    })
+}
+
+/// A property's verdict line: `NAME: verified (N checks)`.
+pub(crate) fn verdict_line(p: &PropertyRun) -> String {
+    format!(
+        "{}: {} ({} checks)\n",
+        render::label(&p.name, p.liveness),
+        if p.summary.all_passed() {
+            "verified"
+        } else {
+            "VIOLATED"
+        },
+        p.summary.num_checks(),
+    )
+}
+
+/// `verify`'s text report: verdict lines with their localized failures,
+/// the batch line after the safety properties, and the orchestration
+/// and cache lines.
+fn render_text(run: &Run, show_exec: bool, cache_dir: &Path, out: &mut String) {
+    use std::fmt::Write as _;
+    if run.cache_loaded > 0 {
+        let _ = writeln!(
+            out,
+            "cache: loaded {} entries from {}",
+            run.cache_loaded,
+            cache_dir.display()
+        );
     }
-    if as_json {
-        render_json_report(&json_out, out);
+    // Safety properties come first; the batch line closes them.
+    let n = run.props.partition_point(|p| !p.liveness);
+    for (i, p) in run.props.iter().enumerate() {
+        out.push_str(&verdict_line(p));
+        if !p.summary.all_passed() {
+            out.push_str(&p.summary.format_failures(&run.net.topology));
+        }
+        if i + 1 == n {
+            let _ = writeln!(
+                out,
+                "batch: {n} properties, {} checks in {:?}",
+                run.props[..n]
+                    .iter()
+                    .map(|p| p.summary.num_checks())
+                    .sum::<usize>(),
+                p.summary.total_time
+            );
+        }
     }
-    if any_failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    if show_exec {
+        let _ = writeln!(out, "{}", run.exec.summary());
+    }
+    if let Some(written) = run.cache_saved {
+        let _ = writeln!(
+            out,
+            "cache: saved {written} entries to {}",
+            cache_dir.display()
+        );
     }
 }
 
+/// `verify --json`: the property documents, the exec entry when asked,
+/// and the trailing `timings` + `metrics` entry.
+fn render_json(run: &Run, show_exec: bool, reg: Option<&obs::Registry>, out: &mut String) {
+    let mut entries: Vec<JsonEntry> = run
+        .props
+        .iter()
+        .filter_map(|p| p.doc.as_ref())
+        .map(JsonEntry::Property)
+        .collect();
+    if show_exec {
+        entries.push(JsonEntry::Exec(render::exec_doc(&run.exec)));
+    }
+    if let Some(reg) = reg {
+        let snap = reg.snapshot();
+        entries.push(JsonEntry::Telemetry(serde_json::json!({
+            "timings": profile::stages_json(&snap, &run.clock),
+            "metrics": snap.to_json(),
+        })));
+    }
+    render_json_report(&entries, out);
+}
+
 /// One entry of the `verify --json` array. Entries stay typed until
-/// [`write_json_report`] streams them: no intermediate `Value` tree.
-enum JsonEntry {
-    Property(api::PropertyReport),
+/// [`render_json_report`] streams them: no intermediate `Value` tree.
+enum JsonEntry<'a> {
+    Property(&'a api::PropertyReport),
     Exec(api::ExecDoc),
     /// The trailing `timings` + `metrics` object.
     Telemetry(serde_json::Value),
 }
 
-impl Serialize for JsonEntry {
+impl Serialize for JsonEntry<'_> {
     fn to_value(&self) -> serde_json::Value {
         serde::build_value(self)
     }

@@ -1,5 +1,8 @@
 //! The `profile` deep-dive subcommand and the profile-report assembly
-//! shared with `verify --profile`.
+//! shared with `verify --profile`. `profile` is `verify --parallel
+//! --profile` with a printed report: it runs the same [`run`] and renders
+//! the result with [`render_report`], [`profile_json`] and
+//! [`write_profile`].
 //!
 //! A profile report is ONE self-contained JSON file that is
 //! simultaneously a Chrome `trace_event` file (Perfetto and
@@ -11,12 +14,10 @@
 //! check groups by solve time, the solver counter table, a per-property
 //! breakdown, and the full metrics snapshot.
 
-use crate::spec::Spec;
-use crate::{flag_value, load_network, load_spec, positionals, usage};
-use lightyear::engine::{RunMode, Verifier};
-use std::path::Path;
+use crate::{exit, fail, flag_value, positionals, positive, run, usage_error, verdict_line};
+use crate::{PropertyRun, RunOpts};
 use std::process::ExitCode;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The busy-time stages, measured on the workers: `(stage, counter)`.
 /// `terms` + `blast` + `feed` is what used to be one `encode` stage
@@ -132,11 +133,24 @@ fn solver_json(snap: &obs::MetricsSnapshot) -> serde_json::Value {
     })
 }
 
+/// One property's row of the report's `properties` table.
+fn property_json(p: &PropertyRun) -> serde_json::Value {
+    serde_json::json!({
+        "property": p.name,
+        "kind": if p.liveness { "liveness" } else { "safety" },
+        "passed": p.summary.all_passed(),
+        "checks": p.summary.num_checks() as u64,
+        "solver_calls": p.summary.solver_invocations() as u64,
+        "total_seconds": p.summary.total_time.as_secs_f64(),
+        "solve_seconds": p.summary.solve_time().as_secs_f64(),
+    })
+}
+
 /// Assemble the self-contained profile report (see module docs).
 pub(crate) fn profile_json(
     reg: &obs::Registry,
     clock: &StageClock,
-    properties: Vec<serde_json::Value>,
+    props: &[PropertyRun],
     top: usize,
 ) -> serde_json::Value {
     let snap = reg.snapshot();
@@ -157,7 +171,7 @@ pub(crate) fn profile_json(
         map.push(("solver".to_string(), solver_json(&snap)));
         map.push((
             "properties".to_string(),
-            serde_json::Value::Array(properties),
+            serde_json::Value::Array(props.iter().map(property_json).collect()),
         ));
         map.push(("metrics".to_string(), snap.to_json()));
     }
@@ -241,156 +255,41 @@ fn render_report(reg: &obs::Registry, clock: &StageClock, top: usize, out_path: 
     );
 }
 
-/// `lightyear profile <SPEC> <CONFIG_DIR>`: run the whole spec once
-/// with the metrics sink installed and emit the deep-dive report.
+/// `lightyear profile <SPEC> <CONFIG_DIR>`: [`run`] the whole spec once
+/// on the worker pool with the metrics sink installed, print its verdict
+/// lines, and emit the deep-dive report.
 pub(crate) fn cmd_profile(args: &[String]) -> ExitCode {
     // Strict flags plus exactly two positionals: a typo'd option must
     // not be silently read as a spec or directory path.
-    let pos = match positionals("profile", args, &["--jobs", "--out", "--top"], &[]) {
-        Ok(pos) => pos,
-        Err(code) => return code,
+    let pos = match positionals("profile", args, &["--jobs", "--out", "--top"], &[], 2) {
+        Ok(pos) if pos.len() == 2 => pos,
+        Ok(_) => return usage_error("profile needs <SPEC> <CONFIG_DIR>"),
+        Err(e) => return usage_error(&e),
     };
-    if pos.len() != 2 {
-        eprintln!("error: profile needs <SPEC> <CONFIG_DIR>");
-        return usage();
-    }
-    let (spec_path, dir) = (&pos[0], &pos[1]);
-    let jobs = match flag_value(args, "--jobs").map(|v| v.parse::<usize>()) {
-        None => None,
-        Some(Ok(n)) if n > 0 => Some(n),
-        Some(_) => {
-            eprintln!("error: --jobs needs a positive integer");
-            return usage();
-        }
-    };
-    let top = match flag_value(args, "--top").map(|v| v.parse::<usize>()) {
-        None => 10,
-        Some(Ok(n)) if n > 0 => n,
-        Some(_) => {
-            eprintln!("error: --top needs a positive integer");
-            return usage();
-        }
+    let (jobs, top) = match (positive(args, "--jobs"), positive(args, "--top")) {
+        (Ok(jobs), Ok(top)) => (jobs, top.unwrap_or(10)),
+        (Err(e), _) | (_, Err(e)) => return usage_error(&e),
     };
     let out_path = flag_value(args, "--out").unwrap_or_else(|| "profile.json".to_string());
-
+    let opts = RunOpts {
+        jobs,
+        pool: true,
+        cache: None,
+        docs: false,
+    };
     let reg = obs::install();
-    let t0 = Instant::now();
-    let net = match load_network(Path::new(dir)) {
-        Ok(n) => n,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let spec: Spec = match load_spec(spec_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let topo = &net.topology;
-    let mut verifier = Verifier::new(topo, &net.policy).with_mode(RunMode::Parallel);
-    if let Some(n) = jobs {
-        verifier = verifier.with_jobs(n);
-    }
-    for g in &spec.ghosts {
-        match g.resolve(topo) {
-            Ok(g) => verifier = verifier.with_ghost(g),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let resolved: Vec<_> = match spec
-        .safety
-        .iter()
-        .map(|s| s.resolve(topo))
-        .collect::<Result<Vec<_>, _>>()
-    {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let suites: Vec<(&[lightyear::SafetyProperty], &lightyear::NetworkInvariants)> = resolved
-        .iter()
-        .map(|(p, i)| (std::slice::from_ref(p), i))
-        .collect();
-    let load = t0.elapsed();
-    let multi = verifier.verify_safety_batch(&suites);
-    let mut any_failed = false;
-    let mut props = Vec::new();
-    for (s, report) in spec.safety.iter().zip(&multi.reports) {
-        let passed = report.all_passed();
-        any_failed |= !passed;
-        println!(
-            "{}: {} ({} checks)",
-            s.name,
-            if passed { "verified" } else { "VIOLATED" },
-            report.num_checks(),
-        );
-        props.push(serde_json::json!({
-            "property": s.name,
-            "kind": "safety",
-            "passed": passed,
-            "checks": report.num_checks() as u64,
-            "solver_calls": report.solver_invocations() as u64,
-            "total_seconds": report.total_time.as_secs_f64(),
-            "solve_seconds": report.solve_time().as_secs_f64(),
-        }));
-    }
-    for l in &spec.liveness {
-        let resolved = match l.resolve(topo) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let report = match verifier.verify_liveness(&resolved) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: liveness {}: {e}", l.name);
-                return ExitCode::FAILURE;
-            }
-        };
-        let passed = report.all_passed();
-        any_failed |= !passed;
-        println!(
-            "{} (liveness): {} ({} checks)",
-            l.name,
-            if passed { "verified" } else { "VIOLATED" },
-            report.num_checks(),
-        );
-        props.push(serde_json::json!({
-            "property": l.name,
-            "kind": "liveness",
-            "passed": passed,
-            "checks": report.num_checks() as u64,
-            "solver_calls": report.solver_invocations() as u64,
-            "total_seconds": report.total_time.as_secs_f64(),
-            "solve_seconds": report.solve_time().as_secs_f64(),
-        }));
-    }
-    // `profile` prints verdict lines only: no report documents to build.
-    let clock = StageClock {
-        wall: t0.elapsed(),
-        load,
-        report: Duration::ZERO,
-    };
-    let profile = profile_json(&reg, &clock, props, top);
-    render_report(&reg, &clock, top, &out_path);
-    if let Err(e) = write_profile(&out_path, &profile) {
-        eprintln!("error: {e}");
-        return ExitCode::FAILURE;
-    }
+    let run = run(&pos[1], &pos[0], &opts);
     obs::uninstall();
-    if any_failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+    let run = match run {
+        Ok(run) => run,
+        Err(e) => return fail(&e),
+    };
+    let verdicts: String = run.props.iter().map(verdict_line).collect();
+    print!("{verdicts}");
+    let profile = profile_json(&reg, &run.clock, &run.props, top);
+    render_report(&reg, &run.clock, top, &out_path);
+    if let Err(e) = write_profile(&out_path, &profile) {
+        return fail(&e);
     }
+    exit(run.passed())
 }

@@ -6,18 +6,57 @@
 use api::report::TimingDoc;
 use bgp_model::topology::Topology;
 use lightyear::check::ReportSummary;
+use lightyear::engine::Verifier;
+use lightyear::invariants::NetworkInvariants;
+use lightyear::liveness::LivenessSpec;
+use lightyear::safety::SafetyProperty;
+
+/// How text output names a property: `NAME`, or `NAME (liveness)`.
+pub(crate) fn label(name: &str, liveness: bool) -> String {
+    if liveness {
+        format!("{name} (liveness)")
+    } else {
+        name.to_string()
+    }
+}
+
+/// A safety property's document, its cores indexed into the conjunct
+/// table `verifier` renders for `(prop, inv)`. `timing` is carried by
+/// one-shot `verify` entries and omitted where byte-stability across
+/// runs matters (daemon reports).
+pub(crate) fn safety_report(
+    name: &str,
+    report: &ReportSummary,
+    verifier: &Verifier,
+    (prop, inv): &(SafetyProperty, NetworkInvariants),
+    timing: bool,
+) -> api::PropertyReport {
+    let conjs = verifier.check_conjuncts_all(std::slice::from_ref(prop), inv);
+    let timing = timing.then(|| run_timing(report));
+    property_report(name, false, report, verifier.topology(), &conjs, timing)
+}
+
+/// A liveness property's document (never timed), its cores indexed
+/// into the conjunct table of `spec`'s walk.
+pub(crate) fn liveness_report(
+    name: &str,
+    report: &ReportSummary,
+    verifier: &Verifier,
+    spec: &LivenessSpec,
+) -> api::PropertyReport {
+    let conjs = verifier
+        .liveness_check_conjuncts(spec)
+        .expect("verify_liveness accepted the spec");
+    property_report(name, true, report, verifier.topology(), &conjs, None)
+}
 
 /// Render one property's [`ReportSummary`] as the shared document type.
 /// Taking the streaming summary (full `Report`s convert via
 /// `Report::summarize`) keeps rendering memory independent of check
 /// count — the summary already folded passing outcomes away.
-///
-/// `conjunct_names` is the check-id-indexed conjunct table
-/// (`Verifier::check_conjuncts_all` / `liveness_check_conjuncts`) the
-/// core indices point into. `timing` is carried by one-shot `verify`
-/// safety entries and omitted everywhere byte-stability across runs
-/// matters (liveness entries, daemon reports).
-pub(crate) fn property_report(
+/// `conjunct_names` is the check-id-indexed conjunct table the core
+/// indices point into.
+fn property_report(
     name: &str,
     liveness: bool,
     report: &ReportSummary,
@@ -63,7 +102,7 @@ pub(crate) fn property_report(
 }
 
 /// The solver/timing statistics of a one-shot safety run.
-pub(crate) fn run_timing(report: &ReportSummary) -> TimingDoc {
+fn run_timing(report: &ReportSummary) -> TimingDoc {
     TimingDoc {
         solver_calls: report.solver_invocations() as u64,
         total_seconds: report.total_time.as_secs_f64(),

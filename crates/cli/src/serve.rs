@@ -28,7 +28,7 @@
 use crate::session::{round_line, Session};
 use crate::spec::Spec;
 use crate::telemetry::TelemetryOpts;
-use crate::{flag_value, usage};
+use crate::{fail, flag_value, positionals, positive, usage_error};
 use api::{ApiCall, ApiRequest, ApiResponse, ConfigFile};
 use bgp_config::{parse_config, ConfigAst};
 use obs::http::Status;
@@ -380,47 +380,27 @@ fn parse_config_files(configs: &[ConfigFile]) -> Result<Vec<ConfigAst>, String> 
 
 pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
     // Strict flags, like every other daemon mode.
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--cache-root" | "--workers" | "--queue-depth" | "--max-conns" => i += 2,
-            a if TelemetryOpts::takes(a) => i += 2,
-            a => {
-                eprintln!("error: unknown serve option {a}");
-                return usage();
-            }
-        }
+    let own = ["--cache-root", "--workers", "--queue-depth", "--max-conns"];
+    let value_flags = [&own[..], &TelemetryOpts::FLAGS].concat();
+    if let Err(e) = positionals("serve", args, &value_flags, &[], 0) {
+        return usage_error(&e);
     }
     let tele_opts = match TelemetryOpts::parse(args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
+        Err(e) => return usage_error(&e),
     };
     if tele_opts.listen.is_none() {
-        eprintln!("error: serve needs --listen <addr> (use 127.0.0.1:0 for an ephemeral port)");
-        return usage();
+        return usage_error("serve needs --listen <addr> (use 127.0.0.1:0 for an ephemeral port)");
     }
     let cache_root = flag_value(args, "--cache-root").map(PathBuf::from);
-    let positive = |flag: &str, default: usize| -> Result<usize, ()> {
-        match flag_value(args, flag).map(|v| v.parse::<usize>()) {
-            None => Ok(default),
-            Some(Ok(n)) if n > 0 => Ok(n),
-            Some(_) => {
-                eprintln!("error: {flag} needs a positive integer");
-                Err(())
-            }
-        }
-    };
-    let Ok(workers) = positive("--workers", DEFAULT_WORKERS) else {
-        return usage();
-    };
-    let Ok(queue_depth) = positive("--queue-depth", DEFAULT_QUEUE_DEPTH) else {
-        return usage();
-    };
-    let Ok(max_conns) = positive("--max-conns", obs::http::DEFAULT_MAX_CONNS) else {
-        return usage();
+    let positive_or = |flag, default| positive(args, flag).map(|n| n.unwrap_or(default));
+    let (workers, queue_depth, max_conns) = match (
+        positive_or("--workers", DEFAULT_WORKERS),
+        positive_or("--queue-depth", DEFAULT_QUEUE_DEPTH),
+        positive_or("--max-conns", obs::http::DEFAULT_MAX_CONNS),
+    ) {
+        (Ok(w), Ok(q), Ok(m)) => (w, q, m),
+        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => return usage_error(&e),
     };
 
     // The daemon cell is created first, then the listener is brought up
@@ -458,10 +438,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
     });
     let active = match tele_opts.start("serve", Some(handler), max_conns) {
         Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&e),
     };
     let daemon = Arc::new(Daemon {
         tenants: Mutex::new(HashMap::new()),

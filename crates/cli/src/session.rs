@@ -1,16 +1,18 @@
 //! One tenant's worth of delta-scoped verification state, shared by
-//! `watch`, `plan` and `serve`: per-spec-property [`ReverifyEngine`]s,
+//! `watch`, `plan` and `serve`: per-safety-property [`ReverifyEngine`]s,
 //! the currently-accepted configuration set, and the optional spill
 //! directory for warm restarts. All three front-ends drive the same
 //! [`Session::round`], so a round means exactly the same thing — and
 //! produces the same [`api::PropertyReport`]s — whether it came from a
-//! file poll, a migration step, or an API request.
+//! file poll, a migration step, or an API request. A round binds its spec
+//! through [`Spec::bind`], like `verify`, so it decides the same
+//! properties: safety delta-scoped, liveness in full every round.
 
 use crate::render;
-use crate::spec::Spec;
+use crate::spec::{Bound, Spec};
 use bgp_config::{lower, ConfigAst};
 use delta::{diff_configs, ConfigDelta};
-use lightyear::engine::Verifier;
+use lightyear::check::ReportSummary;
 use lightyear::reverify::{ReverifyEngine, ReverifyStats};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -30,15 +32,18 @@ pub(crate) struct Session {
     cache_dir: Option<PathBuf>,
 }
 
-/// What one round produced (stats merged over every property).
+/// What one round produced.
 pub(crate) struct RoundOutcome {
     pub(crate) passed: bool,
+    /// Delta statistics merged over the safety properties; liveness,
+    /// re-run in full, is not counted.
     pub(crate) stats: ReverifyStats,
     pub(crate) delta: Option<ConfigDelta>,
     pub(crate) elapsed: Duration,
     /// The text a round shows before its stats line: per violated
-    /// property, `NAME: VIOLATED` and the localized failures. Empty on a
-    /// verified round.
+    /// property, `NAME: VIOLATED` (`NAME (liveness): VIOLATED`) and the
+    /// localized failures, as `verify` prints them. Empty on a verified
+    /// round.
     pub(crate) violations: String,
     /// Per-property reports rendered through the shared [`api`] schema
     /// — deliberately without timing fields, so two rounds over the
@@ -113,9 +118,10 @@ impl Session {
     }
 
     /// Verify `asts`, re-solving only what changed since the accepted
-    /// set (`full` skips the diff: round zero). On success the set is
-    /// accepted as current; on error (parse/lower/spec) the previous
-    /// state is kept so a daemon survives transient bad writes.
+    /// set (`full` skips the diff: round zero). Liveness properties carry
+    /// no state across rounds and re-run in full every round. On success
+    /// the set is accepted as current; on error (parse/lower/spec) the
+    /// previous state is kept so a daemon survives transient bad writes.
     pub(crate) fn round(
         &mut self,
         asts: Vec<ConfigAst>,
@@ -125,28 +131,39 @@ impl Session {
         let delta = (!full).then(|| diff_configs(&self.current, &asts));
         let net = lower(&asts).map_err(|e| e.to_string())?;
         let topo = &net.topology;
-        let mut verifier = Verifier::new(topo, &net.policy);
-        for g in &self.spec.ghosts {
-            verifier = verifier.with_ghost(g.resolve(topo).map_err(|e| e.to_string())?);
-        }
-        let changed: Option<Vec<String>> = delta.as_ref().map(ConfigDelta::changed_routers);
-        // Resolve the whole spec before advancing any engine: a round is
+        // Bind the whole spec and run liveness, the one step that can
+        // still fail, before advancing any engine: a round is
         // all-or-nothing, so engine state and the accepted configuration
         // set can never drift apart on a half-failed round.
-        let resolved: Vec<_> = self
+        let Bound {
+            verifier,
+            safety,
+            liveness,
+        } = self.spec.bind(&net).map_err(|e| e.to_string())?;
+        let live: Vec<ReportSummary> = self
             .spec
-            .safety
+            .liveness
             .iter()
-            .map(|s| s.resolve(topo).map_err(|e| e.to_string()))
+            .zip(&liveness)
+            .map(|(l, spec)| match verifier.verify_liveness(spec) {
+                Ok(report) => Ok(report.summarize()),
+                Err(e) => Err(format!("liveness {}: {e}", l.name)),
+            })
             .collect::<Result<_, _>>()?;
+        let changed: Option<Vec<String>> = delta.as_ref().map(ConfigDelta::changed_routers);
         let mut stats = ReverifyStats::default();
-        let mut passed = true;
         let mut violations = String::new();
-        let mut reports = Vec::with_capacity(self.spec.safety.len());
-        for (engine, (s, (prop, inv))) in self
+        let mut note = |name: &str, liveness: bool, report: &ReportSummary| {
+            if !report.all_passed() {
+                violations.push_str(&format!("{}: VIOLATED\n", render::label(name, liveness)));
+                violations.push_str(&report.format_failures(topo));
+            }
+        };
+        let mut reports = Vec::with_capacity(safety.len() + live.len());
+        for (engine, (s, bound @ (prop, inv))) in self
             .engines
             .iter_mut()
-            .zip(self.spec.safety.iter().zip(&resolved))
+            .zip(self.spec.safety.iter().zip(&safety))
         {
             let (report, rstats) = engine.reverify(
                 &verifier,
@@ -155,24 +172,19 @@ impl Session {
                 changed.as_deref(),
             );
             merge(&mut stats, &rstats);
-            if !report.all_passed() {
-                passed = false;
-                violations.push_str(&format!("{}: VIOLATED\n", s.name));
-                violations.push_str(&report.format_failures(topo));
-            }
-            let conjs = verifier.check_conjuncts_all(std::slice::from_ref(prop), inv);
-            reports.push(render::property_report(
-                &s.name,
-                false,
-                &report.summarize(),
-                topo,
-                &conjs,
-                None,
+            let report = report.summarize();
+            note(&s.name, false, &report);
+            reports.push(render::safety_report(
+                &s.name, &report, &verifier, bound, false,
             ));
+        }
+        for ((l, spec), report) in self.spec.liveness.iter().zip(&liveness).zip(&live) {
+            note(&l.name, true, report);
+            reports.push(render::liveness_report(&l.name, report, &verifier, spec));
         }
         self.current = asts;
         Ok(RoundOutcome {
-            passed,
+            passed: reports.iter().all(|r| r.passed),
             stats,
             delta,
             elapsed: t0.elapsed(),
@@ -183,7 +195,8 @@ impl Session {
 }
 
 /// The per-round stats line (the daemons' primary output; the CI smoke
-/// tests grep the `dirty <n>/<total>` token).
+/// tests grep the `dirty <n>/<total>` token). Its check counts are the
+/// safety properties'; the verdict covers liveness too.
 pub(crate) fn round_line(label: &str, o: &RoundOutcome) -> String {
     let delta = match &o.delta {
         Some(d) => format!("delta {d}; ", d = d.summary()),

@@ -24,7 +24,9 @@
 //! }
 //! ```
 
+use bgp_config::Network;
 use bgp_model::topology::{EdgeId, Topology};
+use lightyear::engine::Verifier;
 use lightyear::ghost::{GhostAttr, GhostUpdate};
 use lightyear::invariants::{Location, NetworkInvariants};
 use lightyear::liveness::LivenessSpec;
@@ -114,6 +116,43 @@ pub struct Spec {
     pub liveness: Vec<LivenessSpecJson>,
 }
 
+/// A spec bound to one network: everything a run needs, resolved before
+/// any check runs.
+pub struct Bound<'n> {
+    /// A verifier over the network with every ghost attached.
+    pub verifier: Verifier<'n>,
+    /// Each safety property with its invariants, in spec order.
+    pub safety: Vec<(SafetyProperty, NetworkInvariants)>,
+    /// Each liveness property, in spec order.
+    pub liveness: Vec<LivenessSpec>,
+}
+
+impl Spec {
+    /// Resolve the whole spec against `net`. Every command binds its spec
+    /// here, so a name that does not resolve fails the run before any
+    /// check is posed, whichever command asked.
+    pub fn bind<'n>(&self, net: &'n Network) -> Result<Bound<'n>, SpecResolveError> {
+        let topo = &net.topology;
+        let mut verifier = Verifier::new(topo, &net.policy);
+        for g in &self.ghosts {
+            verifier = verifier.with_ghost(g.resolve(topo)?);
+        }
+        Ok(Bound {
+            verifier,
+            safety: self
+                .safety
+                .iter()
+                .map(|s| s.resolve(topo))
+                .collect::<Result<_, _>>()?,
+            liveness: self
+                .liveness
+                .iter()
+                .map(|l| l.resolve(topo))
+                .collect::<Result<_, _>>()?,
+        })
+    }
+}
+
 /// Spec-resolution errors (unknown router/edge names).
 #[derive(Clone, Debug)]
 pub struct SpecResolveError(pub String);
@@ -160,7 +199,7 @@ fn resolve_edge(topo: &Topology, s: &str) -> Result<EdgeId, SpecResolveError> {
 
 impl GhostSpec {
     /// Resolve into a [`GhostAttr`].
-    pub fn resolve(&self, topo: &Topology) -> Result<GhostAttr, SpecResolveError> {
+    fn resolve(&self, topo: &Topology) -> Result<GhostAttr, SpecResolveError> {
         let mut g = GhostAttr::new(&self.name).with_originate_value(self.originate_value);
         for s in &self.set_true_on_import {
             g.on_import(resolve_edge(topo, s)?, GhostUpdate::SetTrue);
@@ -181,7 +220,7 @@ impl GhostSpec {
 impl LivenessSpecJson {
     /// Resolve into a [`LivenessSpec`] (path-shape validation happens in
     /// `Verifier::verify_liveness`).
-    pub fn resolve(&self, topo: &Topology) -> Result<LivenessSpec, SpecResolveError> {
+    fn resolve(&self, topo: &Topology) -> Result<LivenessSpec, SpecResolveError> {
         let mut interference = NetworkInvariants::with_default(self.interference_default.clone());
         for (l, p) in &self.interference_overrides {
             interference.set(resolve_location(topo, l)?, p.clone());
@@ -204,7 +243,7 @@ impl LivenessSpecJson {
 
 impl SafetySpec {
     /// Resolve into verifier inputs.
-    pub fn resolve(
+    fn resolve(
         &self,
         topo: &Topology,
     ) -> Result<(SafetyProperty, NetworkInvariants), SpecResolveError> {

@@ -6,7 +6,7 @@
 //! parser and [`TelemetryOpts::start`] the single bring-up, so the
 //! flags cannot drift apart in defaults or error messages.
 
-use crate::flag_value;
+use crate::{flag_value, positive};
 use obs::http::{Handler, Status, TelemetryServer};
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -40,7 +40,8 @@ pub(crate) struct ActiveTelemetry {
 
 impl TelemetryOpts {
     /// The value-taking flags this module owns (each consumes one
-    /// argument). Front-ends include these in their strict-flag loops.
+    /// argument). Front-ends add these to the value flags of their
+    /// [`positionals`](crate::positionals) scan.
     pub(crate) const FLAGS: [&'static str; 5] = [
         "--listen",
         "--metrics-json",
@@ -49,20 +50,11 @@ impl TelemetryOpts {
         "--stale-after-ms",
     ];
 
-    /// Whether `flag` is one of the shared telemetry flags.
-    pub(crate) fn takes(flag: &str) -> bool {
-        Self::FLAGS.contains(&flag)
-    }
-
     /// Parse the shared flags out of `args`. Explicit flags win over
     /// defaults; the only default is `flight.json` for the always-on
     /// flight recorder.
     pub(crate) fn parse(args: &[String]) -> Result<TelemetryOpts, String> {
-        let stale_after = match flag_value(args, "--stale-after-ms").map(|v| v.parse::<u64>()) {
-            None => None,
-            Some(Ok(n)) if n > 0 => Some(Duration::from_millis(n)),
-            Some(_) => return Err("--stale-after-ms needs a positive integer".to_string()),
-        };
+        let stale_after = positive(args, "--stale-after-ms")?;
         Ok(TelemetryOpts {
             listen: flag_value(args, "--listen"),
             metrics_json: flag_value(args, "--metrics-json").map(PathBuf::from),
@@ -70,7 +62,7 @@ impl TelemetryOpts {
             flight_json: PathBuf::from(
                 flag_value(args, "--flight-json").unwrap_or_else(|| "flight.json".into()),
             ),
-            stale_after,
+            stale_after: stale_after.map(|ms| Duration::from_millis(ms as u64)),
         })
     }
 
@@ -171,10 +163,14 @@ mod tests {
 
     #[test]
     fn strict_flag_helper_covers_exactly_the_shared_flags() {
+        let scan = |flag: &str| {
+            crate::positionals("fuzz", &args(&[flag, "v"]), &TelemetryOpts::FLAGS, &[], 0)
+        };
         for f in TelemetryOpts::FLAGS {
-            assert!(TelemetryOpts::takes(f), "{f} must be recognized");
+            assert_eq!(scan(f), Ok(vec![]), "{f} must be recognized");
         }
-        assert!(!TelemetryOpts::takes("--interval-ms"));
-        assert!(!TelemetryOpts::takes("--cache-dir"));
+        for f in ["--interval-ms", "--cache-dir"] {
+            assert_eq!(scan(f), Err(format!("unknown fuzz option {f}")));
+        }
     }
 }

@@ -13,7 +13,10 @@
 
 use crate::session::{round_line, Session};
 use crate::telemetry::TelemetryOpts;
-use crate::{config_paths, flag_value, load_configs, load_spec, usage};
+use crate::{
+    config_paths, exit, fail, flag_value, load_configs, load_spec, positionals, positive, usage,
+    usage_error,
+};
 use bgp_config::{parse_config, ConfigAst};
 use obs::http::{Status, TelemetryServer};
 use std::path::{Path, PathBuf};
@@ -141,18 +144,17 @@ impl Telemetry {
 pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
     // Strict flags: a typo'd `--once` or `--max-rounds` must error, not
     // silently turn a one-shot invocation into an infinite daemon.
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--configs" | "--spec" | "--baseline" | "--interval-ms" | "--max-rounds"
-            | "--cache-dir" => i += 2,
-            a if TelemetryOpts::takes(a) => i += 2,
-            "--once" => i += 1,
-            a => {
-                eprintln!("error: unknown watch option {a}");
-                return usage();
-            }
-        }
+    let own = [
+        "--configs",
+        "--spec",
+        "--baseline",
+        "--interval-ms",
+        "--max-rounds",
+        "--cache-dir",
+    ];
+    let value_flags = [&own[..], &TelemetryOpts::FLAGS].concat();
+    if let Err(e) = positionals("watch", args, &value_flags, &["--once"], 0) {
+        return usage_error(&e);
     }
     let (Some(dir), Some(spec_path)) = (flag_value(args, "--configs"), flag_value(args, "--spec"))
     else {
@@ -163,42 +165,24 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
     let cache_dir = flag_value(args, "--cache-dir").map(PathBuf::from);
     let tele_opts = match TelemetryOpts::parse(args) {
         Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return usage();
-        }
+        Err(e) => return usage_error(&e),
     };
-    let interval = match flag_value(args, "--interval-ms").map(|v| v.parse::<u64>()) {
-        None => 750,
-        Some(Ok(n)) if n > 0 => n,
-        Some(_) => {
-            eprintln!("error: --interval-ms needs a positive integer");
-            return usage();
-        }
-    };
-    let max_rounds = match flag_value(args, "--max-rounds").map(|v| v.parse::<u64>()) {
-        None => None,
-        Some(Ok(n)) if n > 0 => Some(n),
-        Some(_) => {
-            eprintln!("error: --max-rounds needs a positive integer");
-            return usage();
-        }
+    let (interval, max_rounds) = match (
+        positive(args, "--interval-ms"),
+        positive(args, "--max-rounds"),
+    ) {
+        (Ok(interval), Ok(max)) => (interval.unwrap_or(750) as u64, max.map(|m| m as u64)),
+        (Err(e), _) | (_, Err(e)) => return usage_error(&e),
     };
 
     let spec = match load_spec(&spec_path) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&e),
     };
     let mut state = Session::new("watch", spec, cache_dir);
     let mut tele = match Telemetry::new(&tele_opts) {
         Ok(t) => t,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&e),
     };
 
     // Round zero: the baseline directory (the watched one by default).
@@ -214,10 +198,7 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
             }
             o.passed
         }
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&e),
     };
 
     if once {
@@ -234,10 +215,7 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
                         tele.print_totals();
                     }
                 }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
+                Err(e) => return fail(&e),
             }
         }
         return exit(ok);
@@ -343,36 +321,22 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
 }
 
 pub(crate) fn cmd_plan(args: &[String]) -> ExitCode {
-    let Some(spec_path) = flag_value(args, "--spec") else {
-        return usage();
-    };
     // Positional arguments are the steps; unknown flags are rejected so
     // a typo'd option's value can never be mistaken for a step
     // directory (and silently verified as one).
-    let mut dirs: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--spec" => i += 2,
-            a if a.starts_with("--") => {
-                eprintln!("error: unknown plan option {a}");
-                return usage();
-            }
-            a => {
-                dirs.push(a.to_string());
-                i += 1;
-            }
-        }
-    }
+    let dirs = match positionals("plan", args, &["--spec"], &[], usize::MAX) {
+        Ok(dirs) => dirs,
+        Err(e) => return usage_error(&e),
+    };
+    let Some(spec_path) = flag_value(args, "--spec") else {
+        return usage();
+    };
     if dirs.is_empty() {
         return usage();
     }
     let spec = match load_spec(&spec_path) {
         Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+        Err(e) => return fail(&e),
     };
     let mut state = Session::new("plan", spec, None);
     let mut all_ok = true;
@@ -435,12 +399,4 @@ fn parse_snapshot(snap: &Snapshot) -> Result<Vec<ConfigAst>, String> {
 /// and the next one may be heard.
 fn say(text: &str) -> bool {
     !matches!(crate::log_stdout(text), Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe)
-}
-
-fn exit(ok: bool) -> ExitCode {
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
 }

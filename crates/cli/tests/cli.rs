@@ -1328,3 +1328,152 @@ fn verify_json_stdout_layout_is_pinned() {
         assert!(timings[key].as_f64().is_some(), "{key}: {timings:?}");
     }
 }
+
+#[test]
+fn daemons_verify_liveness_like_verify() {
+    // `watch --once` and `plan` bind the same spec as `verify`, liveness
+    // section included: with R1's customer filter removed the template's
+    // liveness property fails in all three, with R1_CUST it holds.
+    for (r1, code) in [(R1, 1), (R1_CUST, 0)] {
+        let d = template_liveness_dir(&format!("daemon-liveness-{code}"));
+        fs::write(d.join("r1.cfg"), r1).unwrap();
+        let (dir, spec) = (d.to_str().unwrap(), d.join("spec.json"));
+        let spec = spec.to_str().unwrap();
+        let commands: [&[&str]; 3] = [
+            &["verify", "--configs", dir, "--spec", spec],
+            &["watch", "--once", "--configs", dir, "--spec", spec],
+            &["plan", "--spec", spec, dir, dir],
+        ];
+        for args in commands {
+            let out = Command::new(bin()).args(args).output().unwrap();
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert_eq!(out.status.code(), Some(code), "{}: {stdout}", args[0]);
+            assert_eq!(
+                stdout.contains("customer-liveness (liveness): VIOLATED"),
+                code == 1,
+                "{}: {stdout}",
+                args[0]
+            );
+        }
+    }
+}
+
+#[test]
+fn strict_flags_reject_missing_values_and_unknown_options() {
+    // Every command scans its flags with the one strict parser: a value
+    // flag at the end of the line or an unknown option is a usage error,
+    // raised before any listener binds or any file is read.
+    let d = tmpdir("strict-flags");
+    write_net(&d, R2);
+    let (dir, spec) = (d.to_str().unwrap(), d.join("spec.json"));
+    let spec = spec.to_str().unwrap();
+    let cases: [(&[&str], &str); 6] = [
+        (
+            &[
+                "watch",
+                "--once",
+                "--configs",
+                dir,
+                "--spec",
+                spec,
+                "--cache-dir",
+            ],
+            "error: --cache-dir needs a value",
+        ),
+        (
+            &["serve", "--listen", "127.0.0.1:0", "--cache-root"],
+            "error: --cache-root needs a value",
+        ),
+        (
+            &["parse", "--configs", dir, "--bogus"],
+            "error: unknown parse option --bogus",
+        ),
+        (
+            &["lint", "--configs", dir, "--bogus"],
+            "error: unknown lint option --bogus",
+        ),
+        (
+            &["plan", "--spec", spec, dir, "--bogus"],
+            "error: unknown plan option --bogus",
+        ),
+        (
+            &["fuzz", "--cases", "0"],
+            "error: --cases needs a positive integer",
+        ),
+    ];
+    for (args, error) in cases {
+        let out = Command::new(bin()).args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.starts_with(&format!("{error}\nusage:")), "{stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} ran: {stderr}");
+    }
+}
+
+#[test]
+fn profile_and_verify_profile_report_one_run() {
+    // `profile` is `verify --parallel --profile` with a printed report:
+    // the same verdicts, the same per-property rows, and in both files a
+    // stage split that sums to the wall clock.
+    let examples = PathBuf::from(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/configs"
+    ));
+    let live = template_liveness_dir("profile-one-run");
+    for (dir, spec) in [
+        (examples.clone(), examples.join("spec.json")),
+        (live.clone(), live.join("spec.json")),
+    ] {
+        let (a, b) = (live.join("a.json"), live.join("b.json"));
+        let profile = Command::new(bin())
+            .arg("profile")
+            .arg(&spec)
+            .arg(&dir)
+            .arg("--out")
+            .arg(&a)
+            .output()
+            .unwrap();
+        let verify = Command::new(bin())
+            .args(["verify", "--parallel", "--configs"])
+            .arg(&dir)
+            .arg("--spec")
+            .arg(&spec)
+            .arg("--profile")
+            .arg(&b)
+            .output()
+            .unwrap();
+        assert!(profile.status.success(), "{profile:?}");
+        assert!(verify.status.success(), "{verify:?}");
+        let verdicts = |out: &std::process::Output| -> Vec<String> {
+            String::from_utf8_lossy(&out.stdout)
+                .lines()
+                .filter(|l| l.contains(": verified (") || l.contains(": VIOLATED ("))
+                .map(str::to_string)
+                .collect()
+        };
+        assert!(!verdicts(&profile).is_empty());
+        assert_eq!(verdicts(&profile), verdicts(&verify), "{dir:?}");
+        let read = |path: &PathBuf| -> serde_json::Value {
+            serde_json::from_str(&fs::read_to_string(path).unwrap()).unwrap()
+        };
+        let (a, b) = (read(&a), read(&b));
+        let rows = |v: &serde_json::Value| -> Vec<String> {
+            let keys = ["property", "kind", "passed", "checks", "solver_calls"];
+            let props = v["properties"].as_array().unwrap();
+            props
+                .iter()
+                .map(|p| {
+                    keys.map(|k| serde_json::to_string(&p[k]).unwrap())
+                        .join(" ")
+                })
+                .collect()
+        };
+        assert_eq!(rows(&a), rows(&b), "{dir:?}");
+        for v in [&a, &b] {
+            let stages = &v["stages"];
+            let sum = stages["stage_sum_seconds"].as_f64().unwrap();
+            let wall = stages["wall_seconds"].as_f64().unwrap();
+            assert!((sum - wall).abs() <= 0.1 * wall, "{stages:?}");
+        }
+    }
+}

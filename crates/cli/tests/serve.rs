@@ -607,3 +607,45 @@ fn closed_stdout_leaves_every_tenant_serving() {
     stderr.read_to_string(&mut text).unwrap();
     assert!(!text.contains("panicked"), "{text}");
 }
+
+#[test]
+fn template_spec_rounds_report_liveness() {
+    // A tenant round binds the whole spec like `verify`: the template's
+    // liveness property is decided every round and reported beside the
+    // safety property, and a violation fails the round.
+    let tpl = Command::new(bin()).arg("spec-template").output().unwrap();
+    let spec: Value = serde_json::from_slice(&tpl.stdout).unwrap();
+    // R1 with the customer-prefix deny the template's liveness needs.
+    let r1_cust = R1.replace(
+        "route-map FROM-ISP1 permit 10\n",
+        "ip prefix-list CUST seq 5 permit 203.0.113.0/24 le 32\n\
+         route-map FROM-ISP1 deny 5\n match ip address prefix-list CUST\n\
+         route-map FROM-ISP1 permit 10\n",
+    );
+    let daemon = Daemon::start(&[]);
+    for (tenant, r1, passed) in [("cust", r1_cust.as_str(), true), ("plain", R1, false)] {
+        let (code, resp) = daemon.post(&submit(tenant, &small_files(r1), &spec));
+        assert_eq!(code, 200, "{tenant}: {resp:?}");
+        assert_eq!(resp["result"]["passed"], passed, "{tenant}: {resp:?}");
+        let reports = resp["result"]["reports"].as_array().unwrap();
+        let kinds: Vec<(String, Option<&str>, bool)> = reports
+            .iter()
+            .map(|r| {
+                let name = r["property"].as_str().unwrap().to_string();
+                (name, r["kind"].as_str(), r["passed"].as_bool().unwrap())
+            })
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                ("no-transit".to_string(), None, true),
+                ("customer-liveness".to_string(), Some("liveness"), passed),
+            ],
+            "{tenant}: {resp:?}"
+        );
+        let live = &reports[1];
+        assert!(live.get("total_seconds").is_none(), "{live:?}");
+        // Passing liveness checks carry their unsat cores, as in `verify`.
+        assert!(!live["cores"].as_array().unwrap().is_empty(), "{live:?}");
+    }
+}
