@@ -343,7 +343,7 @@ fn solve_conjunct_gated(
     sess: &mut IncrementalSession,
     universe: &Universe,
     input: &SymRoute,
-    conjuncts: &[RoutePred],
+    conjuncts: &[&RoutePred],
     neg: TermId,
 ) -> (SatResult, SolverStats, Option<Vec<usize>>) {
     let encoded: Vec<TermId> = timed("engine.terms_ns", || {
@@ -1054,7 +1054,7 @@ impl<'a> Verifier<'a> {
         let all = assume.conjuncts();
         let mut kept = RoutePred::True;
         for &i in conjuncts {
-            kept = kept.and(all.get(i)?.clone());
+            kept = kept.and((*all.get(i)?).clone());
         }
         *assume = &kept;
         Some(self.run_one(&u, &rc).result.passed())

@@ -202,8 +202,8 @@ impl RoutePred {
     /// assumed invariant is a conjunction gets one assumption literal per
     /// conjunct, so a passing (UNSAT) check can report exactly which
     /// conjuncts its proof needed (`CheckOutcome::core`).
-    pub fn conjuncts(&self) -> Vec<RoutePred> {
-        fn walk(p: &RoutePred, out: &mut Vec<RoutePred>) {
+    pub fn conjuncts(&self) -> Vec<&RoutePred> {
+        fn walk<'p>(p: &'p RoutePred, out: &mut Vec<&'p RoutePred>) {
             match p {
                 RoutePred::True => {}
                 RoutePred::And(xs) => {
@@ -211,7 +211,7 @@ impl RoutePred {
                         walk(x, out);
                     }
                 }
-                other => out.push(other.clone()),
+                other => out.push(other),
             }
         }
         let mut out = Vec::new();
@@ -438,20 +438,20 @@ mod tests {
         let d = RoutePred::local_pref(Cmp::Eq, 100);
         // Nested conjunction flattens.
         let nested = a.clone().and(RoutePred::And(vec![b.clone(), d.clone()]));
-        assert_eq!(nested.conjuncts(), vec![a.clone(), b.clone(), d.clone()]);
+        assert_eq!(nested.conjuncts(), vec![&a, &b, &d]);
         // True contributes nothing; a lone non-And is its own conjunct.
         assert!(RoutePred::True.conjuncts().is_empty());
-        assert_eq!(b.conjuncts(), vec![b.clone()]);
+        assert_eq!(b.conjuncts(), vec![&b]);
         // An Or is atomic at this granularity (no distribution).
         let or = a.clone().or(b.clone());
-        assert_eq!(or.conjuncts(), vec![or.clone()]);
+        assert_eq!(or.conjuncts(), vec![&or]);
         // Semantics: the conjunction of the conjuncts equals the original.
         let route = Route::new("10.0.0.0/8".parse().unwrap()).with_community(c("1:1"));
         let ghosts: BTreeMap<String, bool> = [("A".to_string(), true)].into_iter().collect();
         let again = nested
             .conjuncts()
             .into_iter()
-            .fold(RoutePred::True, RoutePred::and);
+            .fold(RoutePred::True, |acc, c| acc.and(c.clone()));
         assert_eq!(nested.eval(&route, &ghosts), again.eval(&route, &ghosts));
     }
 

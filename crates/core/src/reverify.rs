@@ -386,7 +386,7 @@ impl ReverifyEngine {
                 let conjs = assume.conjuncts();
                 self.remember_core(
                     rest.0,
-                    core.iter().map(|&ci| pred_digest(&conjs[ci]).0).collect(),
+                    core.iter().map(|&ci| pred_digest(conjs[ci]).0).collect(),
                 );
             }
             outcomes[i] = Some(v.outcome(rc, solved));

@@ -5,6 +5,11 @@
 //! plus an "other communities" summary bit, one boolean match-atom per
 //! AS-path regex, and one boolean per ghost attribute.
 //!
+//! Every variable is declared under an [`smt::VarKey`] — the route's tag,
+//! the attribute, the position in the universe — not a formatted name:
+//! a fresh route is built once per encoding group, and keying it by
+//! numbers keeps that free of string formatting and hashing.
+//!
 //! AS paths are abstracted by their regex match atoms (design decision D2):
 //! filters that do not prepend preserve the atoms exactly (the path is
 //! unchanged); `set as-path prepend` refreshes them to unconstrained
@@ -14,7 +19,7 @@ use crate::universe::Universe;
 use bgp_model::prefix::Ipv4Prefix;
 use bgp_model::route::{Community, Route};
 use serde::{Deserialize, Serialize};
-use smt::{Model, TermId, TermPool};
+use smt::{Model, TermId, TermPool, VarKey};
 use std::collections::BTreeMap;
 
 /// A route whose attributes are SMT terms.
@@ -45,33 +50,29 @@ pub struct SymRoute {
 
 impl SymRoute {
     /// A fresh, fully unconstrained symbolic route. `tag` disambiguates
-    /// variable names when several routes live in one pool.
+    /// the variables when several routes live in one pool: each is keyed
+    /// by (tag, attribute, position in the universe), so the same tag in
+    /// the same pool yields the same route.
     pub fn fresh(pool: &mut TermPool, universe: &Universe, tag: &str) -> SymRoute {
-        let comm_bits = universe
-            .communities()
-            .iter()
-            .map(|c| pool.bool_var(&format!("{tag}.comm[{c}]")))
-            .collect();
-        let aspath_atoms = universe
-            .regexes()
-            .iter()
-            .enumerate()
-            .map(|(i, _)| pool.bool_var(&format!("{tag}.aspath[{i}]")))
-            .collect();
-        let ghost_bits = universe
-            .ghosts()
-            .iter()
-            .map(|g| pool.bool_var(&format!("{tag}.ghost[{g}]")))
-            .collect();
+        let tag = pool.scope(tag);
+        let bits = |pool: &mut TermPool, attr: &'static str, n: usize| -> Vec<TermId> {
+            (0..n)
+                .map(|i| pool.bool_var_at(VarKey::indexed(tag, attr, i)))
+                .collect()
+        };
+        let comm_bits = bits(pool, "comm", universe.communities().len());
+        let aspath_atoms = bits(pool, "aspath", universe.regexes().len());
+        let ghost_bits = bits(pool, "ghost", universe.ghosts().len());
+        let mut bv = |attr, width| pool.bv_var_at(VarKey::scalar(tag, attr), width);
         SymRoute {
-            prefix_addr: pool.bv_var(&format!("{tag}.prefix.addr"), 32),
-            prefix_len: pool.bv_var(&format!("{tag}.prefix.len"), 8),
-            local_pref: pool.bv_var(&format!("{tag}.local_pref"), 32),
-            med: pool.bv_var(&format!("{tag}.med"), 32),
-            next_hop: pool.bv_var(&format!("{tag}.next_hop"), 32),
-            origin: pool.bv_var(&format!("{tag}.origin"), 2),
+            prefix_addr: bv("prefix.addr", 32),
+            prefix_len: bv("prefix.len", 8),
+            local_pref: bv("local_pref", 32),
+            med: bv("med", 32),
+            next_hop: bv("next_hop", 32),
+            origin: bv("origin", 2),
             comm_bits,
-            comm_other: pool.bool_var(&format!("{tag}.comm_other")),
+            comm_other: pool.bool_var_at(VarKey::scalar(tag, "comm_other")),
             aspath_atoms,
             ghost_bits,
         }

@@ -35,6 +35,17 @@
 //! stack, and the structural caches are dense `TermId`-indexed vectors
 //! rather than hash maps. [`IncrementalBlaster::clear`] empties all of it
 //! but keeps the capacity, so one blaster can serve group after group.
+//!
+//! **Trusted attach.** No stored clause repeats a variable: the gates
+//! fold repeated and complementary inputs before they emit a clause, and
+//! the public [`IncrementalBlaster::add_clause`] normalises what it is
+//! given. So [`IncrementalBlaster::feed`] hands each clause to the solver
+//! as it is stored — attached straight from the slice unless a literal
+//! is already assigned at the root — and skips the duplicate /
+//! tautology scan that [`SatSolver::add_clause_slice`] runs on arbitrary
+//! input. The solver ends up in the state that scan would have left, so
+//! the search is unchanged (`tests/proptests.rs` holds the two feeds in
+//! agreement).
 
 use crate::cnf::{Cnf, Lit, Var};
 use crate::sat::{SatSolver, SolverError};
@@ -175,18 +186,23 @@ impl IncrementalBlaster {
         &self.clause_lits[start..end]
     }
 
-    /// Feed clauses `[from, num_clauses)` into `sat` as borrowed slices
-    /// (no per-clause allocation), growing its variable tables first.
-    /// Returns the new fed watermark. This is the incremental session's
-    /// sync path; a `from` of 0 builds a fresh solver.
+    /// Feed clauses `[from, num_clauses)` into `sat`, growing its
+    /// variable tables and reserving its arena first. Returns the new fed
+    /// watermark. This is the one way blasted clauses reach a solver —
+    /// the incremental session's sync and every one-shot solve (a `from`
+    /// of 0 fills a fresh solver). No stored clause repeats a variable,
+    /// so each is attached straight from its borrowed slice, with no
+    /// normalising pass (see [`IncrementalBlaster::add_clause`]).
     pub fn feed(&self, sat: &mut SatSolver, from: usize) -> usize {
         sat.ensure_num_vars(self.num_vars);
         let mut start = match from {
             0 => 0,
             _ => self.clause_ends[from - 1] as usize,
         };
-        for &end in &self.clause_ends[from..] {
-            sat.add_clause_slice(&self.clause_lits[start..end as usize]);
+        let ends = &self.clause_ends[from..];
+        sat.reserve_clauses(ends.len(), self.clause_lits.len() - start);
+        for &end in ends {
+            sat.add_normal_clause(&self.clause_lits[start..end as usize]);
             start = end as usize;
         }
         self.num_clauses()
@@ -234,9 +250,26 @@ impl IncrementalBlaster {
         self.fresh()
     }
 
-    /// Append a clause over already-created literals.
+    /// Append a clause over already-created literals, normalised on the
+    /// way in: a repeated literal is kept once and a clause holding a
+    /// literal and its complement is a tautology, stored not at all. The
+    /// gates' own clauses need none of this (they fold repeated,
+    /// complementary and constant inputs before they emit anything), so
+    /// after it no stored clause repeats a variable — what lets
+    /// [`IncrementalBlaster::feed`] attach clauses unexamined.
     pub fn add_clause(&mut self, lits: &[Lit]) {
-        self.push_clause(lits);
+        let start = self.clause_lits.len();
+        for &l in lits {
+            let kept = &self.clause_lits[start..];
+            if kept.contains(&!l) {
+                self.clause_lits.truncate(start);
+                return;
+            }
+            if !kept.contains(&l) {
+                self.clause_lits.push(l);
+            }
+        }
+        self.end_clause();
     }
 
     /// Append a clause to the flat store.

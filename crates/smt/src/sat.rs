@@ -13,9 +13,17 @@
 //! search is never where a verdict's time goes, and every heuristic
 //! constant below is the one value every query runs with.
 //!
+//! Clauses arrive two ways. Arbitrary input ([`SatSolver::add_clause_slice`],
+//! [`SatSolver::from_cnf`]) is normalised first: duplicate and false
+//! literals dropped, tautologies and satisfied clauses skipped. The
+//! bit-blaster's clauses, which never repeat a variable, take the
+//! trusted attach behind `IncrementalBlaster::feed`: attached as given
+//! unless a literal is assigned at the root, with the arena reserved
+//! once per feed — the same resulting state without the per-clause scan.
+//!
 //! The solver is **incremental**: every solve backtracks to the root
 //! decision level instead of tearing the instance down, so callers can
-//! keep adding clauses ([`SatSolver::add_clause_slice`]) and variables
+//! keep adding clauses and variables
 //! ([`SatSolver::ensure_num_vars`]) between solves while learnt clauses,
 //! variable activities and saved phases carry over. Related queries are
 //! posed with [`SatSolver::solve_under_assumptions`], which decides the
@@ -364,7 +372,7 @@ pub struct SatSolver {
     cla_inc: f32,
     heap: OrderHeap,
     seen: Vec<bool>,
-    scratch: Vec<Lit>, // add_clause normalization buffer
+    scratch: Vec<Lit>, // a clause stripped of its false literals
     ok: bool,          // false once a top-level conflict is found
     stats: SatStats,
     max_learnts: f64,
@@ -571,10 +579,9 @@ impl SatSolver {
         self.add_clause_slice(&lits)
     }
 
-    /// Add a clause from a borrowed slice — the allocation-free feed the
-    /// incremental session uses to stream bit-blaster output straight
-    /// into the arena. Returns `false` if the formula became trivially
-    /// unsatisfiable (conflict at decision level 0).
+    /// Add an arbitrary clause from a borrowed slice (`from_cnf`, tests,
+    /// hand-built instances). Returns `false` if the formula became
+    /// trivially unsatisfiable (conflict at decision level 0).
     pub fn add_clause_slice(&mut self, lits: &[Lit]) -> bool {
         debug_assert_eq!(self.decision_level(), 0);
         if !self.ok {
@@ -582,8 +589,8 @@ impl SatSolver {
         }
         // Normalize into the scratch buffer: drop duplicate and false
         // literals, detect tautologies and satisfied clauses. Clauses
-        // are short (Tseitin output is 2-3 literals), so the quadratic
-        // duplicate scan beats sorting an owned copy.
+        // are short, so the quadratic duplicate scan beats sorting an
+        // owned copy.
         let mut scratch = std::mem::take(&mut self.scratch);
         scratch.clear();
         let mut ok = true;
@@ -607,17 +614,61 @@ impl SatSolver {
             }
             scratch.push(l);
         }
-        if !ok {
-            self.scratch = scratch;
+        let result = !ok || self.attach_unassigned(&scratch);
+        self.scratch = scratch;
+        result
+    }
+
+    /// Add a clause that repeats no variable — the bit-blaster's store
+    /// guarantees it for every clause it holds — straight from the
+    /// borrowed slice: when none of its literals is assigned (the common
+    /// case) it is attached as given, with no normalising pass and no
+    /// copy. Otherwise false literals are dropped and a satisfied clause
+    /// is skipped, exactly as [`SatSolver::add_clause_slice`] would,
+    /// so both feeds leave the solver in the same state.
+    pub(crate) fn add_normal_clause(&mut self, lits: &[Lit]) -> bool {
+        debug_assert_eq!(self.decision_level(), 0);
+        debug_assert!(
+            lits.iter()
+                .enumerate()
+                .all(|(i, l)| lits[..i].iter().all(|k| k.var() != l.var())),
+            "clause repeats a variable: {lits:?}"
+        );
+        if !self.ok {
+            return false;
+        }
+        if lits.iter().all(|&l| self.value_lit(l) == LBool::Undef) {
+            return self.attach_unassigned(lits);
+        }
+        if lits.iter().any(|&l| self.value_lit(l) == LBool::True) {
             return true;
         }
-        let result = match scratch.len() {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        scratch.clear();
+        scratch.extend(lits.iter().filter(|&&l| self.value_lit(l) == LBool::Undef));
+        let result = self.attach_unassigned(&scratch);
+        self.scratch = scratch;
+        result
+    }
+
+    /// Room in the arena for `clauses` more clauses of `lits` literals
+    /// in total, so one feed grows it at most once.
+    pub(crate) fn reserve_clauses(&mut self, clauses: usize, lits: usize) {
+        self.db.data.reserve(HEADER_WORDS * clauses + lits);
+    }
+
+    /// Record a clause none of whose literals is assigned and which
+    /// repeats no variable: the empty clause makes the formula
+    /// unsatisfiable, a unit is enqueued and propagated, anything longer
+    /// is attached. Returns `false` on a conflict at level 0.
+    fn attach_unassigned(&mut self, lits: &[Lit]) -> bool {
+        match lits.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(scratch[0], REASON_NONE);
+                self.unchecked_enqueue(lits[0], REASON_NONE);
                 self.ok = self.propagate().is_none();
                 self.ok
             }
@@ -625,12 +676,10 @@ impl SatSolver {
                 // On arena exhaustion the clause is NOT recorded, but the
                 // latched error already blocks every future verdict, so
                 // the dropped clause can never be observed.
-                let _ = self.attach_clause(&scratch, false);
+                let _ = self.attach_clause(lits, false);
                 true
             }
-        };
-        self.scratch = scratch;
-        result
+        }
     }
 
     /// `None` when the clause arena is full: nothing is allocated, no

@@ -225,9 +225,9 @@ pub struct SolverStats {
     pub num_vars: u64,
     /// CNF clauses after bit-blasting.
     pub num_clauses: u64,
-    /// Time spent bit-blasting.
+    /// Time spent bit-blasting and feeding the clauses to the solver.
     pub encode_time: Duration,
-    /// Time spent in the SAT solver.
+    /// Time spent in the SAT solver's search.
     pub solve_time: Duration,
     /// SAT-level counters.
     pub sat: SatStats,
@@ -245,25 +245,40 @@ pub fn solve_with_stats(pool: &TermPool, assertions: &[TermId]) -> (SatResult, S
     }
     let t0 = Instant::now();
     let blasted = bitblast(pool, assertions);
-    let encode_time = t0.elapsed();
-    let mut stats = SolverStats {
+    let blast_time = t0.elapsed();
+    let mut sat = SatSolver::new(0);
+    let (_, feed_time) = feed(&blasted, &mut sat, 0);
+    let t1 = Instant::now();
+    let outcome = sat.solve();
+    let stats = SolverStats {
         num_vars: blasted.num_vars() as u64,
         num_clauses: blasted.num_clauses() as u64,
-        encode_time,
-        ..Default::default()
+        encode_time: blast_time + feed_time,
+        solve_time: t1.elapsed(),
+        sat: sat.stats(),
     };
-    let t1 = Instant::now();
-    let mut sat = SatSolver::new(0);
-    blasted.feed(&mut sat, 0);
-    let outcome = sat.solve();
-    stats.solve_time = t1.elapsed();
-    stats.sat = sat.stats();
-    record_solve_metrics(&stats, encode_time);
+    record_solve_metrics(&stats, blast_time);
     let result = match outcome {
         SolveOutcome::Sat => SatResult::Sat(Model::from_blaster(pool, &blasted, &sat, None)),
         SolveOutcome::Unsat => SatResult::Unsat,
     };
     (result, stats)
+}
+
+/// Feed `blaster`'s clauses from `from` on into `sat`, booking the time
+/// and the clauses fed as the clause feed (`smt.sync_*`). Returns the new
+/// watermark and the time taken. Sessions and one-shot solves both feed
+/// through here, so for every solve `smt.encode_ns` is exactly
+/// `smt.blast_ns` plus `smt.sync_ns`.
+fn feed(blaster: &IncrementalBlaster, sat: &mut SatSolver, from: usize) -> (usize, Duration) {
+    let t0 = Instant::now();
+    let fed = blaster.feed(sat, from);
+    let took = t0.elapsed();
+    if obs::enabled() {
+        obs::add("smt.sync_ns", took.as_nanos() as u64);
+        obs::add("smt.sync_clauses", (fed - from) as u64);
+    }
+    (fed, took)
 }
 
 /// Mirror one solve's statistics into the installed observability sink,
@@ -461,15 +476,16 @@ impl IncrementalSession {
         &mut self,
         assumptions: &[Assumption],
     ) -> Result<(SatResult, SolverStats), SolverError> {
-        let t0 = Instant::now();
-        self.sync();
+        // Feed clauses and variables created since the last solve into
+        // the live SAT instance.
+        let (fed, sync_time) = feed(&self.blaster, &mut self.sat, self.fed);
+        self.fed = fed;
         if let Some(e) = self.blaster.capacity_error() {
             // A clause was dropped at blast time: the solver holds a
             // weaker formula than the one posed.
             return Err(e.clone());
         }
         let before = self.sat.stats();
-        let sync_time = t0.elapsed();
         let lits: Vec<Lit> = assumptions.iter().map(|a| a.0).collect();
         let t1 = Instant::now();
         let outcome = match self.sat.try_solve_under_assumptions(&lits) {
@@ -534,18 +550,6 @@ impl IncrementalSession {
             .iter()
             .map(|&l| Assumption(l))
             .collect()
-    }
-
-    /// Feed clauses and variables created since the last solve into the
-    /// live SAT instance.
-    fn sync(&mut self) {
-        let t0 = Instant::now();
-        let n0 = self.fed;
-        self.fed = self.blaster.feed(&mut self.sat, self.fed);
-        if obs::enabled() {
-            obs::add("smt.sync_ns", t0.elapsed().as_nanos() as u64);
-            obs::add("smt.sync_clauses", (self.fed - n0) as u64);
-        }
     }
 }
 

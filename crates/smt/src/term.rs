@@ -9,16 +9,28 @@
 //!
 //! Construction is the engine's per-group fixed cost (every encoding
 //! group builds its route variables and transfer relation afresh), so
-//! both lookups on that path are O(1): named variables resolve through a
-//! name index, and the hash-consing table hashes a [`Term`] — a few
-//! words of ids and constants — with one multiply per word
-//! (`TermHasher`) instead of SipHash. [`TermPool::clear`] empties a
-//! pool but keeps its capacity for the next group.
+//! it allocates only for what it keeps:
+//!
+//! * the hash-consing index maps a node's content hash — one multiply
+//!   per word of ids and constants (`TermHasher`), not SipHash — to the
+//!   node, and a lookup compares against the stored node, so a probe
+//!   needs no owned key;
+//! * `and` / `or` flatten their operands into a scratch buffer the pool
+//!   owns and look the node up by a hash of that borrowed slice: only a
+//!   node that is new allocates, once, for its operand list;
+//! * a route variable is declared under a [`VarKey`] — a scope (the
+//!   route's tag), an attribute and a position, all plain numbers — so
+//!   declaring one formats, allocates and SipHashes nothing; its name is
+//!   rendered only by [`TermPool::display`]. Free-form names
+//!   ([`TermPool::bool_var`]) stay for everything else.
+//!
+//! [`TermPool::clear`] empties a pool but keeps its capacity for the
+//! next group.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// Identifier of a term inside a [`TermPool`].
@@ -102,10 +114,11 @@ fn mask(width: u32) -> u64 {
 }
 
 /// Word-at-a-time multiplicative hasher (the FxHash recipe) for the
-/// hash-consing table. Its keys are [`Term`] nodes the program itself
-/// builds — pool-local ids and small constants — which is where a
-/// DoS-resistant hash buys nothing; variable *names* derive from
-/// configuration text and keep the standard hasher.
+/// hash-consing index and the [`VarKey`] table. What it hashes the
+/// program itself builds — pool-local ids, small constants, attribute
+/// names — which is where a DoS-resistant hash buys nothing; free-form
+/// variable *names* may derive from configuration text and keep the
+/// standard hasher.
 #[derive(Clone, Copy, Default)]
 struct TermHasher(u64);
 
@@ -147,17 +160,73 @@ impl Hasher for TermHasher {
     }
 }
 
+type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<TermHasher>>;
+
+/// End of a `same_hash` chain.
+const NO_TERM: u32 = u32::MAX;
+
+/// What a structured variable stands for: an attribute of a scope (a
+/// symbolic route, named once through [`TermPool::scope`]), optionally
+/// at a position within it (a community's universe index). The same key
+/// always returns the same variable.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct VarKey {
+    scope: u32,
+    attr: &'static str,
+    /// `u32::MAX` for a scalar attribute.
+    pos: u32,
+}
+
+impl VarKey {
+    /// A scalar attribute, rendered `scope.attr`.
+    pub fn scalar(scope: u32, attr: &'static str) -> VarKey {
+        VarKey {
+            scope,
+            attr,
+            pos: u32::MAX,
+        }
+    }
+
+    /// Position `pos` of an indexed attribute, rendered `scope.attr[pos]`.
+    pub fn indexed(scope: u32, attr: &'static str, pos: usize) -> VarKey {
+        let pos = u32::try_from(pos)
+            .ok()
+            .filter(|&p| p != u32::MAX)
+            .expect("variable position fits in u32");
+        VarKey { scope, attr, pos }
+    }
+}
+
+/// How a variable was declared.
+#[derive(Clone, Debug)]
+enum VarName {
+    /// Under a free-form name (shared with the key of `by_name`).
+    Text(Arc<str>),
+    /// Under a structured key.
+    Key(VarKey),
+}
+
 /// Arena of hash-consed terms plus variable name tables.
 #[derive(Clone, Debug, Default)]
 pub struct TermPool {
     terms: Vec<Term>,
     sorts: Vec<Sort>,
-    intern: HashMap<Term, TermId, BuildHasherDefault<TermHasher>>,
-    /// Name of each variable, by declaration index (shared with the
-    /// keys of `by_name`).
-    var_names: Vec<Arc<str>>,
-    /// The variable term declared under each name.
+    /// Hash-consing index: content hash -> the newest node with that
+    /// hash. Older nodes with the same hash chain through `same_hash`.
+    intern: FastMap<u64, TermId>,
+    /// Per node, the next-older node interned under the same hash
+    /// (`NO_TERM` ends the chain; variables are never in one).
+    same_hash: Vec<u32>,
+    /// Operand scratch of `and` / `or`.
+    flat: Vec<TermId>,
+    /// How each variable was declared, by declaration index.
+    var_names: Vec<VarName>,
+    /// The variable term declared under each free-form name.
     by_name: HashMap<Arc<str>, TermId>,
+    /// The variable term declared under each structured key.
+    by_key: FastMap<VarKey, TermId>,
+    /// Scope names, by [`VarKey`] scope index.
+    scopes: Vec<Box<str>>,
     bool_vars: Vec<TermId>,
     bv_vars: Vec<TermId>,
 }
@@ -174,8 +243,11 @@ impl TermPool {
         self.terms.clear();
         self.sorts.clear();
         self.intern.clear();
+        self.same_hash.clear();
         self.var_names.clear();
         self.by_name.clear();
+        self.by_key.clear();
+        self.scopes.clear();
         self.bool_vars.clear();
         self.bv_vars.clear();
     }
@@ -210,46 +282,111 @@ impl TermPool {
         self.sorts[id.0 as usize]
     }
 
-    /// The user-supplied name of a variable term, if it is one.
-    pub fn var_name(&self, id: TermId) -> Option<&str> {
-        match self.term(id) {
-            Term::BoolVar(n) | Term::BvVar { name: n, .. } => Some(&self.var_names[*n as usize]),
-            _ => None,
-        }
-    }
-
+    /// Hash-cons a node other than `and` / `or` (those go through
+    /// [`TermPool::nary`]).
     fn intern(&mut self, t: Term, sort: Sort) -> TermId {
-        match self.intern.entry(t) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let id = TermId(self.terms.len() as u32);
-                self.terms.push(e.key().clone());
-                self.sorts.push(sort);
-                e.insert(id);
-                id
-            }
-        }
+        debug_assert!(!matches!(t, Term::And(_) | Term::Or(_)));
+        let mut h = TermHasher::default();
+        t.hash(&mut h);
+        self.intern_by(h.finish(), sort, |node| *node == t, || t.clone())
     }
 
-    /// The variable declared as `name` at `sort`, declared now if new.
-    fn var(&mut self, name: &str, sort: Sort, node: impl FnOnce(u32) -> Term) -> TermId {
-        if let Some(&id) = self.by_name.get(name) {
-            assert_eq!(
-                self.sort(id),
-                sort,
-                "variable {name} redeclared at a different sort"
-            );
-            return id;
-        }
-        let name: Arc<str> = name.into();
-        let id = self.intern(node(self.var_names.len() as u32), sort);
-        self.var_names.push(Arc::clone(&name));
-        self.by_name.insert(name, id);
+    /// The node `same` recognises among those interned under `hash`, or
+    /// a new one, built by `make`, at `sort`.
+    fn intern_by(
+        &mut self,
+        hash: u64,
+        sort: Sort,
+        same: impl Fn(&Term) -> bool,
+        make: impl FnOnce() -> Term,
+    ) -> TermId {
+        let id = TermId(self.terms.len() as u32);
+        let older = match self.intern.entry(hash) {
+            Entry::Occupied(mut e) => {
+                let mut at = e.get().0;
+                while at != NO_TERM {
+                    if same(&self.terms[at as usize]) {
+                        return TermId(at);
+                    }
+                    at = self.same_hash[at as usize];
+                }
+                e.insert(id).0
+            }
+            Entry::Vacant(e) => {
+                e.insert(id);
+                NO_TERM
+            }
+        };
+        self.push(make(), sort, older)
+    }
+
+    fn push(&mut self, t: Term, sort: Sort, older: u32) -> TermId {
+        let id = TermId(self.terms.len() as u32);
+        self.terms.push(t);
+        self.sorts.push(sort);
+        self.same_hash.push(older);
+        id
+    }
+
+    /// Declare a new variable at `sort`. Variables are never looked up
+    /// by content, so they bypass the hash-consing index.
+    fn new_var(&mut self, name: VarName, sort: Sort) -> TermId {
+        let n = self.var_names.len() as u32;
+        let node = match sort {
+            Sort::Bool => Term::BoolVar(n),
+            Sort::BitVec(width) => Term::BvVar { width, name: n },
+        };
+        let id = self.push(node, sort, NO_TERM);
+        self.var_names.push(name);
         match sort {
             Sort::Bool => self.bool_vars.push(id),
             Sort::BitVec(_) => self.bv_vars.push(id),
         }
         id
+    }
+
+    fn assert_sort(&self, var: TermId, sort: Sort) {
+        assert_eq!(
+            self.sort(var),
+            sort,
+            "variable {} redeclared at a different sort",
+            self.display(var)
+        );
+    }
+
+    /// The variable named `name` at `sort`, declared now if new.
+    fn named_var(&mut self, name: &str, sort: Sort) -> TermId {
+        if let Some(&id) = self.by_name.get(name) {
+            self.assert_sort(id, sort);
+            return id;
+        }
+        let name: Arc<str> = name.into();
+        let id = self.new_var(VarName::Text(Arc::clone(&name)), sort);
+        self.by_name.insert(name, id);
+        id
+    }
+
+    /// The variable keyed `key` at `sort`, declared now if new.
+    fn keyed_var(&mut self, key: VarKey, sort: Sort) -> TermId {
+        let next = TermId(self.terms.len() as u32);
+        let id = *self.by_key.entry(key).or_insert(next);
+        if id != next {
+            self.assert_sort(id, sort);
+            return id;
+        }
+        self.new_var(VarName::Key(key), sort)
+    }
+
+    /// The index of scope `name` for [`VarKey`]s, registered now if new.
+    /// A scope is typically one symbolic route's tag.
+    pub fn scope(&mut self, name: &str) -> u32 {
+        match self.scopes.iter().position(|s| **s == *name) {
+            Some(i) => i as u32,
+            None => {
+                self.scopes.push(name.into());
+                (self.scopes.len() - 1) as u32
+            }
+        }
     }
 
     // ---------------------------------------------------------------------
@@ -278,7 +415,12 @@ impl TermPool {
     /// A fresh-or-existing named boolean variable. Two calls with the same
     /// name return the same variable.
     pub fn bool_var(&mut self, name: &str) -> TermId {
-        self.var(name, Sort::Bool, Term::BoolVar)
+        self.named_var(name, Sort::Bool)
+    }
+
+    /// A fresh-or-existing boolean variable under a structured key.
+    pub fn bool_var_at(&mut self, key: VarKey) -> TermId {
+        self.keyed_var(key, Sort::Bool)
     }
 
     /// Negation, with `not not x -> x` and constant folding.
@@ -293,30 +435,7 @@ impl TermPool {
 
     /// N-ary conjunction with flattening, deduplication and short-circuiting.
     pub fn and(&mut self, parts: &[TermId]) -> TermId {
-        let mut flat: Vec<TermId> = Vec::with_capacity(parts.len());
-        for &p in parts {
-            match self.term(p) {
-                Term::True => {}
-                Term::False => return self.fls(),
-                Term::And(children) => flat.extend(children.iter().copied()),
-                _ => flat.push(p),
-            }
-        }
-        flat.sort();
-        flat.dedup();
-        // x /\ !x -> false
-        for &t in &flat {
-            if let Term::Not(inner) = self.term(t) {
-                if flat.binary_search(inner).is_ok() {
-                    return self.fls();
-                }
-            }
-        }
-        match flat.len() {
-            0 => self.tru(),
-            1 => flat[0],
-            _ => self.intern(Term::And(flat), Sort::Bool),
-        }
+        self.nary(true, parts)
     }
 
     /// Binary conjunction.
@@ -326,29 +445,63 @@ impl TermPool {
 
     /// N-ary disjunction with flattening, deduplication and short-circuiting.
     pub fn or(&mut self, parts: &[TermId]) -> TermId {
-        let mut flat: Vec<TermId> = Vec::with_capacity(parts.len());
+        self.nary(false, parts)
+    }
+
+    /// The body of [`TermPool::and`] (`conj`) and [`TermPool::or`]:
+    /// flatten nested nodes of the same kind, drop the neutral constant,
+    /// short-circuit on the absorbing one or a complementary pair
+    /// (`x /\ !x`, `x \/ !x`), and sort and dedup the rest. Operands are
+    /// gathered in the pool's scratch buffer and the node is looked up by
+    /// a hash of that slice, so only a new node allocates.
+    fn nary(&mut self, conj: bool, parts: &[TermId]) -> TermId {
+        let mut flat = std::mem::take(&mut self.flat);
+        flat.clear();
+        let mut absorbed = false;
         for &p in parts {
-            match self.term(p) {
-                Term::False => {}
-                Term::True => return self.tru(),
-                Term::Or(children) => flat.extend(children.iter().copied()),
+            match (self.term(p), conj) {
+                (Term::True, true) | (Term::False, false) => {}
+                (Term::False, true) | (Term::True, false) => {
+                    absorbed = true;
+                    break;
+                }
+                (Term::And(children), true) | (Term::Or(children), false) => {
+                    flat.extend_from_slice(children)
+                }
                 _ => flat.push(p),
             }
         }
-        flat.sort();
-        flat.dedup();
-        for &t in &flat {
-            if let Term::Not(inner) = self.term(t) {
-                if flat.binary_search(inner).is_ok() {
-                    return self.tru();
-                }
-            }
+        if !absorbed {
+            flat.sort_unstable();
+            flat.dedup();
+            absorbed = flat.iter().any(
+                |&t| matches!(self.term(t), Term::Not(inner) if flat.binary_search(inner).is_ok()),
+            );
         }
-        match flat.len() {
-            0 => self.fls(),
+        let id = match flat.len() {
+            _ if absorbed => self.bool_const(!conj),
+            0 => self.bool_const(conj),
             1 => flat[0],
-            _ => self.intern(Term::Or(flat), Sort::Bool),
-        }
+            _ => {
+                let mut h = TermHasher::default();
+                (conj, &flat[..]).hash(&mut h);
+                let same = |node: &Term| match node {
+                    Term::And(v) if conj => v[..] == flat[..],
+                    Term::Or(v) if !conj => v[..] == flat[..],
+                    _ => false,
+                };
+                let make = || {
+                    if conj {
+                        Term::And(flat.to_vec())
+                    } else {
+                        Term::Or(flat.to_vec())
+                    }
+                };
+                self.intern_by(h.finish(), Sort::Bool, same, make)
+            }
+        };
+        self.flat = flat;
+        id
     }
 
     /// Binary disjunction.
@@ -422,10 +575,13 @@ impl TermPool {
     /// A fresh-or-existing named bitvector variable.
     pub fn bv_var(&mut self, name: &str, width: u32) -> TermId {
         assert!((1..=64).contains(&width), "bitvector width must be 1..=64");
-        self.var(name, Sort::BitVec(width), |name| Term::BvVar {
-            width,
-            name,
-        })
+        self.named_var(name, Sort::BitVec(width))
+    }
+
+    /// A fresh-or-existing bitvector variable under a structured key.
+    pub fn bv_var_at(&mut self, key: VarKey, width: u32) -> TermId {
+        assert!((1..=64).contains(&width), "bitvector width must be 1..=64");
+        self.keyed_var(key, Sort::BitVec(width))
     }
 
     fn bv_value(&self, id: TermId) -> Option<u64> {
@@ -580,8 +736,7 @@ impl TermPool {
         match self.term(id) {
             Term::True => out.push_str("true"),
             Term::False => out.push_str("false"),
-            Term::BoolVar(n) => out.push_str(&self.var_names[*n as usize]),
-            Term::BvVar { name, .. } => out.push_str(&self.var_names[*name as usize]),
+            Term::BoolVar(n) | Term::BvVar { name: n, .. } => self.display_var(*n, out),
             Term::BvConst { width, value } => {
                 let _ = write!(out, "#b{value}:{width}");
             }
@@ -624,6 +779,21 @@ impl TermPool {
                 let _ = write!(out, "(lshr ");
                 self.display_into(*arg, out);
                 let _ = write!(out, " {amount})");
+            }
+        }
+    }
+
+    fn display_var(&self, n: u32, out: &mut String) {
+        use std::fmt::Write;
+        match &self.var_names[n as usize] {
+            VarName::Text(name) => out.push_str(name),
+            VarName::Key(k) => {
+                out.push_str(&self.scopes[k.scope as usize]);
+                out.push('.');
+                out.push_str(k.attr);
+                if k.pos != u32::MAX {
+                    let _ = write!(out, "[{}]", k.pos);
+                }
             }
         }
     }
@@ -672,6 +842,52 @@ mod tests {
         let x1 = p.bv_var("x", 8);
         let x2 = p.bv_var("x", 8);
         assert_eq!(x1, x2);
+    }
+
+    #[test]
+    fn keyed_vars_reuse_by_key_and_render_only_on_display() {
+        let mut p = TermPool::new();
+        let r = p.scope("r");
+        assert_eq!(p.scope("r"), r);
+        let s = p.scope("s");
+        let c3 = p.bool_var_at(VarKey::indexed(r, "comm", 3));
+        let med = p.bv_var_at(VarKey::scalar(r, "med"), 32);
+        assert_eq!(p.bool_var_at(VarKey::indexed(r, "comm", 3)), c3);
+        assert_eq!(p.bv_var_at(VarKey::scalar(r, "med"), 32), med);
+        assert_ne!(p.bool_var_at(VarKey::indexed(s, "comm", 3)), c3);
+        assert_ne!(p.bool_var_at(VarKey::indexed(r, "comm", 4)), c3);
+        assert_eq!(p.display(c3), "r.comm[3]");
+        assert_eq!(p.display(med), "r.med");
+        // A keyed variable is a variable like any other.
+        assert_eq!(p.bool_vars().len(), 3);
+        assert_eq!(p.bv_vars(), &[med]);
+    }
+
+    #[test]
+    #[should_panic(expected = "r.med redeclared at a different sort")]
+    fn keyed_var_redeclare_panics() {
+        let mut p = TermPool::new();
+        let r = p.scope("r");
+        p.bv_var_at(VarKey::scalar(r, "med"), 32);
+        p.bv_var_at(VarKey::scalar(r, "med"), 8);
+    }
+
+    #[test]
+    fn nary_nodes_are_found_from_any_operand_order() {
+        let mut p = TermPool::new();
+        let (a, b, c) = (p.bool_var("a"), p.bool_var("b"), p.bool_var("c"));
+        let abc = p.and(&[a, b, c]);
+        let or_abc = p.or(&[a, b, c]);
+        assert_ne!(abc, or_abc, "and and or over the same operands differ");
+        let n = p.len();
+        let bc = p.and2(c, b);
+        assert_eq!(p.len(), n + 1);
+        // Permuted, repeated and nested spellings are the same node, and
+        // finding it creates nothing.
+        assert_eq!(p.and(&[c, a, b, a]), abc);
+        assert_eq!(p.and(&[bc, a]), abc);
+        assert_eq!(p.or(&[c, b, a]), or_abc);
+        assert_eq!(p.len(), n + 1);
     }
 
     #[test]

@@ -24,10 +24,17 @@
 //!    and of its negation agrees with brute force over all 4096
 //!    assignments, and every returned model makes the term true under
 //!    an evaluator that shares no code with the blaster.
+//! 6. The blaster's clause store meets the trusted attach's precondition
+//!    on random terms: no clause repeats a variable, and none holds a
+//!    constant literal but the true unit; and a solver fed through the
+//!    trusted attach agrees with one fed through the normalising
+//!    `add_clause_slice` on every query of a stream — verdicts, models
+//!    and failed-assumption cores.
 
 use proptest::prelude::*;
 use smt::{
-    solve, Cnf, IncrementalSession, Lit, SatResult, SatSolver, SolveOutcome, TermId, TermPool, Var,
+    solve, Cnf, IncrementalBlaster, IncrementalSession, Lit, SatResult, SatSolver, SolveOutcome,
+    TermId, TermPool, Var,
 };
 
 // ---------------------------------------------------------------------------
@@ -634,6 +641,116 @@ proptest! {
                     SolveOutcome::Unsat,
                     "core {:?} does not replay to UNSAT", core
                 );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The trusted clause attach: its precondition, and what it must agree with
+// ---------------------------------------------------------------------------
+
+/// `n` random boolean terms of the mixed generator in `pool`.
+fn random_roots(rng: &mut u64, pool: &mut TermPool, n: usize) -> Vec<TermId> {
+    (0..n)
+        .map(|_| {
+            let e = gen_bl(rng, 4);
+            build_bl(pool, &e)
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// What lets `IncrementalBlaster::feed` attach clauses unexamined:
+    /// blasting random terms, asserting them and gating them behind
+    /// activation literals stores no clause that repeats a variable,
+    /// and none that holds a constant literal but the true unit itself.
+    #[test]
+    fn blaster_clauses_repeat_no_variable_and_hold_no_constant(seed in any::<u64>()) {
+        let mut rng = seed;
+        let mut pool = TermPool::new();
+        let tru = pool.tru();
+        let roots = random_roots(&mut rng, &mut pool, 4);
+        let mut b = IncrementalBlaster::new();
+        let lits: Vec<Lit> = roots.iter().map(|&r| b.blast_bool(&pool, r)).collect();
+        // Asking for `true` last: a literal no earlier clause can hold
+        // unless the blast itself allocated it.
+        let t = b.blast_bool(&pool, tru);
+        for (i, (&root, &l)) in roots.iter().zip(&lits).enumerate() {
+            if l.var() == t.var() {
+                continue; // the root folded to a constant
+            }
+            if i % 2 == 0 {
+                b.assert_true(&pool, root);
+            } else {
+                let act = b.fresh_lit();
+                b.add_clause(&[!act, l]);
+            }
+        }
+        for i in 0..b.num_clauses() {
+            let c = b.clause(i);
+            for (j, l) in c.iter().enumerate() {
+                prop_assert!(
+                    c[..j].iter().all(|k| k.var() != l.var()),
+                    "clause {:?} repeats a variable", c
+                );
+            }
+            if c.iter().any(|l| l.var() == t.var()) {
+                prop_assert_eq!(c, &[t][..], "a constant literal outside the true unit");
+            }
+        }
+    }
+
+    /// A solver fed through the trusted attach and one fed the same
+    /// clauses through the normalising `add_clause_slice` agree on every
+    /// query of a stream: verdicts, models and failed-assumption cores.
+    /// The blaster grows between queries, some roots are asserted (their
+    /// units assign variables at level 0, which later clauses then hold)
+    /// and constant roots are gated too, so both feeds see clauses with
+    /// literals already assigned.
+    #[test]
+    fn trusted_attach_agrees_with_normalising_feed(seed in any::<u64>()) {
+        let mut rng = seed;
+        let mut pool = TermPool::new();
+        let mut b = IncrementalBlaster::new();
+        let (mut trusted, mut reference) = (SatSolver::new(0), SatSolver::new(0));
+        let mut fed = 0;
+        let mut acts: Vec<Lit> = Vec::new();
+        for _round in 0..3 {
+            for root in random_roots(&mut rng, &mut pool, 3) {
+                let l = b.blast_bool(&pool, root);
+                if below(&mut rng, 4) == 0 {
+                    b.assert_true(&pool, root);
+                } else {
+                    let act = b.fresh_lit();
+                    b.add_clause(&[!act, l]);
+                    acts.push(act);
+                }
+            }
+            let watermark = b.feed(&mut trusted, fed);
+            reference.ensure_num_vars(b.num_vars());
+            for i in fed..watermark {
+                reference.add_clause_slice(b.clause(i));
+            }
+            fed = watermark;
+            for _query in 0..4 {
+                let mut assumptions: Vec<Lit> =
+                    acts.iter().copied().filter(|_| below(&mut rng, 2) == 0).collect();
+                for _ in 0..below(&mut rng, 3) {
+                    let v = Var(below(&mut rng, b.num_vars() as u64) as u32);
+                    assumptions.push(v.lit(below(&mut rng, 2) == 0));
+                }
+                let got = trusted.solve_under_assumptions(&assumptions);
+                prop_assert_eq!(got, reference.solve_under_assumptions(&assumptions));
+                if got == SolveOutcome::Sat {
+                    for v in 0..b.num_vars() {
+                        prop_assert_eq!(trusted.value(Var(v)), reference.value(Var(v)), "var {}", v);
+                    }
+                } else {
+                    prop_assert_eq!(trusted.failed_assumptions(), reference.failed_assumptions());
+                }
             }
         }
     }

@@ -1,0 +1,200 @@
+//! Search identity pinned check by check: for every check of three
+//! one-worker batch runs, the size of the CNF it was decided on, the
+//! search it took and its unsat core (or counterexample) must match
+//! `tests/fixtures/cnf_identity.txt`.
+//!
+//! Speed work on terms, bit-blasting or the clause feed must not change
+//! the formula: the same terms in the same order blast to the same
+//! clauses, and the same clauses in the same order give the same
+//! decisions, conflicts and propagations. A change here is a change to
+//! the CNF or to the search, never a timing.
+//!
+//! The inputs: the `netgen::zoo` Cogentco wiring scaled to 24 routers,
+//! with a router-unique leading `deny` on eight /24s in every route-map
+//! (so no two routers' filters dedup); the 2x2 WAN under all its
+//! peering and reuse-safety suites; and the same WAN with two injected
+//! bugs, whose failing checks are re-derived on one-shot solves.
+
+use bgp_config::ast::{ConfigAst, MatchAst, PrefixListEntry, RouteMapEntryAst};
+use lightyear::check::{CheckResult, Report};
+use lightyear::engine::Verifier;
+use lightyear::{NetworkInvariants, SafetyProperty};
+use netgen::mutate;
+use netgen::wan::{self, WanParams};
+use netgen::zoo::{self, ZooParams, ZooScenario, CORPUS};
+use std::fmt::Write as _;
+
+type Suite = (Vec<SafetyProperty>, NetworkInvariants);
+
+/// One line per check of every suite, in suite then id order.
+fn render(name: &str, v: &Verifier, suites: &[Suite], out: &mut String) {
+    let refs: Vec<(&[SafetyProperty], &NetworkInvariants)> =
+        suites.iter().map(|(p, i)| (p.as_slice(), i)).collect();
+    let multi = v.verify_safety_batch(&refs);
+    for (si, report) in multi.reports.iter().enumerate() {
+        render_report(&format!("{name}/{si}"), report, out);
+    }
+}
+
+fn render_report(name: &str, report: &Report, out: &mut String) {
+    let _ = writeln!(out, "== {name}: {} checks", report.num_checks());
+    for o in &report.outcomes {
+        let s = &o.stats;
+        let verdict = match &o.result {
+            CheckResult::Pass => match &o.core {
+                Some(core) => format!("core={core:?}"),
+                None => "pass".to_string(),
+            },
+            CheckResult::Fail(cex) => format!("FAIL {cex}"),
+        };
+        let _ = writeln!(
+            out,
+            "#{} vars={} clauses={} dec={} confl={} prop={} {verdict}",
+            o.check.id,
+            s.num_vars,
+            s.num_clauses,
+            s.sat.decisions,
+            s.sat.conflicts,
+            s.sat.propagations,
+        );
+    }
+}
+
+/// `a.b.c.0/24 le 32` with the first octet in 11..=99, clear of every
+/// prefix the generators use.
+fn slash24(seq: u32, bits: u64) -> PrefixListEntry {
+    let (a, b, c) = (11 + (bits >> 16) % 89, (bits >> 8) % 256, bits % 256);
+    PrefixListEntry {
+        seq,
+        permit: true,
+        prefix: format!("{a}.{b}.{c}.0/24").parse().unwrap(),
+        ge: None,
+        le: Some(32),
+    }
+}
+
+/// Give every router a `QUARANTINE` list of `k` /24s no other router
+/// has, denied at seq 1 of every route-map, ahead of anything the
+/// generator emits.
+fn quarantine(configs: &mut [ConfigAst], k: usize) {
+    let mut state = 0x5eed_u64;
+    let mut next = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    for cfg in configs {
+        let entries = (0..k)
+            .map(|j| slash24(5 * (j as u32 + 1), next()))
+            .collect();
+        cfg.prefix_lists.insert("QUARANTINE".into(), entries);
+        for entries in cfg.route_maps.values_mut() {
+            entries.insert(
+                0,
+                RouteMapEntryAst {
+                    seq: 1,
+                    permit: false,
+                    matches: vec![MatchAst::PrefixList(vec!["QUARANTINE".into()])],
+                    sets: vec![],
+                    continue_to: None,
+                },
+            );
+        }
+    }
+}
+
+fn zoo_quarantined() -> ZooScenario {
+    let entry = CORPUS.iter().find(|e| e.name == "Cogentco").unwrap();
+    let params = ZooParams::scaled(entry, 24);
+    let mut configs = zoo::configs(&params);
+    quarantine(&mut configs, 8);
+    let network = bgp_config::lower(&configs).expect("quarantined configs lower");
+    // The perturbation adds no router, so the unperturbed build's
+    // reflectors and clusters sit at the same configuration positions.
+    let base = zoo::build(&params);
+    let position = |n| {
+        base.network
+            .config_nodes
+            .iter()
+            .position(|&m| m == n)
+            .unwrap()
+    };
+    let reflectors = base
+        .reflectors
+        .iter()
+        .map(|&n| network.config_nodes[position(n)])
+        .collect();
+    ZooScenario {
+        params,
+        network,
+        reflectors,
+        clusters: base.clusters,
+    }
+}
+
+fn wan2x2() -> WanParams {
+    WanParams {
+        regions: 2,
+        routers_per_region: 2,
+        edge_routers: 2,
+        peers_per_edge: 2,
+        ..WanParams::default()
+    }
+}
+
+/// Every peering predicate and every region's reuse safety, one batch.
+fn wan_run(name: &str, s: &wan::Scenario, out: &mut String) {
+    let mut v = Verifier::new(&s.network.topology, &s.network.policy)
+        .with_jobs(1)
+        .with_ghost(s.from_peer_ghost());
+    for k in 0..s.params.regions {
+        v = v.with_ghost(s.from_region_ghost(k));
+    }
+    let mut suites: Vec<Suite> = s
+        .peering_predicates()
+        .iter()
+        .map(|(_, q)| s.peering_property_inputs(q))
+        .collect();
+    suites.extend((0..s.params.regions).map(|k| s.reuse_safety_inputs(k)));
+    render(name, &v, &suites, out);
+}
+
+fn all_records() -> String {
+    let mut out = String::new();
+
+    let z = zoo_quarantined();
+    let v = Verifier::new(&z.network.topology, &z.network.policy)
+        .with_jobs(1)
+        .with_ghost(z.from_peer_ghost());
+    render(
+        "cogentco24-quarantine8",
+        &v,
+        &[z.peering_suite(), z.fencing_suite()],
+        &mut out,
+    );
+
+    wan_run("wan2x2", &wan::build(&wan2x2()), &mut out);
+
+    let mut configs = wan::configs(&wan2x2());
+    mutate::drop_aspath_filters(&mut configs, "EDGE1", "FROM-PEER1").unwrap();
+    mutate::drop_prefix_deny(&mut configs, "EDGE0", "FROM-PEER0", "BOGONS").unwrap();
+    wan_run(
+        "wan2x2-broken",
+        &wan::build_from_configs(&wan2x2(), configs),
+        &mut out,
+    );
+    out
+}
+
+#[test]
+fn cnf_and_search_match_fixture() {
+    let want = include_str!("fixtures/cnf_identity.txt");
+    let got = all_records();
+    if got != want {
+        for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+            assert_eq!(g, w, "first difference at line {}", i + 1);
+        }
+        assert_eq!(got.lines().count(), want.lines().count(), "line count");
+    }
+}
