@@ -18,17 +18,19 @@
 //! re-run.
 //!
 //! Every run takes the same path ([`Verifier::execute`]), in two
-//! stages. The fingerprint stage keys each check by its structural
-//! fingerprint and its **encoding base** — the same edge's transfer
-//! function, or the pure-implication shape. The solve stage
-//! ([`Verifier::solve`]) collapses structurally identical checks,
-//! answers what the cache already knows, and solves each remaining group
-//! on one persistent [`smt::IncrementalSession`] (shared
-//! universe/router constraints encoded once, each check an
-//! assumption-gated query carrying learnt clauses forward), with groups
-//! spread over `jobs` workers and outcomes streamed to a sink in check
-//! order. Re-verify rounds ([`crate::reverify::ReverifyEngine`]) bring
-//! their own fingerprints and enter at the solve stage. One fresh SMT
+//! stages. The fingerprint stage ([`Verifier::partition`]) partitions
+//! the checks into classes of structurally identical ones on
+//! small-integer class keys (see [`crate::fingerprint`]), fingerprints
+//! each class once and keys it by its representative's **encoding
+//! base** — the same edge's transfer function, or the pure-implication
+//! shape. The solve stage ([`Verifier::solve`]) answers what the cache
+//! already knows and solves each remaining group of classes on one
+//! persistent [`smt::IncrementalSession`] (shared universe/router
+//! constraints encoded once, each check an assumption-gated query
+//! carrying learnt clauses forward), with groups spread over `jobs`
+//! workers and outcomes streamed to a sink in check order. Re-verify
+//! rounds ([`crate::reverify::ReverifyEngine`]) partition only their
+//! dirty checks and enter at the solve stage. One fresh SMT
 //! instance per check survives only as
 //! [`Verifier::verify_safety_reference`], the oracle the tests and the
 //! fuzzer compare the pipeline against; outcomes are identical either
@@ -38,7 +40,7 @@ use crate::check::{
     Check, CheckKind, CheckOutcome, CheckResult, Counterexample, Report, ReportSummary,
 };
 use crate::encode::{encode_export, encode_import, Transfer};
-use crate::fingerprint::{universe_digest, FpParts, FP_VERSION};
+use crate::fingerprint::{universe_digest, ClassKey, FpParts, FP_VERSION};
 use crate::ghost::GhostAttr;
 use crate::invariants::{Location, NetworkInvariants};
 use crate::pred::RoutePred;
@@ -48,7 +50,7 @@ use crate::universe::Universe;
 use bgp_model::policy::Policy;
 use bgp_model::routemap::RouteMap;
 use bgp_model::topology::{EdgeId, NodeId, Topology};
-use orchestrator::{run_grouped, Executor, Fingerprint, ResultCache, RunStats};
+use orchestrator::{run_grouped, Executor, Fingerprint, ResultCache, RunStats, Structure};
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use smt::{
@@ -556,10 +558,11 @@ pub(crate) struct ResolvedCheck<'a> {
     pub(crate) body: CheckBody<'a>,
 }
 
-/// A check as the solve stage takes it: its fingerprint (the dedup and
-/// cache key), its encoding-base group key ([`Verifier::solve_key`]) and
-/// the check itself.
-pub(crate) type Keyed<'c, 's> = (Fingerprint, u64, &'c ResolvedCheck<'s>);
+/// A class of structurally identical checks as the solve stage takes
+/// it: the class fingerprint (the cache key), the representative's
+/// encoding-base group key ([`Verifier::solve_key`]), the representative
+/// and every member's position.
+pub(crate) type Class<'c, 's> = Structure<&'c ResolvedCheck<'s>>;
 
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum CheckBody<'a> {
@@ -586,7 +589,9 @@ pub(crate) enum CheckBody<'a> {
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CheckDigests {
-    /// The check's fingerprint: the dedup and cache key.
+    /// The check's class key: what the run partitions on.
+    pub class: ClassKey,
+    /// The check's fingerprint: the cache key, one per class.
     pub check: Fingerprint,
     /// Everything but the assumed invariant; `None` for originate checks.
     pub rest: Option<Fingerprint>,
@@ -1013,6 +1018,7 @@ impl<'a> Verifier<'a> {
                 let mut digests = Vec::new();
                 self.for_each_check(props, inv, |rc| {
                     digests.push(CheckDigests {
+                        class: parts.class_key(&rc.body),
                         check: parts.check(&rc.body),
                         rest: parts.rest(&rc.body),
                         transfer: match rc.body {
@@ -1277,8 +1283,9 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// The one run path: the fingerprint stage keys every check, then
-    /// [`Verifier::solve`] runs them against the attached cache.
+    /// The one run path: the fingerprint stage partitions the checks
+    /// into classes, then [`Verifier::solve`] runs them against the
+    /// attached cache.
     fn execute(
         &self,
         universe: &Universe,
@@ -1287,15 +1294,45 @@ impl<'a> Verifier<'a> {
     ) -> RunStats {
         obs::add("engine.checks_posed", checks.len() as u64);
         let _span = obs::span!("run_checks", checks = checks.len(), jobs = self.jobs);
-        let mut parts = FpParts::new(universe_digest(universe), self.policy, &self.ghosts);
-        let keyed: Vec<Keyed> = timed("engine.fingerprint_ns", || {
-            checks
-                .iter()
-                .enumerate()
-                .map(|(i, c)| (parts.check(&c.body), self.solve_key(i, c), c))
-                .collect()
+        let classes = timed("engine.fingerprint_ns", || {
+            let mut parts = FpParts::new(universe_digest(universe), self.policy, &self.ghosts);
+            self.partition(&mut parts, checks.iter().enumerate())
         });
-        self.solve(universe, &keyed, self.cache.as_deref(), sink)
+        self.solve(universe, classes, self.cache.as_deref(), sink)
+    }
+
+    /// The fingerprint stage: partition `checks` — each with its index
+    /// in the run, which [`Verifier::solve_key`] reads — into classes of
+    /// structurally identical checks on their small-integer class ids
+    /// ([`FpParts::class`]), first occurrence first, and fingerprint
+    /// each class once. Members are positions in `checks`.
+    pub(crate) fn partition<'c, 's>(
+        &self,
+        parts: &mut FpParts<'s>,
+        checks: impl IntoIterator<Item = (usize, &'c ResolvedCheck<'s>)>,
+    ) -> Vec<Class<'c, 's>> {
+        // Per class id of `parts`: its index in `classes`, if seen.
+        let mut seen: Vec<u32> = Vec::new();
+        let mut classes: Vec<Class> = Vec::new();
+        for (pos, (i, c)) in checks.into_iter().enumerate() {
+            let id = parts.class(&c.body) as usize;
+            if seen.len() <= id {
+                seen.resize(id + 1, u32::MAX);
+            }
+            match seen[id] {
+                u32::MAX => {
+                    seen[id] = classes.len() as u32;
+                    classes.push(Structure {
+                        fp: parts.fingerprint(id as u32),
+                        key: self.solve_key(i, c),
+                        job: c,
+                        members: vec![pos],
+                    });
+                }
+                k => classes[k as usize].members.push(pos),
+            }
+        }
+        classes
     }
 
     /// The encoding-base key check `i` of a run is solved under. All
@@ -1312,14 +1349,14 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// The solve stage. Collapse structurally identical checks (the
-    /// lowest position represents each structure), consult `cache`
+    /// The solve stage. Solve each class of [`Verifier::partition`]
+    /// once (its lowest position represents it), consult `cache`
     /// (re-validating spilled failures), batch the remainder by
     /// encoding-base key, solve whole groups on the work-stealing pool —
     /// inline on the calling thread at `jobs = 1` — and deliver every
-    /// verdict to `sink(position in keyed, verdict)` in the order of
-    /// `keyed` without ever materialising an outcome vector: the sink
-    /// borrows the verdict and copies out only what it keeps.
+    /// verdict to `sink(member position, verdict)` in position order
+    /// without ever materialising an outcome vector: the sink borrows
+    /// the verdict and copies out only what it keeps.
     ///
     /// Groups complete out of order, so verdicts pass through a reorder
     /// window: one entry per structure that is decided but not yet fully
@@ -1330,17 +1367,18 @@ impl<'a> Verifier<'a> {
     pub(crate) fn solve(
         &self,
         universe: &Universe,
-        keyed: &[Keyed],
+        classes: Vec<Class>,
         cache: Option<&CheckCache>,
         sink: &mut dyn FnMut(usize, &SolvedCheck),
     ) -> RunStats {
+        let total: usize = classes.iter().map(|c| c.members.len()).sum();
         let mut next = 0usize;
         let mut pending: BTreeMap<usize, (SolvedCheck, Vec<usize>, usize)> = BTreeMap::new();
         let mut frontier_peak = 0usize;
         let stats = run_grouped(
             &Executor::with_threads(Some(self.jobs)),
             cache,
-            keyed,
+            classes,
             |rc: &&ResolvedCheck, v: &SolvedCheck| self.cached_result_still_valid(universe, rc, v),
             |group: &[&&ResolvedCheck]| {
                 let refs: Vec<&ResolvedCheck> = group.iter().map(|rc| **rc).collect();
@@ -1364,7 +1402,7 @@ impl<'a> Verifier<'a> {
                 }
             },
         );
-        debug_assert!(pending.is_empty() && next == keyed.len());
+        debug_assert!(pending.is_empty() && next == total);
         obs::gauge_max("engine.report_frontier_peak", frontier_peak as u64);
         stats
     }

@@ -21,13 +21,23 @@
 //!   digests) and each ghost's name and origination default; for an
 //!   implication: the tag alone. A transfer's base is also what a
 //!   persistent re-verify session keys its encoded relation by;
-//! * each **predicate** instance, keyed by address — the invariants and
-//!   properties outlive the run, and one instance serves hundreds of
-//!   checks;
+//! * each **predicate** — the invariants and properties outlive the run;
 //! * the **rest** of a check — base, the liveness `require_accept` bit
 //!   and the ensure predicate's digest: everything but the assumed
 //!   invariant, the key of the re-verify engine's conjunct-core cache;
 //! * the **check** — its rest and its assume predicate's digest.
+//!
+//! **Classes, not checks, are the unit of work.** Every distinct base
+//! and predicate digest gets a small integer id (predicates are looked
+//! up by address first, so an interned invariant shared by a whole
+//! cluster is digested once, and content-equal instances — one property
+//! per router — share an id). A check's [`ClassKey`] is the tuple of its
+//! part ids: (base, `require_accept`, ensure, assume). Equal keys mean
+//! equal part digests and so equal fingerprints, and the converse holds
+//! because ids are interned by digest. The run partitions its checks on
+//! these keys (`Verifier::partition`) and composes the rest and check
+//! fingerprints once per class; every member shares its class's
+//! fingerprint.
 //!
 //! Word-wise stream discipline: every part is written by walking the
 //! value itself (`x.hash(&mut h)` through its derived `Hash`, eight
@@ -46,6 +56,7 @@ use crate::universe::Universe;
 use bgp_model::policy::Policy;
 use bgp_model::topology::EdgeId;
 use orchestrator::{Fingerprint, FpHasher};
+use smt::FastMap;
 use std::collections::HashMap;
 use std::hash::Hash;
 
@@ -105,18 +116,76 @@ fn base(universe_fp: Fingerprint, tag: &str) -> FpHasher {
     h
 }
 
-/// The parts of one run's check fingerprints, each digested on first
-/// use (see the module docs). Predicates are keyed by address: every
-/// `&'a RoutePred` a check body holds stays alive and in place for `'a`.
+/// A check's class key: the small-integer ids of its parts — the base
+/// (interned by digest), the `require_accept` bit, the ensure predicate
+/// and the assume predicate (predicate ids are interned by address, then
+/// by digest). Two checks have equal keys exactly when their parts'
+/// digests are equal, that is exactly when their fingerprints are.
+#[doc(hidden)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct ClassKey {
+    base: u32,
+    require_accept: bool,
+    ensure: u32,
+    /// [`NO_ID`] for an originate check (no assume side).
+    assume: u32,
+}
+
+/// A part id not assigned yet, or an absent assume side.
+const NO_ID: u32 = u32::MAX;
+
+/// The digests of one class: its check fingerprint and its rest
+/// (`None` without an assume side).
+#[derive(Clone, Copy)]
+struct ClassDigests {
+    check: Fingerprint,
+    rest: Option<Fingerprint>,
+}
+
+/// The parts of one run's check fingerprints, each digested once (see
+/// the module docs) and numbered: bases and predicates get dense ids in
+/// first-seen order, and so do the classes their keys form.
+/// Predicates are first looked up by address — every `&'a RoutePred` a
+/// check body holds stays alive and in place for `'a` — and only a new
+/// address is digested.
 pub(crate) struct FpParts<'a> {
     universe_fp: Fingerprint,
     policy: &'a Policy,
     /// Sorted by name, once.
     ghosts: Vec<&'a GhostAttr>,
-    implication: Fingerprint,
-    transfers: HashMap<(EdgeId, bool), Fingerprint>,
-    originations: HashMap<EdgeId, Fingerprint>,
-    preds: HashMap<*const RoutePred, Fingerprint>,
+    /// Base digests by id, and their ids by digest. Digests derive
+    /// from configuration text, so digest-keyed maps keep the standard
+    /// hasher; addresses and class keys are the program's own.
+    bases: Vec<Fingerprint>,
+    base_ids: HashMap<u128, u32>,
+    /// Base id per `2 * edge + is_import`, [`NO_ID`] until first use.
+    transfer_ids: Vec<u32>,
+    /// Base id per originating edge, [`NO_ID`] until first use.
+    origination_ids: Vec<u32>,
+    implication: u32,
+    /// Predicate digests by id; their ids by digest and by address.
+    preds: Vec<Fingerprint>,
+    pred_ids: HashMap<u128, u32>,
+    pred_at: FastMap<*const RoutePred, u32>,
+    /// Class ids by key, and each class's digests by id.
+    class_ids: FastMap<ClassKey, u32>,
+    classes: Vec<ClassDigests>,
+}
+
+/// The id of `fp` in an interning table, assigned on first sight.
+fn intern(ids: &mut HashMap<u128, u32>, fps: &mut Vec<Fingerprint>, fp: Fingerprint) -> u32 {
+    *ids.entry(fp.0).or_insert_with(|| {
+        fps.push(fp);
+        fps.len() as u32 - 1
+    })
+}
+
+/// The slot `i` of a lazily filled id table.
+fn id_slot(ids: &mut Vec<u32>, i: usize) -> &mut u32 {
+    if ids.len() <= i {
+        ids.resize(i + 1, NO_ID);
+    }
+    &mut ids[i]
 }
 
 impl<'a> FpParts<'a> {
@@ -127,14 +196,26 @@ impl<'a> FpParts<'a> {
     ) -> Self {
         let mut ghosts: Vec<&GhostAttr> = ghosts.iter().collect();
         ghosts.sort_by(|a, b| a.name.cmp(&b.name));
+        let (mut bases, mut base_ids) = (Vec::new(), HashMap::new());
+        let implication = intern(
+            &mut base_ids,
+            &mut bases,
+            base(universe_fp, "implication").finish(),
+        );
         FpParts {
             universe_fp,
             policy,
             ghosts,
-            implication: base(universe_fp, "implication").finish(),
-            transfers: HashMap::new(),
-            originations: HashMap::new(),
-            preds: HashMap::new(),
+            bases,
+            base_ids,
+            transfer_ids: Vec::new(),
+            origination_ids: Vec::new(),
+            implication,
+            preds: Vec::new(),
+            pred_ids: HashMap::new(),
+            pred_at: FastMap::default(),
+            class_ids: FastMap::default(),
+            classes: Vec::new(),
         }
     }
 
@@ -154,8 +235,15 @@ impl<'a> FpParts<'a> {
     /// *without* any assume/ensure predicate: the part every check of
     /// one encoding-base group shares.
     pub(crate) fn transfer(&mut self, edge: EdgeId, is_import: bool) -> Fingerprint {
-        if let Some(&fp) = self.transfers.get(&(edge, is_import)) {
-            return fp;
+        let id = self.transfer_id(edge, is_import);
+        self.bases[id as usize]
+    }
+
+    fn transfer_id(&mut self, edge: EdgeId, is_import: bool) -> u32 {
+        let slot = 2 * edge.0 as usize + usize::from(is_import);
+        let id = *id_slot(&mut self.transfer_ids, slot);
+        if id != NO_ID {
+            return id;
         }
         let mut h = base(self.universe_fp, "transfer-base");
         h.write_bool(is_import);
@@ -183,14 +271,16 @@ impl<'a> FpParts<'a> {
                 GhostUpdate::SetFalse => 2,
             }
         });
-        let fp = h.finish();
-        self.transfers.insert((edge, is_import), fp);
-        fp
+        let id = intern(&mut self.base_ids, &mut self.bases, h.finish());
+        self.transfer_ids[slot] = id;
+        id
     }
 
-    fn origination(&mut self, edge: EdgeId) -> Fingerprint {
-        if let Some(&fp) = self.originations.get(&edge) {
-            return fp;
+    fn origination_id(&mut self, edge: EdgeId) -> u32 {
+        let slot = edge.0 as usize;
+        let id = *id_slot(&mut self.origination_ids, slot);
+        if id != NO_ID {
+            return id;
         }
         let mut h = base(self.universe_fp, "originate");
         // A multiset: order-insensitive through sorted per-route
@@ -211,19 +301,22 @@ impl<'a> FpParts<'a> {
             r.hash(&mut h);
         }
         self.write_ghosts(&mut h, |g| g.originate_value as u8);
-        let fp = h.finish();
-        self.originations.insert(edge, fp);
-        fp
+        let id = intern(&mut self.base_ids, &mut self.bases, h.finish());
+        self.origination_ids[slot] = id;
+        id
     }
 
-    fn pred(&mut self, pred: &'a RoutePred) -> Fingerprint {
-        *self.preds.entry(pred).or_insert_with(|| pred_digest(pred))
+    fn pred_id(&mut self, pred: &'a RoutePred) -> u32 {
+        let (ids, preds) = (&mut self.pred_ids, &mut self.preds);
+        *self
+            .pred_at
+            .entry(pred)
+            .or_insert_with(|| intern(ids, preds, pred_digest(pred)))
     }
 
-    /// Everything in `body`'s formula but its assume predicate, and
-    /// that predicate. `require_accept` reshapes the goal, so it
-    /// travels with the ensure side.
-    fn split(&mut self, body: &CheckBody<'a>) -> (Fingerprint, Option<&'a RoutePred>) {
+    /// The class key of `body`. `require_accept` reshapes the goal, so
+    /// it travels with the ensure side.
+    pub(crate) fn class_key(&mut self, body: &CheckBody<'a>) -> ClassKey {
         let (base, require_accept, assume, ensure) = match *body {
             CheckBody::Transfer {
                 edge,
@@ -232,22 +325,56 @@ impl<'a> FpParts<'a> {
                 ensure,
                 require_accept,
             } => (
-                self.transfer(edge, is_import),
+                self.transfer_id(edge, is_import),
                 require_accept,
                 Some(assume),
                 ensure,
             ),
-            CheckBody::Originate { edge, ensure } => (self.origination(edge), false, None, ensure),
+            CheckBody::Originate { edge, ensure } => {
+                (self.origination_id(edge), false, None, ensure)
+            }
             CheckBody::Implication { assume, ensure } => {
                 (self.implication, false, Some(assume), ensure)
             }
         };
-        let mut h = FpHasher::new();
-        h.write_tag("check-rest");
-        base.hash(&mut h);
-        h.write_bool(require_accept);
-        self.pred(ensure).hash(&mut h);
-        (h.finish(), assume)
+        ClassKey {
+            base,
+            require_accept,
+            ensure: self.pred_id(ensure),
+            assume: assume.map_or(NO_ID, |a| self.pred_id(a)),
+        }
+    }
+
+    /// The class id of `body`: dense, in first-seen order. A new class
+    /// composes its digests from its parts' (see the module docs).
+    pub(crate) fn class(&mut self, body: &CheckBody<'a>) -> u32 {
+        let key = self.class_key(body);
+        let next = self.classes.len() as u32;
+        let id = *self.class_ids.entry(key).or_insert(next);
+        if id == next {
+            let mut h = FpHasher::new();
+            h.write_tag("check-rest");
+            self.bases[key.base as usize].hash(&mut h);
+            h.write_bool(key.require_accept);
+            self.preds[key.ensure as usize].hash(&mut h);
+            let rest = h.finish();
+            let mut h = FpHasher::new();
+            h.write_tag("check");
+            rest.hash(&mut h);
+            if key.assume != NO_ID {
+                self.preds[key.assume as usize].hash(&mut h);
+            }
+            self.classes.push(ClassDigests {
+                check: h.finish(),
+                rest: (key.assume != NO_ID).then_some(rest),
+            });
+        }
+        id
+    }
+
+    /// The fingerprint of every check in class `class`.
+    pub(crate) fn fingerprint(&self, class: u32) -> Fingerprint {
+        self.classes[class as usize].check
     }
 
     /// The fingerprint of everything in a check's formula **except**
@@ -263,20 +390,14 @@ impl<'a> FpParts<'a> {
     /// `assume ∧ ¬goal`. `None` for originate checks: concrete finite
     /// evaluation has no symbolic assume side and no core.
     pub(crate) fn rest(&mut self, body: &CheckBody<'a>) -> Option<Fingerprint> {
-        let (rest, assume) = self.split(body);
-        assume.map(|_| rest)
+        let class = self.class(body);
+        self.classes[class as usize].rest
     }
 
     /// The fingerprint of one resolved check.
     pub(crate) fn check(&mut self, body: &CheckBody<'a>) -> Fingerprint {
-        let (rest, assume) = self.split(body);
-        let mut h = FpHasher::new();
-        h.write_tag("check");
-        rest.hash(&mut h);
-        if let Some(assume) = assume {
-            self.pred(assume).hash(&mut h);
-        }
-        h.finish()
+        let class = self.class(body);
+        self.fingerprint(class)
     }
 }
 

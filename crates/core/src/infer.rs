@@ -31,7 +31,9 @@ use crate::safety::SafetyProperty;
 use bgp_model::route::Community;
 use bgp_model::routemap::{RouteMap, SetAction};
 
-/// The outcome of invariant inference.
+/// The outcome of invariant inference. One is returned per inference
+/// run, so the variants' size difference costs nothing worth a box.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
 pub enum InferResult {
     /// A candidate worked: the invariants, the tagging community, and

@@ -521,8 +521,7 @@ mod tests {
             "100.64.0.0/16".parse().unwrap(),
         )]);
         let good = from_region.clone().and(reused.clone()).and(exactly(k));
-        let interference = NetworkInvariants::from_node_fn(t, |n| {
-            let j = region_of(n);
+        let interference = NetworkInvariants::from_node_fn(t, region_of, |&j| {
             let origin = if j == k {
                 from_region.clone()
             } else {

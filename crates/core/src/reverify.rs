@@ -17,10 +17,10 @@
 //!   only that neighborhood's superseded fingerprints from the carried
 //!   cache.
 //!
-//! Dirty checks take the same solve path as a fresh run: the solve
-//! stage of [`Verifier::execute`] (`Verifier::solve`), fed the
-//! fingerprints the round already computed — one solve per distinct
-//! fingerprint, grouped by encoding base, groups spread over the
+//! Dirty checks take the same path as a fresh run: partitioned into
+//! classes on the round's part cache (`Verifier::partition`), then the
+//! solve stage of [`Verifier::execute`] (`Verifier::solve`) — one solve
+//! per class, grouped by encoding base, groups spread over the
 //! verifier's `jobs` workers. Nothing a round encodes outlives it, so a
 //! round's cost and memory do not depend on the engine's age.
 //!
@@ -37,7 +37,7 @@
 //! can never depend on what else the group solved.
 
 use crate::check::{CheckOutcome, CheckResult, Report};
-use crate::engine::{size_only, CheckCache, Keyed, ResolvedCheck, SolvedCheck, Verifier};
+use crate::engine::{size_only, CheckCache, ResolvedCheck, SolvedCheck, Verifier};
 use crate::fingerprint::{pred_digest, universe_digest, FpParts};
 use crate::impact::CheckIndex;
 use crate::invariants::NetworkInvariants;
@@ -130,9 +130,7 @@ fn spec_digest(props: &[SafetyProperty], inv: &NetworkInvariants) -> u64 {
         p.pred.hash(&mut h);
     }
     inv.default_pred().hash(&mut h);
-    let mut overrides: Vec<_> = inv.overrides_iter().collect();
-    overrides.sort_by_key(|(l, _)| **l);
-    overrides.hash(&mut h);
+    inv.overrides_iter().collect::<Vec<_>>().hash(&mut h);
     h.finish()
 }
 
@@ -367,16 +365,14 @@ impl ReverifyEngine {
         }
         stats.dirty = dirty.len();
 
-        // Dirty checks take a fresh run's solve stage under the
-        // fingerprints computed above. The stage gets no cache: the
-        // carried one already answered every hit. Passes record their
-        // conjunct core, so later rounds can answer invariant edits that
-        // leave the load-bearing conjuncts intact without solving.
-        let keyed: Vec<Keyed> = dirty
-            .iter()
-            .map(|&i| (fps[i], v.solve_key(i, &checks[i]), &checks[i]))
-            .collect();
-        let exec = v.solve(&universe, &keyed, None, &mut |pos, solved| {
+        // Dirty checks take a fresh run's partition, on the part cache
+        // that keyed the round, and its solve stage. The stage gets no
+        // cache: the carried one already answered every hit. Passes
+        // record their conjunct core, so later rounds can answer
+        // invariant edits that leave the load-bearing conjuncts intact
+        // without solving.
+        let classes = v.partition(&mut parts, dirty.iter().map(|&i| (i, &checks[i])));
+        let exec = v.solve(&universe, classes, None, &mut |pos, solved| {
             let i = dirty[pos];
             let rc = &checks[i];
             if let (true, Some(core), Some(rest)) =

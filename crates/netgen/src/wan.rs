@@ -694,8 +694,9 @@ impl Scenario {
         // Outside: no reused routes from region k at all.
         let outside = from_region.clone().implies(reused.clone().not());
 
-        let inv = NetworkInvariants::from_node_fn(t, |n| {
-            if self.region_of(n) == Some(k) {
+        let in_region = |n| self.region_of(n) == Some(k);
+        let inv = NetworkInvariants::from_node_fn(t, in_region, |&inner| {
+            if inner {
                 inside.clone()
             } else {
                 outside.clone()
@@ -741,25 +742,29 @@ impl Scenario {
 
         // Interference invariants: inside region j, reused routes carry
         // exactly C_j and (for j == k) came from the region.
-        let interference = NetworkInvariants::from_node_fn(t, |n| {
-            let j = self.region_of(n).unwrap_or(usize::MAX);
-            if j == usize::MAX {
-                return RoutePred::True;
-            }
-            let mut exactly_cj = RoutePred::has_community(region_comm(j));
-            for k2 in 0..self.params.regions {
-                if k2 != j {
-                    exactly_cj = exactly_cj.and(RoutePred::has_community(region_comm(k2)).not());
+        let interference = NetworkInvariants::from_node_fn(
+            t,
+            |n| self.region_of(n),
+            |&region| {
+                let Some(j) = region else {
+                    return RoutePred::True;
+                };
+                let mut exactly_cj = RoutePred::has_community(region_comm(j));
+                for k2 in 0..self.params.regions {
+                    if k2 != j {
+                        exactly_cj =
+                            exactly_cj.and(RoutePred::has_community(region_comm(k2)).not());
+                    }
                 }
-            }
-            let mut pred = exactly_cj;
-            if j == k {
-                pred = pred.and(from_region.clone());
-            } else {
-                pred = pred.and(from_region.clone().not());
-            }
-            reused.clone().implies(pred)
-        });
+                let mut pred = exactly_cj;
+                if j == k {
+                    pred = pred.and(from_region.clone());
+                } else {
+                    pred = pred.and(from_region.clone().not());
+                }
+                reused.clone().implies(pred)
+            },
+        );
 
         Some(LivenessSpec {
             location: Location::Node(gw),

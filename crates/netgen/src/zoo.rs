@@ -605,13 +605,14 @@ pub fn build(params: &ZooParams) -> ZooScenario {
 }
 
 impl ZooScenario {
-    /// The cluster of a router node (`None` for externals).
-    pub fn cluster_of(&self, n: NodeId) -> Option<usize> {
-        self.network
-            .config_nodes
-            .iter()
-            .position(|&m| m == n)
-            .map(|i| self.clusters[i])
+    /// Every node's cluster, indexed by node id (`None` for externals):
+    /// one pass over the configured routers.
+    pub fn node_clusters(&self) -> Vec<Option<usize>> {
+        let mut of = vec![None; self.network.topology.num_nodes()];
+        for (&n, &k) in self.network.config_nodes.iter().zip(&self.clusters) {
+            of[n.0 as usize] = Some(k);
+        }
+        of
     }
 
     /// The `FromPeer` ghost: true on peer imports, false on site
@@ -659,7 +660,11 @@ impl ZooScenario {
         let t = &self.network.topology;
         let num_clusters = self.params.num_clusters();
         let reused = RoutePred::prefix_in(vec![PrefixRange::orlonger(reused_prefix())]);
-        let fenced = |k: usize| {
+        let clusters = self.node_clusters();
+        // `from_node_fn` only consults configured routers, which all
+        // carry a cluster assignment.
+        let cluster = |n: NodeId| clusters[n.0 as usize].expect("router has a cluster");
+        let inv = NetworkInvariants::from_node_fn(t, cluster, |&k| {
             let mut own = RoutePred::has_community(region_comm(k));
             for k2 in 0..num_clusters {
                 if k2 != k {
@@ -667,11 +672,6 @@ impl ZooScenario {
                 }
             }
             reused.clone().implies(own)
-        };
-        let inv = NetworkInvariants::from_node_fn(t, |n| {
-            // `from_node_fn` only consults configured routers, which
-            // all carry a cluster assignment.
-            fenced(self.cluster_of(n).expect("router has a cluster"))
         });
         let props = self
             .reflectors

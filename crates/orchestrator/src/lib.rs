@@ -21,9 +21,10 @@
 //!   deques plus steal-half balancing, `--jobs` configurable) that
 //!   hands each result to the caller, tagged with its submission index,
 //!   while the remaining jobs are still running.
-//! * [`orchestrate`] — the glue: group jobs by fingerprint, consult the
-//!   cache, execute one representative per structure, deliver results
-//!   to every duplicate as they become known, and report [`RunStats`].
+//! * [`orchestrate`] — the glue: take the caller's partition of jobs
+//!   into structures (equal fingerprints), consult the cache, execute
+//!   one representative per structure, deliver results to every
+//!   duplicate as they become known, and report [`RunStats`].
 //!
 //! ## Fingerprint canonicalization rules
 //!
@@ -81,4 +82,4 @@ pub mod orchestrate;
 pub use cache::{CacheSnapshot, ResultCache};
 pub use executor::Executor;
 pub use fingerprint::{Fingerprint, FpHasher};
-pub use orchestrate::{run_grouped, RunStats};
+pub use orchestrate::{run_grouped, RunStats, Structure};

@@ -1,19 +1,23 @@
-//! The orchestration pipeline: fingerprint-group, consult the cache,
-//! execute one representative per structure, replicate.
+//! The orchestration pipeline: take the caller's partition into
+//! structures, consult the cache, execute one representative per
+//! structure, replicate.
 //!
 //! Deduplication is sound because fingerprints cover everything the
 //! solver sees (see the crate-level canonicalization rules): two checks
 //! with equal fingerprints produce bit-identical SMT queries, so one
 //! verdict — pass, or fail with a concrete counterexample over the
-//! shared attribute universe — is the verdict of all of them.
+//! shared attribute universe — is the verdict of all of them. The caller
+//! partitions its jobs (it knows their parts, so it can do so on small
+//! integers instead of re-hashing a fingerprint per job) and hands over
+//! one [`Structure`] per class.
 //!
 //! [`run_grouped`] adds a second axis: fingerprint-*distinct* jobs that
 //! share an **encoding base** (same router/edge transfer function, same
 //! universe — only the assumed/ensured predicates differ) carry an
 //! encoding-base key, and the executor hands whole base-groups to
 //! workers so the caller can solve each group on one persistent,
-//! assumption-based SMT session. The cache still operates per job: every
-//! member of a group gets its own fingerprint-keyed entry, and cached
+//! assumption-based SMT session. The cache still operates per structure:
+//! every structure gets its own fingerprint-keyed entry, and cached
 //! answers are re-validated by the caller-supplied `validate` hook
 //! before being trusted (stale failures are re-solved, not replayed).
 
@@ -101,39 +105,54 @@ impl RunStats {
     }
 }
 
-/// The grouped pipeline: fingerprint-dedup, cache consult (with
-/// re-validation), then execute the remaining representatives in
-/// encoding-base groups on the work-stealing pool, handing every item's
-/// result to the caller as soon as it is known.
+/// One class of a batch's partition: jobs with equal fingerprints, of
+/// which only the representative runs.
+#[derive(Clone, Debug)]
+pub struct Structure<T> {
+    /// The shared fingerprint: the cache key.
+    pub fp: Fingerprint,
+    /// The representative's encoding-base key.
+    pub key: u64,
+    /// The representative's job.
+    pub job: T,
+    /// Item indices the structure answers, ascending; the first is the
+    /// representative.
+    pub members: Vec<usize>,
+}
+
+/// The grouped pipeline: cache consult (with re-validation), then
+/// execute the remaining representatives in encoding-base groups on the
+/// work-stealing pool, handing every item's result to the caller as soon
+/// as it is known.
 ///
-/// * `items` — `(fingerprint, encoding-base key, payload)` per job. Jobs
-///   with equal fingerprints are structurally identical (one is solved,
-///   the verdict replicated); jobs with equal base keys share enough
-///   encoding that the caller wants them solved together on one
-///   persistent session.
-/// * `validate` — called on every cache hit with the job and the cached
-///   value; returning `false` rejects the entry (it is removed and the
-///   job re-executed). Lets callers spill failure results whose
-///   counterexamples must be re-checked against live configurations.
-///   Hits are validated concurrently on the same work-stealing pool
-///   that executes jobs, so expensive re-validation (a pinned solve per
-///   spilled failure) does not serialize the dispatch path.
-/// * `solve_group` — receives the group's payloads in submission order
-///   and must return one result per payload, in order.
+/// * `structures` — the batch's partition, one [`Structure`] per class,
+///   ordered by representative. Members of one structure are
+///   structurally identical (one is solved, the verdict replicated);
+///   structures with equal base keys share enough encoding that the
+///   caller wants them solved together on one persistent session.
+/// * `validate` — called on every cache hit with the representative's
+///   job and the cached value; returning `false` rejects the entry (it
+///   is removed and the job re-executed). Lets callers spill failure
+///   results whose counterexamples must be re-checked against live
+///   configurations. Hits are validated concurrently on the same
+///   work-stealing pool that executes jobs, so expensive re-validation
+///   (a pinned solve per spilled failure) does not serialize the
+///   dispatch path.
+/// * `solve_group` — receives the group's jobs in structure order and
+///   must return one result per job, in order.
 /// * `deliver` — called on the calling thread, exactly once per
-///   distinct structure, with `(members, result, executed)`: cache
-///   answers as their validation finishes, executed structures as their
-///   group completes (while other groups are still running). `members`
-///   are the item indices the result answers, ascending; the first is
-///   the representative. `executed` is false for cache answers, and
-///   even when true only the representative's job actually ran — the
-///   other members are dedup replicas — so callers can attribute real
-///   work (e.g. solver time) exactly once. Delivery order is completion
-///   order; callers that need submission order re-sequence.
+///   structure, with `(members, result, executed)`: cache answers as
+///   their validation finishes, executed structures as their group
+///   completes (while other groups are still running). `executed` is
+///   false for cache answers, and even when true only the
+///   representative's job actually ran — the other members are dedup
+///   replicas — so callers can attribute real work (e.g. solver time)
+///   exactly once. Delivery order is completion order; callers that
+///   need submission order re-sequence.
 pub fn run_grouped<T, V, F, P, D>(
     executor: &Executor,
     cache: Option<&ResultCache<V>>,
-    items: &[(Fingerprint, u64, T)],
+    mut structures: Vec<Structure<T>>,
     validate: P,
     solve_group: F,
     mut deliver: D,
@@ -145,29 +164,19 @@ where
     F: Fn(&[&T]) -> Vec<V> + Sync,
     D: FnMut(Vec<usize>, V, bool),
 {
+    // Members leave as they are delivered, while workers read the jobs.
+    let mut members: Vec<Vec<usize>> = (structures.iter_mut())
+        .map(|s| std::mem::take(&mut s.members))
+        .collect();
+    let reps = &structures;
+    let generated: usize = members.iter().map(Vec::len).sum();
     let mut stats = RunStats {
-        generated: items.len(),
+        generated,
+        unique: reps.len(),
+        dedup_hits: generated - reps.len(),
         threads: executor.threads(),
         ..RunStats::default()
     };
-
-    // Group item indices by fingerprint, first occurrence first: each
-    // structure's representative item, and every item it answers.
-    let mut struct_of: HashMap<u128, usize> = HashMap::new();
-    let mut reps: Vec<usize> = Vec::new();
-    let mut members: Vec<Vec<usize>> = Vec::new();
-    for (i, (fp, _, _)) in items.iter().enumerate() {
-        match struct_of.entry(fp.0) {
-            std::collections::hash_map::Entry::Occupied(e) => members[*e.get()].push(i),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(reps.len());
-                reps.push(i);
-                members.push(vec![i]);
-            }
-        }
-    }
-    stats.unique = reps.len();
-    stats.dedup_hits = stats.generated - stats.unique;
 
     // Answer structures from the cache where possible. Hits are
     // validated on the work-stealing pool — re-validating a spilled
@@ -178,12 +187,12 @@ where
     let hits: Vec<(usize, V)> = reps
         .iter()
         .enumerate()
-        .filter_map(|(si, &rep)| cache.and_then(|c| c.get(items[rep].0)).map(|v| (si, v)))
+        .filter_map(|(si, rep)| cache.and_then(|c| c.get(rep.fp)).map(|v| (si, v)))
         .collect();
     let mut verdicts = vec![false; hits.len()];
     executor.run(
         &hits,
-        |(si, v)| validate(&items[reps[*si]].2, v),
+        |(si, v)| validate(&reps[*si].job, v),
         |hi, ok| verdicts[hi] = ok,
     );
     for ((si, v), ok) in hits.into_iter().zip(verdicts) {
@@ -193,7 +202,7 @@ where
         } else {
             stats.invalidated += members[si].len();
             if let Some(c) = cache {
-                c.remove(items[reps[si]].0);
+                c.remove(reps[si].fp);
             }
         }
     }
@@ -207,7 +216,7 @@ where
     let mut exec_of: HashMap<u64, usize> = HashMap::new();
     let mut exec_groups: Vec<Vec<usize>> = Vec::new(); // structure indices
     for si in to_run {
-        match exec_of.entry(items[reps[si]].1) {
+        match exec_of.entry(reps[si].key) {
             std::collections::hash_map::Entry::Occupied(e) => exec_groups[*e.get()].push(si),
             std::collections::hash_map::Entry::Vacant(e) => {
                 e.insert(exec_groups.len());
@@ -223,7 +232,7 @@ where
     stats.steals = executor.run(
         &exec_groups,
         |group: &Vec<usize>| {
-            let payloads: Vec<&T> = group.iter().map(|&si| &items[reps[si]].2).collect();
+            let payloads: Vec<&T> = group.iter().map(|&si| &reps[si].job).collect();
             let out = solve_group(&payloads);
             assert_eq!(
                 out.len(),
@@ -235,7 +244,7 @@ where
         |gi, values| {
             for (&si, v) in exec_groups[gi].iter().zip(values) {
                 if let Some(c) = cache {
-                    c.insert(items[reps[si]].0, v.clone());
+                    c.insert(reps[si].fp, v.clone());
                 }
                 deliver(std::mem::take(&mut members[si]), v, true);
             }
@@ -266,6 +275,25 @@ mod tests {
         h.finish()
     }
 
+    /// The partition a caller hands over: items grouped by fingerprint,
+    /// first occurrence first, each structure keyed and run as its
+    /// representative.
+    fn partition(items: &[(Fingerprint, u64, u32)]) -> Vec<Structure<u32>> {
+        let mut out: Vec<Structure<u32>> = Vec::new();
+        for (i, &(fp, key, job)) in items.iter().enumerate() {
+            match out.iter_mut().find(|s| s.fp == fp) {
+                Some(s) => s.members.push(i),
+                None => out.push(Structure {
+                    fp,
+                    key,
+                    job,
+                    members: vec![i],
+                }),
+            }
+        }
+        out
+    }
+
     /// A collecting sink over [`run_grouped`]: per-item results and
     /// fresh flags (true where the item's own job ran) in submission
     /// order, asserting exactly-once delivery.
@@ -280,7 +308,7 @@ mod tests {
         let stats = run_grouped(
             &Executor::with_threads(jobs),
             cache,
-            items,
+            partition(items),
             validate,
             solve_group,
             |members, v, executed| {
@@ -484,7 +512,7 @@ mod tests {
         run_grouped(
             &Executor::with_threads(Some(2)),
             None::<&ResultCache<u32>>,
-            &items,
+            partition(&items),
             |_, _| true,
             |group| {
                 if *group[0] == 1 {

@@ -48,4 +48,4 @@ pub use sat::{DbStats, SatSolver, SatStats, SolveOutcome, SolverError, ARENA_CAP
 pub use solver::{
     solve, solve_with_stats, Assumption, IncrementalSession, Model, SatResult, SolverStats, Value,
 };
-pub use term::{Sort, Term, TermId, TermPool, VarKey};
+pub use term::{FastMap, Sort, Term, TermId, TermPool, VarKey};

@@ -114,13 +114,13 @@ fn mask(width: u32) -> u64 {
 }
 
 /// Word-at-a-time multiplicative hasher (the FxHash recipe) for the
-/// hash-consing index and the [`VarKey`] table. What it hashes the
-/// program itself builds — pool-local ids, small constants, attribute
-/// names — which is where a DoS-resistant hash buys nothing; free-form
-/// variable *names* may derive from configuration text and keep the
-/// standard hasher.
+/// hash-consing index, the [`VarKey`] table and the verifier's id
+/// tables. What it hashes the program itself builds — pool-local ids,
+/// small constants, attribute names, addresses — which is where a
+/// DoS-resistant hash buys nothing; free-form variable *names* may
+/// derive from configuration text and keep the standard hasher.
 #[derive(Clone, Copy, Default)]
-struct TermHasher(u64);
+pub struct TermHasher(u64);
 
 impl TermHasher {
     fn add(&mut self, word: u64) {
@@ -160,7 +160,8 @@ impl Hasher for TermHasher {
     }
 }
 
-type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<TermHasher>>;
+/// A hash map under [`TermHasher`], for keys the program builds.
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<TermHasher>>;
 
 /// End of a `same_hash` chain.
 const NO_TERM: u32 = u32::MAX;

@@ -105,8 +105,9 @@ fn conjunct_table_matches_the_generated_checks_on_every_family() {
     }
 
     // The zoo family: `from_node_fn` invariants give every router and
-    // edge its own override; both suites carry one property per router
-    // or reflector.
+    // edge an override, all of one cluster sharing one predicate
+    // instance, so the table's address-keyed memo answers most rows;
+    // both suites carry one property per router or reflector.
     let entry = &zoo::CORPUS[0];
     let scen = zoo::build(&zoo::ZooParams::scaled(entry, 14));
     let v = Verifier::new(&scen.network.topology, &scen.network.policy)

@@ -1,5 +1,6 @@
 //! The dedup partition is the contract of `lightyear::fingerprint`:
-//! two checks share a fingerprint exactly when their hashed parts are
+//! two checks share a fingerprint — and a class key, the small-integer
+//! tuple a run partitions on — exactly when their hashed parts are
 //! structurally equal. Fingerprints are computed by walking the values
 //! (`derive(Hash)` into `orchestrator::FpHasher`) and composed from
 //! per-edge and per-predicate digests; the oracle they are compared
@@ -447,6 +448,14 @@ fn assert_structural_partition(
         classes(&check),
         classes(&key(|k| Some(&k.check))),
         "{what}: check fingerprints do not partition by structural (JSON) equality"
+    );
+    // The run partitions on class keys and fingerprints each class
+    // once: the keys must split exactly where the oracle does.
+    let class: Vec<_> = digests.iter().map(|d| d.class).collect();
+    assert_eq!(
+        classes(&class),
+        classes(&key(|k| Some(&k.check))),
+        "{what}: class keys do not partition by structural (JSON) equality"
     );
     assert_eq!(
         classes(&rest),
