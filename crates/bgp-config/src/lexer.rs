@@ -7,6 +7,15 @@
 //! Tokens are slices of the input: the lexer is a cursor over the text
 //! that refills one token buffer per line, so lexing allocates nothing
 //! per line or per token.
+//!
+//! Tokens are separated by whitespace as [`char::is_whitespace`] defines
+//! it. Configurations are almost always ASCII, so a line that is all
+//! ASCII is split as bytes on the six ASCII bytes that predicate accepts
+//! (space, `\t`, `\n`, `\x0b`, `\x0c`, `\r`), with no UTF-8 decoding. A
+//! line holding any non-ASCII byte falls back to [`str::split_whitespace`],
+//! which also splits on Unicode spaces such as U+00A0 or U+3000. Both
+//! paths yield the same tokens for an ASCII line, so the fast path never
+//! changes what a configuration means.
 
 /// A tokenized configuration line; its tokens borrow from the input.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -57,15 +66,20 @@ impl<'a> Lexer<'a> {
     /// which [`Lexer::line`] is stale.
     pub fn advance(&mut self) -> bool {
         for (i, raw) in self.lines.by_ref() {
-            let trimmed = raw.trim_end();
-            let body = trimmed.trim_start();
-            if body.is_empty() || body.starts_with('!') {
-                continue;
+            let tokens = &mut self.line.tokens;
+            tokens.clear();
+            if raw.is_ascii() {
+                split_ascii(raw, tokens);
+            } else {
+                tokens.extend(raw.split_whitespace());
+            }
+            match tokens.first() {
+                None => continue,
+                Some(t) if t.starts_with('!') => continue,
+                Some(_) => {}
             }
             self.line.number = i + 1;
-            self.line.indented = trimmed.starts_with(' ') || trimmed.starts_with('\t');
-            self.line.tokens.clear();
-            self.line.tokens.extend(body.split_whitespace());
+            self.line.indented = raw.starts_with([' ', '\t']);
             return true;
         }
         false
@@ -74,6 +88,30 @@ impl<'a> Lexer<'a> {
     /// The line the last successful [`Lexer::advance`] stopped on.
     pub fn line(&self) -> &Line<'a> {
         &self.line
+    }
+}
+
+/// The bytes below 0x80 that [`char::is_whitespace`] accepts.
+fn is_ascii_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | b'\n' | 0x0b | 0x0c | b'\r')
+}
+
+/// Push the tokens of an all-ASCII `line` onto `out`: what
+/// `line.split_whitespace()` yields, found byte by byte.
+fn split_ascii<'a>(line: &'a str, out: &mut Vec<&'a str>) {
+    let mut start = None;
+    for (i, &b) in line.as_bytes().iter().enumerate() {
+        match (is_ascii_space(b), start) {
+            (true, Some(s)) => {
+                out.push(&line[s..i]);
+                start = None;
+            }
+            (false, None) => start = Some(i),
+            _ => {}
+        }
+    }
+    if let Some(s) = start {
+        out.push(&line[s..]);
     }
 }
 
@@ -123,5 +161,60 @@ mod tests {
             assert!(range.contains(&t.as_ptr()));
         }
         assert_eq!(lines[0].tokens, ["match", "community", "REGION"]);
+    }
+
+    /// The lexer before the ASCII fast path: trim, skip blanks and
+    /// comments, split on Unicode whitespace.
+    fn lex_unicode(input: &str) -> Vec<Line<'_>> {
+        let mut out = Vec::new();
+        for (i, raw) in input.lines().enumerate() {
+            let trimmed = raw.trim_end();
+            let body = trimmed.trim_start();
+            if body.is_empty() || body.starts_with('!') {
+                continue;
+            }
+            out.push(Line {
+                number: i + 1,
+                indented: trimmed.starts_with(' ') || trimmed.starts_with('\t'),
+                tokens: body.split_whitespace().collect(),
+            });
+        }
+        out
+    }
+
+    #[test]
+    fn ascii_space_bytes_are_the_ascii_whitespace_chars() {
+        for b in 0u8..0x80 {
+            assert_eq!(is_ascii_space(b), char::from(b).is_whitespace(), "{b:#x}");
+        }
+    }
+
+    #[test]
+    fn byte_split_agrees_with_unicode_split() {
+        // ASCII letters and whitespace (`\x0b`, `\x0c` and `\r` too),
+        // the comment mark, Unicode spaces and non-ASCII letters.
+        const ALPHABET: &[char] = &[
+            'a', 'Z', '7', '-', '!', ' ', ' ', '\t', '\x0b', '\x0c', '\r', '\n', '\u{a0}',
+            '\u{2003}', '\u{3000}', 'é', 'ß', '\u{4e2d}',
+        ];
+        let mut state: u64 = 0x9e37_79b9_7f4a_7c15;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for _ in 0..2000 {
+            let len = next(40);
+            let text: String = (0..len).map(|_| ALPHABET[next(ALPHABET.len())]).collect();
+            let got = lex(&text);
+            let want = lex_unicode(&text);
+            assert_eq!(got, want, "{text:?}");
+            for l in &got {
+                for t in &l.tokens {
+                    assert!(text.as_bytes().as_ptr_range().contains(&t.as_ptr()));
+                }
+            }
+        }
     }
 }

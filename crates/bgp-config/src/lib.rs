@@ -29,6 +29,8 @@
 //! and [`lower`] for how neighbor descriptions are matched to topology
 //! nodes.
 
+#![warn(clippy::or_fun_call)]
+
 pub mod ast;
 pub mod lexer;
 pub mod lint;

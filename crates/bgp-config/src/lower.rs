@@ -7,7 +7,9 @@
 //!   internal session; otherwise an external node is created (requiring
 //!   `remote-as` for its AS number).
 //! * Route-map / prefix-list / community-list / as-path ACL references are
-//!   resolved here; dangling references are errors.
+//!   resolved here; dangling references are errors. Each named route map
+//!   is resolved once per router, and the one resolved map is shared by
+//!   every session of that router that names it.
 //! * `network P` statements originate a route with default attributes on
 //!   every session, filtered through that session's outbound route map
 //!   (matching how `network` routes enter BGP and then pass export
@@ -20,8 +22,9 @@ use bgp_model::prefix::PrefixRange;
 use bgp_model::route::Route;
 use bgp_model::routemap::{Action, MatchCond, RouteMap, RouteMapEntry, SetAction};
 use bgp_model::topology::{NodeId, Topology};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::sync::Arc;
 
 /// A lowering error.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -130,7 +133,6 @@ pub fn lower(configs: &[ConfigAst]) -> Result<Network, LowerError> {
 
     // Warn about one-sided internal sessions.
     for cfg in configs {
-        let me = topo.node_by_name(&cfg.hostname).unwrap();
         let Some(bgp) = &cfg.router_bgp else { continue };
         for nbr in bgp.neighbors.values() {
             let peer_name = nbr.description.as_deref().unwrap();
@@ -151,25 +153,26 @@ pub fn lower(configs: &[ConfigAst]) -> Result<Network, LowerError> {
                     ));
                 }
             }
-            let _ = me;
         }
     }
 
     // Pass 3: policy.
     let mut policy = Policy::new();
+    let mut resolved = HashMap::new();
     for cfg in configs {
         let me = topo.node_by_name(&cfg.hostname).unwrap();
         let Some(bgp) = &cfg.router_bgp else { continue };
+        resolved.clear();
         for nbr in bgp.neighbors.values() {
             let peer_name = nbr.description.as_deref().unwrap();
             let peer = topo.node_by_name(peer_name).unwrap();
             let in_edge = topo.edge_between(peer, me).expect("session exists");
             let out_edge = topo.edge_between(me, peer).expect("session exists");
             if let Some(name) = &nbr.route_map_in {
-                policy.set_import(in_edge, resolve_route_map(cfg, name)?);
+                policy.set_import(in_edge, shared_route_map(&mut resolved, cfg, name)?);
             }
             if let Some(name) = &nbr.route_map_out {
-                policy.set_export(out_edge, resolve_route_map(cfg, name)?);
+                policy.set_export(out_edge, shared_route_map(&mut resolved, cfg, name)?);
             }
         }
         // Originations: network statements filtered through export maps.
@@ -189,6 +192,21 @@ pub fn lower(configs: &[ConfigAst]) -> Result<Network, LowerError> {
         config_nodes,
         warnings,
     })
+}
+
+/// The map `name` of `cfg`, resolved on its first use and shared by
+/// every later one. `resolved` holds the maps of `cfg` only.
+fn shared_route_map<'c>(
+    resolved: &mut HashMap<&'c str, Arc<RouteMap>>,
+    cfg: &ConfigAst,
+    name: &'c str,
+) -> Result<Arc<RouteMap>, LowerError> {
+    if let Some(m) = resolved.get(name) {
+        return Ok(Arc::clone(m));
+    }
+    let m = Arc::new(resolve_route_map(cfg, name)?);
+    resolved.insert(name, Arc::clone(&m));
+    Ok(m)
 }
 
 /// Resolve a named route map from a configuration into the self-contained
@@ -233,8 +251,11 @@ fn resolve_match(cfg: &ConfigAst, m: &MatchAst) -> Result<MatchCond, LowerError>
                     .ok_or_else(|| errf(&cfg.hostname, format!("undefined prefix-list {n:?}")))?;
                 for e in list {
                     let min = e.ge.unwrap_or(e.prefix.len);
-                    let max =
-                        e.le.unwrap_or(if e.ge.is_some() { 32 } else { e.prefix.len });
+                    let max = match (e.le, e.ge) {
+                        (Some(le), _) => le,
+                        (None, Some(_)) => 32,
+                        (None, None) => e.prefix.len,
+                    };
                     ranges.push((
                         e.permit,
                         PrefixRange::with_bounds(e.prefix, min, max.max(min)),
@@ -453,6 +474,43 @@ router bgp 1
         .unwrap();
         let net = lower(&[a, b]).unwrap();
         assert!(net.warnings.iter().any(|w| w.contains("remote-as 9")));
+    }
+
+    #[test]
+    fn sessions_of_one_router_share_a_map() {
+        let r1 = parse_config(
+            "\
+hostname R1
+route-map OUT permit 10
+ set metric 5
+router bgp 1
+ neighbor 1.1.1.2 remote-as 2
+ neighbor 1.1.1.2 description X
+ neighbor 1.1.1.2 route-map OUT out
+ neighbor 1.1.1.3 remote-as 3
+ neighbor 1.1.1.3 description Y
+ neighbor 1.1.1.3 route-map OUT out
+ neighbor 1.1.1.3 route-map OUT in
+",
+        )
+        .unwrap();
+        let mut r2 = r1.clone();
+        r2.hostname = "R2".to_string();
+        let net = lower(&[r1, r2]).unwrap();
+        let (t, p) = (&net.topology, &net.policy);
+        let edge = |a: &str, b: &str| {
+            t.edge_between(t.node_by_name(a).unwrap(), t.node_by_name(b).unwrap())
+                .unwrap()
+        };
+        let r1_x = &p.export[&edge("R1", "X")];
+        // Every session of R1 naming OUT, in either direction, holds the
+        // one resolved map.
+        assert!(Arc::ptr_eq(r1_x, &p.export[&edge("R1", "Y")]));
+        assert!(Arc::ptr_eq(r1_x, &p.import[&edge("Y", "R1")]));
+        // R2's OUT is its own map, equal in content.
+        let r2_x = &p.export[&edge("R2", "X")];
+        assert!(!Arc::ptr_eq(r1_x, r2_x));
+        assert_eq!(r1_x, r2_x);
     }
 
     #[test]

@@ -67,21 +67,21 @@ fn parse_permit(line: &Line, tok: Option<&str>) -> Result<bool, ParseError> {
 }
 
 fn parse_u32(line: &Line, tok: Option<&str>, what: &str) -> Result<u32, ParseError> {
-    tok.and_then(|t| t.parse().ok()).ok_or(ParseError {
+    tok.and_then(|t| t.parse().ok()).ok_or_else(|| ParseError {
         line: line.number,
         message: format!("expected {what}, got {tok:?}"),
     })
 }
 
 fn parse_u8(line: &Line, tok: Option<&str>, what: &str) -> Result<u8, ParseError> {
-    tok.and_then(|t| t.parse().ok()).ok_or(ParseError {
+    tok.and_then(|t| t.parse().ok()).ok_or_else(|| ParseError {
         line: line.number,
         message: format!("expected {what}, got {tok:?}"),
     })
 }
 
 fn parse_prefix(line: &Line, tok: Option<&str>) -> Result<Ipv4Prefix, ParseError> {
-    tok.and_then(|t| t.parse().ok()).ok_or(ParseError {
+    tok.and_then(|t| t.parse().ok()).ok_or_else(|| ParseError {
         line: line.number,
         message: format!("expected prefix A.B.C.D/L, got {tok:?}"),
     })

@@ -20,6 +20,8 @@
 //! * [`sim`] — a message-passing BGP simulator that produces valid traces;
 //!   used to differentially test the verifier.
 
+#![warn(clippy::or_fun_call)]
+
 pub mod aspath;
 pub mod interp;
 pub mod policy;

@@ -7,6 +7,7 @@ use crate::routemap::RouteMap;
 use crate::topology::EdgeId;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The network policy: route maps keyed by directed edge.
 ///
@@ -18,12 +19,19 @@ use std::collections::HashMap;
 ///
 /// An edge with no configured map uses `permit all` (the identity), which
 /// matches vendor behaviour for sessions without an attached route map.
+///
+/// Maps are held by [`Arc`] so one resolved map can serve many edges:
+/// the configuration front end resolves each named map once per router
+/// and attaches that one instance to every session of the router that
+/// names it. Sharing is an allocation detail only — which edges share an
+/// `Arc` means nothing for equality or fingerprints, which compare and
+/// hash a map's contents.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct Policy {
     /// Import route maps per directed edge.
-    pub import: HashMap<EdgeId, RouteMap>,
+    pub import: HashMap<EdgeId, Arc<RouteMap>>,
     /// Export route maps per directed edge.
-    pub export: HashMap<EdgeId, RouteMap>,
+    pub export: HashMap<EdgeId, Arc<RouteMap>>,
     /// Routes originated per directed edge.
     pub originate: HashMap<EdgeId, Vec<Route>>,
 }
@@ -36,12 +44,12 @@ impl Policy {
 
     /// The import map on an edge, if explicitly configured.
     pub fn import_map(&self, e: EdgeId) -> Option<&RouteMap> {
-        self.import.get(&e)
+        self.import.get(&e).map(|m| &**m)
     }
 
     /// The export map on an edge, if explicitly configured.
     pub fn export_map(&self, e: EdgeId) -> Option<&RouteMap> {
-        self.export.get(&e)
+        self.export.get(&e).map(|m| &**m)
     }
 
     /// Concrete `Import` function: `None` = Reject.
@@ -65,14 +73,16 @@ impl Policy {
         self.originate.get(&e).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Attach an import map to an edge.
-    pub fn set_import(&mut self, e: EdgeId, m: RouteMap) {
-        self.import.insert(e, m);
+    /// Attach an import map to an edge: an owned map, or an `Arc` shared
+    /// with other edges.
+    pub fn set_import(&mut self, e: EdgeId, m: impl Into<Arc<RouteMap>>) {
+        self.import.insert(e, m.into());
     }
 
-    /// Attach an export map to an edge.
-    pub fn set_export(&mut self, e: EdgeId, m: RouteMap) {
-        self.export.insert(e, m);
+    /// Attach an export map to an edge: an owned map, or an `Arc` shared
+    /// with other edges.
+    pub fn set_export(&mut self, e: EdgeId, m: impl Into<Arc<RouteMap>>) {
+        self.export.insert(e, m.into());
     }
 
     /// Add an originated route on an edge.

@@ -171,10 +171,12 @@ impl RouteMap {
         rm
     }
 
-    /// Add an entry, keeping entries sorted by sequence number.
+    /// Add an entry, keeping entries sorted by sequence number. An entry
+    /// goes after every entry with an equal sequence number, where a
+    /// stable sort would put it; pushing in sequence order appends.
     pub fn push(&mut self, e: RouteMapEntry) {
-        self.entries.push(e);
-        self.entries.sort_by_key(|e| e.seq);
+        let at = self.entries.partition_point(|x| x.seq <= e.seq);
+        self.entries.insert(at, e);
     }
 
     /// Index of the entry with the given sequence number.
@@ -231,6 +233,29 @@ mod tests {
         rm.push(RouteMapEntry::deny(20));
         let seqs: Vec<u32> = rm.entries.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![10, 20, 30]);
+    }
+
+    #[test]
+    fn equal_seqs_keep_insertion_order() {
+        let mut rm = RouteMap::new("T");
+        rm.push(RouteMapEntry::permit(20));
+        rm.push(RouteMapEntry::deny(10));
+        rm.push(RouteMapEntry::deny(20));
+        rm.push(RouteMapEntry::permit(10).setting(SetAction::Med(1)));
+        let got: Vec<(u32, Action, usize)> = rm
+            .entries
+            .iter()
+            .map(|e| (e.seq, e.action, e.sets.len()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (10, Action::Deny, 0),
+                (10, Action::Permit, 1),
+                (20, Action::Permit, 0),
+                (20, Action::Deny, 0)
+            ]
+        );
     }
 
     #[test]

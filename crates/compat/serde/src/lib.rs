@@ -40,6 +40,7 @@ pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// A JSON-shaped value: the interchange point between `Serialize`,
 /// `Deserialize` and the `serde_json` shim.
@@ -595,6 +596,22 @@ impl<T: Serialize> Serialize for Box<T> {
 impl<T: Deserialize> Deserialize for Box<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         T::from_value(v).map(Box::new)
+    }
+}
+
+impl<T: Serialize> Serialize for Arc<T> {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        (**self).stream(out);
+    }
+}
+
+impl<T: Deserialize> Deserialize for Arc<T> {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        T::from_value(v).map(Arc::new)
     }
 }
 

@@ -54,6 +54,7 @@ use crate::ghost::{GhostAttr, GhostUpdate};
 use crate::pred::RoutePred;
 use crate::universe::Universe;
 use bgp_model::policy::Policy;
+use bgp_model::routemap::RouteMap;
 use bgp_model::topology::EdgeId;
 use orchestrator::{Fingerprint, FpHasher};
 use smt::FastMap;
@@ -160,6 +161,11 @@ pub(crate) struct FpParts<'a> {
     base_ids: HashMap<u128, u32>,
     /// Base id per `2 * edge + is_import`, [`NO_ID`] until first use.
     transfer_ids: Vec<u32>,
+    /// A transfer base's stream up to and including its map's entries,
+    /// by map address (`None`: no map) and direction: the maps of
+    /// `policy` stay in place for `'a`, and a map shared by many edges
+    /// is walked once.
+    map_streams: FastMap<(Option<*const RouteMap>, bool), FpHasher>,
     /// Base id per originating edge, [`NO_ID`] until first use.
     origination_ids: Vec<u32>,
     implication: u32,
@@ -209,6 +215,7 @@ impl<'a> FpParts<'a> {
             bases,
             base_ids,
             transfer_ids: Vec::new(),
+            map_streams: FastMap::default(),
             origination_ids: Vec::new(),
             implication,
             preds: Vec::new(),
@@ -245,20 +252,28 @@ impl<'a> FpParts<'a> {
         if id != NO_ID {
             return id;
         }
-        let mut h = base(self.universe_fp, "transfer-base");
-        h.write_bool(is_import);
         let map = if is_import {
             self.policy.import_map(edge)
         } else {
             self.policy.export_map(edge)
         };
-        match map {
-            None => h.write_tag("no-map"),
-            Some(m) => {
-                h.write_tag("map");
-                m.entries.hash(&mut h);
-            }
-        }
+        let universe_fp = self.universe_fp;
+        let mut h = self
+            .map_streams
+            .entry((map.map(|m| m as *const RouteMap), is_import))
+            .or_insert_with(|| {
+                let mut h = base(universe_fp, "transfer-base");
+                h.write_bool(is_import);
+                match map {
+                    None => h.write_tag("no-map"),
+                    Some(m) => {
+                        h.write_tag("map");
+                        m.entries.hash(&mut h);
+                    }
+                }
+                h
+            })
+            .clone();
         self.write_ghosts(&mut h, |g| {
             let u = if is_import {
                 g.import_update(edge)

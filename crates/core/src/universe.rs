@@ -14,11 +14,16 @@
 use bgp_model::policy::Policy;
 use bgp_model::route::Community;
 use bgp_model::routemap::{MatchCond, RouteMap, SetAction};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Walk every community and AS-path-regex mention in a route map (the
 /// one definition both scan entry points share).
-fn for_each_mention(m: &RouteMap, comm: &mut dyn FnMut(Community), regex: &mut dyn FnMut(&str)) {
+fn for_each_mention<'m>(
+    m: &'m RouteMap,
+    comm: &mut dyn FnMut(Community),
+    regex: &mut dyn FnMut(&'m str),
+) {
     for e in &m.entries {
         for cond in &e.matches {
             match cond {
@@ -81,17 +86,25 @@ impl Universe {
     /// re-verification reuses symbolic encodings only while the layout
     /// is unchanged, and a cosmetic edit (e.g. a route-map rename,
     /// which reorders a name-based scan) must not move anything.
+    /// A map shared by several edges is scanned once.
     pub fn scan_policy(&mut self, policy: &Policy) {
-        let mut comms: std::collections::BTreeSet<Community> = std::collections::BTreeSet::new();
-        let mut regexes: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-        for m in policy.import.values().chain(policy.export.values()) {
+        let mut comms = BTreeSet::new();
+        let mut regexes = BTreeSet::new();
+        let mut maps: Vec<&Arc<RouteMap>> = policy
+            .import
+            .values()
+            .chain(policy.export.values())
+            .collect();
+        maps.sort_unstable_by_key(|m| Arc::as_ptr(m));
+        maps.dedup_by(|a, b| Arc::ptr_eq(a, b));
+        for m in maps {
             for_each_mention(
                 m,
                 &mut |c| {
                     comms.insert(c);
                 },
                 &mut |re| {
-                    regexes.insert(re.to_string());
+                    regexes.insert(re);
                 },
             );
         }
@@ -104,7 +117,7 @@ impl Universe {
             self.add_community(c);
         }
         for p in regexes {
-            self.add_regex(&p);
+            self.add_regex(p);
         }
     }
 

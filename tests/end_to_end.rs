@@ -169,3 +169,63 @@ fn figure1_subsumption_check_lists_property_edge() {
         })
     );
 }
+
+/// Lowering resolves a router's named map once and shares it across the
+/// router's sessions: on every edge of Figure 1 and of a seeded WAN, the
+/// attached map is structurally the map a fresh resolution of the
+/// session's configured name gives, and an edge without one has none.
+#[test]
+fn shared_maps_equal_fresh_resolutions() {
+    use bgp_config::lower::resolve_route_map;
+    use bgp_config::{lower, parse_config, print_config};
+    let wan = netgen::wan::WanParams {
+        regions: 3,
+        routers_per_region: 3,
+        edge_routers: 4,
+        peers_per_edge: 3,
+        ..netgen::wan::WanParams::default()
+    }
+    .with_seed(20230910);
+    for asts in [figure1::configs(), netgen::wan::configs(&wan)] {
+        let configs: Vec<_> = asts
+            .iter()
+            .map(|a| parse_config(&print_config(a)).unwrap())
+            .collect();
+        let net = lower(&configs).unwrap();
+        let (t, p) = (&net.topology, &net.policy);
+        // The map `at` configures toward `peer`, in or out.
+        let fresh = |at: &str, peer: &str, inbound: bool| {
+            let cfg = configs.iter().find(|c| c.hostname == at)?;
+            let nbr = cfg
+                .router_bgp
+                .as_ref()?
+                .neighbors
+                .values()
+                .find(|n| n.description.as_deref() == Some(peer))?;
+            let name = if inbound {
+                nbr.route_map_in.as_ref()
+            } else {
+                nbr.route_map_out.as_ref()
+            }?;
+            Some(resolve_route_map(cfg, name).unwrap())
+        };
+        let mut attached = 0;
+        for e in t.edge_ids() {
+            let edge = t.edge(e);
+            let (src, dst) = (&t.node(edge.src).name, &t.node(edge.dst).name);
+            assert_eq!(
+                p.import_map(e),
+                fresh(dst, src, true).as_ref(),
+                "{src}->{dst}"
+            );
+            assert_eq!(
+                p.export_map(e),
+                fresh(src, dst, false).as_ref(),
+                "{src}->{dst}"
+            );
+            attached +=
+                usize::from(p.import_map(e).is_some()) + usize::from(p.export_map(e).is_some());
+        }
+        assert!(attached > 0);
+    }
+}

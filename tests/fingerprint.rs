@@ -10,7 +10,7 @@
 //! dedup silently degrades.
 
 use bgp_model::prefix::{Ipv4Prefix, PrefixRange};
-use bgp_model::routemap::{Action, MatchCond, RouteMapEntry, SetAction};
+use bgp_model::routemap::{Action, MatchCond, RouteMap, RouteMapEntry, SetAction};
 use bgp_model::{Community, Policy, Topology};
 use fuzz::{FamilyId, FamilyParams};
 use lightyear::engine::{CheckDigests, Verifier};
@@ -28,6 +28,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Canonical JSON text of a serializable model value: the serde shim
 /// emits sorted map/set entries, so equal values produce equal strings.
@@ -641,6 +642,66 @@ fn wan_50r_partition_is_structural_equality() {
 
 const WAN_50R: [usize; 4] = [594, 17, 17, 17];
 const WAN_50R_BROKEN: [usize; 4] = [594, 18, 18, 18];
+
+/// Lowering shares one resolved map among a router's sessions; a
+/// fingerprint hashes a map's contents, so a policy that holds its own
+/// deep copy on every edge fingerprints every check the same.
+#[test]
+fn shared_maps_fingerprint_like_per_edge_copies() {
+    let unshared = |p: &Policy| {
+        let mut q = p.clone();
+        for m in q.import.values_mut().chain(q.export.values_mut()) {
+            *m = Arc::new(RouteMap::clone(m));
+        }
+        q
+    };
+    let shares = |p: &Policy| {
+        p.import
+            .values()
+            .chain(p.export.values())
+            .any(|m| Arc::strong_count(m) > 1)
+    };
+    let zoo = zoo::build(&ZooParams::scaled(&CORPUS[0], 14));
+    let wan = wan::build(&WanParams {
+        regions: 3,
+        routers_per_region: 3,
+        edge_routers: 4,
+        peers_per_edge: 3,
+        seed: 20230910,
+    });
+    let (zp, zi) = zoo.peering_suite();
+    let (zf, zfi) = zoo.fencing_suite();
+    let (_, q) = wan
+        .peering_predicates()
+        .into_iter()
+        .find(|(n, _)| n == "no-private-asn")
+        .unwrap();
+    let (wp, wi) = wan.peering_property_inputs(&q);
+    let cases = [
+        (
+            &zoo.network,
+            zoo.from_peer_ghost(),
+            vec![(&zp[..], &zi), (&zf[..], &zfi)],
+        ),
+        (&wan.network, wan.from_peer_ghost(), vec![(&wp[..], &wi)]),
+    ];
+    for (net, ghost, suites) in cases {
+        let (topo, policy) = (&net.topology, &net.policy);
+        let copied = unshared(policy);
+        assert!(shares(policy), "lowering shares some map");
+        assert!(!shares(&copied));
+        let fps = |p: &Policy| {
+            let v = Verifier::new(topo, p).with_ghost(ghost.clone());
+            suites
+                .iter()
+                .map(|(props, inv)| v.check_fingerprints(props, inv))
+                .collect::<Vec<_>>()
+        };
+        let shared = fps(policy);
+        assert!(shared.iter().map(Vec::len).sum::<usize>() > 0);
+        assert_eq!(shared, fps(&copied));
+    }
+}
 
 // ---------------------------------------------------------------------
 // (c) the stream itself: one pinned fingerprint
