@@ -1,8 +1,8 @@
 //! The `watch` daemon and `plan` migration-step modes: long-lived
-//! delta-scoped re-verification built on `delta::diff_configs` (what
-//! changed), `lightyear::impact` (what it can dirty) and
-//! `lightyear::ReverifyEngine` (carried verdicts, cores and fingerprints;
-//! dirty groups re-solved on a recycled session). A `--cache-dir` spill
+//! re-verification built on `lightyear::ReverifyEngine` (carried
+//! verdicts, cores and fingerprints; a check is re-solved iff its
+//! fingerprint is new). `delta::diff_configs` only names what changed
+//! for the round line and the candidates stat. A `--cache-dir` spill
 //! keyed under an older fingerprint format is a miss, never a wrong hit:
 //! the first baseline after the upgrade reports `dirty N/N` once, then
 //! restarts are warm again.

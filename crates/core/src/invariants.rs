@@ -173,11 +173,6 @@ impl NetworkInvariants {
         self.slot(loc).map(|i| &self.preds[i])
     }
 
-    /// The per-location overrides, in location order.
-    pub(crate) fn overrides_iter(&self) -> impl Iterator<Item = (Location, &RoutePred)> {
-        self.slots().map(|(loc, i)| (loc, &self.preds[i]))
-    }
-
     /// The default invariant.
     pub fn default_pred(&self) -> &RoutePred {
         &self.preds[0]

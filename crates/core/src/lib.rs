@@ -37,12 +37,10 @@
 //!   (fingerprint dedup + result cache + work-stealing pool via the
 //!   `orchestrator` crate), per-check statistics (Figure 3b/3d) and
 //!   incremental re-verification.
-//! * [`impact`] — change-impact analysis: the router→checks adjacency
-//!   index bounding what a configuration edit can dirty.
 //! * [`reverify`] — the cross-run re-verification engine behind daemon
 //!   (`lightyear watch`) and migration-plan (`lightyear plan`) modes:
-//!   fingerprint-diffed dirty sets, persistent per-group SMT sessions
-//!   reused across rounds, delta-aware result-cache invalidation.
+//!   fingerprint-diffed dirty sets answered from carried verdicts and
+//!   unsat cores, with superseded fingerprints invalidated each round.
 //!
 //! ## Quick start
 //!
@@ -106,7 +104,6 @@ pub mod encode;
 pub mod engine;
 pub mod fingerprint;
 pub mod ghost;
-pub mod impact;
 pub mod infer;
 pub mod invariants;
 pub mod liveness;
@@ -122,7 +119,6 @@ pub use engine::{
     MultiReport, RunMode, SolvedCheck, Verifier,
 };
 pub use ghost::{GhostAttr, GhostUpdate};
-pub use impact::CheckIndex;
 pub use invariants::{Location, NetworkInvariants};
 pub use liveness::LivenessSpec;
 pub use pred::RoutePred;

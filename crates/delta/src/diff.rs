@@ -117,8 +117,8 @@ impl ConfigDelta {
         !self.edits.is_empty() && self.edits.iter().all(|e| !e.kind.is_semantic())
     }
 
-    /// Routers with at least one semantic edit — the set the impact
-    /// analysis expands into a dirty-check neighborhood.
+    /// Routers with at least one semantic edit — what a re-verify round
+    /// counts its candidates stat from.
     pub fn changed_routers(&self) -> Vec<String> {
         let mut out: BTreeSet<&str> = BTreeSet::new();
         for e in &self.edits {

@@ -20,11 +20,12 @@
 //! | `AsnChanged` | `router bgp` ASN edited | edited router + neighbors |
 //! | `RouterAdded` / `RouterRemoved` | configuration file added/removed | the router + neighbors |
 //!
-//! The dirty-set mapping is performed downstream by
-//! `lightyear::reverify` (fingerprint-diff scoped by the
-//! `lightyear::impact` adjacency index); this crate's contract is only
-//! that a [`ConfigDelta`] with no semantic edits really is a no-op —
-//! the engine then proves it by producing an empty dirty set.
+//! The "dirty set" column is what the edit is expected to dirty; the
+//! verifier never reads it. `lightyear::reverify` decides what to
+//! re-solve from check fingerprints alone. A [`ConfigDelta`] is for
+//! display (the `watch` / `plan` round line), the re-verify candidates
+//! stat and the fuzzer's cosmetic cross-check: a delta with no semantic
+//! edits must leave every fingerprint unchanged.
 
 pub mod diff;
 

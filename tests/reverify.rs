@@ -9,8 +9,11 @@
 //! * cosmetic edits (classified by `delta::diff_configs`) produce an
 //!   **empty** dirty set;
 //! * semantic single-router edits keep `dirty <= candidates < total`
-//!   (the impact-analysis locality guarantee) unless the attribute
-//!   universe itself changed shape, which forces a declared full round;
+//!   (the locality of local checks; `candidates` counts the named
+//!   routers' neighborhood) unless the attribute universe itself
+//!   changed shape, which forces a declared full round;
+//! * the `changed` list is never trusted: a round told nothing changed
+//!   still matches a fresh run;
 //! * verdicts, counterexamples and unsat cores never depend on the
 //!   engine's history, and neither does what a round encodes: an engine
 //!   carries verdicts, not solvers, however many rounds it has seen.
@@ -43,8 +46,13 @@ fn check_edit_roundtrip(params: &WanParams, edit_seed: u64) {
     let base_configs = wan::configs(params);
     let base = wan::build_from_configs(params, base_configs.clone());
     // One engine per worker count: a round's solve stage honours the
-    // verifier's `jobs`, and its reports must not depend on it.
-    let mut engines = [(1, ReverifyEngine::new()), (4, ReverifyEngine::new())];
+    // verifier's `jobs`, and its reports must not depend on it. The
+    // third is told nothing changed on the edit round.
+    let mut engines = [
+        (1, ReverifyEngine::new()),
+        (4, ReverifyEngine::new()),
+        (1, ReverifyEngine::new()),
+    ];
     for (jobs, engine) in &mut engines {
         let (props, inv) = suite(&base);
         let v = Verifier::new(&base.network.topology, &base.network.policy)
@@ -93,11 +101,13 @@ fn check_edit_roundtrip(params: &WanParams, edit_seed: u64) {
             ..s
         };
     assert_eq!(groups_masked(stats), groups_masked(stats4));
+    let (blind, _) = engines[2].1.reverify(&v, &props, &inv, Some(&[]));
 
     // Ground truth: a fresh full verification of the edited network.
     let fresh = v.verify_safety_multi(&props, &inv);
     assert_reports_byte_identical(topo, &fresh, &warm);
     assert_reports_byte_identical(topo, &warm, &warm4);
+    assert_reports_byte_identical(topo, &fresh, &blind);
 
     if delta.is_cosmetic() {
         assert_eq!(
