@@ -182,9 +182,9 @@ impl Serialize for PropertyReport {
 }
 
 impl PropertyReport {
-    /// Render in the pinned field order: `property`, [`"kind"`],
-    /// `passed`, `checks`, [`solver_calls`, `total_seconds`,
-    /// `solve_seconds`], `failures`, `cores`.
+    /// Render in the pinned field order: `property`, \[`"kind"`\],
+    /// `passed`, `checks`, \[`solver_calls`, `total_seconds`,
+    /// `solve_seconds`\], `failures`, `cores`.
     pub fn to_value(&self) -> Value {
         build_value(self)
     }

@@ -2,7 +2,7 @@
 //!
 //! The AST mirrors the configuration text: route maps still refer to
 //! prefix-lists, community-lists and AS-path ACLs *by name*; resolution
-//! happens during lowering ([`crate::lower`]).
+//! happens during lowering ([`crate::lower`](mod@crate::lower)).
 
 use bgp_model::prefix::Ipv4Prefix;
 use bgp_model::route::{Community, Origin};

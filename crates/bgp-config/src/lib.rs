@@ -26,7 +26,7 @@
 //!
 //! The grammar is line-oriented like IOS: top-level statements start at
 //! column 0 and block bodies are indented. See [`parser`] for the grammar
-//! and [`lower`] for how neighbor descriptions are matched to topology
+//! and [`lower`](mod@lower) for how neighbor descriptions are matched to topology
 //! nodes.
 
 #![warn(clippy::or_fun_call)]

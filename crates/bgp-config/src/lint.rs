@@ -1,6 +1,6 @@
 //! rcc-style best-practice lints on configurations.
 //!
-//! The paper contrasts Lightyear with rcc [8], which "validates important
+//! The paper contrasts Lightyear with rcc \[8\], which "validates important
 //! properties of BGP configurations, largely through local checks on
 //! individual configuration" but "is limited to specific 'best practice'
 //! policies, and there is no guarantee that the local checks together

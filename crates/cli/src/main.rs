@@ -111,7 +111,7 @@
 //!                   --jobs a cached run uses one worker per core
 //!   --cache-dir DIR cache spill directory (default .lightyear-cache;
 //!                   implies --cache)
-//!   --cache-cap N   bound the in-memory cache to ~N entries with LRU
+//!   --cache-cap N   bound the in-memory cache to N entries with LRU
 //!                   eviction (implies --cache; default unbounded)
 //!   --profile FILE  install the metrics sink for the run and write a
 //!                   self-contained profile report (stage split, hottest

@@ -1180,6 +1180,27 @@ fn verify_survives_poisoned_cache_spill() {
 }
 
 #[test]
+fn cache_cap_bounds_the_spill_to_exactly_n_entries() {
+    // `examples/configs` executes 6 structures; `--cache-cap 2` keeps
+    // the 2 most recently used of them, and only those reach the spill.
+    let d = tmpdir("cache-cap");
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
+    let out = Command::new(bin())
+        .args(["verify", "--cache-cap", "2", "--cache-dir"])
+        .arg(&d)
+        .args(["--configs", examples, "--spec"])
+        .arg(format!("{examples}/spec.json"))
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("6 solver calls"), "{stdout}");
+    let spill = fs::read_to_string(d.join("cache.json")).unwrap();
+    let doc: serde_json::Value = serde_json::from_str(&spill).unwrap();
+    assert_eq!(doc["entries"].as_object().map(|e| e.len()), Some(2));
+}
+
+#[test]
 fn deeply_nested_spec_is_a_clean_error_not_a_stack_overflow() {
     // 400 KB of `[`: the JSON parser refuses at its nesting limit with
     // a typed error instead of recursing until the stack runs out.

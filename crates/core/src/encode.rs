@@ -1,6 +1,6 @@
 //! Symbolic transfer functions: route maps as SMT relations.
 //!
-//! [`encode_route_map`] turns a route map into a (reject-condition, output
+//! [`Encoder::encode_route_map`] turns a route map into a (reject-condition, output
 //! route) pair over a symbolic input route, mirroring the concrete
 //! interpreter [`bgp_model::interp::apply_route_map`] exactly — the
 //! agreement between the two is property-tested in this crate's test

@@ -17,13 +17,13 @@
 //! node's configuration changes, only the checks touching its edges
 //! re-run.
 //!
-//! Every run takes the same path ([`Verifier::execute`]), in two
-//! stages. The fingerprint stage ([`Verifier::partition`]) partitions
+//! Every run takes the same path (`Verifier::execute`), in two
+//! stages. The fingerprint stage (`Verifier::partition`) partitions
 //! the checks into classes of structurally identical ones on
 //! small-integer class keys (see [`crate::fingerprint`]), fingerprints
 //! each class once and keys it by its representative's **encoding
 //! base** — the same edge's transfer function, or the pure-implication
-//! shape. The solve stage ([`Verifier::solve`]) answers what the cache
+//! shape. The solve stage (`Verifier::solve`) answers what the cache
 //! already knows and solves each remaining group of classes on one
 //! persistent [`smt::IncrementalSession`] (shared universe/router
 //! constraints encoded once, each check an assumption-gated query
@@ -70,7 +70,7 @@ pub enum RunMode {
     /// (paper's sequential numbers, §6.1).
     #[default]
     Sequential,
-    /// One worker per core on the work-stealing pool (D3).
+    /// One worker per core on the orchestrator's pool (D3).
     Parallel,
 }
 
@@ -1352,7 +1352,7 @@ impl<'a> Verifier<'a> {
     /// The solve stage. Solve each class of [`Verifier::partition`]
     /// once (its lowest position represents it), consult `cache`
     /// (re-validating spilled failures), batch the remainder by
-    /// encoding-base key, solve whole groups on the work-stealing pool —
+    /// encoding-base key, solve whole groups on the orchestrator's pool —
     /// inline on the calling thread at `jobs = 1` — and deliver every
     /// verdict to `sink(member position, verdict)` in position order
     /// without ever materialising an outcome vector: the sink borrows

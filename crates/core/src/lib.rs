@@ -34,7 +34,7 @@
 //!   never router names or ids, never a serialized rendering) keying the
 //!   orchestrator's dedup and cross-run cache.
 //! * [`engine`] — the verifier: sequential or orchestrated execution
-//!   (fingerprint dedup + result cache + work-stealing pool via the
+//!   (fingerprint dedup + result cache + worker pool via the
 //!   `orchestrator` crate), per-check statistics (Figure 3b/3d) and
 //!   incremental re-verification.
 //! * [`reverify`] — the cross-run re-verification engine behind daemon

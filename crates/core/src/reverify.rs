@@ -17,7 +17,7 @@
 //!
 //! Dirty checks take the same path as a fresh run: partitioned into
 //! classes on the round's part cache (`Verifier::partition`), then the
-//! solve stage of [`Verifier::execute`] (`Verifier::solve`) — one solve
+//! solve stage of `Verifier::execute` (`Verifier::solve`) — one solve
 //! per class, grouped by encoding base, groups spread over the
 //! verifier's `jobs` workers. Nothing a round encodes outlives it, so a
 //! round's cost and memory do not depend on the engine's age.

@@ -14,7 +14,7 @@
 //!   byte-identity across the reference oracle, one worker, two
 //!   workers and the cross-property batch, reverify-vs-fresh identity along
 //!   random edit sequences, and injected-bug detection;
-//! * [`minimize`] — greedy config / edit-sequence reduction re-running
+//! * [`minimize`](mod@minimize) — greedy config / edit-sequence reduction re-running
 //!   the failing oracle (the compat proptest shim has no shrinking),
 //!   emitting replayable `repro.json` + `*.cfg` directories;
 //! * [`campaign`] — the seeded campaign runner behind `lightyear fuzz`.

@@ -9,7 +9,7 @@
 //! property.
 //!
 //! Following the paper's methodology, this implementation shares the same
-//! parser ([`bgp_config`]-lowered policies), route-map encoder
+//! parser (`bgp_config`-lowered policies), route-map encoder
 //! ([`lightyear::encode`]) and constraint substrate ([`smt`]) as our
 //! Lightyear implementation, so Figure 3 compares *encodings*, not
 //! toolchains ("For a fair comparison, we created an implementation of

@@ -6,8 +6,8 @@
 //! The design constraint is that instrumentation must be *near-free
 //! when no sink is installed*: every event entry point loads one
 //! relaxed atomic and returns. Hot-path shards are per-thread, merged
-//! only on read, so the work-stealing executor pays a single
-//! uncontended `fetch_add` per event when a sink IS installed.
+//! only on read, so the executor's workers pay a single uncontended
+//! `fetch_add` per event when a sink IS installed.
 //!
 //! ```
 //! let reg = obs::install();

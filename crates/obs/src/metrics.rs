@@ -1,7 +1,7 @@
 //! The metrics registry: named counters, gauges and histograms behind
 //! lock-sharded storage. Writers touch a per-thread shard (one relaxed
 //! `fetch_add`), readers merge all shards, so concurrent increments
-//! from the work-stealing pool are exact without a hot lock.
+//! from the executor's workers are exact without a hot lock.
 
 use crate::export::{EventRecord, EventRing, ExportSink, Level, EVENT_RING_CAP};
 use crate::trace::{SpanRecord, TraceRing};
@@ -13,7 +13,7 @@ use std::time::Instant;
 
 /// Number of write shards per metric. Threads hash onto shards by a
 /// process-wide thread index, so two executor workers rarely share a
-/// cache line even under heavy steal traffic.
+/// cache line.
 pub const SHARDS: usize = 16;
 
 /// Histogram bucket upper bounds in microseconds. The last implicit

@@ -1,16 +1,16 @@
-//! A sharded, fingerprint-keyed result cache with optional JSON spill.
+//! A fingerprint-keyed result cache with optional JSON spill.
 //!
-//! The in-memory map is split over independently locked shards (selected
-//! by the fingerprint's low bits) so concurrent workers rarely contend —
-//! the DashMap design point, built on std. Spilling is delegated to
-//! caller-supplied encode/decode closures over `serde_json::Value`, so
-//! the cache stays generic and callers decide which results are durable
-//! (the verifier spills both passes and failures; failures are
-//! re-validated against the live configuration before reuse — see
-//! `lightyear::engine`).
+//! One lock guards the map: every lookup, insert and removal happens on
+//! the thread that drives a run (before the pool starts, or in the
+//! delivery callback on the calling thread), so there is nothing to
+//! shard. Spilling is delegated to caller-supplied encode/decode
+//! closures over `serde_json::Value`, so the cache stays generic and
+//! callers decide which results are durable (the verifier spills both
+//! passes and failures; failures are re-validated against the live
+//! configuration before reuse — see `lightyear::engine`).
 //!
 //! Long-lived processes (daemon-style re-verification loops) can bound
-//! the cache with [`ResultCache::bounded`]: each shard then evicts its
+//! the cache with [`ResultCache::bounded`]: it then evicts its
 //! least-recently-used entry once over budget, so memory stays constant
 //! no matter how many distinct check structures flow through.
 
@@ -19,8 +19,7 @@ use serde_json::Value;
 use std::collections::HashMap;
 use std::io::{self, Write as _};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// Spill-format version; bump when the entry encoding changes.
 /// Version 3 wraps each entry as `{"sum", "payload"}` where `sum` is the
@@ -46,37 +45,31 @@ pub fn spill_entry_sum(key_hex: &str, payload: &str) -> String {
     h.finish().to_hex()
 }
 
-/// Counters describing cache effectiveness.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CacheSnapshot {
-    /// `get` calls that found an entry.
-    pub hits: u64,
-    /// `get` calls that found nothing.
-    pub misses: u64,
-    /// Entries inserted.
-    pub inserts: u64,
-    /// Entries evicted by the LRU bound.
-    pub evictions: u64,
-}
-
 /// One cached value plus its last-touch stamp for LRU ordering.
 struct Entry<V> {
     value: V,
     touched: u64,
 }
 
-/// A sharded map from [`Fingerprint`] to a result value, optionally
-/// bounded with least-recently-used eviction.
+/// The map and the logical clock that stamps LRU recency, under one lock.
+struct Inner<V> {
+    map: HashMap<u128, Entry<V>>,
+    clock: u64,
+}
+
+impl<V> Inner<V> {
+    fn tick(&mut self) -> u64 {
+        self.clock += 1;
+        self.clock
+    }
+}
+
+/// A map from [`Fingerprint`] to a result value, optionally bounded
+/// with least-recently-used eviction.
 pub struct ResultCache<V> {
-    shards: Vec<Mutex<HashMap<u128, Entry<V>>>>,
-    /// Per-shard entry budget; `usize::MAX` means unbounded.
-    per_shard_cap: usize,
-    /// Logical clock driving LRU recency (monotone, cross-shard).
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
+    inner: Mutex<Inner<V>>,
+    /// Entry budget; `usize::MAX` means unbounded.
+    cap: usize,
 }
 
 impl<V> Default for ResultCache<V> {
@@ -86,68 +79,47 @@ impl<V> Default for ResultCache<V> {
 }
 
 impl<V> ResultCache<V> {
-    /// An unbounded cache with the default shard count.
+    /// An unbounded cache.
     pub fn new() -> Self {
-        Self::with_shards(16)
+        Self::bounded(usize::MAX)
     }
 
-    /// An unbounded cache with `n` shards (rounded up to one).
-    pub fn with_shards(n: usize) -> Self {
-        Self::build(n, usize::MAX)
-    }
-
-    /// A size-bounded cache: at most (approximately) `capacity` entries,
-    /// evicting the least-recently-used entry of the owning shard when a
-    /// shard exceeds its share of the budget.
+    /// A size-bounded cache: at most `capacity` entries (at least one),
+    /// evicting the least-recently-used entry when over budget.
     pub fn bounded(capacity: usize) -> Self {
-        let shards = 16usize;
-        let per_shard = capacity.div_ceil(shards).max(1);
-        Self::build(shards, per_shard)
-    }
-
-    fn build(shards: usize, per_shard_cap: usize) -> Self {
-        let n = shards.max(1);
         ResultCache {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
-            per_shard_cap,
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            inserts: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            inner: Mutex::new(Inner {
+                map: HashMap::new(),
+                clock: 0,
+            }),
+            cap: capacity.max(1),
         }
     }
 
-    fn shard(&self, fp: Fingerprint) -> &Mutex<HashMap<u128, Entry<V>>> {
-        &self.shards[(fp.0 as usize) % self.shards.len()]
+    fn lock(&self) -> MutexGuard<'_, Inner<V>> {
+        self.inner.lock().unwrap()
     }
 
-    fn tick(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Insert (last write wins). A bounded cache evicts its shard's
+    /// Insert (last write wins). A bounded cache evicts its
     /// least-recently-used entry when over budget.
     pub fn insert(&self, fp: Fingerprint, v: V) {
-        self.inserts.fetch_add(1, Ordering::Relaxed);
-        let touched = self.tick();
-        let mut shard = self.shard(fp).lock().unwrap();
-        shard.insert(fp.0, Entry { value: v, touched });
-        while shard.len() > self.per_shard_cap {
-            // Linear scan is fine: shards hold capacity/16 entries and
-            // eviction fires once per overflowing insert.
-            let Some((&oldest, _)) = shard.iter().min_by_key(|(_, e)| e.touched) else {
+        let mut inner = self.lock();
+        let touched = inner.tick();
+        inner.map.insert(fp.0, Entry { value: v, touched });
+        while inner.map.len() > self.cap {
+            // Linear scan is fine: eviction fires once per overflowing
+            // insert, and only under a `--cache-cap` budget.
+            let Some((&oldest, _)) = inner.map.iter().min_by_key(|(_, e)| e.touched) else {
                 break;
             };
-            shard.remove(&oldest);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
+            inner.map.remove(&oldest);
             obs::add("cache.evictions", 1);
         }
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().unwrap().len()).sum()
+        self.lock().map.len()
     }
 
     /// Whether the cache is empty.
@@ -155,27 +127,9 @@ impl<V> ResultCache<V> {
         self.len() == 0
     }
 
-    /// The effectiveness counters.
-    pub fn stats(&self) -> CacheSnapshot {
-        CacheSnapshot {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Reset the effectiveness counters (entries are kept).
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.inserts.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-    }
-
     /// Drop an entry (used when a loaded result fails re-validation).
     pub fn remove(&self, fp: Fingerprint) {
-        self.shard(fp).lock().unwrap().remove(&fp.0);
+        self.lock().map.remove(&fp.0);
     }
 
     /// Drop a batch of entries, returning how many were present. This is
@@ -184,13 +138,10 @@ impl<V> ResultCache<V> {
     /// those checks' superseded fingerprints instead of scanning or
     /// flushing the whole cache.
     pub fn remove_many(&self, fps: &[Fingerprint]) -> usize {
-        let mut removed = 0;
-        for &fp in fps {
-            if self.shard(fp).lock().unwrap().remove(&fp.0).is_some() {
-                removed += 1;
-            }
-        }
-        removed
+        let mut inner = self.lock();
+        fps.iter()
+            .filter(|fp| inner.map.remove(&fp.0).is_some())
+            .count()
     }
 }
 
@@ -198,33 +149,27 @@ impl<V: Clone> ResultCache<V> {
     /// Look up a fingerprint, counting a hit or miss and refreshing the
     /// entry's LRU recency.
     pub fn get(&self, fp: Fingerprint) -> Option<V> {
-        let touched = self.tick();
-        let mut shard = self.shard(fp).lock().unwrap();
-        let found = shard.get_mut(&fp.0).map(|e| {
+        let mut inner = self.lock();
+        let touched = inner.tick();
+        let found = inner.map.get_mut(&fp.0).map(|e| {
             e.touched = touched;
             e.value.clone()
         });
-        drop(shard);
-        match &found {
-            Some(_) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                obs::add("cache.hits", 1);
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                obs::add("cache.misses", 1);
-            }
-        };
+        drop(inner);
+        obs::add(
+            if found.is_some() {
+                "cache.hits"
+            } else {
+                "cache.misses"
+            },
+            1,
+        );
         found
     }
 
     /// Look up without touching the counters or recency.
     pub fn peek(&self, fp: Fingerprint) -> Option<V> {
-        self.shard(fp)
-            .lock()
-            .unwrap()
-            .get(&fp.0)
-            .map(|e| e.value.clone())
+        self.lock().map.get(&fp.0).map(|e| e.value.clone())
     }
 
     /// Spill to `dir/cache.json`. `encode` chooses which entries are
@@ -242,24 +187,22 @@ impl<V: Clone> ResultCache<V> {
     ) -> io::Result<usize> {
         std::fs::create_dir_all(dir)?;
         let mut entries: Vec<(String, Value)> = Vec::new();
-        for shard in &self.shards {
-            for (k, e) in shard.lock().unwrap().iter() {
-                if let Some(val) = encode(&e.value) {
-                    let hex = Fingerprint(*k).to_hex();
-                    let payload = serde_json::to_string(&val)
-                        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                    let wrapped = Value::Object(vec![
-                        (
-                            "sum".to_string(),
-                            Value::Str(spill_entry_sum(&hex, &payload)),
-                        ),
-                        ("payload".to_string(), Value::Str(payload)),
-                    ]);
-                    entries.push((hex, wrapped));
-                }
+        for (k, e) in self.lock().map.iter() {
+            if let Some(val) = encode(&e.value) {
+                let hex = Fingerprint(*k).to_hex();
+                let payload = serde_json::to_string(&val)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+                let wrapped = Value::Object(vec![
+                    (
+                        "sum".to_string(),
+                        Value::Str(spill_entry_sum(&hex, &payload)),
+                    ),
+                    ("payload".to_string(), Value::Str(payload)),
+                ]);
+                entries.push((hex, wrapped));
             }
         }
-        // Sort for reproducible files (shard iteration order is not
+        // Sort for reproducible files (map iteration order is not
         // deterministic).
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         let written = entries.len();
@@ -339,8 +282,6 @@ impl<V: Clone> ResultCache<V> {
         if rejected > 0 {
             obs::add("cache.spill_rejected", rejected);
         }
-        // Loads should not count as runtime insert traffic.
-        self.inserts.fetch_sub(loaded as u64, Ordering::Relaxed);
         obs::add("cache.reload_bytes", text.len() as u64);
         obs::add("cache.reload_entries", loaded as u64);
         Ok(loaded)
@@ -364,15 +305,8 @@ mod tests {
         assert_eq!(c.get(fp(1)), None);
         c.insert(fp(1), "one".into());
         assert_eq!(c.get(fp(1)).as_deref(), Some("one"));
-        assert_eq!(
-            c.stats(),
-            CacheSnapshot {
-                hits: 1,
-                misses: 1,
-                inserts: 1,
-                evictions: 0,
-            }
-        );
+        c.insert(fp(1), "uno".into());
+        assert_eq!(c.peek(fp(1)).as_deref(), Some("uno"), "last write wins");
         assert_eq!(c.len(), 1);
     }
 
@@ -502,27 +436,16 @@ mod tests {
 
     #[test]
     fn bounded_cache_evicts_least_recently_used() {
-        // Capacity 32 over 16 shards = 2 per shard; pick three keys that
-        // collide on one shard to exercise eviction deterministically.
-        let c: ResultCache<u32> = ResultCache::bounded(32);
-        let mut same_shard = Vec::new();
-        let mut n = 0;
-        while same_shard.len() < 3 {
-            let f = fp(n);
-            if (f.0 as usize) % 16 == (fp(0).0 as usize) % 16 {
-                same_shard.push(f);
-            }
-            n += 1;
-        }
-        c.insert(same_shard[0], 0);
-        c.insert(same_shard[1], 1);
+        let c: ResultCache<u32> = ResultCache::bounded(2);
+        c.insert(fp(0), 0);
+        c.insert(fp(1), 1);
         // Touch entry 0 so entry 1 is the LRU victim.
-        assert_eq!(c.get(same_shard[0]), Some(0));
-        c.insert(same_shard[2], 2);
-        assert_eq!(c.stats().evictions, 1);
-        assert_eq!(c.peek(same_shard[0]), Some(0), "recently-used survives");
-        assert_eq!(c.peek(same_shard[1]), None, "LRU entry evicted");
-        assert_eq!(c.peek(same_shard[2]), Some(2), "newest entry survives");
+        assert_eq!(c.get(fp(0)), Some(0));
+        c.insert(fp(2), 2);
+        assert_eq!(c.len(), 2);
+        assert_eq!(c.peek(fp(0)), Some(0), "recently-used survives");
+        assert_eq!(c.peek(fp(1)), None, "LRU entry evicted");
+        assert_eq!(c.peek(fp(2)), Some(2), "newest entry survives");
     }
 
     #[test]
@@ -531,8 +454,17 @@ mod tests {
         for i in 0..1000 {
             c.insert(fp(i), i);
         }
-        assert!(c.len() <= 32, "len {} exceeds bound", c.len());
-        assert!(c.stats().evictions >= 968);
+        assert_eq!(c.len(), 32);
+        assert!((968..1000).all(|i| c.peek(fp(i)) == Some(i)), "newest kept");
+    }
+
+    #[test]
+    fn bounded_cache_keeps_exactly_its_capacity() {
+        let c: ResultCache<u32> = ResultCache::bounded(2);
+        for i in 0..40 {
+            c.insert(fp(i), i);
+        }
+        assert_eq!(c.len(), 2);
     }
 
     #[test]

@@ -1,19 +1,19 @@
-//! The work-stealing executor.
+//! The executor: a scoped pool over one shared cursor.
 //!
-//! Jobs are distributed round-robin across per-worker deques; idle
-//! workers first drain their own deque, then steal half a peer's
-//! backlog, so stragglers — one router with a pathological route map —
-//! no longer serialize the tail of a run the way the previous
-//! all-threads-at-once scheme did. Each result is handed to the calling
-//! thread with its submission index the moment its job completes, while
-//! the workers keep running, so the caller can fold results as they
-//! arrive instead of waiting for the whole batch.
+//! Lightyear's checks are independent (design decision D3), so a worker
+//! only needs the next job: every worker claims indices from one shared
+//! atomic cursor, in strictly ascending order, until the batch is
+//! exhausted. A straggler (one router with a pathological route map)
+//! holds back only its own worker; the others keep claiming. Each
+//! result is handed to the calling thread with its submission index the
+//! moment its job completes, while the workers keep running, so the
+//! caller can fold results as they arrive instead of waiting for the
+//! whole batch.
 
-use crate::deque::Worker;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 
-/// A work-stealing job executor.
+/// A scoped job executor over a shared cursor.
 #[derive(Clone, Copy, Debug)]
 pub struct Executor {
     threads: usize,
@@ -39,11 +39,10 @@ impl Executor {
     /// Run `f` over every item and hand each `(submission index,
     /// result)` to `deliver` on the calling thread as soon as the job
     /// completes — in completion order, while the remaining jobs are
-    /// still running. Each worker takes its own share in ascending
-    /// submission order, so completion order tracks submission order up
-    /// to the skew between workers. Returns the number of successful
-    /// steals observed.
-    pub fn run<T, R, F, D>(&self, items: &[T], f: F, mut deliver: D) -> u64
+    /// still running. Workers claim jobs in ascending submission order,
+    /// so completion order tracks submission order up to the length of
+    /// the jobs in flight.
+    pub fn run<T, R, F, D>(&self, items: &[T], f: F, mut deliver: D)
     where
         T: Sync,
         R: Send,
@@ -52,11 +51,11 @@ impl Executor {
     {
         let n = items.len();
         if n == 0 {
-            return 0;
+            return;
         }
         let threads = self.threads.min(n);
-        // Live queue depth: pending jobs, decremented as each
-        // completes, so a mid-batch `/metrics` scrape shows progress.
+        // Live queue depth: jobs not yet delivered, so a mid-batch
+        // `/metrics` scrape shows progress.
         obs::gauge_set("orchestrator.queue_depth", n as u64);
         if threads <= 1 {
             let _span = obs::span!("worker", wid = 0, jobs = n);
@@ -65,61 +64,23 @@ impl Executor {
                 obs::gauge_set("orchestrator.queue_depth", (n - i - 1) as u64);
                 deliver(i, r);
             }
-            return 0;
+            return;
         }
 
-        // Round-robin seeding: index i goes to worker i % threads.
-        // Pushed in descending order because owners pop from the back:
-        // every worker then walks its share in ascending order, and
-        // thieves take from the far (highest-index) end.
-        let workers: Vec<Worker<usize>> = (0..threads).map(|_| Worker::new()).collect();
-        let stealers: Vec<_> = workers.iter().map(Worker::stealer).collect();
-        for i in (0..n).rev() {
-            workers[i % threads].push(i);
-        }
-
-        let steals = AtomicU64::new(0);
-        let done = AtomicU64::new(0);
+        let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, R)>();
         std::thread::scope(|scope| {
-            for (wid, my) in workers.into_iter().enumerate() {
+            for wid in 0..threads {
                 let tx = tx.clone();
-                let stealers = &stealers;
-                let steals = &steals;
-                let done = &done;
-                let f = &f;
+                let (next, f) = (&next, &f);
                 scope.spawn(move || {
-                    // One span per worker thread: the work-stealing
-                    // schedule becomes visible in the exported trace.
+                    // One span per worker thread: the schedule becomes
+                    // visible in the exported trace.
                     let _span = obs::span!("worker", wid = wid);
                     loop {
-                        let job = my.pop().or_else(|| {
-                            // Scan peers starting past self so thieves
-                            // fan out instead of mobbing worker 0.
-                            for k in 1..stealers.len() {
-                                let victim = &stealers[(wid + k) % stealers.len()];
-                                if let Some(j) = victim.steal_batch_and_pop(&my) {
-                                    steals.fetch_add(1, Ordering::Relaxed);
-                                    return Some(j);
-                                }
-                            }
-                            None
-                        });
-                        match job {
-                            Some(i) => {
-                                let r = f(&items[i]);
-                                if obs::enabled() {
-                                    let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                                    obs::gauge_set(
-                                        "orchestrator.queue_depth",
-                                        (n as u64).saturating_sub(d),
-                                    );
-                                }
-                                if tx.send((i, r)).is_err() {
-                                    return;
-                                }
-                            }
-                            None => return,
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n || tx.send((i, f(&items[i]))).is_err() {
+                            return;
                         }
                     }
                 });
@@ -128,18 +89,18 @@ impl Executor {
             // Drain on the calling thread while the workers run; the
             // loop ends when the last worker drops its sender. A
             // panicking worker re-raises when the scope joins it.
-            for (i, r) in rx {
+            for (done, (i, r)) in rx.into_iter().enumerate() {
+                obs::gauge_set("orchestrator.queue_depth", (n - done - 1) as u64);
                 deliver(i, r);
             }
         });
-        steals.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     /// Collect deliveries into submission order.
     fn collect<T: Sync, R: Send + Clone>(
@@ -185,9 +146,8 @@ mod tests {
     fn single_thread_delivers_in_order_and_empty_inputs_deliver_nothing() {
         let ex = Executor::with_threads(Some(1));
         let mut seen = Vec::new();
-        let steals = ex.run(&[1, 2, 3], |&x| x + 1, |i, r| seen.push((i, r)));
+        ex.run(&[1, 2, 3], |&x| x + 1, |i, r| seen.push((i, r)));
         assert_eq!(seen, vec![(0, 2), (1, 3), (2, 4)]);
-        assert_eq!(steals, 0);
         ex.run(&[] as &[i32], |&x| x, |_, _| panic!("nothing to deliver"));
     }
 
@@ -218,17 +178,29 @@ mod tests {
     }
 
     #[test]
-    fn stealing_balances_a_skewed_seed() {
-        // The slow jobs are seeded unevenly; stealing must still finish
-        // the whole batch (smoke: completion under gross imbalance).
-        let items: Vec<usize> = (0..64).collect();
-        let ex = Executor::with_threads(Some(4));
+    fn an_idle_worker_is_never_held_behind_a_busy_one() {
+        // Job 0 cannot finish until every other job has run: the second
+        // worker must claim all of them while the first is busy, or the
+        // run never completes.
+        let n = 64;
+        let others_done = AtomicUsize::new(0);
+        let items: Vec<usize> = (0..n).collect();
+        let ex = Executor::with_threads(Some(2));
         let out = collect(&ex, &items, |&i| {
-            if i < 8 {
-                std::thread::sleep(std::time::Duration::from_millis(2));
+            if i == 0 {
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while others_done.load(Ordering::SeqCst) < n - 1 {
+                    assert!(
+                        Instant::now() < deadline,
+                        "job 0 held the other jobs behind it"
+                    );
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            } else {
+                others_done.fetch_add(1, Ordering::SeqCst);
             }
             i
         });
-        assert_eq!(out.len(), 64);
+        assert_eq!(out, items);
     }
 }

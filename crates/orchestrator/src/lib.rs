@@ -14,12 +14,12 @@
 //!   exclude router names, node/edge ids and route-map names, so the
 //!   fingerprint is invariant under router/edge renaming and identical
 //!   template instantiations collapse to one solver call.
-//! * [`cache`] — a sharded fingerprint-keyed result cache with optional
-//!   JSON spill to disk, powering cross-router dedup within a run and
-//!   incremental re-verification across runs.
-//! * [`deque`] + [`executor`] — a work-stealing thread pool (per-worker
-//!   deques plus steal-half balancing, `--jobs` configurable) that
-//!   hands each result to the caller, tagged with its submission index,
+//! * [`cache`] — a fingerprint-keyed result cache behind one lock, with
+//!   an optional LRU bound and JSON spill to disk, powering cross-router
+//!   dedup within a run and incremental re-verification across runs.
+//! * [`executor`] — a scoped thread pool (`--jobs` configurable) whose
+//!   workers claim jobs in submission order from one shared cursor and
+//!   hand each result to the caller, tagged with its submission index,
 //!   while the remaining jobs are still running.
 //! * [`orchestrate`] — the glue: take the caller's partition of jobs
 //!   into structures (equal fingerprints), consult the cache, execute
@@ -74,12 +74,11 @@
 //!    are only merged when their formulas would be bit-identical.
 
 pub mod cache;
-pub mod deque;
 pub mod executor;
 pub mod fingerprint;
 pub mod orchestrate;
 
-pub use cache::{CacheSnapshot, ResultCache};
+pub use cache::ResultCache;
 pub use executor::Executor;
 pub use fingerprint::{Fingerprint, FpHasher};
 pub use orchestrate::{run_grouped, RunStats, Structure};

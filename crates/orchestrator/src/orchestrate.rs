@@ -47,7 +47,8 @@ pub struct RunStats {
     /// solves after a group's first); `executed - groups` by
     /// construction.
     pub assumption_solves: usize,
-    /// Successful steals inside the executor.
+    /// Always 0; dropped by the judge PR (ROADMAP "Repair the judge"
+    /// (vi)).
     pub steals: u64,
     /// Worker threads used.
     pub threads: usize,
@@ -100,7 +101,6 @@ impl RunStats {
         self.invalidated += other.invalidated;
         self.groups += other.groups;
         self.assumption_solves += other.assumption_solves;
-        self.steals += other.steals;
         self.threads = self.threads.max(other.threads);
     }
 }
@@ -122,8 +122,8 @@ pub struct Structure<T> {
 
 /// The grouped pipeline: cache consult (with re-validation), then
 /// execute the remaining representatives in encoding-base groups on the
-/// work-stealing pool, handing every item's result to the caller as soon
-/// as it is known.
+/// pool, handing every item's result to the caller as soon as it is
+/// known.
 ///
 /// * `structures` — the batch's partition, one [`Structure`] per class,
 ///   ordered by representative. Members of one structure are
@@ -134,10 +134,9 @@ pub struct Structure<T> {
 ///   job and the cached value; returning `false` rejects the entry (it
 ///   is removed and the job re-executed). Lets callers spill failure
 ///   results whose counterexamples must be re-checked against live
-///   configurations. Hits are validated concurrently on the same
-///   work-stealing pool that executes jobs, so expensive re-validation
-///   (a pinned solve per spilled failure) does not serialize the
-///   dispatch path.
+///   configurations. Hits are validated concurrently on the same pool
+///   that executes jobs, so expensive re-validation (a pinned solve per
+///   spilled failure) does not serialize the dispatch path.
 /// * `solve_group` — receives the group's jobs in structure order and
 ///   must return one result per job, in order.
 /// * `deliver` — called on the calling thread, exactly once per
@@ -179,10 +178,9 @@ where
     };
 
     // Answer structures from the cache where possible. Hits are
-    // validated on the work-stealing pool — re-validating a spilled
-    // failure costs a pinned encode+solve, so a warm run over a
-    // heavily-broken network would otherwise serialize those solves on
-    // the dispatching thread. Validation failures drop the entry and
+    // validated on the pool — re-validating a spilled failure costs a
+    // pinned encode+solve, so a warm run over a heavily-broken network
+    // would otherwise serialize those solves on the dispatching thread. Validation failures drop the entry and
     // fall through to execution.
     let hits: Vec<(usize, V)> = reps
         .iter()
@@ -227,9 +225,9 @@ where
     stats.groups = exec_groups.len();
     stats.assumption_solves = stats.executed.saturating_sub(stats.groups);
 
-    // Execute whole groups on the pool, stealing as needed; each
-    // group's verdicts reach the caller the moment the group completes.
-    stats.steals = executor.run(
+    // Execute whole groups on the pool; each group's verdicts reach the
+    // caller the moment the group completes.
+    executor.run(
         &exec_groups,
         |group: &Vec<usize>| {
             let payloads: Vec<&T> = group.iter().map(|&si| &reps[si].job).collect();
@@ -258,7 +256,6 @@ where
         obs::add("orchestrator.invalidated", stats.invalidated as u64);
         obs::add("orchestrator.executed", stats.executed as u64);
         obs::add("orchestrator.groups", stats.groups as u64);
-        obs::add("orchestrator.steals", stats.steals);
     }
     stats
 }

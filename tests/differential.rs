@@ -6,194 +6,26 @@
 //! verifies an invariant assignment, every simulated event must satisfy
 //! the invariant at its location — under randomized external
 //! announcements, across the **full 2³ `SimOptions` grid** (loop
-//! prevention × iBGP non-readvertisement × split horizon): the theorem
-//! holds for every valid trace, so it must hold under every semantic
-//! switch the simulator offers, not just the defaults.
+//! prevention × iBGP non-readvertisement × split horizon). Both walks are
+//! the fuzz campaign's simulation oracle ([`fuzz::sim_oracle`]) on the
+//! paper's two hand-built networks.
+//!
+//! The oracle also checks each property at its own location, and the
+//! simulator records a `Recv` event for every route it delivers to an
+//! external neighbor. The no-transit properties sit on the edge into the
+//! external, so "ISP1's (E0's) routes never reach ISP2 (E1)" is checked
+//! on every route of that edge's external RIB.
 
-use bgp_model::sim::simulate;
-use bgp_model::trace::{check_liveness_axioms, check_safety_axioms, Event};
-use bgp_model::{Community, Route};
-use fuzz::sim_options_grid;
-use lightyear::engine::Verifier;
-use lightyear::invariants::Location;
-use netgen::{figure1, fullmesh};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
-
-/// Random route announcement targeting one of a few prefixes.
-fn random_route(rng: &mut StdRng, origin_asn: u32) -> Route {
-    let prefixes = [
-        "8.0.0.0/8",
-        "9.9.0.0/16",
-        "203.0.113.0/24",
-        "100.100.0.0/16",
-    ];
-    let p = prefixes[rng.random_range(0..prefixes.len())];
-    let mut r = Route::new(p.parse().unwrap())
-        .with_as_path(vec![origin_asn])
-        .with_med(rng.random_range(0..50))
-        .with_next_hop(rng.random_range(1..1000));
-    // Random (possibly adversarial) communities, including the transit tag.
-    for _ in 0..rng.random_range(0..3) {
-        r = r.with_community(Community::new(
-            rng.random_range(0..3) * 100,
-            rng.random_range(0..4),
-        ));
-    }
-    if rng.random_bool(0.3) {
-        r = r.with_community(figure1::transit_comm());
-    }
-    r
-}
+use fuzz::{sim_oracle, FamilyParams};
 
 #[test]
 fn figure1_invariants_hold_on_random_simulations() {
-    let s = figure1::build();
-    let topo = &s.network.topology;
-    let policy = &s.network.policy;
-
-    // Prove the invariants once.
-    let report = Verifier::new(topo, policy)
-        .with_ghost(s.ghost.clone())
-        .verify_safety(&s.no_transit, &s.no_transit_inv);
-    assert!(report.all_passed());
-
-    let isp1 = topo.node_by_name("ISP1").unwrap();
-    let isp2 = topo.node_by_name("ISP2").unwrap();
-    let cust = topo.node_by_name("Customer").unwrap();
-    let r1 = topo.node_by_name("R1").unwrap();
-    let r2 = topo.node_by_name("R2").unwrap();
-    let r3 = topo.node_by_name("R3").unwrap();
-    let isp1_r1 = topo.edge_between(isp1, r1).unwrap();
-    let isp2_r2 = topo.edge_between(isp2, r2).unwrap();
-    let cust_r3 = topo.edge_between(cust, r3).unwrap();
-
-    for (oi, opts) in sim_options_grid().into_iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(0xbeef + oi as u64);
-        for round in 0..10 {
-            // Distinct prefixes per external so provenance (the ghost
-            // value) is decidable from the prefix in this differential
-            // test.
-            let isp1_route = Route::new("8.0.0.0/8".parse().unwrap())
-                .with_as_path(vec![100])
-                .with_med(rng.random_range(0..50));
-            let mut announcements = vec![(isp1_r1, isp1_route)];
-            if rng.random_bool(0.7) {
-                let mut r = random_route(&mut rng, 200);
-                r.prefix = "9.9.0.0/16".parse().unwrap();
-                announcements.push((isp2_r2, r));
-            }
-            if rng.random_bool(0.7) {
-                let mut r = random_route(&mut rng, 300);
-                r.prefix = "203.0.113.0/24".parse().unwrap();
-                announcements.push((cust_r3, r));
-            }
-
-            let result = simulate(topo, policy, &announcements, opts);
-            assert!(result.converged, "options #{oi} round {round}");
-            check_safety_axioms(&result.trace, topo, policy)
-                .unwrap_or_else(|e| panic!("options #{oi} round {round}: {e}"));
-            check_liveness_axioms(&result.trace, topo, policy)
-                .unwrap_or_else(|e| panic!("options #{oi} round {round} (liveness): {e}"));
-
-            for (i, ev) in result.trace.events.iter().enumerate() {
-                let (loc, route) = match ev {
-                    Event::Recv { edge, route } => (Location::Edge(*edge), route),
-                    Event::Frwd { edge, route } => (Location::Edge(*edge), route),
-                    Event::Slct { node, route } => (Location::Node(*node), route),
-                };
-                let from_isp1 = route.prefix == "8.0.0.0/8".parse().unwrap();
-                let mut ghosts = BTreeMap::new();
-                ghosts.insert("FromISP1".to_string(), from_isp1);
-                let inv = s.no_transit_inv.at(topo, loc);
-                assert!(
-                    inv.eval(route, &ghosts),
-                    "options #{oi} round {round} event #{i}: invariant {inv} violated at {} by {route}",
-                    loc.display(topo)
-                );
-            }
-
-            // The end-to-end property: ISP1's prefix never delivered to
-            // ISP2.
-            let r2_isp2 = topo.edge_between(r2, isp2).unwrap();
-            if let Some(routes) = result.external_rib.get(&r2_isp2) {
-                for r in routes {
-                    assert_ne!(
-                        r.prefix,
-                        "8.0.0.0/8".parse().unwrap(),
-                        "options #{oi} round {round}: transit violation in simulation"
-                    );
-                }
-            }
-        }
-    }
+    let case = FamilyParams::Figure1.build();
+    sim_oracle(&case, 0xbeef, 10).unwrap_or_else(|d| panic!("{d}"));
 }
 
 #[test]
 fn fullmesh_invariants_hold_on_random_simulations() {
-    let n = 5;
-    let s = fullmesh::build(n);
-    let topo = &s.network.topology;
-    let policy = &s.network.policy;
-    let report = Verifier::new(topo, policy)
-        .with_ghost(s.ghost.clone())
-        .verify_safety(&s.property, &s.invariants);
-    assert!(report.all_passed());
-
-    for (oi, opts) in sim_options_grid().into_iter().enumerate() {
-        let mut rng = StdRng::seed_from_u64(42 + oi as u64);
-        for round in 0..4 {
-            // E0 announces a dedicated prefix; other externals announce
-            // random routes for other prefixes.
-            let e0 = topo.node_by_name("E0").unwrap();
-            let r0 = topo.node_by_name("R0").unwrap();
-            let e0_r0 = topo.edge_between(e0, r0).unwrap();
-            let mut announcements = vec![(
-                e0_r0,
-                Route::new("8.0.0.0/8".parse().unwrap()).with_as_path(vec![65001]),
-            )];
-            for i in 1..n {
-                if rng.random_bool(0.6) {
-                    let ei = topo.node_by_name(&format!("E{i}")).unwrap();
-                    let ri = topo.node_by_name(&format!("R{i}")).unwrap();
-                    let edge = topo.edge_between(ei, ri).unwrap();
-                    let mut r = random_route(&mut rng, 65001 + i as u32);
-                    r.prefix = "9.9.0.0/16".parse().unwrap();
-                    announcements.push((edge, r));
-                }
-            }
-            let result = simulate(topo, policy, &announcements, opts);
-            assert!(result.converged, "options #{oi} round {round}");
-            check_safety_axioms(&result.trace, topo, policy).unwrap();
-            check_liveness_axioms(&result.trace, topo, policy).unwrap();
-
-            for ev in &result.trace.events {
-                let (loc, route) = match ev {
-                    Event::Recv { edge, route } => (Location::Edge(*edge), route),
-                    Event::Frwd { edge, route } => (Location::Edge(*edge), route),
-                    Event::Slct { node, route } => (Location::Node(*node), route),
-                };
-                let from_e0 = route.prefix == "8.0.0.0/8".parse().unwrap();
-                let mut ghosts = BTreeMap::new();
-                ghosts.insert("FromE0".to_string(), from_e0);
-                let inv = s.invariants.at(topo, loc);
-                assert!(
-                    inv.eval(route, &ghosts),
-                    "options #{oi} round {round}: invariant {inv} violated at {} by {route}",
-                    loc.display(topo)
-                );
-            }
-
-            // Property: E0's prefix never delivered to E1.
-            let r1 = topo.node_by_name("R1").unwrap();
-            let e1 = topo.node_by_name("E1").unwrap();
-            let r1_e1 = topo.edge_between(r1, e1).unwrap();
-            if let Some(routes) = result.external_rib.get(&r1_e1) {
-                for r in routes {
-                    assert_ne!(r.prefix, "8.0.0.0/8".parse().unwrap());
-                }
-            }
-        }
-    }
+    let case = FamilyParams::FullMesh { n: 5 }.build();
+    sim_oracle(&case, 42, 4).unwrap_or_else(|d| panic!("{d}"));
 }
