@@ -17,10 +17,8 @@
 //! combines both rings with the metrics snapshot and the last error
 //! into one post-mortem file that is also a loadable Chrome trace.
 
-use crate::metrics::thread_index;
-use crate::trace::SpanRecord;
+use crate::trace::{thread_index, SpanRecord};
 use serde_json::Value;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -141,47 +139,6 @@ pub(crate) fn span_line(s: &SpanRecord) -> Value {
     ])
 }
 
-/// Bounded event storage, mirroring the span ring: oldest events are
-/// dropped once `cap` is reached.
-pub(crate) struct EventRing {
-    cap: usize,
-    inner: Mutex<EventRingInner>,
-}
-
-struct EventRingInner {
-    events: VecDeque<EventRecord>,
-    dropped: u64,
-}
-
-impl EventRing {
-    pub(crate) fn new(cap: usize) -> EventRing {
-        EventRing {
-            cap: cap.max(1),
-            inner: Mutex::new(EventRingInner {
-                events: VecDeque::new(),
-                dropped: 0,
-            }),
-        }
-    }
-
-    pub(crate) fn push(&self, rec: EventRecord) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.events.len() == self.cap {
-            inner.events.pop_front();
-            inner.dropped += 1;
-        }
-        inner.events.push_back(rec);
-    }
-
-    pub(crate) fn drain_copy(&self) -> Vec<EventRecord> {
-        self.inner.lock().unwrap().events.iter().cloned().collect()
-    }
-
-    pub(crate) fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
-    }
-}
-
 /// An incremental JSONL writer with size-capped rotation.
 ///
 /// Every appended record is written and flushed immediately — the
@@ -287,7 +244,7 @@ mod tests {
 
     #[test]
     fn event_ring_is_bounded_and_renders() {
-        let ring = EventRing::new(3);
+        let ring = crate::trace::Ring::new(3);
         for i in 0..5u64 {
             ring.push(EventRecord::new(
                 Level::Info,

@@ -25,7 +25,7 @@
 
 use crate::metrics::{MetricsSnapshot, Registry, BUCKET_BOUNDS_US};
 use serde_json::Value;
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -312,7 +312,7 @@ pub type Handler = Arc<dyn Fn(&Request) -> Option<Response> + Send + Sync>;
 /// Default bound on concurrently-served connections. Handlers are
 /// short-lived, so this is generous; what it prevents is an unbounded
 /// thread pile-up when clients open connections faster than the 5 s
-/// read timeout reaps them.
+/// request deadline reaps them.
 pub const DEFAULT_MAX_CONNS: usize = 64;
 
 /// A running telemetry server. Dropping it stops the accept loop
@@ -356,7 +356,7 @@ pub fn serve(
 /// built-in endpoints and an explicit concurrent-connection cap.
 /// Connection `max_conns + 1` is answered `503` and closed instead of
 /// spawning a thread, so a client flood cannot pile up blocked threads
-/// behind the read timeout.
+/// behind the request deadline.
 pub fn serve_with(
     addr: &str,
     reg: Arc<Registry>,
@@ -385,6 +385,10 @@ pub fn serve_with(
                     continue;
                 }
                 live.fetch_add(1, Ordering::AcqRel);
+                // The whole request must arrive within 5 s of accept;
+                // a per-read timeout alone lets a client that trickles
+                // bytes hold its slot indefinitely.
+                let deadline = Instant::now() + Duration::from_secs(5);
                 let (reg, status) = (reg.clone(), status.clone());
                 let (handler, live2) = (handler.clone(), live.clone());
                 // Thread-per-connection: handlers are read-only and
@@ -393,7 +397,7 @@ pub fn serve_with(
                 let spawned = std::thread::Builder::new()
                     .name("obs-http-conn".to_string())
                     .spawn(move || {
-                        handle_conn(stream, &reg, &status, handler.as_ref());
+                        handle_conn(stream, deadline, &reg, &status, handler.as_ref());
                         live2.fetch_sub(1, Ordering::AcqRel);
                     });
                 if spawned.is_err() {
@@ -415,8 +419,35 @@ const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// past this is answered `413`).
 const MAX_BODY_BYTES: usize = 8 * 1024 * 1024;
 
-fn handle_conn(mut stream: TcpStream, reg: &Registry, status: &Status, handler: Option<&Handler>) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
+/// One `read` that gives up at `deadline` (as `ErrorKind::TimedOut` or
+/// `WouldBlock`, see [`timed_out`]).
+fn read_before(stream: &mut TcpStream, chunk: &mut [u8], deadline: Instant) -> io::Result<usize> {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if left.is_zero() {
+        return Err(io::ErrorKind::TimedOut.into());
+    }
+    stream.set_read_timeout(Some(left))?;
+    stream.read(chunk)
+}
+
+/// Whether a read error is the request deadline passing (a socket read
+/// timeout surfaces as `WouldBlock` on Unix, `TimedOut` on Windows).
+fn timed_out(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+    )
+}
+
+fn handle_conn(
+    mut stream: TcpStream,
+    deadline: Instant,
+    reg: &Registry,
+    status: &Status,
+    handler: Option<&Handler>,
+) {
+    // A client that stops reading must not hold the slot on the answer.
+    let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let mut buf = Vec::new();
     let mut chunk = [0u8; 1024];
     // Read until the end of the request head.
@@ -427,9 +458,13 @@ fn handle_conn(mut stream: TcpStream, reg: &Registry, status: &Status, handler: 
         if buf.len() > MAX_REQUEST_BYTES {
             return respond(&mut stream, 400, "text/plain", "request too large\n");
         }
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => return,
+        match read_before(&mut stream, &mut chunk, deadline) {
+            Ok(0) => return,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Err(e) if timed_out(&e) => {
+                return respond(&mut stream, 408, "text/plain", "request timeout\n")
+            }
+            Err(_) => return,
         }
     };
     let head = String::from_utf8_lossy(&buf[..head_end]).into_owned();
@@ -450,9 +485,13 @@ fn handle_conn(mut stream: TcpStream, reg: &Registry, status: &Status, handler: 
     // The head read may have pulled in part of the body already.
     let mut body = buf[head_end..].to_vec();
     while body.len() < content_length {
-        match stream.read(&mut chunk) {
-            Ok(0) | Err(_) => break,
+        match read_before(&mut stream, &mut chunk, deadline) {
+            Ok(0) => break,
             Ok(n) => body.extend_from_slice(&chunk[..n]),
+            Err(e) if timed_out(&e) => {
+                return respond(&mut stream, 408, "text/plain", "request timeout\n")
+            }
+            Err(_) => break,
         }
     }
     body.truncate(content_length);
@@ -513,6 +552,7 @@ fn respond(stream: &mut TcpStream, code: u16, content_type: &str, body: &str) {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
@@ -745,6 +785,60 @@ mod tests {
             std::thread::sleep(Duration::from_millis(20));
         }
         assert!(recovered, "capacity must recover once connections close");
+    }
+
+    #[test]
+    fn slow_request_is_cut_at_the_deadline() {
+        let reg = Registry::new();
+        let status = Status::new(None);
+        let server = serve_with("127.0.0.1:0", reg, status, None, 1).unwrap();
+        let addr = server.addr();
+
+        // Trickle a never-ending request head, one byte a second, into
+        // the only slot. The one-second read timeout paces the loop and
+        // notices the server answering or closing.
+        let mut slow = TcpStream::connect(addr).unwrap();
+        slow.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        let start = Instant::now();
+        let mut answer = Vec::new();
+        let mut buf = [0u8; 256];
+        let closed = loop {
+            assert!(
+                start.elapsed() < Duration::from_secs(6),
+                "a trickling client held its slot past the 5 s deadline"
+            );
+            if slow.write_all(b"x").is_err() {
+                break start.elapsed();
+            }
+            match slow.read(&mut buf) {
+                Ok(0) => break start.elapsed(),
+                Ok(n) => answer.extend_from_slice(&buf[..n]),
+                Err(e) if timed_out(&e) => {}
+                Err(_) => break start.elapsed(),
+            }
+        };
+        assert!(closed < Duration::from_secs(6), "closed after {closed:?}");
+        if !answer.is_empty() {
+            assert!(answer.starts_with(b"HTTP/1.1 408"), "got: {answer:?}");
+        }
+
+        // The freed slot serves the next client. Until the handler
+        // thread has released it, a probe may get 503 or be reset.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        loop {
+            let ok = TcpStream::connect(addr).ok().and_then(|mut s| {
+                s.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+                    .ok()?;
+                let mut text = String::new();
+                s.read_to_string(&mut text).ok()?;
+                Some(text.starts_with("HTTP/1.1 200"))
+            });
+            if ok == Some(true) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "the slot was not freed");
+            std::thread::sleep(Duration::from_millis(20));
+        }
     }
 
     #[test]

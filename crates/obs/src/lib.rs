@@ -1,13 +1,14 @@
-//! Observability for the verifier pipeline: a lock-sharded metrics
-//! registry (counters / gauges / histograms), a lightweight span API
-//! with a bounded in-memory ring, and a Chrome `trace_event` exporter
-//! so a verify run opens directly in `chrome://tracing` / Perfetto.
+//! Observability for the verifier pipeline: a metrics registry
+//! (counters / gauges / histograms, one atomic per value), a
+//! lightweight span API with a bounded in-memory ring, and a Chrome
+//! `trace_event` exporter so a verify run opens directly in
+//! `chrome://tracing` / Perfetto.
 //!
 //! The design constraint is that instrumentation must be *near-free
 //! when no sink is installed*: every event entry point loads one
-//! relaxed atomic and returns. Hot-path shards are per-thread, merged
-//! only on read, so the executor's workers pay a single uncontended
-//! `fetch_add` per event when a sink IS installed.
+//! relaxed atomic and returns. When a sink IS installed, an event takes
+//! the sink's read lock, looks its metric up by name and pays one
+//! relaxed `fetch_add`.
 //!
 //! ```
 //! let reg = obs::install();
@@ -157,19 +158,6 @@ pub fn peak_rss_kb() -> u64 {
         .unwrap_or(0)
 }
 
-/// Open a span with no arguments. Prefer the [`span!`] macro, which
-/// also skips argument formatting when disabled.
-#[inline]
-pub fn span(name: &'static str) -> Span {
-    if !enabled() {
-        return Span::disabled();
-    }
-    match sink() {
-        Some(reg) => Span::start(reg, name, Vec::new()),
-        None => Span::disabled(),
-    }
-}
-
 /// Open a span with pre-rendered arguments (used by [`span!`]).
 pub fn span_with(name: &'static str, args: Vec<(&'static str, String)>) -> Span {
     match sink() {
@@ -251,7 +239,7 @@ macro_rules! event {
 #[macro_export]
 macro_rules! span {
     ($name:expr) => {
-        $crate::span($name)
+        $crate::span_with($name, ::std::vec::Vec::new())
     };
     ($name:expr, $($k:ident = $v:expr),+ $(,)?) => {
         if $crate::enabled() {

@@ -1,20 +1,16 @@
-//! The metrics registry: named counters, gauges and histograms behind
-//! lock-sharded storage. Writers touch a per-thread shard (one relaxed
-//! `fetch_add`), readers merge all shards, so concurrent increments
-//! from the executor's workers are exact without a hot lock.
+//! The metrics registry: named counters, gauges and histograms, one
+//! atomic per value. Concurrent increments from the executor's workers
+//! are exact; no more than the run's `jobs` workers ever record, and an
+//! event has already taken the sink's and the name map's read locks
+//! before it reaches its atomic.
 
-use crate::export::{EventRecord, EventRing, ExportSink, Level, EVENT_RING_CAP};
-use crate::trace::{SpanRecord, TraceRing};
+use crate::export::{EventRecord, ExportSink, Level, EVENT_RING_CAP};
+use crate::trace::{Ring, SpanRecord};
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
-
-/// Number of write shards per metric. Threads hash onto shards by a
-/// process-wide thread index, so two executor workers rarely share a
-/// cache line.
-pub const SHARDS: usize = 16;
 
 /// Histogram bucket upper bounds in microseconds. The last implicit
 /// bucket is overflow. These are part of the exported format and
@@ -27,34 +23,7 @@ pub const BUCKET_BOUNDS_US: [u64; 19] = [
 /// Bucket count including the overflow bucket.
 pub const NUM_BUCKETS: usize = BUCKET_BOUNDS_US.len() + 1;
 
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// A process-wide small integer id for the current thread, used to
-/// pick metric shards and to label trace events.
-pub fn thread_index() -> u32 {
-    use std::cell::Cell;
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    thread_local! {
-        static TID: Cell<u32> = const { Cell::new(u32::MAX) };
-    }
-    TID.with(|t| {
-        let mut id = t.get();
-        if id == u32::MAX {
-            id = NEXT.fetch_add(1, Ordering::Relaxed) as u32;
-            t.set(id);
-        }
-        id
-    })
-}
-
-#[inline]
-fn shard() -> usize {
-    thread_index() as usize % SHARDS
-}
-
-/// A monotone counter, sharded per thread.
+/// A monotone counter: one atomic.
 ///
 /// Overflow **clamps and flags** instead of wrapping: a wrapped
 /// `u64` reads as a plausible small total, which is the worst failure
@@ -62,39 +31,27 @@ fn shard() -> usize {
 /// [`Counter::saturated`] set cannot be mistaken for a real value.
 #[derive(Default)]
 pub struct Counter {
-    shards: [PaddedU64; SHARDS],
+    value: AtomicU64,
     saturated: AtomicBool,
 }
 
 impl Counter {
-    /// Add `n`. One uncontended atomic on the caller's shard.
+    /// Add `n`. One relaxed `fetch_add`.
     #[inline]
     pub fn add(&self, n: u64) {
-        let sh = &self.shards[shard()].0;
-        let prev = sh.fetch_add(n, Ordering::Relaxed);
+        let prev = self.value.fetch_add(n, Ordering::Relaxed);
         if prev.checked_add(n).is_none() {
-            sh.store(u64::MAX, Ordering::Relaxed);
+            self.value.store(u64::MAX, Ordering::Relaxed);
             self.saturated.store(true, Ordering::Relaxed);
         }
     }
 
-    /// Merged total across shards; `u64::MAX` once saturated (any
-    /// shard wrapped, or the cross-shard sum itself overflows).
+    /// The total; `u64::MAX` once saturated.
     pub fn value(&self) -> u64 {
-        let mut total = 0u64;
-        for s in &self.shards {
-            match total.checked_add(s.0.load(Ordering::Relaxed)) {
-                Some(t) => total = t,
-                None => {
-                    self.saturated.store(true, Ordering::Relaxed);
-                    return u64::MAX;
-                }
-            }
-        }
-        if self.saturated.load(Ordering::Relaxed) {
+        if self.saturated() {
             u64::MAX
         } else {
-            total
+            self.value.load(Ordering::Relaxed)
         }
     }
 
@@ -130,19 +87,14 @@ impl Gauge {
     }
 }
 
-#[derive(Default)]
-struct HistShard {
-    buckets: [AtomicU64; NUM_BUCKETS],
-    sum_ns: AtomicU64,
-}
-
 /// A duration histogram with fixed exponential buckets
-/// ([`BUCKET_BOUNDS_US`]), sharded per thread like [`Counter`].
+/// ([`BUCKET_BOUNDS_US`]): one atomic per bucket plus one for the sum.
 /// Overflow of the duration sum (or a bucket count) clamps and flags
 /// rather than wrapping, same contract as [`Counter`].
 #[derive(Default)]
 pub struct Histogram {
-    shards: [HistShard; SHARDS],
+    buckets: [AtomicU64; NUM_BUCKETS],
+    sum_ns: AtomicU64,
     saturated: AtomicBool,
 }
 
@@ -158,42 +110,33 @@ impl Histogram {
     /// Record one observation of `ns` nanoseconds.
     #[inline]
     pub fn record_ns(&self, ns: u64) {
-        let sh = &self.shards[shard()];
-        let bucket = &sh.buckets[Self::bucket_index(ns / 1_000)];
+        let bucket = &self.buckets[Self::bucket_index(ns / 1_000)];
         if bucket.fetch_add(1, Ordering::Relaxed) == u64::MAX {
             bucket.store(u64::MAX, Ordering::Relaxed);
             self.saturated.store(true, Ordering::Relaxed);
         }
-        let prev = sh.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        let prev = self.sum_ns.fetch_add(ns, Ordering::Relaxed);
         if prev.checked_add(ns).is_none() {
-            sh.sum_ns.store(u64::MAX, Ordering::Relaxed);
+            self.sum_ns.store(u64::MAX, Ordering::Relaxed);
             self.saturated.store(true, Ordering::Relaxed);
         }
     }
 
-    /// Merged snapshot across shards. Saturated totals are clamped to
+    /// Point-in-time snapshot. Once saturated, the sum reads
     /// `u64::MAX` (see [`Histogram::saturated`]).
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let mut buckets = vec![0u64; NUM_BUCKETS];
-        let mut sum_ns = 0u64;
-        for sh in &self.shards {
-            for (b, src) in buckets.iter_mut().zip(sh.buckets.iter()) {
-                *b = b.saturating_add(src.load(Ordering::Relaxed));
-            }
-            match sum_ns.checked_add(sh.sum_ns.load(Ordering::Relaxed)) {
-                Some(t) => sum_ns = t,
-                None => {
-                    sum_ns = u64::MAX;
-                    self.saturated.store(true, Ordering::Relaxed);
-                }
-            }
-        }
-        if self.saturated.load(Ordering::Relaxed) {
-            sum_ns = u64::MAX;
-        }
+        let buckets: Vec<u64> = self
+            .buckets
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
         HistogramSnapshot {
             count: buckets.iter().fold(0u64, |a, &b| a.saturating_add(b)),
-            sum_ns,
+            sum_ns: if self.saturated() {
+                u64::MAX
+            } else {
+                self.sum_ns.load(Ordering::Relaxed)
+            },
             buckets,
         }
     }
@@ -205,7 +148,7 @@ impl Histogram {
     }
 }
 
-/// Point-in-time merged view of one histogram.
+/// Point-in-time view of one histogram.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total observations.
@@ -270,29 +213,25 @@ pub struct Registry {
     gauges: RwLock<BTreeMap<&'static str, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
     calls: Counter,
-    trace: TraceRing,
-    events: EventRing,
+    trace: Ring<SpanRecord>,
+    events: Ring<EventRecord>,
     last_error: Mutex<Option<String>>,
     export: RwLock<Option<Arc<ExportSink>>>,
 }
 
 impl Registry {
-    /// A registry with the default span-ring capacity (65 536 spans).
+    /// A registry whose span ring keeps the 65 536 most recent spans
+    /// (oldest dropped first; the drop count is reported in the trace
+    /// export).
     pub fn new() -> Arc<Registry> {
-        Self::with_span_capacity(65_536)
-    }
-
-    /// A registry whose span ring keeps at most `cap` spans (oldest
-    /// dropped first; the drop count is reported in the trace export).
-    pub fn with_span_capacity(cap: usize) -> Arc<Registry> {
         Arc::new(Registry {
             epoch: Instant::now(),
             counters: RwLock::new(BTreeMap::new()),
             gauges: RwLock::new(BTreeMap::new()),
             histograms: RwLock::new(BTreeMap::new()),
             calls: Counter::default(),
-            trace: TraceRing::new(cap),
-            events: EventRing::new(EVENT_RING_CAP),
+            trace: Ring::new(65_536),
+            events: Ring::new(EVENT_RING_CAP),
             last_error: Mutex::new(None),
             export: RwLock::new(None),
         })
@@ -316,7 +255,7 @@ impl Registry {
         self.epoch
     }
 
-    pub(crate) fn trace_ring(&self) -> &TraceRing {
+    pub(crate) fn trace_ring(&self) -> &Ring<SpanRecord> {
         &self.trace
     }
 
@@ -457,7 +396,7 @@ impl Registry {
         totals
     }
 
-    /// Merged point-in-time view of every metric.
+    /// Point-in-time view of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
             counters: self
@@ -485,7 +424,7 @@ impl Registry {
     }
 }
 
-/// Point-in-time merged view of a [`Registry`].
+/// Point-in-time view of a [`Registry`].
 #[derive(Clone, Debug, Default)]
 pub struct MetricsSnapshot {
     /// Counter totals by name.
@@ -640,7 +579,7 @@ mod tests {
         c.add(u64::MAX - 1);
         assert_eq!(c.value(), u64::MAX - 1);
         assert!(!c.saturated());
-        c.add(5); // wraps the shard
+        c.add(5); // wraps the atomic
         assert_eq!(c.value(), u64::MAX);
         assert!(c.saturated());
         // Saturation is sticky: further adds cannot shrink the value.

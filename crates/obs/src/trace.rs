@@ -3,9 +3,10 @@
 //! `trace_event` JSON (complete `"ph": "X"` events) that loads directly
 //! in `chrome://tracing` and Perfetto.
 
-use crate::metrics::{thread_index, Registry};
+use crate::metrics::Registry;
 use serde_json::Value;
 use std::collections::VecDeque;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -16,8 +17,7 @@ pub struct SpanRecord {
     pub name: &'static str,
     /// Rendered arguments, call-site order.
     pub args: Vec<(&'static str, String)>,
-    /// Process-wide small thread index (see
-    /// [`crate::metrics::thread_index`]).
+    /// Process-wide small thread index.
     pub tid: u32,
     /// Start, nanoseconds since the registry epoch.
     pub start_ns: u64,
@@ -25,44 +25,63 @@ pub struct SpanRecord {
     pub dur_ns: u64,
 }
 
-/// Bounded span storage: oldest spans are dropped once `cap` is
-/// reached, and the drop count is surfaced in the export.
-pub struct TraceRing {
-    cap: usize,
-    inner: Mutex<RingInner>,
+/// A process-wide small integer id for the current thread: the `tid`
+/// of spans and events.
+pub(crate) fn thread_index() -> u32 {
+    use std::cell::Cell;
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        static TID: Cell<u32> = const { Cell::new(u32::MAX) };
+    }
+    TID.with(|t| {
+        let mut id = t.get();
+        if id == u32::MAX {
+            id = NEXT.fetch_add(1, Ordering::Relaxed) as u32;
+            t.set(id);
+        }
+        id
+    })
 }
 
-struct RingInner {
-    spans: VecDeque<SpanRecord>,
+/// Bounded record storage (the span ring and the event ring): the
+/// oldest record is dropped once `cap` is reached, and the drop count
+/// is surfaced in the export.
+pub(crate) struct Ring<T> {
+    cap: usize,
+    inner: Mutex<RingInner<T>>,
+}
+
+struct RingInner<T> {
+    items: VecDeque<T>,
     dropped: u64,
 }
 
-impl TraceRing {
-    pub(crate) fn new(cap: usize) -> TraceRing {
-        TraceRing {
+impl<T: Clone> Ring<T> {
+    pub(crate) fn new(cap: usize) -> Ring<T> {
+        Ring {
             cap: cap.max(1),
             inner: Mutex::new(RingInner {
-                spans: VecDeque::new(),
+                items: VecDeque::new(),
                 dropped: 0,
             }),
         }
     }
 
-    pub(crate) fn push(&self, rec: SpanRecord) {
+    pub(crate) fn push(&self, rec: T) {
         let mut inner = self.inner.lock().unwrap();
-        if inner.spans.len() == self.cap {
-            inner.spans.pop_front();
+        if inner.items.len() == self.cap {
+            inner.items.pop_front();
             inner.dropped += 1;
         }
-        inner.spans.push_back(rec);
+        inner.items.push_back(rec);
     }
 
-    pub(crate) fn drain_copy(&self) -> Vec<SpanRecord> {
-        self.inner.lock().unwrap().spans.iter().cloned().collect()
+    pub(crate) fn drain_copy(&self) -> Vec<T> {
+        self.inner.lock().unwrap().items.iter().cloned().collect()
     }
 
-    /// Spans evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
+    /// Records evicted because the ring was full.
+    pub(crate) fn dropped(&self) -> u64 {
         self.inner.lock().unwrap().dropped
     }
 }
@@ -152,27 +171,13 @@ fn event_json(s: &SpanRecord) -> Value {
 }
 
 impl Registry {
-    /// The ring's spans as a Chrome `trace_event` array, sorted by
-    /// start time.
-    pub fn chrome_trace_events(&self) -> Value {
-        let mut spans = self.spans();
-        spans.sort_by_key(|s| (s.start_ns, std::cmp::Reverse(s.dur_ns)));
-        Value::Array(spans.iter().map(event_json).collect())
-    }
-
     /// The JSON-object trace format Perfetto and `chrome://tracing`
-    /// load directly: `{"traceEvents": [...], ...}`. Extra top-level
-    /// keys are ignored by viewers, which is what makes the profile
-    /// report self-contained (metrics ride alongside the trace).
+    /// load directly: `{"traceEvents": [...], ...}`, sorted by start
+    /// time. Extra top-level keys are ignored by viewers, which is what
+    /// makes the profile report self-contained (metrics ride alongside
+    /// the trace).
     pub fn chrome_trace(&self) -> Value {
-        Value::Object(vec![
-            ("traceEvents".to_string(), self.chrome_trace_events()),
-            ("displayTimeUnit".to_string(), Value::Str("ms".to_string())),
-            (
-                "spans_dropped".to_string(),
-                Value::UInt(self.trace_ring().dropped()),
-            ),
-        ])
+        self.chrome_trace_last(usize::MAX)
     }
 
     /// Like [`Registry::chrome_trace`] but keeping only the `n` most
@@ -203,9 +208,9 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_counts_drops() {
-        let reg = Registry::with_span_capacity(4);
+        let ring = Ring::new(4);
         for i in 0..10u64 {
-            reg.trace_ring().push(SpanRecord {
+            ring.push(SpanRecord {
                 name: "s",
                 args: vec![("i", i.to_string())],
                 tid: 0,
@@ -213,9 +218,9 @@ mod tests {
                 dur_ns: 1,
             });
         }
-        let spans = reg.spans();
+        let spans = ring.drain_copy();
         assert_eq!(spans.len(), 4);
-        assert_eq!(reg.trace_ring().dropped(), 6);
+        assert_eq!(ring.dropped(), 6);
         assert_eq!(spans[0].args[0].1, "6"); // oldest surviving
     }
 

@@ -1,8 +1,9 @@
 //! End-to-end contracts for the `obs` observability layer.
 //!
-//! * Counter exactness under real contention: a property test spins N
-//!   threads each adding M times and demands the sharded registry's
-//!   merged total is exactly N*M*delta — no lost updates, no
+//! * Counter and histogram exactness under real contention: a property
+//!   test spins N threads each recording M events and demands the
+//!   registry's counter total is exactly N*M*delta, and its histogram
+//!   count N*M and duration sum exact — no lost updates, no
 //!   double-counts.
 //! * The Chrome trace export of a REAL verification: an 8-router WAN
 //!   verified on the orchestrator with the sink installed must produce
@@ -33,14 +34,16 @@ proptest! {
                 s.spawn(move || {
                     for _ in 0..events {
                         reg.counter("prop.merge").add(delta);
+                        reg.histogram("prop.merge").record_ns(delta * 1_000);
                     }
                 });
             }
         });
-        prop_assert_eq!(
-            reg.counter("prop.merge").value(),
-            (threads * events) as u64 * delta
-        );
+        let n = (threads * events) as u64;
+        prop_assert_eq!(reg.counter("prop.merge").value(), n * delta);
+        let hist = reg.histogram("prop.merge").snapshot();
+        prop_assert_eq!(hist.count, n);
+        prop_assert_eq!(hist.sum_ns, n * delta * 1_000);
     }
 }
 

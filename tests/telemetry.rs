@@ -6,7 +6,7 @@
 //!   verified with `--jobs 2` across several rounds; every response
 //!   must be well-formed JSON, and within each scraper's time-ordered
 //!   sequence both the round count and every counter must be monotone
-//!   (the sharded registry never loses or un-counts an update).
+//!   (the registry never loses or un-counts an update).
 //! * After the last round, one final scrape must equal the
 //!   `--metrics-json` status file byte for byte — the regression
 //!   contract that the endpoint and the file render the same state
