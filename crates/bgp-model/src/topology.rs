@@ -195,12 +195,14 @@ impl Topology {
 
     /// Human-readable rendering of an edge, e.g. `R1 -> ISP1`.
     pub fn edge_name(&self, e: EdgeId) -> String {
+        self.edge_name_parts(e).concat()
+    }
+
+    /// [`Topology::edge_name`] in pieces — sender, ` -> `, receiver —
+    /// for callers that splice it into a longer string.
+    pub fn edge_name_parts(&self, e: EdgeId) -> [&str; 3] {
         let edge = self.edge(e);
-        format!(
-            "{} -> {}",
-            self.node(edge.src).name,
-            self.node(edge.dst).name
-        )
+        [&self.node(edge.src).name, " -> ", &self.node(edge.dst).name]
     }
 
     /// Validate a path of alternating node/edge locations as used in

@@ -797,13 +797,19 @@ fn report_of(out: &std::process::Output) -> String {
 /// Spills written before the fingerprint format changed, by earlier
 /// releases' `verify --cache-dir` on exactly the `R1`/`R2`/`SPEC`
 /// network of this file: `FP_VERSION` 1 (keys were hashes of canonical
-/// JSON) and `FP_VERSION` 2 (a byte-wise walk of the value). Neither
-/// file says which key version it holds — the spill format only
-/// started recording that with version 3.
-const PRE_UPGRADE_CACHES: [(&str, &str); 2] = [
+/// JSON), `FP_VERSION` 2 (a byte-wise walk of the value) and
+/// `FP_VERSION` 3 (composed digests with the universe in every base).
+/// The first two do not say which key version they hold — the spill
+/// format only started recording that with version 3; the third says
+/// `"key_version": 3`.
+const PRE_UPGRADE_CACHES: [(&str, &str); 3] = [
     ("fp-v1", include_str!("fixtures/cache-fp-v1.json")),
     ("fp-v2", include_str!("fixtures/cache-fp-v2.json")),
+    ("fp-v3", include_str!("fixtures/cache-fp-v3.json")),
 ];
+
+/// What a spill written by this build records as its key version.
+const CURRENT_KEY_VERSION: &str = "\"key_version\": 4";
 
 /// The fingerprint keys of a spill file, in file order.
 fn spill_keys(text: &str) -> Vec<String> {
@@ -850,7 +856,7 @@ fn pre_upgrade_cache_is_a_miss_never_a_wrong_hit() {
         assert_eq!(report_of(&uncached), report_of(&upgraded), "{name}");
 
         let saved = fs::read_to_string(cache_dir.join("cache.json")).unwrap();
-        assert!(saved.contains("\"key_version\": 3"), "{name}: {saved}");
+        assert!(saved.contains(CURRENT_KEY_VERSION), "{name}: {saved}");
         let (old_keys, new_keys) = (spill_keys(old_spill), spill_keys(&saved));
         assert_eq!(new_keys.len(), 6, "{name}: dead keys were carried over");
         assert!(new_keys.iter().all(|k| !old_keys.contains(k)), "{name}");
@@ -909,7 +915,7 @@ fn watch_restart_over_pre_upgrade_cache_is_one_full_round() {
         assert!(first.contains("verified"), "{name}: {first}");
         let saved = fs::read_to_string(&spill).unwrap();
         let old_keys = spill_keys(old_spill);
-        assert!(saved.contains("\"key_version\": 3"), "{name}: {saved}");
+        assert!(saved.contains(CURRENT_KEY_VERSION), "{name}: {saved}");
         assert!(
             spill_keys(&saved).iter().all(|k| !old_keys.contains(k)),
             "{name}: dead keys were carried over"

@@ -221,6 +221,23 @@ impl Serializer {
         self.has_elem = true;
     }
 
+    /// The decimal digits of `u`, formed on the stack, least
+    /// significant first, and appended at once.
+    fn write_digits(&mut self, mut u: u64) {
+        let mut buf = [0u8; 20];
+        let mut at = buf.len();
+        loop {
+            at -= 1;
+            buf[at] = b'0' + (u % 10) as u8;
+            u /= 10;
+            if u == 0 {
+                break;
+            }
+        }
+        self.out
+            .push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+    }
+
     fn write_str(&mut self, s: &str) {
         self.out.push('"');
         let bytes = s.as_bytes();
@@ -257,15 +274,17 @@ impl Sink for Serializer {
         self.out.push_str(if b { "true" } else { "false" });
     }
 
-    // `write!` formats numbers on the stack and appends the digits.
     fn int(&mut self, i: i64) {
         self.before_value();
-        write!(self.out, "{i}").expect(INFALLIBLE);
+        if i < 0 {
+            self.out.push('-');
+        }
+        self.write_digits(i.unsigned_abs());
     }
 
     fn uint(&mut self, u: u64) {
         self.before_value();
-        write!(self.out, "{u}").expect(INFALLIBLE);
+        self.write_digits(u);
     }
 
     fn float(&mut self, f: f64) {
@@ -665,6 +684,91 @@ mod tests {
         // Streaming a value and rendering its tree are the same text.
         let back: Value = from_str(expected).unwrap();
         assert_eq!(to_string_pretty(&back).unwrap(), expected);
+    }
+
+    #[test]
+    fn integers_render_without_the_formatter() {
+        let ints = [
+            Value::Int(0),
+            Value::Int(9),
+            Value::Int(10),
+            Value::Int(-1),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::UInt(u64::MAX),
+        ];
+        let texts = [
+            "0",
+            "9",
+            "10",
+            "-1",
+            "-9223372036854775808",
+            "9223372036854775807",
+            "18446744073709551615",
+        ];
+        for (v, text) in ints.iter().zip(texts) {
+            assert_eq!(to_string(v).unwrap(), text);
+            assert_eq!(to_string_pretty(v).unwrap(), text);
+        }
+        let all = Value::Array(ints.to_vec());
+        assert_eq!(to_string(&all).unwrap(), format!("[{}]", texts.join(",")));
+        assert_eq!(
+            to_string_pretty(&all).unwrap(),
+            format!("[\n  {}\n]", texts.join(",\n  "))
+        );
+        // And through the typed integer impls, which stream `int`/`uint`.
+        assert_eq!(
+            to_string(&(i64::MIN, u64::MAX, -1i32, 10u8)).unwrap(),
+            "[-9223372036854775808,18446744073709551615,-1,10]"
+        );
+    }
+
+    #[test]
+    fn built_values_are_the_parsed_text() {
+        let obj = |entries: Vec<(&str, Value)>| {
+            Value::Object(
+                entries
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        };
+        let samples = [
+            Value::Object(vec![]),
+            Value::Array(vec![]),
+            obj(vec![
+                ("a", Value::Object(vec![])),
+                ("b", Value::Array(vec![])),
+            ]),
+            // Keys after a closed object, after a closed array, and an
+            // object inside an array inside an object.
+            obj(vec![
+                (
+                    "outer",
+                    obj(vec![("inner", obj(vec![("x", Value::Int(-1))]))]),
+                ),
+                ("after_object", Value::Int(9)),
+                (
+                    "list",
+                    Value::Array(vec![
+                        obj(vec![("k", Value::Null), ("l", Value::Array(vec![]))]),
+                        Value::Array(vec![Value::Bool(true)]),
+                        obj(vec![]),
+                    ]),
+                ),
+                ("after_array", Value::UInt(u64::MAX)),
+                ("s", Value::Str("q\"".to_string())),
+            ]),
+        ];
+        for v in samples {
+            let built = serde::build_value(&v);
+            assert_eq!(built, v);
+            assert_eq!(built, from_str::<Value>(&to_string(&v).unwrap()).unwrap());
+            assert_eq!(
+                built,
+                from_str::<Value>(&to_string_pretty(&v).unwrap()).unwrap()
+            );
+        }
     }
 
     #[test]

@@ -286,10 +286,9 @@ pub trait Sink {
 /// The tree-building [`Sink`]: collects events into a [`Value`].
 #[derive(Default)]
 pub struct ValueBuilder {
-    /// Open containers, innermost last.
+    /// Open containers, innermost last. An open object's last entry is
+    /// the one its latest `key` opened, `null` until its value arrives.
     stack: Vec<Value>,
-    /// Keys awaiting their value, one per open object entry.
-    keys: Vec<String>,
     done: Option<Value>,
 }
 
@@ -303,8 +302,10 @@ impl ValueBuilder {
         match self.stack.last_mut() {
             Some(Value::Array(items)) => items.push(v),
             Some(Value::Object(entries)) => {
-                let key = self.keys.pop().expect("a key precedes every object value");
-                entries.push((key, v));
+                entries
+                    .last_mut()
+                    .expect("a key precedes every object value")
+                    .1 = v;
             }
             _ => self.done = Some(v),
         }
@@ -349,7 +350,10 @@ impl Sink for ValueBuilder {
         self.stack.push(Value::Object(Vec::new()));
     }
     fn key(&mut self, k: &str) {
-        self.keys.push(k.to_string());
+        let Some(Value::Object(entries)) = self.stack.last_mut() else {
+            panic!("a key belongs to an open object");
+        };
+        entries.push((k.to_string(), Value::Null));
     }
     fn end_object(&mut self) {
         self.close();

@@ -40,7 +40,7 @@ impl fmt::Display for CheckKind {
             CheckKind::Propagation => "propagation",
             CheckKind::NoInterference => "no-interference",
         };
-        write!(f, "{s}")
+        f.write_str(s)
     }
 }
 

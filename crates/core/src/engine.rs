@@ -40,7 +40,7 @@ use crate::check::{
     Check, CheckKind, CheckOutcome, CheckResult, Counterexample, Report, ReportSummary,
 };
 use crate::encode::{encode_export, encode_import, Transfer};
-use crate::fingerprint::{universe_digest, ClassKey, FpParts, FP_VERSION};
+use crate::fingerprint::{universe_digest, ClassKey, FpParts, PolicyDigests, FP_VERSION};
 use crate::ghost::GhostAttr;
 use crate::invariants::{Location, NetworkInvariants};
 use crate::pred::RoutePred;
@@ -59,7 +59,7 @@ use smt::{
 use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A name for a worker count (see [`Verifier::with_mode`]); it selects
@@ -442,6 +442,10 @@ pub struct Verifier<'a> {
     jobs: usize,
     /// Cross-run result cache.
     cache: Option<Arc<CheckCache>>,
+    /// The policy's fingerprint bases, digested on first use and shared
+    /// by every run, round and engine on this verifier (and its clones).
+    /// Reset by any builder that changes the ghosts.
+    policy_digests: OnceLock<Arc<PolicyDigests>>,
 }
 
 /// One place a check is posed: a site of a safety suite as visited by
@@ -711,12 +715,14 @@ impl<'a> Verifier<'a> {
             ghosts: Vec::new(),
             jobs: 1,
             cache: None,
+            policy_digests: OnceLock::new(),
         }
     }
 
     /// Register a ghost attribute.
     pub fn with_ghost(mut self, g: GhostAttr) -> Self {
         self.ghosts.push(g);
+        self.policy_digests = OnceLock::new();
         self
     }
 
@@ -769,9 +775,16 @@ impl<'a> Verifier<'a> {
         self.ghosts.iter().map(|g| g.name.clone()).collect()
     }
 
-    /// The registered ghost attributes (for fingerprinting).
-    pub(crate) fn ghosts(&self) -> &[GhostAttr] {
-        &self.ghosts
+    /// The fingerprint bases of the policy under the registered ghosts,
+    /// digested once per verifier.
+    pub(crate) fn policy_digests(&self) -> &PolicyDigests {
+        self.policy_digests.get_or_init(|| {
+            Arc::new(PolicyDigests::new(
+                self.topo.num_edges(),
+                self.policy,
+                &self.ghosts,
+            ))
+        })
     }
 
     /// Build the attribute universe: policy + ghosts + the given
@@ -911,11 +924,17 @@ impl<'a> Verifier<'a> {
 
     /// The public outcome of a check the pipeline decided.
     pub(crate) fn outcome(&self, rc: &ResolvedCheck, solved: &SolvedCheck) -> CheckOutcome {
+        self.outcome_of(rc, solved.clone())
+    }
+
+    /// [`Verifier::outcome`] of a verdict the caller owns: moved in, not
+    /// copied.
+    pub(crate) fn outcome_of(&self, rc: &ResolvedCheck, solved: SolvedCheck) -> CheckOutcome {
         CheckOutcome {
             check: self.describe(rc.id, &rc.site),
-            result: solved.result.clone(),
+            result: solved.result,
             stats: solved.stats,
-            core: solved.core.clone(),
+            core: solved.core,
         }
     }
 
@@ -1011,7 +1030,7 @@ impl<'a> Verifier<'a> {
         suites: &[(&[SafetyProperty], &NetworkInvariants)],
     ) -> Vec<Vec<CheckDigests>> {
         let universe_fp = universe_digest(&self.suites_universe(suites));
-        let mut parts = FpParts::new(universe_fp, self.policy, &self.ghosts);
+        let mut parts = FpParts::new(universe_fp, self.policy_digests());
         suites
             .iter()
             .map(|(props, inv)| {
@@ -1181,41 +1200,44 @@ impl<'a> Verifier<'a> {
     }
 
     /// The edge, route map and description of the check posed at `site`.
+    /// Each description is spliced from its pieces into one string of
+    /// exact capacity.
     fn site_text(&self, site: &Site) -> (Option<EdgeId>, Option<&RouteMap>, String) {
         let topo = self.topo;
+        let on_edge = |pre: &str, e: EdgeId, post: &str| {
+            let [src, arrow, dst] = topo.edge_name_parts(e);
+            [pre, src, arrow, dst, post].concat()
+        };
         match *site {
             Site::Import(e) => (
                 Some(e),
                 self.policy.import_map(e),
-                format!("import on {} preserves the invariants", topo.edge_name(e)),
+                on_edge("import on ", e, " preserves the invariants"),
             ),
             Site::Export(e) => (
                 Some(e),
                 self.policy.export_map(e),
-                format!("export on {} preserves the invariants", topo.edge_name(e)),
+                on_edge("export on ", e, " preserves the invariants"),
             ),
             Site::Originate(e) => (
                 Some(e),
                 None,
-                format!(
-                    "originated routes on {} satisfy the edge invariant",
-                    topo.edge_name(e)
-                ),
+                on_edge("originated routes on ", e, " satisfy the edge invariant"),
             ),
-            Site::Subsumption(first, p) => (
-                None,
-                None,
+            Site::Subsumption(first, p) => {
+                let [a, b, c] = p.location.display_parts(topo);
                 // The suite's first property is "the property"; the
                 // ones sharing its invariants go by name.
-                format!(
-                    "invariant at {} implies {}",
-                    p.location.display(topo),
-                    match (first, p.name.as_deref()) {
-                        (false, Some(name)) => name,
-                        _ => "the property",
-                    }
-                ),
-            ),
+                let name = match (first, p.name.as_deref()) {
+                    (false, Some(name)) => name,
+                    _ => "the property",
+                };
+                (
+                    None,
+                    None,
+                    ["invariant at ", a, b, c, " implies ", name].concat(),
+                )
+            }
             Site::Propagation { edge, is_import } => (
                 Some(edge),
                 if is_import {
@@ -1223,24 +1245,28 @@ impl<'a> Verifier<'a> {
                 } else {
                     self.policy.export_map(edge)
                 },
-                format!(
-                    "good routes propagate across {} ({})",
-                    topo.edge_name(edge),
-                    if is_import { "import" } else { "export" }
+                on_edge(
+                    "good routes propagate across ",
+                    edge,
+                    if is_import { " (import)" } else { " (export)" },
                 ),
             ),
             Site::NoInterference { router, step } => {
-                let at = &topo.node(router).name;
+                let at = topo.node(router).name.as_str();
                 let (edge, map, text) = match step.site() {
                     Some(inner) => self.site_text(&inner),
                     // What the `Subsumption` site of a one-property suite says.
                     None => (
                         None,
                         None,
-                        format!("invariant at {at} implies the property"),
+                        ["invariant at ", at, " implies the property"].concat(),
                     ),
                 };
-                (edge, map, format!("[no-interference at {at}] {text}"))
+                (
+                    edge,
+                    map,
+                    ["[no-interference at ", at, "] ", &text].concat(),
+                )
             }
             Site::Final(_) => (
                 None,
@@ -1295,7 +1321,7 @@ impl<'a> Verifier<'a> {
         obs::add("engine.checks_posed", checks.len() as u64);
         let _span = obs::span!("run_checks", checks = checks.len(), jobs = self.jobs);
         let classes = timed("engine.fingerprint_ns", || {
-            let mut parts = FpParts::new(universe_digest(universe), self.policy, &self.ghosts);
+            let mut parts = FpParts::new(universe_digest(universe), self.policy_digests());
             self.partition(&mut parts, checks.iter().enumerate())
         });
         self.solve(universe, classes, self.cache.as_deref(), sink)

@@ -9,35 +9,40 @@
 //! and a single solver call (`orchestrator::run_grouped`).
 //!
 //! **Fingerprints compose.** A check's formula is made of few distinct
-//! parts, each shared by many checks, so a run digests every part once
-//! (`FpParts`) and a check's fingerprint is a digest *of digests*:
+//! parts, each shared by many checks, so every part is digested once
+//! and a check's fingerprint is a digest *of digests*:
 //!
 //! * the **base**, per edge and direction (rules in the `orchestrator`
 //!   crate docs: tags, prefix-free `Hash` streams, sorted unordered
-//!   collections, format version, universe digest) — for a transfer:
-//!   direction, the route-map *contents* (entries, not the name) and
-//!   every ghost attribute's name and update on that edge+direction; for
-//!   an origination: the multiset of originated routes (sorted per-route
+//!   collections, format version) — for a transfer: direction, the
+//!   route-map *contents* (entries, not the name) and every ghost
+//!   attribute's name and update on that edge+direction; for an
+//!   origination: the multiset of originated routes (sorted per-route
 //!   digests) and each ghost's name and origination default; for an
-//!   implication: the tag alone. A transfer's base is also what a
-//!   persistent re-verify session keys its encoded relation by;
+//!   implication: the tag alone. Bases depend on the policy and the
+//!   ghosts only, never on a suite, so they belong to the verifier:
+//!   `PolicyDigests` digests them once per `Verifier`, and every run,
+//!   round and engine on that verifier reads the same table;
 //! * each **predicate** — the invariants and properties outlive the run;
-//! * the **rest** of a check — base, the liveness `require_accept` bit
-//!   and the ensure predicate's digest: everything but the assumed
-//!   invariant, the key of the re-verify engine's conjunct-core cache;
+//! * the **rest** of a check — the universe digest, the base, the
+//!   liveness `require_accept` bit and the ensure predicate's digest:
+//!   everything but the assumed invariant, the key of the re-verify
+//!   engine's conjunct-core cache. The attribute universe enters here,
+//!   so every check fingerprint covers the symbolic route's layout;
 //! * the **check** — its rest and its assume predicate's digest.
 //!
 //! **Classes, not checks, are the unit of work.** Every distinct base
-//! and predicate digest gets a small integer id (predicates are looked
-//! up by address first, so an interned invariant shared by a whole
-//! cluster is digested once, and content-equal instances — one property
-//! per router — share an id). A check's [`ClassKey`] is the tuple of its
-//! part ids: (base, `require_accept`, ensure, assume). Equal keys mean
-//! equal part digests and so equal fingerprints, and the converse holds
-//! because ids are interned by digest. The run partitions its checks on
-//! these keys (`Verifier::partition`) and composes the rest and check
-//! fingerprints once per class; every member shares its class's
-//! fingerprint.
+//! and predicate digest gets a small integer id (bases once per
+//! verifier; predicates per run, looked up by address first, so an
+//! interned invariant shared by a whole cluster is digested once, and
+//! content-equal instances — one property per router — share an id). A
+//! check's [`ClassKey`] is the tuple of its part ids: (base,
+//! `require_accept`, ensure, assume). Within one run — one universe —
+//! equal keys mean equal part digests and so equal fingerprints, and
+//! the converse holds because ids are interned by digest. The run
+//! partitions its checks on these keys (`Verifier::partition`) and
+//! composes the rest and check fingerprints once per class; every
+//! member shares its class's fingerprint.
 //!
 //! Word-wise stream discipline: every part is written by walking the
 //! value itself (`x.hash(&mut h)` through its derived `Hash`, eight
@@ -65,7 +70,7 @@ use std::hash::Hash;
 /// layout of any hashed type, since derived `Hash` follows it, and the
 /// mixing function of `orchestrator::FpHasher`. A spill records the
 /// version its keys were derived under and is ignored under any other.
-pub(crate) const FP_VERSION: u32 = 3;
+pub(crate) const FP_VERSION: u32 = 4;
 
 /// Digest of the attribute universe (sorted, order-insensitive).
 pub fn universe_digest(u: &Universe) -> Fingerprint {
@@ -108,20 +113,140 @@ pub(crate) fn pred_digest(pred: &RoutePred) -> Fingerprint {
     h.finish()
 }
 
-/// Every base starts the same way: tag, format version, universe.
-fn base(universe_fp: Fingerprint, tag: &str) -> FpHasher {
+/// Every base starts the same way: tag, format version.
+fn base(tag: &str) -> FpHasher {
     let mut h = FpHasher::new();
     h.write_tag(tag);
     h.write_u32(FP_VERSION);
-    universe_fp.hash(&mut h);
     h
 }
 
+/// The ghost table with `per_ghost` contributing the part of each ghost
+/// that the formula depends on; `ghosts` sorted by name.
+fn write_ghosts(h: &mut FpHasher, ghosts: &[&GhostAttr], per_ghost: impl Fn(&GhostAttr) -> u8) {
+    h.write_u64(ghosts.len() as u64);
+    for g in ghosts {
+        h.write_str(&g.name);
+        h.write_u8(per_ghost(g));
+    }
+}
+
+/// The base digests of one policy under one set of ghosts (see the
+/// module docs), numbered: equal digests share a dense id. A `Verifier`
+/// builds this once, on first use, and every [`FpParts`] on it reads
+/// it, so the policy is walked once per verifier however many runs,
+/// rounds and engines fingerprint against it.
+pub(crate) struct PolicyDigests {
+    /// Base digests by id.
+    bases: Vec<Fingerprint>,
+    /// Transfer base id per `2 * edge + is_import`.
+    transfer: Vec<u32>,
+    /// Origination base id per edge.
+    originate: Vec<u32>,
+    implication: u32,
+}
+
+impl PolicyDigests {
+    /// Digest every base of the `edges` edges of `policy`.
+    pub(crate) fn new(edges: usize, policy: &Policy, ghosts: &[GhostAttr]) -> Self {
+        let mut ghosts: Vec<&GhostAttr> = ghosts.iter().collect();
+        ghosts.sort_by(|a, b| a.name.cmp(&b.name));
+        // Base digests derive from configuration text, so the
+        // digest-keyed map keeps the standard hasher.
+        let (mut bases, mut ids) = (Vec::new(), HashMap::new());
+        let mut id_of = |fp: Fingerprint| intern(&mut ids, &mut bases, fp);
+        let implication = id_of(base("implication").finish());
+        // A transfer base's stream up to and including its map's
+        // entries, by map address (`None`: no map) and direction: a map
+        // shared by many edges is walked once.
+        let mut walked: FastMap<(Option<*const RouteMap>, bool), FpHasher> = FastMap::default();
+        let mut transfer = Vec::with_capacity(2 * edges);
+        for slot in 0..2 * edges {
+            let (edge, is_import) = (EdgeId((slot / 2) as u32), slot % 2 == 1);
+            let map = if is_import {
+                policy.import_map(edge)
+            } else {
+                policy.export_map(edge)
+            };
+            let mut h = walked
+                .entry((map.map(|m| m as *const RouteMap), is_import))
+                .or_insert_with(|| {
+                    let mut h = base("transfer-base");
+                    h.write_bool(is_import);
+                    match map {
+                        None => h.write_tag("no-map"),
+                        Some(m) => {
+                            h.write_tag("map");
+                            m.entries.hash(&mut h);
+                        }
+                    }
+                    h
+                })
+                .clone();
+            write_ghosts(&mut h, &ghosts, |g| {
+                let u = if is_import {
+                    g.import_update(edge)
+                } else {
+                    g.export_update(edge)
+                };
+                match u {
+                    GhostUpdate::Unchanged => 0,
+                    GhostUpdate::SetTrue => 1,
+                    GhostUpdate::SetFalse => 2,
+                }
+            });
+            transfer.push(id_of(h.finish()));
+        }
+        let originate = (0..edges)
+            .map(|e| {
+                let mut h = base("originate");
+                // A multiset: order-insensitive through sorted
+                // per-route digests.
+                let mut routes: Vec<Fingerprint> = policy
+                    .originated(EdgeId(e as u32))
+                    .iter()
+                    .map(|r| {
+                        let mut rh = FpHasher::new();
+                        r.hash(&mut rh);
+                        rh.finish()
+                    })
+                    .collect();
+                routes.sort();
+                h.write_u64(routes.len() as u64);
+                for r in routes {
+                    r.hash(&mut h);
+                }
+                write_ghosts(&mut h, &ghosts, |g| g.originate_value as u8);
+                id_of(h.finish())
+            })
+            .collect();
+        PolicyDigests {
+            bases,
+            transfer,
+            originate,
+            implication,
+        }
+    }
+
+    fn transfer_id(&self, edge: EdgeId, is_import: bool) -> u32 {
+        self.transfer[2 * edge.0 as usize + usize::from(is_import)]
+    }
+}
+
+/// The id of `fp` in an interning table, assigned on first sight.
+fn intern(ids: &mut HashMap<u128, u32>, fps: &mut Vec<Fingerprint>, fp: Fingerprint) -> u32 {
+    *ids.entry(fp.0).or_insert_with(|| {
+        fps.push(fp);
+        fps.len() as u32 - 1
+    })
+}
+
 /// A check's class key: the small-integer ids of its parts — the base
-/// (interned by digest), the `require_accept` bit, the ensure predicate
-/// and the assume predicate (predicate ids are interned by address, then
-/// by digest). Two checks have equal keys exactly when their parts'
-/// digests are equal, that is exactly when their fingerprints are.
+/// (interned by digest, per verifier), the `require_accept` bit, the
+/// ensure predicate and the assume predicate (predicate ids are interned
+/// by address, then by digest). Two checks have equal keys exactly when
+/// their parts' digests are equal, that is — under one universe —
+/// exactly when their fingerprints are.
 #[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ClassKey {
@@ -132,7 +257,7 @@ pub struct ClassKey {
     assume: u32,
 }
 
-/// A part id not assigned yet, or an absent assume side.
+/// An absent assume side.
 const NO_ID: u32 = u32::MAX;
 
 /// The digests of one class: its check fingerprint and its rest
@@ -144,32 +269,19 @@ struct ClassDigests {
 }
 
 /// The parts of one run's check fingerprints, each digested once (see
-/// the module docs) and numbered: bases and predicates get dense ids in
-/// first-seen order, and so do the classes their keys form.
-/// Predicates are first looked up by address — every `&'a RoutePred` a
-/// check body holds stays alive and in place for `'a` — and only a new
-/// address is digested.
+/// the module docs) and numbered: the bases come numbered from the
+/// verifier's [`PolicyDigests`]; predicates get dense ids in first-seen
+/// order, and so do the classes their keys form. Predicates are first
+/// looked up by address — every `&'a RoutePred` a check body holds
+/// stays alive and in place for `'a` — and only a new address is
+/// digested.
 pub(crate) struct FpParts<'a> {
     universe_fp: Fingerprint,
-    policy: &'a Policy,
-    /// Sorted by name, once.
-    ghosts: Vec<&'a GhostAttr>,
-    /// Base digests by id, and their ids by digest. Digests derive
-    /// from configuration text, so digest-keyed maps keep the standard
-    /// hasher; addresses and class keys are the program's own.
-    bases: Vec<Fingerprint>,
-    base_ids: HashMap<u128, u32>,
-    /// Base id per `2 * edge + is_import`, [`NO_ID`] until first use.
-    transfer_ids: Vec<u32>,
-    /// A transfer base's stream up to and including its map's entries,
-    /// by map address (`None`: no map) and direction: the maps of
-    /// `policy` stay in place for `'a`, and a map shared by many edges
-    /// is walked once.
-    map_streams: FastMap<(Option<*const RouteMap>, bool), FpHasher>,
-    /// Base id per originating edge, [`NO_ID`] until first use.
-    origination_ids: Vec<u32>,
-    implication: u32,
+    policy: &'a PolicyDigests,
     /// Predicate digests by id; their ids by digest and by address.
+    /// Digests derive from configuration text, so digest-keyed maps
+    /// keep the standard hasher; addresses and class keys are the
+    /// program's own.
     preds: Vec<Fingerprint>,
     pred_ids: HashMap<u128, u32>,
     pred_at: FastMap<*const RoutePred, u32>,
@@ -178,46 +290,11 @@ pub(crate) struct FpParts<'a> {
     classes: Vec<ClassDigests>,
 }
 
-/// The id of `fp` in an interning table, assigned on first sight.
-fn intern(ids: &mut HashMap<u128, u32>, fps: &mut Vec<Fingerprint>, fp: Fingerprint) -> u32 {
-    *ids.entry(fp.0).or_insert_with(|| {
-        fps.push(fp);
-        fps.len() as u32 - 1
-    })
-}
-
-/// The slot `i` of a lazily filled id table.
-fn id_slot(ids: &mut Vec<u32>, i: usize) -> &mut u32 {
-    if ids.len() <= i {
-        ids.resize(i + 1, NO_ID);
-    }
-    &mut ids[i]
-}
-
 impl<'a> FpParts<'a> {
-    pub(crate) fn new(
-        universe_fp: Fingerprint,
-        policy: &'a Policy,
-        ghosts: &'a [GhostAttr],
-    ) -> Self {
-        let mut ghosts: Vec<&GhostAttr> = ghosts.iter().collect();
-        ghosts.sort_by(|a, b| a.name.cmp(&b.name));
-        let (mut bases, mut base_ids) = (Vec::new(), HashMap::new());
-        let implication = intern(
-            &mut base_ids,
-            &mut bases,
-            base(universe_fp, "implication").finish(),
-        );
+    pub(crate) fn new(universe_fp: Fingerprint, policy: &'a PolicyDigests) -> Self {
         FpParts {
             universe_fp,
             policy,
-            ghosts,
-            bases,
-            base_ids,
-            transfer_ids: Vec::new(),
-            map_streams: FastMap::default(),
-            origination_ids: Vec::new(),
-            implication,
             preds: Vec::new(),
             pred_ids: HashMap::new(),
             pred_at: FastMap::default(),
@@ -226,99 +303,13 @@ impl<'a> FpParts<'a> {
         }
     }
 
-    /// The ghost table with `per_ghost` contributing the part of each
-    /// ghost that the formula depends on.
-    fn write_ghosts(&self, h: &mut FpHasher, per_ghost: impl Fn(&GhostAttr) -> u8) {
-        h.write_u64(self.ghosts.len() as u64);
-        for g in &self.ghosts {
-            h.write_str(&g.name);
-            h.write_u8(per_ghost(g));
-        }
-    }
-
     /// The fingerprint of one edge's **transfer relation** only — the
-    /// route-map contents (never the renaming-sensitive map name), the
-    /// ghost updates on that edge+direction and the universe digest,
-    /// *without* any assume/ensure predicate: the part every check of
-    /// one encoding-base group shares.
-    pub(crate) fn transfer(&mut self, edge: EdgeId, is_import: bool) -> Fingerprint {
-        let id = self.transfer_id(edge, is_import);
-        self.bases[id as usize]
-    }
-
-    fn transfer_id(&mut self, edge: EdgeId, is_import: bool) -> u32 {
-        let slot = 2 * edge.0 as usize + usize::from(is_import);
-        let id = *id_slot(&mut self.transfer_ids, slot);
-        if id != NO_ID {
-            return id;
-        }
-        let map = if is_import {
-            self.policy.import_map(edge)
-        } else {
-            self.policy.export_map(edge)
-        };
-        let universe_fp = self.universe_fp;
-        let mut h = self
-            .map_streams
-            .entry((map.map(|m| m as *const RouteMap), is_import))
-            .or_insert_with(|| {
-                let mut h = base(universe_fp, "transfer-base");
-                h.write_bool(is_import);
-                match map {
-                    None => h.write_tag("no-map"),
-                    Some(m) => {
-                        h.write_tag("map");
-                        m.entries.hash(&mut h);
-                    }
-                }
-                h
-            })
-            .clone();
-        self.write_ghosts(&mut h, |g| {
-            let u = if is_import {
-                g.import_update(edge)
-            } else {
-                g.export_update(edge)
-            };
-            match u {
-                GhostUpdate::Unchanged => 0,
-                GhostUpdate::SetTrue => 1,
-                GhostUpdate::SetFalse => 2,
-            }
-        });
-        let id = intern(&mut self.base_ids, &mut self.bases, h.finish());
-        self.transfer_ids[slot] = id;
-        id
-    }
-
-    fn origination_id(&mut self, edge: EdgeId) -> u32 {
-        let slot = edge.0 as usize;
-        let id = *id_slot(&mut self.origination_ids, slot);
-        if id != NO_ID {
-            return id;
-        }
-        let mut h = base(self.universe_fp, "originate");
-        // A multiset: order-insensitive through sorted per-route
-        // digests.
-        let mut routes: Vec<Fingerprint> = self
-            .policy
-            .originated(edge)
-            .iter()
-            .map(|r| {
-                let mut rh = FpHasher::new();
-                r.hash(&mut rh);
-                rh.finish()
-            })
-            .collect();
-        routes.sort();
-        h.write_u64(routes.len() as u64);
-        for r in routes {
-            r.hash(&mut h);
-        }
-        self.write_ghosts(&mut h, |g| g.originate_value as u8);
-        let id = intern(&mut self.base_ids, &mut self.bases, h.finish());
-        self.origination_ids[slot] = id;
-        id
+    /// route-map contents (never the renaming-sensitive map name) and
+    /// the ghost updates on that edge+direction, *without* any
+    /// assume/ensure predicate or universe: the part every check of one
+    /// encoding-base group shares.
+    pub(crate) fn transfer(&self, edge: EdgeId, is_import: bool) -> Fingerprint {
+        self.policy.bases[self.policy.transfer_id(edge, is_import) as usize]
     }
 
     fn pred_id(&mut self, pred: &'a RoutePred) -> u32 {
@@ -340,16 +331,16 @@ impl<'a> FpParts<'a> {
                 ensure,
                 require_accept,
             } => (
-                self.transfer_id(edge, is_import),
+                self.policy.transfer_id(edge, is_import),
                 require_accept,
                 Some(assume),
                 ensure,
             ),
             CheckBody::Originate { edge, ensure } => {
-                (self.origination_id(edge), false, None, ensure)
+                (self.policy.originate[edge.0 as usize], false, None, ensure)
             }
             CheckBody::Implication { assume, ensure } => {
-                (self.implication, false, Some(assume), ensure)
+                (self.policy.implication, false, Some(assume), ensure)
             }
         };
         ClassKey {
@@ -369,7 +360,8 @@ impl<'a> FpParts<'a> {
         if id == next {
             let mut h = FpHasher::new();
             h.write_tag("check-rest");
-            self.bases[key.base as usize].hash(&mut h);
+            self.universe_fp.hash(&mut h);
+            self.policy.bases[key.base as usize].hash(&mut h);
             h.write_bool(key.require_accept);
             self.preds[key.ensure as usize].hash(&mut h);
             let rest = h.finish();
@@ -390,6 +382,11 @@ impl<'a> FpParts<'a> {
     /// The fingerprint of every check in class `class`.
     pub(crate) fn fingerprint(&self, class: u32) -> Fingerprint {
         self.classes[class as usize].check
+    }
+
+    /// Every check fingerprint composed so far, one per class.
+    pub(crate) fn fingerprints(&self) -> impl Iterator<Item = Fingerprint> + '_ {
+        self.classes.iter().map(|c| c.check)
     }
 
     /// The fingerprint of everything in a check's formula **except**
@@ -422,14 +419,15 @@ mod tests {
     use bgp_model::routemap::{RouteMap, RouteMapEntry, SetAction};
     use bgp_model::{Community, Route};
 
-    /// A one-off check fingerprint, every part digested afresh.
+    /// A one-off check fingerprint, every part digested afresh, over a
+    /// policy on edges 0..8.
     fn check_fingerprint(
         universe_fp: Fingerprint,
         policy: &Policy,
         ghosts: &[GhostAttr],
         body: &CheckBody,
     ) -> Fingerprint {
-        FpParts::new(universe_fp, policy, ghosts).check(body)
+        FpParts::new(universe_fp, &PolicyDigests::new(8, policy, ghosts)).check(body)
     }
 
     fn tag_map(name: &str) -> RouteMap {

@@ -37,9 +37,16 @@ pub enum Location {
 impl Location {
     /// Render with topology names (`R1` or `R1 -> ISP2`).
     pub fn display(&self, topo: &Topology) -> String {
+        self.display_parts(topo).concat()
+    }
+
+    /// [`Location::display`] in pieces, for splicing into a longer
+    /// string: a node's name (and two empty pieces), or an edge's
+    /// [`Topology::edge_name_parts`].
+    pub(crate) fn display_parts<'t>(&self, topo: &'t Topology) -> [&'t str; 3] {
         match self {
-            Location::Node(n) => topo.node(*n).name.clone(),
-            Location::Edge(e) => topo.edge_name(*e),
+            Location::Node(n) => [&topo.node(*n).name, "", ""],
+            Location::Edge(e) => topo.edge_name_parts(*e),
         }
     }
 }

@@ -222,7 +222,7 @@ impl ReverifyEngine {
         // One part cache for the round: the dirty test and the core
         // cache's rest keys read the same per-edge and per-predicate
         // digests.
-        let mut parts = FpParts::new(universe_digest(&universe), v.policy(), v.ghosts());
+        let mut parts = FpParts::new(universe_digest(&universe), v.policy_digests());
         let mut stats = ReverifyStats {
             total: checks.len(),
             ..ReverifyStats::default()
@@ -272,7 +272,7 @@ impl ReverifyEngine {
                 Some(mut solved) => {
                     stats.reused += 1;
                     solved.stats = size_only(solved.stats);
-                    outcomes[i] = Some(v.outcome(c, &solved));
+                    outcomes[i] = Some(v.outcome_of(c, solved));
                 }
                 None => match self.core_subsumed(&mut parts, c) {
                     Some(solved) => {
@@ -320,16 +320,24 @@ impl ReverifyEngine {
         // Invalidation: the previous round's fingerprints that are not
         // live this round are dropped from the carried cache, keeping it
         // proportional to the live check set no matter how many rounds
-        // the daemon has seen.
+        // the daemon has seen. A position whose fingerprint did not move
+        // is live; a fingerprint that left its position is stale unless
+        // it is one of the round's class fingerprints — every fingerprint
+        // the round poses, once each.
         if let Some(prev) = &self.prev {
-            let live: HashSet<u128> = fps.iter().map(|f| f.0).collect();
-            let stale: Vec<Fingerprint> = prev
+            let left: Vec<Fingerprint> = prev
                 .fps
                 .iter()
-                .copied()
-                .filter(|f| !live.contains(&f.0))
+                .enumerate()
+                .filter(|&(i, f)| fps.get(i) != Some(f))
+                .map(|(_, f)| *f)
                 .collect();
-            stats.invalidated += self.results.remove_many(&stale);
+            if !left.is_empty() {
+                let live: HashSet<u128> = parts.fingerprints().map(|f| f.0).collect();
+                let stale: Vec<Fingerprint> =
+                    left.into_iter().filter(|f| !live.contains(&f.0)).collect();
+                stats.invalidated += self.results.remove_many(&stale);
+            }
         }
 
         self.prev = Some(PrevRound { universe, fps });

@@ -703,6 +703,104 @@ fn shared_maps_fingerprint_like_per_edge_copies() {
     }
 }
 
+/// The attribute universe shapes every symbolic route, so it is part of
+/// every check's formula. Bases are universe-free (the verifier digests
+/// them once for all suites); the universe enters at the rest. Figure 1
+/// with an originated prefix, under two suites that pose the same
+/// transfer, originate and implication checks but whose universes
+/// differ by one community, fingerprints every such check differently
+/// — while the transfer digests, which do not see the universe, agree.
+#[test]
+fn a_universe_change_moves_every_check_fingerprint_through_its_rest() {
+    let mut configs = figure1::configs();
+    let bgp = configs[0].router_bgp.as_mut().expect("a BGP router");
+    bgp.networks.push("198.51.100.0/24".parse().unwrap());
+    let s = figure1::build_from_configs(configs);
+    let v = Verifier::new(&s.network.topology, &s.network.policy).with_ghost(s.ghost.clone());
+    let at = s.no_transit.location;
+    // A second property mentioning a community: new to the universe, or
+    // one the policy already sets (the control: same universe).
+    let with_extra = |c: Community| {
+        vec![
+            s.no_transit.clone(),
+            SafetyProperty::new(at, RoutePred::has_community(c).not()).named("extra"),
+        ]
+    };
+    let base = [s.no_transit.clone()];
+    let widened = with_extra(Community::new(999, 9));
+    let same = with_extra(figure1::transit_comm());
+    let inv = &s.no_transit_inv;
+    // Every check by its description, with its digests.
+    let digests = |props: &[SafetyProperty]| -> HashMap<String, CheckDigests> {
+        let report = v.verify_safety_multi(props, inv);
+        let digests = v.batch_digests(&[(props, inv)]).remove(0);
+        report
+            .outcomes
+            .iter()
+            .map(|o| (o.check.description.clone(), digests[o.check.id]))
+            .collect()
+    };
+    let (before, widened, same) = (digests(&base), digests(&widened), digests(&same));
+    let mut kinds = HashMap::new();
+    for (what, d) in &before {
+        let (w, c) = (&widened[what], &same[what]);
+        assert_ne!(
+            d.check, w.check,
+            "{what}: the universe must reach the check"
+        );
+        assert_eq!(d.check, c.check, "{what}: an equal universe keeps it");
+        assert_eq!(d.transfer, w.transfer, "{what}: bases are universe-free");
+        if d.rest.is_some() {
+            assert_ne!(d.rest, w.rest, "{what}: the universe enters at the rest");
+        }
+        *kinds
+            .entry(if d.transfer.is_some() {
+                "transfer"
+            } else if d.rest.is_none() {
+                "originate"
+            } else {
+                "implication"
+            })
+            .or_insert(0) += 1;
+    }
+    assert_eq!(kinds.len(), 3, "every kind compared: {kinds:?}");
+}
+
+/// The verifier digests its policy once and every suite, run and
+/// engine on it reads that table: one `Verifier` serving several suites
+/// — in either order, and a clone — fingerprints and partitions each
+/// exactly like a fresh `Verifier` per suite. Adding a ghost after the
+/// table was built rebuilds it.
+#[test]
+fn one_verifier_serving_many_suites_partitions_like_fresh_ones() {
+    let scen = zoo::build(&ZooParams::scaled(&CORPUS[0], 14));
+    let (topo, policy) = (&scen.network.topology, &scen.network.policy);
+    let fresh = || Verifier::new(topo, policy).with_ghost(scen.from_peer_ghost());
+    let (pp, pi) = scen.peering_suite();
+    let (fp, fi) = scen.fencing_suite();
+    let suites: [(&[SafetyProperty], &NetworkInvariants); 2] = [(&pp, &pi), (&fp, &fi)];
+    let alone = |v: &Verifier, (props, inv): (&[SafetyProperty], &NetworkInvariants)| {
+        let x = v.verify_safety_multi(props, inv).exec;
+        (
+            v.check_fingerprints(props, inv),
+            [x.generated, x.unique, x.executed, x.groups],
+        )
+    };
+    let expected: Vec<_> = suites.iter().map(|&s| alone(&fresh(), s)).collect();
+    let shared = fresh();
+    for order in [[0, 1], [1, 0]] {
+        for i in order {
+            assert_eq!(alone(&shared, suites[i]), expected[i], "suite {i}");
+            assert_eq!(alone(&shared.clone(), suites[i]), expected[i], "clone {i}");
+        }
+    }
+    // The table of a ghost-less verifier, then the ghost.
+    let late = Verifier::new(topo, policy);
+    let _ = late.check_fingerprints(&pp, &pi);
+    let late = late.with_ghost(scen.from_peer_ghost());
+    assert_eq!(alone(&late, suites[0]), expected[0]);
+}
+
 // ---------------------------------------------------------------------
 // (c) the stream itself: one pinned fingerprint
 // ---------------------------------------------------------------------
@@ -727,4 +825,4 @@ fn figure1_check_fingerprint_is_pinned() {
     );
 }
 
-const FIGURE1_CHECK0: &str = "b2c6545a25d7d530fa6e2a54c470fd71";
+const FIGURE1_CHECK0: &str = "554f445964f8027af7ac51a37fb12967";

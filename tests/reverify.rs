@@ -21,10 +21,12 @@
 use delta::diff_configs;
 use lightyear::engine::Verifier;
 use lightyear::reverify::ReverifyEngine;
-use lightyear::{CheckKind, Report};
+use lightyear::{CheckKind, NetworkInvariants, Report, SafetyProperty};
 use netgen::wan::{self, WanParams};
 use netgen::{edits, mutate};
+use orchestrator::Fingerprint;
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn assert_reports_byte_identical(topo: &bgp_model::Topology, a: &Report, b: &Report) {
     assert_eq!(a.to_string(), b.to_string());
@@ -475,4 +477,138 @@ fn two_hundred_engines_come_and_go_alike() {
         let (_, again) = engine.reverify(&v, &props, &inv, Some(&[]));
         assert_eq!(again.dirty, 0, "{again:?}");
     }
+}
+
+/// One property's `api` document, as the daemons render it (without
+/// timing fields): the `--json` shape a round is compared by.
+fn report_json(
+    name: &str,
+    v: &Verifier,
+    props: &[SafetyProperty],
+    inv: &NetworkInvariants,
+    report: &Report,
+) -> String {
+    let topo = v.topology();
+    let summary = report.summarize();
+    let conjs = v.check_conjuncts_all(props, inv);
+    let doc = api::PropertyReport {
+        property: name.to_string(),
+        liveness: false,
+        passed: summary.all_passed(),
+        checks: summary.num_checks() as u64,
+        timing: None,
+        failures: summary
+            .failures()
+            .iter()
+            .map(|f| api::FailureDoc {
+                kind: f.check.kind.to_string(),
+                location: f.check.location.display(topo),
+                route_map: f.check.map_name.clone(),
+                description: f.check.description.clone(),
+            })
+            .collect(),
+        cores: summary
+            .cores()
+            .iter()
+            .map(|(check, core)| {
+                let names = conjs[check.id].as_deref().unwrap_or_default();
+                api::CoreDoc {
+                    check: check.id as u64,
+                    kind: check.kind.to_string(),
+                    location: check.location.display(topo),
+                    core: core.iter().map(|&i| i as u64).collect(),
+                    load_bearing: core.iter().filter_map(|&i| names.get(i).cloned()).collect(),
+                    conjuncts: names.len() as u64,
+                }
+            })
+            .collect(),
+    };
+    serde_json::to_string(&doc.to_value()).unwrap()
+}
+
+/// The daemon's shape: every round builds one `Verifier` and hands it to
+/// one engine per property, as `Session::round` does, so the engines
+/// share the verifier's digested policy. Over seeded WAN edits — with a
+/// peering removal that drops edges and so shifts the check ids behind
+/// it — every engine's round renders the same JSON, byte for byte, and
+/// the same statistics as an engine that gets a verifier of its own;
+/// and `invalidated` is exactly the previous round's fingerprints that
+/// are no longer posed (a set difference, whatever moved where).
+#[test]
+fn engines_sharing_a_verifier_match_engines_with_their_own() {
+    const PREDICATES: [&str; 4] = [
+        "no-bogons",
+        "no-private-asn",
+        "peer-tagged",
+        "lp-normalized",
+    ];
+    let params = WanParams {
+        regions: 2,
+        routers_per_region: 2,
+        edge_routers: 3,
+        peers_per_edge: 2,
+        seed: 7,
+    };
+    let mut configs = wan::configs(&params);
+    let mut shared: Vec<ReverifyEngine> =
+        PREDICATES.iter().map(|_| ReverifyEngine::new()).collect();
+    let mut own: Vec<ReverifyEngine> = PREDICATES.iter().map(|_| ReverifyEngine::new()).collect();
+    let mut prev_fps: Vec<Option<Vec<Fingerprint>>> = vec![None; PREDICATES.len()];
+    let (mut positional, mut shifted) = (0, false);
+    let mut accepted = configs.clone();
+    for round in 0..=24u64 {
+        let removal = round == 12;
+        if removal {
+            edits::remove_peering(&mut configs, "EDGE0", "PEER0-1")
+                .expect("EDGE0 peers with PEER0-1");
+        } else if round > 0 {
+            for s in 0..12 {
+                if edits::random_edit(&mut configs, 1000 * round + s).is_some() {
+                    break;
+                }
+            }
+        }
+        let changed = diff_configs(&accepted, &configs).changed_routers();
+        accepted = configs.clone();
+        let scen = wan::build_from_configs(&params, configs.clone());
+        let (topo, policy) = (&scen.network.topology, &scen.network.policy);
+        let predicates = scen.peering_predicates();
+        let verifier = Verifier::new(topo, policy).with_ghost(scen.from_peer_ghost());
+        for (i, name) in PREDICATES.iter().enumerate() {
+            let (_, q) = predicates.iter().find(|(n, _)| n == name).unwrap();
+            let (props, inv) = scen.peering_property_inputs(q);
+            let changed = (round > 0).then_some(&changed[..]);
+            let (report, stats) = shared[i].reverify(&verifier, &props, &inv, changed);
+            let alone = Verifier::new(topo, policy).with_ghost(scen.from_peer_ghost());
+            let (report_alone, stats_alone) = own[i].reverify(&alone, &props, &inv, changed);
+            assert_eq!(
+                report_json(name, &verifier, &props, &inv, &report),
+                report_json(name, &alone, &props, &inv, &report_alone),
+                "round {round}, {name}"
+            );
+            assert_eq!(stats, stats_alone, "round {round}, {name}");
+
+            let fps = alone.check_fingerprints(&props, &inv);
+            if let Some(prev) = prev_fps[i].replace(fps.clone()) {
+                if removal {
+                    assert!(!stats.universe_reset, "{stats:?}");
+                    assert!(fps.len() < prev.len(), "the removal drops checks");
+                    shifted = true;
+                }
+                if !stats.universe_reset {
+                    let now: HashSet<Fingerprint> = fps.iter().copied().collect();
+                    let gone: HashSet<Fingerprint> =
+                        prev.iter().copied().filter(|f| !now.contains(f)).collect();
+                    assert_eq!(
+                        stats.invalidated,
+                        gone.len(),
+                        "round {round}, {name}: {stats:?}"
+                    );
+                    positional += usize::from(prev.iter().zip(&fps).any(|(a, b)| a == b));
+                }
+            }
+        }
+    }
+    assert!(shifted, "no round removed a peering");
+    assert!(positional > 0, "no round kept a fingerprint in place");
 }
