@@ -29,11 +29,6 @@ impl Ipv4Prefix {
         }
     }
 
-    /// Build from dotted-quad octets.
-    pub fn from_octets(a: u8, b: u8, c: u8, d: u8, len: u8) -> Self {
-        Self::new(u32::from_be_bytes([a, b, c, d]), len)
-    }
-
     /// The network mask for a given length.
     pub fn mask(len: u8) -> u32 {
         if len == 0 {

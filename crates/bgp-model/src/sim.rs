@@ -15,7 +15,6 @@ use crate::prefix::Ipv4Prefix;
 use crate::route::Route;
 use crate::topology::{EdgeId, NodeId, Topology};
 use crate::trace::{Event, Trace};
-use std::cmp::Ordering;
 use std::collections::{HashMap, VecDeque};
 
 /// Simulator options.
@@ -190,12 +189,6 @@ pub fn simulate(
         external_rib,
         converged,
     }
-}
-
-/// Convenience: the order in which two candidate routes are compared,
-/// exposed for tests of the decision process.
-pub fn decision_order(a: &Route, b: &Route) -> Ordering {
-    a.prefer(b)
 }
 
 #[cfg(test)]

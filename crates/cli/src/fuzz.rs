@@ -93,22 +93,24 @@ pub(crate) fn cmd_fuzz(args: &[String]) -> ExitCode {
         Ok(o) => o,
         Err(e) => return usage_error(&e),
     };
-    let flight_path = tele_opts.flight_json.clone();
-    let active = match tele_opts.start("fuzz", None, obs::http::DEFAULT_MAX_CONNS) {
-        Ok(a) => a,
+    let tele = match tele_opts.bring_up("fuzz") {
+        Ok(t) => t,
         Err(e) => return fail(&e),
     };
-    let (reg, status, _server) = (active.reg, active.status, active.server);
+    let _server = match tele.listen(None, obs::http::DEFAULT_MAX_CONNS) {
+        Ok(s) => s,
+        Err(e) => return fail(&e),
+    };
 
     let t0 = std::time::Instant::now();
-    let before = reg.snapshot();
     let out = fuzz::run_campaign(&cfg);
-    // The campaign is one "round" for /healthz and /metrics consumers.
-    status.note_round(
-        out.failure.is_none(),
-        t0.elapsed(),
-        Some(reg.snapshot().delta_since(&before)),
-    );
+    // The campaign is one round for /healthz, /metrics and the
+    // --metrics-json file; a discrepancy is its error.
+    let err = out
+        .failure
+        .as_ref()
+        .map(|(_, d)| format!("fuzz discrepancy: {d}"));
+    tele.seal(false, err.is_none(), t0.elapsed(), err.as_deref());
     println!("{}", out.summary());
     if let Some(path) = flag_value(args, "--bench-json") {
         let json = serde_json::to_string_pretty(&out.to_json(&cfg)).unwrap_or_default();
@@ -122,8 +124,7 @@ pub(crate) fn cmd_fuzz(args: &[String]) -> ExitCode {
     let Some((failing, discrepancy)) = out.failure else {
         return ExitCode::SUCCESS;
     };
-    obs::record_error(&format!("fuzz discrepancy: {discrepancy}"));
-    obs::dump_flight(&flight_path);
+    tele.dump_flight();
     eprintln!("fuzz: discrepancy: {discrepancy}");
     eprintln!("fuzz: minimizing (greedy, re-running the failing oracle)...");
     let before = fuzz::case_size(&failing.configs);

@@ -77,7 +77,9 @@
 //!                   rounds, verify, query cores, health) per tenant, with
 //!                   bounded per-tenant queues drained round-robin; the
 //!                   telemetry endpoints share the listener. --cache-root
-//!                   spills each tenant's verdicts so a restart is warm
+//!                   spills each tenant's verdicts so a restart is warm.
+//!                   --metrics-json FILE is rewritten after every
+//!                   tenant round, as /metrics renders it
 //!   fuzz           seeded differential campaign over six topology families
 //!                   (figure1, fullmesh, wan, rr, stub, hubspoke): each
 //!                   case is cross-checked by the simulation oracle (all
@@ -88,7 +90,10 @@
 //!                   curated injected-bug sweep. A discrepancy is greedily
 //!                   minimized and written as a replayable repro directory
 //!                   (--repro-dir; re-run it with --replay). --bench-json
-//!                   records campaign throughput (the CI BENCH_fuzz.json)
+//!                   records campaign throughput (the CI BENCH_fuzz.json).
+//!                   The campaign is one round to the telemetry flags
+//!                   watch takes: --listen, --metrics-json,
+//!                   --events-jsonl, --flight-json, --stale-after-ms
 //!   parse           parse + lower only; print the topology summary and
 //!                   lowering warnings
 //!   lint            run rcc-style best-practice lints; exit code 1 on
@@ -158,7 +163,8 @@ fn usage() -> ExitCode {
          [--flight-json <FILE>] [--events-jsonl <FILE>]\n  \
          lightyear fuzz [--seed N] [--cases N] [--families a,b,...] [--edit-steps K]\n    \
          [--sim-rounds R] [--no-inject] [--repro-dir <DIR>] [--bench-json <FILE>]\n    \
-         [--replay <DIR>] [--listen <ADDR>] [--flight-json <FILE>]\n  \
+         [--replay <DIR>] [--listen <ADDR>] [--metrics-json <FILE>] [--stale-after-ms N]\n    \
+         [--flight-json <FILE>] [--events-jsonl <FILE>]\n  \
          lightyear parse --configs <DIR>\n  lightyear lint --configs <DIR>\n  \
          lightyear spec-template"
     );

@@ -27,11 +27,10 @@
 
 use crate::session::{round_line, Session};
 use crate::spec::Spec;
-use crate::telemetry::TelemetryOpts;
+use crate::telemetry::{Observer, TelemetryOpts};
 use crate::{fail, flag_value, positionals, positive, usage_error};
 use api::{ApiCall, ApiRequest, ApiResponse, ConfigFile};
 use bgp_config::{parse_config, ConfigAst};
-use obs::http::Status;
 use serde_json::Value;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -87,14 +86,15 @@ struct Daemon {
     wake: Condvar,
     cache_root: Option<PathBuf>,
     queue_depth: usize,
-    reg: Arc<obs::Registry>,
-    status: Arc<Status>,
-    /// Registry snapshot at the last round boundary, for per-round
-    /// delta metrics in the status document (same scheme as `watch`).
-    prev: Mutex<obs::MetricsSnapshot>,
+    tele: Observer,
 }
 
 impl Daemon {
+    /// Bump the serve counter `name` by one.
+    fn count(&self, name: &str) {
+        self.tele.reg.counter_labeled(name).add(1);
+    }
+
     /// Enqueue `call` for `tenant`, or refuse with the 429 payload when
     /// the tenant's queue is full.
     fn enqueue(&self, tenant: &str, call: ApiCall) -> Result<mpsc::Receiver<ApiResponse>, ()> {
@@ -155,12 +155,8 @@ impl Daemon {
     /// inner lock uncontended; it exists so a misbehaving future caller
     /// cannot corrupt a tenant, not for coordination.
     fn execute(&self, tenant: &str, call: ApiCall) -> ApiResponse {
-        self.reg
-            .counter_labeled(&format!("serve.calls.{}", call.name()))
-            .add(1);
-        self.reg
-            .counter_labeled(&format!("serve.tenant.{tenant}.calls"))
-            .add(1);
+        self.count(&format!("serve.calls.{}", call.name()));
+        self.count(&format!("serve.tenant.{tenant}.calls"));
         let cell = self.tenant(tenant);
         let mut t = cell.lock().unwrap();
         match call {
@@ -255,7 +251,7 @@ impl Daemon {
             Err(e) => {
                 // The session keeps its previous accepted state; the
                 // stored report stays the last good round's.
-                self.reg.counter("serve.rounds.rejected").add(1);
+                self.count("serve.rounds.rejected");
                 return ApiResponse::failure(e);
             }
         };
@@ -274,23 +270,9 @@ impl Daemon {
         // The HTTP reply is the product; the log line is not. A closed
         // stdout must not panic here, under the tenant's lock.
         let _ = crate::log_stdout(&format!("{}{}\n", outcome.violations, t.line));
-        self.reg
-            .counter_labeled(&format!("serve.tenant.{tenant}.rounds"))
-            .add(1);
-        let delta = {
-            let snap = self.reg.snapshot();
-            let mut prev = self.prev.lock().unwrap();
-            let d = snap.delta_since(&prev);
-            *prev = snap;
-            d
-        };
-        if baseline {
-            self.status
-                .note_baseline(outcome.passed, outcome.elapsed, Some(delta));
-        } else {
-            self.status
-                .note_round(outcome.passed, outcome.elapsed, Some(delta));
-        }
+        self.count(&format!("serve.tenant.{tenant}.rounds"));
+        self.tele
+            .seal(baseline, outcome.passed, outcome.elapsed, None);
         ApiResponse::success(report_value(t))
     }
 
@@ -318,11 +300,11 @@ impl Daemon {
     /// The HTTP entry point: parse the envelope, answer Health inline,
     /// queue everything else and wait for the worker's reply.
     fn handle(&self, body: &[u8]) -> (u16, ApiResponse) {
-        self.reg.counter("serve.requests").add(1);
+        self.count("serve.requests");
         let req = match ApiRequest::from_json(&String::from_utf8_lossy(body)) {
             Ok(r) => r,
             Err(e) => {
-                self.reg.counter("serve.requests.bad").add(1);
+                self.count("serve.requests.bad");
                 return (400, ApiResponse::failure(e));
             }
         };
@@ -331,10 +313,8 @@ impl Daemon {
         }
         match self.enqueue(&req.tenant, req.call) {
             Err(()) => {
-                self.reg.counter("serve.requests.throttled").add(1);
-                self.reg
-                    .counter_labeled(&format!("serve.tenant.{}.throttled", req.tenant))
-                    .add(1);
+                self.count("serve.requests.throttled");
+                self.count(&format!("serve.tenant.{}.throttled", req.tenant));
                 (
                     429,
                     ApiResponse::failure(format!("tenant {:?} queue is full", req.tenant)),
@@ -403,10 +383,21 @@ pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
         (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => return usage_error(&e),
     };
 
-    // The daemon cell is created first, then the listener is brought up
-    // with the API handler pointing back into it.
-    let daemon_slot: Arc<Mutex<Option<Arc<Daemon>>>> = Arc::new(Mutex::new(None));
-    let slot = daemon_slot.clone();
+    // The daemon is built on the brought-up registry first, so the
+    // listener's API handler points at it from the first request on.
+    let tele = match tele_opts.bring_up("serve") {
+        Ok(t) => t,
+        Err(e) => return fail(&e),
+    };
+    let daemon = Arc::new(Daemon {
+        tenants: Mutex::new(HashMap::new()),
+        queue: Mutex::new(QueueState::default()),
+        wake: Condvar::new(),
+        cache_root,
+        queue_depth,
+        tele,
+    });
+    let api = daemon.clone();
     let handler: obs::http::Handler = Arc::new(move |req: &obs::http::Request| {
         if req.path != "/api/v1" {
             return None;
@@ -417,40 +408,13 @@ pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
                 &ApiResponse::failure("use POST /api/v1").to_value(),
             ));
         }
-        // The listener prints its address (and can accept requests)
-        // a beat before the daemon lands in the slot; wait out that
-        // bring-up gap instead of declining the request.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        let daemon = loop {
-            if let Some(d) = slot.lock().unwrap().clone() {
-                break d;
-            }
-            if std::time::Instant::now() >= deadline {
-                return Some(obs::http::Response::json(
-                    503,
-                    &ApiResponse::failure("daemon still starting").to_value(),
-                ));
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        };
-        let (code, resp) = daemon.handle(&req.body);
+        let (code, resp) = api.handle(&req.body);
         Some(obs::http::Response::json(code, &resp.to_value()))
     });
-    let active = match tele_opts.start("serve", Some(handler), max_conns) {
-        Ok(a) => a,
+    let _server = match daemon.tele.listen(Some(handler), max_conns) {
+        Ok(s) => s,
         Err(e) => return fail(&e),
     };
-    let daemon = Arc::new(Daemon {
-        tenants: Mutex::new(HashMap::new()),
-        queue: Mutex::new(QueueState::default()),
-        wake: Condvar::new(),
-        cache_root,
-        queue_depth,
-        prev: Mutex::new(active.reg.snapshot()),
-        reg: active.reg.clone(),
-        status: active.status.clone(),
-    });
-    *daemon_slot.lock().unwrap() = Some(daemon.clone());
     for w in 0..workers {
         let d = daemon.clone();
         let _ = std::thread::Builder::new()
@@ -467,10 +431,8 @@ pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
             .unwrap_or_else(|| "(none)".to_string()),
     ));
 
-    // Serve until killed. The listener lives in `active`; dropping it
-    // would stop the daemon, so this loop owns it for the process
-    // lifetime.
-    let _active = active;
+    // Serve until killed. Dropping `_server` would stop the listener,
+    // so this loop keeps it for the process lifetime.
     loop {
         std::thread::sleep(Duration::from_secs(3600));
     }

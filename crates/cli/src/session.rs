@@ -111,8 +111,9 @@ impl Session {
     pub(crate) fn spill(&self) {
         let Some(dir) = &self.cache_dir else { return };
         for (i, engine) in self.engines.iter().enumerate() {
-            if let Err(e) = lightyear::save_check_cache(&engine.cache(), &prop_dir(dir, i)) {
-                eprintln!("warning: cannot save cache to {dir:?}: {e}");
+            let pdir = prop_dir(dir, i);
+            if let Err(e) = lightyear::save_check_cache(&engine.cache(), &pdir) {
+                eprintln!("warning: cannot save cache to {pdir:?}: {e}");
             }
         }
     }

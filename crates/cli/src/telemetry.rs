@@ -1,15 +1,22 @@
-//! The one place the daemon-grade telemetry flags are parsed and
-//! brought up. `watch`, `fuzz` and `serve` all accept the same five
-//! flags — `--listen`, `--metrics-json`, `--events-jsonl`,
-//! `--flight-json`, `--stale-after-ms` — and used to each re-implement
-//! the parsing and wiring; [`TelemetryOpts::parse`] is now the single
-//! parser and [`TelemetryOpts::start`] the single bring-up, so the
-//! flags cannot drift apart in defaults or error messages.
+//! The one telemetry lifecycle of `watch`, `fuzz` and `serve`. They
+//! take the same five flags ([`TelemetryOpts::FLAGS`], one parser, so
+//! defaults and errors cannot drift) and run the same three steps:
+//!
+//! 1. bring-up ([`TelemetryOpts::bring_up`]): the registry (the
+//!    always-on flight recorder), the panic flight dump, the event sink
+//!    and the round [`Status`];
+//! 2. listen ([`Observer::listen`]), a step of its own so `serve` builds
+//!    its daemon before the first request can arrive;
+//! 3. seal ([`Observer::seal`]), once per round: record the error, note
+//!    the round on the [`Status`] (which keeps the round-delta
+//!    baseline), emit `<cmd>.baseline` / `<cmd>.round` and rewrite
+//!    `--metrics-json` — so the totals line, the file, `/metrics` and
+//!    the event stream cannot drift apart between commands.
 
 use crate::{flag_value, positive};
 use obs::http::{Handler, Status, TelemetryServer};
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Parsed telemetry flags, defaults applied.
@@ -30,12 +37,20 @@ pub(crate) struct TelemetryOpts {
     pub(crate) stale_after: Option<Duration>,
 }
 
-/// A running telemetry stack: the installed registry, the shared round
-/// status, and the HTTP listener when one was requested.
-pub(crate) struct ActiveTelemetry {
+/// A brought-up telemetry stack: the installed registry, the shared
+/// round status and the flags it was brought up from.
+pub(crate) struct Observer {
     pub(crate) reg: Arc<obs::Registry>,
     pub(crate) status: Arc<Status>,
-    pub(crate) server: Option<TelemetryServer>,
+    pub(crate) opts: TelemetryOpts,
+    /// `<cmd>`: prefixes the listening line.
+    cmd: &'static str,
+    /// `<cmd>.baseline` and `<cmd>.round`, the sealed rounds' events.
+    events: [&'static str; 2],
+    /// Held from the note to the file rewrite: `serve` seals tenant
+    /// rounds from several workers, and a slower writer must not rename
+    /// an older document over a newer one.
+    sealing: Mutex<()>,
 }
 
 impl TelemetryOpts {
@@ -66,17 +81,11 @@ impl TelemetryOpts {
         })
     }
 
-    /// Bring the stack up: install the always-on flight recorder,
-    /// attach the event sink, and start the listener when `--listen`
-    /// was given. `label` prefixes the listening line; `handler` (the
-    /// API, for `serve`) is mounted beside the built-in endpoints and
-    /// `max_conns` bounds concurrent connections.
-    pub(crate) fn start(
-        &self,
-        label: &str,
-        handler: Option<Handler>,
-        max_conns: usize,
-    ) -> Result<ActiveTelemetry, String> {
+    /// Bring the stack up for command `cmd`: install the always-on
+    /// flight recorder and its panic dump, attach the event sink and
+    /// create the round status. Nothing listens yet; see
+    /// [`Observer::listen`].
+    pub(crate) fn bring_up(self, cmd: &'static str) -> Result<Observer, String> {
         // The flight recorder is always on: the registry install is the
         // whole cost when nothing else is requested (bounded rings, one
         // uncontended atomic per event).
@@ -87,24 +96,98 @@ impl TelemetryOpts {
                 .map_err(|e| format!("cannot create event log {path:?}: {e}"))?;
             reg.set_export(Some(Arc::new(sink)));
         }
-        let status = Status::new(self.stale_after);
-        let server = match &self.listen {
-            Some(addr) => {
-                let s =
-                    obs::http::serve_with(addr, reg.clone(), status.clone(), handler, max_conns)
-                        .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
-                // The log is not the product: a reader that already
-                // left (a supervisor reading only the port) is ignored.
-                let _ = crate::log_stdout(&format!("{label}: listening on http://{}\n", s.addr()));
-                Some(s)
-            }
-            None => None,
-        };
-        Ok(ActiveTelemetry {
+        // Event targets are `&'static str`: one small allocation per
+        // process names this command's two.
+        let event = |kind: &str| -> &'static str { format!("{cmd}.{kind}").leak() };
+        Ok(Observer {
             reg,
-            status,
-            server,
+            status: Status::new(self.stale_after),
+            opts: self,
+            cmd,
+            events: [event("baseline"), event("round")],
+            sealing: Mutex::new(()),
         })
+    }
+}
+
+impl Observer {
+    /// Start the listener when `--listen` was given. `handler` (the
+    /// API, for `serve`) is mounted beside the built-in endpoints and
+    /// `max_conns` bounds concurrent connections. The listener runs
+    /// until the returned server drops.
+    pub(crate) fn listen(
+        &self,
+        handler: Option<Handler>,
+        max_conns: usize,
+    ) -> Result<Option<TelemetryServer>, String> {
+        let Some(addr) = &self.opts.listen else {
+            return Ok(None);
+        };
+        let server = obs::http::serve_with(
+            addr,
+            self.reg.clone(),
+            self.status.clone(),
+            handler,
+            max_conns,
+        )
+        .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
+        // The log is not the product: a reader that already left (a
+        // supervisor reading only the port) is ignored.
+        let _ = crate::log_stdout(&format!(
+            "{}: listening on http://{}\n",
+            self.cmd,
+            server.addr()
+        ));
+        Ok(Some(server))
+    }
+
+    /// Seal a round — the baseline (round zero, no round number burned)
+    /// or the next round, verified, violated or rejected (`err`) — and
+    /// return the round count. The one place any command counts a
+    /// round: every surface that shows the count reads it from here.
+    pub(crate) fn seal(
+        &self,
+        baseline: bool,
+        ok: bool,
+        elapsed: Duration,
+        err: Option<&str>,
+    ) -> u64 {
+        // The lock guards no data, so a poisoned one is still sound.
+        let _sealing = self
+            .sealing
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Some(e) = err {
+            self.reg.record_error(e);
+        }
+        let verdict = if ok { "pass" } else { "fail" };
+        let n = if baseline {
+            self.status.note_baseline(ok, elapsed, &self.reg);
+            obs::event!(
+                info,
+                self.events[0],
+                verdict = verdict,
+                solves = self.status.last_round_counter("smt.solves"),
+            );
+            self.status.rounds()
+        } else {
+            let n = self.status.note_round(ok, elapsed, &self.reg);
+            obs::event!(info, self.events[1], round = n, verdict = verdict);
+            n
+        };
+        // Through the same renderer `/metrics` serves, so a poll of
+        // either sees identical bytes.
+        if let Some(path) = &self.opts.metrics_json {
+            if let Err(e) = obs::http::write_status_file(path, &self.status, &self.reg) {
+                eprintln!("warning: cannot write metrics to {path:?}: {e}");
+            }
+        }
+        n
+    }
+
+    /// Dump the flight recorder (post-mortems need no re-run).
+    pub(crate) fn dump_flight(&self) {
+        obs::dump_flight(&self.opts.flight_json);
     }
 }
 

@@ -12,134 +12,15 @@
 //! baseline and `--once` exit with their verdict, like `verify`.
 
 use crate::session::{round_line, Session};
-use crate::telemetry::TelemetryOpts;
+use crate::telemetry::{Observer, TelemetryOpts};
 use crate::{
     config_paths, exit, fail, flag_value, load_configs, load_spec, positionals, positive, usage,
     usage_error,
 };
 use bgp_config::{parse_config, ConfigAst};
-use obs::http::{Status, TelemetryServer};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The daemon's telemetry: the always-on flight recorder, the shared
-/// round [`Status`] (the **single** round-increment site every surface
-/// reads — totals line, `--metrics-json` file and `/metrics` endpoint
-/// cannot disagree), the optional HTTP listener and JSONL event
-/// stream, and the previous registry snapshot for per-round deltas.
-struct Telemetry {
-    reg: Arc<obs::Registry>,
-    status: Arc<Status>,
-    metrics_path: Option<PathBuf>,
-    flight_path: PathBuf,
-    prev: obs::MetricsSnapshot,
-    /// Round number the CI flight-recorder smoke injects a panic at
-    /// (`LIGHTYEAR_WATCH_PANIC_ROUND`).
-    panic_round: Option<u64>,
-    _server: Option<TelemetryServer>,
-}
-
-impl Telemetry {
-    fn new(opts: &TelemetryOpts) -> Result<Telemetry, String> {
-        let active = opts.start("watch", None, obs::http::DEFAULT_MAX_CONNS)?;
-        let panic_round = std::env::var("LIGHTYEAR_WATCH_PANIC_ROUND")
-            .ok()
-            .and_then(|v| v.parse().ok());
-        Ok(Telemetry {
-            prev: active.reg.snapshot(),
-            reg: active.reg,
-            status: active.status,
-            metrics_path: opts.metrics_json.clone(),
-            flight_path: opts.flight_json.clone(),
-            panic_round,
-            _server: active.server,
-        })
-    }
-
-    /// What the registry accumulated since the previous round boundary.
-    fn delta(&mut self) -> obs::MetricsSnapshot {
-        let snap = self.reg.snapshot();
-        let d = snap.delta_since(&self.prev);
-        self.prev = snap;
-        d
-    }
-
-    /// Seal the baseline (round zero): verdict and delta, no round
-    /// number burned.
-    fn baseline_done(&mut self, ok: bool, elapsed: Duration) {
-        let d = self.delta();
-        obs::event!(
-            info,
-            "watch.baseline",
-            verdict = if ok { "pass" } else { "fail" },
-            solves = d.counter("smt.solves"),
-        );
-        self.status.note_baseline(ok, elapsed, Some(d));
-        if !ok {
-            self.dump_flight();
-        }
-        self.sync_file();
-    }
-
-    /// Seal one round — verified, violated, or rejected (`err`) — and
-    /// return its number. The one place a watch round is counted.
-    fn round_done(&mut self, ok: bool, elapsed: Duration, err: Option<&str>) -> u64 {
-        if let Some(e) = err {
-            self.reg.record_error(e);
-        }
-        let d = self.delta();
-        let n = self.status.note_round(ok, elapsed, Some(d));
-        obs::event!(
-            info,
-            "watch.round",
-            round = n,
-            verdict = if ok { "pass" } else { "fail" },
-        );
-        if !ok {
-            self.dump_flight();
-        }
-        self.sync_file();
-        if self.panic_round == Some(n) {
-            panic!("injected panic at round {n} (LIGHTYEAR_WATCH_PANIC_ROUND)");
-        }
-        n
-    }
-
-    /// The per-round cumulative totals line (printed with
-    /// `--metrics-json`). Reads the same round counter as the file and
-    /// the endpoint. False once stdout's reader is gone (see [`say`]).
-    fn print_totals(&self) -> bool {
-        if self.metrics_path.is_none() {
-            return true;
-        }
-        let snap = self.reg.snapshot();
-        say(&format!(
-            "watch: totals: {} rounds, {} checks, {} cached, {} solver calls\n",
-            self.status.rounds(),
-            snap.counter("reverify.checks"),
-            snap.counter("reverify.reused"),
-            snap.counter("smt.solves"),
-        ))
-    }
-
-    /// Atomically rewrite `--metrics-json` through the same renderer
-    /// `/metrics` serves, so a poll of either sees identical bytes.
-    fn sync_file(&self) {
-        let Some(path) = &self.metrics_path else {
-            return;
-        };
-        if let Err(e) = obs::http::write_status_file(path, &self.status, &self.reg) {
-            eprintln!("warning: cannot write metrics to {path:?}: {e}");
-        }
-    }
-
-    /// Dump the flight recorder (post-mortems need no re-run).
-    fn dump_flight(&self) {
-        obs::dump_flight(&self.flight_path);
-    }
-}
 
 pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
     // Strict flags: a typo'd `--once` or `--max-rounds` must error, not
@@ -180,9 +61,29 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
         Err(e) => return fail(&e),
     };
     let mut state = Session::new("watch", spec, cache_dir);
-    let mut tele = match Telemetry::new(&tele_opts) {
+    let tele = match tele_opts.bring_up("watch") {
         Ok(t) => t,
         Err(e) => return fail(&e),
+    };
+    let _server = match tele.listen(None, obs::http::DEFAULT_MAX_CONNS) {
+        Ok(s) => s,
+        Err(e) => return fail(&e),
+    };
+    // Round number the CI flight-recorder smoke injects a panic at.
+    let panic_round: Option<u64> = std::env::var("LIGHTYEAR_WATCH_PANIC_ROUND")
+        .ok()
+        .and_then(|v| v.parse().ok());
+    // Seal the baseline or a round and return the round number; a
+    // failed one also dumps the flight recorder.
+    let seal = |baseline: bool, ok: bool, elapsed: Duration, err: Option<&str>| {
+        let n = tele.seal(baseline, ok, elapsed, err);
+        if !ok {
+            tele.dump_flight();
+        }
+        if !baseline && panic_round == Some(n) {
+            panic!("injected panic at round {n} (LIGHTYEAR_WATCH_PANIC_ROUND)");
+        }
+        n
     };
 
     // Round zero: the baseline directory (the watched one by default).
@@ -190,9 +91,9 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
     let mut ok = match load_configs(Path::new(&base_dir)).and_then(|a| state.round(a, true)) {
         Ok(o) => {
             state.spill();
-            tele.baseline_done(o.passed, o.elapsed);
+            seal(true, o.passed, o.elapsed, None);
             let line = round_line(&format!("baseline {base_dir}"), &o);
-            let heard = say(&format!("{}{line}\n", o.violations)) && tele.print_totals();
+            let heard = say(&format!("{}{line}\n", o.violations)) && print_totals(&tele);
             if !heard && !once {
                 return exit(o.passed);
             }
@@ -207,12 +108,12 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
             match load_configs(Path::new(&dir)).and_then(|a| state.round(a, false)) {
                 Ok(o) => {
                     ok &= o.passed;
-                    let n = tele.round_done(ok, o.elapsed, None);
+                    let n = seal(false, ok, o.elapsed, None);
                     state.spill();
                     // Heard or not, the exit code is the verdict.
                     let line = round_line(&format!("round {n}"), &o);
                     if say(&format!("{}{line}\n", o.violations)) {
-                        tele.print_totals();
+                        print_totals(&tele);
                     }
                 }
                 Err(e) => return fail(&e),
@@ -243,10 +144,10 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
             Err(e) => {
                 if last_err.as_ref() != Some(&e) {
                     ok = false;
-                    rounds = tele.round_done(ok, Duration::ZERO, Some(&e));
+                    rounds = seal(false, ok, Duration::ZERO, Some(&e));
                     eprintln!("watch: round {rounds}: {e}");
                     last_err = Some(e);
-                    if !tele.print_totals() {
+                    if !print_totals(&tele) {
                         return ExitCode::SUCCESS;
                     }
                 }
@@ -278,39 +179,31 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
             continue;
         }
         // Every attempted round — verified, violated, or rejected as
-        // unparsable — burns exactly one round number at its
-        // `round_done` call (the Status increment site), so the
-        // numbering stays monotone across rejected rounds instead of a
-        // later round reusing a failed round's number.
+        // unparsable — burns exactly one round number at its `seal`
+        // call (the Status increment site), so the numbering stays
+        // monotone across rejected rounds instead of a later round
+        // reusing a failed round's number.
         let t0 = Instant::now();
-        match parsed {
-            Ok(asts) => match state.round(asts, false) {
-                Ok(o) => {
-                    ok = o.passed;
-                    rounds = tele.round_done(ok, o.elapsed, None);
-                    state.spill();
-                    last_failed = None;
-                    accepted = Some(snap);
-                    let line = round_line(&format!("round {rounds}"), &o);
-                    if !say(&format!("{}{line}\n", o.violations)) {
-                        return ExitCode::SUCCESS;
-                    }
+        match parsed.and_then(|asts| state.round(asts, false)) {
+            Ok(o) => {
+                ok = o.passed;
+                rounds = seal(false, ok, o.elapsed, None);
+                state.spill();
+                last_failed = None;
+                accepted = Some(snap);
+                let line = round_line(&format!("round {rounds}"), &o);
+                if !say(&format!("{}{line}\n", o.violations)) {
+                    return ExitCode::SUCCESS;
                 }
-                Err(e) => {
-                    ok = false;
-                    rounds = tele.round_done(ok, t0.elapsed(), Some(&e));
-                    eprintln!("watch: round {rounds}: {e}");
-                    last_failed = Some(snap);
-                }
-            },
+            }
             Err(e) => {
                 ok = false;
-                rounds = tele.round_done(ok, t0.elapsed(), Some(&e));
+                rounds = seal(false, ok, t0.elapsed(), Some(&e));
                 eprintln!("watch: round {rounds}: {e}");
                 last_failed = Some(snap);
             }
         }
-        if !tele.print_totals() {
+        if !print_totals(&tele) {
             return ExitCode::SUCCESS;
         }
         if max_rounds.is_some_and(|m| rounds >= m) {
@@ -392,6 +285,23 @@ fn parse_snapshot(snap: &Snapshot) -> Result<Vec<ConfigAst>, String> {
             parse_config(&String::from_utf8_lossy(bytes)).map_err(|e| format!("{name}: {e}"))
         })
         .collect()
+}
+
+/// The per-round cumulative totals line (printed with
+/// `--metrics-json`). Reads the same round counter as the file and the
+/// endpoint. False once stdout's reader is gone (see [`say`]).
+fn print_totals(tele: &Observer) -> bool {
+    if tele.opts.metrics_json.is_none() {
+        return true;
+    }
+    let snap = tele.reg.snapshot();
+    say(&format!(
+        "watch: totals: {} rounds, {} checks, {} cached, {} solver calls\n",
+        tele.status.rounds(),
+        snap.counter("reverify.checks"),
+        snap.counter("reverify.reused"),
+        snap.counter("smt.solves"),
+    ))
 }
 
 /// Print daemon output; false once stdout's reader is gone (a closed

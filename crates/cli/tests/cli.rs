@@ -1504,3 +1504,142 @@ fn profile_and_verify_profile_report_one_run() {
         }
     }
 }
+
+#[test]
+fn hostile_spill_directory_warns_and_keeps_the_verdict() {
+    // `--cache-dir F/sub` where `F` is a regular file: neither the load
+    // nor the save can succeed whatever the permission bits, so this
+    // holds for root too. Both warn and exit with the verdict.
+    let d = tmpdir("hostile-spill");
+    let file = d.join("F");
+    fs::write(&file, "not a directory\n").unwrap();
+    let spill = file.join("sub");
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
+    let run = |cmd: &[&str]| {
+        Command::new(bin())
+            .args(cmd)
+            .args(["--configs", examples, "--spec"])
+            .arg(format!("{examples}/spec.json"))
+            .arg("--cache-dir")
+            .arg(&spill)
+            .output()
+            .unwrap()
+    };
+    let verify = run(&["verify"]);
+    let stderr = String::from_utf8_lossy(&verify.stderr);
+    assert_eq!(verify.status.code(), Some(0), "{stderr}");
+    assert!(
+        stderr.contains("warning: ignoring unreadable cache"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("warning: cannot save cache"), "{stderr}");
+    assert!(String::from_utf8_lossy(&verify.stdout).contains("verified"));
+
+    let watch = run(&["watch", "--once"]);
+    let stderr = String::from_utf8_lossy(&watch.stderr);
+    assert_eq!(watch.status.code(), Some(0), "{stderr}");
+    // Load and save warnings name the same per-property directory.
+    let prop0 = format!("{:?}", spill.join("prop0"));
+    for warning in ["ignoring unreadable cache at", "cannot save cache to"] {
+        assert!(
+            stderr.contains(&format!("warning: {warning} {prop0}")),
+            "{warning} must name {prop0}:\n{stderr}"
+        );
+    }
+    assert!(String::from_utf8_lossy(&watch.stdout).contains("verified"));
+}
+
+/// One HTTP/1.1 request with a body: `(code, body)`.
+fn http_post(addr: &str, path: &str, body: &str) -> (u16, String) {
+    use std::io::{Read as _, Write as _};
+    let mut s = std::net::TcpStream::connect(addr).unwrap();
+    write!(
+        s,
+        "POST {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut buf = String::new();
+    s.read_to_string(&mut buf).unwrap();
+    let code = buf.split_whitespace().nth(1).unwrap().parse().unwrap();
+    let body = buf.split("\r\n\r\n").nth(1).unwrap_or("").to_string();
+    (code, body)
+}
+
+#[test]
+fn serve_metrics_json_equals_the_scrape_after_a_delta_round() {
+    let d = tmpdir("serve-metrics");
+    let metrics = d.join("metrics.json");
+    let mut child = Command::new(bin())
+        .args(["serve", "--listen", "127.0.0.1:0", "--metrics-json"])
+        .arg(&metrics)
+        .arg("--flight-json")
+        .arg(d.join("flight.json"))
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .unwrap();
+    let mut stdout = child.stdout.take().unwrap();
+    let mut acc = String::new();
+    read_until(&mut stdout, "workers", &mut acc);
+    let addr = acc
+        .split("listening on http://")
+        .nth(1)
+        .and_then(|s| s.split_whitespace().next())
+        .unwrap()
+        .to_string();
+
+    use serde_json::json;
+    let file = |name: &str, text: &str| json!({ "name": name, "text": text });
+    let call = |name: &str, args: serde_json::Value| {
+        let call = serde_json::Value::Object(vec![(name.to_string(), args)]);
+        let req = json!({ "api_version": 1u64, "tenant": "t", "call": call });
+        let (code, body) = http_post(&addr, "/api/v1", &serde_json::to_string(&req).unwrap());
+        assert_eq!(code, 200, "{body}");
+    };
+    let spec: serde_json::Value = serde_json::from_str(SPEC).unwrap();
+    let configs = json!([file("r1", R1), file("r2", R2)]);
+    call("SubmitConfigs", json!({ "configs": configs, "spec": spec }));
+    let edited = R1.replace(
+        " set community 100:1 additive\n",
+        " set community 100:1 additive\n set local-preference 42\n",
+    );
+    let configs = json!([file("r1", &edited), file("r2", R2)]);
+    call("SubmitDelta", json!({ "configs": configs }));
+
+    // The round is sealed (and the file rewritten) before its reply.
+    let file = fs::read_to_string(&metrics).expect("serve wrote --metrics-json");
+    let (code, scrape) = http_get(&addr, "/metrics");
+    assert_eq!(code, 200);
+    assert_eq!(file, scrape, "--metrics-json and /metrics disagree");
+    let v: serde_json::Value = serde_json::from_str(&file).unwrap();
+    assert_eq!(v.get("rounds").and_then(|r| r.as_u64()), Some(1), "{file}");
+    assert_eq!(v.get("ok").and_then(|o| o.as_bool()), Some(true), "{file}");
+
+    let _ = child.kill();
+    let _ = child.wait();
+}
+
+#[test]
+fn fuzz_metrics_json_records_the_campaign_as_one_round() {
+    let d = tmpdir("fuzz-metrics");
+    let metrics = d.join("metrics.json");
+    let out = Command::new(bin())
+        .args(["fuzz", "--seed", "1", "--cases", "3", "--metrics-json"])
+        .arg(&metrics)
+        .arg("--flight-json")
+        .arg(d.join("flight.json"))
+        .arg("--repro-dir")
+        .arg(d.join("repro"))
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let file = fs::read_to_string(&metrics).expect("fuzz wrote --metrics-json");
+    let v: serde_json::Value = serde_json::from_str(&file).unwrap();
+    assert_eq!(v.get("rounds").and_then(|r| r.as_u64()), Some(1), "{file}");
+    assert_eq!(v.get("ok").and_then(|o| o.as_bool()), Some(true), "{file}");
+}

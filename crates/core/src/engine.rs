@@ -770,11 +770,6 @@ impl<'a> Verifier<'a> {
         self.policy
     }
 
-    /// Names of the registered ghost attributes.
-    pub fn ghost_names(&self) -> Vec<String> {
-        self.ghosts.iter().map(|g| g.name.clone()).collect()
-    }
-
     /// The fingerprint bases of the policy under the registered ghosts,
     /// digested once per verifier.
     pub(crate) fn policy_digests(&self) -> &PolicyDigests {

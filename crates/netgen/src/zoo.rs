@@ -178,12 +178,6 @@ impl ZooParams {
         self
     }
 
-    /// Builder-style peer-count override.
-    pub fn with_max_peers(mut self, n: usize) -> Self {
-        self.max_peers = n;
-        self
-    }
-
     /// Builder-style bogon-list truncation.
     pub fn with_bogon_count(mut self, n: usize) -> Self {
         self.bogon_count = n.min(bogons().len());

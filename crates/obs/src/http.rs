@@ -34,7 +34,10 @@ use std::time::{Duration, Instant};
 
 /// Shared round/verdict state between the observed loop (writer) and
 /// the endpoint (reader). One instance per daemon; rounds are counted
-/// *here and nowhere else* so every surface agrees.
+/// *here and nowhere else* so every surface agrees. It also owns the
+/// round-delta baseline: the registry snapshot taken when the previous
+/// round was noted, kept beside the round counter, so each noted round
+/// carries what the registry accumulated since the one before.
 pub struct Status {
     start: Instant,
     stale_after: Option<Duration>,
@@ -46,6 +49,8 @@ struct StatusInner {
     ok: bool,
     last_round: Option<Instant>,
     last_round_secs: f64,
+    /// The registry snapshot at the previous note (empty before it).
+    prev: MetricsSnapshot,
     delta: Option<MetricsSnapshot>,
 }
 
@@ -61,33 +66,47 @@ impl Status {
                 ok: true,
                 last_round: None,
                 last_round_secs: 0.0,
+                prev: MetricsSnapshot::default(),
                 delta: None,
             }),
         })
     }
 
     /// Record one completed round — verified, violated, or rejected —
-    /// and return the new round count. This is the single increment
-    /// site shared by the totals line, the metrics file and the
-    /// `/metrics` endpoint.
-    pub fn note_round(&self, ok: bool, elapsed: Duration, delta: Option<MetricsSnapshot>) -> u64 {
-        let mut inner = self.inner.lock().unwrap();
-        inner.rounds += 1;
-        inner.ok = ok;
-        inner.last_round = Some(Instant::now());
-        inner.last_round_secs = elapsed.as_secs_f64();
-        inner.delta = delta;
-        inner.rounds
+    /// with `reg`'s change since the previous note as its delta, and
+    /// return the new round count. This is the single increment site
+    /// shared by the totals line, the metrics file and the `/metrics`
+    /// endpoint.
+    pub fn note_round(&self, ok: bool, elapsed: Duration, reg: &Registry) -> u64 {
+        self.note(ok, elapsed, reg, 1)
     }
 
     /// Record the baseline (round zero) without burning a round
-    /// number: it refreshes the verdict and the staleness clock only.
-    pub fn note_baseline(&self, ok: bool, elapsed: Duration, delta: Option<MetricsSnapshot>) {
+    /// number: it refreshes the verdict, the delta and the staleness
+    /// clock only.
+    pub fn note_baseline(&self, ok: bool, elapsed: Duration, reg: &Registry) {
+        self.note(ok, elapsed, reg, 0);
+    }
+
+    /// Note a round boundary, counting `burned` (0 or 1) round numbers.
+    fn note(&self, ok: bool, elapsed: Duration, reg: &Registry, burned: u64) -> u64 {
+        // Snapshot under the lock: concurrent notes cannot interleave
+        // their snapshots and step the baseline backwards.
         let mut inner = self.inner.lock().unwrap();
+        let snap = reg.snapshot();
         inner.ok = ok;
         inner.last_round = Some(Instant::now());
         inner.last_round_secs = elapsed.as_secs_f64();
-        inner.delta = delta;
+        inner.delta = Some(snap.delta_since(&inner.prev));
+        inner.prev = snap;
+        inner.rounds += burned;
+        inner.rounds
+    }
+
+    /// A counter's increase over the last noted round (0 before any).
+    pub fn last_round_counter(&self, name: &str) -> u64 {
+        let inner = self.inner.lock().unwrap();
+        inner.delta.as_ref().map_or(0, |d| d.counter(name))
     }
 
     /// Rounds completed so far (baseline excluded).
@@ -597,11 +616,12 @@ mod tests {
 
     #[test]
     fn status_has_a_single_increment_site() {
+        let reg = Registry::new();
         let status = Status::new(None);
-        status.note_baseline(true, Duration::from_millis(3), None);
+        status.note_baseline(true, Duration::from_millis(3), &reg);
         assert_eq!(status.rounds(), 0, "baseline must not burn a round");
-        assert_eq!(status.note_round(true, Duration::from_millis(1), None), 1);
-        assert_eq!(status.note_round(false, Duration::from_millis(1), None), 2);
+        assert_eq!(status.note_round(true, Duration::from_millis(1), &reg), 1);
+        assert_eq!(status.note_round(false, Duration::from_millis(1), &reg), 2);
         assert_eq!(status.rounds(), 2);
         assert!(!status.ok());
     }
@@ -609,15 +629,12 @@ mod tests {
     #[test]
     fn status_body_matches_file_bytes_and_has_delta() {
         let reg = Registry::new();
-        reg.counter("smt.solves").add(5);
-        let before = reg.snapshot();
-        reg.counter("smt.solves").add(3);
         let status = Status::new(None);
-        status.note_round(
-            true,
-            Duration::from_millis(10),
-            Some(reg.snapshot().delta_since(&before)),
-        );
+        reg.counter("smt.solves").add(5);
+        status.note_baseline(true, Duration::from_millis(10), &reg);
+        assert_eq!(status.last_round_counter("smt.solves"), 5);
+        reg.counter("smt.solves").add(3);
+        status.note_round(true, Duration::from_millis(10), &reg);
         let body = status_body(&status, &reg);
         let path = std::env::temp_dir().join(format!("obs-status-{}.json", std::process::id()));
         write_status_file(&path, &status, &reg).unwrap();
@@ -642,15 +659,16 @@ mod tests {
 
     #[test]
     fn healthz_flags_failures_and_staleness() {
+        let reg = Registry::new();
         let status = Status::new(Some(Duration::from_millis(20)));
         let (code, v) = healthz(&status);
         assert_eq!(code, 200);
         assert_eq!(v.get("status").and_then(Value::as_str), Some("ok"));
-        status.note_round(false, Duration::from_millis(1), None);
+        status.note_round(false, Duration::from_millis(1), &reg);
         let (code, v) = healthz(&status);
         assert_eq!(code, 503);
         assert_eq!(v.get("status").and_then(Value::as_str), Some("failing"));
-        status.note_round(true, Duration::from_millis(1), None);
+        status.note_round(true, Duration::from_millis(1), &reg);
         assert_eq!(healthz(&status).0, 200);
         std::thread::sleep(Duration::from_millis(40));
         let (code, v) = healthz(&status);
@@ -667,7 +685,7 @@ mod tests {
             reg.histogram("round.wall").record_ns(2_000_000); // 2ms
         }
         let status = Status::new(None);
-        status.note_round(true, Duration::from_millis(1), None);
+        status.note_round(true, Duration::from_millis(1), &reg);
         let text = prometheus_text(&status, &reg);
         assert!(text.contains("# TYPE lightyear_smt_solves counter\nlightyear_smt_solves 7\n"));
         assert!(text.contains("lightyear_orchestrator_queue_depth 3\n"));

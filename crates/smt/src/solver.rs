@@ -103,14 +103,6 @@ impl Model {
         Model { values, dont_care }
     }
 
-    /// Construct a model directly from variable assignments (for tests).
-    pub fn from_values(values: HashMap<TermId, Value>) -> Model {
-        Model {
-            values,
-            dont_care: HashSet::new(),
-        }
-    }
-
     /// True when the variable term never reached the solver, i.e. its
     /// "value" in this model is an arbitrary default, not a witness.
     pub fn is_dont_care(&self, t: TermId) -> bool {

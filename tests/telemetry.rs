@@ -103,7 +103,6 @@ fn concurrent_scrapes_stay_coherent_during_a_parallel_verify() {
             })
             .collect();
 
-        let mut prev = reg.snapshot();
         for _ in 0..ROUNDS {
             let t = Instant::now();
             let v = Verifier::new(&s.network.topology, &s.network.policy)
@@ -112,9 +111,7 @@ fn concurrent_scrapes_stay_coherent_during_a_parallel_verify() {
                 .with_jobs(2);
             let passed = v.verify_safety_multi(&props, &inv).all_passed();
             assert!(passed);
-            let snap = reg.snapshot();
-            status.note_round(passed, t.elapsed(), Some(snap.delta_since(&prev)));
-            prev = snap;
+            status.note_round(passed, t.elapsed(), &reg);
         }
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
