@@ -266,6 +266,42 @@ fn exec_counts_liveness_runs() {
 }
 
 #[test]
+fn liveness_only_generation_is_charged_to_generate_ns() {
+    // Without a safety property every check comes from the liveness
+    // walk, so its generation is all `engine.generate_ns` can hold.
+    let d = template_liveness_dir("liveness-generate");
+    let spec: serde_json::Value =
+        serde_json::from_slice(&fs::read(d.join("spec.json")).unwrap()).unwrap();
+    let serde_json::Value::Object(mut fields) = spec else {
+        panic!("a spec is an object")
+    };
+    for (key, value) in &mut fields {
+        if key == "safety" {
+            *value = serde_json::Value::Array(Vec::new());
+        }
+    }
+    let spec = serde_json::to_string(&serde_json::Value::Object(fields)).unwrap();
+    fs::write(d.join("spec.json"), spec).unwrap();
+    let out = Command::new(bin())
+        .args(["verify", "--json", "--configs"])
+        .arg(&d)
+        .arg("--spec")
+        .arg(d.join("spec.json"))
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{out:?}");
+    let v: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
+    let entries = v.as_array().expect("array output");
+    let kinds: Vec<_> = entries.iter().filter_map(|e| e["kind"].as_str()).collect();
+    assert_eq!(kinds, ["liveness"]);
+    let counters = &entries.last().unwrap()["metrics"]["counters"];
+    assert!(
+        counters["engine.generate_ns"].as_u64() > Some(0),
+        "{counters:?}"
+    );
+}
+
+#[test]
 fn bad_inputs_give_clean_errors() {
     let d = tmpdir("bad");
     fs::create_dir_all(&d).unwrap();

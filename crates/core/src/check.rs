@@ -62,7 +62,7 @@ pub struct Check {
 }
 
 /// A counterexample to a failed check.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Counterexample {
     /// The input route violating the check.
     pub input: ConcreteRoute,
@@ -86,7 +86,7 @@ impl fmt::Display for Counterexample {
 }
 
 /// The outcome of one check.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum CheckResult {
     /// The check holds.
     Pass,
@@ -198,28 +198,6 @@ impl Report {
         self.outcomes.iter().map(|o| o.stats.solve_time).sum()
     }
 
-    /// Total time spent encoding.
-    pub fn encode_time(&self) -> Duration {
-        self.outcomes.iter().map(|o| o.stats.encode_time).sum()
-    }
-
-    /// One-line human summary including timings and, for orchestrated
-    /// runs, the dedup statistics. Unlike `Display`, this line is *not*
-    /// deterministic across runs (it contains wall-clock times).
-    pub fn timing_summary(&self) -> String {
-        let mut s = format!(
-            "{} ({:?} total, {:?} solving)",
-            self,
-            self.total_time,
-            self.solve_time()
-        );
-        if self.exec.generated > 0 {
-            s.push_str("; ");
-            s.push_str(&self.exec.summary());
-        }
-        s
-    }
-
     /// Render failures with topology names.
     pub fn format_failures(&self, topo: &Topology) -> String {
         format_failure_outcomes(self.failures().into_iter(), topo)
@@ -289,7 +267,6 @@ pub struct ReportSummary {
     max_vars: u64,
     max_clauses: u64,
     solve_time: Duration,
-    encode_time: Duration,
     /// Orchestrated solver-invocation count, when one applies
     /// (mirrors [`Report::solver_invocations`]'s `exec` branch).
     solver_invocations: Option<usize>,
@@ -308,19 +285,8 @@ impl ReportSummary {
         }
     }
 
-    /// Fold in one outcome (call in check-id order).
-    pub fn push(&mut self, o: CheckOutcome) {
-        let CheckOutcome {
-            check,
-            result,
-            stats,
-            core,
-        } = o;
-        self.push_with(&result, &stats, core.as_ref(), || check);
-    }
-
-    /// [`ReportSummary::push`] over a borrowed verdict: the result and
-    /// the core are copied, and `describe` is called (at most once),
+    /// Fold in one borrowed verdict (call in check-id order): the result
+    /// and the core are copied, and `describe` is called (at most once),
     /// only when the summary keeps the outcome — a failure, or a core
     /// under `keep_cores`. A passing check nobody will render costs
     /// four aggregate updates and no allocation.
@@ -335,7 +301,6 @@ impl ReportSummary {
         self.max_vars = self.max_vars.max(stats.num_vars);
         self.max_clauses = self.max_clauses.max(stats.num_clauses);
         self.solve_time += stats.solve_time;
-        self.encode_time += stats.encode_time;
         let kept_core = core.filter(|_| self.keep_cores);
         if !result.passed() {
             let check = describe();
@@ -355,7 +320,7 @@ impl ReportSummary {
 
     /// Pin the orchestrated solver-invocation count (otherwise one
     /// invocation per check is assumed).
-    pub fn set_solver_invocations(&mut self, n: usize) {
+    fn set_solver_invocations(&mut self, n: usize) {
         self.solver_invocations = Some(n);
     }
 
@@ -400,11 +365,6 @@ impl ReportSummary {
         self.solve_time
     }
 
-    /// Mirrors [`Report::encode_time`].
-    pub fn encode_time(&self) -> Duration {
-        self.encode_time
-    }
-
     /// Render failures with topology names, byte-identical to
     /// [`Report::format_failures`] on the same outcomes.
     pub fn format_failures(&self, topo: &Topology) -> String {
@@ -414,8 +374,7 @@ impl ReportSummary {
 
 /// Deterministic rendering: depends only on the sorted check outcomes,
 /// never on wall-clock times or execution strategy, so sequential and
-/// orchestrated runs of the same problem render byte-identically (use
-/// [`Report::timing_summary`] for the timed line).
+/// orchestrated runs of the same problem render byte-identically.
 impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let failed = self.failures().len();
@@ -533,7 +492,7 @@ mod tests {
         // Without keep_cores, passing checks leave no residue.
         let mut lean = ReportSummary::new(false);
         for o in &r.outcomes {
-            lean.push(o.clone());
+            lean.push_with(&o.result, &o.stats, o.core.as_ref(), || o.check.clone());
         }
         assert!(lean.cores().is_empty());
         assert_eq!(lean.num_checks(), 2);

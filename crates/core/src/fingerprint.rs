@@ -54,11 +54,12 @@
 //! stable across runs that build the universe in different insertion
 //! orders.
 
-use crate::engine::CheckBody;
+use crate::engine::generate::CheckBody;
 use crate::ghost::{GhostAttr, GhostUpdate};
 use crate::pred::RoutePred;
 use crate::universe::Universe;
 use bgp_model::policy::Policy;
+use bgp_model::route::Route;
 use bgp_model::routemap::RouteMap;
 use bgp_model::topology::EdgeId;
 use orchestrator::{Fingerprint, FpHasher};
@@ -71,6 +72,15 @@ use std::hash::Hash;
 /// mixing function of `orchestrator::FpHasher`. A spill records the
 /// version its keys were derived under and is ignored under any other.
 pub(crate) const FP_VERSION: u32 = 4;
+
+/// The digest of one originated route: the sort key of an edge's
+/// originate multiset, and so the order an originate check picks its
+/// counterexample in.
+pub(crate) fn route_digest(r: &Route) -> Fingerprint {
+    let mut h = FpHasher::new();
+    r.hash(&mut h);
+    h.finish()
+}
 
 /// Digest of the attribute universe (sorted, order-insensitive).
 pub fn universe_digest(u: &Universe) -> Fingerprint {
@@ -205,11 +215,7 @@ impl PolicyDigests {
                 let mut routes: Vec<Fingerprint> = policy
                     .originated(EdgeId(e as u32))
                     .iter()
-                    .map(|r| {
-                        let mut rh = FpHasher::new();
-                        r.hash(&mut rh);
-                        rh.finish()
-                    })
+                    .map(route_digest)
                     .collect();
                 routes.sort();
                 h.write_u64(routes.len() as u64);
@@ -247,7 +253,6 @@ fn intern(ids: &mut HashMap<u128, u32>, fps: &mut Vec<Fingerprint>, fp: Fingerpr
 /// by address, then by digest). Two checks have equal keys exactly when
 /// their parts' digests are equal, that is — under one universe —
 /// exactly when their fingerprints are.
-#[doc(hidden)]
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct ClassKey {
     base: u32,

@@ -23,8 +23,8 @@
 //! * [`encode`] — symbolic transfer functions for route maps.
 //! * [`invariants`] — per-location network invariants with role-based
 //!   assignment helpers.
-//! * [`safety`] — generation of the Import/Export/Originate local checks
-//!   and the invariant-implies-property check (§4.2).
+//! * [`safety`] — safety properties `(ℓ, P)` (§4); [`engine`] generates
+//!   and decides their local checks.
 //! * [`liveness`] — path constraints, propagation checks and
 //!   no-interference checks (§5).
 //! * [`check`] — check descriptors, results, counterexamples.
@@ -33,10 +33,11 @@
 //!   (route-map contents, predicates, ghost updates, universe digest —
 //!   never router names or ids, never a serialized rendering) keying the
 //!   orchestrator's dedup and cross-run cache.
-//! * [`engine`] — the verifier: sequential or orchestrated execution
-//!   (fingerprint dedup + result cache + worker pool via the
-//!   `orchestrator` crate), per-check statistics (Figure 3b/3d) and
-//!   incremental re-verification.
+//! * [`engine`] — the [`Verifier`] and its pipeline, one module per
+//!   stage: generate the local checks (§4.2, §5), partition them by
+//!   fingerprint, solve each class once on an encoding-base session,
+//!   re-validate cached verdicts, fold verdicts into reports in check
+//!   order, and spill the result cache to disk.
 //! * [`reverify`] — the cross-run re-verification engine behind daemon
 //!   (`lightyear watch`) and migration-plan (`lightyear plan`) modes:
 //!   fingerprint-diffed dirty sets answered from carried verdicts and

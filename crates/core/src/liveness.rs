@@ -26,10 +26,12 @@
 //! tolerated.
 
 use crate::check::Report;
-use crate::engine::{conjunct_table, CheckBody, NiStep, ResolvedCheck, Site, Verifier};
+use crate::engine::generate::{conjunct_table, CheckBody, NiStep, ResolvedCheck, Site};
+use crate::engine::Verifier;
 use crate::invariants::{Location, NetworkInvariants};
 use crate::pred::RoutePred;
 use crate::safety::SafetyProperty;
+use crate::universe::Universe;
 use std::fmt;
 use std::time::Instant;
 
@@ -123,11 +125,7 @@ impl<'a> Verifier<'a> {
     pub fn verify_liveness(&self, spec: &LivenessSpec) -> Result<Report, SpecError> {
         let t0 = Instant::now();
         let ni = self.no_interference_props(spec)?;
-        let checks = self.liveness_checks(spec, &ni);
-        let mut extra = vec![&spec.pred, &spec.prefix_scope];
-        extra.extend(&spec.constraints);
-        let mut universe = self.universe(&extra);
-        spec.interference_invariants.register(&mut universe);
+        let (checks, universe) = self.liveness_checks(spec, &ni);
         let mut report = self.run(&universe, &checks);
         report.total_time = t0.elapsed();
         Ok(report)
@@ -144,7 +142,7 @@ impl<'a> Verifier<'a> {
         spec: &LivenessSpec,
     ) -> Result<Vec<Option<Vec<String>>>, SpecError> {
         let ni = self.no_interference_props(spec)?;
-        let checks = self.liveness_checks(spec, &ni);
+        let (checks, _) = self.liveness_checks(spec, &ni);
         Ok(conjunct_table(checks.iter().map(|rc| rc.body.assume())))
     }
 
@@ -164,14 +162,23 @@ impl<'a> Verifier<'a> {
 
     /// Every check of a validated `spec`, its id its position: the
     /// propagation step across each path edge (`C_i` through the step's
-    /// filter is accepted and satisfies `C_{i+1}`), then the safety site
-    /// walk of each on-path router's no-interference property in `ni`,
-    /// then the final implication `C_n ⟹ P`.
+    /// filter is accepted and satisfies `C_{i+1}`), then the generated
+    /// suite of each on-path router's no-interference property in `ni`,
+    /// then the final implication `C_n ⟹ P`; and the universe they are
+    /// posed over (policy, ghosts, `P`, the prefix scope, the path
+    /// constraints and the interference invariants).
     fn liveness_checks<'s>(
         &self,
         spec: &'s LivenessSpec,
         ni: &'s [SafetyProperty],
-    ) -> Vec<ResolvedCheck<'s>> {
+    ) -> (Vec<ResolvedCheck<'s>>, Universe) {
+        let inv = &spec.interference_invariants;
+        let mut extra = vec![&spec.pred, &spec.prefix_scope];
+        extra.extend(&spec.constraints);
+        let mut universe = self.universe(&extra);
+        inv.register(&mut universe);
+        let suites: Vec<_> = ni.iter().map(|p| (std::slice::from_ref(p), inv)).collect();
+        let g = self.generate(universe, &suites);
         let mut sites = Vec::new();
         for (i, w) in spec.path.windows(2).enumerate() {
             let (edge, is_import) = match (w[0], w[1]) {
@@ -188,26 +195,22 @@ impl<'a> Verifier<'a> {
             };
             sites.push((Site::Propagation { edge, is_import }, body));
         }
-        let inv = &spec.interference_invariants;
-        for p in ni {
-            let Location::Node(router) = p.location else {
+        for (i, rc) in g.checks.iter().enumerate() {
+            let Location::Node(router) = ni[g.suite_of(i)].location else {
                 unreachable!("no-interference properties sit at routers")
             };
-            self.for_each_check(std::slice::from_ref(p), inv, |rc| {
-                let step = NiStep::of(rc.site);
-                sites.push((Site::NoInterference { router, step }, rc.body))
-            });
+            let step = NiStep::of(rc.site);
+            sites.push((Site::NoInterference { router, step }, rc.body))
         }
         let body = CheckBody::Implication {
             assume: spec.constraints.last().unwrap(),
             ensure: &spec.pred,
         };
         sites.push((Site::Final(spec.location), body));
-        sites
-            .into_iter()
-            .enumerate()
+        let checks = (sites.into_iter().enumerate())
             .map(|(id, (site, body))| ResolvedCheck { id, site, body })
-            .collect()
+            .collect();
+        (checks, g.universe)
     }
 }
 
@@ -574,11 +577,8 @@ mod tests {
     /// on its own fresh one-shot instance, in id order.
     fn reference(v: &Verifier, spec: &LivenessSpec) -> Vec<Option<String>> {
         let ni = v.no_interference_props(spec).unwrap();
-        let mut extra = vec![&spec.pred, &spec.prefix_scope];
-        extra.extend(&spec.constraints);
-        let mut universe = v.universe(&extra);
-        spec.interference_invariants.register(&mut universe);
-        v.liveness_checks(spec, &ni)
+        let (checks, universe) = v.liveness_checks(spec, &ni);
+        checks
             .iter()
             .map(|rc| verdict(&v.run_one(&universe, rc).result))
             .collect()

@@ -15,12 +15,13 @@
 //!   drops every previous fingerprint that is no longer live, so the
 //!   carried cache stays proportional to the live check set.
 //!
-//! Dirty checks take the same path as a fresh run: partitioned into
-//! classes on the round's part cache (`Verifier::partition`), then the
-//! solve stage of `Verifier::execute` (`Verifier::solve`) — one solve
-//! per class, grouped by encoding base, groups spread over the
-//! verifier's `jobs` workers. Nothing a round encodes outlives it, so a
-//! round's cost and memory do not depend on the engine's age.
+//! Dirty checks take the same path as a fresh run: generated by the one
+//! generation entry (`Verifier::generate`), partitioned into classes on
+//! the round's part cache (`Verifier::partition`), then decided and
+//! folded by `Verifier::fold` — one solve per class, grouped by
+//! encoding base, groups spread over the verifier's `jobs` workers.
+//! Nothing a round encodes outlives it, so a round's cost and memory do
+//! not depend on the engine's age.
 //!
 //! The dirty set itself is decided by the rename-invariant fingerprints
 //! of [`crate::fingerprint`], and by nothing else: every round
@@ -37,7 +38,9 @@
 //! can never depend on what else the group solved.
 
 use crate::check::{CheckOutcome, CheckResult, Report};
-use crate::engine::{size_only, CheckBody, CheckCache, ResolvedCheck, SolvedCheck, Verifier};
+use crate::engine::generate::{count_described, CheckBody, ResolvedCheck};
+use crate::engine::solve::{size_only, SolvedCheck};
+use crate::engine::{CheckCache, Verifier};
 use crate::fingerprint::{pred_digest, universe_digest, FpParts};
 use crate::invariants::NetworkInvariants;
 use crate::safety::SafetyProperty;
@@ -218,7 +221,8 @@ impl ReverifyEngine {
             "reverify_round",
             changed = changed.map_or(0, <[String]>::len)
         );
-        let (checks, universe) = v.resolve_multi(props, inv);
+        let g = v.generate(v.universe(&[]), &[(props, inv)]);
+        let (checks, universe) = (g.checks, g.universe);
         // One part cache for the round: the dirty test and the core
         // cache's rest keys read the same per-edge and per-predicate
         // digests.
@@ -277,7 +281,7 @@ impl ReverifyEngine {
                 None => match self.core_subsumed(&mut parts, c) {
                     Some(solved) => {
                         stats.core_clean += 1;
-                        outcomes[i] = Some(v.outcome(c, &solved));
+                        outcomes[i] = Some(v.outcome_of(c, solved.clone()));
                         self.results.insert(fps[i], solved);
                     }
                     None => dirty.push(i),
@@ -287,13 +291,13 @@ impl ReverifyEngine {
         stats.dirty = dirty.len();
 
         // Dirty checks take a fresh run's partition, on the part cache
-        // that keyed the round, and its solve stage. The stage gets no
-        // cache: the carried one already answered every hit. Passes
-        // record their conjunct core, so later rounds can answer
-        // invariant edits that leave the load-bearing conjuncts intact
-        // without solving.
+        // that keyed the round, and its fold. The fold gets no cache:
+        // the carried one already answered every hit. Passes record
+        // their conjunct core, so later rounds can answer invariant
+        // edits that leave the load-bearing conjuncts intact without
+        // solving.
         let classes = v.partition(&mut parts, dirty.iter().map(|&i| (i, &checks[i])));
-        let exec = v.solve(&universe, classes, None, &mut |pos, solved| {
+        let exec = v.fold(&universe, classes, None, &mut |pos, solved| {
             let i = dirty[pos];
             let rc = &checks[i];
             if let (true, Some(core), Some(rest)) =
@@ -306,7 +310,7 @@ impl ReverifyEngine {
                     core.iter().map(|&ci| pred_digest(conjs[ci]).0).collect(),
                 );
             }
-            outcomes[i] = Some(v.outcome(rc, solved));
+            outcomes[i] = Some(v.outcome_of(rc, solved.clone()));
             self.results.insert(fps[i], solved.clone());
         });
         stats.sessions_created = exec.groups;
@@ -341,6 +345,7 @@ impl ReverifyEngine {
         }
 
         self.prev = Some(PrevRound { universe, fps });
+        count_described();
 
         let report = Report {
             outcomes: outcomes
@@ -702,6 +707,43 @@ mod tests {
         assert_eq!(s.total, total_a, "count-preserving reshuffle");
         let fresh = v.verify_safety(&prop, &inv);
         assert_eq!(fresh.to_string(), r.to_string());
+    }
+
+    #[test]
+    fn reversed_originations_replay_the_fresh_counterexample() {
+        // R1 -> ISP originates two routes, neither with the community
+        // the edge invariant asks for. Reversing the list keeps every
+        // fingerprint, so the second round is all cache, and it must
+        // still print the route a fresh run prints.
+        let mut t = Topology::new();
+        let r1 = t.add_router("R1", 65000);
+        let isp = t.add_external("ISP", 100);
+        t.add_session(r1, isp);
+        let e = t.edge_between(r1, isp).unwrap();
+        let prop = SafetyProperty::new(Location::Node(r1), RoutePred::True);
+        let inv = NetworkInvariants::with_default(RoutePred::has_community(c("100:1")));
+        let mut routes = vec![
+            bgp_model::Route::new("10.0.0.0/8".parse().unwrap()),
+            bgp_model::Route::new("192.168.0.0/16".parse().unwrap()),
+        ];
+        let mut eng = ReverifyEngine::new();
+        for round in 0..2 {
+            let mut pol = Policy::new();
+            for r in &routes {
+                pol.add_origination(e, r.clone());
+            }
+            let v = Verifier::new(&t, &pol);
+            let (r, s) = eng.reverify(&v, std::slice::from_ref(&prop), &inv, None);
+            let fresh = v.verify_safety(&prop, &inv);
+            assert!(!fresh.all_passed(), "round {round}");
+            assert_eq!(
+                fresh.format_failures(&t),
+                r.format_failures(&t),
+                "round {round}"
+            );
+            assert_eq!(s.dirty, if round == 0 { s.total } else { 0 }, "{s:?}");
+            routes.reverse();
+        }
     }
 
     #[test]

@@ -3,11 +3,11 @@
 //! A safety property `(ℓ, P)` states that every route that can reach
 //! location `ℓ` — selected at a router, or forwarded/received on an edge —
 //! satisfies `P`, for all possible external announcements and arbitrary
-//! node/link failures (§4.5). Check generation and execution live in
-//! [`crate::engine`]; by default the generated checks are solved in
-//! encoding-base groups on persistent assumption-based SMT sessions
-//! (one transfer encoding per edge, one implication session per batch),
-//! which is what makes verifying many properties against one invariant
+//! node/link failures (§4.5). This module only states properties: their
+//! checks are generated and decided by the stages of [`crate::engine`],
+//! solved in encoding-base groups on persistent assumption-based SMT
+//! sessions (one transfer encoding per edge, one implication session per
+//! batch), which is what makes verifying many properties against one invariant
 //! assignment (`Verifier::verify_safety_multi`) cheap: the §4.3 lemma
 //! already shares the Import/Export/Originate checks across properties,
 //! and the per-property subsumption checks then share one solver.

@@ -2,11 +2,10 @@
 //! run hands outcomes to the sink in check-id order while later groups
 //! are still being solved, and never holds all of them at once.
 //!
-//! Alone in its test binary because it reads a gauge off the
-//! process-global metrics sink and the process-wide count of built
-//! `Check` descriptors; the tests here take turns.
+//! Alone in its test binary because it reads a gauge and a counter off
+//! the process-global metrics sink; the tests here take turns.
 
-use lightyear::engine::{checks_described, Verifier};
+use lightyear::engine::Verifier;
 use netgen::mutate;
 use netgen::wan::{self, WanParams};
 use netgen::zoo::{self, ZooParams, CORPUS};
@@ -98,9 +97,10 @@ fn a_check_is_described_only_when_its_outcome_is_kept() {
 
     /// A run's result and how many descriptors it built.
     fn counted<T>(run: impl FnOnce() -> T) -> (T, u64) {
-        let before = checks_described();
+        let reg = obs::install();
         let out = run();
-        (out, checks_described() - before)
+        obs::uninstall();
+        (out, reg.snapshot().counter("engine.checks_described"))
     }
     let (batch, by_batch) = counted(|| verifier.verify_safety_batch(&suites));
     let (lean, by_lean) = counted(|| verifier.verify_safety_batch_streaming(&suites, false));
