@@ -11,7 +11,6 @@ use crate::check::{CheckOutcome, Report, ReportSummary};
 use crate::fingerprint::{universe_digest, FpParts};
 use crate::universe::Universe;
 use orchestrator::{run_grouped, Executor, RunStats};
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// The result of a cross-property batch
@@ -127,11 +126,16 @@ impl<'a> Verifier<'a> {
     /// only what it keeps.
     ///
     /// Groups complete out of order, so verdicts pass through a reorder
-    /// window: one entry per structure that is decided but not yet fully
-    /// released, keyed by its lowest unreleased member, which each
-    /// member's turn lends to the sink — the frontier of the streaming
-    /// report; everything before `next` has already left through `sink`.
-    /// Its peak size is the `engine.report_frontier_peak` gauge.
+    /// window: a position → class table built from the partition, and
+    /// per class a slot holding its verdict once decided and the count
+    /// of members not yet released. The cursor `next` advances while its
+    /// position's class is decided, lending the slot's verdict to the
+    /// sink; the representative leaves first with the full stats, every
+    /// later member with [`size_only`] ones, and the slot is freed with
+    /// its last member. Decided classes with members still to release
+    /// are the frontier of the streaming report; everything before
+    /// `next` has already left through `sink`. The frontier's peak is the
+    /// `engine.report_frontier_peak` gauge.
     pub(crate) fn fold(
         &self,
         universe: &Universe,
@@ -140,9 +144,15 @@ impl<'a> Verifier<'a> {
         sink: &mut dyn FnMut(usize, &SolvedCheck),
     ) -> RunStats {
         let total: usize = classes.iter().map(|c| c.members.len()).sum();
-        let mut next = 0usize;
-        let mut pending: BTreeMap<usize, (SolvedCheck, Vec<usize>, usize)> = BTreeMap::new();
-        let mut frontier_peak = 0usize;
+        let mut class_of = vec![0u32; total];
+        let mut slots: Vec<(Option<SolvedCheck>, u32)> = Vec::with_capacity(classes.len());
+        for (k, class) in classes.iter().enumerate() {
+            for &m in &class.members {
+                class_of[m] = k as u32;
+            }
+            slots.push((None, class.members.len() as u32));
+        }
+        let (mut next, mut open, mut frontier_peak) = (0usize, 0usize, 0usize);
         let stats = run_grouped(
             &Executor::with_threads(Some(self.jobs)),
             cache,
@@ -156,21 +166,30 @@ impl<'a> Verifier<'a> {
                 if !executed {
                     solved.stats = size_only(solved.stats);
                 }
-                pending.insert(members[0], (solved, members, 0));
-                frontier_peak = frontier_peak.max(pending.len());
-                while let Some((mut solved, members, mut at)) = pending.remove(&next) {
-                    sink(next, &solved);
+                slots[class_of[members[0]] as usize].0 = Some(solved);
+                open += 1;
+                frontier_peak = frontier_peak.max(open);
+                while let Some(&k) = class_of.get(next) {
+                    let (decided, left) = &mut slots[k as usize];
+                    let Some(solved) = decided else { break };
+                    sink(next, solved);
                     next += 1;
-                    at += 1;
-                    if let Some(&m) = members.get(at) {
+                    *left -= 1;
+                    if *left > 0 {
                         // Only the representative (released first) ran.
                         solved.stats = size_only(solved.stats);
-                        pending.insert(m, (solved, members, at));
+                    } else {
+                        *decided = None;
+                        open -= 1;
                     }
                 }
             },
         );
-        debug_assert!(pending.is_empty() && next == total);
+        // A verdict that never arrived must fail the run, not shorten it.
+        assert!(
+            open == 0 && next == total,
+            "fold released {next} of {total} checks"
+        );
         obs::gauge_max("engine.report_frontier_peak", frontier_peak as u64);
         stats
     }

@@ -9,6 +9,8 @@ use lightyear::engine::Verifier;
 use netgen::mutate;
 use netgen::wan::{self, WanParams};
 use netgen::zoo::{self, ZooParams, CORPUS};
+use smt::SolverStats;
+use std::collections::HashMap;
 use std::sync::Mutex;
 
 static TURN: Mutex<()> = Mutex::new(());
@@ -56,14 +58,12 @@ fn runs_stream_in_order_through_a_window_of_structures() {
         );
         // Entries leave as the cursor passes their last member, not at
         // the end of the run. One worker solves inline, so its peak is
-        // fixed and strictly below the structure count; on the pool the
+        // fixed: 19 of 34 classes, where a window that counted members
+        // or never freed a slot would read otherwise. On the pool the
         // same window races the workers and the peak depends on how
         // long the delivering thread is kept off its core.
         if jobs == 1 {
-            assert!(
-                frontier_peak < unique,
-                "window never drained: peaked at all {unique} structures"
-            );
+            assert_eq!(frontier_peak, 19, "of {unique} structures");
         }
     }
 }
@@ -135,4 +135,86 @@ fn a_check_is_described_only_when_its_outcome_is_kept() {
     assert_eq!(by_batch, batch.num_checks() as u64);
     assert_eq!(by_lean, failures, "a passing check was materialised");
     assert_eq!(by_full, failures + cores);
+}
+
+/// The window releases a class's representative first, with the one
+/// real solve's work counters, and every dedup copy after it with the
+/// representative's formula size alone — at any worker count, however
+/// the pool orders the groups.
+#[test]
+fn only_a_class_representative_carries_its_solve_work() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let entry = CORPUS.iter().find(|e| e.name == "Uninett").unwrap();
+    let scen = zoo::build(&ZooParams::for_entry(entry));
+    let (peering_props, peering_inv) = scen.peering_suite();
+    let (fencing_props, fencing_inv) = scen.fencing_suite();
+    let suites: Vec<(&[lightyear::SafetyProperty], &lightyear::NetworkInvariants)> = vec![
+        (&peering_props, &peering_inv),
+        (&fencing_props, &fencing_inv),
+    ];
+    let verifier = Verifier::new(&scen.network.topology, &scen.network.policy)
+        .with_ghost(scen.from_peer_ghost());
+    // Batch positions run suite by suite, each in check-id order.
+    let classes: Vec<_> = (verifier.batch_digests(&suites).into_iter())
+        .flatten()
+        .map(|d| d.class)
+        .collect();
+    let sequential = verifier.clone().with_jobs(1).verify_safety_batch(&suites);
+    assert!(sequential.all_passed());
+
+    /// What a dedup copy keeps of its representative's stats.
+    fn size_only(st: &SolverStats) -> SolverStats {
+        SolverStats {
+            num_vars: st.num_vars,
+            num_clauses: st.num_clauses,
+            ..SolverStats::default()
+        }
+    }
+    let worked = |st: &SolverStats| {
+        let sat = &st.sat;
+        !(st.encode_time + st.solve_time).is_zero()
+            || sat.decisions + sat.propagations + sat.conflicts + sat.restarts + sat.learnts > 0
+    };
+
+    for jobs in [2, 4] {
+        let multi = verifier
+            .clone()
+            .with_jobs(jobs)
+            .verify_safety_batch(&suites);
+        assert_eq!(multi.exec.threads, jobs);
+        assert_eq!(multi.exec.unique, sequential.exec.unique);
+        for (report, seq) in multi.reports.iter().zip(&sequential.reports) {
+            let ids: Vec<usize> = report.outcomes.iter().map(|o| o.check.id).collect();
+            assert!(ids.windows(2).all(|w| w[0] < w[1]), "jobs {jobs}: {ids:?}");
+            assert_eq!(report.to_string(), seq.to_string(), "jobs {jobs}");
+        }
+        let outcomes: Vec<_> = multi.reports.iter().flat_map(|r| &r.outcomes).collect();
+        assert_eq!(outcomes.len(), classes.len());
+
+        let mut rep_of = HashMap::new();
+        let (mut solved, mut copies) = (0, 0);
+        for (pos, (o, class)) in outcomes.iter().zip(&classes).enumerate() {
+            let rep = *rep_of.entry(*class).or_insert(pos);
+            let rep_stats = &outcomes[rep].stats;
+            if rep == pos {
+                // Originate checks are evaluated concretely: no formula.
+                if o.stats.num_vars > 0 {
+                    assert!(worked(&o.stats), "jobs {jobs}: representative {pos} ran");
+                    solved += 1;
+                }
+            } else {
+                let (got, want) = (
+                    format!("{:?}", o.stats),
+                    format!("{:?}", size_only(rep_stats)),
+                );
+                assert_eq!(got, want, "jobs {jobs}: copy {pos} of {rep}");
+                copies += 1;
+            }
+        }
+        assert_eq!(rep_of.len(), multi.exec.unique);
+        assert!(
+            solved > 1 && copies > 10 * rep_of.len(),
+            "{solved} solved, {copies} copies"
+        );
+    }
 }
