@@ -77,7 +77,7 @@ pub enum ApiCall {
 }
 
 impl ApiCall {
-    /// The call name used on the wire (and in per-tenant metrics).
+    /// The call name used on the wire (and in the `serve.calls.<call>` counters).
     pub fn name(&self) -> &'static str {
         match self {
             ApiCall::SubmitConfigs { .. } => "SubmitConfigs",

@@ -74,9 +74,10 @@
 //!                   configuration safe; exit code 1 if any step fails
 //!   serve           multi-tenant verification daemon: POST /api/v1 takes
 //!                   the versioned api envelope (submit configs, delta
-//!                   rounds, verify, query cores, health) per tenant, with
-//!                   bounded per-tenant queues drained round-robin; the
-//!                   telemetry endpoints share the listener. --cache-root
+//!                   rounds, verify, query cores, health) per tenant; each
+//!                   call runs on its connection under its tenant's lock,
+//!                   and --max-conns (default 64) bounds concurrent calls;
+//!                   the telemetry endpoints share the listener. --cache-root
 //!                   spills each tenant's verdicts so a restart is warm.
 //!                   --metrics-json FILE is rewritten after every
 //!                   tenant round, as /metrics renders it
@@ -158,9 +159,9 @@ fn usage() -> ExitCode {
          [--interval-ms N] [--max-rounds N] [--cache-dir <DIR>] [--metrics-json <FILE>]\n    \
          [--listen <ADDR>] [--stale-after-ms N] [--flight-json <FILE>] [--events-jsonl <FILE>]\n  \
          lightyear plan --spec <FILE> <DIR0> <DIR1> [...]\n  \
-         lightyear serve --listen <ADDR> [--cache-root <DIR>] [--workers N]\n    \
-         [--queue-depth N] [--max-conns N] [--metrics-json <FILE>] [--stale-after-ms N]\n    \
-         [--flight-json <FILE>] [--events-jsonl <FILE>]\n  \
+         lightyear serve --listen <ADDR> [--cache-root <DIR>] [--max-conns N]\n    \
+         [--metrics-json <FILE>] [--stale-after-ms N] [--flight-json <FILE>]\n    \
+         [--events-jsonl <FILE>]\n  \
          lightyear fuzz [--seed N] [--cases N] [--families a,b,...] [--edit-steps K]\n    \
          [--sim-rounds R] [--no-inject] [--repro-dir <DIR>] [--bench-json <FILE>]\n    \
          [--replay <DIR>] [--listen <ADDR>] [--metrics-json <FILE>] [--stale-after-ms N]\n    \

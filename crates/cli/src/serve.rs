@@ -14,16 +14,12 @@
 //! serializer, no drift. The existing telemetry endpoints
 //! (`/metrics`, `/healthz`, `/trace`) share the listener.
 //!
-//! ## Admission and fairness
+//! ## Concurrency
 //!
-//! Requests are enqueued per tenant into bounded queues
-//! (`--queue-depth`, overflow answered `429`) and drained by a fixed
-//! worker pool in **round-robin tenant order** with an in-flight cap
-//! of one job per tenant. The cap is what makes a tenant's engines
-//! single-writer (no locking inside rounds) and the round-robin drain
-//! is the fairness bound: a tenant flooding its queue can delay
-//! another tenant by at most the one job per other tenant already in
-//! flight, never by its whole backlog.
+//! Every call runs on its HTTP connection's thread, under its tenant's
+//! lock: one tenant's engines see one writer at a time, while tenants
+//! proceed in parallel and never wait on one another. `--max-conns`
+//! is the one bound on concurrent calls.
 
 use crate::session::{round_line, Session};
 use crate::spec::Spec;
@@ -32,24 +28,14 @@ use crate::{fail, flag_value, positionals, positive, usage_error};
 use api::{ApiCall, ApiRequest, ApiResponse, ConfigFile};
 use bgp_config::{parse_config, ConfigAst};
 use serde_json::Value;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// Default bound on each tenant's pending-request queue.
-const DEFAULT_QUEUE_DEPTH: usize = 16;
-
-/// Default worker count (tenant rounds run one-per-tenant at a time,
-/// so workers bound cross-tenant parallelism).
-const DEFAULT_WORKERS: usize = 4;
-
-/// How long a connection waits for its queued job before giving up.
-/// Queue depth × worst-case round time stays well under this for any
-/// realistic deployment; hitting it answers a 500 rather than holding
-/// the connection forever.
-const REPLY_TIMEOUT: Duration = Duration::from_secs(600);
+/// The answer to a call for a tenant that has no session.
+const NO_BASELINE: &str = "no configuration submitted for this tenant";
 
 /// One tenant's verification state and last-round artifacts.
 #[derive(Default)]
@@ -62,30 +48,11 @@ struct Tenant {
     reports: Vec<api::PropertyReport>,
 }
 
-/// A queued request: the call plus the channel its connection blocks on.
-struct Job {
-    call: ApiCall,
-    reply: mpsc::Sender<ApiResponse>,
-}
-
-/// The admission queue: bounded per-tenant FIFOs drained round-robin
-/// with at most one in-flight job per tenant.
-#[derive(Default)]
-struct QueueState {
-    queues: HashMap<String, VecDeque<Job>>,
-    /// Tenants with pending jobs, in drain order. Invariant: a tenant
-    /// appears here exactly once iff it has pending jobs and no job in
-    /// flight.
-    ready: VecDeque<String>,
-    inflight: std::collections::HashSet<String>,
-}
-
 struct Daemon {
+    /// Only a `SubmitConfigs` whose spec and configs parse adds an
+    /// entry, so a name a client merely invents leaves no state.
     tenants: Mutex<HashMap<String, Arc<Mutex<Tenant>>>>,
-    queue: Mutex<QueueState>,
-    wake: Condvar,
     cache_root: Option<PathBuf>,
-    queue_depth: usize,
     tele: Observer,
 }
 
@@ -95,112 +62,42 @@ impl Daemon {
         self.tele.reg.counter_labeled(name).add(1);
     }
 
-    /// Enqueue `call` for `tenant`, or refuse with the 429 payload when
-    /// the tenant's queue is full.
-    fn enqueue(&self, tenant: &str, call: ApiCall) -> Result<mpsc::Receiver<ApiResponse>, ()> {
-        let (tx, rx) = mpsc::channel();
-        let mut qs = self.queue.lock().unwrap();
-        let q = qs.queues.entry(tenant.to_string()).or_default();
-        if q.len() >= self.queue_depth {
-            return Err(());
-        }
-        q.push_back(Job { call, reply: tx });
-        if !qs.inflight.contains(tenant) && !qs.ready.iter().any(|t| t == tenant) {
-            qs.ready.push_back(tenant.to_string());
-        }
-        self.wake.notify_one();
-        Ok(rx)
-    }
-
-    /// Worker loop: claim the next ready tenant's front job, run it,
-    /// then requeue the tenant at the back if it still has work — the
-    /// round-robin drain.
-    fn work(self: &Arc<Self>) {
-        loop {
-            let (tenant, job) = {
-                let mut qs = self.queue.lock().unwrap();
-                loop {
-                    if let Some(t) = qs.ready.pop_front() {
-                        if let Some(j) = qs.queues.get_mut(&t).and_then(VecDeque::pop_front) {
-                            qs.inflight.insert(t.clone());
-                            break (t, j);
-                        }
-                        continue; // stale ready entry; drop it
-                    }
-                    qs = self.wake.wait(qs).unwrap();
-                }
-            };
-            let resp = self.execute(&tenant, job.call);
-            let _ = job.reply.send(resp);
-            let mut qs = self.queue.lock().unwrap();
-            qs.inflight.remove(&tenant);
-            if qs.queues.get(&tenant).is_some_and(|q| !q.is_empty()) {
-                qs.ready.push_back(tenant.clone());
-                self.wake.notify_one();
-            }
-        }
-    }
-
-    /// The tenant's state cell (created on first use).
-    fn tenant(&self, name: &str) -> Arc<Mutex<Tenant>> {
-        self.tenants
-            .lock()
-            .unwrap()
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
-    /// Run one call against its tenant. The in-flight cap makes the
-    /// inner lock uncontended; it exists so a misbehaving future caller
-    /// cannot corrupt a tenant, not for coordination.
+    /// Run one call against its tenant, holding the tenant's lock for
+    /// the whole call.
     fn execute(&self, tenant: &str, call: ApiCall) -> ApiResponse {
         self.count(&format!("serve.calls.{}", call.name()));
+        if let ApiCall::SubmitConfigs { configs, spec } = call {
+            return self.submit(tenant, &configs, spec);
+        }
+        let Some(cell) = self
+            .tenants
+            .lock()
+            .expect("tenant table lock poisoned")
+            .get(tenant)
+            .cloned()
+        else {
+            return ApiResponse::failure(NO_BASELINE);
+        };
         self.count(&format!("serve.tenant.{tenant}.calls"));
-        let cell = self.tenant(tenant);
-        let mut t = cell.lock().unwrap();
-        match call {
-            ApiCall::SubmitConfigs { configs, spec } => {
-                let spec: Spec = match serde_json::from_value(spec) {
-                    Ok(s) => s,
-                    Err(e) => return ApiResponse::failure(format!("bad spec: {e}")),
-                };
-                let asts = match parse_config_files(&configs) {
-                    Ok(a) => a,
-                    Err(e) => return ApiResponse::failure(e),
-                };
-                // A (re-)submit replaces the whole session; with a
-                // cache root the new session starts from the tenant's
-                // spilled passes — the warm-restart path.
-                let cache = self.cache_root.as_ref().map(|r| r.join(tenant));
-                let mut session = Session::new(&format!("serve[{tenant}]"), spec, cache);
-                let round = session.round(asts, true);
-                t.session = Some(session);
-                self.finish_round(tenant, &mut t, round, true)
-            }
-            ApiCall::SubmitDelta { configs } => {
-                let asts = match parse_config_files(&configs) {
-                    Ok(a) => a,
-                    Err(e) => return ApiResponse::failure(e),
-                };
-                let Some(session) = t.session.as_mut() else {
-                    return ApiResponse::failure("no configuration submitted for this tenant");
-                };
-                let round = session.round(asts, false);
-                self.finish_round(tenant, &mut t, round, false)
-            }
+        let mut guard = cell
+            .lock()
+            .expect("tenant lock poisoned by a panicked call");
+        let t = &mut *guard;
+        // A tenant whose baseline submit is still starting has no
+        // session yet.
+        let Some(session) = t.session.as_mut() else {
+            return ApiResponse::failure(NO_BASELINE);
+        };
+        let round = match call {
+            ApiCall::SubmitDelta { configs } => match parse_config_files(&configs) {
+                Ok(asts) => session.round(asts, false),
+                Err(e) => return ApiResponse::failure(e),
+            },
             ApiCall::Verify => {
-                let Some(session) = t.session.as_mut() else {
-                    return ApiResponse::failure("no configuration submitted for this tenant");
-                };
                 let asts = session.current.clone();
-                let round = session.round(asts, true);
-                self.finish_round(tenant, &mut t, round, false)
+                session.round(asts, true)
             }
             ApiCall::QueryCores { property } => {
-                if t.session.is_none() {
-                    return ApiResponse::failure("no configuration submitted for this tenant");
-                }
                 let cores: Vec<Value> = t
                     .reports
                     .iter()
@@ -221,20 +118,50 @@ impl Daemon {
                         property.unwrap_or_default()
                     ));
                 }
-                ApiResponse::success(Value::Object(vec![(
+                return ApiResponse::success(Value::Object(vec![(
                     "cores".to_string(),
                     Value::Array(cores),
-                )]))
+                )]));
             }
-            ApiCall::GetReport => {
-                if t.session.is_none() {
-                    return ApiResponse::failure("no configuration submitted for this tenant");
-                }
-                ApiResponse::success(report_value(&t))
+            ApiCall::GetReport => return ApiResponse::success(report_value(t)),
+            ApiCall::SubmitConfigs { .. } | ApiCall::Health => {
+                unreachable!("submits return above and Health is answered in `handle`")
             }
-            // Health never reaches the queue (answered inline).
-            ApiCall::Health => ApiResponse::failure("Health is answered without a tenant"),
-        }
+        };
+        self.finish_round(tenant, t, round, false)
+    }
+
+    /// Establish (or replace) the tenant's session and verify it as the
+    /// baseline round. The spec and configs are checked before the
+    /// tenant is created.
+    fn submit(&self, tenant: &str, configs: &[ConfigFile], spec: Value) -> ApiResponse {
+        let spec: Spec = match serde_json::from_value(spec) {
+            Ok(s) => s,
+            Err(e) => return ApiResponse::failure(format!("bad spec: {e}")),
+        };
+        let asts = match parse_config_files(configs) {
+            Ok(a) => a,
+            Err(e) => return ApiResponse::failure(e),
+        };
+        let cell = self
+            .tenants
+            .lock()
+            .expect("tenant table lock poisoned")
+            .entry(tenant.to_string())
+            .or_default()
+            .clone();
+        self.count(&format!("serve.tenant.{tenant}.calls"));
+        let mut t = cell
+            .lock()
+            .expect("tenant lock poisoned by a panicked call");
+        // A (re-)submit replaces the whole session; with a cache root
+        // the new session starts from the tenant's spilled passes — the
+        // warm-restart path.
+        let cache = self.cache_root.as_ref().map(|r| r.join(tenant));
+        let mut session = Session::new(&format!("serve[{tenant}]"), spec, cache);
+        let round = session.round(asts, true);
+        t.session = Some(session);
+        self.finish_round(tenant, &mut t, round, true)
     }
 
     /// Seal a verification round: spill caches, store the artifacts,
@@ -276,15 +203,26 @@ impl Daemon {
         ApiResponse::success(report_value(t))
     }
 
-    /// The daemon-level health answer (no tenant, never queued).
+    /// The daemon-level health answer (no tenant).
     fn health(&self) -> ApiResponse {
-        let tenants = self.tenants.lock().unwrap();
-        let list: Vec<Value> = tenants
+        // Cloned out first: a tenant busy in a round must not hold the
+        // table, and with it every other tenant's call, behind Health.
+        let tenants: Vec<(String, Arc<Mutex<Tenant>>)> = self
+            .tenants
+            .lock()
+            .expect("tenant table lock poisoned")
             .iter()
+            .map(|(name, cell)| (name.clone(), cell.clone()))
+            .collect();
+        let list: Vec<Value> = tenants
+            .into_iter()
             .map(|(name, cell)| {
-                let t = cell.lock().unwrap();
+                // A round that panicked left these two fields as its
+                // previous round set them, so a poisoned lock still
+                // reads a valid answer.
+                let t = cell.lock().unwrap_or_else(PoisonError::into_inner);
                 Value::Object(vec![
-                    ("tenant".to_string(), Value::Str(name.clone())),
+                    ("tenant".to_string(), Value::Str(name)),
                     ("rounds".to_string(), Value::UInt(t.rounds)),
                     ("passed".to_string(), Value::Bool(t.passed)),
                 ])
@@ -297,8 +235,8 @@ impl Daemon {
         ]))
     }
 
-    /// The HTTP entry point: parse the envelope, answer Health inline,
-    /// queue everything else and wait for the worker's reply.
+    /// The HTTP entry point: parse the envelope, then answer Health
+    /// or run the tenant's call.
     fn handle(&self, body: &[u8]) -> (u16, ApiResponse) {
         self.count("serve.requests");
         let req = match ApiRequest::from_json(&String::from_utf8_lossy(body)) {
@@ -311,23 +249,8 @@ impl Daemon {
         if matches!(req.call, ApiCall::Health) {
             return (200, self.health());
         }
-        match self.enqueue(&req.tenant, req.call) {
-            Err(()) => {
-                self.count("serve.requests.throttled");
-                self.count(&format!("serve.tenant.{}.throttled", req.tenant));
-                (
-                    429,
-                    ApiResponse::failure(format!("tenant {:?} queue is full", req.tenant)),
-                )
-            }
-            Ok(rx) => match rx.recv_timeout(REPLY_TIMEOUT) {
-                Ok(resp) => {
-                    let code = if resp.ok { 200 } else { 422 };
-                    (code, resp)
-                }
-                Err(_) => (500, ApiResponse::failure("verification timed out")),
-            },
-        }
+        let resp = self.execute(&req.tenant, req.call);
+        (if resp.ok { 200 } else { 422 }, resp)
     }
 }
 
@@ -360,7 +283,7 @@ fn parse_config_files(configs: &[ConfigFile]) -> Result<Vec<ConfigAst>, String> 
 
 pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
     // Strict flags, like every other daemon mode.
-    let own = ["--cache-root", "--workers", "--queue-depth", "--max-conns"];
+    let own = ["--cache-root", "--max-conns"];
     let value_flags = [&own[..], &TelemetryOpts::FLAGS].concat();
     if let Err(e) = positionals("serve", args, &value_flags, &[], 0) {
         return usage_error(&e);
@@ -373,14 +296,9 @@ pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
         return usage_error("serve needs --listen <addr> (use 127.0.0.1:0 for an ephemeral port)");
     }
     let cache_root = flag_value(args, "--cache-root").map(PathBuf::from);
-    let positive_or = |flag, default| positive(args, flag).map(|n| n.unwrap_or(default));
-    let (workers, queue_depth, max_conns) = match (
-        positive_or("--workers", DEFAULT_WORKERS),
-        positive_or("--queue-depth", DEFAULT_QUEUE_DEPTH),
-        positive_or("--max-conns", obs::http::DEFAULT_MAX_CONNS),
-    ) {
-        (Ok(w), Ok(q), Ok(m)) => (w, q, m),
-        (Err(e), _, _) | (_, Err(e), _) | (_, _, Err(e)) => return usage_error(&e),
+    let max_conns = match positive(args, "--max-conns") {
+        Ok(m) => m.unwrap_or(obs::http::DEFAULT_MAX_CONNS),
+        Err(e) => return usage_error(&e),
     };
 
     // The daemon is built on the brought-up registry first, so the
@@ -391,10 +309,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
     };
     let daemon = Arc::new(Daemon {
         tenants: Mutex::new(HashMap::new()),
-        queue: Mutex::new(QueueState::default()),
-        wake: Condvar::new(),
         cache_root,
-        queue_depth,
         tele,
     });
     let api = daemon.clone();
@@ -415,15 +330,8 @@ pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
         Ok(s) => s,
         Err(e) => return fail(&e),
     };
-    for w in 0..workers {
-        let d = daemon.clone();
-        let _ = std::thread::Builder::new()
-            .name(format!("serve-worker-{w}"))
-            .spawn(move || d.work());
-    }
     let _ = crate::log_stdout(&format!(
-        "serve: {workers} workers, queue depth {queue_depth} per tenant, \
-         cache root {root}\n",
+        "serve: at most {max_conns} connections, cache root {root}\n",
         root = daemon
             .cache_root
             .as_deref()

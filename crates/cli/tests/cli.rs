@@ -1617,7 +1617,7 @@ fn serve_metrics_json_equals_the_scrape_after_a_delta_round() {
         .unwrap();
     let mut stdout = child.stdout.take().unwrap();
     let mut acc = String::new();
-    read_until(&mut stdout, "workers", &mut acc);
+    read_until(&mut stdout, "cache root", &mut acc);
     let addr = acc
         .split("listening on http://")
         .nth(1)

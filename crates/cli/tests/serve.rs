@@ -1,6 +1,7 @@
 //! End-to-end tests of `lightyear serve`: spawn the daemon, drive the
 //! typed `POST /api/v1` protocol over raw TCP, and check tenant
-//! isolation, fairness under flood, queue admission, and warm restart.
+//! isolation, fairness under flood, concurrent calls for one tenant,
+//! and warm restart.
 
 use serde_json::Value;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -314,7 +315,7 @@ fn run_small_sequence(d: &Daemon, tenant: &str) -> Value {
 
 #[test]
 fn multi_tenant_interleaved_matches_fresh_runs_and_stays_fair() {
-    let daemon = Daemon::start(&["--workers", "2", "--queue-depth", "64"]);
+    let daemon = Daemon::start(&[]);
 
     // Tenant C: the WAN, then a flood of full verifies from threads.
     let (code, resp) = daemon.post(&submit("c", &wan_files(), &wan_spec()));
@@ -337,16 +338,16 @@ fn multi_tenant_interleaved_matches_fresh_runs_and_stays_fair() {
             std::thread::spawn(move || {
                 for _ in 0..12 {
                     let (code, resp) = post_to(&addr, &verify("c"));
-                    assert!(code == 200 || code == 429, "flood: {code} {resp:?}");
+                    assert_eq!(code, 200, "flood: {resp:?}");
                 }
             })
         })
         .collect();
 
-    // Interleaved deltas for A and B while C floods. Round-robin
-    // draining with an in-flight cap of one job per tenant bounds how
-    // long C can delay them: each must come back long before C's
-    // backlog drains.
+    // Interleaved deltas for A and B while C floods. Each call runs on
+    // its own connection under its own tenant's lock, so C's flood
+    // cannot queue them: each must come back long before C's flood
+    // drains.
     let (code, a1) = daemon.post(&delta("a", &small_files(&r1_edited())));
     assert_eq!(code, 200, "a delta1 under flood: {a1:?}");
     let (code, _) = daemon.post(&delta("b", &small_files(&r1_edited())));
@@ -371,7 +372,7 @@ fn multi_tenant_interleaved_matches_fresh_runs_and_stays_fair() {
 
     // Byte-identity: a fresh daemon, one tenant at a time, same
     // scripted sequence -> byte-identical report documents.
-    let fresh = Daemon::start(&["--workers", "1"]);
+    let fresh = Daemon::start(&[]);
     let a_fresh = run_small_sequence(&fresh, "a-solo");
     let b_fresh = run_small_sequence(&fresh, "b-solo");
     for (label, interleaved, solo) in [("a", &a_report, &a_fresh), ("b", &b_report, &b_fresh)] {
@@ -400,57 +401,41 @@ fn multi_tenant_interleaved_matches_fresh_runs_and_stays_fair() {
 }
 
 #[test]
-fn queue_overflow_answers_429_and_recovers() {
-    let daemon = Daemon::start(&["--workers", "1", "--queue-depth", "1"]);
+fn concurrent_verifies_for_one_tenant_all_answer_alike() {
+    let daemon = Daemon::start(&[]);
     let (code, resp) = daemon.post(&submit("t", &wan_files(), &wan_spec()));
     assert_eq!(code, 200, "{resp:?}");
+    let (_, h) = daemon.post(&health());
+    let before = health_rounds(&h, "t");
 
-    // 8 concurrent verifies against queue depth 1: at most one can be
-    // in flight and one queued, so some must be refused with 429.
-    let addr = daemon.addr.clone();
-    let results: Vec<u16> = {
-        let handles: Vec<_> = (0..8)
-            .map(|_| {
-                let addr = addr.clone();
-                std::thread::spawn(move || {
-                    let body = serde_json::to_string(&verify("t")).unwrap();
-                    let mut stream = TcpStream::connect(&addr).unwrap();
-                    stream
-                        .set_read_timeout(Some(Duration::from_secs(120)))
-                        .unwrap();
-                    stream
-                        .write_all(
-                            format!(
-                                "POST /api/v1 HTTP/1.1\r\nHost: x\r\n\
-                                 Content-Length: {}\r\n\r\n{body}",
-                                body.len()
-                            )
-                            .as_bytes(),
-                        )
-                        .unwrap();
-                    let mut text = String::new();
-                    stream.read_to_string(&mut text).unwrap();
-                    text.split_whitespace()
-                        .nth(1)
-                        .and_then(|c| c.parse().ok())
-                        .unwrap_or(0)
-                })
+    // 8 verifies at once: the tenant's lock runs them one at a time,
+    // and every one answers with the same reports.
+    const BURST: u64 = 8;
+    let barrier = Arc::new(std::sync::Barrier::new(BURST as usize));
+    let handles: Vec<_> = (0..BURST)
+        .map(|_| {
+            let (addr, barrier) = (daemon.addr.clone(), barrier.clone());
+            std::thread::spawn(move || {
+                barrier.wait();
+                post_to(&addr, &verify("t"))
             })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    };
+        })
+        .collect();
+    let answers: Vec<(u16, Value)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let reports: Vec<String> = answers
+        .iter()
+        .map(|(code, resp)| {
+            assert_eq!(*code, 200, "{resp:?}");
+            assert_eq!(resp["ok"], true, "{resp:?}");
+            serde_json::to_string(&resp["result"]["reports"]).unwrap()
+        })
+        .collect();
     assert!(
-        results.contains(&429),
-        "burst past the queue bound must see 429s: {results:?}"
+        reports.iter().all(|r| *r == reports[0]),
+        "concurrent verifies of one tenant must report byte-identically"
     );
-    assert!(
-        results.contains(&200),
-        "admitted requests must still verify: {results:?}"
-    );
-    // The daemon recovers: a later call succeeds.
-    let (code, resp) = daemon.post(&verify("t"));
-    assert_eq!(code, 200, "after burst: {resp:?}");
-    assert_eq!(resp["ok"], true);
+    let (_, h) = daemon.post(&health());
+    assert_eq!(health_rounds(&h, "t"), before + BURST, "{h:?}");
 }
 
 #[test]
@@ -507,10 +492,22 @@ fn protocol_errors_are_typed() {
     }));
     assert_eq!(code, 400, "{resp:?}");
 
-    // Calls against a tenant with no submitted configuration.
-    let (code, resp) = daemon.post(&verify("ghost-tenant"));
-    assert_eq!(code, 422, "{resp:?}");
-    assert_eq!(resp["ok"], false);
+    // Calls against a tenant with no submitted configuration are
+    // refused, and leave no tenant entry and no per-tenant counter.
+    let all = serde_json::json!({ "property": Value::Null });
+    let cores = serde_json::json!({ "QueryCores": all });
+    for call in [
+        verify("ghost-tenant"),
+        delta("ghost-tenant", &small_files(R1)),
+        req("ghost-tenant", cores),
+        get_report("ghost-tenant"),
+    ] {
+        let (code, resp) = daemon.post(&call);
+        assert_eq!(code, 422, "{resp:?}");
+        assert_eq!(resp["ok"], false);
+    }
+    let (_, resp) = daemon.post(&health());
+    assert_eq!(resp["result"]["tenants"], serde_json::json!([]), "{resp:?}");
 
     // Health works without a tenant and lists api_version 1.
     let (code, resp) = daemon.post(&health());
@@ -526,6 +523,14 @@ fn protocol_errors_are_typed() {
     let mut text = String::new();
     stream.read_to_string(&mut text).unwrap();
     assert!(text.starts_with("HTTP/1.1 200"), "{text}");
+    let mut stream = TcpStream::connect(&daemon.addr).unwrap();
+    stream
+        .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+        .unwrap();
+    let mut text = String::new();
+    stream.read_to_string(&mut text).unwrap();
+    assert!(text.contains("serve.calls.Verify"), "{text}");
+    assert!(!text.contains("ghost-tenant"), "{text}");
 }
 
 #[test]
@@ -562,10 +567,10 @@ fn deeply_nested_body_is_a_400_and_the_daemon_lives_on() {
 fn closed_stdout_leaves_every_tenant_serving() {
     // A supervisor reads the listening line to learn the port, then
     // stops reading (`serve … | head -n1`). The per-round log line then
-    // meets a closed pipe; that must not panic a worker under a
-    // tenant's lock, drop the reply, or wedge the tenant's queue.
+    // meets a closed pipe; that must not panic a call under a tenant's
+    // lock, drop the reply, or wedge the tenant.
     let mut child = Command::new(bin())
-        .args(["serve", "--listen", "127.0.0.1:0", "--workers", "1"])
+        .args(["serve", "--listen", "127.0.0.1:0"])
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()

@@ -27,6 +27,7 @@ use crate::metrics::{MetricsSnapshot, Registry, BUCKET_BOUNDS_US};
 use serde_json::Value;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -328,10 +329,11 @@ impl Response {
 /// `405` (anything else).
 pub type Handler = Arc<dyn Fn(&Request) -> Option<Response> + Send + Sync>;
 
-/// Default bound on concurrently-served connections. Handlers are
-/// short-lived, so this is generous; what it prevents is an unbounded
-/// thread pile-up when clients open connections faster than the 5 s
-/// request deadline reaps them.
+/// Default bound on concurrently-served connections. A mounted handler
+/// holds its connection's slot for its whole call (a `serve` round),
+/// so this is also the bound on concurrent calls; what it prevents is
+/// an unbounded thread pile-up when clients open connections faster
+/// than calls finish or the 5 s request deadline reaps them.
 pub const DEFAULT_MAX_CONNS: usize = 64;
 
 /// A running telemetry server. Dropping it stops the accept loop
@@ -403,25 +405,21 @@ pub fn serve_with(
                     respond(&mut stream, 503, "text/plain", "connection limit reached\n");
                     continue;
                 }
-                live.fetch_add(1, Ordering::AcqRel);
+                let slot = Slot::take(&live);
                 // The whole request must arrive within 5 s of accept;
                 // a per-read timeout alone lets a client that trickles
                 // bytes hold its slot indefinitely.
                 let deadline = Instant::now() + Duration::from_secs(5);
-                let (reg, status) = (reg.clone(), status.clone());
-                let (handler, live2) = (handler.clone(), live.clone());
-                // Thread-per-connection: handlers are read-only and
-                // short-lived; a slow client cannot stall the next
-                // scrape.
-                let spawned = std::thread::Builder::new()
+                let (reg, status, handler) = (reg.clone(), status.clone(), handler.clone());
+                // Thread-per-connection: a slow client cannot stall the
+                // next scrape. A failed spawn drops the closure, and
+                // with it the slot.
+                let _ = std::thread::Builder::new()
                     .name("obs-http-conn".to_string())
                     .spawn(move || {
+                        let _slot = slot;
                         handle_conn(stream, deadline, &reg, &status, handler.as_ref());
-                        live2.fetch_sub(1, Ordering::AcqRel);
                     });
-                if spawned.is_err() {
-                    live.fetch_sub(1, Ordering::AcqRel);
-                }
             }
         })?;
     Ok(TelemetryServer {
@@ -429,6 +427,23 @@ pub fn serve_with(
         stop,
         handle: Some(handle),
     })
+}
+
+/// One of the `max_conns` connection slots, given back on drop, so a
+/// connection thread that unwinds still frees its slot.
+struct Slot(Arc<AtomicUsize>);
+
+impl Slot {
+    fn take(live: &Arc<AtomicUsize>) -> Slot {
+        live.fetch_add(1, Ordering::AcqRel);
+        Slot(live.clone())
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
 }
 
 /// Cap on the request head we are willing to buffer.
@@ -505,12 +520,21 @@ fn handle_conn(
     let mut body = buf[head_end..].to_vec();
     while body.len() < content_length {
         match read_before(&mut stream, &mut chunk, deadline) {
-            Ok(0) => break,
+            // The client half-closed early: a truncated body is not a
+            // request, and no handler may see it.
+            Ok(0) => {
+                return respond(
+                    &mut stream,
+                    400,
+                    "text/plain",
+                    "body shorter than Content-Length\n",
+                )
+            }
             Ok(n) => body.extend_from_slice(&chunk[..n]),
             Err(e) if timed_out(&e) => {
                 return respond(&mut stream, 408, "text/plain", "request timeout\n")
             }
-            Err(_) => break,
+            Err(_) => return,
         }
     }
     body.truncate(content_length);
@@ -555,8 +579,16 @@ fn handle_conn(
     // Everything the built-ins did not claim goes to the mounted
     // handler; without one (or when it declines) we keep the historic
     // answers: 404 for unknown GETs, 405 for other methods.
-    if let Some(resp) = handler.and_then(|h| h(&req)) {
-        return respond(&mut stream, resp.code, resp.content_type, &resp.body);
+    if let Some(h) = handler {
+        // A handler that panics answers 500; the panic hook has already
+        // reported it, and the connection still closes cleanly.
+        match std::panic::catch_unwind(AssertUnwindSafe(|| h(&req))) {
+            Ok(Some(resp)) => {
+                return respond(&mut stream, resp.code, resp.content_type, &resp.body)
+            }
+            Ok(None) => {}
+            Err(_) => return respond(&mut stream, 500, "text/plain", "handler panicked\n"),
+        }
     }
     if req.method == "GET" {
         respond(&mut stream, 404, "text/plain", "not found\n")
@@ -574,7 +606,6 @@ fn respond(stream: &mut TcpStream, code: u16, content_type: &str, body: &str) {
         408 => "Request Timeout",
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
-        429 => "Too Many Requests",
         503 => "Service Unavailable",
         _ => "Internal Server Error",
     };
@@ -913,5 +944,71 @@ mod tests {
         let mut text = String::new();
         s.read_to_string(&mut text).unwrap();
         assert!(text.starts_with("HTTP/1.1 413"), "got: {text:?}");
+    }
+
+    /// Send `raw` on a fresh connection, half-close, and read the whole
+    /// answer.
+    fn exchange(addr: SocketAddr, raw: &[u8]) -> String {
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(raw).unwrap();
+        s.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut text = String::new();
+        let _ = s.read_to_string(&mut text);
+        text
+    }
+
+    #[test]
+    fn panicking_handler_answers_500_and_frees_its_slot() {
+        let handler: Handler = Arc::new(|_: &Request| panic!("handler bug"));
+        let server = serve_with(
+            "127.0.0.1:0",
+            Registry::new(),
+            Status::new(None),
+            Some(handler),
+            1,
+        )
+        .unwrap();
+        let addr = server.addr();
+        let text = exchange(addr, b"POST /boom HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+        assert!(text.starts_with("HTTP/1.1 500"), "got: {text:?}");
+        // The only slot comes back once the connection thread ends;
+        // until then a probe may still see 503.
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while get(addr, "/metrics").0 != 200 {
+            assert!(Instant::now() < deadline, "the panicked slot was not freed");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    #[test]
+    fn truncated_body_is_a_400_the_handler_never_sees() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let seen = calls.clone();
+        let handler: Handler = Arc::new(move |req: &Request| {
+            seen.fetch_add(1, Ordering::SeqCst);
+            Some(Response::text(200, req.body.len().to_string()))
+        });
+        let server = serve_with(
+            "127.0.0.1:0",
+            Registry::new(),
+            Status::new(None),
+            Some(handler),
+            DEFAULT_MAX_CONNS,
+        )
+        .unwrap();
+        let addr = server.addr();
+        let text = exchange(
+            addr,
+            b"POST /len HTTP/1.1\r\nContent-Length: 10\r\n\r\nhello",
+        );
+        assert!(text.starts_with("HTTP/1.1 400"), "got: {text:?}");
+        assert_eq!(calls.load(Ordering::SeqCst), 0);
+        // A whole body still reaches the handler.
+        let text = exchange(
+            addr,
+            b"POST /len HTTP/1.1\r\nContent-Length: 5\r\n\r\nhello",
+        );
+        assert!(text.ends_with("\r\n\r\n5"), "got: {text:?}");
+        assert_eq!(calls.load(Ordering::SeqCst), 1);
     }
 }

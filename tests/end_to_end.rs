@@ -102,6 +102,63 @@ fn fullmesh_verifies_and_counts_checks_linearly() {
     }
 }
 
+/// Figure 3's shape (§6.2) on full meshes n = 2..5: each local check's
+/// query stays the same size as the network grows and the check count
+/// stays linear in its edges, while Minesweeper's one monolithic
+/// encoding grows faster than the edges. Both verify at every n.
+/// Prints one row per n.
+#[test]
+fn figure3_local_checks_stay_flat_while_minesweeper_grows() {
+    println!("n  edges  checks  max_vars  max_clauses  ms_vars  ms_clauses");
+    let mut rows = Vec::new();
+    for n in 2..=5 {
+        let s = fullmesh::build(n);
+        let topo = &s.network.topology;
+        // The reference oracle gives every check its own solver, so
+        // each query's size is that check's alone.
+        let ly = Verifier::new(topo, &s.network.policy)
+            .with_ghost(s.ghost.clone())
+            .verify_safety_reference(std::slice::from_ref(&s.property), &s.invariants);
+        assert!(ly.all_passed(), "n={n}: {}", ly.format_failures(topo));
+        let ms = Minesweeper::new(topo, &s.network.policy)
+            .with_ghost(s.ghost.clone())
+            .verify(s.property.location, &s.property.pred);
+        assert!(ms.verified(), "n={n}: Minesweeper must verify");
+        let edges = topo.num_edges();
+        assert!(
+            ly.num_checks() <= 2 * edges + 1,
+            "n={n}: {} checks for {edges} edges",
+            ly.num_checks()
+        );
+        let row = (edges, ly.max_vars(), ly.max_clauses(), ms.stats.num_vars);
+        println!(
+            "{n}  {edges:5}  {:6}  {:8}  {:11}  {:7}  {:10}",
+            ly.num_checks(),
+            row.1,
+            row.2,
+            row.3,
+            ms.stats.num_clauses
+        );
+        rows.push(row);
+    }
+    let (first, last) = (rows[0], rows[rows.len() - 1]);
+    for &(_, vars, clauses, _) in &rows {
+        assert_eq!(
+            (vars, clauses),
+            (first.1, first.2),
+            "local query size must stay flat"
+        );
+    }
+    assert!(
+        last.3 * first.0 as u64 > first.3 * last.0 as u64,
+        "Minesweeper's variables ({} -> {}) must grow faster than the edges ({} -> {})",
+        first.3,
+        last.3,
+        first.0,
+        last.0
+    );
+}
+
 #[test]
 fn parallel_and_sequential_reports_match_on_fullmesh() {
     let s = fullmesh::build(5);
