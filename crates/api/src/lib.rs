@@ -8,11 +8,14 @@
 //! Two halves:
 //!
 //! * [`report`] — the report document types ([`report::PropertyReport`],
-//!   [`report::FailureDoc`], [`report::CoreDoc`], [`report::ExecDoc`])
-//!   and the cached-result spill schema ([`report::SpilledCheck`]).
-//!   `verify --json`, the daemon's `GetReport`, and the on-disk result
-//!   cache all render through these types; the `verify --json` bytes
-//!   are pinned by a golden test in `crates/cli`.
+//!   [`report::FailureDoc`], [`report::CoreDoc`], [`report::ExecDoc`]),
+//!   the borrowed rows that stream as the same entries
+//!   ([`report::PropertyHead`], [`report::FailureRow`],
+//!   [`report::CoreRow`]) and the cached-result spill schema
+//!   ([`report::SpilledCheck`]). `verify --json`, the daemon's
+//!   `GetReport`, and the on-disk result cache all render through one
+//!   field order per entry; the `verify --json` bytes are pinned by a
+//!   golden test in `crates/cli`.
 //! * [`wire`] — the request/response envelope of the `serve` daemon
 //!   ([`wire::ApiRequest`] / [`wire::ApiResponse`] with an explicit
 //!   `api_version` field, and the typed calls in [`wire::ApiCall`]).
@@ -25,5 +28,7 @@
 pub mod report;
 pub mod wire;
 
-pub use report::{CoreDoc, ExecDoc, FailureDoc, PropertyReport, SpilledCheck};
+pub use report::{
+    CoreDoc, CoreRow, ExecDoc, FailureDoc, FailureRow, PropertyHead, PropertyReport, SpilledCheck,
+};
 pub use wire::{ApiCall, ApiRequest, ApiResponse, ConfigFile, API_VERSION};

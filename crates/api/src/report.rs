@@ -5,11 +5,17 @@
 //! contract; the `verify --json` rendering is pinned byte-for-byte by
 //! the golden test in `crates/cli/tests/golden.rs`.
 //!
-//! Each document states its fields once, as a [`Serialize::stream`]
-//! body. Serialising a document (`serde_json::to_string(&doc)`) runs
-//! that description straight into the text writer; `to_value()` runs
-//! the same description into the tree-building sink, so the two
-//! renderings cannot disagree on names or order.
+//! Each property entry's field order is stated once, as writers over
+//! borrowed parts: the property head ([`PropertyHead`]), a failure and
+//! a core. Two sources feed them. The owned documents
+//! ([`PropertyReport`], [`FailureDoc`], [`CoreDoc`]) are what the
+//! daemon stores and decodes; the borrowed rows ([`FailureRow`],
+//! [`CoreRow`]) point into an engine summary, and `verify --json`
+//! streams them without building a document. Serialising either
+//! (`serde_json::to_string(&doc)`) runs the writer straight into the
+//! text writer; `to_value()` runs the same writer into the
+//! tree-building sink, so no two renderings can disagree on names or
+//! order.
 
 use serde::{build_value, Serialize, Sink};
 use serde_json::Value;
@@ -34,13 +40,30 @@ impl Serialize for FailureDoc {
     }
 
     fn stream<S: Sink>(&self, out: &mut S) {
-        out.begin_object();
-        out.field("kind", &self.kind);
-        out.field("location", &self.location);
-        out.field("route_map", &self.route_map);
-        out.field("description", &self.description);
-        out.end_object();
+        write_failure(
+            out,
+            &self.kind,
+            &self.location,
+            &self.route_map,
+            &self.description,
+        );
     }
+}
+
+/// A failure entry's one field order, whatever owns its parts.
+fn write_failure<S: Sink>(
+    out: &mut S,
+    kind: &str,
+    location: &(impl Serialize + ?Sized),
+    route_map: &(impl Serialize + ?Sized),
+    description: &str,
+) {
+    out.begin_object();
+    out.field("kind", kind);
+    out.field("location", location);
+    out.field("route_map", route_map);
+    out.field("description", description);
+    out.end_object();
 }
 
 impl FailureDoc {
@@ -84,15 +107,36 @@ impl Serialize for CoreDoc {
     }
 
     fn stream<S: Sink>(&self, out: &mut S) {
-        out.begin_object();
-        out.field("check", &self.check);
-        out.field("kind", &self.kind);
-        out.field("location", &self.location);
-        out.field("core", &self.core);
-        out.field("load_bearing", &self.load_bearing);
-        out.field("conjuncts", &self.conjuncts);
-        out.end_object();
+        write_core(
+            out,
+            self.check,
+            &self.kind,
+            &self.location,
+            &self.core,
+            &self.load_bearing,
+            self.conjuncts,
+        );
     }
+}
+
+/// A core entry's one field order, whatever owns its parts.
+fn write_core<S: Sink>(
+    out: &mut S,
+    check: u64,
+    kind: &str,
+    location: &(impl Serialize + ?Sized),
+    core: &(impl Serialize + ?Sized),
+    load_bearing: &(impl Serialize + ?Sized),
+    conjuncts: u64,
+) {
+    out.begin_object();
+    out.field("check", &check);
+    out.field("kind", kind);
+    out.field("location", location);
+    out.field("core", core);
+    out.field("load_bearing", load_bearing);
+    out.field("conjuncts", &conjuncts);
+    out.end_object();
 }
 
 impl CoreDoc {
@@ -137,8 +181,10 @@ pub struct TimingDoc {
 }
 
 /// One property's verification report — safety or liveness, one-shot
-/// (`verify`) or re-verified (`watch`/`plan`/`serve`). The single
-/// rendering of results every surface shares.
+/// (`verify`) or re-verified (`watch`/`plan`/`serve`) — as an owned
+/// document, for a surface that stores or decodes it. It streams
+/// through [`write_property`], the one field order `verify --json`
+/// also feeds from borrowed rows.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PropertyReport {
     /// Property display name.
@@ -163,25 +209,198 @@ impl Serialize for PropertyReport {
     }
 
     fn stream<S: Sink>(&self, out: &mut S) {
-        out.begin_object();
-        out.field("property", &self.property);
-        if self.liveness {
-            out.field("kind", "liveness");
+        write_property(out, &self.head(), &self.failures, &self.cores);
+    }
+}
+
+/// A property entry's fields before its two arrays, borrowed from
+/// whatever holds them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PropertyHead<'a> {
+    /// Property display name.
+    pub property: &'a str,
+    /// Liveness properties carry a `"kind": "liveness"` marker field.
+    pub liveness: bool,
+    /// Whether every check passed.
+    pub passed: bool,
+    /// Total checks generated.
+    pub checks: u64,
+    /// Solver statistics, when the surface reports them.
+    pub timing: Option<TimingDoc>,
+}
+
+/// Stream one property entry in the pinned field order: `head`'s
+/// fields, then `failures` and `cores`, each a sequence of failure or
+/// core entries.
+pub fn write_property<S: Sink>(
+    out: &mut S,
+    head: &PropertyHead,
+    failures: &(impl Serialize + ?Sized),
+    cores: &(impl Serialize + ?Sized),
+) {
+    out.begin_object();
+    out.field("property", head.property);
+    if head.liveness {
+        out.field("kind", "liveness");
+    }
+    out.field("passed", &head.passed);
+    out.field("checks", &head.checks);
+    if let Some(t) = &head.timing {
+        out.field("solver_calls", &t.solver_calls);
+        out.field("total_seconds", &t.total_seconds);
+        out.field("solve_seconds", &t.solve_seconds);
+    }
+    out.field("failures", failures);
+    out.field("cores", cores);
+    out.end_object();
+}
+
+/// A location's text in pieces that concatenate to it: a router name
+/// and two empty pieces, or `["A", " -> ", "B"]` for an edge. Streams
+/// as one string, without joining the pieces first.
+pub type LocationPieces<'a> = [&'a str; 3];
+
+/// Streams [`LocationPieces`] as the one string they spell.
+struct Pieces<'a>(&'a LocationPieces<'a>);
+
+impl Serialize for Pieces<'_> {
+    fn to_value(&self) -> Value {
+        build_value(self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.str_pieces(self.0);
+    }
+}
+
+/// A failing check's entry over borrowed parts. Streams the bytes of the
+/// equal [`FailureDoc`].
+#[derive(Clone, Copy, Debug)]
+pub struct FailureRow<'a> {
+    /// Check kind.
+    pub kind: &'a str,
+    /// Human-readable location, in pieces.
+    pub location: LocationPieces<'a>,
+    /// The route-map involved, when the check has one.
+    pub route_map: Option<&'a str>,
+    /// The check's one-line description.
+    pub description: &'a str,
+}
+
+impl Serialize for FailureRow<'_> {
+    fn to_value(&self) -> Value {
+        build_value(self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        write_failure(
+            out,
+            self.kind,
+            &Pieces(&self.location),
+            &self.route_map,
+            self.description,
+        );
+    }
+}
+
+impl FailureRow<'_> {
+    /// The owned document this row streams as.
+    pub fn to_doc(&self) -> FailureDoc {
+        FailureDoc {
+            kind: self.kind.to_string(),
+            location: self.location.concat(),
+            route_map: self.route_map.map(str::to_string),
+            description: self.description.to_string(),
         }
-        out.field("passed", &self.passed);
-        out.field("checks", &self.checks);
-        if let Some(t) = &self.timing {
-            out.field("solver_calls", &t.solver_calls);
-            out.field("total_seconds", &t.total_seconds);
-            out.field("solve_seconds", &t.solve_seconds);
+    }
+}
+
+/// A passing check's blame entry over borrowed parts: the conjunct list
+/// of the invariant the check assumed, and the core's indices into it.
+/// Streams the bytes of the equal [`CoreDoc`].
+#[derive(Clone, Copy, Debug)]
+pub struct CoreRow<'a> {
+    /// Check id within its property's report.
+    pub check: usize,
+    /// Check kind.
+    pub kind: &'a str,
+    /// Human-readable location, in pieces.
+    pub location: LocationPieces<'a>,
+    /// Indices of the load-bearing conjuncts.
+    pub core: &'a [usize],
+    /// Every conjunct of the assumed invariant, rendered; an index
+    /// past the list names nothing.
+    pub conjuncts: &'a [String],
+}
+
+impl CoreRow<'_> {
+    /// The load-bearing conjuncts, in core order.
+    fn load_bearing(&self) -> impl Iterator<Item = &String> {
+        self.core.iter().filter_map(|&i| self.conjuncts.get(i))
+    }
+
+    /// The owned document this row streams as.
+    pub fn to_doc(&self) -> CoreDoc {
+        CoreDoc {
+            check: self.check as u64,
+            kind: self.kind.to_string(),
+            location: self.location.concat(),
+            core: self.core.iter().map(|&i| i as u64).collect(),
+            load_bearing: self.load_bearing().cloned().collect(),
+            conjuncts: self.conjuncts.len() as u64,
         }
-        out.field("failures", &self.failures);
-        out.field("cores", &self.cores);
-        out.end_object();
+    }
+}
+
+impl Serialize for CoreRow<'_> {
+    fn to_value(&self) -> Value {
+        build_value(self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        write_core(
+            out,
+            self.check as u64,
+            self.kind,
+            &Pieces(&self.location),
+            self.core,
+            &Rows(|| self.load_bearing()),
+            self.conjuncts.len() as u64,
+        );
+    }
+}
+
+/// A sequence streamed from an iterator made on demand: its items are
+/// written as they are produced, never collected.
+pub struct Rows<F>(pub F);
+
+impl<F, I> Serialize for Rows<F>
+where
+    F: Fn() -> I,
+    I: IntoIterator,
+    I::Item: Serialize,
+{
+    fn to_value(&self) -> Value {
+        build_value(self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.seq((self.0)());
     }
 }
 
 impl PropertyReport {
+    /// The entry's fields before its two arrays.
+    pub fn head(&self) -> PropertyHead<'_> {
+        PropertyHead {
+            property: &self.property,
+            liveness: self.liveness,
+            passed: self.passed,
+            checks: self.checks,
+            timing: self.timing,
+        }
+    }
+
     /// Render in the pinned field order: `property`, \[`"kind"`\],
     /// `passed`, `checks`, \[`solver_calls`, `total_seconds`,
     /// `solve_seconds`\], `failures`, `cores`.

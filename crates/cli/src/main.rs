@@ -138,17 +138,18 @@ mod telemetry;
 mod watch;
 
 use bgp_config::{lower, parse_config, Network};
+use bgp_model::topology::Topology;
 use lightyear::check::ReportSummary;
-use lightyear::engine::RunMode;
+use lightyear::engine::{ConjunctTable, RunMode};
 use orchestrator::RunStats;
 use profile::StageClock;
-use serde::Serialize;
+use serde::{Serialize, Sink};
 use spec::{Bound, Spec};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -447,14 +448,14 @@ fn verify(args: &[String], out: &mut String) -> ExitCode {
     if reg.is_some() {
         obs::uninstall();
     }
-    let run = match run {
+    let mut run = match run {
         Ok(run) => run,
         Err(e) => return fail(&e),
     };
     // The flags that ask about orchestration get its statistics back.
     let show_exec = parallel || jobs.is_some() || use_cache;
     if as_json {
-        render_json(&run, show_exec, reg.as_deref(), out);
+        render_json(&mut run, show_exec, reg.as_deref(), out);
     } else {
         render_text(&run, show_exec, &cache_dir, out);
     }
@@ -478,7 +479,8 @@ pub(crate) struct RunOpts {
     pub(crate) pool: bool,
     /// The result cache's spill directory and its optional entry bound.
     pub(crate) cache: Option<(PathBuf, Option<usize>)>,
-    /// Build each property's `--json` document (cores retained).
+    /// Keep what the `--json` blame view renders: each passing check's
+    /// head and core, and each property's conjunct table.
     pub(crate) docs: bool,
 }
 
@@ -487,8 +489,24 @@ pub(crate) struct PropertyRun {
     pub(crate) name: String,
     pub(crate) liveness: bool,
     pub(crate) summary: ReportSummary,
-    /// The `--json` document, under [`RunOpts::docs`].
-    pub(crate) doc: Option<api::PropertyReport>,
+    /// The table the summary's cores index into, under
+    /// [`RunOpts::docs`] (empty otherwise).
+    pub(crate) conjuncts: ConjunctTable,
+}
+
+impl PropertyRun {
+    /// The property's `--json` entry, borrowed from the run. Safety
+    /// entries carry the run's timing.
+    fn view<'a>(&'a self, topo: &'a Topology) -> render::PropertyView<'a> {
+        render::PropertyView {
+            name: &self.name,
+            liveness: self.liveness,
+            summary: &self.summary,
+            topo,
+            conjuncts: &self.conjuncts,
+            timing: (!self.liveness).then(|| render::run_timing(&self.summary)),
+        }
+    }
 }
 
 /// What one [`run`] produced: the renderers' single source.
@@ -560,10 +578,11 @@ pub(crate) fn run(dir: &str, spec_path: &str, opts: &RunOpts) -> Result<Run, Str
         .map(|(p, i)| (std::slice::from_ref(p), i))
         .collect();
     // The `load` stage ends here: files read, parsed and lowered, the
-    // spec bound to the topology. `report` collects the time spent
-    // turning summaries into report documents.
-    let load = t_start.elapsed();
-    let mut report = Duration::ZERO;
+    // spec bound to the topology. `report` collects the time spent on
+    // the blame view: the conjunct tables here, the streamed entries in
+    // `render_json`.
+    let mut clock = StageClock::start(t_start);
+    clock.load = t_start.elapsed();
     // Streaming assembly: outcomes fold into per-suite summaries as
     // their groups complete, so report memory is O(solve frontier +
     // failures), not O(checks). Cores are only retained when the
@@ -571,17 +590,12 @@ pub(crate) fn run(dir: &str, spec_path: &str, opts: &RunOpts) -> Result<Run, Str
     let multi = verifier.verify_safety_batch_streaming(&suites, opts.docs);
     let mut exec = multi.exec;
     let mut props = Vec::with_capacity(safety.len() + liveness.len());
-    for ((s, bound), summary) in spec.safety.iter().zip(&safety).zip(multi.summaries) {
-        let t_report = Instant::now();
-        let doc = opts
-            .docs
-            .then(|| render::safety_report(&s.name, &summary, &verifier, bound, true));
-        report += t_report.elapsed();
+    for (s, summary) in spec.safety.iter().zip(multi.summaries) {
         props.push(PropertyRun {
             name: s.name.clone(),
             liveness: false,
             summary,
-            doc,
+            conjuncts: ConjunctTable::default(),
         });
     }
     for (l, live) in spec.liveness.iter().zip(&liveness) {
@@ -589,18 +603,23 @@ pub(crate) fn run(dir: &str, spec_path: &str, opts: &RunOpts) -> Result<Run, Str
             .verify_liveness(live)
             .map_err(|e| format!("liveness {}: {e}", l.name))?;
         exec.merge(&result.exec);
-        let summary = result.summarize();
-        let t_report = Instant::now();
-        let doc = opts
-            .docs
-            .then(|| render::liveness_report(&l.name, &summary, &verifier, live));
-        report += t_report.elapsed();
         props.push(PropertyRun {
             name: l.name.clone(),
             liveness: true,
-            summary,
-            doc,
+            summary: result.summarize(),
+            conjuncts: ConjunctTable::default(),
         });
+    }
+    if opts.docs {
+        let t_report = Instant::now();
+        let (safe, live) = props.split_at_mut(safety.len());
+        for (p, bound) in safe.iter_mut().zip(&safety) {
+            p.conjuncts = render::safety_conjuncts(&verifier, bound);
+        }
+        for (p, l) in live.iter_mut().zip(&liveness) {
+            p.conjuncts = render::liveness_conjuncts(&verifier, l);
+        }
+        clock.report += t_report.elapsed();
     }
     let mut cache_saved = None;
     if let (Some(c), Some((cache_dir, _))) = (&cache, &opts.cache) {
@@ -611,17 +630,14 @@ pub(crate) fn run(dir: &str, spec_path: &str, opts: &RunOpts) -> Result<Run, Str
     }
     // The verifier borrows `net`, which the run hands to its renderers.
     drop(verifier);
+    clock.stop();
     Ok(Run {
         net,
         props,
         exec,
         cache_loaded,
         cache_saved,
-        clock: StageClock {
-            wall: t_start.elapsed(),
-            load,
-            report,
-        },
+        clock,
     })
 }
 
@@ -683,66 +699,39 @@ fn render_text(run: &Run, show_exec: bool, cache_dir: &Path, out: &mut String) {
     }
 }
 
-/// `verify --json`: the property documents, the exec entry when asked,
-/// and the trailing `timings` + `metrics` entry.
-fn render_json(run: &Run, show_exec: bool, reg: Option<&obs::Registry>, out: &mut String) {
-    let mut entries: Vec<JsonEntry> = run
-        .props
-        .iter()
-        .filter_map(|p| p.doc.as_ref())
-        .map(JsonEntry::Property)
-        .collect();
+/// `verify --json`: the property entries, streamed from the summaries,
+/// the exec entry when asked, and the trailing `timings` + `metrics`
+/// entry. The clock stops once the property entries are written, so the
+/// `report` stage holds the whole blame view and the stages still sum
+/// to the wall clock.
+fn render_json(run: &mut Run, show_exec: bool, reg: Option<&obs::Registry>, out: &mut String) {
+    let t_report = Instant::now();
+    // A size hint, not a bound: an indented core or failure entry is
+    // about 250 bytes on the WAN workloads.
+    let rows: usize = (run.props.iter())
+        .map(|p| p.summary.cores().len() + p.summary.failures().len() + 1)
+        .sum();
+    let mut text = std::mem::take(out);
+    text.reserve(256 * (rows + 32));
+    let mut ser = serde_json::Serializer::pretty(text);
+    ser.begin_array();
+    for p in &run.props {
+        p.view(&run.net.topology).stream(&mut ser);
+    }
+    run.clock.report += t_report.elapsed();
+    run.clock.stop();
     if show_exec {
-        entries.push(JsonEntry::Exec(render::exec_doc(&run.exec)));
+        render::exec_doc(&run.exec).stream(&mut ser);
     }
     if let Some(reg) = reg {
         let snap = reg.snapshot();
-        entries.push(JsonEntry::Telemetry(serde_json::json!({
+        serde_json::json!({
             "timings": profile::stages_json(&snap, &run.clock),
             "metrics": snap.to_json(),
-        })));
-    }
-    render_json_report(&entries, out);
-}
-
-/// One entry of the `verify --json` array. Entries stay typed until
-/// [`render_json_report`] streams them: no intermediate `Value` tree.
-enum JsonEntry<'a> {
-    Property(&'a api::PropertyReport),
-    Exec(api::ExecDoc),
-    /// The trailing `timings` + `metrics` object.
-    Telemetry(serde_json::Value),
-}
-
-impl Serialize for JsonEntry<'_> {
-    fn to_value(&self) -> serde_json::Value {
-        serde::build_value(self)
-    }
-
-    fn stream<S: serde::Sink>(&self, out: &mut S) {
-        match self {
-            JsonEntry::Property(doc) => doc.stream(out),
-            JsonEntry::Exec(doc) => doc.stream(out),
-            JsonEntry::Telemetry(v) => v.stream(out),
-        }
-    }
-}
-
-/// Serialise the report array once, onto the end of `out`.
-fn render_json_report(entries: &[JsonEntry], out: &mut String) {
-    // A size hint, not a bound: an indented core or failure entry is
-    // about 250 bytes on the WAN workloads.
-    let rows: usize = entries
-        .iter()
-        .map(|e| match e {
-            JsonEntry::Property(p) => p.cores.len() + p.failures.len() + 1,
-            JsonEntry::Exec(_) | JsonEntry::Telemetry(_) => 16,
         })
-        .sum();
-    let mut text = std::mem::take(out);
-    text.reserve(256 * rows);
-    let mut ser = serde_json::Serializer::pretty(text);
-    entries.stream(&mut ser);
+        .stream(&mut ser);
+    }
+    ser.end_array();
     *out = ser.into_inner();
     out.push('\n');
 }

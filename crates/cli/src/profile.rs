@@ -17,7 +17,7 @@
 use crate::{exit, fail, flag_value, positionals, positive, run, usage_error, verdict_line};
 use crate::{PropertyRun, RunOpts};
 use std::process::ExitCode;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The busy-time stages, measured on the workers: `(stage, counter)`.
 /// `terms` + `blast` + `feed` is what used to be one `encode` stage
@@ -33,14 +33,32 @@ const BUSY_STAGES: [(&str, &str); 5] = [
 /// The wall-clock laps a command takes itself, on its own thread,
 /// around the engine: the two serial stages no counter covers.
 pub(crate) struct StageClock {
-    /// The whole run.
+    start: Instant,
+    /// The whole run, from `start` to the last [`StageClock::stop`].
     pub(crate) wall: Duration,
     /// Reading, parsing and lowering the configurations, and resolving
     /// the spec against the topology: everything before the first check.
     pub(crate) load: Duration,
-    /// Building report documents from summaries: the conjunct table and
-    /// the per-check blame entries of `--json` (zero without it).
+    /// The `--json` blame view: the conjunct tables and the streamed
+    /// property entries (zero without it).
     pub(crate) report: Duration,
+}
+
+impl StageClock {
+    /// A clock for a run that began at `start`.
+    pub(crate) fn start(start: Instant) -> StageClock {
+        StageClock {
+            start,
+            wall: Duration::ZERO,
+            load: Duration::ZERO,
+            report: Duration::ZERO,
+        }
+    }
+
+    /// End the wall lap now; a later stop extends it.
+    pub(crate) fn stop(&mut self) {
+        self.wall = self.start.elapsed();
+    }
 }
 
 /// Wall-clock attribution of a run into pipeline stages, from the

@@ -1,15 +1,20 @@
-//! The one bridge from engine reports to the shared [`api`] report
-//! schema. `verify --json`, `watch`/`plan` rounds, and the `serve`
-//! daemon all build their [`api::PropertyReport`]s here, so the CLI
-//! and the server render results identically by construction.
+//! The one bridge from engine summaries to the shared [`api`] report
+//! schema. One walk over a property's [`ReportSummary`] yields borrowed
+//! rows ([`api::FailureRow`], [`api::CoreRow`]) under the property's
+//! head: `verify --json` streams them straight into its writer, and
+//! `watch`/`plan`/`serve` collect them into the owned
+//! [`api::PropertyReport`]s they store. Both feed the same field order,
+//! so the CLI and the server render results identically by
+//! construction.
 
-use api::report::TimingDoc;
+use api::report::{write_property, Rows, TimingDoc};
 use bgp_model::topology::Topology;
 use lightyear::check::ReportSummary;
-use lightyear::engine::Verifier;
+use lightyear::engine::{ConjunctTable, Verifier};
 use lightyear::invariants::NetworkInvariants;
 use lightyear::liveness::LivenessSpec;
 use lightyear::safety::SafetyProperty;
+use serde::{Serialize, Sink};
 
 /// How text output names a property: `NAME`, or `NAME (liveness)`.
 pub(crate) fn label(name: &str, liveness: bool) -> String {
@@ -20,89 +25,107 @@ pub(crate) fn label(name: &str, liveness: bool) -> String {
     }
 }
 
-/// A safety property's document, its cores indexed into the conjunct
-/// table `verifier` renders for `(prop, inv)`. `timing` is carried by
-/// one-shot `verify` entries and omitted where byte-stability across
-/// runs matters (daemon reports).
-pub(crate) fn safety_report(
-    name: &str,
-    report: &ReportSummary,
+/// The conjunct table a safety property's cores index into.
+pub(crate) fn safety_conjuncts(
     verifier: &Verifier,
     (prop, inv): &(SafetyProperty, NetworkInvariants),
-    timing: bool,
-) -> api::PropertyReport {
-    let conjs = verifier.check_conjuncts_all(std::slice::from_ref(prop), inv);
-    let timing = timing.then(|| run_timing(report));
-    property_report(name, false, report, verifier.topology(), &conjs, timing)
+) -> ConjunctTable {
+    verifier.conjunct_table(std::slice::from_ref(prop), inv)
 }
 
-/// A liveness property's document (never timed), its cores indexed
-/// into the conjunct table of `spec`'s walk.
-pub(crate) fn liveness_report(
-    name: &str,
-    report: &ReportSummary,
-    verifier: &Verifier,
-    spec: &LivenessSpec,
-) -> api::PropertyReport {
-    let conjs = verifier
-        .liveness_check_conjuncts(spec)
-        .expect("verify_liveness accepted the spec");
-    property_report(name, true, report, verifier.topology(), &conjs, None)
+/// The conjunct table a liveness property's cores index into.
+pub(crate) fn liveness_conjuncts(verifier: &Verifier, spec: &LivenessSpec) -> ConjunctTable {
+    verifier
+        .liveness_conjunct_table(spec)
+        .expect("verify_liveness accepted the spec")
 }
 
-/// Render one property's [`ReportSummary`] as the shared document type.
-/// Taking the streaming summary (full `Report`s convert via
-/// `Report::summarize`) keeps rendering memory independent of check
-/// count — the summary already folded passing outcomes away.
-/// `conjunct_names` is the check-id-indexed conjunct table the core
-/// indices point into.
-fn property_report(
-    name: &str,
-    liveness: bool,
-    report: &ReportSummary,
-    topo: &Topology,
-    conjunct_names: &[Option<Vec<String>>],
-    timing: Option<TimingDoc>,
-) -> api::PropertyReport {
-    api::PropertyReport {
-        property: name.to_string(),
-        liveness,
-        passed: report.all_passed(),
-        checks: report.num_checks() as u64,
-        timing,
-        failures: report
+/// One property's entry, borrowed from its summary. Taking the
+/// streaming summary (full `Report`s convert via `Report::summarize`)
+/// keeps rendering memory independent of check count — the summary
+/// already folded passing outcomes away.
+pub(crate) struct PropertyView<'a> {
+    pub(crate) name: &'a str,
+    pub(crate) liveness: bool,
+    pub(crate) summary: &'a ReportSummary,
+    pub(crate) topo: &'a Topology,
+    /// The check-id-indexed table the core indices point into.
+    pub(crate) conjuncts: &'a ConjunctTable,
+    /// Carried by one-shot `verify` safety entries; omitted where
+    /// byte-stability across runs matters (daemon reports).
+    pub(crate) timing: Option<TimingDoc>,
+}
+
+impl<'a> PropertyView<'a> {
+    fn head(&self) -> api::PropertyHead<'a> {
+        api::PropertyHead {
+            property: self.name,
+            liveness: self.liveness,
+            passed: self.summary.all_passed(),
+            checks: self.summary.num_checks() as u64,
+            timing: self.timing,
+        }
+    }
+
+    fn failures(&self) -> impl Iterator<Item = api::FailureRow<'a>> {
+        let topo = self.topo;
+        self.summary
             .failures()
             .iter()
-            .map(|f| api::FailureDoc {
-                kind: f.check.kind.to_string(),
-                location: f.check.location.display(topo),
-                route_map: f.check.map_name.clone(),
-                description: f.check.description.clone(),
+            .map(move |f| api::FailureRow {
+                kind: f.check.kind.as_str(),
+                location: f.check.location.display_parts(topo),
+                route_map: f.check.map_name.as_deref(),
+                description: &f.check.description,
             })
-            .collect(),
-        cores: report
+    }
+
+    fn cores(&self) -> impl Iterator<Item = api::CoreRow<'a>> {
+        let (topo, conjuncts) = (self.topo, self.conjuncts);
+        self.summary
             .cores()
             .iter()
-            .map(|(check, core)| {
-                let conjs: &[String] = match conjunct_names.get(check.id) {
-                    Some(Some(names)) => names,
-                    _ => &[],
-                };
-                api::CoreDoc {
-                    check: check.id as u64,
-                    kind: check.kind.to_string(),
-                    location: check.location.display(topo),
-                    core: core.iter().map(|&i| i as u64).collect(),
-                    load_bearing: core.iter().filter_map(|&i| conjs.get(i).cloned()).collect(),
-                    conjuncts: conjs.len() as u64,
-                }
+            .map(move |(head, core)| api::CoreRow {
+                check: head.id,
+                kind: head.kind.as_str(),
+                location: head.location.display_parts(topo),
+                core,
+                conjuncts: conjuncts.conjuncts(head.id),
             })
-            .collect(),
+    }
+
+    /// The owned document, for a surface that stores it.
+    pub(crate) fn to_doc(&self) -> api::PropertyReport {
+        let head = self.head();
+        api::PropertyReport {
+            property: head.property.to_string(),
+            liveness: head.liveness,
+            passed: head.passed,
+            checks: head.checks,
+            timing: head.timing,
+            failures: self.failures().map(|f| f.to_doc()).collect(),
+            cores: self.cores().map(|c| c.to_doc()).collect(),
+        }
+    }
+}
+
+impl Serialize for PropertyView<'_> {
+    fn to_value(&self) -> serde_json::Value {
+        serde::build_value(self)
+    }
+
+    fn stream<S: Sink>(&self, out: &mut S) {
+        write_property(
+            out,
+            &self.head(),
+            &Rows(|| self.failures()),
+            &Rows(|| self.cores()),
+        );
     }
 }
 
 /// The solver/timing statistics of a one-shot safety run.
-fn run_timing(report: &ReportSummary) -> TimingDoc {
+pub(crate) fn run_timing(report: &ReportSummary) -> TimingDoc {
     TimingDoc {
         solver_calls: report.solver_invocations() as u64,
         total_seconds: report.total_time.as_secs_f64(),

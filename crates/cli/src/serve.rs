@@ -9,9 +9,9 @@
 //!
 //! The wire protocol is the typed, versioned envelope of
 //! [`api::wire`]: `POST /api/v1` with an [`api::ApiRequest`], answered
-//! by an [`api::ApiResponse`] whose reports are the same
-//! [`api::PropertyReport`] documents `verify --json` emits — one
-//! serializer, no drift. The existing telemetry endpoints
+//! by an [`api::ApiResponse`] whose reports are [`api::PropertyReport`]
+//! documents collected from the rows `verify --json` streams — one
+//! field order, no drift. The existing telemetry endpoints
 //! (`/metrics`, `/healthz`, `/trace`) share the listener.
 //!
 //! ## Concurrency
@@ -20,6 +20,11 @@
 //! lock: one tenant's engines see one writer at a time, while tenants
 //! proceed in parallel and never wait on one another. `--max-conns`
 //! is the one bound on concurrent calls.
+//!
+//! A call that panics poisons its tenant's lock, and the engines it
+//! held may be half-advanced. The next call drops that session and
+//! answers [`STATE_LOST`] until a `SubmitConfigs` replaces it; other
+//! tenants never notice.
 
 use crate::session::{round_line, Session};
 use crate::spec::Spec;
@@ -31,11 +36,15 @@ use serde_json::Value;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// The answer to a call for a tenant that has no session.
 const NO_BASELINE: &str = "no configuration submitted for this tenant";
+
+/// The answer to a call for a tenant whose lock a panicked call
+/// poisoned, until a `SubmitConfigs` replaces its session.
+const STATE_LOST: &str = "tenant state lost in a failed call; resubmit";
 
 /// One tenant's verification state and last-round artifacts.
 #[derive(Default)]
@@ -62,6 +71,13 @@ impl Daemon {
         self.tele.reg.counter_labeled(name).add(1);
     }
 
+    /// The tenant table. Its critical sections only look up and insert
+    /// cells, so a panic elsewhere leaves it consistent and its poison
+    /// is ignored.
+    fn table(&self) -> MutexGuard<'_, HashMap<String, Arc<Mutex<Tenant>>>> {
+        self.tenants.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Run one call against its tenant, holding the tenant's lock for
     /// the whole call.
     fn execute(&self, tenant: &str, call: ApiCall) -> ApiResponse {
@@ -69,19 +85,19 @@ impl Daemon {
         if let ApiCall::SubmitConfigs { configs, spec } = call {
             return self.submit(tenant, &configs, spec);
         }
-        let Some(cell) = self
-            .tenants
-            .lock()
-            .expect("tenant table lock poisoned")
-            .get(tenant)
-            .cloned()
-        else {
+        let Some(cell) = self.table().get(tenant).cloned() else {
             return ApiResponse::failure(NO_BASELINE);
         };
         self.count(&format!("serve.tenant.{tenant}.calls"));
-        let mut guard = cell
-            .lock()
-            .expect("tenant lock poisoned by a panicked call");
+        let mut guard = match cell.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => {
+                // The poison stays until a submit clears it, so every
+                // call until then says why the tenant has no session.
+                poisoned.into_inner().session = None;
+                return ApiResponse::failure(STATE_LOST);
+            }
+        };
         let t = &mut *guard;
         // A tenant whose baseline submit is still starting has no
         // session yet.
@@ -143,17 +159,13 @@ impl Daemon {
             Ok(a) => a,
             Err(e) => return ApiResponse::failure(e),
         };
-        let cell = self
-            .tenants
-            .lock()
-            .expect("tenant table lock poisoned")
-            .entry(tenant.to_string())
-            .or_default()
-            .clone();
+        let cell = self.table().entry(tenant.to_string()).or_default().clone();
         self.count(&format!("serve.tenant.{tenant}.calls"));
-        let mut t = cell
-            .lock()
-            .expect("tenant lock poisoned by a panicked call");
+        // A submit replaces whatever session a panicked call left.
+        let mut t = cell.lock().unwrap_or_else(|poisoned| {
+            cell.clear_poison();
+            poisoned.into_inner()
+        });
         // A (re-)submit replaces the whole session; with a cache root
         // the new session starts from the tenant's spilled passes — the
         // warm-restart path.
@@ -208,9 +220,7 @@ impl Daemon {
         // Cloned out first: a tenant busy in a round must not hold the
         // table, and with it every other tenant's call, behind Health.
         let tenants: Vec<(String, Arc<Mutex<Tenant>>)> = self
-            .tenants
-            .lock()
-            .expect("tenant table lock poisoned")
+            .table()
             .iter()
             .map(|(name, cell)| (name.clone(), cell.clone()))
             .collect();
@@ -343,5 +353,75 @@ pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
     // so this loop keeps it for the process lifetime.
     loop {
         std::thread::sleep(Duration::from_secs(3600));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A daemon that does not listen; its flight recorder dumps into a
+    /// scratch directory when a test panics on purpose.
+    fn daemon() -> Daemon {
+        let dir = std::env::temp_dir().join(format!("lightyear-serve-unit-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let opts = TelemetryOpts {
+            listen: None,
+            metrics_json: None,
+            events_jsonl: None,
+            flight_json: dir.join("flight.json"),
+            stale_after: None,
+        };
+        Daemon {
+            tenants: Mutex::default(),
+            cache_root: None,
+            tele: opts.bring_up("serve").unwrap(),
+        }
+    }
+
+    fn call(d: &Daemon, call: ApiCall) -> (u16, ApiResponse) {
+        let body = serde_json::to_string(&ApiRequest::new("t", call).to_value()).unwrap();
+        d.handle(body.as_bytes())
+    }
+
+    fn submit() -> ApiCall {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
+        let read = |name: &str| std::fs::read_to_string(format!("{dir}/{name}")).unwrap();
+        ApiCall::SubmitConfigs {
+            configs: ["r1.cfg", "r2.cfg"]
+                .map(|name| ConfigFile {
+                    name: name.to_string(),
+                    text: read(name),
+                })
+                .to_vec(),
+            spec: serde_json::from_str(&read("spec.json")).unwrap(),
+        }
+    }
+
+    #[test]
+    fn a_panicked_call_costs_its_tenant_the_session_until_a_resubmit() {
+        let d = daemon();
+        let (code, resp) = call(&d, submit());
+        assert_eq!(code, 200, "{:?}", resp.error);
+        // A call that panics while it holds the tenant's lock.
+        let cell = d.table().get("t").cloned().unwrap();
+        let held = std::thread::spawn(move || {
+            let _tenant = cell.lock().unwrap();
+            panic!("a call panicked mid-round");
+        });
+        assert!(held.join().is_err());
+
+        for _ in 0..2 {
+            let (code, resp) = call(&d, ApiCall::Verify);
+            assert_eq!(code, 422);
+            assert_eq!(resp.error.as_deref(), Some(STATE_LOST));
+        }
+        // Health still reads the tenant, and the daemon keeps serving.
+        assert_eq!(call(&d, ApiCall::Health).0, 200);
+        let (code, resp) = call(&d, submit());
+        assert_eq!(code, 200, "{:?}", resp.error);
+        let (code, resp) = call(&d, ApiCall::Verify);
+        assert_eq!(code, 200, "{:?}", resp.error);
+        assert_eq!(resp.result["passed"], Value::Bool(true));
     }
 }

@@ -6,7 +6,9 @@
 //! produces the same [`api::PropertyReport`]s — whether it came from a
 //! file poll, a migration step, or an API request. A round binds its spec
 //! through [`Spec::bind`], like `verify`, so it decides the same
-//! properties: safety delta-scoped, liveness in full every round.
+//! properties: safety delta-scoped, liveness in full every round. The
+//! reports are collected from the same rows `verify --json` streams
+//! ([`render::PropertyView`]), because a round stores them.
 
 use crate::render;
 use crate::spec::{Bound, Spec};
@@ -160,6 +162,17 @@ impl Session {
                 violations.push_str(&report.format_failures(topo));
             }
         };
+        let doc = |name: &str, liveness: bool, summary: &ReportSummary, conjuncts| {
+            render::PropertyView {
+                name,
+                liveness,
+                summary,
+                topo,
+                conjuncts: &conjuncts,
+                timing: None,
+            }
+            .to_doc()
+        };
         let mut reports = Vec::with_capacity(safety.len() + live.len());
         for (engine, (s, bound @ (prop, inv))) in self
             .engines
@@ -175,13 +188,13 @@ impl Session {
             merge(&mut stats, &rstats);
             let report = report.summarize();
             note(&s.name, false, &report);
-            reports.push(render::safety_report(
-                &s.name, &report, &verifier, bound, false,
-            ));
+            let conjuncts = render::safety_conjuncts(&verifier, bound);
+            reports.push(doc(&s.name, false, &report, conjuncts));
         }
         for ((l, spec), report) in self.spec.liveness.iter().zip(&liveness).zip(&live) {
             note(&l.name, true, report);
-            reports.push(render::liveness_report(&l.name, report, &verifier, spec));
+            let conjuncts = render::liveness_conjuncts(&verifier, spec);
+            reports.push(doc(&l.name, true, report, conjuncts));
         }
         self.current = asts;
         Ok(RoundOutcome {

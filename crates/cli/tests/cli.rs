@@ -1390,6 +1390,13 @@ fn verify_json_stdout_layout_is_pinned() {
     ] {
         assert!(timings[key].as_f64().is_some(), "{key}: {timings:?}");
     }
+    // The blame view is a stage of its own: its conjunct tables and its
+    // streamed entries are inside `report`, and the wall clock stops
+    // after them, so the stages still sum to the wall.
+    let secs = |key: &str| timings[key].as_f64().unwrap();
+    assert!(secs("report_seconds") > 0.0, "{timings:?}");
+    let (sum, wall) = (secs("stage_sum_seconds"), secs("wall_seconds"));
+    assert!((sum - wall).abs() <= 1e-9 * wall.max(1.0), "{timings:?}");
 }
 
 #[test]

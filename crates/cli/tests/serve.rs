@@ -654,3 +654,54 @@ fn template_spec_rounds_report_liveness() {
         assert!(!live["cores"].as_array().unwrap().is_empty(), "{live:?}");
     }
 }
+
+#[test]
+fn get_report_documents_equal_verify_json_entries() {
+    // The same configs and spec through the two sources of a report
+    // entry: `verify --json` streams rows from its summaries, a tenant
+    // round stores owned documents built from the same rows. Safety
+    // passes with cores; the template's liveness property fails on
+    // `examples/` (R1 lacks the customer-prefix deny), so failures are
+    // compared too.
+    let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
+    let dir = tmpdir("agree");
+    let tpl = Command::new(bin()).arg("spec-template").output().unwrap();
+    let spec_path = dir.join("spec.json");
+    std::fs::write(&spec_path, &tpl.stdout).unwrap();
+    let out = Command::new(bin())
+        .args(["verify", "--json", "--configs", examples, "--spec"])
+        .arg(&spec_path)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let mut entries: Vec<Value> = serde_json::from_slice(&out.stdout).unwrap();
+    let telemetry = entries.pop().unwrap();
+    assert!(telemetry.get("timings").is_some(), "{telemetry:?}");
+    for e in &mut entries {
+        let Value::Object(fields) = e else {
+            panic!("{e:?}")
+        };
+        fields.retain(|(k, _)| {
+            !["solver_calls", "total_seconds", "solve_seconds"].contains(&k.as_str())
+        });
+    }
+    assert_eq!(entries.len(), 2, "{entries:?}");
+    assert!(!entries[0]["cores"].as_array().unwrap().is_empty());
+    assert!(!entries[1]["failures"].as_array().unwrap().is_empty());
+
+    let files: Vec<(String, String)> = ["r1.cfg", "r2.cfg"]
+        .iter()
+        .map(|name| {
+            let text = std::fs::read_to_string(format!("{examples}/{name}")).unwrap();
+            (name.to_string(), text)
+        })
+        .collect();
+    let spec: Value = serde_json::from_slice(&tpl.stdout).unwrap();
+    let daemon = Daemon::start(&[]);
+    let (code, resp) = daemon.post(&submit("agree", &files, &spec));
+    assert_eq!(code, 200, "{resp:?}");
+    let (code, resp) = daemon.post(&get_report("agree"));
+    assert_eq!(code, 200, "{resp:?}");
+    assert_eq!(resp["result"]["reports"], Value::Array(entries));
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -240,6 +240,12 @@ impl Serializer {
 
     fn write_str(&mut self, s: &str) {
         self.out.push('"');
+        self.write_escaped(s);
+        self.out.push('"');
+    }
+
+    /// `s` escaped, without quotes.
+    fn write_escaped(&mut self, s: &str) {
         let bytes = s.as_bytes();
         let mut start = 0;
         for (i, &b) in bytes.iter().enumerate() {
@@ -259,7 +265,6 @@ impl Serializer {
             }
         }
         self.out.push_str(&s[start..]);
-        self.out.push('"');
     }
 }
 
@@ -304,6 +309,15 @@ impl Sink for Serializer {
     fn str(&mut self, s: &str) {
         self.before_value();
         self.write_str(s);
+    }
+
+    fn str_pieces(&mut self, pieces: &[&str]) {
+        self.before_value();
+        self.out.push('"');
+        for piece in pieces {
+            self.write_escaped(piece);
+        }
+        self.out.push('"');
     }
 
     fn begin_array(&mut self) {

@@ -248,6 +248,11 @@ pub trait Sink {
     fn float(&mut self, f: f64);
     /// A string.
     fn str(&mut self, s: &str);
+    /// One string given in pieces, as if they were concatenated. The
+    /// default concatenates; a text writer can escape them in place.
+    fn str_pieces(&mut self, pieces: &[&str]) {
+        self.str(&pieces.concat());
+    }
     /// Open an array; its elements follow as values.
     fn begin_array(&mut self);
     /// Close the innermost array.

@@ -5,11 +5,13 @@
 //! route-map name and a concrete input/output route pair, pinpointing the
 //! erroneous policy directly.
 
+use crate::engine::SolvedCheck;
 use crate::invariants::Location;
 use crate::symbolic::ConcreteRoute;
 use bgp_model::topology::{EdgeId, Topology};
 use orchestrator::RunStats;
 use smt::SolverStats;
+use std::borrow::Cow;
 use std::fmt;
 use std::time::Duration;
 
@@ -30,17 +32,23 @@ pub enum CheckKind {
     NoInterference,
 }
 
-impl fmt::Display for CheckKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl CheckKind {
+    /// The kind's rendered name (`import`, `no-interference`, ...).
+    pub fn as_str(self) -> &'static str {
+        match self {
             CheckKind::Import => "import",
             CheckKind::Export => "export",
             CheckKind::Originate => "originate",
             CheckKind::Subsumption => "subsumption",
             CheckKind::Propagation => "propagation",
             CheckKind::NoInterference => "no-interference",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for CheckKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
     }
 }
 
@@ -59,6 +67,29 @@ pub struct Check {
     pub map_name: Option<String>,
     /// Human-readable description.
     pub description: String,
+}
+
+/// What the blame view renders of a check: its id, kind and location.
+/// A [`ReportSummary`] keeps this much of a passing check whose core it
+/// retains, and builds no [`Check`] for it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CheckHead {
+    /// Stable id within a run.
+    pub id: usize,
+    /// What kind of check.
+    pub kind: CheckKind,
+    /// The location the check pertains to.
+    pub location: Location,
+}
+
+impl From<&Check> for CheckHead {
+    fn from(c: &Check) -> CheckHead {
+        CheckHead {
+            id: c.id,
+            kind: c.kind,
+            location: c.location,
+        }
+    }
 }
 
 /// A counterexample to a failed check.
@@ -209,7 +240,10 @@ impl Report {
     pub fn summarize(&self) -> ReportSummary {
         let mut s = ReportSummary::new(true);
         for o in &self.outcomes {
-            s.push_with(&o.result, &o.stats, o.core.as_ref(), || o.check.clone());
+            let core = o.core.as_deref().map(Cow::Borrowed);
+            s.fold_in((&o.check).into(), &o.result, &o.stats, core, || {
+                o.check.clone()
+            });
         }
         if self.exec.generated > 0 {
             s.set_solver_invocations(self.exec.executed);
@@ -250,8 +284,8 @@ fn format_failure_outcomes<'a>(
 /// A streaming fold over check outcomes: everything report rendering
 /// reads from a [`Report`], without retaining the outcomes themselves.
 /// Passing checks collapse into aggregates the moment they arrive
-/// (their unsat cores optionally retained for the blame view); only
-/// failures are kept whole. This is what keeps `verify` memory
+/// (their heads and unsat cores optionally retained for the blame
+/// view); only failures are kept whole. This is what keeps `verify` memory
 /// O(solve frontier + failures) instead of O(checks) on an
 /// internet-scale corpus entry — see `Verifier::verify_safety_batch_streaming`.
 ///
@@ -263,7 +297,7 @@ pub struct ReportSummary {
     checks: usize,
     failures: Vec<CheckOutcome>,
     keep_cores: bool,
-    cores: Vec<(Check, Vec<usize>)>,
+    cores: Vec<(CheckHead, Vec<usize>)>,
     max_vars: u64,
     max_clauses: u64,
     solve_time: Duration,
@@ -285,36 +319,57 @@ impl ReportSummary {
         }
     }
 
-    /// Fold in one borrowed verdict (call in check-id order): the result
-    /// and the core are copied, and `describe` is called (at most once),
-    /// only when the summary keeps the outcome — a failure, or a core
-    /// under `keep_cores`. A passing check nobody will render costs
-    /// four aggregate updates and no allocation.
-    pub(crate) fn push_with(
+    /// Fold in one verdict of the pipeline (call in check-id order). A
+    /// borrowed verdict is copied in what the summary keeps, an owned
+    /// one gives up its core. `describe` is called (at most once) only
+    /// for a failure: a passing check leaves its head and core under
+    /// `keep_cores`, and nothing at all otherwise — four aggregate
+    /// updates and no allocation.
+    pub(crate) fn push(
         &mut self,
+        head: CheckHead,
+        solved: Cow<'_, SolvedCheck>,
+        describe: impl FnOnce() -> Check,
+    ) {
+        match solved {
+            Cow::Borrowed(s) => {
+                let core = s.core.as_deref().map(Cow::Borrowed);
+                self.fold_in(head, &s.result, &s.stats, core, describe)
+            }
+            Cow::Owned(SolvedCheck {
+                result,
+                stats,
+                core,
+            }) => self.fold_in(head, &result, &stats, core.map(Cow::Owned), describe),
+        }
+    }
+
+    /// The fold behind [`ReportSummary::push`] and [`Report::summarize`].
+    fn fold_in(
+        &mut self,
+        head: CheckHead,
         result: &CheckResult,
         stats: &SolverStats,
-        core: Option<&Vec<usize>>,
+        core: Option<Cow<'_, [usize]>>,
         describe: impl FnOnce() -> Check,
     ) {
         self.checks += 1;
         self.max_vars = self.max_vars.max(stats.num_vars);
         self.max_clauses = self.max_clauses.max(stats.num_clauses);
         self.solve_time += stats.solve_time;
-        let kept_core = core.filter(|_| self.keep_cores);
         if !result.passed() {
-            let check = describe();
-            if let Some(core) = kept_core {
-                self.cores.push((check.clone(), core.clone()));
+            let core = core.map(Cow::into_owned);
+            if let (true, Some(core)) = (self.keep_cores, &core) {
+                self.cores.push((head, core.clone()));
             }
             self.failures.push(CheckOutcome {
-                check,
+                check: describe(),
                 result: result.clone(),
                 stats: *stats,
-                core: core.cloned(),
+                core,
             });
-        } else if let Some(core) = kept_core {
-            self.cores.push((describe(), core.clone()));
+        } else if let (true, Some(core)) = (self.keep_cores, core) {
+            self.cores.push((head, core.into_owned()));
         }
     }
 
@@ -344,10 +399,11 @@ impl ReportSummary {
         &self.failures
     }
 
-    /// The retained `(check, load-bearing conjunct indices)` pairs of
-    /// passing checks (empty unless constructed with `keep_cores`).
-    pub fn cores(&self) -> Vec<(&Check, &[usize])> {
-        self.cores.iter().map(|(c, k)| (c, k.as_slice())).collect()
+    /// The retained `(check head, load-bearing conjunct indices)` pairs
+    /// of passing checks, in check-id order (empty unless constructed
+    /// with `keep_cores`).
+    pub fn cores(&self) -> &[(CheckHead, Vec<usize>)] {
+        &self.cores
     }
 
     /// Mirrors [`Report::max_vars`].
@@ -485,14 +541,39 @@ mod tests {
         assert_eq!(s.solver_invocations(), r.solver_invocations());
         assert_eq!(s.failures().len(), r.failures().len());
         assert_eq!(s.failures()[0].check.id, 1);
-        let (sc, rc) = (s.cores(), r.cores());
-        assert_eq!(sc.len(), rc.len());
-        assert_eq!(sc[0].0.id, rc[0].0.id);
-        assert_eq!(sc[0].1, rc[0].1);
+        // The blame rows: (id, kind, location, core), as the report has them.
+        let rows: Vec<(CheckHead, Vec<usize>)> = (r.cores().iter())
+            .map(|&(c, k)| (c.into(), k.to_vec()))
+            .collect();
+        assert_eq!(s.cores(), rows.as_slice());
+        // The pipeline's fold: a borrowed and an owned verdict leave the
+        // same rows, and only the failure is described.
+        let (mut lent, mut given, mut described) =
+            (ReportSummary::new(true), ReportSummary::new(true), 0);
+        for o in &r.outcomes {
+            let solved = SolvedCheck {
+                result: o.result.clone(),
+                stats: o.stats,
+                core: o.core.clone(),
+            };
+            let mut describe = || {
+                described += 1;
+                o.check.clone()
+            };
+            lent.push((&o.check).into(), Cow::Borrowed(&solved), &mut describe);
+            given.push((&o.check).into(), Cow::Owned(solved), describe);
+        }
+        assert_eq!(described, 2, "one failure, described once per summary");
+        assert_eq!(lent.cores(), rows.as_slice());
+        assert_eq!(given.cores(), rows.as_slice());
+        assert_eq!(given.failures()[0].check.id, 1);
         // Without keep_cores, passing checks leave no residue.
         let mut lean = ReportSummary::new(false);
         for o in &r.outcomes {
-            lean.push_with(&o.result, &o.stats, o.core.as_ref(), || o.check.clone());
+            let core = o.core.as_deref().map(Cow::Borrowed);
+            lean.fold_in((&o.check).into(), &o.result, &o.stats, core, || {
+                o.check.clone()
+            });
         }
         assert!(lean.cores().is_empty());
         assert_eq!(lean.num_checks(), 2);

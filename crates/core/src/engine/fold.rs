@@ -11,6 +11,7 @@ use crate::check::{CheckOutcome, Report, ReportSummary};
 use crate::fingerprint::{universe_digest, FpParts};
 use crate::universe::Universe;
 use orchestrator::{run_grouped, Executor, RunStats};
+use std::borrow::Cow;
 use std::time::{Duration, Instant};
 
 /// The result of a cross-property batch
@@ -88,7 +89,7 @@ impl<'a> Verifier<'a> {
         let t0 = Instant::now();
         let mut outcomes = Vec::with_capacity(checks.len());
         let exec = self.execute(universe, checks, &mut |i, solved| {
-            outcomes.push(self.outcome_of(&checks[i], solved.clone()))
+            outcomes.push(self.outcome_of(&checks[i], solved.into_owned()))
         });
         count_described();
         Report {
@@ -105,7 +106,7 @@ impl<'a> Verifier<'a> {
         &self,
         universe: &Universe,
         checks: &[ResolvedCheck],
-        sink: &mut dyn FnMut(usize, &SolvedCheck),
+        sink: &mut dyn FnMut(usize, Cow<'_, SolvedCheck>),
     ) -> RunStats {
         obs::add("engine.checks_posed", checks.len() as u64);
         let _span = obs::span!("run_checks", checks = checks.len(), jobs = self.jobs);
@@ -123,7 +124,8 @@ impl<'a> Verifier<'a> {
     /// at `jobs = 1` — and deliver every verdict to `sink(member
     /// position, verdict)` in position order without ever materialising
     /// an outcome vector: the sink borrows the verdict and copies out
-    /// only what it keeps.
+    /// only what it keeps, except from a class's last member, which is
+    /// handed the verdict itself.
     ///
     /// Groups complete out of order, so verdicts pass through a reorder
     /// window: a position → class table built from the partition, and
@@ -131,8 +133,8 @@ impl<'a> Verifier<'a> {
     /// of members not yet released. The cursor `next` advances while its
     /// position's class is decided, lending the slot's verdict to the
     /// sink; the representative leaves first with the full stats, every
-    /// later member with [`size_only`] ones, and the slot is freed with
-    /// its last member. Decided classes with members still to release
+    /// later member with [`size_only`] ones, and the slot is emptied
+    /// into its last member. Decided classes with members still to release
     /// are the frontier of the streaming report; everything before
     /// `next` has already left through `sink`. The frontier's peak is the
     /// `engine.report_frontier_peak` gauge.
@@ -141,7 +143,7 @@ impl<'a> Verifier<'a> {
         universe: &Universe,
         classes: Vec<Class>,
         cache: Option<&CheckCache>,
-        sink: &mut dyn FnMut(usize, &SolvedCheck),
+        sink: &mut dyn FnMut(usize, Cow<'_, SolvedCheck>),
     ) -> RunStats {
         let total: usize = classes.iter().map(|c| c.members.len()).sum();
         let mut class_of = vec![0u32; total];
@@ -172,16 +174,16 @@ impl<'a> Verifier<'a> {
                 while let Some(&k) = class_of.get(next) {
                     let (decided, left) = &mut slots[k as usize];
                     let Some(solved) = decided else { break };
-                    sink(next, solved);
-                    next += 1;
                     *left -= 1;
                     if *left > 0 {
+                        sink(next, Cow::Borrowed(solved));
                         // Only the representative (released first) ran.
                         solved.stats = size_only(solved.stats);
                     } else {
-                        *decided = None;
+                        sink(next, Cow::Owned(decided.take().expect("decided")));
                         open -= 1;
                     }
+                    next += 1;
                 }
             },
         );

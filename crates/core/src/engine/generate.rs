@@ -207,43 +207,86 @@ pub(crate) fn count_described() {
     obs::add("engine.checks_described", DESCRIBED.take());
 }
 
-/// The conjunct table a report's cores index into: each check's assume
-/// side rendered for display, `None` for a concrete originate check.
-/// Every distinct predicate is rendered once; they are keyed by address,
-/// so each must be alive for the whole call.
-pub(crate) fn conjunct_table<'p>(
-    assumes: impl IntoIterator<Item = Option<&'p RoutePred>>,
-) -> Vec<Option<Vec<String>>> {
-    let mut rendered: HashMap<*const RoutePred, Vec<String>> = HashMap::new();
-    let mut render = |p: &RoutePred| {
-        let conjuncts = || p.conjuncts().iter().map(|c| c.to_string()).collect();
-        rendered.entry(p).or_insert_with(conjuncts).clone()
-    };
-    assumes.into_iter().map(|a| a.map(&mut render)).collect()
+/// The conjunct table a report's cores index into: the assume side of
+/// every check, rendered for display, in compact form — each distinct
+/// predicate's conjunct list once, and per check id the index of its
+/// list (`None` for a concrete originate check, which assumes nothing).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct ConjunctTable {
+    lists: Vec<Vec<String>>,
+    of_check: Vec<Option<u32>>,
+}
+
+impl ConjunctTable {
+    /// The table of checks assuming `assumes`, in check-id order.
+    /// Predicates are keyed by address, so each must be alive for the
+    /// whole call.
+    pub(crate) fn new<'p>(assumes: impl IntoIterator<Item = Option<&'p RoutePred>>) -> Self {
+        let mut index: HashMap<*const RoutePred, u32> = HashMap::new();
+        let mut lists: Vec<Vec<String>> = Vec::new();
+        let of_check = (assumes.into_iter())
+            .map(|a| {
+                a.map(|p| {
+                    *index.entry(p).or_insert_with(|| {
+                        lists.push(p.conjuncts().iter().map(|c| c.to_string()).collect());
+                        (lists.len() - 1) as u32
+                    })
+                })
+            })
+            .collect();
+        ConjunctTable { lists, of_check }
+    }
+
+    /// The rendered conjuncts check `id` assumes: empty for a check
+    /// that assumes nothing (or an id past the table).
+    pub fn conjuncts(&self, id: usize) -> &[String] {
+        match self.of_check.get(id) {
+            Some(&Some(list)) => &self.lists[list as usize],
+            _ => &[],
+        }
+    }
+
+    /// The check-id-indexed expansion: one owned row per check, `None`
+    /// where the check assumes nothing.
+    pub fn expand(&self) -> Vec<Option<Vec<String>>> {
+        (self.of_check.iter())
+            .map(|at| at.map(|list| self.lists[list as usize].clone()))
+            .collect()
+    }
 }
 
 impl<'a> Verifier<'a> {
     /// The assume-side conjuncts of every check in the `(props, inv)`
     /// suite, rendered for display and indexed by check id — the
     /// namespace the indices of [`crate::check::CheckOutcome::core`]
-    /// point into. `None` for concrete originate checks (no symbolic
-    /// assume side). Renderers that blame many checks (the `--json`
-    /// `cores` output) should use this bulk form.
+    /// point into. Renderers that blame many checks (the `--json`
+    /// `cores` output) read this compact form.
     ///
     /// No check is generated: the table follows the same site walk as
     /// check generation (`Verifier::for_each_site`), borrows each
     /// site's assumed invariant and renders every distinct predicate
     /// once, however many checks assume it.
+    pub fn conjunct_table(
+        &self,
+        props: &[SafetyProperty],
+        inv: &NetworkInvariants,
+    ) -> ConjunctTable {
+        let (topo, mut assumes) = (self.topo, Vec::new());
+        self.for_each_site(props, |site| {
+            assumes.push(site.assumes(topo).map(|loc| inv.at_ref(topo, loc)))
+        });
+        ConjunctTable::new(assumes)
+    }
+
+    /// [`Verifier::conjunct_table`], expanded to one owned row per
+    /// check: `None` for concrete originate checks (no symbolic assume
+    /// side).
     pub fn check_conjuncts_all(
         &self,
         props: &[SafetyProperty],
         inv: &NetworkInvariants,
     ) -> Vec<Option<Vec<String>>> {
-        let (topo, mut assumes) = (self.topo, Vec::new());
-        self.for_each_site(props, |site| {
-            assumes.push(site.assumes(topo).map(|loc| inv.at_ref(topo, loc)))
-        });
-        conjunct_table(assumes)
+        self.conjunct_table(props, inv).expand()
     }
 
     /// Walk the check sites of a safety suite in check-id order: per

@@ -33,11 +33,12 @@ pub(crate) mod spill;
 pub(crate) mod validate;
 
 pub use fold::{MultiReport, MultiSummary};
+pub use generate::ConjunctTable;
 pub use partition::CheckDigests;
 pub use solve::SolvedCheck;
 pub use spill::{load_check_cache, load_check_cache_bounded, load_pass_cache, save_check_cache};
 
-use crate::check::{Report, ReportSummary};
+use crate::check::{CheckHead, Report, ReportSummary};
 use crate::fingerprint::PolicyDigests;
 use crate::ghost::GhostAttr;
 use crate::invariants::NetworkInvariants;
@@ -48,6 +49,7 @@ use bgp_model::policy::Policy;
 use bgp_model::topology::Topology;
 use generate::{count_described, ResolvedCheck};
 use orchestrator::{Executor, ResultCache, RunStats};
+use std::borrow::Cow;
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -215,7 +217,7 @@ impl<'a> Verifier<'a> {
         let (exec, total_time) = self.run_batch(suites, |si, rc, solved| {
             reports[si]
                 .outcomes
-                .push(self.outcome_of(rc, solved.clone()))
+                .push(self.outcome_of(rc, solved.into_owned()))
         });
         for r in &mut reports {
             r.total_time = total_time;
@@ -237,9 +239,10 @@ impl<'a> Verifier<'a> {
     /// check-id order) plus the failures worth rendering, not the total
     /// check count.
     ///
-    /// `keep_cores` controls whether passing checks retain their
-    /// load-bearing assumption cores (only the `--json` `cores`
-    /// rendering reads them); failing outcomes are always kept whole.
+    /// `keep_cores` controls whether passing checks retain their heads
+    /// and load-bearing assumption cores (only the `--json` `cores`
+    /// rendering reads them); failing outcomes are always kept whole,
+    /// and only they are described.
     pub fn verify_safety_batch_streaming(
         &self,
         suites: &[(&[SafetyProperty], &NetworkInvariants)],
@@ -250,9 +253,12 @@ impl<'a> Verifier<'a> {
             .map(|_| ReportSummary::new(keep_cores))
             .collect();
         let (exec, total_time) = self.run_batch(suites, |si, rc, solved| {
-            summaries[si].push_with(&solved.result, &solved.stats, solved.core.as_ref(), || {
-                self.describe(rc.id, &rc.site)
-            })
+            let head = CheckHead {
+                id: rc.id,
+                kind: rc.site.kind(),
+                location: rc.site.location(self.topo),
+            };
+            summaries[si].push(head, solved, || self.describe(rc.id, &rc.site))
         });
         for s in &mut summaries {
             s.total_time = total_time;
@@ -272,7 +278,7 @@ impl<'a> Verifier<'a> {
     fn run_batch<'s>(
         &self,
         suites: &[(&'s [SafetyProperty], &'s NetworkInvariants)],
-        mut push: impl FnMut(usize, &ResolvedCheck<'s>, &SolvedCheck),
+        mut push: impl FnMut(usize, &ResolvedCheck<'s>, Cow<'_, SolvedCheck>),
     ) -> (RunStats, Duration) {
         let t0 = Instant::now();
         let g = self.generate(self.universe(&[]), suites);
@@ -534,8 +540,11 @@ mod tests {
                 assert_eq!(rf, sf);
                 let rc: Vec<(usize, &[usize])> =
                     r.cores().iter().map(|&(c, k)| (c.id, k)).collect();
-                let sc: Vec<(usize, &[usize])> =
-                    s.cores().iter().map(|&(c, k)| (c.id, k)).collect();
+                let sc: Vec<(usize, &[usize])> = s
+                    .cores()
+                    .iter()
+                    .map(|(c, k)| (c.id, k.as_slice()))
+                    .collect();
                 assert_eq!(rc, sc);
             }
         }

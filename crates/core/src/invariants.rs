@@ -41,9 +41,9 @@ impl Location {
     }
 
     /// [`Location::display`] in pieces, for splicing into a longer
-    /// string: a node's name (and two empty pieces), or an edge's
-    /// [`Topology::edge_name_parts`].
-    pub(crate) fn display_parts<'t>(&self, topo: &'t Topology) -> [&'t str; 3] {
+    /// string or streaming without joining: a node's name (and two
+    /// empty pieces), or an edge's [`Topology::edge_name_parts`].
+    pub fn display_parts<'t>(&self, topo: &'t Topology) -> [&'t str; 3] {
         match self {
             Location::Node(n) => [&topo.node(*n).name, "", ""],
             Location::Edge(e) => topo.edge_name_parts(*e),

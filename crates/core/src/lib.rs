@@ -114,7 +114,7 @@ pub mod safety;
 pub mod symbolic;
 pub mod universe;
 
-pub use check::{Check, CheckKind, CheckResult, Counterexample, Report};
+pub use check::{Check, CheckHead, CheckKind, CheckResult, Counterexample, Report};
 pub use engine::{
     load_check_cache, load_check_cache_bounded, load_pass_cache, save_check_cache, CheckCache,
     MultiReport, RunMode, SolvedCheck, Verifier,

@@ -26,7 +26,7 @@
 //! tolerated.
 
 use crate::check::Report;
-use crate::engine::generate::{conjunct_table, CheckBody, NiStep, ResolvedCheck, Site};
+use crate::engine::generate::{CheckBody, ConjunctTable, NiStep, ResolvedCheck, Site};
 use crate::engine::Verifier;
 use crate::invariants::{Location, NetworkInvariants};
 use crate::pred::RoutePred;
@@ -135,15 +135,12 @@ impl<'a> Verifier<'a> {
     /// [`Verifier::verify_liveness`] generates for `spec`, rendered for
     /// display and indexed by check id — the namespace the indices of a
     /// liveness report's [`crate::check::CheckOutcome::core`] point
-    /// into, read off the same walk's check bodies. `None` for the
-    /// concrete originate checks of the no-interference suites.
-    pub fn liveness_check_conjuncts(
-        &self,
-        spec: &LivenessSpec,
-    ) -> Result<Vec<Option<Vec<String>>>, SpecError> {
+    /// into, read off the same walk's check bodies. The concrete
+    /// originate checks of the no-interference suites assume nothing.
+    pub fn liveness_conjunct_table(&self, spec: &LivenessSpec) -> Result<ConjunctTable, SpecError> {
         let ni = self.no_interference_props(spec)?;
         let (checks, _) = self.liveness_checks(spec, &ni);
-        Ok(conjunct_table(checks.iter().map(|rc| rc.body.assume())))
+        Ok(ConjunctTable::new(checks.iter().map(|rc| rc.body.assume())))
     }
 
     /// Validate `spec` and build the no-interference property of every
@@ -421,7 +418,7 @@ mod tests {
         let v = Verifier::new(&t, &pol);
         for spec in malformed_specs(&t) {
             assert_eq!(
-                v.liveness_check_conjuncts(&spec).unwrap_err(),
+                v.liveness_conjunct_table(&spec).unwrap_err(),
                 v.verify_liveness(&spec).unwrap_err()
             );
         }
@@ -441,7 +438,7 @@ mod tests {
         assert!(!cores.is_empty(), "liveness passes must report cores");
         // The conjunct namespace aligns with the report's id space, and
         // every core index points into its check's conjunct list.
-        let conjs = v.liveness_check_conjuncts(&spec).unwrap();
+        let conjs = v.liveness_conjunct_table(&spec).unwrap().expand();
         assert_eq!(conjs.len(), report.num_checks());
         for (check, core) in &cores {
             let names = conjs[check.id]

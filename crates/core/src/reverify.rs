@@ -310,8 +310,8 @@ impl ReverifyEngine {
                     core.iter().map(|&ci| pred_digest(conjs[ci]).0).collect(),
                 );
             }
-            outcomes[i] = Some(v.outcome_of(rc, solved.clone()));
-            self.results.insert(fps[i], solved.clone());
+            outcomes[i] = Some(v.outcome_of(rc, (*solved).clone()));
+            self.results.insert(fps[i], solved.into_owned());
         });
         stats.sessions_created = exec.groups;
         while self.cores.len() > MAX_CORE_RESTS {

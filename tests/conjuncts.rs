@@ -1,5 +1,6 @@
-//! `Verifier::check_conjuncts_all` builds its table from the site walk
-//! it shares with check generation, without generating a check. This
+//! `Verifier::conjunct_table` builds its table from the site walk it
+//! shares with check generation, without generating a check, and
+//! `Verifier::check_conjuncts_all` expands it to one row per check. This
 //! pins it to a reference derived from each check's public descriptor
 //! alone — an import assumes its edge's invariant, an export its
 //! sender's, an originate check nothing and a subsumption the invariant
@@ -50,6 +51,16 @@ fn compare(
     seen: &mut Seen,
 ) {
     let table = v.check_conjuncts_all(props, inv);
+    // The compact table answers every row the expansion holds.
+    let compact = v.conjunct_table(props, inv);
+    for (id, row) in table.iter().enumerate() {
+        assert_eq!(
+            compact.conjuncts(id),
+            row.as_deref().unwrap_or(&[]),
+            "{what}"
+        );
+    }
+    assert!(compact.conjuncts(table.len()).is_empty(), "{what}");
     if props.is_empty() {
         assert!(table.is_empty(), "{what}");
         return;

@@ -3,14 +3,16 @@
 //! (both layouts), and every `api` document serialises to the same
 //! bytes whether it is streamed straight into the writer or rendered
 //! to a `Value` tree first — the document's one field description
-//! feeds both.
+//! feeds both. A borrowed row (what `verify --json` streams) writes the
+//! bytes of the equal owned document (what the daemon stores).
 
-use api::report::TimingDoc;
+use api::report::{write_property, LocationPieces, Rows, TimingDoc};
 use api::{
-    ApiCall, ApiRequest, ApiResponse, ConfigFile, CoreDoc, ExecDoc, FailureDoc, PropertyReport,
-    SpilledCheck,
+    ApiCall, ApiRequest, ApiResponse, ConfigFile, CoreDoc, CoreRow, ExecDoc, FailureDoc,
+    FailureRow, PropertyReport, SpilledCheck,
 };
 use proptest::prelude::*;
+use serde::Serialize;
 use serde_json::Value;
 
 /// Strings that exercise every escape class: quotes, backslashes, the
@@ -85,6 +87,62 @@ fn arb_core() -> BoxedStrategy<CoreDoc> {
             load_bearing,
         })
         .boxed()
+}
+
+/// A location in the pieces a row carries: an edge `A -> B`, or a
+/// router name and two empty pieces.
+fn arb_pieces() -> BoxedStrategy<[String; 3]> {
+    (arb_string(), any::<bool>(), arb_string())
+        .prop_map(|(a, edge, b)| match edge {
+            true => [a, " -> ".to_string(), b],
+            false => [a, String::new(), String::new()],
+        })
+        .boxed()
+}
+
+/// What a borrowed core row points into: a conjunct list and a core
+/// that may index past it.
+#[derive(Clone, Debug)]
+struct CoreParts {
+    check: u64,
+    kind: String,
+    location: [String; 3],
+    core: Vec<usize>,
+    conjuncts: Vec<String>,
+}
+
+impl CoreParts {
+    fn row(&self) -> CoreRow<'_> {
+        CoreRow {
+            check: self.check as usize,
+            kind: &self.kind,
+            location: pieces(&self.location),
+            core: &self.core,
+            conjuncts: &self.conjuncts,
+        }
+    }
+}
+
+fn arb_core_parts() -> BoxedStrategy<CoreParts> {
+    (
+        any::<u64>(),
+        arb_string(),
+        arb_pieces(),
+        prop::collection::vec(0usize..6, 0..5),
+        prop::collection::vec(arb_string(), 0..5),
+    )
+        .prop_map(|(check, kind, location, core, conjuncts)| CoreParts {
+            check,
+            kind,
+            location,
+            core,
+            conjuncts,
+        })
+        .boxed()
+}
+
+fn pieces(p: &[String; 3]) -> LocationPieces<'_> {
+    [&p[0], &p[1], &p[2]]
 }
 
 fn arb_report() -> BoxedStrategy<PropertyReport> {
@@ -243,5 +301,66 @@ proptest! {
         prop_assert_eq!(FailureDoc::from_value(&failure.to_value()), Some(failure));
         prop_assert_eq!(CoreDoc::from_value(&core.to_value()), Some(core));
         prop_assert_eq!(SpilledCheck::from_value(&spill.to_value()), Some(spill));
+    }
+
+    #[test]
+    fn a_borrowed_row_streams_the_bytes_of_its_owned_document(
+        core_parts in arb_core_parts(),
+        failure_parts in (arb_string(), arb_pieces(), any::<bool>(), arb_string()),
+        report in arb_report(),
+    ) {
+        let (fkind, flocation, has_map, description) = failure_parts;
+        let row = core_parts.row();
+        let doc = row.to_doc();
+        prop_assert_eq!(&doc.location, &core_parts.location.concat());
+        let named = row.core.iter().filter(|&&i| i < row.conjuncts.len()).count();
+        prop_assert_eq!(doc.load_bearing.len(), named);
+        same_bytes!(row);
+        prop_assert_eq!(serde_json::to_string(&row).unwrap(), serde_json::to_string(&doc).unwrap());
+
+        let frow = FailureRow {
+            kind: &fkind,
+            location: pieces(&flocation),
+            route_map: has_map.then_some(description.as_str()),
+            description: &description,
+        };
+        let fdoc = frow.to_doc();
+        same_bytes!(frow);
+        prop_assert_eq!(serde_json::to_string(&frow).unwrap(), serde_json::to_string(&fdoc).unwrap());
+
+        // A whole entry: the head plus rows streamed lazily, against the
+        // owned document holding the same entries.
+        let owned = PropertyReport {
+            failures: vec![fdoc.clone(), fdoc],
+            cores: vec![doc],
+            ..report
+        };
+        let entry = Entry(&owned, frow, row);
+        for pretty in [false, true] {
+            let (a, b) = match pretty {
+                false => (serde_json::to_string(&entry), serde_json::to_string(&owned)),
+                true => (serde_json::to_string_pretty(&entry), serde_json::to_string_pretty(&owned)),
+            };
+            prop_assert_eq!(a.unwrap(), b.unwrap());
+        }
+    }
+}
+
+/// A property entry streamed from `head()` of the owned report and rows
+/// made on demand: two copies of the failure row, one core row.
+struct Entry<'a>(&'a PropertyReport, FailureRow<'a>, CoreRow<'a>);
+
+impl Serialize for Entry<'_> {
+    fn to_value(&self) -> Value {
+        serde::build_value(self)
+    }
+
+    fn stream<S: serde::Sink>(&self, out: &mut S) {
+        write_property(
+            out,
+            &self.0.head(),
+            &Rows(|| [self.1, self.1]),
+            &Rows(|| std::iter::once(self.2)),
+        );
     }
 }

@@ -5,6 +5,7 @@
 //! Alone in its test binary because it reads a gauge and a counter off
 //! the process-global metrics sink; the tests here take turns.
 
+use lightyear::check::CheckHead;
 use lightyear::engine::Verifier;
 use netgen::mutate;
 use netgen::wan::{self, WanParams};
@@ -69,8 +70,8 @@ fn runs_stream_in_order_through_a_window_of_structures() {
 }
 
 /// The three assembly paths over one faulty WAN say the same thing, and
-/// a path that will not render a passing check never builds its
-/// descriptor.
+/// a streaming summary describes a failing check only: a passing one
+/// leaves its head and core, never a descriptor.
 #[test]
 fn a_check_is_described_only_when_its_outcome_is_kept() {
     let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
@@ -118,23 +119,43 @@ fn a_check_is_described_only_when_its_outcome_is_kept() {
         let rendered = report.format_failures(topo);
         assert_eq!(rendered, lean.format_failures(topo));
         assert_eq!(rendered, full.format_failures(topo));
-        let core_rows = |cores: Vec<(&lightyear::Check, &[usize])>| -> Vec<String> {
-            cores
-                .iter()
-                .map(|(c, k)| format!("{} {} {} {k:?}", c.id, c.kind, c.description))
-                .collect()
-        };
-        assert_eq!(core_rows(report.cores()), core_rows(full.cores()));
+        // The blame rows, (id, kind, location, core): the streaming
+        // summary's equal the report's and its summarized form's.
+        assert_eq!(full.cores(), report_rows(report).as_slice());
+        assert_eq!(full.cores(), report.summarize().cores());
         assert!(lean.cores().is_empty());
         failures += report.failures().len() as u64;
         cores += report.cores().len() as u64;
     }
     assert!(failures >= 2, "both injected bugs are found");
     assert!(cores > failures, "most checks pass with a core");
-    // A full report describes every check; a summary only what it keeps.
+    // A full report describes every check; a summary only its failures.
     assert_eq!(by_batch, batch.num_checks() as u64);
     assert_eq!(by_lean, failures, "a passing check was materialised");
-    assert_eq!(by_full, failures + cores);
+    assert_eq!(by_full, failures, "a passing check was materialised");
+}
+
+/// A report's blame rows, as a summary keeps them.
+fn report_rows(report: &lightyear::Report) -> Vec<(CheckHead, Vec<usize>)> {
+    (report.cores().iter())
+        .map(|&(c, k)| (c.into(), k.to_vec()))
+        .collect()
+}
+
+/// A liveness report's summary keeps the report's blame rows, ids,
+/// kinds and locations of the walk included.
+#[test]
+fn liveness_summaries_keep_the_reports_blame_rows() {
+    let _turn = TURN.lock().unwrap_or_else(|e| e.into_inner());
+    let fig = netgen::figure1::build();
+    let verifier =
+        Verifier::new(&fig.network.topology, &fig.network.policy).with_ghost(fig.ghost.clone());
+    let report = verifier.verify_liveness(&fig.customer_liveness).unwrap();
+    let rows = report_rows(&report);
+    assert!(rows.len() > 1, "liveness passes carry cores");
+    let kinds: std::collections::BTreeSet<_> = rows.iter().map(|(h, _)| h.kind.as_str()).collect();
+    assert!(kinds.len() > 1, "{kinds:?}");
+    assert_eq!(report.summarize().cores(), rows.as_slice());
 }
 
 /// The window releases a class's representative first, with the one
