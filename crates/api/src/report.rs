@@ -11,9 +11,9 @@
 //! ([`PropertyReport`], [`FailureDoc`], [`CoreDoc`]) are what the
 //! daemon stores and decodes; the borrowed rows ([`FailureRow`],
 //! [`CoreRow`]) point into an engine summary, and `verify --json`
-//! streams them without building a document. Serialising either
-//! (`serde_json::to_string(&doc)`) runs the writer straight into the
-//! text writer; `to_value()` runs the same writer into the
+//! streams them without building a document. Every type here states
+//! its JSON once, as its `Serialize::stream`: `serde_json::to_string`
+//! runs it into the text writer and `serde_json::to_value` into the
 //! tree-building sink, so no two renderings can disagree on names or
 //! order.
 
@@ -35,10 +35,6 @@ pub struct FailureDoc {
 }
 
 impl Serialize for FailureDoc {
-    fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         write_failure(
             out,
@@ -67,12 +63,7 @@ fn write_failure<S: Sink>(
 }
 
 impl FailureDoc {
-    /// Render in the pinned field order.
-    pub fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
-    /// Decode the [`FailureDoc::to_value`] form.
+    /// Decode the form [`Serialize::stream`] writes.
     pub fn from_value(v: &Value) -> Option<FailureDoc> {
         Some(FailureDoc {
             kind: v["kind"].as_str()?.to_string(),
@@ -102,10 +93,6 @@ pub struct CoreDoc {
 }
 
 impl Serialize for CoreDoc {
-    fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         write_core(
             out,
@@ -140,12 +127,7 @@ fn write_core<S: Sink>(
 }
 
 impl CoreDoc {
-    /// Render in the pinned field order.
-    pub fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
-    /// Decode the [`CoreDoc::to_value`] form.
+    /// Decode the form [`Serialize::stream`] writes.
     pub fn from_value(v: &Value) -> Option<CoreDoc> {
         Some(CoreDoc {
             check: v["check"].as_u64()?,
@@ -204,10 +186,6 @@ pub struct PropertyReport {
 }
 
 impl Serialize for PropertyReport {
-    fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         write_property(out, &self.head(), &self.failures, &self.cores);
     }
@@ -264,10 +242,6 @@ pub type LocationPieces<'a> = [&'a str; 3];
 struct Pieces<'a>(&'a LocationPieces<'a>);
 
 impl Serialize for Pieces<'_> {
-    fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.str_pieces(self.0);
     }
@@ -288,10 +262,6 @@ pub struct FailureRow<'a> {
 }
 
 impl Serialize for FailureRow<'_> {
-    fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         write_failure(
             out,
@@ -353,10 +323,6 @@ impl CoreRow<'_> {
 }
 
 impl Serialize for CoreRow<'_> {
-    fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         write_core(
             out,
@@ -380,10 +346,6 @@ where
     I: IntoIterator,
     I::Item: Serialize,
 {
-    fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.seq((self.0)());
     }
@@ -403,7 +365,9 @@ impl PropertyReport {
 
     /// Render in the pinned field order: `property`, \[`"kind"`\],
     /// `passed`, `checks`, \[`solver_calls`, `total_seconds`,
-    /// `solve_seconds`\], `failures`, `cores`.
+    /// `solve_seconds`\], `failures`, `cores`. Inherent, so a caller can
+    /// name it as a path (`PropertyReport::to_value`) without importing
+    /// `Serialize`.
     pub fn to_value(&self) -> Value {
         build_value(self)
     }
@@ -469,10 +433,6 @@ pub struct ExecDoc {
 }
 
 impl Serialize for ExecDoc {
-    fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.begin_object();
         out.field("orchestrator", &self.summary);
@@ -486,13 +446,6 @@ impl Serialize for ExecDoc {
         out.field("dedup_ratio", &self.dedup_ratio);
         out.field("threads", &self.threads);
         out.end_object();
-    }
-}
-
-impl ExecDoc {
-    /// Render in the pinned field order.
-    pub fn to_value(&self) -> Value {
-        build_value(self)
     }
 }
 
@@ -527,10 +480,6 @@ pub enum SpilledCheck {
 }
 
 impl Serialize for SpilledCheck {
-    fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.begin_object();
         match self {
@@ -566,14 +515,7 @@ impl Serialize for SpilledCheck {
 }
 
 impl SpilledCheck {
-    /// Render in the pinned spill field order: `pass`, `vars`,
-    /// `clauses`, then `core` (passes) or `rejected`, `input`,
-    /// `output` (failures).
-    pub fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
-    /// Decode the [`SpilledCheck::to_value`] form. Missing `vars` /
+    /// Decode the form [`Serialize::stream`] writes. Missing `vars` /
     /// `clauses` decode as zero (older spills); a missing or malformed
     /// `pass` field is a schema error (`None`).
     pub fn from_value(v: &Value) -> Option<SpilledCheck> {

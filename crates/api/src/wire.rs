@@ -6,7 +6,7 @@
 //! explicitly: a request with a version this build does not speak is
 //! rejected whole with a typed error — never half-interpreted.
 
-use serde::{build_value, Serialize, Sink};
+use serde::{Serialize, Sink};
 use serde_json::Value;
 
 /// The protocol version this build speaks. Bumped on any breaking
@@ -23,10 +23,6 @@ pub struct ConfigFile {
 }
 
 impl Serialize for ConfigFile {
-    fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.begin_object();
         out.field("name", &self.name);
@@ -140,10 +136,6 @@ impl ApiCall {
 /// Externally tagged, as a derive would render it: a bare name for the
 /// calls without a body, `{name: {fields}}` for the rest.
 impl Serialize for ApiCall {
-    fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         fn tagged<S: Sink>(out: &mut S, name: &str, fields: impl FnOnce(&mut S)) {
             out.begin_object();
@@ -182,10 +174,6 @@ pub struct ApiRequest {
 }
 
 impl Serialize for ApiRequest {
-    fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.begin_object();
         out.field("api_version", &self.api_version);
@@ -203,11 +191,6 @@ impl ApiRequest {
             tenant: tenant.into(),
             call,
         }
-    }
-
-    /// Render the envelope.
-    pub fn to_value(&self) -> Value {
-        build_value(self)
     }
 
     /// Parse and validate an envelope. Version mismatches and malformed
@@ -257,10 +240,6 @@ pub struct ApiResponse {
 }
 
 impl Serialize for ApiResponse {
-    fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.begin_object();
         out.field("api_version", &self.api_version);
@@ -292,12 +271,7 @@ impl ApiResponse {
         }
     }
 
-    /// Render the envelope.
-    pub fn to_value(&self) -> Value {
-        build_value(self)
-    }
-
-    /// Decode the [`ApiResponse::to_value`] form.
+    /// Decode the form [`Serialize::stream`] writes.
     pub fn from_value(v: &Value) -> Option<ApiResponse> {
         Some(ApiResponse {
             api_version: v["api_version"].as_u64()?,

@@ -179,11 +179,6 @@ impl RouteMap {
         self.entries.insert(at, e);
     }
 
-    /// Index of the entry with the given sequence number.
-    pub fn index_of_seq(&self, seq: u32) -> Option<usize> {
-        self.entries.iter().position(|e| e.seq == seq)
-    }
-
     /// Index of the first entry with sequence number >= `seq`.
     pub fn index_of_seq_at_least(&self, seq: u32) -> Option<usize> {
         self.entries.iter().position(|e| e.seq >= seq)
@@ -263,9 +258,6 @@ mod tests {
         let mut rm = RouteMap::new("T");
         rm.push(RouteMapEntry::permit(10));
         rm.push(RouteMapEntry::permit(30));
-        assert_eq!(rm.index_of_seq(10), Some(0));
-        assert_eq!(rm.index_of_seq(30), Some(1));
-        assert_eq!(rm.index_of_seq(20), None);
         assert_eq!(rm.index_of_seq_at_least(20), Some(1));
         assert_eq!(rm.index_of_seq_at_least(31), None);
     }

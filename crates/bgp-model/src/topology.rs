@@ -204,16 +204,6 @@ impl Topology {
         let edge = self.edge(e);
         [&self.node(edge.src).name, " -> ", &self.node(edge.dst).name]
     }
-
-    /// Validate a path of alternating node/edge locations as used in
-    /// liveness properties: `n_0, e(n_0,n_1), n_1, ..., n_k`.
-    /// Returns the edge ids along the way.
-    pub fn path_edges(&self, nodes: &[NodeId]) -> Option<Vec<EdgeId>> {
-        nodes
-            .windows(2)
-            .map(|w| self.edge_between(w[0], w[1]))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -258,14 +248,6 @@ mod tests {
         let (t, a, _b, _x) = tri();
         assert_eq!(t.out_edges(a).len(), 2);
         assert_eq!(t.in_edges(a).len(), 2);
-    }
-
-    #[test]
-    fn path_edges() {
-        let (t, a, b, x) = tri();
-        let path = t.path_edges(&[x, a, b]).unwrap();
-        assert_eq!(path.len(), 2);
-        assert!(t.path_edges(&[x, b]).is_none());
     }
 
     #[test]

@@ -110,10 +110,6 @@ impl<'a> PropertyView<'a> {
 }
 
 impl Serialize for PropertyView<'_> {
-    fn to_value(&self) -> serde_json::Value {
-        serde::build_value(self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         write_property(
             out,

@@ -121,10 +121,7 @@ impl Daemon {
                     .map(|r| {
                         Value::Object(vec![
                             ("property".to_string(), Value::Str(r.property.clone())),
-                            (
-                                "cores".to_string(),
-                                Value::Array(r.cores.iter().map(|c| c.to_value()).collect()),
-                            ),
+                            ("cores".to_string(), serde_json::to_value(&r.cores)),
                         ])
                     })
                     .collect();
@@ -270,10 +267,7 @@ fn report_value(t: &Tenant) -> Value {
         ("round".to_string(), Value::UInt(t.rounds)),
         ("passed".to_string(), Value::Bool(t.passed)),
         ("line".to_string(), Value::Str(t.line.clone())),
-        (
-            "reports".to_string(),
-            Value::Array(t.reports.iter().map(|r| r.to_value()).collect()),
-        ),
+        ("reports".to_string(), serde_json::to_value(&t.reports)),
     ])
 }
 
@@ -330,11 +324,11 @@ pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
         if req.method != "POST" {
             return Some(obs::http::Response::json(
                 405,
-                &ApiResponse::failure("use POST /api/v1").to_value(),
+                &ApiResponse::failure("use POST /api/v1"),
             ));
         }
         let (code, resp) = api.handle(&req.body);
-        Some(obs::http::Response::json(code, &resp.to_value()))
+        Some(obs::http::Response::json(code, &resp))
     });
     let _server = match daemon.tele.listen(Some(handler), max_conns) {
         Ok(s) => s,
@@ -380,7 +374,7 @@ mod tests {
     }
 
     fn call(d: &Daemon, call: ApiCall) -> (u16, ApiResponse) {
-        let body = serde_json::to_string(&ApiRequest::new("t", call).to_value()).unwrap();
+        let body = serde_json::to_string(&ApiRequest::new("t", call)).unwrap();
         d.handle(body.as_bytes())
     }
 

@@ -146,6 +146,12 @@ fn spec_template_roundtrips() {
     let out = Command::new(bin()).arg("spec-template").output().unwrap();
     assert!(out.status.success());
     let _: serde_json::Value = serde_json::from_slice(&out.stdout).expect("valid JSON");
+    // The template is derived `Serialize` output end to end: its bytes
+    // are pinned against a recording of an earlier build.
+    assert_eq!(
+        String::from_utf8(out.stdout).unwrap(),
+        include_str!("fixtures/spec_template.stdout")
+    );
 }
 
 /// R1 with the customer-prefix deny the template's liveness property

@@ -2,10 +2,11 @@
 //!
 //! The real serde data model (Serializer/Deserializer visitors) is far
 //! larger than this workspace needs: the only serde consumer here is the
-//! local `serde_json` shim. The local `serde` crate therefore defines
-//! value-based traits (`Serialize::to_value` / `Deserialize::from_value`)
-//! and this proc-macro derives them for the container shapes the
-//! workspace actually uses:
+//! local `serde_json` shim. The local `serde` crate therefore defines a
+//! streaming `Serialize::stream` (events on a `serde::Sink`) and a
+//! value-based `Deserialize::from_value`, and this proc-macro derives
+//! them for the container shapes the workspace actually uses. A derived
+//! `stream` emits its events directly; no tree is built on the way.
 //!
 //! * structs with named fields — serialized as JSON objects; field
 //!   attributes `#[serde(skip)]`, `#[serde(default)]` and
@@ -370,89 +371,89 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
-    if let Some(into) = &item.into {
-        return format!(
-            "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n\
-             let bridged: {into} = ::core::convert::Into::into(::core::clone::Clone::clone(self));\n\
-             ::serde::Serialize::to_value(&bridged)\n\
-             }}\n}}"
-        );
-    }
-    let body = match &item.kind {
-        Kind::Struct(Fields::Unit) => "::serde::Value::Null".to_string(),
-        Kind::Struct(Fields::Tuple(1)) => "::serde::Serialize::to_value(&self.0)".to_string(),
-        Kind::Struct(Fields::Tuple(n)) => {
-            let elems: Vec<String> = (0..*n)
-                .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-                .collect();
-            format!("::serde::Value::Array(::std::vec![{}])", elems.join(", "))
+    let body = match (&item.into, &item.kind) {
+        (Some(into), _) => format!(
+            "let bridged: {into} = ::core::convert::Into::into(::core::clone::Clone::clone(self));\n\
+             ::serde::Serialize::stream(&bridged, out)"
+        ),
+        (None, Kind::Struct(Fields::Unit)) => "::serde::Sink::null(out)".to_string(),
+        (None, Kind::Struct(Fields::Tuple(1))) => {
+            "::serde::Serialize::stream(&self.0, out)".to_string()
         }
-        Kind::Struct(Fields::Named(fields)) => {
-            let mut s = String::from("let mut obj = ::std::vec::Vec::new();\n");
-            for f in fields {
-                if f.skip {
-                    continue;
-                }
-                s.push_str(&format!(
-                    "obj.push(({:?}.to_string(), ::serde::Serialize::to_value(&self.{})));\n",
-                    f.name, f.name
-                ));
-            }
-            s.push_str("::serde::Value::Object(obj)");
-            s
+        (None, Kind::Struct(Fields::Tuple(n))) => {
+            let binds: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
+            stream_array(&binds)
         }
-        Kind::Enum(variants) => {
+        (None, Kind::Struct(Fields::Named(fields))) => stream_object(
+            serialized(fields).map(|f| (f, format!("&self.{f}"))),
+        ),
+        (None, Kind::Enum(variants)) => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
-                match &v.fields {
-                    Fields::Unit => arms.push_str(&format!(
-                        "{name}::{vn} => ::serde::Value::Str({vn:?}.to_string()),\n"
-                    )),
-                    Fields::Tuple(1) => arms.push_str(&format!(
-                        "{name}::{vn}(f0) => ::serde::Value::Object(::std::vec![({vn:?}.to_string(), \
-                         ::serde::Serialize::to_value(f0))]),\n"
-                    )),
+                let (pattern, value) = match &v.fields {
+                    Fields::Unit => {
+                        let arm = format!("{name}::{vn} => ::serde::Sink::str(out, {vn:?}),\n");
+                        arms.push_str(&arm);
+                        continue;
+                    }
+                    Fields::Tuple(1) => (
+                        "(f0)".to_string(),
+                        "::serde::Serialize::stream(f0, out);".to_string(),
+                    ),
                     Fields::Tuple(n) => {
                         let binds: Vec<String> = (0..*n).map(|i| format!("f{i}")).collect();
-                        let elems: Vec<String> = binds
-                            .iter()
-                            .map(|b| format!("::serde::Serialize::to_value({b})"))
-                            .collect();
-                        arms.push_str(&format!(
-                            "{name}::{vn}({}) => ::serde::Value::Object(::std::vec![({vn:?}.to_string(), \
-                             ::serde::Value::Array(::std::vec![{}]))]),\n",
-                            binds.join(", "),
-                            elems.join(", ")
-                        ));
+                        (format!("({})", binds.join(", ")), stream_array(&binds))
                     }
                     Fields::Named(fields) => {
-                        let binds: Vec<String> = fields.iter().map(|f| f.name.clone()).collect();
-                        let mut inner = String::from("{ let mut obj = ::std::vec::Vec::new();\n");
-                        for f in fields {
-                            if f.skip {
-                                continue;
-                            }
-                            inner.push_str(&format!(
-                                "obj.push(({:?}.to_string(), ::serde::Serialize::to_value({})));\n",
-                                f.name, f.name
-                            ));
-                        }
-                        inner.push_str("::serde::Value::Object(obj) }");
-                        arms.push_str(&format!(
-                            "{name}::{vn} {{ {} }} => ::serde::Value::Object(::std::vec![({vn:?}.to_string(), {inner})]),\n",
-                            binds.join(", ")
-                        ));
+                        let binds: String = serialized(fields).map(|f| format!("{f}, ")).collect();
+                        let value = stream_object(serialized(fields).map(|f| (f, f.to_string())));
+                        (format!(" {{ {binds}.. }}"), value)
                     }
-                }
+                };
+                // Externally tagged: `{"Variant": value}`.
+                arms.push_str(&format!(
+                    "{name}::{vn}{pattern} => {{\n\
+                     ::serde::Sink::begin_object(out);\n\
+                     ::serde::Sink::key(out, {vn:?});\n\
+                     {value}\n\
+                     ::serde::Sink::end_object(out);\n}}\n"
+                ));
             }
             format!("match self {{\n{arms}}}")
         }
     };
     format!(
-        "impl ::serde::Serialize for {name} {{\nfn to_value(&self) -> ::serde::Value {{\n{body}\n}}\n}}"
+        "impl ::serde::Serialize for {name} {{\n\
+         fn stream<__S: ::serde::Sink>(&self, out: &mut __S) {{\n{body}\n}}\n}}"
     )
+}
+
+/// Events streaming the places `binds` (each a `&T` expression) as an
+/// array.
+fn stream_array(binds: &[String]) -> String {
+    let mut s = String::from("::serde::Sink::begin_array(out);\n");
+    for b in binds {
+        s.push_str(&format!("::serde::Serialize::stream({b}, out);\n"));
+    }
+    s.push_str("::serde::Sink::end_array(out);");
+    s
+}
+
+/// The names of the fields a value streams: all but `#[serde(skip)]`.
+fn serialized(fields: &[Field]) -> impl Iterator<Item = &str> {
+    fields.iter().filter(|f| !f.skip).map(|f| f.name.as_str())
+}
+
+/// Events streaming `(key, bind)` entries as an object, each bind a
+/// `&T` expression.
+fn stream_object<'a>(entries: impl Iterator<Item = (&'a str, String)>) -> String {
+    let mut s = String::from("::serde::Sink::begin_object(out);\n");
+    for (key, b) in entries {
+        s.push_str(&format!("::serde::Sink::field(out, {key:?}, {b});\n"));
+    }
+    s.push_str("::serde::Sink::end_object(out);");
+    s
 }
 
 /// Code producing field `f` of container `container` from object

@@ -11,9 +11,9 @@
 //! streams itself into it (`serde::Serialize::stream`) and every output
 //! byte is appended once — strings are copied in runs up to the next
 //! byte that needs an escape, indentation is a slice of a constant,
-//! integers are formatted on the stack. `to_string(&value)` over a
-//! [`Value`] or a container of them never clones the tree; a type that
-//! only defines `to_value()` is rendered from that value, as before.
+//! integers are formatted on the stack. No tree is built on the way:
+//! `to_string(&value)` over a [`Value`] or a container of them never
+//! clones it, and a derived or hand-written type streams its own events.
 //!
 //! **Parsing is bounded.** Arrays and objects may nest at most
 //! [`MAX_DEPTH`] deep (real `serde_json`'s recursion limit); deeper

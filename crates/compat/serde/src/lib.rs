@@ -4,28 +4,23 @@
 //! so the workspace carries this shim instead of the real crate. The only
 //! serde consumer in the tree is the local `serde_json` shim, which lets
 //! the data model collapse from the Serializer/Deserializer visitor
-//! architecture to a pair of value-based traits:
+//! architecture to two small traits:
 //!
-//! * [`Serialize::to_value`] renders a type into a JSON-shaped [`Value`];
-//! * [`Deserialize::from_value`] reads it back.
+//! * [`Serialize::stream`] describes a value as a sequence of events on
+//!   a [`Sink`] — the shim's counterpart of real serde's one method,
+//!   `Serialize::serialize<S: Serializer>`, and the one method an impl
+//!   writes. The text sink lives in the `serde_json` shim;
+//!   [`Serialize::to_value`] runs the same description into the
+//!   tree-building sink [`ValueBuilder`] ([`build_value`]), so a type's
+//!   tree and its text cannot disagree. Only [`Value`] overrides it, as a
+//!   clone.
+//! * [`Deserialize::from_value`] reads a [`Value`] back.
+//!   [`Deserialize::from_value_owned`] consumes the tree instead of
+//!   borrowing it; only `Value` overrides it (by returning its argument),
+//!   which makes `serde_json::from_str::<Value>` a parse with no second
+//!   copy.
 //!
-//! Each has one provided companion that keeps large documents off the
-//! tree. [`Serialize::stream`] describes a value as a sequence of
-//! events on a [`Sink`] — the shim's counterpart of real serde's
-//! `Serialize::serialize<S: Serializer>`. Its default goes through
-//! `to_value()`, so every derived or hand-written impl keeps working;
-//! [`Value`], the primitives and the std containers override it and emit
-//! their events directly, and so does any type that is rendered often
-//! enough to care (the `api` report documents). Such a type writes its
-//! field order once, in `stream`, and gets `to_value()` from
-//! [`build_value`], which runs the same description into the
-//! tree-building sink [`ValueBuilder`]. The text sink lives in the
-//! `serde_json` shim. [`Deserialize::from_value_owned`] consumes the
-//! tree instead of borrowing it; only `Value` overrides it (by returning
-//! its argument), which makes `serde_json::from_str::<Value>` a parse
-//! with no second copy.
-//!
-//! The derive macros (re-exported from the local `serde_derive`) produce
+//! The derive macros (re-exported from the local `serde_derive`) stream
 //! the same external JSON shapes real serde would: named structs as
 //! objects, newtype structs transparently, enums externally tagged. Code
 //! written against this shim therefore reads and writes the same JSON it
@@ -365,25 +360,23 @@ impl Sink for ValueBuilder {
     }
 }
 
-/// `x`'s [`Serialize::stream`] run into a [`ValueBuilder`]: the
-/// `to_value()` of a type that describes itself once, as a stream.
+/// `x`'s [`Serialize::stream`] run into a [`ValueBuilder`]: the tree
+/// form of any type, which describes itself once, as a stream.
 pub fn build_value<T: Serialize + ?Sized>(x: &T) -> Value {
     let mut b = ValueBuilder::default();
     x.stream(&mut b);
     b.finish()
 }
 
-/// Render into a [`Value`], or as events on a [`Sink`].
+/// Describe a value as events on a [`Sink`]; its tree form is derived
+/// from that one description.
 pub trait Serialize {
-    /// The value form of `self`.
-    fn to_value(&self) -> Value;
+    /// Emit `self` as events on `out`.
+    fn stream<S: Sink>(&self, out: &mut S);
 
-    /// Emit `self` as events on `out`. The default builds the value form
-    /// first; override it to skip the tree. An impl that overrides this
-    /// should define `to_value` as [`build_value`]`(self)` so the two
-    /// cannot disagree.
-    fn stream<S: Sink>(&self, out: &mut S) {
-        self.to_value().stream(out);
+    /// The value form of `self`: [`build_value`]`(self)`.
+    fn to_value(&self) -> Value {
+        build_value(self)
     }
 }
 
@@ -438,10 +431,6 @@ impl Deserialize for Value {
 }
 
 impl Serialize for bool {
-    fn to_value(&self) -> Value {
-        Value::Bool(*self)
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.bool(*self);
     }
@@ -456,15 +445,6 @@ impl Deserialize for bool {
 macro_rules! int_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                let wide = *self as i128;
-                if wide >= i64::MIN as i128 && wide <= i64::MAX as i128 {
-                    Value::Int(wide as i64)
-                } else {
-                    Value::UInt(*self as u64)
-                }
-            }
-
             fn stream<S: Sink>(&self, out: &mut S) {
                 if (*self as i128) < 0 {
                     out.int(*self as i64)
@@ -492,10 +472,6 @@ int_impls!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 macro_rules! float_impls {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
-            fn to_value(&self) -> Value {
-                Value::Float(*self as f64)
-            }
-
             fn stream<S: Sink>(&self, out: &mut S) {
                 out.float(*self as f64);
             }
@@ -511,10 +487,6 @@ macro_rules! float_impls {
 float_impls!(f32, f64);
 
 impl Serialize for String {
-    fn to_value(&self) -> Value {
-        Value::Str(self.clone())
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.str(self);
     }
@@ -529,18 +501,14 @@ impl Deserialize for String {
 }
 
 impl Serialize for str {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.str(self);
     }
 }
 
 impl Serialize for char {
-    fn to_value(&self) -> Value {
-        Value::Str(self.to_string())
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.str(self.encode_utf8(&mut [0; 4]));
     }
 }
 
@@ -558,23 +526,12 @@ impl Deserialize for char {
 }
 
 impl<T: Serialize + ?Sized> Serialize for &T {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         (**self).stream(out);
     }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
-    fn to_value(&self) -> Value {
-        match self {
-            None => Value::Null,
-            Some(x) => x.to_value(),
-        }
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         match self {
             None => out.null(),
@@ -593,10 +550,6 @@ impl<T: Deserialize> Deserialize for Option<T> {
 }
 
 impl<T: Serialize> Serialize for Box<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         (**self).stream(out);
     }
@@ -609,10 +562,6 @@ impl<T: Deserialize> Deserialize for Box<T> {
 }
 
 impl<T: Serialize> Serialize for Arc<T> {
-    fn to_value(&self) -> Value {
-        (**self).to_value()
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         (**self).stream(out);
     }
@@ -625,10 +574,6 @@ impl<T: Deserialize> Deserialize for Arc<T> {
 }
 
 impl<T: Serialize> Serialize for Vec<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.seq(self);
     }
@@ -645,20 +590,12 @@ impl<T: Deserialize> Deserialize for Vec<T> {
 }
 
 impl<T: Serialize> Serialize for [T] {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.seq(self);
     }
 }
 
 impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.seq(self);
     }
@@ -709,14 +646,6 @@ fn key_from_string<K: Deserialize>(s: &str) -> Result<K, DeError> {
 }
 
 impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
-    fn to_value(&self) -> Value {
-        Value::Object(
-            self.iter()
-                .map(|(k, v)| (key_to_string(&k.to_value()), v.to_value()))
-                .collect(),
-        )
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.begin_object();
         for (k, v) in self {
@@ -737,14 +666,18 @@ impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
 }
 
 impl<K: Serialize + Eq + std::hash::Hash, V: Serialize> Serialize for HashMap<K, V> {
-    fn to_value(&self) -> Value {
-        let mut entries: Vec<(String, Value)> = self
+    fn stream<S: Sink>(&self, out: &mut S) {
+        let mut entries: Vec<(String, &V)> = self
             .iter()
-            .map(|(k, v)| (key_to_string(&k.to_value()), v.to_value()))
+            .map(|(k, v)| (key_to_string(&k.to_value()), v))
             .collect();
         // Hash iteration order is nondeterministic; sort for stable text.
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        Value::Object(entries)
+        out.begin_object();
+        for (k, v) in entries {
+            out.field(&k, v);
+        }
+        out.end_object();
     }
 }
 
@@ -759,10 +692,6 @@ impl<K: Deserialize + Eq + std::hash::Hash, V: Deserialize> Deserialize for Hash
 }
 
 impl<T: Serialize + Eq + std::hash::Hash> Serialize for HashSet<T> {
-    fn to_value(&self) -> Value {
-        Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-
     fn stream<S: Sink>(&self, out: &mut S) {
         out.seq(self);
     }
@@ -781,10 +710,6 @@ impl<T: Deserialize + Eq + std::hash::Hash> Deserialize for HashSet<T> {
 macro_rules! tuple_impls {
     ($(($($n:tt $t:ident),+))*) => {$(
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
-            fn to_value(&self) -> Value {
-                Value::Array(vec![$(self.$n.to_value()),+])
-            }
-
             fn stream<S: Sink>(&self, out: &mut S) {
                 out.begin_array();
                 $(self.$n.stream(out);)+
@@ -812,11 +737,11 @@ tuple_impls! {
 }
 
 impl Serialize for std::time::Duration {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("secs".to_string(), Value::UInt(self.as_secs())),
-            ("nanos".to_string(), Value::Int(self.subsec_nanos() as i64)),
-        ])
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.begin_object();
+        out.field("secs", &self.as_secs());
+        out.field("nanos", &self.subsec_nanos());
+        out.end_object();
     }
 }
 

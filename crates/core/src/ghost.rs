@@ -62,12 +62,6 @@ impl GhostAttr {
         self
     }
 
-    /// Builder-style [`GhostAttr::on_export`].
-    pub fn with_export(mut self, edge: EdgeId, update: GhostUpdate) -> Self {
-        self.on_export(edge, update);
-        self
-    }
-
     /// Set the origination default.
     pub fn with_originate_value(mut self, v: bool) -> Self {
         self.originate_value = v;

@@ -117,11 +117,6 @@ impl RoutePred {
         RoutePred::HasCommunity(c)
     }
 
-    /// Origin attribute equals.
-    pub fn origin_is(o: bgp_model::route::Origin) -> Self {
-        RoutePred::OriginIs(o)
-    }
-
     /// Ghost attribute by name.
     pub fn ghost(name: impl Into<String>) -> Self {
         RoutePred::Ghost(name.into())

@@ -304,8 +304,9 @@ pub struct Response {
 }
 
 impl Response {
-    /// A JSON response (pretty-printed, like every built-in endpoint).
-    pub fn json(code: u16, v: &Value) -> Response {
+    /// A JSON response (pretty-printed, like every built-in endpoint),
+    /// streamed straight from `v` into the body.
+    pub fn json(code: u16, v: &impl serde::Serialize) -> Response {
         Response {
             code,
             content_type: "application/json",

@@ -30,10 +30,9 @@
 //! Storage is flat, and blasting allocates nothing per node: clauses live
 //! in one contiguous literal buffer with an offset table (the session
 //! streams them into the solver as borrowed slices), bitvector bits live
-//! in one literal buffer addressed by `(offset, width)` (an extract is a
-//! sub-run, not a copy), n-ary gate inputs are staged on a reusable
-//! stack, and the structural caches are dense `TermId`-indexed vectors
-//! rather than hash maps. [`IncrementalBlaster::clear`] empties all of it
+//! in one literal buffer addressed by `(offset, width)`, n-ary gate
+//! inputs are staged on a reusable stack, and the structural caches are
+//! dense `TermId`-indexed vectors rather than hash maps. [`IncrementalBlaster::clear`] empties all of it
 //! but keeps the capacity, so one blaster can serve group after group.
 //!
 //! **Trusted attach.** No stored clause repeats a variable: the gates
@@ -449,40 +448,10 @@ impl IncrementalBlaster {
                 self.cache_bv_from(t, start)
             }
             Term::BvAnd(a, b) => self.bitwise(pool, t, *a, *b, Self::and2),
-            Term::BvOr(a, b) => self.bitwise(pool, t, *a, *b, |s, p, q| !s.and2(!p, !q)),
-            Term::BvXor(a, b) => self.bitwise(pool, t, *a, *b, |s, p, q| !s.xnor(p, q)),
-            Term::BvNot(a) => {
-                let xa = self.blast_bv(pool, *a);
-                let start = self.bits.len();
-                self.bits.extend_from_within(xa.start..xa.start + xa.width);
-                for l in &mut self.bits[start..] {
-                    *l = !*l;
-                }
-                self.cache_bv_from(t, start)
-            }
             Term::BvAdd(a, b) => {
                 let (xa, xb) = (self.blast_bv(pool, *a), self.blast_bv(pool, *b));
                 let start = self.bits.len();
                 self.adder(xa, xb);
-                self.cache_bv_from(t, start)
-            }
-            Term::BvExtract { hi, lo, arg } => {
-                let xa = self.blast_bv(pool, *arg);
-                let run = Bits {
-                    start: xa.start + *lo as usize,
-                    width: (hi - lo + 1) as usize,
-                };
-                self.cache_bv(t, run);
-                run
-            }
-            Term::BvLshrConst { arg, amount } => {
-                let xa = self.blast_bv(pool, *arg);
-                let kept = xa.width.saturating_sub(*amount as usize);
-                let fls = self.fls();
-                let start = self.bits.len();
-                self.bits
-                    .extend_from_within(xa.start + xa.width - kept..xa.start + xa.width);
-                self.bits.extend((kept..xa.width).map(|_| fls));
                 self.cache_bv_from(t, start)
             }
             Term::Ite(c, a, b) => {
@@ -765,35 +734,11 @@ mod tests {
         let a = p.bv_const(0b1100, 8);
         let b = p.bv_const(0b1010, 8);
         let ex = p.bv_eq(x, a);
-        for (op, expect) in [
-            (p.bv_and(x, b), 0b1000u64),
-            (p.bv_or(x, b), 0b1110),
-            (p.bv_xor(x, b), 0b0110),
-        ] {
-            let e = p.bv_const(expect, 8);
-            let eq = p.bv_eq(op, e);
-            let ne = p.not(eq);
-            assert!(!is_sat(&p, &[ex, ne]));
-        }
-    }
-
-    #[test]
-    fn extract_and_shift() {
-        let mut p = TermPool::new();
-        let x = p.bv_var("x", 8);
-        let v = p.bv_const(0b1011_0110, 8);
-        let ex = p.bv_eq(x, v);
-        let hi = p.bv_extract(7, 4, x);
-        let e_hi = p.bv_const(0b1011, 4);
-        let eq_hi = p.bv_eq(hi, e_hi);
-        let ne = p.not(eq_hi);
+        let and = p.bv_and(x, b);
+        let e = p.bv_const(0b1000, 8);
+        let eq = p.bv_eq(and, e);
+        let ne = p.not(eq);
         assert!(!is_sat(&p, &[ex, ne]));
-
-        let sh = p.bv_lshr_const(x, 3);
-        let e_sh = p.bv_const(0b0001_0110, 8);
-        let eq_sh = p.bv_eq(sh, e_sh);
-        let ne2 = p.not(eq_sh);
-        assert!(!is_sat(&p, &[ex, ne2]));
     }
 
     #[test]
@@ -966,18 +911,6 @@ mod tests {
         let c32 = p.bv_const(32, 8);
         let le = p.bv_ule(len, c32);
         assert_eq!(gate_cost(&p, le, 8), (7, 21), "{SIZE_IS_SPEED}");
-    }
-
-    #[test]
-    fn extract_aliases_its_operand_bits() {
-        let mut p = TermPool::new();
-        let x = p.bv_var("x", 8);
-        let hi = p.bv_extract(7, 4, x);
-        let c = p.bv_const(0b1011, 4);
-        let eq = p.bv_eq(hi, c);
-        let mut b = IncrementalBlaster::new();
-        b.blast_bool(&p, eq);
-        assert_eq!(b.bv_bits(hi).unwrap(), &b.bv_bits(x).unwrap()[4..]);
     }
 
     #[test]

@@ -169,25 +169,11 @@ impl Model {
             Term::BvUlt(a, b) => Value::Bool(self.eval_bv(pool, a)? < self.eval_bv(pool, b)?),
             Term::BvUle(a, b) => Value::Bool(self.eval_bv(pool, a)? <= self.eval_bv(pool, b)?),
             Term::BvAnd(a, b) => Value::Bv(self.eval_bv(pool, a)? & self.eval_bv(pool, b)?),
-            Term::BvOr(a, b) => Value::Bv(self.eval_bv(pool, a)? | self.eval_bv(pool, b)?),
-            Term::BvXor(a, b) => Value::Bv(self.eval_bv(pool, a)? ^ self.eval_bv(pool, b)?),
-            Term::BvNot(a) => {
-                let w = pool.sort(t).width();
-                Value::Bv(!self.eval_bv(pool, a)? & width_mask(w))
-            }
             Term::BvAdd(a, b) => {
                 let w = pool.sort(t).width();
                 Value::Bv(
                     self.eval_bv(pool, a)?.wrapping_add(self.eval_bv(pool, b)?) & width_mask(w),
                 )
-            }
-            Term::BvExtract { hi, lo, arg } => {
-                let v = self.eval_bv(pool, arg)?;
-                Value::Bv((v >> lo) & width_mask(hi - lo + 1))
-            }
-            Term::BvLshrConst { arg, amount } => {
-                let v = self.eval_bv(pool, arg)?;
-                Value::Bv(if amount >= 64 { 0 } else { v >> amount })
             }
         };
         Some(v)
@@ -292,16 +278,6 @@ fn record_solve_metrics(stats: &SolverStats, blast: Duration) {
     obs::add("smt.encode_ns", stats.encode_time.as_nanos() as u64);
     obs::add("smt.solve_ns", stats.solve_time.as_nanos() as u64);
     obs::observe("smt.solve_time", stats.solve_time);
-}
-
-/// Check validity of `formula` (i.e. unsatisfiability of its negation),
-/// returning `None` when valid or a counter-model otherwise.
-pub fn check_valid(pool: &mut TermPool, formula: TermId) -> Option<Model> {
-    let neg = pool.not(formula);
-    match solve(pool, &[neg]) {
-        SatResult::Sat(m) => Some(m),
-        SatResult::Unsat => None,
-    }
 }
 
 /// Opaque handle to a per-query activation literal created by
@@ -561,8 +537,7 @@ fn reachable_terms(pool: &TermPool, roots: &[TermId]) -> HashSet<TermId> {
             | Term::BoolVar(_)
             | Term::BvVar { .. }
             | Term::BvConst { .. } => {}
-            Term::Not(a) | Term::BvNot(a) => stack.push(*a),
-            Term::BvExtract { arg, .. } | Term::BvLshrConst { arg, .. } => stack.push(*arg),
+            Term::Not(a) => stack.push(*a),
             Term::And(parts) | Term::Or(parts) => stack.extend(parts.iter().copied()),
             Term::Ite(c, a, b) => {
                 stack.push(*c);
@@ -573,8 +548,6 @@ fn reachable_terms(pool: &TermPool, roots: &[TermId]) -> HashSet<TermId> {
             | Term::BvUlt(a, b)
             | Term::BvUle(a, b)
             | Term::BvAnd(a, b)
-            | Term::BvOr(a, b)
-            | Term::BvXor(a, b)
             | Term::BvAdd(a, b) => {
                 stack.push(*a);
                 stack.push(*b);
@@ -634,18 +607,6 @@ mod tests {
             }
             SatResult::Unsat => panic!("expected sat"),
         }
-    }
-
-    #[test]
-    fn check_valid_tautology() {
-        let mut p = TermPool::new();
-        let a = p.bool_var("a");
-        let na = p.not(a);
-        let taut = p.or2(a, na);
-        assert!(check_valid(&mut p, taut).is_none());
-        // 'a' alone is not valid; counter-model sets a=false.
-        let cm = check_valid(&mut p, a).expect("not valid");
-        assert_eq!(cm.eval_bool(&p, a), Some(false));
     }
 
     #[test]

@@ -91,18 +91,8 @@ pub enum Term {
     BvUle(TermId, TermId),
     /// Bitwise and.
     BvAnd(TermId, TermId),
-    /// Bitwise or.
-    BvOr(TermId, TermId),
-    /// Bitwise xor.
-    BvXor(TermId, TermId),
-    /// Bitwise complement.
-    BvNot(TermId),
     /// Modular addition.
     BvAdd(TermId, TermId),
-    /// Extract bits `[hi..=lo]` (width = hi - lo + 1).
-    BvExtract { hi: u32, lo: u32, arg: TermId },
-    /// Logical shift right by a constant amount.
-    BvLshrConst { arg: TermId, amount: u32 },
 }
 
 fn mask(width: u32) -> u64 {
@@ -650,35 +640,6 @@ impl TermPool {
         self.intern(Term::BvAnd(a, b), Sort::BitVec(w))
     }
 
-    /// Bitwise or.
-    pub fn bv_or(&mut self, a: TermId, b: TermId) -> TermId {
-        let w = self.sort(a).width();
-        debug_assert_eq!(self.sort(b).width(), w);
-        if let (Some(x), Some(y)) = (self.bv_value(a), self.bv_value(b)) {
-            return self.bv_const(x | y, w);
-        }
-        self.intern(Term::BvOr(a, b), Sort::BitVec(w))
-    }
-
-    /// Bitwise xor.
-    pub fn bv_xor(&mut self, a: TermId, b: TermId) -> TermId {
-        let w = self.sort(a).width();
-        debug_assert_eq!(self.sort(b).width(), w);
-        if let (Some(x), Some(y)) = (self.bv_value(a), self.bv_value(b)) {
-            return self.bv_const(x ^ y, w);
-        }
-        self.intern(Term::BvXor(a, b), Sort::BitVec(w))
-    }
-
-    /// Bitwise complement.
-    pub fn bv_not(&mut self, a: TermId) -> TermId {
-        let w = self.sort(a).width();
-        if let Some(x) = self.bv_value(a) {
-            return self.bv_const(!x, w);
-        }
-        self.intern(Term::BvNot(a), Sort::BitVec(w))
-    }
-
     /// Modular addition.
     pub fn bv_add(&mut self, a: TermId, b: TermId) -> TermId {
         let w = self.sort(a).width();
@@ -687,38 +648,6 @@ impl TermPool {
             return self.bv_const(x.wrapping_add(y), w);
         }
         self.intern(Term::BvAdd(a, b), Sort::BitVec(w))
-    }
-
-    /// Extract bits `hi..=lo` of `arg`.
-    pub fn bv_extract(&mut self, hi: u32, lo: u32, arg: TermId) -> TermId {
-        let w = self.sort(arg).width();
-        assert!(
-            hi >= lo && hi < w,
-            "bad extract range [{hi}:{lo}] on width {w}"
-        );
-        let out_w = hi - lo + 1;
-        if out_w == w {
-            return arg;
-        }
-        if let Some(x) = self.bv_value(arg) {
-            return self.bv_const(x >> lo, out_w);
-        }
-        self.intern(Term::BvExtract { hi, lo, arg }, Sort::BitVec(out_w))
-    }
-
-    /// Logical shift right by a constant.
-    pub fn bv_lshr_const(&mut self, arg: TermId, amount: u32) -> TermId {
-        let w = self.sort(arg).width();
-        if amount == 0 {
-            return arg;
-        }
-        if amount >= w {
-            return self.bv_const(0, w);
-        }
-        if let Some(x) = self.bv_value(arg) {
-            return self.bv_const(x >> amount, w);
-        }
-        self.intern(Term::BvLshrConst { arg, amount }, Sort::BitVec(w))
     }
 
     // ---------------------------------------------------------------------
@@ -761,26 +690,7 @@ impl TermPool {
             Term::BvUlt(a, b) => self.display_bin("bvult", *a, *b, out),
             Term::BvUle(a, b) => self.display_bin("bvule", *a, *b, out),
             Term::BvAnd(a, b) => self.display_bin("bvand", *a, *b, out),
-            Term::BvOr(a, b) => self.display_bin("bvor", *a, *b, out),
-            Term::BvXor(a, b) => self.display_bin("bvxor", *a, *b, out),
             Term::BvAdd(a, b) => self.display_bin("bvadd", *a, *b, out),
-            Term::BvNot(a) => {
-                out.push_str("(bvnot ");
-                self.display_into(*a, out);
-                out.push(')');
-            }
-            Term::BvExtract { hi, lo, arg } => {
-                use std::fmt::Write;
-                let _ = write!(out, "(extract[{hi}:{lo}] ");
-                self.display_into(*arg, out);
-                out.push(')');
-            }
-            Term::BvLshrConst { arg, amount } => {
-                use std::fmt::Write;
-                let _ = write!(out, "(lshr ");
-                self.display_into(*arg, out);
-                let _ = write!(out, " {amount})");
-            }
         }
     }
 
@@ -968,20 +878,6 @@ mod tests {
             &Term::BvConst {
                 width: 8,
                 value: 0xff
-            }
-        );
-    }
-
-    #[test]
-    fn extract_semantics_on_consts() {
-        let mut p = TermPool::new();
-        let a = p.bv_const(0b1101_0110, 8);
-        let hi = p.bv_extract(7, 4, a);
-        assert_eq!(
-            p.term(hi),
-            &Term::BvConst {
-                width: 4,
-                value: 0b1101
             }
         );
     }

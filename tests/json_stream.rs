@@ -4,16 +4,27 @@
 //! bytes whether it is streamed straight into the writer or rendered
 //! to a `Value` tree first — the document's one field description
 //! feeds both. A borrowed row (what `verify --json` streams) writes the
-//! bytes of the equal owned document (what the daemon stores).
+//! bytes of the equal owned document (what the daemon stores). And the
+//! derive's text is pinned: one value of every shape it emits, against
+//! strings an earlier build wrote.
 
 use api::report::{write_property, LocationPieces, Rows, TimingDoc};
 use api::{
     ApiCall, ApiRequest, ApiResponse, ConfigFile, CoreDoc, CoreRow, ExecDoc, FailureDoc,
     FailureRow, PropertyReport, SpilledCheck,
 };
+use bgp_model::aspath::AsPathRegex;
+use bgp_model::prefix::Ipv4Prefix;
+use bgp_model::route::{Community, Route};
+use bgp_model::routemap::MatchCond;
+use bgp_model::topology::Topology;
+use lightyear::pred::{Cmp, NumAttr, RoutePred};
+use lightyear::symbolic::ConcreteRoute;
 use proptest::prelude::*;
 use serde::Serialize;
 use serde_json::Value;
+use std::collections::{BTreeMap, HashMap};
+use std::time::Duration;
 
 /// Strings that exercise every escape class: quotes, backslashes, the
 /// named and the `\u00XX` control escapes, multi-byte text.
@@ -351,10 +362,6 @@ proptest! {
 struct Entry<'a>(&'a PropertyReport, FailureRow<'a>, CoreRow<'a>);
 
 impl Serialize for Entry<'_> {
-    fn to_value(&self) -> Value {
-        serde::build_value(self)
-    }
-
     fn stream<S: serde::Sink>(&self, out: &mut S) {
         write_property(
             out,
@@ -363,4 +370,83 @@ impl Serialize for Entry<'_> {
             &Rows(|| std::iter::once(self.2)),
         );
     }
+}
+
+/// Every shape the derive emits, written as text: a named struct, one
+/// with `#[serde(skip)]` fields, the four enum variant shapes
+/// (externally tagged), an `into = "String"` bridge, and a
+/// counterexample route as the spill embeds it. Each string was checked
+/// against the output of the tree-building derive this one replaced.
+#[test]
+fn derived_values_write_their_pinned_text() {
+    let mut topo = Topology::new();
+    let r1 = topo.add_router("R1", 65000);
+    let isp = topo.add_external("ISP", 100);
+    topo.add_session(r1, isp);
+    assert_eq!(
+        serde_json::to_string(&topo).unwrap(),
+        r#"{"nodes":[{"name":"R1","asn":65000,"external":false},{"name":"ISP","asn":100,"external":true}],"edges":[{"src":0,"dst":1},{"src":1,"dst":0}]}"#
+    );
+
+    let c = Community::new(100, 1);
+    let pred = RoutePred::And(vec![
+        RoutePred::True,
+        RoutePred::Ghost("FromISP1".into()),
+        RoutePred::Num(NumAttr::LocalPref, Cmp::Ge, 200),
+        RoutePred::Not(Box::new(RoutePred::HasCommunity(c))),
+    ]);
+    assert_eq!(
+        serde_json::to_string(&pred).unwrap(),
+        r#"{"And":["True",{"Ghost":"FromISP1"},{"Num":["LocalPref","Ge",200]},{"Not":{"HasCommunity":6553601}}]}"#
+    );
+
+    let conds = vec![
+        MatchCond::Community {
+            comms: vec![c],
+            match_all: true,
+        },
+        MatchCond::AsPath(vec![(false, AsPathRegex::compile("_100_").unwrap())]),
+        MatchCond::Med(5),
+    ];
+    assert_eq!(
+        serde_json::to_string(&conds).unwrap(),
+        r#"[{"Community":{"comms":[6553601],"match_all":true}},{"AsPath":[[false,"_100_"]]},{"Med":5}]"#
+    );
+
+    let mut route = Route::new(Ipv4Prefix::new(0x0a00_0000, 8)).with_as_path(vec![100, 200]);
+    route.communities.insert(c);
+    let cex = ConcreteRoute {
+        route,
+        comm_other: false,
+        aspath_matches: BTreeMap::from([("_100_".to_string(), true)]),
+        ghosts: BTreeMap::from([("FromISP1".to_string(), false)]),
+    };
+    let route_text = r#"{"route":{"prefix":{"addr":167772160,"len":8},"as_path":[100,200],"next_hop":0,"local_pref":100,"med":0,"origin":"Incomplete","communities":[6553601]},"comm_other":false,"aspath_matches":{"_100_":true},"ghosts":{"FromISP1":false}}"#;
+    assert_eq!(serde_json::to_string(&cex).unwrap(), route_text);
+    let spill = SpilledCheck::Fail {
+        vars: 23,
+        clauses: 34,
+        rejected: true,
+        input: serde_json::to_value(&cex),
+        output: Value::Null,
+    };
+    assert_eq!(
+        serde_json::to_string(&spill).unwrap(),
+        format!(
+            r#"{{"pass":false,"vars":23,"clauses":34,"rejected":true,"input":{route_text},"output":null}}"#
+        )
+    );
+
+    // The std types the shim streams by hand: a hash map's keys sorted,
+    // a char as a string, a duration as its two parts.
+    let map = HashMap::from([("b", 2), ("a", 1), ("c", 3)]);
+    assert_eq!(
+        serde_json::to_string(&map).unwrap(),
+        r#"{"a":1,"b":2,"c":3}"#
+    );
+    assert_eq!(serde_json::to_string(&'é').unwrap(), r#""é""#);
+    assert_eq!(
+        serde_json::to_string(&Duration::new(3, 7)).unwrap(),
+        r#"{"secs":3,"nanos":7}"#
+    );
 }
