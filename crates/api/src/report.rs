@@ -481,40 +481,59 @@ pub enum SpilledCheck {
 
 impl Serialize for SpilledCheck {
     fn stream<S: Sink>(&self, out: &mut S) {
-        out.begin_object();
         match self {
             SpilledCheck::Pass {
                 vars,
                 clauses,
                 core,
-            } => {
-                out.field("pass", &true);
-                out.field("vars", vars);
-                out.field("clauses", clauses);
-                if let Some(core) = core {
-                    out.field("core", core);
-                }
-            }
+            } => SpilledCheck::stream_pass(out, *vars, *clauses, core.as_deref()),
             SpilledCheck::Fail {
                 vars,
                 clauses,
                 rejected,
                 input,
                 output,
-            } => {
-                out.field("pass", &false);
-                out.field("vars", vars);
-                out.field("clauses", clauses);
-                out.field("rejected", rejected);
-                out.field("input", input);
-                out.field("output", output);
-            }
+            } => SpilledCheck::stream_fail(out, *vars, *clauses, *rejected, input, Some(output)),
         }
-        out.end_object();
     }
 }
 
 impl SpilledCheck {
+    /// Stream a pass in the spill form without building one: the
+    /// schema's one statement of a pass, which its own
+    /// [`Serialize::stream`] uses too.
+    pub fn stream_pass<S: Sink>(out: &mut S, vars: u64, clauses: u64, core: Option<&[usize]>) {
+        out.begin_object();
+        out.field("pass", &true);
+        out.field("vars", &vars);
+        out.field("clauses", &clauses);
+        if let Some(core) = core {
+            out.field("core", core);
+        }
+        out.end_object();
+    }
+
+    /// Stream a failure in the spill form from routes of any
+    /// serializable type (`None` output writes `null`); see
+    /// [`SpilledCheck::stream_pass`].
+    pub fn stream_fail<S: Sink, R: Serialize>(
+        out: &mut S,
+        vars: u64,
+        clauses: u64,
+        rejected: bool,
+        input: &R,
+        output: Option<&R>,
+    ) {
+        out.begin_object();
+        out.field("pass", &false);
+        out.field("vars", &vars);
+        out.field("clauses", &clauses);
+        out.field("rejected", &rejected);
+        out.field("input", input);
+        out.field("output", &output);
+        out.end_object();
+    }
+
     /// Decode the form [`Serialize::stream`] writes. Missing `vars` /
     /// `clauses` decode as zero (older spills); a missing or malformed
     /// `pass` field is a schema error (`None`).

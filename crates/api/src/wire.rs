@@ -226,9 +226,11 @@ impl ApiRequest {
     }
 }
 
-/// The response envelope.
+/// The response envelope. Its result is a [`Value`] unless the caller
+/// streams a document of its own type into it (`serve`'s report reply
+/// borrows the tenant's state and is never built as a tree).
 #[derive(Clone, Debug, PartialEq)]
-pub struct ApiResponse {
+pub struct ApiResponse<R = Value> {
     /// Always [`API_VERSION`] for this build.
     pub api_version: u64,
     /// Whether the call succeeded.
@@ -236,10 +238,10 @@ pub struct ApiResponse {
     /// The error message when `ok` is false.
     pub error: Option<String>,
     /// The call's result document (`Null` on error).
-    pub result: Value,
+    pub result: R,
 }
 
-impl Serialize for ApiResponse {
+impl<R: Serialize> Serialize for ApiResponse<R> {
     fn stream<S: Sink>(&self, out: &mut S) {
         out.begin_object();
         out.field("api_version", &self.api_version);
@@ -250,9 +252,9 @@ impl Serialize for ApiResponse {
     }
 }
 
-impl ApiResponse {
+impl<R> ApiResponse<R> {
     /// A successful response.
-    pub fn success(result: Value) -> ApiResponse {
+    pub fn success(result: R) -> ApiResponse<R> {
         ApiResponse {
             api_version: API_VERSION,
             ok: true,
@@ -260,7 +262,9 @@ impl ApiResponse {
             result,
         }
     }
+}
 
+impl ApiResponse {
     /// A failed response.
     pub fn failure(error: impl Into<String>) -> ApiResponse {
         ApiResponse {

@@ -16,6 +16,7 @@
 
 use crate::{exit, fail, flag_value, positionals, positive, run, usage_error, verdict_line};
 use crate::{PropertyRun, RunOpts};
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
@@ -111,21 +112,51 @@ pub(crate) fn stages_json(snap: &obs::MetricsSnapshot, clock: &StageClock) -> se
     serde_json::Value::Object(stages)
 }
 
+/// One hot check group of the profile report: its label (the first
+/// check's kind and location), the distinct edges it answered for (a
+/// session serves every edge with its relation), its solve spans and
+/// their total time.
+pub(crate) struct HotGroup {
+    group: String,
+    edges: u64,
+    spans: u64,
+    ns: u64,
+}
+
+impl HotGroup {
+    /// The label with the edges beyond the named one, e.g.
+    /// `import A -> B (+26 edges)`.
+    fn label(&self) -> String {
+        match self.edges {
+            0 | 1 => self.group.clone(),
+            2 => format!("{} (+1 edge)", self.group),
+            n => format!("{} (+{} edges)", self.group, n - 1),
+        }
+    }
+}
+
 /// The hottest check groups by cumulative solve-span time, hottest
-/// first: `(group label, spans, total seconds)`.
-pub(crate) fn hot_groups(reg: &obs::Registry, top: usize) -> Vec<(String, u64, f64)> {
-    let mut groups: Vec<(String, u64, u64)> = reg
-        .span_totals()
-        .into_iter()
-        .filter(|((name, _), _)| name == "solve_group")
-        .map(|((_, group), (count, ns))| (group, count, ns))
-        .collect();
-    groups.sort_by(|a, b| b.2.cmp(&a.2).then_with(|| a.0.cmp(&b.0)));
+/// first.
+pub(crate) fn hot_groups(reg: &obs::Registry, top: usize) -> Vec<HotGroup> {
+    let mut totals: BTreeMap<String, HotGroup> = BTreeMap::new();
+    for span in reg.spans().iter().filter(|s| s.name == "solve_group") {
+        let arg = |key: &str| span.args.iter().find(|(k, _)| *k == key).map(|(_, v)| v);
+        let group = arg("group").cloned().unwrap_or_default();
+        let edges = arg("edges").and_then(|v| v.parse().ok()).unwrap_or(0);
+        let h = totals.entry(group.clone()).or_insert(HotGroup {
+            group,
+            edges: 0,
+            spans: 0,
+            ns: 0,
+        });
+        h.spans += 1;
+        h.ns += span.dur_ns;
+        h.edges = h.edges.max(edges);
+    }
+    let mut groups: Vec<HotGroup> = totals.into_values().collect();
+    groups.sort_by(|a, b| b.ns.cmp(&a.ns).then_with(|| a.group.cmp(&b.group)));
     groups.truncate(top);
     groups
-        .into_iter()
-        .map(|(g, n, ns)| (g, n, ns as f64 / 1e9))
-        .collect()
 }
 
 /// Propagation throughput over solver busy time (search only, not
@@ -174,11 +205,12 @@ pub(crate) fn profile_json(
     let snap = reg.snapshot();
     let hot: Vec<serde_json::Value> = hot_groups(reg, top)
         .into_iter()
-        .map(|(group, spans, seconds)| {
+        .map(|h| {
             serde_json::json!({
-                "group": group,
-                "spans": spans,
-                "seconds": seconds,
+                "group": h.group,
+                "edges": h.edges,
+                "spans": h.spans,
+                "seconds": h.ns as f64 / 1e9,
             })
         })
         .collect();
@@ -236,11 +268,14 @@ fn render_report(reg: &obs::Registry, clock: &StageClock, top: usize, out_path: 
     let hot = hot_groups(reg, top);
     if !hot.is_empty() {
         println!("hottest check groups (top {}):", hot.len());
-        for (i, (group, spans, seconds)) in hot.iter().enumerate() {
+        for (i, h) in hot.iter().enumerate() {
             println!(
-                "  {:>2}. {seconds:.6}s  {group}  ({spans} solve span{})",
+                "  {:>2}. {:.6}s  {}  ({} solve span{})",
                 i + 1,
-                if *spans == 1 { "" } else { "s" },
+                h.ns as f64 / 1e9,
+                h.label(),
+                h.spans,
+                if h.spans == 1 { "" } else { "s" },
             );
         }
     }
@@ -310,4 +345,23 @@ pub(crate) fn cmd_profile(args: &[String]) -> ExitCode {
         return fail(&e);
     }
     exit(run.passed())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_merged_group_names_the_edges_beyond_its_first() {
+        let hot = |edges| HotGroup {
+            group: "import A -> B".to_string(),
+            edges,
+            spans: 1,
+            ns: 0,
+        };
+        assert_eq!(hot(0).label(), "import A -> B");
+        assert_eq!(hot(1).label(), "import A -> B");
+        assert_eq!(hot(2).label(), "import A -> B (+1 edge)");
+        assert_eq!(hot(27).label(), "import A -> B (+26 edges)");
+    }
 }

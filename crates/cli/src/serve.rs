@@ -32,6 +32,7 @@ use crate::telemetry::{Observer, TelemetryOpts};
 use crate::{fail, flag_value, positionals, positive, usage_error};
 use api::{ApiCall, ApiRequest, ApiResponse, ConfigFile};
 use bgp_config::{parse_config, ConfigAst};
+use serde::{Serialize, Sink};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -80,13 +81,13 @@ impl Daemon {
 
     /// Run one call against its tenant, holding the tenant's lock for
     /// the whole call.
-    fn execute(&self, tenant: &str, call: ApiCall) -> ApiResponse {
+    fn execute(&self, tenant: &str, call: ApiCall) -> Answer {
         self.count(&format!("serve.calls.{}", call.name()));
         if let ApiCall::SubmitConfigs { configs, spec } = call {
             return self.submit(tenant, &configs, spec);
         }
         let Some(cell) = self.table().get(tenant).cloned() else {
-            return ApiResponse::failure(NO_BASELINE);
+            return Answer::failure(NO_BASELINE);
         };
         self.count(&format!("serve.tenant.{tenant}.calls"));
         let mut guard = match cell.lock() {
@@ -95,19 +96,19 @@ impl Daemon {
                 // The poison stays until a submit clears it, so every
                 // call until then says why the tenant has no session.
                 poisoned.into_inner().session = None;
-                return ApiResponse::failure(STATE_LOST);
+                return Answer::failure(STATE_LOST);
             }
         };
         let t = &mut *guard;
         // A tenant whose baseline submit is still starting has no
         // session yet.
         let Some(session) = t.session.as_mut() else {
-            return ApiResponse::failure(NO_BASELINE);
+            return Answer::failure(NO_BASELINE);
         };
         let round = match call {
             ApiCall::SubmitDelta { configs } => match parse_config_files(&configs) {
                 Ok(asts) => session.round(asts, false),
-                Err(e) => return ApiResponse::failure(e),
+                Err(e) => return Answer::failure(e),
             },
             ApiCall::Verify => {
                 let asts = session.current.clone();
@@ -126,17 +127,17 @@ impl Daemon {
                     })
                     .collect();
                 if cores.is_empty() && property.is_some() {
-                    return ApiResponse::failure(format!(
+                    return Answer::failure(format!(
                         "unknown property {:?}",
                         property.unwrap_or_default()
                     ));
                 }
-                return ApiResponse::success(Value::Object(vec![(
+                return Answer::of(&ApiResponse::success(Value::Object(vec![(
                     "cores".to_string(),
                     Value::Array(cores),
-                )]));
+                )])));
             }
-            ApiCall::GetReport => return ApiResponse::success(report_value(t)),
+            ApiCall::GetReport => return Answer::report(t),
             ApiCall::SubmitConfigs { .. } | ApiCall::Health => {
                 unreachable!("submits return above and Health is answered in `handle`")
             }
@@ -147,14 +148,14 @@ impl Daemon {
     /// Establish (or replace) the tenant's session and verify it as the
     /// baseline round. The spec and configs are checked before the
     /// tenant is created.
-    fn submit(&self, tenant: &str, configs: &[ConfigFile], spec: Value) -> ApiResponse {
+    fn submit(&self, tenant: &str, configs: &[ConfigFile], spec: Value) -> Answer {
         let spec: Spec = match serde_json::from_value(spec) {
             Ok(s) => s,
-            Err(e) => return ApiResponse::failure(format!("bad spec: {e}")),
+            Err(e) => return Answer::failure(format!("bad spec: {e}")),
         };
         let asts = match parse_config_files(configs) {
             Ok(a) => a,
-            Err(e) => return ApiResponse::failure(e),
+            Err(e) => return Answer::failure(e),
         };
         let cell = self.table().entry(tenant.to_string()).or_default().clone();
         self.count(&format!("serve.tenant.{tenant}.calls"));
@@ -181,14 +182,14 @@ impl Daemon {
         t: &mut Tenant,
         round: Result<crate::session::RoundOutcome, String>,
         baseline: bool,
-    ) -> ApiResponse {
+    ) -> Answer {
         let outcome = match round {
             Ok(o) => o,
             Err(e) => {
                 // The session keeps its previous accepted state; the
                 // stored report stays the last good round's.
                 self.count("serve.rounds.rejected");
-                return ApiResponse::failure(e);
+                return Answer::failure(e);
             }
         };
         if let Some(s) = &t.session {
@@ -209,7 +210,7 @@ impl Daemon {
         self.count(&format!("serve.tenant.{tenant}.rounds"));
         self.tele
             .seal(baseline, outcome.passed, outcome.elapsed, None);
-        ApiResponse::success(report_value(t))
+        Answer::report(t)
     }
 
     /// The daemon-level health answer (no tenant).
@@ -243,32 +244,66 @@ impl Daemon {
     }
 
     /// The HTTP entry point: parse the envelope, then answer Health
-    /// or run the tenant's call.
-    fn handle(&self, body: &[u8]) -> (u16, ApiResponse) {
+    /// or run the tenant's call. Returns the status and the body.
+    fn handle(&self, body: &[u8]) -> (u16, String) {
         self.count("serve.requests");
         let req = match ApiRequest::from_json(&String::from_utf8_lossy(body)) {
             Ok(r) => r,
             Err(e) => {
                 self.count("serve.requests.bad");
-                return (400, ApiResponse::failure(e));
+                return (400, Answer::failure(e).body);
             }
         };
         if matches!(req.call, ApiCall::Health) {
-            return (200, self.health());
+            return (200, Answer::of(&self.health()).body);
         }
-        let resp = self.execute(&req.tenant, req.call);
-        (if resp.ok { 200 } else { 422 }, resp)
+        let answer = self.execute(&req.tenant, req.call);
+        (if answer.ok { 200 } else { 422 }, answer.body)
     }
 }
 
-/// A tenant's last-round document (the GetReport / round-reply body).
-fn report_value(t: &Tenant) -> Value {
-    Value::Object(vec![
-        ("round".to_string(), Value::UInt(t.rounds)),
-        ("passed".to_string(), Value::Bool(t.passed)),
-        ("line".to_string(), Value::Str(t.line.clone())),
-        ("reports".to_string(), serde_json::to_value(&t.reports)),
-    ])
+/// A call's answer as the wire carries it: whether it succeeded, and
+/// the envelope's text.
+struct Answer {
+    ok: bool,
+    body: String,
+}
+
+impl Answer {
+    /// The text of `resp`, as every JSON endpoint writes it.
+    fn of<R: Serialize>(resp: &ApiResponse<R>) -> Answer {
+        Answer {
+            ok: resp.ok,
+            body: serde_json::to_string_pretty(resp).unwrap_or_default(),
+        }
+    }
+
+    fn failure(error: impl Into<String>) -> Answer {
+        Answer::of(&ApiResponse::failure(error))
+    }
+
+    /// A success whose result is the tenant's last-round document (the
+    /// GetReport / round-reply body), streamed from the tenant under
+    /// its lock.
+    fn report(t: &Tenant) -> Answer {
+        Answer::of(&ApiResponse::success(ReportDoc(t)))
+    }
+}
+
+/// A tenant's last-round document: round, verdict, round line and the
+/// property reports.
+struct ReportDoc<'t>(&'t Tenant);
+
+impl Serialize for ReportDoc<'_> {
+    fn stream<S: Sink>(&self, out: &mut S) {
+        let t = self.0;
+        out.begin_object();
+        out.field("round", &t.rounds);
+        out.field("passed", &t.passed);
+        out.field("line", &t.line);
+        out.field("reports", &t.reports);
+        out.end_object();
+    }
 }
 
 /// Parse submitted config files (sorted by name, matching the
@@ -327,8 +362,12 @@ pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
                 &ApiResponse::failure("use POST /api/v1"),
             ));
         }
-        let (code, resp) = api.handle(&req.body);
-        Some(obs::http::Response::json(code, &resp))
+        let (code, body) = api.handle(&req.body);
+        Some(obs::http::Response {
+            code,
+            content_type: "application/json",
+            body,
+        })
     });
     let _server = match daemon.tele.listen(Some(handler), max_conns) {
         Ok(s) => s,
@@ -375,7 +414,9 @@ mod tests {
 
     fn call(d: &Daemon, call: ApiCall) -> (u16, ApiResponse) {
         let body = serde_json::to_string(&ApiRequest::new("t", call)).unwrap();
-        d.handle(body.as_bytes())
+        let (code, text) = d.handle(body.as_bytes());
+        let doc: Value = serde_json::from_str(&text).unwrap();
+        (code, ApiResponse::from_value(&doc).unwrap())
     }
 
     fn submit() -> ApiCall {

@@ -12,8 +12,9 @@
 //! Encoders take the pool by `&mut` and never assume it is empty: the
 //! engine calls them both on throwaway pools (fresh per-check solving)
 //! and on a persistent [`smt::IncrementalSession`] pool, where one
-//! transfer encoding is shared by every check in an encoding-base group
-//! and the pool keeps growing between assumption solves. Everything here
+//! transfer encoding is shared by every check of every edge with that
+//! relation (one session group) and the pool keeps growing between
+//! assumption solves. Everything here
 //! must therefore stay deterministic given the same inputs — fresh
 //! variables are namespaced through [`Encoder::new`]'s tag — so grouped
 //! and per-check runs produce identical formulas.

@@ -119,7 +119,7 @@ impl<'a> Verifier<'a> {
 
     /// Decide each class of [`Verifier::partition`] once (its lowest
     /// position represents it), consult `cache` (re-validating spilled
-    /// failures), batch the remainder by encoding-base key, solve whole
+    /// failures), batch the remainder by session key ([`Verifier::solve_key`]), solve whole
     /// groups on the orchestrator's pool — inline on the calling thread
     /// at `jobs = 1` — and deliver every verdict to `sink(member
     /// position, verdict)` in position order without ever materialising

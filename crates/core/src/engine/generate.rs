@@ -159,22 +159,6 @@ impl<'a> CheckBody<'a> {
             CheckBody::Originate { .. } => None,
         }
     }
-
-    /// The encoding-base key: checks with equal keys share everything but
-    /// their assume/ensure predicates — the symbolic input route, its
-    /// well-formedness constraint and (for transfers) the route-map +
-    /// ghost-update transfer relation — so they are solved together on
-    /// one persistent session. Never part of a fingerprint: grouping
-    /// affects scheduling, not verdicts.
-    pub(crate) fn group_key(&self) -> u64 {
-        match self {
-            CheckBody::Transfer {
-                edge, is_import, ..
-            } => (1 << 40) | ((edge.0 as u64) << 1) | u64::from(*is_import),
-            CheckBody::Originate { edge, .. } => (2 << 40) | edge.0 as u64,
-            CheckBody::Implication { .. } => 3 << 40,
-        }
-    }
 }
 
 /// The checks of a run's suites, ids counted per suite, and the

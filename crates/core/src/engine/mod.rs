@@ -15,8 +15,8 @@
 //! behind Figure 3b of the paper), which makes checks embarrassingly
 //! parallel (design decision D3) and incrementally re-checkable.
 //! `partition` splits a run's checks into classes of structurally
-//! identical ones, `solve` decides each class once on an
-//! encoding-base session, `validate` re-checks what the cache answers
+//! identical ones, `solve` decides each class once on a session shared
+//! by every edge with the same transfer relation, `validate` re-checks what the cache answers
 //! and `fold` streams the verdicts out in check order; `spill` is
 //! the cache's disk form. Re-verify rounds
 //! ([`crate::reverify::ReverifyEngine`]) partition only their dirty
@@ -195,9 +195,8 @@ impl<'a> Verifier<'a> {
     /// Cross-property shared-encoding verification: run several
     /// `(property suite, invariants)` problems as **one** batch, so
     /// checks from different suites that share an encoding base — above
-    /// all, the transfer relation of one edge — are solved on a single
-    /// persistent session instead of re-encoding that edge once per
-    /// suite, and every subsumption/implication check shares one
+    /// all, one transfer relation — are solved on a single persistent
+    /// session instead of re-encoding that relation once per suite, and every subsumption/implication check shares one
     /// implication session. The batch runs over the union attribute
     /// universe of all suites.
     ///
@@ -592,7 +591,7 @@ mod tests {
             },
             core: None,
         };
-        let spilled = solved.spill_value().expect("failures are durable now");
+        let spilled = serde_json::to_value(&solved);
         let back = SolvedCheck::from_spill(&spilled).expect("decodes");
         let CheckResult::Fail(cex) = &back.result else {
             panic!("expected a failure");
@@ -609,7 +608,7 @@ mod tests {
             stats: SolverStats::default(),
             core: Some(vec![1, 3]),
         };
-        let v = pass.spill_value().unwrap();
+        let v = serde_json::to_value(&pass);
         let back = SolvedCheck::from_spill(&v).unwrap();
         assert!(back.result.passed());
         assert_eq!(back.core, Some(vec![1, 3]), "cores must spill and reload");
@@ -618,7 +617,7 @@ mod tests {
             stats: SolverStats::default(),
             core: None,
         };
-        let v = pass.spill_value().unwrap();
+        let v = serde_json::to_value(&pass);
         assert!(SolvedCheck::from_spill(&v).unwrap().result.passed());
     }
 
@@ -758,8 +757,8 @@ mod tests {
             assert_eq!(solo.format_failures(&t), got.format_failures(&t));
         }
         // Cross-property sharing really happened: one property per suite
-        // means a standalone run has only singleton encoding-base groups,
-        // while the batch solves the suites' same-edge checks as warm
+        // means a standalone run has only singleton session groups, while
+        // the batch solves the suites' same-relation checks as warm
         // assumption queries on shared sessions.
         assert!(multi.exec.groups > 0, "{:?}", multi.exec);
         assert!(multi.exec.assumption_solves > 0, "{:?}", multi.exec);

@@ -1,7 +1,7 @@
 //! The fingerprint stage: partition a run's checks into classes of
 //! structurally identical ones on small-integer class keys (see
 //! [`crate::fingerprint`]), fingerprint each class once and key it by
-//! its representative's encoding base.
+//! the session its representative is solved on ([`Verifier::solve_key`]).
 
 use super::generate::{CheckBody, ResolvedCheck};
 use super::Verifier;
@@ -12,7 +12,7 @@ use orchestrator::{Fingerprint, Structure};
 
 /// A class of structurally identical checks as the solve stage takes
 /// it: the class fingerprint (the cache key), the representative's
-/// encoding-base group key ([`Verifier::solve_key`]), the representative
+/// session key ([`Verifier::solve_key`]), the representative
 /// and every member's position.
 pub(crate) type Class<'c, 's> = Structure<&'c ResolvedCheck<'s>>;
 
@@ -106,17 +106,27 @@ impl<'a> Verifier<'a> {
         classes
     }
 
-    /// The encoding-base key check `i` of a run is solved under. All
-    /// implication checks share one encoding base, which would otherwise
-    /// serialize every subsumption check of a multi-property run onto a
-    /// single worker: that one unbounded group is spread over
-    /// worker-count chunks by check index — session reuse within a
-    /// chunk, parallelism across chunks. Transfer groups are naturally
-    /// bounded (one per edge direction) and stay whole.
+    /// The session key check `i` of a run is solved under — the one
+    /// place a group is decided. Checks with equal keys share everything
+    /// but their assume/ensure predicates: the symbolic input route, its
+    /// well-formedness constraint and, for transfers, the relation. A
+    /// transfer check is keyed by its relation's interned id in
+    /// [`crate::fingerprint::PolicyDigests`] (the base its class key
+    /// carries), so every edge that shares a route-map + ghost-update
+    /// relation is answered on one session that encodes it once. An originate check is keyed by
+    /// its edge. All implication checks share one encoding base, which
+    /// would otherwise serialize every subsumption check of a
+    /// multi-property run onto a single worker: that one unbounded group
+    /// is spread over worker-count chunks by check index — session reuse
+    /// within a chunk, parallelism across chunks. Never part of a
+    /// fingerprint: grouping affects scheduling, not verdicts.
     pub(crate) fn solve_key(&self, i: usize, c: &ResolvedCheck) -> u64 {
         match c.body {
-            CheckBody::Implication { .. } => c.body.group_key() | (i as u64 % self.jobs as u64),
-            _ => c.body.group_key(),
+            CheckBody::Transfer {
+                edge, is_import, ..
+            } => (1 << 40) | u64::from(self.policy_digests().transfer_id(edge, is_import)),
+            CheckBody::Originate { edge, .. } => (2 << 40) | u64::from(edge.0),
+            CheckBody::Implication { .. } => (3 << 40) | (i as u64 % self.jobs as u64),
         }
     }
 }

@@ -1,7 +1,8 @@
-//! Deciding checks: encoding-base groups on persistent assumption-based
-//! [`smt::IncrementalSession`]s (shared universe/router constraints
-//! encoded once, each check an assumption-gated query carrying learnt
-//! clauses forward), the one-shot query every failure's counterexample
+//! Deciding checks: session groups — one per distinct transfer relation,
+//! per originate edge and per implication chunk — on persistent
+//! assumption-based [`smt::IncrementalSession`]s (the relation encoded
+//! once, each check an assumption-gated query carrying learnt clauses
+//! forward), the one-shot query every failure's counterexample
 //! and the reference oracle come from, and the concrete evaluator of
 //! originate checks.
 
@@ -211,6 +212,20 @@ fn solve_conjunct_gated(
     (result, stats, core)
 }
 
+/// How many distinct edges a group's checks sit on (an implication
+/// sits on none).
+fn distinct_edges(checks: &[&ResolvedCheck]) -> usize {
+    let mut edges: Vec<EdgeId> = (checks.iter())
+        .filter_map(|rc| match rc.body {
+            CheckBody::Transfer { edge, .. } | CheckBody::Originate { edge, .. } => Some(edge),
+            CheckBody::Implication { .. } => None,
+        })
+        .collect();
+    edges.sort_unstable();
+    edges.dedup();
+    edges.len()
+}
+
 /// The conjunct core of a query the term pool folded to `False`: the
 /// simplifier got there through a `False` member or a complementary
 /// pair, so blame the responsible conjunct(s) when they are identifiable
@@ -357,31 +372,35 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Solve one encoding-base group on a persistent assumption-based
-    /// session: the symbolic route, its well-formedness constraint and
-    /// (for transfer groups) the route-map transfer relation are encoded
-    /// once; each check contributes only its assume/ensure predicates —
-    /// one activation literal per assume **conjunct** plus one for the
-    /// negated goal — and is decided by an assumption solve that reuses
-    /// everything the session has learnt. A passing check reads the
-    /// failed assumptions back as its conjunct-level unsat core; a
+    /// Solve one session group (see [`Verifier::solve_key`]) on a
+    /// persistent assumption-based session: the symbolic route, its
+    /// well-formedness constraint and (for transfer groups) the
+    /// route-map + ghost-update transfer relation are encoded once — from
+    /// the representative's edge, since every member's edge has the same
+    /// relation — and each check contributes only its assume/ensure
+    /// predicates: one activation literal per assume **conjunct** plus
+    /// one for the negated goal, decided by an assumption solve that
+    /// reuses everything the session has learnt. A passing check reads
+    /// the failed assumptions back as its conjunct-level unsat core; a
     /// failing check re-derives its counterexample on a fresh one-shot
     /// instance, so session history can never influence what a failure
     /// prints (fresh and grouped runs stay byte-identical).
     ///
-    /// Cross-property note: a group may mix checks from *different*
-    /// properties — the encoding base (`CheckBody::group_key`) is
-    /// deliberately property-agnostic, so a multi-property batch encodes
-    /// each edge's transfer relation exactly once for all of them.
+    /// A session is per relation, not per edge direction: a group may
+    /// mix checks of many edges that share one relation, and checks from
+    /// *different* properties — the key is deliberately
+    /// property-agnostic, so a multi-property batch encodes each distinct
+    /// relation exactly once for all of them.
     pub(crate) fn run_group(
         &self,
         universe: &Universe,
         checks: &[&ResolvedCheck],
     ) -> Vec<SolvedCheck> {
         let first = checks.first().expect("groups are non-empty");
-        // Label groups by their representative check — the encoding base
-        // is per edge-direction (or the shared implication base), so the
-        // first member names the group for the profile's hot-group view.
+        // Label groups by their representative check, and count the
+        // distinct edges the group answers for: a transfer group serves
+        // every edge with its relation, so the first member's edge alone
+        // would misattribute the time of a merged group.
         let _span = obs::span!(
             "solve_group",
             group = format!(
@@ -389,7 +408,8 @@ impl<'a> Verifier<'a> {
                 first.site.kind(),
                 first.site.location(self.topo).display(self.topo)
             ),
-            checks = checks.len()
+            checks = checks.len(),
+            edges = distinct_edges(checks)
         );
         // One record path for both session shapes: a passing check
         // reads its core off the session, a failing one re-derives its
@@ -409,6 +429,17 @@ impl<'a> Verifier<'a> {
             CheckBody::Transfer {
                 edge, is_import, ..
             } => {
+                let digests = self.policy_digests();
+                let relation = digests.transfer_id(edge, is_import);
+                assert!(
+                    checks.iter().all(|rc| match rc.body {
+                        CheckBody::Transfer {
+                            edge, is_import, ..
+                        } => digests.transfer_id(edge, is_import) == relation,
+                        _ => false,
+                    }),
+                    "a transfer group spans more than one relation"
+                );
                 let mut sess = group_session();
                 let (input, wf, transfer) = timed("engine.terms_ns", || {
                     let pool = sess.pool_mut();

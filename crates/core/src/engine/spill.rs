@@ -7,43 +7,40 @@ use super::CheckCache;
 use crate::check::{CheckResult, Counterexample};
 use crate::fingerprint::FP_VERSION;
 use crate::symbolic::ConcreteRoute;
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Sink};
 use serde_json::Value;
 use smt::SolverStats;
 use std::path::Path;
 use std::sync::Arc;
 
-impl SolvedCheck {
-    /// Spill encoding for the disk cache, rendered through the shared
-    /// [`api::SpilledCheck`] schema. Both passes and failures are
-    /// durable; a failure carries its counterexample, which is
-    /// **re-validated** against the live configuration before the cached
-    /// verdict is trusted (see `Verifier::cached_result_still_valid`), so
-    /// warm runs no longer re-prove every failure yet can never replay a
-    /// stale one.
-    pub fn spill_value(&self) -> Option<Value> {
-        let doc = match &self.result {
-            CheckResult::Pass => api::SpilledCheck::Pass {
-                vars: self.stats.num_vars,
-                clauses: self.stats.num_clauses,
-                core: self.core.clone(),
-            },
-            CheckResult::Fail(cex) => api::SpilledCheck::Fail {
-                vars: self.stats.num_vars,
-                clauses: self.stats.num_clauses,
-                rejected: cex.rejected,
-                input: cex.input.to_value(),
-                output: cex
-                    .output
-                    .as_ref()
-                    .map(|o| o.to_value())
-                    .unwrap_or(Value::Null),
-            },
-        };
-        Some(doc.to_value())
+/// The spill encoding of the disk cache: the shared
+/// [`api::SpilledCheck`] schema, streamed straight from the verdict. Both
+/// passes and failures are durable; a failure carries its
+/// counterexample, which is **re-validated** against the live
+/// configuration before the cached verdict is trusted (see
+/// `Verifier::cached_result_still_valid`), so warm runs no longer
+/// re-prove every failure yet can never replay a stale one.
+impl Serialize for SolvedCheck {
+    fn stream<S: Sink>(&self, out: &mut S) {
+        let (vars, clauses) = (self.stats.num_vars, self.stats.num_clauses);
+        match &self.result {
+            CheckResult::Pass => {
+                api::SpilledCheck::stream_pass(out, vars, clauses, self.core.as_deref())
+            }
+            CheckResult::Fail(cex) => api::SpilledCheck::stream_fail(
+                out,
+                vars,
+                clauses,
+                cex.rejected,
+                &cex.input,
+                cex.output.as_ref(),
+            ),
+        }
     }
+}
 
-    /// Decode the [`SolvedCheck::spill_value`] form.
+impl SolvedCheck {
+    /// Decode the spill form its [`Serialize::stream`] writes.
     pub fn from_spill(v: &Value) -> Option<Self> {
         match api::SpilledCheck::from_value(v)? {
             api::SpilledCheck::Pass {
@@ -113,9 +110,10 @@ pub fn load_check_cache_bounded(
 }
 
 /// Spill a [`CheckCache`] to `dir/cache.json` (passes and failures; see
-/// [`SolvedCheck::spill_value`]). Returns the number of entries written.
+/// the [`SolvedCheck`] `Serialize` impl). Returns the number of entries
+/// written.
 pub fn save_check_cache(cache: &CheckCache, dir: &Path) -> std::io::Result<usize> {
-    cache.save_to_dir(dir, FP_VERSION, SolvedCheck::spill_value)
+    cache.save_to_dir(dir, FP_VERSION, |s| serde_json::to_string(s).ok())
 }
 
 /// Load a [`CheckCache`] keeping only **passing** entries. This is the

@@ -234,7 +234,10 @@ impl PolicyDigests {
         }
     }
 
-    fn transfer_id(&self, edge: EdgeId, is_import: bool) -> u32 {
+    /// The interned id of one edge-direction's transfer relation: equal
+    /// ids mean equal route-map contents, direction and ghost updates,
+    /// and so one relation to encode.
+    pub(crate) fn transfer_id(&self, edge: EdgeId, is_import: bool) -> u32 {
         self.transfer[2 * edge.0 as usize + usize::from(is_import)]
     }
 }
@@ -312,7 +315,7 @@ impl<'a> FpParts<'a> {
     /// route-map contents (never the renaming-sensitive map name) and
     /// the ghost updates on that edge+direction, *without* any
     /// assume/ensure predicate or universe: the part every check of one
-    /// encoding-base group shares.
+    /// session group shares.
     pub(crate) fn transfer(&self, edge: EdgeId, is_import: bool) -> Fingerprint {
         self.policy.bases[self.policy.transfer_id(edge, is_import) as usize]
     }

@@ -35,7 +35,8 @@
 //!   orchestrator's dedup and cross-run cache.
 //! * [`engine`] — the [`Verifier`] and its pipeline, one module per
 //!   stage: generate the local checks (§4.2, §5), partition them by
-//!   fingerprint, solve each class once on an encoding-base session,
+//!   fingerprint, solve each class once on a session per distinct
+//!   transfer relation,
 //!   re-validate cached verdicts, fold verdicts into reports in check
 //!   order, and spill the result cache to disk.
 //! * [`reverify`] — the cross-run re-verification engine behind daemon

@@ -19,7 +19,7 @@
 //! generation entry (`Verifier::generate`), partitioned into classes on
 //! the round's part cache (`Verifier::partition`), then decided and
 //! folded by `Verifier::fold` — one solve per class, grouped by
-//! encoding base, groups spread over the verifier's `jobs` workers.
+//! transfer relation, groups spread over the verifier's `jobs` workers.
 //! Nothing a round encodes outlives it, so a round's cost and memory do
 //! not depend on the engine's age.
 //!

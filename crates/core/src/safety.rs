@@ -5,19 +5,19 @@
 //! satisfies `P`, for all possible external announcements and arbitrary
 //! node/link failures (§4.5). This module only states properties: their
 //! checks are generated and decided by the stages of [`crate::engine`],
-//! solved in encoding-base groups on persistent assumption-based SMT
-//! sessions (one transfer encoding per edge, one implication session per
-//! batch), which is what makes verifying many properties against one invariant
+//! solved in groups on persistent assumption-based SMT sessions (one
+//! session per distinct transfer relation, however many edges carry it,
+//! and implication sessions shared by the batch), which is what makes verifying many properties against one invariant
 //! assignment (`Verifier::verify_safety_multi`) cheap: the §4.3 lemma
 //! already shares the Import/Export/Originate checks across properties,
 //! and the per-property subsumption checks then share one solver.
 //!
 //! The sharing compounds across *independent* property suites too:
 //! `Verifier::verify_safety_batch` runs several `(properties,
-//! invariants)` problems as one batch, the property-agnostic
-//! encoding-base key putting same-edge checks from different suites on
-//! one persistent session — each edge is encoded once for the whole
-//! spec. Passing checks additionally report the unsat core of invariant
+//! invariants)` problems as one batch, the property-agnostic session
+//! key putting same-relation checks from different suites on one
+//! persistent session — each distinct relation is encoded once for the
+//! whole spec. Passing checks additionally report the unsat core of invariant
 //! conjuncts their proof needed (`CheckOutcome::core`).
 
 use crate::invariants::Location;

@@ -383,19 +383,6 @@ impl Registry {
         v
     }
 
-    /// Total span durations aggregated by `(span name, first arg)` —
-    /// the source for "hottest check groups" in the profile report.
-    pub fn span_totals(&self) -> BTreeMap<(String, String), (u64, u64)> {
-        let mut totals: BTreeMap<(String, String), (u64, u64)> = BTreeMap::new();
-        for s in self.spans() {
-            let label = s.args.first().map(|(_, v)| v.clone()).unwrap_or_default();
-            let e = totals.entry((s.name.to_string(), label)).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += s.dur_ns;
-        }
-        totals
-    }
-
     /// Point-in-time view of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {

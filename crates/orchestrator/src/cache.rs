@@ -3,11 +3,12 @@
 //! One lock guards the map: every lookup, insert and removal happens on
 //! the thread that drives a run (before the pool starts, or in the
 //! delivery callback on the calling thread), so there is nothing to
-//! shard. Spilling is delegated to caller-supplied encode/decode
-//! closures over `serde_json::Value`, so the cache stays generic and
-//! callers decide which results are durable (the verifier spills both
-//! passes and failures; failures are re-validated against the live
-//! configuration before reuse — see `lightyear::engine`).
+//! shard. Spilling is delegated to caller-supplied closures — an encoder
+//! to an entry's JSON payload text, a decoder from `serde_json::Value` —
+//! so the cache stays generic and callers decide which results are durable
+//! (the verifier spills both passes and failures; failures are
+//! re-validated against the live configuration before reuse — see
+//! `lightyear::engine`).
 //!
 //! Long-lived processes (daemon-style re-verification loops) can bound
 //! the cache with [`ResultCache::bounded`]: it then evicts its
@@ -15,6 +16,7 @@
 //! no matter how many distinct check structures flow through.
 
 use crate::fingerprint::{Fingerprint, FpHasher};
+use serde::{Serialize, Sink};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::io::{self, Write as _};
@@ -43,6 +45,32 @@ pub fn spill_entry_sum(key_hex: &str, payload: &str) -> String {
     h.write_str(key_hex);
     h.write_str(payload);
     h.finish().to_hex()
+}
+
+/// The spill document (see [`ResultCache::save_to_dir`]) over entries
+/// sorted by key: `(key hex, payload text)`.
+struct SpillDoc<'e> {
+    key_version: u32,
+    entries: &'e [(String, String)],
+}
+
+impl Serialize for SpillDoc<'_> {
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.begin_object();
+        out.field("version", &SPILL_VERSION);
+        out.field("key_version", &i64::from(self.key_version));
+        out.key("entries");
+        out.begin_object();
+        for (hex, payload) in self.entries {
+            out.key(hex);
+            out.begin_object();
+            out.field("sum", &spill_entry_sum(hex, payload));
+            out.field("payload", payload);
+            out.end_object();
+        }
+        out.end_object();
+        out.end_object();
+    }
 }
 
 /// One cached value plus its last-touch stamp for LRU ordering.
@@ -172,45 +200,33 @@ impl<V: Clone> ResultCache<V> {
         self.lock().map.get(&fp.0).map(|e| e.value.clone())
     }
 
-    /// Spill to `dir/cache.json`. `encode` chooses which entries are
-    /// durable: returning `None` skips an entry. Each entry is stored as
-    /// `{"sum", "payload"}` — the payload's compact JSON text plus its
-    /// checksum — so reload can detect corruption per entry. The
-    /// document records `key_version`, the version of the format the
-    /// caller derives its fingerprint keys with. Returns the number of
+    /// Spill to `dir/cache.json`. `encode` renders an entry's payload as
+    /// compact JSON text (stream it with `serde_json::to_string`) and
+    /// chooses which entries are durable: returning `None` skips an
+    /// entry. Each entry is stored as `{"sum", "payload"}` — the payload
+    /// text plus its checksum — so reload can detect corruption per
+    /// entry. The document records `key_version`, the version of the
+    /// format the caller derives its fingerprint keys with, and is
+    /// streamed to text, never built as a tree. Returns the number of
     /// entries written.
     pub fn save_to_dir(
         &self,
         dir: &Path,
         key_version: u32,
-        encode: impl Fn(&V) -> Option<Value>,
+        encode: impl Fn(&V) -> Option<String>,
     ) -> io::Result<usize> {
         std::fs::create_dir_all(dir)?;
-        let mut entries: Vec<(String, Value)> = Vec::new();
-        for (k, e) in self.lock().map.iter() {
-            if let Some(val) = encode(&e.value) {
-                let hex = Fingerprint(*k).to_hex();
-                let payload = serde_json::to_string(&val)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-                let wrapped = Value::Object(vec![
-                    (
-                        "sum".to_string(),
-                        Value::Str(spill_entry_sum(&hex, &payload)),
-                    ),
-                    ("payload".to_string(), Value::Str(payload)),
-                ]);
-                entries.push((hex, wrapped));
-            }
-        }
+        let mut entries: Vec<(String, String)> = (self.lock().map.iter())
+            .filter_map(|(k, e)| Some((Fingerprint(*k).to_hex(), encode(&e.value)?)))
+            .collect();
         // Sort for reproducible files (map iteration order is not
         // deterministic).
         entries.sort_by(|a, b| a.0.cmp(&b.0));
         let written = entries.len();
-        let doc = Value::Object(vec![
-            ("version".to_string(), Value::Int(SPILL_VERSION)),
-            ("key_version".to_string(), Value::Int(key_version.into())),
-            ("entries".to_string(), Value::Object(entries)),
-        ]);
+        let doc = SpillDoc {
+            key_version,
+            entries: &entries,
+        };
         let text = serde_json::to_string_pretty(&doc)
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
         let path = dir.join("cache.json");
@@ -320,7 +336,7 @@ mod tests {
         let written = c
             .save_to_dir(&dir, 1, |(pass, n)| {
                 if *pass {
-                    Some(serde_json::json!({ "n": *n }))
+                    Some(format!("{{\"n\":{n}}}"))
                 } else {
                     None
                 }
@@ -346,7 +362,7 @@ mod tests {
         let c: ResultCache<u32> = ResultCache::new();
         c.insert(fp(1), 10);
         c.insert(fp(2), 20);
-        c.save_to_dir(&dir, 1, |n| Some(serde_json::json!({ "n": *n })))
+        c.save_to_dir(&dir, 1, |n| Some(format!("{{\"n\":{n}}}")))
             .unwrap();
         let path = dir.join("cache.json");
         let text = std::fs::read_to_string(&path).unwrap();

@@ -1,13 +1,19 @@
-//! Search identity pinned check by check: for every check of three
-//! one-worker batch runs, the size of the CNF it was decided on, the
-//! search it took and its unsat core (or counterexample) must match
-//! `tests/fixtures/cnf_identity.txt`.
+//! Answers and search identity pinned check by check, for every check
+//! of three one-worker batch runs, in two fixtures:
 //!
-//! Speed work on terms, bit-blasting or the clause feed must not change
-//! the formula: the same terms in the same order blast to the same
-//! clauses, and the same clauses in the same order give the same
-//! decisions, conflicts and propagations. A change here is a change to
-//! the CNF or to the search, never a timing.
+//! * `tests/fixtures/cnf_answers.txt` — each check's verdict: its unsat
+//!   core, or its counterexample. What a user reads; a scheduling change
+//!   (how checks share sessions) must leave it byte for byte alone.
+//! * `tests/fixtures/cnf_search.txt` — the size of the CNF each check
+//!   was decided on and the search it took (decisions, conflicts,
+//!   propagations). Speed work on terms, bit-blasting or the clause feed
+//!   must not change it: the same terms in the same order blast to the
+//!   same clauses, and the same clauses in the same order give the same
+//!   search. A scheduling change may re-pin it, and the answers file's
+//!   diff then shows that no answer moved.
+//!
+//! A change to either is a change to the CNF, the search or the answers,
+//! never a timing.
 //!
 //! The inputs: the `netgen::zoo` Cogentco wiring scaled to 24 routers,
 //! with a router-unique leading `deny` on eight /24s in every route-map
@@ -26,8 +32,17 @@ use std::fmt::Write as _;
 
 type Suite = (Vec<SafetyProperty>, NetworkInvariants);
 
-/// One line per check of every suite, in suite then id order.
-fn render(name: &str, v: &Verifier, suites: &[Suite], out: &mut String) {
+/// The two renderings of a run: answers and search (see the module
+/// docs).
+#[derive(Default)]
+struct Records {
+    answers: String,
+    search: String,
+}
+
+/// One line per check of every suite in each rendering, in suite then
+/// id order.
+fn render(name: &str, v: &Verifier, suites: &[Suite], out: &mut Records) {
     let refs: Vec<(&[SafetyProperty], &NetworkInvariants)> =
         suites.iter().map(|(p, i)| (p.as_slice(), i)).collect();
     let multi = v.verify_safety_batch(&refs);
@@ -36,8 +51,10 @@ fn render(name: &str, v: &Verifier, suites: &[Suite], out: &mut String) {
     }
 }
 
-fn render_report(name: &str, report: &Report, out: &mut String) {
-    let _ = writeln!(out, "== {name}: {} checks", report.num_checks());
+fn render_report(name: &str, report: &Report, out: &mut Records) {
+    for text in [&mut out.answers, &mut out.search] {
+        let _ = writeln!(text, "== {name}: {} checks", report.num_checks());
+    }
     for o in &report.outcomes {
         let s = &o.stats;
         let verdict = match &o.result {
@@ -47,9 +64,10 @@ fn render_report(name: &str, report: &Report, out: &mut String) {
             },
             CheckResult::Fail(cex) => format!("FAIL {cex}"),
         };
+        let _ = writeln!(out.answers, "#{} {verdict}", o.check.id);
         let _ = writeln!(
-            out,
-            "#{} vars={} clauses={} dec={} confl={} prop={} {verdict}",
+            out.search,
+            "#{} vars={} clauses={} dec={} confl={} prop={}",
             o.check.id,
             s.num_vars,
             s.num_clauses,
@@ -144,7 +162,7 @@ fn wan2x2() -> WanParams {
 }
 
 /// Every peering predicate and every region's reuse safety, one batch.
-fn wan_run(name: &str, s: &wan::Scenario, out: &mut String) {
+fn wan_run(name: &str, s: &wan::Scenario, out: &mut Records) {
     let mut v = Verifier::new(&s.network.topology, &s.network.policy)
         .with_jobs(1)
         .with_ghost(s.from_peer_ghost());
@@ -160,8 +178,8 @@ fn wan_run(name: &str, s: &wan::Scenario, out: &mut String) {
     render(name, &v, &suites, out);
 }
 
-fn all_records() -> String {
-    let mut out = String::new();
+fn all_records() -> Records {
+    let mut out = Records::default();
 
     let z = zoo_quarantined();
     let v = Verifier::new(&z.network.topology, &z.network.policy)
@@ -187,14 +205,31 @@ fn all_records() -> String {
     out
 }
 
-#[test]
-fn cnf_and_search_match_fixture() {
-    let want = include_str!("fixtures/cnf_identity.txt");
-    let got = all_records();
+/// `got` equals the fixture `want`, or the first differing line fails.
+fn assert_matches(fixture: &str, got: &str, want: &str) {
     if got != want {
         for (i, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-            assert_eq!(g, w, "first difference at line {}", i + 1);
+            assert_eq!(g, w, "{fixture}: first difference at line {}", i + 1);
         }
-        assert_eq!(got.lines().count(), want.lines().count(), "line count");
+        assert_eq!(
+            got.lines().count(),
+            want.lines().count(),
+            "{fixture}: line count"
+        );
     }
+}
+
+#[test]
+fn cnf_and_search_match_fixture() {
+    let got = all_records();
+    assert_matches(
+        "cnf_answers.txt",
+        &got.answers,
+        include_str!("fixtures/cnf_answers.txt"),
+    );
+    assert_matches(
+        "cnf_search.txt",
+        &got.search,
+        include_str!("fixtures/cnf_search.txt"),
+    );
 }

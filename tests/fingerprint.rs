@@ -565,8 +565,12 @@ fn partition_and_stats(
     [x.generated, x.unique, x.executed, x.groups]
 }
 
-/// The pinned statistics below date from JSON-hashed fingerprints: an
-/// unchanged partition reproduces them exactly.
+/// The pinned generated / unique / executed counts below date from
+/// JSON-hashed fingerprints: an unchanged partition reproduces them
+/// exactly. The group counts are one session per distinct transfer
+/// relation among the executed classes, plus originate and implication
+/// groups (10 and 11 on fencing, 22 and 23 when sessions were per edge
+/// direction).
 #[test]
 fn zoo_uninett_partition_is_structural_equality() {
     let entry = CORPUS.iter().find(|e| e.name == "Uninett").unwrap();
@@ -600,9 +604,9 @@ fn zoo_uninett_partition_is_structural_equality() {
 }
 
 const UNINETT_PEERING: [usize; 4] = [512, 10, 10, 10];
-const UNINETT_FENCING: [usize; 4] = [441, 24, 24, 22];
+const UNINETT_FENCING: [usize; 4] = [441, 24, 24, 10];
 const UNINETT_PEERING_BROKEN: [usize; 4] = [512, 11, 11, 11];
-const UNINETT_FENCING_BROKEN: [usize; 4] = [441, 25, 25, 23];
+const UNINETT_FENCING_BROKEN: [usize; 4] = [441, 25, 25, 11];
 
 #[test]
 fn wan_50r_partition_is_structural_equality() {

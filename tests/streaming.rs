@@ -35,7 +35,18 @@ fn runs_stream_in_order_through_a_window_of_structures() {
         let reg = obs::install();
         let multi = verifier.verify_safety_batch_streaming(&suites, true);
         let frontier_peak = reg.snapshot().gauge("engine.report_frontier_peak");
+        // Each session's span counts the distinct edges it answered for
+        // (what `lightyear profile` prints beside a merged group).
+        let edges: Vec<usize> = (reg.spans().iter())
+            .filter(|s| s.name == "solve_group")
+            .map(|s| {
+                let (_, n) = s.args.iter().find(|(k, _)| *k == "edges").unwrap();
+                n.parse().unwrap()
+            })
+            .collect();
         obs::uninstall();
+        assert_eq!(edges.len(), multi.exec.groups);
+        assert!(edges.iter().any(|&n| n > 1), "no merged group: {edges:?}");
 
         assert!(multi.all_passed());
         assert_eq!(multi.exec.threads, jobs);
@@ -59,12 +70,14 @@ fn runs_stream_in_order_through_a_window_of_structures() {
         );
         // Entries leave as the cursor passes their last member, not at
         // the end of the run. One worker solves inline, so its peak is
-        // fixed: 19 of 34 classes, where a window that counted members
-        // or never freed a slot would read otherwise. On the pool the
+        // fixed: 27 of 34 classes, where a window that counted members
+        // or never freed a slot would read otherwise (a session answers
+        // every edge with its relation, so a group decides classes far
+        // ahead of the cursor). On the pool the
         // same window races the workers and the peak depends on how
         // long the delivering thread is kept off its core.
         if jobs == 1 {
-            assert_eq!(frontier_peak, 19, "of {unique} structures");
+            assert_eq!(frontier_peak, 27, "of {unique} structures");
         }
     }
 }
