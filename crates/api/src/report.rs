@@ -420,8 +420,6 @@ pub struct ExecDoc {
     pub dedup_hits: u64,
     /// Checks answered from the cross-run cache.
     pub cache_hits: u64,
-    /// Cached entries invalidated by re-validation.
-    pub stale_cache_entries: u64,
     /// Incremental session groups.
     pub groups: u64,
     /// Warm assumption solves on those sessions.
@@ -440,7 +438,6 @@ impl Serialize for ExecDoc {
         out.field("solver_calls", &self.solver_calls);
         out.field("dedup_hits", &self.dedup_hits);
         out.field("cache_hits", &self.cache_hits);
-        out.field("stale_cache_entries", &self.stale_cache_entries);
         out.field("groups", &self.groups);
         out.field("warm_assumption_solves", &self.warm_assumption_solves);
         out.field("dedup_ratio", &self.dedup_ratio);
@@ -449,52 +446,22 @@ impl Serialize for ExecDoc {
     }
 }
 
-/// The on-disk spill encoding of one solved check — the schema behind
-/// `crates/core`'s result-cache files (`cache.json`). Passes carry
-/// their optional unsat core; failures carry the counterexample routes
-/// as opaque values (the route encoding belongs to `crates/core`).
+/// The on-disk spill encoding of one passing check — the schema behind
+/// `crates/core`'s result-cache files (`cache.json`), which hold passes
+/// only: a failure is re-derived by every run that reports it.
 #[derive(Clone, Debug, PartialEq)]
-pub enum SpilledCheck {
-    /// A passing check.
-    Pass {
-        /// Solver variable count of the one real invocation.
-        vars: u64,
-        /// Solver clause count.
-        clauses: u64,
-        /// Conjunct-index unsat core, for session-solved passes.
-        core: Option<Vec<usize>>,
-    },
-    /// A failing check with its counterexample.
-    Fail {
-        /// Solver variable count.
-        vars: u64,
-        /// Solver clause count.
-        clauses: u64,
-        /// Whether the counterexample output was a rejection.
-        rejected: bool,
-        /// The counterexample input route (opaque to this crate).
-        input: Value,
-        /// The counterexample output route, or `Null`.
-        output: Value,
-    },
+pub struct SpilledCheck {
+    /// Solver variable count of the one real invocation.
+    pub vars: u64,
+    /// Solver clause count.
+    pub clauses: u64,
+    /// Conjunct-index unsat core, for session-solved passes.
+    pub core: Option<Vec<usize>>,
 }
 
 impl Serialize for SpilledCheck {
     fn stream<S: Sink>(&self, out: &mut S) {
-        match self {
-            SpilledCheck::Pass {
-                vars,
-                clauses,
-                core,
-            } => SpilledCheck::stream_pass(out, *vars, *clauses, core.as_deref()),
-            SpilledCheck::Fail {
-                vars,
-                clauses,
-                rejected,
-                input,
-                output,
-            } => SpilledCheck::stream_fail(out, *vars, *clauses, *rejected, input, Some(output)),
-        }
+        SpilledCheck::stream_pass(out, self.vars, self.clauses, self.core.as_deref())
     }
 }
 
@@ -513,51 +480,23 @@ impl SpilledCheck {
         out.end_object();
     }
 
-    /// Stream a failure in the spill form from routes of any
-    /// serializable type (`None` output writes `null`); see
-    /// [`SpilledCheck::stream_pass`].
-    pub fn stream_fail<S: Sink, R: Serialize>(
-        out: &mut S,
-        vars: u64,
-        clauses: u64,
-        rejected: bool,
-        input: &R,
-        output: Option<&R>,
-    ) {
-        out.begin_object();
-        out.field("pass", &false);
-        out.field("vars", &vars);
-        out.field("clauses", &clauses);
-        out.field("rejected", &rejected);
-        out.field("input", input);
-        out.field("output", &output);
-        out.end_object();
-    }
-
     /// Decode the form [`Serialize::stream`] writes. Missing `vars` /
-    /// `clauses` decode as zero (older spills); a missing or malformed
-    /// `pass` field is a schema error (`None`).
+    /// `clauses` decode as zero (older spills); anything but
+    /// `"pass": true` — an older spill's failure entry among them — is
+    /// `None`.
     pub fn from_value(v: &Value) -> Option<SpilledCheck> {
-        let vars = v["vars"].as_u64().unwrap_or(0);
-        let clauses = v["clauses"].as_u64().unwrap_or(0);
-        match v["pass"].as_bool()? {
-            true => Some(SpilledCheck::Pass {
-                vars,
-                clauses,
-                core: v["core"].as_array().map(|xs| {
-                    xs.iter()
-                        .filter_map(|x| x.as_u64().map(|n| n as usize))
-                        .collect()
-                }),
-            }),
-            false => Some(SpilledCheck::Fail {
-                vars,
-                clauses,
-                rejected: v["rejected"].as_bool()?,
-                input: v["input"].clone(),
-                output: v["output"].clone(),
-            }),
+        if v["pass"].as_bool() != Some(true) {
+            return None;
         }
+        Some(SpilledCheck {
+            vars: v["vars"].as_u64().unwrap_or(0),
+            clauses: v["clauses"].as_u64().unwrap_or(0),
+            core: v["core"].as_array().map(|xs| {
+                xs.iter()
+                    .filter_map(|x| x.as_u64().map(|n| n as usize))
+                    .collect()
+            }),
+        })
     }
 }
 
@@ -622,8 +561,8 @@ mod tests {
     }
 
     #[test]
-    fn spill_roundtrips_both_verdicts() {
-        let pass = SpilledCheck::Pass {
+    fn spill_roundtrips_passes_and_decodes_no_failure() {
+        let pass = SpilledCheck {
             vars: 10,
             clauses: 20,
             core: Some(vec![0, 2]),
@@ -634,18 +573,16 @@ mod tests {
         );
         assert_eq!(SpilledCheck::from_value(&pass.to_value()), Some(pass));
 
-        let fail = SpilledCheck::Fail {
-            vars: 1,
-            clauses: 2,
-            rejected: true,
-            input: Value::Str("route".into()),
-            output: Value::Null,
-        };
-        assert_eq!(
-            serde_json::to_string(&fail.to_value()).unwrap(),
-            r#"{"pass":false,"vars":1,"clauses":2,"rejected":true,"input":"route","output":null}"#
-        );
-        assert_eq!(SpilledCheck::from_value(&fail.to_value()), Some(fail));
+        // The failure form older spills wrote decodes to nothing.
+        let fail = serde_json::json!({
+            "pass": false,
+            "vars": 1,
+            "clauses": 2,
+            "rejected": true,
+            "input": "route",
+            "output": Value::Null,
+        });
+        assert_eq!(SpilledCheck::from_value(&fail), None);
         assert_eq!(SpilledCheck::from_value(&Value::Null), None);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! ```text
 //! COMMANDS:
-//!   verify          parse every *.cfg/*.conf in DIR, lower, and run all
+//!   verify          parse every *.cfg/*.conf/*.txt in DIR, lower, and run all
 //!                   safety properties in the spec as ONE cross-property
 //!                   batch: checks from different properties that share
 //!                   an encoding base (the same edge's transfer relation,
@@ -23,8 +23,8 @@
 //!                   actually needed (core-based blame). Exit code 1 when
 //!                   any check fails. --json also appends a trailing
 //!                   entry with a "timings" stage split (load / generate /
-//!                   fingerprint / terms / blast / feed / solve / cache /
-//!                   report / other, summing to the wall clock) and the
+//!                   fingerprint / terms / blast / feed / solve / report /
+//!                   other, summing to the wall clock) and the
 //!                   full "metrics" counter snapshot; --profile FILE
 //!                   additionally writes a self-contained profile report
 //!                   (see `profile`)
@@ -110,11 +110,11 @@
 //!                   implication shape) onto one persistent SMT session;
 //!                   N only sets how many groups are solved at a time
 //!   --parallel      one worker per core (--jobs N overrides the count)
-//!   --cache         reuse check results across runs; spilled to
-//!                   --cache-dir as JSON. Failures are spilled too and
-//!                   re-validated against the live configs before reuse.
-//!                   The cache is consulted at any worker count; without
-//!                   --jobs a cached run uses one worker per core
+//!   --cache         reuse passing check results across runs; spilled to
+//!                   --cache-dir as JSON. Only passes are spilled: a
+//!                   failing check is re-solved by every run, and its
+//!                   counterexample re-derived. The worker count is set
+//!                   by --jobs / --parallel alone
 //!   --cache-dir DIR cache spill directory (default .lightyear-cache;
 //!                   implies --cache)
 //!   --cache-cap N   bound the in-memory cache to N entries with LRU
@@ -434,9 +434,7 @@ fn verify(args: &[String], out: &mut String) -> ExitCode {
     let profile_path = flag_value(args, "--profile");
     let opts = RunOpts {
         jobs,
-        // A cached run defaults to the pool too: a warm run re-validates
-        // its spilled failures there.
-        pool: parallel || use_cache,
+        pool: parallel,
         cache: use_cache.then(|| (cache_dir.clone(), cache_cap)),
         docs: as_json,
     };
@@ -550,7 +548,7 @@ pub(crate) fn run(dir: &str, spec_path: &str, opts: &RunOpts) -> Result<Run, Str
     } = spec.bind(&net).map_err(|e| e.to_string())?;
     let (cache, cache_loaded) = match &opts.cache {
         None => (None, 0),
-        Some((cache_dir, cap)) => match lightyear::load_check_cache_bounded(cache_dir, *cap) {
+        Some((cache_dir, cap)) => match lightyear::load_pass_cache_bounded(cache_dir, *cap) {
             Ok((cache, loaded)) => (Some(cache), loaded),
             Err(e) => {
                 // An unreadable spill must not brick verification: warn,

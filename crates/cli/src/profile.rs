@@ -10,7 +10,7 @@
 //! ignored by both viewers) and a structured profile: the wall-clock
 //! split across pipeline stages (input loading / check generation /
 //! fingerprinting / term construction / bit-blast / clause feed / solve /
-//! cache validation / report building / everything else), the hottest
+//! report building / everything else), the hottest
 //! check groups by solve time, the solver counter table, a per-property
 //! breakdown, and the full metrics snapshot.
 
@@ -23,12 +23,11 @@ use std::time::{Duration, Instant};
 /// The busy-time stages, measured on the workers: `(stage, counter)`.
 /// `terms` + `blast` + `feed` is what used to be one `encode` stage
 /// (`smt.encode_ns` still totals blast and feed).
-const BUSY_STAGES: [(&str, &str); 5] = [
+const BUSY_STAGES: [(&str, &str); 4] = [
     ("terms", "engine.terms_ns"),
     ("blast", "smt.blast_ns"),
     ("feed", "smt.sync_ns"),
     ("solve", "smt.solve_ns"),
-    ("cache", "cache.validate_ns"),
 ];
 
 /// The wall-clock laps a command takes itself, on its own thread,
@@ -66,7 +65,7 @@ impl StageClock {
 /// command's own laps and the metrics counters. Loading, check
 /// generation, fingerprinting and report building run on the calling
 /// thread and are plain wall time. Term construction / blast /
-/// feed / solve / cache-validate are measured busy time; with parallel
+/// feed / solve are measured busy time; with parallel
 /// workers their sum can exceed what the serial stages leave of the wall
 /// clock, in which case all of them are scaled down proportionally (the
 /// raw busy values stay available under `metrics`) so the stages always
@@ -297,10 +296,9 @@ fn render_report(reg: &obs::Registry, clock: &StageClock, top: usize, out_path: 
         snap.gauge("engine.term_pool_terms"),
     );
     println!(
-        "cache: {} hits, {} misses, {} re-validations",
+        "cache: {} hits, {} misses",
         snap.counter("cache.hits"),
         snap.counter("cache.misses"),
-        snap.counter("cache.validates"),
     );
     println!(
         "trace: {} spans -> {out_path} (load it in Perfetto or chrome://tracing)",

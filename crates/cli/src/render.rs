@@ -137,7 +137,6 @@ pub(crate) fn exec_doc(exec: &orchestrator::RunStats) -> api::ExecDoc {
         solver_calls: exec.executed as u64,
         dedup_hits: exec.dedup_hits as u64,
         cache_hits: exec.cache_hits as u64,
-        stale_cache_entries: exec.invalidated as u64,
         groups: exec.groups as u64,
         warm_assumption_solves: exec.assumption_solves as u64,
         dedup_ratio: exec.dedup_ratio(),

@@ -67,10 +67,9 @@ impl Session {
     /// A fresh session. `label` prefixes log lines (`watch`, `serve`).
     pub(crate) fn new(label: &str, spec: Spec, cache_dir: Option<PathBuf>) -> Session {
         // With a spill directory, each property's engine starts from its
-        // reloaded cache — passing verdicts only: a pass replays soundly
-        // under an equal fingerprint, while a spilled failure's
-        // counterexample would bypass re-validation, so failures are
-        // simply re-proved after a restart.
+        // reloaded cache, which holds passing verdicts only: a pass
+        // replays soundly under an equal fingerprint, and a failure is
+        // re-proved after a restart.
         let mut loaded_total = 0usize;
         let engines = spec
             .safety
@@ -107,9 +106,8 @@ impl Session {
         }
     }
 
-    /// Spill every engine's carried result cache to the cache directory
-    /// (no-op without one). Failures are durable in the spill format but
-    /// dropped again on reload; see [`Session::new`].
+    /// Spill the passes of every engine's carried result cache to the
+    /// cache directory (no-op without one); see [`Session::new`].
     pub(crate) fn spill(&self) {
         let Some(dir) = &self.cache_dir else { return };
         for (i, engine) in self.engines.iter().enumerate() {

@@ -2,7 +2,7 @@
 //! temp directory, invoke the binary, check output and exit codes.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 fn bin() -> &'static str {
@@ -805,13 +805,8 @@ fn verify_cache_warms_across_runs() {
         cold_out.contains("0 cached"),
         "cold run must not hit the cache: {cold_out}"
     );
-    // Without --jobs a cached run uses one worker per core (warm runs
-    // re-validate spilled failures on the pool).
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    assert!(
-        cold_out.contains(&format!(", {cores} threads)")),
-        "{cold_out}"
-    );
+    // Only --jobs / --parallel set the worker count.
+    assert!(cold_out.contains(", 1 threads)"), "{cold_out}");
 
     let warm = run();
     let warm_out = String::from_utf8_lossy(&warm.stdout).to_string();
@@ -914,6 +909,60 @@ fn pre_upgrade_cache_is_a_miss_never_a_wrong_hit() {
             "{name}: {out}"
         );
     }
+}
+
+/// A spill written before failures stopped spilling, by the previous
+/// release's `verify --cache-dir` on `examples/configs` with `r2.cfg`'s
+/// `route-map TO-ISP2 out` line deleted: five passes and, under the
+/// failing export check's key, its counterexample.
+const SPILL_WITH_FAILURE: &str = include_str!("fixtures/cache-with-failure.json");
+
+#[test]
+fn a_spilled_failure_loads_nothing_and_the_report_is_the_cold_one() {
+    let examples = Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/configs"
+    ));
+    let d = tmpdir("cache-with-failure");
+    for f in ["r1.cfg", "r2.cfg"] {
+        let text = fs::read_to_string(examples.join(f)).unwrap();
+        let text = text.replace(" neighbor 10.0.0.2 route-map TO-ISP2 out\n", "");
+        fs::write(d.join(f), text).unwrap();
+    }
+    let cache_dir = d.join("cache");
+    fs::create_dir_all(&cache_dir).unwrap();
+    fs::write(cache_dir.join("cache.json"), SPILL_WITH_FAILURE).unwrap();
+    let run = |with_cache: bool| {
+        let mut c = Command::new(bin());
+        c.args(["verify", "--jobs", "1", "--configs"])
+            .arg(&d)
+            .arg("--spec")
+            .arg(examples.join("spec.json"));
+        if with_cache {
+            c.arg("--cache-dir").arg(&cache_dir);
+        }
+        let out = c.output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        out
+    };
+    // The verdict lines and the counterexample, without the lines that
+    // say how much the cache answered.
+    let verdicts = |out: &std::process::Output| -> String {
+        (report_of(out).lines())
+            .filter(|l| !l.starts_with("orchestrator:"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    let cold = run(false);
+    let warm = run(true);
+    let out = String::from_utf8_lossy(&warm.stdout);
+    assert!(out.contains("cache: loaded 5 entries"), "{out}");
+    assert!(out.contains("-> 1 solver calls"), "{out}");
+    assert!(out.contains("no-transit: VIOLATED"), "{out}");
+    assert_eq!(verdicts(&cold), verdicts(&warm));
+    let saved = fs::read_to_string(cache_dir.join("cache.json")).unwrap();
+    assert!(!saved.contains(r#"\"pass\":false"#), "{saved}");
+    assert_eq!(spill_keys(&saved).len(), 5);
 }
 
 #[test]
@@ -1246,6 +1295,28 @@ fn cache_cap_bounds_the_spill_to_exactly_n_entries() {
     let spill = fs::read_to_string(d.join("cache.json")).unwrap();
     let doc: serde_json::Value = serde_json::from_str(&spill).unwrap();
     assert_eq!(doc["entries"].as_object().map(|e| e.len()), Some(2));
+
+    // Loading a 6-entry spill under the cap keeps 2 entries: the load
+    // line says what the cache holds, and the run answers exactly that.
+    let full = tmpdir("cache-cap-full");
+    let run = |cap: &[&str]| {
+        let out = Command::new(bin())
+            .arg("verify")
+            .args(cap)
+            .arg("--cache-dir")
+            .arg(&full)
+            .args(["--configs", examples, "--spec"])
+            .arg(format!("{examples}/spec.json"))
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{out:?}");
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    let cold = run(&[]);
+    assert!(cold.contains("cache: saved 6 entries"), "{cold}");
+    let warm = run(&["--cache-cap", "2"]);
+    assert!(warm.contains("cache: loaded 2 entries"), "{warm}");
+    assert!(warm.contains(", 2 cached,"), "{warm}");
 }
 
 #[test]

@@ -118,8 +118,8 @@ impl<'a> Verifier<'a> {
     }
 
     /// Decide each class of [`Verifier::partition`] once (its lowest
-    /// position represents it), consult `cache` (re-validating spilled
-    /// failures), batch the remainder by session key ([`Verifier::solve_key`]), solve whole
+    /// position represents it), answer what `cache` holds, batch the
+    /// remainder by session key ([`Verifier::solve_key`]), solve whole
     /// groups on the orchestrator's pool — inline on the calling thread
     /// at `jobs = 1` — and deliver every verdict to `sink(member
     /// position, verdict)` in position order without ever materialising
@@ -159,7 +159,6 @@ impl<'a> Verifier<'a> {
             &Executor::with_threads(Some(self.jobs)),
             cache,
             classes,
-            |rc: &&ResolvedCheck, v: &SolvedCheck| self.cached_result_still_valid(universe, rc, v),
             |group: &[&&ResolvedCheck]| {
                 let refs: Vec<&ResolvedCheck> = group.iter().map(|rc| **rc).collect();
                 self.run_group(universe, &refs)

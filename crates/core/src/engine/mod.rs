@@ -15,10 +15,13 @@
 //! behind Figure 3b of the paper), which makes checks embarrassingly
 //! parallel (design decision D3) and incrementally re-checkable.
 //! `partition` splits a run's checks into classes of structurally
-//! identical ones, `solve` decides each class once on a session shared
-//! by every edge with the same transfer relation, `validate` re-checks what the cache answers
-//! and `fold` streams the verdicts out in check order; `spill` is
-//! the cache's disk form. Re-verify rounds
+//! identical ones, `solve` decides each class the cache does not answer
+//! once on a session shared by every edge with the same transfer
+//! relation, and `fold` streams the verdicts out in check order;
+//! `spill` is the cache's disk form, which holds passes only. A session
+//! answers a verdict, never a model: every counterexample comes from
+//! its check's one-shot instance (`Verifier::run_one`), whether the
+//! run is cold or warm. Re-verify rounds
 //! ([`crate::reverify::ReverifyEngine`]) partition only their dirty
 //! checks and enter at the fold. One fresh SMT instance per check
 //! survives only as [`Verifier::verify_safety_reference`], the oracle
@@ -30,13 +33,12 @@ pub(crate) mod generate;
 pub(crate) mod partition;
 pub(crate) mod solve;
 pub(crate) mod spill;
-pub(crate) mod validate;
 
 pub use fold::{MultiReport, MultiSummary};
 pub use generate::ConjunctTable;
 pub use partition::CheckDigests;
 pub use solve::SolvedCheck;
-pub use spill::{load_check_cache, load_check_cache_bounded, load_pass_cache, save_check_cache};
+pub use spill::{load_pass_cache, load_pass_cache_bounded, save_check_cache};
 
 use crate::check::{CheckHead, Report, ReportSummary};
 use crate::fingerprint::PolicyDigests;
@@ -134,7 +136,9 @@ impl<'a> Verifier<'a> {
     }
 
     /// Attach a cross-run result cache. The cache is shared: clone the
-    /// `Arc` to reuse it across verifier instances or runs.
+    /// `Arc` to reuse it across verifier instances or runs. It keeps the
+    /// failures this process derived and answers them directly; a cache
+    /// loaded from a spill holds passes only.
     pub fn with_cache(mut self, cache: Arc<CheckCache>) -> Self {
         self.cache = Some(cache);
         self
@@ -568,57 +572,45 @@ mod tests {
     }
 
     #[test]
-    fn failure_spill_roundtrips_with_counterexample() {
-        let mut route = Route::new("10.1.2.0/24".parse().unwrap());
-        route.local_pref = 120;
-        route.communities.insert(c("100:1"));
-        let input = ConcreteRoute {
-            route: route.clone(),
-            comm_other: true,
-            aspath_matches: [("_65000_".to_string(), true)].into_iter().collect(),
-            ghosts: [("G".to_string(), false)].into_iter().collect(),
-        };
-        let solved = SolvedCheck {
+    fn failures_do_not_spill_and_passes_roundtrip() {
+        let fail = SolvedCheck {
             result: CheckResult::Fail(Box::new(Counterexample {
-                input: input.clone(),
+                input: ConcreteRoute {
+                    route: Route::new("10.1.2.0/24".parse().unwrap()),
+                    comm_other: true,
+                    aspath_matches: Default::default(),
+                    ghosts: [("G".to_string(), false)].into_iter().collect(),
+                },
                 output: None,
                 rejected: true,
             })),
+            stats: SolverStats::default(),
+            core: None,
+        };
+        let pass = SolvedCheck {
+            result: CheckResult::Pass,
             stats: SolverStats {
                 num_vars: 12,
                 num_clauses: 34,
                 ..SolverStats::default()
             },
-            core: None,
-        };
-        let spilled = serde_json::to_value(&solved);
-        let back = SolvedCheck::from_spill(&spilled).expect("decodes");
-        let CheckResult::Fail(cex) = &back.result else {
-            panic!("expected a failure");
-        };
-        assert_eq!(cex.input, input);
-        assert_eq!(cex.output, None);
-        assert!(cex.rejected);
-        assert_eq!(back.stats.num_vars, 12);
-        assert_eq!(back.stats.num_clauses, 34);
-
-        // Passes keep their compact form.
-        let pass = SolvedCheck {
-            result: CheckResult::Pass,
-            stats: SolverStats::default(),
             core: Some(vec![1, 3]),
         };
-        let v = serde_json::to_value(&pass);
-        let back = SolvedCheck::from_spill(&v).unwrap();
+        let cache = CheckCache::new();
+        cache.insert(Fingerprint(1), fail);
+        cache.insert(Fingerprint(2), pass);
+        let dir = std::env::temp_dir().join(format!("ly-spill-unit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(save_check_cache(&cache, &dir).unwrap(), 1, "the pass only");
+        let (back, held) = load_pass_cache(&dir).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(held, 1);
+        assert!(back.peek(Fingerprint(1)).is_none());
+        let back = back.peek(Fingerprint(2)).expect("the pass reloads");
         assert!(back.result.passed());
         assert_eq!(back.core, Some(vec![1, 3]), "cores must spill and reload");
-        let pass = SolvedCheck {
-            result: CheckResult::Pass,
-            stats: SolverStats::default(),
-            core: None,
-        };
-        let v = serde_json::to_value(&pass);
-        assert!(SolvedCheck::from_spill(&v).unwrap().result.passed());
+        assert_eq!(back.stats.num_vars, 12);
+        assert_eq!(back.stats.num_clauses, 34);
     }
 
     #[test]

@@ -18,7 +18,8 @@ use crate::symbolic::{ConcreteRoute, SymRoute};
 use crate::universe::Universe;
 use bgp_model::topology::EdgeId;
 use smt::{
-    solve_with_stats, Assumption, IncrementalSession, SatResult, SolverStats, TermId, TermPool,
+    solve_with_stats, Assumption, IncrementalSession, SatResult, SolveOutcome, SolverStats, TermId,
+    TermPool,
 };
 use std::cell::Cell;
 use std::collections::BTreeMap;
@@ -112,35 +113,6 @@ fn implication_goal_negation(
     pool.not(post)
 }
 
-/// A symbolic check's violation query on its own fresh pool (see
-/// [`Verifier::one_shot`]).
-pub(crate) struct OneShot {
-    pub(crate) pool: TermPool,
-    input: SymRoute,
-    /// The edge's transfer relation; `None` for implication checks.
-    transfer: Option<Transfer>,
-    /// `wf(input) [∧ input = pin] ∧ assume(input) ∧ ¬goal`.
-    pub(crate) query: Vec<TermId>,
-}
-
-impl OneShot {
-    /// What the check does to the model's input, as `(rejected,
-    /// output)`: the transfer's verdict, or `(false, None)` for an
-    /// implication, which transforms nothing.
-    pub(crate) fn effect(
-        &self,
-        universe: &Universe,
-        model: &smt::Model,
-    ) -> (bool, Option<ConcreteRoute>) {
-        let Some(t) = &self.transfer else {
-            return (false, None);
-        };
-        let rejected = model.eval_bool(&self.pool, t.reject).unwrap_or(false);
-        let output = (!rejected).then(|| t.out.concretize(&self.pool, universe, model));
-        (rejected, output)
-    }
-}
-
 /// Decide one check's violation query on a shared session, with the
 /// assumed invariant split at conjunct granularity: every conjunct of
 /// `assume` and the negated goal each sit behind their own activation
@@ -157,7 +129,7 @@ fn solve_conjunct_gated(
     input: &SymRoute,
     conjuncts: &[&RoutePred],
     neg: TermId,
-) -> (SatResult, SolverStats, Option<Vec<usize>>) {
+) -> (SolveOutcome, SolverStats, Option<Vec<usize>>) {
     let encoded: Vec<TermId> = timed("engine.terms_ns", || {
         conjuncts
             .iter()
@@ -186,7 +158,11 @@ fn solve_conjunct_gated(
         let core = Some(syntactic_core(sess.pool(), &encoded, neg));
         let act = sess.activation(q);
         let (result, stats) = sess.solve_under(&[act]);
-        debug_assert!(!result.is_sat(), "a False query cannot be satisfiable");
+        debug_assert_eq!(
+            result,
+            SolveOutcome::Unsat,
+            "a False query is unsatisfiable"
+        );
         return (result, stats, core);
     }
     let mut acts: Vec<Assumption> = Vec::with_capacity(conjuncts.len() + 1);
@@ -196,19 +172,13 @@ fn solve_conjunct_gated(
     let nact = sess.activation(neg);
     let assumed: Vec<Assumption> = acts.iter().copied().chain(std::iter::once(nact)).collect();
     let (result, stats) = sess.solve_under(&assumed);
-    let core = match &result {
-        SatResult::Unsat => {
-            let failed = sess.failed_assumptions();
-            Some(
-                acts.iter()
-                    .enumerate()
-                    .filter(|(_, a)| failed.contains(a))
-                    .map(|(i, _)| i)
-                    .collect(),
-            )
-        }
-        SatResult::Sat(_) => None,
-    };
+    let core = (result == SolveOutcome::Unsat).then(|| {
+        let failed = sess.failed_assumptions();
+        (acts.iter().enumerate())
+            .filter(|(_, a)| failed.contains(a))
+            .map(|(i, _)| i)
+            .collect()
+    });
     (result, stats, core)
 }
 
@@ -289,22 +259,15 @@ impl<'a> Verifier<'a> {
         Some(self.run_one(&g.universe, &rc).result.passed())
     }
 
-    /// The violation query of a symbolic (transfer or implication) check
-    /// on its own fresh pool, optionally with the input pinned to a
-    /// counterexample's: the one builder behind one-shot solves
-    /// ([`Verifier::run_one`]) and cached-failure re-validation.
-    pub(crate) fn one_shot(
-        &self,
-        universe: &Universe,
-        body: &CheckBody,
-        pin: Option<&ConcreteRoute>,
-    ) -> OneShot {
+    /// Decide a symbolic (transfer or implication) check's violation
+    /// query `wf(r) ∧ assume(r) ∧ ¬goal` on its own fresh pool and
+    /// solver, concretizing the model of a violation into its
+    /// counterexample: the input, and what the transfer does to it (an
+    /// implication transforms nothing).
+    fn one_shot(&self, universe: &Universe, body: &CheckBody) -> (CheckResult, SolverStats) {
         let mut pool = TermPool::new();
         let input = SymRoute::fresh(&mut pool, universe, "r");
         let mut query = vec![input.well_formed(&mut pool)];
-        if let Some(cex) = pin {
-            query.push(input.equals_counterexample(&mut pool, universe, cex));
-        }
         // Terms are created transfer, assume, goal: the pool's order
         // fixes the CNF, and so which counterexample the solver finds.
         let transfer = match *body {
@@ -335,12 +298,24 @@ impl<'a> Verifier<'a> {
             }
             CheckBody::Originate { .. } => unreachable!("originate checks are concrete"),
         };
-        OneShot {
-            pool,
-            input,
-            transfer,
-            query,
-        }
+        let (result, stats) = solve_with_stats(&pool, &query);
+        let SatResult::Sat(model) = result else {
+            return (CheckResult::Pass, stats);
+        };
+        let (rejected, output) = match &transfer {
+            None => (false, None),
+            Some(t) => {
+                let rejected = model.eval_bool(&pool, t.reject).unwrap_or(false);
+                let output = (!rejected).then(|| t.out.concretize(&pool, universe, &model));
+                (rejected, output)
+            }
+        };
+        let cex = Counterexample {
+            input: input.concretize(&pool, universe, &model),
+            output,
+            rejected,
+        };
+        (CheckResult::Fail(Box::new(cex)), stats)
     }
 
     fn encode_transfer(
@@ -415,12 +390,12 @@ impl<'a> Verifier<'a> {
         // reads its core off the session, a failing one re-derives its
         // counterexample on a fresh one-shot instance.
         let settle = |rc: &ResolvedCheck, result, stats, core| match result {
-            SatResult::Unsat => SolvedCheck {
+            SolveOutcome::Unsat => SolvedCheck {
                 result: CheckResult::Pass,
                 stats,
                 core,
             },
-            SatResult::Sat(_) => self.run_one(universe, rc),
+            SolveOutcome::Sat => self.run_one(universe, rc),
         };
         let out: Vec<SolvedCheck> = match first.body {
             CheckBody::Originate { .. } => {
@@ -519,29 +494,16 @@ impl<'a> Verifier<'a> {
     }
 
     /// Decide one check on its own fresh one-shot instance (no session,
-    /// no core): the reference oracle's solve, and where every failing
-    /// check's counterexample comes from.
+    /// no core): the reference oracle's solve, and the one place every
+    /// counterexample comes from — a session only says that a check
+    /// fails, and no cache or spill carries a failure in from outside
+    /// the process.
     pub(crate) fn run_one(&self, universe: &Universe, rc: &ResolvedCheck) -> SolvedCheck {
         let (result, stats) = match rc.body {
             CheckBody::Originate { edge, ensure } => {
                 (self.run_originate(edge, ensure), SolverStats::default())
             }
-            _ => {
-                let q = self.one_shot(universe, &rc.body, None);
-                let (result, stats) = solve_with_stats(&q.pool, &q.query);
-                let result = match result {
-                    SatResult::Unsat => CheckResult::Pass,
-                    SatResult::Sat(model) => {
-                        let (rejected, output) = q.effect(universe, &model);
-                        CheckResult::Fail(Box::new(Counterexample {
-                            input: q.input.concretize(&q.pool, universe, &model),
-                            output,
-                            rejected,
-                        }))
-                    }
-                };
-                (result, stats)
-            }
+            _ => self.one_shot(universe, &rc.body),
         };
         SolvedCheck {
             result,
@@ -555,7 +517,7 @@ impl<'a> Verifier<'a> {
     /// it as a multiset, so the verdict must not depend on the order the
     /// policy lists it in: the counterexample is the violating route
     /// least in per-route digest order.
-    pub(crate) fn run_originate(&self, edge: EdgeId, ensure: &RoutePred) -> CheckResult {
+    fn run_originate(&self, edge: EdgeId, ensure: &RoutePred) -> CheckResult {
         let ghosts: BTreeMap<String, bool> = self
             .ghosts
             .iter()

@@ -1,103 +1,67 @@
-//! The disk form of a [`CheckCache`]: [`SolvedCheck`]s rendered through
-//! the shared [`api::SpilledCheck`] schema under the fingerprint
+//! The disk form of a [`CheckCache`]: its passing verdicts, rendered
+//! through the shared [`api::SpilledCheck`] schema under the fingerprint
 //! version their keys were derived with.
+//!
+//! Only passes spill. A pass replays soundly under an equal fingerprint
+//! (equal fingerprints mean bit-identical formulas), while a failure's
+//! counterexample is re-derived on its check's one-shot instance by
+//! every process that reports it; so a spill never puts a failure into
+//! a cache, and a warm run re-solves exactly its failing classes.
 
 use super::solve::SolvedCheck;
 use super::CheckCache;
-use crate::check::{CheckResult, Counterexample};
+use crate::check::CheckResult;
 use crate::fingerprint::FP_VERSION;
-use crate::symbolic::ConcreteRoute;
-use serde::{Deserialize, Serialize, Sink};
 use serde_json::Value;
 use smt::SolverStats;
 use std::path::Path;
 use std::sync::Arc;
 
-/// The spill encoding of the disk cache: the shared
-/// [`api::SpilledCheck`] schema, streamed straight from the verdict. Both
-/// passes and failures are durable; a failure carries its
-/// counterexample, which is **re-validated** against the live
-/// configuration before the cached verdict is trusted (see
-/// `Verifier::cached_result_still_valid`), so warm runs no longer
-/// re-prove every failure yet can never replay a stale one.
-impl Serialize for SolvedCheck {
-    fn stream<S: Sink>(&self, out: &mut S) {
-        let (vars, clauses) = (self.stats.num_vars, self.stats.num_clauses);
-        match &self.result {
-            CheckResult::Pass => {
-                api::SpilledCheck::stream_pass(out, vars, clauses, self.core.as_deref())
-            }
-            CheckResult::Fail(cex) => api::SpilledCheck::stream_fail(
-                out,
-                vars,
-                clauses,
-                cex.rejected,
-                &cex.input,
-                cex.output.as_ref(),
-            ),
-        }
-    }
-}
-
 impl SolvedCheck {
-    /// Decode the spill form its [`Serialize::stream`] writes.
-    pub fn from_spill(v: &Value) -> Option<Self> {
-        match api::SpilledCheck::from_value(v)? {
-            api::SpilledCheck::Pass {
-                vars,
-                clauses,
-                core,
-            } => Some(SolvedCheck {
-                result: CheckResult::Pass,
-                stats: SolverStats {
-                    num_vars: vars,
-                    num_clauses: clauses,
-                    ..SolverStats::default()
-                },
-                core,
-            }),
-            api::SpilledCheck::Fail {
-                vars,
-                clauses,
-                rejected,
-                input,
-                output,
-            } => {
-                let input = ConcreteRoute::from_value(&input).ok()?;
-                let output = if output.is_null() {
-                    None
-                } else {
-                    Some(ConcreteRoute::from_value(&output).ok()?)
-                };
-                Some(SolvedCheck {
-                    result: CheckResult::Fail(Box::new(Counterexample {
-                        input,
-                        output,
-                        rejected,
-                    })),
-                    stats: SolverStats {
-                        num_vars: vars,
-                        num_clauses: clauses,
-                        ..SolverStats::default()
-                    },
-                    core: None,
-                })
-            }
+    /// The spill text of a pass, streamed straight from the verdict; a
+    /// failure has none.
+    fn spill_text(&self) -> Option<String> {
+        if !self.result.passed() {
+            return None;
         }
+        let mut out = serde_json::Serializer::new(String::new());
+        let (vars, clauses) = (self.stats.num_vars, self.stats.num_clauses);
+        api::SpilledCheck::stream_pass(&mut out, vars, clauses, self.core.as_deref());
+        Some(out.into_inner())
+    }
+
+    /// Decode a spilled pass. Anything else — an old spill's
+    /// `"pass": false` entry among them — decodes to nothing.
+    fn from_spill(v: &Value) -> Option<Self> {
+        let api::SpilledCheck {
+            vars,
+            clauses,
+            core,
+        } = api::SpilledCheck::from_value(v)?;
+        Some(SolvedCheck {
+            result: CheckResult::Pass,
+            stats: SolverStats {
+                num_vars: vars,
+                num_clauses: clauses,
+                ..SolverStats::default()
+            },
+            core,
+        })
     }
 }
 
-/// Load a [`CheckCache`] spilled to `dir` by [`save_check_cache`].
-/// Returns the cache and the number of entries loaded (zero when the
-/// directory or file does not exist yet).
-pub fn load_check_cache(dir: &Path) -> std::io::Result<(Arc<CheckCache>, usize)> {
-    load_check_cache_bounded(dir, None)
+/// Load the passes spilled to `dir` by [`save_check_cache`] into a new
+/// cache. Returns the cache and the number of entries it holds (zero
+/// when the directory or file does not exist yet).
+pub fn load_pass_cache(dir: &Path) -> std::io::Result<(Arc<CheckCache>, usize)> {
+    load_pass_cache_bounded(dir, None)
 }
 
-/// [`load_check_cache`] with an optional LRU entry bound for long-lived
+/// [`load_pass_cache`] with an optional LRU entry bound for long-lived
 /// processes (`None`: unbounded). When the spill holds more entries than
-/// the bound, the excess is evicted least-recently-loaded-first.
-pub fn load_check_cache_bounded(
+/// the bound, the excess is evicted least-recently-loaded-first, and the
+/// count returned is what the cache holds after the load.
+pub fn load_pass_cache_bounded(
     dir: &Path,
     capacity: Option<usize>,
 ) -> std::io::Result<(Arc<CheckCache>, usize)> {
@@ -105,27 +69,13 @@ pub fn load_check_cache_bounded(
         Some(cap) => CheckCache::bounded(cap),
         None => CheckCache::new(),
     });
-    let loaded = cache.load_from_dir(dir, FP_VERSION, SolvedCheck::from_spill)?;
-    Ok((cache, loaded))
+    cache.load_from_dir(dir, FP_VERSION, SolvedCheck::from_spill)?;
+    let held = cache.len();
+    Ok((cache, held))
 }
 
-/// Spill a [`CheckCache`] to `dir/cache.json` (passes and failures; see
-/// the [`SolvedCheck`] `Serialize` impl). Returns the number of entries
-/// written.
+/// Spill the passing verdicts of a [`CheckCache`] to `dir/cache.json`.
+/// Returns the number of entries written.
 pub fn save_check_cache(cache: &CheckCache, dir: &Path) -> std::io::Result<usize> {
-    cache.save_to_dir(dir, FP_VERSION, |s| serde_json::to_string(s).ok())
-}
-
-/// Load a [`CheckCache`] keeping only **passing** entries. This is the
-/// trust level a [`crate::reverify::ReverifyEngine`] extends to a spilled
-/// cache on daemon restart: equal fingerprints mean bit-identical
-/// formulas, so replaying a pass is sound, while a spilled failure's
-/// counterexample would be replayed without the run pipeline's
-/// re-validation — so failures are dropped and simply re-proved.
-pub fn load_pass_cache(dir: &Path) -> std::io::Result<(Arc<CheckCache>, usize)> {
-    let cache = Arc::new(CheckCache::new());
-    let loaded = cache.load_from_dir(dir, FP_VERSION, |v| {
-        SolvedCheck::from_spill(v).filter(|s| s.result.passed())
-    })?;
-    Ok((cache, loaded))
+    cache.save_to_dir(dir, FP_VERSION, SolvedCheck::spill_text)
 }

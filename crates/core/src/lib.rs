@@ -36,9 +36,9 @@
 //! * [`engine`] — the [`Verifier`] and its pipeline, one module per
 //!   stage: generate the local checks (§4.2, §5), partition them by
 //!   fingerprint, solve each class once on a session per distinct
-//!   transfer relation,
-//!   re-validate cached verdicts, fold verdicts into reports in check
-//!   order, and spill the result cache to disk.
+//!   transfer relation (cache hits answer directly), fold verdicts into
+//!   reports in check order, and spill the result cache's passes to
+//!   disk.
 //! * [`reverify`] — the cross-run re-verification engine behind daemon
 //!   (`lightyear watch`) and migration-plan (`lightyear plan`) modes:
 //!   fingerprint-diffed dirty sets answered from carried verdicts and
@@ -117,8 +117,8 @@ pub mod universe;
 
 pub use check::{Check, CheckHead, CheckKind, CheckResult, Counterexample, Report};
 pub use engine::{
-    load_check_cache, load_check_cache_bounded, load_pass_cache, save_check_cache, CheckCache,
-    MultiReport, RunMode, SolvedCheck, Verifier,
+    load_pass_cache, load_pass_cache_bounded, save_check_cache, CheckCache, MultiReport, RunMode,
+    SolvedCheck, Verifier,
 };
 pub use ghost::{GhostAttr, GhostUpdate};
 pub use invariants::{Location, NetworkInvariants};

@@ -18,7 +18,6 @@
 use crate::universe::Universe;
 use bgp_model::prefix::Ipv4Prefix;
 use bgp_model::route::{Community, Route};
-use serde::{Deserialize, Serialize};
 use smt::{Model, TermId, TermPool, VarKey};
 use std::collections::BTreeMap;
 
@@ -147,57 +146,6 @@ impl SymRoute {
         }
     }
 
-    /// Constrain this symbolic route to equal a counterexample extracted
-    /// by [`SymRoute::concretize`]. Unlike [`SymRoute::equals_concrete`],
-    /// the AS-path atoms and the other-communities bit are taken from the
-    /// counterexample itself (the abstraction does not determine a
-    /// concrete path), and attributes the counterexample omitted as
-    /// unwitnessed are left unconstrained. Used to re-validate failure
-    /// results loaded from the disk cache.
-    pub fn equals_counterexample(
-        &self,
-        pool: &mut TermPool,
-        universe: &Universe,
-        cex: &ConcreteRoute,
-    ) -> TermId {
-        let mut parts = Vec::new();
-        let addr = pool.bv_const(cex.route.prefix.addr as u64, 32);
-        parts.push(pool.bv_eq(self.prefix_addr, addr));
-        let len = pool.bv_const(cex.route.prefix.len as u64, 8);
-        parts.push(pool.bv_eq(self.prefix_len, len));
-        let lp = pool.bv_const(cex.route.local_pref as u64, 32);
-        parts.push(pool.bv_eq(self.local_pref, lp));
-        let med = pool.bv_const(cex.route.med as u64, 32);
-        parts.push(pool.bv_eq(self.med, med));
-        let nh = pool.bv_const(cex.route.next_hop as u64, 32);
-        parts.push(pool.bv_eq(self.next_hop, nh));
-        let og = pool.bv_const(cex.route.origin.code() as u64, 2);
-        parts.push(pool.bv_eq(self.origin, og));
-        for (i, c) in universe.communities().iter().enumerate() {
-            let bit = self.comm_bits[i];
-            let want = cex.route.communities.contains(c);
-            parts.push(if want { bit } else { pool.not(bit) });
-        }
-        parts.push(if cex.comm_other {
-            self.comm_other
-        } else {
-            pool.not(self.comm_other)
-        });
-        for (i, pat) in universe.regexes().iter().enumerate() {
-            if let Some(&want) = cex.aspath_matches.get(pat) {
-                let atom = self.aspath_atoms[i];
-                parts.push(if want { atom } else { pool.not(atom) });
-            }
-        }
-        for (i, g) in universe.ghosts().iter().enumerate() {
-            if let Some(&want) = cex.ghosts.get(g) {
-                let bit = self.ghost_bits[i];
-                parts.push(if want { bit } else { pool.not(bit) });
-            }
-        }
-        pool.and(&parts)
-    }
-
     /// Constrain this symbolic route to equal a concrete route (ghosts and
     /// regex atoms included). Used in tests for symbolic/concrete
     /// agreement.
@@ -253,9 +201,7 @@ impl SymRoute {
 }
 
 /// A concretized route extracted from a counterexample model.
-/// Serializable so failing check results can spill to the disk cache
-/// (and be re-validated on load; see `engine`).
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ConcreteRoute {
     /// The concrete BGP attributes.
     pub route: Route,

@@ -337,7 +337,7 @@ fn cache_poison_in(case: &FuzzCase, seed: u64, dir: &std::path::Path) -> Result<
     // warns and re-proves — see `cmd_verify`).
     let reloaded = {
         let d = dir.to_path_buf();
-        crate::try_quiet(move || lightyear::load_check_cache(&d))
+        crate::try_quiet(move || lightyear::load_pass_cache(&d))
     };
     let poisoned = match reloaded {
         None => return fail(format!("reloading a {style} spill panicked")),

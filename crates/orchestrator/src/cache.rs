@@ -6,9 +6,7 @@
 //! shard. Spilling is delegated to caller-supplied closures — an encoder
 //! to an entry's JSON payload text, a decoder from `serde_json::Value` —
 //! so the cache stays generic and callers decide which results are durable
-//! (the verifier spills both passes and failures; failures are
-//! re-validated against the live configuration before reuse — see
-//! `lightyear::engine`).
+//! (the verifier spills its passes only — see `lightyear::engine`).
 //!
 //! Long-lived processes (daemon-style re-verification loops) can bound
 //! the cache with [`ResultCache::bounded`]: it then evicts its
@@ -37,8 +35,8 @@ const SPILL_VERSION: i64 = 3;
 ///
 /// Public because external tools (and tests) that rewrite spill files
 /// must recompute it. It is an *integrity* sum against corruption, not a
-/// cryptographic seal: well-formed entries still pass semantic
-/// re-validation against the live encoding before being replayed.
+/// cryptographic seal: what a well-formed entry may say is up to the
+/// caller's decoder (the verifier's accepts passes only).
 pub fn spill_entry_sum(key_hex: &str, payload: &str) -> String {
     let mut h = FpHasher::new();
     h.write_tag("spill-entry");
@@ -153,11 +151,6 @@ impl<V> ResultCache<V> {
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Drop an entry (used when a loaded result fails re-validation).
-    pub fn remove(&self, fp: Fingerprint) {
-        self.lock().map.remove(&fp.0);
     }
 
     /// Drop a batch of entries, returning how many were present. This is
@@ -487,7 +480,7 @@ mod tests {
     fn remove_drops_entries() {
         let c: ResultCache<u32> = ResultCache::new();
         c.insert(fp(7), 7);
-        c.remove(fp(7));
+        assert_eq!(c.remove_many(&[fp(7)]), 1);
         assert_eq!(c.peek(fp(7)), None);
     }
 

@@ -17,9 +17,9 @@
 //! encoding-base key, and the executor hands whole base-groups to
 //! workers so the caller can solve each group on one persistent,
 //! assumption-based SMT session. The cache still operates per structure:
-//! every structure gets its own fingerprint-keyed entry, and cached
-//! answers are re-validated by the caller-supplied `validate` hook
-//! before being trusted (stale failures are re-solved, not replayed).
+//! every structure gets its own fingerprint-keyed entry, and a hit is
+//! the structure's answer — the cache holds only what the caller put in
+//! it (the verifier reloads spilled passes, never failures).
 
 use crate::cache::ResultCache;
 use crate::executor::Executor;
@@ -39,8 +39,6 @@ pub struct RunStats {
     pub cache_hits: usize,
     /// Jobs actually executed (solver invocations).
     pub executed: usize,
-    /// Cached answers rejected by re-validation (then re-executed).
-    pub invalidated: usize,
     /// Encoding-base groups the executed jobs were batched into.
     pub groups: usize,
     /// Executed jobs answered on an already-warm session (assumption
@@ -82,12 +80,6 @@ impl RunStats {
                 self.groups, self.assumption_solves,
             ));
         }
-        if self.invalidated > 0 {
-            s.push_str(&format!(
-                ", {} stale cache entries re-proved",
-                self.invalidated
-            ));
-        }
         s
     }
 
@@ -98,7 +90,6 @@ impl RunStats {
         self.dedup_hits += other.dedup_hits;
         self.cache_hits += other.cache_hits;
         self.executed += other.executed;
-        self.invalidated += other.invalidated;
         self.groups += other.groups;
         self.assumption_solves += other.assumption_solves;
         self.threads = self.threads.max(other.threads);
@@ -120,8 +111,7 @@ pub struct Structure<T> {
     pub members: Vec<usize>,
 }
 
-/// The grouped pipeline: cache consult (with re-validation), then
-/// execute the remaining representatives in encoding-base groups on the
+/// The grouped pipeline: cache consult, then execute the remaining representatives in encoding-base groups on the
 /// pool, handing every item's result to the caller as soon as it is
 /// known.
 ///
@@ -130,36 +120,27 @@ pub struct Structure<T> {
 ///   structurally identical (one is solved, the verdict replicated);
 ///   structures with equal base keys share enough encoding that the
 ///   caller wants them solved together on one persistent session.
-/// * `validate` — called on every cache hit with the representative's
-///   job and the cached value; returning `false` rejects the entry (it
-///   is removed and the job re-executed). Lets callers spill failure
-///   results whose counterexamples must be re-checked against live
-///   configurations. Hits are validated concurrently on the same pool
-///   that executes jobs, so expensive re-validation (a pinned solve per
-///   spilled failure) does not serialize the dispatch path.
 /// * `solve_group` — receives the group's jobs in structure order and
 ///   must return one result per job, in order.
 /// * `deliver` — called on the calling thread, exactly once per
-///   structure, with `(members, result, executed)`: cache answers as
-///   their validation finishes, executed structures as their group
+///   structure, with `(members, result, executed)`: cache answers
+///   first, executed structures as their group
 ///   completes (while other groups are still running). `executed` is
 ///   false for cache answers, and even when true only the
 ///   representative's job actually ran — the other members are dedup
 ///   replicas — so callers can attribute real work (e.g. solver time)
 ///   exactly once. Delivery order is completion order; callers that
 ///   need submission order re-sequence.
-pub fn run_grouped<T, V, F, P, D>(
+pub fn run_grouped<T, V, F, D>(
     executor: &Executor,
     cache: Option<&ResultCache<V>>,
     mut structures: Vec<Structure<T>>,
-    validate: P,
     solve_group: F,
     mut deliver: D,
 ) -> RunStats
 where
     T: Sync,
-    V: Clone + Send + Sync,
-    P: Fn(&T, &V) -> bool + Sync,
+    V: Clone + Send,
     F: Fn(&[&T]) -> Vec<V> + Sync,
     D: FnMut(Vec<usize>, V, bool),
 {
@@ -177,30 +158,12 @@ where
         ..RunStats::default()
     };
 
-    // Answer structures from the cache where possible. Hits are
-    // validated on the pool — re-validating a spilled failure costs a
-    // pinned encode+solve, so a warm run over a heavily-broken network
-    // would otherwise serialize those solves on the dispatching thread. Validation failures drop the entry and
-    // fall through to execution.
-    let hits: Vec<(usize, V)> = reps
-        .iter()
-        .enumerate()
-        .filter_map(|(si, rep)| cache.and_then(|c| c.get(rep.fp)).map(|v| (si, v)))
-        .collect();
-    let mut verdicts = vec![false; hits.len()];
-    executor.run(
-        &hits,
-        |(si, v)| validate(&reps[*si].job, v),
-        |hi, ok| verdicts[hi] = ok,
-    );
-    for ((si, v), ok) in hits.into_iter().zip(verdicts) {
-        if ok {
-            stats.cache_hits += members[si].len();
-            deliver(std::mem::take(&mut members[si]), v, false);
-        } else {
-            stats.invalidated += members[si].len();
-            if let Some(c) = cache {
-                c.remove(reps[si].fp);
+    // Answer structures from the cache where possible.
+    if let Some(c) = cache {
+        for (si, rep) in reps.iter().enumerate() {
+            if let Some(v) = c.get(rep.fp) {
+                stats.cache_hits += members[si].len();
+                deliver(std::mem::take(&mut members[si]), v, false);
             }
         }
     }
@@ -253,7 +216,6 @@ where
         obs::add("orchestrator.generated", stats.generated as u64);
         obs::add("orchestrator.dedup_hits", stats.dedup_hits as u64);
         obs::add("orchestrator.cache_hits", stats.cache_hits as u64);
-        obs::add("orchestrator.invalidated", stats.invalidated as u64);
         obs::add("orchestrator.executed", stats.executed as u64);
         obs::add("orchestrator.groups", stats.groups as u64);
     }
@@ -294,11 +256,10 @@ mod tests {
     /// A collecting sink over [`run_grouped`]: per-item results and
     /// fresh flags (true where the item's own job ran) in submission
     /// order, asserting exactly-once delivery.
-    fn collect<V: Clone + Send + Sync>(
+    fn collect<V: Clone + Send>(
         jobs: Option<usize>,
         cache: Option<&ResultCache<V>>,
         items: &[(Fingerprint, u64, u32)],
-        validate: impl Fn(&u32, &V) -> bool + Sync,
         solve_group: impl Fn(&[&u32]) -> Vec<V> + Sync,
     ) -> (Vec<V>, Vec<bool>, RunStats) {
         let mut slots: Vec<Option<(V, bool)>> = vec![None; items.len()];
@@ -306,7 +267,6 @@ mod tests {
             &Executor::with_threads(jobs),
             cache,
             partition(items),
-            validate,
             solve_group,
             |members, v, executed| {
                 assert!(members.windows(2).all(|w| w[0] < w[1]), "{members:?}");
@@ -337,16 +297,10 @@ mod tests {
         let calls = AtomicUsize::new(0);
         // 9 items over 3 structures.
         let items = singletons((0..9).map(|i| (fp(i % 3), i % 3)));
-        let (out, fresh, stats) = collect(
-            None,
-            None,
-            &items,
-            |_, _| true,
-            |group| {
-                calls.fetch_add(group.len(), Ordering::Relaxed);
-                group.iter().map(|&&x| x * 10).collect()
-            },
-        );
+        let (out, fresh, stats) = collect(None, None, &items, |group| {
+            calls.fetch_add(group.len(), Ordering::Relaxed);
+            group.iter().map(|&&x| x * 10).collect()
+        });
         // Exactly one member per structure is fresh: the representative.
         assert_eq!(
             fresh,
@@ -368,16 +322,10 @@ mod tests {
         let group_calls = AtomicUsize::new(0);
         let items: Vec<(Fingerprint, u64, u32)> =
             (0..6).map(|i| (fp(i), (i % 2) as u64, i)).collect();
-        let (out, fresh, stats) = collect(
-            None,
-            None,
-            &items,
-            |_, _| true,
-            |group| {
-                group_calls.fetch_add(1, Ordering::Relaxed);
-                group.iter().map(|&&x| x * 10).collect()
-            },
-        );
+        let (out, fresh, stats) = collect(None, None, &items, |group| {
+            group_calls.fetch_add(1, Ordering::Relaxed);
+            group.iter().map(|&&x| x * 10).collect()
+        });
         assert_eq!(out, vec![0, 10, 20, 30, 40, 50]);
         assert_eq!(group_calls.load(Ordering::Relaxed), 2);
         assert_eq!(stats.groups, 2);
@@ -399,13 +347,9 @@ mod tests {
             (fp(1), 7, 1),
             (fp(2), 7, 2),
         ];
-        let (out, fresh, stats) = collect(
-            None,
-            Some(&cache),
-            &items,
-            |_, _| true,
-            |group| group.iter().map(|&&x| x + 10).collect(),
-        );
+        let (out, fresh, stats) = collect(None, Some(&cache), &items, |group| {
+            group.iter().map(|&&x| x + 10).collect()
+        });
         assert_eq!(out, vec![100, 11, 100, 11, 12]);
         assert_eq!(fresh, [false, true, false, false, true]);
         assert_eq!(stats.cache_hits, 2);
@@ -415,81 +359,19 @@ mod tests {
     }
 
     #[test]
-    fn stale_cache_entries_are_revalidated_and_reexecuted() {
-        let cache: ResultCache<u32> = ResultCache::new();
-        cache.insert(fp(1), 999); // stale: validator rejects odd payloads' 999
-        let items: Vec<(Fingerprint, u64, u32)> = vec![(fp(1), 0, 1), (fp(2), 0, 2)];
-        let (out, _, stats) = collect(
-            None,
-            Some(&cache),
-            &items,
-            |_, v| *v != 999,
-            |group| group.iter().map(|&&x| x + 10).collect(),
-        );
-        assert_eq!(out, vec![11, 12]);
-        assert_eq!(stats.invalidated, 1);
-        assert_eq!(stats.cache_hits, 0);
-        assert_eq!(stats.executed, 2);
-        // The stale entry was replaced by the fresh verdict.
-        assert_eq!(cache.peek(fp(1)), Some(11));
-    }
-
-    #[test]
-    fn revalidation_runs_concurrently_on_the_pool() {
-        // Many cached entries with a validator that records its calling
-        // threads: with several workers, validation must not all happen
-        // on the dispatching thread.
-        use std::sync::Mutex;
-        let cache: ResultCache<u32> = ResultCache::new();
-        let n = 64u32;
-        for i in 0..n {
-            cache.insert(fp(i), i);
-        }
-        let threads: Mutex<std::collections::HashSet<std::thread::ThreadId>> =
-            Mutex::new(std::collections::HashSet::new());
-        let items = singletons((0..n).map(|i| (fp(i), i)));
-        let (_, _, stats) = collect(
-            Some(4),
-            Some(&cache),
-            &items,
-            |_, _| {
-                threads.lock().unwrap().insert(std::thread::current().id());
-                // Simulate pinned-solve cost so workers overlap.
-                std::thread::sleep(std::time::Duration::from_micros(300));
-                true
-            },
-            |group| group.iter().map(|&&x| x).collect(),
-        );
-        assert_eq!(stats.cache_hits as u32, n);
-        assert_eq!(stats.executed, 0);
-        assert!(
-            threads.lock().unwrap().len() > 1,
-            "validation must fan out over the pool"
-        );
-    }
-
-    #[test]
     fn warm_cache_answers_without_executing() {
         let cache: ResultCache<u32> = ResultCache::new();
         let items = singletons([(fp(1), 1), (fp(2), 2), (fp(1), 1)].into_iter());
-        let (out1, _, s1) = collect(
-            None,
-            Some(&cache),
-            &items,
-            |_, _| true,
-            |group| group.iter().map(|&&x| x + 100).collect(),
-        );
+        let (out1, _, s1) = collect(None, Some(&cache), &items, |group| {
+            group.iter().map(|&&x| x + 100).collect()
+        });
         assert_eq!(out1, vec![101, 102, 101]);
         assert_eq!(s1.executed, 2);
         assert_eq!(s1.cache_hits, 0);
 
-        let (out2, fresh2, s2) = collect(
-            None,
-            Some(&cache),
-            &items,
-            |_, _| true,
-            |_| -> Vec<u32> { panic!("warm run must not execute") },
-        );
+        let (out2, fresh2, s2) = collect(None, Some(&cache), &items, |_| -> Vec<u32> {
+            panic!("warm run must not execute")
+        });
         assert!(fresh2.iter().all(|&f| !f), "warm run: nothing fresh");
         assert_eq!(out2, out1);
         assert_eq!(s2.cache_hits, 3);
@@ -510,7 +392,6 @@ mod tests {
             &Executor::with_threads(Some(2)),
             None::<&ResultCache<u32>>,
             partition(&items),
-            |_, _| true,
             |group| {
                 if *group[0] == 1 {
                     rx.lock().unwrap().recv().unwrap();

@@ -5,13 +5,16 @@
 //!
 //! * [`solve`] / [`solve_with_stats`] — one-shot: bit-blast the given
 //!   assertions into a fresh CNF and decide it with a fresh SAT solver.
+//!   The only source of [`Model`]s.
 //! * [`IncrementalSession`] — persistent: one term pool, one blaster and
 //!   one SAT instance serve a whole family of related queries. Shared
 //!   assertions are encoded once ([`IncrementalSession::assert`]), each
 //!   query is gated behind an activation literal
 //!   ([`IncrementalSession::activation`]) and posed as an assumption
 //!   solve, so learnt clauses and variable activities carry over between
-//!   queries instead of being rebuilt from scratch.
+//!   queries instead of being rebuilt from scratch. A session answers a
+//!   [`SolveOutcome`] and, after `Unsat`, the failed assumptions — never
+//!   a model.
 
 use crate::bitblast::{bitblast, IncrementalBlaster};
 use crate::cnf::Lit;
@@ -48,19 +51,7 @@ impl Model {
     /// Variables absent from the caches were never encoded: they are
     /// recorded as don't-care rather than given a fabricated concrete
     /// value.
-    ///
-    /// `witnessed` (when given) further restricts which variables count
-    /// as witnessed: on a shared incremental session the blast caches
-    /// accumulate encodings from *every* query posed so far, but the
-    /// model of one query must only claim variables in that query's own
-    /// formula — anything else is don't-care even though a literal for
-    /// it happens to exist.
-    fn from_blaster(
-        pool: &TermPool,
-        blaster: &IncrementalBlaster,
-        sat: &SatSolver,
-        witnessed: Option<&HashSet<TermId>>,
-    ) -> Model {
+    fn from_blaster(pool: &TermPool, blaster: &IncrementalBlaster, sat: &SatSolver) -> Model {
         let lit_val = |l: Lit| -> bool {
             let v = sat.value(l.var());
             if l.is_pos() {
@@ -69,24 +60,23 @@ impl Model {
                 !v
             }
         };
-        let in_scope = |t: TermId| witnessed.is_none_or(|w| w.contains(&t));
         let mut values = HashMap::new();
         let mut dont_care = HashSet::new();
         for &t in pool.bool_vars() {
             match blaster.bool_lit(t) {
-                Some(l) if in_scope(t) => {
+                Some(l) => {
                     values.insert(t, Value::Bool(lit_val(l)));
                 }
-                // Variable not in this query's formula: any value
-                // satisfies it, so no value is witnessed.
-                _ => {
+                // Variable not in the formula: any value satisfies it,
+                // so no value is witnessed.
+                None => {
                     dont_care.insert(t);
                 }
             }
         }
         for &t in pool.bv_vars() {
             match blaster.bv_bits(t) {
-                Some(bits) if in_scope(t) => {
+                Some(bits) => {
                     let mut v = 0u64;
                     for (i, &b) in bits.iter().enumerate() {
                         if lit_val(b) {
@@ -95,7 +85,7 @@ impl Model {
                     }
                     values.insert(t, Value::Bv(v));
                 }
-                _ => {
+                None => {
                     dont_care.insert(t);
                 }
             }
@@ -237,7 +227,7 @@ pub fn solve_with_stats(pool: &TermPool, assertions: &[TermId]) -> (SatResult, S
     };
     record_solve_metrics(&stats, blast_time);
     let result = match outcome {
-        SolveOutcome::Sat => SatResult::Sat(Model::from_blaster(pool, &blasted, &sat, None)),
+        SolveOutcome::Sat => SatResult::Sat(Model::from_blaster(pool, &blasted, &sat)),
         SolveOutcome::Unsat => SatResult::Unsat,
     };
     (result, stats)
@@ -319,13 +309,6 @@ pub struct IncrementalSession {
     /// Encoding time accrued since the last solve (reported in the next
     /// solve's stats so per-check stats stay meaningful).
     pending_encode: Duration,
-    /// Terms asserted unconditionally (part of every query's formula).
-    asserted: Vec<TermId>,
-    /// Gated term behind each activation literal, so a solve can
-    /// reconstruct exactly which formula the posed query consists of
-    /// (assertions + the assumed activations' terms) and mark every
-    /// other variable don't-care in the model.
-    gated: HashMap<Lit, TermId>,
 }
 
 impl Default for IncrementalSession {
@@ -344,8 +327,6 @@ impl IncrementalSession {
             fed: 0,
             solves: 0,
             pending_encode: Duration::ZERO,
-            asserted: Vec::new(),
-            gated: HashMap::new(),
         }
     }
 
@@ -362,8 +343,6 @@ impl IncrementalSession {
         self.fed = 0;
         self.solves = 0;
         self.pending_encode = Duration::ZERO;
-        self.asserted.clear();
-        self.gated.clear();
     }
 
     /// Lower the underlying solver's clause-arena capacity (clamped to
@@ -404,7 +383,6 @@ impl IncrementalSession {
         debug_assert_eq!(self.pool.sort(t), Sort::Bool, "assertions must be boolean");
         let t0 = Instant::now();
         self.blaster.assert_true(&self.pool, t);
-        self.asserted.push(t);
         self.pending_encode += t0.elapsed();
     }
 
@@ -418,20 +396,23 @@ impl IncrementalSession {
         let l = self.blaster.blast_bool(&self.pool, t);
         let act = self.blaster.fresh_lit();
         self.blaster.add_clause(&[!act, l]);
-        self.gated.insert(act, t);
         self.pending_encode += t0.elapsed();
         Assumption(act)
     }
 
     /// Decide the session's assertions plus the gated formulas of the
     /// given assumptions. Statistics cover this query: sizes are the
-    /// session's cumulative encoding, SAT counters are deltas.
+    /// session's cumulative encoding, SAT counters are deltas. A session
+    /// answers a verdict, and after `Unsat` its core
+    /// ([`IncrementalSession::failed_assumptions`]); it never answers a
+    /// model — a witness is posed on a one-shot instance ([`solve`]), so
+    /// no session history can shape it.
     ///
     /// Panics when the solver refuses a verdict (clause arena
     /// exhausted); callers that can recover — by re-posing the query on
     /// a fresh instance or failing the check typed — use
     /// [`IncrementalSession::try_solve_under`].
-    pub fn solve_under(&mut self, assumptions: &[Assumption]) -> (SatResult, SolverStats) {
+    pub fn solve_under(&mut self, assumptions: &[Assumption]) -> (SolveOutcome, SolverStats) {
         self.try_solve_under(assumptions)
             .unwrap_or_else(|e| panic!("SMT session refused a verdict: {e}"))
     }
@@ -443,7 +424,7 @@ impl IncrementalSession {
     pub fn try_solve_under(
         &mut self,
         assumptions: &[Assumption],
-    ) -> Result<(SatResult, SolverStats), SolverError> {
+    ) -> Result<(SolveOutcome, SolverStats), SolverError> {
         // Feed clauses and variables created since the last solve into
         // the live SAT instance.
         let (fed, sync_time) = feed(&self.blaster, &mut self.sat, self.fed);
@@ -481,32 +462,7 @@ impl IncrementalSession {
         record_solve_metrics(&stats, self.pending_encode);
         self.pending_encode = Duration::ZERO;
         self.solves += 1;
-        let result = match outcome {
-            SolveOutcome::Sat => {
-                // The blast maps cover every query this session has seen;
-                // the model of *this* query must only witness variables in
-                // its own formula (assertions + assumed activations).
-                let roots: Vec<TermId> = self
-                    .asserted
-                    .iter()
-                    .copied()
-                    .chain(
-                        assumptions
-                            .iter()
-                            .filter_map(|a| self.gated.get(&a.0).copied()),
-                    )
-                    .collect();
-                let witnessed = reachable_terms(&self.pool, &roots);
-                SatResult::Sat(Model::from_blaster(
-                    &self.pool,
-                    &self.blaster,
-                    &self.sat,
-                    Some(&witnessed),
-                ))
-            }
-            SolveOutcome::Unsat => SatResult::Unsat,
-        };
-        Ok((result, stats))
+        Ok((outcome, stats))
     }
 
     /// The subset of the last solve's assumptions shown inconsistent
@@ -519,42 +475,6 @@ impl IncrementalSession {
             .map(|&l| Assumption(l))
             .collect()
     }
-}
-
-/// Every term reachable from `roots` in the pool's DAG (the cone of the
-/// formula they span). Used to scope a shared session's model to one
-/// query's variables.
-fn reachable_terms(pool: &TermPool, roots: &[TermId]) -> HashSet<TermId> {
-    let mut seen: HashSet<TermId> = HashSet::new();
-    let mut stack: Vec<TermId> = roots.to_vec();
-    while let Some(t) = stack.pop() {
-        if !seen.insert(t) {
-            continue;
-        }
-        match pool.term(t) {
-            Term::True
-            | Term::False
-            | Term::BoolVar(_)
-            | Term::BvVar { .. }
-            | Term::BvConst { .. } => {}
-            Term::Not(a) => stack.push(*a),
-            Term::And(parts) | Term::Or(parts) => stack.extend(parts.iter().copied()),
-            Term::Ite(c, a, b) => {
-                stack.push(*c);
-                stack.push(*a);
-                stack.push(*b);
-            }
-            Term::BvEq(a, b)
-            | Term::BvUlt(a, b)
-            | Term::BvUle(a, b)
-            | Term::BvAnd(a, b)
-            | Term::BvAdd(a, b) => {
-                stack.push(*a);
-                stack.push(*b);
-            }
-        }
-    }
-    seen
 }
 
 #[cfg(test)]
@@ -675,15 +595,15 @@ mod tests {
         let c = sess.pool_mut().bv_const(5, 32);
         let eq = sess.pool_mut().bv_eq(x, c);
         sess.assert(eq);
-        assert!(sess.try_solve_under(&[]).unwrap().0.is_sat());
+        assert_eq!(sess.try_solve_under(&[]).unwrap().0, SolveOutcome::Sat);
     }
 
     #[test]
     fn reset_session_replays_a_fresh_one() {
         // The same script on a new session and on one recycled from an
-        // unrelated, bigger problem: verdicts, models, sizes and search
-        // counters must all agree — a reset leaves nothing behind.
-        fn script(sess: &mut IncrementalSession) -> Vec<(Option<u64>, u64, u64, u64, u64)> {
+        // unrelated, bigger problem: verdicts, sizes and search counters
+        // must all agree — a reset leaves nothing behind.
+        fn script(sess: &mut IncrementalSession) -> Vec<(SolveOutcome, u64, u64, u64, u64)> {
             let x = sess.pool_mut().bv_var("x", 8);
             let y = sess.pool_mut().bv_var("y", 8);
             let sum = sess.pool_mut().bv_add(x, y);
@@ -696,18 +616,8 @@ mod tests {
                     let pin = sess.pool_mut().bv_eq(x, ck);
                     let a = sess.activation(pin);
                     let (r, st) = sess.solve_under(&[a]);
-                    let witness = match r {
-                        SatResult::Sat(m) => m.eval_bv(sess.pool(), y),
-                        SatResult::Unsat => None,
-                    };
                     let sat = st.sat;
-                    (
-                        witness,
-                        st.num_vars,
-                        st.num_clauses,
-                        sat.decisions,
-                        sat.conflicts,
-                    )
+                    (r, st.num_vars, st.num_clauses, sat.decisions, sat.conflicts)
                 })
                 .collect()
         }
@@ -719,7 +629,7 @@ mod tests {
         let c = recycled.pool_mut().bv_const(12345, 32);
         let eq = recycled.pool_mut().bv_eq(pq, c);
         recycled.assert(eq);
-        assert!(recycled.solve_under(&[]).0.is_sat());
+        assert_eq!(recycled.solve_under(&[]).0, SolveOutcome::Sat);
         recycled.reset();
         assert_eq!((recycled.num_solves(), recycled.pool().len()), (0, 0));
         assert_eq!(script(&mut recycled), expected);
@@ -728,7 +638,8 @@ mod tests {
     #[test]
     fn incremental_session_matches_fresh_solves() {
         // One encoding, three checks: 10 < x, x < 20 asserted; per-check
-        // pin x to a value and compare against one-shot solving.
+        // pin x to a value and compare against one-shot solving, which
+        // supplies the witness.
         let mut sess = IncrementalSession::new();
         let x = sess.pool_mut().bv_var("x", 8);
         let lo = sess.pool_mut().bv_const(10, 8);
@@ -743,10 +654,11 @@ mod tests {
             let a = sess.activation(eq);
             let (res, stats) = sess.solve_under(&[a]);
             let expect = v > 10 && v < 20;
-            assert_eq!(res.is_sat(), expect, "x = {v}");
+            assert_eq!(res == SolveOutcome::Sat, expect, "x = {v}");
             assert!(stats.num_vars > 0);
-            if let SatResult::Sat(m) = res {
-                assert_eq!(m.eval_bv(sess.pool(), x), Some(v));
+            match solve(sess.pool(), &[c1, c2, eq]) {
+                SatResult::Sat(m) => assert_eq!(m.eval_bv(sess.pool(), x), Some(v)),
+                SatResult::Unsat => assert!(!expect, "x = {v}"),
             }
         }
         assert_eq!(sess.num_solves(), 3);
@@ -762,46 +674,13 @@ mod tests {
         let gna = sess.activation(na);
         let gb = sess.activation(b);
         let (res, _) = sess.solve_under(&[ga, gb, gna]);
-        assert!(!res.is_sat());
+        assert_eq!(res, SolveOutcome::Unsat);
         let core = sess.failed_assumptions();
         assert!(core.contains(&ga) && core.contains(&gna));
         assert!(!core.contains(&gb), "b is irrelevant to the conflict");
         // The same session still answers consistent queries.
         let (res2, _) = sess.solve_under(&[ga, gb]);
-        assert!(res2.is_sat());
-    }
-
-    #[test]
-    fn session_models_scope_to_the_posed_query() {
-        // Two gated queries over disjoint variables: query 2's model must
-        // not claim a witnessed value for query 1's variable even though
-        // the shared session has a literal for it.
-        let mut sess = IncrementalSession::new();
-        let a = sess.pool_mut().bool_var("a");
-        let b = sess.pool_mut().bool_var("b");
-        let ga = sess.activation(a);
-        let gb = sess.activation(b);
-        let (r1, _) = sess.solve_under(&[ga]);
-        match r1 {
-            SatResult::Sat(m) => {
-                assert_eq!(m.eval_bool(sess.pool(), a), Some(true));
-                assert!(!m.is_dont_care(a));
-                assert!(m.is_dont_care(b), "b is not part of query 1");
-            }
-            SatResult::Unsat => panic!("expected sat"),
-        }
-        let (r2, _) = sess.solve_under(&[gb]);
-        match r2 {
-            SatResult::Sat(m) => {
-                assert_eq!(m.eval_bool(sess.pool(), b), Some(true));
-                assert!(!m.is_dont_care(b));
-                assert!(
-                    m.is_dont_care(a),
-                    "a was encoded for query 1 only; query 2 must not witness it"
-                );
-            }
-            SatResult::Unsat => panic!("expected sat"),
-        }
+        assert_eq!(res2, SolveOutcome::Sat);
     }
 
     #[test]
@@ -813,7 +692,7 @@ mod tests {
         sess.assert(na);
         let g = sess.activation(a);
         let (res, _) = sess.solve_under(&[g]);
-        assert!(!res.is_sat());
+        assert_eq!(res, SolveOutcome::Unsat);
         assert!(sess.failed_assumptions().is_empty());
     }
 
@@ -826,13 +705,15 @@ mod tests {
         let lt = sess.pool_mut().bv_ult(x, c10);
         sess.assert(lt);
         let (r1, _) = sess.solve_under(&[]);
-        assert!(r1.is_sat());
+        assert_eq!(r1, SolveOutcome::Sat);
         // Strengthen: x > 3 (new terms blasted after the first solve).
         let c3 = sess.pool_mut().bv_const(3, 8);
         let gt = sess.pool_mut().bv_ult(c3, x);
         sess.assert(gt);
         let (r2, _) = sess.solve_under(&[]);
-        match r2 {
+        assert_eq!(r2, SolveOutcome::Sat);
+        // The witness comes from a one-shot instance of the same formula.
+        match solve(sess.pool(), &[lt, gt]) {
             SatResult::Sat(m) => {
                 let v = m.eval_bv(sess.pool(), x).unwrap();
                 assert!(v > 3 && v < 10, "witness {v}");
@@ -844,7 +725,7 @@ mod tests {
         let eq2 = sess.pool_mut().bv_eq(x, c2t);
         sess.assert(eq2);
         let (r3, _) = sess.solve_under(&[]);
-        assert!(!r3.is_sat());
+        assert_eq!(r3, SolveOutcome::Unsat);
     }
 
     #[test]

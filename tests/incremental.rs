@@ -8,23 +8,25 @@
 //! WANs — passing and broken alike — what the pipeline renders at any
 //! worker count, through the collecting and the streaming sink, is
 //! byte-identical to the reference oracle (one fresh solver instance
-//! per check). They also cover the failure-result disk cache: spilled
-//! failures answer warm runs without re-proving, and tampered/stale
-//! entries are rejected by re-validation and re-proved instead of
-//! replayed.
+//! per check). They also cover the result cache: a spill holds passes
+//! only, so a warm run re-derives every failure on its check's one-shot
+//! instance and renders the cold run's bytes; a failure entry, however
+//! well wrapped, loads nothing; and a cache kept in memory answers the
+//! failures its own process derived.
 
-use lightyear::engine::{CheckCache, RunMode, Verifier};
-use lightyear::symbolic::ConcreteRoute;
-use lightyear::Report;
+use lightyear::engine::{CheckCache, Verifier};
+use lightyear::{NetworkInvariants, Report, SafetyProperty};
 use netgen::mutate;
 use netgen::wan::{self, WanParams};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Re-wrap a forged payload as a valid v3 spill entry: recompute the
 /// integrity sum exactly as an attacker who knows the (non-cryptographic)
-/// format would, so the entry decodes on reload and the *semantic*
-/// re-validation layer is what has to reject it. Corruption-level
+/// format would, so the entry passes its checksum on reload and the
+/// decoder is what has to reject it. Corruption-level
 /// tampering (bad sums, truncation) is pinned separately in
 /// `orchestrator::cache` tests and the CLI poisoned-spill test.
 fn wrap_spill_entry(fp_hex: &str, payload: &serde_json::Value) -> serde_json::Value {
@@ -141,11 +143,9 @@ fn pipeline_matches_reference_on_failing_wan() {
     );
 }
 
-/// Failures spill to the cache and answer warm runs without re-proving
-/// (the ROADMAP follow-up this PR closes): the warm run executes zero
-/// solver calls yet still reports the violation.
-#[test]
-fn spilled_failures_answer_warm_runs() {
+/// The small broken WAN the cache tests share: EDGE1's import from
+/// PEER1 lost its private-ASN filter, so `no-private-asn` fails there.
+fn broken_wan() -> wan::Scenario {
     let params = WanParams {
         regions: 1,
         routers_per_region: 1,
@@ -155,149 +155,159 @@ fn spilled_failures_answer_warm_runs() {
     };
     let mut configs = wan::configs(&params);
     mutate::drop_aspath_filters(&mut configs, "EDGE1", "FROM-PEER1").unwrap();
-    let s = wan::build_from_configs(&params, configs);
-    let topo = &s.network.topology;
-    let (_, q) = s
-        .peering_predicates()
-        .into_iter()
-        .find(|(n, _)| n == "no-private-asn")
-        .unwrap();
-    let (props, inv) = s.peering_property_inputs(&q);
-
-    let dir = std::env::temp_dir().join(format!("ly-failspill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let cache = Arc::new(CheckCache::new());
-    let verifier = Verifier::new(topo, &s.network.policy)
-        .with_ghost(s.from_peer_ghost())
-        .with_mode(RunMode::Parallel)
-        .with_cache(cache.clone());
-    let cold = verifier.verify_safety_multi(&props, &inv);
-    assert!(!cold.all_passed());
-    let written = lightyear::save_check_cache(&cache, &dir).unwrap();
-    assert!(written > 0);
-
-    // Reload from disk into a brand-new cache: failures are durable now.
-    let (reloaded, loaded) = lightyear::load_check_cache(&dir).unwrap();
-    assert_eq!(loaded, written, "every spilled entry must reload");
-    let warm_verifier = Verifier::new(topo, &s.network.policy)
-        .with_ghost(s.from_peer_ghost())
-        .with_mode(RunMode::Parallel)
-        .with_cache(reloaded);
-    let warm = warm_verifier.verify_safety_multi(&props, &inv);
-    assert_reports_byte_identical(topo, &cold, &warm);
-    assert_eq!(
-        warm.exec.executed, 0,
-        "valid spilled failures must answer the warm run"
-    );
-    assert_eq!(warm.exec.invalidated, 0);
-    let _ = std::fs::remove_dir_all(&dir);
+    wan::build_from_configs(&params, configs)
 }
 
-/// A forged entry whose *input* genuinely violates but whose verdict
-/// details (rejected flag, output route) were tampered with must also be
-/// rejected: re-validation checks the whole counterexample against what
-/// the live transfer actually does, not just that the input still fails.
-#[test]
-fn forged_verdict_details_are_revalidated_not_replayed() {
-    let params = WanParams {
-        regions: 1,
-        routers_per_region: 1,
-        edge_routers: 2,
-        peers_per_edge: 2,
-        seed: 3,
-    };
-    let mut configs = wan::configs(&params);
-    mutate::drop_aspath_filters(&mut configs, "EDGE1", "FROM-PEER1").unwrap();
-    let s = wan::build_from_configs(&params, configs);
-    let topo = &s.network.topology;
+/// The `no-private-asn` suite of `s`.
+fn no_private_asn(s: &wan::Scenario) -> (Vec<SafetyProperty>, NetworkInvariants) {
     let (_, q) = s
         .peering_predicates()
         .into_iter()
         .find(|(n, _)| n == "no-private-asn")
         .unwrap();
-    let (props, inv) = s.peering_property_inputs(&q);
+    s.peering_property_inputs(&q)
+}
 
-    let dir = std::env::temp_dir().join(format!("ly-forgedspill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let cache = Arc::new(CheckCache::new());
-    let verifier = Verifier::new(topo, &s.network.policy)
+/// A verifier over `s` on two workers, with `cache` attached.
+fn cached_verifier(s: &wan::Scenario, cache: Arc<CheckCache>) -> Verifier<'_> {
+    Verifier::new(&s.network.topology, &s.network.policy)
         .with_ghost(s.from_peer_ghost())
-        .with_mode(RunMode::Parallel)
-        .with_cache(cache.clone());
-    let cold = verifier.verify_safety_multi(&props, &inv);
-    assert!(!cold.all_passed());
-    lightyear::save_check_cache(&cache, &dir).unwrap();
+        .with_jobs(2)
+        .with_cache(cache)
+}
 
-    // Tamper: keep each failure's input but flip it to a rejection with
-    // no output — a fabricated verdict over a genuinely-failing input.
+/// The distinct fingerprints of a report's failing checks: its failing
+/// classes.
+fn failing_classes(
+    v: &Verifier,
+    props: &[SafetyProperty],
+    inv: &NetworkInvariants,
+    report: &Report,
+) -> BTreeSet<String> {
+    let fps = v.check_fingerprints(props, inv);
+    (report.failures().iter())
+        .map(|f| fps[f.check.id].to_hex())
+        .collect()
+}
+
+/// Every entry payload of the spill in `dir`.
+fn spill_payloads(dir: &Path) -> Vec<(String, serde_json::Value)> {
+    let text = std::fs::read_to_string(dir.join("cache.json")).unwrap();
+    let doc: serde_json::Value = serde_json::from_str(&text).unwrap();
+    (doc["entries"].as_object().unwrap().iter())
+        .map(|(fp, entry)| {
+            let payload = serde_json::from_str(entry["payload"].as_str().unwrap()).unwrap();
+            (fp.clone(), payload)
+        })
+        .collect()
+}
+
+/// Rewrite the spill in `dir` to hold exactly `entries`, each wrapped
+/// with a valid integrity sum (see [`wrap_spill_entry`]).
+fn write_spill(dir: &Path, entries: &[(String, serde_json::Value)]) {
     let path = dir.join("cache.json");
-    let doc: serde_json::Value =
+    let mut doc: serde_json::Value =
         serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    let mut forged_any = false;
-    let tampered = match doc {
-        serde_json::Value::Object(fields) => serde_json::Value::Object(
-            fields
-                .into_iter()
-                .map(|(k, v)| {
-                    if k != "entries" {
-                        return (k, v);
-                    }
-                    let serde_json::Value::Object(entries) = v else {
-                        panic!("entries must be an object");
-                    };
-                    let out: Vec<(String, serde_json::Value)> = entries
-                        .into_iter()
-                        .map(|(fp, entry)| {
-                            let inner: serde_json::Value =
-                                serde_json::from_str(entry["payload"].as_str().unwrap()).unwrap();
-                            if inner["pass"].as_bool() == Some(false) {
-                                forged_any = true;
-                                let input = inner["input"].clone();
-                                let forged = serde_json::json!({
-                                    "pass": false,
-                                    "vars": 1,
-                                    "clauses": 1,
-                                    "rejected": true,
-                                    "input": input,
-                                    "output": serde_json::Value::Null,
-                                });
-                                let wrapped = wrap_spill_entry(&fp, &forged);
-                                (fp, wrapped)
-                            } else {
-                                (fp, entry)
-                            }
-                        })
-                        .collect();
-                    (k, serde_json::Value::Object(out))
-                })
-                .collect(),
-        ),
-        other => other,
+    let wrapped = (entries.iter())
+        .map(|(fp, payload)| (fp.clone(), wrap_spill_entry(fp, payload)))
+        .collect();
+    let serde_json::Value::Object(fields) = &mut doc else {
+        panic!("a spill is an object");
     };
-    assert!(forged_any, "the cold run must have spilled a failure");
-    std::fs::write(&path, serde_json::to_string_pretty(&tampered).unwrap()).unwrap();
+    for (k, v) in fields.iter_mut() {
+        if k == "entries" {
+            *v = serde_json::Value::Object(wrapped);
+            break;
+        }
+    }
+    std::fs::write(&path, serde_json::to_string_pretty(&doc).unwrap()).unwrap();
+}
 
-    let (reloaded, _) = lightyear::load_check_cache(&dir).unwrap();
-    let warm = Verifier::new(topo, &s.network.policy)
-        .with_ghost(s.from_peer_ghost())
-        .with_mode(RunMode::Parallel)
-        .with_cache(reloaded)
-        .verify_safety_multi(&props, &inv);
-    // The forged verdict is discarded and the check re-proved: the warm
-    // report matches the cold one byte-for-byte (true output route, not
-    // the fabricated rejection).
+/// The failure form spills held before failures stopped spilling.
+fn old_failure_payload() -> serde_json::Value {
+    serde_json::json!({
+        "pass": false,
+        "vars": 1,
+        "clauses": 1,
+        "rejected": true,
+        "input": "forged",
+        "output": serde_json::Value::Null,
+    })
+}
+
+fn temp_spill_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("ly-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// A failing run spills its passes only, and a warm run from that spill
+/// re-solves exactly its failing classes and renders the cold run's
+/// bytes: every counterexample is re-derived, none is replayed.
+#[test]
+fn failing_runs_spill_passes_and_warm_runs_rederive_failures() {
+    let s = broken_wan();
+    let topo = &s.network.topology;
+    let (props, inv) = no_private_asn(&s);
+    let dir = temp_spill_dir("failspill");
+
+    let cache = Arc::new(CheckCache::new());
+    let v = cached_verifier(&s, cache.clone());
+    let cold = v.verify_safety_multi(&props, &inv);
+    assert!(!cold.all_passed());
+    let failing = failing_classes(&v, &props, &inv, &cold);
+    assert!(!failing.is_empty());
+    let written = lightyear::save_check_cache(&cache, &dir).unwrap();
+    // The in-memory cache keeps the failures; the spill does not.
+    assert_eq!(written + failing.len(), cache.len());
+    let payloads = spill_payloads(&dir);
+    assert_eq!(payloads.len(), written);
+    assert!(
+        payloads
+            .iter()
+            .all(|(_, p)| p["pass"].as_bool() == Some(true)),
+        "a failure was spilled"
+    );
+
+    let (reloaded, loaded) = lightyear::load_pass_cache(&dir).unwrap();
+    assert_eq!(loaded, written, "every spilled pass reloads");
+    let warm = cached_verifier(&s, reloaded).verify_safety_multi(&props, &inv);
     assert_reports_byte_identical(topo, &cold, &warm);
-    assert!(warm.exec.invalidated > 0, "{:?}", warm.exec);
-    assert!(warm.exec.executed > 0, "{:?}", warm.exec);
+    assert_eq!(warm.exec.executed, failing.len(), "{:?}", warm.exec);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Tampered or stale failure entries must not be replayed: re-validation
-/// pins the spilled counterexample against the live encoding, rejects it,
-/// and re-proves the check.
+/// A failure entry in the old spill form, wrapped with a valid integrity
+/// sum under a failing class's own key, loads nothing: the warm run
+/// re-derives that class and moves no report byte.
 #[test]
-fn stale_cached_failures_are_revalidated_not_replayed() {
+fn hand_wrapped_failure_entries_load_nothing() {
+    let s = broken_wan();
+    let topo = &s.network.topology;
+    let (props, inv) = no_private_asn(&s);
+    let dir = temp_spill_dir("forgedspill");
+
+    let cache = Arc::new(CheckCache::new());
+    let v = cached_verifier(&s, cache.clone());
+    let cold = v.verify_safety_multi(&props, &inv);
+    let written = lightyear::save_check_cache(&cache, &dir).unwrap();
+    let failing = failing_classes(&v, &props, &inv, &cold);
+    let mut entries = spill_payloads(&dir);
+    entries.extend(failing.iter().map(|fp| (fp.clone(), old_failure_payload())));
+    write_spill(&dir, &entries);
+
+    let (reloaded, loaded) = lightyear::load_pass_cache(&dir).unwrap();
+    assert_eq!(loaded, written, "the failure entries load nothing");
+    let warm = cached_verifier(&s, reloaded).verify_safety_multi(&props, &inv);
+    assert_reports_byte_identical(topo, &cold, &warm);
+    assert_eq!(warm.exec.executed, failing.len(), "{:?}", warm.exec);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A passing spill rewritten entry by entry as forged failures loads
+/// nothing, and the network still verifies.
+#[test]
+fn a_spill_forged_into_failures_still_verifies() {
     let s = wan::build(&WanParams {
         regions: 1,
         routers_per_region: 1,
@@ -308,78 +318,38 @@ fn stale_cached_failures_are_revalidated_not_replayed() {
     let topo = &s.network.topology;
     let (_, q) = s.peering_predicates().into_iter().next().unwrap();
     let (props, inv) = s.peering_property_inputs(&q);
+    let dir = temp_spill_dir("stalespill");
 
-    let dir = std::env::temp_dir().join(format!("ly-stalespill-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
     let cache = Arc::new(CheckCache::new());
-    let verifier = Verifier::new(topo, &s.network.policy)
-        .with_ghost(s.from_peer_ghost())
-        .with_mode(RunMode::Parallel)
-        .with_cache(cache.clone());
-    let cold = verifier.verify_safety_multi(&props, &inv);
+    let cold = cached_verifier(&s, cache.clone()).verify_safety_multi(&props, &inv);
     assert!(cold.all_passed());
-    lightyear::save_check_cache(&cache, &dir).unwrap();
+    assert!(lightyear::save_check_cache(&cache, &dir).unwrap() > 0);
+    let forged: Vec<(String, serde_json::Value)> = (spill_payloads(&dir).into_iter())
+        .map(|(fp, _)| (fp, old_failure_payload()))
+        .collect();
+    write_spill(&dir, &forged);
 
-    // Tamper with the spill: rewrite every passing entry as a failure
-    // carrying a fabricated counterexample.
-    let bogus = ConcreteRoute {
-        route: bgp_model::Route::new("203.0.113.0/24".parse().unwrap()),
-        comm_other: false,
-        aspath_matches: Default::default(),
-        ghosts: Default::default(),
-    };
-    let path = dir.join("cache.json");
-    let doc: serde_json::Value =
-        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    let tampered = match doc {
-        serde_json::Value::Object(fields) => serde_json::Value::Object(
-            fields
-                .into_iter()
-                .map(|(k, v)| {
-                    if k != "entries" {
-                        return (k, v);
-                    }
-                    let serde_json::Value::Object(entries) = v else {
-                        panic!("entries must be an object");
-                    };
-                    let forged: Vec<(String, serde_json::Value)> = entries
-                        .into_iter()
-                        .map(|(fp, _)| {
-                            let payload = serde_json::json!({
-                                "pass": false,
-                                "vars": 1,
-                                "clauses": 1,
-                                "rejected": false,
-                                "input": serde_json::to_value(&bogus),
-                                "output": serde_json::Value::Null,
-                            });
-                            let wrapped = wrap_spill_entry(&fp, &payload);
-                            (fp, wrapped)
-                        })
-                        .collect();
-                    (k, serde_json::Value::Object(forged))
-                })
-                .collect(),
-        ),
-        other => other,
-    };
-    std::fs::write(&path, serde_json::to_string_pretty(&tampered).unwrap()).unwrap();
-
-    let (reloaded, loaded) = lightyear::load_check_cache(&dir).unwrap();
-    assert!(loaded > 0, "forged entries must decode");
-    let warm_verifier = Verifier::new(topo, &s.network.policy)
-        .with_ghost(s.from_peer_ghost())
-        .with_mode(RunMode::Parallel)
-        .with_cache(reloaded);
-    let warm = warm_verifier.verify_safety_multi(&props, &inv);
-    // Every forged failure is rejected by re-validation and re-proved.
-    assert_reports_byte_identical(topo, &cold, &warm);
+    let (reloaded, loaded) = lightyear::load_pass_cache(&dir).unwrap();
+    assert_eq!(loaded, 0, "forged failures must not load");
+    let warm = cached_verifier(&s, reloaded).verify_safety_multi(&props, &inv);
     assert!(warm.all_passed(), "forged failures must not be replayed");
-    assert!(
-        warm.exec.invalidated > 0,
-        "re-validation must fire: {:?}",
-        warm.exec
-    );
-    assert!(warm.exec.executed > 0, "rejected entries must be re-proved");
+    assert_reports_byte_identical(topo, &cold, &warm);
+    assert_eq!(warm.exec.executed, cold.exec.executed);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A cache kept in memory answers the failures this process derived: a
+/// second run on the same `Arc` executes nothing and renders the first
+/// run's bytes.
+#[test]
+fn an_in_memory_cache_answers_its_own_failures() {
+    let s = broken_wan();
+    let topo = &s.network.topology;
+    let (props, inv) = no_private_asn(&s);
+    let cache = Arc::new(CheckCache::new());
+    let first = cached_verifier(&s, cache.clone()).verify_safety_multi(&props, &inv);
+    assert!(!first.all_passed());
+    let second = cached_verifier(&s, cache).verify_safety_multi(&props, &inv);
+    assert_eq!(second.exec.executed, 0, "{:?}", second.exec);
+    assert_reports_byte_identical(topo, &first, &second);
 }
