@@ -5,7 +5,8 @@
 //! * Every neighbor must carry a `description` naming its peer. If the
 //!   named peer has a configuration in the input set it becomes an
 //!   internal session; otherwise an external node is created (requiring
-//!   `remote-as` for its AS number).
+//!   `remote-as` for its AS number). A description naming the router's
+//!   own hostname is an error: a router does not peer with itself.
 //! * Route-map / prefix-list / community-list / as-path ACL references are
 //!   resolved here; dangling references are errors. Each named route map
 //!   is resolved once per router, and the one resolved map is shared by
@@ -125,6 +126,12 @@ pub fn lower(configs: &[ConfigAst]) -> Result<Network, LowerError> {
                     topo.add_external(peer_name.to_string(), asn)
                 }
             };
+            if peer == me {
+                return Err(errf(
+                    &cfg.hostname,
+                    format!("neighbor {} names this router itself", nbr.addr),
+                ));
+            }
             if topo.edge_between(me, peer).is_none() {
                 topo.add_session(me, peer);
             }
@@ -158,6 +165,7 @@ pub fn lower(configs: &[ConfigAst]) -> Result<Network, LowerError> {
 
     // Pass 3: policy.
     let mut policy = Policy::new();
+    // Keyed by map names, configuration text: the standard hasher.
     let mut resolved = HashMap::new();
     for cfg in configs {
         let me = topo.node_by_name(&cfg.hostname).unwrap();
@@ -502,15 +510,28 @@ router bgp 1
             t.edge_between(t.node_by_name(a).unwrap(), t.node_by_name(b).unwrap())
                 .unwrap()
         };
-        let r1_x = &p.export[&edge("R1", "X")];
+        let r1_x = p.export_map(edge("R1", "X")).unwrap();
         // Every session of R1 naming OUT, in either direction, holds the
         // one resolved map.
-        assert!(Arc::ptr_eq(r1_x, &p.export[&edge("R1", "Y")]));
-        assert!(Arc::ptr_eq(r1_x, &p.import[&edge("Y", "R1")]));
+        assert!(std::ptr::eq(r1_x, p.export_map(edge("R1", "Y")).unwrap()));
+        assert!(std::ptr::eq(r1_x, p.import_map(edge("Y", "R1")).unwrap()));
         // R2's OUT is its own map, equal in content.
-        let r2_x = &p.export[&edge("R2", "X")];
-        assert!(!Arc::ptr_eq(r1_x, r2_x));
+        let r2_x = p.export_map(edge("R2", "X")).unwrap();
+        assert!(!std::ptr::eq(r1_x, r2_x));
         assert_eq!(r1_x, r2_x);
+    }
+
+    #[test]
+    fn a_neighbor_naming_its_own_router_errors() {
+        let cfg = parse_config(
+            "hostname R1\nrouter bgp 65000\n neighbor 10.0.0.1 remote-as 65000\n neighbor 10.0.0.1 description R1\n",
+        )
+        .unwrap();
+        let e = lower(&[cfg]).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "R1: neighbor 10.0.0.1 names this router itself"
+        );
     }
 
     #[test]

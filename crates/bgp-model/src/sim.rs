@@ -76,13 +76,11 @@ pub fn simulate(
     let mut queue: VecDeque<(EdgeId, Route)> = VecDeque::new();
 
     // Seed: originations from internal routers.
-    let mut origin_edges: Vec<EdgeId> = policy.originate.keys().copied().collect();
-    origin_edges.sort();
-    for e in origin_edges {
+    for (e, routes) in policy.originations() {
         if topo.node(topo.edge(e).src).external {
             continue; // external "originations" must come via announcements
         }
-        for r in policy.originated(e) {
+        for r in routes {
             trace.push(Event::Frwd {
                 edge: e,
                 route: r.clone(),

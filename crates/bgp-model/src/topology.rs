@@ -1,9 +1,17 @@
 //! BGP network topology (§3.1): configured routers, external neighbors,
 //! and directed edges representing BGP peering sessions.
+//!
+//! Node and edge ids are dense (`0..num_nodes`, `0..num_edges`), so
+//! every table keyed by one is a `Vec` indexed by it: the adjacency
+//! lists here, the route maps of [`crate::policy::Policy`]. The one
+//! hashed id table, `(src, dst) -> edge`, packs its key into a `u64`
+//! under a multiply hasher. The name index is keyed by configuration
+//! text and keeps the standard hasher.
 
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a node (router or external neighbor).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -45,42 +53,90 @@ pub struct Edge {
     pub dst: NodeId,
 }
 
+/// Hasher for the packed `(src, dst)` keys of `edge_index`: ids the
+/// program assigns, where a DoS-resistant hash buys nothing. One
+/// 64×64→128-bit multiply, folded, so every key bit reaches the bucket
+/// bits.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("edge_index keys are u64s")
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let product = key as u128 * 0x9e37_79b9_7f4a_7c15;
+        self.0 = product as u64 ^ (product >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The `edge_index` key of `src -> dst`.
+fn pair(src: NodeId, dst: NodeId) -> u64 {
+    (src.0 as u64) << 32 | dst.0 as u64
+}
+
+/// The serialized form of a [`Topology`]: its nodes and edges. The
+/// indexes are derived from these on the way in.
+#[derive(Deserialize)]
+struct TopologyWire {
+    nodes: Vec<Node>,
+    edges: Vec<Edge>,
+}
+
 /// The BGP topology graph.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[serde(try_from = "TopologyWire")]
 pub struct Topology {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
     #[serde(skip)]
     name_index: HashMap<String, NodeId>,
     #[serde(skip)]
-    edge_index: HashMap<(NodeId, NodeId), EdgeId>,
+    edge_index: HashMap<u64, EdgeId, BuildHasherDefault<PairHasher>>,
+    /// Outgoing edges by node id.
     #[serde(skip)]
-    out_edges: HashMap<NodeId, Vec<EdgeId>>,
+    out_edges: Vec<Vec<EdgeId>>,
+    /// Incoming edges by node id.
     #[serde(skip)]
-    in_edges: HashMap<NodeId, Vec<EdgeId>>,
+    in_edges: Vec<Vec<EdgeId>>,
+}
+
+impl TryFrom<TopologyWire> for Topology {
+    type Error = String;
+
+    /// Rebuild a topology node by node and edge by edge, so a decoded
+    /// one answers every lookup; a name or edge given twice, or an edge
+    /// naming a node that is not there, is an error.
+    fn try_from(wire: TopologyWire) -> Result<Self, String> {
+        let mut t = Topology::new();
+        for n in wire.nodes {
+            if t.name_index.contains_key(&n.name) {
+                return Err(format!("duplicate node name {:?}", n.name));
+            }
+            t.add_node(n.name, n.asn, n.external);
+        }
+        for Edge { src, dst } in wire.edges {
+            if src.0 as usize >= t.nodes.len() || dst.0 as usize >= t.nodes.len() {
+                return Err(format!("edge {src:?} -> {dst:?} names a missing node"));
+            }
+            if t.edge_between(src, dst).is_some() {
+                return Err(format!("duplicate edge {src:?} -> {dst:?}"));
+            }
+            t.add_edge(src, dst);
+        }
+        Ok(t)
+    }
 }
 
 impl Topology {
     /// An empty topology.
     pub fn new() -> Self {
         Topology::default()
-    }
-
-    /// Rebuild the derived indexes (needed after deserialization).
-    pub fn rebuild_indexes(&mut self) {
-        self.name_index.clear();
-        self.edge_index.clear();
-        self.out_edges.clear();
-        self.in_edges.clear();
-        for (i, n) in self.nodes.iter().enumerate() {
-            self.name_index.insert(n.name.clone(), NodeId(i as u32));
-        }
-        for (i, e) in self.edges.iter().enumerate() {
-            let id = EdgeId(i as u32);
-            self.edge_index.insert((e.src, e.dst), id);
-            self.out_edges.entry(e.src).or_default().push(id);
-            self.in_edges.entry(e.dst).or_default().push(id);
-        }
     }
 
     /// Add an internal (configured) router. Panics on duplicate names.
@@ -105,20 +161,21 @@ impl Topology {
             asn,
             external,
         });
+        self.out_edges.push(Vec::new());
+        self.in_edges.push(Vec::new());
         id
     }
 
     /// Add a directed edge. Panics on duplicates.
     pub fn add_edge(&mut self, src: NodeId, dst: NodeId) -> EdgeId {
-        assert!(
-            !self.edge_index.contains_key(&(src, dst)),
-            "duplicate edge {src:?} -> {dst:?}"
-        );
         let id = EdgeId(self.edges.len() as u32);
+        match self.edge_index.entry(pair(src, dst)) {
+            Entry::Occupied(_) => panic!("duplicate edge {src:?} -> {dst:?}"),
+            Entry::Vacant(slot) => slot.insert(id),
+        };
         self.edges.push(Edge { src, dst });
-        self.edge_index.insert((src, dst), id);
-        self.out_edges.entry(src).or_default().push(id);
-        self.in_edges.entry(dst).or_default().push(id);
+        self.out_edges[src.0 as usize].push(id);
+        self.in_edges[dst.0 as usize].push(id);
         id
     }
 
@@ -144,7 +201,7 @@ impl Topology {
 
     /// Look up a directed edge by endpoints.
     pub fn edge_between(&self, src: NodeId, dst: NodeId) -> Option<EdgeId> {
-        self.edge_index.get(&(src, dst)).copied()
+        self.edge_index.get(&pair(src, dst)).copied()
     }
 
     /// All node ids.
@@ -169,12 +226,12 @@ impl Topology {
 
     /// Outgoing edges of a node.
     pub fn out_edges(&self, n: NodeId) -> &[EdgeId] {
-        self.out_edges.get(&n).map(Vec::as_slice).unwrap_or(&[])
+        self.out_edges.get(n.0 as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Incoming edges of a node.
     pub fn in_edges(&self, n: NodeId) -> &[EdgeId] {
-        self.in_edges.get(&n).map(Vec::as_slice).unwrap_or(&[])
+        self.in_edges.get(n.0 as usize).map_or(&[], Vec::as_slice)
     }
 
     /// Number of nodes.
@@ -262,9 +319,37 @@ mod tests {
     fn serde_roundtrip_rebuilds_indexes() {
         let (t, a, b, _x) = tri();
         let json = serde_json::to_string(&t).unwrap();
-        let mut t2: Topology = serde_json::from_str(&json).unwrap();
-        t2.rebuild_indexes();
+        let t2: Topology = serde_json::from_str(&json).unwrap();
         assert_eq!(t2.node_by_name("A"), Some(a));
         assert!(t2.edge_between(a, b).is_some());
+        for n in t.node_ids() {
+            assert_eq!(t2.out_edges(n), t.out_edges(n));
+            assert_eq!(t2.in_edges(n), t.in_edges(n));
+        }
+        assert_eq!(serde_json::to_string(&t2).unwrap(), json);
+    }
+
+    #[test]
+    fn malformed_topology_json_is_an_error() {
+        let node = r#"{"name":"A","asn":1,"external":false}"#;
+        for (json, want) in [
+            (
+                format!(r#"{{"nodes":[{node},{node}],"edges":[]}}"#),
+                "duplicate node name",
+            ),
+            (
+                format!(r#"{{"nodes":[{node}],"edges":[{{"src":0,"dst":1}}]}}"#),
+                "names a missing node",
+            ),
+            (
+                format!(
+                    r#"{{"nodes":[{node}],"edges":[{{"src":0,"dst":0}},{{"src":0,"dst":0}}]}}"#
+                ),
+                "duplicate edge",
+            ),
+        ] {
+            let err = serde_json::from_str::<Topology>(&json).unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
+        }
     }
 }

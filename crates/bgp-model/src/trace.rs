@@ -199,6 +199,9 @@ pub fn check_safety_axioms(
 /// 3. `frwd(R -> N, r)` demands a later `recv(N -> R, r)` when the link
 ///    is up (we assume no failures here).
 ///
+/// Originations are checked in edge order, so of several violations
+/// the one reported is the same in every process.
+///
 /// Axiom 4 (best-route selection) is checked structurally: for every
 /// router and prefix, the *last* `slct` must be weakly preferred over the
 /// import of every received same-prefix route that the import filter
@@ -209,7 +212,7 @@ pub fn check_liveness_axioms(
     policy: &Policy,
 ) -> Result<(), AxiomViolation> {
     // Axiom 2: originations are forwarded.
-    for (&edge, routes) in &policy.originate {
+    for (edge, routes) in policy.originations() {
         if topo.node(topo.edge(edge).src).external {
             continue;
         }
@@ -428,6 +431,23 @@ mod tests {
         let tr = Trace::new();
         let err = check_liveness_axioms(&tr, &t, &pol).unwrap_err();
         assert_eq!(err.axiom, "liveness-originate");
+    }
+
+    #[test]
+    fn liveness_reports_the_first_unforwarded_origination_in_edge_order() {
+        let (t, mut pol, _, r1_r2, _) = setup();
+        let r2_r1 = t.edge(r1_r2);
+        let r2_r1 = t.edge_between(r2_r1.dst, r2_r1.src).unwrap();
+        assert!(r1_r2 < r2_r1);
+        // Added later edge first: the report follows edge ids, not
+        // insertion or hashing order.
+        pol.add_origination(r2_r1, Route::new(p("10.2.0.0/16")));
+        pol.add_origination(r1_r2, Route::new(p("10.1.0.0/16")));
+        let err = check_liveness_axioms(&Trace::new(), &t, &pol).unwrap_err();
+        assert_eq!(err.axiom, "liveness-originate");
+        let detail = err.detail;
+        assert!(detail.starts_with("originated 10.1.0.0/16 "), "{detail}");
+        assert!(detail.ends_with(" never forwarded on R1 -> R2"), "{detail}");
     }
 
     #[test]

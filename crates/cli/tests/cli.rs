@@ -338,6 +338,35 @@ fn bad_inputs_give_clean_errors() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown router"));
 }
 
+/// A neighbor whose description names its own router is a lowering
+/// error on every command that lowers, not a panic.
+#[test]
+fn self_peering_config_is_a_lowering_error() {
+    let d = tmpdir("self-peer");
+    fs::write(
+        d.join("r1.cfg"),
+        "hostname R1\nrouter bgp 65000\n neighbor 10.0.0.1 remote-as 65000\n neighbor 10.0.0.1 description R1\n",
+    )
+    .unwrap();
+    fs::write(d.join("spec.json"), r#"{"safety":[]}"#).unwrap();
+    for cmd in [&["verify"][..], &["watch", "--once"]] {
+        let out = Command::new(bin())
+            .args(cmd)
+            .arg("--configs")
+            .arg(&d)
+            .arg("--spec")
+            .arg(d.join("spec.json"))
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "{cmd:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            "error: R1: neighbor 10.0.0.1 names this router itself\n",
+            "{cmd:?}"
+        );
+    }
+}
+
 #[test]
 fn lint_reports_findings() {
     let d = tmpdir("lint");

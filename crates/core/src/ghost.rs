@@ -6,9 +6,12 @@
 //! router W?"). The user defines how each filter updates the attribute:
 //! set it true, set it false, or leave it unchanged; origination uses a
 //! default value (false unless configured).
+//!
+//! Edge ids are dense, so an attribute's per-edge rules are `Vec`s
+//! indexed by edge id, grown on first write; an edge past the end, like
+//! an unset one, leaves the attribute unchanged.
 
 use bgp_model::topology::EdgeId;
-use std::collections::HashMap;
 
 /// How a filter updates a ghost attribute.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -27,8 +30,10 @@ pub enum GhostUpdate {
 pub struct GhostAttr {
     /// The attribute name (referenced by [`crate::pred::RoutePred::Ghost`]).
     pub name: String,
-    import_rules: HashMap<EdgeId, GhostUpdate>,
-    export_rules: HashMap<EdgeId, GhostUpdate>,
+    /// Import-filter updates by edge id.
+    import_rules: Vec<GhostUpdate>,
+    /// Export-filter updates by edge id.
+    export_rules: Vec<GhostUpdate>,
     /// Value on originated routes (default false).
     pub originate_value: bool,
 }
@@ -38,21 +43,21 @@ impl GhostAttr {
     pub fn new(name: impl Into<String>) -> Self {
         GhostAttr {
             name: name.into(),
-            import_rules: HashMap::new(),
-            export_rules: HashMap::new(),
+            import_rules: Vec::new(),
+            export_rules: Vec::new(),
             originate_value: false,
         }
     }
 
     /// Set the update applied by the import filter on `edge`.
     pub fn on_import(&mut self, edge: EdgeId, update: GhostUpdate) -> &mut Self {
-        self.import_rules.insert(edge, update);
+        *rule(&mut self.import_rules, edge) = update;
         self
     }
 
     /// Set the update applied by the export filter on `edge`.
     pub fn on_export(&mut self, edge: EdgeId, update: GhostUpdate) -> &mut Self {
-        self.export_rules.insert(edge, update);
+        *rule(&mut self.export_rules, edge) = update;
         self
     }
 
@@ -70,12 +75,18 @@ impl GhostAttr {
 
     /// The update applied by the import filter on `edge`.
     pub fn import_update(&self, edge: EdgeId) -> GhostUpdate {
-        self.import_rules.get(&edge).copied().unwrap_or_default()
+        self.import_rules
+            .get(edge.0 as usize)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// The update applied by the export filter on `edge`.
     pub fn export_update(&self, edge: EdgeId) -> GhostUpdate {
-        self.export_rules.get(&edge).copied().unwrap_or_default()
+        self.export_rules
+            .get(edge.0 as usize)
+            .copied()
+            .unwrap_or_default()
     }
 
     /// Apply an update to a concrete value.
@@ -86,6 +97,15 @@ impl GhostAttr {
             GhostUpdate::Unchanged => current,
         }
     }
+}
+
+/// The rule slot of `edge`, growing `rules` to reach it.
+fn rule(rules: &mut Vec<GhostUpdate>, edge: EdgeId) -> &mut GhostUpdate {
+    let i = edge.0 as usize;
+    if rules.len() <= i {
+        rules.resize(i + 1, GhostUpdate::Unchanged);
+    }
+    &mut rules[i]
 }
 
 #[cfg(test)]

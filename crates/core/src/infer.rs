@@ -209,7 +209,7 @@ mod tests {
         // Break the scheme: R2 no longer filters on 100:1.
         let r2 = t.node_by_name("R2").unwrap();
         let isp2 = t.node_by_name("ISP2").unwrap();
-        pol.export.remove(&t.edge_between(r2, isp2).unwrap());
+        pol.remove_export(t.edge_between(r2, isp2).unwrap());
         let loc = Location::Edge(t.edge_between(r2, isp2).unwrap());
         let g = ghost(&t);
         let prop = SafetyProperty::new(loc, RoutePred::ghost("FromISP1").not());
@@ -229,7 +229,7 @@ mod tests {
         let (t, mut pol) = figure1();
         let isp1 = t.node_by_name("ISP1").unwrap();
         let r1 = t.node_by_name("R1").unwrap();
-        pol.import.remove(&t.edge_between(isp1, r1).unwrap());
+        pol.remove_import(t.edge_between(isp1, r1).unwrap());
         let r2 = t.node_by_name("R2").unwrap();
         let isp2 = t.node_by_name("ISP2").unwrap();
         let loc = Location::Edge(t.edge_between(r2, isp2).unwrap());

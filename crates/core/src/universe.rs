@@ -90,10 +90,8 @@ impl Universe {
     pub fn scan_policy(&mut self, policy: &Policy) {
         let mut comms = BTreeSet::new();
         let mut regexes = BTreeSet::new();
-        let mut maps: Vec<&Arc<RouteMap>> = policy
-            .import
-            .values()
-            .chain(policy.export.values())
+        let mut maps: Vec<&Arc<RouteMap>> = (policy.imports().chain(policy.exports()))
+            .map(|(_, m)| m)
             .collect();
         maps.sort_unstable_by_key(|m| Arc::as_ptr(m));
         maps.dedup_by(|a, b| Arc::ptr_eq(a, b));
@@ -108,7 +106,7 @@ impl Universe {
                 },
             );
         }
-        for routes in policy.originate.values() {
+        for (_, routes) in policy.originations() {
             for r in routes {
                 comms.extend(r.communities.iter().copied());
             }

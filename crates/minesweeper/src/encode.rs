@@ -402,7 +402,7 @@ mod tests {
         let isp2 = t.node_by_name("ISP2").unwrap();
         let e = t.edge_between(r2, isp2).unwrap();
         // Remove the export filter: transit becomes possible.
-        pol.export.remove(&e);
+        pol.remove_export(e);
         let ms = Minesweeper::new(&t, &pol).with_ghost(ghost(&t));
         let report = ms.verify(
             Location::Edge(e),

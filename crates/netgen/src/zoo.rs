@@ -744,6 +744,48 @@ mod tests {
         );
     }
 
+    /// A decoded topology answers every lookup the original does, with
+    /// no call to rebuild it, and a decoded policy holds every map and
+    /// origination; both encode back to the same text.
+    #[test]
+    fn serde_round_trip_keeps_every_index_and_table() {
+        use bgp_model::policy::Policy;
+        use bgp_model::route::Route;
+        use bgp_model::topology::{EdgeId, Topology};
+        let s = build(&ZooParams::scaled(&CORPUS[2], 30));
+        // The corpus originates nothing; give two edges routes, one
+        // whose decimal id sorts before the other's as text only.
+        let mut p = s.network.policy.clone();
+        for (e, pfx) in [(12, "10.12.0.0/16"), (3, "10.3.0.0/16")] {
+            p.add_origination(EdgeId(e), Route::new(pfx.parse().unwrap()));
+        }
+        let (t, p) = (&s.network.topology, &p);
+        let (t_json, p_json) = (
+            serde_json::to_string(t).unwrap(),
+            serde_json::to_string(p).unwrap(),
+        );
+        let t2: Topology = serde_json::from_str(&t_json).unwrap();
+        let p2: Policy = serde_json::from_str(&p_json).unwrap();
+        assert_eq!(t2.num_nodes(), t.num_nodes());
+        assert_eq!(t2.num_edges(), t.num_edges());
+        for a in t.node_ids() {
+            assert_eq!(t2.out_edges(a), t.out_edges(a));
+            assert_eq!(t2.in_edges(a), t.in_edges(a));
+            assert_eq!(t2.node_by_name(&t.node(a).name), Some(a));
+            for b in t.node_ids() {
+                assert_eq!(t2.edge_between(a, b), t.edge_between(a, b));
+            }
+        }
+        assert!(p.imports().count() > 0 && p.exports().count() > 0);
+        for e in t.edge_ids() {
+            assert_eq!(p2.import_map(e), p.import_map(e));
+            assert_eq!(p2.export_map(e), p.export_map(e));
+            assert_eq!(p2.originated(e), p.originated(e));
+        }
+        assert_eq!(serde_json::to_string(&t2).unwrap(), t_json);
+        assert_eq!(serde_json::to_string(&p2).unwrap(), p_json);
+    }
+
     #[test]
     fn generation_is_deterministic() {
         let p = ZooParams::scaled(&CORPUS[3], 30);

@@ -654,17 +654,16 @@ const WAN_50R_BROKEN: [usize; 4] = [594, 18, 18, 18];
 fn shared_maps_fingerprint_like_per_edge_copies() {
     let unshared = |p: &Policy| {
         let mut q = p.clone();
-        for m in q.import.values_mut().chain(q.export.values_mut()) {
-            *m = Arc::new(RouteMap::clone(m));
+        for (e, m) in p.imports() {
+            q.set_import(e, RouteMap::clone(m));
+        }
+        for (e, m) in p.exports() {
+            q.set_export(e, RouteMap::clone(m));
         }
         q
     };
-    let shares = |p: &Policy| {
-        p.import
-            .values()
-            .chain(p.export.values())
-            .any(|m| Arc::strong_count(m) > 1)
-    };
+    let shares =
+        |p: &Policy| (p.imports().chain(p.exports())).any(|(_, m)| Arc::strong_count(m) > 1);
     let zoo = zoo::build(&ZooParams::scaled(&CORPUS[0], 14));
     let wan = wan::build(&WanParams {
         regions: 3,
