@@ -70,7 +70,8 @@ pub struct SafetySpec {
     /// Default invariant for all locations.
     #[serde(default = "RoutePred::tru")]
     pub invariant_default: RoutePred,
-    /// Per-location overrides.
+    /// Per-location overrides. An edge out of an external router is
+    /// always `True` (the paper's rule), so overriding one is an error.
     #[serde(default)]
     pub invariant_overrides: BTreeMap<String, RoutePred>,
 }
@@ -97,7 +98,8 @@ pub struct LivenessSpecJson {
     /// Default interference invariant for all locations.
     #[serde(default = "RoutePred::tru")]
     pub interference_default: RoutePred,
-    /// Per-location interference overrides.
+    /// Per-location interference overrides, refused on an edge out of
+    /// an external router as [`SafetySpec::invariant_overrides`] are.
     #[serde(default)]
     pub interference_overrides: BTreeMap<String, RoutePred>,
 }
@@ -197,6 +199,26 @@ fn resolve_edge(topo: &Topology, s: &str) -> Result<EdgeId, SpecResolveError> {
     }
 }
 
+/// Resolve the location of property `name`'s invariant override. The
+/// paper's rule makes every edge out of an external router `True`
+/// whatever an override says (`NetworkInvariants::at_ref`), so an
+/// override there is refused rather than dropped without a word.
+fn resolve_override(topo: &Topology, name: &str, s: &str) -> Result<Location, SpecResolveError> {
+    let loc = resolve_location(topo, s)?;
+    if let Location::Edge(e) = loc {
+        let src = topo.node(topo.edge(e).src);
+        if src.external {
+            return Err(SpecResolveError(format!(
+                "{name:?}: invariant override on {s:?}, an edge out of external router {}: \
+                 edges out of external routers are unconstrained (True), so the override \
+                 would be ignored",
+                src.name
+            )));
+        }
+    }
+    Ok(loc)
+}
+
 impl GhostSpec {
     /// Resolve into a [`GhostAttr`].
     fn resolve(&self, topo: &Topology) -> Result<GhostAttr, SpecResolveError> {
@@ -223,7 +245,7 @@ impl LivenessSpecJson {
     fn resolve(&self, topo: &Topology) -> Result<LivenessSpec, SpecResolveError> {
         let mut interference = NetworkInvariants::with_default(self.interference_default.clone());
         for (l, p) in &self.interference_overrides {
-            interference.set(resolve_location(topo, l)?, p.clone());
+            interference.set(resolve_override(topo, &self.name, l)?, p.clone());
         }
         Ok(LivenessSpec {
             location: resolve_location(topo, &self.location)?,
@@ -251,7 +273,7 @@ impl SafetySpec {
         let prop = SafetyProperty::new(loc, self.property.clone()).named(&self.name);
         let mut inv = NetworkInvariants::with_default(self.invariant_default.clone());
         for (l, p) in &self.invariant_overrides {
-            inv.set(resolve_location(topo, l)?, p.clone());
+            inv.set(resolve_override(topo, &self.name, l)?, p.clone());
         }
         Ok((prop, inv))
     }
@@ -333,6 +355,42 @@ mod tests {
         let resolved = back.liveness[0].resolve(&topo()).unwrap();
         assert_eq!(resolved.path.len(), 2);
         assert_eq!(resolved.name.as_deref(), Some("l"));
+    }
+
+    #[test]
+    fn override_on_an_edge_out_of_an_external_router_is_refused() {
+        let t = topo();
+        let spec = |edge: &str| SafetySpec {
+            name: "p".into(),
+            location: "R1".into(),
+            property: RoutePred::True,
+            invariant_default: RoutePred::True,
+            invariant_overrides: [(edge.to_string(), RoutePred::False)].into(),
+        };
+        let err = spec("ISP1 -> R1").resolve(&t).unwrap_err().to_string();
+        assert!(err.contains("\"ISP1 -> R1\""), "{err}");
+        assert!(err.contains("external router ISP1"), "{err}");
+        assert!(err.contains("unconstrained (True)"), "{err}");
+        // The other direction leaves an internal router: the override holds.
+        let (_, inv) = spec("R1 -> ISP1").resolve(&t).unwrap();
+        let e = resolve_edge(&t, "R1 -> ISP1").unwrap();
+        assert_eq!(inv.at(&t, Location::Edge(e)), RoutePred::False);
+        // A liveness property's interference overrides follow the same rule.
+        let live = LivenessSpecJson {
+            name: "l".into(),
+            location: "R1".into(),
+            property: RoutePred::True,
+            path: vec!["ISP1 -> R1".into(), "R1".into()],
+            constraints: vec![RoutePred::True, RoutePred::True],
+            prefix_scope: RoutePred::True,
+            interference_default: RoutePred::True,
+            interference_overrides: [("ISP1 -> R1".to_string(), RoutePred::False)].into(),
+        };
+        let err = live.resolve(&t).unwrap_err().to_string();
+        assert!(
+            err.contains("\"l\": invariant override on \"ISP1 -> R1\""),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1371,6 +1371,31 @@ fn deeply_nested_spec_is_a_clean_error_not_a_stack_overflow() {
 }
 
 #[test]
+fn override_on_an_edge_out_of_an_external_router_is_a_spec_error() {
+    // The paper's rule makes every edge out of an external router
+    // `True`, so an override there would be dropped without a word:
+    // `verify` refuses the spec instead, naming the edge.
+    let d = tmpdir("external-override");
+    write_net(&d, R2);
+    let spec = SPEC.replace(r#""R2 -> ISP2": { "Not""#, r#""ISP1 -> R1": { "Not""#);
+    assert_ne!(spec, SPEC);
+    fs::write(d.join("spec.json"), spec).unwrap();
+    let out = Command::new(bin())
+        .args(["verify", "--configs"])
+        .arg(&d)
+        .arg("--spec")
+        .arg(d.join("spec.json"))
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("spec error"), "{stderr}");
+    assert!(stderr.contains("\"ISP1 -> R1\""), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(out.stdout.is_empty(), "{out:?}");
+}
+
+#[test]
 fn closed_stdout_reader_keeps_the_verdict_exit_code() {
     // `verify | head`, with and without `--json`, and `plan | head`: the
     // reader goes away before (or while) the report is written. That is

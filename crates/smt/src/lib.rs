@@ -15,8 +15,9 @@
 //!   operations are lowered to per-bit boolean circuits.
 //! * [`sat`] — a MiniSat-style CDCL solver: two-watched-literal propagation,
 //!   first-UIP conflict analysis, VSIDS decision heuristic with phase
-//!   saving, Luby restarts and activity-driven learnt-clause reduction —
-//!   the whole kernel, with no settings.
+//!   saving and Luby restarts over an additions-only clause database,
+//!   whose memory one per-query ceiling on learnt clauses bounds — the
+//!   whole kernel, with no settings.
 //! * [`solver`] — the public facade: assert [`TermId`]s, check satisfiability
 //!   and extract models; also reports the statistics (variable and clause
 //!   counts) used to regenerate Figure 3 of the paper.
@@ -44,7 +45,7 @@ pub mod term;
 
 pub use bitblast::IncrementalBlaster;
 pub use cnf::{Cnf, Lit, Var};
-pub use sat::{DbStats, SatSolver, SatStats, SolveOutcome, SolverError, ARENA_CAP_WORDS};
+pub use sat::{SatSolver, SatStats, SolveOutcome, SolverError, ARENA_CAP_WORDS};
 pub use solver::{
     solve, solve_with_stats, Assumption, IncrementalSession, Model, SatResult, SolverStats, Value,
 };

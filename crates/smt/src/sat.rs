@@ -4,9 +4,15 @@
 //! watcher lists with inlined blocker literals, a flat clause arena (one
 //! contiguous `u32` buffer instead of one heap allocation per clause),
 //! first-UIP conflict analysis with clause minimization, VSIDS variable
-//! activities with an indexed binary heap, phase saving, Luby-sequence
-//! restarts, and activity-driven learnt-clause database reduction whose
-//! tombstones are reclaimed by compacting the arena at the root level.
+//! activities with an indexed binary heap, phase saving and Luby-sequence
+//! restarts.
+//!
+//! The clause database is **additions-only**: nothing is ever deleted,
+//! so there is no learnt-clause reduction, no tombstone and no
+//! compaction, and every learnt clause is a lemma that stays. What bounds
+//! its memory is one ceiling per query: a solve may add at most
+//! `LEARNT_WORDS_PER_QUERY` words of learnt clauses, and a clause past
+//! that ends the query in [`SolverError::ArenaExhausted`].
 //!
 //! That is the whole kernel, and it has no settings: Lightyear's local
 //! checks are small (hundreds of variables, a few thousand clauses), so
@@ -30,8 +36,9 @@
 //! given literals first (MiniSat's assumption mechanism); on an
 //! assumption-caused `Unsat` the failing-assumption core is available
 //! through [`SatSolver::failed_assumptions`]. A solver whose clause
-//! arena filled up refuses verdicts; [`SatSolver::try_solve_under_assumptions`]
-//! returns that refusal as a typed [`SolverError`].
+//! arena filled up, or whose query learnt past its ceiling, refuses
+//! verdicts; [`SatSolver::try_solve_under_assumptions`] returns that
+//! refusal as a typed [`SolverError`].
 //!
 //! The solver is deliberately self-contained (no `unsafe`, no external
 //! dependencies) — it is the substrate on which every Lightyear local check
@@ -75,6 +82,12 @@ const REASON_NONE: ClauseRef = u32::MAX;
 /// the `REASON_NONE` sentinel.
 pub const ARENA_CAP_WORDS: u32 = u32::MAX - 1;
 
+/// Arena words one query may add in learnt clauses. The database is
+/// never reduced, so this ceiling, set at the start of each solve, is
+/// what bounds its memory: a learnt clause past it ends the query in
+/// [`SolverError::ArenaExhausted`].
+const LEARNT_WORDS_PER_QUERY: u32 = 1 << 20;
+
 /// A typed solver failure. Before this existed, the flat clause arena
 /// grew unchecked: past `u32::MAX` words the `as u32` offset cast
 /// silently wrapped, aliasing fresh clauses onto old ones and
@@ -86,11 +99,12 @@ pub const ARENA_CAP_WORDS: u32 = u32::MAX - 1;
 pub enum SolverError {
     /// The flat clause arena hit its addressing cap (the real `u32`
     /// ceiling, or a synthetic test cap from
-    /// [`SatSolver::set_arena_cap_words`]).
+    /// [`SatSolver::set_arena_cap_words`]), or a query's learnt clauses
+    /// hit its per-query ceiling.
     ArenaExhausted {
         /// Words the arena would have needed for the failed allocation.
         requested_words: u64,
-        /// The cap in force when the allocation failed.
+        /// The cap or ceiling in force when the allocation failed.
         cap_words: u32,
     },
     /// The bit-blaster's flat clause store hit its addressing cap
@@ -148,78 +162,43 @@ pub struct SatStats {
     pub conflicts: u64,
     /// Number of restarts performed.
     pub restarts: u64,
-    /// Number of learnt clauses currently in the database.
+    /// Number of learnt clauses on the instance. The database is never
+    /// reduced, so this only grows.
     pub learnts: u64,
 }
 
-/// Arena and watcher occupancy, for memory-bound assertions on the
-/// clause database.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DbStats {
-    /// Live (non-deleted) clauses in the arena.
-    pub live_clauses: u64,
-    /// Live learnt clauses.
-    pub live_learnts: u64,
-    /// Live learnt clauses longer than two literals.
-    pub live_long_learnts: u64,
-    /// Total arena words, including tombstoned clauses awaiting
-    /// compaction.
-    pub arena_words: u64,
-    /// Arena words wasted by tombstones.
-    pub wasted_words: u64,
-    /// Total entries across all watcher lists.
-    pub watcher_entries: u64,
-}
-
-/// Flat clause storage: every clause is `[header, activity, lits...]`
-/// in one contiguous `u32` buffer. The header packs `len << 4 | flags`;
-/// deleting a clause sets a flag and leaves a tombstone whose space is
-/// reclaimed when learnt-clause reduction compacts the arena.
+/// Flat clause storage: every clause is `[len, lits...]` in one
+/// contiguous `u32` buffer, addressed by the offset of its length word.
+/// The database is additions-only — no clause is ever deleted, moved or
+/// rewritten except for the order of its literals — so a [`ClauseRef`]
+/// stays valid for the life of the instance, and the clauses learnt by a
+/// query are exactly the words appended while it ran.
 #[derive(Default)]
 struct ClauseDb {
     data: Vec<u32>,
-    wasted: u64,
 }
 
-const FLAG_DELETED: u32 = 1;
-const FLAG_LEARNT: u32 = 2;
-const HEADER_WORDS: usize = 2;
+const HEADER_WORDS: usize = 1;
 
 impl ClauseDb {
     /// Allocate a clause, refusing — with **no partial state** — when
     /// the arena would grow past `cap` words. `ClauseRef` offsets are
     /// `u32`; unchecked growth past that range used to wrap the offset
     /// cast and alias earlier clauses.
-    fn alloc(&mut self, lits: &[Lit], learnt: bool, cap: u32) -> Option<ClauseRef> {
+    fn alloc(&mut self, lits: &[Lit], cap: u32) -> Option<ClauseRef> {
         debug_assert!(lits.len() >= 2);
         let needed = self.data.len() as u64 + (HEADER_WORDS + lits.len()) as u64;
         if needed > cap as u64 {
             return None;
         }
         let c = self.data.len() as ClauseRef;
-        let flags = if learnt { FLAG_LEARNT } else { 0 };
-        self.data.push((lits.len() as u32) << 4 | flags);
-        self.data.push(0f32.to_bits());
+        self.data.push(lits.len() as u32);
         self.data.extend(lits.iter().map(|l| l.0));
         Some(c)
     }
 
     fn len(&self, c: ClauseRef) -> usize {
-        (self.data[c as usize] >> 4) as usize
-    }
-
-    fn is_deleted(&self, c: ClauseRef) -> bool {
-        self.data[c as usize] & FLAG_DELETED != 0
-    }
-
-    fn is_learnt(&self, c: ClauseRef) -> bool {
-        self.data[c as usize] & FLAG_LEARNT != 0
-    }
-
-    fn delete(&mut self, c: ClauseRef) {
-        debug_assert!(!self.is_deleted(c));
-        self.data[c as usize] |= FLAG_DELETED;
-        self.wasted += (HEADER_WORDS + self.len(c)) as u64;
+        self.data[c as usize] as usize
     }
 
     fn lit(&self, c: ClauseRef, k: usize) -> Lit {
@@ -229,31 +208,6 @@ impl ClauseDb {
     fn swap_lits(&mut self, c: ClauseRef, i: usize, j: usize) {
         let base = c as usize + HEADER_WORDS;
         self.data.swap(base + i, base + j);
-    }
-
-    fn activity(&self, c: ClauseRef) -> f32 {
-        f32::from_bits(self.data[c as usize + 1])
-    }
-
-    fn set_activity(&mut self, c: ClauseRef, a: f32) {
-        self.data[c as usize + 1] = a.to_bits();
-    }
-
-    /// Offset of the clause following `c` (tombstones keep their length,
-    /// so the arena stays walkable).
-    fn next(&self, c: ClauseRef) -> ClauseRef {
-        c + (HEADER_WORDS + self.len(c)) as ClauseRef
-    }
-
-    /// Visit every live clause header offset.
-    fn for_each_live(&self, mut f: impl FnMut(ClauseRef)) {
-        let mut c = 0u32;
-        while (c as usize) < self.data.len() {
-            if !self.is_deleted(c) {
-                f(c);
-            }
-            c = self.next(c);
-        }
     }
 }
 
@@ -369,13 +323,11 @@ pub struct SatSolver {
     qhead: usize,
     activity: Vec<f64>,
     var_inc: f64,
-    cla_inc: f32,
     heap: OrderHeap,
     seen: Vec<bool>,
     scratch: Vec<Lit>, // a clause stripped of its false literals
     ok: bool,          // false once a top-level conflict is found
     stats: SatStats,
-    max_learnts: f64,
     /// Clause-arena size ceiling in words ([`ARENA_CAP_WORDS`] in
     /// production; tests lower it to force near-capacity growth).
     arena_cap: u32,
@@ -407,13 +359,11 @@ impl SatSolver {
             qhead: 0,
             activity: Vec::new(),
             var_inc: 1.0,
-            cla_inc: 1.0,
             heap: OrderHeap::new(0),
             seen: Vec::new(),
             scratch: Vec::new(),
             ok: true,
             stats: SatStats::default(),
-            max_learnts: 0.0,
             arena_cap: ARENA_CAP_WORDS,
             arena_error: None,
             model: Vec::new(),
@@ -444,20 +394,17 @@ impl SatSolver {
             qhead,
             activity,
             var_inc,
-            cla_inc,
             heap,
             seen,
             scratch,
             ok,
             stats,
-            max_learnts,
             arena_cap,
             arena_error,
             model,
             conflict_core,
         } = self;
         db.data.clear();
-        db.wasted = 0;
         watches.iter_mut().for_each(WatchList::clear);
         assigns.clear();
         phase.clear();
@@ -468,14 +415,12 @@ impl SatSolver {
         *qhead = 0;
         activity.clear();
         *var_inc = 1.0;
-        *cla_inc = 1.0;
         heap.heap.clear();
         heap.pos.clear();
         seen.clear();
         scratch.clear();
         *ok = true;
         *stats = SatStats::default();
-        *max_learnts = 0.0;
         *arena_cap = ARENA_CAP_WORDS;
         *arena_error = None;
         model.clear();
@@ -525,26 +470,6 @@ impl SatSolver {
     /// Solver statistics so far.
     pub fn stats(&self) -> SatStats {
         self.stats
-    }
-
-    /// Clause-arena and watcher-list occupancy (memory accounting).
-    pub fn db_stats(&self) -> DbStats {
-        let mut d = DbStats {
-            arena_words: self.db.data.len() as u64,
-            wasted_words: self.db.wasted,
-            watcher_entries: self.watches.iter().map(|w| w.len() as u64).sum(),
-            ..DbStats::default()
-        };
-        self.db.for_each_live(|c| {
-            d.live_clauses += 1;
-            if self.db.is_learnt(c) {
-                d.live_learnts += 1;
-                if self.db.len(c) > 2 {
-                    d.live_long_learnts += 1;
-                }
-            }
-        });
-        d
     }
 
     fn value_lit(&self, l: Lit) -> LBool {
@@ -676,30 +601,29 @@ impl SatSolver {
                 // On arena exhaustion the clause is NOT recorded, but the
                 // latched error already blocks every future verdict, so
                 // the dropped clause can never be observed.
-                let _ = self.attach_clause(lits, false);
+                let _ = self.attach_clause(lits, self.arena_cap);
                 true
             }
         }
     }
 
-    /// `None` when the clause arena is full: nothing is allocated, no
-    /// watcher is pushed, and the capacity error is latched on the
-    /// solver. Callers must not derive a verdict past a `None`.
+    /// `None` when the clause would take the arena past `cap` words
+    /// (the arena cap for input clauses, the query's learnt ceiling for
+    /// learnt ones): nothing is allocated, no watcher is pushed, and the
+    /// capacity error is latched on the solver. Callers must not derive
+    /// a verdict past a `None`.
     #[must_use]
-    fn attach_clause(&mut self, lits: &[Lit], learnt: bool) -> Option<ClauseRef> {
+    fn attach_clause(&mut self, lits: &[Lit], cap: u32) -> Option<ClauseRef> {
         debug_assert!(lits.len() >= 2);
-        let Some(cref) = self.db.alloc(lits, learnt, self.arena_cap) else {
+        let Some(cref) = self.db.alloc(lits, cap) else {
             self.arena_error = Some(SolverError::ArenaExhausted {
                 requested_words: self.db.data.len() as u64 + (HEADER_WORDS + lits.len()) as u64,
-                cap_words: self.arena_cap,
+                cap_words: cap,
             });
             return None;
         };
         self.watches[(!lits[0]).index()].push(cref, lits[1]);
         self.watches[(!lits[1]).index()].push(cref, lits[0]);
-        if learnt {
-            self.stats.learnts += 1;
-        }
         Some(cref)
     }
 
@@ -750,10 +674,6 @@ impl SatSolver {
                     continue;
                 }
                 let cref = ws.cref(i);
-                if self.db.is_deleted(cref) {
-                    ws.swap_remove(i);
-                    continue;
-                }
                 // Make sure the false literal (!p) is at position 1.
                 if self.db.lit(cref, 0) == !p {
                     self.db.swap_lits(cref, 0, 1);
@@ -815,20 +735,6 @@ impl SatSolver {
         self.var_inc /= VAR_DECAY;
     }
 
-    fn cla_bump(&mut self, cref: ClauseRef) {
-        let a = self.db.activity(cref) + self.cla_inc;
-        self.db.set_activity(cref, a);
-        if a > 1e20 {
-            let mut c = 0u32;
-            while (c as usize) < self.db.data.len() {
-                let scaled = self.db.activity(c) * 1e-20;
-                self.db.set_activity(c, scaled);
-                c = self.db.next(c);
-            }
-            self.cla_inc *= 1e-20;
-        }
-    }
-
     /// First-UIP conflict analysis. Returns the learnt clause (asserting
     /// literal first) and the backtrack level.
     fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, u32) {
@@ -840,7 +746,6 @@ impl SatSolver {
         let cur_level = self.decision_level();
 
         loop {
-            self.cla_bump(cref);
             let start = usize::from(p.is_some());
             for k in start..self.db.len(cref) {
                 let q = self.db.lit(cref, k);
@@ -954,95 +859,6 @@ impl SatSolver {
         None
     }
 
-    /// Remove the less active half of the (non-binary, unlocked) learnt
-    /// clauses — the in-search reduction, expressed as a cap.
-    fn reduce_db(&mut self) {
-        let mut long_learnts = 0u64;
-        self.db.for_each_live(|c| {
-            if self.db.is_learnt(c) && self.db.len(c) > 2 {
-                long_learnts += 1;
-            }
-        });
-        self.reduce_learnts_to(self.stats.learnts.saturating_sub(long_learnts / 2));
-    }
-
-    /// Shrink the learnt-clause database to at most `cap` clauses,
-    /// deleting least-active learnts first. Binary learnt clauses and
-    /// clauses currently the reason for an assignment are kept, so the
-    /// cap is a target, not a hard guarantee. Deletion tombstones the
-    /// clause in the arena; when called at the root level with enough
-    /// accumulated waste, the arena is compacted and the watcher lists
-    /// rebuilt, so memory stays proportional to the live clause set.
-    fn reduce_learnts_to(&mut self, cap: u64) {
-        if self.stats.learnts > cap {
-            let mut learnt_refs: Vec<ClauseRef> = Vec::new();
-            self.db.for_each_live(|c| {
-                if self.db.is_learnt(c) && self.db.len(c) > 2 {
-                    learnt_refs.push(c);
-                }
-            });
-            learnt_refs.sort_by(|&a, &b| {
-                self.db
-                    .activity(a)
-                    .partial_cmp(&self.db.activity(b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            });
-            for &c in &learnt_refs {
-                if self.stats.learnts <= cap {
-                    break;
-                }
-                let locked = (0..2).any(|k| {
-                    let l = self.db.lit(c, k);
-                    self.reason[l.var().0 as usize] == c && self.value_lit(l) == LBool::True
-                });
-                if locked {
-                    continue;
-                }
-                self.db.delete(c);
-                self.stats.learnts = self.stats.learnts.saturating_sub(1);
-            }
-        }
-        // Reclaim tombstone space once it dominates; root level only,
-        // since compaction rewrites the reason references.
-        if self.decision_level() == 0 && self.db.wasted * 4 > self.db.data.len() as u64 {
-            self.compact();
-        }
-    }
-
-    /// Rebuild the arena without tombstones and the watcher lists from
-    /// scratch. Root level only. Reasons of root-level assignments are
-    /// dropped (they are never dereferenced: conflict analysis skips
-    /// level-0 variables).
-    fn compact(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
-        for &l in &self.trail {
-            self.reason[l.var().0 as usize] = REASON_NONE;
-        }
-        let old = std::mem::take(&mut self.db);
-        let mut live: Vec<ClauseRef> = Vec::new();
-        old.for_each_live(|c| live.push(c));
-        self.db.data.reserve(old.data.len() - old.wasted as usize);
-        for w in &mut self.watches {
-            w.clear();
-        }
-        for c in live {
-            let len = old.len(c);
-            let start = c as usize + HEADER_WORDS;
-            let lits: Vec<Lit> = old.data[start..start + len]
-                .iter()
-                .map(|&r| Lit(r))
-                .collect();
-            let learnt = old.is_learnt(c);
-            let nc = self
-                .db
-                .alloc(&lits, learnt, ARENA_CAP_WORDS)
-                .expect("compaction never grows the arena");
-            self.db.set_activity(nc, old.activity(c));
-            self.watches[(!lits[0]).index()].push(nc, lits[1]);
-            self.watches[(!lits[1]).index()].push(nc, lits[0]);
-        }
-    }
-
     /// Solve the formula. Returns `Sat` or `Unsat`; on `Sat` the model is
     /// available through [`SatSolver::value`]. The solver backtracks to
     /// the root level afterwards, so clauses may be added and the solver
@@ -1068,8 +884,9 @@ impl SatSolver {
 
     /// [`SatSolver::solve_under_assumptions`], returning the latched
     /// capacity error — before and after any search — once the clause
-    /// arena has hit its cap, instead of panicking. The solver stays
-    /// consistent, but every later solve refuses too.
+    /// arena has hit its cap or a query has learnt past its ceiling,
+    /// instead of panicking. The solver stays consistent, but every
+    /// later solve refuses too.
     pub fn try_solve_under_assumptions(
         &mut self,
         assumptions: &[Lit],
@@ -1085,7 +902,7 @@ impl SatSolver {
         if !self.ok {
             return Ok(SolveOutcome::Unsat);
         }
-        self.max_learnts = (self.db.data.len() as f64 / 16.0).max(1000.0);
+        let learnt_cap = self.learnt_ceiling();
         let mut restart_idx = 0;
         let mut conflicts_budget = RESTART_BASE * luby(restart_idx);
 
@@ -1102,8 +919,8 @@ impl SatSolver {
                     self.unchecked_enqueue(learnt[0], REASON_NONE);
                 } else {
                     let asserting = learnt[0];
-                    let Some(cref) = self.attach_clause(&learnt, true) else {
-                        // Arena full: the learnt clause cannot be
+                    let Some(cref) = self.attach_clause(&learnt, learnt_cap) else {
+                        // Past the ceiling: the learnt clause cannot be
                         // attached, and the asserting literal has no
                         // reason without it. Unwind and refuse.
                         self.cancel_until(0);
@@ -1112,10 +929,10 @@ impl SatSolver {
                             .clone()
                             .expect("a failed attach latches the arena error"));
                     };
+                    self.stats.learnts += 1;
                     self.unchecked_enqueue(asserting, cref);
                 }
                 self.var_decay();
-                self.cla_inc *= 1.001;
                 conflicts_budget = conflicts_budget.saturating_sub(1);
             } else {
                 if conflicts_budget == 0 {
@@ -1124,10 +941,6 @@ impl SatSolver {
                     restart_idx += 1;
                     conflicts_budget = RESTART_BASE * luby(restart_idx);
                     self.cancel_until(0);
-                }
-                if self.stats.learnts as f64 > self.max_learnts {
-                    self.reduce_db();
-                    self.max_learnts *= 1.3;
                 }
                 // Decide assumptions before any free decision.
                 while (self.decision_level() as usize) < assumptions.len() {
@@ -1168,6 +981,16 @@ impl SatSolver {
         // be added and new (assumption) queries posed.
         self.cancel_until(0);
         Ok(outcome)
+    }
+
+    /// The arena size a query starting now may grow to with learnt
+    /// clauses: [`LEARNT_WORDS_PER_QUERY`] past the words already there,
+    /// never past the arena cap. The database only grows, so this one
+    /// ceiling bounds what the query may learn.
+    fn learnt_ceiling(&self) -> u32 {
+        (self.db.data.len() as u32)
+            .saturating_add(LEARNT_WORDS_PER_QUERY)
+            .min(self.arena_cap)
     }
 
     /// Compute the failing-assumption core when assumption `p` is found
@@ -1400,10 +1223,10 @@ mod tests {
     #[test]
     fn arena_cap_latches_typed_error_instead_of_wrapping() {
         // A tiny synthetic cap forces the same refusal path the real
-        // u32 ceiling would. Cap = 8 words: one ternary clause (2
-        // header + 3 lits = 5 words) fits, the next does not.
+        // u32 ceiling would. Cap = 7 words: one ternary clause (1
+        // header + 3 lits = 4 words) fits, the next does not.
         let mut s = SatSolver::new(6);
-        s.set_arena_cap_words(8);
+        s.set_arena_cap_words(7);
         assert!(s.add_clause(vec![Var(0).pos(), Var(1).pos(), Var(2).pos()]));
         assert!(s.arena_error().is_none());
         assert!(s.add_clause(vec![Var(3).pos(), Var(4).pos(), Var(5).pos()]));
@@ -1413,8 +1236,8 @@ mod tests {
                 requested_words,
                 cap_words,
             } => {
-                assert_eq!(*cap_words, 8);
-                assert_eq!(*requested_words, 10); // 5 live + 5 requested
+                assert_eq!(*cap_words, 7);
+                assert_eq!(*requested_words, 8); // 4 live + 4 requested
             }
             other => panic!("the arena cap latches an arena error, not {other:?}"),
         }
@@ -1435,41 +1258,6 @@ mod tests {
         assert!(s.add_clause(vec![Var(0).pos(), Var(1).pos()]));
         assert!(s.add_clause(vec![Var(2).pos(), Var(3).pos()]));
         let _ = s.solve();
-    }
-
-    #[test]
-    fn arena_cap_learnt_clause_refuses_mid_search() {
-        // Leave room for the original clauses but nothing else, then
-        // pose a query that must learn: the learn-path allocation fails
-        // and the solve refuses rather than mis-attach.
-        let clauses: &[&[i32]] = &[
-            &[1, 2],
-            &[3, 4],
-            &[5, 6],
-            &[-1, -3],
-            &[-1, -5],
-            &[-3, -5],
-            &[-2, -4],
-            &[-2, -6],
-            &[-4, -6],
-        ];
-        let mut s = SatSolver::new(6);
-        let mut words = 0u32;
-        for c in clauses {
-            words += (HEADER_WORDS + c.len()) as u32;
-            let lits: Vec<Lit> = c
-                .iter()
-                .map(|&x| Var(x.unsigned_abs() - 1).lit(x > 0))
-                .collect();
-            assert!(s.add_clause(lits));
-        }
-        s.set_arena_cap_words(words); // exactly full: no learnt fits
-        match s.try_solve_under_assumptions(&[]) {
-            Err(e) => assert!(matches!(e, SolverError::ArenaExhausted { .. })),
-            // The solver may finish the pigeonhole proof on unit learnts
-            // alone, attaching nothing; the verdict must then be correct.
-            Ok(out) => assert_eq!(out, SolveOutcome::Unsat),
-        }
     }
 
     #[test]
@@ -1609,17 +1397,41 @@ mod tests {
     }
 
     #[test]
-    fn reduce_learnts_to_bounds_the_database() {
-        // A formula hard enough to learn from: pigeonhole 4 into 3.
-        let mut s = pigeonhole(4, 3);
-        assert_eq!(s.solve(), SolveOutcome::Unsat);
-        // Whatever was learnt, the GC caps it (binary learnts may stay).
-        s.reduce_learnts_to(0);
-        assert_eq!(
-            s.db_stats().live_long_learnts,
-            0,
-            "non-binary learnts must be GCed"
-        );
+    fn learnt_ceiling_is_per_query_and_under_the_arena_cap() {
+        let mut s = SatSolver::new(3);
+        assert_eq!(s.learnt_ceiling(), LEARNT_WORDS_PER_QUERY);
+        // The ceiling moves with the words already on the instance.
+        assert!(s.add_clause(vec![Var(0).pos(), Var(1).pos(), Var(2).pos()]));
+        assert_eq!(s.learnt_ceiling(), 4 + LEARNT_WORDS_PER_QUERY);
+        s.set_arena_cap_words(10);
+        assert_eq!(s.learnt_ceiling(), 10);
+    }
+
+    #[test]
+    fn arena_cap_learnt_clause_refuses_mid_search() {
+        // Pigeonhole 5 into 4 is refuted only after learning clauses of
+        // three and more literals. With the arena cap at exactly the
+        // input's words the query's ceiling is that cap, so the first
+        // non-unit learnt clause crosses it (the assertion below sees
+        // one of at least three literals) and the solve refuses rather
+        // than mis-attach.
+        let mut s = pigeonhole(5, 4);
+        let words = s.db.data.len() as u32;
+        s.set_arena_cap_words(words);
+        for _ in 0..2 {
+            // Refused mid-search, then latched: the same error both times.
+            match s.try_solve_under_assumptions(&[]) {
+                Err(SolverError::ArenaExhausted {
+                    requested_words,
+                    cap_words,
+                }) => {
+                    assert_eq!(cap_words, words);
+                    assert!(requested_words >= words as u64 + 4, "{requested_words}");
+                }
+                other => panic!("pigeonhole 5 into 4 must learn past the ceiling: {other:?}"),
+            }
+        }
+        assert_eq!(s.stats().learnts, 0);
     }
 
     #[test]
@@ -1650,9 +1462,8 @@ mod tests {
     #[test]
     fn compaction_preserves_model_queries() {
         // Pigeonhole 5 into 4 behind an activation literal: the gated
-        // query learns long clauses, dropping every one of them at the
-        // root tombstones enough of the arena to compact it, and the
-        // compacted instance still answers both queries.
+        // query learns long clauses, every one of them stays in the
+        // database, and the grown instance still answers both queries.
         let act = Var(20);
         let var = |p: u32, h: u32| Var(p * 4 + h);
         let mut s = SatSolver::new(21);
@@ -1670,9 +1481,6 @@ mod tests {
         }
         assert_eq!(s.solve_under_assumptions(&[act.pos()]), SolveOutcome::Unsat);
         assert_eq!(s.failed_assumptions(), &[act.pos()]);
-        s.reduce_learnts_to(0);
-        let d = s.db_stats();
-        assert_eq!((d.live_long_learnts, d.wasted_words), (0, 0));
         assert_eq!(s.solve_under_assumptions(&[act.pos()]), SolveOutcome::Unsat);
         assert_eq!(s.solve(), SolveOutcome::Sat);
         assert!(!s.value(act));

@@ -348,7 +348,8 @@ impl IncrementalSession {
     /// Lower the underlying solver's clause-arena capacity (clamped to
     /// [`crate::sat::ARENA_CAP_WORDS`]). A test hook: capacity-refusal
     /// paths ([`IncrementalSession::try_solve_under`] returning `Err`)
-    /// can be forced with a tiny cap instead of a 16 GiB arena.
+    /// can be forced with a tiny cap instead of a formula that fills the
+    /// arena or learns past a query's ceiling.
     pub fn with_arena_cap_words(mut self, cap: u32) -> Self {
         self.sat.set_arena_cap_words(cap);
         self
@@ -437,13 +438,7 @@ impl IncrementalSession {
         let before = self.sat.stats();
         let lits: Vec<Lit> = assumptions.iter().map(|a| a.0).collect();
         let t1 = Instant::now();
-        let outcome = match self.sat.try_solve_under_assumptions(&lits) {
-            Ok(o) => o,
-            Err(e) => {
-                obs::add("smt.arena_exhausted", 1);
-                return Err(e);
-            }
-        };
+        let outcome = self.sat.try_solve_under_assumptions(&lits)?;
         let solve_time = t1.elapsed();
         let after = self.sat.stats();
         let stats = SolverStats {

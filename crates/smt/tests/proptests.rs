@@ -547,7 +547,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     /// The kernel's only verdict-bearing state across queries is what it
-    /// learnt, what it reduced away and what compaction rebuilt: a stream
+    /// learnt, and it never drops a learnt clause: a stream
     /// of assumption queries on ONE solver must agree with enumerating
     /// the formula's models, query for query. SAT models satisfy the
     /// clauses and the assumptions; UNSAT cores are subsets of the
