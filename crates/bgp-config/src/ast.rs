@@ -9,7 +9,7 @@ use bgp_model::route::{Community, Origin};
 use std::collections::BTreeMap;
 
 /// One `ip prefix-list NAME seq N permit|deny P [ge G] [le L]` entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PrefixListEntry {
     /// Sequence number.
     pub seq: u32,
@@ -24,7 +24,7 @@ pub struct PrefixListEntry {
 }
 
 /// One `ip community-list standard NAME permit|deny c1 c2 ...` entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CommunityListEntry {
     /// Permit (true) or deny.
     pub permit: bool,
@@ -34,7 +34,7 @@ pub struct CommunityListEntry {
 }
 
 /// One `ip as-path access-list NAME permit|deny REGEX` entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct AsPathAclEntry {
     /// Permit (true) or deny.
     pub permit: bool,
@@ -43,7 +43,7 @@ pub struct AsPathAclEntry {
 }
 
 /// A `match` clause inside a route-map entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum MatchAst {
     /// `match ip address prefix-list NAME...` (any listed name may match).
     PrefixList(Vec<String>),
@@ -63,7 +63,7 @@ pub enum MatchAst {
 }
 
 /// A `set` clause inside a route-map entry.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub enum SetAst {
     /// `set local-preference N`.
     LocalPref(u32),
@@ -89,7 +89,7 @@ pub enum SetAst {
 }
 
 /// One route-map stanza (`route-map NAME permit|deny SEQ` + body).
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct RouteMapEntryAst {
     /// Sequence number.
     pub seq: u32,

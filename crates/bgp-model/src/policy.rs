@@ -27,9 +27,9 @@ use std::sync::Arc;
 /// per table, listing configured edges only.
 ///
 /// Maps are held by [`Arc`] so one resolved map can serve many edges:
-/// the configuration front end resolves each named map once per router
-/// and attaches that one instance to every session of the router that
-/// names it. Sharing is an allocation detail only — which edges share an
+/// the configuration front end resolves each map once per distinct set
+/// of inputs across the network and attaches that one instance to every
+/// session, on any router, whose map has those inputs. Sharing is an allocation detail only — which edges share an
 /// `Arc` means nothing for equality or fingerprints, which compare and
 /// hash a map's contents.
 #[derive(Clone, Debug, Default, Deserialize)]

@@ -131,21 +131,27 @@ fn base(tag: &str) -> FpHasher {
     h
 }
 
-/// The ghost table with `per_ghost` contributing the part of each ghost
-/// that the formula depends on; `ghosts` sorted by name.
-fn write_ghosts(h: &mut FpHasher, ghosts: &[&GhostAttr], per_ghost: impl Fn(&GhostAttr) -> u8) {
+/// The ghost table: each ghost's name, sorted, with the part of it that
+/// the formula depends on.
+fn write_ghosts<'g>(h: &mut FpHasher, ghosts: impl ExactSizeIterator<Item = (&'g GhostAttr, u8)>) {
     h.write_u64(ghosts.len() as u64);
-    for g in ghosts {
+    for (g, part) in ghosts {
         h.write_str(&g.name);
-        h.write_u8(per_ghost(g));
+        h.write_u8(part);
     }
 }
+
+/// A transfer slot's map, by address (`None`: no map), and direction.
+type MapSlot = (Option<*const RouteMap>, bool);
 
 /// The base digests of one policy under one set of ghosts (see the
 /// module docs), numbered: equal digests share a dense id. A `Verifier`
 /// builds this once, on first use, and every [`FpParts`] on it reads
 /// it, so the policy is walked once per verifier however many runs,
-/// rounds and engines fingerprint against it.
+/// rounds and engines fingerprint against it. Within that walk each
+/// distinct (map, direction, ghost updates) is digested once and every
+/// other edge slot is one table probe: a map the front end shares
+/// across a network's routers costs its one walk, not one per session.
 pub(crate) struct PolicyDigests {
     /// Base digests by id.
     bases: Vec<Fingerprint>,
@@ -166,10 +172,11 @@ impl PolicyDigests {
         let (mut bases, mut ids) = (Vec::new(), HashMap::new());
         let mut id_of = |fp: Fingerprint| intern(&mut ids, &mut bases, fp);
         let implication = id_of(base("implication").finish());
-        // A transfer base's stream up to and including its map's
-        // entries, by map address (`None`: no map) and direction: a map
-        // shared by many edges is walked once.
-        let mut walked: FastMap<(Option<*const RouteMap>, bool), FpHasher> = FastMap::default();
+        // Finished transfer ids by map and direction, each with the
+        // ghost updates it was digested under (one code per ghost, in
+        // `ghosts` order).
+        let mut memo: FastMap<MapSlot, Vec<(Vec<u8>, u32)>> = FastMap::default();
+        let mut updates = Vec::with_capacity(ghosts.len());
         let mut transfer = Vec::with_capacity(2 * edges);
         for slot in 0..2 * edges {
             let (edge, is_import) = (EdgeId((slot / 2) as u32), slot % 2 == 1);
@@ -178,22 +185,8 @@ impl PolicyDigests {
             } else {
                 policy.export_map(edge)
             };
-            let mut h = walked
-                .entry((map.map(|m| m as *const RouteMap), is_import))
-                .or_insert_with(|| {
-                    let mut h = base("transfer-base");
-                    h.write_bool(is_import);
-                    match map {
-                        None => h.write_tag("no-map"),
-                        Some(m) => {
-                            h.write_tag("map");
-                            m.entries.hash(&mut h);
-                        }
-                    }
-                    h
-                })
-                .clone();
-            write_ghosts(&mut h, &ghosts, |g| {
+            updates.clear();
+            updates.extend(ghosts.iter().map(|g| {
                 let u = if is_import {
                     g.import_update(edge)
                 } else {
@@ -204,26 +197,49 @@ impl PolicyDigests {
                     GhostUpdate::SetTrue => 1,
                     GhostUpdate::SetFalse => 2,
                 }
-            });
-            transfer.push(id_of(h.finish()));
-        }
-        let originate = (0..edges)
-            .map(|e| {
-                let mut h = base("originate");
-                // A multiset: order-insensitive through sorted
-                // per-route digests.
-                let mut routes: Vec<Fingerprint> = policy
-                    .originated(EdgeId(e as u32))
-                    .iter()
-                    .map(route_digest)
-                    .collect();
-                routes.sort();
-                h.write_u64(routes.len() as u64);
-                for r in routes {
-                    r.hash(&mut h);
+            }));
+            let seen = memo
+                .entry((map.map(|m| m as *const RouteMap), is_import))
+                .or_default();
+            let id = match seen.iter().find(|(u, _)| *u == updates) {
+                Some(&(_, id)) => id,
+                None => {
+                    let mut h = base("transfer-base");
+                    h.write_bool(is_import);
+                    match map {
+                        None => h.write_tag("no-map"),
+                        Some(m) => {
+                            h.write_tag("map");
+                            m.entries.hash(&mut h);
+                        }
+                    }
+                    write_ghosts(&mut h, ghosts.iter().copied().zip(updates.iter().copied()));
+                    let id = id_of(h.finish());
+                    seen.push((updates.clone(), id));
+                    id
                 }
-                write_ghosts(&mut h, &ghosts, |g| g.originate_value as u8);
-                id_of(h.finish())
+            };
+            transfer.push(id);
+        }
+        let mut originate_id = |routes: &[Route]| {
+            let mut h = base("originate");
+            // A multiset: order-insensitive through sorted per-route
+            // digests.
+            let mut routes: Vec<Fingerprint> = routes.iter().map(route_digest).collect();
+            routes.sort();
+            h.write_u64(routes.len() as u64);
+            for r in routes {
+                r.hash(&mut h);
+            }
+            write_ghosts(&mut h, ghosts.iter().map(|g| (*g, g.originate_value as u8)));
+            id_of(h.finish())
+        };
+        // Every edge that originates nothing shares one base.
+        let mut originates_nothing = None;
+        let originate = (0..edges)
+            .map(|e| match policy.originated(EdgeId(e as u32)) {
+                [] => *originates_nothing.get_or_insert_with(|| originate_id(&[])),
+                routes => originate_id(routes),
             })
             .collect();
         PolicyDigests {
@@ -426,6 +442,7 @@ mod tests {
     use super::*;
     use bgp_model::routemap::{RouteMap, RouteMapEntry, SetAction};
     use bgp_model::{Community, Route};
+    use std::sync::Arc;
 
     /// A one-off check fingerprint, every part digested afresh, over a
     /// policy on edges 0..8.
@@ -519,6 +536,29 @@ mod tests {
         );
         let b = check_fingerprint(ufp, &pol, &[set_true], &transfer_body(EdgeId(1)));
         assert_ne!(a, b, "differing ghost updates must split the fingerprint");
+    }
+
+    #[test]
+    fn one_map_on_many_edges_still_splits_by_ghost_updates() {
+        // Digests are memoized by map address: one map on three edges,
+        // the middle one setting a ghost, digests as three copies do.
+        let one = Arc::new(tag_map("A"));
+        let (mut shared, mut copies) = (Policy::new(), Policy::new());
+        for e in 0..3 {
+            shared.set_import(EdgeId(e), Arc::clone(&one));
+            copies.set_import(EdgeId(e), tag_map("A"));
+        }
+        let g = [GhostAttr::new("G").with_import(EdgeId(1), GhostUpdate::SetTrue)];
+        let bases = |p: &Policy| {
+            let d = PolicyDigests::new(8, p, &g);
+            (0..3)
+                .map(|e| d.bases[d.transfer_id(EdgeId(e), true) as usize])
+                .collect::<Vec<_>>()
+        };
+        let b = bases(&shared);
+        assert_eq!(b, bases(&copies));
+        assert_ne!(b[0], b[1]);
+        assert_eq!(b[0], b[2]);
     }
 
     #[test]

@@ -18,6 +18,7 @@
 //! into one post-mortem file that is also a loadable Chrome trace.
 
 use crate::trace::{thread_index, SpanRecord};
+use crate::unpoisoned;
 use serde_json::Value;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -192,7 +193,7 @@ impl ExportSink {
     pub fn append(&self, v: &Value) {
         let mut line = serde_json::to_string(v).unwrap_or_default();
         line.push('\n');
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = unpoisoned(self.inner.lock());
         if inner.written > 0 && inner.written + line.len() as u64 > self.max_bytes {
             // Rotate: current file becomes `<path>.1`, a fresh file
             // takes its place. Failure to rotate falls through to
@@ -220,17 +221,17 @@ impl ExportSink {
 
     /// Completed rotations.
     pub fn rotations(&self) -> u64 {
-        self.inner.lock().unwrap().rotations
+        unpoisoned(self.inner.lock()).rotations
     }
 
     /// Swallowed IO errors (writes or rotations that failed).
     pub fn io_errors(&self) -> u64 {
-        self.inner.lock().unwrap().io_errors
+        unpoisoned(self.inner.lock()).io_errors
     }
 
     /// Bytes written to the *current* file.
     pub fn written(&self) -> u64 {
-        self.inner.lock().unwrap().written
+        unpoisoned(self.inner.lock()).written
     }
 }
 

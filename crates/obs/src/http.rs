@@ -24,6 +24,7 @@
 //! counter, so they cannot disagree across rejected rounds.
 
 use crate::metrics::{MetricsSnapshot, Registry, BUCKET_BOUNDS_US};
+use crate::unpoisoned;
 use serde_json::Value;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -93,7 +94,7 @@ impl Status {
     fn note(&self, ok: bool, elapsed: Duration, reg: &Registry, burned: u64) -> u64 {
         // Snapshot under the lock: concurrent notes cannot interleave
         // their snapshots and step the baseline backwards.
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = unpoisoned(self.inner.lock());
         let snap = reg.snapshot();
         inner.ok = ok;
         inner.last_round = Some(Instant::now());
@@ -106,26 +107,24 @@ impl Status {
 
     /// A counter's increase over the last noted round (0 before any).
     pub fn last_round_counter(&self, name: &str) -> u64 {
-        let inner = self.inner.lock().unwrap();
+        let inner = unpoisoned(self.inner.lock());
         inner.delta.as_ref().map_or(0, |d| d.counter(name))
     }
 
     /// Rounds completed so far (baseline excluded).
     pub fn rounds(&self) -> u64 {
-        self.inner.lock().unwrap().rounds
+        unpoisoned(self.inner.lock()).rounds
     }
 
     /// The most recent round's verdict (`true` before any round).
     pub fn ok(&self) -> bool {
-        self.inner.lock().unwrap().ok
+        unpoisoned(self.inner.lock()).ok
     }
 
     /// Seconds since the last completed round (baseline counts), or
     /// since process start when no round has run yet.
     fn age(&self) -> Duration {
-        self.inner
-            .lock()
-            .unwrap()
+        unpoisoned(self.inner.lock())
             .last_round
             .unwrap_or(self.start)
             .elapsed()
@@ -143,7 +142,7 @@ impl Status {
 /// Deliberately contains no wall-clock-dependent field, so a scrape
 /// and a file written after the same round are byte-for-value equal.
 pub fn status_json(status: &Status, reg: &Registry) -> Value {
-    let inner = status.inner.lock().unwrap();
+    let inner = unpoisoned(status.inner.lock());
     let last_round = match &inner.delta {
         None => Value::Null,
         Some(d) => Value::Object(vec![
@@ -656,6 +655,26 @@ mod tests {
         assert_eq!(status.note_round(false, Duration::from_millis(1), &reg), 2);
         assert_eq!(status.rounds(), 2);
         assert!(!status.ok());
+    }
+
+    #[test]
+    fn status_answers_after_a_panicking_holder_poisons_it() {
+        let reg = Registry::new();
+        let status = Status::new(None);
+        reg.counter("smt.solves").add(2);
+        status.note_round(true, Duration::from_millis(1), &reg);
+        crate::poison_with(|| {
+            let _held = status.inner.lock().unwrap();
+            panic!("poisons the status");
+        });
+        assert!(status.inner.is_poisoned());
+        reg.counter("smt.solves").add(3);
+        assert_eq!(status.note_round(false, Duration::from_millis(1), &reg), 2);
+        assert_eq!(status.last_round_counter("smt.solves"), 3);
+        assert!(!status.ok() && !status.stale());
+        let v = status_json(&status, &reg);
+        assert_eq!(v.get("rounds").and_then(Value::as_u64), Some(2));
+        assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
     }
 
     #[test]

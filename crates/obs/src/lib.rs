@@ -31,10 +31,20 @@ pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot,
 pub use trace::{Span, SpanRecord};
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, LockResult, PoisonError, RwLock};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static SINK: RwLock<Option<Arc<Registry>>> = RwLock::new(None);
+
+/// The guard of a lock, whether or not a thread panicked while holding
+/// it. Telemetry must never take down the run it observes: every lock
+/// here guards plain records (name maps of atomics, a ring, a round's
+/// status, a file writer), so a panic under one leaves at worst a stale
+/// value, and every later call recovers the guard instead of panicking
+/// in turn. `serve`'s tenant table follows the same policy.
+pub(crate) fn unpoisoned<G>(lock: LockResult<G>) -> G {
+    lock.unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Whether a sink is installed. One relaxed load — this is the whole
 /// cost of every instrumentation point in a run without observability.
@@ -53,7 +63,7 @@ pub fn install() -> Arc<Registry> {
 
 /// Install an existing registry as the process-wide sink.
 pub fn install_registry(reg: Arc<Registry>) {
-    let mut sink = SINK.write().unwrap();
+    let mut sink = unpoisoned(SINK.write());
     *sink = Some(reg);
     ENABLED.store(true, Ordering::Release);
 }
@@ -61,7 +71,7 @@ pub fn install_registry(reg: Arc<Registry>) {
 /// Remove the sink (instrumentation reverts to the near-free path)
 /// and hand back the registry so its contents can still be read.
 pub fn uninstall() -> Option<Arc<Registry>> {
-    let mut sink = SINK.write().unwrap();
+    let mut sink = unpoisoned(SINK.write());
     ENABLED.store(false, Ordering::Release);
     sink.take()
 }
@@ -71,7 +81,7 @@ pub fn sink() -> Option<Arc<Registry>> {
     if !enabled() {
         return None;
     }
-    SINK.read().unwrap().clone()
+    unpoisoned(SINK.read()).clone()
 }
 
 /// Run `f` against the installed registry; `None` when disabled.
@@ -80,7 +90,7 @@ pub fn with<R>(f: impl FnOnce(&Registry) -> R) -> Option<R> {
     if !enabled() {
         return None;
     }
-    let guard = SINK.read().unwrap();
+    let guard = unpoisoned(SINK.read());
     guard.as_ref().map(|reg| f(reg))
 }
 
@@ -258,7 +268,15 @@ pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
     // The sink is process-global; tests that install one must not
     // interleave. Poisoning (a failed test) must not cascade.
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    unpoisoned(LOCK.lock())
+}
+
+/// Run `hold` on a thread of its own and expect it to panic: a `hold`
+/// that takes a lock and panics while holding it poisons that lock.
+#[cfg(test)]
+pub(crate) fn poison_with(hold: impl FnOnce() + Send) {
+    let joined = std::thread::scope(|s| s.spawn(hold).join());
+    assert!(joined.is_err(), "`hold` must panic");
 }
 
 #[cfg(test)]

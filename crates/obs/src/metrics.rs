@@ -6,6 +6,7 @@
 
 use crate::export::{EventRecord, ExportSink, Level, EVENT_RING_CAP};
 use crate::trace::{Ring, SpanRecord};
+use crate::unpoisoned;
 use serde_json::Value;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -263,10 +264,10 @@ impl Registry {
         map: &RwLock<BTreeMap<&'static str, Arc<T>>>,
         name: &'static str,
     ) -> Arc<T> {
-        if let Some(m) = map.read().unwrap().get(name) {
+        if let Some(m) = unpoisoned(map.read()).get(name) {
             return m.clone();
         }
-        map.write().unwrap().entry(name).or_default().clone()
+        unpoisoned(map.write()).entry(name).or_default().clone()
     }
 
     /// The counter registered under `name` (created on first use).
@@ -280,10 +281,10 @@ impl Registry {
     /// `&'static str` keys); lookups never allocate, so the leak is
     /// bounded by the number of distinct labels ever used.
     pub fn counter_labeled(&self, name: &str) -> Arc<Counter> {
-        if let Some(m) = self.counters.read().unwrap().get(name) {
+        if let Some(m) = unpoisoned(self.counters.read()).get(name) {
             return m.clone();
         }
-        let mut map = self.counters.write().unwrap();
+        let mut map = unpoisoned(self.counters.write());
         if let Some(m) = map.get(name) {
             return m.clone();
         }
@@ -316,7 +317,7 @@ impl Registry {
     pub fn record_event(&self, rec: EventRecord) {
         self.note_call();
         if rec.level == Level::Error {
-            *self.last_error.lock().unwrap() = Some(rec.render());
+            *unpoisoned(self.last_error.lock()) = Some(rec.render());
         }
         if let Some(sink) = self.export() {
             sink.append(&rec.to_json());
@@ -337,7 +338,7 @@ impl Registry {
 
     /// The most recent error-level event, rendered.
     pub fn last_error(&self) -> Option<String> {
-        self.last_error.lock().unwrap().clone()
+        unpoisoned(self.last_error.lock()).clone()
     }
 
     /// Nanoseconds since the registry epoch.
@@ -349,12 +350,12 @@ impl Registry {
     /// event and completed span from now on is appended and flushed as
     /// one line.
     pub fn set_export(&self, sink: Option<Arc<ExportSink>>) {
-        *self.export.write().unwrap() = sink;
+        *unpoisoned(self.export.write()) = sink;
     }
 
     /// The attached export sink, if any.
     pub fn export(&self) -> Option<Arc<ExportSink>> {
-        self.export.read().unwrap().clone()
+        unpoisoned(self.export.read()).clone()
     }
 
     /// The flight-recorder dump: one self-contained post-mortem JSON —
@@ -386,24 +387,15 @@ impl Registry {
     /// Point-in-time view of every metric.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .read()
-                .unwrap()
+            counters: unpoisoned(self.counters.read())
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.value()))
                 .collect(),
-            gauges: self
-                .gauges
-                .read()
-                .unwrap()
+            gauges: unpoisoned(self.gauges.read())
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.value()))
                 .collect(),
-            histograms: self
-                .histograms
-                .read()
-                .unwrap()
+            histograms: unpoisoned(self.histograms.read())
                 .iter()
                 .map(|(k, v)| (k.to_string(), v.snapshot()))
                 .collect(),
@@ -595,6 +587,52 @@ mod tests {
         a.add(1);
         b.add(2);
         assert_eq!(reg.snapshot().counter("same"), 3);
+    }
+
+    #[test]
+    fn every_registry_lock_answers_after_a_panicking_holder_poisons_it() {
+        let reg = Registry::new();
+        reg.counter("kept").add(1);
+        crate::poison_with(|| {
+            let _held = reg.counters.write().unwrap();
+            panic!("poisons the counter map");
+        });
+        crate::poison_with(|| {
+            let _held = reg.gauges.write().unwrap();
+            panic!("poisons the gauge map");
+        });
+        crate::poison_with(|| {
+            let _held = reg.histograms.write().unwrap();
+            panic!("poisons the histogram map");
+        });
+        crate::poison_with(|| {
+            let _held = reg.last_error.lock().unwrap();
+            panic!("poisons the last error");
+        });
+        crate::poison_with(|| {
+            let _held = reg.export.write().unwrap();
+            panic!("poisons the export sink");
+        });
+        assert!(reg.counters.is_poisoned() && reg.last_error.is_poisoned());
+
+        reg.counter("kept").add(2);
+        reg.counter_labeled("added{tenant=a}").add(1);
+        reg.gauge("level").set(7);
+        reg.histogram("wait").record_ns(3_000);
+        reg.record_error("after the panic");
+        {
+            let _l = crate::test_lock();
+            crate::install_registry(Arc::clone(&reg));
+            crate::add("kept", 4);
+            crate::uninstall();
+        }
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter("kept"), 7);
+        assert_eq!(snap.counter("added{tenant=a}"), 1);
+        assert_eq!(snap.gauge("level"), 7);
+        assert_eq!(snap.histograms["wait"].count, 1);
+        assert!(reg.last_error().unwrap().contains("after the panic"));
+        assert!(reg.export().is_none());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! in `chrome://tracing` and Perfetto.
 
 use crate::metrics::Registry;
+use crate::unpoisoned;
 use serde_json::Value;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,7 +69,7 @@ impl<T: Clone> Ring<T> {
     }
 
     pub(crate) fn push(&self, rec: T) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = unpoisoned(self.inner.lock());
         if inner.items.len() == self.cap {
             inner.items.pop_front();
             inner.dropped += 1;
@@ -77,12 +78,16 @@ impl<T: Clone> Ring<T> {
     }
 
     pub(crate) fn drain_copy(&self) -> Vec<T> {
-        self.inner.lock().unwrap().items.iter().cloned().collect()
+        unpoisoned(self.inner.lock())
+            .items
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// Records evicted because the ring was full.
     pub(crate) fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
+        unpoisoned(self.inner.lock()).dropped
     }
 }
 

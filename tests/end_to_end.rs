@@ -227,10 +227,11 @@ fn figure1_subsumption_check_lists_property_edge() {
     );
 }
 
-/// Lowering resolves a router's named map once and shares it across the
-/// router's sessions: on every edge of Figure 1 and of a seeded WAN, the
-/// attached map is structurally the map a fresh resolution of the
-/// session's configured name gives, and an edge without one has none.
+/// Lowering resolves each distinct map once and shares it across every
+/// session whose router's map has equal inputs: on every edge of
+/// Figure 1 and of a seeded WAN, the attached map is structurally the
+/// map a fresh resolution of the session's configured name gives, and
+/// an edge without one has none.
 #[test]
 fn shared_maps_equal_fresh_resolutions() {
     use bgp_config::lower::resolve_route_map;

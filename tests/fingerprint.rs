@@ -647,7 +647,8 @@ fn wan_50r_partition_is_structural_equality() {
 const WAN_50R: [usize; 4] = [594, 17, 17, 17];
 const WAN_50R_BROKEN: [usize; 4] = [594, 18, 18, 18];
 
-/// Lowering shares one resolved map among a router's sessions; a
+/// Lowering shares one resolved map among every session, on any
+/// router, whose map has equal inputs; a
 /// fingerprint hashes a map's contents, so a policy that holds its own
 /// deep copy on every edge fingerprints every check the same.
 #[test]
