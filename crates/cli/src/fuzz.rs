@@ -93,10 +93,7 @@ pub(crate) fn cmd_fuzz(args: &[String]) -> ExitCode {
         Ok(o) => o,
         Err(e) => return usage_error(&e),
     };
-    let tele = match tele_opts.bring_up("fuzz") {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
+    let tele = tele_opts.bring_up("fuzz");
     let _server = match tele.listen(None, obs::http::DEFAULT_MAX_CONNS) {
         Ok(s) => s,
         Err(e) => return fail(&e),

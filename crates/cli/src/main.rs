@@ -62,12 +62,10 @@
 //!                   (GET /metrics [?format=prom], /healthz, /trace);
 //!                   --stale-after-ms N makes /healthz answer 503 once
 //!                   no round has completed for N ms. The flight
-//!                   recorder is always on: recent spans/events plus
-//!                   the last error are dumped to --flight-json
-//!                   (default flight.json) on panic or any failed
-//!                   round. --events-jsonl FILE additionally streams
-//!                   every event and completed span as JSONL with
-//!                   size-capped rotation
+//!                   recorder is always on: recent spans, the last
+//!                   error and the metrics snapshot are dumped to
+//!                   --flight-json (default flight.json) on panic or
+//!                   any failed round
 //!   plan            Snowcap/Chameleon-style migration-plan verification:
 //!                   verify DIR0 fully, then every subsequent directory as
 //!                   a delta round, proving each intermediate
@@ -94,7 +92,7 @@
 //!                   records campaign throughput (the CI BENCH_fuzz.json).
 //!                   The campaign is one round to the telemetry flags
 //!                   watch takes: --listen, --metrics-json,
-//!                   --events-jsonl, --flight-json, --stale-after-ms
+//!                   --flight-json, --stale-after-ms
 //!   parse           parse + lower only; print the topology summary and
 //!                   lowering warnings
 //!   lint            run rcc-style best-practice lints; exit code 1 on
@@ -158,15 +156,14 @@ fn usage() -> ExitCode {
          lightyear profile <SPEC> <CONFIG_DIR> [--jobs N] [--out <FILE>] [--top N]\n  \
          lightyear watch --configs <DIR> --spec <FILE> [--baseline <DIR>] [--once]\n    \
          [--interval-ms N] [--max-rounds N] [--cache-dir <DIR>] [--metrics-json <FILE>]\n    \
-         [--listen <ADDR>] [--stale-after-ms N] [--flight-json <FILE>] [--events-jsonl <FILE>]\n  \
+         [--listen <ADDR>] [--stale-after-ms N] [--flight-json <FILE>]\n  \
          lightyear plan --spec <FILE> <DIR0> <DIR1> [...]\n  \
          lightyear serve --listen <ADDR> [--cache-root <DIR>] [--max-conns N]\n    \
-         [--metrics-json <FILE>] [--stale-after-ms N] [--flight-json <FILE>]\n    \
-         [--events-jsonl <FILE>]\n  \
+         [--metrics-json <FILE>] [--stale-after-ms N] [--flight-json <FILE>]\n  \
          lightyear fuzz [--seed N] [--cases N] [--families a,b,...] [--edit-steps K]\n    \
          [--sim-rounds R] [--no-inject] [--repro-dir <DIR>] [--bench-json <FILE>]\n    \
          [--replay <DIR>] [--listen <ADDR>] [--metrics-json <FILE>] [--stale-after-ms N]\n    \
-         [--flight-json <FILE>] [--events-jsonl <FILE>]\n  \
+         [--flight-json <FILE>]\n  \
          lightyear parse --configs <DIR>\n  lightyear lint --configs <DIR>\n  \
          lightyear spec-template"
     );

@@ -1,7 +1,8 @@
 //! `lightyear serve`: the long-lived multi-tenant verification daemon.
 //!
 //! One process hosts many isolated tenants, each with its own spec,
-//! configuration set, per-property [`ReverifyEngine`]s and (under
+//! configuration set, per-property
+//! [`ReverifyEngine`](lightyear::reverify::ReverifyEngine)s and (under
 //! `--cache-root`) its own spill directory — so a restarted daemon
 //! answers its first full round warm, exactly like a restarted `watch`
 //! (after an upgrade that changed the fingerprint format the old keys
@@ -342,10 +343,7 @@ pub(crate) fn cmd_serve(args: &[String]) -> ExitCode {
 
     // The daemon is built on the brought-up registry first, so the
     // listener's API handler points at it from the first request on.
-    let tele = match tele_opts.bring_up("serve") {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
+    let tele = tele_opts.bring_up("serve");
     let daemon = Arc::new(Daemon {
         tenants: Mutex::new(HashMap::new()),
         cache_root,
@@ -401,14 +399,13 @@ mod tests {
         let opts = TelemetryOpts {
             listen: None,
             metrics_json: None,
-            events_jsonl: None,
             flight_json: dir.join("flight.json"),
             stale_after: None,
         };
         Daemon {
             tenants: Mutex::default(),
             cache_root: None,
-            tele: opts.bring_up("serve").unwrap(),
+            tele: opts.bring_up("serve"),
         }
     }
 

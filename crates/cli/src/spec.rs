@@ -25,6 +25,7 @@
 //! ```
 
 use bgp_config::Network;
+use bgp_model::aspath::AsPathRegex;
 use bgp_model::topology::{EdgeId, Topology};
 use lightyear::engine::Verifier;
 use lightyear::ghost::{GhostAttr, GhostUpdate};
@@ -32,6 +33,7 @@ use lightyear::invariants::{Location, NetworkInvariants};
 use lightyear::liveness::LivenessSpec;
 use lightyear::pred::RoutePred;
 use lightyear::safety::SafetyProperty;
+use lightyear::universe::Universe;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -131,9 +133,19 @@ pub struct Bound<'n> {
 
 impl Spec {
     /// Resolve the whole spec against `net`. Every command binds its spec
-    /// here, so a name that does not resolve fails the run before any
-    /// check is posed, whichever command asked.
+    /// here, so a name that does not resolve (a router, an edge, a ghost
+    /// or an AS-path pattern) fails the run before any check is posed,
+    /// whichever command asked.
     pub fn bind<'n>(&self, net: &'n Network) -> Result<Bound<'n>, SpecResolveError> {
+        for s in &self.safety {
+            let preds = [&s.property, &s.invariant_default].into_iter();
+            self.check_names(&s.name, preds.chain(s.invariant_overrides.values()))?;
+        }
+        for l in &self.liveness {
+            let preds = [&l.property, &l.prefix_scope, &l.interference_default];
+            let preds = preds.into_iter().chain(&l.constraints);
+            self.check_names(&l.name, preds.chain(l.interference_overrides.values()))?;
+        }
         let topo = &net.topology;
         let mut verifier = Verifier::new(topo, &net.policy);
         for g in &self.ghosts {
@@ -153,9 +165,36 @@ impl Spec {
                 .collect::<Result<_, _>>()?,
         })
     }
+
+    /// Refuse a predicate of property `prop` that names what does not
+    /// exist: an AS-path pattern that does not compile, or a ghost no
+    /// `ghosts` entry declares. The encoder would read either as a free
+    /// boolean and report counterexamples that no route can produce.
+    fn check_names<'p>(
+        &self,
+        prop: &str,
+        preds: impl IntoIterator<Item = &'p RoutePred>,
+    ) -> Result<(), SpecResolveError> {
+        let mut named = Universe::new();
+        for p in preds {
+            p.register(&mut named);
+        }
+        for pattern in named.regexes() {
+            AsPathRegex::compile(pattern)
+                .map_err(|e| SpecResolveError(format!("{prop:?}: {e}")))?;
+        }
+        let declared = |g: &&String| self.ghosts.iter().any(|d| d.name == **g);
+        match named.ghosts().iter().find(|g| !declared(g)) {
+            Some(g) => Err(SpecResolveError(format!(
+                "{prop:?}: ghost {g:?} is not declared in \"ghosts\""
+            ))),
+            None => Ok(()),
+        }
+    }
 }
 
-/// Spec-resolution errors (unknown router/edge names).
+/// Spec-resolution errors (unknown router/edge names, predicates that
+/// name an unparsable AS-path pattern or an undeclared ghost).
 #[derive(Clone, Debug)]
 pub struct SpecResolveError(pub String);
 
@@ -391,6 +430,72 @@ mod tests {
             err.contains("\"l\": invariant override on \"ISP1 -> R1\""),
             "{err}"
         );
+    }
+
+    /// `examples/configs` and its spec, bound with `edit` applied.
+    fn bind_example(edit: impl FnOnce(&mut Spec)) -> Result<(), SpecResolveError> {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
+        let read = |name: &str| std::fs::read_to_string(format!("{dir}/{name}")).unwrap();
+        let asts = ["r1.cfg", "r2.cfg"].map(|f| bgp_config::parse_config(&read(f)).unwrap());
+        let net = bgp_config::lower(&asts).unwrap();
+        let mut spec: Spec = serde_json::from_str(&read("spec.json")).unwrap();
+        edit(&mut spec);
+        spec.bind(&net).map(drop)
+    }
+
+    #[test]
+    fn a_predicate_naming_a_bad_as_path_pattern_is_refused() {
+        bind_example(|_| {}).unwrap();
+        let err = bind_example(|s| s.safety[0].property = RoutePred::aspath("(1").not())
+            .unwrap_err()
+            .to_string();
+        assert!(err.starts_with("spec error: \"no-transit\": "), "{err}");
+        assert!(
+            err.contains("bad as-path regex") && err.contains("\"(1\""),
+            "{err}"
+        );
+        // Every predicate a property binds is walked: an override, and a
+        // liveness property's constraints, too.
+        let err = bind_example(|s| {
+            let bad = RoutePred::aspath("_65000_").and(RoutePred::aspath("[1"));
+            s.safety[0].invariant_overrides.insert("R1".into(), bad);
+        })
+        .unwrap_err();
+        assert!(err.0.contains("\"[1\""), "{err}");
+        let err = bind_example(|s| {
+            s.liveness.push(LivenessSpecJson {
+                name: "l".into(),
+                location: "R1".into(),
+                property: RoutePred::True,
+                path: vec!["ISP1 -> R1".into(), "R1".into()],
+                constraints: vec![RoutePred::True, RoutePred::aspath("1)")],
+                prefix_scope: RoutePred::True,
+                interference_default: RoutePred::True,
+                interference_overrides: BTreeMap::new(),
+            })
+        })
+        .unwrap_err();
+        assert!(err.0.starts_with("\"l\": bad as-path regex"), "{err}");
+    }
+
+    #[test]
+    fn a_predicate_naming_an_undeclared_ghost_is_refused() {
+        let err = bind_example(|s| s.safety[0].property = RoutePred::ghost("FromISP9").not())
+            .unwrap_err()
+            .to_string();
+        assert_eq!(
+            err,
+            "spec error: \"no-transit\": ghost \"FromISP9\" is not declared in \"ghosts\""
+        );
+        // Declaring it is enough.
+        bind_example(|s| {
+            s.ghosts.push(GhostSpec {
+                name: "FromISP9".into(),
+                ..Default::default()
+            });
+            s.safety[0].property = RoutePred::ghost("FromISP9").not();
+        })
+        .unwrap();
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! The one telemetry lifecycle of `watch`, `fuzz` and `serve`. They
-//! take the same five flags ([`TelemetryOpts::FLAGS`], one parser, so
+//! take the same four flags ([`TelemetryOpts::FLAGS`], one parser, so
 //! defaults and errors cannot drift) and run the same three steps:
 //!
 //! 1. bring-up ([`TelemetryOpts::bring_up`]): the registry (the
-//!    always-on flight recorder), the panic flight dump, the event sink
-//!    and the round [`Status`];
+//!    always-on flight recorder), the panic flight dump and the round
+//!    [`Status`];
 //! 2. listen ([`Observer::listen`]), a step of its own so `serve` builds
 //!    its daemon before the first request can arrive;
-//! 3. seal ([`Observer::seal`]), once per round: record the error, note
+//! 3. seal ([`Observer::seal`]), once per round: latch the error, note
 //!    the round on the [`Status`] (which keeps the round-delta
-//!    baseline), emit `<cmd>.baseline` / `<cmd>.round` and rewrite
-//!    `--metrics-json` — so the totals line, the file, `/metrics` and
-//!    the event stream cannot drift apart between commands.
+//!    baseline) and rewrite `--metrics-json`. A round is recorded there
+//!    once, so the totals line, the file and `/metrics` cannot drift
+//!    apart between commands.
 
 use crate::{flag_value, positive};
 use obs::http::{Handler, Status, TelemetryServer};
@@ -27,8 +27,6 @@ pub(crate) struct TelemetryOpts {
     /// `--metrics-json <path>`: atomically rewrite the status document
     /// after every round.
     pub(crate) metrics_json: Option<PathBuf>,
-    /// `--events-jsonl <path>`: append the structured event stream.
-    pub(crate) events_jsonl: Option<PathBuf>,
     /// `--flight-json <path>` (default `flight.json`): the always-on
     /// flight recorder's dump target.
     pub(crate) flight_json: PathBuf,
@@ -45,8 +43,6 @@ pub(crate) struct Observer {
     pub(crate) opts: TelemetryOpts,
     /// `<cmd>`: prefixes the listening line.
     cmd: &'static str,
-    /// `<cmd>.baseline` and `<cmd>.round`, the sealed rounds' events.
-    events: [&'static str; 2],
     /// Held from the note to the file rewrite: `serve` seals tenant
     /// rounds from several workers, and a slower writer must not rename
     /// an older document over a newer one.
@@ -57,10 +53,9 @@ impl TelemetryOpts {
     /// The value-taking flags this module owns (each consumes one
     /// argument). Front-ends add these to the value flags of their
     /// [`positionals`](crate::positionals) scan.
-    pub(crate) const FLAGS: [&'static str; 5] = [
+    pub(crate) const FLAGS: [&'static str; 4] = [
         "--listen",
         "--metrics-json",
-        "--events-jsonl",
         "--flight-json",
         "--stale-after-ms",
     ];
@@ -73,7 +68,6 @@ impl TelemetryOpts {
         Ok(TelemetryOpts {
             listen: flag_value(args, "--listen"),
             metrics_json: flag_value(args, "--metrics-json").map(PathBuf::from),
-            events_jsonl: flag_value(args, "--events-jsonl").map(PathBuf::from),
             flight_json: PathBuf::from(
                 flag_value(args, "--flight-json").unwrap_or_else(|| "flight.json".into()),
             ),
@@ -82,31 +76,21 @@ impl TelemetryOpts {
     }
 
     /// Bring the stack up for command `cmd`: install the always-on
-    /// flight recorder and its panic dump, attach the event sink and
-    /// create the round status. Nothing listens yet; see
-    /// [`Observer::listen`].
-    pub(crate) fn bring_up(self, cmd: &'static str) -> Result<Observer, String> {
+    /// flight recorder and its panic dump and create the round status.
+    /// Nothing listens yet; see [`Observer::listen`].
+    pub(crate) fn bring_up(self, cmd: &'static str) -> Observer {
         // The flight recorder is always on: the registry install is the
-        // whole cost when nothing else is requested (bounded rings, one
-        // uncontended atomic per event).
+        // whole cost when nothing else is requested (a bounded span
+        // ring, one uncontended atomic per instrumentation point).
         let reg = obs::install();
         obs::install_panic_flight(&self.flight_json);
-        if let Some(path) = &self.events_jsonl {
-            let sink = obs::ExportSink::create(path, obs::ExportSink::DEFAULT_MAX_BYTES)
-                .map_err(|e| format!("cannot create event log {path:?}: {e}"))?;
-            reg.set_export(Some(Arc::new(sink)));
-        }
-        // Event targets are `&'static str`: one small allocation per
-        // process names this command's two.
-        let event = |kind: &str| -> &'static str { format!("{cmd}.{kind}").leak() };
-        Ok(Observer {
+        Observer {
             reg,
             status: Status::new(self.stale_after),
             opts: self,
             cmd,
-            events: [event("baseline"), event("round")],
             sealing: Mutex::new(()),
-        })
+        }
     }
 }
 
@@ -160,20 +144,11 @@ impl Observer {
         if let Some(e) = err {
             self.reg.record_error(e);
         }
-        let verdict = if ok { "pass" } else { "fail" };
         let n = if baseline {
             self.status.note_baseline(ok, elapsed, &self.reg);
-            obs::event!(
-                info,
-                self.events[0],
-                verdict = verdict,
-                solves = self.status.last_round_counter("smt.solves"),
-            );
             self.status.rounds()
         } else {
-            let n = self.status.note_round(ok, elapsed, &self.reg);
-            obs::event!(info, self.events[1], round = n, verdict = verdict);
-            n
+            self.status.note_round(ok, elapsed, &self.reg)
         };
         // Through the same renderer `/metrics` serves, so a poll of
         // either sees identical bytes.
@@ -204,7 +179,6 @@ mod tests {
         let o = TelemetryOpts::parse(&args(&[])).unwrap();
         assert_eq!(o.listen, None);
         assert_eq!(o.metrics_json, None);
-        assert_eq!(o.events_jsonl, None);
         assert_eq!(o.flight_json, PathBuf::from("flight.json"));
         assert_eq!(o.stale_after, None);
     }
@@ -216,8 +190,6 @@ mod tests {
             "127.0.0.1:0",
             "--metrics-json",
             "m.json",
-            "--events-jsonl",
-            "e.jsonl",
             "--flight-json",
             "custom-flight.json",
             "--stale-after-ms",
@@ -226,7 +198,6 @@ mod tests {
         .unwrap();
         assert_eq!(o.listen.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(o.metrics_json, Some(PathBuf::from("m.json")));
-        assert_eq!(o.events_jsonl, Some(PathBuf::from("e.jsonl")));
         assert_eq!(o.flight_json, PathBuf::from("custom-flight.json"));
         assert_eq!(o.stale_after, Some(Duration::from_millis(1500)));
     }
@@ -252,6 +223,15 @@ mod tests {
         for f in TelemetryOpts::FLAGS {
             assert_eq!(scan(f), Ok(vec![]), "{f} must be recognized");
         }
+        assert_eq!(
+            TelemetryOpts::FLAGS,
+            [
+                "--listen",
+                "--metrics-json",
+                "--flight-json",
+                "--stale-after-ms"
+            ]
+        );
         for f in ["--interval-ms", "--cache-dir"] {
             assert_eq!(scan(f), Err(format!("unknown fuzz option {f}")));
         }

@@ -61,10 +61,7 @@ pub(crate) fn cmd_watch(args: &[String]) -> ExitCode {
         Err(e) => return fail(&e),
     };
     let mut state = Session::new("watch", spec, cache_dir);
-    let tele = match tele_opts.bring_up("watch") {
-        Ok(t) => t,
-        Err(e) => return fail(&e),
-    };
+    let tele = tele_opts.bring_up("watch");
     let _server = match tele.listen(None, obs::http::DEFAULT_MAX_CONNS) {
         Ok(s) => s,
         Err(e) => return fail(&e),

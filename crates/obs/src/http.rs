@@ -105,12 +105,6 @@ impl Status {
         inner.rounds
     }
 
-    /// A counter's increase over the last noted round (0 before any).
-    pub fn last_round_counter(&self, name: &str) -> u64 {
-        let inner = unpoisoned(self.inner.lock());
-        inner.delta.as_ref().map_or(0, |d| d.counter(name))
-    }
-
     /// Rounds completed so far (baseline excluded).
     pub fn rounds(&self) -> u64 {
         unpoisoned(self.inner.lock()).rounds
@@ -645,6 +639,14 @@ mod tests {
         (code, body)
     }
 
+    /// `name`'s increase over the last noted round, as `/metrics`
+    /// reports it under `last_round`.
+    fn round_delta(status: &Status, reg: &Registry, name: &str) -> Option<u64> {
+        let v = status_json(status, reg);
+        let counters = v.get("last_round")?.get("metrics")?.get("counters")?;
+        counters.get(name)?.as_u64()
+    }
+
     #[test]
     fn status_has_a_single_increment_site() {
         let reg = Registry::new();
@@ -670,7 +672,7 @@ mod tests {
         assert!(status.inner.is_poisoned());
         reg.counter("smt.solves").add(3);
         assert_eq!(status.note_round(false, Duration::from_millis(1), &reg), 2);
-        assert_eq!(status.last_round_counter("smt.solves"), 3);
+        assert_eq!(round_delta(&status, &reg, "smt.solves"), Some(3));
         assert!(!status.ok() && !status.stale());
         let v = status_json(&status, &reg);
         assert_eq!(v.get("rounds").and_then(Value::as_u64), Some(2));
@@ -683,7 +685,7 @@ mod tests {
         let status = Status::new(None);
         reg.counter("smt.solves").add(5);
         status.note_baseline(true, Duration::from_millis(10), &reg);
-        assert_eq!(status.last_round_counter("smt.solves"), 5);
+        assert_eq!(round_delta(&status, &reg, "smt.solves"), Some(5));
         reg.counter("smt.solves").add(3);
         status.note_round(true, Duration::from_millis(10), &reg);
         let body = status_body(&status, &reg);

@@ -2,11 +2,14 @@
 //! (counters / gauges / histograms, one atomic per value), a
 //! lightweight span API with a bounded in-memory ring, and a Chrome
 //! `trace_event` exporter so a verify run opens directly in
-//! `chrome://tracing` / Perfetto.
+//! `chrome://tracing` / Perfetto. The flight recorder
+//! ([`dump_flight`]) is that trace plus the last error and the metrics
+//! snapshot; a daemon's rounds are recorded once, on
+//! [`http::Status`].
 //!
 //! The design constraint is that instrumentation must be *near-free
-//! when no sink is installed*: every event entry point loads one
-//! relaxed atomic and returns. When a sink IS installed, an event takes
+//! when no sink is installed*: every instrumentation point loads one
+//! relaxed atomic and returns. When a sink IS installed, a point takes
 //! the sink's read lock, looks its metric up by name and pays one
 //! relaxed `fetch_add`.
 //!
@@ -21,12 +24,10 @@
 //! obs::uninstall();
 //! ```
 
-pub mod export;
 pub mod http;
 pub mod metrics;
 pub mod trace;
 
-pub use export::{EventRecord, ExportSink, Level};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use trace::{Span, SpanRecord};
 
@@ -39,7 +40,7 @@ static SINK: RwLock<Option<Arc<Registry>>> = RwLock::new(None);
 /// The guard of a lock, whether or not a thread panicked while holding
 /// it. Telemetry must never take down the run it observes: every lock
 /// here guards plain records (name maps of atomics, a ring, a round's
-/// status, a file writer), so a panic under one leaves at worst a stale
+/// status, the last error), so a panic under one leaves at worst a stale
 /// value, and every later call recovers the guard instead of panicking
 /// in turn. `serve`'s tenant table follows the same policy.
 pub(crate) fn unpoisoned<G>(lock: LockResult<G>) -> G {
@@ -176,26 +177,16 @@ pub fn span_with(name: &'static str, args: Vec<(&'static str, String)>) -> Span 
     }
 }
 
-/// Emit a structured event with pre-rendered fields (used by
-/// [`event!`]). Routed to the in-memory event ring, the last-error
-/// latch (error level), and the export sink if one is attached.
-pub fn event_with(level: Level, target: &'static str, fields: Vec<(&'static str, String)>) {
-    with(|reg| {
-        let ts = reg.now_ns();
-        reg.record_event(EventRecord::new(level, target, fields, ts));
-    });
-}
-
 /// Latch `msg` as the registry's last error (the flight-recorder dump
-/// headline) and emit it as an error-level event. No-op when disabled.
+/// headline). No-op when disabled.
 pub fn record_error(msg: &str) {
     with(|reg| reg.record_error(msg));
 }
 
-/// Write the flight-recorder dump (recent spans as a Chrome trace,
-/// recent events, last error, metrics snapshot) to `path`. Returns
-/// `false` when disabled or the write fails — a post-mortem dump must
-/// never take down the exiting process.
+/// Write the flight-recorder dump (recent spans as a Chrome trace, the
+/// last error, the metrics snapshot) to `path`. Returns `false` when
+/// disabled or the write fails — a post-mortem dump must never take
+/// down the exiting process.
 pub fn dump_flight(path: &std::path::Path) -> bool {
     with(|reg| {
         let body = serde_json::to_string_pretty(&reg.flight_json()).unwrap_or_default();
@@ -215,32 +206,6 @@ pub fn install_panic_flight(path: &std::path::Path) {
         dump_flight(&path);
         prev(info);
     }));
-}
-
-/// Emit a structured event:
-/// `obs::event!(info, "watch.round", round = n, verdict = "pass")`.
-/// Level is one of the `info` / `warn` / `error` idents. Field
-/// expressions are not evaluated when no sink is installed.
-#[macro_export]
-macro_rules! event {
-    (info, $target:expr $(, $k:ident = $v:expr)* $(,)?) => {
-        $crate::event!(@emit $crate::Level::Info, $target $(, $k = $v)*)
-    };
-    (warn, $target:expr $(, $k:ident = $v:expr)* $(,)?) => {
-        $crate::event!(@emit $crate::Level::Warn, $target $(, $k = $v)*)
-    };
-    (error, $target:expr $(, $k:ident = $v:expr)* $(,)?) => {
-        $crate::event!(@emit $crate::Level::Error, $target $(, $k = $v)*)
-    };
-    (@emit $level:expr, $target:expr $(, $k:ident = $v:expr)*) => {
-        if $crate::enabled() {
-            $crate::event_with(
-                $level,
-                $target,
-                ::std::vec![$((stringify!($k), ::std::string::ToString::to_string(&$v))),*],
-            );
-        }
-    };
 }
 
 /// Open a named span: `obs::span!("encode_group", group = key)`.
@@ -321,45 +286,40 @@ mod tests {
     }
 
     #[test]
-    fn events_ring_latch_errors_and_reach_the_flight_dump() {
+    fn the_last_error_reaches_the_flight_dump() {
         let _l = test_lock();
         let reg = install();
-        event!(info, "watch.round", round = 1, verdict = "pass");
-        event!(error, "watch.round", round = 2, err = "bad cfg");
-        let events = reg.events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].level, Level::Info);
-        assert_eq!(
-            reg.last_error().as_deref(),
-            Some("watch.round: round=2 err=bad cfg")
-        );
-        let flight = reg.flight_json();
-        let text = serde_json::to_string(&flight).unwrap();
+        {
+            let _s = span!("round", n = 1);
+        }
+        record_error("round 2: bad cfg");
+        record_error("round 3: bad cfg");
+        assert_eq!(reg.last_error().as_deref(), Some("round 3: bad cfg"));
+        let text = serde_json::to_string(&reg.flight_json()).unwrap();
         let back: serde_json::Value = serde_json::from_str(&text).unwrap();
-        assert!(back.get("traceEvents").is_some());
-        assert_eq!(
-            back.get("events")
-                .and_then(serde_json::Value::as_array)
-                .map(Vec::len),
-            Some(2)
-        );
-        assert!(back
-            .get("last_error")
-            .and_then(serde_json::Value::as_str)
+        let keys: Vec<&str> = back
+            .as_object()
             .unwrap()
-            .contains("bad cfg"));
-        assert!(back.get("metrics").is_some());
-        uninstall();
-        // Disabled: field expressions must not even evaluate.
-        let mut hit = false;
-        event!(
-            info,
-            "gone",
-            x = {
-                hit = true;
-                1
-            }
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "traceEvents",
+                "displayTimeUnit",
+                "spans_dropped",
+                "last_error",
+                "metrics"
+            ]
         );
-        assert!(!hit);
+        assert_eq!(
+            back.get("last_error").and_then(serde_json::Value::as_str),
+            Some("round 3: bad cfg")
+        );
+        uninstall();
+        // Disabled: nothing is latched.
+        record_error("gone");
+        assert_eq!(reg.last_error().as_deref(), Some("round 3: bad cfg"));
     }
 }

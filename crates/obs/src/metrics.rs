@@ -4,7 +4,6 @@
 //! event has already taken the sink's and the name map's read locks
 //! before it reaches its atomic.
 
-use crate::export::{EventRecord, ExportSink, Level, EVENT_RING_CAP};
 use crate::trace::{Ring, SpanRecord};
 use crate::unpoisoned;
 use serde_json::Value;
@@ -206,8 +205,9 @@ impl HistogramSnapshot {
     }
 }
 
-/// The sink: named metrics plus the span ring. Created once per
-/// profiled run and installed globally via [`crate::install_registry`].
+/// The sink: named metrics, the span ring and the last error. Created
+/// once per profiled run and installed globally via
+/// [`crate::install_registry`].
 pub struct Registry {
     epoch: Instant,
     counters: RwLock<BTreeMap<&'static str, Arc<Counter>>>,
@@ -215,9 +215,7 @@ pub struct Registry {
     histograms: RwLock<BTreeMap<&'static str, Arc<Histogram>>>,
     calls: Counter,
     trace: Ring<SpanRecord>,
-    events: Ring<EventRecord>,
     last_error: Mutex<Option<String>>,
-    export: RwLock<Option<Arc<ExportSink>>>,
 }
 
 impl Registry {
@@ -232,9 +230,7 @@ impl Registry {
             histograms: RwLock::new(BTreeMap::new()),
             calls: Counter::default(),
             trace: Ring::new(65_536),
-            events: Ring::new(EVENT_RING_CAP),
             last_error: Mutex::new(None),
-            export: RwLock::new(None),
         })
     }
 
@@ -307,71 +303,23 @@ impl Registry {
         self.trace.drain_copy()
     }
 
-    /// All events currently in the ring, in emission order.
-    pub fn events(&self) -> Vec<EventRecord> {
-        self.events.drain_copy()
-    }
-
-    /// Route one event: ring it, latch error-level events as the last
-    /// error, and stream it to the export sink if one is attached.
-    pub fn record_event(&self, rec: EventRecord) {
-        self.note_call();
-        if rec.level == Level::Error {
-            *unpoisoned(self.last_error.lock()) = Some(rec.render());
-        }
-        if let Some(sink) = self.export() {
-            sink.append(&rec.to_json());
-        }
-        self.events.push(rec);
-    }
-
-    /// Latch a free-form last error (the flight dump's headline) and
-    /// ring it as an error event.
+    /// Latch `msg` as the last error (the flight dump's headline),
+    /// replacing the one before.
     pub fn record_error(&self, msg: &str) {
-        self.record_event(EventRecord::new(
-            Level::Error,
-            "error",
-            vec![("message", msg.to_string())],
-            self.now_ns(),
-        ));
+        *unpoisoned(self.last_error.lock()) = Some(msg.to_string());
     }
 
-    /// The most recent error-level event, rendered.
+    /// The most recently latched error.
     pub fn last_error(&self) -> Option<String> {
         unpoisoned(self.last_error.lock()).clone()
     }
 
-    /// Nanoseconds since the registry epoch.
-    pub fn now_ns(&self) -> u64 {
-        self.epoch.elapsed().as_nanos().min(u64::MAX as u128) as u64
-    }
-
-    /// Attach (or with `None` detach) a streaming JSONL sink: every
-    /// event and completed span from now on is appended and flushed as
-    /// one line.
-    pub fn set_export(&self, sink: Option<Arc<ExportSink>>) {
-        *unpoisoned(self.export.write()) = sink;
-    }
-
-    /// The attached export sink, if any.
-    pub fn export(&self) -> Option<Arc<ExportSink>> {
-        unpoisoned(self.export.read()).clone()
-    }
-
     /// The flight-recorder dump: one self-contained post-mortem JSON —
-    /// the recent-span ring as a loadable Chrome trace, the recent
-    /// event ring, the last error, and the full metrics snapshot.
+    /// the recent-span ring as a loadable Chrome trace, the last error,
+    /// and the full metrics snapshot.
     pub fn flight_json(&self) -> Value {
         let mut v = self.chrome_trace();
         if let Value::Object(map) = &mut v {
-            map.push((
-                "events".to_string(),
-                Value::Array(self.events().iter().map(EventRecord::to_json).collect()),
-            ));
-            map.push((
-                "events_dropped".to_string(),
-                Value::UInt(self.events.dropped()),
-            ));
             map.push((
                 "last_error".to_string(),
                 match self.last_error() {
@@ -609,10 +557,6 @@ mod tests {
             let _held = reg.last_error.lock().unwrap();
             panic!("poisons the last error");
         });
-        crate::poison_with(|| {
-            let _held = reg.export.write().unwrap();
-            panic!("poisons the export sink");
-        });
         assert!(reg.counters.is_poisoned() && reg.last_error.is_poisoned());
 
         reg.counter("kept").add(2);
@@ -631,8 +575,7 @@ mod tests {
         assert_eq!(snap.counter("added{tenant=a}"), 1);
         assert_eq!(snap.gauge("level"), 7);
         assert_eq!(snap.histograms["wait"].count, 1);
-        assert!(reg.last_error().unwrap().contains("after the panic"));
-        assert!(reg.export().is_none());
+        assert_eq!(reg.last_error().as_deref(), Some("after the panic"));
     }
 
     #[test]

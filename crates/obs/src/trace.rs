@@ -27,8 +27,8 @@ pub struct SpanRecord {
 }
 
 /// A process-wide small integer id for the current thread: the `tid`
-/// of spans and events.
-pub(crate) fn thread_index() -> u32 {
+/// of spans.
+fn thread_index() -> u32 {
     use std::cell::Cell;
     static NEXT: AtomicU64 = AtomicU64::new(0);
     thread_local! {
@@ -44,9 +44,9 @@ pub(crate) fn thread_index() -> u32 {
     })
 }
 
-/// Bounded record storage (the span ring and the event ring): the
-/// oldest record is dropped once `cap` is reached, and the drop count
-/// is surfaced in the export.
+/// Bounded record storage (the span ring): the oldest record is
+/// dropped once `cap` is reached, and the drop count is surfaced in the
+/// export.
 pub(crate) struct Ring<T> {
     cap: usize,
     inner: Mutex<RingInner<T>>,
@@ -136,17 +136,13 @@ impl Drop for Span {
                 .duration_since(a.reg.epoch())
                 .as_nanos()
                 .min(u64::MAX as u128) as u64;
-            let rec = SpanRecord {
+            a.reg.trace_ring().push(SpanRecord {
                 name: a.name,
                 args: a.args,
                 tid: thread_index(),
                 start_ns,
                 dur_ns,
-            };
-            if let Some(sink) = a.reg.export() {
-                sink.append(&crate::export::span_line(&rec));
-            }
-            a.reg.trace_ring().push(rec);
+            });
         }
     }
 }
