@@ -6,7 +6,10 @@
 //!   named peer has a configuration in the input set it becomes an
 //!   internal session; otherwise an external node is created (requiring
 //!   `remote-as` for its AS number). A description naming the router's
-//!   own hostname is an error: a router does not peer with itself.
+//!   own hostname is an error: a router does not peer with itself. So is
+//!   a second neighbor of one router naming the same peer: the model has
+//!   one session (one edge each way) per pair of routers, so the two
+//!   sessions' route maps could not both be kept.
 //! * Route-map / prefix-list / community-list / as-path ACL references are
 //!   resolved here; dangling references are errors. Each route map is
 //!   resolved once per distinct set of inputs, across the whole network:
@@ -93,8 +96,11 @@ pub fn lower(configs: &[ConfigAst]) -> Result<Network, LowerError> {
 
     // Pass 2: neighbors -> nodes + sessions. Each neighbor's (out, in)
     // edge pair is kept, in configuration order, for the passes below.
+    // `named[p]` is the last router (by input index) with a neighbor
+    // naming node `p`, and that neighbor's address.
     let mut sessions = Vec::new();
-    for (cfg, &me) in configs.iter().zip(&config_nodes) {
+    let mut named: Vec<(usize, &str)> = Vec::new();
+    for (i, (cfg, &me)) in configs.iter().zip(&config_nodes).enumerate() {
         let Some(bgp) = &cfg.router_bgp else { continue };
         for nbr in bgp.neighbors.values() {
             let peer_name = nbr.description.as_deref().ok_or_else(|| {
@@ -139,6 +145,18 @@ pub fn lower(configs: &[ConfigAst]) -> Result<Network, LowerError> {
                     format!("neighbor {} names this router itself", nbr.addr),
                 ));
             }
+            named.resize(topo.num_nodes(), (usize::MAX, ""));
+            let last = &mut named[peer.0 as usize];
+            if last.0 == i {
+                return Err(errf(
+                    &cfg.hostname,
+                    format!(
+                        "neighbors {} and {} both name {peer_name}",
+                        last.1, nbr.addr
+                    ),
+                ));
+            }
+            *last = (i, &nbr.addr);
             sessions.push(match topo.edge_between(me, peer) {
                 Some(out) => (
                     out,
@@ -837,6 +855,34 @@ router bgp 1
         assert_eq!(
             e.to_string(),
             "R1: neighbor 10.0.0.1 names this router itself"
+        );
+    }
+
+    /// Two neighbors of one router naming one peer would share its one
+    /// edge pair, and one session's route map would be lost.
+    #[test]
+    fn two_neighbors_naming_one_peer_error() {
+        let r1 = parse_config(
+            "hostname R1\nroute-map IN permit 10\nrouter bgp 65000\n neighbor 10.0.0.5 remote-as 100\n neighbor 10.0.0.5 description ISP1\n neighbor 10.0.0.1 remote-as 100\n neighbor 10.0.0.1 description ISP1\n neighbor 10.0.0.1 route-map IN in\n neighbor 10.0.12.2 remote-as 65000\n neighbor 10.0.12.2 description R2\n neighbor 10.0.12.6 remote-as 65000\n neighbor 10.0.12.6 description R2\n",
+        )
+        .unwrap();
+        let r2 = parse_config(
+            "hostname R2\nrouter bgp 65000\n neighbor 10.0.12.1 remote-as 65000\n neighbor 10.0.12.1 description R1\n",
+        )
+        .unwrap();
+        let e = lower(&[r1.clone(), r2.clone()]).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "R1: neighbors 10.0.0.1 and 10.0.0.5 both name ISP1"
+        );
+        // An internal peer named twice, and declared first by the peer.
+        let mut internal = r1;
+        let bgp = internal.router_bgp.as_mut().unwrap();
+        bgp.neighbors.retain(|addr, _| addr.starts_with("10.0.12."));
+        let e = lower(&[r2, internal]).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "R1: neighbors 10.0.12.2 and 10.0.12.6 both name R2"
         );
     }
 

@@ -22,7 +22,7 @@
 //! The pattern is compiled to a Thompson NFA and matched by subset
 //! simulation — linear in `path length x NFA size`, no backtracking.
 
-use serde::{Deserialize, Serialize};
+use serde::{Serialize, Sink};
 use std::fmt;
 
 /// A predicate on one AS-number token.
@@ -52,8 +52,7 @@ struct NfaState {
 }
 
 /// A compiled AS-path regular expression.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-#[serde(try_from = "String", into = "String")]
+#[derive(Clone, Debug)]
 pub struct AsPathRegex {
     pattern: String,
     states: Vec<NfaState>,
@@ -81,16 +80,10 @@ impl fmt::Display for AsPathRegex {
     }
 }
 
-impl TryFrom<String> for AsPathRegex {
-    type Error = RegexParseError;
-    fn try_from(s: String) -> Result<Self, Self::Error> {
-        AsPathRegex::compile(&s)
-    }
-}
-
-impl From<AsPathRegex> for String {
-    fn from(r: AsPathRegex) -> String {
-        r.pattern
+/// Its pattern, as a string.
+impl Serialize for AsPathRegex {
+    fn stream<S: Sink>(&self, out: &mut S) {
+        out.str(&self.pattern);
     }
 }
 

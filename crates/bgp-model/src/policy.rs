@@ -5,8 +5,6 @@ use crate::interp::apply_route_map;
 use crate::route::Route;
 use crate::routemap::RouteMap;
 use crate::topology::EdgeId;
-use serde::{Deserialize, Serialize, Sink};
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The network policy: route maps keyed by directed edge.
@@ -23,8 +21,7 @@ use std::sync::Arc;
 /// Edge ids are dense, so each table is a `Vec` indexed by edge id
 /// (grown on first write; an edge past its end has nothing configured)
 /// and is read and written through the methods below. Iteration is in
-/// edge order. The JSON form is still an object keyed by edge id, one
-/// per table, listing configured edges only.
+/// edge order.
 ///
 /// Maps are held by [`Arc`] so one resolved map can serve many edges:
 /// the configuration front end resolves each map once per distinct set
@@ -32,8 +29,7 @@ use std::sync::Arc;
 /// session, on any router, whose map has those inputs. Sharing is an allocation detail only — which edges share an
 /// `Arc` means nothing for equality or fingerprints, which compare and
 /// hash a map's contents.
-#[derive(Clone, Debug, Default, Deserialize)]
-#[serde(try_from = "PolicyWire")]
+#[derive(Clone, Debug, Default)]
 pub struct Policy {
     /// Import route maps by edge id.
     import: Vec<Option<Arc<RouteMap>>>,
@@ -41,60 +37,6 @@ pub struct Policy {
     export: Vec<Option<Arc<RouteMap>>>,
     /// Routes originated by edge id.
     originate: Vec<Vec<Route>>,
-}
-
-/// The serialized form of a [`Policy`]: one edge-keyed object per table.
-#[derive(Deserialize)]
-struct PolicyWire {
-    import: BTreeMap<EdgeId, Arc<RouteMap>>,
-    export: BTreeMap<EdgeId, Arc<RouteMap>>,
-    originate: BTreeMap<EdgeId, Vec<Route>>,
-}
-
-impl From<PolicyWire> for Policy {
-    fn from(wire: PolicyWire) -> Self {
-        let mut p = Policy::new();
-        for (e, m) in wire.import {
-            p.set_import(e, m);
-        }
-        for (e, m) in wire.export {
-            p.set_export(e, m);
-        }
-        for (e, routes) in wire.originate {
-            for r in routes {
-                p.add_origination(e, r);
-            }
-        }
-        p
-    }
-}
-
-impl Serialize for Policy {
-    fn stream<S: Sink>(&self, out: &mut S) {
-        out.begin_object();
-        out.key("import");
-        stream_by_edge(out, self.imports());
-        out.key("export");
-        stream_by_edge(out, self.exports());
-        out.key("originate");
-        stream_by_edge(out, self.originations());
-        out.end_object();
-    }
-}
-
-/// One table as an object keyed by decimal edge id, keys in string
-/// order: the text an edge-keyed map has always serialized to.
-fn stream_by_edge<S: Sink, V: Serialize + ?Sized>(
-    out: &mut S,
-    entries: impl Iterator<Item = (EdgeId, impl std::ops::Deref<Target = V>)>,
-) {
-    let mut keyed: Vec<_> = entries.map(|(e, v)| (e.0.to_string(), v)).collect();
-    keyed.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    out.begin_object();
-    for (k, v) in &keyed {
-        out.field(k, &**v);
-    }
-    out.end_object();
 }
 
 /// The slot of `e` in a per-edge table, growing it to reach.
@@ -226,47 +168,6 @@ mod tests {
         assert_eq!(pol.import_route(EdgeId(3), &r).unwrap().local_pref, 7);
         // Other edges untouched.
         assert_eq!(pol.import_route(EdgeId(4), &r).unwrap().local_pref, 100);
-    }
-
-    /// The JSON form is the edge-keyed object the tables serialized to
-    /// when they were hash maps, and it decodes to the same tables.
-    #[test]
-    fn serializes_as_an_edge_keyed_object() {
-        use std::collections::HashMap;
-        #[derive(Serialize)]
-        struct EdgeKeyed {
-            import: HashMap<EdgeId, Arc<RouteMap>>,
-            export: HashMap<EdgeId, Arc<RouteMap>>,
-            originate: HashMap<EdgeId, Vec<Route>>,
-        }
-        let mut m = RouteMap::new("M");
-        m.push(RouteMapEntry::permit(10).setting(SetAction::LocalPref(7)));
-        let m = Arc::new(m);
-        let r = Route::new(p("10.0.0.0/8"));
-        let mut pol = Policy::new();
-        let mut old = EdgeKeyed {
-            import: HashMap::new(),
-            export: HashMap::new(),
-            originate: HashMap::new(),
-        };
-        for e in [EdgeId(2), EdgeId(11), EdgeId(10)] {
-            pol.set_import(e, Arc::clone(&m));
-            old.import.insert(e, Arc::clone(&m));
-        }
-        pol.set_export(EdgeId(7), Arc::clone(&m));
-        old.export.insert(EdgeId(7), m);
-        for e in [EdgeId(21), EdgeId(3)] {
-            pol.add_origination(e, r.clone());
-            old.originate.insert(e, vec![r.clone()]);
-        }
-        let json = serde_json::to_string(&pol).unwrap();
-        assert_eq!(json, serde_json::to_string(&old).unwrap());
-        let back: Policy = serde_json::from_str(&json).unwrap();
-        for e in (0..24).map(EdgeId) {
-            assert_eq!(back.import_map(e), pol.import_map(e));
-            assert_eq!(back.export_map(e), pol.export_map(e));
-            assert_eq!(back.originated(e), pol.originated(e));
-        }
     }
 
     #[test]

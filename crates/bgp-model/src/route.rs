@@ -107,7 +107,7 @@ impl fmt::Display for Origin {
 /// Matches the paper's model: real BGP messages carry more attributes, but
 /// these are the ones the verification conditions range over. The default
 /// local preference is 100, per common vendor defaults.
-#[derive(Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Route {
     /// Destination prefix.
     pub prefix: Ipv4Prefix,

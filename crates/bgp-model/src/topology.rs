@@ -8,13 +8,12 @@
 //! under a multiply hasher. The name index is keyed by configuration
 //! text and keeps the standard hasher.
 
-use serde::{Deserialize, Serialize};
 use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Identifier of a node (router or external neighbor).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
 impl fmt::Debug for NodeId {
@@ -24,7 +23,7 @@ impl fmt::Debug for NodeId {
 }
 
 /// Identifier of a directed edge.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EdgeId(pub u32);
 
 impl fmt::Debug for EdgeId {
@@ -34,7 +33,7 @@ impl fmt::Debug for EdgeId {
 }
 
 /// A node in the topology.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Node {
     /// Human-readable router name.
     pub name: String,
@@ -45,7 +44,7 @@ pub struct Node {
 }
 
 /// A directed edge `src -> dst` (one direction of a peering session).
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug)]
 pub struct Edge {
     /// Sending node.
     pub src: NodeId,
@@ -80,57 +79,17 @@ fn pair(src: NodeId, dst: NodeId) -> u64 {
     (src.0 as u64) << 32 | dst.0 as u64
 }
 
-/// The serialized form of a [`Topology`]: its nodes and edges. The
-/// indexes are derived from these on the way in.
-#[derive(Deserialize)]
-struct TopologyWire {
-    nodes: Vec<Node>,
-    edges: Vec<Edge>,
-}
-
 /// The BGP topology graph.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
-#[serde(try_from = "TopologyWire")]
+#[derive(Clone, Debug, Default)]
 pub struct Topology {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
-    #[serde(skip)]
     name_index: HashMap<String, NodeId>,
-    #[serde(skip)]
     edge_index: HashMap<u64, EdgeId, BuildHasherDefault<PairHasher>>,
     /// Outgoing edges by node id.
-    #[serde(skip)]
     out_edges: Vec<Vec<EdgeId>>,
     /// Incoming edges by node id.
-    #[serde(skip)]
     in_edges: Vec<Vec<EdgeId>>,
-}
-
-impl TryFrom<TopologyWire> for Topology {
-    type Error = String;
-
-    /// Rebuild a topology node by node and edge by edge, so a decoded
-    /// one answers every lookup; a name or edge given twice, or an edge
-    /// naming a node that is not there, is an error.
-    fn try_from(wire: TopologyWire) -> Result<Self, String> {
-        let mut t = Topology::new();
-        for n in wire.nodes {
-            if t.name_index.contains_key(&n.name) {
-                return Err(format!("duplicate node name {:?}", n.name));
-            }
-            t.add_node(n.name, n.asn, n.external);
-        }
-        for Edge { src, dst } in wire.edges {
-            if src.0 as usize >= t.nodes.len() || dst.0 as usize >= t.nodes.len() {
-                return Err(format!("edge {src:?} -> {dst:?} names a missing node"));
-            }
-            if t.edge_between(src, dst).is_some() {
-                return Err(format!("duplicate edge {src:?} -> {dst:?}"));
-            }
-            t.add_edge(src, dst);
-        }
-        Ok(t)
-    }
 }
 
 impl Topology {
@@ -313,43 +272,5 @@ mod tests {
         let mut t = Topology::new();
         t.add_router("A", 1);
         t.add_router("A", 2);
-    }
-
-    #[test]
-    fn serde_roundtrip_rebuilds_indexes() {
-        let (t, a, b, _x) = tri();
-        let json = serde_json::to_string(&t).unwrap();
-        let t2: Topology = serde_json::from_str(&json).unwrap();
-        assert_eq!(t2.node_by_name("A"), Some(a));
-        assert!(t2.edge_between(a, b).is_some());
-        for n in t.node_ids() {
-            assert_eq!(t2.out_edges(n), t.out_edges(n));
-            assert_eq!(t2.in_edges(n), t.in_edges(n));
-        }
-        assert_eq!(serde_json::to_string(&t2).unwrap(), json);
-    }
-
-    #[test]
-    fn malformed_topology_json_is_an_error() {
-        let node = r#"{"name":"A","asn":1,"external":false}"#;
-        for (json, want) in [
-            (
-                format!(r#"{{"nodes":[{node},{node}],"edges":[]}}"#),
-                "duplicate node name",
-            ),
-            (
-                format!(r#"{{"nodes":[{node}],"edges":[{{"src":0,"dst":1}}]}}"#),
-                "names a missing node",
-            ),
-            (
-                format!(
-                    r#"{{"nodes":[{node}],"edges":[{{"src":0,"dst":0}},{{"src":0,"dst":0}}]}}"#
-                ),
-                "duplicate edge",
-            ),
-        ] {
-            let err = serde_json::from_str::<Topology>(&json).unwrap_err();
-            assert!(err.to_string().contains(want), "{err}");
-        }
     }
 }

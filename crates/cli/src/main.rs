@@ -331,7 +331,7 @@ fn load_network(dir: &Path) -> Result<Network, String> {
 
 fn load_spec(path: &str) -> Result<Spec, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    serde_json::from_str(&text).map_err(|e| format!("bad spec: {e}"))
+    Spec::parse(&text)
 }
 
 fn cmd_parse(args: &[String]) -> ExitCode {

@@ -132,6 +132,11 @@ pub struct Bound<'n> {
 }
 
 impl Spec {
+    /// Read a spec from its JSON text, as `--spec` is read.
+    pub fn parse(text: &str) -> Result<Spec, String> {
+        serde_json::from_str(text).map_err(|e| format!("bad spec: {e}"))
+    }
+
     /// Resolve the whole spec against `net`. Every command binds its spec
     /// here, so a name that does not resolve (a router, an edge, a ghost
     /// or an AS-path pattern) fails the run before any check is posed,
@@ -441,6 +446,51 @@ mod tests {
         let mut spec: Spec = serde_json::from_str(&read("spec.json")).unwrap();
         edit(&mut spec);
         spec.bind(&net).map(drop)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Bytes of `examples/configs/spec.json` flipped, inserted,
+        /// deleted or cut off: each mutant is read as `--spec` reads it
+        /// and bound to the examples network, and either binds or is an
+        /// error, never a panic.
+        #[test]
+        fn a_mutated_spec_binds_or_is_an_error(
+            edits in proptest::prop::collection::vec(
+                (0u8..4, proptest::any::<u32>(), proptest::any::<u8>()),
+                1..5,
+            ),
+        ) {
+            let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/configs");
+            let read = |name: &str| std::fs::read(format!("{dir}/{name}")).unwrap();
+            let asts = ["r1.cfg", "r2.cfg"].map(|f| {
+                bgp_config::parse_config(std::str::from_utf8(&read(f)).unwrap()).unwrap()
+            });
+            let net = bgp_config::lower(&asts).unwrap();
+            let mut bytes = read("spec.json");
+            for (kind, at, byte) in edits {
+                let at = at as usize % (bytes.len() + 1);
+                match kind {
+                    // Flips keep ASCII bytes ASCII; inserts may not.
+                    0 if at < bytes.len() => bytes[at] ^= (byte & 0x7f) | 1,
+                    1 => bytes.insert(at, byte),
+                    2 if at < bytes.len() => drop(bytes.remove(at)),
+                    3 => bytes.truncate(at),
+                    _ => {}
+                }
+            }
+            // `--spec` is read as UTF-8 text; other bytes fail the read.
+            let outcome = std::panic::catch_unwind(|| {
+                let text = std::str::from_utf8(&bytes).map_err(|e| e.to_string())?;
+                Spec::parse(text)?.bind(&net).map(drop).map_err(|e| e.to_string())
+            });
+            proptest::prop_assert!(
+                outcome.is_ok(),
+                "panicked on {:?}",
+                String::from_utf8_lossy(&bytes)
+            );
+        }
     }
 
     #[test]

@@ -367,6 +367,50 @@ fn self_peering_config_is_a_lowering_error() {
     }
 }
 
+/// Two neighbors of one router naming one peer are a lowering error:
+/// the model keeps one session per router pair, so the second
+/// session's import map (here: none, on a second ISP1 session of
+/// `examples/configs`' R1) would otherwise be dropped or merged and
+/// its routes never tagged, whichever address sorts first.
+#[test]
+fn two_sessions_to_one_peer_are_a_lowering_error() {
+    let examples = Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/configs"
+    ));
+    for (addr, want) in [
+        (
+            "10.0.0.5",
+            "error: R1: neighbors 10.0.0.1 and 10.0.0.5 both name ISP1\n",
+        ),
+        (
+            "10.0.0.0",
+            "error: R1: neighbors 10.0.0.0 and 10.0.0.1 both name ISP1\n",
+        ),
+    ] {
+        let d = tmpdir(&format!("two-sessions-{addr}"));
+        for f in ["r1.cfg", "r2.cfg", "spec.json"] {
+            fs::copy(examples.join(f), d.join(f)).unwrap();
+        }
+        let r1 = fs::read_to_string(d.join("r1.cfg")).unwrap();
+        let extra = format!(" neighbor {addr} remote-as 100\n neighbor {addr} description ISP1\n");
+        fs::write(d.join("r1.cfg"), r1 + &extra).unwrap();
+        for cmd in [&["verify"][..], &["watch", "--once"]] {
+            let out = Command::new(bin())
+                .args(cmd)
+                .arg("--configs")
+                .arg(&d)
+                .arg("--spec")
+                .arg(d.join("spec.json"))
+                .output()
+                .unwrap();
+            assert_eq!(out.status.code(), Some(1), "{cmd:?} {addr}");
+            assert_eq!(String::from_utf8_lossy(&out.stderr), want, "{cmd:?}");
+            assert!(out.stdout.is_empty(), "{cmd:?} {addr}");
+        }
+    }
+}
+
 #[test]
 fn lint_reports_findings() {
     let d = tmpdir("lint");

@@ -8,14 +8,15 @@
 //! them for the container shapes the workspace actually uses. A derived
 //! `stream` emits its events directly; no tree is built on the way.
 //!
-//! * structs with named fields — serialized as JSON objects; field
-//!   attributes `#[serde(skip)]`, `#[serde(default)]` and
-//!   `#[serde(default = "path")]` are honored;
+//! * structs with named fields — serialized as JSON objects;
 //! * newtype and tuple structs — serialized as the inner value / an array;
 //! * enums — externally tagged exactly like real serde: unit variants as
 //!   `"Variant"`, newtype variants as `{"Variant": value}`, tuple variants
-//!   as `{"Variant": [..]}`, struct variants as `{"Variant": {..}}`;
-//! * the container attributes `#[serde(try_from = "T", into = "T")]`.
+//!   as `{"Variant": [..]}`, struct variants as `{"Variant": {..}}`.
+//!
+//! The one supported attribute is the field attribute `default`:
+//! `#[serde(default)]` or `#[serde(default = "path")]` fills a missing
+//! field with `Default::default()` or `path()` on the way in.
 //!
 //! Parsing is done directly over the `proc_macro::TokenStream` (no `syn`
 //! in the tree); code is generated as source text. Unsupported shapes
@@ -63,10 +64,6 @@ fn compile_error(msg: &str) -> TokenStream {
 
 struct Item {
     name: String,
-    /// `try_from = "T"` container attribute.
-    try_from: Option<String>,
-    /// `into = "T"` container attribute.
-    into: Option<String>,
     kind: Kind,
 }
 
@@ -84,7 +81,6 @@ enum Fields {
 
 struct Field {
     name: String,
-    skip: bool,
     /// `None`: required; `Some(None)`: `#[serde(default)]`;
     /// `Some(Some(path))`: `#[serde(default = "path")]`.
     default: Option<Option<String>>,
@@ -99,40 +95,21 @@ struct Variant {
 // Token-level parsing
 // ---------------------------------------------------------------------
 
-/// Serde attribute contents gathered from `#[serde(...)]` groups.
-#[derive(Default)]
-struct SerdeAttrs {
-    skip: bool,
-    default: Option<Option<String>>,
-    try_from: Option<String>,
-    into: Option<String>,
-}
+/// The `default` attribute gathered from `#[serde(...)]` groups, in
+/// the shape of [`Field::default`].
+type FieldDefault = Option<Option<String>>;
 
-fn parse_serde_attr(body: &str, out: &mut SerdeAttrs) -> Result<(), String> {
+fn parse_serde_attr(body: &str, out: &mut FieldDefault) -> Result<(), String> {
     // body is the text inside `serde(...)`, e.g. `default = "RoutePred::tru"`.
     for part in split_top_level(body) {
         let part = part.trim();
         if part.is_empty() {
             continue;
         }
-        if part == "skip" || part == "skip_serializing" || part == "skip_deserializing" {
-            out.skip = true;
-        } else if part == "default" {
-            out.default = Some(None);
-        } else if let Some(rest) = part.strip_prefix("default") {
-            let path = parse_eq_string(rest)
-                .ok_or_else(|| format!("unsupported serde attribute `{part}`"))?;
-            out.default = Some(Some(path));
-        } else if let Some(rest) = part.strip_prefix("try_from") {
-            out.try_from = Some(
-                parse_eq_string(rest)
-                    .ok_or_else(|| format!("unsupported serde attribute `{part}`"))?,
-            );
-        } else if let Some(rest) = part.strip_prefix("into") {
-            out.into = Some(
-                parse_eq_string(rest)
-                    .ok_or_else(|| format!("unsupported serde attribute `{part}`"))?,
-            );
+        if part == "default" {
+            *out = Some(None);
+        } else if let Some(path) = part.strip_prefix("default").and_then(parse_eq_string) {
+            *out = Some(Some(path));
         } else {
             return Err(format!("unsupported serde attribute `{part}`"));
         }
@@ -170,10 +147,11 @@ fn parse_eq_string(s: &str) -> Option<String> {
     Some(s.to_string())
 }
 
-/// Collect leading attributes from a token cursor, returning accumulated
-/// serde attrs. Non-serde attributes (doc comments etc.) are skipped.
-fn take_attrs(tokens: &[TokenTree], pos: &mut usize) -> Result<SerdeAttrs, String> {
-    let mut attrs = SerdeAttrs::default();
+/// Collect leading attributes from a token cursor, returning the
+/// `default` attribute among them. Non-serde attributes (doc comments
+/// etc.) are skipped.
+fn take_attrs(tokens: &[TokenTree], pos: &mut usize) -> Result<FieldDefault, String> {
+    let mut default = None;
     while *pos < tokens.len() {
         match &tokens[*pos] {
             TokenTree::Punct(p) if p.as_char() == '#' => {
@@ -184,7 +162,7 @@ fn take_attrs(tokens: &[TokenTree], pos: &mut usize) -> Result<SerdeAttrs, Strin
                 if let Some(TokenTree::Ident(id)) = inner.first() {
                     if id.to_string() == "serde" {
                         if let Some(TokenTree::Group(args)) = inner.get(1) {
-                            parse_serde_attr(&args.stream().to_string(), &mut attrs)?;
+                            parse_serde_attr(&args.stream().to_string(), &mut default)?;
                         }
                     }
                 }
@@ -193,7 +171,7 @@ fn take_attrs(tokens: &[TokenTree], pos: &mut usize) -> Result<SerdeAttrs, Strin
             _ => break,
         }
     }
-    Ok(attrs)
+    Ok(default)
 }
 
 /// Skip a visibility qualifier (`pub`, `pub(crate)`, ...).
@@ -213,7 +191,9 @@ fn skip_vis(tokens: &[TokenTree], pos: &mut usize) {
 fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut pos = 0;
-    let container = take_attrs(&tokens, &mut pos)?;
+    if take_attrs(&tokens, &mut pos)?.is_some() {
+        return Err("`default` is a field attribute".into());
+    }
     skip_vis(&tokens, &mut pos);
 
     let is_enum = match tokens.get(pos) {
@@ -253,12 +233,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
         }
     };
 
-    Ok(Item {
-        name,
-        try_from: container.try_from,
-        into: container.into,
-        kind,
-    })
+    Ok(Item { name, kind })
 }
 
 /// Advance past a type, tracking `<...>` nesting, stopping at a
@@ -284,7 +259,7 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<Field>, String> {
     let mut pos = 0;
     let mut out = Vec::new();
     while pos < tokens.len() {
-        let attrs = take_attrs(&tokens, &mut pos)?;
+        let default = take_attrs(&tokens, &mut pos)?;
         if pos >= tokens.len() {
             break;
         }
@@ -303,11 +278,7 @@ fn parse_named_fields(stream: TokenStream) -> Result<Vec<Field>, String> {
             }
         }
         skip_type(&tokens, &mut pos);
-        out.push(Field {
-            name,
-            skip: attrs.skip,
-            default: attrs.default,
-        });
+        out.push(Field { name, default });
     }
     Ok(out)
 }
@@ -334,7 +305,9 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
     let mut pos = 0;
     let mut out = Vec::new();
     while pos < tokens.len() {
-        let _attrs = take_attrs(&tokens, &mut pos)?;
+        if take_attrs(&tokens, &mut pos)?.is_some() {
+            return Err("`default` is a field attribute".into());
+        }
         if pos >= tokens.len() {
             break;
         }
@@ -371,23 +344,17 @@ fn parse_variants(stream: TokenStream) -> Result<Vec<Variant>, String> {
 
 fn gen_serialize(item: &Item) -> String {
     let name = &item.name;
-    let body = match (&item.into, &item.kind) {
-        (Some(into), _) => format!(
-            "let bridged: {into} = ::core::convert::Into::into(::core::clone::Clone::clone(self));\n\
-             ::serde::Serialize::stream(&bridged, out)"
-        ),
-        (None, Kind::Struct(Fields::Unit)) => "::serde::Sink::null(out)".to_string(),
-        (None, Kind::Struct(Fields::Tuple(1))) => {
-            "::serde::Serialize::stream(&self.0, out)".to_string()
-        }
-        (None, Kind::Struct(Fields::Tuple(n))) => {
+    let body = match &item.kind {
+        Kind::Struct(Fields::Unit) => "::serde::Sink::null(out)".to_string(),
+        Kind::Struct(Fields::Tuple(1)) => "::serde::Serialize::stream(&self.0, out)".to_string(),
+        Kind::Struct(Fields::Tuple(n)) => {
             let binds: Vec<String> = (0..*n).map(|i| format!("&self.{i}")).collect();
             stream_array(&binds)
         }
-        (None, Kind::Struct(Fields::Named(fields))) => stream_object(
-            serialized(fields).map(|f| (f, format!("&self.{f}"))),
-        ),
-        (None, Kind::Enum(variants)) => {
+        Kind::Struct(Fields::Named(fields)) => {
+            stream_object(names(fields).map(|f| (f, format!("&self.{f}"))))
+        }
+        Kind::Enum(variants) => {
             let mut arms = String::new();
             for v in variants {
                 let vn = &v.name;
@@ -406,9 +373,9 @@ fn gen_serialize(item: &Item) -> String {
                         (format!("({})", binds.join(", ")), stream_array(&binds))
                     }
                     Fields::Named(fields) => {
-                        let binds: String = serialized(fields).map(|f| format!("{f}, ")).collect();
-                        let value = stream_object(serialized(fields).map(|f| (f, f.to_string())));
-                        (format!(" {{ {binds}.. }}"), value)
+                        let binds: String = names(fields).map(|f| format!("{f}, ")).collect();
+                        let value = stream_object(names(fields).map(|f| (f, f.to_string())));
+                        (format!(" {{ {binds}}}"), value)
                     }
                 };
                 // Externally tagged: `{"Variant": value}`.
@@ -440,9 +407,9 @@ fn stream_array(binds: &[String]) -> String {
     s
 }
 
-/// The names of the fields a value streams: all but `#[serde(skip)]`.
-fn serialized(fields: &[Field]) -> impl Iterator<Item = &str> {
-    fields.iter().filter(|f| !f.skip).map(|f| f.name.as_str())
+/// The names of `fields`, in order.
+fn names(fields: &[Field]) -> impl Iterator<Item = &str> {
+    fields.iter().map(|f| f.name.as_str())
 }
 
 /// Events streaming `(key, bind)` entries as an object, each bind a
@@ -459,9 +426,6 @@ fn stream_object<'a>(entries: impl Iterator<Item = (&'a str, String)>) -> String
 /// Code producing field `f` of container `container` from object
 /// entries bound as `fields` (a `&[(String, Value)]`).
 fn named_field_expr(container: &str, f: &Field) -> String {
-    if f.skip {
-        return format!("{}: ::core::default::Default::default(),\n", f.name);
-    }
     let missing = match &f.default {
         None => format!(
             "return Err(::serde::DeError::custom(::std::format!(\
@@ -482,16 +446,6 @@ fn named_field_expr(container: &str, f: &Field) -> String {
 
 fn gen_deserialize(item: &Item) -> String {
     let name = &item.name;
-    if let Some(try_from) = &item.try_from {
-        return format!(
-            "impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(v: &::serde::Value) -> ::core::result::Result<Self, ::serde::DeError> {{\n\
-             let bridged: {try_from} = ::serde::Deserialize::from_value(v)?;\n\
-             <Self as ::core::convert::TryFrom<{try_from}>>::try_from(bridged)\n\
-             .map_err(|e| ::serde::DeError::custom(::std::format!(\"{{e}}\")))\n\
-             }}\n}}"
-        );
-    }
     let body = match &item.kind {
         Kind::Struct(Fields::Unit) => format!("Ok({name})"),
         Kind::Struct(Fields::Tuple(1)) => {

@@ -22,20 +22,21 @@
 //!
 //! The derive macros (re-exported from the local `serde_derive`) stream
 //! the same external JSON shapes real serde would: named structs as
-//! objects, newtype structs transparently, enums externally tagged. Code
-//! written against this shim therefore reads and writes the same JSON it
-//! would with real serde, and swapping the real crates back in (by
-//! pointing the workspace dependencies at crates.io) requires
-//! re-deriving and rewriting the hand-written `stream` bodies as
-//! `serialize` bodies (`begin_object` / `field` / `end_object` map onto
-//! `serialize_struct` / `serialize_field` / `end` one for one) — no
+//! objects, newtype structs transparently, enums externally tagged.
+//! Their one supported attribute is the field attribute `default`
+//! (`#[serde(default)]`, `#[serde(default = "path")]`); any other is a
+//! compile error. Code written against this shim therefore reads and
+//! writes the same JSON it would with real serde, and swapping the real
+//! crates back in (by pointing the workspace dependencies at crates.io)
+//! requires re-deriving and rewriting the hand-written `stream` bodies
+//! as `serialize` bodies (`begin_object` / `field` / `end_object` map
+//! onto `serialize_struct` / `serialize_field` / `end` one for one) — no
 //! call-site changes.
 
 pub use serde_derive::{Deserialize, Serialize};
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
 
 /// A JSON-shaped value: the interchange point between `Serialize`,
 /// `Deserialize` and the `serde_json` shim.
@@ -506,25 +507,6 @@ impl Serialize for str {
     }
 }
 
-impl Serialize for char {
-    fn stream<S: Sink>(&self, out: &mut S) {
-        out.str(self.encode_utf8(&mut [0; 4]));
-    }
-}
-
-impl Deserialize for char {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| DeError::custom("expected single-char string"))?;
-        let mut it = s.chars();
-        match (it.next(), it.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(DeError::custom("expected single-char string")),
-        }
-    }
-}
-
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn stream<S: Sink>(&self, out: &mut S) {
         (**self).stream(out);
@@ -540,15 +522,6 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Box<T> {
     fn stream<S: Sink>(&self, out: &mut S) {
         (**self).stream(out);
@@ -558,18 +531,6 @@ impl<T: Serialize> Serialize for Box<T> {
 impl<T: Deserialize> Deserialize for Box<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         T::from_value(v).map(Box::new)
-    }
-}
-
-impl<T: Serialize> Serialize for Arc<T> {
-    fn stream<S: Sink>(&self, out: &mut S) {
-        (**self).stream(out);
-    }
-}
-
-impl<T: Deserialize> Deserialize for Arc<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        T::from_value(v).map(Arc::new)
     }
 }
 
@@ -601,16 +562,6 @@ impl<T: Serialize + Ord> Serialize for BTreeSet<T> {
     }
 }
 
-impl<T: Deserialize + Ord> Deserialize for BTreeSet<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_array()
-            .ok_or_else(|| DeError::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
-            .collect()
-    }
-}
-
 /// A map key: serialized as a JSON object key string. Integer-like keys
 /// (e.g. id newtypes) serialize as their decimal form, the same behavior
 /// real `serde_json` has for integer-keyed maps.
@@ -624,27 +575,6 @@ fn key_to_string(v: &Value) -> String {
     }
 }
 
-/// Reverse of [`key_to_string`]: offer the key to `K` first as a string
-/// and, when that fails and the key parses numerically, as an integer.
-fn key_from_string<K: Deserialize>(s: &str) -> Result<K, DeError> {
-    if let Ok(k) = K::from_value(&Value::Str(s.to_string())) {
-        return Ok(k);
-    }
-    if let Ok(i) = s.parse::<i64>() {
-        if let Ok(k) = K::from_value(&Value::Int(i)) {
-            return Ok(k);
-        }
-    }
-    if let Ok(u) = s.parse::<u64>() {
-        if let Ok(k) = K::from_value(&Value::UInt(u)) {
-            return Ok(k);
-        }
-    }
-    Err(DeError::custom(format!(
-        "cannot deserialize map key from {s:?}"
-    )))
-}
-
 impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
     fn stream<S: Sink>(&self, out: &mut S) {
         out.begin_object();
@@ -655,54 +585,13 @@ impl<K: Serialize + Ord, V: Serialize> Serialize for BTreeMap<K, V> {
     }
 }
 
+/// Each key is offered to `K` as the string it is in the text.
 impl<K: Deserialize + Ord, V: Deserialize> Deserialize for BTreeMap<K, V> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
         v.as_object()
             .ok_or_else(|| DeError::custom("expected object"))?
             .iter()
-            .map(|(k, val)| Ok((key_from_string(k)?, V::from_value(val)?)))
-            .collect()
-    }
-}
-
-impl<K: Serialize + Eq + std::hash::Hash, V: Serialize> Serialize for HashMap<K, V> {
-    fn stream<S: Sink>(&self, out: &mut S) {
-        let mut entries: Vec<(String, &V)> = self
-            .iter()
-            .map(|(k, v)| (key_to_string(&k.to_value()), v))
-            .collect();
-        // Hash iteration order is nondeterministic; sort for stable text.
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        out.begin_object();
-        for (k, v) in entries {
-            out.field(&k, v);
-        }
-        out.end_object();
-    }
-}
-
-impl<K: Deserialize + Eq + std::hash::Hash, V: Deserialize> Deserialize for HashMap<K, V> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_object()
-            .ok_or_else(|| DeError::custom("expected object"))?
-            .iter()
-            .map(|(k, val)| Ok((key_from_string(k)?, V::from_value(val)?)))
-            .collect()
-    }
-}
-
-impl<T: Serialize + Eq + std::hash::Hash> Serialize for HashSet<T> {
-    fn stream<S: Sink>(&self, out: &mut S) {
-        out.seq(self);
-    }
-}
-
-impl<T: Deserialize + Eq + std::hash::Hash> Deserialize for HashSet<T> {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        v.as_array()
-            .ok_or_else(|| DeError::custom("expected array"))?
-            .iter()
-            .map(T::from_value)
+            .map(|(k, val)| Ok((K::from_value(&Value::Str(k.clone()))?, V::from_value(val)?)))
             .collect()
     }
 }
@@ -716,16 +605,6 @@ macro_rules! tuple_impls {
                 out.end_array();
             }
         }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn from_value(v: &Value) -> Result<Self, DeError> {
-                let arr = v.as_array().ok_or_else(|| DeError::custom("expected array"))?;
-                let expected = [$($n),+].len();
-                if arr.len() != expected {
-                    return Err(DeError::custom("tuple length mismatch"));
-                }
-                Ok(($($t::from_value(&arr[$n])?,)+))
-            }
-        }
     )*};
 }
 
@@ -734,28 +613,4 @@ tuple_impls! {
     (0 A, 1 B)
     (0 A, 1 B, 2 C)
     (0 A, 1 B, 2 C, 3 D)
-}
-
-impl Serialize for std::time::Duration {
-    fn stream<S: Sink>(&self, out: &mut S) {
-        out.begin_object();
-        out.field("secs", &self.as_secs());
-        out.field("nanos", &self.subsec_nanos());
-        out.end_object();
-    }
-}
-
-impl Deserialize for std::time::Duration {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let obj = v
-            .as_object()
-            .ok_or_else(|| DeError::custom("expected duration object"))?;
-        let secs = obj_get(obj, "secs")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| DeError::custom("expected duration secs"))?;
-        let nanos = obj_get(obj, "nanos")
-            .and_then(Value::as_u64)
-            .ok_or_else(|| DeError::custom("expected duration nanos"))?;
-        Ok(std::time::Duration::new(secs, nanos as u32))
-    }
 }

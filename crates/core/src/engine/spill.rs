@@ -57,8 +57,8 @@ pub fn load_pass_cache(dir: &Path) -> std::io::Result<(Arc<CheckCache>, usize)> 
     load_pass_cache_bounded(dir, None)
 }
 
-/// [`load_pass_cache`] with an optional LRU entry bound for long-lived
-/// processes (`None`: unbounded). When the spill holds more entries than
+/// [`load_pass_cache`] with an optional LRU entry bound (`verify
+/// --cache-cap`; `None`: unbounded). When the spill holds more entries than
 /// the bound, the excess is evicted least-recently-loaded-first, and the
 /// count returned is what the cache holds after the load.
 pub fn load_pass_cache_bounded(

@@ -478,15 +478,19 @@ mod tests {
     }
 
     /// The WAN 2x2 network of `netgen::wan` (2 regions of 2 routers, 2
-    /// edge routers with 2 peers each, seed 0), stored as the JSON of its
-    /// topology and policy.
+    /// edge routers with 2 peers each, seed 0), stored as the
+    /// configuration text netgen prints, in its order.
     fn wan2x2() -> (Topology, Policy) {
-        #[derive(serde::Deserialize)]
-        struct Net {
-            topology: Topology,
-            policy: Policy,
-        }
-        let net: Net = serde_json::from_str(include_str!("testdata/wan2x2.json")).unwrap();
+        let configs = [
+            include_str!("testdata/wan2x2/R0-0.cfg"),
+            include_str!("testdata/wan2x2/R0-1.cfg"),
+            include_str!("testdata/wan2x2/R1-0.cfg"),
+            include_str!("testdata/wan2x2/R1-1.cfg"),
+            include_str!("testdata/wan2x2/EDGE0.cfg"),
+            include_str!("testdata/wan2x2/EDGE1.cfg"),
+        ]
+        .map(|text| bgp_config::parse_config(text).unwrap());
+        let net = bgp_config::lower(&configs).unwrap();
         (net.topology, net.policy)
     }
 

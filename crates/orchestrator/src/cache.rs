@@ -8,10 +8,9 @@
 //! so the cache stays generic and callers decide which results are durable
 //! (the verifier spills its passes only — see `lightyear::engine`).
 //!
-//! Long-lived processes (daemon-style re-verification loops) can bound
-//! the cache with [`ResultCache::bounded`]: it then evicts its
-//! least-recently-used entry once over budget, so memory stays constant
-//! no matter how many distinct check structures flow through.
+//! [`ResultCache::bounded`] caps the cache: it then evicts its
+//! least-recently-used entry once over budget. Only `verify --cache-cap`
+//! asks for a cap; the daemons (`watch`, `serve`) keep theirs unbounded.
 
 use crate::fingerprint::{Fingerprint, FpHasher};
 use serde::{Serialize, Sink};

@@ -45,8 +45,8 @@ pub struct RunStats {
     /// solves after a group's first); `executed - groups` by
     /// construction.
     pub assumption_solves: usize,
-    /// Always 0; dropped by the judge PR (ROADMAP "Repair the judge"
-    /// (vi)).
+    /// Always 0; dropped once the benchmark harness stops reading it
+    /// (ROADMAP "Judge defects" (vi)).
     pub steals: u64,
     /// Worker threads used.
     pub threads: usize,

@@ -17,13 +17,10 @@ use bgp_model::aspath::AsPathRegex;
 use bgp_model::prefix::Ipv4Prefix;
 use bgp_model::route::{Community, Route};
 use bgp_model::routemap::MatchCond;
-use bgp_model::topology::Topology;
 use lightyear::pred::{Cmp, NumAttr, RoutePred};
 use proptest::prelude::*;
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use serde_json::Value;
-use std::collections::HashMap;
-use std::time::Duration;
 
 /// Strings that exercise every escape class: quotes, backslashes, the
 /// named and the `\u00XX` control escapes, multi-byte text.
@@ -357,22 +354,12 @@ impl Serialize for Entry<'_> {
     }
 }
 
-/// Every shape the derive emits, written as text: a named struct, one
-/// with `#[serde(skip)]` fields, the four enum variant shapes
-/// (externally tagged), an `into = "String"` bridge, and a
-/// counterexample route as the spill embeds it. Each string was checked
-/// against the output of the tree-building derive this one replaced.
+/// Every shape the derive emits, written as text: a named struct and
+/// the four enum variant shapes (externally tagged), each string checked
+/// against the output of the tree-building derive this one replaced;
+/// and `default` fields read back.
 #[test]
 fn derived_values_write_their_pinned_text() {
-    let mut topo = Topology::new();
-    let r1 = topo.add_router("R1", 65000);
-    let isp = topo.add_external("ISP", 100);
-    topo.add_session(r1, isp);
-    assert_eq!(
-        serde_json::to_string(&topo).unwrap(),
-        r#"{"nodes":[{"name":"R1","asn":65000,"external":false},{"name":"ISP","asn":100,"external":true}],"edges":[{"src":0,"dst":1},{"src":1,"dst":0}]}"#
-    );
-
     let c = Community::new(100, 1);
     let pred = RoutePred::And(vec![
         RoutePred::True,
@@ -405,16 +392,36 @@ fn derived_values_write_their_pinned_text() {
         r#"{"prefix":{"addr":167772160,"len":8},"as_path":[100,200],"next_hop":0,"local_pref":100,"med":0,"origin":"Incomplete","communities":[6553601]}"#
     );
 
-    // The std types the shim streams by hand: a hash map's keys sorted,
-    // a char as a string, a duration as its two parts.
-    let map = HashMap::from([("b", 2), ("a", 1), ("c", 3)]);
+    // A field marked `default` may be missing; a `default = "path"`
+    // one is filled by calling the path.
+    #[derive(Debug, PartialEq, Serialize, Deserialize)]
+    struct Defaults {
+        prefix: Ipv4Prefix,
+        #[serde(default)]
+        comms: Vec<Community>,
+        #[serde(default = "RoutePred::tru")]
+        pred: RoutePred,
+    }
+    let read = |text: &str| serde_json::from_str::<Defaults>(text).map_err(|e| e.to_string());
+    let prefix = Ipv4Prefix::new(0x0a00_0000, 8);
+    let full = Defaults {
+        prefix,
+        comms: vec![c],
+        pred: RoutePred::False,
+    };
+    let text = r#"{"prefix":{"addr":167772160,"len":8},"comms":[6553601],"pred":"False"}"#;
+    assert_eq!(serde_json::to_string(&full).unwrap(), text);
+    assert_eq!(read(text), Ok(full));
     assert_eq!(
-        serde_json::to_string(&map).unwrap(),
-        r#"{"a":1,"b":2,"c":3}"#
+        read(r#"{"prefix":{"addr":167772160,"len":8}}"#),
+        Ok(Defaults {
+            prefix,
+            comms: Vec::new(),
+            pred: RoutePred::True,
+        })
     );
-    assert_eq!(serde_json::to_string(&'é').unwrap(), r#""é""#);
     assert_eq!(
-        serde_json::to_string(&Duration::new(3, 7)).unwrap(),
-        r#"{"secs":3,"nanos":7}"#
+        read(r#"{"comms":[]}"#),
+        Err("missing field `prefix` for Defaults".to_string())
     );
 }

@@ -92,18 +92,20 @@ fn liveness_reports_match_fixture() {
     }
 }
 
-/// `lightyear`'s unit tests read the WAN 2x2 network from a JSON copy
-/// (`crates/core` cannot depend on netgen); it must stay the network
-/// netgen builds.
+/// `lightyear`'s unit tests read the WAN 2x2 network from a copy of its
+/// configuration text (`crates/core` cannot depend on netgen); it must
+/// stay the text netgen prints, one file per router.
 #[test]
 fn core_wan2x2_testdata_matches_netgen() {
-    let w = wan::build(&wan2x2());
-    let net = serde_json::json!({
-        "topology": w.network.topology,
-        "policy": w.network.policy,
-    });
-    let want = include_str!("../crates/core/src/testdata/wan2x2.json");
-    assert_eq!(serde_json::to_string(&net).unwrap() + "\n", want);
+    let dir =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src/testdata/wan2x2");
+    let configs = wan::configs(&wan2x2());
+    for cfg in &configs {
+        let file = dir.join(format!("{}.cfg", cfg.hostname));
+        let want = std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{file:?}: {e}"));
+        assert_eq!(bgp_config::print_config(cfg), want, "{file:?}");
+    }
+    assert_eq!(std::fs::read_dir(&dir).unwrap().count(), configs.len());
 }
 
 /// One run per spec: the no-interference transfer checks of every
