@@ -6,7 +6,9 @@
 //! policies, and there is no guarantee that the local checks together
 //! ensure the desired end-to-end properties." This module provides that
 //! complementary layer: fast, purely syntactic checks that catch config
-//! hygiene issues before (or alongside) semantic verification.
+//! hygiene issues before (or alongside) semantic verification. The set is
+//! also lowered, so a configuration set every other command refuses
+//! never lints clean: the lowering error is an `Error` finding.
 
 use crate::ast::{ConfigAst, MatchAst, SetAst};
 use std::collections::BTreeSet;
@@ -60,6 +62,14 @@ pub fn lint(configs: &[ConfigAst]) -> Vec<Finding> {
         lint_unreachable_entries(cfg, &mut out);
         lint_missing_descriptions(cfg, &mut out);
         lint_deny_with_sets(cfg, &mut out);
+    }
+    if let Err(e) = crate::lower(configs) {
+        out.push(Finding {
+            router: e.router,
+            rule: "lowering",
+            severity: Severity::Error,
+            message: e.message,
+        });
     }
     out
 }

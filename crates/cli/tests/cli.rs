@@ -444,6 +444,52 @@ fn lint_reports_findings() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("dangling-prefix-list"));
 }
 
+/// `lint` lowers the set too: a configuration set `verify` refuses
+/// never lints clean. On a copy of `examples/configs`, a second ISP1
+/// session on R1 and a neighbor naming R1 itself each fail `lint` with
+/// the lowering error as an error finding.
+#[test]
+fn lint_fails_what_lowering_refuses() {
+    let examples = Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../examples/configs"
+    ));
+    for (name, extra, want) in [
+        (
+            "second-isp1",
+            " neighbor 10.0.0.5 remote-as 100\n neighbor 10.0.0.5 description ISP1\n \
+             neighbor 10.0.0.5 route-map FROM-ISP1 in\n",
+            "R1: [error] lowering: neighbors 10.0.0.1 and 10.0.0.5 both name ISP1\n",
+        ),
+        (
+            "self-peer",
+            " neighbor 10.0.0.9 remote-as 65000\n neighbor 10.0.0.9 description R1\n",
+            "R1: [error] lowering: neighbor 10.0.0.9 names this router itself\n",
+        ),
+    ] {
+        let d = tmpdir(&format!("lint-{name}"));
+        for f in ["r1.cfg", "r2.cfg"] {
+            fs::copy(examples.join(f), d.join(f)).unwrap();
+        }
+        let lint = || {
+            Command::new(bin())
+                .args(["lint", "--configs"])
+                .arg(&d)
+                .output()
+                .unwrap()
+        };
+        let clean = lint();
+        assert_eq!(clean.status.code(), Some(0), "{name}: the copy lints clean");
+        let r1 = fs::read_to_string(d.join("r1.cfg")).unwrap();
+        fs::write(d.join("r1.cfg"), r1 + extra).unwrap();
+        let out = lint();
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stdout}");
+        assert!(stdout.contains(want), "{name}: {stdout}");
+        let _ = fs::remove_dir_all(&d);
+    }
+}
+
 #[test]
 fn verify_orchestrated_prints_dedup_stats() {
     let d = tmpdir("orch");

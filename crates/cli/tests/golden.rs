@@ -305,55 +305,86 @@ fn write_zoo_spec(path: &Path, scen: &ZooScenario) {
     std::fs::write(path, serde_json::to_string_pretty(&spec).unwrap()).unwrap();
 }
 
-#[test]
-fn verify_json_matches_golden_zoo_quarantine() {
+/// `verify --json` (with `extra` flags) on the pinned quarantined zoo
+/// entry, clean or with the injected bug: the exit code and the masked
+/// report.
+fn verify_zoo_quarantine(label: &str, extra: &[&str]) -> (Option<i32>, Value) {
     let params = zoo12();
     let scen = zoo::build(&params);
+    let dir = tmpdir(&format!("zoo-{label}{}", extra.join("")));
+    let mut configs = zoo::configs(&params);
+    quarantine(&mut configs);
+    if label == "broken" {
+        // The first peer host stops denying reused prefixes from
+        // its peer: zoo-peering must fail there with a witness.
+        let host = configs
+            .iter()
+            .find(|c| c.route_maps.contains_key("FROM-PEER"))
+            .map(|c| c.hostname.clone())
+            .unwrap();
+        netgen::mutate::drop_prefix_deny(&mut configs, &host, "FROM-PEER", "REUSED")
+            .expect("the peer import denies REUSED");
+    }
+    for ast in &configs {
+        std::fs::write(
+            dir.join(format!("{}.cfg", ast.hostname)),
+            bgp_config::print_config(ast),
+        )
+        .unwrap();
+    }
+    let spec_path = dir.join("spec.json");
+    write_zoo_spec(&spec_path, &scen);
+    let out = Command::new(bin())
+        .args(["verify", "--configs", dir.to_str().unwrap(), "--spec"])
+        .arg(&spec_path)
+        .arg("--json")
+        .args(extra)
+        .output()
+        .unwrap();
+    let masked: Value = serde_json::from_str(&mask(&String::from_utf8_lossy(&out.stdout)))
+        .unwrap_or_else(|e| {
+            panic!(
+                "{label}: masked output is not JSON ({e:?}); stderr: {}",
+                String::from_utf8_lossy(&out.stderr)
+            )
+        });
+    let _ = std::fs::remove_dir_all(&dir);
+    (out.status.code(), masked)
+}
+
+#[test]
+fn verify_json_matches_golden_zoo_quarantine() {
     let mut runs = Vec::new();
     for (label, exit) in [("clean", 0), ("broken", 1)] {
-        let dir = tmpdir(&format!("zoo-{label}"));
-        let mut configs = zoo::configs(&params);
-        quarantine(&mut configs);
-        if label == "broken" {
-            // The first peer host stops denying reused prefixes from
-            // its peer: zoo-peering must fail there with a witness.
-            let host = configs
-                .iter()
-                .find(|c| c.route_maps.contains_key("FROM-PEER"))
-                .map(|c| c.hostname.clone())
-                .unwrap();
-            netgen::mutate::drop_prefix_deny(&mut configs, &host, "FROM-PEER", "REUSED")
-                .expect("the peer import denies REUSED");
-        }
-        for ast in &configs {
-            std::fs::write(
-                dir.join(format!("{}.cfg", ast.hostname)),
-                bgp_config::print_config(ast),
-            )
-            .unwrap();
-        }
-        let spec_path = dir.join("spec.json");
-        write_zoo_spec(&spec_path, &scen);
-        let out = Command::new(bin())
-            .args(["verify", "--configs", dir.to_str().unwrap(), "--spec"])
-            .arg(&spec_path)
-            .arg("--json")
-            .output()
-            .unwrap();
-        assert_eq!(
-            out.status.code(),
-            Some(exit),
-            "{label}: stderr: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let masked: Value = serde_json::from_str(&mask(&String::from_utf8_lossy(&out.stdout)))
-            .expect("masked output is JSON");
+        let (code, masked) = verify_zoo_quarantine(label, &[]);
+        assert_eq!(code, Some(exit), "{label}");
         runs.push((label.to_string(), masked));
-        let _ = std::fs::remove_dir_all(&dir);
     }
     let mut doc = serde_json::to_string_pretty(&Value::Object(runs)).unwrap();
     doc.push('\n');
     check_golden("zoo_quarantine.json", &doc);
+}
+
+/// The pool decides nothing: two workers (the caller and one helper)
+/// render the report one worker does, byte for byte. Only the trailing
+/// `exec` entry may differ — it records the worker count, and
+/// implication checks are chunked into one session per worker.
+#[test]
+fn zoo_quarantine_renders_the_same_on_two_workers() {
+    let report = |(code, v): (Option<i32>, Value)| {
+        let Value::Array(mut entries) = v else {
+            panic!("verify --json prints an array")
+        };
+        let exec = entries.pop().expect("an exec entry");
+        assert!(exec.get("threads").is_some(), "the last entry is exec's");
+        (code, serde_json::to_string_pretty(&entries).unwrap())
+    };
+    for (label, exit) in [("clean", 0), ("broken", 1)] {
+        let one = report(verify_zoo_quarantine(label, &["--jobs", "1"]));
+        let two = report(verify_zoo_quarantine(label, &["--jobs", "2"]));
+        assert_eq!(one.0, Some(exit), "{label}");
+        assert!(one == two, "{label}: --jobs 2 drifted from --jobs 1");
+    }
 }
 
 /// The quarantined entry through the library: the largest session any

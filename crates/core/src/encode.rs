@@ -64,38 +64,6 @@ impl<'a> Encoder<'a> {
             .bool_var(&format!("{}.fresh{}[{}]", self.tag, n, what))
     }
 
-    /// Merge two symbolic routes under a condition (`cond ? a : b`).
-    pub fn merge(&mut self, cond: TermId, a: &SymRoute, b: &SymRoute) -> SymRoute {
-        let p = &mut *self.pool;
-        SymRoute {
-            prefix_addr: p.ite(cond, a.prefix_addr, b.prefix_addr),
-            prefix_len: p.ite(cond, a.prefix_len, b.prefix_len),
-            local_pref: p.ite(cond, a.local_pref, b.local_pref),
-            med: p.ite(cond, a.med, b.med),
-            next_hop: p.ite(cond, a.next_hop, b.next_hop),
-            origin: p.ite(cond, a.origin, b.origin),
-            comm_bits: a
-                .comm_bits
-                .iter()
-                .zip(&b.comm_bits)
-                .map(|(&x, &y)| p.ite(cond, x, y))
-                .collect(),
-            comm_other: p.ite(cond, a.comm_other, b.comm_other),
-            aspath_atoms: a
-                .aspath_atoms
-                .iter()
-                .zip(&b.aspath_atoms)
-                .map(|(&x, &y)| p.ite(cond, x, y))
-                .collect(),
-            ghost_bits: a
-                .ghost_bits
-                .iter()
-                .zip(&b.ghost_bits)
-                .map(|(&x, &y)| p.ite(cond, x, y))
-                .collect(),
-        }
-    }
-
     /// Encode one match condition against a route state.
     pub fn encode_match(&mut self, cond: &MatchCond, route: &SymRoute) -> TermId {
         match cond {
@@ -144,7 +112,7 @@ impl<'a> Encoder<'a> {
                         .universe
                         .regex_id(re.pattern())
                         .unwrap_or_else(|| panic!("regex {:?} not in universe", re.pattern()));
-                    let hit = route.aspath_atoms[id.0 as usize];
+                    let hit = route.aspath_atoms()[id.0 as usize];
                     let verdict = self.pool.bool_const(*permit);
                     acc = self.pool.ite(hit, verdict, acc);
                 }
@@ -167,7 +135,7 @@ impl<'a> Encoder<'a> {
         // set, every other universe bit clear, no out-of-universe comms.
         let mut parts = Vec::new();
         for (i, c) in self.universe.communities().iter().enumerate() {
-            let bit = route.comm_bits[i];
+            let bit = route.comm_bits()[i];
             if comms.contains(c) {
                 parts.push(bit);
             } else {
@@ -205,13 +173,12 @@ impl<'a> Encoder<'a> {
             SetAction::Community { comms, additive } => {
                 for (i, c) in self.universe.communities().iter().enumerate() {
                     let listed = comms.contains(c);
-                    out.comm_bits[i] = if listed {
-                        self.pool.tru()
-                    } else if *additive {
-                        out.comm_bits[i]
-                    } else {
-                        self.pool.fls()
-                    };
+                    let bit = &mut out.comm_bits_mut()[i];
+                    if listed {
+                        *bit = self.pool.tru();
+                    } else if !*additive {
+                        *bit = self.pool.fls();
+                    }
                 }
                 if !additive {
                     out.comm_other = self.pool.fls();
@@ -220,12 +187,12 @@ impl<'a> Encoder<'a> {
             SetAction::DeleteCommunities(comms) => {
                 for c in comms {
                     if let Some(i) = self.universe.community_index(*c) {
-                        out.comm_bits[i] = self.pool.fls();
+                        out.comm_bits_mut()[i] = self.pool.fls();
                     }
                 }
             }
             SetAction::ClearCommunities => {
-                for b in &mut out.comm_bits {
+                for b in out.comm_bits_mut() {
                     *b = self.pool.fls();
                 }
                 out.comm_other = self.pool.fls();
@@ -233,9 +200,9 @@ impl<'a> Encoder<'a> {
             SetAction::PrependAsPath(_) => {
                 // The path changes, so every regex atom is refreshed to an
                 // unconstrained boolean (sound over-approximation, D2).
-                out.aspath_atoms = (0..out.aspath_atoms.len())
-                    .map(|i| self.fresh_bool(&format!("aspath{i}")))
-                    .collect();
+                for i in 0..out.aspath_atoms().len() {
+                    out.aspath_atoms_mut()[i] = self.fresh_bool(&format!("aspath{i}"));
+                }
             }
             SetAction::NextHop(nh) => {
                 out.next_hop = self.pool.bv_const(*nh as u64, 32);
@@ -319,7 +286,7 @@ impl<'a> Encoder<'a> {
         };
 
         let reject = self.pool.ite(hit, hit_t.reject, miss_t.reject);
-        let out = self.merge(hit, &hit_t.out, &miss_t.out);
+        let out = hit_t.out.merge(self.pool, hit, &miss_t.out);
         Transfer { reject, out }
     }
 
@@ -341,11 +308,11 @@ impl<'a> Encoder<'a> {
             } else {
                 g.export_update(edge)
             };
-            out.ghost_bits[gi] = match update {
-                GhostUpdate::SetTrue => self.pool.tru(),
-                GhostUpdate::SetFalse => self.pool.fls(),
-                GhostUpdate::Unchanged => out.ghost_bits[gi],
-            };
+            match update {
+                GhostUpdate::SetTrue => out.ghost_bits_mut()[gi] = self.pool.tru(),
+                GhostUpdate::SetFalse => out.ghost_bits_mut()[gi] = self.pool.fls(),
+                GhostUpdate::Unchanged => {}
+            }
         }
         out
     }
@@ -458,7 +425,8 @@ mod tests {
                         assert_eq!(got.route.origin, out.origin, "origin\n{map}");
                         // Compare in-universe communities only.
                         for (i, cm) in u.communities().iter().enumerate() {
-                            let sym_has = m.eval_bool(&pool, tr.out.comm_bits[i]).unwrap_or(false);
+                            let sym_has =
+                                m.eval_bool(&pool, tr.out.comm_bits()[i]).unwrap_or(false);
                             assert_eq!(sym_has, out.has_community(*cm), "community {cm}\n{map}");
                         }
                     }
@@ -642,12 +610,12 @@ mod tests {
             &sym,
         );
         // Output ghost bit must be true regardless of input.
-        let not_set = pool.not(t.out.ghost_bits[0]);
+        let not_set = pool.not(t.out.ghost_bits()[0]);
         assert!(!solve(&pool, &[not_set]).is_sat());
 
         // On a different edge the bit is unchanged.
         let t2 = encode_import(&mut pool, &u, None, &[g], EdgeId(6), &sym);
-        let differs = pool.iff(t2.out.ghost_bits[0], sym.ghost_bits[0]);
+        let differs = pool.iff(t2.out.ghost_bits()[0], sym.ghost_bits()[0]);
         let differs = pool.not(differs);
         assert!(!solve(&pool, &[differs]).is_sat());
     }

@@ -52,28 +52,40 @@ pub(crate) fn size_only(st: SolverStats) -> SolverStats {
     }
 }
 
+/// A group's session and the per-query scratch its checks reuse.
+#[derive(Default)]
+struct GroupSession {
+    sess: IncrementalSession,
+    /// A query's encoded assume conjuncts, then its negated goal.
+    terms: Vec<TermId>,
+    /// Their activation literals, in the same order.
+    acts: Vec<Assumption>,
+}
+
 thread_local! {
-    /// The session this worker thread ran its previous group on, parked
-    /// for the next one: a run poses hundreds of small groups per
-    /// worker, and building then dropping a pool, a blaster and a solver
-    /// for each costs more than some of them take to solve.
-    static SPARE_SESSION: Cell<Option<IncrementalSession>> = const { Cell::new(None) };
+    /// The session this thread ran its previous group on, parked for
+    /// the next one: a run poses hundreds of small groups per worker,
+    /// and building then dropping a pool, a blaster and a solver for
+    /// each costs more than some of them take to solve. The calling
+    /// thread works in every run, so its parked session survives from
+    /// run to run; a helper's ends with the run that spawned it.
+    static SPARE_SESSION: Cell<Option<GroupSession>> = const { Cell::new(None) };
 }
 
 /// A group session: this thread's parked one, reset (hand it back with
 /// [`park_session`] when the group is done), so it behaves like a new
 /// one but allocates only what the largest group so far did not.
-fn group_session() -> IncrementalSession {
-    let mut sess = SPARE_SESSION.take().unwrap_or_default();
-    sess.reset();
-    sess
+fn group_session() -> GroupSession {
+    let mut gs = SPARE_SESSION.take().unwrap_or_default();
+    gs.sess.reset();
+    gs
 }
 
 /// A finished group's session goes back to its worker thread for the
 /// next group (see [`group_session`]).
-fn park_session(sess: IncrementalSession) {
-    obs::gauge_max("engine.term_pool_terms", sess.pool().len() as u64);
-    SPARE_SESSION.set(Some(sess));
+fn park_session(gs: GroupSession) {
+    obs::gauge_max("engine.term_pool_terms", gs.sess.pool().len() as u64);
+    SPARE_SESSION.set(Some(gs));
 }
 
 /// The negated goal of a transfer obligation: `goal = reject ∨
@@ -124,18 +136,22 @@ fn implication_goal_negation(
 ///
 /// Returns `(verdict, stats, core)`; `core` is `Some` iff UNSAT.
 fn solve_conjunct_gated(
-    sess: &mut IncrementalSession,
+    gs: &mut GroupSession,
     universe: &Universe,
     input: &SymRoute,
     conjuncts: &[&RoutePred],
     neg: TermId,
 ) -> (SolveOutcome, SolverStats, Option<Vec<usize>>) {
-    let encoded: Vec<TermId> = timed("engine.terms_ns", || {
-        conjuncts
-            .iter()
-            .map(|cp| cp.encode(sess.pool_mut(), universe, input))
-            .collect()
+    let GroupSession { sess, terms, acts } = gs;
+    terms.clear();
+    timed("engine.terms_ns", || {
+        for cp in conjuncts {
+            let t = cp.encode(sess.pool_mut(), universe, input);
+            terms.push(t);
+        }
     });
+    terms.push(neg);
+    let n = conjuncts.len();
     // Fold the whole violation query in the term pool first:
     // hash-consing simplification frequently collapses it outright — an
     // identity transfer under a uniform invariant makes `¬goal` the
@@ -147,15 +163,13 @@ fn solve_conjunct_gated(
     // reserved for queries that do not collapse.
     let folded = timed("engine.terms_ns", || {
         let pool = sess.pool_mut();
-        let mut all = encoded.clone();
-        all.push(neg);
-        let q = pool.and(&all);
+        let q = pool.and(terms);
         let fls = pool.fls();
         (q == fls).then_some(q)
     });
     if let Some(q) = folded {
         obs::add("engine.checks_folded", 1);
-        let core = Some(syntactic_core(sess.pool(), &encoded, neg));
+        let core = Some(syntactic_core(sess.pool(), &terms[..n], neg));
         let act = sess.activation(q);
         let (result, stats) = sess.solve_under(&[act]);
         debug_assert_eq!(
@@ -165,19 +179,14 @@ fn solve_conjunct_gated(
         );
         return (result, stats, core);
     }
-    let mut acts: Vec<Assumption> = Vec::with_capacity(conjuncts.len() + 1);
-    for &t in &encoded {
+    acts.clear();
+    for &t in terms.iter() {
         acts.push(sess.activation(t));
     }
-    let nact = sess.activation(neg);
-    let assumed: Vec<Assumption> = acts.iter().copied().chain(std::iter::once(nact)).collect();
-    let (result, stats) = sess.solve_under(&assumed);
+    let (result, stats) = sess.solve_under(acts);
     let core = (result == SolveOutcome::Unsat).then(|| {
         let failed = sess.failed_assumptions();
-        (acts.iter().enumerate())
-            .filter(|(_, a)| failed.contains(a))
-            .map(|(i, _)| i)
-            .collect()
+        (0..n).filter(|&i| failed.contains(&acts[i])).collect()
     });
     (result, stats, core)
 }
@@ -415,15 +424,15 @@ impl<'a> Verifier<'a> {
                     }),
                     "a transfer group spans more than one relation"
                 );
-                let mut sess = group_session();
+                let mut gs = group_session();
                 let (input, wf, transfer) = timed("engine.terms_ns", || {
-                    let pool = sess.pool_mut();
+                    let pool = gs.sess.pool_mut();
                     let input = SymRoute::fresh(pool, universe, "r");
                     let wf = input.well_formed(pool);
                     let transfer = self.encode_transfer(pool, universe, edge, is_import, &input);
                     (input, wf, transfer)
                 });
-                sess.assert(wf);
+                gs.sess.assert(wf);
                 let out = checks
                     .iter()
                     .map(|rc| {
@@ -439,7 +448,7 @@ impl<'a> Verifier<'a> {
                         let conjs = assume.conjuncts();
                         let neg = timed("engine.terms_ns", || {
                             transfer_goal_negation(
-                                sess.pool_mut(),
+                                gs.sess.pool_mut(),
                                 universe,
                                 &transfer,
                                 ensure,
@@ -447,21 +456,21 @@ impl<'a> Verifier<'a> {
                             )
                         });
                         let (result, stats, core) =
-                            solve_conjunct_gated(&mut sess, universe, &input, &conjs, neg);
+                            solve_conjunct_gated(&mut gs, universe, &input, &conjs, neg);
                         settle(rc, result, stats, core)
                     })
                     .collect();
-                park_session(sess);
+                park_session(gs);
                 out
             }
             CheckBody::Implication { .. } => {
-                let mut sess = group_session();
+                let mut gs = group_session();
                 let (r, wf) = timed("engine.terms_ns", || {
-                    let r = SymRoute::fresh(sess.pool_mut(), universe, "r");
-                    let wf = r.well_formed(sess.pool_mut());
+                    let r = SymRoute::fresh(gs.sess.pool_mut(), universe, "r");
+                    let wf = r.well_formed(gs.sess.pool_mut());
                     (r, wf)
                 });
-                sess.assert(wf);
+                gs.sess.assert(wf);
                 let out = checks
                     .iter()
                     .map(|rc| {
@@ -470,14 +479,14 @@ impl<'a> Verifier<'a> {
                         };
                         let conjs = assume.conjuncts();
                         let neg = timed("engine.terms_ns", || {
-                            implication_goal_negation(sess.pool_mut(), universe, &r, ensure)
+                            implication_goal_negation(gs.sess.pool_mut(), universe, &r, ensure)
                         });
                         let (result, stats, core) =
-                            solve_conjunct_gated(&mut sess, universe, &r, &conjs, neg);
+                            solve_conjunct_gated(&mut gs, universe, &r, &conjs, neg);
                         settle(rc, result, stats, core)
                     })
                     .collect();
-                park_session(sess);
+                park_session(gs);
                 out
             }
         };

@@ -257,7 +257,8 @@ impl RoutePred {
             }
             RoutePred::HasCommunity(c) => route.has_community(universe, *c),
             RoutePred::NoCommunities => {
-                let mut parts: Vec<TermId> = route.comm_bits.iter().map(|&b| pool.not(b)).collect();
+                let mut parts: Vec<TermId> =
+                    route.comm_bits().iter().map(|&b| pool.not(b)).collect();
                 let no_other = pool.not(route.comm_other);
                 parts.push(no_other);
                 pool.and(&parts)
@@ -289,13 +290,13 @@ impl RoutePred {
                 let i = universe
                     .ghost_index(name)
                     .unwrap_or_else(|| panic!("ghost {name:?} not in universe"));
-                route.ghost_bits[i]
+                route.ghost_bits()[i]
             }
             RoutePred::AsPathMatches(pattern) => {
                 let id = universe
                     .regex_id(pattern)
                     .unwrap_or_else(|| panic!("regex {pattern:?} not in universe"));
-                route.aspath_atoms[id.0 as usize]
+                route.aspath_atoms()[id.0 as usize]
             }
             RoutePred::Not(inner) => {
                 let t = inner.encode(pool, universe, route);

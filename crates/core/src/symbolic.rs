@@ -22,6 +22,10 @@ use smt::{Model, TermId, TermPool, VarKey};
 use std::collections::BTreeMap;
 
 /// A route whose attributes are SMT terms.
+///
+/// The per-universe booleans (community bits, AS-path atoms, ghost
+/// bits) share one vector, so cloning or merging a route — the encoder
+/// does both for every route-map entry — costs one allocation.
 #[derive(Clone, Debug)]
 pub struct SymRoute {
     /// 32-bit prefix network address.
@@ -37,14 +41,14 @@ pub struct SymRoute {
     /// Origin attribute (bv2: 0=igp, 1=egp, 2=incomplete; constrained
     /// <= 2 by [`SymRoute::well_formed`]).
     pub origin: TermId,
-    /// One boolean per universe community (same order as the universe).
-    pub comm_bits: Vec<TermId>,
     /// True when the route carries any community outside the universe.
     pub comm_other: TermId,
-    /// AS-path regex match atoms, keyed by regex id (index).
-    pub aspath_atoms: Vec<TermId>,
-    /// Ghost attribute values (same order as the universe's ghosts).
-    pub ghost_bits: Vec<TermId>,
+    /// The community bits, then the AS-path atoms, then the ghost bits.
+    bits: Vec<TermId>,
+    /// How many of `bits` are community bits.
+    comms: usize,
+    /// How many of `bits` are AS-path atoms.
+    atoms: usize,
 }
 
 impl SymRoute {
@@ -54,14 +58,15 @@ impl SymRoute {
     /// the same pool yields the same route.
     pub fn fresh(pool: &mut TermPool, universe: &Universe, tag: &str) -> SymRoute {
         let tag = pool.scope(tag);
-        let bits = |pool: &mut TermPool, attr: &'static str, n: usize| -> Vec<TermId> {
-            (0..n)
-                .map(|i| pool.bool_var_at(VarKey::indexed(tag, attr, i)))
-                .collect()
-        };
-        let comm_bits = bits(pool, "comm", universe.communities().len());
-        let aspath_atoms = bits(pool, "aspath", universe.regexes().len());
-        let ghost_bits = bits(pool, "ghost", universe.ghosts().len());
+        let (comms, atoms) = (universe.communities().len(), universe.regexes().len());
+        let mut bits = Vec::with_capacity(comms + atoms + universe.ghosts().len());
+        for (attr, n) in [
+            ("comm", comms),
+            ("aspath", atoms),
+            ("ghost", universe.ghosts().len()),
+        ] {
+            bits.extend((0..n).map(|i| pool.bool_var_at(VarKey::indexed(tag, attr, i))));
+        }
         let mut bv = |attr, width| pool.bv_var_at(VarKey::scalar(tag, attr), width);
         SymRoute {
             prefix_addr: bv("prefix.addr", 32),
@@ -70,11 +75,71 @@ impl SymRoute {
             med: bv("med", 32),
             next_hop: bv("next_hop", 32),
             origin: bv("origin", 2),
-            comm_bits,
             comm_other: pool.bool_var_at(VarKey::scalar(tag, "comm_other")),
-            aspath_atoms,
-            ghost_bits,
+            bits,
+            comms,
+            atoms,
         }
+    }
+
+    /// `cond ? self : other`, attribute by attribute. Terms are built in
+    /// field order — the scalar attributes, the community bits,
+    /// `comm_other`, the AS-path atoms, the ghost bits — which fixes the
+    /// pool's order and so the CNF.
+    pub fn merge(&self, pool: &mut TermPool, cond: TermId, other: &SymRoute) -> SymRoute {
+        let prefix_addr = pool.ite(cond, self.prefix_addr, other.prefix_addr);
+        let prefix_len = pool.ite(cond, self.prefix_len, other.prefix_len);
+        let local_pref = pool.ite(cond, self.local_pref, other.local_pref);
+        let med = pool.ite(cond, self.med, other.med);
+        let next_hop = pool.ite(cond, self.next_hop, other.next_hop);
+        let origin = pool.ite(cond, self.origin, other.origin);
+        let pairs = self.bits.iter().zip(&other.bits);
+        let mut bits = Vec::with_capacity(self.bits.len());
+        bits.extend((pairs.clone().take(self.comms)).map(|(&x, &y)| pool.ite(cond, x, y)));
+        let comm_other = pool.ite(cond, self.comm_other, other.comm_other);
+        bits.extend((pairs.skip(self.comms)).map(|(&x, &y)| pool.ite(cond, x, y)));
+        SymRoute {
+            prefix_addr,
+            prefix_len,
+            local_pref,
+            med,
+            next_hop,
+            origin,
+            comm_other,
+            bits,
+            comms: self.comms,
+            atoms: self.atoms,
+        }
+    }
+
+    /// One boolean per universe community (same order as the universe).
+    pub fn comm_bits(&self) -> &[TermId] {
+        &self.bits[..self.comms]
+    }
+
+    /// [`SymRoute::comm_bits`], for a set action to rewrite.
+    pub fn comm_bits_mut(&mut self) -> &mut [TermId] {
+        &mut self.bits[..self.comms]
+    }
+
+    /// AS-path regex match atoms, indexed by regex id.
+    pub fn aspath_atoms(&self) -> &[TermId] {
+        &self.bits[self.comms..self.comms + self.atoms]
+    }
+
+    /// [`SymRoute::aspath_atoms`], for a prepend to refresh.
+    pub fn aspath_atoms_mut(&mut self) -> &mut [TermId] {
+        &mut self.bits[self.comms..self.comms + self.atoms]
+    }
+
+    /// Ghost attribute values (same order as the universe's ghosts).
+    pub fn ghost_bits(&self) -> &[TermId] {
+        &self.bits[self.comms + self.atoms..]
+    }
+
+    /// [`SymRoute::ghost_bits`], for a ghost update to rewrite.
+    pub fn ghost_bits_mut(&mut self) -> &mut [TermId] {
+        &mut self.bits[self.comms + self.atoms..]
     }
 
     /// Well-formedness: prefix length <= 32 and origin code <= 2.
@@ -92,7 +157,7 @@ impl SymRoute {
         let i = universe
             .community_index(c)
             .unwrap_or_else(|| panic!("community {c} not in universe"));
-        self.comm_bits[i]
+        self.comm_bits()[i]
     }
 
     /// Extract a concrete route (and ghost values) from a model.
@@ -117,25 +182,27 @@ impl SymRoute {
             model.eval_bv(pool, self.origin).unwrap_or(2) as u8,
         );
         for (i, c) in universe.communities().iter().enumerate() {
-            if model.eval_bool(pool, self.comm_bits[i]).unwrap_or(false) {
+            if model.eval_bool(pool, self.comm_bits()[i]).unwrap_or(false) {
                 route.communities.insert(*c);
             }
         }
         let comm_other = model.eval_bool(pool, self.comm_other).unwrap_or(false);
         let mut aspath_matches = BTreeMap::new();
         for (i, pat) in universe.regexes().iter().enumerate() {
-            if model.is_dont_care(self.aspath_atoms[i]) {
+            let atom = self.aspath_atoms()[i];
+            if model.is_dont_care(atom) {
                 continue;
             }
-            let v = model.eval_bool(pool, self.aspath_atoms[i]).unwrap_or(false);
+            let v = model.eval_bool(pool, atom).unwrap_or(false);
             aspath_matches.insert(pat.clone(), v);
         }
         let mut ghosts = BTreeMap::new();
         for (i, g) in universe.ghosts().iter().enumerate() {
-            if model.is_dont_care(self.ghost_bits[i]) {
+            let bit = self.ghost_bits()[i];
+            if model.is_dont_care(bit) {
                 continue;
             }
-            let v = model.eval_bool(pool, self.ghost_bits[i]).unwrap_or(false);
+            let v = model.eval_bool(pool, bit).unwrap_or(false);
             ghosts.insert(g.clone(), v);
         }
         ConcreteRoute {
@@ -176,7 +243,7 @@ impl SymRoute {
             }
         }
         for (i, c) in universe.communities().iter().enumerate() {
-            let bit = self.comm_bits[i];
+            let bit = self.comm_bits()[i];
             let want = concrete.communities.contains(c);
             parts.push(if want { bit } else { pool.not(bit) });
         }
@@ -188,12 +255,12 @@ impl SymRoute {
         for (i, pat) in universe.regexes().iter().enumerate() {
             let re = bgp_model::AsPathRegex::compile(pat).expect("regex validated earlier");
             let want = re.matches(&concrete.as_path);
-            let atom = self.aspath_atoms[i];
+            let atom = self.aspath_atoms()[i];
             parts.push(if want { atom } else { pool.not(atom) });
         }
         for (i, g) in universe.ghosts().iter().enumerate() {
             let want = ghosts.get(g).copied().unwrap_or(false);
-            let bit = self.ghost_bits[i];
+            let bit = self.ghost_bits()[i];
             parts.push(if want { bit } else { pool.not(bit) });
         }
         pool.and(&parts)
@@ -254,9 +321,9 @@ mod tests {
         let u = universe();
         let mut pool = TermPool::new();
         let r = SymRoute::fresh(&mut pool, &u, "r");
-        assert_eq!(r.comm_bits.len(), 2);
-        assert_eq!(r.aspath_atoms.len(), 1);
-        assert_eq!(r.ghost_bits.len(), 1);
+        assert_eq!(r.comm_bits().len(), 2);
+        assert_eq!(r.aspath_atoms().len(), 1);
+        assert_eq!(r.ghost_bits().len(), 1);
     }
 
     #[test]

@@ -108,7 +108,7 @@ impl<'a> Minesweeper<'a> {
                 assertions.push(pool.implies(valid, targets));
                 // Ghost attributes start false outside the network.
                 for (gi, _) in universe.ghosts().iter().enumerate() {
-                    let not_set = pool.not(sym.ghost_bits[gi]);
+                    let not_set = pool.not(sym.ghost_bits()[gi]);
                     assertions.push(pool.implies(valid, not_set));
                 }
                 exported.insert(
@@ -293,14 +293,14 @@ impl<'a> Minesweeper<'a> {
             pool.bv_eq(a.sym.origin, c.sym.origin),
             pool.bv_eq(a.path_len, c.path_len),
         ];
-        for (x, y) in a.sym.comm_bits.iter().zip(&c.sym.comm_bits) {
+        for (x, y) in a.sym.comm_bits().iter().zip(c.sym.comm_bits()) {
             parts.push(pool.iff(*x, *y));
         }
         parts.push(pool.iff(a.sym.comm_other, c.sym.comm_other));
-        for (x, y) in a.sym.aspath_atoms.iter().zip(&c.sym.aspath_atoms) {
+        for (x, y) in a.sym.aspath_atoms().iter().zip(c.sym.aspath_atoms()) {
             parts.push(pool.iff(*x, *y));
         }
-        for (x, y) in a.sym.ghost_bits.iter().zip(&c.sym.ghost_bits) {
+        for (x, y) in a.sym.ghost_bits().iter().zip(c.sym.ghost_bits()) {
             parts.push(pool.iff(*x, *y));
         }
         pool.and(&parts)

@@ -4,11 +4,11 @@
 //! only needs the next job: every worker claims indices from one shared
 //! atomic cursor, in strictly ascending order, until the batch is
 //! exhausted. A straggler (one router with a pathological route map)
-//! holds back only its own worker; the others keep claiming. Each
-//! result is handed to the calling thread with its submission index the
-//! moment its job completes, while the workers keep running, so the
-//! caller can fold results as they arrive instead of waiting for the
-//! whole batch.
+//! holds back only its own worker; the others keep claiming. The
+//! calling thread is one of the workers, and every result is handed to
+//! it with its submission index: its own as each job completes, the
+//! helpers' between its own jobs, so the caller folds results as they
+//! arrive instead of waiting for the whole batch.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -37,11 +37,15 @@ impl Executor {
     }
 
     /// Run `f` over every item and hand each `(submission index,
-    /// result)` to `deliver` on the calling thread as soon as the job
-    /// completes — in completion order, while the remaining jobs are
-    /// still running. Workers claim jobs in ascending submission order,
-    /// so completion order tracks submission order up to the length of
-    /// the jobs in flight.
+    /// result)` to `deliver` on the calling thread, in completion order,
+    /// while the remaining jobs are still running. With `threads > 1`
+    /// the caller is one of the workers: it spawns `threads - 1` helpers,
+    /// claims jobs from the same cursor as they do (the first one before
+    /// any helper starts), and delivers the helpers' finished results
+    /// between its own jobs, then whatever is left once the cursor is
+    /// exhausted. Workers claim jobs in ascending submission order, so
+    /// completion order tracks submission order up to the length of the
+    /// jobs in flight.
     pub fn run<T, R, F, D>(&self, items: &[T], f: F, mut deliver: D)
     where
         T: Sync,
@@ -57,20 +61,25 @@ impl Executor {
         // Live queue depth: jobs not yet delivered, so a mid-batch
         // `/metrics` scrape shows progress.
         obs::gauge_set("orchestrator.queue_depth", n as u64);
+        let mut delivered = 0;
+        let mut hand = |i: usize, r: R| {
+            delivered += 1;
+            obs::gauge_set("orchestrator.queue_depth", (n - delivered) as u64);
+            deliver(i, r);
+        };
         if threads <= 1 {
             let _span = obs::span!("worker", wid = 0, jobs = n);
             for (i, item) in items.iter().enumerate() {
-                let r = f(item);
-                obs::gauge_set("orchestrator.queue_depth", (n - i - 1) as u64);
-                deliver(i, r);
+                hand(i, f(item));
             }
             return;
         }
 
         let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
+        let mut mine = next.fetch_add(1, Ordering::Relaxed);
         std::thread::scope(|scope| {
-            for wid in 0..threads {
+            let (tx, rx) = mpsc::channel::<(usize, R)>();
+            for wid in 1..threads {
                 let tx = tx.clone();
                 let (next, f) = (&next, &f);
                 scope.spawn(move || {
@@ -86,12 +95,21 @@ impl Executor {
                 });
             }
             drop(tx);
-            // Drain on the calling thread while the workers run; the
-            // loop ends when the last worker drops its sender. A
-            // panicking worker re-raises when the scope joins it.
-            for (done, (i, r)) in rx.into_iter().enumerate() {
-                obs::gauge_set("orchestrator.queue_depth", (n - done - 1) as u64);
-                deliver(i, r);
+            {
+                let _span = obs::span!("worker", wid = 0);
+                while mine < n {
+                    hand(mine, f(&items[mine]));
+                    while let Ok((i, r)) = rx.try_recv() {
+                        hand(i, r);
+                    }
+                    mine = next.fetch_add(1, Ordering::Relaxed);
+                }
+            }
+            // The cursor is exhausted: deliver the helpers' last results.
+            // The loop ends when the last helper drops its sender; a
+            // panicking helper re-raises when the scope joins it.
+            for (i, r) in rx {
+                hand(i, r);
             }
         });
     }
@@ -149,6 +167,39 @@ mod tests {
         ex.run(&[1, 2, 3], |&x| x + 1, |i, r| seen.push((i, r)));
         assert_eq!(seen, vec![(0, 2), (1, 3), (2, 4)]);
         ex.run(&[] as &[i32], |&x| x, |_, _| panic!("nothing to deliver"));
+    }
+
+    #[test]
+    fn the_caller_works_and_alone_delivers() {
+        let caller = std::thread::current().id();
+        let items: Vec<usize> = (0..64).collect();
+        for jobs in [1, 2, 4] {
+            let ran = std::sync::Mutex::new(std::collections::HashSet::new());
+            let mut seen = vec![0u32; items.len()];
+            Executor::with_threads(Some(jobs)).run(
+                &items,
+                |&i| {
+                    ran.lock().unwrap().insert(std::thread::current().id());
+                    // Long enough that a helper's results arrive while
+                    // the caller still has jobs of its own.
+                    std::thread::sleep(Duration::from_micros(100));
+                    i
+                },
+                |i, r| {
+                    assert_eq!(std::thread::current().id(), caller, "jobs {jobs}");
+                    assert_eq!(i, r);
+                    seen[i] += 1;
+                },
+            );
+            assert!(seen.iter().all(|&k| k == 1), "jobs {jobs}: {seen:?}");
+            let ran = ran.into_inner().unwrap();
+            assert!(ran.contains(&caller), "jobs {jobs}: the caller ran no job");
+            assert!(
+                ran.len() <= jobs,
+                "jobs {jobs}: {} threads ran jobs",
+                ran.len()
+            );
+        }
     }
 
     #[test]

@@ -369,17 +369,17 @@ impl IncrementalBlaster {
             Term::False => self.fls(),
             Term::BoolVar(_) => self.fresh(),
             Term::Not(a) => !self.blast_bool(pool, *a),
-            Term::And(parts) => {
+            Term::And(ops) => {
                 let base = self.gate_inputs.len();
-                for &p in parts {
+                for &p in pool.operands(*ops) {
                     let l = self.blast_bool(pool, p);
                     self.gate_inputs.push(l);
                 }
                 self.and_staged(base)
             }
-            Term::Or(parts) => {
+            Term::Or(ops) => {
                 let base = self.gate_inputs.len();
-                for &p in parts {
+                for &p in pool.operands(*ops) {
                     let l = self.blast_bool(pool, p);
                     self.gate_inputs.push(!l);
                 }

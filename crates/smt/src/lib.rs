@@ -49,4 +49,4 @@ pub use sat::{SatSolver, SatStats, SolveOutcome, SolverError, ARENA_CAP_WORDS};
 pub use solver::{
     solve, solve_with_stats, Assumption, IncrementalSession, Model, SatResult, SolverStats, Value,
 };
-pub use term::{FastMap, Sort, Term, TermId, TermPool, VarKey};
+pub use term::{FastMap, Ops, Sort, Term, TermId, TermPool, VarKey};

@@ -133,16 +133,16 @@ impl Model {
             Term::BoolVar(_) => Value::Bool(false), // unconstrained
             Term::BvVar { .. } => Value::Bv(0),     // unconstrained
             Term::Not(a) => Value::Bool(!self.eval_bool(pool, a)?),
-            Term::And(ref parts) => {
+            Term::And(ops) => {
                 let mut acc = true;
-                for &p in parts {
+                for &p in pool.operands(ops) {
                     acc &= self.eval_bool(pool, p)?;
                 }
                 Value::Bool(acc)
             }
-            Term::Or(ref parts) => {
+            Term::Or(ops) => {
                 let mut acc = false;
-                for &p in parts {
+                for &p in pool.operands(ops) {
                     acc |= self.eval_bool(pool, p)?;
                 }
                 Value::Bool(acc)
@@ -309,6 +309,10 @@ pub struct IncrementalSession {
     /// Encoding time accrued since the last solve (reported in the next
     /// solve's stats so per-check stats stay meaningful).
     pending_encode: Duration,
+    /// Scratch: the literals of the assumptions posed.
+    assumed: Vec<Lit>,
+    /// The failed assumptions of the last `Unsat` solve.
+    failed: Vec<Assumption>,
 }
 
 impl Default for IncrementalSession {
@@ -327,6 +331,8 @@ impl IncrementalSession {
             fed: 0,
             solves: 0,
             pending_encode: Duration::ZERO,
+            assumed: Vec::new(),
+            failed: Vec::new(),
         }
     }
 
@@ -343,6 +349,7 @@ impl IncrementalSession {
         self.fed = 0;
         self.solves = 0;
         self.pending_encode = Duration::ZERO;
+        self.failed.clear();
     }
 
     /// Lower the underlying solver's clause-arena capacity (clamped to
@@ -436,10 +443,16 @@ impl IncrementalSession {
             return Err(e.clone());
         }
         let before = self.sat.stats();
-        let lits: Vec<Lit> = assumptions.iter().map(|a| a.0).collect();
+        self.assumed.clear();
+        self.assumed.extend(assumptions.iter().map(|a| a.0));
+        self.failed.clear();
         let t1 = Instant::now();
-        let outcome = self.sat.try_solve_under_assumptions(&lits)?;
+        let outcome = self.sat.try_solve_under_assumptions(&self.assumed)?;
         let solve_time = t1.elapsed();
+        if outcome == SolveOutcome::Unsat {
+            let failed = self.sat.failed_assumptions().iter();
+            self.failed.extend(failed.map(|&l| Assumption(l)));
+        }
         let after = self.sat.stats();
         let stats = SolverStats {
             num_vars: self.blaster.num_vars() as u64,
@@ -463,12 +476,8 @@ impl IncrementalSession {
     /// The subset of the last solve's assumptions shown inconsistent
     /// (valid after an `Unsat`; empty when the asserted base itself is
     /// unsatisfiable).
-    pub fn failed_assumptions(&self) -> Vec<Assumption> {
-        self.sat
-            .failed_assumptions()
-            .iter()
-            .map(|&l| Assumption(l))
-            .collect()
+    pub fn failed_assumptions(&self) -> &[Assumption] {
+        &self.failed
     }
 }
 

@@ -16,8 +16,10 @@
 //!   node, and a lookup compares against the stored node, so a probe
 //!   needs no owned key;
 //! * `and` / `or` flatten their operands into a scratch buffer the pool
-//!   owns and look the node up by a hash of that borrowed slice: only a
-//!   node that is new allocates, once, for its operand list;
+//!   owns and look the node up by a hash of that borrowed slice; a node
+//!   that is new appends its operands to the pool's operand arena and
+//!   holds their run ([`Ops`]), so no node owns a heap allocation and
+//!   [`Term`] is `Copy`;
 //! * a route variable is declared under a [`VarKey`] — a scope (the
 //!   route's tag), an attribute and a position, all plain numbers — so
 //!   declaring one formats, allocates and SipHashes nothing; its name is
@@ -25,7 +27,7 @@
 //!   ([`TermPool::bool_var`]) stay for everything else.
 //!
 //! [`TermPool::clear`] empties a pool but keeps its capacity for the
-//! next group.
+//! next group: it frees nothing per node.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -62,8 +64,22 @@ impl Sort {
     }
 }
 
+/// The operands of an n-ary node: a run of the owning pool's operand
+/// arena, read through [`TermPool::operands`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Ops {
+    start: u32,
+    len: u32,
+}
+
+impl Ops {
+    fn of(self, arena: &[TermId]) -> &[TermId] {
+        &arena[self.start as usize..(self.start + self.len) as usize]
+    }
+}
+
 /// A term node. Children are [`TermId`]s into the owning pool.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Term {
     /// Boolean constant `true`.
     True,
@@ -74,9 +90,9 @@ pub enum Term {
     /// Logical negation.
     Not(TermId),
     /// N-ary conjunction (flattened, at least 2 children).
-    And(Vec<TermId>),
+    And(Ops),
     /// N-ary disjunction (flattened, at least 2 children).
-    Or(Vec<TermId>),
+    Or(Ops),
     /// If-then-else; branches may be booleans or same-width bitvectors.
     Ite(TermId, TermId, TermId),
     /// Bitvector constant (`value` is truncated to `width` bits).
@@ -208,6 +224,8 @@ pub struct TermPool {
     /// Per node, the next-older node interned under the same hash
     /// (`NO_TERM` ends the chain; variables are never in one).
     same_hash: Vec<u32>,
+    /// The operands of every `and` / `or` node, run after run.
+    operands: Vec<TermId>,
     /// Operand scratch of `and` / `or`.
     flat: Vec<TermId>,
     /// How each variable was declared, by declaration index.
@@ -216,8 +234,10 @@ pub struct TermPool {
     by_name: HashMap<Arc<str>, TermId>,
     /// The variable term declared under each structured key.
     by_key: FastMap<VarKey, TermId>,
-    /// Scope names, by [`VarKey`] scope index.
-    scopes: Vec<Box<str>>,
+    /// Scope names, concatenated in [`VarKey`] scope index order.
+    scope_names: String,
+    /// End offset of each scope's name in `scope_names`.
+    scope_ends: Vec<u32>,
     bool_vars: Vec<TermId>,
     bv_vars: Vec<TermId>,
 }
@@ -235,10 +255,12 @@ impl TermPool {
         self.sorts.clear();
         self.intern.clear();
         self.same_hash.clear();
+        self.operands.clear();
         self.var_names.clear();
         self.by_name.clear();
         self.by_key.clear();
-        self.scopes.clear();
+        self.scope_names.clear();
+        self.scope_ends.clear();
         self.bool_vars.clear();
         self.bv_vars.clear();
     }
@@ -273,30 +295,36 @@ impl TermPool {
         self.sorts[id.0 as usize]
     }
 
+    /// The operands of an `and` / `or` node of this pool.
+    pub fn operands(&self, ops: Ops) -> &[TermId] {
+        ops.of(&self.operands)
+    }
+
     /// Hash-cons a node other than `and` / `or` (those go through
     /// [`TermPool::nary`]).
     fn intern(&mut self, t: Term, sort: Sort) -> TermId {
         debug_assert!(!matches!(t, Term::And(_) | Term::Or(_)));
         let mut h = TermHasher::default();
         t.hash(&mut h);
-        self.intern_by(h.finish(), sort, |node| *node == t, || t.clone())
+        self.intern_by(h.finish(), sort, |node, _| *node == t, |_| t)
     }
 
     /// The node `same` recognises among those interned under `hash`, or
-    /// a new one, built by `make`, at `sort`.
+    /// a new one, built by `make`, at `sort`. Both see the operand arena;
+    /// `make` may append the new node's operands to it.
     fn intern_by(
         &mut self,
         hash: u64,
         sort: Sort,
-        same: impl Fn(&Term) -> bool,
-        make: impl FnOnce() -> Term,
+        same: impl Fn(&Term, &[TermId]) -> bool,
+        make: impl FnOnce(&mut Vec<TermId>) -> Term,
     ) -> TermId {
         let id = TermId(self.terms.len() as u32);
         let older = match self.intern.entry(hash) {
             Entry::Occupied(mut e) => {
                 let mut at = e.get().0;
                 while at != NO_TERM {
-                    if same(&self.terms[at as usize]) {
+                    if same(&self.terms[at as usize], &self.operands) {
                         return TermId(at);
                     }
                     at = self.same_hash[at as usize];
@@ -308,7 +336,8 @@ impl TermPool {
                 NO_TERM
             }
         };
-        self.push(make(), sort, older)
+        let node = make(&mut self.operands);
+        self.push(node, sort, older)
     }
 
     fn push(&mut self, t: Term, sort: Sort, older: u32) -> TermId {
@@ -371,13 +400,18 @@ impl TermPool {
     /// The index of scope `name` for [`VarKey`]s, registered now if new.
     /// A scope is typically one symbolic route's tag.
     pub fn scope(&mut self, name: &str) -> u32 {
-        match self.scopes.iter().position(|s| **s == *name) {
-            Some(i) => i as u32,
-            None => {
-                self.scopes.push(name.into());
-                (self.scopes.len() - 1) as u32
-            }
-        }
+        let known = (0..self.scope_ends.len()).position(|i| self.scope_name(i as u32) == name);
+        known.unwrap_or_else(|| {
+            self.scope_names.push_str(name);
+            self.scope_ends.push(self.scope_names.len() as u32);
+            self.scope_ends.len() - 1
+        }) as u32
+    }
+
+    fn scope_name(&self, scope: u32) -> &str {
+        let i = scope as usize;
+        let start = if i == 0 { 0 } else { self.scope_ends[i - 1] };
+        &self.scope_names[start as usize..self.scope_ends[i] as usize]
     }
 
     // ---------------------------------------------------------------------
@@ -444,20 +478,21 @@ impl TermPool {
     /// short-circuit on the absorbing one or a complementary pair
     /// (`x /\ !x`, `x \/ !x`), and sort and dedup the rest. Operands are
     /// gathered in the pool's scratch buffer and the node is looked up by
-    /// a hash of that slice, so only a new node allocates.
+    /// a hash of that slice, so only a new node appends to the operand
+    /// arena.
     fn nary(&mut self, conj: bool, parts: &[TermId]) -> TermId {
         let mut flat = std::mem::take(&mut self.flat);
         flat.clear();
         let mut absorbed = false;
         for &p in parts {
-            match (self.term(p), conj) {
+            match (*self.term(p), conj) {
                 (Term::True, true) | (Term::False, false) => {}
                 (Term::False, true) | (Term::True, false) => {
                     absorbed = true;
                     break;
                 }
-                (Term::And(children), true) | (Term::Or(children), false) => {
-                    flat.extend_from_slice(children)
+                (Term::And(ops), true) | (Term::Or(ops), false) => {
+                    flat.extend_from_slice(self.operands(ops))
                 }
                 _ => flat.push(p),
             }
@@ -476,16 +511,21 @@ impl TermPool {
             _ => {
                 let mut h = TermHasher::default();
                 (conj, &flat[..]).hash(&mut h);
-                let same = |node: &Term| match node {
-                    Term::And(v) if conj => v[..] == flat[..],
-                    Term::Or(v) if !conj => v[..] == flat[..],
+                let same = |node: &Term, arena: &[TermId]| match *node {
+                    Term::And(ops) if conj => *ops.of(arena) == flat[..],
+                    Term::Or(ops) if !conj => *ops.of(arena) == flat[..],
                     _ => false,
                 };
-                let make = || {
+                let make = |arena: &mut Vec<TermId>| {
+                    let ops = Ops {
+                        start: arena.len() as u32,
+                        len: flat.len() as u32,
+                    };
+                    arena.extend_from_slice(&flat);
                     if conj {
-                        Term::And(flat.to_vec())
+                        Term::And(ops)
                     } else {
-                        Term::Or(flat.to_vec())
+                        Term::Or(ops)
                     }
                 };
                 self.intern_by(h.finish(), Sort::Bool, same, make)
@@ -675,8 +715,8 @@ impl TermPool {
                 self.display_into(*a, out);
                 out.push(')');
             }
-            Term::And(parts) => self.display_nary("and", parts, out),
-            Term::Or(parts) => self.display_nary("or", parts, out),
+            Term::And(ops) => self.display_nary("and", self.operands(*ops), out),
+            Term::Or(ops) => self.display_nary("or", self.operands(*ops), out),
             Term::Ite(c, t, e) => {
                 out.push_str("(ite ");
                 self.display_into(*c, out);
@@ -699,7 +739,7 @@ impl TermPool {
         match &self.var_names[n as usize] {
             VarName::Text(name) => out.push_str(name),
             VarName::Key(k) => {
-                out.push_str(&self.scopes[k.scope as usize]);
+                out.push_str(self.scope_name(k.scope));
                 out.push('.');
                 out.push_str(k.attr);
                 if k.pos != u32::MAX {
@@ -851,7 +891,7 @@ mod tests {
         let ab = p.and2(a, b);
         let abc = p.and2(ab, c);
         match p.term(abc) {
-            Term::And(parts) => assert_eq!(parts.len(), 3),
+            Term::And(ops) => assert_eq!(p.operands(*ops).len(), 3),
             other => panic!("expected And, got {other:?}"),
         }
     }

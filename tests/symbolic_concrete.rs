@@ -170,7 +170,7 @@ proptest! {
                 prop_assert_eq!(got.route.origin, out.origin);
                 for (i, c) in u.communities().iter().enumerate() {
                     let sym_has = model
-                        .eval_bool(&pool, tr.out.comm_bits[i])
+                        .eval_bool(&pool, tr.out.comm_bits()[i])
                         .unwrap_or(false);
                     prop_assert_eq!(
                         sym_has,
