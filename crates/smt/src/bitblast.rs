@@ -31,9 +31,11 @@
 //! in one contiguous literal buffer with an offset table (the session
 //! streams them into the solver as borrowed slices), bitvector bits live
 //! in one literal buffer addressed by `(offset, width)`, n-ary gate
-//! inputs are staged on a reusable stack, and the structural caches are
-//! dense `TermId`-indexed vectors rather than hash maps. [`IncrementalBlaster::clear`] empties all of it
-//! but keeps the capacity, so one blaster can serve group after group.
+//! inputs are staged on a reusable stack, the descent into a term walks
+//! another (a deep term needs no deep call stack), and the structural
+//! caches are dense `TermId`-indexed vectors rather than hash maps.
+//! [`IncrementalBlaster::clear`] empties all of it but keeps the
+//! capacity, so one blaster can serve group after group.
 //!
 //! **Trusted attach.** No stored clause repeats a variable: the gates
 //! fold repeated and complementary inputs before they emit a clause, and
@@ -48,7 +50,7 @@
 
 use crate::cnf::{Cnf, Lit, Var};
 use crate::sat::{SatSolver, SolverError};
-use crate::term::{Term, TermId, TermPool};
+use crate::term::{Sort, Term, TermId, TermPool};
 
 /// Sentinel for "term not blasted yet" in the dense boolean cache.
 const NO_LIT: u32 = u32::MAX;
@@ -107,6 +109,9 @@ pub struct IncrementalBlaster {
     /// (duplicate / complement detection without sorting).
     seen: Vec<u32>,
     stamp: u32,
+    /// The pending steps of [`IncrementalBlaster::blast`]'s walk: a term
+    /// to expand, or (`true`) one whose operands are lowered.
+    walk: Vec<(TermId, bool)>,
 }
 
 impl Default for IncrementalBlaster {
@@ -131,6 +136,7 @@ impl IncrementalBlaster {
             gate_inputs: Vec::new(),
             seen: Vec::new(),
             stamp: 0,
+            walk: Vec::new(),
         }
     }
 
@@ -149,6 +155,7 @@ impl IncrementalBlaster {
         self.gate_inputs.clear();
         self.seen.clear();
         self.stamp = 0;
+        self.walk.clear();
     }
 
     /// Lower the clause store's literal capacity (a test hook, like
@@ -364,23 +371,113 @@ impl IncrementalBlaster {
         if let Some(l) = self.bool_lit(t) {
             return l;
         }
-        let lit = match pool.term(t) {
+        self.blast(pool, t);
+        match self.bool_lit(t) {
+            Some(l) => l,
+            None => panic!("blast_bool on non-boolean term {:?}", pool.term(t)),
+        }
+    }
+
+    /// Lower `root` and every term under it not lowered yet: operands
+    /// left to right, each before the term that uses it — the order of a
+    /// recursive descent, so literals are numbered as one would number
+    /// them — but walked on an explicit stack, so a deep term costs heap
+    /// (kept across [`IncrementalBlaster::clear`]), not call stack.
+    fn blast(&mut self, pool: &TermPool, root: TermId) {
+        self.walk.push((root, false));
+        while let Some((t, ready)) = self.walk.pop() {
+            if self.blasted(t) {
+                continue;
+            }
+            if !ready {
+                // Revisit `t` once its unlowered operands are, which are
+                // pushed last-first so the first is lowered first.
+                let mark = self.walk.len();
+                self.walk.push((t, true));
+                match *pool.term(t) {
+                    Term::Not(a) => self.expand(a),
+                    Term::And(ops) | Term::Or(ops) => {
+                        for &p in pool.operands(ops).iter().rev() {
+                            self.expand(p);
+                        }
+                    }
+                    Term::Ite(c, a, b) => {
+                        self.expand(b);
+                        self.expand(a);
+                        self.expand(c);
+                    }
+                    Term::BvEq(a, b)
+                    | Term::BvUlt(a, b)
+                    | Term::BvUle(a, b)
+                    | Term::BvAnd(a, b)
+                    | Term::BvAdd(a, b) => {
+                        self.expand(b);
+                        self.expand(a);
+                    }
+                    Term::True
+                    | Term::False
+                    | Term::BoolVar(_)
+                    | Term::BvConst { .. }
+                    | Term::BvVar { .. } => {}
+                }
+                if self.walk.len() > mark + 1 {
+                    continue;
+                }
+                self.walk.pop();
+            }
+            match pool.sort(t) {
+                Sort::Bool => {
+                    let l = self.lower_bool(pool, t);
+                    self.cache_bool(t, l);
+                }
+                Sort::BitVec(_) => self.lower_bv(pool, t),
+            }
+        }
+    }
+
+    /// Queue operand `t` of the walk, unless it is lowered already.
+    fn expand(&mut self, t: TermId) {
+        if !self.blasted(t) {
+            self.walk.push((t, false));
+        }
+    }
+
+    /// Whether `t` (of either sort) has been lowered.
+    fn blasted(&self, t: TermId) -> bool {
+        let i = t.0 as usize;
+        self.bool_map.get(i).is_some_and(|&raw| raw != NO_LIT)
+            || self.bv_map.get(i).is_some_and(|run| run.width > 0)
+    }
+
+    /// Literal of a lowered boolean operand.
+    fn lit_of(&self, t: TermId) -> Lit {
+        Lit(self.bool_map[t.0 as usize])
+    }
+
+    /// Bits of a lowered bitvector operand.
+    fn bits_of(&self, t: TermId) -> Bits {
+        self.bv_map[t.0 as usize]
+    }
+
+    /// The literal of boolean term `t`, whose operands are lowered.
+    fn lower_bool(&mut self, pool: &TermPool, t: TermId) -> Lit {
+        match *pool.term(t) {
             Term::True => self.tru(),
             Term::False => self.fls(),
             Term::BoolVar(_) => self.fresh(),
-            Term::Not(a) => !self.blast_bool(pool, *a),
+            Term::Not(a) => !self.lit_of(a),
             Term::And(ops) => {
                 let base = self.gate_inputs.len();
-                for &p in pool.operands(*ops) {
-                    let l = self.blast_bool(pool, p);
+                for &p in pool.operands(ops) {
+                    let l = self.lit_of(p);
                     self.gate_inputs.push(l);
                 }
                 self.and_staged(base)
             }
             Term::Or(ops) => {
                 let base = self.gate_inputs.len();
-                for &p in pool.operands(*ops) {
-                    let l = self.blast_bool(pool, p);
+                for &p in pool.operands(ops) {
+                    let l = self.lit_of(p);
                     self.gate_inputs.push(!l);
                 }
                 !self.and_staged(base)
@@ -388,14 +485,11 @@ impl IncrementalBlaster {
             Term::Ite(c, a, b) => {
                 // Boolean ite is normally rewritten away by the pool, but
                 // handle it defensively.
-                let lc = self.blast_bool(pool, *c);
-                let la = self.blast_bool(pool, *a);
-                let lb = self.blast_bool(pool, *b);
+                let (lc, la, lb) = (self.lit_of(c), self.lit_of(a), self.lit_of(b));
                 self.mux(lc, la, lb)
             }
             Term::BvEq(a, b) => {
-                let xa = self.blast_bv(pool, *a);
-                let xb = self.blast_bv(pool, *b);
+                let (xa, xb) = (self.bits_of(a), self.bits_of(b));
                 let base = self.gate_inputs.len();
                 for i in 0..xa.width {
                     let eq = self.xnor(self.bits[xa.start + i], self.bits[xb.start + i]);
@@ -403,82 +497,51 @@ impl IncrementalBlaster {
                 }
                 self.and_staged(base)
             }
-            Term::BvUlt(a, b) => {
-                let xa = self.blast_bv(pool, *a);
-                let xb = self.blast_bv(pool, *b);
-                self.ult(xa, xb)
-            }
-            Term::BvUle(a, b) => {
-                let xa = self.blast_bv(pool, *a);
-                let xb = self.blast_bv(pool, *b);
-                !self.ult(xb, xa)
-            }
-            other => panic!("blast_bool on non-boolean term {other:?}"),
-        };
-        self.cache_bool(t, lit);
-        lit
+            Term::BvUlt(a, b) => self.ult(self.bits_of(a), self.bits_of(b)),
+            Term::BvUle(a, b) => !self.ult(self.bits_of(b), self.bits_of(a)),
+            ref other => panic!("blast_bool on non-boolean term {other:?}"),
+        }
     }
 
-    /// Blast a bitvector-sorted term to a run of literals (LSB first) in
-    /// the flat bit store. Operand runs are complete before the result's
-    /// first bit is appended, so a result is always contiguous.
-    fn blast_bv(&mut self, pool: &TermPool, t: TermId) -> Bits {
-        if let Some(&run) = self.bv_map.get(t.0 as usize) {
-            if run.width > 0 {
-                return run;
-            }
-        }
-        match pool.term(t) {
+    /// Append the bits of bitvector term `t`, whose operands are lowered,
+    /// to the flat bit store (LSB first) and record them as `t`'s.
+    /// Operand runs are complete before the result's first bit is
+    /// appended, so a result is always contiguous.
+    fn lower_bv(&mut self, pool: &TermPool, t: TermId) {
+        let start = self.bits.len();
+        match *pool.term(t) {
             Term::BvConst { width, value } => {
                 let tru = self.tru();
-                let start = self.bits.len();
-                self.bits
-                    .extend((0..*width).map(|i| match (value >> i) & 1 {
-                        1 => tru,
-                        _ => !tru,
-                    }));
-                self.cache_bv_from(t, start)
+                self.bits.extend((0..width).map(|i| match (value >> i) & 1 {
+                    1 => tru,
+                    _ => !tru,
+                }));
             }
             Term::BvVar { width, .. } => {
-                let start = self.bits.len();
-                for _ in 0..*width {
+                for _ in 0..width {
                     let l = self.fresh();
                     self.bits.push(l);
                 }
-                self.cache_bv_from(t, start)
             }
-            Term::BvAnd(a, b) => self.bitwise(pool, t, *a, *b, Self::and2),
-            Term::BvAdd(a, b) => {
-                let (xa, xb) = (self.blast_bv(pool, *a), self.blast_bv(pool, *b));
-                let start = self.bits.len();
-                self.adder(xa, xb);
-                self.cache_bv_from(t, start)
-            }
+            Term::BvAnd(a, b) => self.bitwise(a, b, Self::and2),
+            Term::BvAdd(a, b) => self.adder(self.bits_of(a), self.bits_of(b)),
             Term::Ite(c, a, b) => {
-                let lc = self.blast_bool(pool, *c);
-                self.bitwise(pool, t, *a, *b, |s, p, q| s.mux(lc, p, q))
+                let lc = self.lit_of(c);
+                self.bitwise(a, b, |s, p, q| s.mux(lc, p, q));
             }
-            other => panic!("blast_bv on non-bitvector term {other:?}"),
+            ref other => panic!("blast_bv on non-bitvector term {other:?}"),
         }
+        self.cache_bv_from(t, start);
     }
 
-    /// Blast `a` and `b`, then lower `t` bit by bit through `gate`.
-    fn bitwise(
-        &mut self,
-        pool: &TermPool,
-        t: TermId,
-        a: TermId,
-        b: TermId,
-        mut gate: impl FnMut(&mut Self, Lit, Lit) -> Lit,
-    ) -> Bits {
-        let (xa, xb) = (self.blast_bv(pool, a), self.blast_bv(pool, b));
-        let start = self.bits.len();
+    /// Append `gate` of the lowered runs of `a` and `b`, bit by bit.
+    fn bitwise(&mut self, a: TermId, b: TermId, mut gate: impl FnMut(&mut Self, Lit, Lit) -> Lit) {
+        let (xa, xb) = (self.bits_of(a), self.bits_of(b));
         for i in 0..xa.width {
             let (p, q) = (self.bits[xa.start + i], self.bits[xb.start + i]);
             let l = gate(self, p, q);
             self.bits.push(l);
         }
-        self.cache_bv_from(t, start)
     }
 
     /// AND gate over the inputs staged on `gate_inputs` above `base`
@@ -651,6 +714,28 @@ mod tests {
         let mut s = SatSolver::new(0);
         blasted.feed(&mut s, 0);
         s.solve() == SolveOutcome::Sat
+    }
+
+    #[test]
+    fn a_deep_term_blasts_on_a_small_stack() {
+        let mut p = TermPool::new();
+        let vars: Vec<TermId> = (0..8).map(|i| p.bool_var(&format!("v{i}"))).collect();
+        let mut acc = vars[0];
+        for i in 0..100_000 {
+            let (a, b) = (vars[i % 7], vars[(3 * i + 1) % 8]);
+            acc = match i % 3 {
+                0 => p.and2(acc, a),
+                1 => p.or2(acc, b),
+                _ => p.ite(a, acc, b),
+            };
+        }
+        let vars = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || bitblast(&p, &[acc]).num_vars())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(vars > 100_000, "{vars} variables");
     }
 
     #[test]
