@@ -99,6 +99,10 @@ impl fmt::Display for RegexParseError {
 
 impl std::error::Error for RegexParseError {}
 
+/// How deeply groups may nest: the parser recurses once per `(`, so a
+/// bound keeps a hostile pattern from overflowing the stack.
+pub const MAX_GROUP_DEPTH: usize = 128;
+
 /// NFA fragment under construction: entry state and dangling exit state.
 struct Frag {
     start: usize,
@@ -109,6 +113,8 @@ struct Compiler<'a> {
     chars: std::iter::Peekable<std::str::Chars<'a>>,
     states: Vec<NfaState>,
     pattern: &'a str,
+    /// Groups open at the current position.
+    depth: usize,
 }
 
 impl<'a> Compiler<'a> {
@@ -197,7 +203,12 @@ impl<'a> Compiler<'a> {
             }
             '(' => {
                 self.chars.next();
+                if self.depth == MAX_GROUP_DEPTH {
+                    return Err(self.err(&format!("groups nested deeper than {MAX_GROUP_DEPTH}")));
+                }
+                self.depth += 1;
                 let inner = self.parse_alt()?;
+                self.depth -= 1;
                 if self.chars.next() != Some(')') {
                     return Err(self.err("expected ')'"));
                 }
@@ -287,6 +298,7 @@ impl AsPathRegex {
             chars: body.chars().peekable(),
             states: Vec::new(),
             pattern,
+            depth: 0,
         };
         let frag = c.parse_alt()?;
         if c.chars.peek().is_some() {
@@ -324,7 +336,8 @@ impl AsPathRegex {
     pub fn matches(&self, path: &[u32]) -> bool {
         let mut cur = vec![false; self.states.len()];
         let mut next = vec![false; self.states.len()];
-        self.add_closure(self.start, &mut cur);
+        let mut stack = Vec::new();
+        self.add_closure(self.start, &mut cur, &mut stack);
         for &tok in path {
             next.iter_mut().for_each(|b| *b = false);
             for (i, &active) in cur.iter().enumerate() {
@@ -333,7 +346,7 @@ impl AsPathRegex {
                 }
                 for &(pred, dst) in &self.states[i].trans {
                     if pred.matches(tok) {
-                        self.add_closure(dst, &mut next);
+                        self.add_closure(dst, &mut next, &mut stack);
                     }
                 }
             }
@@ -345,13 +358,15 @@ impl AsPathRegex {
         cur[self.accept]
     }
 
-    fn add_closure(&self, s: usize, set: &mut [bool]) {
-        if set[s] {
-            return;
-        }
-        set[s] = true;
-        for &e in &self.states[s].eps {
-            self.add_closure(e, set);
+    /// Add `s` and every state its epsilon edges reach to `set`, walking
+    /// on `stack` rather than recursing: an epsilon chain is as long as
+    /// the pattern.
+    fn add_closure(&self, s: usize, set: &mut [bool], stack: &mut Vec<usize>) {
+        stack.push(s);
+        while let Some(s) = stack.pop() {
+            if !std::mem::replace(&mut set[s], true) {
+                stack.extend(&self.states[s].eps);
+            }
         }
     }
 }
@@ -458,6 +473,32 @@ mod tests {
         assert!(AsPathRegex::compile("[5-2]").is_err());
         assert!(AsPathRegex::compile("a").is_err());
         assert!(AsPathRegex::compile("1)").is_err());
+    }
+
+    /// Run `f` on a thread with a 256 KiB stack.
+    fn on_small_stack(f: impl FnOnce() + Send + 'static) {
+        let t = std::thread::Builder::new().stack_size(256 << 10);
+        t.spawn(f).unwrap().join().unwrap();
+    }
+
+    #[test]
+    fn deep_groups_are_a_typed_error() {
+        on_small_stack(|| {
+            let at_bound = "(".repeat(MAX_GROUP_DEPTH) + "1" + &")".repeat(MAX_GROUP_DEPTH);
+            assert!(re(&at_bound).matches(&[1]));
+            let deep = "(".repeat(50_000) + &")".repeat(50_000);
+            let e = AsPathRegex::compile(&deep).unwrap_err();
+            assert!(e.0.starts_with("groups nested deeper than 128"), "{e}");
+        });
+    }
+
+    #[test]
+    fn long_epsilon_chains_match_without_recursing() {
+        on_small_stack(|| {
+            let r = re(&format!("^{}1$", "()".repeat(200_000)));
+            assert!(r.matches(&[1]));
+            assert!(!r.matches(&[2]));
+        });
     }
 
     #[test]

@@ -142,6 +142,30 @@ fn parse_prints_topology() {
 }
 
 #[test]
+fn deeply_grouped_as_path_pattern_is_a_parse_error_with_its_line() {
+    let d = tmpdir("deep-aspath");
+    write_net(&d, R2);
+    let deep = "(".repeat(50_000) + "100" + &")".repeat(50_000);
+    let r1 = format!("{R1}ip as-path access-list DEEP permit {deep}\n");
+    let line = r1.lines().count();
+    fs::write(d.join("r1.cfg"), r1).unwrap();
+    let out = Command::new(bin())
+        .args(["parse", "--configs"])
+        .arg(&d)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.starts_with("error:"), "{stderr:.200}");
+    assert!(
+        stderr.contains(&format!(
+            "line {line}: bad as-path regex: groups nested deeper than 128"
+        )),
+        "{stderr:.200}"
+    );
+}
+
+#[test]
 fn spec_template_roundtrips() {
     let out = Command::new(bin()).arg("spec-template").output().unwrap();
     assert!(out.status.success());

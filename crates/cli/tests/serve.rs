@@ -564,6 +564,29 @@ fn deeply_nested_body_is_a_400_and_the_daemon_lives_on() {
 }
 
 #[test]
+fn deeply_grouped_as_path_pattern_is_an_error_and_other_tenants_answer() {
+    // A config's AS-path pattern is compiled on the connection thread;
+    // a parser recursing once per `(` once overflowed its stack and
+    // aborted the whole daemon.
+    let daemon = Daemon::start(&[]);
+    let (code, resp) = daemon.post(&submit("good", &small_files(R1), &small_spec()));
+    assert_eq!(code, 200, "{resp:?}");
+    let deep = "(".repeat(15_000) + "100" + &")".repeat(15_000);
+    let r1 = format!("{R1}ip as-path access-list DEEP permit {deep}\n");
+    let (code, resp) = daemon.post(&submit("bad", &small_files(&r1), &small_spec()));
+    assert_ne!(code, 200, "{resp:.200?}");
+    assert_eq!(resp["ok"], false);
+    let error = resp["error"].as_str().unwrap();
+    assert!(
+        error.contains("groups nested deeper than 128"),
+        "{error:.200}"
+    );
+    let (code, resp) = daemon.post(&verify("good"));
+    assert_eq!(code, 200, "{resp:?}");
+    assert_eq!(resp["ok"], true);
+}
+
+#[test]
 fn closed_stdout_leaves_every_tenant_serving() {
     // A supervisor reads the listening line to learn the port, then
     // stops reading (`serve … | head -n1`). The per-round log line then

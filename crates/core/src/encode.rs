@@ -6,8 +6,10 @@
 //! agreement between the two is property-tested in this crate's test
 //! suite, which is the core soundness argument for the generated checks.
 //!
-//! [`encode_import`] / [`encode_export`] wrap the route-map transfer with
-//! the per-edge ghost-attribute updates of §4.4.
+//! [`encode_transfer`] wraps an edge's import or export route map with
+//! the per-edge ghost-attribute updates of §4.4: the one relation
+//! encoder of the engine's symbolic checks and of the Minesweeper
+//! baseline.
 //!
 //! Encoders take the pool by `&mut` and never assume it is empty: the
 //! engine calls them both on throwaway pools (fresh per-check solving)
@@ -25,6 +27,7 @@ use crate::universe::Universe;
 use bgp_model::prefix::Ipv4Prefix;
 use bgp_model::routemap::{Action, MatchCond, RouteMap, SetAction};
 use bgp_model::topology::EdgeId;
+use bgp_model::Policy;
 use smt::{TermId, TermPool};
 
 /// The symbolic result of pushing a route through a filter.
@@ -318,17 +321,25 @@ impl<'a> Encoder<'a> {
     }
 }
 
-/// Encode `Import(edge, r)`: the configured import map (identity when
-/// absent) followed by ghost updates.
-pub fn encode_import(
+/// Encode `Import(edge, r)` (`is_import`) or `Export(edge, r)`: the
+/// edge's configured map in that direction (identity when absent)
+/// followed by its ghost updates. Fresh variables are tagged
+/// `imp{edge}` / `exp{edge}`.
+pub fn encode_transfer(
     pool: &mut TermPool,
     universe: &Universe,
-    map: Option<&RouteMap>,
+    policy: &Policy,
     ghosts: &[GhostAttr],
     edge: EdgeId,
+    is_import: bool,
     input: &SymRoute,
 ) -> Transfer {
-    let mut enc = Encoder::new(pool, universe, format!("imp{}", edge.0));
+    let (map, dir) = if is_import {
+        (policy.import_map(edge), "imp")
+    } else {
+        (policy.export_map(edge), "exp")
+    };
+    let mut enc = Encoder::new(pool, universe, format!("{dir}{}", edge.0));
     let t = match map {
         Some(m) => enc.encode_route_map(m, input),
         None => Transfer {
@@ -336,32 +347,7 @@ pub fn encode_import(
             out: input.clone(),
         },
     };
-    let out = enc.apply_ghosts(ghosts, edge, true, &t.out);
-    Transfer {
-        reject: t.reject,
-        out,
-    }
-}
-
-/// Encode `Export(edge, r)`: the configured export map (identity when
-/// absent) followed by ghost updates.
-pub fn encode_export(
-    pool: &mut TermPool,
-    universe: &Universe,
-    map: Option<&RouteMap>,
-    ghosts: &[GhostAttr],
-    edge: EdgeId,
-    input: &SymRoute,
-) -> Transfer {
-    let mut enc = Encoder::new(pool, universe, format!("exp{}", edge.0));
-    let t = match map {
-        Some(m) => enc.encode_route_map(m, input),
-        None => Transfer {
-            reject: enc.pool.fls(),
-            out: input.clone(),
-        },
-    };
-    let out = enc.apply_ghosts(ghosts, edge, false, &t.out);
+    let out = enc.apply_ghosts(ghosts, edge, is_import, &t.out);
     Transfer {
         reject: t.reject,
         out,
@@ -601,22 +587,18 @@ mod tests {
         let mut pool = TermPool::new();
         let sym = SymRoute::fresh(&mut pool, &u, "in");
         let g = GhostAttr::new("G").with_import(EdgeId(5), GhostUpdate::SetTrue);
-        let t = encode_import(
-            &mut pool,
-            &u,
-            None,
-            std::slice::from_ref(&g),
-            EdgeId(5),
-            &sym,
-        );
+        let (pol, ghosts) = (Policy::new(), std::slice::from_ref(&g));
+        let t = encode_transfer(&mut pool, &u, &pol, ghosts, EdgeId(5), true, &sym);
         // Output ghost bit must be true regardless of input.
         let not_set = pool.not(t.out.ghost_bits()[0]);
         assert!(!solve(&pool, &[not_set]).is_sat());
 
-        // On a different edge the bit is unchanged.
-        let t2 = encode_import(&mut pool, &u, None, &[g], EdgeId(6), &sym);
-        let differs = pool.iff(t2.out.ghost_bits()[0], sym.ghost_bits()[0]);
-        let differs = pool.not(differs);
-        assert!(!solve(&pool, &[differs]).is_sat());
+        // On a different edge, or exporting, the bit is unchanged.
+        for (edge, is_import) in [(EdgeId(6), true), (EdgeId(5), false)] {
+            let t2 = encode_transfer(&mut pool, &u, &pol, ghosts, edge, is_import, &sym);
+            let differs = pool.iff(t2.out.ghost_bits()[0], sym.ghost_bits()[0]);
+            let differs = pool.not(differs);
+            assert!(!solve(&pool, &[differs]).is_sat());
+        }
     }
 }

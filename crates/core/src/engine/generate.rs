@@ -127,12 +127,21 @@ pub(crate) struct ResolvedCheck<'a> {
     pub(crate) body: CheckBody<'a>,
 }
 
+/// The transfer relation of one edge direction: its route map (the
+/// identity when absent) followed by its ghost updates (§4.4).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Relation {
+    pub(crate) edge: EdgeId,
+    pub(crate) is_import: bool,
+}
+
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum CheckBody<'a> {
-    /// assume(r) ∧ r' = transfer(r) ⟹ reject ∨ ensure(r')
-    Transfer {
-        edge: EdgeId,
-        is_import: bool,
+    /// assume(r) ∧ r' = f(r) ⟹ reject ∨ ensure(r'), with `f` the
+    /// relation's transfer, or with no relation the identity, which
+    /// rejects nothing: assume(r) ⟹ ensure(r) (a subsumption).
+    Symbolic {
+        relation: Option<Relation>,
         assume: &'a RoutePred,
         ensure: &'a RoutePred,
         /// Liveness propagation: additionally require non-rejection and
@@ -141,11 +150,6 @@ pub(crate) enum CheckBody<'a> {
     },
     /// Concrete: every originated route satisfies the predicate.
     Originate { edge: EdgeId, ensure: &'a RoutePred },
-    /// assume(r) ⟹ ensure(r)
-    Implication {
-        assume: &'a RoutePred,
-        ensure: &'a RoutePred,
-    },
 }
 
 impl<'a> CheckBody<'a> {
@@ -153,10 +157,16 @@ impl<'a> CheckBody<'a> {
     /// check.
     pub(crate) fn assume(&self) -> Option<&'a RoutePred> {
         match *self {
-            CheckBody::Transfer { assume, .. } | CheckBody::Implication { assume, .. } => {
-                Some(assume)
-            }
+            CheckBody::Symbolic { assume, .. } => Some(assume),
             CheckBody::Originate { .. } => None,
+        }
+    }
+
+    /// The edge the check sits on; `None` for a subsumption.
+    pub(crate) fn edge(&self) -> Option<EdgeId> {
+        match *self {
+            CheckBody::Symbolic { relation, .. } => relation.map(|r| r.edge),
+            CheckBody::Originate { edge, .. } => Some(edge),
         }
     }
 }
@@ -318,30 +328,23 @@ impl<'a> Verifier<'a> {
                 let (at, start) = (|loc| inv.at_ref(topo, loc), checks.len());
                 self.for_each_site(props, |site| {
                     let assume = site.assumes(topo).map(at);
+                    let symbolic = |relation, ensure| CheckBody::Symbolic {
+                        relation,
+                        assume: assume.expect("a symbolic safety site assumes an invariant"),
+                        ensure,
+                        require_accept: false,
+                    };
+                    let transfer = |edge, is_import, ensure| {
+                        symbolic(Some(Relation { edge, is_import }), ensure)
+                    };
                     let body = match site {
-                        Site::Import(e) => CheckBody::Transfer {
-                            edge: e,
-                            is_import: true,
-                            assume: assume.expect("imports assume the edge invariant"),
-                            ensure: at(Location::Node(topo.edge(e).dst)),
-                            require_accept: false,
-                        },
-                        Site::Export(e) => CheckBody::Transfer {
-                            edge: e,
-                            is_import: false,
-                            assume: assume.expect("exports assume the sender's invariant"),
-                            ensure: at(Location::Edge(e)),
-                            require_accept: false,
-                        },
+                        Site::Import(e) => transfer(e, true, at(Location::Node(topo.edge(e).dst))),
+                        Site::Export(e) => transfer(e, false, at(Location::Edge(e))),
                         Site::Originate(e) => CheckBody::Originate {
                             edge: e,
                             ensure: at(Location::Edge(e)),
                         },
-                        Site::Subsumption(_, p) => CheckBody::Implication {
-                            assume: assume
-                                .expect("subsumption assumes the property location's invariant"),
-                            ensure: &p.pred,
-                        },
+                        Site::Subsumption(_, p) => symbolic(None, &p.pred),
                         Site::Propagation { .. } | Site::NoInterference { .. } | Site::Final(_) => {
                             unreachable!("safety suites have no liveness sites")
                         }

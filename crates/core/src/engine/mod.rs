@@ -11,6 +11,15 @@
 //!   `I_{A->B}`;
 //! * one **Subsumption** check: `I_ℓ ⟹ P`.
 //!
+//! These are two body shapes (`generate::CheckBody`). Import, Export
+//! and Subsumption are one **symbolic** shape, `assume(r) ∧ r' = f(r)
+//! ⟹ reject ∨ ensure(r')`: `f` is an edge direction's relation, or for
+//! a subsumption no relation — the identity, which rejects nothing.
+//! Originate is the **concrete** shape. The liveness checks are
+//! symbolic too (a path step has a relation, the final check none).
+//! Every relation is encoded by one function,
+//! [`crate::encode::encode_transfer`].
+//!
 //! Check size depends only on one router's configuration (the property
 //! behind Figure 3b of the paper), which makes checks embarrassingly
 //! parallel (design decision D3) and incrementally re-checkable.

@@ -62,10 +62,8 @@ impl<'a> Verifier<'a> {
                 check: parts.check(&rc.body),
                 rest: parts.rest(&rc.body),
                 transfer: match rc.body {
-                    CheckBody::Transfer {
-                        edge, is_import, ..
-                    } => Some(parts.transfer(edge, is_import)),
-                    _ => None,
+                    CheckBody::Symbolic { relation, .. } => relation.map(|r| parts.transfer(r)),
+                    CheckBody::Originate { .. } => None,
                 },
             });
         }
@@ -109,24 +107,25 @@ impl<'a> Verifier<'a> {
     /// The session key check `i` of a run is solved under — the one
     /// place a group is decided. Checks with equal keys share everything
     /// but their assume/ensure predicates: the symbolic input route, its
-    /// well-formedness constraint and, for transfers, the relation. A
-    /// transfer check is keyed by its relation's interned id in
+    /// well-formedness constraint and their relation, if any. A check
+    /// with a relation is keyed by the relation's interned id in
     /// [`crate::fingerprint::PolicyDigests`] (the base its class key
     /// carries), so every edge that shares a route-map + ghost-update
-    /// relation is answered on one session that encodes it once. An originate check is keyed by
-    /// its edge. All implication checks share one encoding base, which
-    /// would otherwise serialize every subsumption check of a
-    /// multi-property run onto a single worker: that one unbounded group
-    /// is spread over worker-count chunks by check index — session reuse
-    /// within a chunk, parallelism across chunks. Never part of a
-    /// fingerprint: grouping affects scheduling, not verdicts.
+    /// relation is answered on one session that encodes it once. An
+    /// originate check is keyed by its edge. All checks without a
+    /// relation (subsumptions) share one encoding base, which would
+    /// otherwise serialize every subsumption check of a multi-property
+    /// run onto a single worker: that one unbounded group is spread over
+    /// worker-count chunks by check index — session reuse within a
+    /// chunk, parallelism across chunks. Never part of a fingerprint:
+    /// grouping affects scheduling, not verdicts.
     pub(crate) fn solve_key(&self, i: usize, c: &ResolvedCheck) -> u64 {
         match c.body {
-            CheckBody::Transfer {
-                edge, is_import, ..
-            } => (1 << 40) | u64::from(self.policy_digests().transfer_id(edge, is_import)),
+            CheckBody::Symbolic { relation: None, .. } => (3 << 40) | (i as u64 % self.jobs as u64),
+            CheckBody::Symbolic { relation, .. } => {
+                (1 << 40) | u64::from(self.policy_digests().relation_id(relation))
+            }
             CheckBody::Originate { edge, .. } => (2 << 40) | u64::from(edge.0),
-            CheckBody::Implication { .. } => (3 << 40) | (i as u64 % self.jobs as u64),
         }
     }
 }

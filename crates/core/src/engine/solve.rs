@@ -1,15 +1,15 @@
 //! Deciding checks: session groups — one per distinct transfer relation,
-//! per originate edge and per implication chunk — on persistent
+//! per originate edge and per subsumption chunk — on persistent
 //! assumption-based [`smt::IncrementalSession`]s (the relation encoded
 //! once, each check an assumption-gated query carrying learnt clauses
 //! forward), the one-shot query every failure's counterexample
 //! and the reference oracle come from, and the concrete evaluator of
 //! originate checks.
 
-use super::generate::{CheckBody, ResolvedCheck};
+use super::generate::{CheckBody, Relation, ResolvedCheck};
 use super::{timed, Verifier};
 use crate::check::{CheckResult, Counterexample};
-use crate::encode::{encode_export, encode_import, Transfer};
+use crate::encode::{encode_transfer, Transfer};
 use crate::fingerprint::route_digest;
 use crate::invariants::NetworkInvariants;
 use crate::pred::RoutePred;
@@ -88,41 +88,37 @@ fn park_session(gs: GroupSession) {
     SPARE_SESSION.set(Some(gs));
 }
 
-/// The negated goal of a transfer obligation: `goal = reject ∨
+/// The negated goal of a symbolic obligation: `goal = reject ∨
 /// ensure(out)` for safety or `¬reject ∧ ensure(out)` for liveness
-/// propagation (`require_accept`). One definition shared by one-shot
-/// queries ([`Verifier::one_shot`]) and grouped session solving, so the
+/// propagation (`require_accept`), `out` and `reject` the transfer's;
+/// with no transfer (the identity, which rejects nothing) the goal is
+/// `ensure(input)`. One definition shared by one-shot queries
+/// ([`Verifier::one_shot`]) and grouped session solving, so the
 /// obligation shape cannot drift between them. Session solving poses the
 /// `assume(input)` half as one assumption literal **per assume
 /// conjunct** (so an UNSAT proof's failed assumptions localize which
 /// conjuncts were load-bearing) and this negated goal behind one more.
-fn transfer_goal_negation(
+fn goal_negation(
     pool: &mut TermPool,
     universe: &Universe,
-    transfer: &Transfer,
+    input: &SymRoute,
+    transfer: Option<&Transfer>,
     ensure: &RoutePred,
     require_accept: bool,
 ) -> TermId {
-    let post = ensure.encode(pool, universe, &transfer.out);
-    let goal = if require_accept {
-        let not_rej = pool.not(transfer.reject);
-        pool.and2(not_rej, post)
-    } else {
-        pool.or2(transfer.reject, post)
+    let goal = match transfer {
+        None => ensure.encode(pool, universe, input),
+        Some(t) => {
+            let post = ensure.encode(pool, universe, &t.out);
+            if require_accept {
+                let not_rej = pool.not(t.reject);
+                pool.and2(not_rej, post)
+            } else {
+                pool.or2(t.reject, post)
+            }
+        }
     };
     pool.not(goal)
-}
-
-/// The negated goal `¬ensure(r)` of an implication obligation (see
-/// [`transfer_goal_negation`]).
-fn implication_goal_negation(
-    pool: &mut TermPool,
-    universe: &Universe,
-    r: &SymRoute,
-    ensure: &RoutePred,
-) -> TermId {
-    let post = ensure.encode(pool, universe, r);
-    pool.not(post)
 }
 
 /// Decide one check's violation query on a shared session, with the
@@ -191,15 +187,10 @@ fn solve_conjunct_gated(
     (result, stats, core)
 }
 
-/// How many distinct edges a group's checks sit on (an implication
+/// How many distinct edges a group's checks sit on (a subsumption
 /// sits on none).
 fn distinct_edges(checks: &[&ResolvedCheck]) -> usize {
-    let mut edges: Vec<EdgeId> = (checks.iter())
-        .filter_map(|rc| match rc.body {
-            CheckBody::Transfer { edge, .. } | CheckBody::Originate { edge, .. } => Some(edge),
-            CheckBody::Implication { .. } => None,
-        })
-        .collect();
+    let mut edges: Vec<EdgeId> = checks.iter().filter_map(|rc| rc.body.edge()).collect();
     edges.sort_unstable();
     edges.dedup();
     edges.len()
@@ -254,9 +245,7 @@ impl<'a> Verifier<'a> {
     ) -> Option<bool> {
         let g = self.generate(self.universe(&[]), &[(props, inv)]);
         let mut rc = *g.checks.get(check_id)?;
-        let (CheckBody::Transfer { assume, .. } | CheckBody::Implication { assume, .. }) =
-            &mut rc.body
-        else {
+        let CheckBody::Symbolic { assume, .. } = &mut rc.body else {
             return None;
         };
         let all = assume.conjuncts();
@@ -268,57 +257,43 @@ impl<'a> Verifier<'a> {
         Some(self.run_one(&g.universe, &rc).result.passed())
     }
 
-    /// Decide a symbolic (transfer or implication) check's violation
-    /// query `wf(r) ∧ assume(r) ∧ ¬goal` on its own fresh pool and
-    /// solver, concretizing the model of a violation into its
-    /// counterexample: the input, and what the transfer does to it (an
-    /// implication transforms nothing).
+    /// Decide a symbolic check's violation query `wf(r) ∧ assume(r) ∧
+    /// ¬goal` on its own fresh pool and solver, concretizing the model
+    /// of a violation into its counterexample: the input, and what the
+    /// relation does to it (a subsumption transforms nothing).
     fn one_shot(&self, universe: &Universe, body: &CheckBody) -> (CheckResult, SolverStats) {
+        let CheckBody::Symbolic {
+            relation,
+            assume,
+            ensure,
+            require_accept,
+        } = *body
+        else {
+            unreachable!("originate checks are concrete");
+        };
         let mut pool = TermPool::new();
         let input = SymRoute::fresh(&mut pool, universe, "r");
         let mut query = vec![input.well_formed(&mut pool)];
-        // Terms are created transfer, assume, goal: the pool's order
+        // Terms are created relation, assume, goal: the pool's order
         // fixes the CNF, and so which counterexample the solver finds.
-        let transfer = match *body {
-            CheckBody::Transfer {
-                edge,
-                is_import,
-                assume,
-                ensure,
-                require_accept,
-            } => {
-                let t = self.encode_transfer(&mut pool, universe, edge, is_import, &input);
-                query.push(assume.encode(&mut pool, universe, &input));
-                query.push(transfer_goal_negation(
-                    &mut pool,
-                    universe,
-                    &t,
-                    ensure,
-                    require_accept,
-                ));
-                Some(t)
-            }
-            CheckBody::Implication { assume, ensure } => {
-                query.push(assume.encode(&mut pool, universe, &input));
-                query.push(implication_goal_negation(
-                    &mut pool, universe, &input, ensure,
-                ));
-                None
-            }
-            CheckBody::Originate { .. } => unreachable!("originate checks are concrete"),
-        };
+        let transfer = relation.map(|rel| self.encode_transfer(&mut pool, universe, rel, &input));
+        query.push(assume.encode(&mut pool, universe, &input));
+        query.push(goal_negation(
+            &mut pool,
+            universe,
+            &input,
+            transfer.as_ref(),
+            ensure,
+            require_accept,
+        ));
         let (result, stats) = solve_with_stats(&pool, &query);
         let SatResult::Sat(model) = result else {
             return (CheckResult::Pass, stats);
         };
-        let (rejected, output) = match &transfer {
-            None => (false, None),
-            Some(t) => {
-                let rejected = model.eval_bool(&pool, t.reject).unwrap_or(false);
-                let output = (!rejected).then(|| t.out.concretize(&pool, universe, &model));
-                (rejected, output)
-            }
-        };
+        let rejected =
+            (transfer.as_ref()).is_some_and(|t| model.eval_bool(&pool, t.reject).unwrap_or(false));
+        let output =
+            (transfer.filter(|_| !rejected)).map(|t| t.out.concretize(&pool, universe, &model));
         let cex = Counterexample {
             input: input.concretize(&pool, universe, &model),
             output,
@@ -327,48 +302,39 @@ impl<'a> Verifier<'a> {
         (CheckResult::Fail(Box::new(cex)), stats)
     }
 
+    /// The relation's transfer over `input`, in `pool`.
     fn encode_transfer(
         &self,
         pool: &mut TermPool,
         universe: &Universe,
-        edge: EdgeId,
-        is_import: bool,
+        Relation { edge, is_import }: Relation,
         input: &SymRoute,
     ) -> Transfer {
-        if is_import {
-            encode_import(
-                pool,
-                universe,
-                self.policy.import_map(edge),
-                &self.ghosts,
-                edge,
-                input,
-            )
-        } else {
-            encode_export(
-                pool,
-                universe,
-                self.policy.export_map(edge),
-                &self.ghosts,
-                edge,
-                input,
-            )
-        }
+        encode_transfer(
+            pool,
+            universe,
+            self.policy,
+            &self.ghosts,
+            edge,
+            is_import,
+            input,
+        )
     }
 
     /// Solve one session group (see [`Verifier::solve_key`]) on a
     /// persistent assumption-based session: the symbolic route, its
-    /// well-formedness constraint and (for transfer groups) the
-    /// route-map + ghost-update transfer relation are encoded once — from
-    /// the representative's edge, since every member's edge has the same
-    /// relation — and each check contributes only its assume/ensure
-    /// predicates: one activation literal per assume **conjunct** plus
-    /// one for the negated goal, decided by an assumption solve that
-    /// reuses everything the session has learnt. A passing check reads
-    /// the failed assumptions back as its conjunct-level unsat core; a
-    /// failing check re-derives its counterexample on a fresh one-shot
-    /// instance, so session history can never influence what a failure
-    /// prints (fresh and grouped runs stay byte-identical).
+    /// well-formedness constraint and (unless the group's checks are
+    /// subsumptions) the route-map + ghost-update transfer relation are
+    /// encoded once — from the representative's edge, since every
+    /// member's edge has the same relation — and each check contributes
+    /// only its assume/ensure predicates: one activation literal per
+    /// assume **conjunct** plus one for the negated goal, decided by an
+    /// assumption solve that reuses everything the session has learnt.
+    /// A passing check reads the failed assumptions back as its
+    /// conjunct-level unsat core; a failing check re-derives its
+    /// counterexample on a fresh one-shot instance, so session history
+    /// can never influence what a failure prints (fresh and grouped runs
+    /// stay byte-identical).
     ///
     /// A session is per relation, not per edge direction: a group may
     /// mix checks of many edges that share one relation, and checks from
@@ -395,95 +361,63 @@ impl<'a> Verifier<'a> {
             checks = checks.len(),
             edges = distinct_edges(checks)
         );
-        // One record path for both session shapes: a passing check
-        // reads its core off the session, a failing one re-derives its
-        // counterexample on a fresh one-shot instance.
-        let settle = |rc: &ResolvedCheck, result, stats, core| match result {
-            SolveOutcome::Unsat => SolvedCheck {
-                result: CheckResult::Pass,
-                stats,
-                core,
-            },
-            SolveOutcome::Sat => self.run_one(universe, rc),
-        };
         let out: Vec<SolvedCheck> = match first.body {
             CheckBody::Originate { .. } => {
                 checks.iter().map(|rc| self.run_one(universe, rc)).collect()
             }
-            CheckBody::Transfer {
-                edge, is_import, ..
-            } => {
-                let digests = self.policy_digests();
-                let relation = digests.transfer_id(edge, is_import);
+            CheckBody::Symbolic { relation, .. } => {
+                let id = |r| self.policy_digests().relation_id(r);
                 assert!(
-                    checks.iter().all(|rc| match rc.body {
-                        CheckBody::Transfer {
-                            edge, is_import, ..
-                        } => digests.transfer_id(edge, is_import) == relation,
-                        _ => false,
-                    }),
-                    "a transfer group spans more than one relation"
+                    checks.iter().all(|rc| matches!(rc.body,
+                        CheckBody::Symbolic { relation: r, .. } if id(r) == id(relation))),
+                    "a symbolic group spans more than one relation"
                 );
                 let mut gs = group_session();
                 let (input, wf, transfer) = timed("engine.terms_ns", || {
                     let pool = gs.sess.pool_mut();
                     let input = SymRoute::fresh(pool, universe, "r");
                     let wf = input.well_formed(pool);
-                    let transfer = self.encode_transfer(pool, universe, edge, is_import, &input);
+                    let transfer =
+                        relation.map(|rel| self.encode_transfer(pool, universe, rel, &input));
                     (input, wf, transfer)
                 });
                 gs.sess.assert(wf);
+                // Reused by every check: one allocation per group.
+                let mut conjs = Vec::new();
                 let out = checks
                     .iter()
                     .map(|rc| {
-                        let CheckBody::Transfer {
+                        let CheckBody::Symbolic {
                             assume,
                             ensure,
                             require_accept,
                             ..
                         } = rc.body
                         else {
-                            unreachable!("transfer group mixes check shapes");
+                            unreachable!("a symbolic group holds symbolic checks");
                         };
-                        let conjs = assume.conjuncts();
+                        conjs.clear();
+                        assume.conjuncts_into(&mut conjs);
                         let neg = timed("engine.terms_ns", || {
-                            transfer_goal_negation(
+                            goal_negation(
                                 gs.sess.pool_mut(),
                                 universe,
-                                &transfer,
+                                &input,
+                                transfer.as_ref(),
                                 ensure,
                                 require_accept,
                             )
                         });
                         let (result, stats, core) =
                             solve_conjunct_gated(&mut gs, universe, &input, &conjs, neg);
-                        settle(rc, result, stats, core)
-                    })
-                    .collect();
-                park_session(gs);
-                out
-            }
-            CheckBody::Implication { .. } => {
-                let mut gs = group_session();
-                let (r, wf) = timed("engine.terms_ns", || {
-                    let r = SymRoute::fresh(gs.sess.pool_mut(), universe, "r");
-                    let wf = r.well_formed(gs.sess.pool_mut());
-                    (r, wf)
-                });
-                gs.sess.assert(wf);
-                let out = checks
-                    .iter()
-                    .map(|rc| {
-                        let CheckBody::Implication { assume, ensure } = rc.body else {
-                            unreachable!("implication group mixes check shapes");
-                        };
-                        let conjs = assume.conjuncts();
-                        let neg = timed("engine.terms_ns", || {
-                            implication_goal_negation(gs.sess.pool_mut(), universe, &r, ensure)
-                        });
-                        let (result, stats, core) =
-                            solve_conjunct_gated(&mut gs, universe, &r, &conjs, neg);
-                        settle(rc, result, stats, core)
+                        match result {
+                            SolveOutcome::Unsat => SolvedCheck {
+                                result: CheckResult::Pass,
+                                stats,
+                                core,
+                            },
+                            SolveOutcome::Sat => self.run_one(universe, rc),
+                        }
                     })
                     .collect();
                 park_session(gs);

@@ -54,7 +54,7 @@
 //! stable across runs that build the universe in different insertion
 //! orders.
 
-use crate::engine::generate::CheckBody;
+use crate::engine::generate::{CheckBody, Relation};
 use crate::ghost::{GhostAttr, GhostUpdate};
 use crate::pred::RoutePred;
 use crate::universe::Universe;
@@ -250,11 +250,15 @@ impl PolicyDigests {
         }
     }
 
-    /// The interned id of one edge-direction's transfer relation: equal
-    /// ids mean equal route-map contents, direction and ghost updates,
-    /// and so one relation to encode.
-    pub(crate) fn transfer_id(&self, edge: EdgeId, is_import: bool) -> u32 {
-        self.transfer[2 * edge.0 as usize + usize::from(is_import)]
+    /// The interned base id of the relation a symbolic check passes its
+    /// input through: an edge direction's transfer — equal ids mean
+    /// equal route-map contents, direction and ghost updates, and so one
+    /// relation to encode — or, with none, the implication base.
+    pub(crate) fn relation_id(&self, relation: Option<Relation>) -> u32 {
+        match relation {
+            Some(r) => self.transfer[2 * r.edge.0 as usize + usize::from(r.is_import)],
+            None => self.implication,
+        }
     }
 }
 
@@ -332,8 +336,8 @@ impl<'a> FpParts<'a> {
     /// the ghost updates on that edge+direction, *without* any
     /// assume/ensure predicate or universe: the part every check of one
     /// session group shares.
-    pub(crate) fn transfer(&self, edge: EdgeId, is_import: bool) -> Fingerprint {
-        self.policy.bases[self.policy.transfer_id(edge, is_import) as usize]
+    pub(crate) fn transfer(&self, relation: Relation) -> Fingerprint {
+        self.policy.bases[self.policy.relation_id(Some(relation)) as usize]
     }
 
     fn pred_id(&mut self, pred: &'a RoutePred) -> u32 {
@@ -348,23 +352,19 @@ impl<'a> FpParts<'a> {
     /// it travels with the ensure side.
     pub(crate) fn class_key(&mut self, body: &CheckBody<'a>) -> ClassKey {
         let (base, require_accept, assume, ensure) = match *body {
-            CheckBody::Transfer {
-                edge,
-                is_import,
+            CheckBody::Symbolic {
+                relation,
                 assume,
                 ensure,
                 require_accept,
             } => (
-                self.policy.transfer_id(edge, is_import),
+                self.policy.relation_id(relation),
                 require_accept,
                 Some(assume),
                 ensure,
             ),
             CheckBody::Originate { edge, ensure } => {
                 (self.policy.originate[edge.0 as usize], false, None, ensure)
-            }
-            CheckBody::Implication { assume, ensure } => {
-                (self.policy.implication, false, Some(assume), ensure)
             }
         };
         ClassKey {
@@ -467,9 +467,11 @@ mod tests {
     fn transfer_body(edge: EdgeId) -> CheckBody<'static> {
         static ASSUME: RoutePred = RoutePred::True;
         static ENSURE: RoutePred = RoutePred::HasCommunity(Community(100 << 16 | 1));
-        CheckBody::Transfer {
-            edge,
-            is_import: true,
+        CheckBody::Symbolic {
+            relation: Some(Relation {
+                edge,
+                is_import: true,
+            }),
             assume: &ASSUME,
             ensure: &ENSURE,
             require_accept: false,
@@ -552,7 +554,12 @@ mod tests {
         let bases = |p: &Policy| {
             let d = PolicyDigests::new(8, p, &g);
             (0..3)
-                .map(|e| d.bases[d.transfer_id(EdgeId(e), true) as usize])
+                .map(|e| {
+                    d.bases[d.relation_id(Some(Relation {
+                        edge: EdgeId(e),
+                        is_import: true,
+                    })) as usize]
+                })
                 .collect::<Vec<_>>()
         };
         let b = bases(&shared);

@@ -26,7 +26,7 @@
 //! tolerated.
 
 use crate::check::Report;
-use crate::engine::generate::{CheckBody, ConjunctTable, NiStep, ResolvedCheck, Site};
+use crate::engine::generate::{CheckBody, ConjunctTable, NiStep, Relation, ResolvedCheck, Site};
 use crate::engine::Verifier;
 use crate::invariants::{Location, NetworkInvariants};
 use crate::pred::RoutePred;
@@ -183,9 +183,8 @@ impl<'a> Verifier<'a> {
                 (Location::Edge(e), Location::Node(_)) => (e, true),
                 _ => unreachable!("validated"),
             };
-            let body = CheckBody::Transfer {
-                edge,
-                is_import,
+            let body = CheckBody::Symbolic {
+                relation: Some(Relation { edge, is_import }),
                 assume: &spec.constraints[i],
                 ensure: &spec.constraints[i + 1],
                 require_accept: true,
@@ -199,9 +198,11 @@ impl<'a> Verifier<'a> {
             let step = NiStep::of(rc.site);
             sites.push((Site::NoInterference { router, step }, rc.body))
         }
-        let body = CheckBody::Implication {
+        let body = CheckBody::Symbolic {
+            relation: None,
             assume: spec.constraints.last().unwrap(),
             ensure: &spec.pred,
+            require_accept: false,
         };
         sites.push((Site::Final(spec.location), body));
         let checks = (sites.into_iter().enumerate())

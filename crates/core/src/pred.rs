@@ -198,20 +198,23 @@ impl RoutePred {
     /// conjunct, so a passing (UNSAT) check can report exactly which
     /// conjuncts its proof needed (`CheckOutcome::core`).
     pub fn conjuncts(&self) -> Vec<&RoutePred> {
-        fn walk<'p>(p: &'p RoutePred, out: &mut Vec<&'p RoutePred>) {
-            match p {
-                RoutePred::True => {}
-                RoutePred::And(xs) => {
-                    for x in xs {
-                        walk(x, out);
-                    }
-                }
-                other => out.push(other),
-            }
-        }
         let mut out = Vec::new();
-        walk(self, &mut out);
+        self.conjuncts_into(&mut out);
         out
+    }
+
+    /// Append [`RoutePred::conjuncts`] to `out`, in the same order, so a
+    /// caller that takes many predicates apart can reuse one vector.
+    pub fn conjuncts_into<'p>(&'p self, out: &mut Vec<&'p RoutePred>) {
+        match self {
+            RoutePred::True => {}
+            RoutePred::And(xs) => {
+                for x in xs {
+                    x.conjuncts_into(out);
+                }
+            }
+            other => out.push(other),
+        }
     }
 
     /// Register every community / regex / ghost the predicate mentions.

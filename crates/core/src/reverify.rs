@@ -38,7 +38,7 @@
 //! can never depend on what else the group solved.
 
 use crate::check::{CheckOutcome, CheckResult, Report};
-use crate::engine::generate::{count_described, CheckBody, ResolvedCheck};
+use crate::engine::generate::{count_described, ResolvedCheck};
 use crate::engine::solve::{size_only, SolvedCheck};
 use crate::engine::{CheckCache, Verifier};
 use crate::fingerprint::{pred_digest, universe_digest, FpParts};
@@ -125,12 +125,12 @@ fn neighborhood(topo: &Topology, checks: &[ResolvedCheck], changed: &[String]) -
         .collect();
     checks
         .iter()
-        .filter(|c| match c.body {
-            CheckBody::Transfer { edge, .. } | CheckBody::Originate { edge, .. } => {
+        .filter(|c| match c.body.edge() {
+            Some(edge) => {
                 let e = topo.edge(edge);
                 named.contains(&e.src) || named.contains(&e.dst)
             }
-            CheckBody::Implication { .. } => true,
+            None => true,
         })
         .count()
 }

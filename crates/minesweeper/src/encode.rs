@@ -2,7 +2,7 @@
 
 use bgp_model::policy::Policy;
 use bgp_model::topology::{EdgeId, NodeId, Topology};
-use lightyear::encode::{encode_export, encode_import};
+use lightyear::encode::encode_transfer;
 use lightyear::ghost::GhostAttr;
 use lightyear::invariants::Location;
 use lightyear::pred::RoutePred;
@@ -146,12 +146,13 @@ impl<'a> Minesweeper<'a> {
                 continue;
             }
             let src_best = best[&edge.src].clone();
-            let t = encode_export(
+            let t = encode_transfer(
                 &mut pool,
                 &universe,
-                self.policy.export_map(e),
+                self.policy,
                 &self.ghosts,
                 e,
+                false,
                 &src_best.sym,
             );
             let not_rej = pool.not(t.reject);
@@ -174,12 +175,13 @@ impl<'a> Minesweeper<'a> {
             let mut candidates: Vec<MsRoute> = Vec::new();
             for &e in self.topo.in_edges(r) {
                 let exp = exported[&e].clone();
-                let t = encode_import(
+                let t = encode_transfer(
                     &mut pool,
                     &universe,
-                    self.policy.import_map(e),
+                    self.policy,
                     &self.ghosts,
                     e,
+                    true,
                     &exp.sym,
                 );
                 let not_rej = pool.not(t.reject);

@@ -11,7 +11,7 @@
 
 use bgp_model::prefix::{Ipv4Prefix, PrefixRange};
 use bgp_model::routemap::{Action, MatchCond, RouteMap, RouteMapEntry, SetAction};
-use bgp_model::{Community, Policy, Topology};
+use bgp_model::{Community, Policy, Route, Topology};
 use fuzz::{FamilyId, FamilyParams};
 use lightyear::engine::{CheckDigests, Verifier};
 use lightyear::ghost::{GhostAttr, GhostUpdate};
@@ -830,3 +830,67 @@ fn figure1_check_fingerprint_is_pinned() {
 }
 
 const FIGURE1_CHECK0: &str = "554f445964f8027af7ac51a37fb12967";
+
+/// Every check of Figure 1's no-transit suite, not only the first: its
+/// imports and exports hash a transfer base and its subsumption check
+/// the implication base. Figure 1 originates nothing, so the same suite
+/// over Figure 1 with one route originated onto R2 -> ISP2 pins the
+/// origination base too.
+#[test]
+fn figure1_every_check_fingerprint_is_pinned() {
+    let s = figure1::build();
+    let props = std::slice::from_ref(&s.no_transit);
+    let pinned = |policy: &Policy| {
+        let v = Verifier::new(&s.network.topology, policy).with_ghost(s.ghost.clone());
+        let report = v.verify_safety(&s.no_transit, &s.no_transit_inv);
+        let kinds: Vec<CheckKind> = report.outcomes.iter().map(|o| o.check.kind).collect();
+        let fps = v.check_fingerprints(props, &s.no_transit_inv);
+        (kinds, fps.iter().map(|f| f.to_hex()).collect::<Vec<_>>())
+    };
+    let (kinds, fps) = pinned(&s.network.policy);
+    for kind in [CheckKind::Import, CheckKind::Export, CheckKind::Subsumption] {
+        assert!(kinds.contains(&kind), "Figure 1 has no {kind:?} check");
+    }
+    let topo = &s.network.topology;
+    let r2_isp2 = (topo.node_by_name("R2"))
+        .zip(topo.node_by_name("ISP2"))
+        .and_then(|(r2, isp2)| topo.edge_between(r2, isp2))
+        .unwrap();
+    let mut originating = s.network.policy.clone();
+    originating.add_origination(r2_isp2, Route::new("203.0.113.0/24".parse().unwrap()));
+    let (okinds, ofps) = pinned(&originating);
+    let at = okinds.iter().position(|&k| k == CheckKind::Originate);
+    let originate = at.map(|i| ofps[i].as_str());
+    let moved = "a Figure 1 check fingerprint moved: bump `FP_VERSION` in \
+                 crates/core/src/fingerprint.rs, then re-pin (see \
+                 `figure1_check_fingerprint_is_pinned`)";
+    assert_eq!(fps, FIGURE1_CHECKS, "{moved}");
+    assert_eq!(originate, Some(FIGURE1_ORIGINATE), "{moved}");
+}
+
+/// The fingerprints of Figure 1's no-transit checks, in check-id order.
+const FIGURE1_CHECKS: [&str; 19] = [
+    "554f445964f8027af7ac51a37fb12967",
+    "a23460f9ce209712d65a2bfde8f46eab",
+    "8de7823daeb3feb112af4b1173f346c0",
+    "554f445964f8027af7ac51a37fb12967",
+    "8de7823daeb3feb112af4b1173f346c0",
+    "554f445964f8027af7ac51a37fb12967",
+    "8de7823daeb3feb112af4b1173f346c0",
+    "554f445964f8027af7ac51a37fb12967",
+    "8de7823daeb3feb112af4b1173f346c0",
+    "554f445964f8027af7ac51a37fb12967",
+    "d926305e8981cec72cb302c4a2d7e0a8",
+    "916ddd115291fab5cbb303d826ba1f89",
+    "8de7823daeb3feb112af4b1173f346c0",
+    "554f445964f8027af7ac51a37fb12967",
+    "8de7823daeb3feb112af4b1173f346c0",
+    "554f445964f8027af7ac51a37fb12967",
+    "554f445964f8027af7ac51a37fb12967",
+    "916ddd115291fab5cbb303d826ba1f89",
+    "cab79ffad88120439729d84566b90b01",
+];
+
+/// The fingerprint of the originate check Figure 1 gains with a route
+/// originated onto R2 -> ISP2.
+const FIGURE1_ORIGINATE: &str = "c03f6bf77d3ff99315d1b000c71ae863";
