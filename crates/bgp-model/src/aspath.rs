@@ -103,6 +103,31 @@ impl std::error::Error for RegexParseError {}
 /// bound keeps a hostile pattern from overflowing the stack.
 pub const MAX_GROUP_DEPTH: usize = 128;
 
+/// How many characters of a pattern an error quotes, at most.
+const EXCERPT_CHARS: usize = 64;
+
+/// `pattern` whole if it is short, else [`EXCERPT_CHARS`] characters of
+/// it around byte `pos`, an ellipsis marking each cut side.
+fn excerpt(pattern: &str, pos: usize) -> String {
+    let total = pattern.chars().count();
+    if total <= EXCERPT_CHARS {
+        return pattern.to_string();
+    }
+    let width = EXCERPT_CHARS - 2;
+    let first = (pattern[..pos].chars().count())
+        .saturating_sub(width / 2)
+        .min(total - width);
+    let mut out = String::new();
+    if first > 0 {
+        out.push('…');
+    }
+    out.extend(pattern.chars().skip(first).take(width));
+    if first + width < total {
+        out.push('…');
+    }
+    out
+}
+
 /// NFA fragment under construction: entry state and dangling exit state.
 struct Frag {
     start: usize,
@@ -110,7 +135,10 @@ struct Frag {
 }
 
 struct Compiler<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
+    /// The unparsed rest of the pattern's body.
+    rest: &'a str,
+    /// Byte offset in `pattern` where the body ends.
+    end: usize,
     states: Vec<NfaState>,
     pattern: &'a str,
     /// Groups open at the current position.
@@ -123,22 +151,46 @@ impl<'a> Compiler<'a> {
         self.states.len() - 1
     }
 
+    /// The next character, not consumed.
+    fn peek(&self) -> Option<char> {
+        self.rest.chars().next()
+    }
+
+    /// Consume the next character.
+    fn bump(&mut self) {
+        if let Some(c) = self.peek() {
+            self.rest = &self.rest[c.len_utf8()..];
+        }
+    }
+
+    /// Consume `want` if it is next.
+    fn eat(&mut self, want: char) -> bool {
+        let hit = self.peek() == Some(want);
+        if hit {
+            self.bump();
+        }
+        hit
+    }
+
+    /// An error at the next character: its byte offset and an excerpt
+    /// of the pattern around it, however long the pattern is.
     fn err(&self, msg: &str) -> RegexParseError {
-        RegexParseError(format!("{msg} in {:?}", self.pattern))
+        let pos = self.end - self.rest.len();
+        let around = excerpt(self.pattern, pos);
+        RegexParseError(format!("{msg} at byte {pos} in {around:?}"))
     }
 
     /// alt := concat ('|' concat)*
     fn parse_alt(&mut self) -> Result<Frag, RegexParseError> {
         let first = self.parse_concat()?;
-        if self.chars.peek() != Some(&'|') {
+        if self.peek() != Some('|') {
             return Ok(first);
         }
         let start = self.new_state();
         let end = self.new_state();
         self.states[start].eps.push(first.start);
         self.states[first.end].eps.push(end);
-        while self.chars.peek() == Some(&'|') {
-            self.chars.next();
+        while self.eat('|') {
             let alt = self.parse_concat()?;
             self.states[start].eps.push(alt.start);
             self.states[alt.end].eps.push(end);
@@ -150,7 +202,7 @@ impl<'a> Compiler<'a> {
     fn parse_concat(&mut self) -> Result<Frag, RegexParseError> {
         let start = self.new_state();
         let mut cur = start;
-        while let Some(&c) = self.chars.peek() {
+        while let Some(c) = self.peek() {
             if c == '|' || c == ')' {
                 break;
             }
@@ -165,21 +217,17 @@ impl<'a> Compiler<'a> {
 
     /// item := atom postfix?; returns None for pure-epsilon atoms.
     fn parse_item(&mut self) -> Result<Option<Frag>, RegexParseError> {
-        let c = match self.chars.peek() {
-            Some(&c) => c,
+        let c = match self.peek() {
+            Some(c) => c,
             None => return Err(self.err("unexpected end")),
         };
         let frag: Option<Frag> = match c {
-            '_' => {
-                self.chars.next();
-                None
-            }
-            ' ' => {
-                self.chars.next();
+            '_' | ' ' => {
+                self.bump();
                 None
             }
             '.' => {
-                self.chars.next();
+                self.bump();
                 Some(self.atom_pred(TokPred::Any))
             }
             '0'..='9' => {
@@ -187,13 +235,13 @@ impl<'a> Compiler<'a> {
                 Some(self.atom_pred(TokPred::Eq(n)))
             }
             '[' => {
-                self.chars.next();
+                self.bump();
                 let lo = self.parse_number()?;
-                if self.chars.next() != Some('-') {
+                if !self.eat('-') {
                     return Err(self.err("expected '-' in range"));
                 }
                 let hi = self.parse_number()?;
-                if self.chars.next() != Some(']') {
+                if !self.eat(']') {
                     return Err(self.err("expected ']'"));
                 }
                 if lo > hi {
@@ -202,14 +250,14 @@ impl<'a> Compiler<'a> {
                 Some(self.atom_pred(TokPred::Range(lo, hi)))
             }
             '(' => {
-                self.chars.next();
                 if self.depth == MAX_GROUP_DEPTH {
                     return Err(self.err(&format!("groups nested deeper than {MAX_GROUP_DEPTH}")));
                 }
+                self.bump();
                 self.depth += 1;
                 let inner = self.parse_alt()?;
                 self.depth -= 1;
-                if self.chars.next() != Some(')') {
+                if !self.eat(')') {
                     return Err(self.err("expected ')'"));
                 }
                 Some(inner)
@@ -217,9 +265,9 @@ impl<'a> Compiler<'a> {
             other => return Err(self.err(&format!("unexpected character {other:?}"))),
         };
         // postfix
-        let frag = match self.chars.peek() {
-            Some(&op @ ('*' | '+' | '?')) => {
-                self.chars.next();
+        let frag = match self.peek() {
+            Some(op @ ('*' | '+' | '?')) => {
+                self.bump();
                 let inner = match frag {
                     Some(f) => f,
                     None => return Ok(None), // `_*` etc: still epsilon
@@ -260,9 +308,9 @@ impl<'a> Compiler<'a> {
     fn parse_number(&mut self) -> Result<u32, RegexParseError> {
         let mut n: u64 = 0;
         let mut any = false;
-        while let Some(&c) = self.chars.peek() {
+        while let Some(c) = self.peek() {
             if let Some(d) = c.to_digit(10) {
-                self.chars.next();
+                self.bump();
                 any = true;
                 n = n * 10 + d as u64;
                 if n > u32::MAX as u64 {
@@ -284,24 +332,17 @@ impl AsPathRegex {
     pub fn compile(pattern: &str) -> Result<Self, RegexParseError> {
         let anchored_start = pattern.starts_with('^');
         let anchored_end = pattern.ends_with('$') && !pattern.ends_with("\\$");
-        let body = {
-            let mut b = pattern;
-            if anchored_start {
-                b = &b[1..];
-            }
-            if anchored_end {
-                b = &b[..b.len() - 1];
-            }
-            b
-        };
+        let start = usize::from(anchored_start);
+        let end = pattern.len() - usize::from(anchored_end);
         let mut c = Compiler {
-            chars: body.chars().peekable(),
+            rest: pattern.get(start..end).unwrap_or(""),
+            end,
             states: Vec::new(),
             pattern,
             depth: 0,
         };
         let frag = c.parse_alt()?;
-        if c.chars.peek().is_some() {
+        if c.peek().is_some() {
             return Err(c.err("trailing characters"));
         }
         let mut start = frag.start;
@@ -490,6 +531,32 @@ mod tests {
             let e = AsPathRegex::compile(&deep).unwrap_err();
             assert!(e.0.starts_with("groups nested deeper than 128"), "{e}");
         });
+    }
+
+    #[test]
+    fn an_error_names_its_byte_and_quotes_a_bounded_excerpt() {
+        let deep = "(".repeat(200) + "1" + &")".repeat(200);
+        let e = AsPathRegex::compile(&deep).unwrap_err().to_string();
+        let quoted = format!("\"…{}…\"", "(".repeat(62));
+        assert_eq!(
+            e,
+            format!("bad as-path regex: groups nested deeper than 128 at byte 128 in {quoted}")
+        );
+        // A short pattern is quoted whole; a byte offset counts the
+        // anchor and multi-byte characters before it.
+        let e = AsPathRegex::compile("^(1").unwrap_err();
+        assert_eq!(e.0, "expected ')' at byte 3 in \"^(1\"");
+        let e = AsPathRegex::compile("é").unwrap_err();
+        assert_eq!(e.0, "unexpected character 'é' at byte 0 in \"é\"");
+        let e = AsPathRegex::compile(&format!("{}x", "1 ".repeat(100))).unwrap_err();
+        assert!(
+            e.0.starts_with("unexpected character 'x' at byte 200 in \"…"),
+            "{e}"
+        );
+        assert!(
+            e.0.ends_with(" 1 x\""),
+            "the cut keeps the tail it reaches: {e}"
+        );
     }
 
     #[test]

@@ -6,6 +6,12 @@
 //! agreement between the two is property-tested in this crate's test
 //! suite, which is the core soundness argument for the generated checks.
 //!
+//! The output is specified for accepted routes only. Nothing reads the
+//! output of a rejected one: the safety goal is `reject ∨ ensure(out)`,
+//! the liveness goal `¬reject ∧ …`, and a counterexample shows an output
+//! only when its route is accepted. So a `deny` entry adds nothing to
+//! the output; it is whatever the entries below it make of the route.
+//!
 //! [`encode_transfer`] wraps an edge's import or export route map with
 //! the per-edge ghost-attribute updates of §4.4: the one relation
 //! encoder of the engine's symbolic checks and of the Minesweeper
@@ -249,12 +255,16 @@ impl<'a> Encoder<'a> {
         // Not-taken branch: fall through to the next entry.
         let miss_t = self.encode_from(map, idx + 1, route, permitted);
 
-        // Taken branch.
+        // Taken branch. A denied route's output is read nowhere, so a
+        // deny leaves the output to the entries below it.
         let hit_t = match entry.action {
-            Action::Deny => Transfer {
-                reject: self.pool.tru(),
-                out: route.clone(),
-            },
+            Action::Deny => {
+                let reject = self.pool.or2(hit, miss_t.reject);
+                return Transfer {
+                    reject,
+                    out: miss_t.out,
+                };
+            }
             Action::Permit => {
                 let mut transformed = route.clone();
                 for s in &entry.sets {

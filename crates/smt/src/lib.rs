@@ -12,7 +12,8 @@
 //! * [`term`] — hash-consed term DAG with smart constructors that perform
 //!   local simplification (constant folding, flattening, negation pushing).
 //! * [`bitblast`] — Tseitin conversion of the term DAG into CNF; bitvector
-//!   operations are lowered to per-bit boolean circuits.
+//!   operations are lowered to per-bit boolean circuits. Sessions emit
+//!   only the half of an AND / OR definition a use needs.
 //! * [`sat`] — a MiniSat-style CDCL solver: two-watched-literal propagation,
 //!   first-UIP conflict analysis, VSIDS decision heuristic with phase
 //!   saving and Luby restarts over an additions-only clause database,

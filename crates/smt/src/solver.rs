@@ -294,10 +294,22 @@ pub struct Assumption(Lit);
 ///    search for later ones.
 ///
 /// Soundness of reuse: an activation clause `!a ∨ f` is vacuous unless
-/// `a` is assumed, assumptions never enter the clause database (they are
-/// decided, not asserted), and Tseitin definitions here are full
-/// bi-implications — so the clause set is one consistent theory shared by
-/// every query, and anything learnt from it is valid for all of them.
+/// `a` is assumed, and assumptions never enter the clause database (they
+/// are decided, not asserted). Every asserted or gated formula is used
+/// in positive position only, so the session blasts it with
+/// [`IncrementalBlaster::blast_implied`]: an AND or OR gate gets only the
+/// half of its Tseitin definition its uses need, and the other half when
+/// a later formula uses it the other way. That keeps the two facts a
+/// verdict rests on. Any model of the formulas extends to the gates (give
+/// each gate its function's value), so a satisfiable query is never
+/// answered `Unsat`. Any model of the clauses, restricted to the input
+/// variables, satisfies every formula it activates, so an `Unsat` answer
+/// and its core are sound. The clause set is one theory shared by every
+/// query, only ever extended, and anything learnt from it stays valid
+/// for all of them. One-shot solves ([`solve`]) keep full definitions:
+/// every witness comes from one, and the witness a search finds depends
+/// on the clauses it searches, so one-sided gates there would change
+/// which counterexample a failure reports.
 pub struct IncrementalSession {
     pool: TermPool,
     blaster: IncrementalBlaster,
@@ -390,7 +402,8 @@ impl IncrementalSession {
     pub fn assert(&mut self, t: TermId) {
         debug_assert_eq!(self.pool.sort(t), Sort::Bool, "assertions must be boolean");
         let t0 = Instant::now();
-        self.blaster.assert_true(&self.pool, t);
+        let l = self.blaster.blast_implied(&self.pool, t);
+        self.blaster.add_clause(&[l]);
         self.pending_encode += t0.elapsed();
     }
 
@@ -401,7 +414,7 @@ impl IncrementalSession {
     pub fn activation(&mut self, t: TermId) -> Assumption {
         debug_assert_eq!(self.pool.sort(t), Sort::Bool, "activations must be boolean");
         let t0 = Instant::now();
-        let l = self.blaster.blast_bool(&self.pool, t);
+        let l = self.blaster.blast_implied(&self.pool, t);
         let act = self.blaster.fresh_lit();
         self.blaster.add_clause(&[!act, l]);
         self.pending_encode += t0.elapsed();

@@ -577,6 +577,23 @@ impl TermPool {
         }
         let sort = self.sort(then);
         if sort == Sort::Bool {
+            // A constant arm makes the ite one `or` or one `and`, so a
+            // first-match fold (`ite(hit, verdict, rest)`) is a chain of
+            // them, flat where verdicts repeat, and each `hit` occurs in
+            // one polarity only.
+            match (self.term(then), self.term(els)) {
+                (Term::True, _) => return self.or2(cond, els),
+                (_, Term::False) => return self.and2(cond, then),
+                (Term::False, _) => {
+                    let nc = self.not(cond);
+                    return self.and2(nc, els);
+                }
+                (_, Term::True) => {
+                    let nc = self.not(cond);
+                    return self.or2(nc, then);
+                }
+                _ => {}
+            }
             // (ite c t e) == (c /\ t) \/ (!c /\ e); keeping booleans in
             // and/or form lets later simplifications fire.
             let ct = self.and2(cond, then);
@@ -933,6 +950,59 @@ mod tests {
         assert_eq!(p.ite(f, x, y), y);
         let c = p.bool_var("c");
         assert_eq!(p.ite(c, x, x), x);
+    }
+
+    /// The value of a boolean term over `a` and `b`.
+    fn eval(p: &TermPool, t: TermId, a: TermId, env: [bool; 2]) -> bool {
+        match *p.term(t) {
+            Term::True => true,
+            Term::False => false,
+            Term::BoolVar(_) => env[usize::from(t != a)],
+            Term::Not(x) => !eval(p, x, a, env),
+            Term::And(ops) => p.operands(ops).iter().all(|&x| eval(p, x, a, env)),
+            Term::Or(ops) => p.operands(ops).iter().any(|&x| eval(p, x, a, env)),
+            ref other => panic!("not a boolean connective: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn constant_arm_ites_fold_and_agree_with_the_expansion() {
+        let mut p = TermPool::new();
+        let (a, b) = (p.bool_var("a"), p.bool_var("b"));
+        let (na, nb, t, f) = (p.not(a), p.not(b), p.tru(), p.fls());
+        let shapes = [t, f, a, na, b, nb];
+        for c in shapes {
+            for then in shapes {
+                for els in shapes {
+                    let ite = p.ite(c, then, els);
+                    let ct = p.and2(c, then);
+                    let nc = p.not(c);
+                    let ce = p.and2(nc, els);
+                    let expansion = p.or2(ct, ce);
+                    for env in [[false, false], [false, true], [true, false], [true, true]] {
+                        assert_eq!(
+                            eval(&p, ite, a, env),
+                            eval(&p, expansion, a, env),
+                            "ite({}, {}, {}) at a={}, b={}",
+                            p.display(c),
+                            p.display(then),
+                            p.display(els),
+                            env[0],
+                            env[1]
+                        );
+                    }
+                }
+            }
+        }
+        // A constant arm leaves one connective over the other two inputs.
+        let (x, y) = (p.bool_var("x"), p.bool_var("y"));
+        let (nx, x_or_y, x_and_y) = (p.not(x), p.or2(x, y), p.and2(x, y));
+        let nx_and_y = p.and2(nx, y);
+        let nx_or_y = p.or2(nx, y);
+        assert_eq!(p.ite(x, t, y), x_or_y);
+        assert_eq!(p.ite(x, y, f), x_and_y);
+        assert_eq!(p.ite(x, f, y), nx_and_y);
+        assert_eq!(p.ite(x, y, t), nx_or_y);
     }
 
     #[test]

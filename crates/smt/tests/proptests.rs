@@ -30,6 +30,12 @@
 //!    trusted attach agrees with one fed through the normalising
 //!    `add_clause_slice` on every query of a stream — verdicts, models
 //!    and failed-assumption cores.
+//! 7. A session's one-sided definitions decide what full ones do: terms
+//!    over shared sub-terms, used in both polarities, are activated one
+//!    at a time on one session (so gates blasted one way get their
+//!    other half later), and every query's verdict equals a one-shot
+//!    solve of the same conjunction, and every UNSAT core replays UNSAT
+//!    on a one-shot solve.
 
 use proptest::prelude::*;
 use smt::{
@@ -698,6 +704,57 @@ proptest! {
                 } else {
                     prop_assert_eq!(trusted.failed_assumptions(), reference.failed_assumptions());
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn one_sided_session_agrees_with_one_shot_solves(seed in any::<u64>()) {
+        let mut rng = seed;
+        let mut sess = IncrementalSession::new();
+        let shared = random_roots(&mut rng, sess.pool_mut(), 3);
+        let (mut roots, mut acts, mut asserted) = (Vec::new(), Vec::new(), Vec::new());
+        for _ in 0..8 {
+            // A shared term in either polarity, alone or under a fresh
+            // AND / OR: its gates meet uses both ways across activations.
+            let pool = sess.pool_mut();
+            let s = shared[below(&mut rng, shared.len() as u64) as usize];
+            let s = if below(&mut rng, 2) == 0 { s } else { pool.not(s) };
+            let x = random_roots(&mut rng, pool, 1)[0];
+            let root = match below(&mut rng, 3) {
+                0 => s,
+                1 => pool.and2(s, x),
+                _ => pool.or2(s, x),
+            };
+            if below(&mut rng, 6) == 0 {
+                sess.assert(root);
+                asserted.push(root);
+            } else {
+                acts.push(sess.activation(root));
+                roots.push(root);
+            }
+            // The newest activation, with a random subset of the others.
+            let posed: Vec<usize> = (0..acts.len())
+                .filter(|&i| i + 1 == acts.len() || below(&mut rng, 2) == 0)
+                .collect();
+            let assumed: Vec<_> = posed.iter().map(|&i| acts[i]).collect();
+            let (got, _) = sess.solve_under(&assumed);
+            let mut conj = asserted.clone();
+            conj.extend(posed.iter().map(|&i| roots[i]));
+            let want = solve(sess.pool(), &conj).is_sat();
+            prop_assert_eq!(got == SolveOutcome::Sat, want, "seed {}", seed);
+            if got == SolveOutcome::Unsat {
+                let mut core = asserted.clone();
+                for a in sess.failed_assumptions() {
+                    let i = acts.iter().position(|b| b == a).unwrap();
+                    prop_assert!(posed.contains(&i), "core names an activation not posed");
+                    core.push(roots[i]);
+                }
+                prop_assert!(!solve(sess.pool(), &core).is_sat(), "core does not replay");
             }
         }
     }

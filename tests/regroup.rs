@@ -5,9 +5,14 @@
 //! (one fresh instance per check) answers. Cores read off a session that
 //! served many edges still replay on a fresh instance.
 //!
-//! Inputs: the `netgen::zoo` Uninett build, and Kdl scaled down — its
-//! templated policies give many edges one relation.
+//! Inputs: the `netgen::zoo` Uninett build, Kdl scaled down — its
+//! templated policies give many edges one relation — and Cogentco with a
+//! router-unique leading `deny` in every route-map, where an export
+//! filter alone proves some checks (an empty core).
 
+mod common;
+
+use common::{quarantine, zoo_scenario};
 use lightyear::check::Report;
 use lightyear::engine::{CheckDigests, Verifier};
 use lightyear::{NetworkInvariants, SafetyProperty};
@@ -113,6 +118,19 @@ fn kdl_sessions_are_one_per_relation() {
     assert_grouped_by_relation(&scen, (&fp, &fi));
 }
 
+#[test]
+fn quarantined_cogentco_sessions_are_one_per_relation() {
+    let entry = CORPUS.iter().find(|e| e.name == "Cogentco").unwrap();
+    let params = ZooParams::scaled(entry, 24);
+    let mut configs = zoo::configs(&params);
+    quarantine(&mut configs, 8);
+    let scen = zoo_scenario(params, &configs);
+    let (pp, pi) = scen.peering_suite();
+    let (fp, fi) = scen.fencing_suite();
+    assert_grouped_by_relation(&scen, (&pp, &pi));
+    assert_grouped_by_relation(&scen, (&fp, &fi));
+}
+
 /// Figure 3b's claim — a check's size depends on one router's
 /// configuration only — is measured on the reference oracle, where each
 /// check is its own formula. Sessions now serve many edges and grow
@@ -134,4 +152,4 @@ fn kdl_reference_query_size_is_pinned() {
 }
 
 /// `(max vars, max clauses)` of the peering and the fencing suite.
-const KDL40_REFERENCE_MAX: [(u64, u64); 2] = [(397, 1276), (157, 434)];
+const KDL40_REFERENCE_MAX: [(u64, u64); 2] = [(97, 127), (63, 74)];

@@ -6,6 +6,10 @@
 //! * the symbolic transfer rejects iff the interpreter rejects, and
 //! * on acceptance, every attribute of the symbolic output (pinned to the
 //!   input route) equals the interpreter's output.
+//!
+//! A second generator opens every map with a `deny` ahead of `set`
+//! entries: the encoding leaves a denied route's output unspecified, and
+//! the output of an accepted one must not notice.
 
 use bgp_model::prefix::{Ipv4Prefix, PrefixRange};
 use bgp_model::routemap::{Action, MatchCond, RouteMap, RouteMapEntry, SetAction};
@@ -126,12 +130,48 @@ fn arb_route() -> impl Strategy<Value = Route> {
         })
 }
 
+/// A map that opens with a `deny` and then permits with `set`s: the
+/// deny's branch leaves the output to the entries after it, and that
+/// output must still be the interpreter's wherever the route is
+/// accepted.
+fn arb_deny_then_sets() -> impl Strategy<Value = RouteMap> {
+    let permit = (
+        prop::collection::vec(arb_match(), 0..2),
+        prop::collection::vec(arb_set(), 1..3),
+        prop_oneof![Just(None), Just(Some(None))],
+    );
+    (
+        prop::collection::vec(arb_match(), 1..3),
+        prop::collection::vec(permit, 1..4),
+    )
+        .prop_map(|(deny_matches, permits)| {
+            let mut m = RouteMap::new("GEN");
+            m.push(RouteMapEntry {
+                seq: 10,
+                action: Action::Deny,
+                matches: deny_matches,
+                sets: Vec::new(),
+                continue_to: None,
+            });
+            for (i, (matches, sets, continue_to)) in permits.into_iter().enumerate() {
+                m.push(RouteMapEntry {
+                    seq: (i as u32 + 2) * 10,
+                    action: Action::Permit,
+                    matches,
+                    sets,
+                    continue_to,
+                });
+            }
+            m
+        })
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn symbolic_transfer_agrees_with_interpreter(
-        map in arb_route_map(),
+        map in prop_oneof![arb_route_map(), arb_deny_then_sets()],
         route in arb_route(),
     ) {
         let mut u = Universe::new();
